@@ -99,7 +99,11 @@ let cmd_run =
     let graph = Ds.load ~max_edges (Ds.find dataset) in
     let compiled = compile_model model ~training ~compact ~fusion in
     try
-      let session = Session.create ~seed:7 ~trace:(trace_file <> None) ~graph compiled in
+      let session =
+        Session.create
+          ~config:{ Session.Config.default with seed = 7; trace = trace_file <> None }
+          ~graph compiled
+      in
       (if training then
          let rng = Hector_tensor.Rng.create 5 in
          let labels =

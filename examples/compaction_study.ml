@@ -21,7 +21,7 @@ let run_config graph ~compact ~training =
   let options = Compiler.options_of_flags ~training ~compact ~fusion:false () in
   let compiled = Compiler.compile ~options (Hector_models.Model_defs.rgat ()) in
   try
-    let session = Session.create ~seed:5 ~graph compiled in
+    let session = Session.create ~config:{ Session.Config.default with seed = 5 } ~graph compiled in
     (if training then
        let labels = Array.init graph.G.num_nodes (fun _ -> 0) in
        ignore (Session.train_step session ~labels ())

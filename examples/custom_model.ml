@@ -106,7 +106,7 @@ let () =
   let run compact =
     let options = Compiler.options_of_flags ~training:true ~compact ~fusion:false () in
     let compiled = Compiler.compile ~options program in
-    let session = Session.create ~seed:3 ~graph compiled in
+    let session = Session.create ~config:{ Session.Config.default with seed = 3 } ~graph compiled in
     let out = List.assoc "out" (Session.forward session) in
     Format.printf "%s: %d GEMM steps, out %a@."
       (if compact then "compact" else "vanilla")

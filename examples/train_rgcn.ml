@@ -50,7 +50,11 @@ let () =
   let program = Hector_models.Model_defs.rgcn ~in_dim ~out_dim:num_classes () in
   let options = Compiler.options_of_flags ~training:true ~compact:true ~fusion:false () in
   let compiled = Compiler.compile ~options program in
-  let session = Session.create ~seed:5 ~node_inputs:[ ("h", h) ] ~graph compiled in
+  let session =
+    Session.create
+      ~config:{ Session.Config.default with seed = 5; node_inputs = [ ("h", h) ] }
+      ~graph compiled
+  in
 
   let accuracy () =
     let out = List.assoc "out" (Session.forward session) in

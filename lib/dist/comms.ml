@@ -121,6 +121,3 @@ let wait = function
       Engine.wait_until engine ~op completion_ms
 
 let completion_ms = function Done -> 0.0 | Pending p -> p.completion_ms
-
-let charge c engine ~op ~messages ~bytes =
-  wait (post c engine ~chan:0 ~op ~messages ~bytes)

@@ -98,12 +98,3 @@ val wait : handle -> unit
 val completion_ms : handle -> float
 (** Simulated completion time of the transfer (0 for the zero-message
     transfer) — the [ready] input for posting a dependent transfer. *)
-
-val charge :
-  t -> Hector_gpu.Engine.t -> op:string -> messages:int -> bytes:float -> unit
-[@@ocaml.alert deprecated "use Comms.post + Comms.wait (async channel API)"]
-(** [charge c engine ~op ~messages ~bytes] posts on channel 0 and waits
-    immediately — the old blocking BSP behaviour: clock, launch count and
-    per-op attribution are identical to the historic synchronous call.  A
-    zero-message charge is a no-op.  Deprecated: new code should post
-    early and wait at first use so transfers overlap compute. *)

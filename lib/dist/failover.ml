@@ -66,11 +66,14 @@ let train ?(config = Replica.Config.default) ?faults ?dir ?keep ?(every = 0) ?(l
       let from_step = Checkpoint.step ckpt in
       let survivors = max 1 (Replica.parts !cluster - 1) in
       (* rebuild over the survivors, starting from the checkpoint weights *)
-      let cfg = { config with Replica.Config.parts = Some survivors } in
-      let rebuilt =
-        Replica.create ~config:cfg ~weights:[ Checkpoint.tensors ckpt ] ~features ~graph
-          [ compiled ]
+      let cfg =
+        {
+          config with
+          Replica.Config.parts = Some survivors;
+          weights = Some [ Checkpoint.tensors ckpt ];
+        }
       in
+      let rebuilt = Replica.create ~config:cfg ~features ~graph [ compiled ] in
       (* charge detection (the wait-timeout every survivor burned) and the
          checkpoint reload onto the recovered cluster's clocks *)
       let reload_ms =

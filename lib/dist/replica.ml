@@ -181,23 +181,9 @@ let make_buckets (backward : Plan.t) ~bucket_bytes reduce_scratch =
   flush ();
   Array.of_list (List.rev !buckets)
 
-let create ?(config = Config.default) ?parts ?slack ?comms ?device ?seed ?obs ?weights
-    ~features ~(graph : G.t) layers =
+let create ?config:(cfg = Config.default) ~features ~(graph : G.t) layers =
   if layers = [] then invalid_arg "Replica.create: empty layer stack";
   let knobs = Knobs.current () in
-  (* legacy labels override the config record, field by field *)
-  let cfg =
-    {
-      config with
-      Config.parts = (match parts with Some _ -> parts | None -> config.Config.parts);
-      slack = (match slack with Some _ -> slack | None -> config.Config.slack);
-      comms = (match comms with Some _ -> comms | None -> config.Config.comms);
-      device = Option.value device ~default:config.Config.device;
-      seed = Option.value seed ~default:config.Config.seed;
-      obs = (match obs with Some _ -> obs | None -> config.Config.obs);
-      weights = (match weights with Some _ -> weights | None -> config.Config.weights);
-    }
-  in
   let parts =
     match cfg.Config.parts with
     | Some p -> p
@@ -431,8 +417,7 @@ let barrier t =
       if lag > 0.0 then Engine.host_sync r.engine ~us:(lag *. 1e3) ())
     t.replicas
 
-(* The historic blocking transfer: post on channel 0 and stall immediately
-   (clock and statistics identical to the deprecated [Comms.charge]). *)
+(* The historic blocking transfer: post on channel 0 and stall immediately. *)
 let charge_sync cm engine ~op ~messages ~bytes =
   Comms.wait (Comms.post cm engine ~chan:0 ~op ~messages ~bytes)
 

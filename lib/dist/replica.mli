@@ -88,13 +88,6 @@ type t
 
 val create :
   ?config:Config.t ->
-  ?parts:int ->
-  ?slack:float ->
-  ?comms:Comms.t ->
-  ?device:Hector_gpu.Device.t ->
-  ?seed:int ->
-  ?obs:Hector_obs.t ->
-  ?weights:(string * Tensor.t) list list ->
   features:Tensor.t ->
   graph:Hector_graph.Hetgraph.t ->
   Hector_core.Compiler.compiled list ->
@@ -108,14 +101,12 @@ val create :
     width of each layer must match the previous layer's output width, and
     the first must match [features] (one row per parent node).
 
-    All options live in [config] (default {!Config.default}).  The
-    remaining optional labels are the {e deprecated} pre-[Config] spelling
-    and override the corresponding [config] fields when given.
+    All options live in [config] (default {!Config.default}).
 
     Master weights are drawn once (Glorot, from the seed) and deep-copied
     into every replica, so all replicas start identical; retrieve them with
-    {!master_weights} to build a bit-identical reference session.  Passing
-    [weights] (per-layer stacks, e.g. from a loaded
+    {!master_weights} to build a bit-identical reference session.  Setting
+    [Config.weights] (per-layer stacks, e.g. from a loaded
     {!Hector_ckpt.Checkpoint}) replaces the draw — the restore path used
     by {!Failover} recovery.  Raises
     [Invalid_argument] on unsupported programs, mismatched widths or bad

@@ -11,7 +11,16 @@ let measure ?device graph options =
   let program = Hector_models.Model_defs.rgat () in
   try
     let compiled = Compiler.compile ~options program in
-    let session = Session.create ?device ~seed:11 ~graph compiled in
+    let session =
+      Session.create
+        ~config:
+          {
+            Session.Config.default with
+            device = Option.value device ~default:Session.Config.default.device;
+            seed = 11;
+          }
+        ~graph compiled
+    in
     ignore (Session.forward session);
     Session.reset_clock session;
     ignore (Session.forward session);

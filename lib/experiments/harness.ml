@@ -75,7 +75,9 @@ let measure_hector t ~model ~dataset:ds ~training config =
   let program = Hector_models.Model_defs.by_name model () in
   try
     let compiled = Compiler.compile ~options program in
-    let session = Session.create ~seed:t.seed ~graph compiled in
+    let session =
+      Session.create ~config:{ Session.Config.default with seed = t.seed } ~graph compiled
+    in
     let rng = Rng.create (t.seed + 13) in
     let labels =
       lazy (Array.init graph.G.num_nodes (fun _ -> Rng.int rng (Session.output_dim session)))

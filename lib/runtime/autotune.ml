@@ -91,7 +91,16 @@ let dedup_by_id options =
 let measure ?device ~training ~graph compiled =
   incr measured;
   try
-    let session = Session.create ?device ~seed:11 ~graph compiled in
+    let session =
+      Session.create
+        ~config:
+          {
+            Session.Config.default with
+            device = Option.value device ~default:Session.Config.default.device;
+            seed = 11;
+          }
+        ~graph compiled
+    in
     let epoch =
       if training then (
         let rng = Rng.create 3 in

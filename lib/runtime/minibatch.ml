@@ -50,7 +50,10 @@ let create ?(device = Device.rtx3090) ?(seed = 1) ~graph ~features ~labels compi
   let probe =
     Sampler.sample ~seed ~graph ~seeds:[| 0 |] ~fanout:2 ~hops:1 ()
   in
-  let session = Session.create ~device ~seed ~graph:probe.Sampler.graph compiled in
+  let session =
+    Session.create ~config:{ Session.Config.default with device; seed } ~graph:probe.Sampler.graph
+      compiled
+  in
   {
     device;
     graph;
@@ -80,9 +83,16 @@ let step t ?(lr = 0.05) ?(fanout = 8) ?(hops = 2) ~batch () =
   let feats = Tensor.gather_rows t.features (Sampler.induced_feature_rows block) in
   let labels = Array.map (fun v -> t.labels.(v)) block.Sampler.origin_node in
   let session =
-    Session.create ~device:t.device ~seed:3
-      ~node_inputs:[ (t.feature_name, feats) ]
-      ~weights:t.weights ~graph:sub t.compiled
+    Session.create
+      ~config:
+        {
+          Session.Config.default with
+          device = t.device;
+          seed = 3;
+          node_inputs = [ (t.feature_name, feats) ];
+          weights = t.weights;
+        }
+      ~graph:sub t.compiled
   in
   (* host→device transfer of the gathered features over PCIe *)
   let engine = Session.engine session in

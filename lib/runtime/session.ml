@@ -68,23 +68,7 @@ let rgcn_norm g =
   done;
   t
 
-let create ?(config = Config.default) ?device ?seed ?trace ?memory_planner ?node_inputs
-    ?edge_inputs ?weights ~graph compiled =
-  (* legacy labels override the corresponding config field, so pre-Config
-     call sites behave exactly as before *)
-  let cfg =
-    {
-      config with
-      Config.device = Option.value device ~default:config.Config.device;
-      seed = Option.value seed ~default:config.Config.seed;
-      trace = Option.value trace ~default:config.Config.trace;
-      memory_planner =
-        (match memory_planner with Some p -> Some p | None -> config.Config.memory_planner);
-      node_inputs = Option.value node_inputs ~default:config.Config.node_inputs;
-      edge_inputs = Option.value edge_inputs ~default:config.Config.edge_inputs;
-      weights = Option.value weights ~default:config.Config.weights;
-    }
-  in
+let create ?config:(cfg = Config.default) ~graph compiled =
   let node_inputs = cfg.Config.node_inputs
   and edge_inputs = cfg.Config.edge_inputs
   and weights = cfg.Config.weights in

@@ -52,20 +52,9 @@ end
 
 type t
 
-val create :
-  ?config:Config.t ->
-  ?device:Hector_gpu.Device.t ->
-  ?seed:int ->
-  ?trace:bool ->
-  ?memory_planner:bool ->
-  ?node_inputs:(string * Tensor.t) list ->
-  ?edge_inputs:(string * Tensor.t) list ->
-  ?weights:(string * Tensor.t) list ->
-  graph:Hector_graph.Hetgraph.t ->
-  Hector_core.Compiler.compiled ->
-  t
-(** Build a session — the documented entry point is
-    [create ~config ~graph compiled].  Parameters and inputs not supplied
+val create : ?config:Config.t -> graph:Hector_graph.Hetgraph.t -> Hector_core.Compiler.compiled -> t
+(** [create ~config ~graph compiled] builds a session ([config] defaults
+    to {!Config.default}).  Parameters and inputs not supplied
     are generated: weights with Glorot initialization sized from the
     declarations and the graph's type counts (fusion-generated weights are
     computed, not initialized); node inputs with standard-normal entries;
@@ -74,12 +63,6 @@ val create :
     engine (weights unscaled, features graph-proportional).  Raises
     [Hector_gpu.Memory.Out_of_memory] if the inputs alone exceed device
     memory at paper scale.
-
-    The individual optional labels ([?device], [?seed], [?trace],
-    [?memory_planner], [?node_inputs], [?edge_inputs], [?weights]) are the
-    {e deprecated} pre-[Config] interface, kept so existing call sites
-    compile unchanged; when both are given, a label overrides the
-    corresponding [config] field.  New code should pass [~config] only.
 
     {b The graph is frozen at creation.}  A session never observes
     structural changes made after [create]; the old guidance of rebuilding

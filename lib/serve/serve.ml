@@ -199,15 +199,12 @@ let create ?(config = default_config) ?obs ~graph program =
       Session.Config.engine = Some engine;
       slab = Some slab;
       seed = config.seed;
+      (* explicit weights (e.g. pinned across capacity epochs by the
+         streaming subsystem) override the seeded Glorot initialization *)
+      weights = config.weights;
     }
   in
-  (* explicit weights (e.g. pinned across capacity epochs by the streaming
-     subsystem) override the seeded Glorot initialization *)
-  let session =
-    match config.weights with
-    | [] -> Session.create ~config:scfg ~graph compiled
-    | ws -> Session.create ~config:scfg ~weights:ws ~graph compiled
-  in
+  let session = Session.create ~config:scfg ~graph compiled in
   let exec0 = Session.exec session in
   Exec.warm_plan exec0 compiled.Compiler.forward;
   let outputs =

@@ -18,6 +18,8 @@ module Compiler = Hector_core.Compiler
 module Session = Hector_runtime.Session
 module Models = Hector_models.Model_defs
 
+let planned planner = { Session.Config.default with seed = 5; memory_planner = Some planner }
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -237,7 +239,7 @@ let test_coloring_sound () =
 
 let peak_of ~planner model =
   let graph = test_graph () in
-  let s = Session.create ~seed:5 ~memory_planner:planner ~graph (compile ~compact:false ~fusion:false model) in
+  let s = Session.create ~config:(planned planner) ~graph (compile ~compact:false ~fusion:false model) in
   ignore (Session.forward s);
   Memory.peak_bytes (Engine.memory (Session.engine s))
 
@@ -256,7 +258,7 @@ let test_peak_decreases () =
 let test_steady_state_no_alloc () =
   let graph = test_graph () in
   let s =
-    Session.create ~seed:5 ~memory_planner:true ~graph
+    Session.create ~config:(planned true) ~graph
       (compile ~training:true ~compact:false ~fusion:false "rgcn")
   in
   let labels = Array.init graph.G.num_nodes (fun i -> i mod 4) in
@@ -276,7 +278,7 @@ let test_planner_equivalence () =
       let graph = test_graph () in
       let run planner =
         let s =
-          Session.create ~seed:5 ~memory_planner:planner ~graph (compile ~compact ~fusion model)
+          Session.create ~config:(planned planner) ~graph (compile ~compact ~fusion model)
         in
         ignore (Session.forward s);
         (* second run exercises arena reuse, not just first-run binding *)
@@ -297,7 +299,7 @@ let test_training_equivalence () =
   let labels = Array.init graph.G.num_nodes (fun i -> i mod 4) in
   let losses planner =
     let s =
-      Session.create ~seed:5 ~memory_planner:planner ~graph
+      Session.create ~config:(planned planner) ~graph
         (compile ~training:true ~compact:false ~fusion:false "rgcn")
     in
     List.init 3 (fun _ -> Session.train_step s ~labels ())

@@ -300,8 +300,13 @@ let test_dist_resume () =
           check_int "checkpoint carries the step" 2 (Checkpoint.step ckpt);
           (* rebuild a cluster from the checkpoint and replay the rest *)
           let cluster =
-            Replica.create ~config:(dist_config parts)
-              ~weights:[ Checkpoint.tensors ckpt ] ~features ~graph [ compiled ]
+            Replica.create
+              ~config:
+                {
+                  (dist_config parts) with
+                  Replica.Config.weights = Some [ Checkpoint.tensors ckpt ];
+                }
+              ~features ~graph [ compiled ]
           in
           for step = 3 to 4 do
             let loss = Replica.train_step cluster ~lr:0.05 ~labels () in

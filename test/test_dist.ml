@@ -53,6 +53,9 @@ let compile_model ?(training = false) ?(compact = false) ?(fusion = false) model
 
 let quiet_comms = Comms.create ~latency_us:5.0 ~bandwidth_gbs:25.0 ()
 
+let quiet parts =
+  { Replica.Config.default with Replica.Config.parts = Some parts; comms = Some quiet_comms }
+
 (* --- partitioner ------------------------------------------------------- *)
 
 let test_partition_covers_graph () =
@@ -186,8 +189,8 @@ let test_comms_cost_model () =
   let ms = Comms.transfer_ms c ~bytes:1e6 in
   check_bool (Printf.sprintf "latency+bandwidth (%.4f)" ms) true (abs_float (ms -. 0.11) < 1e-9);
   let engine = Engine.create () in
-  (* the deprecated blocking shim keeps the historic semantics *)
-  (Comms.charge [@alert "-deprecated"]) c engine ~op:"halo_exchange" ~messages:2 ~bytes:1e6;
+  (* a blocking transfer: post on channel 0 and wait at once *)
+  Comms.wait (Comms.post c engine ~chan:0 ~op:"halo_exchange" ~messages:2 ~bytes:1e6);
   let st = Engine.stats engine in
   check_int "one comm launch" 1 (Stats.of_op st "halo_exchange").Stats.launches;
   check_bool "comm category charged" true
@@ -196,36 +199,6 @@ let test_comms_cost_model () =
     (abs_float (Engine.elapsed_ms engine -. 0.12) < 1e-9);
   check_bool "attribution covers the clock" true
     (abs_float (Stats.attributed_ms st -. Engine.elapsed_ms engine) < 1e-9)
-
-(* equivalence pin for the API redesign: the deprecated blocking charge is
-   exactly a post on channel 0 followed by an immediate wait — same clock,
-   same launch count, same per-op and per-category attribution *)
-let test_charge_equals_post_wait () =
-  let c = Comms.create ~latency_us:10.0 ~bandwidth_gbs:10.0 ~channels:4 () in
-  let old_engine = Engine.create () and new_engine = Engine.create () in
-  let transfers = [ (2, 1e6); (1, 4e5); (3, 0.0); (0, 5e5) ] in
-  List.iter
-    (fun (messages, bytes) ->
-      (Comms.charge [@alert "-deprecated"]) c old_engine ~op:"halo_exchange" ~messages ~bytes;
-      Comms.wait (Comms.post c new_engine ~chan:0 ~op:"halo_exchange" ~messages ~bytes))
-    transfers;
-  check_bool "clocks identical" true
-    (abs_float (Engine.elapsed_ms old_engine -. Engine.elapsed_ms new_engine) < 1e-12);
-  let ost = Engine.stats old_engine and nst = Engine.stats new_engine in
-  check_int "same launch count" (Stats.of_op ost "halo_exchange").Stats.launches
-    (Stats.of_op nst "halo_exchange").Stats.launches;
-  check_bool "same per-op time" true
-    (abs_float
-       ((Stats.of_op ost "halo_exchange").Stats.time_ms
-       -. (Stats.of_op nst "halo_exchange").Stats.time_ms)
-    < 1e-12);
-  check_bool "same Comm-category time" true
-    (abs_float
-       ((Stats.of_category ost Kernel.Comm).Stats.time_ms
-       -. (Stats.of_category nst Kernel.Comm).Stats.time_ms)
-    < 1e-12);
-  check_bool "both clocks fully attributed" true
-    (abs_float (Stats.attributed_ms nst -. Engine.elapsed_ms new_engine) < 1e-9)
 
 (* transfers on distinct channels run concurrently: two 0.101 ms posts at
    clock 0 expose only 0.101 ms, and a third post folded back onto channel
@@ -326,7 +299,7 @@ let test_forward_exact model ~compact ~fusion () =
   List.iter
     (fun parts ->
       let cluster =
-        Replica.create ~parts ~comms:quiet_comms ~features ~graph [ compiled ]
+        Replica.create ~config:(quiet parts) ~features ~graph [ compiled ]
       in
       let out = Replica.forward cluster in
       let master = List.hd (Replica.master_weights cluster) in
@@ -349,7 +322,7 @@ let test_multilayer_forward_exact () =
   List.iter
     (fun parts ->
       let cluster =
-        Replica.create ~parts ~comms:quiet_comms ~features ~graph [ layer1; layer2 ]
+        Replica.create ~config:(quiet parts) ~features ~graph [ layer1; layer2 ]
       in
       let out = Replica.forward cluster in
       let masters = Replica.master_weights cluster in
@@ -377,7 +350,7 @@ let test_train_exact model ~compact ~fusion () =
   List.iter
     (fun parts ->
       let cluster =
-        Replica.create ~parts ~comms:quiet_comms ~features ~graph [ compiled ]
+        Replica.create ~config:(quiet parts) ~features ~graph [ compiled ]
       in
       let master = List.hd (Replica.master_weights cluster) in
       let cfg =
@@ -417,7 +390,7 @@ let test_steady_state_no_alloc () =
   let features = features_of graph 6 in
   let labels = labels_of graph 4 in
   let compiled = compile_model ~training:true "rgcn" in
-  let cluster = Replica.create ~parts:2 ~comms:quiet_comms ~features ~graph [ compiled ] in
+  let cluster = Replica.create ~config:(quiet 2) ~features ~graph [ compiled ] in
   ignore (Replica.train_step cluster ~labels ());
   let warm = Replica.alloc_counts cluster in
   for _ = 1 to 3 do
@@ -431,7 +404,7 @@ let test_comm_attributed () =
   let features = features_of graph 6 in
   let labels = labels_of graph 4 in
   let compiled = compile_model ~training:true "rgcn" in
-  let cluster = Replica.create ~parts:4 ~comms:quiet_comms ~features ~graph [ compiled ] in
+  let cluster = Replica.create ~config:(quiet 4) ~features ~graph [ compiled ] in
   ignore (Replica.train_step cluster ~labels ());
   let halo = ref 0 and allreduce = ref 0 in
   Array.iter
@@ -455,11 +428,11 @@ let test_single_partition_has_no_comm () =
   let graph = Lazy.force parent in
   let features = features_of graph 6 in
   let compiled = compile_model "rgcn" in
-  let cluster = Replica.create ~parts:1 ~comms:quiet_comms ~features ~graph [ compiled ] in
+  let cluster = Replica.create ~config:(quiet 1) ~features ~graph [ compiled ] in
   ignore (Replica.forward cluster);
   check_bool "no comm at one partition" true (Replica.comm_ms cluster = 0.0)
 
-(* --- the Config record and legacy labels -------------------------------- *)
+(* --- the Config record ---------------------------------------------------- *)
 
 let test_replica_config () =
   let d = Replica.Config.default in
@@ -485,11 +458,8 @@ let test_replica_config () =
   check_bool "config overlap honored" false (Replica.overlap cluster);
   (* pipeline only takes effect with overlap on; depth is still resolved *)
   check_int "config pipeline resolved" 2 (Replica.pipeline_depth cluster);
-  (* a legacy label overrides the corresponding config field *)
-  let overridden = Replica.create ~config:cfg ~parts:2 ~features ~graph [ compiled ] in
-  check_int "legacy label overrides config" 2 (Replica.parts overridden);
   check_bool "default config overlaps" true
-    (Replica.overlap (Replica.create ~parts:2 ~comms:quiet_comms ~features ~graph [ compiled ]))
+    (Replica.overlap (Replica.create ~config:(quiet 2) ~features ~graph [ compiled ]))
 
 (* --- overlapped / pipelined == BSP -------------------------------------- *)
 
@@ -628,7 +598,6 @@ let suite =
     Alcotest.test_case "partition halo maps" `Quick test_partition_halo_maps;
     Alcotest.test_case "partition validation" `Quick test_partition_validation;
     Alcotest.test_case "comms cost model" `Quick test_comms_cost_model;
-    Alcotest.test_case "charge == post + wait on channel 0" `Quick test_charge_equals_post_wait;
     Alcotest.test_case "channels overlap transfers" `Quick test_post_channels_overlap;
     Alcotest.test_case "trace shows concurrent comm span" `Quick test_trace_concurrent_comm_span;
     Alcotest.test_case "HECTOR_DIST_* knobs" `Quick test_dist_knobs;

@@ -7,6 +7,8 @@ module Compiler = Hector_core.Compiler
 module Session = Hector_runtime.Session
 module Gen = Hector_graph.Generator
 
+let seeded seed = { Session.Config.default with seed }
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -53,7 +55,7 @@ let test_frontend_rgat_matches_handwritten () =
     let compiled =
       Compiler.compile ~options:(Compiler.options_of_flags ~compact:true ~fusion:true ()) program
     in
-    let session = Session.create ~seed:9 ~graph:g compiled in
+    let session = Session.create ~config:(seeded 9) ~graph:g compiled in
     List.assoc "out" (Session.forward session)
   in
   let a = run (frontend_rgat 8) in
@@ -84,7 +86,7 @@ let test_frontend_node_scope () =
           apply_nodes m "out" (fun n -> relu (node_v n "k"))))
   in
   let compiled = Compiler.compile p in
-  let session = Session.create ~seed:9 ~graph:g compiled in
+  let session = Session.create ~config:(seeded 9) ~graph:g compiled in
   let out = List.assoc "out" (Session.forward session) in
   check_int "rows" g.Hector_graph.Hetgraph.num_nodes (T.rows out);
   check_int "cols" 4 (T.cols out)
@@ -109,7 +111,7 @@ let test_frontend_trains () =
       ~options:(Compiler.options_of_flags ~training:true ~compact:false ~fusion:false ())
       (frontend_rgat 6)
   in
-  let session = Session.create ~seed:9 ~graph:g compiled in
+  let session = Session.create ~config:(seeded 9) ~graph:g compiled in
   let labels = Array.init g.Hector_graph.Hetgraph.num_nodes (fun v -> v mod 6) in
   let first = Session.train_step session ~lr:0.4 ~labels () in
   let last = ref first in

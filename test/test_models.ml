@@ -14,6 +14,8 @@ module Exec = Hector_runtime.Exec
 module Models = Hector_models.Model_defs
 module Reference = Hector_models.Reference
 
+let seeded seed = { Session.Config.default with seed }
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -58,7 +60,7 @@ let test_two_layer_matches_reference () =
       let program = Models.rgcn_two_layer ~in_dim:10 ~hidden_dim:8 ~out_dim:6 () in
       let options = Compiler.options_of_flags ~compact ~fusion () in
       let compiled = Compiler.compile ~options program in
-      let session = Session.create ~seed:5 ~graph compiled in
+      let session = Session.create ~config:(seeded 5) ~graph compiled in
       let out = List.assoc "out" (Session.forward session) in
       let env = (Session.exec session).Exec.env in
       let tensor n = (Env.find env n).Env.tensor in
@@ -80,7 +82,7 @@ let test_two_layer_trains () =
     Compiler.compile ~options:(Compiler.options_of_flags ~training:true ~compact:true ~fusion:false ())
       program
   in
-  let session = Session.create ~seed:5 ~graph compiled in
+  let session = Session.create ~config:(seeded 5) ~graph compiled in
   let rng = Rng.create 4 in
   let labels = Array.init graph.G.num_nodes (fun _ -> Rng.int rng 4) in
   let first = Session.train_step session ~lr:0.3 ~labels () in
@@ -101,7 +103,7 @@ let test_multihead_matches_reference () =
       let program = Models.rgat_multihead ~in_dim:8 ~out_dim:8 ~heads () in
       let options = Compiler.options_of_flags ~compact ~fusion () in
       let compiled = Compiler.compile ~options program in
-      let session = Session.create ~seed:5 ~graph compiled in
+      let session = Session.create ~config:(seeded 5) ~graph compiled in
       let out = List.assoc "out" (Session.forward session) in
       let env = (Session.exec session).Exec.env in
       let h = (Env.find env "h").Env.tensor in
@@ -133,7 +135,7 @@ let test_multihead_trains () =
       ~options:(Compiler.options_of_flags ~training:true ~compact:true ~fusion:true ())
       program
   in
-  let session = Session.create ~seed:5 ~graph compiled in
+  let session = Session.create ~config:(seeded 5) ~graph compiled in
   let labels = Array.init graph.G.num_nodes (fun v -> v mod 8) in
   let first = Session.train_step session ~lr:0.4 ~labels () in
   let last = ref first in
@@ -155,7 +157,7 @@ let test_hgt_multihead_matches_reference () =
       let program = Models.hgt_multihead ~in_dim:8 ~out_dim:8 ~heads () in
       let options = Compiler.options_of_flags ~compact ~fusion () in
       let compiled = Compiler.compile ~options program in
-      let session = Session.create ~seed:5 ~graph compiled in
+      let session = Session.create ~config:(seeded 5) ~graph compiled in
       let out = List.assoc "out" (Session.forward session) in
       let env = (Session.exec session).Exec.env in
       let h = (Env.find env "h").Env.tensor in
@@ -191,7 +193,7 @@ let test_hgt_multihead_trains () =
       ~options:(Compiler.options_of_flags ~training:true ~compact:true ~fusion:false ())
       program
   in
-  let session = Session.create ~seed:5 ~graph compiled in
+  let session = Session.create ~config:(seeded 5) ~graph compiled in
   let labels = Array.init graph.G.num_nodes (fun v -> v mod 8) in
   let first = Session.train_step session ~lr:0.4 ~labels () in
   let last = ref first in
@@ -306,7 +308,7 @@ let prop_random_programs_agree =
       let run (compact, fusion) =
         let options = Compiler.options_of_flags ~training:true ~compact ~fusion () in
         let compiled = Compiler.compile ~options program in
-        let session = Session.create ~seed:5 ~graph compiled in
+        let session = Session.create ~config:(seeded 5) ~graph compiled in
         let out = List.assoc "out" (Session.forward session) in
         let labels = Array.init graph.G.num_nodes (fun v -> v mod Session.output_dim session) in
         Session.reset_clock session;

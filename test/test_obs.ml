@@ -176,38 +176,6 @@ let test_reset_clock_keep_events () =
   Engine.reset_clock engine;
   check_int "default reset drops events" 0 (List.length (Engine.events engine))
 
-(* --- Config vs legacy labels: identical behaviour ----------------- *)
-
-let test_config_equals_legacy () =
-  let graph = test_graph () in
-  let compiled = Compiler.compile ~options:train_options (Models.rgcn ()) in
-  let legacy = Session.create ~seed:7 ~trace:true ~graph compiled in
-  let config =
-    Session.create
-      ~config:{ Session.Config.default with seed = 7; trace = true }
-      ~graph compiled
-  in
-  let labels = Array.make 60 1 in
-  let loss_l = Session.train_step legacy ~labels () in
-  let loss_c = Session.train_step config ~labels () in
-  check_bool "identical loss" true (Float.abs (loss_l -. loss_c) < 1e-12);
-  let names s = List.map (fun (e : Engine.event) -> e.Engine.name) (Engine.events (Session.engine s)) in
-  check_bool "non-empty launch sequence" true (names legacy <> []);
-  check_bool "identical launch sequences" true (names legacy = names config);
-  check_bool "identical simulated time" true
-    (Engine.elapsed_ms (Session.engine legacy) = Engine.elapsed_ms (Session.engine config))
-
-let test_label_overrides_config () =
-  let graph = test_graph () in
-  let compiled = Compiler.compile ~options:train_options (Models.rgcn ()) in
-  (* config says no trace; the legacy label flips it on *)
-  let s =
-    Session.create ~config:{ Session.Config.default with trace = false } ~trace:true ~graph compiled
-  in
-  let labels = Array.make 60 0 in
-  let _ = Session.train_step s ~labels () in
-  check_bool "label wins over config" true (Engine.events (Session.engine s) <> [])
-
 let test_session_observability_config () =
   let graph = test_graph () in
   let obs = Obs.create () in
@@ -315,8 +283,6 @@ let suite =
     Alcotest.test_case "attribution total: host syncs" `Quick test_attribution_with_host_sync;
     Alcotest.test_case "engine obs counters" `Quick test_engine_obs_counters;
     Alcotest.test_case "reset_clock keep_events" `Quick test_reset_clock_keep_events;
-    Alcotest.test_case "Config equals legacy labels" `Quick test_config_equals_legacy;
-    Alcotest.test_case "label overrides config" `Quick test_label_overrides_config;
     Alcotest.test_case "configured observability handle" `Quick test_session_observability_config;
     Alcotest.test_case "provenance on every launch" `Quick test_provenance_in_trace;
     Alcotest.test_case "knobs parse" `Quick test_knobs_parse;

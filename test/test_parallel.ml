@@ -15,6 +15,8 @@ module Exec = Hector_runtime.Exec
 module Models = Hector_models.Model_defs
 module Reference = Hector_models.Reference
 
+let seeded seed = { Session.Config.default with seed }
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -275,7 +277,7 @@ let test_graph ?(seed = 3) ?(nodes = 80) ?(edges = 300) () =
 let forward_out ~graph ~compact ~fusion name =
   let options = Compiler.options_of_flags ~compact ~fusion () in
   let compiled = Compiler.compile ~options (Models.by_name name ~in_dim:8 ~out_dim:6 ()) in
-  let session = Session.create ~seed:5 ~graph compiled in
+  let session = Session.create ~config:(seeded 5) ~graph compiled in
   List.assoc "out" (Session.forward session)
 
 let test_exec_traversal_matches_sequential () =
@@ -301,7 +303,7 @@ let test_train_step_matches_sequential () =
             ~options:(Compiler.options_of_flags ~training:true ~compact:false ~fusion:false ())
             (Models.by_name name ~in_dim:8 ~out_dim:4 ())
         in
-        let session = Session.create ~seed:5 ~graph compiled in
+        let session = Session.create ~config:(seeded 5) ~graph compiled in
         let loss = Session.train_step session ~lr:0.1 ~labels () in
         (loss, Session.weights session)
       in
@@ -327,7 +329,7 @@ let test_reference_models_match_sequential () =
   List.iter
     (fun (name, build) ->
       let compiled = Compiler.compile ~options:Compiler.default_options (build ()) in
-      let session = Session.create ~seed:5 ~graph compiled in
+      let session = Session.create ~config:(seeded 5) ~graph compiled in
       let env = (Session.exec session).Exec.env in
       let inputs =
         List.filter_map

@@ -20,6 +20,8 @@ module Train = Hector_runtime.Train
 module Models = Hector_models.Model_defs
 module Reference = Hector_models.Reference
 
+let seeded seed = { Session.Config.default with seed }
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -60,7 +62,7 @@ let test_forward_matches_reference () =
         (fun (compact, fusion) ->
           let options = Compiler.options_of_flags ~compact ~fusion () in
           let compiled = Compiler.compile ~options (build ()) in
-          let session = Session.create ~seed:5 ~graph compiled in
+          let session = Session.create ~config:(seeded 5) ~graph compiled in
           let out = List.assoc "out" (Session.forward session) in
           let expected = reference_of session name graph in
           check_bool
@@ -79,7 +81,7 @@ let test_forward_idempotent_across_epochs () =
       ~options:(Compiler.options_of_flags ~training:true ~compact:true ~fusion:true ())
       (Models.rgat ())
   in
-  let session = Session.create ~seed:5 ~graph compiled in
+  let session = Session.create ~config:(seeded 5) ~graph compiled in
   let out1 = List.assoc "out" (Session.forward session) in
   let out2 = List.assoc "out" (Session.forward session) in
   check_bool "identical" true (T.approx_equal ~tol:0.0 out1 out2)
@@ -95,7 +97,7 @@ let test_configs_agree () =
           (fun (compact, fusion) ->
             let options = Compiler.options_of_flags ~compact ~fusion () in
             let compiled = Compiler.compile ~options (build ()) in
-            let session = Session.create ~seed:9 ~graph compiled in
+            let session = Session.create ~config:(seeded 9) ~graph compiled in
             List.assoc "out" (Session.forward session))
           configs
       in
@@ -115,7 +117,7 @@ let test_configs_agree () =
 
 let loss_of compiled graph weights labels =
   let weights = List.map (fun (n, w) -> (n, T.copy w)) weights in
-  let s = Session.create ~seed:5 ~weights ~graph compiled in
+  let s = Session.create ~config:{ (seeded 5) with weights } ~graph compiled in
   let out = List.assoc "out" (Session.forward s) in
   fst (Train.nll_loss ~engine:(Session.engine s) ~out ~labels)
 
@@ -131,7 +133,7 @@ let test_gradients_match_finite_differences () =
           let program = Models.by_name name ~in_dim:6 ~out_dim:5 () in
           let options = Compiler.options_of_flags ~training:true ~compact ~fusion () in
           let compiled = Compiler.compile ~options program in
-          let session = Session.create ~seed:5 ~graph compiled in
+          let session = Session.create ~config:(seeded 5) ~graph compiled in
           let labels = Array.init graph.G.num_nodes (fun _ -> Rng.int rng 5) in
           let _ = Session.loss_and_grads session ~labels in
           let grads = Session.weight_grads session in
@@ -177,7 +179,7 @@ let test_training_reduces_loss () =
           ~options:(Compiler.options_of_flags ~training:true ~compact:false ~fusion:false ())
           program
       in
-      let session = Session.create ~seed:5 ~graph compiled in
+      let session = Session.create ~config:(seeded 5) ~graph compiled in
       let labels = Array.init graph.G.num_nodes (fun _ -> Rng.int rng 4) in
       let first = Session.train_step session ~lr:0.5 ~labels () in
       let last = ref first in
@@ -199,7 +201,7 @@ let test_stats_shape () =
       ~options:(Compiler.options_of_flags ~fuse_ops:false ~compact:false ~fusion:false ())
       (Models.rgat ())
   in
-  let session = Session.create ~seed:5 ~graph compiled in
+  let session = Session.create ~config:(seeded 5) ~graph compiled in
   let _ = Session.forward session in
   let stats = Engine.stats (Session.engine session) in
   check_int "two GEMM launches" 2 (Stats.of_category stats Kernel.Gemm).Stats.launches;
@@ -227,7 +229,7 @@ let test_compact_reduces_gemm_work () =
       Compiler.compile ~options:(Compiler.options_of_flags ~compact ~fusion:false ())
         (Models.rgat ())
     in
-    let session = Session.create ~seed:5 ~graph compiled in
+    let session = Session.create ~config:(seeded 5) ~graph compiled in
     let _ = Session.forward session in
     (Stats.of_category (Engine.stats (Session.engine session)) Kernel.Gemm).Stats.flops
   in
@@ -248,7 +250,7 @@ let test_scale_inflates_time_and_memory () =
       Compiler.compile ~options:(Compiler.options_of_flags ~compact:false ~fusion:false ())
         (Models.rgcn ())
     in
-    let session = Session.create ~seed:5 ~graph compiled in
+    let session = Session.create ~config:(seeded 5) ~graph compiled in
     let _ = Session.forward session in
     (Engine.elapsed_ms (Session.engine session), Memory.peak_bytes (Engine.memory (Session.engine session)))
   in
@@ -273,7 +275,7 @@ let test_oom_on_oversized_graph () =
       in
       check_bool (dsname ^ " raises OOM") true
         (try
-           let session = Session.create ~seed:5 ~graph compiled in
+           let session = Session.create ~config:(seeded 5) ~graph compiled in
            let labels = Array.init graph.G.num_nodes (fun _ -> 0) in
            let _ = Session.train_step session ~labels () in
            false
@@ -291,7 +293,7 @@ let test_compact_avoids_oom () =
           ~options:(Compiler.options_of_flags ~training:true ~compact:true ~fusion:false ())
           (Models.rgat ())
       in
-      let session = Session.create ~seed:5 ~graph compiled in
+      let session = Session.create ~config:(seeded 5) ~graph compiled in
       let labels = Array.init graph.G.num_nodes (fun _ -> 0) in
       let loss = Session.train_step session ~labels () in
       check_bool (dsname ^ " runs") true (Float.is_finite loss))
@@ -308,7 +310,7 @@ let test_node_gather_strategy_matches () =
       let run prefer_node_gather =
         let options = { Compiler.default_options with Compiler.prefer_node_gather } in
         let compiled = Compiler.compile ~options (build ()) in
-        let session = Session.create ~seed:5 ~graph compiled in
+        let session = Session.create ~config:(seeded 5) ~graph compiled in
         List.assoc "out" (Session.forward session)
       in
       check_bool (name ^ " schedules agree") true
@@ -342,7 +344,7 @@ let test_warp_accumulate_schedule () =
       }
     in
     let compiled = Compiler.compile ~options (Models.rgat ()) in
-    let session = Session.create ~seed:5 ~graph compiled in
+    let session = Session.create ~config:(seeded 5) ~graph compiled in
     let out = List.assoc "out" (Session.forward session) in
     (out, Engine.elapsed_ms (Session.engine session))
   in
@@ -363,7 +365,7 @@ let test_csr_layout_same_outputs_different_cost () =
       }
     in
     let compiled = Compiler.compile ~options (Models.rgat ()) in
-    let session = Session.create ~seed:5 ~graph compiled in
+    let session = Session.create ~config:(seeded 5) ~graph compiled in
     let out = List.assoc "out" (Session.forward session) in
     (out, Engine.elapsed_ms (Session.engine session))
   in
@@ -384,7 +386,9 @@ let test_session_rejects_bad_weight_shape () =
   let bad = T.zeros [| 2; 3; 5 |] in
   check_bool "raises" true
     (try
-       let session = Session.create ~seed:5 ~weights:[ ("W", bad) ] ~graph compiled in
+       let session =
+         Session.create ~config:{ (seeded 5) with weights = [ ("W", bad) ] } ~graph compiled
+       in
        ignore (Session.forward session);
        false
      with T.Shape_error _ | Invalid_argument _ -> true)
@@ -396,7 +400,7 @@ let test_train_rejects_bad_labels () =
       ~options:(Compiler.options_of_flags ~training:true ~compact:false ~fusion:false ())
       (Models.rgcn ~in_dim:8 ~out_dim:4 ())
   in
-  let session = Session.create ~seed:5 ~graph compiled in
+  let session = Session.create ~config:(seeded 5) ~graph compiled in
   let raises labels =
     try
       ignore (Session.train_step session ~labels ());
@@ -412,7 +416,7 @@ let test_inference_session_rejects_training () =
   let compiled =
     Compiler.compile ~options:Compiler.default_options (Models.rgcn ())
   in
-  let session = Session.create ~seed:5 ~graph compiled in
+  let session = Session.create ~config:(seeded 5) ~graph compiled in
   check_bool "raises" true
     (try
        ignore (Session.train_step session ~labels:(Array.make graph.G.num_nodes 0) ());
