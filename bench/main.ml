@@ -97,8 +97,9 @@ let zero field v = (field, Gate.Invariant { value = v; expected = 0.0 })
 (* --- micro: Bechamel wall clock of the real implementations ----------
 
    One case per table/figure, measuring the real execution of that
-   experiment's core computation on a small fixed input; session cases
-   also report the simulated time and launches of one steady-state run. *)
+   experiment's core computation on a small fixed input, plus one per host
+   GEMM kernel; session cases also report the simulated time and launches
+   of one steady-state run. *)
 
 type micro_case = { cname : string; fn : unit -> unit; csession : Session.t option }
 
@@ -119,7 +120,31 @@ let micro_cases () =
     { cname; fn = (fun () -> ignore (Session.train_step s ~labels ())); csession = Some s }
   in
   let plain cname fn = { cname; fn; csession = None } in
+  (* The four GEMM kernels at AM's edgewise shape: 108 relations of 83
+     rows each (8,964 edges over 2,993 nodes), 64 -> 16 features. *)
+  let rels = 108 and per = 83 and nodes = 2993 and k = 64 and n = 16 in
+  let rng = Hector_tensor.Rng.create 19 in
+  let x = Tensor.randn rng [| nodes; k |] and w = Tensor.randn rng [| rels; k; n |] in
+  let xe = Tensor.randn rng [| rels * per; k |] and dy = Tensor.randn rng [| rels * per; n |] in
+  let y = Tensor.zeros [| rels * per; n |] and dx = Tensor.zeros [| nodes; k |] in
+  let dw = Tensor.zeros [| rels; k; n |] in
+  let idx = Array.init rels (fun _ -> Array.init per (fun _ -> Hector_tensor.Rng.int rng nodes)) in
+  let per_relation f () =
+    for r = 0 to rels - 1 do
+      f r (Tensor.slice0 w r) (Tensor.sub_rows y (r * per) per) (Tensor.sub_rows dy (r * per) per)
+    done
+  in
   [
+    plain "tensor/gemm_gather"
+      (per_relation (fun r w y _ -> Tensor.matmul_gather_into x ~idx:idx.(r) w y));
+    plain "tensor/gemm_gather_t"
+      (per_relation (fun r _ _ dy ->
+           Tensor.matmul_gather_t_into ~beta:1.0 x ~idx:idx.(r) dy (Tensor.slice0 dw r)));
+    plain "tensor/gemm_scatter"
+      (per_relation (fun r w _ dy ->
+           Tensor.matmul_scatter_add_into ~trans_b:true dy w ~idx:idx.(r) dx));
+    plain "tensor/gemm_node"
+      (per_relation (fun r w y _ -> Tensor.matmul_into (Tensor.sub_rows xe (r * per) per) w y));
     plain "table1/compact_map" (fun () -> ignore (Hector_graph.Compact_map.build graph));
     forward_case "fig1/hgt_forward" ~compact:false ~fusion:false "hgt";
     plain "table4/generator" (fun () -> ignore (micro_graph ~seed:1 ()));

@@ -1193,7 +1193,7 @@ let run_weight_op t op =
       let w = Env.weight t.env mat in
       let v = Env.weight t.env vec in
       let slices = Tensor.dim w 0 and k = Tensor.dim w 1 and n = Tensor.dim w 2 in
-      let offset = match half with `Left | `All -> 0 | `Right -> n in
+      let col = match half with `Left | `All -> 0 | `Right -> n in
       (* steady-state runs reuse the product's storage: every element is
          overwritten below, so a fresh zeroed tensor is only needed once *)
       let result =
@@ -1201,16 +1201,7 @@ let run_weight_op t op =
         | Some r when Tensor.shape r = [| slices; k |] -> r
         | _ -> Tensor.zeros [| slices; k |]
       in
-      for s = 0 to slices - 1 do
-        let ws = Tensor.slice0 w s in
-        for i = 0 to k - 1 do
-          let acc = ref 0.0 in
-          for j = 0 to n - 1 do
-            acc := !acc +. (Tensor.get2 ws i j *. Tensor.get2 v s (offset + j))
-          done;
-          Tensor.set2 result s i !acc
-        done
-      done;
+      Tensor.mat_vec_into w v ~col result;
       Env.add_weight t.env ~name:out result
   | Lf.Mat_mat { left; left_slice; right; out } ->
       let l = Env.weight t.env left and r = Env.weight t.env right in

@@ -62,21 +62,8 @@ let backprop_weight_ops ~(exec : Exec.t) ops =
                  dv_half[t] += W[t]ᵀ · dout[t] *)
               let w = Env.weight env mat and v = Env.weight env vec in
               let dw = Env.weight_grad env mat and dv = Env.weight_grad env vec in
-              let slices = Tensor.dim w 0 and k = Tensor.dim w 1 and n = Tensor.dim w 2 in
-              let offset = match half with `Left | `All -> 0 | `Right -> n in
-              for s = 0 to slices - 1 do
-                let ws = Tensor.slice0 w s and dws = Tensor.slice0 dw s in
-                for i = 0 to k - 1 do
-                  let gi = Tensor.get2 dout s i in
-                  if gi <> 0.0 then
-                    for j = 0 to n - 1 do
-                      Tensor.set2 dws i j
-                        (Tensor.get2 dws i j +. (gi *. Tensor.get2 v s (offset + j)));
-                      Tensor.set2 dv s (offset + j)
-                        (Tensor.get2 dv s (offset + j) +. (gi *. Tensor.get2 ws i j))
-                    done
-                done
-              done;
+              let col = match half with `Left | `All -> 0 | `Right -> Tensor.dim w 2 in
+              Tensor.mat_vec_backward w v ~col ~dout ~dw ~dv;
               Engine.launch exec.Exec.engine
                 (Kernel.make ~name:("bmm_backward_" ^ out) ~category:Kernel.Gemm ~grid_blocks:64
                    ~flops:(4.0 *. float_of_int (Tensor.numel w))

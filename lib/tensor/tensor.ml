@@ -266,42 +266,136 @@ let leaky_relu ?(slope = 0.01) t = map (fun x -> if x > 0.0 then x else slope *.
 
 let relu t = map (fun x -> if x > 0.0 then x else 0.0) t
 
+(* --- GEMM --------------------------------------------------------------
+   Every GEMM entry point reduces to [gemm_row], which computes one output
+   row [c(crow + j)], [j < n], from the [kn] coefficients [a_k] of one
+   logical row of A and the logical [kn × n] matrix B, where
+     a_k    = adata.(abase + r_k * astride), r_k = arows.(k) if [arows] is
+              non-empty (a gathered column, {!matmul_gather_t_into}) else k;
+     b(k,j) = bdata.(bbase + k * bks + j * bjs).
+   Output columns are register-blocked eight at a time: a block's eight
+   sums live in local float refs, which ocamlopt keeps unboxed, across the
+   whole k loop and are stored once, instead of a load and a store of c
+   per k.  Each element still sees exactly the operations of the textbook
+   loop — its starting value, then [+. a_k *. b(k, j)] for k ascending,
+   skipping a_k = 0.0 — so results are bitwise the naive loop's.  Without
+   [add] a sum starts from c (already zeroed or scaled by [prescale]) and
+   overwrites it; with [add] it starts from 0.0 and is added into c at the
+   end (the scatter epilogue).  The loops stay in this module because the
+   dev profile compiles with [-opaque]: a cross-module [get2] per element
+   cannot be inlined. *)
+let gemm_row ~add ~adata ~abase ~astride ~arows ~bdata ~bbase ~bks ~bjs ~cdata ~crow ~kn ~n =
+  let gathered = Array.length arows > 0 in
+  let j0 = ref 0 in
+  while !j0 + 8 <= n do
+    let q = crow + !j0 and bj = bbase + (!j0 * bjs) in
+    let c0 = ref (if add then 0.0 else cdata.(q)) in
+    let c1 = ref (if add then 0.0 else cdata.(q + 1)) in
+    let c2 = ref (if add then 0.0 else cdata.(q + 2)) in
+    let c3 = ref (if add then 0.0 else cdata.(q + 3)) in
+    let c4 = ref (if add then 0.0 else cdata.(q + 4)) in
+    let c5 = ref (if add then 0.0 else cdata.(q + 5)) in
+    let c6 = ref (if add then 0.0 else cdata.(q + 6)) in
+    let c7 = ref (if add then 0.0 else cdata.(q + 7)) in
+    let ak = ref abase and bk = ref bj in
+    for k = 0 to kn - 1 do
+      let aik = adata.(if gathered then abase + (arows.(k) * astride) else !ak) in
+      if aik <> 0.0 then begin
+        let p = !bk in
+        c0 := !c0 +. (aik *. bdata.(p));
+        let p = p + bjs in
+        c1 := !c1 +. (aik *. bdata.(p));
+        let p = p + bjs in
+        c2 := !c2 +. (aik *. bdata.(p));
+        let p = p + bjs in
+        c3 := !c3 +. (aik *. bdata.(p));
+        let p = p + bjs in
+        c4 := !c4 +. (aik *. bdata.(p));
+        let p = p + bjs in
+        c5 := !c5 +. (aik *. bdata.(p));
+        let p = p + bjs in
+        c6 := !c6 +. (aik *. bdata.(p));
+        let p = p + bjs in
+        c7 := !c7 +. (aik *. bdata.(p))
+      end;
+      ak := !ak + astride;
+      bk := !bk + bks
+    done;
+    if add then begin
+      cdata.(q) <- cdata.(q) +. !c0;
+      cdata.(q + 1) <- cdata.(q + 1) +. !c1;
+      cdata.(q + 2) <- cdata.(q + 2) +. !c2;
+      cdata.(q + 3) <- cdata.(q + 3) +. !c3;
+      cdata.(q + 4) <- cdata.(q + 4) +. !c4;
+      cdata.(q + 5) <- cdata.(q + 5) +. !c5;
+      cdata.(q + 6) <- cdata.(q + 6) +. !c6;
+      cdata.(q + 7) <- cdata.(q + 7) +. !c7
+    end
+    else begin
+      cdata.(q) <- !c0;
+      cdata.(q + 1) <- !c1;
+      cdata.(q + 2) <- !c2;
+      cdata.(q + 3) <- !c3;
+      cdata.(q + 4) <- !c4;
+      cdata.(q + 5) <- !c5;
+      cdata.(q + 6) <- !c6;
+      cdata.(q + 7) <- !c7
+    end;
+    j0 := !j0 + 8
+  done;
+  (* the last n mod 8 columns, one register sum each *)
+  for j = !j0 to n - 1 do
+    let q = crow + j and bj = bbase + (j * bjs) in
+    let acc = ref (if add then 0.0 else cdata.(q)) in
+    for k = 0 to kn - 1 do
+      let aik = adata.(abase + ((if gathered then arows.(k) else k) * astride)) in
+      if aik <> 0.0 then acc := !acc +. (aik *. bdata.(bj + (k * bks)))
+    done;
+    cdata.(q) <- (if add then cdata.(q) +. !acc else !acc)
+  done
+
+(* c's starting value: zeroed for beta = 0, scaled for beta <> 1. *)
+let prescale c beta =
+  if beta = 0.0 then fill c 0.0
+  else if beta <> 1.0 then
+    Domain_pool.parallel_for ~grain:elt_grain (numel c) (fun lo hi ->
+        for i = lo to hi - 1 do
+          c.data.(c.offset + i) <- beta *. c.data.(c.offset + i)
+        done)
+
+(* A register block reads each element of c once, so an output sharing
+   storage with an operand would silently read half-updated values. *)
+let check_no_alias fn c x =
+  if c.data == x.data && numel c > 0 && numel x > 0
+     && c.offset < x.offset + numel x && x.offset < c.offset + numel c
+  then shape_error "%s: output overlaps an operand's storage" fn
+
+let check_gemm_operands fn a b c =
+  if ndim a <> 2 || ndim b <> 2 || ndim c <> 2 then shape_error "%s: operands must be 2-D" fn;
+  check_no_alias fn c a;
+  check_no_alias fn c b
+
+(* Rows of C per parallel chunk: about 32K multiply-adds each. *)
+let gemm_grain ~kn ~n = max 1 (32768 / max 1 (kn * n))
+
 let matmul_into ?(trans_a = false) ?(trans_b = false) ?(beta = 0.0) a b c =
-  if ndim a <> 2 || ndim b <> 2 || ndim c <> 2 then shape_error "matmul: operands must be 2-D";
+  check_gemm_operands "matmul" a b c;
   let am, ak = if trans_a then (a.shape.(1), a.shape.(0)) else (a.shape.(0), a.shape.(1)) in
   let bk, bn = if trans_b then (b.shape.(1), b.shape.(0)) else (b.shape.(0), b.shape.(1)) in
   if ak <> bk then shape_error "matmul: inner dims %d vs %d" ak bk;
   if c.shape.(0) <> am || c.shape.(1) <> bn then
     shape_error "matmul: output %dx%d vs expected %dx%d" c.shape.(0) c.shape.(1) am bn;
-  if beta = 0.0 then fill c 0.0 else if beta <> 1.0 then
-    Domain_pool.parallel_for ~grain:elt_grain (numel c) (fun lo hi ->
-        for i = lo to hi - 1 do
-          c.data.(c.offset + i) <- beta *. c.data.(c.offset + i)
-        done);
+  prescale c beta;
   let acols = a.shape.(1) and bcols = b.shape.(1) and ccols = c.shape.(1) in
-  (* Cache-blocked over output-row blocks: each domain owns a contiguous
-     block of C rows (so writes never race) and keeps the i-k-j order
-     inside its block for locality on the common (no-transpose) path. *)
-  let row_flops = max 1 (ak * bn) in
-  Domain_pool.parallel_for ~grain:(max 1 (32768 / row_flops)) am (fun row_lo row_hi ->
+  let bks, bjs = if trans_b then (1, bcols) else (bcols, 1) in
+  (* each domain owns a contiguous block of C rows, so writes never race *)
+  Domain_pool.parallel_for ~grain:(gemm_grain ~kn:ak ~n:bn) am (fun row_lo row_hi ->
       for i = row_lo to row_hi - 1 do
-        let crow = c.offset + (i * ccols) in
-        for k = 0 to ak - 1 do
-          let aik =
-            if trans_a then a.data.(a.offset + (k * acols) + i)
-            else a.data.(a.offset + (i * acols) + k)
-          in
-          if aik <> 0.0 then
-            if trans_b then
-              for j = 0 to bn - 1 do
-                c.data.(crow + j) <- c.data.(crow + j) +. (aik *. b.data.(b.offset + (j * bcols) + k))
-              done
-            else
-              let brow = b.offset + (k * bcols) in
-              for j = 0 to bn - 1 do
-                c.data.(crow + j) <- c.data.(crow + j) +. (aik *. b.data.(brow + j))
-              done
-        done
+        let abase, astride =
+          if trans_a then (a.offset + i, acols) else (a.offset + (i * acols), 1)
+        in
+        gemm_row ~add:false ~adata:a.data ~abase ~astride ~arows:[||] ~bdata:b.data
+          ~bbase:b.offset ~bks ~bjs ~cdata:c.data ~crow:(c.offset + (i * ccols)) ~kn:ak ~n:bn
       done)
 
 let matmul ?(trans_a = false) ?(trans_b = false) a b =
@@ -312,64 +406,48 @@ let matmul ?(trans_a = false) ?(trans_b = false) a b =
   c
 
 (* --- Fused access-scheme GEMM kernels (paper §4.2) ------------------
-   The gather, scatter and transpose access schemes are applied on the fly
-   inside the row-blocked tile loop, so the per-edge operand matrix is never
-   materialized.  Each kernel performs the floating-point operations in the
-   exact order of its materialize-then-matmul equivalent (per-row k-ascending
-   accumulation), so results are bitwise identical to the unfused path. *)
+   The gather, scatter and transpose access schemes are addressing modes
+   of [gemm_row], applied on the fly inside its register-blocked loop, so
+   the per-edge operand matrix is never materialized.  Each kernel performs
+   the floating-point operations in the exact order of its
+   materialize-then-matmul equivalent (per-row k-ascending accumulation),
+   so results are bitwise identical to the unfused path. *)
+
+let check_rows fn idx bound =
+  Array.iter
+    (fun r -> if r < 0 || r >= bound then shape_error "%s: row %d out of %d" fn r bound)
+    idx
 
 (* c := A[idx] * B (+ beta*c), where A[idx] is the row-gathered view of [a]:
    logical row i of the product reads physical row idx.(i) of [a]. *)
 let matmul_gather_into ?(trans_b = false) ?(beta = 0.0) a ~idx b c =
-  if ndim a <> 2 || ndim b <> 2 || ndim c <> 2 then
-    shape_error "matmul_gather_into: operands must be 2-D";
+  check_gemm_operands "matmul_gather_into" a b c;
   let m = Array.length idx in
   let ak = a.shape.(1) in
   let bk, bn = if trans_b then (b.shape.(1), b.shape.(0)) else (b.shape.(0), b.shape.(1)) in
   if ak <> bk then shape_error "matmul_gather_into: inner dims %d vs %d" ak bk;
   if c.shape.(0) <> m || c.shape.(1) <> bn then
     shape_error "matmul_gather_into: output %dx%d vs expected %dx%d" c.shape.(0) c.shape.(1) m bn;
-  let arows = a.shape.(0) in
-  Array.iter
-    (fun r -> if r < 0 || r >= arows then shape_error "matmul_gather_into: row %d out of %d" r arows)
-    idx;
-  if beta = 0.0 then fill c 0.0
-  else if beta <> 1.0 then
-    Domain_pool.parallel_for ~grain:elt_grain (numel c) (fun lo hi ->
-        for i = lo to hi - 1 do
-          c.data.(c.offset + i) <- beta *. c.data.(c.offset + i)
-        done);
+  check_rows "matmul_gather_into" idx a.shape.(0);
+  prescale c beta;
   let acols = a.shape.(1) and bcols = b.shape.(1) and ccols = c.shape.(1) in
-  let row_flops = max 1 (ak * bn) in
-  Domain_pool.parallel_for ~grain:(max 1 (32768 / row_flops)) m (fun row_lo row_hi ->
+  let bks, bjs = if trans_b then (1, bcols) else (bcols, 1) in
+  Domain_pool.parallel_for ~grain:(gemm_grain ~kn:ak ~n:bn) m (fun row_lo row_hi ->
       for i = row_lo to row_hi - 1 do
-        let arow = a.offset + (idx.(i) * acols) in
-        let crow = c.offset + (i * ccols) in
-        for k = 0 to ak - 1 do
-          let aik = a.data.(arow + k) in
-          if aik <> 0.0 then
-            if trans_b then
-              for j = 0 to bn - 1 do
-                c.data.(crow + j) <- c.data.(crow + j) +. (aik *. b.data.(b.offset + (j * bcols) + k))
-              done
-            else
-              let brow = b.offset + (k * bcols) in
-              for j = 0 to bn - 1 do
-                c.data.(crow + j) <- c.data.(crow + j) +. (aik *. b.data.(brow + j))
-              done
-        done
+        gemm_row ~add:false ~adata:a.data ~abase:(a.offset + (idx.(i) * acols)) ~astride:1
+          ~arows:[||] ~bdata:b.data ~bbase:b.offset ~bks ~bjs ~cdata:c.data
+          ~crow:(c.offset + (i * ccols)) ~kn:ak ~n:bn
       done)
 
-(* Row idx.(i) of [c] accumulates row i of the product A*B: the scatter is
-   applied as each product row completes, through a per-domain row buffer
-   (so duplicate destinations keep their sequential accumulation order).
-   Parallelism is destination-partitioned over the pool, like
-   {!scatter_rows_add}: each domain owns a contiguous slice of [c]'s rows,
-   sweeps the whole index, and computes only the product rows that land in
-   its slice — no two domains ever write the same row. *)
+(* Row idx.(i) of [c] accumulates row i of the product A*B: each product
+   row is summed from 0.0 in registers and added into its destination as
+   it completes (so duplicate destinations keep their sequential
+   accumulation order).  Parallelism is destination-partitioned over the
+   pool, like {!scatter_rows_add}: each domain owns a contiguous slice of
+   [c]'s rows, sweeps the whole index, and computes only the product rows
+   that land in its slice — no two domains ever write the same row. *)
 let matmul_scatter_add_into ?(trans_b = false) a b ~idx c =
-  if ndim a <> 2 || ndim b <> 2 || ndim c <> 2 then
-    shape_error "matmul_scatter_add_into: operands must be 2-D";
+  check_gemm_operands "matmul_scatter_add_into" a b c;
   let m = a.shape.(0) in
   if Array.length idx <> m then
     shape_error "matmul_scatter_add_into: %d rows vs %d indices" m (Array.length idx);
@@ -379,36 +457,16 @@ let matmul_scatter_add_into ?(trans_b = false) a b ~idx c =
   if c.shape.(1) <> bn then
     shape_error "matmul_scatter_add_into: output has %d cols, expected %d" c.shape.(1) bn;
   let nrows = c.shape.(0) in
-  Array.iter
-    (fun r ->
-      if r < 0 || r >= nrows then shape_error "matmul_scatter_add_into: row %d out of %d" r nrows)
-    idx;
+  check_rows "matmul_scatter_add_into" idx nrows;
   let acols = a.shape.(1) and bcols = b.shape.(1) and ccols = c.shape.(1) in
+  let bks, bjs = if trans_b then (1, bcols) else (bcols, 1) in
   let body row_lo row_hi =
-    let buf = Array.make (max 1 bn) 0.0 in
     for i = 0 to m - 1 do
       let dst = idx.(i) in
-      if dst >= row_lo && dst < row_hi then begin
-        Array.fill buf 0 bn 0.0;
-        let arow = a.offset + (i * acols) in
-        for k = 0 to ak - 1 do
-          let aik = a.data.(arow + k) in
-          if aik <> 0.0 then
-            if trans_b then
-              for j = 0 to bn - 1 do
-                buf.(j) <- buf.(j) +. (aik *. b.data.(b.offset + (j * bcols) + k))
-              done
-            else
-              let brow = b.offset + (k * bcols) in
-              for j = 0 to bn - 1 do
-                buf.(j) <- buf.(j) +. (aik *. b.data.(brow + j))
-              done
-        done;
-        let dbase = c.offset + (dst * ccols) in
-        for j = 0 to bn - 1 do
-          c.data.(dbase + j) <- c.data.(dbase + j) +. buf.(j)
-        done
-      end
+      if dst >= row_lo && dst < row_hi then
+        gemm_row ~add:true ~adata:a.data ~abase:(a.offset + (i * acols)) ~astride:1 ~arows:[||]
+          ~bdata:b.data ~bbase:b.offset ~bks ~bjs ~cdata:c.data ~crow:(c.offset + (dst * ccols))
+          ~kn:ak ~n:bn
     done
   in
   if Domain_pool.sequential () || m * bn <= elt_grain then body 0 nrows
@@ -416,42 +474,76 @@ let matmul_scatter_add_into ?(trans_b = false) a b ~idx c =
     Domain_pool.parallel_for ~grain:(row_grain (max 1 (m * bn / max 1 nrows))) nrows body
 
 (* c := A[idx]^T * B (+ beta*c) — the transpose access scheme composed with
-   the gather, used for weight gradients (dW += X[src]^T * dY). *)
+   the gather, used for weight gradients (dW += X[src]^T * dY).  Row i of
+   [c] takes its coefficients from column i of A[idx]. *)
 let matmul_gather_t_into ?(beta = 0.0) a ~idx b c =
-  if ndim a <> 2 || ndim b <> 2 || ndim c <> 2 then
-    shape_error "matmul_gather_t_into: operands must be 2-D";
+  check_gemm_operands "matmul_gather_t_into" a b c;
   let m = Array.length idx in
   if b.shape.(0) <> m then
     shape_error "matmul_gather_t_into: %d indices vs %d rows of b" m b.shape.(0);
   let ak = a.shape.(1) and bn = b.shape.(1) in
   if c.shape.(0) <> ak || c.shape.(1) <> bn then
     shape_error "matmul_gather_t_into: output %dx%d vs expected %dx%d" c.shape.(0) c.shape.(1) ak bn;
-  let arows = a.shape.(0) in
-  Array.iter
-    (fun r ->
-      if r < 0 || r >= arows then shape_error "matmul_gather_t_into: row %d out of %d" r arows)
-    idx;
-  if beta = 0.0 then fill c 0.0
-  else if beta <> 1.0 then
-    Domain_pool.parallel_for ~grain:elt_grain (numel c) (fun lo hi ->
-        for i = lo to hi - 1 do
-          c.data.(c.offset + i) <- beta *. c.data.(c.offset + i)
-        done);
+  check_rows "matmul_gather_t_into" idx a.shape.(0);
+  prescale c beta;
   let acols = a.shape.(1) and bcols = b.shape.(1) and ccols = c.shape.(1) in
-  let row_flops = max 1 (m * bn) in
-  Domain_pool.parallel_for ~grain:(max 1 (32768 / row_flops)) ak (fun row_lo row_hi ->
+  Domain_pool.parallel_for ~grain:(gemm_grain ~kn:m ~n:bn) ak (fun row_lo row_hi ->
       for i = row_lo to row_hi - 1 do
-        let crow = c.offset + (i * ccols) in
-        for k = 0 to m - 1 do
-          let aik = a.data.(a.offset + (idx.(k) * acols) + i) in
-          if aik <> 0.0 then begin
-            let brow = b.offset + (k * bcols) in
-            for j = 0 to bn - 1 do
-              c.data.(crow + j) <- c.data.(crow + j) +. (aik *. b.data.(brow + j))
-            done
-          end
-        done
+        gemm_row ~add:false ~adata:a.data ~abase:(a.offset + i) ~astride:acols ~arows:idx
+          ~bdata:b.data ~bbase:b.offset ~bks:bcols ~bjs:1 ~cdata:c.data
+          ~crow:(c.offset + (i * ccols)) ~kn:m ~n:bn
       done)
+
+(* --- Batched matrix-vector products (linear-fusion prologues) ---------
+   Flat-buffer loops for the same reason as [gemm_row]: a cross-module
+   [get2] per element costs a call under [-opaque]. *)
+
+let check_mat_vec fn w v ~col =
+  if ndim w <> 3 || ndim v <> 2 then shape_error "%s: expected a 3-D stack and a matrix" fn;
+  let slices = w.shape.(0) and n = w.shape.(2) in
+  if v.shape.(0) <> slices || col < 0 || col + n > v.shape.(1) then
+    shape_error "%s: vectors %dx%d cannot supply columns [%d, %d) for %d slices" fn v.shape.(0)
+      v.shape.(1) col (col + n) slices
+
+let mat_vec_into w v ~col out =
+  check_mat_vec "mat_vec_into" w v ~col;
+  let slices = w.shape.(0) and k = w.shape.(1) and n = w.shape.(2) in
+  if ndim out <> 2 || out.shape.(0) <> slices || out.shape.(1) <> k then
+    shape_error "mat_vec_into: output is not %dx%d" slices k;
+  let vcols = v.shape.(1) in
+  for s = 0 to slices - 1 do
+    let vrow = v.offset + (s * vcols) + col in
+    for i = 0 to k - 1 do
+      let wrow = w.offset + (((s * k) + i) * n) in
+      let acc = ref 0.0 in
+      for j = 0 to n - 1 do
+        acc := !acc +. (w.data.(wrow + j) *. v.data.(vrow + j))
+      done;
+      out.data.(out.offset + (s * k) + i) <- !acc
+    done
+  done
+
+let mat_vec_backward w v ~col ~dout ~dw ~dv =
+  check_mat_vec "mat_vec_backward" w v ~col;
+  let slices = w.shape.(0) and k = w.shape.(1) and n = w.shape.(2) in
+  if dw.shape <> w.shape || dv.shape <> v.shape then
+    shape_error "mat_vec_backward: gradients must match their parameters' shapes";
+  if ndim dout <> 2 || dout.shape.(0) <> slices || dout.shape.(1) <> k then
+    shape_error "mat_vec_backward: output gradient is not %dx%d" slices k;
+  let vcols = v.shape.(1) in
+  for s = 0 to slices - 1 do
+    let vrow = v.offset + (s * vcols) + col and dvrow = dv.offset + (s * vcols) + col in
+    for i = 0 to k - 1 do
+      let gi = dout.data.(dout.offset + (s * k) + i) in
+      if gi <> 0.0 then begin
+        let wrow = w.offset + (((s * k) + i) * n) and dwrow = dw.offset + (((s * k) + i) * n) in
+        for j = 0 to n - 1 do
+          dw.data.(dwrow + j) <- dw.data.(dwrow + j) +. (gi *. v.data.(vrow + j));
+          dv.data.(dvrow + j) <- dv.data.(dvrow + j) +. (gi *. w.data.(wrow + j))
+        done
+      end
+    done
+  done
 
 let dot a b =
   if numel a <> numel b then shape_error "dot: %d vs %d elements" (numel a) (numel b);

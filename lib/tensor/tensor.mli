@@ -186,7 +186,25 @@ val leaky_relu : ?slope:float -> t -> t
 val relu : t -> t
 (** Pointwise ReLU. *)
 
-(** {1 Linear algebra} *)
+(** {1 Linear algebra}
+
+    {b GEMM kernel contract.}  All four [matmul_*_into] entry points (and
+    {!matmul}) compute every output element [c(i, j)] exactly as the
+    textbook loop does:
+    - its starting value is [0.0] when [beta = 0], [c(i, j)] when
+      [beta = 1] and [beta *. c(i, j)] otherwise (a scatter sums each
+      product row from [0.0] and adds it into [c] at the end);
+    - then, for [k] ascending, it adds [a(i, k) *. b(k, j)], skipping every
+      term whose [a(i, k)] is [0.0] or [-0.0] (so an infinite or NaN [b]
+      behind a zero coefficient never reaches the output).
+    Results are therefore bitwise identical to the naive triple loop, at
+    any domain count.  Internally each output row is computed eight
+    columns at a time with the partial sums held in registers across the
+    whole [k] loop, so [c] is read once and written once per element.
+    Because of that, [c] must not share storage with [a] or [b]: an output
+    whose [\[offset, offset + numel)] range overlaps an operand's range
+    in the same buffer raises {!Shape_error}, as do mismatched shapes and
+    out-of-range indices, all checked before any element is written. *)
 
 val matmul : ?trans_a:bool -> ?trans_b:bool -> t -> t -> t
 (** [matmul a b] is the matrix product of two 2-D tensors, optionally
@@ -198,10 +216,10 @@ val matmul_into : ?trans_a:bool -> ?trans_b:bool -> ?beta:float -> t -> t -> t -
 (** {2 Fused access-scheme GEMM (paper §4.2)}
 
     These kernels apply the gather / scatter / transpose access schemes
-    {e on the fly inside the row-blocked loop}, so the per-edge operand
-    matrix is never materialized.  Floating-point operations are performed
-    in the exact order of the materialize-then-matmul equivalent, so the
-    results are bitwise identical to the unfused path. *)
+    {e on the fly inside the register-blocked row loop}, so the per-edge
+    operand matrix is never materialized.  Floating-point operations are
+    performed in the exact order of the materialize-then-matmul
+    equivalent, so the results are bitwise identical to the unfused path. *)
 
 val matmul_gather_into : ?trans_b:bool -> ?beta:float -> t -> idx:int array -> t -> t -> unit
 (** [matmul_gather_into a ~idx b c] computes [c := a\[idx\] * b + beta*c]
@@ -221,6 +239,24 @@ val matmul_gather_t_into : ?beta:float -> t -> idx:int array -> t -> t -> unit
 (** [matmul_gather_t_into a ~idx b c] computes
     [c := a\[idx\]ᵀ * b + beta*c] — the transpose access scheme composed
     with the gather, used for weight gradients ([dW += X\[src\]ᵀ * dY]). *)
+
+(** {2 Batched matrix-vector products}
+
+    The linear-fusion weight prologue and its gradient, over flat buffers.
+    [w] is a [\[|s; k; n|\]] stack and [v] an [s]-row matrix whose columns
+    [\[col, col + n)] hold slice [s]'s vector. *)
+
+val mat_vec_into : t -> t -> col:int -> t -> unit
+(** [mat_vec_into w v ~col out] sets [out(s, i) := Σ_j w(s, i, j) · v(s, col + j)]
+    for the [\[|s; k|\]] matrix [out]; each sum starts at [0.0] and runs
+    over [j] ascending. *)
+
+val mat_vec_backward : t -> t -> col:int -> dout:t -> dw:t -> dv:t -> unit
+(** [mat_vec_backward w v ~col ~dout ~dw ~dv] accumulates the gradients of
+    {!mat_vec_into}: for every [(s, i)] with [g = dout(s, i) <> 0], and [j]
+    ascending, [dw(s, i, j) += g · v(s, col + j)] and
+    [dv(s, col + j) += g · w(s, i, j)].  [dw] and [dv] have the shapes of
+    [w] and [v]. *)
 
 val dot : t -> t -> float
 (** Inner product of two same-shape tensors viewed as flat vectors. *)
