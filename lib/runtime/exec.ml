@@ -86,209 +86,7 @@ let value_dim = function Scalar _ -> 1 | Vector v -> Array.length v
 
 let fail fmt = Format.kasprintf invalid_arg fmt
 
-(* ------------------------------------------------------------------ *)
-(* value helpers                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let to_vector = function Scalar s -> [| s |] | Vector v -> v
-
-let to_scalar = function
-  | Scalar s -> s
-  | Vector [| s |] -> s
-  | Vector v -> fail "expected scalar, got vec<%d>" (Array.length v)
-
-let map_value f = function Scalar s -> Scalar (f s) | Vector v -> Vector (Array.map f v)
-
-let lift2 op a b =
-  match (a, b) with
-  | Scalar x, Scalar y -> Scalar (op x y)
-  | Vector x, Vector y ->
-      if Array.length x <> Array.length y then
-        fail "vector op dimension mismatch %d vs %d" (Array.length x) (Array.length y);
-      Vector (Array.init (Array.length x) (fun i -> op x.(i) y.(i)))
-  | Vector x, Scalar y -> Vector (Array.map (fun v -> op v y) x)
-  | Scalar x, Vector y -> Vector (Array.map (fun v -> op x v) y)
-
-(* ------------------------------------------------------------------ *)
-(* row access                                                          *)
-(* ------------------------------------------------------------------ *)
-
-type iter = { edge : int; node : int }
-
-let node_of t iter = function
-  | Ir.Cur_node -> iter.node
-  | Ir.Src -> t.ctx.Graph_ctx.graph.G.src.(iter.edge)
-  | Ir.Dst -> t.ctx.Graph_ctx.graph.G.dst.(iter.edge)
-  | Ir.Cur_edge -> fail "node_of: edge entity"
-
-let row_of t iter ent (entry : Env.entry) =
-  match ent with
-  | Ir.Cur_edge -> Graph_ctx.row_of_edge t.ctx entry.Env.space iter.edge
-  | Ir.Cur_node | Ir.Src | Ir.Dst -> node_of t iter ent
-
-(* Row reads blit the whole row in one shot instead of an [Array.init]
-   with a bounds-checked closure per element; scalar writes avoid the
-   one-element [Vector] temporary entirely.  (Returning a shared scratch
-   buffer from [read_row] would be unsound: the value may be captured in
-   the traversal's per-edge locals and must survive later reads.) *)
-let read_row (entry : Env.entry) row =
-  if entry.Env.dim = 1 then Scalar (Tensor.get2 entry.Env.tensor row 0)
-  else Vector (Tensor.row_array entry.Env.tensor row)
-
-let write_row ~accumulate (entry : Env.entry) row v =
-  match v with
-  | Scalar s when entry.Env.dim = 1 ->
-      let prev = if accumulate then Tensor.get2 entry.Env.tensor row 0 else 0.0 in
-      Tensor.set2 entry.Env.tensor row 0 (prev +. s)
-  | _ ->
-      let vec = to_vector v in
-      if Array.length vec <> entry.Env.dim then
-        fail "write of dim %d into buffer of dim %d" (Array.length vec) entry.Env.dim;
-      for j = 0 to entry.Env.dim - 1 do
-        let prev = if accumulate then Tensor.get2 entry.Env.tensor row j else 0.0 in
-        Tensor.set2 entry.Env.tensor row j (prev +. vec.(j))
-      done
-
-(* ------------------------------------------------------------------ *)
-(* weight access                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let slice_index t iter = function
-  | Ir.By_etype -> t.ctx.Graph_ctx.graph.G.etype.(iter.edge)
-  | Ir.By_ntype -> t.ctx.Graph_ctx.graph.G.node_type.(iter.node)
-  | Ir.By_src_ntype -> t.ctx.Graph_ctx.graph.G.node_type.(t.ctx.Graph_ctx.graph.G.src.(iter.edge))
-  | Ir.By_dst_ntype -> t.ctx.Graph_ctx.graph.G.node_type.(t.ctx.Graph_ctx.graph.G.dst.(iter.edge))
-  | Ir.Shared -> 0
-
-let weight_slice t iter name slice =
-  let stack = Env.weight t.env name in
-  Tensor.slice0 stack (slice_index t iter slice)
-
-(* ------------------------------------------------------------------ *)
-(* expression evaluation (traversal + fallback interpreter)            *)
-(* ------------------------------------------------------------------ *)
-
 let leaky_slope = 0.01
-
-let rec eval t iter locals expr =
-  match expr with
-  | Ir.Const c -> Scalar c
-  | Ir.Feature (ent, name) | Ir.Data (ent, name) -> (
-      match (ent, Hashtbl.find_opt locals name) with
-      | Ir.Cur_edge, Some v -> v
-      | _ ->
-          let entry = Env.find t.env name in
-          read_row entry (row_of t iter ent entry))
-  | Ir.Weight (name, slice) ->
-      let w = weight_slice t iter name slice in
-      if Tensor.ndim w = 1 then
-        if Tensor.dim w 0 = 1 then Scalar (Tensor.get1 w 0)
-        else Vector (Array.init (Tensor.dim w 0) (Tensor.get1 w))
-      else Vector (Tensor.to_flat_array w)
-  | Ir.Linear (x, Ir.Weight (w, slice)) ->
-      let xv = to_vector (eval t iter locals x) in
-      let wm = weight_slice t iter w slice in
-      let k = Tensor.dim wm 0 and n = Tensor.dim wm 1 in
-      if Array.length xv <> k then fail "linear: input %d vs weight rows %d" (Array.length xv) k;
-      let out = Array.make n 0.0 in
-      for i = 0 to k - 1 do
-        let xi = xv.(i) in
-        if xi <> 0.0 then
-          for j = 0 to n - 1 do
-            out.(j) <- out.(j) +. (xi *. Tensor.get2 wm i j)
-          done
-      done;
-      if n = 1 then Scalar out.(0) else Vector out
-  | Ir.Linear_t (x, Ir.Weight (w, slice)) ->
-      let xv = to_vector (eval t iter locals x) in
-      let wm = weight_slice t iter w slice in
-      let k = Tensor.dim wm 0 and n = Tensor.dim wm 1 in
-      if Array.length xv <> n then fail "linear_t: input %d vs weight cols %d" (Array.length xv) n;
-      let out = Array.make k 0.0 in
-      for i = 0 to k - 1 do
-        let acc = ref 0.0 in
-        for j = 0 to n - 1 do
-          acc := !acc +. (Tensor.get2 wm i j *. xv.(j))
-        done;
-        out.(i) <- !acc
-      done;
-      if k = 1 then Scalar out.(0) else Vector out
-  | Ir.Linear _ | Ir.Linear_t _ -> fail "linear against non-weight operand"
-  | Ir.Inner (a, b) ->
-      let av = to_vector (eval t iter locals a) and bv = to_vector (eval t iter locals b) in
-      if Array.length av <> Array.length bv then
-        fail "inner: %d vs %d" (Array.length av) (Array.length bv);
-      let acc = ref 0.0 in
-      Array.iteri (fun i x -> acc := !acc +. (x *. bv.(i))) av;
-      Scalar !acc
-  | Ir.Concat (a, b) ->
-      Vector (Array.append (to_vector (eval t iter locals a)) (to_vector (eval t iter locals b)))
-  | Ir.Slice (a, lo, len) ->
-      let av = to_vector (eval t iter locals a) in
-      if lo + len > Array.length av then fail "slice out of range";
-      if len = 1 then Scalar av.(lo) else Vector (Array.sub av lo len)
-  | Ir.Binop (op, a, b) ->
-      let f =
-        match op with Ir.Add -> ( +. ) | Ir.Sub -> ( -. ) | Ir.Mul -> ( *. ) | Ir.Div -> ( /. )
-      in
-      lift2 f (eval t iter locals a) (eval t iter locals b)
-  | Ir.Unop (op, a) ->
-      let v = eval t iter locals a in
-      let f =
-        match op with
-        | Ir.Exp -> Stdlib.exp
-        | Ir.Neg -> (fun x -> -.x)
-        | Ir.Reciprocal -> (fun x -> 1.0 /. x)
-        | Ir.Leaky_relu -> (fun x -> if x > 0.0 then x else leaky_slope *. x)
-        | Ir.Relu -> (fun x -> if x > 0.0 then x else 0.0)
-        | Ir.Rsqrt -> (fun x -> 1.0 /. sqrt x)
-        | Ir.Leaky_relu_grad -> (fun x -> if x > 0.0 then 1.0 else leaky_slope)
-        | Ir.Relu_grad -> (fun x -> if x > 0.0 then 1.0 else 0.0)
-      in
-      map_value f v
-  | Ir.Opaque (name, args) -> (
-      match List.assoc_opt name t.opaque with
-      | Some f -> f (List.map (eval t iter locals) args)
-      | None -> fail "no fallback implementation registered for %S" name)
-
-(* Accumulate a weight gradient contribution:
-   matrices get dW[idx] += x ⊗ dy, vectors get dv[idx] += x * dy.
-   [grads] resolves the accumulation target: the environment's gradient
-   stack on the sequential path, a per-domain scratch stack during a
-   parallel sweep (merged once afterwards — the pre-reduction that stands
-   in for the paper's warp-level reduction before atomics). *)
-let exec_grad_weight t iter locals ~program ~grads name x dy =
-  let slice =
-    match Ir.find_decl program name with
-    | Some (Ir.Weight_mat { slice; _ }) | Some (Ir.Weight_vec { slice; _ }) -> slice
-    | _ -> fail "Grad_weight: %S is not a declared weight" name
-  in
-  let idx = slice_index t iter slice in
-  let grad = grads name in
-  let gslice = Tensor.slice0 grad idx in
-  let xv = to_vector (eval t iter locals x) in
-  let dyv = eval t iter locals dy in
-  match (Tensor.ndim gslice, dyv) with
-  | 2, _ ->
-      let dyvec = to_vector dyv in
-      let k = Tensor.dim gslice 0 and n = Tensor.dim gslice 1 in
-      if Array.length xv <> k || Array.length dyvec <> n then
-        fail "Grad_weight %S: outer(%d, %d) vs %dx%d" name (Array.length xv) (Array.length dyvec)
-          k n;
-      for i = 0 to k - 1 do
-        if xv.(i) <> 0.0 then
-          for j = 0 to n - 1 do
-            Tensor.set2 gslice i j (Tensor.get2 gslice i j +. (xv.(i) *. dyvec.(j)))
-          done
-      done
-  | 1, dy_s ->
-      let s = to_scalar dy_s in
-      if Array.length xv <> Tensor.dim gslice 0 then
-        fail "Grad_weight %S: %d vs %d" name (Array.length xv) (Tensor.dim gslice 0);
-      for i = 0 to Array.length xv - 1 do
-        Tensor.set1 gslice i (Tensor.get1 gslice i +. (xv.(i) *. s))
-      done
-  | _ -> fail "Grad_weight %S: unsupported gradient rank" name
 
 (* ------------------------------------------------------------------ *)
 (* analytic traversal cost                                             *)
@@ -451,24 +249,6 @@ let stmt_traffic env program (spec : Ts.t) st =
 (* ------------------------------------------------------------------ *)
 (* traversal execution                                                 *)
 (* ------------------------------------------------------------------ *)
-
-let exec_stmt t iter locals ~program ~grads st =
-  match st with
-  | Ir.Assign (ent, n, e) ->
-      let v = eval t iter locals e in
-      if ent = Ir.Cur_edge && Hashtbl.mem locals n then Hashtbl.replace locals n v
-      else begin
-        match (ent, Env.find_opt t.env n) with
-        | Ir.Cur_edge, None -> Hashtbl.replace locals n v (* local first write *)
-        | _, Some entry -> write_row ~accumulate:false entry (row_of t iter ent entry) v
-        | _, None -> fail "write to unknown buffer %S" n
-      end
-  | Ir.Accumulate (ent, n, e) ->
-      let v = eval t iter locals e in
-      let entry = Env.find t.env n in
-      write_row ~accumulate:true entry (row_of t iter ent entry) v
-  | Ir.Grad_weight { name; x; dy } -> exec_grad_weight t iter locals ~program ~grads name x dy
-  | Ir.For_each _ -> fail "nested loop inside traversal body"
 
 let env_grads t name = Env.weight_grad t.env name
 
@@ -682,6 +462,348 @@ let split_passes env (classes : (Ir.stmt * stmt_iteration) list) =
     passes
 
 (* ------------------------------------------------------------------ *)
+(* staged statement bodies                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Every step run stages its body afresh, after the arena has bound its
+   buffers: entries, weight stacks and row maps are resolved to flat
+   arrays once, and float operations keep the scalar definition's order
+   and form, so results are bit-identical to a per-edge value interpreter
+   (DESIGN.md, "Staged traversals"). *)
+
+(* An instantiated sub-expression: after [run edge node] its value is the
+   [dim] floats of [arr] from [off].  Computed nodes own [arr]; row and
+   weight reads point it at tensor storage instead of copying. *)
+type node = { arr : float array; mutable off : int; run : int -> int -> unit }
+
+(* A staged sub-expression: its shape ([scalar] tells a [Scalar] from a
+   one-element [Vector]; they broadcast differently) and how to
+   instantiate it.  Instances own scratch buffers, so each concurrent
+   sweep chunk makes its own. *)
+type staged = { dim : int; scalar : bool; make : inst -> node }
+
+(* Per-instance state: the weight-gradient sink, and one buffer per
+   register-local definition. *)
+and inst = { grads : string -> Tensor.t; slots : float array array }
+
+let nop _ _ = ()
+
+let computed dim scalar body =
+  { dim; scalar; make = (fun inst -> let out = Array.make dim 0.0 in { arr = out; off = 0; run = body inst out }) }
+
+(* A read of the [dim] floats at [base + at edge node * stride]. *)
+let view dim scalar data base stride at =
+  let make _ = let rec n = { arr = data; off = base; run = (fun e v -> n.off <- base + (at e v * stride)) } in n in
+  { dim; scalar; make }
+
+let const c = { dim = 1; scalar = true; make = (fun _ -> { arr = [| c |]; off = 0; run = nop }) }
+
+let blit (src : float array) so (dst : float array) d n =
+  for j = 0 to n - 1 do
+    dst.(d + j) <- src.(so + j)
+  done
+
+(* The row an access through [ent] resolves to, in a buffer of [space]. *)
+let row_at ctx ent space =
+  let g = ctx.Graph_ctx.graph in
+  match ent with
+  | Ir.Cur_node -> fun _ v -> v
+  | Ir.Src -> fun e _ -> g.G.src.(e)
+  | Ir.Dst -> fun e _ -> g.G.dst.(e)
+  | Ir.Cur_edge -> (
+      match (space, Graph_ctx.compact_of_space ctx space) with
+      | _, Some cm -> fun e _ -> cm.Cm.row_of_edge.(e)
+      | Mat.Rows_edges, None -> fun e _ -> e
+      | _ -> invalid_arg "Graph_ctx.row_of_edge: node-space tensor")
+
+(* The weight-stack slice an iteration uses. *)
+let slice_at ctx slice =
+  let g = ctx.Graph_ctx.graph in
+  match slice with
+  | Ir.By_etype -> fun e _ -> g.G.etype.(e)
+  | Ir.By_ntype -> fun _ v -> g.G.node_type.(v)
+  | Ir.By_src_ntype -> fun e _ -> g.G.node_type.(g.G.src.(e))
+  | Ir.By_dst_ntype -> fun e _ -> g.G.node_type.(g.G.dst.(e))
+  | Ir.Shared -> fun _ _ -> 0
+
+(* [out.(j) <- a.(ao + j*sa) op b.(bo + j*sb)]; a zero stride broadcasts
+   a scalar.  One loop per operator: no per-element dispatch. *)
+let binop_loop = function
+  | Ir.Add ->
+      fun a ao sa b bo sb out n -> for j = 0 to n - 1 do out.(j) <- a.(ao + (j * sa)) +. b.(bo + (j * sb)) done
+  | Ir.Sub ->
+      fun a ao sa b bo sb out n -> for j = 0 to n - 1 do out.(j) <- a.(ao + (j * sa)) -. b.(bo + (j * sb)) done
+  | Ir.Mul ->
+      fun a ao sa b bo sb out n -> for j = 0 to n - 1 do out.(j) <- a.(ao + (j * sa)) *. b.(bo + (j * sb)) done
+  | Ir.Div ->
+      fun a ao sa b bo sb out n -> for j = 0 to n - 1 do out.(j) <- a.(ao + (j * sa)) /. b.(bo + (j * sb)) done
+
+let unop_loop = function
+  | Ir.Exp -> fun a o out n -> for j = 0 to n - 1 do out.(j) <- Stdlib.exp a.(o + j) done
+  | Ir.Neg -> fun a o out n -> for j = 0 to n - 1 do out.(j) <- -.a.(o + j) done
+  | Ir.Reciprocal -> fun a o out n -> for j = 0 to n - 1 do out.(j) <- 1.0 /. a.(o + j) done
+  | Ir.Leaky_relu ->
+      fun a o out n ->
+        for j = 0 to n - 1 do
+          out.(j) <- (let x = a.(o + j) in if x > 0.0 then x else leaky_slope *. x)
+        done
+  | Ir.Relu ->
+      fun a o out n -> for j = 0 to n - 1 do out.(j) <- (let x = a.(o + j) in if x > 0.0 then x else 0.0) done
+  | Ir.Rsqrt -> fun a o out n -> for j = 0 to n - 1 do out.(j) <- 1.0 /. sqrt a.(o + j) done
+  | Ir.Leaky_relu_grad ->
+      fun a o out n -> for j = 0 to n - 1 do out.(j) <- (if a.(o + j) > 0.0 then 1.0 else leaky_slope) done
+  | Ir.Relu_grad -> fun a o out n -> for j = 0 to n - 1 do out.(j) <- (if a.(o + j) > 0.0 then 1.0 else 0.0) done
+
+(* [locals] maps each register local to its current definition. *)
+let rec stage_expr t locals e =
+  let stage = stage_expr t locals in
+  match e with
+  | Ir.Const c -> const c
+  | (Ir.Feature (Ir.Cur_edge, n) | Ir.Data (Ir.Cur_edge, n)) when Hashtbl.mem locals n -> Hashtbl.find locals n
+  | Ir.Feature (ent, n) | Ir.Data (ent, n) ->
+      let entry = Env.find t.env n in
+      let data, base = Tensor.storage entry.Env.tensor and stride = Tensor.dim entry.Env.tensor 1 in
+      let scalar = entry.Env.dim = 1 in
+      view (if scalar then 1 else stride) scalar data base stride (row_at t.ctx ent entry.Env.space)
+  | Ir.Weight (n, slice) ->
+      let stack = Env.weight t.env n in
+      let data, base = Tensor.storage stack in
+      let size = Tensor.numel stack / max 1 (Tensor.dim stack 0) in
+      view size (Tensor.ndim stack = 2 && size = 1) data base size (slice_at t.ctx slice)
+  | Ir.Linear (x, Ir.Weight (w, slice)) | Ir.Linear_t (x, Ir.Weight (w, slice)) ->
+      let x = stage x and stack = Env.weight t.env w in
+      let k = Tensor.dim stack 1 and n = Tensor.dim stack 2 in
+      let transposed = match e with Ir.Linear_t _ -> true | _ -> false in
+      if transposed && x.dim <> n then fail "linear_t: input %d vs weight cols %d" x.dim n;
+      if (not transposed) && x.dim <> k then fail "linear: input %d vs weight rows %d" x.dim k;
+      let wa, base = Tensor.storage stack and at = slice_at t.ctx slice in
+      let dim = if transposed then k else n in
+      computed dim (dim = 1) (fun inst out ->
+          let x = x.make inst in
+          fun e v ->
+            x.run e v;
+            let xa = x.arr and xo = x.off and w0 = base + (at e v * k * n) in
+            if transposed then
+              for i = 0 to k - 1 do
+                let acc = ref 0.0 in
+                for j = 0 to n - 1 do
+                  acc := !acc +. (wa.(w0 + (i * n) + j) *. xa.(xo + j))
+                done;
+                out.(i) <- !acc
+              done
+            else begin
+              Array.fill out 0 n 0.0;
+              for i = 0 to k - 1 do
+                let xi = xa.(xo + i) in
+                if xi <> 0.0 then
+                  for j = 0 to n - 1 do
+                    out.(j) <- out.(j) +. (xi *. wa.(w0 + (i * n) + j))
+                  done
+              done
+            end)
+  | Ir.Linear _ | Ir.Linear_t _ -> fail "linear against non-weight operand"
+  | Ir.Inner (a, b) ->
+      let a = stage a and b = stage b in
+      if a.dim <> b.dim then fail "inner: %d vs %d" a.dim b.dim;
+      let d = a.dim in
+      computed 1 true (fun inst out ->
+          let a = a.make inst and b = b.make inst in
+          fun e v ->
+            a.run e v;
+            b.run e v;
+            let aa = a.arr and ao = a.off and ba = b.arr and bo = b.off and acc = ref 0.0 in
+            for i = 0 to d - 1 do
+              acc := !acc +. (aa.(ao + i) *. ba.(bo + i))
+            done;
+            out.(0) <- !acc)
+  | Ir.Concat (a, b) ->
+      let a = stage a and b = stage b in
+      let da = a.dim and db = b.dim in
+      computed (da + db) false (fun inst out ->
+          let a = a.make inst and b = b.make inst in
+          fun e v ->
+            a.run e v;
+            b.run e v;
+            blit a.arr a.off out 0 da;
+            blit b.arr b.off out da db)
+  | Ir.Slice (a, lo, len) ->
+      let a = stage a in
+      if lo + len > a.dim then fail "slice out of range";
+      let make inst =
+        let a = a.make inst in
+        let rec n = { arr = a.arr; off = 0; run = (fun e v -> a.run e v; n.off <- a.off + lo) } in
+        n
+      in
+      { dim = len; scalar = len = 1; make }
+  | Ir.Binop (op, a, b) ->
+      let a = stage a and b = stage b in
+      if (not a.scalar) && (not b.scalar) && a.dim <> b.dim then
+        fail "vector op dimension mismatch %d vs %d" a.dim b.dim;
+      let dim = if a.scalar then b.dim else a.dim in
+      let sa = if a.scalar then 0 else 1 and sb = if b.scalar then 0 else 1 and f = binop_loop op in
+      computed dim (a.scalar && b.scalar) (fun inst out ->
+          let a = a.make inst and b = b.make inst in
+          fun e v ->
+            a.run e v;
+            b.run e v;
+            f a.arr a.off sa b.arr b.off sb out dim)
+  | Ir.Unop (op, a) ->
+      let a = stage a and f = unop_loop op in
+      let d = a.dim in
+      computed d a.scalar (fun inst out ->
+          let a = a.make inst in
+          fun e v ->
+            a.run e v;
+            f a.arr a.off out d)
+  | Ir.Opaque (name, args) ->
+      (* the one node that still builds [value]s; its result takes the
+         shape of its first argument (a scalar without arguments) *)
+      let f =
+        try List.assoc name t.opaque
+        with Not_found -> fail "no fallback implementation registered for %S" name
+      in
+      let args = List.map stage args in
+      let dim, scalar = match args with [] -> (1, true) | a :: _ -> (a.dim, a.scalar) in
+      computed dim scalar (fun inst out ->
+          let args = List.map (fun a -> (a, a.make inst)) args in
+          fun e v ->
+            let value (a, n) =
+              n.run e v;
+              if a.scalar then Scalar n.arr.(n.off) else Vector (Array.sub n.arr n.off a.dim)
+            in
+            match f (List.map value args) with
+            | Scalar s when dim = 1 -> out.(0) <- s
+            | Vector r when Array.length r = dim -> blit r 0 out 0 dim
+            | r -> fail "opaque %S returned dim %d, expected %d" name (value_dim r) dim)
+
+let stage_write t (entry : Env.entry) ent ~accumulate (x : staged) =
+  let d = entry.Env.dim in
+  if x.dim <> d then fail "write of dim %d into buffer of dim %d" x.dim d;
+  let data, base = Tensor.storage entry.Env.tensor and stride = Tensor.dim entry.Env.tensor 1 in
+  let at = row_at t.ctx ent entry.Env.space in
+  fun inst ->
+    let x = x.make inst in
+    if accumulate then fun e v ->
+      x.run e v;
+      let o = base + (at e v * stride) and xa = x.arr and xo = x.off in
+      for j = 0 to d - 1 do
+        data.(o + j) <- data.(o + j) +. xa.(xo + j)
+      done
+    else fun e v ->
+      x.run e v;
+      let o = base + (at e v * stride) and xa = x.arr and xo = x.off in
+      for j = 0 to d - 1 do
+        data.(o + j) <- 0.0 +. xa.(xo + j)
+      done
+
+(* Weight-gradient accumulation: matrices get dW[idx] += x ⊗ dy, vectors
+   dv[idx] += x * dy.  The sink ([inst.grads]: the environment's gradient
+   stack on the sequential path, a per-chunk scratch stack during a
+   parallel sweep) creates gradients on first use, so the target is
+   resolved on the first execution, not at staging. *)
+let stage_grad_weight t ~program locals name x dy =
+  let slice =
+    match Ir.find_decl program name with
+    | Some (Ir.Weight_mat { slice; _ }) | Some (Ir.Weight_vec { slice; _ }) -> slice
+    | _ -> fail "Grad_weight: %S is not a declared weight" name
+  in
+  let x = stage_expr t locals x and dy = stage_expr t locals dy in
+  let rows, cols, outer =
+    match Tensor.shape (Env.weight t.env name) with
+    | [| _; k; n |] ->
+        if x.dim <> k || dy.dim <> n then
+          fail "Grad_weight %S: outer(%d, %d) vs %dx%d" name x.dim dy.dim k n;
+        (k, n, true)
+    | [| _; k |] ->
+        if dy.dim <> 1 then fail "expected scalar, got vec<%d>" dy.dim;
+        if x.dim <> k then fail "Grad_weight %S: %d vs %d" name x.dim k;
+        (k, 1, false)
+    | _ -> fail "Grad_weight %S: unsupported gradient rank" name
+  in
+  let at = slice_at t.ctx slice in
+  fun inst ->
+    let x = x.make inst and dy = dy.make inst and target = lazy (Tensor.storage (inst.grads name)) in
+    fun e v ->
+      x.run e v;
+      dy.run e v;
+      let g, base = Lazy.force target in
+      let g0 = base + (at e v * rows * cols) and xa = x.arr and xo = x.off in
+      let da = dy.arr and d0 = dy.off in
+      if outer then
+        for i = 0 to rows - 1 do
+          let xi = xa.(xo + i) in
+          if xi <> 0.0 then
+            for j = 0 to cols - 1 do
+              let gi = g0 + (i * cols) + j in
+              g.(gi) <- g.(gi) +. (xi *. da.(d0 + j))
+            done
+        done
+      else
+        let s = da.(d0) in
+        for i = 0 to rows - 1 do
+          g.(g0 + i) <- g.(g0 + i) +. (xa.(xo + i) *. s)
+        done
+
+(* Stage one statement.  A write to a register local (a [Cur_edge] name
+   already defined, or unbound in the environment) makes a new definition
+   with its own slot buffer, which later reads in the pass resolve to. *)
+let stage_stmt t ~program locals slot st =
+  match st with
+  | Ir.Assign (ent, n, e) -> (
+      let x = stage_expr t locals e in
+      if ent = Ir.Cur_edge && (Hashtbl.mem locals n || Env.find_opt t.env n = None) then begin
+        let k = !slot and d = x.dim in
+        incr slot;
+        Hashtbl.replace locals n
+          { dim = d; scalar = x.scalar; make = (fun inst -> { arr = inst.slots.(k); off = 0; run = nop }) };
+        fun inst ->
+          let buf = Array.make d 0.0 in
+          inst.slots.(k) <- buf;
+          let x = x.make inst in
+          fun e v ->
+            x.run e v;
+            blit x.arr x.off buf 0 d
+      end
+      else
+        match Env.find_opt t.env n with
+        | Some entry -> stage_write t entry ent ~accumulate:false x
+        | None -> fail "write to unknown buffer %S" n)
+  | Ir.Accumulate (ent, n, e) ->
+      let x = stage_expr t locals e in
+      stage_write t (Env.find t.env n) ent ~accumulate:true x
+  | Ir.Grad_weight { name; x; dy } -> stage_grad_weight t ~program locals name x dy
+  | Ir.For_each _ -> fail "nested loop inside traversal body"
+
+(* Stage one pass; the result instantiates it for a gradient sink.  Locals
+   start every iteration as [Scalar 0.0]; pair-local statements run only
+   on their pair's representative edge. *)
+let stage_pass t ~program ~locals pass =
+  let defs = Hashtbl.create 8 and slot = ref 0 in
+  List.iter (fun n -> Hashtbl.replace defs n (const 0.0)) locals;
+  let stmts =
+    List.map
+      (fun (st, cls) ->
+        let s = stage_stmt t ~program defs slot st in
+        let gate rep inst =
+          let s = s inst in
+          fun e v -> if rep.(e) then s e v
+        in
+        match cls with
+        | Per_edge -> s
+        | Per_pair_src -> gate t.ctx.Graph_ctx.rep_src
+        | Per_pair_dst -> gate t.ctx.Graph_ctx.rep_dst)
+      pass
+  in
+  let nslots = !slot in
+  fun grads ->
+    let inst = { grads; slots = Array.make nslots [||] } in
+    let stmts = Array.of_list (List.map (fun s -> s inst) stmts) in
+    fun e v ->
+      for i = 0 to Array.length stmts - 1 do
+        stmts.(i) e v
+      done
+
+(* ------------------------------------------------------------------ *)
 (* multicore traversal sweeps                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -720,9 +842,9 @@ let merge_grad_scratch (a : grad_scratch) (b : grad_scratch) =
 let apply_grad_scratch t (tbl : grad_scratch) =
   Hashtbl.iter (fun n g -> Tensor.add_inplace (Env.weight_grad t.env n) g) tbl
 
-(* How many destination nodes one chunk takes; small because the
-   interpreted statement bodies are orders of magnitude heavier than the
-   chunk bookkeeping. *)
+(* How many destination nodes one chunk takes; small because a staged
+   iteration still costs far more than the chunk bookkeeping (and each
+   chunk instantiates its own copy of the staged body). *)
 let node_grain = 32
 
 (* Conservative safety analysis: may this pass be partitioned by
@@ -802,67 +924,71 @@ let pass_parallelizable env (spec_locals : string list) strategy pass =
          (not (List.exists (fun (m, _) -> String.equal m n) reads)) || conflict_safe w)
        writes
 
-(* Run [run_iter] over every (edge, node) iteration of the strategy,
-   destination-segmented across the domain pool, with per-domain gradient
-   scratch.  [run_iter] receives the gradient sink to use. *)
-let parallel_sweep t strategy run_iter =
-  let g = t.ctx.Graph_ctx.graph in
-  let scratch =
-    match strategy with
-    | Ts.Edge_parallel | Ts.Node_gather ->
-        let csr = t.ctx.Graph_ctx.in_csr in
-        let row_ptr = csr.Csr.row_ptr and eid = csr.Csr.eid in
-        let node = match strategy with Ts.Node_gather -> fun v -> v | _ -> fun _ -> -1 in
-        Dp.parallel_for_reduce ~grain:node_grain g.G.num_nodes
-          ~init:(fun () -> Hashtbl.create 4)
-          ~body:(fun tbl lo hi ->
-            let grads = scratch_grads t tbl in
-            for v = lo to hi - 1 do
-              for k = row_ptr.(v) to row_ptr.(v + 1) - 1 do
-                run_iter ~grads { edge = eid.(k); node = node v }
-              done
-            done;
-            tbl)
-          ~merge:merge_grad_scratch
-    | Ts.Node_map ->
-        Dp.parallel_for_reduce ~grain:node_grain g.G.num_nodes
-          ~init:(fun () -> Hashtbl.create 4)
-          ~body:(fun tbl lo hi ->
-            let grads = scratch_grads t tbl in
-            for v = lo to hi - 1 do
-              run_iter ~grads { edge = -1; node = v }
-            done;
-            tbl)
-          ~merge:merge_grad_scratch
-  in
-  apply_grad_scratch t scratch
+(* Iterations of destination nodes [lo, hi): each node's incoming edges
+   in CSR order ([node] is -1 for an edge-parallel body), or the nodes
+   themselves for [Node_map]. *)
+let sweep_nodes t strategy run lo hi =
+  match strategy with
+  | Ts.Node_map ->
+      for v = lo to hi - 1 do
+        run (-1) v
+      done
+  | Ts.Edge_parallel | Ts.Node_gather ->
+      let csr = t.ctx.Graph_ctx.in_csr and gather = strategy = Ts.Node_gather in
+      for v = lo to hi - 1 do
+        for k = csr.Csr.row_ptr.(v) to csr.Csr.row_ptr.(v + 1) - 1 do
+          run csr.Csr.eid.(k) (if gather then v else -1)
+        done
+      done
 
-let sequential_sweep t strategy run_iter =
-  let g = t.ctx.Graph_ctx.graph in
-  let grads = env_grads t in
+(* Destination-segmented across the domain pool: each chunk instantiates
+   the staged body with its own gradient scratch. *)
+let parallel_sweep t strategy make =
+  Dp.parallel_for_reduce ~grain:node_grain t.ctx.Graph_ctx.graph.G.num_nodes
+    ~init:(fun () -> Hashtbl.create 4)
+    ~body:(fun tbl lo hi ->
+      sweep_nodes t strategy (make (scratch_grads t tbl)) lo hi;
+      tbl)
+    ~merge:merge_grad_scratch
+  |> apply_grad_scratch t
+
+let sequential_sweep t strategy make =
+  let g = t.ctx.Graph_ctx.graph and run = make (env_grads t) in
   match strategy with
   | Ts.Edge_parallel ->
       for e = 0 to g.G.num_edges - 1 do
-        run_iter ~grads { edge = e; node = -1 }
+        run e (-1)
       done
-  | Ts.Node_gather ->
-      let csr = t.ctx.Graph_ctx.in_csr in
-      for v = 0 to g.G.num_nodes - 1 do
-        List.iter
-          (fun (_, eid) -> run_iter ~grads { edge = eid; node = v })
-          (Csr.neighbors csr v)
-      done
-  | Ts.Node_map ->
-      for v = 0 to g.G.num_nodes - 1 do
-        run_iter ~grads { edge = -1; node = v }
-      done
+  | Ts.Node_gather | Ts.Node_map -> sweep_nodes t strategy run 0 g.G.num_nodes
+
+type pass = { stmts : (Ir.stmt * stmt_iteration) list; parallel : bool }
+
+let schedule env ~locals strategy passes =
+  List.map
+    (fun stmts ->
+      { stmts; parallel = (not (Dp.sequential ())) && pass_parallelizable env locals strategy stmts })
+    passes
+
+let classify env (spec : Ts.t) = List.map (fun st -> (st, classify_stmt env spec st)) spec.Ts.body
+
+let traversal_passes env (spec : Ts.t) =
+  schedule env ~locals:spec.Ts.locals spec.Ts.strategy (split_passes env (classify env spec))
+
+let fallback_passes env (f : Plan.fallback) =
+  schedule env ~locals:[] f.Plan.strategy [ List.map (fun st -> (st, Per_edge)) f.Plan.body ]
+
+(* Stage every pass at step entry (shape errors surface before any buffer
+   is touched), then sweep them in order. *)
+let run_passes t ~program ~locals strategy passes =
+  List.map (fun p -> (p.parallel, stage_pass t ~program ~locals p.stmts)) passes
+  |> List.iter (fun (parallel, make) ->
+         if parallel then parallel_sweep t strategy make else sequential_sweep t strategy make)
 
 (* The single launch charged for a whole traversal spec (passes share it):
    per-edge statements iterate over edges (or nodes for Node_map),
    pair-local statements only over their pair count. *)
-let traversal_kernel ~env ~ctx ~program ~layout (spec : Ts.t) =
+let traversal_kernel ~env ~ctx ~program ~layout ~classes (spec : Ts.t) =
   let g = ctx.Graph_ctx.graph in
-  let classes = List.map (fun st -> (st, classify_stmt env spec st)) spec.Ts.body in
   let iters =
     match spec.Ts.strategy with
     | Ts.Edge_parallel | Ts.Node_gather -> g.G.num_edges
@@ -908,31 +1034,11 @@ let traversal_kernel ~env ~ctx ~program ~layout (spec : Ts.t) =
     ~bytes_gathered:total.gathered ~bytes_atomic:total.atomic ()
 
 let run_traversal t ~program ~layout (spec : Ts.t) =
-  let classes = List.map (fun st -> (st, classify_stmt t.env spec st)) spec.Ts.body in
-  let passes = split_passes t.env classes in
-  let run_iter pass ~grads iter =
-    let locals = Hashtbl.create 4 in
-    List.iter (fun n -> Hashtbl.replace locals n (Scalar 0.0)) spec.Ts.locals;
-    List.iter
-      (fun (st, cls) ->
-        let execute =
-          match cls with
-          | Per_edge -> true
-          | Per_pair_src -> t.ctx.Graph_ctx.rep_src.(iter.edge)
-          | Per_pair_dst -> t.ctx.Graph_ctx.rep_dst.(iter.edge)
-        in
-        if execute then exec_stmt t iter locals ~program ~grads st)
-      pass
-  in
-  List.iter
-    (fun pass ->
-      if
-        (not (Dp.sequential ()))
-        && pass_parallelizable t.env spec.Ts.locals spec.Ts.strategy pass
-      then parallel_sweep t spec.Ts.strategy (run_iter pass)
-      else sequential_sweep t spec.Ts.strategy (run_iter pass))
-    passes;
-  launch_attr t (traversal_kernel ~env:t.env ~ctx:t.ctx ~program ~layout spec)
+  let classes = classify t.env spec in
+  split_passes t.env classes
+  |> schedule t.env ~locals:spec.Ts.locals spec.Ts.strategy
+  |> run_passes t ~program ~locals:spec.Ts.locals spec.Ts.strategy;
+  launch_attr t (traversal_kernel ~env:t.env ~ctx:t.ctx ~program ~layout ~classes spec)
 
 (* ------------------------------------------------------------------ *)
 (* fallback execution                                                  *)
@@ -969,14 +1075,7 @@ let fallback_kernels ~ctx (f : Plan.fallback) =
 
 let run_fallback t ~program (f : Plan.fallback) =
   (* compute values exactly like a traversal... *)
-  let run_iter ~grads iter =
-    let locals = Hashtbl.create 1 in
-    List.iter (exec_stmt t iter locals ~program ~grads) f.Plan.body
-  in
-  let classes = List.map (fun st -> (st, Per_edge)) f.Plan.body in
-  if (not (Dp.sequential ())) && pass_parallelizable t.env [] f.Plan.strategy classes then
-    parallel_sweep t f.Plan.strategy run_iter
-  else sequential_sweep t f.Plan.strategy run_iter;
+  run_passes t ~program ~locals:[] f.Plan.strategy (fallback_passes t.env f);
   List.iter (launch_attr t) (fallback_kernels ~ctx:t.ctx f)
 
 (* ------------------------------------------------------------------ *)
@@ -1103,11 +1202,13 @@ let run_gemm t (spec : Gs.t) =
             match per_row_scalar with
             | None -> ()
             | Some sname ->
-                let s = Env.find t.env sname in
+                let s = (Env.find t.env sname).Env.tensor in
+                let sa, s0 = Tensor.storage s and oa, o0 = Tensor.storage os in
+                let ss = Tensor.dim s 1 and cols = Tensor.dim os 1 in
                 for i = 0 to count - 1 do
-                  let factor = Tensor.get2 s.Env.tensor (start + i) 0 in
+                  let factor = sa.(s0 + ((start + i) * ss)) in
                   for j = 0 to out.Env.dim - 1 do
-                    Tensor.set2 os i j (Tensor.get2 os i j *. factor)
+                    oa.(o0 + (i * cols) + j) <- oa.(o0 + (i * cols) + j) *. factor
                   done
                 done
           end)
@@ -1306,7 +1407,10 @@ let rec step_kernels ~env ~ctx ~(plan : Plan.t) step =
   | Plan.Weight_op op -> [ weight_op_kernel ~env op ]
   | Plan.Gemm spec -> [ gemm_kernel ~env ~ctx spec ]
   | Plan.Traversal spec ->
-      [ traversal_kernel ~env ~ctx ~program:plan.Plan.program ~layout:plan.Plan.layout spec ]
+      [
+        traversal_kernel ~env ~ctx ~program:plan.Plan.program ~layout:plan.Plan.layout
+          ~classes:(classify env spec) spec;
+      ]
   | Plan.Fallback f -> fallback_kernels ~ctx f
   | Plan.Fused f -> (
       match List.concat_map (step_kernels ~env ~ctx ~plan) f.Plan.members with

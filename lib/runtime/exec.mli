@@ -7,10 +7,13 @@
     and memory reflect a paper-scale GPU run).
 
     GEMM-template steps execute as fused gather→segment-MM→scatter kernels
-    (one launch each); traversal steps interpret their fused statement body
-    per edge or per node (one launch each); fallback steps interpret the
-    same semantics but are charged one launch and full operand
-    materialization per expression node, as the PyTorch path would. *)
+    (one launch each).  Traversal steps stage their fused statement body
+    at step entry — buffers, weight stacks and row maps resolved to flat
+    arrays once per run, one specialized float loop per operator — and
+    sweep the staged closures per edge or per node (one launch each).
+    Fallback steps run through the same stager but are charged one launch
+    and full operand materialization per expression node, as the PyTorch
+    path would. *)
 
 module Tensor = Hector_tensor.Tensor
 module Engine = Hector_gpu.Engine
@@ -19,7 +22,9 @@ module Engine = Hector_gpu.Engine
 type value = Scalar of float | Vector of float array
 
 type opaque_fn = value list -> value
-(** Implementation of an {!Hector_core.Inter_ir.expr.Opaque} operator. *)
+(** Implementation of an {!Hector_core.Inter_ir.expr.Opaque} operator.
+    Its result must have the shape of its first argument (a scalar when
+    it has none); any other shape raises [Invalid_argument]. *)
 
 type managed
 (** A plan buffer backed by an arena storage slot. *)
@@ -109,6 +114,34 @@ val free_temp_buffers : t -> Hector_core.Plan.t -> unit
 
 val value_dim : value -> int
 (** 1 for scalars, the array length for vectors. *)
+
+(** {1 Traversal schedule}
+
+    How [run_plan] sweeps a traversal or fallback body, exposed so a test
+    can replay it with an independent evaluator. *)
+
+type stmt_iteration =
+  | Per_edge  (** every iteration of the strategy *)
+  | Per_pair_src  (** only the representative edge of each (etype, src) pair *)
+  | Per_pair_dst  (** only the representative edge of each (etype, dst) pair *)
+
+type pass = {
+  stmts : (Hector_core.Inter_ir.stmt * stmt_iteration) list;
+  parallel : bool;
+      (** swept across the domain pool in destination chunks of
+          {!node_grain} nodes, weight gradients into per-chunk scratch
+          merged in chunk order; otherwise one sequential loop *)
+}
+(** One sequential pass of a step's body. *)
+
+val traversal_passes : Env.t -> Hector_core.Traversal_spec.t -> pass list
+(** A traversal step's passes at the current domain-pool size. *)
+
+val fallback_passes : Env.t -> Hector_core.Plan.fallback -> pass list
+(** A fallback step's single pass (every statement [Per_edge]). *)
+
+val node_grain : int
+(** Destination nodes per chunk of a parallel sweep. *)
 
 (** {1 Launch-descriptor builders}
 

@@ -44,13 +44,6 @@ let rows_of_space t = function
   | Materialization.Rows_compact_src -> t.compact_src.Compact_map.num_pairs
   | Materialization.Rows_compact_dst -> t.compact_dst.Compact_map.num_pairs
 
-let row_of_edge t space e =
-  match space with
-  | Materialization.Rows_edges -> e
-  | Materialization.Rows_compact_src -> t.compact_src.Compact_map.row_of_edge.(e)
-  | Materialization.Rows_compact_dst -> t.compact_dst.Compact_map.row_of_edge.(e)
-  | Materialization.Rows_nodes -> invalid_arg "Graph_ctx.row_of_edge: node-space tensor"
-
 (* Node id feeding row [start + i] of an edge-space tensor, for the GEMM
    access schemes.  The id arrays depend only on the graph, so they are the
    §3.6 "endpoint gather list" preprocessing: built on first request and

@@ -28,10 +28,6 @@ val create : Hetgraph.t -> t
 val rows_of_space : t -> Hector_core.Materialization.space -> int
 (** Number of rows a tensor of the given space has on this graph. *)
 
-val row_of_edge : t -> Hector_core.Materialization.space -> int -> int
-(** [row_of_edge t space e] locates edge [e]'s row in a tensor of the given
-    edge space ([Rows_nodes] is invalid here). *)
-
 val endpoint_ids :
   t -> Hector_core.Materialization.space -> [ `Src | `Dst ] -> int * int -> int array
 (** [endpoint_ids t space side (start, count)] is the node id feeding each

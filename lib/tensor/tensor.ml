@@ -88,6 +88,8 @@ let set1 t i v = t.data.(t.offset + i) <- v
 let get2 t i j = t.data.(t.offset + (i * t.shape.(1)) + j)
 let set2 t i j v = t.data.(t.offset + (i * t.shape.(1)) + j) <- v
 
+let storage t = (t.data, t.offset)
+
 let item t =
   if numel t <> 1 then shape_error "item: tensor has %d elements" (numel t);
   t.data.(t.offset)

@@ -105,6 +105,13 @@ val to_flat_array : t -> float array
 val to_2d : t -> float array array
 (** Copy a matrix out as rows. *)
 
+val storage : t -> float array * int
+(** [storage t] is [t]'s backing array and the flat index of its first
+    element, the rest following in row-major order.  Writes through the
+    array mutate [t] (and every view sharing it).  For hot loops in other
+    modules: compiled with [-opaque], a call to {!get2} cannot be inlined
+    and boxes the float it returns. *)
+
 (** {1 Views and reshaping} *)
 
 val reshape : t -> int array -> t
@@ -131,8 +138,7 @@ val row : t -> int -> t
 
 val row_array : t -> int -> float array
 (** [row_array m i] copies row [i] of matrix [m] out as a flat array with
-    a single blit — the fast path for per-edge row reads in the traversal
-    interpreter (no per-element closure). *)
+    a single blit (no per-element closure). *)
 
 val copy_row_into : t -> int -> float array -> unit
 (** [copy_row_into m i buf] blits row [i] of matrix [m] into [buf]

@@ -12,6 +12,7 @@ let () =
       ("buffer_plan", Test_buffer_plan.suite);
       ("fusion", Test_fusion.suite);
       ("runtime", Test_runtime.suite);
+      ("staged", Test_staged.suite);
       ("baselines", Test_baselines.suite);
       ("models", Test_models.suite);
       ("experiments", Test_experiments.suite);
