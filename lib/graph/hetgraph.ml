@@ -13,44 +13,68 @@ type t = {
 let num_ntypes g = Metagraph.num_ntypes g.metagraph
 let num_etypes g = Metagraph.num_etypes g.metagraph
 
-let create ?(name = "graph") ?(scale = 1.0) ~metagraph ~node_type ~edges () =
-  if scale < 1.0 then invalid_arg "Hetgraph.create: scale must be >= 1";
+(* Validate the columns and adopt them.  [fn] names the public entry
+   point in error messages. *)
+let of_columns_checked ~fn ~name ~scale ~metagraph ~node_type ~src ~dst ~etype =
+  if scale < 1.0 then invalid_arg (fn ^ ": scale must be >= 1");
   let num_nodes = Array.length node_type in
   let nt_count = Metagraph.num_ntypes metagraph in
   Array.iteri
     (fun i nt ->
       if nt < 0 || nt >= nt_count then
-        invalid_arg (Printf.sprintf "Hetgraph.create: node %d has type %d out of %d" i nt nt_count);
+        invalid_arg (Printf.sprintf "%s: node %d has type %d out of %d" fn i nt nt_count);
       if i > 0 && node_type.(i - 1) > nt then
-        invalid_arg "Hetgraph.create: node types must be sorted (nodes grouped by type)")
+        invalid_arg (fn ^ ": node types must be sorted (nodes grouped by type)"))
     node_type;
-  let edges = Array.copy edges in
-  (* stable: callers (e.g. the sampler) rely on input order within a type *)
-  Array.stable_sort (fun (_, _, e1) (_, _, e2) -> compare e1 e2) edges;
-  let num_edges = Array.length edges in
-  let src = Array.make num_edges 0
-  and dst = Array.make num_edges 0
-  and etype = Array.make num_edges 0 in
+  let num_edges = Array.length etype in
+  if Array.length src <> num_edges || Array.length dst <> num_edges then
+    invalid_arg (fn ^ ": src, dst and etype differ in length");
   let et_count = Metagraph.num_etypes metagraph in
-  Array.iteri
-    (fun i (s, d, e) ->
-      if e < 0 || e >= et_count then
-        invalid_arg (Printf.sprintf "Hetgraph.create: edge %d has type %d out of %d" i e et_count);
-      if s < 0 || s >= num_nodes || d < 0 || d >= num_nodes then
-        invalid_arg (Printf.sprintf "Hetgraph.create: edge %d endpoints (%d, %d) out of %d" i s d num_nodes);
-      if node_type.(s) <> Metagraph.src_ntype metagraph e then
-        invalid_arg
-          (Printf.sprintf "Hetgraph.create: edge %d source type %d violates relation %d" i
-             node_type.(s) e);
-      if node_type.(d) <> Metagraph.dst_ntype metagraph e then
-        invalid_arg
-          (Printf.sprintf "Hetgraph.create: edge %d destination type %d violates relation %d" i
-             node_type.(d) e);
-      src.(i) <- s;
-      dst.(i) <- d;
-      etype.(i) <- e)
-    edges;
-  { name; metagraph; num_nodes; num_edges; node_type = Array.copy node_type; src; dst; etype; scale }
+  for i = 0 to num_edges - 1 do
+    let s = src.(i) and d = dst.(i) and e = etype.(i) in
+    if e < 0 || e >= et_count then
+      invalid_arg (Printf.sprintf "%s: edge %d has type %d out of %d" fn i e et_count);
+    if i > 0 && etype.(i - 1) > e then
+      invalid_arg (fn ^ ": edges must be grouped by type");
+    if s < 0 || s >= num_nodes || d < 0 || d >= num_nodes then
+      invalid_arg (Printf.sprintf "%s: edge %d endpoints (%d, %d) out of %d" fn i s d num_nodes);
+    if node_type.(s) <> Metagraph.src_ntype metagraph e then
+      invalid_arg
+        (Printf.sprintf "%s: edge %d source type %d violates relation %d" fn i node_type.(s) e);
+    if node_type.(d) <> Metagraph.dst_ntype metagraph e then
+      invalid_arg
+        (Printf.sprintf "%s: edge %d destination type %d violates relation %d" fn i
+           node_type.(d) e)
+  done;
+  { name; metagraph; num_nodes; num_edges; node_type; src; dst; etype; scale }
+
+let of_columns ?(name = "graph") ?(scale = 1.0) ~metagraph ~node_type ~src ~dst ~etype () =
+  of_columns_checked ~fn:"Hetgraph.of_columns" ~name ~scale ~metagraph ~node_type ~src ~dst
+    ~etype
+
+let create ?(name = "graph") ?(scale = 1.0) ~metagraph ~node_type ~edges () =
+  (* stable: callers (e.g. the sampler) rely on input order within a type.
+     Edges that already arrive grouped by type (generated datasets,
+     sampled and partitioned subgraphs) skip the sort — a stable sort of
+     them is the identity. *)
+  let grouped = ref true in
+  for i = 1 to Array.length edges - 1 do
+    let _, _, prev = edges.(i - 1) and _, _, e = edges.(i) in
+    if prev > e then grouped := false
+  done;
+  let edges =
+    if !grouped then edges
+    else begin
+      let edges = Array.copy edges in
+      Array.stable_sort (fun (_, _, e1) (_, _, e2) -> compare e1 e2) edges;
+      edges
+    end
+  in
+  of_columns_checked ~fn:"Hetgraph.create" ~name ~scale ~metagraph
+    ~node_type:(Array.copy node_type)
+    ~src:(Array.map (fun (s, _, _) -> s) edges)
+    ~dst:(Array.map (fun (_, d, _) -> d) edges)
+    ~etype:(Array.map (fun (_, _, e) -> e) edges)
 
 let logical_nodes g = int_of_float (Float.round (float_of_int g.num_nodes *. g.scale))
 let logical_edges g = int_of_float (Float.round (float_of_int g.num_edges *. g.scale))

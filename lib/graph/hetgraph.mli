@@ -40,6 +40,23 @@ val create :
     (non-decreasing); node ids out of range, unsorted node types, or edges
     violating the metagraph raise [Invalid_argument]. *)
 
+val of_columns :
+  ?name:string ->
+  ?scale:float ->
+  metagraph:Metagraph.t ->
+  node_type:int array ->
+  src:int array ->
+  dst:int array ->
+  etype:int array ->
+  unit ->
+  t
+(** {!create} over edge columns (edge [i] is [(src.(i), dst.(i),
+    etype.(i))]) that already arrive grouped by edge type, as a mutable
+    graph's snapshots do.  The four arrays are adopted, not copied, so the
+    caller must not mutate them afterwards.  Raises [Invalid_argument] on
+    what {!create} rejects, on columns of unequal length, and on edges not
+    grouped by type. *)
+
 val num_ntypes : t -> int
 (** Number of node types. *)
 

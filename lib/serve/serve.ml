@@ -79,7 +79,7 @@ type t = {
   feature_name : string;
   node_stage : Tensor.t;  (* parent-capacity staging for gathered features *)
   edge_stage : (string * Tensor.t) list;  (* per edge input, parent capacity *)
-  outputs : (string * int) list;
+  out_name : string;  (* the program's first output, gathered per request *)
   fanout : int;
   hops : int;
   max_batch : int;
@@ -118,7 +118,7 @@ let resolve label v knob ~default =
   if r < 1 then invalid_arg (Printf.sprintf "Serve.create: %s must be >= 1" label);
   r
 
-let create ?(config = default_config) ?obs ~graph program =
+let create ?(config = default_config) ?obs ?features ~graph program =
   if config.fanout < 1 || config.hops < 1 then
     invalid_arg "Serve.create: fanout and hops must be positive";
   if config.max_wait_ms < 0.0 then invalid_arg "Serve.create: negative max_wait_ms";
@@ -135,14 +135,26 @@ let create ?(config = default_config) ?obs ~graph program =
   (* the request path supports one node input (the features we gather per
      block) and the conventional precomputed "norm" edge input, recomputed
      per block exactly as Session generates it for a whole graph *)
-  let feature_name =
+  let feature_name, node_dim =
     match
       List.filter_map
-        (function Ir.Node_input { name; _ } -> Some name | _ -> None)
+        (function Ir.Node_input { name; dim } -> Some (name, dim) | _ -> None)
         program.Ir.decls
     with
-    | [ name ] -> name
+    | [ input ] -> input
     | _ -> invalid_arg "Serve.create: model must declare exactly one node input"
+  in
+  (match features with
+  | Some f when Tensor.shape f <> [| graph.G.num_nodes; node_dim |] ->
+      invalid_arg
+        (Printf.sprintf "Serve.create: features must be %d x %d (num_nodes x %s dim), got %s"
+           graph.G.num_nodes node_dim feature_name
+           (String.concat " x " (Array.to_list (Array.map string_of_int (Tensor.shape f)))))
+  | _ -> ());
+  let out_name =
+    match program.Ir.outputs with
+    | o :: _ -> o
+    | [] -> invalid_arg "Serve.create: model declares no outputs"
   in
   let edge_input_names =
     List.filter_map
@@ -192,7 +204,10 @@ let create ?(config = default_config) ?obs ~graph program =
   let slab = Exec.create_slab ~epoch:config.epoch () in
   (* warmup: a session over the PARENT graph charges weights and features
      once and primes the slab at parent capacity — an upper bound on every
-     sampled block, so steady-state blocks never outgrow the backings *)
+     sampled block, so steady-state blocks never outgrow the backings.  It
+     runs no forward: the primed arena already holds every plan buffer.
+     The session's norm is never read (blocks recompute theirs), so it
+     warms with zeros. *)
   let scfg =
     {
       Session.Config.default with
@@ -202,16 +217,15 @@ let create ?(config = default_config) ?obs ~graph program =
       (* explicit weights (e.g. pinned across capacity epochs by the
          streaming subsystem) override the seeded Glorot initialization *)
       weights = config.weights;
+      node_inputs = (match features with Some f -> [ (feature_name, f) ] | None -> []);
+      edge_inputs =
+        List.map (fun name -> (name, Tensor.zeros [| graph.G.num_edges; 1 |])) edge_input_names;
     }
   in
   let session = Session.create ~config:scfg ~graph compiled in
   let exec0 = Session.exec session in
   Exec.warm_plan exec0 compiled.Compiler.forward;
-  let outputs =
-    List.map (fun (name, out) -> (name, Tensor.cols out)) (Session.forward session)
-  in
   let features = (Env.find exec0.Exec.env feature_name).Env.tensor in
-  let node_dim = Tensor.cols features in
   ignore
     (Engine.alloc_tensor engine ~label:"serve/node_stage" ~rows:graph.G.num_nodes
        ~cols:node_dim ());
@@ -243,7 +257,7 @@ let create ?(config = default_config) ?obs ~graph program =
     feature_name;
     node_stage;
     edge_stage;
-    outputs;
+    out_name;
     fanout = config.fanout;
     hops = config.hops;
     max_batch;
@@ -296,12 +310,8 @@ let update_graph t ~(graph : G.t) ?features ?csr () =
     | _ ->
         (match features with
         | Some f ->
-            let dim = Tensor.cols t.features in
-            for i = 0 to graph.G.num_nodes - 1 do
-              for j = 0 to dim - 1 do
-                Tensor.set2 t.features i j (Tensor.get2 f i j)
-              done
-            done
+            let src, so = Tensor.storage f and dst, d0 = Tensor.storage t.features in
+            Array.blit src so dst d0 (Tensor.numel f)
         | None -> ());
         t.graph <- graph;
         t.in_csr <- (match csr with Some c -> c | None -> Csr.incoming graph);
@@ -370,8 +380,7 @@ let run_batch t (batch : Workload.request array) =
   in
   Exec.run_plan exec t.compiled.Compiler.forward;
   let compute_ms = Engine.elapsed_ms t.engine -. t0 -. transfer_ms in
-  let out_name, _ = List.hd t.outputs in
-  let out = (Env.find env out_name).Env.tensor in
+  let out = (Env.find env t.out_name).Env.tensor in
   let per_request = Array.map (fun ids -> Tensor.gather_rows out ids) block_seed_sets in
   (per_request, sample_ms, transfer_ms, compute_ms)
 
@@ -639,6 +648,7 @@ let batch_failures t = t.batch_failures
 let fault_shed t = t.fault_shed
 let faults t = t.faults
 let graph t = t.graph
+let slab t = t.slab
 let slab_epoch t = Exec.slab_epoch t.slab
 let node_capacity t = t.node_capacity
 let edge_capacity t = t.edge_capacity

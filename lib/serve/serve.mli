@@ -98,17 +98,25 @@ type response = {
 type t
 
 val create :
-  ?config:config -> ?obs:Hector_obs.t -> graph:Hector_graph.Hetgraph.t ->
-  Hector_core.Inter_ir.program -> t
+  ?config:config -> ?obs:Hector_obs.t -> ?features:Tensor.t ->
+  graph:Hector_graph.Hetgraph.t -> Hector_core.Inter_ir.program -> t
 (** Build and warm a replica: compile (through the plan cache), initialize
     weights and parent features (from [config.seed]), prime the arena slab
     and staging at parent capacity, then reset the engine clock so metrics
-    cover serving only.  [obs] (default: knob-driven like
-    {!Hector_runtime.Session}) receives [serve.*] counters and batch
-    spans.  The model must declare exactly one node input; the only edge
-    input supported is the conventional ["norm"] (recomputed per block).
-    Raises [Invalid_argument] on unsupported programs or non-positive
-    bounds. *)
+    cover serving only.  Warmup charges weights, features, a (zero,
+    never-read) parent ["norm"] and staging, and primes the slab; it runs
+    no forward.  [features] ([num_nodes × feature_dim]) replaces the
+    seeded feature draw and is adopted, not copied — {!update_graph}
+    overwrites it in place.  Skipping the draw moves the seeded weights
+    drawn after it, so pass [features] with pinned [config.weights] where
+    weights must match a seeded replica — as a streaming re-warm does,
+    passing zeros that the next snapshot overwrites.
+    [obs] (default: knob-driven like {!Hector_runtime.Session}) receives
+    [serve.*] counters and batch spans.  The model must declare exactly
+    one node input; the only edge input supported is the conventional
+    ["norm"] (recomputed per block).  Raises [Invalid_argument] on
+    unsupported programs, non-positive bounds or a [features] matrix of
+    the wrong shape (before any session is built). *)
 
 val update_graph :
   t ->
@@ -207,6 +215,10 @@ val faults : t -> Hector_ckpt.Fault.t option
 val graph : t -> Hector_graph.Hetgraph.t
 (** The snapshot currently served (the latest {!update_graph}, or the
     creation graph). *)
+
+val slab : t -> Hector_runtime.Exec.slab
+(** The replica's arena slab, primed at warmup; every per-block executor
+    binds prefix views of its backings. *)
 
 val slab_epoch : t -> int
 (** The capacity epoch the replica's slab backings are pinned to

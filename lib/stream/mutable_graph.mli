@@ -4,8 +4,14 @@
     {!Hector_graph.Hetgraph} values are frozen; the compile/execute stack
     is built around that.  This module wraps live state — per-type node
     and edge segments with {e stable ids} (assigned at insertion, never
-    reused) plus per-node feature rows — and re-derives a physical
-    snapshot after each {!apply}.  Physical ids renumber per snapshot, but
+    reused) — and re-derives a physical snapshot after each {!apply}.
+    Stable ids are dense, so the live state is flat arrays indexed by
+    stable id (type, endpoints, current physical id); feature rows live
+    only in the snapshot's physical matrix, and each rebuild gathers them
+    from the previous snapshot through the old physical ids.  An {!apply}
+    never mutates a snapshot it has returned, so a consumer (a serving
+    replica mid-batch, a checker) may keep an old one as long as it
+    likes.  Physical ids renumber per snapshot, but
     because inserts append to the end of their type segment and
     tombstone compaction preserves order, the old→new id maps are always
     {e strictly increasing on survivors}, which is what lets downstream
@@ -80,8 +86,9 @@ val create :
   ?name:string -> ?slack:float -> ?compact:float ->
   graph:Hetgraph.t -> features:Tensor.t -> unit -> t
 (** Adopt a frozen graph as epoch-0 live state: physical id [i] becomes
-    stable id [i] (nodes and edges independently), [features] (which must
-    be [num_nodes x dim], copied) seeds the per-node rows.  [slack] and
+    stable id [i] (nodes and edges independently), and a copy of
+    [features] (which must be [num_nodes x dim]) becomes the epoch-0
+    snapshot's feature matrix.  [slack] and
     [compact] default to the [HECTOR_STREAM_SLACK] / [HECTOR_STREAM_COMPACT]
     knobs, then to {!default_slack} / {!default_compact}.  Raises
     [Invalid_argument] on a feature-shape mismatch, negative [slack] or
@@ -89,14 +96,17 @@ val create :
 
 val apply : t -> Delta.t -> (apply_stats, string) result
 (** Apply one delta atomically and refresh the snapshot.  The whole batch
-    is validated against the live state first — an op referencing a dead
-    or unknown stable id, an edge violating the metagraph, or a feature
-    row of the wrong length makes the {e entire} delta [Error] with
-    nothing changed (and [rejected_deltas] incremented).  On [Ok]:
+    is validated first, against the live state plus an overlay of the ids
+    the batch itself has added or removed so far — an op referencing a
+    dead or unknown stable id, an edge violating the metagraph, or a
+    feature row of the wrong length makes the {e entire} delta [Error]
+    with nothing changed (and [rejected_deltas] incremented).  On [Ok]:
     removals of a node implicitly remove its incident live edges;
     feature-only deltas reuse the previous physical graph and CSR
-    outright; edge-only structural deltas patch the CSR incrementally;
-    node churn or an epoch bump rebuilds it. *)
+    outright and copy the feature matrix before writing their rows;
+    edge-only structural deltas patch the CSR incrementally; node churn
+    or an epoch bump rebuilds it.  Feature rows given in the delta are
+    copied; the caller may reuse its arrays. *)
 
 val snapshot : t -> snapshot
 (** The current snapshot (cheap; rebuilt by {!apply}, not here). *)

@@ -39,11 +39,18 @@ let swap_in_snapshot replica mg =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Stream_serve: snapshot exceeds warm capacity: " ^ msg)
 
-let warm_replica ~config ~obs ~mg program =
+(* A re-warm's weights are pinned, so it skips the seeded feature draw:
+   its zero features are overwritten by the snapshot swapped in next, and
+   capacity rows past the snapshot are never sampled. *)
+let warm_replica ?(rewarm = false) ~config ~obs ~mg program =
   let config = { config with Serve.epoch = Mutable_graph.epoch mg } in
-  let replica =
-    Serve.create ~config ~obs ~graph:(Mutable_graph.capacity_graph mg) program
+  let graph = Mutable_graph.capacity_graph mg in
+  let features =
+    if rewarm then
+      Some (Tensor.zeros [| graph.Hector_graph.Hetgraph.num_nodes; Mutable_graph.feat_dim mg |])
+    else None
   in
+  let replica = Serve.create ~config ~obs ?features ~graph program in
   swap_in_snapshot replica mg;
   replica
 
@@ -101,7 +108,7 @@ let apply t delta =
         let cfg =
           { t.base_config with Serve.weights = Serve.model_weights t.live }
         in
-        t.live <- warm_replica ~config:cfg ~obs:t.sobs ~mg:t.mg t.program;
+        t.live <- warm_replica ~rewarm:true ~config:cfg ~obs:t.sobs ~mg:t.mg t.program;
         t.c_rewarms <- t.c_rewarms + 1;
         Hector_obs.add t.sobs "stream.rewarms" 1
       end

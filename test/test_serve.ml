@@ -127,6 +127,116 @@ let test_steady_state_no_compile_no_alloc () =
   check_int "still exactly one compile" 1 (Plan_cache.misses (Serve.plan_cache server));
   check_bool "cache hit on re-lookup" true (Plan_cache.hits (Serve.plan_cache server) >= 0)
 
+let bits t =
+  let data, off = T.storage t in
+  Array.init (T.numel t) (fun i -> Int64.bits_of_float data.(off + i))
+
+(* Warmup runs no forward.  The forward it used to run is replayed here,
+   through a twin replica's own engine and slab right after [create], as
+   warmup did before resetting the clock.  With the planner on (the
+   default) every plan buffer already sits in the primed slab, so that
+   forward allocates nothing and leaves no state a later block reads: the
+   twin matches a plain replica in peak bytes, allocation counts and
+   served output bits.  With the planner off ([HECTOR_ARENA=0]) the slab
+   stays empty, [warm_plan] is a no-op and every [run_plan] allocates its
+   buffers up front and frees the temporaries, so the old forward only
+   charged one extra round of allocations at warmup; serving allocates per
+   block either way. *)
+let test_warmup_leaves_no_trace () =
+  let module Exec = Hector_runtime.Exec in
+  let module Env = Hector_runtime.Env in
+  let module Ir = Hector_core.Inter_ir in
+  let module Mat = Hector_core.Materialization in
+  let module Compiler = Hector_core.Compiler in
+  let graph = Lazy.force parent in
+  let requests = trace graph in
+  let peak server = Memory.peak_bytes (Engine.memory (Serve.engine server)) in
+  List.iter
+    (fun (model, options) ->
+      let program = Hector_models.Model_defs.by_name model ~in_dim:8 ~out_dim:4 () in
+      let config = { (exact_config graph) with Serve.model; options = Some options } in
+      let label =
+        Printf.sprintf "%s %s" model (if options.Compiler.linear_fusion then "C+F" else "U")
+      in
+      let plain = Serve.create ~config ~graph program in
+      let twin = Serve.create ~config ~graph program in
+      let compiled =
+        Plan_cache.get (Serve.plan_cache twin) ~model ~graph:graph.G.name
+          ~options:{ options with Compiler.training = false } program
+      in
+      let env = Env.create () in
+      List.iter (fun (name, w) -> Env.add_weight env ~name w) (Serve.model_weights twin);
+      List.iter
+        (function
+          | Ir.Node_input { name; dim } ->
+              let x = T.randn (Hector_tensor.Rng.create 5) [| graph.G.num_nodes; dim |] in
+              Env.add env ~name { Env.tensor = x; space = Mat.Rows_nodes; dim; alloc = None }
+          | Ir.Edge_input { name; dim } ->
+              Env.add env ~name
+                {
+                  Env.tensor = Hector_runtime.Session.rgcn_norm graph;
+                  space = Mat.Rows_edges;
+                  dim;
+                  alloc = None;
+                }
+          | _ -> ())
+        program.Ir.decls;
+      let exec =
+        Exec.create ~engine:(Serve.engine twin) ~ctx:(Hector_runtime.Graph_ctx.create graph) ~env
+          ~slab:(Serve.slab twin) ()
+      in
+      Exec.run_plan exec compiled.Compiler.forward;
+      Engine.reset_clock (Serve.engine twin);
+      check_int (label ^ ": warm alloc counts") (Serve.warm_alloc_count twin)
+        (Serve.warm_alloc_count plain);
+      check_int (label ^ ": the forward allocated nothing") (Serve.warm_alloc_count plain)
+        (alloc_count twin);
+      check_bool (label ^ ": same peak bytes") true (peak plain = peak twin);
+      let a = outputs_of (Serve.serve plain requests) in
+      let b = outputs_of (Serve.serve twin requests) in
+      Array.iteri
+        (fun i ai ->
+          check_bool (Printf.sprintf "%s: request %d output bits" label i) true
+            (T.shape ai = T.shape b.(i) && bits ai = bits b.(i)))
+        a;
+      check_int (label ^ ": served alloc counts") (alloc_count plain) (alloc_count twin);
+      check_bool (label ^ ": served peak bytes") true (peak plain = peak twin))
+    [
+      ("rgcn", Compiler.default_options);
+      ("rgcn", Compiler.options_of_flags ~compact:true ~fusion:true ());
+      ("rgat", Compiler.default_options);
+      ("rgat", Compiler.options_of_flags ~compact:true ~fusion:true ());
+    ]
+
+(* a features matrix of the wrong shape is refused by name, before any
+   session (and so any engine allocation) exists *)
+let test_create_rejects_bad_features () =
+  let graph = Lazy.force parent in
+  let rejects label features =
+    match Serve.create ~config:(exact_config graph) ~features ~graph (rgcn ()) with
+    | _ -> Alcotest.failf "%s accepted" label
+    | exception Invalid_argument msg ->
+        check_bool (label ^ " names features") true
+          (String.length msg >= 22 && String.sub msg 0 22 = "Serve.create: features")
+  in
+  rejects "too few rows" (T.zeros [| graph.G.num_nodes - 1; 8 |]);
+  rejects "wrong width" (T.zeros [| graph.G.num_nodes; 7 |]);
+  rejects "not a matrix" (T.zeros [| graph.G.num_nodes * 8 |]);
+  (* the right shape is adopted as the parent features: with pinned
+     weights, a replica given them serves what a seeded one serves after
+     [update_graph] copies them in *)
+  let features = T.randn (Hector_tensor.Rng.create 2) [| graph.G.num_nodes; 8 |] in
+  let seeded = Serve.create ~config:(exact_config graph) ~graph (rgcn ()) in
+  let config = { (exact_config graph) with Serve.weights = Serve.model_weights seeded } in
+  let given = Serve.create ~config ~features:(T.copy features) ~graph (rgcn ()) in
+  (match Serve.update_graph seeded ~graph ~features () with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  check_int "same warm allocations" (Serve.warm_alloc_count seeded) (Serve.warm_alloc_count given);
+  let a = outputs_of (Serve.serve seeded (trace graph)) in
+  let b = outputs_of (Serve.serve given (trace graph)) in
+  Array.iteri (fun i ai -> check_bool "same output bits" true (bits ai = bits b.(i))) a
+
 let test_admission_shedding () =
   let graph = Lazy.force parent in
   let config =
@@ -228,6 +338,10 @@ let suite =
       test_batching_amortizes_launches;
     Alcotest.test_case "steady state: zero compiles, zero allocs" `Quick
       test_steady_state_no_compile_no_alloc;
+    Alcotest.test_case "warmup forward leaves no device trace" `Quick
+      test_warmup_leaves_no_trace;
+    Alcotest.test_case "create rejects mis-shaped features" `Quick
+      test_create_rejects_bad_features;
     Alcotest.test_case "admission control sheds under overload" `Quick
       test_admission_shedding;
     Alcotest.test_case "metrics json" `Quick test_metrics_json;

@@ -224,6 +224,203 @@ let test_capacity_graph_bounds () =
       capped
   done
 
+(* --- flat arrays ≡ Hashtbl oracle ---------------------------------------- *)
+
+module Oracle = Mg_oracle
+
+let same_bits a b =
+  T.shape a = T.shape b
+  &&
+  let da, oa = T.storage a and db, ob = T.storage b in
+  let rec go i =
+    i = T.numel a
+    || Int64.equal (Int64.bits_of_float da.(oa + i)) (Int64.bits_of_float db.(ob + i))
+       && go (i + 1)
+  in
+  go 0
+
+let same_graph (a : G.t) (b : G.t) =
+  a.G.name = b.G.name && a.G.num_nodes = b.G.num_nodes && a.G.num_edges = b.G.num_edges
+  && a.G.node_type = b.G.node_type && a.G.src = b.G.src && a.G.dst = b.G.dst
+  && a.G.etype = b.G.etype && a.G.scale = b.G.scale
+  && a.G.metagraph == b.G.metagraph
+
+(* The first field where the library state and the oracle's differ. *)
+let state_diff mg oracle =
+  let a = Mg.snapshot mg and b = Oracle.snapshot oracle in
+  let ntypes = G.num_ntypes a.Mg.graph and etypes = G.num_etypes a.Mg.graph in
+  let view = Mg.view mg and oview = Oracle.view oracle in
+  let max_node = Array.fold_left max (-1) a.Mg.node_stable in
+  let checks =
+    [
+      ("snapshot graph", same_graph a.Mg.graph b.Mg.graph);
+      ("feature bits", same_bits a.Mg.features b.Mg.features);
+      ( "csr",
+        a.Mg.csr.Csr.row_ptr = b.Mg.csr.Csr.row_ptr
+        && a.Mg.csr.Csr.col = b.Mg.csr.Csr.col
+        && a.Mg.csr.Csr.eid = b.Mg.csr.Csr.eid );
+      ("node_stable", a.Mg.node_stable = b.Mg.node_stable);
+      ("edge_stable", a.Mg.edge_stable = b.Mg.edge_stable);
+      ("snapshot epoch/version", (a.Mg.epoch, a.Mg.version) = (b.Mg.epoch, b.Mg.version));
+      ( "epoch/version",
+        (Mg.epoch mg, Mg.version mg) = (Oracle.epoch oracle, Oracle.version oracle) );
+      ("counters", Mg.counters mg = Oracle.counters oracle);
+      ( "live counts",
+        (Mg.live_nodes mg, Mg.live_edges mg)
+        = (Oracle.live_nodes oracle, Oracle.live_edges oracle) );
+      ( "node capacities",
+        List.init ntypes (Mg.node_capacity mg) = List.init ntypes (Oracle.node_capacity oracle) );
+      ( "edge capacities",
+        List.init etypes (Mg.edge_capacity mg) = List.init etypes (Oracle.edge_capacity oracle) );
+      ("capacity graph", same_graph (Mg.capacity_graph mg) (Oracle.capacity_graph oracle));
+      ( "view",
+        List.init ntypes view.Delta.live_nodes = List.init ntypes oview.Delta.live_nodes
+        && List.init etypes view.Delta.live_edges = List.init etypes oview.Delta.live_edges );
+      ( "node_of_stable",
+        List.init (max_node + 8) (fun s -> Mg.node_of_stable mg (s - 2))
+        = List.init (max_node + 8) (fun s -> Oracle.node_of_stable oracle (s - 2)) );
+    ]
+  in
+  List.find_opt (fun (_, ok) -> not ok) checks |> Option.map fst
+
+(* Ops drawn with little regard for validity — ids a little past the live
+   range, negative ids, wrong types, wrong row lengths, references to
+   nodes inserted earlier in the batch — so most such deltas reject at
+   some op after partial progress, and the rest exercise in-batch
+   references the generator never draws. *)
+let wild_delta rng mg =
+  let view = Mg.view mg in
+  let ntypes = Hector_graph.Metagraph.num_ntypes view.Delta.metagraph in
+  let etypes = Hector_graph.Metagraph.num_etypes view.Delta.metagraph in
+  let hi =
+    1 + Array.fold_left max 0 (Mg.snapshot mg).Mg.node_stable
+    + Array.fold_left max 0 (Mg.snapshot mg).Mg.edge_stable
+  in
+  let id () = Random.State.int rng (hi + 6) - 2 in
+  let row () =
+    Array.init
+      (if Random.State.int rng 8 = 0 then feat_dim + 1 else feat_dim)
+      (fun _ -> Random.State.float rng 2.0 -. 1.0)
+  in
+  let op _ =
+    match Random.State.int rng 5 with
+    | 0 ->
+        Delta.Add_node
+          {
+            ntype = Random.State.int rng (ntypes + 1);
+            feat = (if Random.State.bool rng then Some (row ()) else None);
+          }
+    | 1 -> Delta.Remove_node { node = id () }
+    | 2 ->
+        Delta.Add_edge { etype = Random.State.int rng (etypes + 1) - 1; src = id (); dst = id () }
+    | 3 -> Delta.Remove_edge { edge = id () }
+    | _ -> Delta.Set_feat { node = id (); feat = row () }
+  in
+  { Delta.ops = Array.init (1 + Random.State.int rng 6) op }
+
+(* Ops that reference what the batch itself did: a relation's endpoints
+   inserted and wired up in-batch (their stable ids are the counters
+   [next_node]/[next_edge]), then a removal that does or does not take a
+   later op's edge with it. *)
+let chained_delta rng mg ~next_node ~next_edge =
+  let view = Mg.view mg in
+  let meta = view.Delta.metagraph in
+  let et = Random.State.int rng (Hector_graph.Metagraph.num_etypes meta) in
+  let row () = Array.init feat_dim (fun _ -> Random.State.float rng 2.0 -. 1.0) in
+  let built =
+    [
+      Delta.Add_node { ntype = Hector_graph.Metagraph.src_ntype meta et; feat = Some (row ()) };
+      Delta.Add_node { ntype = Hector_graph.Metagraph.dst_ntype meta et; feat = None };
+      Delta.Add_edge { etype = et; src = next_node; dst = next_node + 1 };
+      Delta.Set_feat { node = next_node + 1; feat = row () };
+    ]
+  in
+  let live = view.Delta.live_edges et in
+  let old_edge = if Array.length live > 0 then Some live.(0) else None in
+  let tail =
+    match (Random.State.int rng 5, old_edge) with
+    | 0, _ -> [ Delta.Remove_node { node = next_node }; Delta.Remove_edge { edge = next_edge } ]
+    | 1, _ -> [ Delta.Remove_edge { edge = next_edge }; Delta.Remove_node { node = next_node } ]
+    | 2, _ ->
+        [
+          Delta.Remove_node { node = next_node + 1 };
+          Delta.Set_feat { node = next_node; feat = row () };
+        ]
+    | 3, Some (e, src, _) -> [ Delta.Remove_node { node = src }; Delta.Remove_edge { edge = e } ]
+    | _, Some (e, _, dst) -> [ Delta.Remove_edge { edge = e }; Delta.Remove_node { node = dst } ]
+    | _, None -> []
+  in
+  { Delta.ops = Array.of_list (built @ tail) }
+
+(* a valid delta with one op repeated at a later position: removals of an
+   already-removed id reject after the batch has made progress *)
+let poisoned_delta rng mg ~mix ~seed =
+  let d = gen_delta ~mix mg ~seed ~ops:12 in
+  let n = Array.length d.Delta.ops in
+  let k = Random.State.int rng n in
+  let ops = Array.append d.Delta.ops [| d.Delta.ops.(k) |] in
+  { Delta.ops = ops }
+
+(* everything a caller can see of the live state besides the snapshot *)
+let live_view mg =
+  let v = Mg.view mg in
+  let meta = v.Delta.metagraph in
+  ( Mg.version mg,
+    Mg.epoch mg,
+    List.init (Hector_graph.Metagraph.num_ntypes meta) v.Delta.live_nodes,
+    List.init (Hector_graph.Metagraph.num_etypes meta) v.Delta.live_edges )
+
+let edge_mix =
+  { Delta.add_node = 0.0; remove_node = 0.0; add_edge = 0.35; remove_edge = 0.35; set_feat = 0.3 }
+
+let test_flat_arrays_match_oracle =
+  QCheck.Test.make ~name:"flat stable-id arrays ≡ Hashtbl oracle, bit for bit" ~count:60
+    QCheck.(
+      make
+        Gen.(
+          pair (int_range 0 9999)
+            (quad (int_range 0 1) (int_range 0 2) (int_range 0 2) (int_range 2 10))))
+    (fun (seed, (mix_i, slack_i, compact_i, rounds)) ->
+      let mix = if mix_i = 0 then Delta.default_mix else edge_mix in
+      let slack = [| 0.0; 0.25; 2.0 |].(slack_i) and compact = [| 0.1; 0.25; 1.0 |].(compact_i) in
+      let g = base_graph ~seed:(seed land 7) () in
+      let features = T.randn (Rng.create seed) [| g.G.num_nodes; feat_dim |] in
+      let mg = Mg.create ~slack ~compact ~graph:g ~features () in
+      let oracle = Oracle.create ~slack ~compact ~graph:g ~features () in
+      let rng = Random.State.make [| seed |] in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      (match state_diff mg oracle with
+      | Some f -> fail "after create: %s differs" f
+      | None -> ());
+      let next_node = ref g.G.num_nodes and next_edge = ref g.G.num_edges in
+      for r = 0 to rounds - 1 do
+        let d =
+          match Random.State.int rng 5 with
+          | 0 -> wild_delta rng mg
+          | 1 -> poisoned_delta rng mg ~mix ~seed:((seed * 37) + r)
+          | 2 -> chained_delta rng mg ~next_node:!next_node ~next_edge:!next_edge
+          | _ -> gen_delta ~mix mg ~seed:((seed * 37) + r) ~ops:(5 + Random.State.int rng 30)
+        in
+        let before = Mg.snapshot mg and live_before = live_view mg in
+        let got = Mg.apply mg d and want = Oracle.apply oracle d in
+        if got <> want then fail "round %d: apply results differ" r;
+        (match got with
+        | Error _ when Mg.snapshot mg != before || live_view mg <> live_before ->
+            fail "round %d: rejected delta changed the state" r
+        | Error _ -> ()
+        | Ok _ ->
+            Array.iter
+              (function
+                | Delta.Add_node _ -> incr next_node
+                | Delta.Add_edge _ -> incr next_edge
+                | _ -> ())
+              d.Delta.ops);
+        match state_diff mg oracle with
+        | Some f -> fail "round %d: %s differs" r f
+        | None -> ()
+      done;
+      true)
+
 (* --- stale ids: induce / sampler / serve ------------------------------ *)
 
 let test_stale_ids_surface_as_errors () =
@@ -538,6 +735,7 @@ let suite =
       test_epoch_bump;
     Alcotest.test_case "capacity graph grants (1+slack)·live per type" `Quick
       test_capacity_graph_bounds;
+    QCheck_alcotest.to_alcotest test_flat_arrays_match_oracle;
     Alcotest.test_case "stale ids surface as errors (induce/sampler)" `Quick
       test_stale_ids_surface_as_errors;
     Alcotest.test_case "serving rejects tombstoned seeds without shedding" `Quick
