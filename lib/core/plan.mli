@@ -117,8 +117,8 @@ val preprocessing : t -> string list
 (** The dataset preprocessing this plan's kernels require before
     training/inference can start (§3.6's collection pass): adjacency
     encodings, compact-materialization maps, node presorting.  The runtime
-    performs these in [Graph_ctx.create]; the generated host code would
-    emit the equivalent invocations. *)
+    performs each the first time a kernel asks its [Graph_ctx] for it; the
+    generated host code would emit the equivalent invocations. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable plan dump (buffers + steps). *)

@@ -402,9 +402,8 @@ let reset_clocks t =
   Array.iter (fun r -> Engine.reset_clock r.engine) t.replicas
 
 let copy_row ~src ~si ~dst ~di d =
-  for j = 0 to d - 1 do
-    Tensor.set2 dst di j (Tensor.get2 src si j)
-  done
+  let sa, s0 = Tensor.storage src and da, d0 = Tensor.storage dst in
+  Array.blit sa (s0 + (si * Tensor.cols src)) da (d0 + (di * Tensor.cols dst)) d
 
 (* BSP barrier: bring every replica to the slowest clock before a
    communication phase, attributed as host sync so per-op times still cover
@@ -563,34 +562,34 @@ let masked_nll t (r : replica) ~labels =
   let out = out_tensor r lrec in
   let seed = (Env.find (Session.exec r.sessions.(0)).Exec.env (Autodiff.grad_name lrec.out_name)).Env.tensor in
   let c = lrec.out_dim in
+  let oa, o0 = Tensor.storage out and sa, s0 = Tensor.storage seed in
+  let ocols = Tensor.cols out and scols = Tensor.cols seed and inv_n = t.inv_n in
   let loss = ref 0.0 in
   let owned_count = ref 0 in
-  Array.iteri
-    (fun i parent ->
-      if r.part.Partition.owned.(i) then begin
-        incr owned_count;
-        let label = labels.(parent) in
-        if label < 0 || label >= c then invalid_arg "Replica.train_step: label out of range";
-        let m = ref neg_infinity in
-        for j = 0 to c - 1 do
-          if Tensor.get2 out i j > !m then m := Tensor.get2 out i j
-        done;
-        let z = ref 0.0 in
-        for j = 0 to c - 1 do
-          z := !z +. Stdlib.exp (Tensor.get2 out i j -. !m)
-        done;
-        let logz = Stdlib.log !z +. !m in
-        loss := !loss -. ((Tensor.get2 out i label -. logz) *. t.inv_n);
-        for j = 0 to c - 1 do
-          let p = Stdlib.exp (Tensor.get2 out i j -. logz) in
-          Tensor.set2 seed i j ((if j = label then p -. 1.0 else p) *. t.inv_n)
-        done
-      end
-      else
-        for j = 0 to c - 1 do
-          Tensor.set2 seed i j 0.0
-        done)
-    r.part.Partition.origin_node;
+  let origin = r.part.Partition.origin_node and owned = r.part.Partition.owned in
+  for i = 0 to Array.length origin - 1 do
+    let ob = o0 + (i * ocols) and sb = s0 + (i * scols) in
+    if owned.(i) then begin
+      incr owned_count;
+      let label = labels.(origin.(i)) in
+      if label < 0 || label >= c then invalid_arg "Replica.train_step: label out of range";
+      let m = ref neg_infinity in
+      for j = 0 to c - 1 do
+        if oa.(ob + j) > !m then m := oa.(ob + j)
+      done;
+      let z = ref 0.0 in
+      for j = 0 to c - 1 do
+        z := !z +. Stdlib.exp (oa.(ob + j) -. !m)
+      done;
+      let logz = Stdlib.log !z +. !m in
+      loss := !loss -. ((oa.(ob + label) -. logz) *. inv_n);
+      for j = 0 to c - 1 do
+        let p = Stdlib.exp (oa.(ob + j) -. logz) in
+        sa.(sb + j) <- (if j = label then p -. 1.0 else p) *. inv_n
+      done
+    end
+    else Array.fill sa sb c 0.0
+  done;
   let n = !owned_count in
   let bytes = float_of_int (n * c * 4) in
   let launch name flops =
@@ -609,17 +608,27 @@ let masked_nll t (r : replica) ~labels =
    — every replica ends up holding the identical summed gradient, exactly
    as in the single-replica reference (up to reassociation). *)
 let reduce_weight t name scratch =
-  Tensor.fill scratch 0.0;
-  Array.iter
-    (fun r ->
-      Tensor.add_inplace scratch (Env.weight_grad (Session.exec r.sessions.(0)).Exec.env name))
-    t.replicas;
-  Array.iter
-    (fun r ->
-      let g = Env.weight_grad (Session.exec r.sessions.(0)).Exec.env name in
-      Tensor.fill g 0.0;
-      Tensor.add_inplace g scratch)
-    t.replicas
+  let grads =
+    Array.map
+      (fun r -> Tensor.storage (Env.weight_grad (Session.exec r.sessions.(0)).Exec.env name))
+      t.replicas
+  in
+  let sa, s0 = Tensor.storage scratch and p = Array.length grads in
+  (* one pass per element: sum from 0.0 in replica order, then store
+     [0.0 +. sum] in every replica — accumulating into a zeroed gradient,
+     so a -0.0 sum is stored as +0.0 *)
+  for k = 0 to Tensor.numel scratch - 1 do
+    let s = ref 0.0 in
+    for q = 0 to p - 1 do
+      let a, o = grads.(q) in
+      s := !s +. a.(o + k)
+    done;
+    sa.(s0 + k) <- !s;
+    for q = 0 to p - 1 do
+      let a, o = grads.(q) in
+      a.(o + k) <- 0.0 +. !s
+    done
+  done
 
 (* Simulated ring all-reduce, BSP flavour: synchronize, reduce everything,
    charge one blocking transfer of the standard ring figure — 2·(P−1)

@@ -98,13 +98,6 @@ let patch_incoming old ~(old_graph : Hetgraph.t) ~(graph : Hetgraph.t) ~edge_map
 
 let degree t r = t.row_ptr.(r + 1) - t.row_ptr.(r)
 
-let neighbors t r =
-  let acc = ref [] in
-  for k = t.row_ptr.(r + 1) - 1 downto t.row_ptr.(r) do
-    acc := (t.col.(k), t.eid.(k)) :: !acc
-  done;
-  !acc
-
 let owner_of_index t k =
   if k < 0 || k >= Array.length t.col then invalid_arg "Csr.owner_of_index: out of range";
   (* last row r with row_ptr.(r) <= k *)

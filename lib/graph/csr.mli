@@ -39,9 +39,6 @@ val patch_incoming :
 val degree : t -> int -> int
 (** Row length. *)
 
-val neighbors : t -> int -> (int * int) list
-(** [neighbors t v] is the [(neighbor, eid)] list of row [v]. *)
-
 val owner_of_index : t -> int -> int
 (** [owner_of_index t k] is the row owning position [k] of [col] — the
     binary search into [row_ptr] that the paper names as the CSR

@@ -53,10 +53,9 @@ let of_columns ?(name = "graph") ?(scale = 1.0) ~metagraph ~node_type ~src ~dst 
     ~etype
 
 let create ?(name = "graph") ?(scale = 1.0) ~metagraph ~node_type ~edges () =
-  (* stable: callers (e.g. the sampler) rely on input order within a type.
-     Edges that already arrive grouped by type (generated datasets,
-     sampled and partitioned subgraphs) skip the sort — a stable sort of
-     them is the identity. *)
+  (* stable: callers rely on input order within a type.  Edges that
+     already arrive grouped by type (generated datasets) skip the sort — a
+     stable sort of them is the identity. *)
   let grouped = ref true in
   for i = 1 to Array.length edges - 1 do
     let _, _, prev = edges.(i - 1) and _, _, e = edges.(i) in
@@ -118,26 +117,68 @@ let out_degrees g =
   Array.iter (fun v -> d.(v) <- d.(v) + 1) g.src;
   d
 
-let in_degrees_by_rel g =
-  let d = Array.make_matrix (num_etypes g) g.num_nodes 0 in
-  for i = 0 to g.num_edges - 1 do
-    let r = g.etype.(i) and v = g.dst.(i) in
-    d.(r).(v) <- d.(r).(v) + 1
-  done;
-  d
-
 type induced = { sub : t; origin_node : int array; origin_edge : int array }
 
 (* Local early-exit channel for [induce_result]; never escapes this file. *)
 exception Induce_error of string
 
+(* Ascending LSD radix sort of non-negative ints, one byte per pass: a
+   block's ids take two or three O(n) passes, with no comparison closure. *)
+let sort_ids a =
+  let n = Array.length a in
+  let top = ref 0 in
+  for i = 0 to n - 1 do
+    if a.(i) > !top then top := a.(i)
+  done;
+  let src = ref a and dst = ref (Array.make n 0) and shift = ref 0 in
+  let count = Array.make 257 0 in
+  while n > 1 && !top lsr !shift > 0 do
+    let s = !src and d = !dst and sh = !shift in
+    Array.fill count 0 257 0;
+    for i = 0 to n - 1 do
+      let b = ((s.(i) lsr sh) land 255) + 1 in
+      count.(b) <- count.(b) + 1
+    done;
+    for b = 1 to 255 do
+      count.(b) <- count.(b) + count.(b - 1)
+    done;
+    for i = 0 to n - 1 do
+      let v = s.(i) in
+      let b = (v lsr sh) land 255 in
+      d.(count.(b)) <- v;
+      count.(b) <- count.(b) + 1
+    done;
+    src := d;
+    dst := s;
+    shift := sh + 8
+  done;
+  if !src != a then Array.blit !src 0 a 0 n
+
+(* Branch-free lower bound: the comparison becomes a mask ([x asr 62] is
+   all ones iff [x < 0], exact for node ids), so the loop never
+   mispredicts — a block's endpoints are looked up in random order. *)
+let origin_index (sorted : int array) v =
+  let n = Array.length sorted in
+  if n = 0 || v < 0 then -1
+  else begin
+    let base = ref 0 and len = ref n in
+    while !len > 1 do
+      let half = !len lsr 1 in
+      base := !base + (half land ((sorted.(!base + half) - v) asr 62));
+      len := !len - half
+    done;
+    let i = if sorted.(!base) < v then !base + 1 else !base in
+    if i < n && sorted.(i) = v then i else -1
+  end
+
 (* The renumbering shared by the sampler and the partitioner: given the
    parent ids of the member nodes and edges, produce a self-contained
    subgraph upholding every [create] invariant, plus the origin maps.
-   Nodes are ordered by (type, parent id) so the "grouped by type"
-   invariant holds and the order is deterministic; edges keep the caller's
-   order within each type ([create]'s sort is stable), so the caller's
-   origin map survives the construction. *)
+   Parent nodes are grouped by type, so (type, parent id) order is plain
+   id order: an int sort orders the members and a binary search renumbers
+   endpoints.  Edges are grouped by type with a stable counting sort, so
+   they keep the caller's order within each type and the caller's origin
+   map survives the construction. *)
 let induce_result ?name g ~nodes ~edges =
   let fail fmt = Printf.ksprintf (fun msg -> raise (Induce_error msg)) fmt in
   try
@@ -148,33 +189,51 @@ let induce_result ?name g ~nodes ~edges =
         if v < 0 || v >= g.num_nodes then
           fail "Hetgraph.induce: node %d out of range (graph has %d nodes)" v g.num_nodes)
       origin_node;
-    Array.sort (fun a b -> compare (g.node_type.(a), a) (g.node_type.(b), b)) origin_node;
-    Array.iteri
-      (fun i v ->
-        if i > 0 && v = origin_node.(i - 1) then
-          fail "Hetgraph.induce: duplicate node %d" v)
-      origin_node;
-    let new_id = Hashtbl.create (Array.length origin_node) in
-    Array.iteri (fun i v -> Hashtbl.replace new_id v i) origin_node;
+    sort_ids origin_node;
+    for i = 1 to Array.length origin_node - 1 do
+      if origin_node.(i) = origin_node.(i - 1) then
+        fail "Hetgraph.induce: duplicate node %d" origin_node.(i)
+    done;
     let node_type = Array.map (fun v -> g.node_type.(v)) origin_node in
-    let origin_edge = Array.copy edges in
-    Array.stable_sort (fun a b -> compare g.etype.(a) g.etype.(b)) origin_edge;
+    Array.iter
+      (fun eid ->
+        if eid < 0 || eid >= g.num_edges then
+          fail "Hetgraph.induce: edge %d out of range (graph has %d edges)" eid g.num_edges)
+      edges;
+    let m = Array.length edges in
+    let start = Array.make (num_etypes g + 1) 0 in
+    Array.iter
+      (fun eid ->
+        let r = g.etype.(eid) + 1 in
+        start.(r) <- start.(r) + 1)
+      edges;
+    for r = 1 to num_etypes g do
+      start.(r) <- start.(r) + start.(r - 1)
+    done;
+    let origin_edge = Array.make m 0 in
+    Array.iter
+      (fun eid ->
+        let r = g.etype.(eid) in
+        origin_edge.(start.(r)) <- eid;
+        start.(r) <- start.(r) + 1)
+      edges;
     let local v =
-      match Hashtbl.find_opt new_id v with
-      | Some i -> i
-      | None -> fail "Hetgraph.induce: edge endpoint %d is not a member node" v
+      let i = origin_index origin_node v in
+      if i < 0 then fail "Hetgraph.induce: edge endpoint %d is not a member node" v;
+      i
     in
-    let triples =
-      Array.map
-        (fun eid ->
-          if eid < 0 || eid >= g.num_edges then
-            fail "Hetgraph.induce: edge %d out of range (graph has %d edges)" eid
-              g.num_edges;
-          (local g.src.(eid), local g.dst.(eid), g.etype.(eid)))
-        origin_edge
-    in
+    let src = Array.make m 0 and dst = Array.make m 0 in
+    (* destination first: an edge with neither endpoint a member names its
+       destination in the error *)
+    Array.iteri
+      (fun i eid ->
+        dst.(i) <- local g.dst.(eid);
+        src.(i) <- local g.src.(eid))
+      origin_edge;
     let sub =
-      create ~name:sub_name ~metagraph:g.metagraph ~node_type ~edges:triples ()
+      of_columns_checked ~fn:"Hetgraph.create" ~name:sub_name ~scale:1.0 ~metagraph:g.metagraph
+        ~node_type ~src ~dst
+        ~etype:(Array.map (fun eid -> g.etype.(eid)) origin_edge)
     in
     Ok { sub; origin_node; origin_edge }
   with

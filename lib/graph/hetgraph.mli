@@ -86,10 +86,6 @@ val in_degrees : t -> int array
 val out_degrees : t -> int array
 (** Per-node outgoing degree. *)
 
-val in_degrees_by_rel : t -> int array array
-(** [in_degrees_by_rel g] has element [(r, v)] = number of incoming edges of
-    relation [r] at node [v] — the [c_{v,r}] normalization of RGCN. *)
-
 type induced = {
   sub : t;  (** the induced subgraph, a valid graph of its own *)
   origin_node : int array;  (** subgraph node id → parent node id *)
@@ -102,16 +98,26 @@ val induce_result :
 (** [induce_result g ~nodes ~edges] renumbers the given member nodes and
     edges into a self-contained subgraph upholding every {!create}
     invariant — the extraction shared by the neighborhood sampler and the
-    graph partitioner.  [nodes] are distinct parent node ids in any order
-    (the subgraph orders them by (type, parent id), so the construction is
-    deterministic); [edges] are parent edge ids whose endpoints must all be
-    members (their relative order within each edge type is preserved in
-    [origin_edge]).  Invalid member sets — duplicates, out-of-range ids
-    (e.g. a seed referencing a node removed by a {!Hector_stream} delta),
-    or an edge endpoint outside [nodes] — return [Error msg] with a stable
-    human-readable message instead of raising, so callers holding ids that
-    may have gone stale under mutation get an error channel, not an
-    exception. *)
+    graph partitioner.  [nodes] are distinct parent node ids in any order;
+    the subgraph orders them by (type, parent id), which is ascending
+    parent id because parent nodes are grouped by type, so [origin_node]
+    is sorted and {!origin_index} inverts it.  [edges] are parent edge ids
+    whose endpoints must all be members; a stable counting sort groups
+    them by type, preserving their relative order within each type in
+    [origin_edge].  Members are ordered by an int radix sort and
+    endpoints renumbered by binary search, so the work is
+    O(|nodes| + |edges| log |nodes|) plus the number of edge types:
+    nothing proportional to the parent graph.  Invalid member sets — duplicates, out-of-range node or
+    edge ids (e.g. a seed referencing a node removed by a {!Hector_stream}
+    delta), or an edge endpoint outside [nodes] — return [Error msg] with
+    a stable human-readable message instead of raising, so callers holding
+    ids that may have gone stale under mutation get an error channel, not
+    an exception. *)
+
+val origin_index : int array -> int -> int
+(** [origin_index origin_node v] is the subgraph id of parent node [v] —
+    its position in the ascending [origin_node] map of an {!induced}
+    subgraph, found by binary search — or [-1] if [v] is not a member. *)
 
 val induce : ?name:string -> t -> nodes:int array -> edges:int array -> induced
 (** {!induce_result}, raising [Invalid_argument] on [Error] — for callers

@@ -7,7 +7,16 @@
     style: per hop, up to [fanout] incoming edges of every frontier node.
     The result is a self-contained {!Hetgraph.t} (node ids renumbered and
     re-grouped by type so all compiler invariants hold) plus the mappings
-    back into the parent graph. *)
+    back into the parent graph.
+
+    A call costs flat-array work proportional to the block it builds:
+    each frontier row is read straight out of the CSR and shuffled in
+    place with {!Hector_tensor.Rng.shuffle_pair}; membership is an
+    open-addressing int set sized to the block; seeds are mapped to block
+    ids by binary search over the sorted [origin_node].  Given a [?csr],
+    nothing proportional to the parent graph is allocated.  The draws and
+    the block (node order, edge order, origin maps) are a pure function
+    of [seed], [graph], the seeds, [fanout] and [hops]. *)
 
 type subgraph = {
   graph : Hetgraph.t;  (** the sampled block, a valid graph of its own *)
@@ -59,8 +68,9 @@ val sample_union_result :
 (** Sample ONE block covering several requests at once: the block is
     [sample] of the deduplicated union of the seed sets (first-occurrence
     order, so the union of a single set is that set), and the second
-    component maps each input set to the block ids of its own seeds —
-    the rows to scatter back per request after a shared batched forward.
+    component maps each input set to the block ids of its own seeds
+    (binary search over [origin_node]) — the rows to scatter back per
+    request after a shared batched forward.
     The returned subgraph's [seed_nodes] are the union's block ids.
     Returns [Error msg] if [seed_sets] or any individual set is empty, or
     on the conditions {!sample_result} rejects. *)

@@ -505,7 +505,7 @@ let blit (src : float array) so (dst : float array) d n =
 
 (* The row an access through [ent] resolves to, in a buffer of [space]. *)
 let row_at ctx ent space =
-  let g = ctx.Graph_ctx.graph in
+  let g = Graph_ctx.graph ctx in
   match ent with
   | Ir.Cur_node -> fun _ v -> v
   | Ir.Src -> fun e _ -> g.G.src.(e)
@@ -518,7 +518,7 @@ let row_at ctx ent space =
 
 (* The weight-stack slice an iteration uses. *)
 let slice_at ctx slice =
-  let g = ctx.Graph_ctx.graph in
+  let g = Graph_ctx.graph ctx in
   match slice with
   | Ir.By_etype -> fun e _ -> g.G.etype.(e)
   | Ir.By_ntype -> fun _ v -> g.G.node_type.(v)
@@ -790,8 +790,8 @@ let stage_pass t ~program ~locals pass =
         in
         match cls with
         | Per_edge -> s
-        | Per_pair_src -> gate t.ctx.Graph_ctx.rep_src
-        | Per_pair_dst -> gate t.ctx.Graph_ctx.rep_dst)
+        | Per_pair_src -> gate (Graph_ctx.rep_src t.ctx)
+        | Per_pair_dst -> gate (Graph_ctx.rep_dst t.ctx))
       pass
   in
   let nslots = !slot in
@@ -926,34 +926,38 @@ let pass_parallelizable env (spec_locals : string list) strategy pass =
 
 (* Iterations of destination nodes [lo, hi): each node's incoming edges
    in CSR order ([node] is -1 for an edge-parallel body), or the nodes
-   themselves for [Node_map]. *)
-let sweep_nodes t strategy run lo hi =
+   themselves for [Node_map].  The CSR is resolved here, on the calling
+   domain, before any parallel region sweeps with the result. *)
+let sweep_nodes t strategy =
   match strategy with
   | Ts.Node_map ->
-      for v = lo to hi - 1 do
-        run (-1) v
-      done
-  | Ts.Edge_parallel | Ts.Node_gather ->
-      let csr = t.ctx.Graph_ctx.in_csr and gather = strategy = Ts.Node_gather in
-      for v = lo to hi - 1 do
-        for k = csr.Csr.row_ptr.(v) to csr.Csr.row_ptr.(v + 1) - 1 do
-          run csr.Csr.eid.(k) (if gather then v else -1)
+      fun run lo hi ->
+        for v = lo to hi - 1 do
+          run (-1) v
         done
-      done
+  | Ts.Edge_parallel | Ts.Node_gather ->
+      let csr = Graph_ctx.in_csr t.ctx and gather = strategy = Ts.Node_gather in
+      fun run lo hi ->
+        for v = lo to hi - 1 do
+          for k = csr.Csr.row_ptr.(v) to csr.Csr.row_ptr.(v + 1) - 1 do
+            run csr.Csr.eid.(k) (if gather then v else -1)
+          done
+        done
 
 (* Destination-segmented across the domain pool: each chunk instantiates
    the staged body with its own gradient scratch. *)
 let parallel_sweep t strategy make =
-  Dp.parallel_for_reduce ~grain:node_grain t.ctx.Graph_ctx.graph.G.num_nodes
+  let sweep = sweep_nodes t strategy in
+  Dp.parallel_for_reduce ~grain:node_grain (Graph_ctx.graph t.ctx).G.num_nodes
     ~init:(fun () -> Hashtbl.create 4)
     ~body:(fun tbl lo hi ->
-      sweep_nodes t strategy (make (scratch_grads t tbl)) lo hi;
+      sweep (make (scratch_grads t tbl)) lo hi;
       tbl)
     ~merge:merge_grad_scratch
   |> apply_grad_scratch t
 
 let sequential_sweep t strategy make =
-  let g = t.ctx.Graph_ctx.graph and run = make (env_grads t) in
+  let g = Graph_ctx.graph t.ctx and run = make (env_grads t) in
   match strategy with
   | Ts.Edge_parallel ->
       for e = 0 to g.G.num_edges - 1 do
@@ -988,7 +992,7 @@ let run_passes t ~program ~locals strategy passes =
    per-edge statements iterate over edges (or nodes for Node_map),
    pair-local statements only over their pair count. *)
 let traversal_kernel ~env ~ctx ~program ~layout ~classes (spec : Ts.t) =
-  let g = ctx.Graph_ctx.graph in
+  let g = Graph_ctx.graph ctx in
   let iters =
     match spec.Ts.strategy with
     | Ts.Edge_parallel | Ts.Node_gather -> g.G.num_edges
@@ -1006,8 +1010,8 @@ let traversal_kernel ~env ~ctx ~program ~layout ~classes (spec : Ts.t) =
   in
   let iters_of = function
     | Per_edge -> iters
-    | Per_pair_src -> ctx.Graph_ctx.compact_src.Cm.num_pairs
-    | Per_pair_dst -> ctx.Graph_ctx.compact_dst.Cm.num_pairs
+    | Per_pair_src -> (Graph_ctx.compact_src ctx).Cm.num_pairs
+    | Per_pair_dst -> (Graph_ctx.compact_dst ctx).Cm.num_pairs
   in
   let total = { flops = 0.0; coalesced = 0.0; gathered = 0.0; atomic = 0.0 } in
   (* adjacency reads once per edge *)
@@ -1052,7 +1056,7 @@ let count_expr_nodes e =
 (* One kernel + full materialization per operator node of the fallback
    body (§3.1.1: each framework op is its own launch). *)
 let fallback_kernels ~ctx (f : Plan.fallback) =
-  let g = ctx.Graph_ctx.graph in
+  let g = Graph_ctx.graph ctx in
   let iters =
     match f.Plan.strategy with
     | Ts.Edge_parallel | Ts.Node_gather -> g.G.num_edges
@@ -1109,14 +1113,16 @@ let gemm_cost ~name ~rows ~k ~n ~(schedule : Gs.schedule) ~gathered_in ~scatter_
 
 (* ranges of output rows per edge type, for a given edge space *)
 let etype_ranges t space =
-  let g = t.ctx.Graph_ctx.graph in
+  let g = Graph_ctx.graph t.ctx in
   let net = G.num_etypes g in
   match space with
   | Mat.Rows_edges -> List.init net (fun r -> (r, G.edges_of_type g r))
   | Mat.Rows_compact_src ->
-      List.init net (fun r -> (r, Cm.pairs_of_etype t.ctx.Graph_ctx.compact_src r))
+      let cm = Graph_ctx.compact_src t.ctx in
+      List.init net (fun r -> (r, Cm.pairs_of_etype cm r))
   | Mat.Rows_compact_dst ->
-      List.init net (fun r -> (r, Cm.pairs_of_etype t.ctx.Graph_ctx.compact_dst r))
+      let cm = Graph_ctx.compact_dst t.ctx in
+      List.init net (fun r -> (r, Cm.pairs_of_etype cm r))
   | Mat.Rows_nodes -> fail "etype_ranges: node space"
 
 let operand_entry t op = Env.find t.env (Gs.operand_name op)
@@ -1126,7 +1132,7 @@ let operand_entry t op = Env.find t.env (Gs.operand_name op)
    (weight-stack dims for forward and dinput tasks, operand dims for
    dweight tasks).  Shared by {!run_gemm} and the plan cost estimator. *)
 let gemm_kernel ~env ~ctx (spec : Gs.t) =
-  let g = ctx.Graph_ctx.graph in
+  let g = Graph_ctx.graph ctx in
   let schedule = spec.Gs.schedule in
   let weight_kn wstack transpose =
     let k = Tensor.dim wstack 1 and n = Tensor.dim wstack 2 in
@@ -1165,7 +1171,7 @@ let gemm_kernel ~env ~ctx (spec : Gs.t) =
         ~gathered_in:false ~scatter_out:false ~atomic_out:false ~accumulate:true
 
 let run_gemm t (spec : Gs.t) =
-  let g = t.ctx.Graph_ctx.graph in
+  let g = Graph_ctx.graph t.ctx in
   (match spec.Gs.task with
   | Gs.Node_linear { input; weight; slice; output; transpose; accumulate = acc } ->
       let x = (operand_entry t input).Env.tensor in
@@ -1190,14 +1196,14 @@ let run_gemm t (spec : Gs.t) =
       let x = operand_entry t input in
       let wstack = Env.weight t.env weight in
       let out = Env.find t.env output in
+      let ids = Graph_ctx.endpoint_ids t.ctx out_space side in
       List.iter
-        (fun (r, ((start, count) as range)) ->
+        (fun (r, (start, count)) ->
           if count > 0 then begin
-            let ids = Graph_ctx.endpoint_ids t.ctx out_space side range in
             let os = Tensor.sub_rows out.Env.tensor start count in
             (* gather applied on the fly inside the GEMM row loop (§4.2):
                no per-edge copy of the node features is ever materialized *)
-            Tensor.matmul_gather_into ~trans_b:transpose x.Env.tensor ~idx:ids
+            Tensor.matmul_gather_into ~trans_b:transpose ~idx_off:start x.Env.tensor ~idx:ids
               (Tensor.slice0 wstack r) os;
             match per_row_scalar with
             | None -> ()
@@ -1217,29 +1223,29 @@ let run_gemm t (spec : Gs.t) =
       let dy = Env.find t.env grad_output in
       let wstack = Env.weight t.env weight in
       let dx = Env.find t.env grad_input in
+      let ids = Graph_ctx.endpoint_ids t.ctx grad_out_space side in
       List.iter
-        (fun (r, ((start, count) as range)) ->
+        (fun (r, (start, count)) ->
           if count > 0 then begin
-            let ids = Graph_ctx.endpoint_ids t.ctx grad_out_space side range in
             let dys = Tensor.sub_rows dy.Env.tensor start count in
             (* scatter-add applied on the fly: the per-relation [count × dim]
                contribution matrix of the materialize-then-scatter scheme is
                never allocated *)
-            Tensor.matmul_scatter_add_into ~trans_b:transpose dys (Tensor.slice0 wstack r)
-              ~idx:ids dx.Env.tensor
+            Tensor.matmul_scatter_add_into ~trans_b:transpose ~idx_off:start dys
+              (Tensor.slice0 wstack r) ~idx:ids dx.Env.tensor
           end)
         (etype_ranges t grad_out_space)
   | Gs.Edge_linear_dweight { side; input; grad_output; grad_out_space; grad_weight } ->
       let x = operand_entry t input in
       let dy = Env.find t.env grad_output in
       let dw = Env.weight_grad t.env grad_weight in
+      let ids = Graph_ctx.endpoint_ids t.ctx grad_out_space side in
       List.iter
-        (fun (r, ((start, count) as range)) ->
+        (fun (r, (start, count)) ->
           if count > 0 then begin
-            let ids = Graph_ctx.endpoint_ids t.ctx grad_out_space side range in
             let dys = Tensor.sub_rows dy.Env.tensor start count in
             (* transpose-aware gather: dW += X[idx]ᵀ dY without gathering X *)
-            Tensor.matmul_gather_t_into ~beta:1.0 x.Env.tensor ~idx:ids dys
+            Tensor.matmul_gather_t_into ~beta:1.0 ~idx_off:start x.Env.tensor ~idx:ids dys
               (Tensor.slice0 dw r)
           end)
         (etype_ranges t grad_out_space)
@@ -1288,7 +1294,7 @@ let weight_op_kernel ~env op =
     ~bytes_coalesced:(flops /. 2.0) ~graph_proportional:false ()
 
 let run_weight_op t op =
-  let mg = t.ctx.Graph_ctx.graph.G.metagraph in
+  let mg = (Graph_ctx.graph t.ctx).G.metagraph in
   (match op with
   | Lf.Mat_vec { mat; vec; half; out } ->
       let w = Env.weight t.env mat in

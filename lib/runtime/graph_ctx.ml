@@ -3,15 +3,47 @@ module Csr = Hector_graph.Csr
 module Compact_map = Hector_graph.Compact_map
 module Materialization = Hector_core.Materialization
 
+(* Each derived encoding is built on first request and kept: a sampled
+   block served by a U plan never pays for compaction maps it does not
+   read.  A plain mutable slot rather than [Lazy.t], whose concurrent
+   forcing raises; callers force on the owning domain anyway. *)
 type t = {
   graph : Hetgraph.t;
-  in_csr : Csr.t;
-  compact_src : Compact_map.t;
-  compact_dst : Compact_map.t;
-  rep_src : bool array;
-  rep_dst : bool array;
-  gather_ids : (Materialization.space * [ `Src | `Dst ] * int * int, int array) Hashtbl.t;
+  mutable in_csr : Csr.t option;
+  mutable compact_src : Compact_map.t option;
+  mutable compact_dst : Compact_map.t option;
+  mutable rep_src : bool array option;
+  mutable rep_dst : bool array option;
 }
+
+let create graph =
+  { graph; in_csr = None; compact_src = None; compact_dst = None; rep_src = None; rep_dst = None }
+
+let graph t = t.graph
+
+let in_csr t =
+  match t.in_csr with
+  | Some c -> c
+  | None ->
+      let c = Csr.incoming t.graph in
+      t.in_csr <- Some c;
+      c
+
+let compact_src t =
+  match t.compact_src with
+  | Some c -> c
+  | None ->
+      let c = Compact_map.build t.graph in
+      t.compact_src <- Some c;
+      c
+
+let compact_dst t =
+  match t.compact_dst with
+  | Some c -> c
+  | None ->
+      let c = Compact_map.build_dst t.graph in
+      t.compact_dst <- Some c;
+      c
 
 (* [rep.(e)] is true iff edge [e] is the first (representative) edge of its
    compact row — pair-local traversal statements execute only there. *)
@@ -25,51 +57,41 @@ let representatives (cm : Compact_map.t) num_edges =
         true
       end)
 
-let create graph =
-  let compact_src = Compact_map.build graph in
-  let compact_dst = Compact_map.build_dst graph in
-  {
-    graph;
-    in_csr = Csr.incoming graph;
-    compact_src;
-    compact_dst;
-    rep_src = representatives compact_src graph.Hetgraph.num_edges;
-    rep_dst = representatives compact_dst graph.Hetgraph.num_edges;
-    gather_ids = Hashtbl.create 32;
-  }
+let rep_src t =
+  match t.rep_src with
+  | Some r -> r
+  | None ->
+      let r = representatives (compact_src t) t.graph.Hetgraph.num_edges in
+      t.rep_src <- Some r;
+      r
+
+let rep_dst t =
+  match t.rep_dst with
+  | Some r -> r
+  | None ->
+      let r = representatives (compact_dst t) t.graph.Hetgraph.num_edges in
+      t.rep_dst <- Some r;
+      r
 
 let rows_of_space t = function
   | Materialization.Rows_nodes -> t.graph.Hetgraph.num_nodes
   | Materialization.Rows_edges -> t.graph.Hetgraph.num_edges
-  | Materialization.Rows_compact_src -> t.compact_src.Compact_map.num_pairs
-  | Materialization.Rows_compact_dst -> t.compact_dst.Compact_map.num_pairs
+  | Materialization.Rows_compact_src -> (compact_src t).Compact_map.num_pairs
+  | Materialization.Rows_compact_dst -> (compact_dst t).Compact_map.num_pairs
 
-(* Node id feeding row [start + i] of an edge-space tensor, for the GEMM
-   access schemes.  The id arrays depend only on the graph, so they are the
-   §3.6 "endpoint gather list" preprocessing: built on first request and
-   memoized, never rebuilt on the per-step hot path. *)
-let endpoint_ids t space side (start, count) =
-  let key = (space, side, start, count) in
-  match Hashtbl.find_opt t.gather_ids key with
-  | Some ids -> ids
-  | None ->
-      let ids =
-        match space with
-        | Materialization.Rows_edges ->
-            let arr =
-              match side with `Src -> t.graph.Hetgraph.src | `Dst -> t.graph.Hetgraph.dst
-            in
-            Array.init count (fun i -> arr.(start + i))
-        | Materialization.Rows_compact_src ->
-            Array.init count (fun i -> t.compact_src.Compact_map.pair_src.(start + i))
-        | Materialization.Rows_compact_dst ->
-            Array.init count (fun i -> t.compact_dst.Compact_map.pair_src.(start + i))
-        | Materialization.Rows_nodes -> invalid_arg "Graph_ctx.endpoint_ids: node space"
-      in
-      Hashtbl.add t.gather_ids key ids;
-      ids
+(* Row [i] of an edge-space tensor is fed by node [ids.(i)]: the graph's
+   own endpoint columns for edge rows, the pair columns for compact rows.
+   A relation's rows are a contiguous range, so its gather list is this
+   column at the range's start — no per-relation copy. *)
+let endpoint_ids t space side =
+  match space with
+  | Materialization.Rows_edges -> (
+      match side with `Src -> t.graph.Hetgraph.src | `Dst -> t.graph.Hetgraph.dst)
+  | Materialization.Rows_compact_src -> (compact_src t).Compact_map.pair_src
+  | Materialization.Rows_compact_dst -> (compact_dst t).Compact_map.pair_src
+  | Materialization.Rows_nodes -> invalid_arg "Graph_ctx.endpoint_ids: node space"
 
 let compact_of_space t = function
-  | Materialization.Rows_compact_src -> Some t.compact_src
-  | Materialization.Rows_compact_dst -> Some t.compact_dst
+  | Materialization.Rows_compact_src -> Some (compact_src t)
+  | Materialization.Rows_compact_dst -> Some (compact_dst t)
   | Materialization.Rows_nodes | Materialization.Rows_edges -> None

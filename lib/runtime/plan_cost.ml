@@ -14,7 +14,7 @@ module Autodiff = Hector_core.Autodiff
 type t = { device : Device.t; ctx : Graph_ctx.t; scale : float }
 
 let of_ctx ?(device = Device.rtx3090) ctx =
-  { device; ctx; scale = ctx.Graph_ctx.graph.G.scale }
+  { device; ctx; scale = (Graph_ctx.graph ctx).G.scale }
 
 let create ?device ~graph () = of_ctx ?device (Graph_ctx.create graph)
 
@@ -36,7 +36,7 @@ let fused_outs ops =
    weight-product stacks chained through the weight ops, every plan buffer,
    and — for training — the seed gradient the loss writes. *)
 let shape_env t (compiled : Compiler.compiled) =
-  let g = t.ctx.Graph_ctx.graph in
+  let g = Graph_ctx.graph t.ctx in
   let env = Env.create () in
   let stub = Lazy.force stub in
   let fused = fused_outs compiled.Compiler.weight_ops in
@@ -141,7 +141,7 @@ let direct_grad_weights (bwd : Plan.t) =
    one [bmm_backward] per weight op whose product received a gradient, and
    one SGD kernel per original weight with a gradient stack. *)
 let training_kernels t ~env (compiled : Compiler.compiled) (bwd : Plan.t) =
-  let g = t.ctx.Graph_ctx.graph in
+  let g = Graph_ctx.graph t.ctx in
   let out_name =
     match compiled.Compiler.forward.Plan.program.Ir.outputs with
     | o :: _ -> o

@@ -58,14 +58,29 @@ let slice_count g = function
   | Ir.Shared -> 1
 
 (* RGCN's 1/c_{v,r}: reciprocal of the per-relation incoming degree of the
-   destination. *)
+   destination.  Edges are grouped by type, so each relation's
+   destinations are counted, read back and cleared before the next: one
+   node-sized counter instead of a relation × node matrix. *)
+let rgcn_norm_into g data off =
+  let count = Array.make g.G.num_nodes 0 in
+  for r = 0 to G.num_etypes g - 1 do
+    let start, n = G.edges_of_type g r in
+    for e = start to start + n - 1 do
+      let v = g.G.dst.(e) in
+      count.(v) <- count.(v) + 1
+    done;
+    for e = start to start + n - 1 do
+      data.(off + e) <- 1.0 /. float_of_int (max 1 count.(g.G.dst.(e)))
+    done;
+    for e = start to start + n - 1 do
+      count.(g.G.dst.(e)) <- 0
+    done
+  done
+
 let rgcn_norm g =
-  let by_rel = G.in_degrees_by_rel g in
   let t = Tensor.zeros [| g.G.num_edges; 1 |] in
-  for e = 0 to g.G.num_edges - 1 do
-    let c = by_rel.(g.G.etype.(e)).(g.G.dst.(e)) in
-    Tensor.set2 t e 0 (1.0 /. float_of_int (max 1 c))
-  done;
+  let data, off = Tensor.storage t in
+  rgcn_norm_into g data off;
   t
 
 let create ?config:(cfg = Config.default) ~graph compiled =

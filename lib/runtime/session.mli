@@ -146,4 +146,9 @@ val rgcn_norm : Hector_graph.Hetgraph.t -> Tensor.t
     reciprocal per-relation incoming degree of the edge's destination —
     the tensor {!create} generates for the conventional edge input
     ["norm"].  Exposed so drivers can compute the same normalizer for
-    sampled blocks. *)
+    sampled blocks.  O(edges + nodes). *)
+
+val rgcn_norm_into : Hector_graph.Hetgraph.t -> float array -> int -> unit
+(** [rgcn_norm_into g data off] writes {!rgcn_norm}[ g]'s values to
+    [data.(off)] .. [data.(off + num_edges - 1)] — straight into a staging
+    buffer, with no intermediate tensor. *)

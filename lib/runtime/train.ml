@@ -11,25 +11,28 @@ let nll_loss ~engine ~out ~labels =
   if Array.length labels <> n then
     invalid_arg (Printf.sprintf "nll_loss: %d labels for %d rows" (Array.length labels) n);
   let grad = Tensor.zeros [| n; c |] in
+  (* flat loops over the storage: a cross-module [get2] boxes each read *)
+  let oa, o0 = Tensor.storage out and ga, _ = Tensor.storage grad in
   let loss = ref 0.0 in
   let inv_n = 1.0 /. float_of_int (max 1 n) in
   for i = 0 to n - 1 do
     let label = labels.(i) in
     if label < 0 || label >= c then invalid_arg "nll_loss: label out of range";
+    let ob = o0 + (i * c) and gb = i * c in
     (* stable log-softmax *)
     let m = ref neg_infinity in
     for j = 0 to c - 1 do
-      if Tensor.get2 out i j > !m then m := Tensor.get2 out i j
+      if oa.(ob + j) > !m then m := oa.(ob + j)
     done;
     let z = ref 0.0 in
     for j = 0 to c - 1 do
-      z := !z +. Stdlib.exp (Tensor.get2 out i j -. !m)
+      z := !z +. Stdlib.exp (oa.(ob + j) -. !m)
     done;
     let logz = Stdlib.log !z +. !m in
-    loss := !loss -. ((Tensor.get2 out i label -. logz) *. inv_n);
+    loss := !loss -. ((oa.(ob + label) -. logz) *. inv_n);
     for j = 0 to c - 1 do
-      let p = Stdlib.exp (Tensor.get2 out i j -. logz) in
-      Tensor.set2 grad i j (((if j = label then p -. 1.0 else p)) *. inv_n)
+      let p = Stdlib.exp (oa.(ob + j) -. logz) in
+      ga.(gb + j) <- (if j = label then p -. 1.0 else p) *. inv_n
     done
   done;
   let bytes = float_of_int (n * c * 4) in
@@ -49,7 +52,7 @@ let nll_loss ~engine ~out ~labels =
 
 let backprop_weight_ops ~(exec : Exec.t) ops =
   let env = exec.Exec.env in
-  let mg = exec.Exec.ctx.Graph_ctx.graph.G.metagraph in
+  let mg = (Graph_ctx.graph exec.Exec.ctx).G.metagraph in
   (* process in reverse: later products may feed earlier ones in principle *)
   List.iter
     (fun op ->

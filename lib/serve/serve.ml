@@ -339,15 +339,14 @@ let run_batch t (batch : Workload.request array) =
   in
   let env = Env.create () in
   List.iter (fun (name, w) -> Env.add_weight env ~name w) t.weights;
-  (* gather the block's features into the staging prefix *)
+  (* gather the block's features into the staging prefix, one row blit
+     per block node *)
   let rows = Array.length sub.Sampler.origin_node in
   let dim = Tensor.cols t.features in
   let feats = Tensor.view t.node_stage [| rows; dim |] in
+  let src, s0 = Tensor.storage t.features and dst, d0 = Tensor.storage feats in
   Array.iteri
-    (fun i parent ->
-      for j = 0 to dim - 1 do
-        Tensor.set2 feats i j (Tensor.get2 t.features parent j)
-      done)
+    (fun i parent -> Array.blit src (s0 + (parent * dim)) dst (d0 + (i * dim)) dim)
     sub.Sampler.origin_node;
   Env.add env ~name:t.feature_name
     { Env.tensor = feats; space = Mat.Rows_nodes; dim; alloc = None };
@@ -355,10 +354,8 @@ let run_batch t (batch : Workload.request array) =
   List.iter
     (fun (name, stage) ->
       let v = Tensor.view stage [| block.G.num_edges; 1 |] in
-      let norm = Session.rgcn_norm block in
-      for e = 0 to block.G.num_edges - 1 do
-        Tensor.set2 v e 0 (Tensor.get2 norm e 0)
-      done;
+      let data, off = Tensor.storage v in
+      Session.rgcn_norm_into block data off;
       edge_bytes := !edge_bytes + (block.G.num_edges * 4);
       Env.add env ~name { Env.tensor = v; space = Mat.Rows_edges; dim = 1; alloc = None })
     t.edge_stage;

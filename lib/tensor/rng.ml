@@ -86,6 +86,28 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
+(* [shuffle]'s draws with [next] and [int] inlined over a local state, so
+   ocamlopt keeps it unboxed: no allocation per draw. *)
+let shuffle_pair t a b n =
+  if n > Array.length a || n > Array.length b then invalid_arg "Rng.shuffle_pair: n too large";
+  let s = ref t.state in
+  for i = n - 1 downto 1 do
+    let x = !s in
+    let x = Int64.logxor x (Int64.shift_left x 13) in
+    let x = Int64.logxor x (Int64.shift_right_logical x 7) in
+    let x = Int64.logxor x (Int64.shift_left x 17) in
+    s := x;
+    let j =
+      Int64.to_int (Int64.shift_right_logical (Int64.mul x 0x2545f4914f6cdd1dL) 2) mod (i + 1)
+    in
+    let ta = a.(i) and tb = b.(i) in
+    a.(i) <- a.(j);
+    b.(i) <- b.(j);
+    a.(j) <- ta;
+    b.(j) <- tb
+  done;
+  t.state <- !s
+
 let choose t a =
   if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
   a.(int t (Array.length a))

@@ -54,5 +54,12 @@ val zipf : t -> n:int -> s:float -> int
 val shuffle : t -> 'a array -> unit
 (** [shuffle t a] permutes [a] in place (Fisher-Yates). *)
 
+val shuffle_pair : t -> int array -> int array -> int -> unit
+(** [shuffle_pair t a b n] applies to the first [n] elements of both [a]
+    and [b] the permutation that [shuffle] would apply to an [n]-element
+    array, consuming exactly the same draws, without allocating — for
+    column pairs such as a CSR row's neighbors and edge ids.  Raises
+    [Invalid_argument] if either array is shorter than [n]. *)
+
 val choose : t -> 'a array -> 'a
 (** [choose t a] picks a uniform element of the non-empty array [a]. *)

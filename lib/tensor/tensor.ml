@@ -272,8 +272,9 @@ let relu t = map (fun x -> if x > 0.0 then x else 0.0) t
    Every GEMM entry point reduces to [gemm_row], which computes one output
    row [c(crow + j)], [j < n], from the [kn] coefficients [a_k] of one
    logical row of A and the logical [kn × n] matrix B, where
-     a_k    = adata.(abase + r_k * astride), r_k = arows.(k) if [arows] is
-              non-empty (a gathered column, {!matmul_gather_t_into}) else k;
+     a_k    = adata.(abase + r_k * astride), r_k = arows.(aoff + k) if
+              [arows] is non-empty (a gathered column,
+              {!matmul_gather_t_into}) else k;
      b(k,j) = bdata.(bbase + k * bks + j * bjs).
    Output columns are register-blocked eight at a time: a block's eight
    sums live in local float refs, which ocamlopt keeps unboxed, across the
@@ -286,7 +287,7 @@ let relu t = map (fun x -> if x > 0.0 then x else 0.0) t
    end (the scatter epilogue).  The loops stay in this module because the
    dev profile compiles with [-opaque]: a cross-module [get2] per element
    cannot be inlined. *)
-let gemm_row ~add ~adata ~abase ~astride ~arows ~bdata ~bbase ~bks ~bjs ~cdata ~crow ~kn ~n =
+let gemm_row ~add ~adata ~abase ~astride ~arows ~aoff ~bdata ~bbase ~bks ~bjs ~cdata ~crow ~kn ~n =
   let gathered = Array.length arows > 0 in
   let j0 = ref 0 in
   while !j0 + 8 <= n do
@@ -301,7 +302,7 @@ let gemm_row ~add ~adata ~abase ~astride ~arows ~bdata ~bbase ~bks ~bjs ~cdata ~
     let c7 = ref (if add then 0.0 else cdata.(q + 7)) in
     let ak = ref abase and bk = ref bj in
     for k = 0 to kn - 1 do
-      let aik = adata.(if gathered then abase + (arows.(k) * astride) else !ak) in
+      let aik = adata.(if gathered then abase + (arows.(aoff + k) * astride) else !ak) in
       if aik <> 0.0 then begin
         let p = !bk in
         c0 := !c0 +. (aik *. bdata.(p));
@@ -350,7 +351,7 @@ let gemm_row ~add ~adata ~abase ~astride ~arows ~bdata ~bbase ~bks ~bjs ~cdata ~
     let q = crow + j and bj = bbase + (j * bjs) in
     let acc = ref (if add then 0.0 else cdata.(q)) in
     for k = 0 to kn - 1 do
-      let aik = adata.(abase + ((if gathered then arows.(k) else k) * astride)) in
+      let aik = adata.(abase + ((if gathered then arows.(aoff + k) else k) * astride)) in
       if aik <> 0.0 then acc := !acc +. (aik *. bdata.(bj + (k * bks)))
     done;
     cdata.(q) <- (if add then cdata.(q) +. !acc else !acc)
@@ -396,7 +397,7 @@ let matmul_into ?(trans_a = false) ?(trans_b = false) ?(beta = 0.0) a b c =
         let abase, astride =
           if trans_a then (a.offset + i, acols) else (a.offset + (i * acols), 1)
         in
-        gemm_row ~add:false ~adata:a.data ~abase ~astride ~arows:[||] ~bdata:b.data
+        gemm_row ~add:false ~adata:a.data ~abase ~astride ~arows:[||] ~aoff:0 ~bdata:b.data
           ~bbase:b.offset ~bks ~bjs ~cdata:c.data ~crow:(c.offset + (i * ccols)) ~kn:ak ~n:bn
       done)
 
@@ -415,29 +416,41 @@ let matmul ?(trans_a = false) ?(trans_b = false) a b =
    materialize-then-matmul equivalent (per-row k-ascending accumulation),
    so results are bitwise identical to the unfused path. *)
 
-let check_rows fn idx bound =
-  Array.iter
-    (fun r -> if r < 0 || r >= bound then shape_error "%s: row %d out of %d" fn r bound)
-    idx
+let check_rows fn idx off m bound =
+  for i = off to off + m - 1 do
+    let r = idx.(i) in
+    if r < 0 || r >= bound then shape_error "%s: row %d out of %d" fn r bound
+  done
+
+(* The window of [idx] a kernel reads: all of it, or with [idx_off] the
+   [rows] entries from that offset — a relation's range of a whole-graph
+   endpoint column, read in place. *)
+let idx_window fn idx idx_off ~rows =
+  match idx_off with
+  | None -> (0, Array.length idx)
+  | Some off ->
+      if off < 0 || off + rows > Array.length idx then
+        shape_error "%s: %d indices from offset %d exceed %d" fn rows off (Array.length idx);
+      (off, rows)
 
 (* c := A[idx] * B (+ beta*c), where A[idx] is the row-gathered view of [a]:
    logical row i of the product reads physical row idx.(i) of [a]. *)
-let matmul_gather_into ?(trans_b = false) ?(beta = 0.0) a ~idx b c =
+let matmul_gather_into ?(trans_b = false) ?(beta = 0.0) ?idx_off a ~idx b c =
   check_gemm_operands "matmul_gather_into" a b c;
-  let m = Array.length idx in
+  let off, m = idx_window "matmul_gather_into" idx idx_off ~rows:c.shape.(0) in
   let ak = a.shape.(1) in
   let bk, bn = if trans_b then (b.shape.(1), b.shape.(0)) else (b.shape.(0), b.shape.(1)) in
   if ak <> bk then shape_error "matmul_gather_into: inner dims %d vs %d" ak bk;
   if c.shape.(0) <> m || c.shape.(1) <> bn then
     shape_error "matmul_gather_into: output %dx%d vs expected %dx%d" c.shape.(0) c.shape.(1) m bn;
-  check_rows "matmul_gather_into" idx a.shape.(0);
+  check_rows "matmul_gather_into" idx off m a.shape.(0);
   prescale c beta;
   let acols = a.shape.(1) and bcols = b.shape.(1) and ccols = c.shape.(1) in
   let bks, bjs = if trans_b then (1, bcols) else (bcols, 1) in
   Domain_pool.parallel_for ~grain:(gemm_grain ~kn:ak ~n:bn) m (fun row_lo row_hi ->
       for i = row_lo to row_hi - 1 do
-        gemm_row ~add:false ~adata:a.data ~abase:(a.offset + (idx.(i) * acols)) ~astride:1
-          ~arows:[||] ~bdata:b.data ~bbase:b.offset ~bks ~bjs ~cdata:c.data
+        gemm_row ~add:false ~adata:a.data ~abase:(a.offset + (idx.(off + i) * acols)) ~astride:1
+          ~arows:[||] ~aoff:0 ~bdata:b.data ~bbase:b.offset ~bks ~bjs ~cdata:c.data
           ~crow:(c.offset + (i * ccols)) ~kn:ak ~n:bn
       done)
 
@@ -448,10 +461,11 @@ let matmul_gather_into ?(trans_b = false) ?(beta = 0.0) a ~idx b c =
    pool, like {!scatter_rows_add}: each domain owns a contiguous slice of
    [c]'s rows, sweeps the whole index, and computes only the product rows
    that land in its slice — no two domains ever write the same row. *)
-let matmul_scatter_add_into ?(trans_b = false) a b ~idx c =
+let matmul_scatter_add_into ?(trans_b = false) ?idx_off a b ~idx c =
   check_gemm_operands "matmul_scatter_add_into" a b c;
   let m = a.shape.(0) in
-  if Array.length idx <> m then
+  let off, len = idx_window "matmul_scatter_add_into" idx idx_off ~rows:m in
+  if len <> m then
     shape_error "matmul_scatter_add_into: %d rows vs %d indices" m (Array.length idx);
   let ak = a.shape.(1) in
   let bk, bn = if trans_b then (b.shape.(1), b.shape.(0)) else (b.shape.(0), b.shape.(1)) in
@@ -459,15 +473,15 @@ let matmul_scatter_add_into ?(trans_b = false) a b ~idx c =
   if c.shape.(1) <> bn then
     shape_error "matmul_scatter_add_into: output has %d cols, expected %d" c.shape.(1) bn;
   let nrows = c.shape.(0) in
-  check_rows "matmul_scatter_add_into" idx nrows;
+  check_rows "matmul_scatter_add_into" idx off m nrows;
   let acols = a.shape.(1) and bcols = b.shape.(1) and ccols = c.shape.(1) in
   let bks, bjs = if trans_b then (1, bcols) else (bcols, 1) in
   let body row_lo row_hi =
     for i = 0 to m - 1 do
-      let dst = idx.(i) in
+      let dst = idx.(off + i) in
       if dst >= row_lo && dst < row_hi then
         gemm_row ~add:true ~adata:a.data ~abase:(a.offset + (i * acols)) ~astride:1 ~arows:[||]
-          ~bdata:b.data ~bbase:b.offset ~bks ~bjs ~cdata:c.data ~crow:(c.offset + (dst * ccols))
+          ~aoff:0 ~bdata:b.data ~bbase:b.offset ~bks ~bjs ~cdata:c.data ~crow:(c.offset + (dst * ccols))
           ~kn:ak ~n:bn
     done
   in
@@ -478,21 +492,21 @@ let matmul_scatter_add_into ?(trans_b = false) a b ~idx c =
 (* c := A[idx]^T * B (+ beta*c) — the transpose access scheme composed with
    the gather, used for weight gradients (dW += X[src]^T * dY).  Row i of
    [c] takes its coefficients from column i of A[idx]. *)
-let matmul_gather_t_into ?(beta = 0.0) a ~idx b c =
+let matmul_gather_t_into ?(beta = 0.0) ?idx_off a ~idx b c =
   check_gemm_operands "matmul_gather_t_into" a b c;
-  let m = Array.length idx in
+  let off, m = idx_window "matmul_gather_t_into" idx idx_off ~rows:b.shape.(0) in
   if b.shape.(0) <> m then
     shape_error "matmul_gather_t_into: %d indices vs %d rows of b" m b.shape.(0);
   let ak = a.shape.(1) and bn = b.shape.(1) in
   if c.shape.(0) <> ak || c.shape.(1) <> bn then
     shape_error "matmul_gather_t_into: output %dx%d vs expected %dx%d" c.shape.(0) c.shape.(1) ak bn;
-  check_rows "matmul_gather_t_into" idx a.shape.(0);
+  check_rows "matmul_gather_t_into" idx off m a.shape.(0);
   prescale c beta;
   let acols = a.shape.(1) and bcols = b.shape.(1) and ccols = c.shape.(1) in
   Domain_pool.parallel_for ~grain:(gemm_grain ~kn:m ~n:bn) ak (fun row_lo row_hi ->
       for i = row_lo to row_hi - 1 do
         gemm_row ~add:false ~adata:a.data ~abase:(a.offset + i) ~astride:acols ~arows:idx
-          ~bdata:b.data ~bbase:b.offset ~bks:bcols ~bjs:1 ~cdata:c.data
+          ~aoff:off ~bdata:b.data ~bbase:b.offset ~bks:bcols ~bjs:1 ~cdata:c.data
           ~crow:(c.offset + (i * ccols)) ~kn:m ~n:bn
       done)
 

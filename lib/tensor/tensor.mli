@@ -225,15 +225,24 @@ val matmul_into : ?trans_a:bool -> ?trans_b:bool -> ?beta:float -> t -> t -> t -
     {e on the fly inside the register-blocked row loop}, so the per-edge
     operand matrix is never materialized.  Floating-point operations are
     performed in the exact order of the materialize-then-matmul
-    equivalent, so the results are bitwise identical to the unfused path. *)
+    equivalent, so the results are bitwise identical to the unfused path.
 
-val matmul_gather_into : ?trans_b:bool -> ?beta:float -> t -> idx:int array -> t -> t -> unit
+    Each takes an optional [?idx_off]: the kernel then reads the window
+    of [idx] starting at that offset, as long as its row operand needs
+    ([c]'s rows for the gather, [a]'s for the scatter, [b]'s for the
+    transposed gather), so one relation's rows of a whole-graph endpoint
+    column are read in place.  Without it [idx] is read whole.  A window
+    running past the end of [idx] raises [Shape_error]. *)
+
+val matmul_gather_into :
+  ?trans_b:bool -> ?beta:float -> ?idx_off:int -> t -> idx:int array -> t -> t -> unit
 (** [matmul_gather_into a ~idx b c] computes [c := a\[idx\] * b + beta*c]
     where [a\[idx\]] is the row-gathered view of [a] (logical row [i] reads
     physical row [idx.(i)]) — equivalent to
     [matmul_into (gather_rows a idx) b c] without the intermediate. *)
 
-val matmul_scatter_add_into : ?trans_b:bool -> t -> t -> idx:int array -> t -> unit
+val matmul_scatter_add_into :
+  ?trans_b:bool -> ?idx_off:int -> t -> t -> idx:int array -> t -> unit
 (** [matmul_scatter_add_into a b ~idx c] accumulates row [i] of the product
     [a*b] into row [idx.(i)] of [c] — equivalent to
     [scatter_rows_add ~into:c idx (matmul a b)] without the intermediate.
@@ -241,7 +250,7 @@ val matmul_scatter_add_into : ?trans_b:bool -> t -> t -> idx:int array -> t -> u
     {!scatter_rows_add}), so duplicate destinations accumulate in their
     sequential order and no atomics are needed. *)
 
-val matmul_gather_t_into : ?beta:float -> t -> idx:int array -> t -> t -> unit
+val matmul_gather_t_into : ?beta:float -> ?idx_off:int -> t -> idx:int array -> t -> t -> unit
 (** [matmul_gather_t_into a ~idx b c] computes
     [c := a\[idx\]ᵀ * b + beta*c] — the transpose access scheme composed
     with the gather, used for weight gradients ([dW += X\[src\]ᵀ * dY]). *)

@@ -51,7 +51,7 @@ let lift2 op a b =
   | Vector x, Scalar y -> Vector (Array.map (fun v -> op v y) x)
   | Scalar x, Vector y -> Vector (Array.map (fun v -> op x v) y)
 
-let graph t = t.ctx.Graph_ctx.graph
+let graph t = Graph_ctx.graph t.ctx
 
 let row_of t iter ent (entry : Env.entry) =
   match ent with
@@ -225,7 +225,7 @@ let merge a b =
   a
 
 let parallel_sweep t strategy run_iter =
-  let g = graph t and csr = t.ctx.Graph_ctx.in_csr in
+  let g = graph t and csr = Graph_ctx.in_csr t.ctx in
   let scratch =
     Dp.parallel_for_reduce ~grain:Exec.node_grain g.G.num_nodes
       ~init:(fun () -> Hashtbl.create 4)
@@ -257,7 +257,7 @@ let sequential_sweep t strategy run_iter =
       for v = 0 to g.G.num_nodes - 1 do
         List.iter
           (fun (_, eid) -> run_iter ~grads { edge = eid; node = v })
-          (Csr.neighbors t.ctx.Graph_ctx.in_csr v)
+          (Sampler_oracle.neighbors (Graph_ctx.in_csr t.ctx) v)
       done
   | Ts.Node_map ->
       for v = 0 to g.G.num_nodes - 1 do
@@ -267,19 +267,27 @@ let sequential_sweep t strategy run_iter =
 let run_passes t strategy ~locals passes =
   List.iter
     (fun (p : Exec.pass) ->
+      (* representative masks are resolved here, before any parallel sweep *)
+      let stmts =
+        List.map
+          (fun (st, cls) ->
+            let rep =
+              match cls with
+              | Exec.Per_edge -> None
+              | Exec.Per_pair_src -> Some (Graph_ctx.rep_src t.ctx)
+              | Exec.Per_pair_dst -> Some (Graph_ctx.rep_dst t.ctx)
+            in
+            (st, rep))
+          p.Exec.stmts
+      in
       let run_iter ~grads iter =
         let tbl = Hashtbl.create 4 in
         List.iter (fun n -> Hashtbl.replace tbl n (Scalar 0.0)) locals;
         List.iter
-          (fun (st, cls) ->
-            let execute =
-              match cls with
-              | Exec.Per_edge -> true
-              | Exec.Per_pair_src -> t.ctx.Graph_ctx.rep_src.(iter.edge)
-              | Exec.Per_pair_dst -> t.ctx.Graph_ctx.rep_dst.(iter.edge)
-            in
+          (fun (st, rep) ->
+            let execute = match rep with None -> true | Some r -> r.(iter.edge) in
             if execute then exec_stmt t iter tbl ~grads st)
-          p.Exec.stmts
+          stmts
       in
       if p.Exec.parallel then parallel_sweep t strategy run_iter
       else sequential_sweep t strategy run_iter)

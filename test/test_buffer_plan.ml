@@ -42,6 +42,12 @@ let rand_idx rng ~len ~bound = Array.init len (fun _ -> Rng.int rng bound)
 (* The fused kernels are specified to preserve the exact floating-point
    operation order of the two-kernel scheme, so the tolerance is zero. *)
 
+(* [idx] embedded in a longer array at a random offset, as a relation's
+   range of a whole-graph endpoint column: the [?idx_off] window. *)
+let windowed rng idx ~bound =
+  let off = Rng.int rng 5 in
+  (off, Array.concat [ rand_idx rng ~len:off ~bound; idx; rand_idx rng ~len:(Rng.int rng 4) ~bound ])
+
 let test_gather_gemm () =
   let rng = Rng.create 7 in
   for case = 0 to 19 do
@@ -57,15 +63,17 @@ let test_gather_gemm () =
     let reference = randn rng [| m; n |] in
     let expected = T.copy reference in
     T.matmul_into ~trans_b ~beta (T.gather_rows a idx) b expected;
+    let idx_off, whole = windowed rng idx ~bound:na in
     List.iter
       (fun d ->
         with_domains d (fun () ->
-            let c = T.copy reference in
+            let c = T.copy reference and cw = T.copy reference in
             T.matmul_gather_into ~trans_b ~beta a ~idx b c;
+            T.matmul_gather_into ~trans_b ~beta ~idx_off a ~idx:whole b cw;
             check_bool
               (Printf.sprintf "gather case %d (%d domains)" case d)
               true
-              (T.max_abs_diff expected c = 0.0)))
+              (T.max_abs_diff expected c = 0.0 && T.max_abs_diff expected cw = 0.0)))
       [ 1; 2; 4 ]
   done
 
@@ -83,15 +91,17 @@ let test_scatter_gemm () =
     let base = randn rng [| nc; n |] in
     let expected = T.copy base in
     if m > 0 then T.scatter_rows_add ~into:expected idx (T.matmul ~trans_b a b);
+    let idx_off, whole = windowed rng idx ~bound:nc in
     List.iter
       (fun d ->
         with_domains d (fun () ->
-            let c = T.copy base in
+            let c = T.copy base and cw = T.copy base in
             T.matmul_scatter_add_into ~trans_b a b ~idx c;
+            T.matmul_scatter_add_into ~trans_b ~idx_off a b ~idx:whole cw;
             check_bool
               (Printf.sprintf "scatter case %d (%d domains)" case d)
               true
-              (T.max_abs_diff expected c = 0.0)))
+              (T.max_abs_diff expected c = 0.0 && T.max_abs_diff expected cw = 0.0)))
       [ 1; 2; 4 ]
   done
 
@@ -108,15 +118,17 @@ let test_gather_t_gemm () =
     let base = randn rng [| k; n |] in
     let expected = T.copy base in
     T.matmul_into ~trans_a:true ~beta:1.0 (T.gather_rows a idx) b expected;
+    let idx_off, whole = windowed rng idx ~bound:na in
     List.iter
       (fun d ->
         with_domains d (fun () ->
-            let c = T.copy base in
+            let c = T.copy base and cw = T.copy base in
             T.matmul_gather_t_into ~beta:1.0 a ~idx b c;
+            T.matmul_gather_t_into ~beta:1.0 ~idx_off a ~idx:whole b cw;
             check_bool
               (Printf.sprintf "gather_t case %d (%d domains)" case d)
               true
-              (T.max_abs_diff expected c = 0.0)))
+              (T.max_abs_diff expected c = 0.0 && T.max_abs_diff expected cw = 0.0)))
       [ 1; 2; 4 ]
   done
 
@@ -131,7 +143,16 @@ let test_bad_indices_raise () =
   check_bool "gather idx negative" true
     (raises (fun () -> T.matmul_gather_into a ~idx:[| -1; 0 |] b c));
   check_bool "scatter idx count mismatch" true
-    (raises (fun () -> T.matmul_scatter_add_into (T.zeros [| 2; 3 |]) b ~idx:[| 0 |] c))
+    (raises (fun () -> T.matmul_scatter_add_into (T.zeros [| 2; 3 |]) b ~idx:[| 0 |] c));
+  check_bool "gather window past the end" true
+    (raises (fun () -> T.matmul_gather_into ~idx_off:1 a ~idx:[| 0; 1 |] b c));
+  check_bool "scatter window past the end" true
+    (raises (fun () ->
+         T.matmul_scatter_add_into ~idx_off:2 (T.zeros [| 2; 3 |]) b ~idx:[| 0; 1; 1 |] c));
+  check_bool "gather_t negative offset" true
+    (raises (fun () ->
+         T.matmul_gather_t_into ~idx_off:(-1) a ~idx:[| 0; 1; 2 |] (T.zeros [| 2; 2 |])
+           (T.zeros [| 3; 2 |])))
 
 (* --- every GEMM entry point == a textbook triple loop, bit for bit ---
 

@@ -341,6 +341,45 @@ let test_reference_models_match_sequential () =
           Reference.by_name name ~graph ~inputs ~weights))
     Models.all
 
+(* A graph context builds its CSR, compaction maps and representative
+   masks on first request, unsynchronized: every parallel sweep must find
+   them resolved on the calling domain.  Fresh contexts driven straight
+   into compact and C+F plans match the one-domain run bit for bit. *)
+let test_fresh_context_bitwise () =
+  let graph = test_graph ~seed:17 ~nodes:300 ~edges:1500 () in
+  let bits t = Array.map Int64.bits_of_float (T.to_flat_array t) in
+  List.iter
+    (fun (name, _) ->
+      List.iter
+        (fun (compact, fusion) ->
+          let run () = bits (forward_out ~graph ~compact ~fusion name) in
+          let expected = with_domains 1 run in
+          List.iter
+            (fun d ->
+              check_bool
+                (Printf.sprintf "%s compact=%b fusion=%b: %d domains bitwise" name compact fusion d)
+                true
+                (with_domains d run = expected))
+            [ 2; 4 ])
+        [ (true, false); (true, true) ])
+    Models.all;
+  (* training reads the pair-gradient masks inside parallel sweeps *)
+  let labels = Array.init graph.G.num_nodes (fun i -> i mod 6) in
+  let step () =
+    let compiled =
+      Compiler.compile
+        ~options:(Compiler.options_of_flags ~training:true ~compact:true ~fusion:true ())
+        (Models.by_name "rgat" ~in_dim:8 ~out_dim:6 ())
+    in
+    Session.train_step (Session.create ~config:(seeded 5) ~graph compiled) ~lr:0.1 ~labels ()
+  in
+  let l1 = with_domains 1 step in
+  List.iter
+    (fun d ->
+      check_bool (Printf.sprintf "rgat C+F train step at %d domains" d) true
+        (Float.abs (with_domains d step -. l1) <= 1e-6))
+    [ 2; 4 ]
+
 (* --- JSON escaping (chrome traces and BENCH_micro.json) -------------- *)
 
 let test_json_escape () =
@@ -370,5 +409,7 @@ let suite =
     Alcotest.test_case "train step matches sequential" `Quick test_train_step_matches_sequential;
     Alcotest.test_case "reference models match sequential" `Quick
       test_reference_models_match_sequential;
+    Alcotest.test_case "fresh lazy context bitwise at 1/2/4 domains" `Quick
+      test_fresh_context_bitwise;
     Alcotest.test_case "json_escape" `Quick test_json_escape;
   ]

@@ -253,6 +253,184 @@ let prop_block_edges_subset =
         block.Sampler.origin_edge;
       !ok)
 
+(* --- differential: flat-array sampler and induce == the oracle --- *)
+
+module Oracle = Sampler_oracle
+module Partition = Hector_graph.Partition
+module Datasets = Hector_graph.Datasets
+
+let random_graph seed =
+  Gen.generate
+    {
+      Gen.name = "rand";
+      num_ntypes = 1 + (seed mod 4);
+      num_etypes = 4 + (seed mod 9);
+      num_nodes = 60 + (seed * 37 mod 300);
+      num_edges = 150 + (seed * 91 mod 1200);
+      compaction_target = 0.3 +. (float_of_int (seed mod 5) *. 0.15);
+      scale = 1.0;
+      seed;
+    }
+
+let replicas =
+  lazy
+    [|
+      Datasets.load ~seed:1 (Datasets.find "am");
+      Datasets.load ~seed:1 (Datasets.find "fb15k");
+    |]
+
+(* graph 0-1: the AM and FB15k replicas; otherwise a random graph *)
+let pick_graph g = if g < 2 then (Lazy.force replicas).(g) else random_graph g
+
+(* Seed sets mixing random nodes, repeats, rows with no incoming edges and
+   rows whose in-degree does not exceed the fanout; with [bad], a set may
+   also hold an out-of-range id or be empty. *)
+let seed_sets_of rng (graph : G.t) ~fanout ~bad =
+  let n = graph.G.num_nodes in
+  let deg = G.in_degrees graph in
+  let pool pred = List.filter pred (List.init n Fun.id) |> Array.of_list in
+  let zero = pool (fun v -> deg.(v) = 0) and small = pool (fun v -> deg.(v) <= fanout) in
+  let one () =
+    match Rng.int rng 6 with
+    | 0 when Array.length zero > 0 -> Rng.choose rng zero
+    | 1 when Array.length small > 0 -> Rng.choose rng small
+    | 2 when bad -> if Rng.int rng 2 = 0 then -1 - Rng.int rng 3 else n + Rng.int rng 3
+    | _ -> Rng.int rng n
+  in
+  Array.init (1 + Rng.int rng 4) (fun _ ->
+      if bad && Rng.int rng 10 = 0 then [||]
+      else
+        let s = Array.init (1 + Rng.int rng 6) (fun _ -> one ()) in
+        (* a repeat inside the set *)
+        if Rng.int rng 3 = 0 then Array.append s [| s.(0) |] else s)
+
+let prop_sampler_matches_oracle =
+  QCheck.Test.make ~name:"flat sampler == list/Hashtbl oracle (blocks, maps, errors)"
+    ~count:100
+    QCheck.(
+      make
+        Gen.(
+          map
+            (fun (((g, seed), fanout), (hops, bad)) -> (g, seed, fanout, hops, bad))
+            (pair
+               (pair (pair (int_range 0 9) (int_range 0 1000)) (int_range 1 16))
+               (pair (int_range 1 3) bool))))
+    (fun (g, seed, fanout, hops, bad) ->
+      let graph = pick_graph g in
+      let rng = Rng.create (seed + (1000 * g)) in
+      let seed_sets = seed_sets_of rng graph ~fanout ~bad in
+      let csr = Hector_graph.Csr.incoming graph in
+      let union =
+        Sampler.sample_union_result ~seed ~csr ~graph ~seed_sets ~fanout ~hops ()
+        = Oracle.sample_union_result ~seed ~csr ~graph ~seed_sets ~fanout ~hops ()
+      in
+      (* a single set with its duplicates, through [sample_result] *)
+      let seeds = Array.concat (Array.to_list seed_sets) in
+      let single =
+        Sampler.sample_result ~seed ~graph ~seeds ~fanout ~hops ()
+        = Oracle.sample_result ~seed ~graph ~seeds ~fanout ~hops ()
+      in
+      union && single)
+
+let test_sampler_errors_match_oracle () =
+  let graph = Lazy.force parent in
+  let check label new_r old_r =
+    Alcotest.(check (result pass string)) label
+      (Result.map (fun _ -> ()) old_r) (Result.map (fun _ -> ()) new_r)
+  in
+  let union seed_sets fanout hops =
+    check "sample_union"
+      (Sampler.sample_union_result ~graph ~seed_sets ~fanout ~hops ())
+      (Oracle.sample_union_result ~graph ~seed_sets ~fanout ~hops ())
+  in
+  union [||] 2 1;
+  union [| [| 1 |]; [||] |] 2 1;
+  union [| [| 1 |]; [| 3; -1 |]; [| 400 |] |] 2 1;
+  union [| [| 1 |]; [| 3; 400 |]; [| -1 |] |] 2 1;
+  union [| [| 1 |] |] 0 1;
+  union [| [| 1 |] |] 2 0;
+  check "sample" (Sampler.sample_result ~graph ~seeds:[||] ~fanout:2 ~hops:1 ())
+    (Oracle.sample_result ~graph ~seeds:[||] ~fanout:2 ~hops:1 ())
+
+(* Random member sets, valid or not: [induce_result] agrees with the
+   oracle on every graph array, origin map and error string.  Out-of-range
+   edge ids are left out: the oracle's comparison sort indexes the edge
+   type column with them before its own range check can run. *)
+let prop_induce_matches_oracle =
+  QCheck.Test.make ~name:"flat induce == tuple-sort/Hashtbl oracle" ~count:80
+    QCheck.(make Gen.(triple (int_range 2 9) (int_range 0 1000) (int_range 0 3)))
+    (fun (g, seed, flavour) ->
+      let graph = pick_graph g in
+      let rng = Rng.create seed in
+      let n = graph.G.num_nodes in
+      let nodes = Array.init (1 + Rng.int rng 40) (fun _ -> Rng.int rng n) in
+      (* distinct members, shuffled *)
+      let nodes = List.sort_uniq compare (Array.to_list nodes) |> Array.of_list in
+      Rng.shuffle rng nodes;
+      let member = Array.make n false in
+      Array.iter (fun v -> member.(v) <- true) nodes;
+      let inner =
+        List.filter
+          (fun e -> member.(graph.G.src.(e)) && member.(graph.G.dst.(e)))
+          (List.init graph.G.num_edges Fun.id)
+        |> Array.of_list
+      in
+      Rng.shuffle rng inner;
+      let nodes, edges =
+        match flavour with
+        | 0 -> (nodes, inner)
+        | 1 -> (Array.append nodes [| nodes.(0) |], inner) (* duplicate node *)
+        | 2 -> (Array.append nodes [| n + Rng.int rng 5 |], inner) (* out of range *)
+        | _ -> (nodes, Array.append inner [| Rng.int rng graph.G.num_edges |])
+        (* possibly a non-member endpoint *)
+      in
+      G.induce_result graph ~nodes ~edges = Oracle.induce_result graph ~nodes ~edges)
+
+let test_induce_names_bad_edge () =
+  let graph = Lazy.force parent in
+  let nodes = Array.init graph.G.num_nodes Fun.id in
+  let expect = Error "Hetgraph.induce: edge 1600 out of range (graph has 1600 edges)" in
+  check_bool "named edge error" true
+    (Result.map (fun _ -> ()) (G.induce_result graph ~nodes ~edges:[| 0; 1600; 1 |]) = expect)
+
+(* The partitioner's induced parts equal the oracle's [induce] over the
+   same member lists (owned nodes plus halo sources, dst-owned edges in
+   parent order). *)
+let prop_partition_matches_oracle =
+  QCheck.Test.make ~name:"Partition parts == oracle induce over the same members" ~count:12
+    QCheck.(make Gen.(pair (int_range 0 9) (int_range 1 4)))
+    (fun (g, parts) ->
+      let graph = pick_graph g in
+      let pt = Partition.partition ~parts graph in
+      Array.for_all Fun.id
+        (Array.init parts (fun p ->
+             let m = pt.Partition.members.(p) in
+             let edges =
+               List.filter
+                 (fun e -> pt.Partition.owner.(graph.G.dst.(e)) = p)
+                 (List.init graph.G.num_edges Fun.id)
+             in
+             let member = Array.make graph.G.num_nodes false in
+             let nodes = ref [] in
+             let add v =
+               if not member.(v) then begin
+                 member.(v) <- true;
+                 nodes := v :: !nodes
+               end
+             in
+             Array.iteri (fun v o -> if o = p then add v) pt.Partition.owner;
+             List.iter (fun e -> add graph.G.src.(e)) edges;
+             match
+               Oracle.induce_result
+                 ~name:(Printf.sprintf "%s_part%d" graph.G.name p)
+                 graph ~nodes:(Array.of_list !nodes) ~edges:(Array.of_list edges)
+             with
+             | Error _ -> false
+             | Ok o ->
+                 o.G.sub = m.Partition.sub
+                 && o.G.origin_node = m.Partition.origin_node
+                 && o.G.origin_edge = m.Partition.origin_edge)))
+
 let suite =
   [
     Alcotest.test_case "block is a valid graph" `Quick test_block_is_valid_graph;
@@ -272,4 +450,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_subgraph_valid;
     QCheck_alcotest.to_alcotest prop_origin_ids_valid;
     QCheck_alcotest.to_alcotest prop_sample_domain_invariant;
+    Alcotest.test_case "sampler errors match the oracle" `Quick
+      test_sampler_errors_match_oracle;
+    Alcotest.test_case "induce names an out-of-range edge" `Quick test_induce_names_bad_edge;
+    QCheck_alcotest.to_alcotest prop_sampler_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_induce_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_partition_matches_oracle;
   ]

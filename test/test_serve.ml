@@ -330,6 +330,73 @@ let test_serve_knobs () =
       check_int "HECTOR_SERVE_BATCH" 3 (Serve.max_batch server);
       check_int "HECTOR_SERVE_QUEUE" 5 (Serve.queue_capacity server))
 
+(* [g] four times over, node types kept grouped: copy [k] of node [v]
+   (type range [s, s+c)) is [4s + k*c + (v - s)].  Copy 0's in-rows list
+   the same sources in the same order as [g]'s, so a seed set mapped into
+   copy 0 samples an isomorphic block. *)
+let replicate4 (g : G.t) =
+  let map k v =
+    let s, c = G.nodes_of_type g g.G.node_type.(v) in
+    (4 * s) + (k * c) + (v - s)
+  in
+  let node_type = Array.init (4 * g.G.num_nodes) (fun i -> g.G.node_type.(i / 4)) in
+  let edges =
+    Array.init (4 * g.G.num_edges) (fun i ->
+        let e = i mod g.G.num_edges and k = i / g.G.num_edges in
+        (map k g.G.src.(e), map k g.G.dst.(e), g.G.etype.(e)))
+  in
+  (G.create ~metagraph:g.G.metagraph ~node_type ~edges (), map 0)
+
+(* Words allocated so far: the minor heap plus direct major allocations,
+   so an array too large for the minor heap (one sized to the parent, say)
+   still shows. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* Per-batch host work is O(block): serving the same blocks out of a parent
+   four times larger allocates the same words per batch. *)
+let test_batch_words_independent_of_parent () =
+  with_domains 1 (fun () ->
+      let small =
+        Gen.generate
+          {
+            Gen.name = "small";
+            num_ntypes = 3;
+            num_etypes = 6;
+            num_nodes = 3000;
+            num_edges = 9000;
+            compaction_target = 0.5;
+            scale = 1.0;
+            seed = 8;
+          }
+      in
+      let large, to_large = replicate4 small in
+      let reqs = trace ~requests:48 ~rate_rps:4000.0 small in
+      let words graph reqs =
+        let config = { Serve.default_config with Serve.model = "rgat"; max_batch = Some 8 } in
+        let server =
+          Serve.create ~config ~graph (Hector_models.Model_defs.rgat ~in_dim:8 ~out_dim:4 ())
+        in
+        ignore (Serve.serve server reqs);
+        let b0 = Serve.batches server and w0 = allocated_words () in
+        ignore (Serve.serve server reqs);
+        (allocated_words () -. w0) /. float_of_int (Serve.batches server - b0)
+      in
+      let ws = words small reqs in
+      let wl =
+        words large
+          (Array.map
+             (fun (r : Workload.request) ->
+               { r with Workload.seeds = Array.map to_large r.Workload.seeds })
+             reqs)
+      in
+      check_bool
+        (Printf.sprintf "%.0f vs %.0f words per batch (parents of %d and %d nodes)" ws wl
+           small.G.num_nodes large.G.num_nodes)
+        true
+        (Float.abs (wl -. ws) < 64.0))
+
 let suite =
   [
     Alcotest.test_case "batched ≡ one-at-a-time (1/2/4 domains)" `Quick
@@ -347,4 +414,6 @@ let suite =
     Alcotest.test_case "metrics json" `Quick test_metrics_json;
     Alcotest.test_case "workload deterministic" `Quick test_workload_deterministic;
     Alcotest.test_case "HECTOR_SERVE_* knobs" `Quick test_serve_knobs;
+    Alcotest.test_case "per-batch words independent of the parent" `Quick
+      test_batch_words_independent_of_parent;
   ]

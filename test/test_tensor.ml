@@ -280,6 +280,19 @@ let test_shuffle_permutation () =
 
 (* --- property tests --- *)
 
+let prop_shuffle_pair_matches_shuffle =
+  QCheck.Test.make ~name:"shuffle_pair == shuffle of the pairs, same draws" ~count:100
+    QCheck.(make Gen.(triple (int_range 0 1000) (int_range 0 40) (int_range 0 5)))
+    (fun (seed, n, spare) ->
+      let a = Array.init (n + spare) (fun i -> i * 7) and b = Array.init (n + spare) (fun i -> -i) in
+      let pairs = Array.init n (fun i -> (a.(i), b.(i))) in
+      let r1 = Rng.create seed and r2 = Rng.create seed in
+      Rng.shuffle r1 pairs;
+      Rng.shuffle_pair r2 a b n;
+      Array.for_all2 (fun (x, y) i -> a.(i) = x && b.(i) = y) pairs (Array.init n Fun.id)
+      && Array.for_all (fun i -> a.(i) = i * 7) (Array.init spare (fun k -> n + k))
+      && Rng.int r1 1_000_000 = Rng.int r2 1_000_000)
+
 let tensor_gen =
   QCheck.Gen.(
     let* r = int_range 1 6 in
@@ -365,6 +378,7 @@ let suite =
     Alcotest.test_case "rng zipf skew" `Quick test_rng_zipf_skew;
     Alcotest.test_case "rng gaussian moments" `Quick test_rng_gaussian_moments;
     Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
+    QCheck_alcotest.to_alcotest prop_shuffle_pair_matches_shuffle;
     QCheck_alcotest.to_alcotest prop_distributive;
     QCheck_alcotest.to_alcotest prop_transpose;
     QCheck_alcotest.to_alcotest prop_gather_scatter_inverse;
