@@ -3,11 +3,11 @@
 
    A suite's result is a list of entries, each a name with a list of
    (field, metric) pairs; the field names the unit (sim_ms, ns, ratio,
-   launches, ...).  The JSON form is one line per entry,
-   ["name": {"field": number, ...}], followed by a raw ["_meta"] snapshot
-   that the gate never reads. *)
+   launches, ...).  The JSON form is one object,
+   [{"name": {"field": number, ...}, ..., "_meta": ...}], whose last
+   member is a raw snapshot that the gate never reads. *)
 
-module Json = Hector_runtime.Json_lite
+module Json = Hector_json
 
 type metric =
   | Time of float
@@ -32,13 +32,16 @@ let show = function
   | Count n -> string_of_int n
   | Invariant { value; _ } -> Printf.sprintf "%.17g" value
 
+(* Time values keep six decimals, so a re-recorded baseline does not churn
+   in digits no gate looks at. *)
+let value = function
+  | Time v -> Json.Num (float_of_string (Printf.sprintf "%.6f" v))
+  | Count n -> Json.int n
+  | Invariant { value; _ } -> Json.Num value
+
 let to_json (entries : entry list) ~meta =
-  let entry (name, metrics) =
-    Printf.sprintf "  \"%s\": {%s}" (Json.escape name)
-      (String.concat ", "
-         (List.map (fun (f, m) -> Printf.sprintf "\"%s\": %s" (Json.escape f) (show m)) metrics))
-  in
-  "{\n" ^ String.concat ",\n" (List.map entry entries @ [ "  \"_meta\": " ^ meta ]) ^ "\n}\n"
+  let entry (name, metrics) = (name, Json.Obj (List.map (fun (f, m) -> (f, value m)) metrics)) in
+  Json.to_string (Obj (List.map entry entries @ [ ("_meta", meta) ])) ^ "\n"
 
 let of_json text : baseline =
   let field name = function

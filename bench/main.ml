@@ -219,15 +219,9 @@ let micro () =
   (* the matching timeline: simulated kernels (with per-launch provenance
      args) merged with compiler/runtime wall-clock spans *)
   (match meta with
-  | (_, _, trace) :: _ -> Hector_runtime.Json_lite.write_atomic "BENCH_trace.json" trace
+  | (_, _, trace) :: _ -> Hector_json.write_atomic "BENCH_trace.json" trace
   | [] -> ());
-  ( entries,
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (name, metrics, _) -> Printf.sprintf "\"%s\": %s" (Engine.json_escape name) metrics)
-           meta)
-    ^ "}" )
+  (entries, Hector_json.Obj (List.map (fun (name, metrics, _) -> (name, metrics)) meta))
 
 (* --- serve: one deterministic open-loop serving run ------------------
 
@@ -289,16 +283,17 @@ let tune () =
               [ zero "configs" (float_of_int (List.length faster)) ] );
           ])
       per_model,
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (model, (best : Autotune.candidate), _) ->
-             Printf.sprintf
-               "\"%s\": {\"best\": \"%s\", \"estimated_ms\": %.6f, \"measured_ms\": %.6f}" model
-               (Engine.json_escape (Compiler.options_id best.Autotune.options))
-               best.Autotune.estimated_ms best.Autotune.time_ms)
-           per_model)
-    ^ "}" )
+    Hector_json.Obj
+      (List.map
+         (fun (model, (best : Autotune.candidate), _) ->
+           ( model,
+             Hector_json.Obj
+               [
+                 ("best", Str (Compiler.options_id best.Autotune.options));
+                 ("estimated_ms", Num best.Autotune.estimated_ms);
+                 ("measured_ms", Num best.Autotune.time_ms);
+               ] ))
+         per_model) )
 
 (* --- dist: data-parallel RGCN training at 1, 2 and 4 partitions ------
 
@@ -350,7 +345,7 @@ let dist () =
       runs,
     match List.rev runs with
     | (_, (_, _, _, cluster), _) :: _ -> Replica.metrics_json cluster
-    | [] -> "{}" )
+    | [] -> Hector_json.Obj [] )
 
 (* --- stream: the serving trace interleaved with graph deltas ---------
 
@@ -489,7 +484,7 @@ let fault () =
 
 (* --- the suite registry --------------------------------------------- *)
 
-type suite = { name : string; doc : string; run : unit -> Gate.entry list * string }
+type suite = { name : string; doc : string; run : unit -> Gate.entry list * Hector_json.t }
 
 let suites =
   [
@@ -526,7 +521,7 @@ let run_suites ~check selected =
          (fun s baseline ->
            Printf.printf "== %s: %s\n" s.name s.doc;
            let entries, meta = s.run () in
-           Hector_runtime.Json_lite.write_atomic (file s) (Gate.to_json entries ~meta);
+           Hector_json.write_atomic (file s) (Gate.to_json entries ~meta);
            let failures = Gate.check ?baseline entries in
            Printf.printf "Wrote %s (%d entries + _meta)\n\n" (file s) (List.length entries);
            failures)

@@ -1,5 +1,5 @@
 (* The regression gate's failure modes, one case each, plus the writer ->
-   Json_lite.parse round trip the baselines rely on. *)
+   Hector_json.parse round trip the baselines rely on. *)
 
 open Gate
 
@@ -60,7 +60,9 @@ let test_round_trip () =
         ] );
     ]
   in
-  let meta = "{\"subsystem\":\"serve\",\"latency_ms\":{\"p50\":2.227629}}" in
+  let meta =
+    Hector_json.(Obj [ ("subsystem", Str "serve"); ("latency_ms", Obj [ ("p50", Num 2.2276294) ]) ])
+  in
   Alcotest.(check (list (pair (pair string string) (float 0.0))))
     "values at 6-decimal precision"
     [
@@ -73,11 +75,24 @@ let test_round_trip () =
   Alcotest.(check int) "a run gated against its own output passes" 0
     (failures ~baseline:(of_json (to_json run ~meta)) run)
 
+(* _meta keys and strings that need escaping leave the entries and the
+   snapshot unchanged *)
+let test_meta_escapes () =
+  let key = "q\"b\\c\001" in
+  let meta = Hector_json.(Obj [ (key, Obj [ (key, Str key); ("n", Num 0.1) ]) ]) in
+  let text = to_json run ~meta in
+  Alcotest.(check (list (pair (pair string string) (float 0.0))))
+    "entries unchanged"
+    [ (("s/time", "sim_ms"), 1.0); (("s/count", "launches"), 10.0); (("s/inv", "steps"), 0.0) ]
+    (of_json text);
+  Alcotest.(check bool) "_meta unchanged" true
+    (Hector_json.member (Hector_json.parse text) "_meta" = Some meta)
+
 let test_bad_baseline () =
   let is_error = function Ok _ -> false | Error _ -> true in
   Alcotest.(check bool) "missing file" true (is_error (read_baseline "no-such-baseline.json"));
   let path = Filename.temp_file "bench-gate" ".json" in
-  Hector_runtime.Json_lite.write_atomic path "{\"s/time\": {\"sim_ms\": null}}";
+  Hector_json.write_atomic path "{\"s/time\": {\"sim_ms\": null}}";
   Alcotest.(check bool) "non-numeric field" true (is_error (read_baseline path));
   Sys.remove path
 
@@ -92,6 +107,7 @@ let () =
           Alcotest.test_case "broken invariant fails" `Quick test_broken_invariant;
           Alcotest.test_case "time over tolerance fails" `Quick test_time_over_tolerance;
           Alcotest.test_case "write/parse round trip" `Quick test_round_trip;
+          Alcotest.test_case "_meta keys needing escapes" `Quick test_meta_escapes;
           Alcotest.test_case "bad baseline is an error" `Quick test_bad_baseline;
         ] );
     ]

@@ -252,7 +252,7 @@ let cmd_serve =
         ~num_nodes:graph.G.num_nodes ()
     in
     ignore (Serve.serve server trace);
-    if json then print_endline (Serve.metrics_json server)
+    if json then print_endline (Hector_json.to_string (Serve.metrics_json server))
     else begin
       let s = Serve.load_stats server in
       Printf.printf "served %d / %d requests (%d shed) in %d batches (mean size %.2f)\n"
@@ -366,7 +366,7 @@ let cmd_stream =
         | Error msg -> Printf.eprintf "hector stream: delta %d rejected: %s\n" k msg
       end
     done;
-    if json then print_endline (Ss.metrics_json server)
+    if json then print_endline (Hector_json.to_string (Ss.metrics_json server))
     else begin
       let c = Mg.counters mg in
       let replica = Ss.replica server in
@@ -587,16 +587,19 @@ let cmd_checkpoint =
         in
         let train = if resume then Trainer.resume else Trainer.fit in
         let r = train ~dir ?keep ~every ~lr ~model ~graph ~labels ~steps compiled in
-        if json then begin
-          let losses =
-            String.concat ","
-              (Array.to_list (Array.map (Printf.sprintf "%.6f") r.Trainer.losses))
-          in
-          Printf.printf
-            "{\"model\":\"%s\",\"dataset\":\"%s\",\"start_step\":%d,\"steps\":%d,\"losses\":[%s],\"checkpoints\":%d}\n"
-            model dataset r.Trainer.start_step steps losses
-            (List.length r.Trainer.checkpoints)
-        end
+        if json then
+          print_endline
+            (Hector_json.(
+               to_string
+                 (Obj
+                    [
+                      ("model", Str model);
+                      ("dataset", Str dataset);
+                      ("start_step", int r.Trainer.start_step);
+                      ("steps", int steps);
+                      ("losses", Arr (Array.to_list (Array.map (fun l -> Num l) r.Trainer.losses)));
+                      ("checkpoints", int (List.length r.Trainer.checkpoints));
+                    ])))
         else begin
           if r.Trainer.start_step > 0 then
             Printf.printf "resumed from step %d\n" r.Trainer.start_step;

@@ -74,4 +74,4 @@ let () =
   |> List.iter (fun (op, e) ->
          Printf.printf "  %-16s %8.3f ms  (%d launches)\n" op e.Stats.time_ms e.Stats.launches);
   print_endline "\n=== metrics snapshot (Session.metrics_json) ===";
-  print_endline (Session.metrics_json session)
+  print_endline (Hector_json.to_string (Session.metrics_json session))

@@ -1,5 +1,5 @@
 module Tensor = Hector_tensor.Tensor
-module Json = Hector_runtime.Json_lite
+module Json = Hector_json
 module Knobs = Hector_runtime.Knobs
 
 exception Corrupt of string
@@ -77,41 +77,37 @@ let payload_of_tensors tensors =
   Buffer.contents buf
 
 let header_json t ~payload =
-  let buf = Buffer.create 1024 in
-  let off = ref 0 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"format\":\"%s\",\"version\":%d,\"model\":\"%s\",\"step\":%d,\"rng\":%s,\"epoch\":%d,\"graph_version\":%d"
-       format_name format_version (Json.escape t.model) t.step
-       (match t.rng with None -> "null" | Some s -> Printf.sprintf "\"%Ld\"" s)
-       t.epoch t.graph_version);
-  Buffer.add_string buf ",\"meta\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
-    t.meta;
-  Buffer.add_string buf "},\"tensors\":[";
-  List.iteri
-    (fun i (name, w) ->
-      if i > 0 then Buffer.add_char buf ',';
-      let shape = Tensor.shape w in
-      let count = Tensor.numel w in
-      Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"shape\":[%s],\"offset\":%d,\"count\":%d}"
-           (Json.escape name)
-           (String.concat "," (List.map string_of_int (Array.to_list shape)))
-           !off count);
-      off := !off + count)
-    t.tensors;
-  Buffer.add_string buf
-    (Printf.sprintf "],\"payload_bytes\":%d,\"crc32\":%d}" (String.length payload)
-       (crc32 payload));
-  Buffer.contents buf
+  let tensor offset (name, w) =
+    let count = Tensor.numel w in
+    ( offset + count,
+      Json.(
+        Obj
+          [
+            ("name", Str name);
+            ("shape", Arr (Array.to_list (Array.map int (Tensor.shape w))));
+            ("offset", int offset);
+            ("count", int count);
+          ]) )
+  in
+  Json.(
+    Obj
+      [
+        ("format", Str format_name);
+        ("version", int format_version);
+        ("model", Str t.model);
+        ("step", int t.step);
+        ("rng", match t.rng with None -> Null | Some s -> Str (Int64.to_string s));
+        ("epoch", int t.epoch);
+        ("graph_version", int t.graph_version);
+        ("meta", Obj (List.map (fun (k, v) -> (k, Str v)) t.meta));
+        ("tensors", Arr (snd (List.fold_left_map tensor 0 t.tensors)));
+        ("payload_bytes", int (String.length payload));
+        ("crc32", int (crc32 payload));
+      ])
 
 let encode t =
   let payload = payload_of_tensors t.tensors in
-  header_json t ~payload ^ "\n" ^ payload
+  Json.to_string (header_json t ~payload) ^ "\n" ^ payload
 
 (* --- decoding ------------------------------------------------------------ *)
 
@@ -128,8 +124,10 @@ let decode data =
     | h -> h
     | exception Json.Malformed -> corrupt "checkpoint: malformed header JSON"
   in
-  let field name f =
-    match f header name with v -> v | exception Json.Malformed -> corrupt "checkpoint: bad %S field" name
+  let field ?(obj = header) name f =
+    match f obj name with
+    | v -> v
+    | exception Json.Malformed -> corrupt "checkpoint: bad %S field" name
   in
   (match Json.member header "format" with
   | Some (Json.Str s) when String.equal s format_name -> ()
@@ -174,8 +172,9 @@ let decode data =
           (fun e ->
             let name = (try Json.str_field e "name" with Json.Malformed -> corrupt "checkpoint: tensor without name") in
             let shape = (try Json.int_array_field e "shape" with Json.Malformed -> corrupt "checkpoint: bad shape for %S" name) in
-            let offset = Json.int_field e "offset" (-1) in
-            let count = Json.int_field e "count" (-1) in
+            if Array.exists (fun d -> d < 0) shape then corrupt "checkpoint: bad shape for %S" name;
+            let offset = field ~obj:e "offset" (fun e n -> Json.int_field e n (-1)) in
+            let count = field ~obj:e "count" (fun e n -> Json.int_field e n (-1)) in
             if offset < 0 || count < 0 || offset + count > total_elems then
               corrupt "checkpoint: tensor %S out of payload bounds" name;
             if Array.fold_left ( * ) 1 shape <> count then

@@ -762,27 +762,26 @@ let train_step t ?(lr = 0.01) ~labels () =
 
 let metrics_json t =
   let module M = Hector_obs.Metrics in
-  let reps =
-    t.replicas
-    |> Array.mapi (fun i r ->
-           let st = Engine.stats r.engine in
-           M.obj
-             [
-               M.int "replica" i;
-               M.float "elapsed_ms" (Engine.elapsed_ms r.engine);
-               M.float "comm_ms" (Stats.of_category st Kernel.Comm).Stats.time_ms;
-               M.int "launches" (Stats.total st).Stats.launches;
-               M.int "alloc_count" (Memory.alloc_count (Engine.memory r.engine));
-             ])
-    |> Array.to_list |> String.concat ","
+  let replica i r =
+    let st = Engine.stats r.engine in
+    Hector_json.(
+      Obj
+        [
+          ("replica", int i);
+          ("elapsed_ms", Num (Engine.elapsed_ms r.engine));
+          ("comm_ms", Num (Stats.of_category st Kernel.Comm).Stats.time_ms);
+          ("launches", int (Stats.total st).Stats.launches);
+          ("alloc_count", int (Memory.alloc_count (Engine.memory r.engine)));
+        ])
   in
   M.envelope ~subsystem:"dist" ~elapsed_ms:(elapsed_ms t) ~launches:(launches t)
-    [
-      M.comm ~posted_ms:(posted_comm_ms t) ~exposed_ms:(comm_ms t);
-      M.int "parts" (parts t);
-      M.float "edge_cut" (Partition.edge_cut_fraction t.pt);
-      M.float "balance" (Partition.balance t.pt);
-      M.float "comm_ms" (comm_ms t);
-      M.float "busy_ms" (busy_ms t);
-      M.raw "replicas" ("[" ^ reps ^ "]");
-    ]
+    Hector_json.
+      [
+        ("comm", M.comm ~posted_ms:(posted_comm_ms t) ~exposed_ms:(comm_ms t));
+        ("parts", int (parts t));
+        ("edge_cut", Num (Partition.edge_cut_fraction t.pt));
+        ("balance", Num (Partition.balance t.pt));
+        ("comm_ms", Num (comm_ms t));
+        ("busy_ms", Num (busy_ms t));
+        ("replicas", Arr (Array.to_list (Array.mapi replica t.replicas)));
+      ]

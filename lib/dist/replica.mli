@@ -185,8 +185,8 @@ val reset_clocks : t -> unit
 (** Zero every replica's clock and statistics (e.g. after warm-up) and
     drop any prefetched halo transfers — the next epoch posts afresh. *)
 
-val metrics_json : t -> string
-(** Single-line JSON in the shared {!Hector_obs.Metrics} envelope
+val metrics_json : t -> Hector_json.t
+(** JSON in the shared {!Hector_obs.Metrics} envelope
     (["subsystem"], ["elapsed_ms"], ["launches"], ["comm"]): partition
     stats (parts, edge-cut fraction, balance), cluster times, and a
     per-replica array of elapsed/comm/alloc/launch figures. *)

@@ -108,28 +108,18 @@ val events : t -> event list
     engine was created with [trace:true]). *)
 
 val to_chrome_trace : ?obs:Hector_obs.t -> t -> string
-(** Serialize the timeline as a Chrome-tracing JSON document
-    (load in [chrome://tracing] or Perfetto).  Kernel names and categories
-    are JSON-escaped, so arbitrary names survive the round trip.
+(** The timeline as a Chrome-tracing JSON document (load in
+    [chrome://tracing] or Perfetto), printed by {!Hector_json.to_string}.
     Simulated launches appear under pid 1 with their provenance in
     ["args"]; when an enabled [obs] is given, its wall-clock spans are
     merged in under pid 2. *)
 
-val metrics_json : ?obs:Hector_obs.t -> t -> string
-(** A single-line JSON metrics snapshot: [elapsed_ms], [attributed_ms],
-    per-category and per-op time/launch tables, plus — when an enabled
-    [obs] is given — its counters and nested pass/run spans. *)
+val by_category_json : t -> Hector_json.t
+(** The per-category table [{"<category>":{"time_ms":..,"launches":..},..}]
+    — for embedding in subsystem-level metrics documents. *)
 
-val by_category_json : t -> string
-(** The per-category time/launch table as a JSON object fragment — for
-    embedding in subsystem-level metrics documents. *)
-
-val by_op_json : t -> string
-(** The per-op time/launch table as a JSON object fragment. *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON document (quotes, backslashes,
-    control characters). *)
+val by_op_json : t -> Hector_json.t
+(** The per-op time/launch table, shaped like {!by_category_json}. *)
 
 val memory : t -> Memory.t
 (** The device allocator of this engine. *)

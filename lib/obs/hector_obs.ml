@@ -81,105 +81,59 @@ let reset t =
 
 (* --- export ------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Hector_json
 
-let rec add_span_json buf s =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"name\":\"%s\",\"kind\":\"%s\",\"start_ms\":%.3f,\"duration_ms\":%.3f,\"children\":["
-       (json_escape s.name) (json_escape s.kind) s.start_ms s.duration_ms);
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_span_json buf c)
-    s.children;
-  Buffer.add_string buf "]}"
+let rec span_json s : Json.t =
+  Obj
+    [
+      ("name", Str s.name);
+      ("kind", Str s.kind);
+      ("start_ms", Num s.start_ms);
+      ("duration_ms", Num s.duration_ms);
+      ("children", Arr (List.map span_json s.children));
+    ]
 
-let spans_json t =
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_span_json buf s)
-    (spans t);
-  Buffer.add_char buf ']';
-  Buffer.contents buf
+let spans_json t : Json.t = Arr (List.map span_json (spans t))
 
-let counters_json t =
-  let buf = Buffer.create 128 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape k) v))
-    (counters t);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+let counters_json t : Json.t = Obj (List.map (fun (k, v) -> (k, Json.int v)) (counters t))
 
-let trace_events t ~pid =
-  let acc = ref [] in
-  let rec walk s =
-    acc :=
-      Printf.sprintf
-        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":1}"
-        (json_escape s.name) (json_escape s.kind) (s.start_ms *. 1e3) (s.duration_ms *. 1e3) pid
-      :: !acc;
-    List.iter walk s.children
+let trace_json t ~pid =
+  let rec events s =
+    Json.Obj
+      [
+        ("name", Str s.name);
+        ("cat", Str s.kind);
+        ("ph", Str "X");
+        ("ts", Num (s.start_ms *. 1e3));
+        ("dur", Num (s.duration_ms *. 1e3));
+        ("pid", Json.int pid);
+        ("tid", Json.int 1);
+      ]
+    :: List.concat_map events s.children
   in
-  List.iter walk (spans t);
-  List.rev !acc
+  List.concat_map events (spans t)
+
+let trace_events t ~pid = List.map Json.to_string (trace_json t ~pid)
 
 (* --- shared metrics schema ------------------------------------------- *)
 
 module Metrics = struct
-  type field = string * string
-
-  let int k v : field = (k, string_of_int v)
-  let float k v : field = (k, Printf.sprintf "%.6f" v)
-  let str k v : field = (k, Printf.sprintf "\"%s\"" (json_escape v))
-  let raw k v : field = (k, v)
-
-  let obj fields =
-    let buf = Buffer.create 256 in
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Printf.sprintf "\"%s\":%s" (json_escape k) v))
-      fields;
-    Buffer.add_char buf '}';
-    Buffer.contents buf
-
-  let comm ~posted_ms ~exposed_ms =
+  let comm ~posted_ms ~exposed_ms : Json.t =
     let overlap_ratio =
       if posted_ms > 0.0 then Stdlib.max 0.0 ((posted_ms -. exposed_ms) /. posted_ms)
       else 0.0
     in
-    raw "comm"
-      (obj
-         [
-           float "posted_ms" posted_ms;
-           float "exposed_ms" exposed_ms;
-           float "overlap_ratio" overlap_ratio;
-         ])
+    Obj
+      [
+        ("posted_ms", Num posted_ms);
+        ("exposed_ms", Num exposed_ms);
+        ("overlap_ratio", Num overlap_ratio);
+      ]
 
-  let envelope ~subsystem ~elapsed_ms ~launches fields =
-    obj
-      (str "subsystem" subsystem
-      :: float "elapsed_ms" elapsed_ms
-      :: int "launches" launches
+  let envelope ~subsystem ~elapsed_ms ~launches fields : Json.t =
+    Obj
+      (("subsystem", Str subsystem)
+      :: ("elapsed_ms", Num elapsed_ms)
+      :: ("launches", Json.int launches)
       :: fields)
 end

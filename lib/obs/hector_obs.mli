@@ -64,54 +64,47 @@ val spans : t -> span list
 val reset : t -> unit
 (** Drop all recorded spans and counters; the time origin is kept. *)
 
-(** {2 Export} *)
+(** {2 Export}
 
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON document (quotes, backslashes,
-    control characters). *)
+    Documents are {!Hector_json.t} values; {!Hector_json.to_string} prints
+    them. *)
 
-val spans_json : t -> string
-(** The span tree as a JSON array (single line):
+val spans_json : t -> Hector_json.t
+(** The span tree as a JSON array:
     [[{"name":..,"kind":..,"start_ms":..,"duration_ms":..,"children":[..]},..]]. *)
 
-val counters_json : t -> string
-(** The counters as a single-line JSON object. *)
+val counters_json : t -> Hector_json.t
+(** The counters as a JSON object, sorted by name. *)
+
+val trace_json : t -> pid:int -> Hector_json.t list
+(** The span tree flattened to Chrome-tracing complete events (["ph":"X"]),
+    one object per span, under process id [pid].  Timestamps are
+    wall-clock microseconds relative to the handle's creation, so they live
+    on a separate timeline from simulated kernel events. *)
 
 val trace_events : t -> pid:int -> string list
-(** The span tree flattened to Chrome-tracing complete events (["ph":"X"]),
-    one JSON object fragment per span, under process id [pid].  Timestamps
-    are wall-clock microseconds relative to the handle's creation, so they
-    live on a separate timeline from simulated kernel events. *)
+(** {!trace_json}, each event printed by {!Hector_json.to_string}. *)
 
 (** {2 Shared metrics schema}
 
-    Every subsystem-level [metrics_json] (session, serving, distributed)
-    builds its document through this module, so the cross-cutting keys are
-    uniform: ["subsystem"], ["elapsed_ms"], ["launches"], and — where the
-    subsystem moves bytes — a ["comm"] object with ["posted_ms"],
-    ["exposed_ms"] and ["overlap_ratio"] ([1 − exposed/posted], 0 when
-    nothing was posted).  Subsystem-specific keys ride along as extra
-    fields. *)
+    Every subsystem-level [metrics_json] (session, serving, distributed,
+    stream) builds its document through this module, so the cross-cutting
+    keys are uniform: ["subsystem"], ["elapsed_ms"], ["launches"], and a
+    ["comm"] object with ["posted_ms"], ["exposed_ms"] and
+    ["overlap_ratio"] ([1 − exposed/posted], 0 when nothing was posted).
+    Subsystem-specific keys ride along as extra fields. *)
 module Metrics : sig
-  type field
-  (** One key/value pair of a metrics object. *)
-
-  val int : string -> int -> field
-  val float : string -> float -> field
-  val str : string -> string -> field
-
-  val raw : string -> string -> field
-  (** A pre-serialized JSON value (object, array, number). *)
-
-  val obj : field list -> string
-  (** Serialize fields as a single-line JSON object (keys escaped). *)
-
-  val comm : posted_ms:float -> exposed_ms:float -> field
-  (** The uniform ["comm"] block: total posted transfer time, the exposed
+  val comm : posted_ms:float -> exposed_ms:float -> Hector_json.t
+  (** The uniform ["comm"] object: total posted transfer time, the exposed
       (non-overlapped) part actually charged to the clock, and the overlap
       ratio between them. *)
 
-  val envelope : subsystem:string -> elapsed_ms:float -> launches:int -> field list -> string
+  val envelope :
+    subsystem:string ->
+    elapsed_ms:float ->
+    launches:int ->
+    (string * Hector_json.t) list ->
+    Hector_json.t
   (** The shared envelope: [{"subsystem":..,"elapsed_ms":..,"launches":..,
       <fields>}] — the schema the metrics drift test pins across
       subsystems. *)

@@ -1,201 +1,5 @@
-(* Minimal JSON reader/writer helpers shared by the flat, fixed-schema
-   persistence formats in this repository (the plan-tuning database and the
-   checkpoint header).  The repository deliberately carries no JSON
-   dependency; both schemas are small enough that a value parser plus a
-   handful of field accessors suffices. *)
+(* An alias kept only because the end-to-end bench harness (bench/e2e,
+   frozen with BENCHMARK.json) names [Hector_runtime.Json_lite]; every
+   other caller uses {!Hector_json} directly. *)
 
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of t list
-  | Obj of (string * t) list
-
-exception Malformed
-
-let parse s =
-  let n = String.length s in
-  let i = ref 0 in
-  let peek () = if !i < n then s.[!i] else raise Malformed in
-  let skip_ws () =
-    while !i < n && (match s.[!i] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr i
-    done
-  in
-  let expect c = if !i < n && s.[!i] = c then incr i else raise Malformed in
-  let literal lit v =
-    let l = String.length lit in
-    if !i + l <= n && String.equal (String.sub s !i l) lit then (
-      i := !i + l;
-      v)
-    else raise Malformed
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !i >= n then raise Malformed
-      else
-        match s.[!i] with
-        | '"' -> incr i
-        | '\\' ->
-            incr i;
-            (match peek () with
-            | '"' -> Buffer.add_char b '"'
-            | '\\' -> Buffer.add_char b '\\'
-            | '/' -> Buffer.add_char b '/'
-            | 'n' -> Buffer.add_char b '\n'
-            | 't' -> Buffer.add_char b '\t'
-            | 'r' -> Buffer.add_char b '\r'
-            | 'b' -> Buffer.add_char b '\b'
-            | 'u' ->
-                (* the writer never emits \u, but tolerate it as '?' *)
-                if !i + 4 >= n then raise Malformed;
-                i := !i + 4;
-                Buffer.add_char b '?'
-            | _ -> raise Malformed);
-            incr i;
-            go ()
-        | c ->
-            Buffer.add_char b c;
-            incr i;
-            go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !i in
-    while
-      !i < n
-      && match s.[!i] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    do
-      incr i
-    done;
-    match float_of_string_opt (String.sub s start (!i - start)) with
-    | Some f -> f
-    | None -> raise Malformed
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> Str (parse_string ())
-    | '{' ->
-        incr i;
-        skip_ws ();
-        if peek () = '}' then (
-          incr i;
-          Obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                incr i;
-                members ((k, v) :: acc)
-            | '}' ->
-                incr i;
-                Obj (List.rev ((k, v) :: acc))
-            | _ -> raise Malformed
-          in
-          members []
-    | '[' ->
-        incr i;
-        skip_ws ();
-        if peek () = ']' then (
-          incr i;
-          Arr [])
-        else
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                incr i;
-                elems (v :: acc)
-            | ']' ->
-                incr i;
-                Arr (List.rev (v :: acc))
-            | _ -> raise Malformed
-          in
-          elems []
-    | 't' -> Bool (literal "true" true)
-    | 'f' -> Bool (literal "false" false)
-    | 'n' -> literal "null" Null
-    | _ -> Num (parse_number ())
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !i <> n then raise Malformed;
-  v
-
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* --- field accessors ---------------------------------------------------- *)
-
-let member o name = match o with Obj fields -> List.assoc_opt name fields | _ -> None
-
-let bool_field o name d =
-  match member o name with Some (Bool b) -> b | Some _ -> raise Malformed | None -> d
-
-let num_field o name d =
-  match member o name with Some (Num f) -> f | Some _ -> raise Malformed | None -> d
-
-let int_field o name d = int_of_float (num_field o name (float_of_int d))
-
-let str_field o name =
-  match member o name with Some (Str s) -> s | _ -> raise Malformed
-
-let str_field_opt o name =
-  match member o name with Some (Str s) -> Some s | Some Null | None -> None | Some _ -> raise Malformed
-
-let int_array_field o name =
-  match member o name with
-  | Some (Arr l) ->
-      Array.of_list (List.map (function Num f -> int_of_float f | _ -> raise Malformed) l)
-  | _ -> raise Malformed
-
-(* --- atomic file IO ----------------------------------------------------- *)
-
-(* Durable-write helper shared by every on-disk format: the payload lands
-   in a sibling temporary first and reaches [path] only through rename, so
-   a crash mid-write leaves either the old file or the complete new one —
-   never a truncated hybrid.  The temporary embeds the writer's pid so two
-   processes saving concurrently cannot interleave halves of one temp. *)
-let write_atomic path data =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc data;
-     flush oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  close_out oc;
-  Sys.rename tmp path
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
+include Hector_json

@@ -195,15 +195,16 @@ let metrics_json t =
   M.envelope ~subsystem:"session" ~elapsed_ms:(Engine.elapsed_ms e)
     ~launches:(Stats.total st).Stats.launches
     ([
-       M.comm ~posted_ms:(Engine.posted_comm_ms e)
-         ~exposed_ms:(Stats.of_category st Hector_gpu.Kernel.Comm).Stats.time_ms;
-       M.float "attributed_ms" (Stats.attributed_ms st);
-       M.raw "by_category" (Engine.by_category_json e);
-       M.raw "by_op" (Engine.by_op_json e);
+       ( "comm",
+         M.comm ~posted_ms:(Engine.posted_comm_ms e)
+           ~exposed_ms:(Stats.of_category st Hector_gpu.Kernel.Comm).Stats.time_ms );
+       ("attributed_ms", Hector_json.Num (Stats.attributed_ms st));
+       ("by_category", Engine.by_category_json e);
+       ("by_op", Engine.by_op_json e);
      ]
     @
     if Hector_obs.enabled o then
-      [ M.raw "counters" (Hector_obs.counters_json o); M.raw "spans" (Hector_obs.spans_json o) ]
+      [ ("counters", Hector_obs.counters_json o); ("spans", Hector_obs.spans_json o) ]
     else [])
 let chrome_trace t = Engine.to_chrome_trace ~obs:(obs t) (engine t)
 

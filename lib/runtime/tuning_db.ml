@@ -116,120 +116,75 @@ let lookup t ~model ~device ~training signature =
           in
           Some (Nearest best))
 
-(* --- options <-> fields ------------------------------------------------ *)
-
-let options_fields (o : Compiler.options) =
-  [
-    ("compact", `Bool (o.Compiler.layout.Layout.materialization = Layout.Compact));
-    ("csr", `Bool (o.Compiler.layout.Layout.adjacency = Layout.Csr));
-    ("presorted", `Bool o.Compiler.layout.Layout.nodes_presorted);
-    ("fusion", `Bool o.Compiler.linear_fusion);
-    ("training", `Bool o.Compiler.training);
-    ("tile", `Int o.Compiler.gemm_schedule.Gs.tile_width);
-    ("coarsen", `Int o.Compiler.gemm_schedule.Gs.coarsen);
-    ("launch_bounds", `Bool o.Compiler.gemm_schedule.Gs.launch_bounds);
-    ("warp_accumulate", `Bool o.Compiler.traversal_schedule.Ts.warp_accumulate);
-    ("node_gather", `Bool o.Compiler.prefer_node_gather);
-    ( "fuse_ops",
-      match o.Compiler.fuse_ops with None -> `Null | Some b -> `Bool b );
-  ]
-
 (* --- JSON -------------------------------------------------------------- *)
 
-(* The DB schema is fixed and flat; reading goes through the shared
-   {!Json_lite} value parser, writing stays Printf-based below. *)
+module Json = Hector_json
 
-type json = Json_lite.t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+exception Malformed = Json.Malformed
 
-exception Malformed
+let options_json (o : Compiler.options) : Json.t =
+  Obj
+    [
+      ("compact", Bool (o.Compiler.layout.Layout.materialization = Layout.Compact));
+      ("csr", Bool (o.Compiler.layout.Layout.adjacency = Layout.Csr));
+      ("presorted", Bool o.Compiler.layout.Layout.nodes_presorted);
+      ("fusion", Bool o.Compiler.linear_fusion);
+      ("training", Bool o.Compiler.training);
+      ("tile", Json.int o.Compiler.gemm_schedule.Gs.tile_width);
+      ("coarsen", Json.int o.Compiler.gemm_schedule.Gs.coarsen);
+      ("launch_bounds", Bool o.Compiler.gemm_schedule.Gs.launch_bounds);
+      ("warp_accumulate", Bool o.Compiler.traversal_schedule.Ts.warp_accumulate);
+      ("node_gather", Bool o.Compiler.prefer_node_gather);
+      ("fuse_ops", match o.Compiler.fuse_ops with None -> Null | Some b -> Bool b);
+    ]
 
-let parse_json s =
-  match Json_lite.parse s with v -> v | exception Json_lite.Malformed -> raise Malformed
-
-let escape = Json_lite.escape
-
-let field_to_json = function
-  | `Bool b -> if b then "true" else "false"
-  | `Int n -> string_of_int n
-  | `Null -> "null"
-
-let entry_to_json e =
-  let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
-  let opts =
-    options_fields e.options
-    |> List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k (field_to_json v))
-    |> String.concat ","
-  in
-  Printf.sprintf
-    "{\"model\":\"%s\",\"model_name\":\"%s\",\"device\":\"%s\",\"training\":%b,\
-     \"nodes\":[%s],\"edges\":[%s],\"mean_degree\":%.17g,\"options\":{%s},\
-     \"options_id\":\"%s\",\"estimated_ms\":%.17g,\"measured_ms\":%.17g}"
-    (escape e.model) (escape e.model_name) (escape e.device) e.training
-    (ints e.signature.nodes_per_ntype)
-    (ints e.signature.edges_per_etype)
-    e.signature.mean_degree opts
-    (escape (Compiler.options_id e.options))
-    e.estimated_ms e.measured_ms
+let entry_json e : Json.t =
+  let ints a = Json.Arr (Array.to_list (Array.map Json.int a)) in
+  Obj
+    [
+      ("model", Str e.model);
+      ("model_name", Str e.model_name);
+      ("device", Str e.device);
+      ("training", Bool e.training);
+      ("nodes", ints e.signature.nodes_per_ntype);
+      ("edges", ints e.signature.edges_per_etype);
+      ("mean_degree", Num e.signature.mean_degree);
+      ("options", options_json e.options);
+      ("options_id", Str (Compiler.options_id e.options));
+      ("estimated_ms", Num e.estimated_ms);
+      ("measured_ms", Num e.measured_ms);
+    ]
 
 let to_json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"version\":1,\"entries\":[\n";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b ("  " ^ entry_to_json e))
-    (List.rev t.entries);
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  let entries = List.rev_map entry_json t.entries in
+  Json.to_string (Obj [ ("version", Json.int 1); ("entries", Arr entries) ]) ^ "\n"
 
-let save t path = Json_lite.write_atomic path (to_json t)
-
-(* --- decoding ---------------------------------------------------------- *)
-
-let obj_field o name = match o with Obj fields -> List.assoc_opt name fields | _ -> None
-
-let bool_field o name d =
-  match obj_field o name with Some (Bool b) -> b | Some _ -> raise Malformed | None -> d
-
-let num_field o name d =
-  match obj_field o name with Some (Num f) -> f | Some _ -> raise Malformed | None -> d
-
-let str_field o name =
-  match obj_field o name with Some (Str s) -> s | _ -> raise Malformed
-
-let int_array_field o name =
-  match obj_field o name with
-  | Some (Arr l) ->
-      Array.of_list
-        (List.map (function Num f -> int_of_float f | _ -> raise Malformed) l)
-  | _ -> raise Malformed
+let save t path = Json.write_atomic path (to_json t)
 
 let options_of_json j =
-  let tile = int_of_float (num_field j "tile" 16.0) in
-  let coarsen = int_of_float (num_field j "coarsen" 1.0) in
-  let schedule = { Gs.tile_width = tile; coarsen; launch_bounds = bool_field j "launch_bounds" false } in
+  let schedule =
+    {
+      Gs.tile_width = Json.int_field j "tile" 16;
+      coarsen = Json.int_field j "coarsen" 1;
+      launch_bounds = Json.bool_field j "launch_bounds" false;
+    }
+  in
   Gs.validate_schedule schedule;
   {
     Compiler.layout =
       {
         Layout.materialization =
-          (if bool_field j "compact" false then Layout.Compact else Layout.Vanilla);
-        adjacency = (if bool_field j "csr" false then Layout.Csr else Layout.Coo);
-        nodes_presorted = bool_field j "presorted" true;
+          (if Json.bool_field j "compact" false then Layout.Compact else Layout.Vanilla);
+        adjacency = (if Json.bool_field j "csr" false then Layout.Csr else Layout.Coo);
+        nodes_presorted = Json.bool_field j "presorted" true;
       };
-    linear_fusion = bool_field j "fusion" false;
-    training = bool_field j "training" false;
+    linear_fusion = Json.bool_field j "fusion" false;
+    training = Json.bool_field j "training" false;
     gemm_schedule = schedule;
-    traversal_schedule = { Ts.warp_accumulate = bool_field j "warp_accumulate" true };
-    prefer_node_gather = bool_field j "node_gather" false;
+    traversal_schedule = { Ts.warp_accumulate = Json.bool_field j "warp_accumulate" true };
+    prefer_node_gather = Json.bool_field j "node_gather" false;
     fuse_ops =
-      (match obj_field j "fuse_ops" with
+      (match Json.member j "fuse_ops" with
       | Some (Bool b) -> Some b
       | Some Null | None -> None
       | Some _ -> raise Malformed);
@@ -237,36 +192,33 @@ let options_of_json j =
 
 let entry_of_json j =
   let options =
-    match obj_field j "options" with Some o -> options_of_json o | None -> raise Malformed
+    match Json.member j "options" with Some o -> options_of_json o | None -> raise Malformed
   in
   {
-    model = str_field j "model";
-    model_name = str_field j "model_name";
-    device = str_field j "device";
-    training = bool_field j "training" false;
+    model = Json.str_field j "model";
+    model_name = Json.str_field j "model_name";
+    device = Json.str_field j "device";
+    training = Json.bool_field j "training" false;
     signature =
       {
-        nodes_per_ntype = int_array_field j "nodes";
-        edges_per_etype = int_array_field j "edges";
-        mean_degree = num_field j "mean_degree" 0.0;
+        nodes_per_ntype = Json.int_array_field j "nodes";
+        edges_per_etype = Json.int_array_field j "edges";
+        mean_degree = Json.num_field j "mean_degree" 0.0;
       };
     options;
-    estimated_ms = num_field j "estimated_ms" 0.0;
-    measured_ms = num_field j "measured_ms" 0.0;
+    estimated_ms = Json.num_field j "estimated_ms" 0.0;
+    measured_ms = Json.num_field j "measured_ms" 0.0;
   }
 
 let of_json s =
-  match parse_json s with
-  | Obj _ as root -> (
-      match obj_field root "entries" with
-      | Some (Arr l) -> { entries = List.rev_map entry_of_json l }
-      | _ -> raise Malformed)
+  match Json.member (Json.parse s) "entries" with
+  | Some (Arr l) -> { entries = List.rev_map entry_of_json l }
   | _ -> raise Malformed
 
 let load path =
   if not (Sys.file_exists path) then create ()
   else
-    let s = Json_lite.read_file path in
+    let s = Json.read_file path in
     (* a corrupt or foreign file (e.g. the torso a crashed in-place writer
        would have left — impossible since saves go through write_atomic,
        but clients may hand us anything) is treated as empty: tuning falls

@@ -598,42 +598,43 @@ let load_stats t =
 let metrics_json t =
   let module M = Hector_obs.Metrics in
   let s = load_stats t in
-  let hist =
-    s.batch_histogram
-    |> List.map (fun (size, count) -> Printf.sprintf "\"%d\":%d" size count)
-    |> String.concat ","
-  in
   let st = Engine.stats t.engine in
   M.envelope ~subsystem:"serve" ~elapsed_ms:t.sim_ms ~launches:(launches t)
-    [
-      M.comm ~posted_ms:(Engine.posted_comm_ms t.engine)
-        ~exposed_ms:(Stats.of_category st Kernel.Comm).Stats.time_ms;
-      M.int "requests" s.requests;
-      M.int "served" s.lserved;
-      M.int "shed" s.lshed;
-      M.int "rejected" t.rejected;
-      M.int "batches" s.lbatches;
-      M.int "batch_failures" t.batch_failures;
-      M.int "fault_shed" t.fault_shed;
-      M.float "mean_batch" s.mean_batch;
-      M.float "throughput_rps" s.throughput_rps;
-      M.raw "latency_ms"
-        (M.obj
-           [
-             M.float "p50" s.p50_ms;
-             M.float "p95" s.p95_ms;
-             M.float "p99" s.p99_ms;
-             M.float "mean" s.mean_latency_ms;
-           ]);
-      M.raw "queue_ms" (M.obj [ M.float "mean" s.mean_queue_ms ]);
-      M.raw "batch_hist" ("{" ^ hist ^ "}");
-      M.raw "plan_cache"
-        (M.obj
-           [ M.int "hits" (Plan_cache.hits t.cache); M.int "misses" (Plan_cache.misses t.cache) ]);
-      M.float "launches_per_request" s.launches_per_request;
-      M.int "alloc_count" (Memory.alloc_count (Engine.memory t.engine));
-      M.float "sim_elapsed_ms" t.sim_ms;
-    ]
+    Hector_json.
+      [
+        ( "comm",
+          M.comm ~posted_ms:(Engine.posted_comm_ms t.engine)
+            ~exposed_ms:(Stats.of_category st Kernel.Comm).Stats.time_ms );
+        ("requests", int s.requests);
+        ("served", int s.lserved);
+        ("shed", int s.lshed);
+        ("rejected", int t.rejected);
+        ("batches", int s.lbatches);
+        ("batch_failures", int t.batch_failures);
+        ("fault_shed", int t.fault_shed);
+        ("mean_batch", Num s.mean_batch);
+        ("throughput_rps", Num s.throughput_rps);
+        ( "latency_ms",
+          Obj
+            [
+              ("p50", Num s.p50_ms);
+              ("p95", Num s.p95_ms);
+              ("p99", Num s.p99_ms);
+              ("mean", Num s.mean_latency_ms);
+            ] );
+        ("queue_ms", Obj [ ("mean", Num s.mean_queue_ms) ]);
+        ( "batch_hist",
+          Obj (List.map (fun (size, count) -> (string_of_int size, int count)) s.batch_histogram)
+        );
+        ( "plan_cache",
+          Obj
+            [
+              ("hits", int (Plan_cache.hits t.cache)); ("misses", int (Plan_cache.misses t.cache));
+            ] );
+        ("launches_per_request", Num s.launches_per_request);
+        ("alloc_count", int (Memory.alloc_count (Engine.memory t.engine)));
+        ("sim_elapsed_ms", Num t.sim_ms);
+      ]
 
 let engine t = t.engine
 let plan_cache t = t.cache

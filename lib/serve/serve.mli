@@ -168,8 +168,8 @@ val load_stats : t -> load_stats
 (** Numeric load report accumulated over all [serve] calls (what
     {!metrics_json} serializes). *)
 
-val metrics_json : t -> string
-(** Single-line JSON load report accumulated over all [serve] calls, in
+val metrics_json : t -> Hector_json.t
+(** JSON load report accumulated over all [serve] calls, in
     the shared {!Hector_obs.Metrics} envelope (["subsystem"],
     ["elapsed_ms"], ["launches"], ["comm"]): request/served/shed/batch
     counts, mean batch size, throughput (req/s), latency p50/p95/p99/mean,

@@ -236,26 +236,27 @@ let metrics_json t =
     t.retired_ms +. Engine.elapsed_ms (Serve.engine t.live) +. t.c_update_ms
   in
   M.envelope ~subsystem:"stream" ~elapsed_ms:elapsed ~launches
-    [
-      M.comm ~posted_ms:0.0 ~exposed_ms:0.0;
-      M.int "deltas" c.Mutable_graph.deltas;
-      M.int "ops" c.Mutable_graph.ops;
-      M.int "rejected_deltas" c.Mutable_graph.rejected_deltas;
-      M.int "epochs" c.Mutable_graph.epochs;
-      M.int "rewarms" t.c_rewarms;
-      M.int "recompiles" (recompiles t);
-      M.int "csr_rebuilds" c.Mutable_graph.rebuilds;
-      M.int "csr_patched_rows" c.Mutable_graph.patched_rows;
-      M.int "compactions" c.Mutable_graph.compacted;
-      M.float "update_ms" t.c_update_ms;
-      M.int "live_nodes" (Mutable_graph.live_nodes t.mg);
-      M.int "live_edges" (Mutable_graph.live_edges t.mg);
-      M.int "served" (served t);
-      M.int "shed" (shed t);
-      M.int "rejected" (rejected t);
-      M.int "batch_failures" (batch_failures t);
-      M.int "fault_shed" (fault_shed t);
-    ]
+    Hector_json.
+      [
+        ("comm", M.comm ~posted_ms:0.0 ~exposed_ms:0.0);
+        ("deltas", int c.Mutable_graph.deltas);
+        ("ops", int c.Mutable_graph.ops);
+        ("rejected_deltas", int c.Mutable_graph.rejected_deltas);
+        ("epochs", int c.Mutable_graph.epochs);
+        ("rewarms", int t.c_rewarms);
+        ("recompiles", int (recompiles t));
+        ("csr_rebuilds", int c.Mutable_graph.rebuilds);
+        ("csr_patched_rows", int c.Mutable_graph.patched_rows);
+        ("compactions", int c.Mutable_graph.compacted);
+        ("update_ms", Num t.c_update_ms);
+        ("live_nodes", int (Mutable_graph.live_nodes t.mg));
+        ("live_edges", int (Mutable_graph.live_edges t.mg));
+        ("served", int (served t));
+        ("shed", int (shed t));
+        ("rejected", int (rejected t));
+        ("batch_failures", int (batch_failures t));
+        ("fault_shed", int (fault_shed t));
+      ]
 
 (* The subsystem's restorable state: the pinned weight set (invariant
    across re-warms) plus the mutable graph's epoch/version cursor, so a

@@ -181,6 +181,33 @@ let test_db_roundtrip () =
             (options_id a.Tuning_db.options = options_id b.Tuning_db.options)
       | _ -> Alcotest.fail "expected exact hits from both databases")
 
+(* A database as the first writer laid it out: one entry per line, every
+   float at 17 significant digits. *)
+let test_db_old_layout () =
+  let db =
+    Tuning_db.of_json
+      "{\"version\":1,\"entries\":[\n\
+      \  {\"model\":\"8a5e\",\"model_name\":\"rgat\",\"device\":\"RTX 3090\",\"training\":false,\
+       \"nodes\":[292,168],\"edges\":[1138,574,379],\"mean_degree\":6.718924972004479,\
+       \"options\":{\"compact\":true,\"csr\":false,\"presorted\":true,\"fusion\":true,\
+       \"training\":false,\"tile\":32,\"coarsen\":2,\"launch_bounds\":true,\
+       \"warp_accumulate\":true,\"node_gather\":false,\"fuse_ops\":true},\
+       \"options_id\":\"C+F:coo:t32c2+lb:warp:fuse\",\"estimated_ms\":0.2792470203994788,\
+       \"measured_ms\":0.27924702039947881}\n\
+       ]}\n"
+  in
+  match Tuning_db.entries db with
+  | [ e ] ->
+      Alcotest.(check string) "options" "C+F:coo:t32c2+lb:warp:fuse" (options_id e.Tuning_db.options);
+      check_bool "signature" true
+        (e.Tuning_db.signature.Tuning_db.nodes_per_ntype = [| 292; 168 |]
+        && e.Tuning_db.signature.Tuning_db.edges_per_etype = [| 1138; 574; 379 |]
+        && e.Tuning_db.signature.Tuning_db.mean_degree = 6.718924972004479);
+      check_bool "measured" true (e.Tuning_db.measured_ms = 0.2792470203994788);
+      check_bool "re-written and re-read unchanged" true
+        (Tuning_db.entries (Tuning_db.of_json (Tuning_db.to_json db)) = [ e ])
+  | l -> Alcotest.failf "expected one entry, got %d" (List.length l)
+
 let test_db_load_corrupt_and_missing () =
   check_int "missing file is empty" 0 (Tuning_db.size (Tuning_db.load "/nonexistent/tunedb.json"));
   let path = Filename.temp_file "hector_tunedb" ".json" in
@@ -348,6 +375,7 @@ let suite =
     Alcotest.test_case "estimator exact on fixed layouts" `Quick test_estimator_exact_fixed_layouts;
     QCheck_alcotest.to_alcotest prop_signature_stable;
     Alcotest.test_case "tuning DB round-trip" `Quick test_db_roundtrip;
+    Alcotest.test_case "tuning DB in the old layout loads" `Quick test_db_old_layout;
     Alcotest.test_case "tuning DB corrupt/missing load" `Quick test_db_load_corrupt_and_missing;
     Alcotest.test_case "lookup ladder" `Quick test_lookup_ladder;
     Alcotest.test_case "warmup writes back then hits" `Quick test_warmup_writes_back_then_hits;

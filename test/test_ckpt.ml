@@ -173,11 +173,45 @@ let test_corruption_detected () =
   (* wrong format tag *)
   expect_corrupt "foreign format" (fun () ->
       Checkpoint.decode "{\"format\":\"zzz\",\"version\":1}\n");
+  (* header fields of the wrong kind: a string offset, negative dims whose
+     product still matches the count, a fractional offset *)
+  let small = Checkpoint.encode (Checkpoint.create [ ("w", T.zeros [| 2; 3 |]) ]) in
+  let edit ~sub ~by =
+    let n = String.length sub in
+    let rec find i = if String.sub small i n = sub then i else find (i + 1) in
+    let i = find 0 in
+    String.sub small 0 i ^ by ^ String.sub small (i + n) (String.length small - i - n)
+  in
+  expect_corrupt "string offset" (fun () ->
+      Checkpoint.decode (edit ~sub:"\"offset\":0" ~by:"\"offset\":\"x\""));
+  expect_corrupt "negative dims" (fun () ->
+      Checkpoint.decode (edit ~sub:"\"shape\":[2,3]" ~by:"\"shape\":[-2,-3]"));
+  expect_corrupt "fractional offset" (fun () ->
+      Checkpoint.decode (edit ~sub:"\"offset\":0" ~by:"\"offset\":0.5"));
   (* a garbage file loads as Corrupt, never as a half-checkpoint *)
   with_tmp_dir (fun dir ->
       let path = Filename.concat dir "junk.hck" in
       Out_channel.with_open_bin path (fun oc -> output_string oc "not a checkpoint");
       expect_corrupt "garbage file" (fun () -> Checkpoint.load path))
+
+(* The header as the format's first writer printed it, byte for byte:
+   older checkpoints keep loading and new ones stay readable by old code. *)
+let test_header_bytes () =
+  let ck =
+    Checkpoint.create ~model:"rgcn \"q\\" ~step:3 ~rng:42L ~epoch:1 ~graph_version:2
+      ~meta:[ ("k", "v"); ("path", "a/b") ]
+      [
+        ("w", T.of_array [| 2; 2 |] [| 1.; -0.; 0.5; 1e300 |]);
+        ("b", T.of_array [| 3 |] [| 4.; 5.; 6. |]);
+      ]
+  in
+  let s = Checkpoint.encode ck in
+  Alcotest.(check string) "header"
+    "{\"format\":\"hector-ckpt\",\"version\":1,\"model\":\"rgcn \\\"q\\\\\",\"step\":3,\"rng\":\"42\",\
+     \"epoch\":1,\"graph_version\":2,\"meta\":{\"k\":\"v\",\"path\":\"a/b\"},\"tensors\":[{\"name\":\"w\",\
+     \"shape\":[2,2],\"offset\":0,\"count\":4},{\"name\":\"b\",\"shape\":[3],\"offset\":4,\"count\":3}],\
+     \"payload_bytes\":56,\"crc32\":447504346}"
+    (String.sub s 0 (String.index s '\n'))
 
 let test_save_latest_retention () =
   with_tmp_dir (fun dir ->
@@ -671,6 +705,7 @@ let suite =
   [
     Alcotest.test_case "checkpoint round-trips bitwise" `Quick test_roundtrip_bitwise;
     Alcotest.test_case "corruption is detected" `Quick test_corruption_detected;
+    Alcotest.test_case "header bytes match the format" `Quick test_header_bytes;
     Alcotest.test_case "save / latest / retention" `Quick test_save_latest_retention;
     Alcotest.test_case "rgcn resume == uninterrupted" `Quick (test_trainer_resume "rgcn");
     Alcotest.test_case "rgat resume == uninterrupted" `Quick (test_trainer_resume "rgat");

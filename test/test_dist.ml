@@ -20,11 +20,6 @@ module Replica = Hector_dist.Replica
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
 let parent =
   lazy
     (Gen.generate
@@ -241,9 +236,13 @@ let test_trace_concurrent_comm_span () =
   check_bool "comm and compute spans overlap in simulated time" true
     (comm.Engine.start_ms < compute.Engine.start_ms +. compute.Engine.duration_ms
     && compute.Engine.start_ms < comm.Engine.start_ms +. comm.Engine.duration_ms);
-  let trace = Engine.to_chrome_trace engine in
-  check_bool "transfer renders on its own channel track" true (contains trace "\"tid\":2");
-  check_bool "compute renders on the compute track" true (contains trace "\"tid\":1")
+  let tids =
+    List.map
+      (fun ev -> Json_schema.int ev "tid")
+      (Json_schema.trace_events (Engine.to_chrome_trace engine))
+  in
+  check_bool "transfer renders on its own channel track" true (List.mem 2 tids);
+  check_bool "compute renders on the compute track" true (List.mem 1 tids)
 
 let test_dist_knobs () =
   let env = function
@@ -421,8 +420,9 @@ let test_comm_attributed () =
   check_int "one allreduce per replica" 4 !allreduce;
   check_bool "cluster comm time positive" true (Replica.comm_ms cluster > 0.0);
   check_bool "comm below total busy time" true (Replica.comm_ms cluster < Replica.busy_ms cluster);
-  let json = Replica.metrics_json cluster in
-  check_bool "metrics json mentions comm" true (contains json "comm_ms")
+  let doc = Json_schema.envelope ~subsystem:"dist" (Replica.metrics_json cluster) in
+  check_bool "metrics json prints the comm time" true
+    (Float.equal (Json_schema.num doc "comm_ms") (Replica.comm_ms cluster))
 
 let test_single_partition_has_no_comm () =
   let graph = Lazy.force parent in
@@ -537,13 +537,6 @@ let test_overlap_reduces_comm_ratio () =
 (* --- shared metrics envelope across subsystems -------------------------- *)
 
 let test_metrics_schema_uniform () =
-  let envelope_keys = [ "\"subsystem\""; "\"elapsed_ms\""; "\"launches\""; "\"comm\""; "\"overlap_ratio\"" ] in
-  let assert_envelope name json =
-    List.iter
-      (fun key ->
-        check_bool (Printf.sprintf "%s metrics has %s" name key) true (contains json key))
-      envelope_keys
-  in
   let graph = Lazy.force parent in
   let features = features_of graph 6 in
   let labels = labels_of graph 4 in
@@ -553,9 +546,9 @@ let test_metrics_schema_uniform () =
       ~graph
   in
   ignore (Replica.train_step cluster ~labels ());
-  assert_envelope "dist" (Replica.metrics_json cluster);
-  check_bool "dist subsystem tag" true
-    (contains (Replica.metrics_json cluster) "\"subsystem\":\"dist\"");
+  let dist = Json_schema.envelope ~subsystem:"dist" (Replica.metrics_json cluster) in
+  check_int "dist launches printed exactly" (Replica.launches cluster)
+    (Json_schema.int dist "launches");
   (* session *)
   let compiled = compile_model "rgcn" in
   let cfg =
@@ -563,9 +556,7 @@ let test_metrics_schema_uniform () =
   in
   let session = Session.create ~config:cfg ~graph compiled in
   ignore (Session.forward session);
-  assert_envelope "session" (Session.metrics_json session);
-  check_bool "session subsystem tag" true
-    (contains (Session.metrics_json session) "\"subsystem\":\"session\"");
+  ignore (Json_schema.envelope ~subsystem:"session" (Session.metrics_json session));
   (* serve *)
   let module Serve = Hector_serve.Serve in
   let module Workload = Hector_serve.Workload in
@@ -588,9 +579,7 @@ let test_metrics_schema_uniform () =
       ~num_nodes:graph.G.num_nodes ()
   in
   ignore (Serve.serve server requests);
-  assert_envelope "serve" (Serve.metrics_json server);
-  check_bool "serve subsystem tag" true
-    (contains (Serve.metrics_json server) "\"subsystem\":\"serve\"")
+  ignore (Json_schema.envelope ~subsystem:"serve" (Serve.metrics_json server))
 
 let suite =
   [

@@ -24,4 +24,5 @@ let () =
       ("dist", Test_dist.suite);
       ("stream", Test_stream.suite);
       ("ckpt", Test_ckpt.suite);
+      ("json", Test_json.suite);
     ]

@@ -33,11 +33,6 @@ let test_graph ?(seed = 3) ?(nodes = 60) ?(edges = 200) () =
 
 let train_options = Compiler.options_of_flags ~training:true ~compact:true ~fusion:true ()
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
 (* --- spans and counters ------------------------------------------- *)
 
 let test_span_nesting () =
@@ -195,11 +190,29 @@ let test_session_observability_config () =
        (fun s -> String.length s.Obs.name >= 8 && String.sub s.Obs.name 0 8 = "run_plan")
        (Obs.spans obs));
   check_bool "launch counter advanced" true (Obs.counter obs "engine.launches" > 0);
-  let metrics = Session.metrics_json session in
-  check_bool "metrics include spans" true
-    (String.length metrics > 0
-    && contains metrics "\"spans\""
-    && contains metrics "\"by_op\"")
+  let doc = Json_schema.envelope ~subsystem:"session" (Session.metrics_json session) in
+  check_bool "metrics include spans" true (Json_schema.field doc "spans" <> Hector_json.Arr []);
+  (* every printed time is the float the engine holds, not a rounding *)
+  let e = Session.engine session in
+  let st = Engine.stats e in
+  check_bool "elapsed_ms exact" true
+    (Float.equal (Json_schema.num doc "elapsed_ms") (Engine.elapsed_ms e));
+  check_bool "attributed_ms exact" true
+    (Float.equal (Json_schema.num doc "attributed_ms") (Stats.attributed_ms st));
+  let by_op = Json_schema.field doc "by_op" in
+  check_int "one by_op entry per op" (List.length (Stats.by_op st))
+    (match by_op with Hector_json.Obj l -> List.length l | _ -> -1);
+  List.iter
+    (fun (op, (entry : Stats.entry)) ->
+      let printed = Json_schema.field by_op op in
+      check_bool (op ^ " time_ms exact") true
+        (Float.equal (Json_schema.num printed "time_ms") entry.Stats.time_ms);
+      check_int (op ^ " launches") entry.Stats.launches (Json_schema.int printed "launches"))
+    (Stats.by_op st);
+  (* no kernel timeline without [trace]: the spans alone, on pid 2 *)
+  let events = Json_schema.trace_events (Session.chrome_trace session) in
+  check_bool "span events on pid 2" true
+    (events <> [] && List.for_all (fun ev -> Json_schema.int ev "pid" = 2) events)
 
 (* --- metrics / trace export --------------------------------------- *)
 
@@ -214,8 +227,12 @@ let test_provenance_in_trace () =
   let events = Engine.events (Session.engine session) in
   check_bool "every launch carries provenance" true
     (events <> [] && List.for_all (fun (e : Engine.event) -> e.Engine.prov <> None) events);
-  let trace = Session.chrome_trace session in
-  check_bool "trace has provenance args" true (contains trace "\"origin\"")
+  let events = Json_schema.trace_events (Session.chrome_trace session) in
+  check_bool "trace has provenance args" true
+    (events <> []
+    && List.for_all
+         (fun ev -> Hector_json.member (Json_schema.field ev "args") "origin" <> None)
+         events)
 
 (* --- knob parsing -------------------------------------------------- *)
 

@@ -380,15 +380,15 @@ let test_fresh_context_bitwise () =
         (Float.abs (with_domains d step -. l1) <= 1e-6))
     [ 2; 4 ]
 
-(* --- JSON escaping (chrome traces and BENCH_micro.json) -------------- *)
+(* --- JSON escaping (every document the repository writes) ------------- *)
 
 let test_json_escape () =
   let check_str = Alcotest.(check string) in
-  check_str "plain" "abc" (Engine.json_escape "abc");
-  check_str "quote" "a\\\"b" (Engine.json_escape "a\"b");
-  check_str "backslash" "a\\\\b" (Engine.json_escape "a\\b");
-  check_str "newline+tab" "a\\nb\\tc" (Engine.json_escape "a\nb\tc");
-  check_str "control" "x\\u0001y" (Engine.json_escape "x\x01y")
+  check_str "plain" "abc" (Hector_json.escape "abc");
+  check_str "quote" "a\\\"b" (Hector_json.escape "a\"b");
+  check_str "backslash" "a\\\\b" (Hector_json.escape "a\\b");
+  check_str "newline+tab" "a\\u000ab\\u0009c" (Hector_json.escape "a\nb\tc");
+  check_str "control" "x\\u0001y" (Hector_json.escape "x\x01y")
 
 let suite =
   [

@@ -262,20 +262,21 @@ let test_metrics_json () =
   let graph = Lazy.force parent in
   let server = Serve.create ~config:(exact_config graph) ~graph (rgcn ()) in
   let responses = Serve.serve server (trace graph) in
-  let metrics = server |> Serve.metrics_json in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
+  let doc = Json_schema.envelope ~subsystem:"serve" (Serve.metrics_json server) in
+  let latency = Json_schema.field doc "latency_ms" in
+  List.iter (fun key -> ignore (Json_schema.num latency key)) [ "p50"; "p95"; "p99" ];
   List.iter
-    (fun key ->
-      check_bool (Printf.sprintf "metrics mention %s" key) true
-        (contains metrics ("\"" ^ key ^ "\"")))
-    [
-      "p50"; "p95"; "p99"; "throughput_rps"; "batch_hist"; "shed"; "mean_batch";
-      "plan_cache"; "launches_per_request"; "sim_elapsed_ms";
-    ];
+    (fun key -> ignore (Json_schema.num doc key))
+    [ "throughput_rps"; "mean_batch"; "launches_per_request"; "sim_elapsed_ms" ];
+  check_int "shed printed" (Serve.shed server) (Json_schema.int doc "shed");
+  check_int "plan cache misses printed"
+    (Plan_cache.misses (Serve.plan_cache server))
+    (Json_schema.int (Json_schema.field doc "plan_cache") "misses");
+  (match Json_schema.field doc "batch_hist" with
+  | Hector_json.Obj sizes as hist ->
+      check_int "batch_hist counts every batch" (Serve.batches server)
+        (List.fold_left (fun acc (size, _) -> acc + Json_schema.int hist size) 0 sizes)
+  | _ -> Alcotest.fail "batch_hist is not an object");
   (* fast open-loop arrivals + max_batch 6: batching must actually happen *)
   check_bool "batches formed" true (Serve.batches server < Array.length responses);
   Array.iter
