@@ -58,8 +58,18 @@ let no_fuse_arg =
 let apply_no_fuse no_fuse =
   if no_fuse then Compiler.set_fuse_ops_default (fun () -> false)
 
+(* An [int] converter that rejects values below 1 as a usage error. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 1 -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let max_edges_arg =
-  Arg.(value & opt int 6000 & info [ "max-edges" ] ~docv:"N" ~doc:"Physical edge cap per replica.")
+  Arg.(value & opt positive_int 6000
+       & info [ "max-edges" ] ~docv:"N" ~doc:"Physical edge cap per replica (at least 1).")
 
 let compile_model model ~training ~compact ~fusion =
   let program = Hector_models.Model_defs.by_name model () in

@@ -30,6 +30,11 @@ let find name =
            (String.concat ", " (List.map (fun i -> i.name) all)))
 
 let load ?(max_nodes = 3000) ?(max_edges = 9000) ?(seed = 7) info =
+  let check what cap =
+    if cap < 1 then invalid_arg (Printf.sprintf "Datasets.load: %s must be >= 1 (got %d)" what cap)
+  in
+  check "max_nodes" max_nodes;
+  check "max_edges" max_edges;
   let scale =
     Float.max 1.0
       (Float.max

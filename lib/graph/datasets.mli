@@ -36,4 +36,6 @@ val load : ?max_nodes:int -> ?max_edges:int -> ?seed:int -> info -> Hetgraph.t
 (** [load info] instantiates a physical replica capped at [max_nodes]
     (default 3000) and [max_edges] (default 9000), with [scale] set so the
     logical size matches Table 4.  Small datasets that already fit are
-    generated at full size with [scale = 1]. *)
+    generated at full size with [scale = 1].  Raises [Invalid_argument]
+    naming the cap and its value when [max_nodes] or [max_edges] is below
+    1. *)

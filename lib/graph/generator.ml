@@ -28,8 +28,9 @@ let distribute rng ~total ~n ~minimum ~s =
     counts.(i) <- counts.(i) + share;
     assigned := !assigned + share
   done;
+  let table = Rng.zipf_table ~n ~s in
   for _ = 1 to remaining - !assigned do
-    let i = Rng.zipf rng ~n ~s in
+    let i = Rng.zipf_draw rng table in
     counts.(i) <- counts.(i) + 1
   done;
   counts
@@ -46,11 +47,11 @@ let validate spec =
 
 (* Pick [count] sources among the [n_src] nodes starting at [start],
    distinct when possible so the achieved compaction ratio tracks the
-   target. *)
-let pick_sources rng ~start ~n_src ~count =
+   target.  A node is already chosen for this relation iff its [stamp] is
+   [tag], so one node-sized array serves every relation with no reset. *)
+let pick_sources rng ~stamp ~tag ~start ~n_src ~count =
   if count >= n_src then Array.init count (fun i -> start + (i mod n_src))
   else begin
-    let chosen = Hashtbl.create (2 * count) in
     let out = Array.make count start in
     let filled = ref 0 in
     let attempts = ref 0 in
@@ -58,8 +59,8 @@ let pick_sources rng ~start ~n_src ~count =
     while !filled < count && !attempts < max_attempts do
       incr attempts;
       let s = start + Rng.int rng n_src in
-      if not (Hashtbl.mem chosen s) then begin
-        Hashtbl.add chosen s ();
+      if stamp.(s) <> tag then begin
+        stamp.(s) <- tag;
         out.(!filled) <- s;
         incr filled
       end
@@ -89,10 +90,11 @@ let generate spec =
     ntype_sizes;
   ntype_start.(spec.num_ntypes) <- !pos;
   (* 2. metagraph: each relation connects two (skew-drawn) node types *)
+  let ntype_table = Rng.zipf_table ~n:spec.num_ntypes ~s:0.7 in
   let relations =
     Array.init spec.num_etypes (fun _ ->
-        let s = Rng.zipf rng ~n:spec.num_ntypes ~s:0.7 in
-        let d = Rng.zipf rng ~n:spec.num_ntypes ~s:0.7 in
+        let s = Rng.zipf_draw rng ntype_table in
+        let d = Rng.zipf_draw rng ntype_table in
         (s, d))
   in
   let metagraph = Metagraph.create ~num_ntypes:spec.num_ntypes ~relations in
@@ -100,8 +102,12 @@ let generate spec =
   let edges_per_etype =
     distribute rng ~total:spec.num_edges ~n:spec.num_etypes ~minimum:1 ~s:1.0
   in
-  (* 4. per relation: unique (etype, src) pairs, then expand to edges *)
-  let edges = Array.make spec.num_edges (0, 0, 0) in
+  (* 4. per relation: unique (etype, src) pairs, then expand to edges,
+     written straight into columns that come out grouped by type *)
+  let src = Array.make spec.num_edges 0 in
+  let dst = Array.make spec.num_edges 0 in
+  let etype = Array.make spec.num_edges 0 in
+  let stamp = Array.make spec.num_nodes (-1) in
   let cursor = ref 0 in
   for e = 0 to spec.num_etypes - 1 do
     let n_edges = edges_per_etype.(e) in
@@ -111,13 +117,20 @@ let generate spec =
     let n_pairs =
       max 1 (min n_edges (int_of_float (Float.round (spec.compaction_target *. float_of_int n_edges))))
     in
-    let sources = pick_sources rng ~start:src_start ~n_src ~count:n_pairs in
-    for k = 0 to n_edges - 1 do
-      let pair = if k < n_pairs then k else Rng.zipf rng ~n:n_pairs ~s:0.9 in
-      let s = sources.(pair) in
-      let d = dst_start + Rng.int rng n_dst in
-      edges.(!cursor) <- (s, d, e);
+    let sources = pick_sources rng ~stamp ~tag:e ~start:src_start ~n_src ~count:n_pairs in
+    let emit s =
+      src.(!cursor) <- s;
+      dst.(!cursor) <- dst_start + Rng.int rng n_dst;
+      etype.(!cursor) <- e;
       incr cursor
-    done
+    in
+    (* every pair once, then Zipf-skewed repeats of them *)
+    Array.iter emit sources;
+    if n_edges > n_pairs then begin
+      let pair_table = Rng.zipf_table ~n:n_pairs ~s:0.9 in
+      for _ = n_pairs to n_edges - 1 do
+        emit sources.(Rng.zipf_draw rng pair_table)
+      done
+    end
   done;
-  Hetgraph.create ~name:spec.name ~scale:spec.scale ~metagraph ~node_type ~edges ()
+  Hetgraph.of_columns ~name:spec.name ~scale:spec.scale ~metagraph ~node_type ~src ~dst ~etype ()

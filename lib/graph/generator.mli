@@ -24,4 +24,11 @@ type spec = {
 val generate : spec -> Hetgraph.t
 (** Generate a graph satisfying the spec exactly on type/node/edge counts
     and approximately (typically within a few percent) on the compaction
-    ratio.  Deterministic in [spec.seed]. *)
+    ratio.  Deterministic in [spec.seed]: the same spec yields the same
+    graph, bit for bit, as every earlier version of this generator.
+
+    Cost: O(N + E log P) host work, where N and E are [num_nodes] and
+    [num_edges] and P is the largest per-relation count of unique
+    [(etype, src)] pairs.  Every Zipf distribution is tabulated once
+    ({!Hector_tensor.Rng.zipf_table}) and each variate is a binary search;
+    edges are written straight into type-grouped columns. *)

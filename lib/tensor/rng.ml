@@ -57,26 +57,37 @@ let gaussian t =
   in
   draw ()
 
-let zipf t ~n ~s =
-  if n <= 0 then invalid_arg "Rng.zipf: n must be positive";
-  (* Inverse CDF on the exact harmonic weights; n is small in practice
-     (types, buckets), so the linear scan is fine. *)
-  let total = ref 0.0 in
+(* [prefix.(i)] is the harmonic sum of the first [i + 1] weights [1 / k^s],
+   accumulated left to right: bit for bit a linear scan's running total,
+   which is what keeps table draws equal to scan draws. *)
+type zipf_table = float array
+
+let zipf_table ~n ~s =
+  if n <= 0 then invalid_arg (Printf.sprintf "Rng.zipf_table: n must be positive (got %d)" n);
+  if not (Float.is_finite s) then
+    invalid_arg (Printf.sprintf "Rng.zipf_table: s must be finite (got %g)" s);
+  let prefix = Array.make n 0.0 in
+  let acc = ref 0.0 in
   for i = 1 to n do
-    total := !total +. (1.0 /. (float_of_int i ** s))
+    acc := !acc +. (1.0 /. (float_of_int i ** s));
+    prefix.(i - 1) <- !acc
   done;
-  let target = uniform t *. !total in
-  let acc = ref 0.0 and result = ref (n - 1) in
-  (try
-     for i = 1 to n do
-       acc := !acc +. (1.0 /. (float_of_int i ** s));
-       if !acc >= target then begin
-         result := i - 1;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !result
+  prefix
+
+let zipf_draw t prefix =
+  let n = Array.length prefix in
+  let target = uniform t *. prefix.(n - 1) in
+  (* Lower bound: the first index whose prefix reaches [target], which is
+     where a scan would stop because prefixes never decrease; [n - 1] when
+     none reaches it (a NaN target, from an infinite total). *)
+  let lo = ref 0 and hi = ref (n - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if prefix.(mid) >= target then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+let zipf t ~n ~s = zipf_draw t (zipf_table ~n ~s)
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

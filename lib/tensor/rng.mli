@@ -45,11 +45,30 @@ val gaussian : t -> float
 (** [gaussian t] draws from the standard normal distribution
     (Box-Muller). *)
 
+type zipf_table
+(** The cumulative weights of one Zipf distribution, built once and drawn
+    from many times. *)
+
+val zipf_table : n:int -> s:float -> zipf_table
+(** [zipf_table ~n ~s] tabulates the Zipf distribution over [\[0, n)] with
+    exponent [s] (larger [s] = more skew): the exact harmonic prefix sums of
+    the weights [1 / k^s], [k = 1..n], accumulated left to right.  O(n)
+    time and space.  Raises [Invalid_argument] naming the argument when
+    [n <= 0] or [s] is not finite. *)
+
+val zipf_draw : t -> zipf_table -> int
+(** [zipf_draw t tbl] draws from [tbl] by inverse CDF: it scales one
+    {!uniform} by the total weight and binary-searches the first index
+    whose prefix sum reaches it, in O(log n).  It consumes exactly one
+    {!uniform}; the index it returns and the generator state it leaves
+    equal those of a linear scan over the same prefix sums, so draws
+    match those of every earlier version of {!zipf}, which scanned. *)
+
 val zipf : t -> n:int -> s:float -> int
-(** [zipf t ~n ~s] draws from a Zipf distribution over [\[0, n)] with
-    exponent [s] (larger [s] = more skew), via inverse-CDF on a harmonic
-    prefix approximation.  Used to give synthetic graphs realistic skewed
-    degree and type distributions. *)
+(** [zipf t ~n ~s] is [zipf_draw t (zipf_table ~n ~s)]: one draw at O(n)
+    cost.  Callers that draw repeatedly from one distribution build the
+    table once.  Used to give synthetic graphs realistic skewed degree and
+    type distributions. *)
 
 val shuffle : t -> 'a array -> unit
 (** [shuffle t a] permutes [a] in place (Fisher-Yates). *)

@@ -286,6 +286,116 @@ let test_dataset_compaction_targets () =
         (Float.abs (achieved -. expected) < 0.12))
     [ ("am", 0.57); ("fb15k", 0.26) ]
 
+let test_datasets_reject_bad_caps () =
+  let info = Ds.find "aifb" in
+  let rejects what value load =
+    match load () with
+    | _ -> Alcotest.failf "%s = %d accepted" what value
+    | exception Invalid_argument msg ->
+        Alcotest.(check string) what
+          (Printf.sprintf "Datasets.load: %s must be >= 1 (got %d)" what value)
+          msg
+  in
+  rejects "max_edges" 0 (fun () -> Ds.load ~max_edges:0 info);
+  rejects "max_edges" (-5) (fun () -> Ds.load ~max_edges:(-5) info);
+  rejects "max_nodes" 0 (fun () -> Ds.load ~max_nodes:0 info);
+  rejects "max_nodes" (-3) (fun () -> Ds.load ~max_nodes:(-3) info);
+  check_int "a cap of 1 is accepted" 104 (G.num_etypes (Ds.load ~max_nodes:1 ~max_edges:1 info))
+
+(* Everything a generated graph is made of, field by field. *)
+let same_graph (a : G.t) (b : G.t) =
+  let mg_rel (g : G.t) =
+    let mg = g.G.metagraph in
+    Array.init (Mg.num_etypes mg) (fun e -> (Mg.src_ntype mg e, Mg.dst_ntype mg e))
+  in
+  String.equal a.G.name b.G.name
+  && Int64.equal (Int64.bits_of_float a.G.scale) (Int64.bits_of_float b.G.scale)
+  && Mg.num_ntypes a.G.metagraph = Mg.num_ntypes b.G.metagraph
+  && mg_rel a = mg_rel b
+  && a.G.num_nodes = b.G.num_nodes
+  && a.G.num_edges = b.G.num_edges
+  && a.G.node_type = b.G.node_type
+  && a.G.src = b.G.src
+  && a.G.dst = b.G.dst
+  && a.G.etype = b.G.etype
+
+let test_datasets_match_oracle () =
+  (* default caps, the CLI's, the bench harness's and the tests' *)
+  List.iter
+    (fun (max_nodes, max_edges) ->
+      List.iter
+        (fun (info : Ds.info) ->
+          check_bool
+            (Printf.sprintf "%s at %d/%d" info.Ds.name max_nodes max_edges)
+            true
+            (same_graph (Ds.load ~max_nodes ~max_edges info)
+               (Gen_oracle.load ~max_nodes ~max_edges info)))
+        Ds.all)
+    [ (3000, 9000); (3000, 6000); (2000, 6000); (500, 1500) ]
+
+(* MD5 of [same_graph]'s fields, recorded from the hashtable-and-scan
+   generator: pins the replicas even if the oracle itself drifts. *)
+let graph_digest (g : G.t) =
+  let b = Buffer.create 65536 in
+  let ints a =
+    Array.iter
+      (fun x ->
+        Buffer.add_string b (string_of_int x);
+        Buffer.add_char b ',')
+      a;
+    Buffer.add_char b ';'
+  in
+  let mg = g.G.metagraph in
+  Buffer.add_string b g.G.name;
+  Buffer.add_char b ';';
+  Buffer.add_string b (Int64.to_string (Int64.bits_of_float g.G.scale));
+  Buffer.add_char b ';';
+  ints [| Mg.num_ntypes mg |];
+  ints (Array.init (Mg.num_etypes mg) (Mg.src_ntype mg));
+  ints (Array.init (Mg.num_etypes mg) (Mg.dst_ntype mg));
+  ints g.G.node_type;
+  ints g.G.src;
+  ints g.G.dst;
+  ints g.G.etype;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_digests =
+  [
+    ("aifb", 1, "f16837918de574b831b8c8f1360066f9");
+    ("mutag", 1, "dbbb25e44c6683d944376a5b1a2640e6");
+    ("bgs", 1, "cc4cf91ce93210282d5741793bc722cc");
+    ("am", 1, "ff728ed04869e43487cf2f7f1814cc81");
+    ("mag", 1, "24e813394897d427b0689672aa24ef23");
+    ("wikikg2", 1, "95e10b896d377b5b69e110a6cbf9ad70");
+    ("fb15k", 1, "ece206cbe197aebb046ecc5f8e317836");
+    ("biokg", 1, "69c268395569c78ccbc0b0cb59201d32");
+    ("aifb", 2, "ea60009bd5576f476a7c246290d362b0");
+    ("mutag", 2, "7aff1a072274f3c56251047f8208b6e1");
+    ("bgs", 2, "abbb7af73bca6e8d83f19157c4a8114d");
+    ("am", 2, "a5c932d42ee9284dfdcccfcf5e5f1c78");
+    ("mag", 2, "df9cb65afd9a1425f2696d54f5df4e3e");
+    ("wikikg2", 2, "7d89c3042b9d02563d110191ca201063");
+    ("fb15k", 2, "3a22cad5850f5d1d08a082c0cada3cb7");
+    ("biokg", 2, "55e49f992070a87d78e5247d54c1b34f");
+    ("aifb", 3, "4695464e7908ac413a9881174d92ca20");
+    ("mutag", 3, "e06a9460bbacc5094595bf29b877a721");
+    ("bgs", 3, "17516173080a9294d91f76f19671b598");
+    ("am", 3, "8fa2c8408bd73c47dce43ba828b0667b");
+    ("mag", 3, "33ed1956584a3dd5297188f4b8b744cb");
+    ("wikikg2", 3, "49b74e7deae2148fcc471423eb48c460");
+    ("fb15k", 3, "968033a14e4482b7fa3f456ae6ad3cd7");
+    ("biokg", 3, "7a5bc33299736f1f3d0152152ee6e456");
+  ]
+
+let test_datasets_golden_digests () =
+  List.iter
+    (fun (name, seed, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s seed %d" name seed)
+        expected
+        (graph_digest (Ds.load ~seed (Ds.find name))))
+    golden_digests
+
 (* --- property tests --- *)
 
 let graph_gen =
@@ -339,6 +449,35 @@ let prop_degrees_sum_to_edges =
       let sum a = Array.fold_left ( + ) 0 a in
       sum (G.in_degrees g) = g.G.num_edges && sum (G.out_degrees g) = g.G.num_edges)
 
+let spec_gen =
+  QCheck.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let* num_ntypes = int_range 1 30 in
+    let* num_etypes = int_range 1 600 in
+    let* num_nodes = int_range num_ntypes (num_ntypes + 2000) in
+    let* num_edges = int_range num_etypes (num_etypes + 6000) in
+    let* below_one = float_bound_exclusive 1.0 in
+    let* scale = float_range 1.0 1000.0 in
+    return
+      {
+        Gen.name = "prop";
+        num_ntypes;
+        num_etypes;
+        num_nodes;
+        num_edges;
+        compaction_target = 1.0 -. below_one;
+        scale;
+        seed;
+      })
+
+let prop_generator_matches_oracle =
+  QCheck.Test.make ~name:"generator == hashtable-and-scan oracle" ~count:100
+    (QCheck.make spec_gen ~print:(fun (s : Gen.spec) ->
+         Printf.sprintf "ntypes %d etypes %d nodes %d edges %d target %h scale %h seed %d"
+           s.Gen.num_ntypes s.Gen.num_etypes s.Gen.num_nodes s.Gen.num_edges
+           s.Gen.compaction_target s.Gen.scale s.Gen.seed))
+    (fun spec -> same_graph (Gen.generate spec) (Gen_oracle.generate spec))
+
 let suite =
   [
     Alcotest.test_case "metagraph basics" `Quick test_metagraph_basics;
@@ -360,7 +499,11 @@ let suite =
     Alcotest.test_case "datasets load scales" `Quick test_datasets_load_scales;
     Alcotest.test_case "small dataset full size" `Quick test_datasets_small_full_size;
     Alcotest.test_case "am/fb15k compaction ratios" `Quick test_dataset_compaction_targets;
+    Alcotest.test_case "datasets reject caps below 1" `Quick test_datasets_reject_bad_caps;
+    Alcotest.test_case "datasets match the oracle generator" `Quick test_datasets_match_oracle;
+    Alcotest.test_case "datasets golden digests" `Quick test_datasets_golden_digests;
     QCheck_alcotest.to_alcotest prop_csr_roundtrip;
     QCheck_alcotest.to_alcotest prop_compact_rows_contiguous;
     QCheck_alcotest.to_alcotest prop_degrees_sum_to_edges;
+    QCheck_alcotest.to_alcotest prop_generator_matches_oracle;
   ]

@@ -256,6 +256,85 @@ let test_rng_zipf_skew () =
   done;
   check_bool "head heavier than tail" true (counts.(0) > counts.(4))
 
+let test_rng_zipf_table_rejects () =
+  let rejects expected f =
+    match f () with
+    | _ -> Alcotest.failf "accepted, expected %S" expected
+    | exception Invalid_argument msg -> Alcotest.(check string) expected expected msg
+  in
+  rejects "Rng.zipf_table: n must be positive (got 0)" (fun () -> Rng.zipf_table ~n:0 ~s:1.0);
+  rejects "Rng.zipf_table: n must be positive (got -4)" (fun () -> Rng.zipf_table ~n:(-4) ~s:1.0);
+  rejects "Rng.zipf_table: s must be finite (got nan)" (fun () -> Rng.zipf_table ~n:5 ~s:Float.nan);
+  rejects "Rng.zipf_table: s must be finite (got inf)" (fun () ->
+      Rng.zipf_table ~n:5 ~s:Float.infinity);
+  rejects "Rng.zipf_table: s must be finite (got -inf)" (fun () ->
+      Rng.zipf_table ~n:5 ~s:Float.neg_infinity);
+  rejects "Rng.zipf_table: s must be finite (got nan)" (fun () ->
+      Rng.zipf (Rng.create 1) ~n:5 ~s:Float.nan)
+
+(* A generator whose next [Rng.uniform] is exactly [m / 2^53], for
+   [m] in [\[1, 2^53)]: xorshift64*'s output multiplier and its three
+   shift-xors, inverted. *)
+let rng_with_next_uniform m =
+  let open Int64 in
+  let c = 0x2545f4914f6cdd1dL in
+  (* Newton's iteration doubles the correct low bits of an odd inverse *)
+  let inv = ref c in
+  for _ = 1 to 6 do
+    inv := mul !inv (sub 2L (mul c !inv))
+  done;
+  let undo shift y =
+    let r = ref y and p = ref (shift y) in
+    while not (equal !p 0L) do
+      r := logxor !r !p;
+      p := shift !p
+    done;
+    !r
+  in
+  let x = mul (shift_left (of_int m) 11) !inv in
+  let x = undo (fun v -> shift_left v 17) x in
+  let x = undo (fun v -> shift_right_logical v 7) x in
+  Rng.of_state (undo (fun v -> shift_left v 13) x)
+
+let zipf_exponents = [ 0.0; 0.7; 0.9; 1.0; 8.0; 400.0 ]
+
+(* One table draw and one linear-scan draw from the same state agree on
+   the index and on the state they leave. *)
+let same_zipf_draw tbl ~n ~s r1 r2 =
+  let a = Rng.zipf_draw r1 tbl and b = Gen_oracle.zipf r2 ~n ~s in
+  a = b && Int64.equal (Rng.state r1) (Rng.state r2)
+
+let test_rng_zipf_boundaries () =
+  let two53 = 9007199254740992.0 in
+  for m = 1 to 20 do
+    let m = m * 449_000_000_000_017 in
+    check_bool "crafted uniform" true
+      (Rng.uniform (rng_with_next_uniform m) = float_of_int m /. two53)
+  done;
+  (* targets at and around every prefix sum: exact hits for s = 0 and a
+     power-of-two n, where [>=] and [>] part ways *)
+  List.iter
+    (fun s ->
+      List.iter
+        (fun n ->
+          let tbl = Rng.zipf_table ~n ~s in
+          let prefix = Array.make n 0.0 and acc = ref 0.0 in
+          for i = 1 to n do
+            acc := !acc +. (1.0 /. (float_of_int i ** s));
+            prefix.(i - 1) <- !acc
+          done;
+          Array.iter
+            (fun p ->
+              let m0 = int_of_float (p /. !acc *. two53) in
+              for m = m0 - 1 to m0 + 1 do
+                let m = max 1 (min m ((1 lsl 53) - 1)) in
+                if not (same_zipf_draw tbl ~n ~s (rng_with_next_uniform m) (rng_with_next_uniform m))
+                then Alcotest.failf "n %d s %g m %d: table and scan disagree" n s m
+              done)
+            prefix)
+        [ 1; 2; 3; 4; 7; 8; 64; 100; 512; 1000 ])
+    zipf_exponents
+
 let test_rng_gaussian_moments () =
   let rng = Rng.create 17 in
   let n = 20000 in
@@ -292,6 +371,19 @@ let prop_shuffle_pair_matches_shuffle =
       Array.for_all2 (fun (x, y) i -> a.(i) = x && b.(i) = y) pairs (Array.init n Fun.id)
       && Array.for_all (fun i -> a.(i) = i * 7) (Array.init spare (fun k -> n + k))
       && Rng.int r1 1_000_000 = Rng.int r2 1_000_000)
+
+let prop_zipf_table_matches_scan =
+  QCheck.Test.make ~name:"zipf table draw == linear scan, same state after" ~count:200
+    QCheck.(
+      make
+        ~print:(fun (seed, n, s, k) -> Printf.sprintf "seed %d n %d s %g draws %d" seed n s k)
+        Gen.(quad (int_range 0 1_000_000) (int_range 1 1000) (oneofl zipf_exponents)
+               (int_range 1 20)))
+    (fun (seed, n, s, draws) ->
+      let tbl = Rng.zipf_table ~n ~s in
+      let r1 = Rng.create seed and r2 = Rng.create seed in
+      List.for_all (fun _ -> same_zipf_draw tbl ~n ~s r1 r2) (List.init draws Fun.id)
+      && Rng.zipf r1 ~n ~s = Gen_oracle.zipf r2 ~n ~s)
 
 let tensor_gen =
   QCheck.Gen.(
@@ -376,9 +468,12 @@ let suite =
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng ranges" `Quick test_rng_ranges;
     Alcotest.test_case "rng zipf skew" `Quick test_rng_zipf_skew;
+    Alcotest.test_case "rng zipf_table rejects bad n and s" `Quick test_rng_zipf_table_rejects;
+    Alcotest.test_case "rng zipf table == scan at prefix boundaries" `Quick test_rng_zipf_boundaries;
     Alcotest.test_case "rng gaussian moments" `Quick test_rng_gaussian_moments;
     Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
     QCheck_alcotest.to_alcotest prop_shuffle_pair_matches_shuffle;
+    QCheck_alcotest.to_alcotest prop_zipf_table_matches_scan;
     QCheck_alcotest.to_alcotest prop_distributive;
     QCheck_alcotest.to_alcotest prop_transpose;
     QCheck_alcotest.to_alcotest prop_gather_scatter_inverse;
