@@ -557,7 +557,6 @@ let usage () =
     \  --help           show this message\n\n\
      Environment knobs (parsed by Hector_runtime.Knobs; see README):\n\
     \  HECTOR_DOMAINS   multicore backend size (1 = sequential)\n\
-    \  HECTOR_ARENA     0 disables the plan-lifetime memory planner\n\
     \  HECTOR_FUSE_OPS  0 disables inter-op kernel fusion\n\
     \  HECTOR_OBS       1 enables observability for knob-driven sessions\n\
     \  HECTOR_SERVE_BATCH  serving micro-batch cap (default 8)\n\
@@ -566,7 +565,6 @@ let usage () =
     \  HECTOR_DIST_LATENCY_US / HECTOR_DIST_BW_GBS  interconnect cost model\n\
     \  HECTOR_DIST_CHANNELS  concurrent transfer channels per engine (default 2)\n\
     \  HECTOR_DIST_BUCKET_KB gradient all-reduce bucket size in KiB (default 64)\n\
-    \  HECTOR_DIST_PIPELINE  micro-batch pipeline depth (default 1 = off)\n\
     \  HECTOR_TUNE_DB   persistent plan-tuning database path (JSON)\n\
     \  HECTOR_STREAM_SLACK   capacity headroom per type for mutable graphs\n\
     \  HECTOR_STREAM_COMPACT dead-slot fraction that triggers compaction\n\

@@ -58,6 +58,15 @@ let no_fuse_arg =
 let apply_no_fuse no_fuse =
   if no_fuse then Compiler.set_fuse_ops_default (fun () -> false)
 
+(* A library constructor rejecting a flag's value raises [Invalid_argument]:
+   report it as one usage line and exit 2, like Cmdliner's own errors. *)
+let or_usage_error cmd f =
+  match f () with
+  | v -> v
+  | exception Invalid_argument msg ->
+      Printf.eprintf "hector %s: %s\n" cmd msg;
+      exit 2
+
 (* An [int] converter that rejects values below 1 as a usage error. *)
 let positive_int =
   let parse s =
@@ -230,7 +239,7 @@ let cmd_serve =
   let run model dataset max_edges rate requests seeds batch queue wait fanout hops seed json
       fault_rate fault_seed no_fuse =
     apply_no_fuse no_fuse;
-    if rate <= 0.0 then (
+    if not (rate > 0.0) then (
       Printf.eprintf "hector serve: --rate must be positive\n";
       exit 2);
     (match fault_rate with
@@ -255,11 +264,13 @@ let cmd_serve =
         faults;
       }
     in
-    let server = Serve.create ~config ~graph program in
-    let trace =
-      Workload.generate
-        ~spec:{ Workload.seed; rate_rps = rate; requests; seeds_per_request = seeds }
-        ~num_nodes:graph.G.num_nodes ()
+    let server, trace =
+      or_usage_error "serve" (fun () ->
+          let server = Serve.create ~config ~graph program in
+          ( server,
+            Workload.generate
+              ~spec:{ Workload.seed; rate_rps = rate; requests; seeds_per_request = seeds }
+              ~num_nodes:graph.G.num_nodes () ))
     in
     ignore (Serve.serve server trace);
     if json then print_endline (Hector_json.to_string (Serve.metrics_json server))
@@ -325,7 +336,7 @@ let cmd_stream =
   in
   let run model dataset max_edges rate requests deltas delta_ops slack seed json no_fuse =
     apply_no_fuse no_fuse;
-    if rate <= 0.0 then (
+    if not (rate > 0.0) then (
       Printf.eprintf "hector stream: --rate must be positive\n";
       exit 2);
     if requests <= 0 then (
@@ -335,7 +346,7 @@ let cmd_stream =
       Printf.eprintf "hector stream: --deltas and --delta-ops must be non-negative\n";
       exit 2);
     (match slack with
-    | Some s when s < 0.0 ->
+    | Some s when not (s >= 0.0) ->
         Printf.eprintf "hector stream: --slack must be non-negative\n";
         exit 2
     | _ -> ());
@@ -351,13 +362,15 @@ let cmd_stream =
       Hector_tensor.Tensor.randn (Hector_tensor.Rng.create seed)
         [| graph.G.num_nodes; in_dim |]
     in
-    let mg = Mg.create ~name:dataset ?slack ~graph ~features () in
-    let config = { Serve.default_config with Serve.model } in
-    let server = Ss.create ~config ~mg program in
-    let trace =
-      Workload.generate
-        ~spec:{ Workload.seed; rate_rps = rate; requests; seeds_per_request = 4 }
-        ~num_nodes:graph.G.num_nodes ()
+    let mg, server, trace =
+      or_usage_error "stream" (fun () ->
+          let mg = Mg.create ~name:dataset ?slack ~graph ~features () in
+          let config = { Serve.default_config with Serve.model } in
+          ( mg,
+            Ss.create ~config ~mg program,
+            Workload.generate
+              ~spec:{ Workload.seed; rate_rps = rate; requests; seeds_per_request = 4 }
+              ~num_nodes:graph.G.num_nodes () ))
     in
     (* serve the trace in D+1 segments; each boundary generates one delta
        against the CURRENT live view and applies it before the next
@@ -415,11 +428,10 @@ let cmd_partition =
   in
   let run dataset max_edges parts slack =
     let graph = Ds.load ~max_edges (Ds.find dataset) in
-    match Hector_graph.Partition.partition ~slack ~parts graph with
-    | pt -> Format.printf "%a@." Hector_graph.Partition.pp_summary pt
-    | exception Invalid_argument msg ->
-        Printf.eprintf "hector partition: %s\n" msg;
-        exit 2
+    let pt =
+      or_usage_error "partition" (fun () -> Hector_graph.Partition.partition ~slack ~parts graph)
+    in
+    Format.printf "%a@." Hector_graph.Partition.pp_summary pt
   in
   Cmd.v
     (Cmd.info "partition"
@@ -427,8 +439,7 @@ let cmd_partition =
          "Partition a dataset replica for distributed execution and report the cut. \
           Training over the partitions runs the overlapped schedule by default \
           (async Comms.post/wait transfers on HECTOR_DIST_CHANNELS channels, \
-          HECTOR_DIST_BUCKET_KB gradient buckets, optional HECTOR_DIST_PIPELINE \
-          micro-batching); see Hector_dist.Replica.Config.")
+          HECTOR_DIST_BUCKET_KB gradient buckets); see Hector_dist.Replica.Config.")
     Term.(const run $ dataset_arg $ max_edges_arg $ parts_arg $ slack_arg)
 
 let cmd_autotune =

@@ -91,7 +91,5 @@ val events : t -> event list
 val retries : t -> int
 (** Total dropped-message retries so far. *)
 
-val event_to_string : event -> string
-
 val trace : t -> string list
 (** [events] rendered, for logs and determinism comparisons. *)

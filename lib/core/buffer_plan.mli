@@ -19,11 +19,6 @@
     backed by uninitialized storage ({!Hector_tensor.Tensor.create_uninit})
     with no zero fill. *)
 
-val step_vars : Plan.step -> string list
-(** Buffer names one step reads or writes (traversal locals and weight
-    stacks excluded — they are not plan buffers).  May contain
-    duplicates. *)
-
 val analyze : Plan.t -> Plan.memory
 (** Liveness + coloring + full-definition analysis for every buffer of the
     plan.  Guarantees: two placements share a slot only when both buffers

@@ -20,10 +20,6 @@ val traversal_kernel :
     loop body with the row-indexing of each variable's space, register
     locals, atomic vs warp-accumulated updates). *)
 
-val host_function : Plan.t -> string
-(** The host-side launcher: buffer allocation, kernel launches in order,
-    the PyTorch fallback calls. *)
-
 val emit_plan : Plan.t -> string
 (** Full translation unit for one plan: all kernels plus the host
     function. *)

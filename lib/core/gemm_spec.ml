@@ -63,13 +63,6 @@ let uses_gather t =
   | Edge_linear _ | Edge_linear_dinput _ | Edge_linear_dweight _ -> true
   | Node_linear_dweight _ -> false
 
-let uses_scatter t =
-  match t.task with
-  | Node_linear _ -> false
-  | Edge_linear { out_space; _ } -> out_space <> Materialization.Rows_edges
-  | Edge_linear_dinput _ -> true
-  | Edge_linear_dweight _ | Node_linear_dweight _ -> true
-
 let side_str = function `Src -> "src" | `Dst -> "dst"
 
 let pp fmt t =

@@ -88,8 +88,5 @@ val name : t -> string
 val uses_gather : t -> bool
 (** Does the A-load access scheme need a gather list? *)
 
-val uses_scatter : t -> bool
-(** Does the C-store access scheme need a scatter list (or atomics)? *)
-
 val pp : Format.formatter -> t -> unit
 (** One-line summary of the instance. *)

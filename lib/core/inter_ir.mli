@@ -140,9 +140,6 @@ val uses_of_var : program -> var -> int
 val entity_prefix : entity -> string
 (** Rendering of an entity reference: ["e"], ["n"], ["e.src"], ["e.dst"]. *)
 
-val pp_expr : Format.formatter -> expr -> unit
-(** Python-ish rendering, e.g. [e\["attn"\] = leakyrelu(inner(att\[e.etype\], ...))]. *)
-
 val pp_stmt : Format.formatter -> stmt -> unit
 (** Renders with indentation, Listing-1 style. *)
 

@@ -26,9 +26,6 @@ type context = {
   dims : (Inter_ir.var * int) list;  (** their widths *)
 }
 
-val empty_context : context
-(** No outside variables. *)
-
 val lower :
   ?obs:Hector_obs.t ->
   ?context:context ->

@@ -159,15 +159,6 @@ let pp_buffer fmt (b : buffer) =
     (if b.zero_init then " zero-init" else "")
     (if b.temp then " temp" else "")
 
-let pp_memory fmt (m : memory) =
-  Format.fprintf fmt "@[<v>memory plan: %d slots@," m.num_slots;
-  List.iter
-    (fun p ->
-      Format.fprintf fmt "  %-14s slot=%-3d live=[%d,%d]%s@," p.var p.slot p.first p.last
-        (if p.uninit_ok then " uninit-ok" else ""))
-    m.placements;
-  Format.fprintf fmt "@]"
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>plan %s (layout %a)@," t.name Layout.pp t.layout;
   Format.fprintf fmt "buffers:@,";

@@ -122,6 +122,3 @@ val preprocessing : t -> string list
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable plan dump (buffers + steps). *)
-
-val pp_memory : Format.formatter -> memory -> unit
-(** Human-readable memory-plan dump (slots + live ranges). *)

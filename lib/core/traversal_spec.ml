@@ -14,8 +14,6 @@ type t = {
 
 let name t = Printf.sprintf "traversal_%d" t.kid
 
-let reads_adjacency t = t.strategy <> Node_map
-
 let has_atomic_updates t =
   t.strategy = Edge_parallel
   &&

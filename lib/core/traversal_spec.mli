@@ -38,10 +38,6 @@ type t = {
 val name : t -> string
 (** Kernel identifier, ["traversal_<kid>"]. *)
 
-val reads_adjacency : t -> bool
-(** Whether the instance needs edge-endpoint retrieval closures
-    ([GetSrcId]/[GetDstId]/[GetEType]) — false for [Node_map]. *)
-
 val has_atomic_updates : t -> bool
 (** Whether any statement scatters into node data ([Edge_parallel]
     accumulation through [Src]/[Dst]). *)

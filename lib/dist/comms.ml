@@ -28,8 +28,11 @@ let create ?latency_us ?bandwidth_gbs ?channels ?faults () =
     pick bandwidth_gbs knobs.Knobs.dist_bandwidth_gbs ~default:default_bandwidth_gbs
   in
   let channels = pick channels knobs.Knobs.dist_channels ~default:default_channels in
-  if latency_us <= 0.0 then invalid_arg "Comms.create: latency must be positive";
-  if bandwidth_gbs <= 0.0 then invalid_arg "Comms.create: bandwidth must be positive";
+  if not (latency_us > 0.0) then
+    invalid_arg (Printf.sprintf "Comms.create: latency_us must be positive (got %g)" latency_us);
+  if not (bandwidth_gbs > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Comms.create: bandwidth_gbs must be positive (got %g)" bandwidth_gbs);
   if channels < 1 then invalid_arg "Comms.create: channel count must be positive";
   let faults = match faults with Some _ -> faults | None -> Fault.of_knobs () in
   { latency_us; bandwidth_gbs; channels; faults }

@@ -47,7 +47,7 @@ val create :
 (** Build an interconnect model.  Omitted parameters fall back to the
     [HECTOR_DIST_*] knobs, then to the built-in defaults (5 µs, 25 GB/s,
     2 channels); [faults] falls back to {!Hector_ckpt.Fault.of_knobs}
-    (usually [None]).  Raises [Invalid_argument] on non-positive values.
+    (usually [None]).  Raises [Invalid_argument] on non-positive or NaN values.
 
     With a fault plan attached, each posted transfer may be {e dropped}
     (the sender retries after exponential backoff, burning the transfer

@@ -31,9 +31,6 @@ type result = {
   checkpoints : string list;  (** checkpoint paths saved, oldest first *)
 }
 
-val default_detect_timeout_ms : float
-(** Wait-timeout after which a silent peer is declared dead (5 ms). *)
-
 val snapshot : step:int -> Replica.t -> Hector_ckpt.Checkpoint.t
 (** The cluster's live training-layer weights as a checkpoint at [step]. *)
 
@@ -57,5 +54,7 @@ val train :
     A crash scheduled by [faults] at step [s] (replica index must be
     within the cluster) triggers detection, reload and re-partition as
     described above; raises [Invalid_argument] if it fires with no
-    checkpoint to restore from.  Without [faults] (or when the scheduled
-    replica does not exist) this is plain checkpointed training. *)
+    checkpoint to restore from.  [detect_timeout_ms] (default 5 ms) is the
+    wait-timeout after which a silent peer is declared dead.  Without
+    [faults] (or when the scheduled replica does not exist) this is plain
+    checkpointed training. *)

@@ -28,7 +28,6 @@ module Config = struct
     seed : int;
     obs : Hector_obs.t option;
     overlap : bool;
-    pipeline : int option;
     bucket_kb : int option;
     weights : (string * Tensor.t) list list option;
   }
@@ -42,7 +41,6 @@ module Config = struct
       seed = 1;
       obs = None;
       overlap = true;
-      pipeline = None;
       bucket_kb = None;
       weights = None;
     }
@@ -82,13 +80,11 @@ type t = {
   training : bool;
   inv_n : float;  (* 1 / global node count — the masked-NLL normalizer *)
   overlap : bool;
-  pipeline : int;  (* micro-batch pipeline depth (1 = off) *)
   buckets : bucket array;  (* gradient buckets, in readiness order *)
   nsteps_backward : int;
   mutable halo_prefetch : Comms.handle array array option;
       (* layer-0 halo transfers posted an epoch ahead: per replica, one
          handle per halo entry; dropped by [reset_clocks] *)
-  pipe_seed : Tensor.t array;  (* per replica: full-seed scratch (pipeline) *)
 }
 
 let fused_outs ops =
@@ -196,15 +192,6 @@ let create ?config:(cfg = Config.default) ~features ~(graph : G.t) layers =
     | None -> if knobs.Knobs.obs then Hector_obs.create () else Hector_obs.disabled
   in
   let device = cfg.Config.device and seed = cfg.Config.seed in
-  let pipeline =
-    let d =
-      match cfg.Config.pipeline with
-      | Some d -> d
-      | None -> ( match knobs.Knobs.dist_pipeline with Some d -> d | None -> 1)
-    in
-    if d < 1 then invalid_arg "Replica.create: pipeline depth must be positive";
-    d
-  in
   let bucket_bytes =
     let kb =
       match cfg.Config.bucket_kb with
@@ -333,14 +320,6 @@ let create ?config:(cfg = Config.default) ~features ~(graph : G.t) layers =
       (make_buckets backward ~bucket_bytes reduce_scratch, List.length backward.Plan.steps)
     else ([||], 0)
   in
-  let pipe_seed =
-    if training && pipeline > 1 then
-      Array.map
-        (fun (part : Partition.part) ->
-          Tensor.zeros [| part.Partition.sub.G.num_nodes; layer_recs.(0).out_dim |])
-        pt.Partition.members
-    else [||]
-  in
   {
     graph;
     pt;
@@ -354,18 +333,15 @@ let create ?config:(cfg = Config.default) ~features ~(graph : G.t) layers =
     training;
     inv_n = 1.0 /. float_of_int (max 1 graph.G.num_nodes);
     overlap = cfg.Config.overlap;
-    pipeline;
     buckets;
     nsteps_backward;
     halo_prefetch = None;
-    pipe_seed;
   }
 
 let parts t = t.pt.Partition.parts
 let partition t = t.pt
 let comms t = t.cm
 let overlap t = t.overlap
-let pipeline_depth t = t.pipeline
 let master_weights t = Array.to_list (Array.map (fun lrec -> lrec.master) t.layers)
 let engines t = Array.map (fun r -> r.engine) t.replicas
 
@@ -682,47 +658,6 @@ let allreduce_grads_overlapped t ready_clock =
     t.buckets;
   List.iter Comms.wait (List.rev !handles)
 
-(* Pipelined backward: split each replica's seed gradient into [D] disjoint
-   owned-row chunks and run backward once per chunk — replica [p] starts at
-   chunk [(p + m) mod D], so at any pipeline stage the replicas work on
-   different micro-batches.  Backward is linear in the seed, the chunks are
-   disjoint, and weight gradients accumulate in the environment across
-   runs, so the summed gradients match the full-batch run exactly. *)
-let run_backward_pipelined t backward ready_clock =
-  let lrec = t.layers.(0) in
-  let d = t.pipeline in
-  Array.iteri
-    (fun pi r ->
-      let exec = Session.exec r.sessions.(0) in
-      let seed = (Env.find exec.Exec.env (Autodiff.grad_name lrec.out_name)).Env.tensor in
-      let full = t.pipe_seed.(pi) in
-      Tensor.fill full 0.0;
-      Tensor.add_inplace full seed;
-      let owned = r.part.Partition.owned_nodes in
-      let n = Array.length owned in
-      for m = 0 to d - 1 do
-        let chunk = (pi + m) mod d in
-        let lo = chunk * n / d and hi = (chunk + 1) * n / d in
-        Tensor.fill seed 0.0;
-        for k = lo to hi - 1 do
-          copy_row ~src:full ~si:owned.(k) ~dst:seed ~di:owned.(k) lrec.out_dim
-        done;
-        (* bucket readiness comes from the last micro-batch: a gradient is
-           complete only once every chunk contributed *)
-        let on_step =
-          if m = d - 1 then
-            Some (fun i -> ready_clock.(pi).(i) <- Engine.elapsed_ms r.engine)
-          else None
-        in
-        Exec.run_plan ?on_step ~free_temps:true exec backward
-      done;
-      (* the fused-product gradients are fully accumulated now; chain them
-         through the weight-op factors exactly once *)
-      Train.backprop_weight_ops ~exec lrec.compiled.Compiler.weight_ops;
-      ready_clock.(pi).(t.nsteps_backward) <- Engine.elapsed_ms r.engine;
-      Exec.free_temp_buffers exec lrec.compiled.Compiler.forward)
-    t.replicas
-
 let run_backward t backward ready_clock =
   Array.iteri
     (fun pi r ->
@@ -752,8 +687,7 @@ let train_step t ?(lr = 0.01) ~labels () =
   let ready_clock =
     Array.make_matrix (Array.length t.replicas) (t.nsteps_backward + 1) 0.0
   in
-  if t.overlap && t.pipeline > 1 then run_backward_pipelined t backward ready_clock
-  else run_backward t backward ready_clock;
+  run_backward t backward ready_clock;
   if t.overlap then allreduce_grads_overlapped t ready_clock else allreduce_grads_bsp t;
   Array.iter
     (fun r -> Train.sgd_step ~skip:t.fused ~exec:(Session.exec r.sessions.(0)) ~lr ())

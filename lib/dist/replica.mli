@@ -14,13 +14,11 @@
     hide behind compute — layer-0 halos are prefetched a whole epoch ahead
     (the features are static), and backward emits fixed-size gradient
     buckets whose ring all-reduce is posted as soon as every replica has
-    passed the bucket's last gradient-producing step.  An optional
-    micro-batch pipeline ([Config.pipeline] > 1) additionally splits each
-    replica's loss gradient into disjoint owned-row chunks, staggered
-    across replicas.  With [Config.overlap = false] the runtime reproduces
-    the historic BSP lockstep: barrier, blocking transfers on channel 0,
-    one aggregate all-reduce.  {e All modes compute identical numbers} —
-    only the simulated schedule differs.
+    passed the bucket's last gradient-producing step.  With
+    [Config.overlap = false] the runtime reproduces the historic BSP
+    lockstep: barrier, blocking transfers on channel 0, one aggregate
+    all-reduce.  {e Both modes compute identical numbers} — only the
+    simulated schedule differs.
 
     {b Exactness.}  Every edge lives in the partition owning its
     destination, so each replica holds the complete in-neighborhood of its
@@ -33,9 +31,7 @@
     per-replica weight gradients — linear in those masked seed gradients —
     are summed in fixed replica order (bucket by bucket when overlapped)
     and broadcast back, and every replica applies the same summed gradient
-    in its SGD step, so weights stay identical across replicas.  The
-    pipeline is exact for the same reason: backward is linear in the seed
-    gradient, and the chunks partition the owned rows.
+    in its SGD step, so weights stay identical across replicas.
 
     {b Cost model.}  Halo exchanges and gradient all-reduces go through
     {!Comms} as [Comm]-category pseudo-ops (["halo_exchange"],
@@ -68,9 +64,6 @@ module Config : sig
     overlap : bool;
         (** asynchronous overlapped transfers (default [true]); [false]
             reproduces the historic blocking BSP schedule *)
-    pipeline : int option;
-        (** micro-batch pipeline depth; [None] → [HECTOR_DIST_PIPELINE] → 1
-            (off).  Only takes effect when [overlap] is on. *)
     bucket_kb : int option;
         (** gradient all-reduce bucket size in KiB; [None] →
             [HECTOR_DIST_BUCKET_KB] → 64 *)
@@ -81,7 +74,7 @@ module Config : sig
   }
 
   val default : t
-  (** Knob-driven defaults, overlap on, pipeline off. *)
+  (** Knob-driven defaults, overlap on. *)
 end
 
 type t
@@ -110,7 +103,7 @@ val create :
     {!Hector_ckpt.Checkpoint}) replaces the draw — the restore path used
     by {!Failover} recovery.  Raises
     [Invalid_argument] on unsupported programs, mismatched widths or bad
-    partition/pipeline/bucket parameters. *)
+    partition/bucket parameters. *)
 
 val parts : t -> int
 val partition : t -> Hector_graph.Partition.t
@@ -118,9 +111,6 @@ val comms : t -> Comms.t
 
 val overlap : t -> bool
 (** Whether the cluster runs the overlapped (async) schedule. *)
-
-val pipeline_depth : t -> int
-(** Resolved micro-batch pipeline depth (1 = off). *)
 
 val forward : t -> Tensor.t
 (** Run one layer-wise forward pass: for each layer, exchange halo rows

@@ -186,9 +186,6 @@ let ensure_chan t chan =
     t.chan_until <- grown
   end
 
-let channel_until t ~chan =
-  if chan < 0 || chan >= Array.length t.chan_until then 0.0 else t.chan_until.(chan)
-
 let post t ~chan ?ready ~ms (k : Kernel.t) =
   if ms < 0.0 then invalid_arg "Engine.post: negative duration";
   ensure_chan t chan;

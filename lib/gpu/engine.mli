@@ -64,9 +64,6 @@ val wait_until : t -> op:string -> float -> unit
     the {e exposed} cost of an asynchronous transfer.  A no-op when the
     clock is already past [until]. *)
 
-val channel_until : t -> chan:int -> float
-(** Busy-until time of one transfer channel (0 for never-used channels). *)
-
 val posted_comm_ms : t -> float
 (** Total duration of all transfers posted since creation or the last
     {!reset_clock} — the denominator of the overlap ratio: exposed comm is

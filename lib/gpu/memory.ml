@@ -41,4 +41,3 @@ let used_bytes t = t.used
 let peak_bytes t = t.peak
 let alloc_count t = t.alloc_count
 let capacity_bytes t = t.capacity
-let reset_peak t = t.peak <- t.used

@@ -40,6 +40,3 @@ val alloc_count : t -> int
 
 val capacity_bytes : t -> float
 (** Device capacity. *)
-
-val reset_peak : t -> unit
-(** Restart peak tracking from current usage. *)

@@ -123,7 +123,8 @@ let partition ?(slack = 0.0) ~parts (g : G.t) =
   if parts > g.G.num_nodes then
     invalid_arg
       (Printf.sprintf "Partition.partition: %d partitions for %d nodes" parts g.G.num_nodes);
-  if slack < 0.0 then invalid_arg "Partition.partition: negative slack";
+  if not (slack >= 0.0) then
+    invalid_arg (Printf.sprintf "Partition.partition: slack must be non-negative (got %g)" slack);
   let owner = assign_owners ~slack ~parts g in
   (* per-partition members: owned nodes, assigned edges (dst-owned), halo
      sources; edges visited in parent id order so induce keeps it *)

@@ -50,7 +50,7 @@ val partition : ?slack:float -> parts:int -> Hetgraph.t -> t
     next partition starts, trading balance for a smaller cut.  Later
     partitions are always left at least one node each.  Raises
     [Invalid_argument] on a non-positive or too-large [parts] or a
-    negative [slack]. *)
+    negative or NaN [slack]. *)
 
 type rebalance_stats = {
   parts_rebuilt : int;  (** partitions re-induced from scratch *)

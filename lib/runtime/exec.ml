@@ -55,18 +55,14 @@ type t = {
   ctx : Graph_ctx.t;
   env : Env.t;
   opaque : (string * opaque_fn) list;
-  planner : bool;
   slab : slab option;
   mutable arenas : (Plan.t * bool * arena) list;
   mutable cur_prov : Kernel.provenance option;
   mutable capture : Kernel.t list ref option;
 }
 
-let planner_default () = (Knobs.current ()).Knobs.arena
-
-let create ?(opaque = []) ?planner ?slab ~engine ~ctx ~env () =
-  let planner = match planner with Some p -> p | None -> planner_default () in
-  { engine; ctx; env; opaque; planner; slab; arenas = []; cur_prov = None; capture = None }
+let create ?(opaque = []) ?slab ~engine ~ctx ~env () =
+  { engine; ctx; env; opaque; slab; arenas = []; cur_prov = None; capture = None }
 
 (* Launch a kernel under the provenance of the step being executed (set by
    [run_step]); kernels that carry their own tag keep it.  While a fused
@@ -1447,24 +1443,12 @@ let run_step ?(step_idx = -1) t (plan : Plan.t) step =
          ~fused:(Plan.step_constituents step) (Plan.step_op step));
   Fun.protect ~finally:(fun () -> t.cur_prov <- None) (fun () -> exec_step t plan step)
 
-(* planner off: every plan buffer is allocated for the whole run — the
-   reference point the planner's peak-memory saving is measured against *)
-let run_plan_upfront ?on_step ~free_temps t (plan : Plan.t) =
-  let inlined = Plan.inline_zeroed plan in
-  List.iter (fun (b : Plan.buffer) -> alloc_buffer ~inlined t b) plan.Plan.buffers;
-  List.iteri
-    (fun i step ->
-      run_step ~step_idx:i t plan step;
-      match on_step with None -> () | Some f -> f i)
-    plan.Plan.steps;
-  if free_temps then free_temp_buffers t plan
-
 (* --- plan-lifetime arena ---------------------------------------------
 
-   The planner path replaces per-run allocate/free churn with an arena
-   built once per (plan, free_temps mode) and reused by every subsequent
-   [run_plan]: one device allocation per storage slot of the
-   [Buffer_plan] coloring, sized for the largest buffer mapped to it.
+   Every [run_plan] binds plan buffers from an arena built once per
+   (plan, free_temps mode) and reused by every later run: one device
+   allocation per storage slot of the [Buffer_plan] coloring, sized for
+   the largest buffer mapped to it.
    Steady-state runs bind [Tensor.view]s of the slot backings into the
    environment — no tensor allocation and no [Memory.alloc] on the hot
    path.
@@ -1473,7 +1457,7 @@ let run_plan_upfront ?on_step ~free_temps t (plan : Plan.t) =
    i.e. when the caller lets temporaries be freed ([free_temps = true]).
    A training forward pass keeps every temporary alive for the backward
    program, so its arena degrades to identity coloring: one slot per
-   buffer, same footprint the eager path had. *)
+   buffer, every buffer live for the whole run. *)
 
 let create_arena t (plan : Plan.t) ~shared =
   let memory =
@@ -1484,8 +1468,8 @@ let create_arena t (plan : Plan.t) ~shared =
   List.iter
     (fun (p : Plan.placement) -> Hashtbl.replace place_of p.Plan.var p)
     memory.Plan.placements;
-  (* buffers already bound in the environment (inputs, persistent outputs
-     of an earlier eager run, another plan's buffers) keep the eager
+  (* buffers already bound in the environment (inputs, persistent
+     buffers, another plan's buffers) keep [alloc_buffer]'s
      allocate-or-rezero behaviour; the arena manages only the rest *)
   let members, aother =
     List.partition_map
@@ -1587,15 +1571,15 @@ let find_arena t (plan : Plan.t) ~shared =
 
 (* Build (or adopt from the slab) the plan's arena without running it, so
    a server can take every slab allocation during warmup and keep the
-   steady state allocation-free.  No-op when the planner is off. *)
+   steady state allocation-free. *)
 let warm_plan ?(free_temps = true) t (plan : Plan.t) =
-  if t.planner then ignore (find_arena t plan ~shared:free_temps)
+  ignore (find_arena t plan ~shared:free_temps)
 
-(* Bind a managed buffer for this run, reproducing the zeroing semantics
-   of the eager path: accumulators ([zero_init]) are cleared (and charged
-   a memset launch) every run; other buffers start zeroed the first time
-   they exist — which for a freed-and-recreated temporary is every run —
-   unless the planner proved their defining step fully overwrites them. *)
+(* Bind a managed buffer for this run: accumulators ([zero_init]) are
+   cleared (and charged a memset launch) every run; other buffers start
+   zeroed the first time they exist — which for a freed-and-recreated
+   temporary is every run — unless [Buffer_plan] proved their defining
+   step fully overwrites them. *)
 let bind_managed ?(inlined = []) ~shared t (m : managed) =
   let b = m.mbuf in
   let needs_zero =
@@ -1612,18 +1596,15 @@ let bind_managed ?(inlined = []) ~shared t (m : managed) =
 
 let run_plan ?on_step ?(free_temps = true) t (plan : Plan.t) =
   Hector_obs.time (Engine.obs t.engine) ~kind:"run" ("run_plan:" ^ plan.Plan.name) @@ fun () ->
-  if not t.planner then run_plan_upfront ?on_step ~free_temps t plan
-  else begin
-    let arena = find_arena t plan ~shared:free_temps in
-    let inlined = Plan.inline_zeroed plan in
-    List.iter (fun b -> alloc_buffer ~inlined t b) arena.aother;
-    List.iter (bind_managed ~inlined ~shared:free_temps t) arena.apre;
-    List.iteri
-      (fun i step ->
-        List.iter (bind_managed ~inlined ~shared:free_temps t) arena.abind.(i);
-        run_step ~step_idx:i t plan step;
-        (match on_step with None -> () | Some f -> f i);
-        if free_temps then List.iter (fun n -> free_buffer t n) arena.aunbind.(i))
-      plan.Plan.steps;
-    if free_temps then free_temp_buffers t plan
-  end
+  let arena = find_arena t plan ~shared:free_temps in
+  let inlined = Plan.inline_zeroed plan in
+  List.iter (fun b -> alloc_buffer ~inlined t b) arena.aother;
+  List.iter (bind_managed ~inlined ~shared:free_temps t) arena.apre;
+  List.iteri
+    (fun i step ->
+      List.iter (bind_managed ~inlined ~shared:free_temps t) arena.abind.(i);
+      run_step ~step_idx:i t plan step;
+      (match on_step with None -> () | Some f -> f i);
+      if free_temps then List.iter (fun n -> free_buffer t n) arena.aunbind.(i))
+    plan.Plan.steps;
+  if free_temps then free_temp_buffers t plan

@@ -59,7 +59,6 @@ type t = {
   ctx : Graph_ctx.t;
   env : Env.t;
   opaque : (string * opaque_fn) list;
-  planner : bool;
   slab : slab option;
   mutable arenas : (Hector_core.Plan.t * bool * arena) list;
   mutable cur_prov : Hector_gpu.Kernel.provenance option;
@@ -73,7 +72,6 @@ type t = {
 
 val create :
   ?opaque:(string * opaque_fn) list ->
-  ?planner:bool ->
   ?slab:slab ->
   engine:Engine.t ->
   ctx:Graph_ctx.t ->
@@ -81,17 +79,13 @@ val create :
   unit ->
   t
 (** Bundle an execution state.  [opaque] registers fallback operator
-    implementations by name.  [planner] selects the plan-lifetime arena
-    path (default: the {!Knobs.current} [arena] knob, i.e. on unless
-    [HECTOR_ARENA] disables it); with it off, every [run_plan] allocates
-    all plan buffers up front and frees temporaries at the end.  [slab]
-    shares arena backings across executors (see {!type:slab}). *)
+    implementations by name.  [slab] shares arena backings across executors (see {!type:slab}). *)
 
 val warm_plan : ?free_temps:bool -> t -> Hector_core.Plan.t -> unit
 (** Build (or adopt from the slab) the plan's arena without running any
     step, taking whatever allocations the arena needs now rather than on
     the first [run_plan].  [free_temps] must match the mode later runs use
-    (default [true]).  No-op when the planner is off. *)
+    (default [true]). *)
 
 val run_plan : ?on_step:(int -> unit) -> ?free_temps:bool -> t -> Hector_core.Plan.t -> unit
 (** Execute all steps in order: materialize (and zero) the plan's buffers,
@@ -99,9 +93,11 @@ val run_plan : ?on_step:(int -> unit) -> ?free_temps:bool -> t -> Hector_core.Pl
     [on_step] is called with each top-level step index right after that
     step executes — the hook the distributed runtime uses to detect
     gradient-bucket boundaries while backward is still running.
-    With the planner on, buffer storage comes from a per-plan arena reused
-    across calls: the first call allocates one backing per storage slot of
-    the {!Hector_core.Plan.memory} coloring, later calls allocate nothing.
+    Buffer storage comes from a per-plan arena reused across calls: the
+    first call allocates one backing per storage slot of the
+    {!Hector_core.Plan.memory} coloring, later calls allocate nothing.
+    With [free_temps = false] the coloring degrades to identity — one
+    slot per buffer, none shared, every buffer live for the whole run.
     Every launch carries the {!Hector_gpu.Kernel.provenance} of its plan
     step (op, step index, originating pass); the whole run is wrapped in a
     ["run"] span on the engine's observability handle.
@@ -111,9 +107,6 @@ val run_plan : ?on_step:(int -> unit) -> ?free_temps:bool -> t -> Hector_core.Pl
 val free_temp_buffers : t -> Hector_core.Plan.t -> unit
 (** Release the plan's [temp]-marked buffers (used by training drivers that
     run forward with [~free_temps:false] and clean up after backward). *)
-
-val value_dim : value -> int
-(** 1 for scalars, the array length for vectors. *)
 
 (** {1 Traversal schedule}
 
@@ -165,6 +158,3 @@ val memset_kernel : name:string -> rows:int -> dim:int -> Hector_gpu.Kernel.t
 (** The zero-fill launch charged for a [zero_init] plan buffer on every
     run (buffers in {!Hector_core.Plan.inline_zeroed} skip it). *)
 
-val merge_kernels : string -> Hector_gpu.Kernel.t list -> Hector_gpu.Kernel.t
-(** One kernel standing for a fused group: work summed, grid/block maxed,
-    launched once ([Gemm] category if any member is). *)

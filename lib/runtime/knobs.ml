@@ -2,7 +2,6 @@ module Domain_pool = Hector_tensor.Domain_pool
 
 type t = {
   domains : int option;
-  arena : bool;
   obs : bool;
   fuse_ops : bool;
   serve_batch : int option;
@@ -12,7 +11,6 @@ type t = {
   dist_bandwidth_gbs : float option;
   dist_channels : int option;
   dist_bucket_kb : int option;
-  dist_pipeline : int option;
   tune_db : string option;
   stream_slack : float option;
   stream_compact : float option;
@@ -25,7 +23,6 @@ type t = {
 let defaults =
   {
     domains = None;
-    arena = true;
     obs = false;
     fuse_ops = true;
     serve_batch = None;
@@ -35,7 +32,6 @@ let defaults =
     dist_bandwidth_gbs = None;
     dist_channels = None;
     dist_bucket_kb = None;
-    dist_pipeline = None;
     tune_db = None;
     stream_slack = None;
     stream_compact = None;
@@ -79,7 +75,6 @@ let parse getenv =
         else if falsy s then false
         else malformed name s "a boolean (1/0, true/false, yes/no, on/off)"
   in
-  let arena = flag "HECTOR_ARENA" ~default:true in
   let fuse_ops = flag "HECTOR_FUSE_OPS" ~default:true in
   let obs = flag "HECTOR_OBS" ~default:false in
   let int_where name pred expected =
@@ -112,7 +107,6 @@ let parse getenv =
   let dist_bandwidth_gbs = positive_float "HECTOR_DIST_BW_GBS" in
   let dist_channels = positive "HECTOR_DIST_CHANNELS" in
   let dist_bucket_kb = positive "HECTOR_DIST_BUCKET_KB" in
-  let dist_pipeline = positive "HECTOR_DIST_PIPELINE" in
   (* slack may be 0 (every growth step re-warms) but not negative *)
   let stream_slack =
     float_where "HECTOR_STREAM_SLACK" (fun f -> f >= 0.0) "a non-negative number"
@@ -132,7 +126,6 @@ let parse getenv =
   in
   {
     domains;
-    arena;
     obs;
     fuse_ops;
     serve_batch;
@@ -142,7 +135,6 @@ let parse getenv =
     dist_bandwidth_gbs;
     dist_channels;
     dist_bucket_kb;
-    dist_pipeline;
     tune_db;
     stream_slack;
     stream_compact;
@@ -162,8 +154,8 @@ let refresh () =
 let current () = match !cache with Some k -> k | None -> refresh ()
 
 (* Domain-pool sizing flows through the same snapshot: registered at module
-   initialization, which happens whenever any Hector_runtime module is
-   linked (Exec depends on this module). *)
+   initialization, which happens whenever Session is linked (it reads
+   this module's [obs] knob). *)
 let () = Domain_pool.set_default_sizing (fun () -> (current ()).domains)
 
 (* Likewise for inter-op fusion: the compiler consults this thunk whenever

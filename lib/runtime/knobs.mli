@@ -10,8 +10,6 @@
     {- [HECTOR_DOMAINS] — worker-domain count for parallel CPU kernels
        (positive integer, capped at {!Hector_tensor.Domain_pool.max_domains};
        [1] forces the sequential reference backend);}
-    {- [HECTOR_ARENA] — plan-lifetime arena memory planner, on unless set
-       to ["0"]/["false"];}
     {- [HECTOR_FUSE_OPS] — the compiler's inter-op kernel-fusion pass, on
        unless set to ["0"]/["false"] (off reproduces the pre-fusion plans
        bit-for-bit);}
@@ -33,8 +31,6 @@
        asynchronous interconnect (positive integer);}
     {- [HECTOR_DIST_BUCKET_KB] — gradient all-reduce bucket size in KiB
        (positive integer);}
-    {- [HECTOR_DIST_PIPELINE] — micro-batch pipeline depth of overlapped
-       distributed training (positive integer; [1] disables pipelining);}
     {- [HECTOR_TUNE_DB] — path of the persistent plan-tuning database
        (JSON; see {!Tuning_db}): serving consults it at admission and the
        autotuner records search winners into it;}
@@ -68,7 +64,6 @@
 
 type t = {
   domains : int option;  (** [HECTOR_DOMAINS]; [None] = unset *)
-  arena : bool;  (** [HECTOR_ARENA], default [true] *)
   obs : bool;  (** [HECTOR_OBS], default [false] *)
   fuse_ops : bool;  (** [HECTOR_FUSE_OPS], default [true] *)
   serve_batch : int option;
@@ -82,7 +77,6 @@ type t = {
   dist_bandwidth_gbs : float option;  (** [HECTOR_DIST_BW_GBS] *)
   dist_channels : int option;  (** [HECTOR_DIST_CHANNELS] *)
   dist_bucket_kb : int option;  (** [HECTOR_DIST_BUCKET_KB] *)
-  dist_pipeline : int option;  (** [HECTOR_DIST_PIPELINE] *)
   tune_db : string option;
       (** [HECTOR_TUNE_DB]; [None] = unset/blank (no tuning database) *)
   stream_slack : float option;

@@ -22,10 +22,6 @@ type t
 val create : ?device:Hector_gpu.Device.t -> graph:Hector_graph.Hetgraph.t -> unit -> t
 (** Default device: {!Hector_gpu.Device.rtx3090} (the engine's default). *)
 
-val of_ctx : ?device:Hector_gpu.Device.t -> Graph_ctx.t -> t
-(** Reuse an existing graph context (avoids rebuilding CSR + compact maps
-    when the caller already has one). *)
-
 val kernels : t -> Hector_core.Compiler.compiled -> Hector_gpu.Kernel.t list
 (** The full steady-state launch sequence of one epoch: forward plan, and
     for training options also the backward plan and optimizer/loss

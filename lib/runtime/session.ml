@@ -15,7 +15,6 @@ module Config = struct
     device : Hector_gpu.Device.t;
     seed : int;
     trace : bool;
-    memory_planner : bool option;
     domains : int option;
     observability : Hector_obs.t option;
     engine : Engine.t option;
@@ -30,7 +29,6 @@ module Config = struct
       device = Hector_gpu.Device.rtx3090;
       seed = 1;
       trace = false;
-      memory_planner = None;
       domains = None;
       observability = None;
       engine = None;
@@ -105,9 +103,7 @@ let create ?config:(cfg = Config.default) ~graph compiled =
   in
   let ctx = Graph_ctx.create graph in
   let env = Env.create () in
-  let exec =
-    Exec.create ?planner:cfg.Config.memory_planner ?slab:cfg.Config.slab ~engine ~ctx ~env ()
-  in
+  let exec = Exec.create ?slab:cfg.Config.slab ~engine ~ctx ~env () in
   let rng = Rng.create cfg.Config.seed in
   let program = compiled.Compiler.forward.Plan.program in
   let fused = fused_outs compiled.Compiler.weight_ops in

@@ -21,9 +21,6 @@ module Config : sig
     device : Hector_gpu.Device.t;  (** simulated device (default RTX 3090) *)
     seed : int;  (** RNG seed for generated weights/inputs (default 1) *)
     trace : bool;  (** record a launch timeline (default off) *)
-    memory_planner : bool option;
-        (** plan-lifetime arena path; [None] (default) follows the
-            [HECTOR_ARENA] knob (see {!Knobs}) *)
     domains : int option;
         (** worker-domain count override for parallel CPU kernels; [None]
             (default) leaves {!Hector_tensor.Domain_pool} sizing alone *)
@@ -46,7 +43,7 @@ module Config : sig
   }
 
   val default : t
-  (** RTX 3090, seed 1, no trace, knob-driven planner/observability, no
+  (** RTX 3090, seed 1, no trace, knob-driven observability, no
       domain override, everything generated. *)
 end
 

@@ -121,7 +121,9 @@ let resolve label v knob ~default =
 let create ?(config = default_config) ?obs ?features ~graph program =
   if config.fanout < 1 || config.hops < 1 then
     invalid_arg "Serve.create: fanout and hops must be positive";
-  if config.max_wait_ms < 0.0 then invalid_arg "Serve.create: negative max_wait_ms";
+  if not (config.max_wait_ms >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Serve.create: max_wait_ms must be non-negative (got %g)" config.max_wait_ms);
   let knobs = Knobs.current () in
   let max_batch = resolve "max_batch" config.max_batch knobs.Knobs.serve_batch ~default:8 in
   let queue_capacity =

@@ -115,8 +115,9 @@ val create :
     [serve.*] counters and batch spans.  The model must declare exactly
     one node input; the only edge input supported is the conventional
     ["norm"] (recomputed per block).  Raises [Invalid_argument] on
-    unsupported programs, non-positive bounds or a [features] matrix of
-    the wrong shape (before any session is built). *)
+    unsupported programs, non-positive bounds, a negative or NaN
+    [max_wait_ms] or a [features] matrix of the wrong shape (before any
+    session is built). *)
 
 val update_graph :
   t ->

@@ -13,7 +13,9 @@ let default_spec = { seed = 42; rate_rps = 200.0; requests = 64; seeds_per_reque
 
 let generate ?(spec = default_spec) ~num_nodes () =
   if spec.requests < 0 then invalid_arg "Workload.generate: negative request count";
-  if spec.rate_rps <= 0.0 then invalid_arg "Workload.generate: rate must be positive";
+  if not (spec.rate_rps > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Workload.generate: rate_rps must be positive (got %g)" spec.rate_rps);
   if spec.seeds_per_request < 1 then
     invalid_arg "Workload.generate: at least one seed per request";
   if spec.seeds_per_request > num_nodes then

@@ -26,6 +26,6 @@ val default_spec : spec
 
 val generate : ?spec:spec -> num_nodes:int -> unit -> request array
 (** Generate a trace over a graph with [num_nodes] nodes, sorted by
-    arrival time.  Raises [Invalid_argument] on a non-positive rate, a
+    arrival time.  Raises [Invalid_argument] on a non-positive or NaN rate, a
     negative request count, or [seeds_per_request] outside
     [\[1, num_nodes\]]. *)

@@ -224,7 +224,6 @@ let batch_failures t = t.retired_batch_failures + Serve.batch_failures t.live
 let fault_shed t = t.retired_fault_shed + Serve.fault_shed t.live
 let rewarms t = t.c_rewarms
 let update_ms t = t.c_update_ms
-let mutable_graph t = t.mg
 let replica t = t.live
 let obs t = t.sobs
 

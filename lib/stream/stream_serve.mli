@@ -100,8 +100,6 @@ val shed : t -> int
 
 val rejected : t -> int
 
-val mutable_graph : t -> Mutable_graph.t
-
 val replica : t -> Serve.t
 (** The live replica (retired ones are gone). *)
 

@@ -19,8 +19,6 @@ let of_state s =
   let s = if Int64.equal s 0L then 0x2545f4914f6cdd1dL else s in
   { state = s }
 
-let set_state t s = t.state <- (of_state s).state
-
 let next t =
   (* xorshift64* *)
   let x = t.state in

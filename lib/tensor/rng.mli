@@ -24,9 +24,6 @@ val of_state : int64 -> t
     xorshift absorbing state, never produced by a live generator) is
     replaced by a fixed non-zero constant. *)
 
-val set_state : t -> int64 -> unit
-(** In-place {!of_state}. *)
-
 val split : t -> t
 (** [split t] derives an independent generator from [t], advancing [t].
     Useful to give each subsystem its own stream. *)

@@ -3,7 +3,8 @@
    equivalents on randomized shapes and index vectors at several pool
    sizes; Buffer_plan colorings checked for live-range soundness; the
    arena execution path checked for peak-memory savings, steady-state
-   zero allocation and output equivalence against the eager path. *)
+   zero allocation and output equivalence against an identity-colored
+   arena (one slot per buffer, nothing freed). *)
 
 module T = Hector_tensor.Tensor
 module Dp = Hector_tensor.Domain_pool
@@ -15,10 +16,15 @@ module Engine = Hector_gpu.Engine
 module Plan = Hector_core.Plan
 module Bp = Hector_core.Buffer_plan
 module Compiler = Hector_core.Compiler
+module Ir = Hector_core.Inter_ir
+module Mat = Hector_core.Materialization
+module Lf = Hector_core.Linear_fusion
+module Autodiff = Hector_core.Autodiff
 module Session = Hector_runtime.Session
+module Exec = Hector_runtime.Exec
+module Env = Hector_runtime.Env
+module Train = Hector_runtime.Train
 module Models = Hector_models.Model_defs
-
-let planned planner = { Session.Config.default with seed = 5; memory_planner = Some planner }
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -539,20 +545,47 @@ let test_coloring_sound () =
 
 (* --- arena execution: memory and equivalence ------------------------ *)
 
-let peak_of ~planner model =
+(* Every run binds its buffers from an arena.  With [~free_temps:false]
+   the arena is identity-colored: one slot per buffer and no temporary
+   ever freed, i.e. every buffer allocated for the whole run.  That is the
+   reference the shared coloring of [~free_temps:true] is measured and
+   checked against. *)
+
+let config = { Session.Config.default with seed = 5 }
+
+let same_bits a b =
+  T.shape a = T.shape b
+  &&
+  let da, oa = T.storage a and db, ob = T.storage b in
+  let ok = ref true in
+  for i = 0 to T.numel a - 1 do
+    if Int64.bits_of_float da.(oa + i) <> Int64.bits_of_float db.(ob + i) then ok := false
+  done;
+  !ok
+
+(* One forward run in the given arena mode; copies of the outputs. *)
+let forward_outputs ~free_temps s (compiled : Compiler.compiled) =
+  let exec = Session.exec s in
+  Exec.run_plan ~free_temps exec compiled.Compiler.forward;
+  List.map
+    (fun name -> T.copy (Env.find exec.Exec.env name).Env.tensor)
+    compiled.Compiler.forward.Plan.program.Ir.outputs
+
+let peak_of ~free_temps model =
   let graph = test_graph () in
-  let s = Session.create ~config:(planned planner) ~graph (compile ~compact:false ~fusion:false model) in
-  ignore (Session.forward s);
+  let compiled = compile ~compact:false ~fusion:false model in
+  let s = Session.create ~config ~graph compiled in
+  ignore (forward_outputs ~free_temps s compiled);
   Memory.peak_bytes (Engine.memory (Session.engine s))
 
 let test_peak_decreases () =
   List.iter
     (fun model ->
-      let on = peak_of ~planner:true model in
-      let off = peak_of ~planner:false model in
+      let shared = peak_of ~free_temps:true model in
+      let identity = peak_of ~free_temps:false model in
       check_bool
-        (Printf.sprintf "%s: planner peak %.0f < eager peak %.0f" model on off)
-        true (on < off))
+        (Printf.sprintf "%s: shared peak %.0f < identity peak %.0f" model shared identity)
+        true (shared < identity))
     (* single-layer RGAT temps all overlap (nothing to share); RGCN's self
        projection and HGT's per-head pipeline have disjoint temporaries *)
     [ "rgcn"; "hgt" ]
@@ -560,8 +593,7 @@ let test_peak_decreases () =
 let test_steady_state_no_alloc () =
   let graph = test_graph () in
   let s =
-    Session.create ~config:(planned true) ~graph
-      (compile ~training:true ~compact:false ~fusion:false "rgcn")
+    Session.create ~config ~graph (compile ~training:true ~compact:false ~fusion:false "rgcn")
   in
   let labels = Array.init graph.G.num_nodes (fun i -> i mod 4) in
   (* first two steps create the arenas (forward, backward) and the loss
@@ -578,37 +610,59 @@ let test_planner_equivalence () =
   List.iter
     (fun (model, compact, fusion) ->
       let graph = test_graph () in
-      let run planner =
-        let s =
-          Session.create ~config:(planned planner) ~graph (compile ~compact ~fusion model)
-        in
-        ignore (Session.forward s);
+      let compiled = compile ~compact ~fusion model in
+      let run ~free_temps =
+        let s = Session.create ~config ~graph compiled in
+        ignore (forward_outputs ~free_temps s compiled);
         (* second run exercises arena reuse, not just first-run binding *)
-        List.map snd (Session.forward s)
+        forward_outputs ~free_temps s compiled
       in
       List.iter2
         (fun a b ->
           check_bool
-            (Printf.sprintf "%s (compact=%b fusion=%b): planner output == eager output" model
+            (Printf.sprintf "%s (compact=%b fusion=%b): shared output == identity output" model
                compact fusion)
-            true
-            (T.max_abs_diff a b = 0.0))
-        (run true) (run false))
+            true (same_bits a b))
+        (run ~free_temps:true) (run ~free_temps:false))
     [ ("rgcn", false, false); ("rgat", true, false); ("hgt", false, false); ("rgat", false, true) ]
+
+(* [Session.train_step] with the backward plan on an identity arena too
+   (the forward of a training step always is one). *)
+let train_step_identity s (compiled : Compiler.compiled) ~labels =
+  let exec = Session.exec s in
+  let env = exec.Exec.env in
+  let forward = compiled.Compiler.forward and backward = Option.get compiled.Compiler.backward in
+  Exec.run_plan ~free_temps:false exec forward;
+  let out_name = List.hd forward.Plan.program.Ir.outputs in
+  let loss, dout =
+    Train.nll_loss ~engine:(Session.engine s) ~out:(Env.find env out_name).Env.tensor ~labels
+  in
+  Env.add env ~name:(Autodiff.grad_name out_name)
+    { Env.tensor = dout; space = Mat.Rows_nodes; dim = T.cols dout; alloc = None };
+  Exec.run_plan ~free_temps:false exec backward;
+  Train.backprop_weight_ops ~exec compiled.Compiler.weight_ops;
+  Exec.free_temp_buffers exec backward;
+  Exec.free_temp_buffers exec forward;
+  let fused =
+    List.map
+      (function Lf.Mat_vec { out; _ } | Lf.Mat_mat { out; _ } -> out)
+      compiled.Compiler.weight_ops
+  in
+  Train.sgd_step ~skip:fused ~exec ~lr:0.01 ();
+  loss
 
 let test_training_equivalence () =
   let graph = test_graph () in
   let labels = Array.init graph.G.num_nodes (fun i -> i mod 4) in
-  let losses planner =
-    let s =
-      Session.create ~config:(planned planner) ~graph
-        (compile ~training:true ~compact:false ~fusion:false "rgcn")
-    in
-    List.init 3 (fun _ -> Session.train_step s ~labels ())
+  let compiled = compile ~training:true ~compact:false ~fusion:false "rgcn" in
+  let losses step =
+    let s = Session.create ~config ~graph compiled in
+    List.init 3 (fun _ -> step s)
   in
   List.iter2
     (fun a b -> check_bool (Printf.sprintf "loss %.17g == %.17g" a b) true (Float.equal a b))
-    (losses true) (losses false)
+    (losses (fun s -> Session.train_step s ~labels ()))
+    (losses (fun s -> train_step_identity s compiled ~labels))
 
 let suite =
   [

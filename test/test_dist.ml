@@ -195,6 +195,17 @@ let test_comms_cost_model () =
   check_bool "attribution covers the clock" true
     (abs_float (Stats.attributed_ms st -. Engine.elapsed_ms engine) < 1e-9)
 
+let test_comms_rejects_nan () =
+  let rejects field f =
+    match f () with
+    | _ -> Alcotest.failf "NaN %s accepted" field
+    | exception Invalid_argument msg ->
+        check_bool ("names " ^ field) true
+          (String.starts_with ~prefix:("Comms.create: " ^ field) msg)
+  in
+  rejects "latency_us" (fun () -> Comms.create ~latency_us:Float.nan ());
+  rejects "bandwidth_gbs" (fun () -> Comms.create ~bandwidth_gbs:Float.nan ())
+
 (* transfers on distinct channels run concurrently: two 0.101 ms posts at
    clock 0 expose only 0.101 ms, and a third post folded back onto channel
    0 queues behind the first *)
@@ -251,7 +262,6 @@ let test_dist_knobs () =
     | "HECTOR_DIST_BW_GBS" -> Some "100"
     | "HECTOR_DIST_CHANNELS" -> Some "4"
     | "HECTOR_DIST_BUCKET_KB" -> Some "128"
-    | "HECTOR_DIST_PIPELINE" -> Some "2"
     | _ -> None
   in
   let k = Knobs.parse env in
@@ -260,7 +270,6 @@ let test_dist_knobs () =
   check_bool "bandwidth knob" true (k.Knobs.dist_bandwidth_gbs = Some 100.0);
   check_bool "channels knob" true (k.Knobs.dist_channels = Some 4);
   check_bool "bucket knob" true (k.Knobs.dist_bucket_kb = Some 128);
-  check_bool "pipeline knob" true (k.Knobs.dist_pipeline = Some 2);
   (* malformed values raise instead of silently falling back *)
   let rejects name v =
     match Knobs.parse (fun n -> if String.equal n name then Some v else None) with
@@ -272,8 +281,7 @@ let test_dist_knobs () =
   rejects "HECTOR_DIST_PARTS" "zero";
   rejects "HECTOR_DIST_LATENCY_US" "-3";
   rejects "HECTOR_DIST_CHANNELS" "0";
-  rejects "HECTOR_DIST_BUCKET_KB" "-1";
-  rejects "HECTOR_DIST_PIPELINE" "none"
+  rejects "HECTOR_DIST_BUCKET_KB" "-1"
 
 (* --- exactness: partitioned == single-replica -------------------------- *)
 
@@ -438,7 +446,6 @@ let test_replica_config () =
   let d = Replica.Config.default in
   check_bool "default parts knob-driven" true (d.Replica.Config.parts = None);
   check_bool "default overlap on" true d.Replica.Config.overlap;
-  check_bool "default pipeline knob-driven" true (d.Replica.Config.pipeline = None);
   check_bool "default bucket knob-driven" true (d.Replica.Config.bucket_kb = None);
   check_int "default seed" 1 d.Replica.Config.seed;
   let graph = Lazy.force parent in
@@ -450,20 +457,17 @@ let test_replica_config () =
       Replica.Config.parts = Some 3;
       comms = Some quiet_comms;
       overlap = false;
-      pipeline = Some 2;
     }
   in
   let cluster = Replica.create ~config:cfg ~features ~graph [ compiled ] in
   check_int "config parts honored" 3 (Replica.parts cluster);
   check_bool "config overlap honored" false (Replica.overlap cluster);
-  (* pipeline only takes effect with overlap on; depth is still resolved *)
-  check_int "config pipeline resolved" 2 (Replica.pipeline_depth cluster);
   check_bool "default config overlaps" true
     (Replica.overlap (Replica.create ~config:(quiet 2) ~features ~graph [ compiled ]))
 
-(* --- overlapped / pipelined == BSP -------------------------------------- *)
+(* --- overlapped == BSP ---------------------------------------------------- *)
 
-let make_cluster ~model ~parts ~overlap ~pipeline ~bucket_kb ~features ~graph =
+let make_cluster ~model ~parts ~overlap ~bucket_kb ~features ~graph =
   let compiled = compile_model ~training:true model in
   let cfg =
     {
@@ -471,51 +475,50 @@ let make_cluster ~model ~parts ~overlap ~pipeline ~bucket_kb ~features ~graph =
       Replica.Config.parts = Some parts;
       comms = Some quiet_comms;
       overlap;
-      pipeline = Some pipeline;
       bucket_kb = Some bucket_kb;
     }
   in
   Replica.create ~config:cfg ~features ~graph [ compiled ]
 
-let prop_overlap_equals_bsp =
-  QCheck.Test.make ~name:"overlapped/pipelined training == BSP to 1e-6" ~count:8
-    QCheck.(
-      make
-        Gen.(
-          quad (int_range 0 1) (* model *)
-            (int_range 0 2) (* parts index *)
-            (int_range 1 3) (* pipeline depth *)
-            (int_range 0 2) (* bucket index *)))
-    (fun (model_i, parts_i, pipeline, bucket_i) ->
-      let model = [| "rgcn"; "rgat" |].(model_i) in
-      let parts = [| 1; 2; 4 |].(parts_i) in
-      let bucket_kb = [| 1; 4; 64 |].(bucket_i) in
-      let graph = Lazy.force parent in
-      let features = features_of graph 6 in
-      let labels = labels_of graph 4 in
-      let ov =
-        make_cluster ~model ~parts ~overlap:true ~pipeline ~bucket_kb ~features ~graph
-      in
-      let bsp =
-        make_cluster ~model ~parts ~overlap:false ~pipeline:1 ~bucket_kb:64 ~features ~graph
-      in
-      let losses_close = ref true in
-      for _ = 1 to 2 do
-        let lo = Replica.train_step ov ~lr:0.05 ~labels () in
-        let lb = Replica.train_step bsp ~lr:0.05 ~labels () in
-        if abs_float (lo -. lb) > 1e-6 then losses_close := false
-      done;
-      !losses_close
-      && max_weight_diff (Replica.weights_of ov 0) (Replica.weights_of bsp 0) <= 1e-6)
+(* Every point of the space: 2 models x 3 partition counts x 3 bucket
+   sizes.  The BSP reference always runs one aggregate bucket. *)
+let test_overlap_equals_bsp () =
+  let graph = Lazy.force parent in
+  let features = features_of graph 6 in
+  let labels = labels_of graph 4 in
+  List.iter
+    (fun model ->
+      List.iter
+        (fun parts ->
+          List.iter
+            (fun bucket_kb ->
+              let ov = make_cluster ~model ~parts ~overlap:true ~bucket_kb ~features ~graph in
+              let bsp =
+                make_cluster ~model ~parts ~overlap:false ~bucket_kb:64 ~features ~graph
+              in
+              let case = Printf.sprintf "%s parts=%d bucket=%dKiB" model parts bucket_kb in
+              for step = 1 to 2 do
+                let lo = Replica.train_step ov ~lr:0.05 ~labels () in
+                let lb = Replica.train_step bsp ~lr:0.05 ~labels () in
+                check_bool
+                  (Printf.sprintf "%s step %d: loss %.17g ~ %.17g" case step lo lb)
+                  true
+                  (abs_float (lo -. lb) <= 1e-6)
+              done;
+              check_bool (case ^ ": weights within 1e-6") true
+                (max_weight_diff (Replica.weights_of ov 0) (Replica.weights_of bsp 0) <= 1e-6))
+            [ 1; 4; 64 ])
+        [ 1; 2; 4 ])
+    [ "rgcn"; "rgat" ]
 
 (* --- overlap actually hides transfer time ------------------------------- *)
 
-let comm_ratio ~overlap ~pipeline =
+let comm_ratio ~overlap =
   let graph = Lazy.force parent in
   let features = features_of graph 6 in
   let labels = labels_of graph 4 in
   let cluster =
-    make_cluster ~model:"rgcn" ~parts:4 ~overlap ~pipeline ~bucket_kb:64 ~features ~graph
+    make_cluster ~model:"rgcn" ~parts:4 ~overlap ~bucket_kb:64 ~features ~graph
   in
   ignore (Replica.train_step cluster ~labels ());
   Replica.reset_clocks cluster;
@@ -525,8 +528,8 @@ let comm_ratio ~overlap ~pipeline =
   (Replica.comm_ms cluster /. Replica.busy_ms cluster, cluster)
 
 let test_overlap_reduces_comm_ratio () =
-  let bsp_ratio, _ = comm_ratio ~overlap:false ~pipeline:1 in
-  let ov_ratio, ov = comm_ratio ~overlap:true ~pipeline:1 in
+  let bsp_ratio, _ = comm_ratio ~overlap:false in
+  let ov_ratio, ov = comm_ratio ~overlap:true in
   check_bool
     (Printf.sprintf "overlap lowers the comm ratio (%.4f < %.4f)" ov_ratio bsp_ratio)
     true (ov_ratio < bsp_ratio);
@@ -542,8 +545,7 @@ let test_metrics_schema_uniform () =
   let labels = labels_of graph 4 in
   (* dist *)
   let cluster =
-    make_cluster ~model:"rgcn" ~parts:2 ~overlap:true ~pipeline:1 ~bucket_kb:64 ~features
-      ~graph
+    make_cluster ~model:"rgcn" ~parts:2 ~overlap:true ~bucket_kb:64 ~features ~graph
   in
   ignore (Replica.train_step cluster ~labels ());
   let dist = Json_schema.envelope ~subsystem:"dist" (Replica.metrics_json cluster) in
@@ -587,6 +589,7 @@ let suite =
     Alcotest.test_case "partition halo maps" `Quick test_partition_halo_maps;
     Alcotest.test_case "partition validation" `Quick test_partition_validation;
     Alcotest.test_case "comms cost model" `Quick test_comms_cost_model;
+    Alcotest.test_case "comms rejects NaN latency and bandwidth" `Quick test_comms_rejects_nan;
     Alcotest.test_case "channels overlap transfers" `Quick test_post_channels_overlap;
     Alcotest.test_case "trace shows concurrent comm span" `Quick test_trace_concurrent_comm_span;
     Alcotest.test_case "HECTOR_DIST_* knobs" `Quick test_dist_knobs;
@@ -606,7 +609,7 @@ let suite =
       test_steady_state_no_alloc;
     Alcotest.test_case "comm time fully attributed" `Quick test_comm_attributed;
     Alcotest.test_case "one partition, no comm" `Quick test_single_partition_has_no_comm;
-    QCheck_alcotest.to_alcotest prop_overlap_equals_bsp;
+    Alcotest.test_case "overlapped training == BSP to 1e-6" `Quick test_overlap_equals_bsp;
     QCheck_alcotest.to_alcotest prop_partition_every_edge_once;
     QCheck_alcotest.to_alcotest prop_partition_halo_complete;
     QCheck_alcotest.to_alcotest prop_partition_balance;

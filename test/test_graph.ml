@@ -243,6 +243,13 @@ let test_generator_validation () =
   check_bool "bad target" true (raises { base with compaction_target = 0.0 });
   check_bool "bad target >1" true (raises { base with compaction_target = 1.5 })
 
+let test_partition_rejects_nan_slack () =
+  match Hector_graph.Partition.partition ~slack:Float.nan ~parts:2 (tiny ()) with
+  | _ -> Alcotest.fail "NaN slack accepted"
+  | exception Invalid_argument msg ->
+      check_bool "names slack" true
+        (String.starts_with ~prefix:"Partition.partition: slack" msg)
+
 let test_datasets_table4 () =
   check_int "eight datasets" 8 (List.length Ds.all);
   let aifb = Ds.find "aifb" in
@@ -506,4 +513,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_compact_rows_contiguous;
     QCheck_alcotest.to_alcotest prop_degrees_sum_to_edges;
     QCheck_alcotest.to_alcotest prop_generator_matches_oracle;
+    Alcotest.test_case "partition rejects NaN slack" `Quick test_partition_rejects_nan_slack;
   ]

@@ -241,8 +241,8 @@ let getenv_of assoc name = List.assoc_opt name assoc
 let test_knobs_parse () =
   let p assoc = Knobs.parse (getenv_of assoc) in
   check_bool "empty env gives defaults" true (p [] = Knobs.defaults);
-  check_bool "defaults: arena on, obs off, domains unset" true
-    (Knobs.defaults.Knobs.arena && (not Knobs.defaults.Knobs.obs)
+  check_bool "defaults: fusion on, obs off, domains unset" true
+    (Knobs.defaults.Knobs.fuse_ops && (not Knobs.defaults.Knobs.obs)
     && Knobs.defaults.Knobs.domains = None);
   check_bool "domains parsed" true ((p [ ("HECTOR_DOMAINS", "3") ]).Knobs.domains = Some 3);
   check_bool "domains capped" true
@@ -261,9 +261,9 @@ let test_knobs_parse () =
   rejects "domains negative" [ ("HECTOR_DOMAINS", "-4") ];
   check_bool "blank domains reads as unset" true
     ((p [ ("HECTOR_DOMAINS", "  ") ]).Knobs.domains = None);
-  check_bool "arena off" true (not (p [ ("HECTOR_ARENA", "0") ]).Knobs.arena);
-  check_bool "arena falsy word" true (not (p [ ("HECTOR_ARENA", "false") ]).Knobs.arena);
-  rejects "arena junk" [ ("HECTOR_ARENA", "banana") ];
+  check_bool "fusion off" true (not (p [ ("HECTOR_FUSE_OPS", "0") ]).Knobs.fuse_ops);
+  check_bool "fusion falsy word" true (not (p [ ("HECTOR_FUSE_OPS", "false") ]).Knobs.fuse_ops);
+  rejects "fusion junk" [ ("HECTOR_FUSE_OPS", "banana") ];
   check_bool "obs on" true (p [ ("HECTOR_OBS", "1") ]).Knobs.obs;
   check_bool "obs truthy word" true (p [ ("HECTOR_OBS", "true") ]).Knobs.obs;
   rejects "obs junk" [ ("HECTOR_OBS", "banana") ];

@@ -133,15 +133,10 @@ let bits t =
 
 (* Warmup runs no forward.  The forward it used to run is replayed here,
    through a twin replica's own engine and slab right after [create], as
-   warmup did before resetting the clock.  With the planner on (the
-   default) every plan buffer already sits in the primed slab, so that
-   forward allocates nothing and leaves no state a later block reads: the
-   twin matches a plain replica in peak bytes, allocation counts and
-   served output bits.  With the planner off ([HECTOR_ARENA=0]) the slab
-   stays empty, [warm_plan] is a no-op and every [run_plan] allocates its
-   buffers up front and frees the temporaries, so the old forward only
-   charged one extra round of allocations at warmup; serving allocates per
-   block either way. *)
+   warmup did before resetting the clock.  Every plan buffer already sits
+   in the primed slab, so that forward allocates nothing and leaves no
+   state a later block reads: the twin matches a plain replica in peak
+   bytes, allocation counts and served output bits. *)
 let test_warmup_leaves_no_trace () =
   let module Exec = Hector_runtime.Exec in
   let module Env = Hector_runtime.Env in
@@ -236,6 +231,24 @@ let test_create_rejects_bad_features () =
   let a = outputs_of (Serve.serve seeded (trace graph)) in
   let b = outputs_of (Serve.serve given (trace graph)) in
   Array.iteri (fun i ai -> check_bool "same output bits" true (bits ai = bits b.(i))) a
+
+(* NaN passes a [< 0.0] guard; the constructors reject it by field name *)
+let test_rejects_nan () =
+  let graph = Lazy.force parent in
+  let rejects prefix f =
+    match f () with
+    | _ -> Alcotest.failf "%s: NaN accepted" prefix
+    | exception Invalid_argument msg ->
+        check_bool (prefix ^ " named") true (String.starts_with ~prefix msg)
+  in
+  rejects "Workload.generate: rate_rps" (fun () ->
+      Workload.generate
+        ~spec:{ Workload.default_spec with Workload.rate_rps = Float.nan }
+        ~num_nodes:graph.G.num_nodes ());
+  rejects "Serve.create: max_wait_ms" (fun () ->
+      Serve.create
+        ~config:{ (exact_config graph) with Serve.max_wait_ms = Float.nan }
+        ~graph (rgcn ()))
 
 let test_admission_shedding () =
   let graph = Lazy.force parent in
@@ -410,6 +423,7 @@ let suite =
       test_warmup_leaves_no_trace;
     Alcotest.test_case "create rejects mis-shaped features" `Quick
       test_create_rejects_bad_features;
+    Alcotest.test_case "rate and max_wait_ms reject NaN" `Quick test_rejects_nan;
     Alcotest.test_case "admission control sheds under overload" `Quick
       test_admission_shedding;
     Alcotest.test_case "metrics json" `Quick test_metrics_json;

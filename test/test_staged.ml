@@ -317,7 +317,7 @@ let run_case seed =
       with_domains domains (fun () ->
           let staged = fresh_env () and oracle = fresh_env () in
           let engine = Engine.create () in
-          Exec.run_plan (Exec.create ~opaque ~planner:false ~engine ~ctx ~env:staged ()) plan;
+          Exec.run_plan (Exec.create ~opaque ~engine ~ctx ~env:staged ()) plan;
           Oracle.run ~opaque ~ctx ~env:oracle plan;
           let ok =
             List.for_all
