@@ -555,23 +555,10 @@ let usage () =
     \  --max-nodes N    cap physical replica size (default 2000)\n\
     \  --max-edges N    cap physical replica size (default 6000)\n\
     \  --help           show this message\n\n\
-     Environment knobs (parsed by Hector_runtime.Knobs; see README):\n\
-    \  HECTOR_DOMAINS   multicore backend size (1 = sequential)\n\
-    \  HECTOR_FUSE_OPS  0 disables inter-op kernel fusion\n\
-    \  HECTOR_OBS       1 enables observability for knob-driven sessions\n\
-    \  HECTOR_SERVE_BATCH  serving micro-batch cap (default 8)\n\
-    \  HECTOR_SERVE_QUEUE  serving admission-queue bound (default 64)\n\
-    \  HECTOR_DIST_PARTS   default partition count for distributed runs\n\
-    \  HECTOR_DIST_LATENCY_US / HECTOR_DIST_BW_GBS  interconnect cost model\n\
-    \  HECTOR_DIST_CHANNELS  concurrent transfer channels per engine (default 2)\n\
-    \  HECTOR_DIST_BUCKET_KB gradient all-reduce bucket size in KiB (default 64)\n\
-    \  HECTOR_TUNE_DB   persistent plan-tuning database path (JSON)\n\
-    \  HECTOR_STREAM_SLACK   capacity headroom per type for mutable graphs\n\
-    \  HECTOR_STREAM_COMPACT dead-slot fraction that triggers compaction\n\
-    \  HECTOR_CKPT_DIR  default checkpoint directory (save/load/latest)\n\
-    \  HECTOR_CKPT_KEEP retain only the N newest checkpoints on save\n\
-    \  HECTOR_FAULT_SEED / HECTOR_FAULT_RATE  deterministic fault plan for\n\
-    \                   comms drops/delays and serve batch failures\n"
+     Environment:\n\
+    \  HECTOR_DOMAINS   multicore backend size (1 = sequential; the only\n\
+    \                   environment variable read; every other setting is a\n\
+    \                   config field or a CLI flag)\n"
 
 let cli_error fmt =
   Printf.ksprintf

@@ -50,13 +50,15 @@ let no_fuse_arg =
   Arg.(value & flag
        & info [ "no-fuse" ]
            ~doc:"Disable the compiler's inter-op kernel-fusion pass (reproduces the \
-                 pre-fusion plans bit-for-bit; same as HECTOR_FUSE_OPS=0).")
+                 pre-fusion plans bit-for-bit; when serving, these explicit options \
+                 take precedence over --db).  Default: fusion on.")
 
-(* overrides the HECTOR_FUSE_OPS hook Hector_runtime.Knobs registered at
-   init, so every compilation in this invocation sees fusion off — including
-   the ones serving and autotuning perform internally *)
-let apply_no_fuse no_fuse =
-  if no_fuse then Compiler.set_fuse_ops_default (fun () -> false)
+let db_arg =
+  Arg.(value & opt (some string) None
+       & info [ "db" ] ~docv:"PATH"
+           ~doc:"Tuning-database JSON file: `hector autotune` records its winner there and \
+                 `hector serve` resolves its compiler options from it at admission.  \
+                 Default: no database.")
 
 (* A library constructor rejecting a flag's value raises [Invalid_argument]:
    report it as one usage line and exit 2, like Cmdliner's own errors. *)
@@ -80,14 +82,23 @@ let max_edges_arg =
   Arg.(value & opt positive_int 6000
        & info [ "max-edges" ] ~docv:"N" ~doc:"Physical edge cap per replica (at least 1).")
 
-let compile_model model ~training ~compact ~fusion =
+let compile_model model ~training ~compact ~fusion ~no_fuse =
   let program = Hector_models.Model_defs.by_name model () in
-  Compiler.compile ~options:(Compiler.options_of_flags ~training ~compact ~fusion ()) program
+  let options =
+    Compiler.options_of_flags ~training ?fuse_ops:(if no_fuse then Some false else None)
+      ~compact ~fusion ()
+  in
+  Compiler.compile ~options program
+
+(* [--no-fuse] for the serving commands: explicit options, which take
+   precedence over the tuning-database ladder. *)
+let serve_options ~no_fuse =
+  if no_fuse then Some { Compiler.default_options with Compiler.fuse_ops = Some false }
+  else None
 
 let cmd_compile =
   let run model compact fusion training cuda no_fuse =
-    apply_no_fuse no_fuse;
-    let compiled = compile_model model ~training ~compact ~fusion in
+    let compiled = compile_model model ~training ~compact ~fusion ~no_fuse in
     Format.printf "%a@." Plan.pp compiled.Compiler.forward;
     (match compiled.Compiler.backward with
     | Some b ->
@@ -111,12 +122,11 @@ let cmd_run =
     Arg.(value & opt (some string) None
          & info [ "ckpt" ] ~docv:"DIR"
              ~doc:"After the run, save a checkpoint of the session (weights + RNG cursor) \
-                   under DIR (see also the HECTOR_CKPT_DIR knob and `hector checkpoint`).")
+                   under DIR (see also `hector checkpoint`).")
   in
   let run model dataset compact fusion training max_edges trace_file ckpt_dir no_fuse =
-    apply_no_fuse no_fuse;
     let graph = Ds.load ~max_edges (Ds.find dataset) in
-    let compiled = compile_model model ~training ~compact ~fusion in
+    let compiled = compile_model model ~training ~compact ~fusion ~no_fuse in
     try
       let session =
         Session.create
@@ -201,12 +211,12 @@ let cmd_serve =
   let batch_arg =
     Arg.(value & opt (some int) None
          & info [ "batch" ] ~docv:"B"
-             ~doc:"Micro-batch cap (default: HECTOR_SERVE_BATCH knob, else 8).")
+             ~doc:"Micro-batch cap (default 8).")
   in
   let queue_arg =
     Arg.(value & opt (some int) None
          & info [ "queue" ] ~docv:"Q"
-             ~doc:"Admission queue bound (default: HECTOR_SERVE_QUEUE knob, else 64).")
+             ~doc:"Admission queue bound (default 64).")
   in
   let wait_arg =
     Arg.(value & opt float 20.0
@@ -230,15 +240,14 @@ let cmd_serve =
          & info [ "fault-rate" ] ~docv:"R"
              ~doc:"Inject engine failures: each micro-batch fails with probability R in \
                    [0,1] (deterministic in --fault-seed); failed members are retried once, \
-                   then shed.  Default: the HECTOR_FAULT_RATE knob, else off.")
+                   then shed.  Default: off.")
   in
   let fault_seed_arg =
     Arg.(value & opt int 1
          & info [ "fault-seed" ] ~docv:"S" ~doc:"Seed of the injected fault plan.")
   in
   let run model dataset max_edges rate requests seeds batch queue wait fanout hops seed json
-      fault_rate fault_seed no_fuse =
-    apply_no_fuse no_fuse;
+      fault_rate fault_seed db no_fuse =
     if not (rate > 0.0) then (
       Printf.eprintf "hector serve: --rate must be positive\n";
       exit 2);
@@ -261,6 +270,8 @@ let cmd_serve =
         max_batch = batch;
         max_wait_ms = wait;
         queue_capacity = queue;
+        options = serve_options ~no_fuse;
+        tune_db = db;
         faults;
       }
     in
@@ -299,7 +310,7 @@ let cmd_serve =
        ~doc:"Serve batched inference requests over a dataset replica (simulated clock).")
     Term.(const run $ model_arg $ dataset_arg $ max_edges_arg $ rate_arg $ requests_arg
           $ seeds_arg $ batch_arg $ queue_arg $ wait_arg $ fanout_arg $ hops_arg $ seed_arg
-          $ json_arg $ fault_rate_arg $ fault_seed_arg $ no_fuse_arg)
+          $ json_arg $ fault_rate_arg $ fault_seed_arg $ db_arg $ no_fuse_arg)
 
 let cmd_stream =
   let module Delta = Hector_stream.Delta in
@@ -325,8 +336,7 @@ let cmd_stream =
   let slack_arg =
     Arg.(value & opt (some float) None
          & info [ "slack" ] ~docv:"S"
-             ~doc:"Capacity headroom per node/edge type (default: HECTOR_STREAM_SLACK knob, \
-                   else 0.5).")
+             ~doc:"Capacity headroom per node/edge type (default 0.5).")
   in
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload and delta seed.")
@@ -335,7 +345,6 @@ let cmd_stream =
     Arg.(value & flag & info [ "json" ] ~doc:"Print only the JSON stream report.")
   in
   let run model dataset max_edges rate requests deltas delta_ops slack seed json no_fuse =
-    apply_no_fuse no_fuse;
     if not (rate > 0.0) then (
       Printf.eprintf "hector stream: --rate must be positive\n";
       exit 2);
@@ -365,7 +374,9 @@ let cmd_stream =
     let mg, server, trace =
       or_usage_error "stream" (fun () ->
           let mg = Mg.create ~name:dataset ?slack ~graph ~features () in
-          let config = { Serve.default_config with Serve.model } in
+          let config =
+            { Serve.default_config with Serve.model; options = serve_options ~no_fuse }
+          in
           ( mg,
             Ss.create ~config ~mg program,
             Workload.generate
@@ -411,7 +422,7 @@ let cmd_stream =
        ~doc:
          "Serve live traffic over a mutating dataset replica: interleave generated graph \
           deltas (node/edge churn + feature updates) with an open-loop request trace.  \
-          In-slack deltas recompile and reallocate nothing (HECTOR_STREAM_SLACK headroom); \
+          In-slack deltas recompile and reallocate nothing (--slack headroom); \
           overflowing a capacity epoch re-warms the replica with pinned weights.")
     Term.(const run $ model_arg $ dataset_arg $ max_edges_arg $ rate_arg $ requests_arg
           $ deltas_arg $ ops_arg $ slack_arg $ seed_arg $ json_arg $ no_fuse_arg)
@@ -438,26 +449,20 @@ let cmd_partition =
        ~doc:
          "Partition a dataset replica for distributed execution and report the cut. \
           Training over the partitions runs the overlapped schedule by default \
-          (async Comms.post/wait transfers on HECTOR_DIST_CHANNELS channels, \
-          HECTOR_DIST_BUCKET_KB gradient buckets); see Hector_dist.Replica.Config.")
+          (async Comms.post/wait transfers on 2 channels, 64 KiB gradient buckets by \
+          default); see Hector_dist.Replica.Config.")
     Term.(const run $ dataset_arg $ max_edges_arg $ parts_arg $ slack_arg)
 
 let cmd_autotune =
   let module Autotune = Hector_runtime.Autotune in
   let module Tuning_db = Hector_runtime.Tuning_db in
-  let db_arg =
-    Arg.(value & opt (some string) None
-         & info [ "db" ] ~docv:"PATH"
-             ~doc:"Tuning-database JSON file the winner is recorded into (serving consults it \
-                   at admission).  Default: the HECTOR_TUNE_DB knob.")
-  in
   let top_arg =
     Arg.(value & opt int 8
          & info [ "top" ] ~docv:"K"
              ~doc:"Measure the K best candidates by estimated cost (the four fixed U/C/F/C+F \
                    configurations are always measured too).  Must be >= 1.")
   in
-  let run model dataset training max_edges db_path top no_fuse =
+  let run model dataset training max_edges db_path top =
     (* validate flags before any expensive work *)
     if top < 1 then begin
       Printf.eprintf
@@ -466,12 +471,6 @@ let cmd_autotune =
         top;
       exit 2
     end;
-    apply_no_fuse no_fuse;
-    let db_path =
-      match db_path with
-      | Some p -> Some p
-      | None -> (Hector_runtime.Knobs.current ()).Hector_runtime.Knobs.tune_db
-    in
     let graph = Ds.load ~max_edges (Ds.find dataset) in
     let program = Hector_models.Model_defs.by_name model () in
     let db = Option.map Tuning_db.load db_path in
@@ -511,13 +510,13 @@ let cmd_autotune =
              schedules for a model+dataset; optionally persists the winner in a tuning \
              database.")
     Term.(const run $ model_arg $ dataset_arg $ training_arg $ max_edges_arg $ db_arg
-          $ top_arg $ no_fuse_arg)
+          $ top_arg)
 
 let cmd_checkpoint =
   let dir_arg =
     Arg.(value & opt (some string) None
          & info [ "dir" ] ~docv:"DIR"
-             ~doc:"Checkpoint directory (default: the HECTOR_CKPT_DIR knob).")
+             ~doc:"Checkpoint directory (required unless --inspect is given).")
   in
   let steps_arg =
     Arg.(value & opt int 6 & info [ "steps" ] ~docv:"N" ~doc:"Total training steps.")
@@ -529,8 +528,7 @@ let cmd_checkpoint =
   let keep_arg =
     Arg.(value & opt (some int) None
          & info [ "keep" ] ~docv:"N"
-             ~doc:"Retain only the N newest checkpoints (default: HECTOR_CKPT_KEEP knob, \
-                   else keep all).")
+             ~doc:"Retain only the N newest checkpoints (default: keep all).")
   in
   let resume_arg =
     Arg.(value & flag
@@ -550,7 +548,6 @@ let cmd_checkpoint =
     Arg.(value & flag & info [ "json" ] ~doc:"Print only a JSON report.")
   in
   let run model dataset max_edges dir steps every keep resume inspect lr json no_fuse =
-    apply_no_fuse no_fuse;
     match inspect with
     | Some path -> (
         match Checkpoint.load path with
@@ -593,21 +590,21 @@ let cmd_checkpoint =
         let dir =
           match dir with
           | Some d -> d
-          | None -> (
-              match (Hector_runtime.Knobs.current ()).Hector_runtime.Knobs.ckpt_dir with
-              | Some d -> d
-              | None ->
-                  Printf.eprintf
-                    "hector checkpoint: no directory (pass --dir or set HECTOR_CKPT_DIR)\n";
-                  exit 2)
+          | None ->
+              Printf.eprintf "hector checkpoint: --dir is required (or --inspect FILE)\n";
+              exit 2
         in
         let graph = Ds.load ~max_edges (Ds.find dataset) in
-        let compiled = compile_model model ~training:true ~compact:false ~fusion:false in
+        let compiled =
+          compile_model model ~training:true ~compact:false ~fusion:false ~no_fuse
+        in
         let labels =
           Array.init graph.G.num_nodes (fun v -> (graph.G.node_type.(v) + v) mod 4)
         in
-        let train = if resume then Trainer.resume else Trainer.fit in
-        let r = train ~dir ?keep ~every ~lr ~model ~graph ~labels ~steps compiled in
+        let r =
+          if resume then Trainer.resume ~dir ?keep ~every ~lr ~model ~graph ~labels ~steps compiled
+          else Trainer.fit ~dir ?keep ~every ~lr ~model ~graph ~labels ~steps compiled
+        in
         if json then
           print_endline
             (Hector_json.(
@@ -628,7 +625,7 @@ let cmd_checkpoint =
             (fun i l -> Printf.printf "step %d  loss %.4f\n" (r.Trainer.start_step + i + 1) l)
             r.Trainer.losses;
           List.iter (fun p -> Printf.printf "saved %s\n" p) r.Trainer.checkpoints;
-          match Checkpoint.latest ~dir () with
+          match Checkpoint.latest ~dir with
           | Some p -> Printf.printf "latest: %s\n" p
           | None -> ()
         end
@@ -637,9 +634,8 @@ let cmd_checkpoint =
     (Cmd.info "checkpoint"
        ~doc:"Checkpointed training over a dataset replica: fit with a save cadence, \
              --resume from the latest checkpoint (bitwise-identical trajectory), or \
-             --inspect a checkpoint file.  Directories and retention follow the \
-             HECTOR_CKPT_DIR / HECTOR_CKPT_KEEP knobs; fault injection follows \
-             HECTOR_FAULT_RATE / HECTOR_FAULT_SEED.")
+             --inspect a checkpoint file.  Checkpoints go to --dir, pruned to the --keep \
+             newest.")
     Term.(const run $ model_arg $ dataset_arg $ max_edges_arg $ dir_arg $ steps_arg
           $ every_arg $ keep_arg $ resume_arg $ inspect_arg $ lr_arg $ json_arg $ no_fuse_arg)
 

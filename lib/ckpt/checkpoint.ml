@@ -1,6 +1,5 @@
 module Tensor = Hector_tensor.Tensor
 module Json = Hector_json
-module Knobs = Hector_runtime.Knobs
 
 exception Corrupt of string
 
@@ -205,17 +204,7 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let resolve_dir dir =
-  match dir with
-  | Some d -> d
-  | None -> (
-      match (Knobs.current ()).Knobs.ckpt_dir with
-      | Some d -> d
-      | None ->
-          invalid_arg "Checkpoint: no directory (pass ~dir or set HECTOR_CKPT_DIR)")
-
-let list ?dir () =
-  let dir = resolve_dir dir in
+let list ~dir =
   if not (Sys.file_exists dir) then []
   else
     Sys.readdir dir |> Array.to_list
@@ -225,20 +214,20 @@ let list ?dir () =
            | None -> None)
     |> List.sort compare
 
-let latest ?dir () =
-  match List.rev (list ?dir ()) with [] -> None | (_, path) :: _ -> Some path
+let latest ~dir =
+  match List.rev (list ~dir) with [] -> None | (_, path) :: _ -> Some path
 
-let save ?dir ?keep t =
-  let dir = resolve_dir dir in
+let save ~dir ?keep t =
+  (match keep with
+  | Some k when k < 1 -> invalid_arg "Checkpoint.save: keep must be >= 1"
+  | _ -> ());
   mkdir_p dir;
   let path = Filename.concat dir (filename t.step) in
   Json.write_atomic path (encode t);
-  let keep = match keep with Some k -> Some k | None -> (Knobs.current ()).Knobs.ckpt_keep in
   (match keep with
   | None -> ()
   | Some k ->
-      if k < 1 then invalid_arg "Checkpoint.save: keep must be >= 1";
-      let all = list ~dir () in
+      let all = list ~dir in
       let excess = List.length all - k in
       if excess > 0 then
         List.iteri

@@ -60,19 +60,18 @@ val crc32 : string -> int
 val filename : int -> string
 (** [ckpt-<step>.hck] (step zero-padded to 8 digits). *)
 
-val save : ?dir:string -> ?keep:int -> t -> string
-(** Atomically write the checkpoint into [dir] (default: the
-    [HECTOR_CKPT_DIR] knob; raises [Invalid_argument] when neither is
-    given), creating the directory if needed, and return the path.  When
-    [keep] (default: the [HECTOR_CKPT_KEEP] knob; unset = keep all) is
-    given, the oldest checkpoints beyond the newest [keep] are deleted. *)
+val save : dir:string -> ?keep:int -> t -> string
+(** Atomically write the checkpoint into [dir], creating the directory if
+    needed, and return the path.  When [keep] is given (default: keep
+    all), the oldest checkpoints beyond the newest [keep] are deleted.
+    Raises [Invalid_argument] before writing anything when [keep < 1]. *)
 
 val load : string -> t
 (** Read and verify one checkpoint file.  Raises {!Corrupt}. *)
 
-val list : ?dir:string -> unit -> (int * string) list
+val list : dir:string -> (int * string) list
 (** Checkpoints in [dir] as [(step, path)], oldest first.  An absent
     directory is an empty list. *)
 
-val latest : ?dir:string -> unit -> string option
+val latest : dir:string -> string option
 (** Path of the highest-step checkpoint, if any. *)

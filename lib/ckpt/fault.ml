@@ -1,5 +1,3 @@
-module Knobs = Hector_runtime.Knobs
-
 type outcome = Pass | Drop | Delay of float
 
 type event =
@@ -30,12 +28,6 @@ let create ?(seed = 1) ?(rate = 0.0) ?crash_at ?(fail_batches = []) () =
       invalid_arg "Fault.create: crash_at step and replica must be non-negative"
   | _ -> ());
   { seed; rate; crash = crash_at; fail_batches; draws = 0; events_rev = []; retries = 0 }
-
-let of_knobs () =
-  let k = Knobs.current () in
-  match (k.Knobs.fault_rate, k.Knobs.fault_seed) with
-  | None, None -> None
-  | rate, seed -> Some (create ?seed ?rate ())
 
 let seed t = t.seed
 let rate t = t.rate

@@ -55,10 +55,6 @@ val create :
     fail probabilistically under [rate]).  Raises [Invalid_argument] on a
     rate outside [[0, 1]] or negative crash coordinates. *)
 
-val of_knobs : unit -> t option
-(** The environment-driven plan: [None] unless [HECTOR_FAULT_RATE] or
-    [HECTOR_FAULT_SEED] is set (see {!Hector_runtime.Knobs}). *)
-
 val seed : t -> int
 val rate : t -> float
 val crash_at : t -> (int * int) option

@@ -14,9 +14,9 @@ let snapshot ?(model = "") ?(epoch = 0) ?(graph_version = 0) ~step session =
 
 let restore session ckpt = Session.set_weights session (Checkpoint.tensors ckpt)
 
-(* One training segment: steps [from_step + 1 .. steps], checkpointing at
-   multiples of [every] and at the final step so a resume point always
-   exists.  The losses array covers only the executed steps. *)
+(* One training segment: steps [from_step + 1 .. steps].  With a [dir],
+   checkpoint at multiples of [every] and at the final step so a resume
+   point always exists.  The losses array covers only the executed steps. *)
 let run ?dir ?keep ?(every = 0) ?(lr = 0.01) ?(model = "") ~labels ~from_step ~steps session =
   let n = max 0 (steps - from_step) in
   let losses = Array.make n 0.0 in
@@ -24,8 +24,10 @@ let run ?dir ?keep ?(every = 0) ?(lr = 0.01) ?(model = "") ~labels ~from_step ~s
   for i = 0 to n - 1 do
     let step = from_step + i + 1 in
     losses.(i) <- Session.train_step session ~lr ~labels ();
-    if every > 0 && (step mod every = 0 || step = steps) then
-      saved := Checkpoint.save ?dir ?keep (snapshot ~model ~step session) :: !saved
+    match dir with
+    | Some dir when step = steps || (every > 0 && step mod every = 0) ->
+        saved := Checkpoint.save ~dir ?keep (snapshot ~model ~step session) :: !saved
+    | _ -> ()
   done;
   { session; start_step = from_step; losses; checkpoints = List.rev !saved }
 
@@ -39,13 +41,13 @@ let fit ?(config = Session.Config.default) ?dir ?keep ?every ?lr ?model ~graph ~
    with the checkpoint's.  Because restoration is value-level
    ({!Session.set_weights}), the continued trajectory is the one the
    uninterrupted run would have produced. *)
-let resume ?(config = Session.Config.default) ?dir ?keep ?every ?lr ?model ~graph ~labels
+let resume ?(config = Session.Config.default) ~dir ?keep ?every ?lr ?model ~graph ~labels
     ~steps compiled =
-  match Checkpoint.latest ?dir () with
-  | None -> fit ~config ?dir ?keep ?every ?lr ?model ~graph ~labels ~steps compiled
+  match Checkpoint.latest ~dir with
+  | None -> fit ~config ~dir ?keep ?every ?lr ?model ~graph ~labels ~steps compiled
   | Some path ->
       let ckpt = Checkpoint.load path in
       let session = Session.create ~config ~graph compiled in
       restore session ckpt;
-      run ?dir ?keep ?every ?lr ?model ~labels ~from_step:(Checkpoint.step ckpt) ~steps
+      run ~dir ?keep ?every ?lr ?model ~labels ~from_step:(Checkpoint.step ckpt) ~steps
         session

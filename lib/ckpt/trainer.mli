@@ -39,13 +39,14 @@ val fit :
   steps:int ->
   Hector_core.Compiler.compiled ->
   result
-(** Train a fresh session for [steps] steps.  With [every] > 0, save a
-    checkpoint at every [every]-th step and at the final step ([dir]/[keep]
-    as in {!Checkpoint.save}; default 0 = never save). *)
+(** Train a fresh session for [steps] steps.  With [dir], save a
+    checkpoint into it at the final step and, when [every] > 0 (default 0),
+    at every [every]-th step ([keep] as in {!Checkpoint.save}); without
+    [dir], save nothing. *)
 
 val resume :
   ?config:Session.Config.t ->
-  ?dir:string ->
+  dir:string ->
   ?keep:int ->
   ?every:int ->
   ?lr:float ->

@@ -32,18 +32,11 @@ let options_of_flags ?(training = false) ?fuse_ops ~compact ~fusion () =
     fuse_ops;
   }
 
-(* Whether inter-op fusion applies when [options.fuse_ops] is [None]: the
-   runtime's knob layer registers the HECTOR_FUSE_OPS parser here (core
-   cannot depend on Hector_runtime).  Default: on. *)
-let fuse_ops_default : (unit -> bool) ref = ref (fun () -> true)
-let set_fuse_ops_default f = fuse_ops_default := f
-
-let fuse_ops_enabled options =
-  match options.fuse_ops with Some b -> b | None -> !fuse_ops_default ()
+let fuse_ops_enabled options = Option.value options.fuse_ops ~default:true
 
 (* Compact human-readable identifier covering every field that can change
-   the compiled plan — two option records compile identically iff their ids
-   are equal (modulo the knob an unset [fuse_ops] defers to). *)
+   the compiled plan — two option records with equal ids compile
+   identically. *)
 let options_id (o : options) =
   let layout_tag =
     match (o.layout.Layout.materialization, o.linear_fusion) with

@@ -26,32 +26,26 @@ type options = {
           §3.3.3 trade-off; used by the schedule ablation) *)
   fuse_ops : bool option;
       (** apply the post-lowering {!Inter_op_fusion} pass; [None] (the
-          default) defers to the runtime knob ([HECTOR_FUSE_OPS], on unless
-          set to 0), [Some b] overrides it *)
+          default) means on, [Some b] sets it explicitly *)
 }
 
 val default_options : options
 (** Vanilla layout, no linear fusion, inference only, template-default
-    schedules — the paper's "unoptimized Hector" — with inter-op fusion
-    deferred to the knob ([fuse_ops = None]). *)
+    schedules — the paper's "unoptimized Hector" — with inter-op fusion on
+    ([fuse_ops = None]). *)
 
 val options_of_flags :
   ?training:bool -> ?fuse_ops:bool -> compact:bool -> fusion:bool -> unit -> options
 (** The four evaluation configurations of Table 5: [~compact:false
     ~fusion:false] = U, [true/false] = C, [false/true] = F, [true/true] =
-    C+F.  [fuse_ops] (absent = follow the knob) gates inter-op fusion. *)
+    C+F.  [fuse_ops] (absent = on) gates inter-op fusion. *)
 
 val options_id : options -> string
 (** Compact identifier covering every option field that can change the
     compiled plan, e.g. ["C+F:coo:t32c2+lb:warp:fuse"] — equal ids mean
-    identical compilation (modulo the knob an unset [fuse_ops] defers to).
+    identical compilation.
     Used by the autotuner to deduplicate candidates and by the tuning
     database as the stored configuration's display name. *)
-
-val set_fuse_ops_default : (unit -> bool) -> unit
-(** Register the thunk consulted when [options.fuse_ops] is [None].
-    {!Hector_runtime.Knobs} installs the [HECTOR_FUSE_OPS] parser here at
-    module initialization; the built-in default is always-on. *)
 
 type compiled = {
   options : options;

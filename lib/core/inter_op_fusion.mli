@@ -19,9 +19,8 @@
     intermediate the backward reads (autodiff's [keep] set marks those
     buffers non-temp, which fusion never changes).
 
-    Applied by {!Compiler.compile} when [fuse_ops] is enabled (the
-    [HECTOR_FUSE_OPS] knob); with it off, plans are bit-for-bit the
-    pre-fusion pipeline's. *)
+    Applied by {!Compiler.compile} unless [options.fuse_ops = Some false];
+    with it off, plans are bit-for-bit the pre-fusion pipeline's. *)
 
 val run : ?obs:Hector_obs.t -> Plan.t -> Plan.t
 (** Fuse a lowered plan's steps.  Returns the plan unchanged when no group

@@ -1,6 +1,5 @@
 module Engine = Hector_gpu.Engine
 module Kernel = Hector_gpu.Kernel
-module Knobs = Hector_runtime.Knobs
 module Fault = Hector_ckpt.Fault
 
 type t = {
@@ -15,26 +14,15 @@ let default_bandwidth_gbs = 25.0
 let default_channels = 2
 
 let create ?latency_us ?bandwidth_gbs ?channels ?faults () =
-  let knobs = Knobs.current () in
-  let pick v knob ~default =
-    match v with
-    | Some v -> v
-    | None -> ( match knob with Some k -> k | None -> default)
-  in
-  let latency_us =
-    pick latency_us knobs.Knobs.dist_latency_us ~default:default_latency_us
-  in
-  let bandwidth_gbs =
-    pick bandwidth_gbs knobs.Knobs.dist_bandwidth_gbs ~default:default_bandwidth_gbs
-  in
-  let channels = pick channels knobs.Knobs.dist_channels ~default:default_channels in
+  let latency_us = Option.value latency_us ~default:default_latency_us in
+  let bandwidth_gbs = Option.value bandwidth_gbs ~default:default_bandwidth_gbs in
+  let channels = Option.value channels ~default:default_channels in
   if not (latency_us > 0.0) then
     invalid_arg (Printf.sprintf "Comms.create: latency_us must be positive (got %g)" latency_us);
   if not (bandwidth_gbs > 0.0) then
     invalid_arg
       (Printf.sprintf "Comms.create: bandwidth_gbs must be positive (got %g)" bandwidth_gbs);
   if channels < 1 then invalid_arg "Comms.create: channel count must be positive";
-  let faults = match faults with Some _ -> faults | None -> Fault.of_knobs () in
   { latency_us; bandwidth_gbs; channels; faults }
 
 let default () = create ()

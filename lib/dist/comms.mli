@@ -9,8 +9,7 @@
 
     — a per-message fixed cost (software stack + link traversal) plus the
     serialization time of the payload.  Defaults approximate one NVLink-class
-    hop and come from the [HECTOR_DIST_LATENCY_US] / [HECTOR_DIST_BW_GBS] /
-    [HECTOR_DIST_CHANNELS] knobs when set (see {!Hector_runtime.Knobs}).
+    hop.
 
     Transfers are {e asynchronous}: {!post} enqueues one on a channel — a
     DMA-lane with its own busy-until timeline on the engine — and returns a
@@ -33,8 +32,7 @@ type t = {
   channels : int;  (** concurrent transfer channels (≥ 1) *)
   faults : Hector_ckpt.Fault.t option;
       (** fault-injection plan consulted at {!post}/{!wait}; [None] (the
-          default when the [HECTOR_FAULT_*] knobs are unset) is the exact
-          pre-fault code path *)
+          default) is the exact pre-fault code path *)
 }
 
 val create :
@@ -44,10 +42,9 @@ val create :
   ?faults:Hector_ckpt.Fault.t ->
   unit ->
   t
-(** Build an interconnect model.  Omitted parameters fall back to the
-    [HECTOR_DIST_*] knobs, then to the built-in defaults (5 µs, 25 GB/s,
-    2 channels); [faults] falls back to {!Hector_ckpt.Fault.of_knobs}
-    (usually [None]).  Raises [Invalid_argument] on non-positive or NaN values.
+(** Build an interconnect model.  Omitted parameters take the built-in
+    defaults (5 µs, 25 GB/s, 2 channels, no fault plan).  Raises
+    [Invalid_argument] on non-positive or NaN values.
 
     With a fault plan attached, each posted transfer may be {e dropped}
     (the sender retries after exponential backoff, burning the transfer
@@ -58,7 +55,7 @@ val create :
     recorded into the plan's trace. *)
 
 val default : unit -> t
-(** [create ()] — knob-driven defaults. *)
+(** [create ()] — the built-in defaults. *)
 
 val transfer_ms : t -> bytes:float -> float
 (** Simulated duration of one message of the given payload size. *)

@@ -37,7 +37,9 @@ let train ?(config = Replica.Config.default) ?faults ?dir ?keep ?(every = 0) ?(l
   let recovery_ms = ref 0.0 in
   let crash = match faults with Some f -> Fault.crash_at f | None -> None in
   let save ~step =
-    saved := Checkpoint.save ?dir ?keep (snapshot ~step !cluster) :: !saved
+    Option.iter
+      (fun dir -> saved := Checkpoint.save ~dir ?keep (snapshot ~step !cluster) :: !saved)
+      dir
   in
   (* an initial restore point, so recovery works even before the first
      cadence checkpoint *)
@@ -58,7 +60,7 @@ let train ?(config = Replica.Config.default) ?faults ?dir ?keep ?(every = 0) ?(l
       Fault.record plan
         (Fault.Detected { replica = cr; step = cs; timeout_ms = detect_timeout_ms });
       let path =
-        match Checkpoint.latest ?dir () with
+        match Option.bind dir (fun dir -> Checkpoint.latest ~dir) with
         | Some p -> p
         | None -> invalid_arg "Failover.train: crash with no checkpoint to restore from"
       in

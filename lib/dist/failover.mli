@@ -48,9 +48,10 @@ val train :
   steps:int ->
   Hector_core.Compiler.compiled ->
   result
-(** Train for [steps] steps with checkpointing every [every] steps
-    ([dir]/[keep] as in {!Hector_ckpt.Checkpoint.save}; [every = 0] saves
-    only the initial restore point, and only when a crash is scheduled).
+(** Train for [steps] steps with checkpointing into [dir] every [every]
+    steps ([keep] as in {!Hector_ckpt.Checkpoint.save}; [every = 0] saves
+    only the initial restore point, and only when a crash is scheduled;
+    without [dir] nothing is saved).
     A crash scheduled by [faults] at step [s] (replica index must be
     within the cluster) triggers detection, reload and re-partition as
     described above; raises [Invalid_argument] if it fires with no

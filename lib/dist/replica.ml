@@ -17,7 +17,6 @@ module Session = Hector_runtime.Session
 module Exec = Hector_runtime.Exec
 module Env = Hector_runtime.Env
 module Train = Hector_runtime.Train
-module Knobs = Hector_runtime.Knobs
 
 module Config = struct
   type t = {
@@ -179,25 +178,14 @@ let make_buckets (backward : Plan.t) ~bucket_bytes reduce_scratch =
 
 let create ?config:(cfg = Config.default) ~features ~(graph : G.t) layers =
   if layers = [] then invalid_arg "Replica.create: empty layer stack";
-  let knobs = Knobs.current () in
-  let parts =
-    match cfg.Config.parts with
-    | Some p -> p
-    | None -> ( match knobs.Knobs.dist_parts with Some p -> p | None -> 2)
-  in
+  let parts = Option.value cfg.Config.parts ~default:2 in
+  if parts < 1 then
+    invalid_arg (Printf.sprintf "Replica.create: parts must be >= 1 (got %d)" parts);
   let cm = match cfg.Config.comms with Some c -> c | None -> Comms.default () in
-  let obs =
-    match cfg.Config.obs with
-    | Some o -> o
-    | None -> if knobs.Knobs.obs then Hector_obs.create () else Hector_obs.disabled
-  in
+  let obs = Option.value cfg.Config.obs ~default:Hector_obs.disabled in
   let device = cfg.Config.device and seed = cfg.Config.seed in
   let bucket_bytes =
-    let kb =
-      match cfg.Config.bucket_kb with
-      | Some k -> k
-      | None -> ( match knobs.Knobs.dist_bucket_kb with Some k -> k | None -> 64)
-    in
+    let kb = Option.value cfg.Config.bucket_kb ~default:64 in
     if kb < 1 then invalid_arg "Replica.create: bucket size must be positive";
     float_of_int (kb * 1024)
   in

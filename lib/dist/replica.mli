@@ -53,20 +53,19 @@ module Engine = Hector_gpu.Engine
     build one with [{ Config.default with ... }]. *)
 module Config : sig
   type t = {
-    parts : int option;  (** partitions/replicas; [None] → [HECTOR_DIST_PARTS] → 2 *)
+    parts : int option;  (** partitions/replicas; [None] → 2 *)
     slack : float option;  (** partitioner balance slack (default 0) *)
     comms : Comms.t option;  (** interconnect model; [None] → {!Comms.default} *)
     device : Hector_gpu.Device.t;  (** per-replica simulated device *)
     seed : int;  (** master-weight Glorot seed *)
     obs : Hector_obs.t option;
         (** observability handle shared by all replica engines; [None] →
-            fresh handle iff [HECTOR_OBS] is set *)
+            off *)
     overlap : bool;
         (** asynchronous overlapped transfers (default [true]); [false]
             reproduces the historic blocking BSP schedule *)
     bucket_kb : int option;
-        (** gradient all-reduce bucket size in KiB; [None] →
-            [HECTOR_DIST_BUCKET_KB] → 64 *)
+        (** gradient all-reduce bucket size in KiB; [None] → 64 *)
     weights : (string * Tensor.t) list list option;
         (** per-layer master weight stacks to start from instead of the
             Glorot draw — the checkpoint-restore path ([None] = draw from
@@ -74,7 +73,8 @@ module Config : sig
   }
 
   val default : t
-  (** Knob-driven defaults, overlap on. *)
+  (** Two parts, no slack, {!Comms.default}, RTX 3090, seed 1,
+      observability off, overlap on, 64 KiB buckets, seeded weights. *)
 end
 
 type t

@@ -15,7 +15,6 @@ module Config = struct
     device : Hector_gpu.Device.t;
     seed : int;
     trace : bool;
-    domains : int option;
     observability : Hector_obs.t option;
     engine : Engine.t option;
     slab : Exec.slab option;
@@ -29,7 +28,6 @@ module Config = struct
       device = Hector_gpu.Device.rtx3090;
       seed = 1;
       trace = false;
-      domains = None;
       observability = None;
       engine = None;
       slab = None;
@@ -85,15 +83,7 @@ let create ?config:(cfg = Config.default) ~graph compiled =
   let node_inputs = cfg.Config.node_inputs
   and edge_inputs = cfg.Config.edge_inputs
   and weights = cfg.Config.weights in
-  (match cfg.Config.domains with
-  | Some n -> Hector_tensor.Domain_pool.set_num_domains (Some n)
-  | None -> ());
-  let obs =
-    match cfg.Config.observability with
-    | Some o -> o
-    | None ->
-        if (Knobs.current ()).Knobs.obs then Hector_obs.create () else Hector_obs.disabled
-  in
+  let obs = Option.value cfg.Config.observability ~default:Hector_obs.disabled in
   let engine =
     match cfg.Config.engine with
     | Some e -> e

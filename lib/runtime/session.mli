@@ -21,14 +21,11 @@ module Config : sig
     device : Hector_gpu.Device.t;  (** simulated device (default RTX 3090) *)
     seed : int;  (** RNG seed for generated weights/inputs (default 1) *)
     trace : bool;  (** record a launch timeline (default off) *)
-    domains : int option;
-        (** worker-domain count override for parallel CPU kernels; [None]
-            (default) leaves {!Hector_tensor.Domain_pool} sizing alone *)
     observability : Hector_obs.t option;
         (** [Some obs] — report spans/counters to [obs] (pass the handle
             the model was compiled with to get compile + run data in one
-            export); [Some Hector_obs.disabled] — explicitly off; [None]
-            (default) — enabled iff the [HECTOR_OBS] knob is set *)
+            export); [None] (default) or [Some Hector_obs.disabled] —
+            off *)
     engine : Engine.t option;
         (** [Some e] — run on an existing engine instead of creating one
             (shares its clock, memory and stats; [device]/[trace] are then
@@ -43,8 +40,8 @@ module Config : sig
   }
 
   val default : t
-  (** RTX 3090, seed 1, no trace, knob-driven observability, no
-      domain override, everything generated. *)
+  (** RTX 3090, seed 1, no trace, observability off, everything
+      generated. *)
 end
 
 type t

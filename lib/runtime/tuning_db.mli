@@ -2,8 +2,8 @@
 
     Stores the winning compiler options of past {!Autotune} searches, keyed
     by {e (model fingerprint, bucketized graph signature, device name,
-    training flag)}, as a single JSON file ([HECTOR_TUNE_DB]; see
-    {!Knobs}).  Consumers ({!Hector_serve.Plan_cache} at admission, the
+    training flag)}, as a single JSON file (the path a caller passes:
+    [Serve.config.tune_db], [hector serve --db], [hector autotune --db]).  Consumers ({!Hector_serve.Plan_cache} at admission, the
     [hector autotune] command, training warmup) resolve options through a
     fixed ladder that never searches on a hot path:
 

@@ -13,7 +13,6 @@ module Mat = Hector_core.Materialization
 module Session = Hector_runtime.Session
 module Exec = Hector_runtime.Exec
 module Env = Hector_runtime.Env
-module Knobs = Hector_runtime.Knobs
 module Tuning_db = Hector_runtime.Tuning_db
 module Graph_ctx = Hector_runtime.Graph_ctx
 module Fault = Hector_ckpt.Fault
@@ -109,12 +108,8 @@ let sample_cost_ms ~nodes ~edges =
 
 let exact_fanout graph = Array.fold_left max 1 (G.in_degrees graph)
 
-let resolve label v knob ~default =
-  let r =
-    match v with
-    | Some v -> v
-    | None -> ( match knob with Some k -> k | None -> default)
-  in
+let resolve label v ~default =
+  let r = Option.value v ~default in
   if r < 1 then invalid_arg (Printf.sprintf "Serve.create: %s must be >= 1" label);
   r
 
@@ -124,16 +119,9 @@ let create ?(config = default_config) ?obs ?features ~graph program =
   if not (config.max_wait_ms >= 0.0) then
     invalid_arg
       (Printf.sprintf "Serve.create: max_wait_ms must be non-negative (got %g)" config.max_wait_ms);
-  let knobs = Knobs.current () in
-  let max_batch = resolve "max_batch" config.max_batch knobs.Knobs.serve_batch ~default:8 in
-  let queue_capacity =
-    resolve "queue_capacity" config.queue_capacity knobs.Knobs.serve_queue ~default:64
-  in
-  let obs =
-    match obs with
-    | Some o -> o
-    | None -> if knobs.Knobs.obs then Hector_obs.create () else Hector_obs.disabled
-  in
+  let max_batch = resolve "max_batch" config.max_batch ~default:8 in
+  let queue_capacity = resolve "queue_capacity" config.queue_capacity ~default:64 in
+  let obs = Option.value obs ~default:Hector_obs.disabled in
   (* the request path supports one node input (the features we gather per
      block) and the conventional precomputed "norm" edge input, recomputed
      per block exactly as Session generates it for a whole graph *)
@@ -174,9 +162,7 @@ let create ?(config = default_config) ?obs ?features ~graph program =
      then nearest signature bucket) > a warmup search when [autotune] is
      set (recorded back into the DB) > fixed defaults.  A DB hit admits
      with zero candidate compiles and zero searches. *)
-  let db_path =
-    match config.tune_db with Some p -> Some p | None -> knobs.Knobs.tune_db
-  in
+  let db_path = config.tune_db in
   let options =
     match config.options with
     | Some o -> { o with Compiler.training = false }
@@ -271,7 +257,7 @@ let create ?(config = default_config) ?obs ?features ~graph program =
     shed = 0;
     rejected = 0;
     batches = 0;
-    faults = (match config.faults with Some _ -> config.faults | None -> Fault.of_knobs ());
+    faults = config.faults;
     batch_failures = 0;
     fault_shed = 0;
     latencies = [];

@@ -38,10 +38,10 @@ type config = {
   fanout : int;  (** sampler in-edge cap per node per hop *)
   hops : int;  (** sampling depth; use >= model layers for exactness *)
   max_batch : int option;
-      (** micro-batch size cap; [None] → [HECTOR_SERVE_BATCH] knob, else 8 *)
+      (** micro-batch size cap; [None] → 8 *)
   max_wait_ms : float;  (** batching deadline past the oldest queued arrival *)
   queue_capacity : int option;
-      (** admission bound; [None] → [HECTOR_SERVE_QUEUE] knob, else 64 *)
+      (** admission bound; [None] → 64 *)
   options : Hector_core.Compiler.options option;
       (** compiler options ([training] is forced off); [None] → the
           tuning-database / autotune ladder below, else default options *)
@@ -55,7 +55,7 @@ type config = {
   tune_db : string option;
       (** persistent {!Hector_runtime.Tuning_db} path consulted at
           admission (exact signature hit, then nearest bucket, then the
-          [autotune] policy above); [None] → the [HECTOR_TUNE_DB] knob *)
+          [autotune] policy above); [None] (the default) → no database *)
   device : Hector_gpu.Device.t;
   seed : int;  (** weight/feature initialization seed *)
   weights : (string * Tensor.t) list;
@@ -69,8 +69,8 @@ type config = {
           survive every in-slack {!update_graph} and are retired wholesale
           when the epoch advances (default [0] for non-streaming use) *)
   faults : Hector_ckpt.Fault.t option;
-      (** engine-failure injection plan ([None], the default, falls back
-          to {!Hector_ckpt.Fault.of_knobs} — usually disabled).  A batch
+      (** engine-failure injection plan ([None], the default, injects
+          nothing).  A batch
           the plan fails charges its full cost but loses its outputs; its
           requests are retried once at the head of the queue, then shed —
           counted in {!fault_shed} (and {!shed}) and recorded into the
@@ -79,8 +79,9 @@ type config = {
 }
 
 val default_config : config
-(** rgcn, fanout 8, hops 2, knob-driven batch/queue bounds, 20 ms wait,
-    default options, RTX 3090, seed 1. *)
+(** rgcn, fanout 8, hops 2, batch/queue bounds unset (8 / 64), 20 ms
+    wait, default options, no tuning database, RTX 3090, seed 1, no fault
+    plan. *)
 
 type response = {
   request : Workload.request;
@@ -111,7 +112,7 @@ val create :
     drawn after it, so pass [features] with pinned [config.weights] where
     weights must match a seeded replica — as a streaming re-warm does,
     passing zeros that the next snapshot overwrites.
-    [obs] (default: knob-driven like {!Hector_runtime.Session}) receives
+    [obs] (default {!Hector_obs.disabled}) receives
     [serve.*] counters and batch spans.  The model must declare exactly
     one node input; the only edge input supported is the conventional
     ["norm"] (recomputed per block).  Raises [Invalid_argument] on
@@ -243,7 +244,7 @@ val warm_alloc_count : t -> int
     serving must leave the live counter equal to this. *)
 
 val max_batch : t -> int
-(** The resolved micro-batch cap (config, knob or default). *)
+(** The resolved micro-batch cap (config or default). *)
 
 val queue_capacity : t -> int
 (** The resolved admission bound. *)

@@ -20,8 +20,8 @@
     {2 Capacity-slack epochs}
 
     At each epoch start every node/edge type is granted
-    [ceil ((1 + slack) * live)] device capacity ([HECTOR_STREAM_SLACK],
-    default {!default_slack}).  While live counts stay within those caps
+    [ceil ((1 + slack) * live)] device capacity ([slack], default
+    {!default_slack}).  While live counts stay within those caps
     — the {e in-slack} regime — snapshots are cheap (tombstone/append +
     incremental CSR patching) and, crucially, everything compiled or
     allocated against the {!capacity_graph} stays valid: plans, arena
@@ -31,7 +31,7 @@
     ([name#e<epoch>]) so every epoch-keyed cache misses exactly once.
 
     In-slack tombstones are garbage: a segment whose dead fraction
-    exceeds the compaction threshold ([HECTOR_STREAM_COMPACT], default
+    exceeds the compaction threshold ([compact], default
     {!default_compact}) is compacted in place (order-preserving, so maps
     stay monotone) without touching the epoch. *)
 
@@ -88,9 +88,8 @@ val create :
 (** Adopt a frozen graph as epoch-0 live state: physical id [i] becomes
     stable id [i] (nodes and edges independently), and a copy of
     [features] (which must be [num_nodes x dim]) becomes the epoch-0
-    snapshot's feature matrix.  [slack] and
-    [compact] default to the [HECTOR_STREAM_SLACK] / [HECTOR_STREAM_COMPACT]
-    knobs, then to {!default_slack} / {!default_compact}.  Raises
+    snapshot's feature matrix.  [slack] and [compact] default to
+    {!default_slack} / {!default_compact}.  Raises
     [Invalid_argument] on a feature-shape mismatch, negative [slack] or
     [compact] outside [(0, 1]]. *)
 

@@ -12,18 +12,37 @@ let default_grain = 1024
 
 let override : int option ref = ref None
 
-(* Environment-driven sizing is injected by Hector_runtime.Knobs (the single
-   place that parses HECTOR_* variables); this module stays env-free. *)
-let default_sizing : (unit -> int option) ref = ref (fun () -> None)
+let parse_domains = function
+  | None -> None
+  | Some s when String.trim s = "" -> None
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some n when n >= 1 -> Some (min n max_domains)
+      | _ ->
+          invalid_arg
+            (Printf.sprintf
+               "Domain_pool: HECTOR_DOMAINS=%S is malformed (expected a positive integer)" s))
 
-let set_default_sizing f = default_sizing := f
+(* The one environment variable the repository reads, once, at the first
+   sizing decision.  A ref rather than [Lazy]: worker domains size nested
+   regions too, forcing a lazy from two domains at once raises, and racing
+   writers here store the same value. *)
+let env_domains : int option option ref = ref None
+
+let read_env_domains () =
+  match !env_domains with
+  | Some d -> d
+  | None ->
+      let d = parse_domains (Sys.getenv_opt "HECTOR_DOMAINS") in
+      env_domains := Some d;
+      d
 
 let num_domains () =
   match !override with
   | Some n -> max 1 (min n max_domains)
   | None -> (
-      match !default_sizing () with
-      | Some n -> max 1 (min n max_domains)
+      match read_env_domains () with
+      | Some n -> n
       | None -> max 1 (min max_domains (Domain.recommended_domain_count ())))
 
 let set_num_domains n = override := n

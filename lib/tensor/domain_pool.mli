@@ -7,9 +7,11 @@
     few atomic fetch-adds rather than a domain spawn.
 
     The pool size comes from, in priority order: an explicit
-    {!set_num_domains} override, the registered {!set_default_sizing} hook
-    (installed by [Hector_runtime.Knobs], which parses [HECTOR_DOMAINS]),
-    and [Domain.recommended_domain_count ()].  A size of [1] disables the
+    {!set_num_domains} override, the [HECTOR_DOMAINS] environment variable
+    (read once, at the first sizing decision, through {!parse_domains}),
+    and [Domain.recommended_domain_count ()].  [HECTOR_DOMAINS] is the only
+    environment variable the repository reads: it sizes the hardware, and
+    has no other entry point.  A size of [1] disables the
     pool entirely: every entry point degrades to the exact sequential loop
     (same iteration order, same floating-point result, no pool machinery
     touched), so [HECTOR_DOMAINS=1] is the reference backend.
@@ -23,9 +25,9 @@
 
 val num_domains : unit -> int
 (** Effective domain count for the next parallel region (override, then
-    the {!set_default_sizing} hook, then
-    [Domain.recommended_domain_count ()]); always at least 1, capped at
-    {!max_domains}. *)
+    [HECTOR_DOMAINS], then [Domain.recommended_domain_count ()]); always
+    at least 1, capped at {!max_domains}.  Raises [Invalid_argument] (see
+    {!parse_domains}) when [HECTOR_DOMAINS] is malformed. *)
 
 val max_domains : int
 (** Hard upper bound on the pool size (guards absurd [HECTOR_DOMAINS]). *)
@@ -33,14 +35,15 @@ val max_domains : int
 val set_num_domains : int option -> unit
 (** [set_num_domains (Some n)] forces the pool size (used by tests and
     benchmarks to compare backends in-process); [set_num_domains None]
-    returns to the environment/default sizing.  Resizing tears the old
+    returns to the [HECTOR_DOMAINS]/default sizing.  Resizing tears the old
     pool down lazily before the next parallel region. *)
 
-val set_default_sizing : (unit -> int option) -> unit
-(** Install the fallback sizing consulted when no {!set_num_domains}
-    override is active.  [Hector_runtime.Knobs] registers the
-    [HECTOR_DOMAINS] parser here at module initialization; this module
-    itself never reads the environment. *)
+val parse_domains : string option -> int option
+(** [parse_domains v] reads a [HECTOR_DOMAINS] value (pure; [v] is what
+    [Sys.getenv_opt] returned).  Unset or blank is [None]; a positive
+    integer is [Some n], capped at {!max_domains}.  Anything else raises
+    [Invalid_argument] naming the variable, the value and the accepted
+    form. *)
 
 val sequential : unit -> bool
 (** [true] iff {!num_domains}[ () = 1] — callers use this to select their

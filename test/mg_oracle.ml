@@ -236,23 +236,11 @@ let rebuild t ~patch_csr =
   (node_map, edge_map, patched_rows, rebuilt)
 
 let create ?(name = "stream") ?slack ?compact ~graph ~features () =
-  let knobs = Hector_runtime.Knobs.current () in
-  let slack =
-    match slack with
-    | Some s -> s
-    | None -> ( match knobs.Hector_runtime.Knobs.stream_slack with Some s -> s | None -> default_slack)
-  in
-  let compact =
-    match compact with
-    | Some c -> c
-    | None -> (
-        match knobs.Hector_runtime.Knobs.stream_compact with
-        | Some c -> c
-        | None -> default_compact)
-  in
+  let slack = Option.value slack ~default:default_slack in
+  let compact = Option.value compact ~default:default_compact in
   if slack < 0.0 || not (Float.is_finite slack) then
     invalid_arg "Mutable_graph.create: slack must be a finite non-negative float";
-  if compact <= 0.0 || compact > 1.0 then
+  if not (compact > 0.0 && compact <= 1.0) then
     invalid_arg "Mutable_graph.create: compact threshold must be in (0, 1]";
   if Tensor.rows features <> graph.G.num_nodes then
     invalid_arg

@@ -11,7 +11,6 @@ module Dp = Hector_tensor.Domain_pool
 module Device = Hector_gpu.Device
 module Autotune = Hector_runtime.Autotune
 module Tuning_db = Hector_runtime.Tuning_db
-module Knobs = Hector_runtime.Knobs
 module Workload = Hector_serve.Workload
 module Serve = Hector_serve.Serve
 
@@ -360,15 +359,6 @@ let test_cold_db_with_autotune_searches_once () =
       check_bool "winner recorded for the next replica" true
         (Sys.file_exists path && Tuning_db.size (Tuning_db.load path) = 1))
 
-(* --- knob ----------------------------------------------------------- *)
-
-let test_tune_db_knob () =
-  let with_env value = Knobs.parse (fun k -> if k = "HECTOR_TUNE_DB" then value else None) in
-  check_bool "set" true ((with_env (Some "/tmp/db.json")).Knobs.tune_db = Some "/tmp/db.json");
-  check_bool "trimmed" true ((with_env (Some "  /tmp/db.json ")).Knobs.tune_db = Some "/tmp/db.json");
-  check_bool "empty is off" true ((with_env (Some "")).Knobs.tune_db = None);
-  check_bool "absent is off" true ((with_env None).Knobs.tune_db = None)
-
 let suite =
   [
     QCheck_alcotest.to_alcotest ~long:true prop_best_in_topk;
@@ -383,5 +373,4 @@ let suite =
       test_warm_db_admission_zero_search;
     Alcotest.test_case "cold DB with autotune searches once" `Quick
       test_cold_db_with_autotune_searches_once;
-    Alcotest.test_case "HECTOR_TUNE_DB knob" `Quick test_tune_db_knob;
   ]

@@ -10,7 +10,6 @@ module G = Hector_graph.Hetgraph
 module Gen = Hector_graph.Generator
 module Compiler = Hector_core.Compiler
 module Session = Hector_runtime.Session
-module Knobs = Hector_runtime.Knobs
 module Tuning_db = Hector_runtime.Tuning_db
 module Fault = Hector_ckpt.Fault
 module Checkpoint = Hector_ckpt.Checkpoint
@@ -112,16 +111,6 @@ let with_tmp_dir f =
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () -> f dir)
 
-(* putenv + refresh, restoring the knob state afterwards (blank = unset) *)
-let with_env bindings f =
-  List.iter (fun (k, v) -> Unix.putenv k v) bindings;
-  ignore (Knobs.refresh ());
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun (k, _) -> Unix.putenv k "") bindings;
-      ignore (Knobs.refresh ()))
-    f
-
 let expect_corrupt label f =
   match f () with
   | _ -> Alcotest.fail (label ^ ": expected Checkpoint.Corrupt")
@@ -221,16 +210,23 @@ let test_save_latest_retention () =
       (* saves land under [dir] in step order regardless of save order *)
       List.iter (fun s -> ignore (Checkpoint.save ~dir (ck s))) [ 3; 1; 7 ];
       check_bool "list sorted by step" true
-        (List.map fst (Checkpoint.list ~dir ()) = [ 1; 3; 7 ]);
-      (match Checkpoint.latest ~dir () with
+        (List.map fst (Checkpoint.list ~dir) = [ 1; 3; 7 ]);
+      (match Checkpoint.latest ~dir with
       | Some p -> check_int "latest is newest step" 7 (Checkpoint.step (Checkpoint.load p))
       | None -> Alcotest.fail "latest found nothing");
       (* retention: keep=2 deletes the oldest beyond two *)
       ignore (Checkpoint.save ~dir ~keep:2 (ck 9));
       check_bool "retention keeps 2 newest" true
-        (List.map fst (Checkpoint.list ~dir ()) = [ 7; 9 ]);
+        (List.map fst (Checkpoint.list ~dir) = [ 7; 9 ]);
+      (* keep 0 is rejected by name before anything is written *)
+      (match Checkpoint.save ~dir ~keep:0 (ck 11) with
+      | _ -> Alcotest.fail "keep 0 accepted"
+      | exception Invalid_argument msg ->
+          check_bool "names keep" true (String.starts_with ~prefix:"Checkpoint.save: keep" msg));
+      check_bool "rejected save wrote nothing" true
+        (List.map fst (Checkpoint.list ~dir) = [ 7; 9 ]);
       check_bool "filename embeds the step" true
-        (Filename.basename (Option.get (Checkpoint.latest ~dir ()))
+        (Filename.basename (Option.get (Checkpoint.latest ~dir))
         = Checkpoint.filename 9))
 
 let prop_tensor_roundtrip =
@@ -330,7 +326,7 @@ let test_dist_resume () =
           in
           check_bool "interrupted dist run checkpointed" true
             (cut.Failover.checkpoints <> []);
-          let ckpt = Checkpoint.load (Option.get (Checkpoint.latest ~dir ())) in
+          let ckpt = Checkpoint.load (Option.get (Checkpoint.latest ~dir)) in
           check_int "checkpoint carries the step" 2 (Checkpoint.step ckpt);
           (* rebuild a cluster from the checkpoint and replay the rest *)
           let cluster =
@@ -470,6 +466,10 @@ let test_comms_zero_overhead () =
     cluster
   in
   let plain = train (dist_config 2) in
+  (match Fault.create ~rate:1.5 () with
+  | _ -> Alcotest.fail "rate 1.5 accepted"
+  | exception Invalid_argument msg ->
+      check_bool "names rate" true (String.starts_with ~prefix:"Fault.create: rate" msg));
   let zero_plan = Fault.create ~rate:0.0 () in
   let zero_comms = Comms.create ~latency_us:5.0 ~bandwidth_gbs:25.0 ~faults:zero_plan () in
   let zero =
@@ -631,35 +631,6 @@ let test_stream_checkpoint () =
   check_bool "version advanced" true
     (Checkpoint.graph_version ck' > Checkpoint.graph_version ck)
 
-(* --- knob plumbing ------------------------------------------------------ *)
-
-let test_fault_knobs () =
-  check_bool "no fault knobs -> no plan" true (Fault.of_knobs () = None);
-  with_env
-    [ ("HECTOR_FAULT_RATE", "0.25"); ("HECTOR_FAULT_SEED", "7") ]
-    (fun () ->
-      match Fault.of_knobs () with
-      | Some plan ->
-          check_bool "knob rate" true (Fault.rate plan = 0.25);
-          check_int "knob seed" 7 (Fault.seed plan)
-      | None -> Alcotest.fail "HECTOR_FAULT_* knobs ignored");
-  check_bool "cleared knobs -> no plan again" true (Fault.of_knobs () = None)
-
-let test_ckpt_knobs () =
-  with_tmp_dir (fun dir ->
-      with_env
-        [ ("HECTOR_CKPT_DIR", dir); ("HECTOR_CKPT_KEEP", "1") ]
-        (fun () ->
-          let ck step =
-            Checkpoint.create ~step [ ("w", T.of_array [| 1; 2 |] [| 0.5; -0.5 |]) ]
-          in
-          let p1 = Checkpoint.save (ck 1) in
-          check_bool "HECTOR_CKPT_DIR directs the save" true (Filename.dirname p1 = dir);
-          ignore (Checkpoint.save (ck 2));
-          match Checkpoint.list () with
-          | [ (2, p) ] -> check_int "HECTOR_CKPT_KEEP retains one" 2 (Checkpoint.step (Checkpoint.load p))
-          | l -> Alcotest.fail (Printf.sprintf "expected 1 checkpoint, found %d" (List.length l))))
-
 (* --- crash-safe tuning-db writes ---------------------------------------- *)
 
 let test_tuning_db_partial_write () =
@@ -720,8 +691,6 @@ let suite =
     Alcotest.test_case "rate-0 plan == no plan (serve)" `Quick test_serve_zero_overhead;
     Alcotest.test_case "stream checkpoint carries epoch/version/weights" `Quick
       test_stream_checkpoint;
-    Alcotest.test_case "HECTOR_FAULT_* knobs build the plan" `Quick test_fault_knobs;
-    Alcotest.test_case "HECTOR_CKPT_* knobs drive save/retention" `Quick test_ckpt_knobs;
     Alcotest.test_case "tuning db survives partial writes" `Quick
       test_tuning_db_partial_write;
     QCheck_alcotest.to_alcotest prop_tensor_roundtrip;

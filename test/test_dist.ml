@@ -13,7 +13,6 @@ module Kernel = Hector_gpu.Kernel
 module Stats = Hector_gpu.Stats
 module Compiler = Hector_core.Compiler
 module Session = Hector_runtime.Session
-module Knobs = Hector_runtime.Knobs
 module Comms = Hector_dist.Comms
 module Replica = Hector_dist.Replica
 
@@ -198,13 +197,15 @@ let test_comms_cost_model () =
 let test_comms_rejects_nan () =
   let rejects field f =
     match f () with
-    | _ -> Alcotest.failf "NaN %s accepted" field
+    | _ -> Alcotest.failf "bad %s accepted" field
     | exception Invalid_argument msg ->
         check_bool ("names " ^ field) true
           (String.starts_with ~prefix:("Comms.create: " ^ field) msg)
   in
   rejects "latency_us" (fun () -> Comms.create ~latency_us:Float.nan ());
-  rejects "bandwidth_gbs" (fun () -> Comms.create ~bandwidth_gbs:Float.nan ())
+  rejects "bandwidth_gbs" (fun () -> Comms.create ~bandwidth_gbs:Float.nan ());
+  rejects "latency_us" (fun () -> Comms.create ~latency_us:(-3.0) ());
+  rejects "channel" (fun () -> Comms.create ~channels:0 ())
 
 (* transfers on distinct channels run concurrently: two 0.101 ms posts at
    clock 0 expose only 0.101 ms, and a third post folded back onto channel
@@ -254,34 +255,6 @@ let test_trace_concurrent_comm_span () =
   in
   check_bool "transfer renders on its own channel track" true (List.mem 2 tids);
   check_bool "compute renders on the compute track" true (List.mem 1 tids)
-
-let test_dist_knobs () =
-  let env = function
-    | "HECTOR_DIST_PARTS" -> Some "4"
-    | "HECTOR_DIST_LATENCY_US" -> Some "2.5"
-    | "HECTOR_DIST_BW_GBS" -> Some "100"
-    | "HECTOR_DIST_CHANNELS" -> Some "4"
-    | "HECTOR_DIST_BUCKET_KB" -> Some "128"
-    | _ -> None
-  in
-  let k = Knobs.parse env in
-  check_bool "parts knob" true (k.Knobs.dist_parts = Some 4);
-  check_bool "latency knob" true (k.Knobs.dist_latency_us = Some 2.5);
-  check_bool "bandwidth knob" true (k.Knobs.dist_bandwidth_gbs = Some 100.0);
-  check_bool "channels knob" true (k.Knobs.dist_channels = Some 4);
-  check_bool "bucket knob" true (k.Knobs.dist_bucket_kb = Some 128);
-  (* malformed values raise instead of silently falling back *)
-  let rejects name v =
-    match Knobs.parse (fun n -> if String.equal n name then Some v else None) with
-    | _ -> Alcotest.failf "%s=%s accepted" name v
-    | exception Invalid_argument msg ->
-        check_bool (name ^ " error names the knob") true
-          (String.length msg > 6 && String.sub msg 0 6 = "Knobs:")
-  in
-  rejects "HECTOR_DIST_PARTS" "zero";
-  rejects "HECTOR_DIST_LATENCY_US" "-3";
-  rejects "HECTOR_DIST_CHANNELS" "0";
-  rejects "HECTOR_DIST_BUCKET_KB" "-1"
 
 (* --- exactness: partitioned == single-replica -------------------------- *)
 
@@ -444,9 +417,9 @@ let test_single_partition_has_no_comm () =
 
 let test_replica_config () =
   let d = Replica.Config.default in
-  check_bool "default parts knob-driven" true (d.Replica.Config.parts = None);
+  check_bool "default parts unset (2)" true (d.Replica.Config.parts = None);
   check_bool "default overlap on" true d.Replica.Config.overlap;
-  check_bool "default bucket knob-driven" true (d.Replica.Config.bucket_kb = None);
+  check_bool "default bucket unset (64 KiB)" true (d.Replica.Config.bucket_kb = None);
   check_int "default seed" 1 d.Replica.Config.seed;
   let graph = Lazy.force parent in
   let features = features_of graph 6 in
@@ -463,7 +436,16 @@ let test_replica_config () =
   check_int "config parts honored" 3 (Replica.parts cluster);
   check_bool "config overlap honored" false (Replica.overlap cluster);
   check_bool "default config overlaps" true
-    (Replica.overlap (Replica.create ~config:(quiet 2) ~features ~graph [ compiled ]))
+    (Replica.overlap (Replica.create ~config:(quiet 2) ~features ~graph [ compiled ]));
+  let rejects field cfg =
+    match Replica.create ~config:cfg ~features ~graph [ compiled ] with
+    | _ -> Alcotest.failf "bad %s accepted" field
+    | exception Invalid_argument msg ->
+        check_bool ("names " ^ field) true
+          (String.starts_with ~prefix:("Replica.create: " ^ field) msg)
+  in
+  rejects "parts" { (quiet 2) with Replica.Config.parts = Some 0 };
+  rejects "bucket" { (quiet 2) with Replica.Config.bucket_kb = Some (-1) }
 
 (* --- overlapped == BSP ---------------------------------------------------- *)
 
@@ -592,7 +574,6 @@ let suite =
     Alcotest.test_case "comms rejects NaN latency and bandwidth" `Quick test_comms_rejects_nan;
     Alcotest.test_case "channels overlap transfers" `Quick test_post_channels_overlap;
     Alcotest.test_case "trace shows concurrent comm span" `Quick test_trace_concurrent_comm_span;
-    Alcotest.test_case "HECTOR_DIST_* knobs" `Quick test_dist_knobs;
     Alcotest.test_case "Replica.Config record" `Quick test_replica_config;
     Alcotest.test_case "overlap lowers the comm ratio" `Quick test_overlap_reduces_comm_ratio;
     Alcotest.test_case "shared metrics envelope" `Quick test_metrics_schema_uniform;

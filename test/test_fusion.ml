@@ -1,8 +1,8 @@
 (* Tests for the inter-op kernel-fusion pass (Inter_op_fusion): fused
    plans must be numerically identical to the unfused pipeline — forward
    outputs, backward gradients and multi-step training — while launching
-   strictly fewer kernels, and the HECTOR_FUSE_OPS=0 escape hatch must
-   reproduce the pre-fusion plans bit-for-bit. *)
+   strictly fewer kernels, and [fuse_ops = Some false] must reproduce the
+   pre-fusion plans bit-for-bit. *)
 
 module T = Hector_tensor.Tensor
 module G = Hector_graph.Hetgraph
@@ -11,7 +11,6 @@ module Stats = Hector_gpu.Stats
 module Plan = Hector_core.Plan
 module Compiler = Hector_core.Compiler
 module Session = Hector_runtime.Session
-module Knobs = Hector_runtime.Knobs
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -36,9 +35,14 @@ let compile ?(training = false) ?(compact = false) ?(fusion = false) ?fuse_ops m
     ~options:(Compiler.options_of_flags ~training ?fuse_ops ~compact ~fusion ())
     (Hector_models.Model_defs.by_name model ~in_dim:8 ~out_dim ())
 
-let session ?domains ~graph ~seed compiled =
-  let config = { Session.Config.default with Session.Config.seed; domains } in
+let session ~graph ~seed compiled =
+  let config = { Session.Config.default with Session.Config.seed } in
   Session.create ~config ~graph compiled
+
+(* the pool size is process-wide: restore it however [f] exits *)
+let with_domains n f =
+  Hector_tensor.Domain_pool.set_num_domains (Some n);
+  Fun.protect ~finally:(fun () -> Hector_tensor.Domain_pool.set_num_domains None) f
 
 let labels_of graph = Array.init graph.G.num_nodes (fun v -> v mod out_dim)
 let launches s = (Stats.total (Engine.stats (Session.engine s))).Stats.launches
@@ -65,6 +69,7 @@ let prop_fused_equals_unfused =
   QCheck.Test.make ~name:"fused == unfused (forward, grads, 3-step training)" ~count:6
     QCheck.(make Gen.(triple (int_range 0 1) (int_range 0 999) (int_range 1 2)))
     (fun (mi, seed, domains) ->
+      with_domains domains @@ fun () ->
       let model = [| "rgcn"; "rgat" |].(mi) in
       let graph =
         graph_of ~seed:(seed + 1)
@@ -73,8 +78,8 @@ let prop_fused_equals_unfused =
       in
       let fused = compile ~training:true ~fuse_ops:true model in
       let unfused = compile ~training:true ~fuse_ops:false model in
-      let sf = session ~domains ~graph ~seed:(3 + seed) fused in
-      let su = session ~domains ~graph ~seed:(3 + seed) unfused in
+      let sf = session ~graph ~seed:(3 + seed) fused in
+      let su = session ~graph ~seed:(3 + seed) unfused in
       let forward_ok = max_assoc_diff (Session.forward sf) (Session.forward su) <= 1e-6 in
       let labels = labels_of graph in
       let lf = Session.loss_and_grads sf ~labels in
@@ -134,32 +139,23 @@ let test_rgcn_train_launch_pin () =
   check_int "rgcn train fused launches" 10 (count true);
   check_int "rgcn train unfused launches" 16 (count false)
 
-(* --- HECTOR_FUSE_OPS=0 reproduces the pre-fusion pipeline -------------- *)
+(* --- fuse_ops: unset means on, Some false is the pre-fusion pipeline ----- *)
 
-let with_knob value f =
-  Unix.putenv "HECTOR_FUSE_OPS" value;
-  ignore (Knobs.refresh ());
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "HECTOR_FUSE_OPS" "1";
-      ignore (Knobs.refresh ()))
-    f
-
-let test_knob_off_bit_for_bit () =
+let test_fuse_ops_option () =
   List.iter
     (fun model ->
-      let explicit = compile ~training:true ~fuse_ops:false model in
-      (* fuse_ops left unset: the compilation follows the knob *)
-      let knobbed = with_knob "0" (fun () -> compile ~training:true model) in
-      check_int (model ^ " knob off: no fused steps") 0
-        (Plan.fused_count knobbed.Compiler.forward);
-      check_bool (model ^ " knob off: forward plan bit-for-bit") true
-        (knobbed.Compiler.forward = explicit.Compiler.forward);
-      check_bool (model ^ " knob off: backward plan bit-for-bit") true
-        (knobbed.Compiler.backward = explicit.Compiler.backward);
-      let fused = compile ~training:true model in
-      check_bool (model ^ " knob back on: plans fuse again") true
-        (Plan.fused_count fused.Compiler.forward > 0))
+      let off = compile ~training:true ~fuse_ops:false model in
+      check_int (model ^ " fuse_ops off: no fused steps") 0
+        (Plan.fused_count off.Compiler.forward);
+      check_int (model ^ " fuse_ops off: no fused backward steps") 0
+        (Plan.fused_count (Option.get off.Compiler.backward));
+      let unset = compile ~training:true model in
+      let on = compile ~training:true ~fuse_ops:true model in
+      check_bool (model ^ " unset fuses") true (Plan.fused_count unset.Compiler.forward > 0);
+      check_bool (model ^ " unset == on: forward plan") true
+        (unset.Compiler.forward = on.Compiler.forward);
+      check_bool (model ^ " unset == on: backward plan") true
+        (unset.Compiler.backward = on.Compiler.backward))
     [ "rgcn"; "rgat" ]
 
 (* --- steady-state allocations of the fused RGAT configurations --------- *)
@@ -206,8 +202,7 @@ let suite =
     Alcotest.test_case "rgat training launches strictly fewer" `Quick
       (test_fewer_launches "rgat" ~training:true);
     Alcotest.test_case "rgcn training launch counts pinned" `Quick test_rgcn_train_launch_pin;
-    Alcotest.test_case "HECTOR_FUSE_OPS=0 reproduces pre-fusion plans" `Quick
-      test_knob_off_bit_for_bit;
+    Alcotest.test_case "fuse_ops unset fuses; false does not" `Quick test_fuse_ops_option;
     Alcotest.test_case "fused rgat steady state allocates once" `Quick
       test_fused_rgat_steady_state_allocs;
     Alcotest.test_case "attribution stays total under fusion" `Quick

@@ -1,9 +1,8 @@
 (* Observability subsystem tests: span/counter collection, the whole-clock
    per-op attribution invariant, zero-allocation disabled handles, the
-   Session.Config / legacy-label equivalence, and Knobs parsing. *)
+   Session.Config / legacy-label equivalence. *)
 
 module T = Hector_tensor.Tensor
-module Domain_pool = Hector_tensor.Domain_pool
 module Gen = Hector_graph.Generator
 module Engine = Hector_gpu.Engine
 module Stats = Hector_gpu.Stats
@@ -11,7 +10,6 @@ module Kernel = Hector_gpu.Kernel
 module Obs = Hector_obs
 module Compiler = Hector_core.Compiler
 module Session = Hector_runtime.Session
-module Knobs = Hector_runtime.Knobs
 module Models = Hector_models.Model_defs
 
 let check_bool = Alcotest.(check bool)
@@ -234,62 +232,6 @@ let test_provenance_in_trace () =
          (fun ev -> Hector_json.member (Json_schema.field ev "args") "origin" <> None)
          events)
 
-(* --- knob parsing -------------------------------------------------- *)
-
-let getenv_of assoc name = List.assoc_opt name assoc
-
-let test_knobs_parse () =
-  let p assoc = Knobs.parse (getenv_of assoc) in
-  check_bool "empty env gives defaults" true (p [] = Knobs.defaults);
-  check_bool "defaults: fusion on, obs off, domains unset" true
-    (Knobs.defaults.Knobs.fuse_ops && (not Knobs.defaults.Knobs.obs)
-    && Knobs.defaults.Knobs.domains = None);
-  check_bool "domains parsed" true ((p [ ("HECTOR_DOMAINS", "3") ]).Knobs.domains = Some 3);
-  check_bool "domains capped" true
-    ((p [ ("HECTOR_DOMAINS", "100000") ]).Knobs.domains = Some Domain_pool.max_domains);
-  (* malformed values raise with a clear message instead of silently
-     falling back — a typo'd knob must not be ignored *)
-  let rejects name assoc =
-    match p assoc with
-    | _ -> Alcotest.failf "%s accepted" name
-    | exception Invalid_argument msg ->
-        check_bool (name ^ " error names the knob") true
-          (String.length msg > 6 && String.sub msg 0 6 = "Knobs:")
-  in
-  rejects "domains invalid" [ ("HECTOR_DOMAINS", "zero") ];
-  rejects "domains nonpositive" [ ("HECTOR_DOMAINS", "0") ];
-  rejects "domains negative" [ ("HECTOR_DOMAINS", "-4") ];
-  check_bool "blank domains reads as unset" true
-    ((p [ ("HECTOR_DOMAINS", "  ") ]).Knobs.domains = None);
-  check_bool "fusion off" true (not (p [ ("HECTOR_FUSE_OPS", "0") ]).Knobs.fuse_ops);
-  check_bool "fusion falsy word" true (not (p [ ("HECTOR_FUSE_OPS", "false") ]).Knobs.fuse_ops);
-  rejects "fusion junk" [ ("HECTOR_FUSE_OPS", "banana") ];
-  check_bool "obs on" true (p [ ("HECTOR_OBS", "1") ]).Knobs.obs;
-  check_bool "obs truthy word" true (p [ ("HECTOR_OBS", "true") ]).Knobs.obs;
-  rejects "obs junk" [ ("HECTOR_OBS", "banana") ];
-  (* the fault/checkpoint knobs ride the same validation *)
-  check_bool "fault rate parsed" true
-    ((p [ ("HECTOR_FAULT_RATE", "0.25") ]).Knobs.fault_rate = Some 0.25);
-  rejects "fault rate above 1" [ ("HECTOR_FAULT_RATE", "1.5") ];
-  rejects "fault rate junk" [ ("HECTOR_FAULT_RATE", "abc") ];
-  check_bool "fault seed parsed" true
-    ((p [ ("HECTOR_FAULT_SEED", "42") ]).Knobs.fault_seed = Some 42);
-  rejects "fault seed junk" [ ("HECTOR_FAULT_SEED", "4.2") ];
-  check_bool "ckpt keep parsed" true
-    ((p [ ("HECTOR_CKPT_KEEP", "3") ]).Knobs.ckpt_keep = Some 3);
-  rejects "ckpt keep zero" [ ("HECTOR_CKPT_KEEP", "0") ];
-  check_bool "ckpt dir passes through" true
-    ((p [ ("HECTOR_CKPT_DIR", "/tmp/ck") ]).Knobs.ckpt_dir = Some "/tmp/ck")
-
-let test_knobs_refresh () =
-  Unix.putenv "HECTOR_OBS" "1";
-  let k = Knobs.refresh () in
-  check_bool "refresh sees env" true k.Knobs.obs;
-  Unix.putenv "HECTOR_OBS" "0";
-  check_bool "cached until refresh" true (Knobs.current ()).Knobs.obs;
-  let k = Knobs.refresh () in
-  check_bool "refresh sees change" true (not k.Knobs.obs)
-
 let suite =
   [
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
@@ -302,6 +244,4 @@ let suite =
     Alcotest.test_case "reset_clock keep_events" `Quick test_reset_clock_keep_events;
     Alcotest.test_case "configured observability handle" `Quick test_session_observability_config;
     Alcotest.test_case "provenance on every launch" `Quick test_provenance_in_trace;
-    Alcotest.test_case "knobs parse" `Quick test_knobs_parse;
-    Alcotest.test_case "knobs refresh" `Quick test_knobs_refresh;
   ]

@@ -43,35 +43,27 @@ let seq_vs_par ?(sizes = [ 2; 4 ]) ~tol name f =
 (* --- pool sizing ---------------------------------------------------- *)
 
 let test_env_sizing () =
-  let saved = Sys.getenv_opt "HECTOR_DOMAINS" in
-  (* env knobs are parsed once by Knobs; tests refresh the cached snapshot
-     after each putenv to make the change visible *)
-  let set v =
-    Unix.putenv "HECTOR_DOMAINS" v;
-    ignore (Hector_runtime.Knobs.refresh ())
-  in
-  let restore () = set (Option.value saved ~default:"") in
-  Fun.protect ~finally:restore (fun () ->
-      set "3";
-      check_int "HECTOR_DOMAINS=3" 3 (Dp.num_domains ());
-      check_bool "not sequential" false (Dp.sequential ());
-      set "1";
-      check_int "HECTOR_DOMAINS=1" 1 (Dp.num_domains ());
-      check_bool "sequential" true (Dp.sequential ());
-      set "1000000";
-      check_int "capped at max_domains" Dp.max_domains (Dp.num_domains ());
-      (* malformed values now fail loudly instead of silently falling back *)
-      Unix.putenv "HECTOR_DOMAINS" "garbage";
-      (match Hector_runtime.Knobs.refresh () with
-      | _ -> Alcotest.fail "garbage HECTOR_DOMAINS accepted"
-      | exception Invalid_argument _ -> ());
-      Unix.putenv "HECTOR_DOMAINS" "-2";
-      (match Hector_runtime.Knobs.refresh () with
-      | _ -> Alcotest.fail "negative HECTOR_DOMAINS accepted"
-      | exception Invalid_argument _ -> ());
-      set "5";
-      with_domains 2 (fun () ->
-          check_int "override beats the environment" 2 (Dp.num_domains ())))
+  (* the variable is read once per process, so its cases run against the
+     pure parser [num_domains] applies to it *)
+  let parse v = Dp.parse_domains v in
+  check_bool "HECTOR_DOMAINS=3" true (parse (Some "3") = Some 3);
+  check_bool "HECTOR_DOMAINS=1" true (parse (Some "1") = Some 1);
+  check_bool "unset" true (parse None = None);
+  check_bool "blank reads as unset" true (parse (Some "  ") = None);
+  check_bool "capped at max_domains" true (parse (Some "1000000") = Some Dp.max_domains);
+  (* malformed values fail loudly, naming the variable *)
+  List.iter
+    (fun v ->
+      match parse (Some v) with
+      | _ -> Alcotest.failf "HECTOR_DOMAINS=%S accepted" v
+      | exception Invalid_argument msg ->
+          check_bool (v ^ ": error names HECTOR_DOMAINS") true
+            (String.starts_with ~prefix:"Domain_pool: HECTOR_DOMAINS" msg))
+    [ "garbage"; "-2"; "0"; "4.5" ];
+  with_domains 1 (fun () -> check_bool "sequential" true (Dp.sequential ()));
+  with_domains 3 (fun () ->
+      check_int "override" 3 (Dp.num_domains ());
+      check_bool "not sequential" false (Dp.sequential ()))
 
 (* --- parallel_for --------------------------------------------------- *)
 

@@ -325,25 +325,6 @@ let test_workload_deterministic () =
         sorted)
     a
 
-let test_serve_knobs () =
-  let graph = Lazy.force parent in
-  Unix.putenv "HECTOR_SERVE_BATCH" "3";
-  Unix.putenv "HECTOR_SERVE_QUEUE" "5";
-  ignore (Hector_runtime.Knobs.refresh ());
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "HECTOR_SERVE_BATCH" "";
-      Unix.putenv "HECTOR_SERVE_QUEUE" "";
-      ignore (Hector_runtime.Knobs.refresh ()))
-    (fun () ->
-      let server =
-        Serve.create
-          ~config:{ (exact_config graph) with Serve.max_batch = None; queue_capacity = None }
-          ~graph (rgcn ())
-      in
-      check_int "HECTOR_SERVE_BATCH" 3 (Serve.max_batch server);
-      check_int "HECTOR_SERVE_QUEUE" 5 (Serve.queue_capacity server))
-
 (* [g] four times over, node types kept grouped: copy [k] of node [v]
    (type range [s, s+c)) is [4s + k*c + (v - s)].  Copy 0's in-rows list
    the same sources in the same order as [g]'s, so a seed set mapped into
@@ -428,7 +409,6 @@ let suite =
       test_admission_shedding;
     Alcotest.test_case "metrics json" `Quick test_metrics_json;
     Alcotest.test_case "workload deterministic" `Quick test_workload_deterministic;
-    Alcotest.test_case "HECTOR_SERVE_* knobs" `Quick test_serve_knobs;
     Alcotest.test_case "per-batch words independent of the parent" `Quick
       test_batch_words_independent_of_parent;
   ]

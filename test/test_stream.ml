@@ -12,7 +12,6 @@ module Sampler = Hector_graph.Sampler
 module Partition = Hector_graph.Partition
 module Engine = Hector_gpu.Engine
 module Memory = Hector_gpu.Memory
-module Knobs = Hector_runtime.Knobs
 module Workload = Hector_serve.Workload
 module Serve = Hector_serve.Serve
 module Delta = Hector_stream.Delta
@@ -222,7 +221,21 @@ let test_capacity_graph_bounds () =
       (Printf.sprintf "etype %d capacity" et)
       (max 1 (int_of_float (ceil (1.5 *. float_of_int live))))
       capped
-  done
+  done;
+  (* out-of-range settings are rejected by name; the edges of the ranges
+     are legal *)
+  ignore (make_mg ~slack:0.0 ~compact:1.0 ());
+  let rejects field f =
+    match f () with
+    | _ -> Alcotest.failf "bad %s accepted" field
+    | exception Invalid_argument msg ->
+        check_bool ("names " ^ field) true
+          (String.starts_with ~prefix:("Mutable_graph.create: " ^ field) msg)
+  in
+  rejects "slack" (fun () -> make_mg ~slack:(-1.0) ());
+  rejects "compact" (fun () -> make_mg ~compact:0.0 ());
+  rejects "compact" (fun () -> make_mg ~compact:1.5 ());
+  rejects "compact" (fun () -> make_mg ~compact:Float.nan ())
 
 (* --- flat arrays ≡ Hashtbl oracle ---------------------------------------- *)
 
@@ -696,30 +709,6 @@ let test_metrics_json_envelope () =
   check_bool "update time printed exactly" true
     (Float.equal (Json_schema.num doc "update_ms") (Ss.update_ms ss))
 
-(* --- knobs ------------------------------------------------------------- *)
-
-let test_stream_knobs () =
-  let parse env = Knobs.parse (fun k -> List.assoc_opt k env) in
-  let slack env = (parse env).Knobs.stream_slack in
-  let compact env = (parse env).Knobs.stream_compact in
-  check_bool "slack parses" true (slack [ ("HECTOR_STREAM_SLACK", "0.75") ] = Some 0.75);
-  check_bool "slack zero is legal" true (slack [ ("HECTOR_STREAM_SLACK", "0") ] = Some 0.0);
-  check_bool "unset slack" true (slack [] = None);
-  check_bool "compact parses" true (compact [ ("HECTOR_STREAM_COMPACT", "0.5") ] = Some 0.5);
-  check_bool "compact of 1 legal" true (compact [ ("HECTOR_STREAM_COMPACT", "1.0") ] = Some 1.0);
-  (* malformed values raise instead of silently falling back *)
-  let rejects label env =
-    match parse env with
-    | _ -> Alcotest.failf "%s accepted" label
-    | exception Invalid_argument msg ->
-        check_bool (label ^ " error names the knob") true
-          (String.length msg > 6 && String.sub msg 0 6 = "Knobs:")
-  in
-  rejects "negative slack" [ ("HECTOR_STREAM_SLACK", "-1") ];
-  rejects "garbage slack" [ ("HECTOR_STREAM_SLACK", "lots") ];
-  rejects "compact above 1" [ ("HECTOR_STREAM_COMPACT", "1.5") ];
-  rejects "compact of 0" [ ("HECTOR_STREAM_COMPACT", "0") ]
-
 let suite =
   [
     Alcotest.test_case "delta generation is deterministic and valid" `Quick
@@ -753,6 +742,4 @@ let suite =
     QCheck_alcotest.to_alcotest test_equivalence_anchor;
     Alcotest.test_case "stream metrics use the shared envelope" `Quick
       test_metrics_json_envelope;
-    Alcotest.test_case "HECTOR_STREAM_* knobs parse and validate" `Quick
-      test_stream_knobs;
   ]
