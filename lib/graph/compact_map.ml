@@ -5,44 +5,41 @@ type t = {
   pair_src : int array;
 }
 
-let build_on ~endpoint_of (g : Hetgraph.t) =
+(* Edges are sorted by etype, so each type is one contiguous sweep.  One
+   node-indexed stamp array, tagged with the type that last saw the node,
+   replaces a hash table per type: a node's row is valid only while its
+   stamp equals the current type.  Pairs keep their first-occurrence order
+   within each type. *)
+let build_on endpoints (g : Hetgraph.t) =
   let num_et = Hetgraph.num_etypes g in
   let row_of_edge = Array.make g.num_edges (-1) in
   let etype_ptr = Array.make (num_et + 1) 0 in
-  let pair_src_rev = ref [] in
+  let pair_src = Array.make g.num_edges 0 in
+  let stamp = Array.make g.num_nodes (-1) and row = Array.make g.num_nodes 0 in
   let next = ref 0 in
-  (* Edges are sorted by etype, so each type is one contiguous sweep; a
-     per-type hash table keeps the pass linear. *)
   for e = 0 to num_et - 1 do
     etype_ptr.(e) <- !next;
     let start, count = Hetgraph.edges_of_type g e in
-    let seen = Hashtbl.create (max 16 count) in
     for i = start to start + count - 1 do
-      let s = endpoint_of i in
-      match Hashtbl.find_opt seen s with
-      | Some r -> row_of_edge.(i) <- r
-      | None ->
-          let r = !next in
-          Hashtbl.add seen s r;
-          pair_src_rev := s :: !pair_src_rev;
-          row_of_edge.(i) <- r;
-          incr next
+      let s = endpoints.(i) in
+      if stamp.(s) <> e then begin
+        stamp.(s) <- e;
+        row.(s) <- !next;
+        pair_src.(!next) <- s;
+        incr next
+      end;
+      row_of_edge.(i) <- row.(s)
     done
   done;
   etype_ptr.(num_et) <- !next;
-  let pair_src = Array.of_list (List.rev !pair_src_rev) in
-  { num_pairs = !next; row_of_edge; etype_ptr; pair_src }
+  { num_pairs = !next; row_of_edge; etype_ptr; pair_src = Array.sub pair_src 0 !next }
 
-let build (g : Hetgraph.t) = build_on ~endpoint_of:(fun i -> g.src.(i)) g
+let build (g : Hetgraph.t) = build_on g.src g
 
-let build_dst (g : Hetgraph.t) = build_on ~endpoint_of:(fun i -> g.dst.(i)) g
+let build_dst (g : Hetgraph.t) = build_on g.dst g
 
 let ratio (g : Hetgraph.t) t =
   if g.num_edges = 0 then 1.0 else float_of_int t.num_pairs /. float_of_int g.num_edges
-
-let pairs_of_etype t e =
-  let start = t.etype_ptr.(e) in
-  (start, t.etype_ptr.(e + 1) - start)
 
 let etype_of_pair t p =
   if p < 0 || p >= t.num_pairs then invalid_arg "Compact_map.etype_of_pair: out of range";

@@ -11,7 +11,10 @@
 type t = private {
   num_pairs : int;  (** total number of unique (etype, endpoint) pairs *)
   row_of_edge : int array;  (** per COO edge id: its compact row *)
-  etype_ptr : int array;  (** length #etypes+1: pair-range per edge type *)
+  etype_ptr : int array;
+      (** length #etypes+1: type [e]'s pairs are rows
+          [\[etype_ptr.(e), etype_ptr.(e+1))] — the segments of a typed
+          linear layer over compact rows *)
   pair_src : int array;  (** per pair: the keyed endpoint's node id (source
                              for [build], destination for [build_dst]) *)
 }
@@ -28,10 +31,6 @@ val build_dst : Hetgraph.t -> t
 val ratio : Hetgraph.t -> t -> float
 (** [ratio g t] = unique pairs / edges — the "compaction ratio" of §4.4
     (57 % on AM, 26 % on FB15k). *)
-
-val pairs_of_etype : t -> int -> int * int
-(** [(start, count)] of the compact-row range belonging to one edge type —
-    the segment used when a typed linear layer runs over compact rows. *)
 
 val etype_of_pair : t -> int -> int
 (** Inverse lookup: the edge type owning a compact row. *)

@@ -782,7 +782,7 @@ let stage_pass t ~program ~locals pass =
         let s = stage_stmt t ~program defs slot st in
         let gate rep inst =
           let s = s inst in
-          fun e v -> if rep.(e) then s e v
+          fun e v -> if rep.(e) = e then s e v
         in
         match cls with
         | Per_edge -> s
@@ -1107,20 +1107,6 @@ let gemm_cost ~name ~rows ~k ~n ~(schedule : Gs.schedule) ~gathered_in ~scatter_
     ~threads_per_block:(max 32 threads) ~flops ~bytes_coalesced:coalesced
     ~bytes_gathered:gathered ~bytes_atomic:atomic ()
 
-(* ranges of output rows per edge type, for a given edge space *)
-let etype_ranges t space =
-  let g = Graph_ctx.graph t.ctx in
-  let net = G.num_etypes g in
-  match space with
-  | Mat.Rows_edges -> List.init net (fun r -> (r, G.edges_of_type g r))
-  | Mat.Rows_compact_src ->
-      let cm = Graph_ctx.compact_src t.ctx in
-      List.init net (fun r -> (r, Cm.pairs_of_etype cm r))
-  | Mat.Rows_compact_dst ->
-      let cm = Graph_ctx.compact_dst t.ctx in
-      List.init net (fun r -> (r, Cm.pairs_of_etype cm r))
-  | Mat.Rows_nodes -> fail "etype_ranges: node space"
-
 let operand_entry t op = Env.find t.env (Gs.operand_name op)
 
 (* The launch descriptor of a GEMM spec — the task decides the gather /
@@ -1166,101 +1152,58 @@ let gemm_kernel ~env ~ctx (spec : Gs.t) =
       gemm_cost ~name:(Gs.name spec) ~rows:g.G.num_nodes ~k:x.Env.dim ~n:dy.Env.dim ~schedule
         ~gathered_in:false ~scatter_out:false ~atomic_out:false ~accumulate:true
 
+(* Each GEMM step is one segmented kernel call over the context's type
+   offsets: one parallel region for every relation.  The forward gather
+   into edge rows computes each (relation, endpoint) pair's first edge
+   only and copies that row to the pair's other edges.  The launch
+   charged below still covers every edge row: the device model prices the
+   U layout's kernel, and only the host stops repeating multiply-adds. *)
 let run_gemm t (spec : Gs.t) =
-  let g = Graph_ctx.graph t.ctx in
+  let node_offsets = function
+    | Ir.Shared -> [| 0; (Graph_ctx.graph t.ctx).G.num_nodes |]
+    | Ir.By_ntype -> Graph_ctx.offsets t.ctx Mat.Rows_nodes
+    | _ -> fail "node GEMM: unsupported slice"
+  in
   (match spec.Gs.task with
   | Gs.Node_linear { input; weight; slice; output; transpose; accumulate = acc } ->
-      let x = (operand_entry t input).Env.tensor in
-      let wstack = Env.weight t.env weight in
-      let out = (Env.find t.env output).Env.tensor in
-      let segments =
-        match slice with
-        | Ir.Shared -> [ (0, (0, g.G.num_nodes)) ]
-        | Ir.By_ntype -> List.init (G.num_ntypes g) (fun nt -> (nt, G.nodes_of_type g nt))
-        | _ -> fail "Node_linear: unsupported slice"
-      in
-      List.iter
-        (fun (sl, (start, count)) ->
-          if count > 0 then
-            let xs = Tensor.sub_rows x start count in
-            let os = Tensor.sub_rows out start count in
-            Tensor.matmul_into ~trans_b:transpose
-              ~beta:(if acc then 1.0 else 0.0)
-              xs (Tensor.slice0 wstack sl) os)
-        segments
+      let x = (operand_entry t input).Env.tensor and out = (Env.find t.env output).Env.tensor in
+      Tensor.segment_matmul_into ~trans_b:transpose
+        ~beta:(if acc then 1.0 else 0.0)
+        ~offsets:(node_offsets slice) x (Env.weight t.env weight) out
   | Gs.Edge_linear { side; input; weight; output; out_space; transpose; per_row_scalar } ->
-      let x = operand_entry t input in
-      let wstack = Env.weight t.env weight in
-      let out = Env.find t.env output in
-      let ids = Graph_ctx.endpoint_ids t.ctx out_space side in
-      List.iter
-        (fun (r, (start, count)) ->
-          if count > 0 then begin
-            let os = Tensor.sub_rows out.Env.tensor start count in
-            (* gather applied on the fly inside the GEMM row loop (§4.2):
-               no per-edge copy of the node features is ever materialized *)
-            Tensor.matmul_gather_into ~trans_b:transpose ~idx_off:start x.Env.tensor ~idx:ids
-              (Tensor.slice0 wstack r) os;
-            match per_row_scalar with
-            | None -> ()
-            | Some sname ->
-                let s = (Env.find t.env sname).Env.tensor in
-                let sa, s0 = Tensor.storage s and oa, o0 = Tensor.storage os in
-                let ss = Tensor.dim s 1 and cols = Tensor.dim os 1 in
-                for i = 0 to count - 1 do
-                  let factor = sa.(s0 + ((start + i) * ss)) in
-                  for j = 0 to out.Env.dim - 1 do
-                    oa.(o0 + (i * cols) + j) <- oa.(o0 + (i * cols) + j) *. factor
-                  done
-                done
-          end)
-        (etype_ranges t out_space)
-  | Gs.Edge_linear_dinput { side; weight; grad_output; grad_out_space; grad_input; transpose } ->
-      let dy = Env.find t.env grad_output in
-      let wstack = Env.weight t.env weight in
-      let dx = Env.find t.env grad_input in
-      let ids = Graph_ctx.endpoint_ids t.ctx grad_out_space side in
-      List.iter
-        (fun (r, (start, count)) ->
-          if count > 0 then begin
-            let dys = Tensor.sub_rows dy.Env.tensor start count in
-            (* scatter-add applied on the fly: the per-relation [count × dim]
-               contribution matrix of the materialize-then-scatter scheme is
-               never allocated *)
-            Tensor.matmul_scatter_add_into ~trans_b:transpose ~idx_off:start dys
-              (Tensor.slice0 wstack r) ~idx:ids dx.Env.tensor
-          end)
-        (etype_ranges t grad_out_space)
-  | Gs.Edge_linear_dweight { side; input; grad_output; grad_out_space; grad_weight } ->
-      let x = operand_entry t input in
-      let dy = Env.find t.env grad_output in
-      let dw = Env.weight_grad t.env grad_weight in
-      let ids = Graph_ctx.endpoint_ids t.ctx grad_out_space side in
-      List.iter
-        (fun (r, (start, count)) ->
-          if count > 0 then begin
-            let dys = Tensor.sub_rows dy.Env.tensor start count in
-            (* transpose-aware gather: dW += X[idx]ᵀ dY without gathering X *)
-            Tensor.matmul_gather_t_into ~beta:1.0 ~idx_off:start x.Env.tensor ~idx:ids dys
-              (Tensor.slice0 dw r)
-          end)
-        (etype_ranges t grad_out_space)
-  | Gs.Node_linear_dweight { input; slice; grad_output; grad_weight } ->
-      let x = operand_entry t input in
-      let dy = Env.find t.env grad_output in
-      let dw = Env.weight_grad t.env grad_weight in
-      let segments =
-        match slice with
-        | Ir.Shared -> [ (0, (0, g.G.num_nodes)) ]
-        | _ -> List.init (G.num_ntypes g) (fun nt -> (nt, G.nodes_of_type g nt))
+      let rep =
+        match (out_space, side) with
+        | Mat.Rows_edges, `Src -> Graph_ctx.rep_src t.ctx
+        | Mat.Rows_edges, `Dst -> Graph_ctx.rep_dst t.ctx
+        | _ -> [||] (* compact rows are unique pairs *)
       in
-      List.iter
-        (fun (sl, (start, count)) ->
-          if count > 0 then
-            let xs = Tensor.sub_rows x.Env.tensor start count in
-            let dys = Tensor.sub_rows dy.Env.tensor start count in
-            Tensor.matmul_into ~trans_a:true ~beta:1.0 xs dys (Tensor.slice0 dw sl))
-        segments);
+      (* gather applied on the fly inside the GEMM row loop (§4.2): no
+         per-edge copy of the node features is ever materialized *)
+      Tensor.segment_gather_into ~trans_b:transpose ~rep
+        ?scale:(Option.map (fun s -> (Env.find t.env s).Env.tensor) per_row_scalar)
+        ~offsets:(Graph_ctx.offsets t.ctx out_space)
+        (operand_entry t input).Env.tensor
+        ~idx:(Graph_ctx.endpoint_ids t.ctx out_space side)
+        (Env.weight t.env weight) (Env.find t.env output).Env.tensor
+  | Gs.Edge_linear_dinput { side; weight; grad_output; grad_out_space; grad_input; transpose } ->
+      (* scatter-add applied on the fly: the [rows × dim] contribution
+         matrix of the materialize-then-scatter scheme is never allocated *)
+      Tensor.segment_scatter_add_into ~trans_b:transpose
+        ~offsets:(Graph_ctx.offsets t.ctx grad_out_space)
+        (Env.find t.env grad_output).Env.tensor (Env.weight t.env weight)
+        ~idx:(Graph_ctx.endpoint_ids t.ctx grad_out_space side)
+        (Env.find t.env grad_input).Env.tensor
+  | Gs.Edge_linear_dweight { side; input; grad_output; grad_out_space; grad_weight } ->
+      (* transpose-aware gather: dW += X[idx]ᵀ dY without gathering X *)
+      Tensor.segment_gather_t_into ~beta:1.0
+        ~offsets:(Graph_ctx.offsets t.ctx grad_out_space)
+        (operand_entry t input).Env.tensor
+        ~idx:(Graph_ctx.endpoint_ids t.ctx grad_out_space side)
+        (Env.find t.env grad_output).Env.tensor (Env.weight_grad t.env grad_weight)
+  | Gs.Node_linear_dweight { input; slice; grad_output; grad_weight } ->
+      Tensor.segment_matmul_into ~trans_a:true ~beta:1.0 ~offsets:(node_offsets slice)
+        (operand_entry t input).Env.tensor (Env.find t.env grad_output).Env.tensor
+        (Env.weight_grad t.env grad_weight));
   launch_attr t (gemm_kernel ~env:t.env ~ctx:t.ctx spec)
 
 (* ------------------------------------------------------------------ *)

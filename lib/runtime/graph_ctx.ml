@@ -12,12 +12,23 @@ type t = {
   mutable in_csr : Csr.t option;
   mutable compact_src : Compact_map.t option;
   mutable compact_dst : Compact_map.t option;
-  mutable rep_src : bool array option;
-  mutable rep_dst : bool array option;
+  mutable rep_src : int array option;
+  mutable rep_dst : int array option;
+  mutable edge_offsets : int array option;
+  mutable node_offsets : int array option;
 }
 
 let create graph =
-  { graph; in_csr = None; compact_src = None; compact_dst = None; rep_src = None; rep_dst = None }
+  {
+    graph;
+    in_csr = None;
+    compact_src = None;
+    compact_dst = None;
+    rep_src = None;
+    rep_dst = None;
+    edge_offsets = None;
+    node_offsets = None;
+  }
 
 let graph t = t.graph
 
@@ -45,23 +56,22 @@ let compact_dst t =
       t.compact_dst <- Some c;
       c
 
-(* [rep.(e)] is true iff edge [e] is the first (representative) edge of its
-   compact row — pair-local traversal statements execute only there. *)
-let representatives (cm : Compact_map.t) num_edges =
-  let seen = Array.make cm.Compact_map.num_pairs false in
-  Array.init num_edges (fun e ->
-      let row = cm.Compact_map.row_of_edge.(e) in
-      if seen.(row) then false
-      else begin
-        seen.(row) <- true;
-        true
-      end)
+(* [rep.(e)] is the first (representative) edge of [e]'s compact row:
+   pair-local traversal statements execute only where [rep.(e) = e], and
+   an edge-space gather computes only those rows and copies the rest. *)
+let representatives (cm : Compact_map.t) =
+  let first = Array.make cm.Compact_map.num_pairs (-1) in
+  Array.mapi
+    (fun e row ->
+      if first.(row) < 0 then first.(row) <- e;
+      first.(row))
+    cm.Compact_map.row_of_edge
 
 let rep_src t =
   match t.rep_src with
   | Some r -> r
   | None ->
-      let r = representatives (compact_src t) t.graph.Hetgraph.num_edges in
+      let r = representatives (compact_src t) in
       t.rep_src <- Some r;
       r
 
@@ -69,9 +79,34 @@ let rep_dst t =
   match t.rep_dst with
   | Some r -> r
   | None ->
-      let r = representatives (compact_dst t) t.graph.Hetgraph.num_edges in
+      let r = representatives (compact_dst t) in
       t.rep_dst <- Some r;
       r
+
+(* [offsets.(r)] is the first id of type [r], [offsets.(types)] the
+   total: the segment list of a segmented GEMM. *)
+let type_offsets types range_of total =
+  Array.init (types + 1) (fun r -> if r = types then total else fst (range_of r))
+
+let offsets t = function
+  | Materialization.Rows_edges -> (
+      match t.edge_offsets with
+      | Some o -> o
+      | None ->
+          let g = t.graph in
+          let o = type_offsets (Hetgraph.num_etypes g) (Hetgraph.edges_of_type g) g.Hetgraph.num_edges in
+          t.edge_offsets <- Some o;
+          o)
+  | Materialization.Rows_nodes -> (
+      match t.node_offsets with
+      | Some o -> o
+      | None ->
+          let g = t.graph in
+          let o = type_offsets (Hetgraph.num_ntypes g) (Hetgraph.nodes_of_type g) g.Hetgraph.num_nodes in
+          t.node_offsets <- Some o;
+          o)
+  | Materialization.Rows_compact_src -> (compact_src t).Compact_map.etype_ptr
+  | Materialization.Rows_compact_dst -> (compact_dst t).Compact_map.etype_ptr
 
 let rows_of_space t = function
   | Materialization.Rows_nodes -> t.graph.Hetgraph.num_nodes
@@ -81,8 +116,8 @@ let rows_of_space t = function
 
 (* Row [i] of an edge-space tensor is fed by node [ids.(i)]: the graph's
    own endpoint columns for edge rows, the pair columns for compact rows.
-   A relation's rows are a contiguous range, so its gather list is this
-   column at the range's start — no per-relation copy. *)
+   A relation's rows are a contiguous range, so one segmented GEMM reads
+   this column whole — no per-relation copy. *)
 let endpoint_ids t space side =
   match space with
   | Materialization.Rows_edges -> (

@@ -1,11 +1,12 @@
 (** Runtime graph context: the graph plus every derived encoding the
     generated kernels may traverse — incoming CSR, the two compact
-    materialization maps of §3.1.3 and their representative-edge masks.
+    materialization maps of §3.1.3, their representative-edge maps and
+    the per-type row offsets a segmented GEMM reads.
     The preprocessing pass of §3.6 happens on demand: {!create} only
     records the graph, and each encoding is built the first time it is
-    requested, then kept.  A plan that never traverses by destination or
-    materializes compactly (e.g. a U forward over a small sampled block)
-    never pays for those encodings.
+    requested, then kept.  A plan that never traverses by destination
+    never pays for the CSR; a plan with no compact buffer, pair-local
+    statement or edge-space gather never pays for the compact maps.
 
     The memoization is not synchronized.  Request every encoding a
     parallel region reads on the domain that owns the context, before the
@@ -32,13 +33,22 @@ val compact_src : t -> Compact_map.t
 val compact_dst : t -> Compact_map.t
 (** The (etype, dst) compact map, built on first request. *)
 
-val rep_src : t -> bool array
-(** Per edge: is it the first edge of its (etype, src) pair?  Pair-local
-    traversal statements execute only on representatives, so per-pair data
-    is computed (and gradients accumulated) exactly once per pair. *)
+val rep_src : t -> int array
+(** Per edge: the first edge of its (etype, src) pair, its
+    representative.  Pair-local traversal statements execute only on
+    edges with [rep.(e) = e], so per-pair data is computed (and gradients
+    accumulated) exactly once per pair; an edge-space forward gather of
+    source rows computes only representative rows and copies the rest. *)
 
-val rep_dst : t -> bool array
+val rep_dst : t -> int array
 (** Destination-side analogue of {!rep_src}. *)
+
+val offsets : t -> Hector_core.Materialization.space -> int array
+(** The segment list of a typed GEMM over a space, built once and kept:
+    for an edge space, [offsets.(r)] is the first row of relation [r] and
+    the last entry is the row count (the edge-type ranges, or the compact
+    map's [etype_ptr]); for [Rows_nodes], the same over node types.
+    Callers must not mutate it. *)
 
 val rows_of_space : t -> Hector_core.Materialization.space -> int
 (** Number of rows a tensor of the given space has on this graph. *)
@@ -49,8 +59,8 @@ val endpoint_ids : t -> Hector_core.Materialization.space -> [ `Src | `Dst ] -> 
     [space].  It is the graph's [src]/[dst] column for edge rows and the
     compact map's [pair_src] column for compact rows — never a copy.  A
     relation's rows form a contiguous range, so the fused gather/scatter
-    GEMM kernels read this array at the range's start ([~idx_off]).
-    Callers must not mutate it. *)
+    GEMM kernels read it whole, segmented by {!offsets}.  Callers must not
+    mutate it. *)
 
 val compact_of_space :
   t -> Hector_core.Materialization.space -> Compact_map.t option

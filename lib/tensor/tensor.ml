@@ -373,33 +373,226 @@ let check_no_alias fn c x =
      && c.offset < x.offset + numel x && x.offset < c.offset + numel c
   then shape_error "%s: output overlaps an operand's storage" fn
 
-let check_gemm_operands fn a b c =
-  if ndim a <> 2 || ndim b <> 2 || ndim c <> 2 then shape_error "%s: operands must be 2-D" fn;
-  check_no_alias fn c a;
-  check_no_alias fn c b
-
 (* Rows of C per parallel chunk: about 32K multiply-adds each. *)
 let gemm_grain ~kn ~n = max 1 (32768 / max 1 (kn * n))
 
-let matmul_into ?(trans_a = false) ?(trans_b = false) ?(beta = 0.0) a b c =
-  check_gemm_operands "matmul" a b c;
-  let am, ak = if trans_a then (a.shape.(1), a.shape.(0)) else (a.shape.(0), a.shape.(1)) in
-  let bk, bn = if trans_b then (b.shape.(1), b.shape.(0)) else (b.shape.(0), b.shape.(1)) in
-  if ak <> bk then shape_error "matmul: inner dims %d vs %d" ak bk;
-  if c.shape.(0) <> am || c.shape.(1) <> bn then
-    shape_error "matmul: output %dx%d vs expected %dx%d" c.shape.(0) c.shape.(1) am bn;
+(* --- Segmented GEMM ----------------------------------------------------
+   One call covers a whole GEMM step.  [offsets] (length S + 1, rising
+   from 0 to the segmented row count) splits the rows into S relation
+   segments, and segment s multiplies by slice s of an [S]-slice stack, so
+   a step opens one parallel region over all its rows instead of one per
+   relation.  The one-relation entry points are the case S = 1, their 2-D
+   operand read as a one-slice stack.  The gather, scatter and transpose
+   access schemes (paper §4.2) are addressing modes of [gemm_row], applied
+   on the fly inside its register-blocked loop, so the per-edge operand
+   matrix is never materialized; each row keeps the k-ascending operation
+   order of its materialize-then-matmul equivalent. *)
+
+let check_offsets fn offsets ~rows ~slices =
+  let s = Array.length offsets - 1 in
+  if s <> slices then shape_error "%s: %d segments vs %d slices" fn s slices;
+  if offsets.(0) <> 0 || offsets.(s) <> rows then
+    shape_error "%s: offsets span [%d, %d), expected [0, %d)" fn offsets.(0) offsets.(s) rows;
+  for i = 0 to s - 1 do
+    if offsets.(i) > offsets.(i + 1) then shape_error "%s: offsets fall after segment %d" fn i
+  done
+
+(* The segment holding row [i]: the last s with offsets.(s) <= i. *)
+let segment_of offsets i =
+  let lo = ref 0 and hi = ref (Array.length offsets - 1) in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if offsets.(mid) <= i then lo := mid else hi := mid
+  done;
+  !lo
+
+let check_rows fn idx bound =
+  for i = 0 to Array.length idx - 1 do
+    let r = idx.(i) in
+    if r < 0 || r >= bound then shape_error "%s: row %d out of %d" fn r bound
+  done
+
+(* Row [i] may copy row [rep.(i)] only if that row is computed (its own
+   representative), lies in [i]'s segment and gathers the same row of A:
+   the copy is then the bits a recomputation would produce. *)
+let check_rep fn rep ~idx ~offsets m =
+  if Array.length rep <> m then
+    shape_error "%s: %d representatives vs %d rows" fn (Array.length rep) m;
+  let s = ref 0 in
+  for i = 0 to m - 1 do
+    while offsets.(!s + 1) <= i do incr s done;
+    let r = rep.(i) in
+    if r < offsets.(!s) || r >= offsets.(!s + 1) || rep.(r) <> r || idx.(r) <> idx.(i) then
+      shape_error "%s: row %d cannot copy row %d" fn i r
+  done
+
+(* A 2-D operand as the one-slice stack it stands for (zero-copy). *)
+let as_stack fn t =
+  if ndim t <> 2 then shape_error "%s: operands must be 2-D" fn;
+  { t with shape = [| 1; t.shape.(0); t.shape.(1) |] }
+
+(* A stack read as [k × n] slices: [(slices, k, n, bks, bjs)], with
+   element (k, j) of slice s at [offset + s·k·n + k·bks + j·bjs]. *)
+let stack_dims fn w ~trans_b =
+  if ndim w <> 3 then shape_error "%s: stack must be 3-D" fn;
+  let s = w.shape.(0) and r = w.shape.(1) and q = w.shape.(2) in
+  if trans_b then (s, q, r, 1, q) else (s, r, q, q, 1)
+
+(* c := A' * w[segment] + beta*c, where row i of A' is row idx.(i) of [a]
+   when [gather] and row i otherwise, then row i is multiplied by
+   scale(i, 0) when there is a [scale].  With a non-empty [rep], rows
+   whose representative is another row are skipped by the compute region.
+   Each step is its own region, because a row's partner may sit in
+   another chunk: every representative is computed before any copy
+   starts, and every copy is done before any row is scaled (a duplicate
+   takes its representative's unscaled bits, then its own factor). *)
+let rows_product fn ~beta ~gather ~idx ~rep ~scale ~offsets ~trans_b a w c =
+  if ndim a <> 2 || ndim c <> 2 then shape_error "%s: operands must be 2-D" fn;
+  check_no_alias fn c a;
+  check_no_alias fn c w;
+  let slices, kn, n, bks, bjs = stack_dims fn w ~trans_b in
+  let m = if gather then Array.length idx else a.shape.(0) in
+  if a.shape.(1) <> kn then shape_error "%s: inner dims %d vs %d" fn a.shape.(1) kn;
+  if c.shape.(0) <> m || c.shape.(1) <> n then
+    shape_error "%s: output %dx%d vs expected %dx%d" fn c.shape.(0) c.shape.(1) m n;
+  check_offsets fn offsets ~rows:m ~slices;
+  if gather then check_rows fn idx a.shape.(0);
+  let dedup = Array.length rep > 0 in
+  if dedup then check_rep fn rep ~idx ~offsets m;
+  Option.iter
+    (fun f ->
+      if ndim f <> 2 || f.shape.(0) <> m || f.shape.(1) < 1 then
+        shape_error "%s: row scales must be a %d-row matrix" fn m;
+      check_no_alias fn c f)
+    scale;
   prescale c beta;
-  let acols = a.shape.(1) and bcols = b.shape.(1) and ccols = c.shape.(1) in
-  let bks, bjs = if trans_b then (1, bcols) else (bcols, 1) in
-  (* each domain owns a contiguous block of C rows, so writes never race *)
-  Domain_pool.parallel_for ~grain:(gemm_grain ~kn:ak ~n:bn) am (fun row_lo row_hi ->
-      for i = row_lo to row_hi - 1 do
-        let abase, astride =
-          if trans_a then (a.offset + i, acols) else (a.offset + (i * acols), 1)
-        in
-        gemm_row ~add:false ~adata:a.data ~abase ~astride ~arows:[||] ~aoff:0 ~bdata:b.data
-          ~bbase:b.offset ~bks ~bjs ~cdata:c.data ~crow:(c.offset + (i * ccols)) ~kn:ak ~n:bn
+  let acols = a.shape.(1) and ccols = c.shape.(1) in
+  Domain_pool.parallel_for ~grain:(gemm_grain ~kn ~n) m (fun lo hi ->
+      let s = ref (segment_of offsets lo) in
+      for i = lo to hi - 1 do
+        while offsets.(!s + 1) <= i do incr s done;
+        if (not dedup) || rep.(i) = i then
+          gemm_row ~add:false ~adata:a.data
+            ~abase:(a.offset + ((if gather then idx.(i) else i) * acols))
+            ~astride:1 ~arows:[||] ~aoff:0 ~bdata:w.data
+            ~bbase:(w.offset + (!s * kn * n)) ~bks ~bjs ~cdata:c.data
+            ~crow:(c.offset + (i * ccols)) ~kn ~n
+      done);
+  if dedup then
+    Domain_pool.parallel_for ~grain:(row_grain n) m (fun lo hi ->
+        for i = lo to hi - 1 do
+          let r = rep.(i) in
+          if r <> i then
+            Array.blit c.data (c.offset + (r * ccols)) c.data (c.offset + (i * ccols)) n
+        done);
+  Option.iter
+    (fun f ->
+      Domain_pool.parallel_for ~grain:(row_grain n) m (fun lo hi ->
+          for i = lo to hi - 1 do
+            let factor = f.data.(f.offset + (i * f.shape.(1))) and row = c.offset + (i * ccols) in
+            for j = row to row + n - 1 do
+              c.data.(j) <- c.data.(j) *. factor
+            done
+          done))
+    scale
+
+(* c[s] := A'[segment s]ᵀ * B[segment s] + beta*c[s] for every slice s of
+   the stack [c], where row r of A' is row idx.(r) of [a] when [gather].
+   Output row q of the flattened stack is column q mod k of slice q / k;
+   each is owned by one chunk, and an empty segment leaves its slice at
+   [beta*c]. *)
+let slices_product fn ~beta ~gather ~idx ~offsets ~trans_b a b c =
+  if ndim a <> 2 || ndim b <> 2 then shape_error "%s: operands must be 2-D" fn;
+  check_no_alias fn c a;
+  check_no_alias fn c b;
+  let bcols = b.shape.(1) in
+  let m, n, bks, bjs =
+    if trans_b then (bcols, b.shape.(0), 1, bcols) else (b.shape.(0), bcols, bcols, 1)
+  in
+  let slices, ak, cn, _, _ = stack_dims fn c ~trans_b:false in
+  if gather && Array.length idx <> m then
+    shape_error "%s: %d indices vs %d rows of b" fn (Array.length idx) m;
+  if (not gather) && a.shape.(0) <> m then shape_error "%s: inner dims %d vs %d" fn a.shape.(0) m;
+  if ak <> a.shape.(1) || cn <> n then
+    shape_error "%s: output %dx%d vs expected %dx%d" fn ak cn a.shape.(1) n;
+  check_offsets fn offsets ~rows:m ~slices;
+  if gather then check_rows fn idx a.shape.(0);
+  prescale c beta;
+  let acols = a.shape.(1) in
+  Domain_pool.parallel_for ~grain:(gemm_grain ~kn:(m / max 1 slices) ~n) (slices * ak) (fun lo hi ->
+      for q = lo to hi - 1 do
+        let s = q / ak in
+        let r0 = offsets.(s) in
+        let kn = offsets.(s + 1) - r0 in
+        if kn > 0 then
+          gemm_row ~add:false ~adata:a.data
+            ~abase:(a.offset + (q mod ak) + if gather then 0 else r0 * acols)
+            ~astride:acols ~arows:(if gather then idx else [||]) ~aoff:r0 ~bdata:b.data
+            ~bbase:(b.offset + (r0 * bks)) ~bks ~bjs ~cdata:c.data ~crow:(c.offset + (q * n)) ~kn ~n
       done)
+
+(* Row idx.(i) of [c] accumulates row i of A * w[segment of i]: each
+   product row is summed from 0.0 in registers and added into its
+   destination as it completes, segments in order, so duplicate
+   destinations keep their sequential accumulation order.  Parallelism is
+   destination-partitioned over the pool, like {!scatter_rows_add}: each
+   domain owns a contiguous slice of [c]'s rows, sweeps the whole index,
+   and computes only the product rows that land in its slice — no two
+   domains ever write the same row. *)
+let scatter_product fn ~offsets ~trans_b a w ~idx c =
+  if ndim a <> 2 || ndim c <> 2 then shape_error "%s: operands must be 2-D" fn;
+  check_no_alias fn c a;
+  check_no_alias fn c w;
+  let slices, kn, n, bks, bjs = stack_dims fn w ~trans_b in
+  let m = a.shape.(0) in
+  if Array.length idx <> m then shape_error "%s: %d rows vs %d indices" fn m (Array.length idx);
+  if a.shape.(1) <> kn then shape_error "%s: inner dims %d vs %d" fn a.shape.(1) kn;
+  if c.shape.(1) <> n then shape_error "%s: output has %d cols, expected %d" fn c.shape.(1) n;
+  check_offsets fn offsets ~rows:m ~slices;
+  let nrows = c.shape.(0) in
+  check_rows fn idx nrows;
+  let acols = a.shape.(1) and ccols = c.shape.(1) in
+  let body row_lo row_hi =
+    for s = 0 to slices - 1 do
+      let bbase = w.offset + (s * kn * n) in
+      for i = offsets.(s) to offsets.(s + 1) - 1 do
+        let dst = idx.(i) in
+        if dst >= row_lo && dst < row_hi then
+          gemm_row ~add:true ~adata:a.data ~abase:(a.offset + (i * acols)) ~astride:1 ~arows:[||]
+            ~aoff:0 ~bdata:w.data ~bbase ~bks ~bjs ~cdata:c.data ~crow:(c.offset + (dst * ccols))
+            ~kn ~n
+      done
+    done
+  in
+  if Domain_pool.sequential () || m * n <= elt_grain then body 0 nrows
+  else Domain_pool.parallel_for ~grain:(row_grain (max 1 (m * n / max 1 nrows))) nrows body
+
+let segment_matmul_into ?(trans_a = false) ?(trans_b = false) ?(beta = 0.0) ~offsets a b c =
+  if trans_a then
+    slices_product "segment_matmul_into" ~beta ~gather:false ~idx:[||] ~offsets ~trans_b a b c
+  else
+    rows_product "segment_matmul_into" ~beta ~gather:false ~idx:[||] ~rep:[||] ~scale:None ~offsets
+      ~trans_b a b c
+
+let segment_gather_into ?(trans_b = false) ?(rep = [||]) ?scale ~offsets a ~idx w c =
+  rows_product "segment_gather_into" ~beta:0.0 ~gather:true ~idx ~rep ~scale ~offsets ~trans_b a w c
+
+let segment_scatter_add_into ?(trans_b = false) ~offsets a w ~idx c =
+  scatter_product "segment_scatter_add_into" ~offsets ~trans_b a w ~idx c
+
+let segment_gather_t_into ?(beta = 0.0) ~offsets a ~idx b c =
+  slices_product "segment_gather_t_into" ~beta ~gather:true ~idx ~offsets ~trans_b:false a b c
+
+(* The one-relation entry points: one segment spanning every row. *)
+
+let matmul_into ?(trans_a = false) ?(trans_b = false) ?(beta = 0.0) a b c =
+  if ndim a <> 2 then shape_error "matmul: operands must be 2-D";
+  if trans_a then
+    slices_product "matmul" ~beta ~gather:false ~idx:[||] ~offsets:[| 0; a.shape.(0) |] ~trans_b a b
+      (as_stack "matmul" c)
+  else
+    rows_product "matmul" ~beta ~gather:false ~idx:[||] ~rep:[||] ~scale:None
+      ~offsets:[| 0; a.shape.(0) |] ~trans_b a (as_stack "matmul" b) c
 
 let matmul ?(trans_a = false) ?(trans_b = false) a b =
   let am = if trans_a then a.shape.(1) else a.shape.(0) in
@@ -408,107 +601,18 @@ let matmul ?(trans_a = false) ?(trans_b = false) a b =
   matmul_into ~trans_a ~trans_b a b c;
   c
 
-(* --- Fused access-scheme GEMM kernels (paper §4.2) ------------------
-   The gather, scatter and transpose access schemes are addressing modes
-   of [gemm_row], applied on the fly inside its register-blocked loop, so
-   the per-edge operand matrix is never materialized.  Each kernel performs
-   the floating-point operations in the exact order of its
-   materialize-then-matmul equivalent (per-row k-ascending accumulation),
-   so results are bitwise identical to the unfused path. *)
+let matmul_gather_into ?(trans_b = false) ?(beta = 0.0) a ~idx b c =
+  rows_product "matmul_gather_into" ~beta ~gather:true ~idx ~rep:[||] ~scale:None
+    ~offsets:[| 0; Array.length idx |] ~trans_b a (as_stack "matmul_gather_into" b) c
 
-let check_rows fn idx off m bound =
-  for i = off to off + m - 1 do
-    let r = idx.(i) in
-    if r < 0 || r >= bound then shape_error "%s: row %d out of %d" fn r bound
-  done
+let matmul_scatter_add_into ?(trans_b = false) a b ~idx c =
+  if ndim a <> 2 then shape_error "matmul_scatter_add_into: operands must be 2-D";
+  scatter_product "matmul_scatter_add_into" ~offsets:[| 0; a.shape.(0) |] ~trans_b a
+    (as_stack "matmul_scatter_add_into" b) ~idx c
 
-(* The window of [idx] a kernel reads: all of it, or with [idx_off] the
-   [rows] entries from that offset — a relation's range of a whole-graph
-   endpoint column, read in place. *)
-let idx_window fn idx idx_off ~rows =
-  match idx_off with
-  | None -> (0, Array.length idx)
-  | Some off ->
-      if off < 0 || off + rows > Array.length idx then
-        shape_error "%s: %d indices from offset %d exceed %d" fn rows off (Array.length idx);
-      (off, rows)
-
-(* c := A[idx] * B (+ beta*c), where A[idx] is the row-gathered view of [a]:
-   logical row i of the product reads physical row idx.(i) of [a]. *)
-let matmul_gather_into ?(trans_b = false) ?(beta = 0.0) ?idx_off a ~idx b c =
-  check_gemm_operands "matmul_gather_into" a b c;
-  let off, m = idx_window "matmul_gather_into" idx idx_off ~rows:c.shape.(0) in
-  let ak = a.shape.(1) in
-  let bk, bn = if trans_b then (b.shape.(1), b.shape.(0)) else (b.shape.(0), b.shape.(1)) in
-  if ak <> bk then shape_error "matmul_gather_into: inner dims %d vs %d" ak bk;
-  if c.shape.(0) <> m || c.shape.(1) <> bn then
-    shape_error "matmul_gather_into: output %dx%d vs expected %dx%d" c.shape.(0) c.shape.(1) m bn;
-  check_rows "matmul_gather_into" idx off m a.shape.(0);
-  prescale c beta;
-  let acols = a.shape.(1) and bcols = b.shape.(1) and ccols = c.shape.(1) in
-  let bks, bjs = if trans_b then (1, bcols) else (bcols, 1) in
-  Domain_pool.parallel_for ~grain:(gemm_grain ~kn:ak ~n:bn) m (fun row_lo row_hi ->
-      for i = row_lo to row_hi - 1 do
-        gemm_row ~add:false ~adata:a.data ~abase:(a.offset + (idx.(off + i) * acols)) ~astride:1
-          ~arows:[||] ~aoff:0 ~bdata:b.data ~bbase:b.offset ~bks ~bjs ~cdata:c.data
-          ~crow:(c.offset + (i * ccols)) ~kn:ak ~n:bn
-      done)
-
-(* Row idx.(i) of [c] accumulates row i of the product A*B: each product
-   row is summed from 0.0 in registers and added into its destination as
-   it completes (so duplicate destinations keep their sequential
-   accumulation order).  Parallelism is destination-partitioned over the
-   pool, like {!scatter_rows_add}: each domain owns a contiguous slice of
-   [c]'s rows, sweeps the whole index, and computes only the product rows
-   that land in its slice — no two domains ever write the same row. *)
-let matmul_scatter_add_into ?(trans_b = false) ?idx_off a b ~idx c =
-  check_gemm_operands "matmul_scatter_add_into" a b c;
-  let m = a.shape.(0) in
-  let off, len = idx_window "matmul_scatter_add_into" idx idx_off ~rows:m in
-  if len <> m then
-    shape_error "matmul_scatter_add_into: %d rows vs %d indices" m (Array.length idx);
-  let ak = a.shape.(1) in
-  let bk, bn = if trans_b then (b.shape.(1), b.shape.(0)) else (b.shape.(0), b.shape.(1)) in
-  if ak <> bk then shape_error "matmul_scatter_add_into: inner dims %d vs %d" ak bk;
-  if c.shape.(1) <> bn then
-    shape_error "matmul_scatter_add_into: output has %d cols, expected %d" c.shape.(1) bn;
-  let nrows = c.shape.(0) in
-  check_rows "matmul_scatter_add_into" idx off m nrows;
-  let acols = a.shape.(1) and bcols = b.shape.(1) and ccols = c.shape.(1) in
-  let bks, bjs = if trans_b then (1, bcols) else (bcols, 1) in
-  let body row_lo row_hi =
-    for i = 0 to m - 1 do
-      let dst = idx.(off + i) in
-      if dst >= row_lo && dst < row_hi then
-        gemm_row ~add:true ~adata:a.data ~abase:(a.offset + (i * acols)) ~astride:1 ~arows:[||]
-          ~aoff:0 ~bdata:b.data ~bbase:b.offset ~bks ~bjs ~cdata:c.data ~crow:(c.offset + (dst * ccols))
-          ~kn:ak ~n:bn
-    done
-  in
-  if Domain_pool.sequential () || m * bn <= elt_grain then body 0 nrows
-  else
-    Domain_pool.parallel_for ~grain:(row_grain (max 1 (m * bn / max 1 nrows))) nrows body
-
-(* c := A[idx]^T * B (+ beta*c) — the transpose access scheme composed with
-   the gather, used for weight gradients (dW += X[src]^T * dY).  Row i of
-   [c] takes its coefficients from column i of A[idx]. *)
-let matmul_gather_t_into ?(beta = 0.0) ?idx_off a ~idx b c =
-  check_gemm_operands "matmul_gather_t_into" a b c;
-  let off, m = idx_window "matmul_gather_t_into" idx idx_off ~rows:b.shape.(0) in
-  if b.shape.(0) <> m then
-    shape_error "matmul_gather_t_into: %d indices vs %d rows of b" m b.shape.(0);
-  let ak = a.shape.(1) and bn = b.shape.(1) in
-  if c.shape.(0) <> ak || c.shape.(1) <> bn then
-    shape_error "matmul_gather_t_into: output %dx%d vs expected %dx%d" c.shape.(0) c.shape.(1) ak bn;
-  check_rows "matmul_gather_t_into" idx off m a.shape.(0);
-  prescale c beta;
-  let acols = a.shape.(1) and bcols = b.shape.(1) and ccols = c.shape.(1) in
-  Domain_pool.parallel_for ~grain:(gemm_grain ~kn:m ~n:bn) ak (fun row_lo row_hi ->
-      for i = row_lo to row_hi - 1 do
-        gemm_row ~add:false ~adata:a.data ~abase:(a.offset + i) ~astride:acols ~arows:idx
-          ~aoff:off ~bdata:b.data ~bbase:b.offset ~bks:bcols ~bjs:1 ~cdata:c.data
-          ~crow:(c.offset + (i * ccols)) ~kn:m ~n:bn
-      done)
+let matmul_gather_t_into ?(beta = 0.0) a ~idx b c =
+  slices_product "matmul_gather_t_into" ~beta ~gather:true ~idx ~offsets:[| 0; Array.length idx |]
+    ~trans_b:false a b (as_stack "matmul_gather_t_into" c)
 
 (* --- Batched matrix-vector products (linear-fusion prologues) ---------
    Flat-buffer loops for the same reason as [gemm_row]: a cross-module

@@ -147,8 +147,7 @@ val copy_row_into : t -> int -> float array -> unit
 
 val sub_rows : t -> int -> int -> t
 (** [sub_rows m start len] is a zero-copy view of rows
-    [start .. start+len-1] of matrix [m] — the segment primitive behind
-    segment-MM. *)
+    [start .. start+len-1] of matrix [m]. *)
 
 (** {1 Elementwise} *)
 
@@ -194,9 +193,9 @@ val relu : t -> t
 
 (** {1 Linear algebra}
 
-    {b GEMM kernel contract.}  All four [matmul_*_into] entry points (and
-    {!matmul}) compute every output element [c(i, j)] exactly as the
-    textbook loop does:
+    {b GEMM kernel contract.}  Every [matmul_*_into] and [segment_*_into]
+    entry point (and {!matmul}) computes every output element [c(i, j)]
+    exactly as the textbook loop does:
     - its starting value is [0.0] when [beta = 0], [c(i, j)] when
       [beta = 1] and [beta *. c(i, j)] otherwise (a scatter sums each
       product row from [0.0] and adds it into [c] at the end);
@@ -225,24 +224,15 @@ val matmul_into : ?trans_a:bool -> ?trans_b:bool -> ?beta:float -> t -> t -> t -
     {e on the fly inside the register-blocked row loop}, so the per-edge
     operand matrix is never materialized.  Floating-point operations are
     performed in the exact order of the materialize-then-matmul
-    equivalent, so the results are bitwise identical to the unfused path.
+    equivalent, so the results are bitwise identical to the unfused path. *)
 
-    Each takes an optional [?idx_off]: the kernel then reads the window
-    of [idx] starting at that offset, as long as its row operand needs
-    ([c]'s rows for the gather, [a]'s for the scatter, [b]'s for the
-    transposed gather), so one relation's rows of a whole-graph endpoint
-    column are read in place.  Without it [idx] is read whole.  A window
-    running past the end of [idx] raises [Shape_error]. *)
-
-val matmul_gather_into :
-  ?trans_b:bool -> ?beta:float -> ?idx_off:int -> t -> idx:int array -> t -> t -> unit
+val matmul_gather_into : ?trans_b:bool -> ?beta:float -> t -> idx:int array -> t -> t -> unit
 (** [matmul_gather_into a ~idx b c] computes [c := a\[idx\] * b + beta*c]
     where [a\[idx\]] is the row-gathered view of [a] (logical row [i] reads
     physical row [idx.(i)]) — equivalent to
     [matmul_into (gather_rows a idx) b c] without the intermediate. *)
 
-val matmul_scatter_add_into :
-  ?trans_b:bool -> ?idx_off:int -> t -> t -> idx:int array -> t -> unit
+val matmul_scatter_add_into : ?trans_b:bool -> t -> t -> idx:int array -> t -> unit
 (** [matmul_scatter_add_into a b ~idx c] accumulates row [i] of the product
     [a*b] into row [idx.(i)] of [c] — equivalent to
     [scatter_rows_add ~into:c idx (matmul a b)] without the intermediate.
@@ -250,10 +240,68 @@ val matmul_scatter_add_into :
     {!scatter_rows_add}), so duplicate destinations accumulate in their
     sequential order and no atomics are needed. *)
 
-val matmul_gather_t_into : ?beta:float -> ?idx_off:int -> t -> idx:int array -> t -> t -> unit
+val matmul_gather_t_into : ?beta:float -> t -> idx:int array -> t -> t -> unit
 (** [matmul_gather_t_into a ~idx b c] computes
     [c := a\[idx\]ᵀ * b + beta*c] — the transpose access scheme composed
     with the gather, used for weight gradients ([dW += X\[src\]ᵀ * dY]). *)
+
+(** {2 Segmented GEMM: one call per typed-linear step}
+
+    The segmented forms run every relation of a GEMM step in one call and
+    one parallel region.  [offsets] has one entry per segment plus one,
+    rises from [0] to the segmented row count, and row range
+    [\[offsets.(s), offsets.(s+1))] is segment [s] (possibly empty); a
+    [\[|S; k; n|\]] stack supplies slice [s] to segment [s], and its
+    first dimension must equal the segment count [S].  Every output
+    element is the one the one-relation form above would compute on that
+    segment with that slice, bit for bit; the one-relation forms are the
+    case [S = 1].  Malformed offsets raise {!Shape_error} before any
+    element is written. *)
+
+val segment_matmul_into :
+  ?trans_a:bool -> ?trans_b:bool -> ?beta:float -> offsets:int array -> t -> t -> t -> unit
+(** [segment_matmul_into ~offsets a b c]: [offsets] splits [a]'s rows.
+    Without [trans_a], [b] is the stack and segment [s] of [c]'s rows is
+    [a\[seg s\] * b\[s\] + beta*c] (the node typed linear).  With
+    [trans_a], [b] has [a]'s rows too and [c] is the stack:
+    [c\[s\] := a\[seg s\]ᵀ * b\[seg s\] + beta*c\[s\]] (its weight
+    gradient). *)
+
+val segment_gather_into :
+  ?trans_b:bool ->
+  ?rep:int array ->
+  ?scale:t ->
+  offsets:int array ->
+  t ->
+  idx:int array ->
+  t ->
+  t ->
+  unit
+(** [segment_gather_into ~offsets a ~idx w c] overwrites row [i] of [c]
+    with [a\[idx.(i)\] * w\[s\]], [s] the segment holding [i], then
+    multiplies it by [scale(i, 0)] when [scale] (an [m]-row matrix) is
+    given — the per-row scalar fused into the GEMM.
+
+    [rep] names each row's representative: a row [i] with [rep.(i) <> i]
+    is not computed but copied from row [rep.(i)], which must lie in the
+    same segment, gather the same row of [a] ([idx.(rep.(i)) = idx.(i)])
+    and be its own representative — so the copy is bitwise the row a
+    recomputation would give.  Every computed row is finished before any
+    copy starts, and every copy before any row is scaled, so each row
+    still takes its own factor.  The copies are output reuse, not operand
+    materialization, and do not count toward {!copied_bytes}. *)
+
+val segment_scatter_add_into :
+  ?trans_b:bool -> offsets:int array -> t -> t -> idx:int array -> t -> unit
+(** [segment_scatter_add_into ~offsets a w ~idx c] accumulates row [i] of
+    [a * w\[s\]] into row [idx.(i)] of [c], segments in order,
+    destination-partitioned like {!matmul_scatter_add_into}. *)
+
+val segment_gather_t_into : ?beta:float -> offsets:int array -> t -> idx:int array -> t -> t -> unit
+(** [segment_gather_t_into ~offsets a ~idx b c]: [offsets] splits [b]'s
+    rows and [idx]; [c] is the stack, and
+    [c\[s\] := a\[idx\[seg s\]\]ᵀ * b\[seg s\] + beta*c\[s\]] (the
+    edge weight gradient). *)
 
 (** {2 Batched matrix-vector products}
 

@@ -267,7 +267,7 @@ let sequential_sweep t strategy run_iter =
 let run_passes t strategy ~locals passes =
   List.iter
     (fun (p : Exec.pass) ->
-      (* representative masks are resolved here, before any parallel sweep *)
+      (* representative maps are resolved here, before any parallel sweep *)
       let stmts =
         List.map
           (fun (st, cls) ->
@@ -285,7 +285,7 @@ let run_passes t strategy ~locals passes =
         List.iter (fun n -> Hashtbl.replace tbl n (Scalar 0.0)) locals;
         List.iter
           (fun (st, rep) ->
-            let execute = match rep with None -> true | Some r -> r.(iter.edge) in
+            let execute = match rep with None -> true | Some r -> r.(iter.edge) = iter.edge in
             if execute then exec_stmt t iter tbl ~grads st)
           stmts
       in

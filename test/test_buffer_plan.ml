@@ -48,11 +48,17 @@ let rand_idx rng ~len ~bound = Array.init len (fun _ -> Rng.int rng bound)
 (* The fused kernels are specified to preserve the exact floating-point
    operation order of the two-kernel scheme, so the tolerance is zero. *)
 
-(* [idx] embedded in a longer array at a random offset, as a relation's
-   range of a whole-graph endpoint column: the [?idx_off] window. *)
-let windowed rng idx ~bound =
-  let off = Rng.int rng 5 in
-  (off, Array.concat [ rand_idx rng ~len:off ~bound; idx; rand_idx rng ~len:(Rng.int rng 4) ~bound ])
+(* [m] rows split into one to four segments, some possibly empty. *)
+let random_offsets rng m =
+  let cuts = Array.init (Rng.int rng 4) (fun _ -> Rng.int rng (m + 1)) in
+  Array.sort compare cuts;
+  Array.concat [ [| 0 |]; cuts; [| m |] ]
+
+let segments offsets = Array.length offsets - 1
+
+(* A stack of [s] copies of the matrix [b]: a segmented call over it must
+   equal the one-relation call on [b]. *)
+let stack_of b s = T.init [| s; T.rows b; T.cols b |] (fun ix -> T.get2 b ix.(1) ix.(2))
 
 let test_gather_gemm () =
   let rng = Rng.create 7 in
@@ -69,17 +75,20 @@ let test_gather_gemm () =
     let reference = randn rng [| m; n |] in
     let expected = T.copy reference in
     T.matmul_into ~trans_b ~beta (T.gather_rows a idx) b expected;
-    let idx_off, whole = windowed rng idx ~bound:na in
+    let offsets = random_offsets rng m in
     List.iter
       (fun d ->
         with_domains d (fun () ->
-            let c = T.copy reference and cw = T.copy reference in
+            let c = T.copy reference and cs = T.copy reference in
             T.matmul_gather_into ~trans_b ~beta a ~idx b c;
-            T.matmul_gather_into ~trans_b ~beta ~idx_off a ~idx:whole b cw;
+            (* the segmented form overwrites: beta = 0 only *)
+            if beta = 0.0 then
+              T.segment_gather_into ~trans_b ~offsets a ~idx (stack_of b (segments offsets)) cs
+            else T.matmul_gather_into ~trans_b ~beta a ~idx b cs;
             check_bool
               (Printf.sprintf "gather case %d (%d domains)" case d)
               true
-              (T.max_abs_diff expected c = 0.0 && T.max_abs_diff expected cw = 0.0)))
+              (T.max_abs_diff expected c = 0.0 && T.max_abs_diff expected cs = 0.0)))
       [ 1; 2; 4 ]
   done
 
@@ -97,17 +106,17 @@ let test_scatter_gemm () =
     let base = randn rng [| nc; n |] in
     let expected = T.copy base in
     if m > 0 then T.scatter_rows_add ~into:expected idx (T.matmul ~trans_b a b);
-    let idx_off, whole = windowed rng idx ~bound:nc in
+    let offsets = random_offsets rng m in
     List.iter
       (fun d ->
         with_domains d (fun () ->
-            let c = T.copy base and cw = T.copy base in
+            let c = T.copy base and cs = T.copy base in
             T.matmul_scatter_add_into ~trans_b a b ~idx c;
-            T.matmul_scatter_add_into ~trans_b ~idx_off a b ~idx:whole cw;
+            T.segment_scatter_add_into ~trans_b ~offsets a (stack_of b (segments offsets)) ~idx cs;
             check_bool
               (Printf.sprintf "scatter case %d (%d domains)" case d)
               true
-              (T.max_abs_diff expected c = 0.0 && T.max_abs_diff expected cw = 0.0)))
+              (T.max_abs_diff expected c = 0.0 && T.max_abs_diff expected cs = 0.0)))
       [ 1; 2; 4 ]
   done
 
@@ -124,17 +133,27 @@ let test_gather_t_gemm () =
     let base = randn rng [| k; n |] in
     let expected = T.copy base in
     T.matmul_into ~trans_a:true ~beta:1.0 (T.gather_rows a idx) b expected;
-    let idx_off, whole = windowed rng idx ~bound:na in
+    (* segment s of the stack sums only its own rows *)
+    let offsets = random_offsets rng m in
+    let s = segments offsets in
+    let expected_s = stack_of base s in
+    for sg = 0 to s - 1 do
+      let lo = offsets.(sg) and len = offsets.(sg + 1) - offsets.(sg) in
+      if len > 0 then
+        T.matmul_into ~trans_a:true ~beta:1.0
+          (T.gather_rows a (Array.sub idx lo len))
+          (T.sub_rows b lo len) (T.slice0 expected_s sg)
+    done;
     List.iter
       (fun d ->
         with_domains d (fun () ->
-            let c = T.copy base and cw = T.copy base in
+            let c = T.copy base and cs = stack_of base s in
             T.matmul_gather_t_into ~beta:1.0 a ~idx b c;
-            T.matmul_gather_t_into ~beta:1.0 ~idx_off a ~idx:whole b cw;
+            T.segment_gather_t_into ~beta:1.0 ~offsets a ~idx b cs;
             check_bool
               (Printf.sprintf "gather_t case %d (%d domains)" case d)
               true
-              (T.max_abs_diff expected c = 0.0 && T.max_abs_diff expected cw = 0.0)))
+              (T.max_abs_diff expected c = 0.0 && T.max_abs_diff expected_s cs = 0.0)))
       [ 1; 2; 4 ]
   done
 
@@ -150,15 +169,36 @@ let test_bad_indices_raise () =
     (raises (fun () -> T.matmul_gather_into a ~idx:[| -1; 0 |] b c));
   check_bool "scatter idx count mismatch" true
     (raises (fun () -> T.matmul_scatter_add_into (T.zeros [| 2; 3 |]) b ~idx:[| 0 |] c));
-  check_bool "gather window past the end" true
-    (raises (fun () -> T.matmul_gather_into ~idx_off:1 a ~idx:[| 0; 1 |] b c));
-  check_bool "scatter window past the end" true
+  let w2 = T.zeros [| 2; 3; 2 |] in
+  let gather ?rep offsets idx = T.segment_gather_into ?rep ~offsets a ~idx w2 c in
+  check_bool "offsets past the end" true (raises (fun () -> gather [| 0; 1; 3 |] [| 0; 1 |]));
+  check_bool "offsets not from 0" true (raises (fun () -> gather [| 1; 1; 2 |] [| 0; 1 |]));
+  check_bool "offsets fall" true
+    (raises (fun () -> T.segment_gather_into ~offsets:[| 0; 2; 1; 2 |] a ~idx:[| 0; 1 |]
+                         (T.zeros [| 3; 3; 2 |]) c));
+  check_bool "segments vs slices" true (raises (fun () -> gather [| 0; 2 |] [| 0; 1 |]));
+  check_bool "scatter offsets past the end" true
     (raises (fun () ->
-         T.matmul_scatter_add_into ~idx_off:2 (T.zeros [| 2; 3 |]) b ~idx:[| 0; 1; 1 |] c));
-  check_bool "gather_t negative offset" true
+         T.segment_scatter_add_into ~offsets:[| 0; 1; 3 |] (T.zeros [| 2; 3 |]) w2 ~idx:[| 0; 1 |] c));
+  check_bool "gather_t offsets past the end" true
     (raises (fun () ->
-         T.matmul_gather_t_into ~idx_off:(-1) a ~idx:[| 0; 1; 2 |] (T.zeros [| 2; 2 |])
-           (T.zeros [| 3; 2 |])))
+         T.segment_gather_t_into ~offsets:[| 0; 3 |] a ~idx:[| 0; 1 |] (T.zeros [| 2; 2 |])
+           (T.zeros [| 1; 3; 2 |])));
+  check_bool "a representative with another row" true
+    (raises (fun () -> gather ~rep:[| 0; 0 |] [| 0; 2; 2 |] [| 0; 1 |]));
+  check_bool "a representative in another segment" true
+    (raises (fun () -> gather ~rep:[| 0; 0 |] [| 0; 1; 2 |] [| 1; 1 |]));
+  check_bool "a representative that copies" true
+    (raises (fun () ->
+         T.segment_gather_into ~rep:[| 1; 2; 2 |] ~offsets:[| 0; 3 |] a ~idx:[| 1; 1; 1 |]
+           (T.zeros [| 1; 3; 2 |]) (T.zeros [| 3; 2 |])));
+  check_bool "representatives vs rows" true
+    (raises (fun () -> gather ~rep:[| 0 |] [| 0; 2; 2 |] [| 1; 1 |]));
+  check_bool "a short scale" true
+    (raises (fun () ->
+         T.segment_gather_into ~scale:(T.zeros [| 1; 1 |]) ~offsets:[| 0; 2; 2 |] a ~idx:[| 1; 1 |]
+           w2 c));
+  check_bool "a well-formed call" false (raises (fun () -> gather ~rep:[| 1; 1 |] [| 0; 2; 2 |] [| 1; 1 |]))
 
 (* --- every GEMM entry point == a textbook triple loop, bit for bit ---
 
@@ -357,6 +397,258 @@ let test_gather_t_oracle () =
             betas)
         heights)
     widths
+
+(* --- the segmented entry points == a textbook loop per segment -------
+
+   Three relations, the first, middle or last of them empty.  Gather and
+   scatter indices are all distinct, all one row, or random, and the
+   gathered rows of A include one of +0.0, one of -0.0, one holding an
+   infinity and one holding a NaN.  The gather runs without
+   representatives, with each (segment, row) pair's first row as its
+   representative (as the executor passes it) and with its last, so a
+   copy made before its representative is computed reads a zeroed row;
+   per-row scales must land after the copies. *)
+
+let segment_layouts m =
+  let h = m / 2 in
+  [ ("empty first", [| 0; 0; h; m |]); ("empty middle", [| 0; h; h; m |]);
+    ("empty last", [| 0; h; m; m |]) ]
+
+let segment_at offsets i =
+  let s = ref 0 in
+  while offsets.(!s + 1) <= i do incr s done;
+  !s
+
+(* [na] rows: rows 0-3 are the special ones, the rest sparse Gaussian. *)
+let special_rows rng ~na ~k =
+  let a = sparse_randn rng [| na; k |] in
+  set_row a 0 0.0;
+  set_row a 1 (-0.0);
+  T.set a [| 2; Rng.int rng k |] infinity;
+  T.set a [| 3; Rng.int rng k |] nan;
+  a
+
+let index_patterns rng ~m ~bound =
+  [ ("distinct", Array.init m Fun.id); ("one row", Array.make m (Rng.int rng 4));
+    ("random", rand_idx rng ~len:m ~bound) ]
+
+(* Each row's representative: the first (or last) row of its segment
+   gathering the same row of A. *)
+let representatives ~last offsets idx =
+  let m = Array.length idx in
+  let rep = Array.make m 0 and seen = Hashtbl.create 16 in
+  List.iter
+    (fun i ->
+      let key = (segment_at offsets i, idx.(i)) in
+      match Hashtbl.find_opt seen key with
+      | Some r -> rep.(i) <- r
+      | None ->
+          Hashtbl.add seen key i;
+          rep.(i) <- i)
+    (if last then List.init m (fun i -> m - 1 - i) else List.init m Fun.id);
+  rep
+
+(* A [\[|3; k; n|\]] stack as the kernels read it (transposed slices when
+   [trans_b]) and its logical reader per slice, each slice's logical row
+   [kz] infinite. *)
+let stack_operand rng ~trans_b ~k ~n ~kz =
+  let slices = Array.init 3 (fun _ -> b_operand rng ~trans_b ~k ~n ~kz) in
+  let b0 = fst slices.(0) in
+  ( T.init [| 3; T.rows b0; T.cols b0 |] (fun ix -> T.get2 (fst slices.(ix.(0))) ix.(1) ix.(2)),
+    fun s -> snd slices.(s) )
+
+(* Rows [offsets.(s), offsets.(s+1)) of [naive] over each segment with
+   its own slice. *)
+let naive_segments offsets ~k ~n ~a_at ~b_at ~start =
+  Array.concat
+    (List.init (Array.length offsets - 1) (fun s ->
+         let lo = offsets.(s) in
+         naive ~m:(offsets.(s + 1) - lo) ~k ~n ~b_at:(b_at s)
+           ~a_at:(fun i kk -> a_at (lo + i) kk)
+           ~start:(fun i j -> start (lo + i) j)))
+
+let test_segment_gather_oracle () =
+  let rng = Rng.create 26 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun m ->
+          List.iter
+            (fun (layout, offsets) ->
+              let k = 1 + Rng.int rng 20 in
+              let kz = Rng.int rng k and na = m + 4 in
+              let trans_b = Rng.int rng 2 = 0 in
+              let a = special_rows rng ~na ~k in
+              set_col a kz 0.0;
+              let w, w_at = stack_operand rng ~trans_b ~k ~n ~kz in
+              let a2 = T.to_2d a in
+              let factors = sparse_randn rng [| m; 2 |] in
+              List.iter
+                (fun (pattern, idx) ->
+                  let rows =
+                    naive_segments offsets ~k ~n ~b_at:w_at ~start:(fun _ _ -> 0.0)
+                      ~a_at:(fun i kk -> a2.(idx.(i)).(kk))
+                  in
+                  let scaled =
+                    Array.mapi (fun i row -> Array.map (fun v -> v *. T.get2 factors i 0) row) rows
+                  in
+                  List.iter
+                    (fun (reps, rep, scale) ->
+                      at_domains
+                        (Printf.sprintf "segment gather m=%d k=%d n=%d tb=%b %s %s %s%s" m k n
+                           trans_b layout pattern reps
+                           (if scale = None then "" else " scaled"))
+                        (randn rng [| m; n |])
+                        (if scale = None then rows else scaled)
+                        (fun c -> T.segment_gather_into ~trans_b ?rep ?scale ~offsets a ~idx w c))
+                    [
+                      ("no reps", None, None);
+                      ("first reps", Some (representatives ~last:false offsets idx), None);
+                      ("first reps", Some (representatives ~last:false offsets idx), Some factors);
+                      ("last reps", Some (representatives ~last:true offsets idx), Some factors);
+                    ])
+                (index_patterns rng ~m ~bound:na))
+            (segment_layouts m))
+        heights)
+    [ 1; 8; 9; 17 ]
+
+let test_segment_scatter_oracle () =
+  let rng = Rng.create 27 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun m ->
+          List.iter
+            (fun (layout, offsets) ->
+              let k = 1 + Rng.int rng 20 and nc = m + 4 in
+              let kz = Rng.int rng k and trans_b = Rng.int rng 2 = 0 in
+              let a = special_rows rng ~na:(max m 4) ~k in
+              let a = T.sub_rows a 0 m in
+              set_col a kz 0.0;
+              let w, w_at = stack_operand rng ~trans_b ~k ~n ~kz in
+              let a2 = T.to_2d a in
+              (* each product row is summed from 0.0, then added into its
+                 destination, segments and rows in order *)
+              let rows =
+                naive_segments offsets ~k ~n ~b_at:w_at ~start:(fun _ _ -> 0.0)
+                  ~a_at:(fun i kk -> a2.(i).(kk))
+              in
+              List.iter
+                (fun (pattern, idx) ->
+                  let base = randn rng [| nc; n |] in
+                  let expected = T.to_2d base in
+                  Array.iteri
+                    (fun i dst ->
+                      Array.iteri (fun j v -> expected.(dst).(j) <- expected.(dst).(j) +. v) rows.(i))
+                    idx;
+                  at_domains
+                    (Printf.sprintf "segment scatter m=%d k=%d n=%d tb=%b %s %s" m k n trans_b
+                       layout pattern)
+                    base expected
+                    (fun c -> T.segment_scatter_add_into ~trans_b ~offsets a w ~idx c))
+                (index_patterns rng ~m ~bound:nc))
+            (segment_layouts m))
+        heights)
+    [ 1; 8; 9; 17 ]
+
+(* [c]'s slices stacked into one [\[|3·k; n|\]] matrix, for {!check_bits}. *)
+let flat_stack c = T.reshape c [| T.dim c 0 * T.dim c 1; T.dim c 2 |]
+
+let test_segment_gather_t_oracle () =
+  let rng = Rng.create 28 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun m ->
+          List.iter
+            (fun (layout, offsets) ->
+              let ak = 1 + Rng.int rng 20 and na = m + 4 in
+              let beta = List.nth betas (Rng.int rng 3) in
+              let a = special_rows rng ~na ~k:ak in
+              let b = randn rng [| m; n |] in
+              let a2 = T.to_2d a and b2 = T.to_2d b in
+              List.iter
+                (fun (pattern, idx) ->
+                  let base = randn rng [| 3; ak; n |] in
+                  let c0 = T.to_2d (flat_stack base) in
+                  let expected =
+                    Array.concat
+                      (List.init 3 (fun s ->
+                           let lo = offsets.(s) in
+                           naive ~m:ak ~k:(offsets.(s + 1) - lo) ~n
+                             ~start:(fun i j -> beta_start ~beta c0 ((s * ak) + i) j)
+                             ~a_at:(fun i kk -> a2.(idx.(lo + kk)).(i))
+                             ~b_at:(fun kk j -> b2.(lo + kk).(j))))
+                  in
+                  List.iter
+                    (fun d ->
+                      with_domains d (fun () ->
+                          let c = T.copy base in
+                          T.segment_gather_t_into ~beta ~offsets a ~idx b c;
+                          check_bits
+                            (Printf.sprintf "segment gather_t m=%d k=%d n=%d beta=%g %s %s (%d domains)"
+                               m ak n beta layout pattern d)
+                            expected (flat_stack c)))
+                    [ 1; 2; 4 ])
+                (index_patterns rng ~m ~bound:na))
+            (segment_layouts m))
+        heights)
+    [ 1; 8; 9; 17 ]
+
+let test_segment_matmul_oracle () =
+  let rng = Rng.create 29 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun m ->
+          List.iter
+            (fun (layout, offsets) ->
+              let k = 1 + Rng.int rng 20 in
+              let kz = Rng.int rng k and trans_b = Rng.int rng 2 = 0 in
+              let beta = List.nth betas (Rng.int rng 3) in
+              let a = special_rows rng ~na:(max m 4) ~k in
+              let a = T.sub_rows a 0 m in
+              set_col a kz 0.0;
+              let a2 = T.to_2d a in
+              (* rows of [c] segmented, [w] the stack *)
+              let w, w_at = stack_operand rng ~trans_b ~k ~n ~kz in
+              let base = randn rng [| m; n |] in
+              let c0 = T.to_2d base in
+              at_domains
+                (Printf.sprintf "segment matmul m=%d k=%d n=%d tb=%b beta=%g %s" m k n trans_b beta
+                   layout)
+                base
+                (naive_segments offsets ~k ~n ~b_at:w_at ~start:(beta_start ~beta c0)
+                   ~a_at:(fun i kk -> a2.(i).(kk)))
+                (fun c -> T.segment_matmul_into ~trans_b ~beta ~offsets a w c);
+              (* transposed: the reduction runs over the segment's rows of
+                 [a] and [b], and [c] is the stack *)
+              let b = if trans_b then randn rng [| n; m |] else randn rng [| m; n |] in
+              let b2 = T.to_2d b in
+              let base = randn rng [| 3; k; n |] in
+              let c0 = T.to_2d (flat_stack base) in
+              let expected =
+                Array.concat
+                  (List.init 3 (fun s ->
+                       let lo = offsets.(s) in
+                       naive ~m:k ~k:(offsets.(s + 1) - lo) ~n
+                         ~start:(fun i j -> beta_start ~beta c0 ((s * k) + i) j)
+                         ~a_at:(fun i kk -> a2.(lo + kk).(i))
+                         ~b_at:(fun kk j -> if trans_b then b2.(j).(lo + kk) else b2.(lo + kk).(j))))
+              in
+              List.iter
+                (fun d ->
+                  with_domains d (fun () ->
+                      let c = T.copy base in
+                      T.segment_matmul_into ~trans_a:true ~trans_b ~beta ~offsets a b c;
+                      check_bits
+                        (Printf.sprintf "segment matmul ta m=%d k=%d n=%d tb=%b beta=%g %s (%d domains)"
+                           m k n trans_b beta layout d)
+                        expected (flat_stack c)))
+                [ 1; 2; 4 ])
+            (segment_layouts m))
+        heights)
+    [ 1; 8; 9; 17 ]
 
 (* --- outputs overlapping an operand are rejected --------------------- *)
 
@@ -684,4 +976,11 @@ let suite =
     Alcotest.test_case "steady-state training allocates nothing" `Quick test_steady_state_no_alloc;
     Alcotest.test_case "planner output equivalence" `Quick test_planner_equivalence;
     Alcotest.test_case "planner training equivalence" `Quick test_training_equivalence;
+    Alcotest.test_case "segment gather GEMM == textbook loop, bitwise" `Quick
+      test_segment_gather_oracle;
+    Alcotest.test_case "segment scatter GEMM == textbook loop, bitwise" `Quick
+      test_segment_scatter_oracle;
+    Alcotest.test_case "segment gather_t GEMM == textbook loop, bitwise" `Quick
+      test_segment_gather_t_oracle;
+    Alcotest.test_case "segment matmul == textbook loop, bitwise" `Quick test_segment_matmul_oracle;
   ]

@@ -134,8 +134,7 @@ let test_compact_map_tiny () =
   let cm = Cm.build g in
   (* writes: sources 0,0,1,0 -> 2 unique; cites: 2,3,2 -> 2 unique *)
   check_int "pairs" 4 cm.Cm.num_pairs;
-  Alcotest.(check (pair int int)) "writes range" (0, 2) (Cm.pairs_of_etype cm 0);
-  Alcotest.(check (pair int int)) "cites range" (2, 2) (Cm.pairs_of_etype cm 1);
+  Alcotest.(check (array int)) "writes rows [0, 2), cites rows [2, 4)" [| 0; 2; 4 |] cm.Cm.etype_ptr;
   (* same (etype, src) -> same row; different -> different *)
   for i = 0 to g.G.num_edges - 1 do
     for j = 0 to g.G.num_edges - 1 do
@@ -451,6 +450,57 @@ let prop_compact_rows_contiguous =
       Array.for_all (fun b -> b) covered
       && cm.Cm.etype_ptr.(G.num_etypes g) = cm.Cm.num_pairs)
 
+(* Small hand-built graphs that stress the pair numbering: node types of
+   zero or one node, relations that draw no edge, and self-loops. *)
+let corner_graph_gen =
+  QCheck.Gen.(
+    let* sizes = array_size (int_range 1 4) (int_range 0 5) in
+    let sizes = if Array.for_all (( = ) 0) sizes then Array.map (fun _ -> 1) sizes else sizes in
+    let nt = Array.length sizes in
+    let* relations = array_size (int_range 1 8) (pair (int_bound (nt - 1)) (int_bound (nt - 1))) in
+    let node_type = Array.concat (Array.to_list (Array.mapi (fun t n -> Array.make n t) sizes)) in
+    let first = Array.make nt 0 in
+    for t = 1 to nt - 1 do
+      first.(t) <- first.(t - 1) + sizes.(t - 1)
+    done;
+    (* only relations whose two endpoint types have nodes can draw edges *)
+    let live =
+      List.filter
+        (fun r ->
+          let s, d = relations.(r) in
+          sizes.(s) > 0 && sizes.(d) > 0)
+        (List.init (Array.length relations) Fun.id)
+    in
+    let* edges =
+      if live = [] then return [||]
+      else
+        array_size (int_range 0 40)
+          (let* r = oneofl live in
+           let s, d = relations.(r) in
+           let* u = int_bound (sizes.(s) - 1) in
+           let* v = int_bound (sizes.(d) - 1) in
+           let* self_loop = bool in
+           let src = first.(s) + u in
+           return (src, (if self_loop && s = d then src else first.(d) + v), r))
+    in
+    return
+      (G.create ~metagraph:(Mg.create ~num_ntypes:nt ~relations) ~node_type ~edges ()))
+
+let same_map (cm : Cm.t) (o : Compact_map_oracle.t) =
+  cm.Cm.num_pairs = o.Compact_map_oracle.num_pairs
+  && cm.Cm.row_of_edge = o.Compact_map_oracle.row_of_edge
+  && cm.Cm.etype_ptr = o.Compact_map_oracle.etype_ptr
+  && cm.Cm.pair_src = o.Compact_map_oracle.pair_src
+
+let prop_compact_map_matches_oracle =
+  QCheck.Test.make ~name:"compact maps == per-type hashtable oracle" ~count:300
+    (QCheck.make
+       QCheck.Gen.(oneof [ corner_graph_gen; graph_gen ])
+       ~print:(fun g -> Format.asprintf "%a" G.pp g))
+    (fun g ->
+      same_map (Cm.build g) (Compact_map_oracle.build g)
+      && same_map (Cm.build_dst g) (Compact_map_oracle.build_dst g))
+
 let prop_degrees_sum_to_edges =
   QCheck.Test.make ~name:"degree sums equal edge count" ~count:50 arb_graph (fun g ->
       let sum a = Array.fold_left ( + ) 0 a in
@@ -514,4 +564,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_degrees_sum_to_edges;
     QCheck_alcotest.to_alcotest prop_generator_matches_oracle;
     Alcotest.test_case "partition rejects NaN slack" `Quick test_partition_rejects_nan_slack;
+    QCheck_alcotest.to_alcotest prop_compact_map_matches_oracle;
   ]
