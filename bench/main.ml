@@ -26,6 +26,7 @@ module Fault = Hector_ckpt.Fault
 module Mg = Hector_stream.Mutable_graph
 module Delta = Hector_stream.Delta
 module Ss = Hector_stream.Stream_serve
+module Minibatch = Hector_runtime.Minibatch
 
 let experiments : (string * string * (H.t -> unit)) list =
   [
@@ -475,6 +476,63 @@ let fault () =
     ],
     Replica.metrics_json recovered.Failover.cluster )
 
+(* --- minibatch: sampled-block training on the block replica ---------
+
+   Eight RGCN U, RGAT C+F and HGT U training steps over seed batches of a
+   synthetic parent graph.  Per step: the whole simulated step (sampling
+   cost, PCIe transfer and device compute) and the transfer alone, both
+   averaged, and the launches of the busiest step; plus the device allocations all eight steps take after
+   warmup, which must stay 0 (one engine and slab for the trainer's
+   life). *)
+
+let minibatch () =
+  let graph = bench_graph "minibatch_bench" 31 in
+  let n = graph.G.num_nodes in
+  let features = Tensor.randn (Hector_tensor.Rng.create 37) [| n; 32 |] in
+  let labels = labels_of graph in
+  let steps = 8 in
+  let per_model =
+    List.map
+      (fun (tag, model, compact, fusion) ->
+        let trainer =
+          Minibatch.create ~seed:5 ~graph ~features ~labels
+            (compile ~training:true ~compact ~fusion model)
+        in
+        let engine = Minibatch.engine trainer in
+        let allocs () = Hector_gpu.Memory.alloc_count (Engine.memory engine) in
+        let warm = allocs () in
+        let reports =
+          List.init steps (fun step ->
+              let batch = Array.init 32 (fun i -> ((step * 97) + (i * 13)) mod n) in
+              let r = Minibatch.step trainer ~fanout:6 ~hops:2 ~batch () in
+              (* the engine's statistics cover the step just run *)
+              (r, (Hector_gpu.Stats.total (Engine.stats engine)).launches))
+        in
+        let mean f = List.fold_left (fun acc x -> acc +. f x) 0.0 reports /. float_of_int steps in
+        let step_ms (r, _) =
+          r.Minibatch.sample_ms +. r.Minibatch.transfer_ms +. r.Minibatch.compute_ms
+        in
+        let launches = List.fold_left (fun acc (_, l) -> max acc l) 0 reports in
+        ( ( Printf.sprintf "minibatch/%s" tag,
+            [
+              sim (mean step_ms);
+              ("transfer_ms", Gate.Time (mean (fun (r, _) -> r.Minibatch.transfer_ms)));
+              ("launches", Gate.Count launches);
+              ("device_allocs", Gate.Count (allocs () - warm));
+            ] ),
+          ( tag,
+            Hector_json.Obj
+              [
+                ( "losses",
+                  Hector_json.Arr (List.map (fun (r, _) -> Hector_json.Num r.Minibatch.loss) reports)
+                );
+                ("block_nodes", Num (mean (fun (r, _) -> float_of_int r.Minibatch.block_nodes)));
+                ("block_edges", Num (mean (fun (r, _) -> float_of_int r.Minibatch.block_edges)));
+              ] ) ))
+      [ ("rgcn_U", "rgcn", false, false); ("rgat_CF", "rgat", true, true); ("hgt_U", "hgt", false, false) ]
+  in
+  (List.map fst per_model, Hector_json.Obj (List.map snd per_model))
+
 (* --- the suite registry --------------------------------------------- *)
 
 type suite = { name : string; doc : string; run : unit -> Gate.entry list * Hector_json.t }
@@ -487,6 +545,7 @@ let suites =
     { name = "tune"; doc = "two-stage autotuner vs every fixed U/C/F/C+F layout"; run = tune };
     { name = "stream"; doc = "serving interleaved with in-slack graph deltas"; run = stream };
     { name = "fault"; doc = "crash recovery, message drops, failing serve batches"; run = fault };
+    { name = "minibatch"; doc = "sampled-block training steps on the block replica"; run = minibatch };
   ]
 
 let file s = Printf.sprintf "BENCH_%s.json" s.name

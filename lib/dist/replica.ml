@@ -11,12 +11,12 @@ module Gs = Hector_core.Gemm_spec
 module Ts = Hector_core.Traversal_spec
 module Compiler = Hector_core.Compiler
 module Autodiff = Hector_core.Autodiff
-module Lf = Hector_core.Linear_fusion
 module Mat = Hector_core.Materialization
 module Session = Hector_runtime.Session
 module Exec = Hector_runtime.Exec
 module Env = Hector_runtime.Env
 module Train = Hector_runtime.Train
+module Block = Hector_runtime.Block
 
 module Config = struct
   type t = {
@@ -85,36 +85,6 @@ type t = {
       (* layer-0 halo transfers posted an epoch ahead: per replica, one
          handle per halo entry; dropped by [reset_clocks] *)
 }
-
-let fused_outs ops =
-  List.map (function Lf.Mat_vec { out; _ } | Lf.Mat_mat { out; _ } -> out) ops
-
-(* The single node input, the restricted edge inputs and the output name of
-   one layer program. *)
-let layer_io compiled =
-  let program = compiled.Compiler.forward.Plan.program in
-  let feature_name, in_dim =
-    match
-      List.filter_map
-        (function Ir.Node_input { name; dim; _ } -> Some (name, dim) | _ -> None)
-        program.Ir.decls
-    with
-    | [ nd ] -> nd
-    | _ -> invalid_arg "Replica.create: each layer must declare exactly one node input"
-  in
-  List.iter
-    (function
-      | Ir.Edge_input { name; dim; _ } when not (String.equal name "norm" && dim = 1) ->
-          invalid_arg
-            (Printf.sprintf "Replica.create: unsupported edge input %S (only norm)" name)
-      | _ -> ())
-    program.Ir.decls;
-  let out_name =
-    match program.Ir.outputs with
-    | o :: _ -> o
-    | [] -> invalid_arg "Replica.create: layer program has no outputs"
-  in
-  (feature_name, in_dim, out_name)
 
 (* --- gradient-bucket analysis ----------------------------------------
 
@@ -189,15 +159,17 @@ let create ?config:(cfg = Config.default) ~features ~(graph : G.t) layers =
     if kb < 1 then invalid_arg "Replica.create: bucket size must be positive";
     float_of_int (kb * 1024)
   in
-  if Tensor.rows features <> graph.G.num_nodes then
-    invalid_arg "Replica.create: features must have one row per parent node";
   (* master weights: one probe session per layer over the parent graph, so
      every replica (and any reference session built from [master_weights])
      starts from the same stacks *)
   let layer_recs =
     Array.of_list layers
     |> Array.mapi (fun l compiled ->
-           let feature_name, in_dim, out_name = layer_io compiled in
+           let { Block.feature_name; feature_dim = in_dim; out_name; _ } =
+             Block.inputs ~caller:"Replica.create"
+               ?features:(if l = 0 then Some features else None)
+               ~graph compiled.Compiler.forward.Plan.program
+           in
            (* restored weights (e.g. from a checkpoint) replace the Glorot
               draw for this layer; omitted layers still draw as usual *)
            let restored =
@@ -293,7 +265,7 @@ let create ?config:(cfg = Config.default) ~features ~(graph : G.t) layers =
         { part; engine; inputs; sessions })
       pt.Partition.members
   in
-  let fused = fused_outs layer_recs.(0).compiled.Compiler.weight_ops in
+  let fused = Train.fused_outs layer_recs.(0).compiled.Compiler.weight_ops in
   let reduce_scratch =
     if training then
       List.filter_map
@@ -519,54 +491,12 @@ let forward t =
 
 (* Masked NLL over this replica's owned rows, normalized by the global node
    count; the gradient lands directly in the persistent backward-seed
-   buffer (halo rows zero).  Same math and kernel charges as
-   [Train.nll_loss], restricted to the owned rows. *)
+   buffer (halo rows zero). *)
 let masked_nll t (r : replica) ~labels =
-  let lrec = t.layers.(0) in
-  let out = out_tensor r lrec in
-  let seed = (Env.find (Session.exec r.sessions.(0)).Exec.env (Autodiff.grad_name lrec.out_name)).Env.tensor in
-  let c = lrec.out_dim in
-  let oa, o0 = Tensor.storage out and sa, s0 = Tensor.storage seed in
-  let ocols = Tensor.cols out and scols = Tensor.cols seed and inv_n = t.inv_n in
-  let loss = ref 0.0 in
-  let owned_count = ref 0 in
-  let origin = r.part.Partition.origin_node and owned = r.part.Partition.owned in
-  for i = 0 to Array.length origin - 1 do
-    let ob = o0 + (i * ocols) and sb = s0 + (i * scols) in
-    if owned.(i) then begin
-      incr owned_count;
-      let label = labels.(origin.(i)) in
-      if label < 0 || label >= c then invalid_arg "Replica.train_step: label out of range";
-      let m = ref neg_infinity in
-      for j = 0 to c - 1 do
-        if oa.(ob + j) > !m then m := oa.(ob + j)
-      done;
-      let z = ref 0.0 in
-      for j = 0 to c - 1 do
-        z := !z +. Stdlib.exp (oa.(ob + j) -. !m)
-      done;
-      let logz = Stdlib.log !z +. !m in
-      loss := !loss -. ((oa.(ob + label) -. logz) *. inv_n);
-      for j = 0 to c - 1 do
-        let p = Stdlib.exp (oa.(ob + j) -. logz) in
-        sa.(sb + j) <- (if j = label then p -. 1.0 else p) *. inv_n
-      done
-    end
-    else Array.fill sa sb c 0.0
-  done;
-  let n = !owned_count in
-  let bytes = float_of_int (n * c * 4) in
-  let launch name flops =
-    Engine.launch r.engine
-      (Kernel.make ~name ~category:Kernel.Reduction
-         ~grid_blocks:(max 1 (n / 256))
-         ~flops ~bytes_coalesced:(2.0 *. bytes)
-         ~provenance:(Kernel.provenance ~origin:"dist.replica" "loss")
-         ())
-  in
-  launch "log_softmax" (float_of_int (n * c * 5));
-  launch "nll_grad" (float_of_int (n * c));
-  !loss
+  let lrec = t.layers.(0) and env = (Session.exec r.sessions.(0)).Exec.env in
+  Train.nll_into ~engine:r.engine ~origin:"dist.replica" ~owned:r.part.Partition.owned
+    ~label_rows:r.part.Partition.origin_node ~inv_n:t.inv_n ~out:(out_tensor r lrec) ~labels
+    ~grad:(Env.find env (Autodiff.grad_name lrec.out_name)).Env.tensor ()
 
 (* Fixed-order sum of one weight's gradient across replicas, broadcast back
    — every replica ends up holding the identical summed gradient, exactly

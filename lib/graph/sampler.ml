@@ -180,5 +180,3 @@ let sample_union ?seed ?csr ~graph ~seed_sets ~fanout ~hops () =
   match sample_union_result ?seed ?csr ~graph ~seed_sets ~fanout ~hops () with
   | Ok r -> r
   | Error msg -> invalid_arg msg
-
-let induced_feature_rows sub = sub.origin_node

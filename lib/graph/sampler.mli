@@ -85,7 +85,3 @@ val sample_union :
   unit ->
   subgraph * int array array
 (** {!sample_union_result}, raising [Invalid_argument] on [Error]. *)
-
-val induced_feature_rows : subgraph -> int array
-(** The parent rows to gather when transferring node features to the
-    device — [origin_node], exposed under the name the runtime uses. *)

@@ -1,0 +1,175 @@
+module Tensor = Hector_tensor.Tensor
+module G = Hector_graph.Hetgraph
+module Sampler = Hector_graph.Sampler
+module Device = Hector_gpu.Device
+module Engine = Hector_gpu.Engine
+module Kernel = Hector_gpu.Kernel
+module Ir = Hector_core.Inter_ir
+module Compiler = Hector_core.Compiler
+module Mat = Hector_core.Materialization
+
+type inputs = {
+  feature_name : string;
+  feature_dim : int;
+  out_name : string;
+  edge_inputs : string list;
+}
+
+(* One node input (gathered per block) and only the "norm" edge input,
+   which a block recomputes as Session does for a whole graph. *)
+let inputs ~caller ?features ~(graph : G.t) (program : Ir.program) =
+  let feature_name, feature_dim =
+    match
+      List.filter_map
+        (function Ir.Node_input { name; dim } -> Some (name, dim) | _ -> None)
+        program.Ir.decls
+    with
+    | [ input ] -> input
+    | _ -> invalid_arg (caller ^ ": model must declare exactly one node input")
+  in
+  (match features with
+  | Some f when Tensor.shape f <> [| graph.G.num_nodes; feature_dim |] ->
+      invalid_arg
+        (Printf.sprintf "%s: features must be %d x %d (num_nodes x %s dim), got %s" caller
+           graph.G.num_nodes feature_dim feature_name
+           (String.concat " x " (Array.to_list (Array.map string_of_int (Tensor.shape f)))))
+  | _ -> ());
+  let out_name =
+    match program.Ir.outputs with
+    | o :: _ -> o
+    | [] -> invalid_arg (caller ^ ": model declares no outputs")
+  in
+  let edge_inputs =
+    List.filter_map
+      (function
+        | Ir.Edge_input { name = "norm"; dim = 1 } -> Some "norm"
+        | Ir.Edge_input { name; _ } ->
+            invalid_arg (Printf.sprintf "%s: unsupported edge input %S (only norm)" caller name)
+        | _ -> None)
+      program.Ir.decls
+  in
+  { feature_name; feature_dim; out_name; edge_inputs }
+
+type t = {
+  engine : Engine.t;
+  slab : Exec.slab;
+  weights : (string * Tensor.t) list;
+  features : Tensor.t;  (* parent node features, host-resident *)
+  feature_name : string;
+  node_stage : Tensor.t;  (* parent-capacity staging for gathered features *)
+  edge_stage : (string * Tensor.t) list;  (* per edge input, parent capacity *)
+  seed_stage : (string * int * Tensor.t) option;
+      (* training: seed-gradient name, width and parent-capacity backing *)
+  transfer : Kernel.provenance;
+}
+
+(* Deterministic host-side sampling cost (simulated ms): proportional to the
+   block actually built, with a fixed per-call floor.  Kept out of the
+   engine because sampling runs on the host, concurrently with nothing. *)
+let sample_cost_ms ~nodes ~edges =
+  0.01 +. (2e-4 *. float_of_int nodes) +. (5e-5 *. float_of_int edges)
+
+let create ?obs ?(epoch = 0) ?(weights = []) ?features ~origin ~device ~seed ~graph (inputs : inputs)
+    (compiled : Compiler.compiled) =
+  let obs = Option.value obs ~default:Hector_obs.disabled in
+  (* blocks run at physical size (scale 1) *)
+  let engine = Engine.create ~device ~scale:1.0 ~obs () in
+  let slab = Exec.create_slab ~epoch () in
+  (* a session over the PARENT graph charges weights and features once and
+     primes the slab at parent capacity, an upper bound on every block.  It
+     runs no plan.  Its norm is never read (blocks recompute theirs), so it
+     warms with zeros. *)
+  let scfg =
+    {
+      Session.Config.default with
+      Session.Config.engine = Some engine;
+      slab = Some slab;
+      seed;
+      weights;
+      node_inputs = (match features with Some f -> [ (inputs.feature_name, f) ] | None -> []);
+      edge_inputs =
+        List.map (fun name -> (name, Tensor.zeros [| graph.G.num_edges; 1 |])) inputs.edge_inputs;
+    }
+  in
+  let session = Session.create ~config:scfg ~graph compiled in
+  let exec0 = Session.exec session in
+  (* a training model keeps its forward temporaries for the backward *)
+  let training = compiled.Compiler.backward <> None in
+  Exec.warm_plan ~free_temps:(not training) exec0 compiled.Compiler.forward;
+  Option.iter (Exec.warm_plan exec0) compiled.Compiler.backward;
+  let features = (Env.find exec0.Exec.env inputs.feature_name).Env.tensor in
+  let stage label ~rows ~cols =
+    ignore (Engine.alloc_tensor engine ~label ~rows ~cols ());
+    Tensor.create_uninit [| rows * cols |]
+  in
+  let node_stage =
+    stage "block/node_stage" ~rows:graph.G.num_nodes ~cols:inputs.feature_dim
+  in
+  let edge_stage =
+    List.map
+      (fun name -> (name, stage ("block/edge_stage_" ^ name) ~rows:graph.G.num_edges ~cols:1))
+      inputs.edge_inputs
+  in
+  let seed_stage =
+    if not training then None
+    else
+      let name = Hector_core.Autodiff.grad_name inputs.out_name
+      and cols = Session.output_dim session in
+      Some (name, cols, stage "block/seed_grad" ~rows:graph.G.num_nodes ~cols)
+  in
+  Engine.reset_clock engine;
+  {
+    engine;
+    slab;
+    weights = Session.weights session;
+    features;
+    feature_name = inputs.feature_name;
+    node_stage;
+    edge_stage;
+    seed_stage;
+    transfer = Kernel.provenance ~origin:(origin ^ ".transfer") "h2d_block";
+  }
+
+let stage t (sub : Sampler.subgraph) =
+  let block = sub.Sampler.graph in
+  let env = Env.create () in
+  List.iter (fun (name, w) -> Env.add_weight env ~name w) t.weights;
+  (* one row blit per block node *)
+  let rows = Array.length sub.Sampler.origin_node in
+  let dim = Tensor.cols t.features in
+  let feats = Tensor.view t.node_stage [| rows; dim |] in
+  let src, s0 = Tensor.storage t.features and dst, d0 = Tensor.storage feats in
+  Array.iteri
+    (fun i parent -> Array.blit src (s0 + (parent * dim)) dst (d0 + (i * dim)) dim)
+    sub.Sampler.origin_node;
+  Env.add env ~name:t.feature_name
+    { Env.tensor = feats; space = Mat.Rows_nodes; dim; alloc = None };
+  let edge_bytes = ref 0 in
+  List.iter
+    (fun (name, stage) ->
+      let v = Tensor.view stage [| block.G.num_edges; 1 |] in
+      let data, off = Tensor.storage v in
+      Session.rgcn_norm_into block data off;
+      edge_bytes := !edge_bytes + (block.G.num_edges * 4);
+      Env.add env ~name { Env.tensor = v; space = Mat.Rows_edges; dim = 1; alloc = None })
+    t.edge_stage;
+  (match t.seed_stage with
+  | Some (name, dim, backing) ->
+      let tensor = Tensor.view backing [| rows; dim |] in
+      Env.add env ~name { Env.tensor; space = Mat.Rows_nodes; dim; alloc = None }
+  | None -> ());
+  (* host→device transfer of the staged inputs over PCIe *)
+  let bytes = float_of_int ((rows * dim * 4) + !edge_bytes) in
+  Engine.launch t.engine
+    (Kernel.make ~name:"h2d_block" ~category:Kernel.Copy ~graph_proportional:false
+       ~grid_blocks:(max 1 (rows * dim / 1024))
+       ~bytes_coalesced:bytes ~provenance:t.transfer ());
+  Engine.host_sync t.engine
+    ~us:(bytes /. (Engine.device t.engine).Device.pcie_bandwidth_gbs /. 1e9 *. 1e6)
+    ();
+  Exec.create ~engine:t.engine ~ctx:(Graph_ctx.create block) ~env ~slab:t.slab ()
+
+let engine t = t.engine
+let slab t = t.slab
+let weights t = t.weights
+let features t = t.features

@@ -1,24 +1,20 @@
-module Tensor = Hector_tensor.Tensor
 module Rng = Hector_tensor.Rng
 module G = Hector_graph.Hetgraph
 module Sampler = Hector_graph.Sampler
+module Csr = Hector_graph.Csr
 module Device = Hector_gpu.Device
 module Engine = Hector_gpu.Engine
-module Kernel = Hector_gpu.Kernel
-module Ir = Hector_core.Inter_ir
 module Compiler = Hector_core.Compiler
-module Plan = Hector_core.Plan
 
 type t = {
-  device : Device.t;
   graph : G.t;
-  features : Tensor.t;
+  in_csr : Csr.t;  (* Csr.incoming of [graph], cached for every step *)
   labels : int array;
   compiled : Compiler.compiled;
-  feature_name : string;
-  weights : (string * Tensor.t) list;  (** persistent across blocks *)
+  block : Block.t;  (* engine, slab, persistent weights, staging *)
+  fused_weight_names : string list;
   rng : Rng.t;
-  seed : int;  (** every per-step sampling seed derives from this *)
+  seed : int;  (* every per-step sampling seed derives from this *)
   mutable step_count : int;
 }
 
@@ -36,82 +32,50 @@ let create ?(device = Device.rtx3090) ?(seed = 1) ~graph ~features ~labels compi
     invalid_arg "Minibatch.create: model must be compiled with training = true";
   if Array.length labels <> graph.G.num_nodes then
     invalid_arg "Minibatch.create: one label per parent node required";
-  let program = compiled.Compiler.forward.Plan.program in
-  let feature_name =
-    match
-      List.filter_map
-        (function Ir.Node_input { name; _ } -> Some name | _ -> None)
-        program.Ir.decls
-    with
-    | [ name ] -> name
-    | _ -> invalid_arg "Minibatch.create: model must declare exactly one node input"
-  in
-  (* initialize persistent parameters once, on a throwaway tiny block *)
-  let probe =
-    Sampler.sample ~seed ~graph ~seeds:[| 0 |] ~fanout:2 ~hops:1 ()
-  in
-  let session =
-    Session.create ~config:{ Session.Config.default with device; seed } ~graph:probe.Sampler.graph
-      compiled
+  let inputs =
+    Block.inputs ~caller:"Minibatch.create" ~features ~graph
+      compiled.Compiler.forward.Hector_core.Plan.program
   in
   {
-    device;
     graph;
-    features;
+    in_csr = Csr.incoming graph;
     labels;
     compiled;
-    feature_name;
-    weights = Session.weights session;
+    block = Block.create ~features ~origin:"minibatch" ~device ~seed ~graph inputs compiled;
+    fused_weight_names = Train.fused_outs compiled.Compiler.weight_ops;
     rng = Rng.create (seed + 17);
     seed;
     step_count = 0;
   }
 
-let weights t = t.weights
+let weights t = Block.weights t.block
+let engine t = Block.engine t.block
 
 let step t ?(lr = 0.05) ?(fanout = 8) ?(hops = 2) ~batch () =
   t.step_count <- t.step_count + 1;
-  let wall = Unix.gettimeofday () in
-  let block =
+  let sub =
     Sampler.sample
       ~seed:((t.seed * 1_000_003) + (t.step_count * 7919))
-      ~graph:t.graph ~seeds:batch ~fanout ~hops ()
+      ~csr:t.in_csr ~graph:t.graph ~seeds:batch ~fanout ~hops ()
   in
-  let sample_ms = (Unix.gettimeofday () -. wall) *. 1e3 in
-  let sub = block.Sampler.graph in
-  (* gather the block's features and labels on the host *)
-  let feats = Tensor.gather_rows t.features (Sampler.induced_feature_rows block) in
-  let labels = Array.map (fun v -> t.labels.(v)) block.Sampler.origin_node in
-  let session =
-    Session.create
-      ~config:
-        {
-          Session.Config.default with
-          device = t.device;
-          seed = 3;
-          node_inputs = [ (t.feature_name, feats) ];
-          weights = t.weights;
-        }
-      ~graph:sub t.compiled
-  in
-  (* host→device transfer of the gathered features over PCIe *)
-  let engine = Session.engine session in
-  let bytes = float_of_int (Tensor.numel feats * 4) in
-  Engine.launch engine
-    (Kernel.make ~name:"h2d_features" ~category:Kernel.Copy ~graph_proportional:false
-       ~grid_blocks:(max 1 (Tensor.numel feats / 1024))
-       ~bytes_coalesced:bytes ());
-  Engine.host_sync engine ~us:(bytes /. (t.device.Device.pcie_bandwidth_gbs *. 1e9) *. 1e6) ();
+  let block = sub.Sampler.graph in
+  let engine = Block.engine t.block in
+  (* every step reads its own clock from zero, as on a fresh device *)
+  Engine.reset_clock engine;
+  let exec = Block.stage t.block sub in
   let transfer_ms = Engine.elapsed_ms engine in
-  let loss = Session.train_step session ~lr ~labels () in
-  let compute_ms = Engine.elapsed_ms engine -. transfer_ms in
+  (* one label per block node: its parent's *)
+  let loss =
+    Train.loss_and_grads ~label_rows:sub.Sampler.origin_node ~exec t.compiled ~labels:t.labels
+  in
+  Train.sgd_step ~skip:t.fused_weight_names ~exec ~lr ();
   {
     loss;
-    block_nodes = sub.G.num_nodes;
-    block_edges = sub.G.num_edges;
-    sample_ms;
+    block_nodes = block.G.num_nodes;
+    block_edges = block.G.num_edges;
+    sample_ms = Block.sample_cost_ms ~nodes:block.G.num_nodes ~edges:block.G.num_edges;
     transfer_ms;
-    compute_ms;
+    compute_ms = Engine.elapsed_ms engine -. transfer_ms;
   }
 
 let train_epochs t ?(lr = 0.05) ?(fanout = 8) ?(hops = 2) ?(batch_size = 64) ~epochs () =

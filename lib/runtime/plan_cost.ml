@@ -1,6 +1,5 @@
 module Tensor = Hector_tensor.Tensor
 module Engine = Hector_gpu.Engine
-module Kernel = Hector_gpu.Kernel
 module Device = Hector_gpu.Device
 module G = Hector_graph.Hetgraph
 module Ir = Hector_core.Inter_ir
@@ -27,9 +26,6 @@ let slice_count g = function
   | Ir.By_ntype | Ir.By_src_ntype | Ir.By_dst_ntype -> G.num_ntypes g
   | Ir.Shared -> 1
 
-let fused_outs ops =
-  List.map (function Lf.Mat_vec { out; _ } | Lf.Mat_mat { out; _ } -> out) ops
-
 (* A shape-only environment mirroring what {!Session.create} + plan buffer
    allocation would bind: input features and weight stacks from the
    declarations (skipping declarations shadowed by fused products), fused
@@ -39,7 +35,7 @@ let shape_env t (compiled : Compiler.compiled) =
   let g = Graph_ctx.graph t.ctx in
   let env = Env.create () in
   let stub = Lazy.force stub in
-  let fused = fused_outs compiled.Compiler.weight_ops in
+  let fused = Train.fused_outs compiled.Compiler.weight_ops in
   let add_decls (program : Ir.program) =
     List.iter
       (fun decl ->
@@ -147,19 +143,8 @@ let training_kernels t ~env (compiled : Compiler.compiled) (bwd : Plan.t) =
     | o :: _ -> o
     | [] -> invalid_arg "Plan_cost: training program has no outputs"
   in
-  let n = g.G.num_nodes and c = (Env.find env out_name).Env.dim in
-  let bytes = float_of_int (n * c * 4) in
   let loss =
-    [
-      Kernel.make ~name:"log_softmax" ~category:Kernel.Reduction
-        ~grid_blocks:(max 1 (n / 256))
-        ~flops:(float_of_int (n * c * 5))
-        ~bytes_coalesced:(2.0 *. bytes) ();
-      Kernel.make ~name:"nll_grad" ~category:Kernel.Reduction
-        ~grid_blocks:(max 1 (n / 256))
-        ~flops:(float_of_int (n * c))
-        ~bytes_coalesced:(2.0 *. bytes) ();
-    ]
+    Train.loss_kernels ~origin:"train" ~rows:g.G.num_nodes ~cols:(Env.find env out_name).Env.dim
   in
   let grads = direct_grad_weights bwd in
   (* replay of Train.backprop_weight_ops: reverse order, propagating
@@ -167,46 +152,23 @@ let training_kernels t ~env (compiled : Compiler.compiled) (bwd : Plan.t) =
   let bmm =
     List.filter_map
       (fun op ->
-        match op with
-        | Lf.Mat_vec { mat; vec; out; _ } ->
-            if Hashtbl.mem grads out then begin
-              Hashtbl.replace grads mat ();
-              Hashtbl.replace grads vec ();
-              let w = Env.weight env mat in
-              Some
-                (Kernel.make ~name:("bmm_backward_" ^ out) ~category:Kernel.Gemm ~grid_blocks:64
-                   ~flops:(4.0 *. float_of_int (Tensor.numel w))
-                   ~bytes_coalesced:(float_of_int (Tensor.numel w * 4))
-                   ~graph_proportional:false ())
-            end
-            else None
-        | Lf.Mat_mat { left; right; out; _ } ->
-            if Hashtbl.mem grads out then begin
-              Hashtbl.replace grads left ();
-              Hashtbl.replace grads right ();
-              let r = Env.weight env right in
-              let dout = Env.weight env out in
-              Some
-                (Kernel.make ~name:("bmm_backward_" ^ out) ~category:Kernel.Gemm ~grid_blocks:64
-                   ~flops:(4.0 *. float_of_int (Tensor.numel dout) *. float_of_int (Tensor.dim r 1))
-                   ~bytes_coalesced:(float_of_int (Tensor.numel r * 4))
-                   ~graph_proportional:false ())
-            end
-            else None)
+        let factors, out =
+          match op with
+          | Lf.Mat_vec { mat; vec; out; _ } -> ([ mat; vec ], out)
+          | Lf.Mat_mat { left; right; out; _ } -> ([ left; right ], out)
+        in
+        if Hashtbl.mem grads out then begin
+          List.iter (fun w -> Hashtbl.replace grads w ()) factors;
+          Some (Train.bmm_backward_kernel ~env op)
+        end
+        else None)
       (List.rev compiled.Compiler.weight_ops)
   in
-  let fused = fused_outs compiled.Compiler.weight_ops in
+  let fused = Train.fused_outs compiled.Compiler.weight_ops in
   let sgd =
     Hashtbl.fold
       (fun name () acc ->
-        if List.mem name fused then acc
-        else
-          let w = Env.weight env name in
-          Kernel.make ~name:("sgd_" ^ name) ~category:Kernel.Reduction ~grid_blocks:32
-            ~flops:(float_of_int (Tensor.numel w))
-            ~bytes_coalesced:(float_of_int (Tensor.numel w * 8))
-            ~graph_proportional:false ()
-          :: acc)
+        if List.mem name fused then acc else Train.sgd_kernel ~name (Env.weight env name) :: acc)
       grads []
   in
   loss @ bmm @ sgd

@@ -7,8 +7,6 @@ module Ir = Hector_core.Inter_ir
 module Mat = Hector_core.Materialization
 module Plan = Hector_core.Plan
 module Compiler = Hector_core.Compiler
-module Lf = Hector_core.Linear_fusion
-module Autodiff = Hector_core.Autodiff
 
 module Config = struct
   type t = {
@@ -44,9 +42,6 @@ type t = {
   outputs : (string * int) list;  (* name, dim *)
   rng : Rng.t;  (* the init generator, kept for checkpointing its cursor *)
 }
-
-let fused_outs ops =
-  List.map (function Lf.Mat_vec { out; _ } | Lf.Mat_mat { out; _ } -> out) ops
 
 let slice_count g = function
   | Ir.By_etype -> G.num_etypes g
@@ -96,7 +91,7 @@ let create ?config:(cfg = Config.default) ~graph compiled =
   let exec = Exec.create ?slab:cfg.Config.slab ~engine ~ctx ~env () in
   let rng = Rng.create cfg.Config.seed in
   let program = compiled.Compiler.forward.Plan.program in
-  let fused = fused_outs compiled.Compiler.weight_ops in
+  let fused = Train.fused_outs compiled.Compiler.weight_ops in
   (* parameters *)
   List.iter
     (fun decl ->
@@ -204,34 +199,7 @@ let forward t =
     (fun (name, _) -> (name, Tensor.copy (Env.find t.exec.Exec.env name).Env.tensor))
     t.outputs
 
-let loss_and_grads t ~labels =
-  let backward =
-    match t.compiled.Compiler.backward with
-    | Some b -> b
-    | None -> invalid_arg "Session.train_step: model compiled without training support"
-  in
-  Exec.run_plan ~free_temps:false t.exec t.compiled.Compiler.forward;
-  let out_name, _ = List.hd t.outputs in
-  let out = (Env.find t.exec.Exec.env out_name).Env.tensor in
-  let loss, dout = Train.nll_loss ~engine:(engine t) ~out ~labels in
-  (* seed gradient enters the backward plan as a node input *)
-  let seed_name = Autodiff.grad_name out_name in
-  (match Env.find_opt t.exec.Exec.env seed_name with
-  | Some entry ->
-      Tensor.fill entry.Env.tensor 0.0;
-      Tensor.add_inplace entry.Env.tensor dout
-  | None ->
-      let alloc =
-        Engine.alloc_tensor (engine t) ~label:seed_name ~rows:(Tensor.rows dout)
-          ~cols:(Tensor.cols dout) ()
-      in
-      Env.add t.exec.Exec.env ~name:seed_name
-        { Env.tensor = dout; space = Mat.Rows_nodes; dim = Tensor.cols dout; alloc = Some alloc });
-  Exec.run_plan ~free_temps:true t.exec backward;
-  Train.backprop_weight_ops ~exec:t.exec t.compiled.Compiler.weight_ops;
-  (* free forward temporaries kept for the backward pass *)
-  Exec.free_temp_buffers t.exec t.compiled.Compiler.forward;
-  loss
+let loss_and_grads t ~labels = Train.loss_and_grads ~exec:t.exec t.compiled ~labels
 
 let train_step t ?(lr = 0.01) ~labels () =
   let loss = loss_and_grads t ~labels in

@@ -29,8 +29,8 @@ module Config : sig
     engine : Engine.t option;
         (** [Some e] — run on an existing engine instead of creating one
             (shares its clock, memory and stats; [device]/[trace] are then
-            ignored).  Used by serving, where many sessions over sampled
-            blocks bill one persistent device. *)
+            ignored).  Used by the {!Block} replica's warmup, which bills
+            the replica's persistent device. *)
     slab : Exec.slab option;
         (** arena slab handed to the session's executor, sharing
             plan-buffer backings across sessions (see {!Exec.slab}) *)
@@ -75,10 +75,8 @@ val forward : t -> (string * Tensor.t) list
     kept when compiled for training (the backward pass needs them). *)
 
 val loss_and_grads : t -> labels:int array -> float
-(** Forward, NLL loss, backward and fused-weight gradient chaining —
-    everything in {!train_step} except the SGD update — leaving the weight
-    gradients readable via {!weight_grads}.  Used by gradient-checking
-    tests and custom optimizers. *)
+(** {!train_step} without the SGD update ({!Train.loss_and_grads}): the
+    weight gradients stay readable via {!weight_grads}. *)
 
 val train_step : t -> ?lr:float -> labels:int array -> unit -> float
 (** One full training step: forward, NLL loss against [labels] (one class

@@ -3,52 +3,95 @@ module Engine = Hector_gpu.Engine
 module Kernel = Hector_gpu.Kernel
 module Lf = Hector_core.Linear_fusion
 module Ir = Hector_core.Inter_ir
+module Mat = Hector_core.Materialization
+module Plan = Hector_core.Plan
+module Compiler = Hector_core.Compiler
 module Mg = Hector_graph.Metagraph
 module G = Hector_graph.Hetgraph
 
-let nll_loss ~engine ~out ~labels =
-  let n = Tensor.rows out and c = Tensor.cols out in
-  if Array.length labels <> n then
-    invalid_arg (Printf.sprintf "nll_loss: %d labels for %d rows" (Array.length labels) n);
-  let grad = Tensor.zeros [| n; c |] in
+let fused_outs ops =
+  List.map (function Lf.Mat_vec { out; _ } | Lf.Mat_mat { out; _ } -> out) ops
+
+(* --- kernel descriptors: the launches below, and Plan_cost's estimate -- *)
+
+let loss_kernels ~origin ~rows ~cols =
+  let bytes = float_of_int (rows * cols * 4) in
+  let reduction name flops =
+    Kernel.make ~name ~category:Kernel.Reduction
+      ~grid_blocks:(max 1 (rows / 256))
+      ~flops ~bytes_coalesced:(2.0 *. bytes)
+      ~provenance:(Kernel.provenance ~origin "loss") ()
+  in
+  [
+    reduction "log_softmax" (float_of_int (rows * cols * 5));
+    reduction "nll_grad" (float_of_int (rows * cols));
+  ]
+
+let bmm_backward_kernel ~env op =
+  let out, flops, bytes =
+    match op with
+    | Lf.Mat_vec { mat; out; _ } ->
+        let w = Env.weight env mat in
+        (out, 4.0 *. float_of_int (Tensor.numel w), Tensor.numel w * 4)
+    | Lf.Mat_mat { right; out; _ } ->
+        let r = Env.weight env right in
+        let products = float_of_int (Tensor.numel (Env.weight env out)) in
+        (out, 4.0 *. products *. float_of_int (Tensor.dim r 1), Tensor.numel r * 4)
+  in
+  Kernel.make ~name:("bmm_backward_" ^ out) ~category:Kernel.Gemm ~grid_blocks:64 ~flops
+    ~bytes_coalesced:(float_of_int bytes) ~graph_proportional:false
+    ~provenance:(Kernel.provenance ~origin:"linear_fusion" out) ()
+
+let sgd_kernel ~name w =
+  Kernel.make ~name:("sgd_" ^ name) ~category:Kernel.Reduction ~grid_blocks:32
+    ~flops:(float_of_int (Tensor.numel w))
+    ~bytes_coalesced:(float_of_int (Tensor.numel w * 8))
+    ~graph_proportional:false
+    ~provenance:(Kernel.provenance ~origin:"train" "sgd") ()
+
+(* --- loss ------------------------------------------------------------ *)
+
+let nll_into ~engine ~origin ?owned ?label_rows ~inv_n ~out ~labels ~grad () =
+  let rows = Tensor.rows out and c = Tensor.cols out in
+  let nlabels = Array.length (Option.value label_rows ~default:labels) in
+  if nlabels <> rows then invalid_arg (Printf.sprintf "nll_loss: %d labels for %d rows" nlabels rows);
   (* flat loops over the storage: a cross-module [get2] boxes each read *)
-  let oa, o0 = Tensor.storage out and ga, _ = Tensor.storage grad in
-  let loss = ref 0.0 in
-  let inv_n = 1.0 /. float_of_int (max 1 n) in
-  for i = 0 to n - 1 do
-    let label = labels.(i) in
-    if label < 0 || label >= c then invalid_arg "nll_loss: label out of range";
-    let ob = o0 + (i * c) and gb = i * c in
-    (* stable log-softmax *)
-    let m = ref neg_infinity in
-    for j = 0 to c - 1 do
-      if oa.(ob + j) > !m then m := oa.(ob + j)
-    done;
-    let z = ref 0.0 in
-    for j = 0 to c - 1 do
-      z := !z +. Stdlib.exp (oa.(ob + j) -. !m)
-    done;
-    let logz = Stdlib.log !z +. !m in
-    loss := !loss -. ((oa.(ob + label) -. logz) *. inv_n);
-    for j = 0 to c - 1 do
-      let p = Stdlib.exp (oa.(ob + j) -. logz) in
-      ga.(gb + j) <- (if j = label then p -. 1.0 else p) *. inv_n
-    done
+  let oa, o0 = Tensor.storage out and ga, g0 = Tensor.storage grad in
+  let gcols = Tensor.cols grad in
+  let loss = ref 0.0 and counted = ref 0 in
+  for i = 0 to rows - 1 do
+    let ob = o0 + (i * c) and gb = g0 + (i * gcols) in
+    if (match owned with None -> true | Some mask -> mask.(i)) then begin
+      incr counted;
+      let label = match label_rows with None -> labels.(i) | Some r -> labels.(r.(i)) in
+      if label < 0 || label >= c then invalid_arg "nll_loss: label out of range";
+      (* stable log-softmax *)
+      let m = ref neg_infinity in
+      for j = 0 to c - 1 do
+        if oa.(ob + j) > !m then m := oa.(ob + j)
+      done;
+      let z = ref 0.0 in
+      for j = 0 to c - 1 do
+        z := !z +. Stdlib.exp (oa.(ob + j) -. !m)
+      done;
+      let logz = Stdlib.log !z +. !m in
+      loss := !loss -. ((oa.(ob + label) -. logz) *. inv_n);
+      for j = 0 to c - 1 do
+        let p = Stdlib.exp (oa.(ob + j) -. logz) in
+        ga.(gb + j) <- (if j = label then p -. 1.0 else p) *. inv_n
+      done
+    end
+    else Array.fill ga gb c 0.0
   done;
-  let bytes = float_of_int (n * c * 4) in
-  Engine.launch engine
-    (Kernel.make ~name:"log_softmax" ~category:Kernel.Reduction
-       ~grid_blocks:(max 1 (n / 256))
-       ~flops:(float_of_int (n * c * 5))
-       ~bytes_coalesced:(2.0 *. bytes)
-       ~provenance:(Kernel.provenance ~origin:"train" "loss") ());
-  Engine.launch engine
-    (Kernel.make ~name:"nll_grad" ~category:Kernel.Reduction
-       ~grid_blocks:(max 1 (n / 256))
-       ~flops:(float_of_int (n * c))
-       ~bytes_coalesced:(2.0 *. bytes)
-       ~provenance:(Kernel.provenance ~origin:"train" "loss") ());
-  (!loss, grad)
+  List.iter (Engine.launch engine) (loss_kernels ~origin ~rows:!counted ~cols:c);
+  !loss
+
+let nll_loss ~engine ~out ~labels =
+  let n = Tensor.rows out in
+  let grad = Tensor.zeros [| n; Tensor.cols out |] in
+  let inv_n = 1.0 /. float_of_int (max 1 n) in
+  let loss = nll_into ~engine ~origin:"train" ~inv_n ~out ~labels ~grad () in
+  (loss, grad)
 
 let backprop_weight_ops ~(exec : Exec.t) ops =
   let env = exec.Exec.env in
@@ -56,33 +99,24 @@ let backprop_weight_ops ~(exec : Exec.t) ops =
   (* process in reverse: later products may feed earlier ones in principle *)
   List.iter
     (fun op ->
-      match op with
-      | Lf.Mat_vec { mat; vec; half; out } -> (
-          match Env.weight_grad_opt env out with
-          | None -> ()
-          | Some dout ->
+      let out = match op with Lf.Mat_vec { out; _ } | Lf.Mat_mat { out; _ } -> out in
+      match Env.weight_grad_opt env out with
+      | None -> ()
+      | Some dout ->
+          (match op with
+          | Lf.Mat_vec { mat; vec; half; _ } ->
               (* out[t] = W[t] · v[t]⟨half⟩ : dW[t] += dout[t] ⊗ v_half[t];
                  dv_half[t] += W[t]ᵀ · dout[t] *)
               let w = Env.weight env mat and v = Env.weight env vec in
               let dw = Env.weight_grad env mat and dv = Env.weight_grad env vec in
               let col = match half with `Left | `All -> 0 | `Right -> Tensor.dim w 2 in
-              Tensor.mat_vec_backward w v ~col ~dout ~dw ~dv;
-              Engine.launch exec.Exec.engine
-                (Kernel.make ~name:("bmm_backward_" ^ out) ~category:Kernel.Gemm ~grid_blocks:64
-                   ~flops:(4.0 *. float_of_int (Tensor.numel w))
-                   ~bytes_coalesced:(float_of_int (Tensor.numel w * 4))
-                   ~graph_proportional:false
-                   ~provenance:(Kernel.provenance ~origin:"linear_fusion" out) ()))
-      | Lf.Mat_mat { left; left_slice; right; out } -> (
-          match Env.weight_grad_opt env out with
-          | None -> ()
-          | Some dout ->
+              Tensor.mat_vec_backward w v ~col ~dout ~dw ~dv
+          | Lf.Mat_mat { left; left_slice; right; _ } ->
               (* out[r] = L[nt(r)] · R[r] : dL[nt(r)] += dout[r] · R[r]ᵀ;
                  dR[r] += L[nt(r)]ᵀ · dout[r] *)
               let l = Env.weight env left and r = Env.weight env right in
               let dl = Env.weight_grad env left and dr = Env.weight_grad env right in
-              let slices = Tensor.dim r 0 in
-              for s = 0 to slices - 1 do
+              for s = 0 to Tensor.dim r 0 - 1 do
                 let nt =
                   match left_slice with
                   | Ir.By_src_ntype -> Mg.src_ntype mg s
@@ -96,13 +130,8 @@ let backprop_weight_ops ~(exec : Exec.t) ops =
                   (Tensor.slice0 dl nt);
                 Tensor.matmul_into ~trans_a:true ~beta:1.0 (Tensor.slice0 l nt) douts
                   (Tensor.slice0 dr s)
-              done;
-              Engine.launch exec.Exec.engine
-                (Kernel.make ~name:("bmm_backward_" ^ out) ~category:Kernel.Gemm ~grid_blocks:64
-                   ~flops:(4.0 *. float_of_int (Tensor.numel dout) *. float_of_int (Tensor.dim r 1))
-                   ~bytes_coalesced:(float_of_int (Tensor.numel r * 4))
-                   ~graph_proportional:false
-                   ~provenance:(Kernel.provenance ~origin:"linear_fusion" out) ())))
+              done);
+          Engine.launch exec.Exec.engine (bmm_backward_kernel ~env op))
     (List.rev ops)
 
 (* Restore parameter values in place — the checkpoint/restore path.  Every
@@ -134,12 +163,40 @@ let sgd_step ?(skip = []) ~(exec : Exec.t) ~lr () =
       if not (List.mem name skip) then begin
         let w = Env.weight env name in
         Tensor.axpy (-.lr) grad w;
-        Engine.launch exec.Exec.engine
-          (Kernel.make ~name:("sgd_" ^ name) ~category:Kernel.Reduction ~grid_blocks:32
-             ~flops:(float_of_int (Tensor.numel w))
-             ~bytes_coalesced:(float_of_int (Tensor.numel w * 8))
-             ~graph_proportional:false
-             ~provenance:(Kernel.provenance ~origin:"train" "sgd") ())
+        Engine.launch exec.Exec.engine (sgd_kernel ~name w)
       end)
     (Env.weight_grads env);
   Env.zero_weight_grads env
+
+(* The training-step body every trainer shares.  The seed gradient is the
+   environment's own binding when there is one (a staged view, or the
+   tensor an earlier step bound), else a device-charged tensor bound here
+   for later steps. *)
+let loss_and_grads ?label_rows ~(exec : Exec.t) (compiled : Compiler.compiled) ~labels =
+  let backward =
+    match compiled.Compiler.backward with
+    | Some b -> b
+    | None -> invalid_arg "Train.loss_and_grads: model compiled without training support"
+  in
+  let env = exec.Exec.env and engine = exec.Exec.engine in
+  Exec.run_plan ~free_temps:false exec compiled.Compiler.forward;
+  let out_name = List.hd compiled.Compiler.forward.Plan.program.Ir.outputs in
+  let out = (Env.find env out_name).Env.tensor in
+  let rows = Tensor.rows out and cols = Tensor.cols out in
+  let seed_name = Hector_core.Autodiff.grad_name out_name in
+  let seed =
+    match Env.find_opt env seed_name with
+    | Some entry -> entry.Env.tensor
+    | None ->
+        let alloc = Engine.alloc_tensor engine ~label:seed_name ~rows ~cols () in
+        let seed = Tensor.zeros [| rows; cols |] in
+        Env.add env ~name:seed_name
+          { Env.tensor = seed; space = Mat.Rows_nodes; dim = cols; alloc = Some alloc };
+        seed
+  in
+  let inv_n = 1.0 /. float_of_int (max 1 rows) in
+  let loss = nll_into ~engine ~origin:"train" ?label_rows ~inv_n ~out ~labels ~grad:seed () in
+  Exec.run_plan ~free_temps:true exec backward;
+  backprop_weight_ops ~exec compiled.Compiler.weight_ops;
+  Exec.free_temp_buffers exec compiled.Compiler.forward;
+  loss

@@ -10,12 +10,40 @@
 
 module Tensor = Hector_tensor.Tensor
 
+val nll_into :
+  engine:Hector_gpu.Engine.t -> origin:string -> ?owned:bool array -> ?label_rows:int array ->
+  inv_n:float -> out:Tensor.t -> labels:int array -> grad:Tensor.t -> unit -> float
+(** The one NLL kernel: adds [-log softmax(out_i)[label_i] · inv_n] per
+    row to the returned loss and writes its gradient into row [i] of
+    [grad].  [label_i] is [labels.(i)], or [labels.(label_rows.(i))].
+    Rows [owned] marks [false] get a zero gradient and no loss.  Charges
+    {!loss_kernels} over the rows counted, with provenance [origin]. *)
+
 val nll_loss :
   engine:Hector_gpu.Engine.t -> out:Tensor.t -> labels:int array -> float * Tensor.t
-(** [nll_loss ~engine ~out ~labels] computes mean negative log-likelihood
-    of row-wise softmax([out]) against labels, returning the loss and the
-    gradient d(loss)/d(out).  Charges one reduction and one elementwise
-    kernel.  Labels must index valid columns. *)
+(** Mean NLL of row-wise softmax([out]) and a fresh d(loss)/d(out):
+    {!nll_into} with [inv_n = 1/rows], provenance ["train"]. *)
+
+val loss_and_grads :
+  ?label_rows:int array -> exec:Exec.t -> Hector_core.Compiler.compiled -> labels:int array -> float
+(** The training-step body {!Session} and {!Minibatch} share: forward
+    keeping temporaries, {!nll_into} over the first output into the
+    backward seed gradient, backward, {!backprop_weight_ops}, then the
+    forward temporaries freed; returns the loss and leaves the gradients
+    for an optimizer.  The seed is the one bound in [exec]'s environment,
+    else a device-charged tensor bound here for later steps. *)
+
+val loss_kernels : origin:string -> rows:int -> cols:int -> Hector_gpu.Kernel.t list
+(** The [log_softmax] and [nll_grad] launches of {!nll_into}. *)
+
+val bmm_backward_kernel : env:Env.t -> Hector_core.Linear_fusion.weight_op -> Hector_gpu.Kernel.t
+(** The launch {!backprop_weight_ops} makes for one weight op. *)
+
+val sgd_kernel : name:string -> Tensor.t -> Hector_gpu.Kernel.t
+(** The launch {!sgd_step} makes for weight [name]. *)
+
+val fused_outs : Hector_core.Linear_fusion.weight_op list -> string list
+(** The weight stacks linear-operator fusion computes (not parameters). *)
 
 val backprop_weight_ops :
   exec:Exec.t -> Hector_core.Linear_fusion.weight_op list -> unit

@@ -7,14 +7,11 @@ module Engine = Hector_gpu.Engine
 module Kernel = Hector_gpu.Kernel
 module Memory = Hector_gpu.Memory
 module Stats = Hector_gpu.Stats
-module Ir = Hector_core.Inter_ir
 module Compiler = Hector_core.Compiler
-module Mat = Hector_core.Materialization
-module Session = Hector_runtime.Session
 module Exec = Hector_runtime.Exec
+module Block = Hector_runtime.Block
 module Env = Hector_runtime.Env
 module Tuning_db = Hector_runtime.Tuning_db
-module Graph_ctx = Hector_runtime.Graph_ctx
 module Fault = Hector_ckpt.Fault
 
 type config = {
@@ -70,14 +67,8 @@ type t = {
   edge_capacity : int;
   compiled : Compiler.compiled;
   cache : Plan_cache.t;
-  engine : Engine.t;
-  slab : Exec.slab;
+  block : Block.t;  (* engine, slab, weights, features and staging *)
   obs : Hector_obs.t;
-  weights : (string * Tensor.t) list;
-  features : Tensor.t;  (* parent node features, host-resident *)
-  feature_name : string;
-  node_stage : Tensor.t;  (* parent-capacity staging for gathered features *)
-  edge_stage : (string * Tensor.t) list;  (* per edge input, parent capacity *)
   out_name : string;  (* the program's first output, gathered per request *)
   fanout : int;
   hops : int;
@@ -100,12 +91,6 @@ type t = {
   mutable sim_ms : float;  (* accumulated episode span (first arrival → last finish) *)
 }
 
-(* Deterministic host-side sampling cost (simulated ms): proportional to the
-   block actually built, with a fixed per-call floor.  Kept out of the
-   engine because sampling runs on the host, concurrently with nothing. *)
-let sample_cost_ms ~nodes ~edges =
-  0.01 +. (2e-4 *. float_of_int nodes) +. (5e-5 *. float_of_int edges)
-
 let exact_fanout graph = Array.fold_left max 1 (G.in_degrees graph)
 
 let resolve label v ~default =
@@ -122,41 +107,7 @@ let create ?(config = default_config) ?obs ?features ~graph program =
   let max_batch = resolve "max_batch" config.max_batch ~default:8 in
   let queue_capacity = resolve "queue_capacity" config.queue_capacity ~default:64 in
   let obs = Option.value obs ~default:Hector_obs.disabled in
-  (* the request path supports one node input (the features we gather per
-     block) and the conventional precomputed "norm" edge input, recomputed
-     per block exactly as Session generates it for a whole graph *)
-  let feature_name, node_dim =
-    match
-      List.filter_map
-        (function Ir.Node_input { name; dim } -> Some (name, dim) | _ -> None)
-        program.Ir.decls
-    with
-    | [ input ] -> input
-    | _ -> invalid_arg "Serve.create: model must declare exactly one node input"
-  in
-  (match features with
-  | Some f when Tensor.shape f <> [| graph.G.num_nodes; node_dim |] ->
-      invalid_arg
-        (Printf.sprintf "Serve.create: features must be %d x %d (num_nodes x %s dim), got %s"
-           graph.G.num_nodes node_dim feature_name
-           (String.concat " x " (Array.to_list (Array.map string_of_int (Tensor.shape f)))))
-  | _ -> ());
-  let out_name =
-    match program.Ir.outputs with
-    | o :: _ -> o
-    | [] -> invalid_arg "Serve.create: model declares no outputs"
-  in
-  let edge_input_names =
-    List.filter_map
-      (function
-        | Ir.Edge_input { name; dim; _ } ->
-            if String.equal name "norm" && dim = 1 then Some name
-            else
-              invalid_arg
-                (Printf.sprintf "Serve.create: unsupported edge input %S (only norm)" name)
-        | _ -> None)
-      program.Ir.decls
-  in
+  let inputs = Block.inputs ~caller:"Serve.create" ?features ~graph program in
   let cache = Plan_cache.create ~obs () in
   (* admission-time options ladder: explicit config > tuning-DB hit (exact,
      then nearest signature bucket) > a warmup search when [autotune] is
@@ -186,50 +137,10 @@ let create ?(config = default_config) ?obs ?features ~graph program =
   let compiled =
     Plan_cache.get cache ~model:config.model ~graph:graph.G.name ~options program
   in
-  (* one persistent engine for the replica; blocks run at physical size
-     (scale 1), like minibatch training *)
-  let engine = Engine.create ~device:config.device ~scale:1.0 ~obs () in
-  let slab = Exec.create_slab ~epoch:config.epoch () in
-  (* warmup: a session over the PARENT graph charges weights and features
-     once and primes the slab at parent capacity — an upper bound on every
-     sampled block, so steady-state blocks never outgrow the backings.  It
-     runs no forward: the primed arena already holds every plan buffer.
-     The session's norm is never read (blocks recompute theirs), so it
-     warms with zeros. *)
-  let scfg =
-    {
-      Session.Config.default with
-      Session.Config.engine = Some engine;
-      slab = Some slab;
-      seed = config.seed;
-      (* explicit weights (e.g. pinned across capacity epochs by the
-         streaming subsystem) override the seeded Glorot initialization *)
-      weights = config.weights;
-      node_inputs = (match features with Some f -> [ (feature_name, f) ] | None -> []);
-      edge_inputs =
-        List.map (fun name -> (name, Tensor.zeros [| graph.G.num_edges; 1 |])) edge_input_names;
-    }
+  let block =
+    Block.create ~obs ~epoch:config.epoch ~weights:config.weights ?features ~origin:"serve"
+      ~device:config.device ~seed:config.seed ~graph inputs compiled
   in
-  let session = Session.create ~config:scfg ~graph compiled in
-  let exec0 = Session.exec session in
-  Exec.warm_plan exec0 compiled.Compiler.forward;
-  let features = (Env.find exec0.Exec.env feature_name).Env.tensor in
-  ignore
-    (Engine.alloc_tensor engine ~label:"serve/node_stage" ~rows:graph.G.num_nodes
-       ~cols:node_dim ());
-  let node_stage = Tensor.create_uninit [| graph.G.num_nodes * node_dim |] in
-  let edge_stage =
-    List.map
-      (fun name ->
-        ignore
-          (Engine.alloc_tensor engine
-             ~label:("serve/edge_stage_" ^ name)
-             ~rows:graph.G.num_edges ~cols:1 ());
-        (name, Tensor.create_uninit [| graph.G.num_edges |]))
-      edge_input_names
-  in
-  (* warmup cost is not part of the serving clock *)
-  Engine.reset_clock engine;
   {
     graph;
     in_csr = Csr.incoming graph;
@@ -237,21 +148,15 @@ let create ?(config = default_config) ?obs ?features ~graph program =
     edge_capacity = graph.G.num_edges;
     compiled;
     cache;
-    engine;
-    slab;
+    block;
     obs;
-    weights = Session.weights session;
-    features;
-    feature_name;
-    node_stage;
-    edge_stage;
-    out_name;
+    out_name = inputs.Block.out_name;
     fanout = config.fanout;
     hops = config.hops;
     max_batch;
     max_wait_ms = config.max_wait_ms;
     queue_capacity;
-    warm_alloc_count = Memory.alloc_count (Engine.memory engine);
+    warm_alloc_count = Memory.alloc_count (Engine.memory (Block.engine block));
     requests_seen = 0;
     served = 0;
     shed = 0;
@@ -292,13 +197,13 @@ let update_graph t ~(graph : G.t) ?features ?csr () =
   else begin
     match features with
     | Some f
-      when Tensor.cols f <> Tensor.cols t.features || Tensor.rows f <> graph.G.num_nodes
-      ->
+      when Tensor.cols f <> Tensor.cols (Block.features t.block)
+           || Tensor.rows f <> graph.G.num_nodes ->
         Error "Serve.update_graph: features must be num_nodes x feature_dim"
     | _ ->
         (match features with
         | Some f ->
-            let src, so = Tensor.storage f and dst, d0 = Tensor.storage t.features in
+            let src, so = Tensor.storage f and dst, d0 = Tensor.storage (Block.features t.block) in
             Array.blit src so dst d0 (Tensor.numel f)
         | None -> ());
         t.graph <- graph;
@@ -307,12 +212,12 @@ let update_graph t ~(graph : G.t) ?features ?csr () =
         Ok ()
   end
 
-let model_weights t = t.weights
+let model_weights t = Block.weights t.block
+let engine t = Block.engine t.block
 
-(* Execute one coalesced batch: union-sample a block, stage inputs into
-   parent-capacity views, charge the PCIe transfer, run the cached forward
-   plan through a block-local executor sharing the replica's engine and
-   slab, and gather each request's seed rows out of the output. *)
+(* Execute one coalesced batch: union-sample a block, stage it onto the
+   replica ({!Block.stage}), run the cached forward plan on the block-local
+   executor, and gather each request's seed rows out of the output. *)
 let run_batch t (batch : Workload.request array) =
   Hector_obs.time t.obs ~kind:"run" "serve.batch" @@ fun () ->
   let seed_sets = Array.map (fun r -> r.Workload.seeds) batch in
@@ -323,49 +228,15 @@ let run_batch t (batch : Workload.request array) =
   in
   let block = sub.Sampler.graph in
   let sample_ms =
-    sample_cost_ms ~nodes:block.G.num_nodes ~edges:block.G.num_edges
+    Block.sample_cost_ms ~nodes:block.G.num_nodes ~edges:block.G.num_edges
   in
-  let env = Env.create () in
-  List.iter (fun (name, w) -> Env.add_weight env ~name w) t.weights;
-  (* gather the block's features into the staging prefix, one row blit
-     per block node *)
-  let rows = Array.length sub.Sampler.origin_node in
-  let dim = Tensor.cols t.features in
-  let feats = Tensor.view t.node_stage [| rows; dim |] in
-  let src, s0 = Tensor.storage t.features and dst, d0 = Tensor.storage feats in
-  Array.iteri
-    (fun i parent -> Array.blit src (s0 + (parent * dim)) dst (d0 + (i * dim)) dim)
-    sub.Sampler.origin_node;
-  Env.add env ~name:t.feature_name
-    { Env.tensor = feats; space = Mat.Rows_nodes; dim; alloc = None };
-  let edge_bytes = ref 0 in
-  List.iter
-    (fun (name, stage) ->
-      let v = Tensor.view stage [| block.G.num_edges; 1 |] in
-      let data, off = Tensor.storage v in
-      Session.rgcn_norm_into block data off;
-      edge_bytes := !edge_bytes + (block.G.num_edges * 4);
-      Env.add env ~name { Env.tensor = v; space = Mat.Rows_edges; dim = 1; alloc = None })
-    t.edge_stage;
-  (* host→device transfer of the staged inputs over PCIe *)
-  let t0 = Engine.elapsed_ms t.engine in
-  let bytes = float_of_int ((rows * dim * 4) + !edge_bytes) in
-  Engine.launch t.engine
-    (Kernel.make ~name:"h2d_block" ~category:Kernel.Copy ~graph_proportional:false
-       ~grid_blocks:(max 1 (rows * dim / 1024))
-       ~bytes_coalesced:bytes
-       ~provenance:(Kernel.provenance ~origin:"serve.transfer" "h2d_block")
-       ());
-  Engine.host_sync t.engine
-    ~us:(bytes /. (Engine.device t.engine).Device.pcie_bandwidth_gbs /. 1e9 *. 1e6)
-    ();
-  let transfer_ms = Engine.elapsed_ms t.engine -. t0 in
-  let exec =
-    Exec.create ~engine:t.engine ~ctx:(Graph_ctx.create block) ~env ~slab:t.slab ()
-  in
+  let engine = engine t in
+  let t0 = Engine.elapsed_ms engine in
+  let exec = Block.stage t.block sub in
+  let transfer_ms = Engine.elapsed_ms engine -. t0 in
   Exec.run_plan exec t.compiled.Compiler.forward;
-  let compute_ms = Engine.elapsed_ms t.engine -. t0 -. transfer_ms in
-  let out = (Env.find env t.out_name).Env.tensor in
+  let compute_ms = Engine.elapsed_ms engine -. t0 -. transfer_ms in
+  let out = (Env.find exec.Exec.env t.out_name).Env.tensor in
   let per_request = Array.map (fun ids -> Tensor.gather_rows out ids) block_seed_sets in
   (per_request, sample_ms, transfer_ms, compute_ms)
 
@@ -541,7 +412,7 @@ let mean = function
   | [] -> 0.0
   | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
 
-let launches t = (Stats.total (Engine.stats t.engine)).Stats.launches
+let launches t = (Stats.total (Engine.stats (engine t))).Stats.launches
 
 type load_stats = {
   requests : int;
@@ -586,12 +457,12 @@ let load_stats t =
 let metrics_json t =
   let module M = Hector_obs.Metrics in
   let s = load_stats t in
-  let st = Engine.stats t.engine in
+  let st = Engine.stats (engine t) in
   M.envelope ~subsystem:"serve" ~elapsed_ms:t.sim_ms ~launches:(launches t)
     Hector_json.
       [
         ( "comm",
-          M.comm ~posted_ms:(Engine.posted_comm_ms t.engine)
+          M.comm ~posted_ms:(Engine.posted_comm_ms (engine t))
             ~exposed_ms:(Stats.of_category st Kernel.Comm).Stats.time_ms );
         ("requests", int s.requests);
         ("served", int s.lserved);
@@ -620,11 +491,10 @@ let metrics_json t =
               ("hits", int (Plan_cache.hits t.cache)); ("misses", int (Plan_cache.misses t.cache));
             ] );
         ("launches_per_request", Num s.launches_per_request);
-        ("alloc_count", int (Memory.alloc_count (Engine.memory t.engine)));
+        ("alloc_count", int (Memory.alloc_count (Engine.memory (engine t))));
         ("sim_elapsed_ms", Num t.sim_ms);
       ]
 
-let engine t = t.engine
 let plan_cache t = t.cache
 let obs t = t.obs
 let served t = t.served
@@ -634,8 +504,8 @@ let batch_failures t = t.batch_failures
 let fault_shed t = t.fault_shed
 let faults t = t.faults
 let graph t = t.graph
-let slab t = t.slab
-let slab_epoch t = Exec.slab_epoch t.slab
+let slab t = Block.slab t.block
+let slab_epoch t = Exec.slab_epoch (Block.slab t.block)
 let node_capacity t = t.node_capacity
 let edge_capacity t = t.edge_capacity
 let batches t = t.batches

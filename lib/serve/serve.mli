@@ -13,14 +13,11 @@
 
     {2 Steady-state guarantees}
 
-    Warmup ({!create}) compiles the plan into a {!Plan_cache}, charges
-    weights, parent features and parent-capacity staging tensors once, and
-    primes an {!Hector_runtime.Exec.slab} with arena backings sized for
-    the parent graph — an upper bound on every sampled block.  After that,
-    serving performs {e zero compiles} (witnessed by {!Plan_cache.misses})
-    and {e zero plan-buffer allocations} (witnessed by
-    {!Hector_gpu.Memory.alloc_count} against {!warm_alloc_count}): every
-    per-block executor binds prefix views of cached backings.
+    Warmup ({!create}) compiles the plan into a {!Plan_cache} and warms a
+    {!Hector_runtime.Block} replica at parent capacity.  After that,
+    serving performs {e zero compiles} ({!Plan_cache.misses}) and {e zero}
+    device allocations ({!Hector_gpu.Memory.alloc_count} against
+    {!warm_alloc_count}).
 
     {2 Batched ≡ one-at-a-time}
 
@@ -101,24 +98,19 @@ type t
 val create :
   ?config:config -> ?obs:Hector_obs.t -> ?features:Tensor.t ->
   graph:Hector_graph.Hetgraph.t -> Hector_core.Inter_ir.program -> t
-(** Build and warm a replica: compile (through the plan cache), initialize
-    weights and parent features (from [config.seed]), prime the arena slab
-    and staging at parent capacity, then reset the engine clock so metrics
-    cover serving only.  Warmup charges weights, features, a (zero,
-    never-read) parent ["norm"] and staging, and primes the slab; it runs
-    no forward.  [features] ([num_nodes × feature_dim]) replaces the
-    seeded feature draw and is adopted, not copied — {!update_graph}
-    overwrites it in place.  Skipping the draw moves the seeded weights
-    drawn after it, so pass [features] with pinned [config.weights] where
-    weights must match a seeded replica — as a streaming re-warm does,
-    passing zeros that the next snapshot overwrites.
-    [obs] (default {!Hector_obs.disabled}) receives
-    [serve.*] counters and batch spans.  The model must declare exactly
-    one node input; the only edge input supported is the conventional
-    ["norm"] (recomputed per block).  Raises [Invalid_argument] on
-    unsupported programs, non-positive bounds, a negative or NaN
-    [max_wait_ms] or a [features] matrix of the wrong shape (before any
-    session is built). *)
+(** Build and warm a replica: compile (through the plan cache), then warm
+    a {!Hector_runtime.Block} replica over [graph] (weights and features
+    seeded from [config.seed], slab and staging primed at parent
+    capacity, no forward run, clock reset).  [features]
+    ([num_nodes × feature_dim]) replaces the seeded feature draw and is
+    adopted, not copied — {!update_graph} overwrites it in place.
+    Skipping the draw moves the seeded weights drawn after it, so pass
+    [features] with pinned [config.weights] where weights must match a
+    seeded replica — as a streaming re-warm does.  [obs] (default
+    {!Hector_obs.disabled}) receives [serve.*] counters and batch spans.
+    Raises [Invalid_argument] on programs {!Hector_runtime.Block.inputs}
+    rejects, a [features] matrix of the wrong shape, non-positive bounds
+    or a negative or NaN [max_wait_ms], before any session is built. *)
 
 val update_graph :
   t ->

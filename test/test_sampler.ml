@@ -7,6 +7,10 @@ module Gen = Hector_graph.Generator
 module Sampler = Hector_graph.Sampler
 module Compiler = Hector_core.Compiler
 module Minibatch = Hector_runtime.Minibatch
+module Session = Hector_runtime.Session
+module Engine = Hector_gpu.Engine
+module Memory = Hector_gpu.Memory
+module Ir = Hector_core.Inter_ir
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -163,19 +167,169 @@ let test_minibatch_same_seed_same_losses () =
   let rng = Rng.create 5 in
   let features = T.randn rng [| graph.G.num_nodes; 8 |] in
   let labels = Array.init graph.G.num_nodes (fun v -> graph.G.node_type.(v)) in
+  List.iter
+    (fun model ->
+      let compiled =
+        Compiler.compile
+          ~options:(Compiler.options_of_flags ~training:true ~compact:false ~fusion:false ())
+          (Hector_models.Model_defs.by_name model ~in_dim:8 ~out_dim:3 ())
+      in
+      let run seed =
+        let trainer = Minibatch.create ~seed ~graph ~features ~labels compiled in
+        List.init 3 (fun _ ->
+            Minibatch.train_epochs trainer ~lr:0.1 ~batch_size:100 ~epochs:1 ())
+      in
+      let a = run 7 and b = run 7 in
+      check_bool (model ^ ": same seed, identical losses") true (a = b);
+      List.iter (fun l -> check_bool (model ^ ": finite") true (Float.is_finite l)) a)
+    [ "rgcn"; "hgt" ]
+
+let bits t =
+  let data, off = T.storage t in
+  Array.init (T.numel t) (fun i -> Int64.bits_of_float data.(off + i))
+
+let same_weights label want got =
+  List.iter
+    (fun (name, w) ->
+      match List.assoc_opt name got with
+      | None -> Alcotest.failf "%s: weight %s missing" label name
+      | Some g -> check_bool (Printf.sprintf "%s: %s bits" label name) true (bits w = bits g))
+    want;
+  check_int (label ^ ": weight count") (List.length want) (List.length got)
+
+let minibatch_fixture () =
+  let graph = Lazy.force parent in
+  let features = T.randn (Rng.create 13) [| graph.G.num_nodes; 8 |] in
+  let labels = Array.init graph.G.num_nodes (fun v -> graph.G.node_type.(v) mod 3) in
+  (graph, features, labels)
+
+let compile_training model ~compact ~fusion =
+  Compiler.compile
+    ~options:(Compiler.options_of_flags ~training:true ~compact ~fusion ())
+    (Hector_models.Model_defs.by_name model ~in_dim:8 ~out_dim:3 ())
+
+(* distinct seeds, a different batch each step *)
+let batch_of step = Array.init (16 + (step * 5)) (fun i -> ((step * 53) + (i * 7)) mod 400)
+
+(* The block-replica trainer against the per-step-session one it replaced
+   (test/minibatch_oracle.ml), from the same initial weights: every loss,
+   every compute_ms and the final weights agree bit for bit. *)
+let test_minibatch_matches_oracle () =
+  let graph, features, labels = minibatch_fixture () in
+  List.iter
+    (fun (label, model, compact, fusion) ->
+      let compiled = compile_training model ~compact ~fusion in
+      let trainer = Minibatch.create ~seed:4 ~graph ~features ~labels compiled in
+      let weights = List.map (fun (n, w) -> (n, T.copy w)) (Minibatch.weights trainer) in
+      let oracle =
+        Minibatch_oracle.create ~seed:4 ~graph ~features ~labels ~weights compiled
+      in
+      for step = 1 to 5 do
+        let batch = batch_of step in
+        let r = Minibatch.step trainer ~lr:0.1 ~fanout:4 ~hops:2 ~batch () in
+        let loss, compute_ms =
+          Minibatch_oracle.step oracle ~lr:0.1 ~fanout:4 ~hops:2 ~batch
+        in
+        let same what a b =
+          check_bool
+            (Printf.sprintf "%s step %d: %s %h = %h" label step what a b)
+            true
+            (Int64.bits_of_float a = Int64.bits_of_float b)
+        in
+        same "loss" loss r.Minibatch.loss;
+        same "compute_ms" compute_ms r.Minibatch.compute_ms
+      done;
+      same_weights (label ^ " final") weights (Minibatch.weights trainer))
+    [
+      ("RGCN U", "rgcn", false, false);
+      ("RGCN C", "rgcn", true, false);
+      ("RGAT C+F", "rgat", true, true);
+    ]
+
+(* the trainer starts where a parent-graph session with the same seed and
+   features starts: serving's draw *)
+let test_minibatch_initial_weights () =
+  let graph, features, labels = minibatch_fixture () in
+  List.iter
+    (fun (model, compact, fusion) ->
+      let compiled = compile_training model ~compact ~fusion in
+      let trainer = Minibatch.create ~seed:9 ~graph ~features ~labels compiled in
+      let session =
+        Session.create
+          ~config:{ Session.Config.default with seed = 9; node_inputs = [ ("h", features) ] }
+          ~graph compiled
+      in
+      same_weights model (Session.weights session) (Minibatch.weights trainer))
+    [ ("rgcn", false, false); ("rgat", true, true); ("hgt", false, false) ]
+
+(* one engine and one slab for the trainer's life, warmed at creation: no
+   step allocates device memory, the first included *)
+let test_minibatch_steady_state () =
+  let graph, features, labels = minibatch_fixture () in
+  List.iter
+    (fun (model, compact, fusion) ->
+      let trainer =
+        Minibatch.create ~graph ~features ~labels (compile_training model ~compact ~fusion)
+      in
+      let allocs () = Memory.alloc_count (Engine.memory (Minibatch.engine trainer)) in
+      let warm = allocs () in
+      for step = 0 to 20 do
+        ignore (Minibatch.step trainer ~batch:(batch_of step) ());
+        check_int (Printf.sprintf "%s: allocations after step %d" model (step + 1)) warm
+          (allocs ())
+      done)
+    [ ("rgcn", false, false); ("rgat", true, true); ("hgt", false, false) ]
+
+let rejects_with prefix f =
+  match f () with
+  | _ -> Alcotest.failf "expected a rejection starting %S" prefix
+  | exception Invalid_argument msg ->
+      check_bool
+        (Printf.sprintf "%S starts with %S" msg prefix)
+        true
+        (String.length msg >= String.length prefix
+        && String.sub msg 0 (String.length prefix) = prefix)
+
+let test_minibatch_rejects_bad_features () =
+  let graph, _, labels = minibatch_fixture () in
+  let compiled = compile_training "rgcn" ~compact:false ~fusion:false in
+  List.iter
+    (fun shape ->
+      rejects_with "Minibatch.create: features must be 400 x 8" (fun () ->
+          Minibatch.create ~graph ~features:(T.zeros shape) ~labels compiled))
+    [ [| 400; 7 |]; [| 399; 8 |] ]
+
+(* RGCN with its edge input renamed: a block cannot recompute it *)
+let gated_rgcn () =
+  let p = Hector_models.Model_defs.rgcn ~in_dim:8 ~out_dim:3 () in
+  let rec expr = function
+    | Ir.Feature (Ir.Cur_edge, "norm") -> Ir.Feature (Ir.Cur_edge, "gate")
+    | Ir.Binop (op, a, b) -> Ir.Binop (op, expr a, expr b)
+    | Ir.Unop (op, a) -> Ir.Unop (op, expr a)
+    | e -> e
+  and stmt = function
+    | Ir.For_each (space, body) -> Ir.For_each (space, List.map stmt body)
+    | Ir.Accumulate (target, name, e) -> Ir.Accumulate (target, name, expr e)
+    | s -> s
+  in
+  {
+    p with
+    Ir.decls =
+      List.map
+        (function Ir.Edge_input { dim; _ } -> Ir.Edge_input { name = "gate"; dim } | d -> d)
+        p.Ir.decls;
+    body = List.map stmt p.Ir.body;
+  }
+
+let test_minibatch_rejects_edge_input () =
+  let graph, features, labels = minibatch_fixture () in
   let compiled =
     Compiler.compile
       ~options:(Compiler.options_of_flags ~training:true ~compact:false ~fusion:false ())
-      (Hector_models.Model_defs.rgcn ~in_dim:8 ~out_dim:3 ())
+      (gated_rgcn ())
   in
-  let run seed =
-    let trainer = Minibatch.create ~seed ~graph ~features ~labels compiled in
-    List.init 3 (fun _ ->
-        Minibatch.train_epochs trainer ~lr:0.1 ~batch_size:100 ~epochs:1 ())
-  in
-  let a = run 7 and b = run 7 in
-  check_bool "same seed, identical losses" true (a = b);
-  List.iter (fun l -> check_bool "finite" true (Float.is_finite l)) a
+  rejects_with "Minibatch.create: unsupported edge input \"gate\"" (fun () ->
+      Minibatch.create ~graph ~features ~labels compiled)
 
 (* --- property tests --- *)
 
@@ -445,6 +599,16 @@ let suite =
     Alcotest.test_case "sample_union maps each request" `Quick test_sample_union_maps_each_request;
     Alcotest.test_case "minibatch same seed, same losses" `Quick
       test_minibatch_same_seed_same_losses;
+    Alcotest.test_case "minibatch == per-step-session oracle, bitwise" `Quick
+      test_minibatch_matches_oracle;
+    Alcotest.test_case "minibatch starts from the parent session's weights" `Quick
+      test_minibatch_initial_weights;
+    Alcotest.test_case "minibatch steady state allocates nothing" `Quick
+      test_minibatch_steady_state;
+    Alcotest.test_case "minibatch create rejects mis-shaped features" `Quick
+      test_minibatch_rejects_bad_features;
+    Alcotest.test_case "minibatch create rejects a non-norm edge input" `Quick
+      test_minibatch_rejects_edge_input;
     QCheck_alcotest.to_alcotest prop_block_edges_subset;
     QCheck_alcotest.to_alcotest prop_fanout_bound_per_hop;
     QCheck_alcotest.to_alcotest prop_subgraph_valid;
