@@ -291,10 +291,11 @@ let tune () =
 
 (* --- dist: data-parallel RGCN training at 1, 2 and 4 partitions ------
 
-   Headline numbers use the default overlapped schedule; a blocking BSP
-   run of the same cluster quantifies what overlap hides.  The comm/busy
-   ratio catches partitioner or interconnect-model regressions as extra
-   exposed communication. *)
+   One cluster per partition count, on the overlapped schedule (halo
+   prefetch, bucketed all-reduce).  The comm/busy ratio catches
+   partitioner or interconnect-model regressions as extra exposed
+   communication; [_meta.comm.overlap_ratio] records the transfer time
+   the schedule hides. *)
 
 let dist () =
   let graph = bench_graph "dist_bench" 29 in
@@ -303,8 +304,8 @@ let dist () =
   let compiled = compile ~training:true "rgcn" in
   let shared_comms = comms () in
   let epochs = 4 in
-  let measure ~overlap parts =
-    let config = { (dist_config ~comms:shared_comms parts) with Replica.Config.overlap } in
+  let measure parts =
+    let config = dist_config ~comms:shared_comms parts in
     let cluster = Replica.create ~config ~features ~graph [ compiled ] in
     ignore (Replica.train_step cluster ~labels ());
     Replica.reset_clocks cluster;
@@ -312,33 +313,21 @@ let dist () =
       ignore (Replica.train_step cluster ~labels ())
     done;
     let busy = Replica.busy_ms cluster in
-    ( Replica.elapsed_ms cluster /. float_of_int epochs,
+    ( parts,
+      Replica.elapsed_ms cluster /. float_of_int epochs,
       Replica.launches cluster / epochs,
       (if busy > 0.0 then Replica.comm_ms cluster /. busy else 0.0),
       cluster )
   in
-  let runs =
-    List.map
-      (fun parts ->
-        let overlapped = measure ~overlap:true parts in
-        (parts, overlapped, measure ~overlap:false parts))
-      [ 1; 2; 4 ]
-  in
+  let runs = List.map measure [ 1; 2; 4 ] in
   let name parts what = Printf.sprintf "dist/p%d_%s" parts what in
   ( List.concat_map
-      (fun (parts, (ms, launches, comm, _), (bsp_ms, _, bsp_comm, _)) ->
+      (fun (parts, ms, launches, comm, _) ->
         (name parts "ms_epoch", [ sim ms; ("launches", Gate.Count launches) ])
-        ::
-        (if parts > 1 then
-           [
-             (name parts "comm_ratio", [ ratio comm ]);
-             (name parts "ms_epoch_bsp", [ sim bsp_ms ]);
-             (name parts "comm_ratio_bsp", [ ratio bsp_comm ]);
-           ]
-         else []))
+        :: (if parts > 1 then [ (name parts "comm_ratio", [ ratio comm ]) ] else []))
       runs,
     match List.rev runs with
-    | (_, (_, _, _, cluster), _) :: _ -> Replica.metrics_json cluster
+    | (_, _, _, _, cluster) :: _ -> Replica.metrics_json cluster
     | [] -> Hector_json.Obj [] )
 
 (* --- stream: the serving trace interleaved with graph deltas ---------
@@ -541,7 +530,7 @@ let suites =
   [
     { name = "micro"; doc = "Bechamel wall clock per table/figure (+ trace)"; run = micro };
     { name = "serve"; doc = "open-loop batched RGCN serving"; run = serve };
-    { name = "dist"; doc = "data-parallel RGCN training, 1/2/4 parts, overlap/BSP"; run = dist };
+    { name = "dist"; doc = "data-parallel RGCN training, 1/2/4 parts"; run = dist };
     { name = "tune"; doc = "two-stage autotuner vs every fixed U/C/F/C+F layout"; run = tune };
     { name = "stream"; doc = "serving interleaved with in-slack graph deltas"; run = stream };
     { name = "fault"; doc = "crash recovery, message drops, failing serve batches"; run = fault };

@@ -448,7 +448,7 @@ let cmd_partition =
     (Cmd.info "partition"
        ~doc:
          "Partition a dataset replica for distributed execution and report the cut. \
-          Training over the partitions runs the overlapped schedule by default \
+          Training over the partitions overlaps communication with compute \
           (async Comms.post/wait transfers on 2 channels, 64 KiB gradient buckets by \
           default); see Hector_dist.Replica.Config.")
     Term.(const run $ dataset_arg $ max_edges_arg $ parts_arg $ slack_arg)

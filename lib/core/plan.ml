@@ -81,6 +81,26 @@ let rec step_op step =
   | Fallback f -> ( match first_write f.body with Some x -> x | None -> f.description)
   | Fused f -> String.concat "+" (List.map step_op f.members)
 
+(* Weight gradients a step accumulates into, in execution order: dweight
+   GEMM targets and [Grad_weight] statements of traversal and fallback
+   bodies, looking inside loops and fused groups. *)
+let rec stmt_grads = function
+  | Inter_ir.Grad_weight { name; _ } -> [ name ]
+  | Inter_ir.For_each (_, body) -> List.concat_map stmt_grads body
+  | Inter_ir.Assign _ | Inter_ir.Accumulate _ -> []
+
+let rec written_grads = function
+  | Weight_op _ -> []
+  | Gemm g -> (
+      match g.Gemm_spec.task with
+      | Gemm_spec.Edge_linear_dweight { grad_weight; _ }
+      | Gemm_spec.Node_linear_dweight { grad_weight; _ } ->
+          [ grad_weight ]
+      | Gemm_spec.Node_linear _ | Gemm_spec.Edge_linear _ | Gemm_spec.Edge_linear_dinput _ -> [])
+  | Traversal tr -> List.concat_map stmt_grads tr.Traversal_spec.body
+  | Fallback f -> List.concat_map stmt_grads f.body
+  | Fused f -> List.concat_map written_grads f.members
+
 let step_origin = function
   | Weight_op _ -> "linear_fusion"
   | Gemm _ -> "lowering.gemm"

@@ -77,6 +77,13 @@ val step_op : step -> string
     traversal/fallback bodies.  Falls back to {!step_name} (traversals) or
     the fallback description when the body writes nothing. *)
 
+val written_grads : step -> string list
+(** The weights whose gradient stacks a step accumulates into, in
+    execution order (repeats kept): dweight GEMM targets and
+    [Grad_weight] statements of traversal and fallback bodies, inside
+    loops and fused groups too.  The one answer to "which weight
+    gradients does this step write". *)
+
 val step_origin : step -> string
 (** The compiler component that emitted the step: ["linear_fusion"],
     ["lowering.gemm"], ["lowering.traversal"], ["lowering.fallback"] or

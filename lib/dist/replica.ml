@@ -5,13 +5,8 @@ module Engine = Hector_gpu.Engine
 module Kernel = Hector_gpu.Kernel
 module Memory = Hector_gpu.Memory
 module Stats = Hector_gpu.Stats
-module Ir = Hector_core.Inter_ir
 module Plan = Hector_core.Plan
-module Gs = Hector_core.Gemm_spec
-module Ts = Hector_core.Traversal_spec
 module Compiler = Hector_core.Compiler
-module Autodiff = Hector_core.Autodiff
-module Mat = Hector_core.Materialization
 module Session = Hector_runtime.Session
 module Exec = Hector_runtime.Exec
 module Env = Hector_runtime.Env
@@ -26,7 +21,6 @@ module Config = struct
     device : Hector_gpu.Device.t;
     seed : int;
     obs : Hector_obs.t option;
-    overlap : bool;
     bucket_kb : int option;
     weights : (string * Tensor.t) list list option;
   }
@@ -39,7 +33,6 @@ module Config = struct
       device = Hector_gpu.Device.rtx3090;
       seed = 1;
       obs = None;
-      overlap = true;
       bucket_kb = None;
       weights = None;
     }
@@ -78,7 +71,6 @@ type t = {
   reduce_scratch : (string * Tensor.t) list;  (* all-reduce accumulators *)
   training : bool;
   inv_n : float;  (* 1 / global node count — the masked-NLL normalizer *)
-  overlap : bool;
   buckets : bucket array;  (* gradient buckets, in readiness order *)
   nsteps_backward : int;
   mutable halo_prefetch : Comms.handle array array option;
@@ -89,32 +81,15 @@ type t = {
 (* --- gradient-bucket analysis ----------------------------------------
 
    For every trained weight, find the last top-level backward step that
-   accumulates into its gradient (a dweight GEMM or a [Grad_weight]
-   statement in a traversal/fallback body, looking through fused groups).
-   Weights whose gradients only come from the linear-fusion chain rule
+   accumulates into its gradient ({!Plan.written_grads}).  Weights whose
+   gradients only come from the linear-fusion chain rule
    ([Train.backprop_weight_ops]) are ready after the whole plan. *)
-
-let rec stmt_writes_grad w = function
-  | Ir.Grad_weight { name; _ } -> String.equal name w
-  | Ir.For_each (_, body) -> List.exists (stmt_writes_grad w) body
-  | Ir.Assign _ | Ir.Accumulate _ -> false
-
-let rec step_writes_grad w (step : Plan.step) =
-  match step with
-  | Plan.Weight_op _ -> false
-  | Plan.Gemm g -> (
-      match g.Gs.task with
-      | Gs.Edge_linear_dweight { grad_weight; _ } | Gs.Node_linear_dweight { grad_weight; _ }
-        ->
-          String.equal grad_weight w
-      | _ -> false)
-  | Plan.Traversal tr -> List.exists (stmt_writes_grad w) tr.Ts.body
-  | Plan.Fallback fb -> List.exists (stmt_writes_grad w) fb.Plan.body
-  | Plan.Fused { members; _ } -> List.exists (step_writes_grad w) members
 
 let grad_ready_step (backward : Plan.t) ~nsteps w =
   let last = ref nsteps in
-  List.iteri (fun i s -> if step_writes_grad w s then last := i) backward.Plan.steps;
+  List.iteri
+    (fun i s -> if List.mem w (Plan.written_grads s) then last := i)
+    backward.Plan.steps;
   !last
 
 let make_buckets (backward : Plan.t) ~bucket_bytes reduce_scratch =
@@ -246,22 +221,6 @@ let create ?config:(cfg = Config.default) ~features ~(graph : G.t) layers =
             | Some b when training -> Exec.warm_plan ~free_temps:true exec b
             | _ -> ())
           layer_recs;
-        (* the backward plan's seed gradient enters as a node input; bind a
-           persistent buffer once so training steps never allocate it *)
-        if training then begin
-          let lrec = layer_recs.(0) in
-          let seed_name = Autodiff.grad_name lrec.out_name in
-          let alloc =
-            Engine.alloc_tensor engine ~label:seed_name ~rows:n_local ~cols:lrec.out_dim ()
-          in
-          Env.add (Session.exec sessions.(0)).Exec.env ~name:seed_name
-            {
-              Env.tensor = Tensor.zeros [| n_local; lrec.out_dim |];
-              space = Mat.Rows_nodes;
-              dim = lrec.out_dim;
-              alloc = Some alloc;
-            }
-        end;
         { part; engine; inputs; sessions })
       pt.Partition.members
   in
@@ -292,7 +251,6 @@ let create ?config:(cfg = Config.default) ~features ~(graph : G.t) layers =
     reduce_scratch;
     training;
     inv_n = 1.0 /. float_of_int (max 1 graph.G.num_nodes);
-    overlap = cfg.Config.overlap;
     buckets;
     nsteps_backward;
     halo_prefetch = None;
@@ -301,7 +259,6 @@ let create ?config:(cfg = Config.default) ~features ~(graph : G.t) layers =
 let parts t = t.pt.Partition.parts
 let partition t = t.pt
 let comms t = t.cm
-let overlap t = t.overlap
 let master_weights t = Array.to_list (Array.map (fun lrec -> lrec.master) t.layers)
 let engines t = Array.map (fun r -> r.engine) t.replicas
 
@@ -341,24 +298,6 @@ let copy_row ~src ~si ~dst ~di d =
   let sa, s0 = Tensor.storage src and da, d0 = Tensor.storage dst in
   Array.blit sa (s0 + (si * Tensor.cols src)) da (d0 + (di * Tensor.cols dst)) d
 
-(* BSP barrier: bring every replica to the slowest clock before a
-   communication phase, attributed as host sync so per-op times still cover
-   the whole clock. *)
-let barrier t =
-  let tmax = elapsed_ms t in
-  Array.iter
-    (fun r ->
-      let lag = tmax -. Engine.elapsed_ms r.engine in
-      if lag > 0.0 then Engine.host_sync r.engine ~us:(lag *. 1e3) ())
-    t.replicas
-
-(* The historic blocking transfer: post on channel 0 and stall immediately. *)
-let charge_sync cm engine ~op ~messages ~bytes =
-  Comms.wait (Comms.post cm engine ~chan:0 ~op ~messages ~bytes)
-
-let out_tensor r lrec =
-  (Env.find (Session.exec r.sessions.(0)).Exec.env lrec.out_name).Env.tensor
-
 let layer_out_tensor r l lrec =
   (Env.find (Session.exec r.sessions.(l)).Exec.env lrec.out_name).Env.tensor
 
@@ -379,9 +318,7 @@ let post_halos t l ~ready_of =
         r.part.Partition.halo)
     t.replicas
 
-let wait_halos t handles =
-  Array.iteri (fun _ hs -> Array.iter Comms.wait hs) handles;
-  ignore t
+let wait_halos handles = Array.iter (Array.iter Comms.wait) handles
 
 (* Fill layer [l]'s input on every replica: owned rows from the layer's
    upstream (parent features for layer 0, the replica's own previous-layer
@@ -422,41 +359,29 @@ let fill_and_exchange t l =
               pairs)
           r.part.Partition.halo)
       t.replicas;
-  if not t.overlap then begin
-    (* BSP: lockstep barrier, then serialized blocking transfers *)
-    barrier t;
-    Array.iter
-      (fun r ->
-        Array.iter
-          (fun (_, pairs) ->
-            charge_sync t.cm r.engine ~op:"halo_exchange" ~messages:1
-              ~bytes:(halo_bytes lrec pairs))
-          r.part.Partition.halo)
-      t.replicas
-  end
-  else if l = 0 then begin
-    (* overlapped: wait on the transfers prefetched an epoch ahead (first
-       epoch: post now — channels still overlap the per-peer transfers),
-       then immediately post the next epoch's exchange so it rides under
-       this epoch's compute.  Features are static, so the payload is
-       always ready. *)
+  if l = 0 then begin
+    (* wait on the transfers prefetched an epoch ahead (first epoch: post
+       now — channels still overlap the per-peer transfers), then
+       immediately post the next epoch's exchange so it rides under this
+       epoch's compute.  Features are static, so the payload is always
+       ready. *)
     let handles =
       match t.halo_prefetch with
       | Some hs -> hs
       | None -> post_halos t 0 ~ready_of:(fun _ -> None)
     in
-    wait_halos t handles;
+    wait_halos handles;
     t.halo_prefetch <- Some (post_halos t 0 ~ready_of:(fun _ -> None))
   end
   else begin
-    (* overlapped inner layer: the payload leaves the peer once its
-       previous layer finished (its current clock); transfers to one
-       replica overlap each other across channels *)
+    (* inner layer: the payload leaves the peer once its previous layer
+       finished (its current clock); transfers to one replica overlap each
+       other across channels *)
     let handles =
       post_halos t l ~ready_of:(fun peer ->
           Some (Engine.elapsed_ms t.replicas.(peer).engine))
     in
-    wait_halos t handles
+    wait_halos handles
   end
 
 let run_layer t l =
@@ -489,15 +414,6 @@ let forward t =
   done;
   assemble t
 
-(* Masked NLL over this replica's owned rows, normalized by the global node
-   count; the gradient lands directly in the persistent backward-seed
-   buffer (halo rows zero). *)
-let masked_nll t (r : replica) ~labels =
-  let lrec = t.layers.(0) and env = (Session.exec r.sessions.(0)).Exec.env in
-  Train.nll_into ~engine:r.engine ~origin:"dist.replica" ~owned:r.part.Partition.owned
-    ~label_rows:r.part.Partition.origin_node ~inv_n:t.inv_n ~out:(out_tensor r lrec) ~labels
-    ~grad:(Env.find env (Autodiff.grad_name lrec.out_name)).Env.tensor ()
-
 (* Fixed-order sum of one weight's gradient across replicas, broadcast back
    — every replica ends up holding the identical summed gradient, exactly
    as in the single-replica reference (up to reassociation). *)
@@ -524,33 +440,12 @@ let reduce_weight t name scratch =
     done
   done
 
-(* Simulated ring all-reduce, BSP flavour: synchronize, reduce everything,
-   charge one blocking transfer of the standard ring figure — 2·(P−1)
-   messages of total_bytes/P each — per replica. *)
-let allreduce_grads_bsp t =
-  barrier t;
-  List.iter (fun (name, scratch) -> reduce_weight t name scratch) t.reduce_scratch;
-  let p = t.pt.Partition.parts in
-  if p > 1 then begin
-    let total_bytes =
-      List.fold_left
-        (fun acc (_, s) -> acc +. float_of_int (Tensor.numel s * 4))
-        0.0 t.reduce_scratch
-    in
-    let messages = 2 * (p - 1) in
-    Array.iter
-      (fun r ->
-        charge_sync t.cm r.engine ~op:"allreduce" ~messages
-          ~bytes:(float_of_int messages *. total_bytes /. float_of_int p))
-      t.replicas
-  end
-
-(* Bucketed overlapped all-reduce: bucket [b]'s ring transfer is posted on
+(* Bucketed all-reduce: bucket [b]'s ring transfer is posted on
    channel [b] as soon as every replica has passed the bucket's last
    gradient-producing backward step ([ready_clock]), so early buckets ride
    under the backward tail; replicas stall only on [Comms.wait] before the
    SGD step. *)
-let allreduce_grads_overlapped t ready_clock =
+let allreduce_grads t ready_clock =
   let p = t.pt.Partition.parts in
   let handles = ref [] in
   Array.iteri
@@ -576,37 +471,33 @@ let allreduce_grads_overlapped t ready_clock =
     t.buckets;
   List.iter Comms.wait (List.rev !handles)
 
-let run_backward t backward ready_clock =
-  Array.iteri
-    (fun pi r ->
-      let exec = Session.exec r.sessions.(0) in
-      let on_step =
-        if t.overlap then
-          Some (fun i -> ready_clock.(pi).(i) <- Engine.elapsed_ms r.engine)
-        else None
-      in
-      Exec.run_plan ?on_step ~free_temps:true exec backward;
-      Train.backprop_weight_ops ~exec t.layers.(0).compiled.Compiler.weight_ops;
-      ready_clock.(pi).(t.nsteps_backward) <- Engine.elapsed_ms r.engine;
-      Exec.free_temp_buffers exec t.layers.(0).compiled.Compiler.forward)
-    t.replicas
-
+(* Each replica runs the shared training-step body over its owned rows
+   (masked NLL, normalized by the global node count), recording the clock
+   after every backward step for the bucket schedule. *)
 let train_step t ?(lr = 0.01) ~labels () =
   if not t.training then
     invalid_arg "Replica.train_step: requires a single layer compiled with training = true";
   if Array.length labels <> t.graph.G.num_nodes then
     invalid_arg "Replica.train_step: one label per parent node required";
-  let lrec = t.layers.(0) in
-  let backward = Option.get lrec.compiled.Compiler.backward in
+  let compiled = t.layers.(0).compiled in
   fill_and_exchange t 0;
-  run_layer t 0;
-  let total_loss = ref 0.0 in
-  Array.iter (fun r -> total_loss := !total_loss +. masked_nll t r ~labels) t.replicas;
   let ready_clock =
     Array.make_matrix (Array.length t.replicas) (t.nsteps_backward + 1) 0.0
   in
-  run_backward t backward ready_clock;
-  if t.overlap then allreduce_grads_overlapped t ready_clock else allreduce_grads_bsp t;
+  let total_loss = ref 0.0 in
+  Array.iteri
+    (fun pi r ->
+      let clock = ready_clock.(pi) in
+      let loss =
+        Train.loss_and_grads ~origin:"dist.replica" ~owned:r.part.Partition.owned
+          ~label_rows:r.part.Partition.origin_node ~inv_n:t.inv_n
+          ~on_step:(fun i -> clock.(i) <- Engine.elapsed_ms r.engine)
+          ~exec:(Session.exec r.sessions.(0)) compiled ~labels
+      in
+      clock.(t.nsteps_backward) <- Engine.elapsed_ms r.engine;
+      total_loss := !total_loss +. loss)
+    t.replicas;
+  allreduce_grads t ready_clock;
   Array.iter
     (fun r -> Train.sgd_step ~skip:t.fused ~exec:(Session.exec r.sessions.(0)) ~lr ())
     t.replicas;

@@ -8,17 +8,14 @@
     the cluster-level simulated time is the {e maximum} of the replica
     clocks.
 
-    {b Execution modes.}  By default ([Config.overlap = true]) transfers
-    are asynchronous: halo exchanges and gradient all-reduces are
-    {!Comms.post}ed on concurrent channels and waited at first use, so they
-    hide behind compute — layer-0 halos are prefetched a whole epoch ahead
-    (the features are static), and backward emits fixed-size gradient
-    buckets whose ring all-reduce is posted as soon as every replica has
-    passed the bucket's last gradient-producing step.  With
-    [Config.overlap = false] the runtime reproduces the historic BSP
-    lockstep: barrier, blocking transfers on channel 0, one aggregate
-    all-reduce.  {e Both modes compute identical numbers} — only the
-    simulated schedule differs.
+    {b Schedule.}  Transfers are asynchronous: halo exchanges and gradient
+    all-reduces are {!Comms.post}ed on concurrent channels and waited at
+    first use, so they hide behind compute — layer-0 halos are prefetched
+    a whole epoch ahead (the features are static), and backward emits
+    fixed-size gradient buckets whose ring all-reduce is posted as soon as
+    every replica has passed the bucket's last gradient-producing step.
+    Each replica's training step is the single-device body,
+    {!Hector_runtime.Train.loss_and_grads}, over its owned rows.
 
     {b Exactness.}  Every edge lives in the partition owning its
     destination, so each replica holds the complete in-neighborhood of its
@@ -29,8 +26,8 @@
     Training replicates this for gradients: each replica computes the NLL
     over its owned rows only (normalized by the {e global} node count), the
     per-replica weight gradients — linear in those masked seed gradients —
-    are summed in fixed replica order (bucket by bucket when overlapped)
-    and broadcast back, and every replica applies the same summed gradient
+    are summed in fixed replica order, bucket by bucket, and broadcast
+    back, and every replica applies the same summed gradient
     in its SGD step, so weights stay identical across replicas.
 
     {b Cost model.}  Halo exchanges and gradient all-reduces go through
@@ -61,9 +58,6 @@ module Config : sig
     obs : Hector_obs.t option;
         (** observability handle shared by all replica engines; [None] →
             off *)
-    overlap : bool;
-        (** asynchronous overlapped transfers (default [true]); [false]
-            reproduces the historic blocking BSP schedule *)
     bucket_kb : int option;
         (** gradient all-reduce bucket size in KiB; [None] → 64 *)
     weights : (string * Tensor.t) list list option;
@@ -74,7 +68,7 @@ module Config : sig
 
   val default : t
   (** Two parts, no slack, {!Comms.default}, RTX 3090, seed 1,
-      observability off, overlap on, 64 KiB buckets, seeded weights. *)
+      observability off, 64 KiB buckets, seeded weights. *)
 end
 
 type t
@@ -109,27 +103,23 @@ val parts : t -> int
 val partition : t -> Hector_graph.Partition.t
 val comms : t -> Comms.t
 
-val overlap : t -> bool
-(** Whether the cluster runs the overlapped (async) schedule. *)
-
 val forward : t -> Tensor.t
 (** Run one layer-wise forward pass: for each layer, exchange halo rows
-    (posted on concurrent channels and waited at first use when
-    overlapped; barrier + blocking transfers in BSP mode), run the layer
-    on every replica; finally assemble the owned output rows into parent
+    (posted on concurrent channels and waited at first use), run the
+    layer on every replica; finally assemble the owned output rows into parent
     node order.  The returned tensor (one row per parent node) is owned by
     the cluster and valid until the next [forward] or {!train_step}
     call. *)
 
 val train_step : t -> ?lr:float -> labels:int array -> unit -> float
-(** One data-parallel training step: forward (with halo exchange), masked
-    NLL over owned rows against [labels] (one class per {e parent} node,
-    normalized by the global node count), per-replica backward, ring
+(** One data-parallel training step: halo exchange, then on every
+    replica {!Hector_runtime.Train.loss_and_grads} — forward, masked NLL
+    over owned rows against [labels] (one class per {e parent} node,
+    normalized by the global node count), backward — then a ring
     all-reduce of the weight gradients (each replica is charged
-    [2·(parts−1)] messages of [bytes/parts] per bucket — one aggregate
-    bucket in BSP mode), synchronized SGD.  When overlapped, bucket
-    transfers are posted mid-backward and the next epoch's layer-0 halo
-    exchange is already in flight.  Returns the global loss (the sum of
+    [2·(parts−1)] messages of [bytes/parts] per bucket) and synchronized
+    SGD.  Bucket transfers are posted mid-backward and the next epoch's
+    layer-0 halo exchange is already in flight.  Returns the global loss (the sum of
     the per-replica masked losses).  Requires exactly one layer, compiled
     with [training = true]; raises [Invalid_argument] otherwise. *)
 
@@ -151,8 +141,7 @@ val elapsed_ms : t -> float
 
 val comm_ms : t -> float
 (** {e Exposed} interconnect time summed across replicas ([Comm] category
-    — the stall time actually charged to clocks; in BSP mode this equals
-    the full transfer time). *)
+    — the stall time actually charged to clocks). *)
 
 val posted_comm_ms : t -> float
 (** Total posted transfer time summed across replicas — the overlapped

@@ -5,7 +5,6 @@ module G = Hector_graph.Hetgraph
 module Ir = Hector_core.Inter_ir
 module Mat = Hector_core.Materialization
 module Plan = Hector_core.Plan
-module Gs = Hector_core.Gemm_spec
 module Lf = Hector_core.Linear_fusion
 module Compiler = Hector_core.Compiler
 module Autodiff = Hector_core.Autodiff
@@ -20,11 +19,6 @@ let create ?device ~graph () = of_ctx ?device (Graph_ctx.create graph)
 (* Entry tensors are never read by the cost functions — only [dim] and
    [space] are — so every entry shares one 1×1 stub. *)
 let stub = lazy (Tensor.zeros [| 1; 1 |])
-
-let slice_count g = function
-  | Ir.By_etype -> G.num_etypes g
-  | Ir.By_ntype | Ir.By_src_ntype | Ir.By_dst_ntype -> G.num_ntypes g
-  | Ir.Shared -> 1
 
 (* A shape-only environment mirroring what {!Session.create} + plan buffer
    allocation would bind: input features and weight stacks from the
@@ -48,10 +42,10 @@ let shape_env t (compiled : Compiler.compiled) =
               Env.add env ~name { Env.tensor = stub; space = Mat.Rows_edges; dim; alloc = None }
           | Ir.Weight_mat { slice; rows; cols; _ } ->
               if not (List.mem name fused) then
-                Env.add_weight env ~name (Tensor.zeros [| slice_count g slice; rows; cols |])
+                Env.add_weight env ~name (Tensor.zeros [| Session.slice_count g slice; rows; cols |])
           | Ir.Weight_vec { slice; dim; _ } ->
               if not (List.mem name fused) then
-                Env.add_weight env ~name (Tensor.zeros [| slice_count g slice; dim |]))
+                Env.add_weight env ~name (Tensor.zeros [| Session.slice_count g slice; dim |]))
       program.Ir.decls
   in
   add_decls compiled.Compiler.forward.Plan.program;
@@ -85,7 +79,7 @@ let shape_env t (compiled : Compiler.compiled) =
       add_buffers b
   | None -> ());
   (* the loss seeds the backward pass through a gradient entry for the
-     first output (Session.loss_and_grads binds it before running) *)
+     first output (Train.loss_and_grads binds it on the first step) *)
   (match (compiled.Compiler.backward, compiled.Compiler.forward.Plan.program.Ir.outputs) with
   | Some _, out :: _ ->
       let seed = Autodiff.grad_name out in
@@ -112,25 +106,13 @@ let plan_kernels t ~env (plan : Plan.t) =
   in
   memsets @ List.concat_map (Exec.step_kernels ~env ~ctx:t.ctx ~plan) plan.Plan.steps
 
-(* Weight names whose gradient stacks the backward plan materializes:
-   dweight GEMM targets plus [Grad_weight] statements in traversal and
-   fallback bodies. *)
+(* Weight names whose gradient stacks the backward plan materializes. *)
 let direct_grad_weights (bwd : Plan.t) =
-  let tbl = Hashtbl.create 8 in
-  let add n = Hashtbl.replace tbl n () in
-  let add_stmt = function Ir.Grad_weight { name; _ } -> add name | _ -> () in
-  List.iter
-    (fun step ->
-      match step with
-      | Plan.Gemm { Gs.task = Gs.Edge_linear_dweight { grad_weight; _ }; _ }
-      | Plan.Gemm { Gs.task = Gs.Node_linear_dweight { grad_weight; _ }; _ } ->
-          add grad_weight
-      | Plan.Gemm _ | Plan.Weight_op _ -> ()
-      | Plan.Traversal spec -> List.iter add_stmt spec.Hector_core.Traversal_spec.body
-      | Plan.Fallback f -> List.iter add_stmt f.Plan.body
-      | Plan.Fused _ -> () (* flatten_steps already expanded members *))
-    (Plan.flatten_steps bwd);
-  tbl
+  List.fold_left
+    (fun tbl step ->
+      List.iter (fun n -> Hashtbl.replace tbl n ()) (Plan.written_grads step);
+      tbl)
+    (Hashtbl.create 8) bwd.Plan.steps
 
 (* The loss / optimizer launches one {!Train}-driven epoch adds on top of
    the forward and backward plans: two reduction kernels for the NLL loss,

@@ -133,6 +133,10 @@ val reset_clock : ?keep_events:bool -> t -> unit
     events are dropped too unless [keep_events:true] (see
     {!Engine.reset_clock}). *)
 
+val slice_count : Hector_graph.Hetgraph.t -> Hector_core.Inter_ir.wslice -> int
+(** Leading dimension of a weight stack sliced [wslice]-wise over the
+    graph's types: edge types, node types, or one shared slice. *)
+
 val rgcn_norm : Hector_graph.Hetgraph.t -> Tensor.t
 (** RGCN's [1/c_{v,r}] edge normalizer: one row per edge holding the
     reciprocal per-relation incoming degree of the edge's destination —

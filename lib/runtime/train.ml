@@ -172,7 +172,8 @@ let sgd_step ?(skip = []) ~(exec : Exec.t) ~lr () =
    environment's own binding when there is one (a staged view, or the
    tensor an earlier step bound), else a device-charged tensor bound here
    for later steps. *)
-let loss_and_grads ?label_rows ~(exec : Exec.t) (compiled : Compiler.compiled) ~labels =
+let loss_and_grads ?(origin = "train") ?owned ?label_rows ?inv_n ?on_step ~(exec : Exec.t)
+    (compiled : Compiler.compiled) ~labels =
   let backward =
     match compiled.Compiler.backward with
     | Some b -> b
@@ -194,9 +195,9 @@ let loss_and_grads ?label_rows ~(exec : Exec.t) (compiled : Compiler.compiled) ~
           { Env.tensor = seed; space = Mat.Rows_nodes; dim = cols; alloc = Some alloc };
         seed
   in
-  let inv_n = 1.0 /. float_of_int (max 1 rows) in
-  let loss = nll_into ~engine ~origin:"train" ?label_rows ~inv_n ~out ~labels ~grad:seed () in
-  Exec.run_plan ~free_temps:true exec backward;
+  let inv_n = match inv_n with Some x -> x | None -> 1.0 /. float_of_int (max 1 rows) in
+  let loss = nll_into ~engine ~origin ?owned ?label_rows ~inv_n ~out ~labels ~grad:seed () in
+  Exec.run_plan ?on_step ~free_temps:true exec backward;
   backprop_weight_ops ~exec compiled.Compiler.weight_ops;
   Exec.free_temp_buffers exec compiled.Compiler.forward;
   loss

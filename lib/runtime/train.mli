@@ -25,13 +25,24 @@ val nll_loss :
     {!nll_into} with [inv_n = 1/rows], provenance ["train"]. *)
 
 val loss_and_grads :
-  ?label_rows:int array -> exec:Exec.t -> Hector_core.Compiler.compiled -> labels:int array -> float
-(** The training-step body {!Session} and {!Minibatch} share: forward
-    keeping temporaries, {!nll_into} over the first output into the
-    backward seed gradient, backward, {!backprop_weight_ops}, then the
-    forward temporaries freed; returns the loss and leaves the gradients
-    for an optimizer.  The seed is the one bound in [exec]'s environment,
-    else a device-charged tensor bound here for later steps. *)
+  ?origin:string ->
+  ?owned:bool array ->
+  ?label_rows:int array ->
+  ?inv_n:float ->
+  ?on_step:(int -> unit) ->
+  exec:Exec.t ->
+  Hector_core.Compiler.compiled ->
+  labels:int array ->
+  float
+(** The training-step body {!Session}, {!Minibatch} and each
+    [Hector_dist.Replica] replica share: forward keeping temporaries,
+    {!nll_into} over the first output into the backward seed gradient,
+    backward, {!backprop_weight_ops}, then the forward temporaries freed;
+    returns the loss and leaves the gradients for an optimizer.  The seed
+    is the one bound in [exec]'s environment, else a device-charged tensor
+    bound here for later steps.  [origin] (default ["train"]), [owned],
+    [label_rows] and [inv_n] (default [1/rows]) go to {!nll_into};
+    [on_step] to the backward {!Exec.run_plan}. *)
 
 val loss_kernels : origin:string -> rows:int -> cols:int -> Hector_gpu.Kernel.t list
 (** The [log_softmax] and [nll_grad] launches of {!nll_into}. *)

@@ -322,6 +322,8 @@ let max_weight_diff a b =
       | None -> Alcotest.fail (Printf.sprintf "weight %s missing" name))
     0.0 a
 
+(* Every point of the space: 3 partition counts x 3 gradient-bucket
+   sizes, each against a single-device session from the same weights. *)
 let test_train_exact model ~compact ~fusion () =
   let graph = Lazy.force parent in
   let features = features_of graph 6 in
@@ -329,38 +331,38 @@ let test_train_exact model ~compact ~fusion () =
   let compiled = compile_model ~training:true ~compact ~fusion model in
   List.iter
     (fun parts ->
-      let cluster =
-        Replica.create ~config:(quiet parts) ~features ~graph [ compiled ]
-      in
-      let master = List.hd (Replica.master_weights cluster) in
-      let cfg =
-        {
-          Session.Config.default with
-          Session.Config.seed = 3;
-          node_inputs = [ ("h", features) ];
-          weights = List.map (fun (n, w) -> (n, T.copy w)) master;
-        }
-      in
-      let reference = Session.create ~config:cfg ~graph compiled in
-      for step = 1 to 3 do
-        let loss_d = Replica.train_step cluster ~lr:0.05 ~labels () in
-        let loss_r = Session.train_step reference ~lr:0.05 ~labels () in
-        check_bool
-          (Printf.sprintf "%s loss exact at %d parts, step %d (%.2e vs %.2e)" model parts
-             step loss_d loss_r)
-          true
-          (abs_float (loss_d -. loss_r) <= 1e-6)
-      done;
-      let d = max_weight_diff (Session.weights reference) (Replica.weights_of cluster 0) in
-      check_bool
-        (Printf.sprintf "%s weights exact at %d parts (diff %.2e)" model parts d)
-        true (d <= 1e-6);
-      (* replicas stay bitwise identical: they apply the same summed grads *)
-      for p = 1 to parts - 1 do
-        check_bool "replicas identical" true
-          (max_weight_diff (Replica.weights_of cluster 0) (Replica.weights_of cluster p)
-          = 0.0)
-      done)
+      List.iter
+        (fun bucket_kb ->
+          let cfg = { (quiet parts) with Replica.Config.bucket_kb = Some bucket_kb } in
+          let cluster = Replica.create ~config:cfg ~features ~graph [ compiled ] in
+          let master = List.hd (Replica.master_weights cluster) in
+          let cfg =
+            {
+              Session.Config.default with
+              Session.Config.seed = 3;
+              node_inputs = [ ("h", features) ];
+              weights = List.map (fun (n, w) -> (n, T.copy w)) master;
+            }
+          in
+          let reference = Session.create ~config:cfg ~graph compiled in
+          let case = Printf.sprintf "%s at %d parts, bucket %d KiB" model parts bucket_kb in
+          for step = 1 to 3 do
+            let loss_d = Replica.train_step cluster ~lr:0.05 ~labels () in
+            let loss_r = Session.train_step reference ~lr:0.05 ~labels () in
+            check_bool
+              (Printf.sprintf "%s loss exact, step %d (%.2e vs %.2e)" case step loss_d loss_r)
+              true
+              (abs_float (loss_d -. loss_r) <= 1e-6)
+          done;
+          let d = max_weight_diff (Session.weights reference) (Replica.weights_of cluster 0) in
+          check_bool (Printf.sprintf "%s weights exact (diff %.2e)" case d) true (d <= 1e-6);
+          (* replicas stay bitwise identical: they apply the same summed grads *)
+          for p = 1 to parts - 1 do
+            check_bool "replicas identical" true
+              (max_weight_diff (Replica.weights_of cluster 0) (Replica.weights_of cluster p)
+              = 0.0)
+          done)
+        [ 1; 4; 64 ])
     [ 1; 2; 4 ]
 
 (* --- steady state and attribution -------------------------------------- *)
@@ -418,25 +420,13 @@ let test_single_partition_has_no_comm () =
 let test_replica_config () =
   let d = Replica.Config.default in
   check_bool "default parts unset (2)" true (d.Replica.Config.parts = None);
-  check_bool "default overlap on" true d.Replica.Config.overlap;
   check_bool "default bucket unset (64 KiB)" true (d.Replica.Config.bucket_kb = None);
   check_int "default seed" 1 d.Replica.Config.seed;
   let graph = Lazy.force parent in
   let features = features_of graph 6 in
   let compiled = compile_model "rgcn" in
-  let cfg =
-    {
-      Replica.Config.default with
-      Replica.Config.parts = Some 3;
-      comms = Some quiet_comms;
-      overlap = false;
-    }
-  in
-  let cluster = Replica.create ~config:cfg ~features ~graph [ compiled ] in
+  let cluster = Replica.create ~config:(quiet 3) ~features ~graph [ compiled ] in
   check_int "config parts honored" 3 (Replica.parts cluster);
-  check_bool "config overlap honored" false (Replica.overlap cluster);
-  check_bool "default config overlaps" true
-    (Replica.overlap (Replica.create ~config:(quiet 2) ~features ~graph [ compiled ]));
   let rejects field cfg =
     match Replica.create ~config:cfg ~features ~graph [ compiled ] with
     | _ -> Alcotest.failf "bad %s accepted" field
@@ -447,77 +437,30 @@ let test_replica_config () =
   rejects "parts" { (quiet 2) with Replica.Config.parts = Some 0 };
   rejects "bucket" { (quiet 2) with Replica.Config.bucket_kb = Some (-1) }
 
-(* --- overlapped == BSP ---------------------------------------------------- *)
-
-let make_cluster ~model ~parts ~overlap ~bucket_kb ~features ~graph =
-  let compiled = compile_model ~training:true model in
-  let cfg =
-    {
-      Replica.Config.default with
-      Replica.Config.parts = Some parts;
-      comms = Some quiet_comms;
-      overlap;
-      bucket_kb = Some bucket_kb;
-    }
-  in
-  Replica.create ~config:cfg ~features ~graph [ compiled ]
-
-(* Every point of the space: 2 models x 3 partition counts x 3 bucket
-   sizes.  The BSP reference always runs one aggregate bucket. *)
-let test_overlap_equals_bsp () =
-  let graph = Lazy.force parent in
-  let features = features_of graph 6 in
-  let labels = labels_of graph 4 in
-  List.iter
-    (fun model ->
-      List.iter
-        (fun parts ->
-          List.iter
-            (fun bucket_kb ->
-              let ov = make_cluster ~model ~parts ~overlap:true ~bucket_kb ~features ~graph in
-              let bsp =
-                make_cluster ~model ~parts ~overlap:false ~bucket_kb:64 ~features ~graph
-              in
-              let case = Printf.sprintf "%s parts=%d bucket=%dKiB" model parts bucket_kb in
-              for step = 1 to 2 do
-                let lo = Replica.train_step ov ~lr:0.05 ~labels () in
-                let lb = Replica.train_step bsp ~lr:0.05 ~labels () in
-                check_bool
-                  (Printf.sprintf "%s step %d: loss %.17g ~ %.17g" case step lo lb)
-                  true
-                  (abs_float (lo -. lb) <= 1e-6)
-              done;
-              check_bool (case ^ ": weights within 1e-6") true
-                (max_weight_diff (Replica.weights_of ov 0) (Replica.weights_of bsp 0) <= 1e-6))
-            [ 1; 4; 64 ])
-        [ 1; 2; 4 ])
-    [ "rgcn"; "rgat" ]
-
 (* --- overlap actually hides transfer time ------------------------------- *)
 
-let comm_ratio ~overlap =
+let make_cluster ~model ~parts ~features ~graph =
+  Replica.create ~config:(quiet parts) ~features ~graph
+    [ compile_model ~training:true model ]
+
+let test_overlap_hides_transfers () =
   let graph = Lazy.force parent in
   let features = features_of graph 6 in
   let labels = labels_of graph 4 in
-  let cluster =
-    make_cluster ~model:"rgcn" ~parts:4 ~overlap ~bucket_kb:64 ~features ~graph
-  in
+  let cluster = make_cluster ~model:"rgcn" ~parts:4 ~features ~graph in
   ignore (Replica.train_step cluster ~labels ());
   Replica.reset_clocks cluster;
   for _ = 1 to 3 do
     ignore (Replica.train_step cluster ~labels ())
   done;
-  (Replica.comm_ms cluster /. Replica.busy_ms cluster, cluster)
-
-let test_overlap_reduces_comm_ratio () =
-  let bsp_ratio, _ = comm_ratio ~overlap:false in
-  let ov_ratio, ov = comm_ratio ~overlap:true in
   check_bool
-    (Printf.sprintf "overlap lowers the comm ratio (%.4f < %.4f)" ov_ratio bsp_ratio)
-    true (ov_ratio < bsp_ratio);
-  (* the hidden time is visible as posted - exposed *)
-  check_bool "overlapped cluster hides transfer time" true
-    (Replica.posted_comm_ms ov > Replica.comm_ms ov)
+    (Printf.sprintf "posted transfer time exceeds the exposed (%.4f > %.4f)"
+       (Replica.posted_comm_ms cluster) (Replica.comm_ms cluster))
+    true
+    (Replica.posted_comm_ms cluster > Replica.comm_ms cluster);
+  let doc = Json_schema.envelope ~subsystem:"dist" (Replica.metrics_json cluster) in
+  check_bool "metrics report a positive overlap ratio" true
+    (Json_schema.num (Json_schema.field doc "comm") "overlap_ratio" > 0.0)
 
 (* --- shared metrics envelope across subsystems -------------------------- *)
 
@@ -526,9 +469,7 @@ let test_metrics_schema_uniform () =
   let features = features_of graph 6 in
   let labels = labels_of graph 4 in
   (* dist *)
-  let cluster =
-    make_cluster ~model:"rgcn" ~parts:2 ~overlap:true ~bucket_kb:64 ~features ~graph
-  in
+  let cluster = make_cluster ~model:"rgcn" ~parts:2 ~features ~graph in
   ignore (Replica.train_step cluster ~labels ());
   let dist = Json_schema.envelope ~subsystem:"dist" (Replica.metrics_json cluster) in
   check_int "dist launches printed exactly" (Replica.launches cluster)
@@ -575,22 +516,27 @@ let suite =
     Alcotest.test_case "channels overlap transfers" `Quick test_post_channels_overlap;
     Alcotest.test_case "trace shows concurrent comm span" `Quick test_trace_concurrent_comm_span;
     Alcotest.test_case "Replica.Config record" `Quick test_replica_config;
-    Alcotest.test_case "overlap lowers the comm ratio" `Quick test_overlap_reduces_comm_ratio;
+    Alcotest.test_case "overlap hides transfer time" `Quick test_overlap_hides_transfers;
     Alcotest.test_case "shared metrics envelope" `Quick test_metrics_schema_uniform;
     Alcotest.test_case "rgcn forward exact at 1/2/4" `Quick
       (test_forward_exact "rgcn" ~compact:false ~fusion:false);
     Alcotest.test_case "rgat forward exact at 1/2/4" `Quick
       (test_forward_exact "rgat" ~compact:true ~fusion:true);
+    Alcotest.test_case "hgt forward exact at 1/2/4" `Quick
+      (test_forward_exact "hgt" ~compact:false ~fusion:false);
     Alcotest.test_case "two-layer forward exact at 1/2/4" `Quick test_multilayer_forward_exact;
     Alcotest.test_case "rgcn training exact at 1/2/4" `Quick
       (test_train_exact "rgcn" ~compact:false ~fusion:false);
     Alcotest.test_case "rgat training exact at 1/2/4" `Quick
       (test_train_exact "rgat" ~compact:false ~fusion:false);
+    Alcotest.test_case "hgt U training exact at 1/2/4" `Quick
+      (test_train_exact "hgt" ~compact:false ~fusion:false);
+    Alcotest.test_case "hgt C+F training exact at 1/2/4" `Quick
+      (test_train_exact "hgt" ~compact:true ~fusion:true);
     Alcotest.test_case "steady-state epochs allocate nothing" `Quick
       test_steady_state_no_alloc;
     Alcotest.test_case "comm time fully attributed" `Quick test_comm_attributed;
     Alcotest.test_case "one partition, no comm" `Quick test_single_partition_has_no_comm;
-    Alcotest.test_case "overlapped training == BSP to 1e-6" `Quick test_overlap_equals_bsp;
     QCheck_alcotest.to_alcotest prop_partition_every_edge_once;
     QCheck_alcotest.to_alcotest prop_partition_halo_complete;
     QCheck_alcotest.to_alcotest prop_partition_balance;
