@@ -1155,14 +1155,28 @@ let gemm_kernel ~env ~ctx (spec : Gs.t) =
 (* Each GEMM step is one segmented kernel call over the context's type
    offsets: one parallel region for every relation.  The forward gather
    into edge rows computes each (relation, endpoint) pair's first edge
-   only and copies that row to the pair's other edges.  The launch
-   charged below still covers every edge row: the device model prices the
-   U layout's kernel, and only the host stops repeating multiply-adds. *)
+   only and copies that row to the pair's other edges.  The backward
+   steps of an edge-row gradient first sum its rows into the side's
+   (relation, endpoint) pairs, so they run the compact layout's GEMM on
+   the compact layout's rows.  The launch charged below still covers
+   every edge row: the device model prices the U layout's kernel, and
+   only the host stops repeating multiply-adds. *)
 let run_gemm t (spec : Gs.t) =
   let node_offsets = function
     | Ir.Shared -> [| 0; (Graph_ctx.graph t.ctx).G.num_nodes |]
     | Ir.By_ntype -> Graph_ctx.offsets t.ctx Mat.Rows_nodes
     | _ -> fail "node GEMM: unsupported slice"
+  in
+  (* A backward GEMM over a gradient in [space]: its pair map (edge rows
+     only), segment offsets and gathered/scattered node ids. *)
+  let grad_rows space side =
+    match space with
+    | Mat.Rows_edges ->
+        let cm =
+          match side with `Src -> Graph_ctx.compact_src t.ctx | `Dst -> Graph_ctx.compact_dst t.ctx
+        in
+        (Some cm.Cm.row_of_edge, cm.Cm.etype_ptr, cm.Cm.pair_src)
+    | _ -> (None, Graph_ctx.offsets t.ctx space, Graph_ctx.endpoint_ids t.ctx space side)
   in
   (match spec.Gs.task with
   | Gs.Node_linear { input; weight; slice; output; transpose; accumulate = acc } ->
@@ -1188,18 +1202,15 @@ let run_gemm t (spec : Gs.t) =
   | Gs.Edge_linear_dinput { side; weight; grad_output; grad_out_space; grad_input; transpose } ->
       (* scatter-add applied on the fly: the [rows × dim] contribution
          matrix of the materialize-then-scatter scheme is never allocated *)
-      Tensor.segment_scatter_add_into ~trans_b:transpose
-        ~offsets:(Graph_ctx.offsets t.ctx grad_out_space)
-        (Env.find t.env grad_output).Env.tensor (Env.weight t.env weight)
-        ~idx:(Graph_ctx.endpoint_ids t.ctx grad_out_space side)
+      let pairs, offsets, idx = grad_rows grad_out_space side in
+      Tensor.segment_scatter_add_into ~trans_b:transpose ?pairs ~offsets
+        (Env.find t.env grad_output).Env.tensor (Env.weight t.env weight) ~idx
         (Env.find t.env grad_input).Env.tensor
   | Gs.Edge_linear_dweight { side; input; grad_output; grad_out_space; grad_weight } ->
       (* transpose-aware gather: dW += X[idx]ᵀ dY without gathering X *)
-      Tensor.segment_gather_t_into ~beta:1.0
-        ~offsets:(Graph_ctx.offsets t.ctx grad_out_space)
-        (operand_entry t input).Env.tensor
-        ~idx:(Graph_ctx.endpoint_ids t.ctx grad_out_space side)
-        (Env.find t.env grad_output).Env.tensor (Env.weight_grad t.env grad_weight)
+      let pairs, offsets, idx = grad_rows grad_out_space side in
+      Tensor.segment_gather_t_into ~beta:1.0 ?pairs ~offsets (operand_entry t input).Env.tensor
+        ~idx (Env.find t.env grad_output).Env.tensor (Env.weight_grad t.env grad_weight)
   | Gs.Node_linear_dweight { input; slice; grad_output; grad_weight } ->
       Tensor.segment_matmul_into ~trans_a:true ~beta:1.0 ~offsets:(node_offsets slice)
         (operand_entry t input).Env.tensor (Env.find t.env grad_output).Env.tensor
@@ -1512,11 +1523,32 @@ let find_arena t (plan : Plan.t) ~shared =
       t.arenas <- (plan, shared, a) :: t.arenas;
       a
 
+(* A backward edge GEMM over edge rows sums its gradient into the side's
+   pairs (see [run_gemm]); warming reserves those rows on this domain. *)
+let reserve_pair_rows t (plan : Plan.t) =
+  List.iter
+    (function
+      | Plan.Gemm
+          {
+            Gs.task =
+              ( Gs.Edge_linear_dinput { side; grad_output; grad_out_space = Mat.Rows_edges; _ }
+              | Gs.Edge_linear_dweight { side; grad_output; grad_out_space = Mat.Rows_edges; _ } );
+            _;
+          } ->
+          let space = match side with `Src -> Mat.Rows_compact_src | `Dst -> Mat.Rows_compact_dst in
+          Option.iter
+            (fun b ->
+              Tensor.reserve_pair_rows ~rows:(Graph_ctx.rows_of_space t.ctx space) ~cols:b.Plan.dim)
+            (Plan.find_buffer plan grad_output)
+      | _ -> ())
+    (Plan.flatten_steps plan)
+
 (* Build (or adopt from the slab) the plan's arena without running it, so
    a server can take every slab allocation during warmup and keep the
    steady state allocation-free. *)
 let warm_plan ?(free_temps = true) t (plan : Plan.t) =
-  ignore (find_arena t plan ~shared:free_temps)
+  ignore (find_arena t plan ~shared:free_temps);
+  reserve_pair_rows t plan
 
 (* Bind a managed buffer for this run: accumulators ([zero_init]) are
    cleared (and charged a memset launch) every run; other buffers start

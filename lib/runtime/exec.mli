@@ -7,10 +7,17 @@
     and memory reflect a paper-scale GPU run).
 
     GEMM-template steps execute as fused gather→segment-MM→scatter kernels
-    (one launch each).  Traversal steps stage their fused statement body
-    at step entry — buffers, weight stacks and row maps resolved to flat
-    arrays once per run, one specialized float loop per operator — and
-    sweep the staged closures per edge or per node (one launch each).
+    (one launch each).  The host computes each (relation, endpoint) pair
+    once: a forward gather into edge rows copies its pair's first row, and
+    a backward GEMM over an edge-row gradient first sums that gradient
+    into the side's compact pairs, so an uncompacted (U) plan's backward
+    runs the compact (C) plan's GEMMs — bit for bit the C results when
+    both layouts compute the same edge gradients, as RGCN's and HGT's do.
+    Each launch is still charged for every edge row.  Traversal steps
+    stage their fused statement body at step entry — buffers, weight
+    stacks and row maps resolved to flat arrays once per run, one
+    specialized float loop per operator — and sweep the staged closures
+    per edge or per node (one launch each).
     Fallback steps run through the same stager but are charged one launch
     and full operand materialization per expression node, as the PyTorch
     path would. *)
@@ -84,8 +91,11 @@ val create :
 val warm_plan : ?free_temps:bool -> t -> Hector_core.Plan.t -> unit
 (** Build (or adopt from the slab) the plan's arena without running any
     step, taking whatever allocations the arena needs now rather than on
-    the first [run_plan].  [free_temps] must match the mode later runs use
-    (default [true]). *)
+    the first [run_plan].  It also reserves, on the calling domain, the
+    host pair rows the plan's edge-row backward GEMMs sum their gradients
+    into (see {!Tensor.segment_gather_t_into}), sized for this context's
+    graph — an upper bound for every sampled block of it.  [free_temps]
+    must match the mode later runs use (default [true]). *)
 
 val run_plan : ?on_step:(int -> unit) -> ?free_temps:bool -> t -> Hector_core.Plan.t -> unit
 (** Execute all steps in order: materialize (and zero) the plan's buffers,

@@ -577,11 +577,69 @@ let segment_matmul_into ?(trans_a = false) ?(trans_b = false) ?(beta = 0.0) ~off
 let segment_gather_into ?(trans_b = false) ?(rep = [||]) ?scale ~offsets a ~idx w c =
   rows_product "segment_gather_into" ~beta:0.0 ~gather:true ~idx ~rep ~scale ~offsets ~trans_b a w c
 
-let segment_scatter_add_into ?(trans_b = false) ~offsets a w ~idx c =
-  scatter_product "segment_scatter_add_into" ~offsets ~trans_b a w ~idx c
+(* Row i of [src] is added into row idx.(i) of [into], i ascending, each
+   destination row first zeroed when [zero].  Parallelized over
+   *destination* row ranges, not over [idx]: each domain sweeps the whole
+   index once and applies only the updates that land in its destination
+   slice, so concurrent writes never touch the same row and duplicate
+   indices accumulate in their sequential order — the pre-reduction
+   analogue of the paper's atomic-free scatter. *)
+let add_rows fn ~zero ~into idx src =
+  let c = cols into in
+  if cols src <> c then shape_error "%s: column mismatch" fn;
+  if rows src <> Array.length idx then shape_error "%s: row/index mismatch" fn;
+  check_no_alias fn into src;
+  let nrows = rows into in
+  check_rows fn idx nrows;
+  let n = Array.length idx in
+  let body row_lo row_hi =
+    if zero then Array.fill into.data (into.offset + (row_lo * c)) ((row_hi - row_lo) * c) 0.0;
+    for i = 0 to n - 1 do
+      let dst_row = idx.(i) in
+      if dst_row >= row_lo && dst_row < row_hi then begin
+        let sbase = src.offset + (i * c) and dbase = into.offset + (dst_row * c) in
+        for j = 0 to c - 1 do
+          into.data.(dbase + j) <- into.data.(dbase + j) +. src.data.(sbase + j)
+        done
+      end
+    done
+  in
+  if Domain_pool.sequential () || n * c <= elt_grain then body 0 nrows
+  else Domain_pool.parallel_for ~grain:(row_grain (max 1 (n * c / max 1 nrows))) nrows body
 
-let segment_gather_t_into ?(beta = 0.0) ~offsets a ~idx b c =
-  slices_product "segment_gather_t_into" ~beta ~gather:true ~idx ~offsets ~trans_b:false a b c
+(* The pair rows of the calling domain: one buffer per domain, kept at
+   its high-water size, so a warmed caller sums pairs without allocating
+   and callers on different domains never share one. *)
+let pair_workspace = Domain.DLS.new_key (fun () -> ref [||])
+
+let pair_rows ~rows ~cols =
+  let ws = Domain.DLS.get pair_workspace in
+  if Array.length !ws < rows * cols then begin
+    count_alloc ();
+    ws := Array.create_float (rows * cols)
+  end;
+  !ws
+
+let reserve_pair_rows ~rows ~cols = ignore (pair_rows ~rows ~cols)
+
+(* [src]'s rows summed into [pairs] rows: row p is 0.0 plus every row i
+   with pair_of.(i) = p, i ascending.  The result views the calling
+   domain's workspace, so it is dead at that domain's next pair sum. *)
+let pair_sum fn pair_of ~pairs src =
+  let c = cols src in
+  let into = { shape = [| pairs; c |]; offset = 0; data = pair_rows ~rows:pairs ~cols:c } in
+  add_rows fn ~zero:true ~into pair_of src;
+  into
+
+let segment_scatter_add_into ?(trans_b = false) ?pairs ~offsets a w ~idx c =
+  let fn = "segment_scatter_add_into" in
+  let a = match pairs with None -> a | Some p -> pair_sum fn p ~pairs:(Array.length idx) a in
+  scatter_product fn ~offsets ~trans_b a w ~idx c
+
+let segment_gather_t_into ?(beta = 0.0) ?pairs ~offsets a ~idx b c =
+  let fn = "segment_gather_t_into" in
+  let b = match pairs with None -> b | Some p -> pair_sum fn p ~pairs:(Array.length idx) b in
+  slices_product fn ~beta ~gather:true ~idx ~offsets ~trans_b:false a b c
 
 (* The one-relation entry points: one segment spanning every row. *)
 
@@ -786,44 +844,7 @@ let scatter_rows_set ~into idx src =
       Array.blit src.data (src.offset + (i * c)) into.data (into.offset + (dst_row * c)) c)
     idx
 
-let scatter_rows_add_seq ~into idx src c =
-  Array.iteri
-    (fun i dst_row ->
-      let sbase = src.offset + (i * c) and dbase = into.offset + (dst_row * c) in
-      for j = 0 to c - 1 do
-        into.data.(dbase + j) <- into.data.(dbase + j) +. src.data.(sbase + j)
-      done)
-    idx
-
-let scatter_rows_add ~into idx src =
-  let c = cols into in
-  if cols src <> c then shape_error "scatter_rows_add: column mismatch";
-  if rows src <> Array.length idx then shape_error "scatter_rows_add: row/index mismatch";
-  let nrows = rows into in
-  Array.iter
-    (fun dst_row ->
-      if dst_row < 0 || dst_row >= nrows then
-        shape_error "scatter_rows_add: row %d out of %d" dst_row nrows)
-    idx;
-  let n = Array.length idx in
-  (* Parallelized over *destination* row ranges, not over [idx]: each
-     domain sweeps the whole index once and applies only the updates that
-     land in its destination slice, so concurrent writes never touch the
-     same row and duplicate indices accumulate in their sequential order —
-     the pre-reduction analogue of the paper's atomic-free scatter. *)
-  if Domain_pool.sequential () || n * c <= elt_grain then scatter_rows_add_seq ~into idx src c
-  else
-    Domain_pool.parallel_for ~grain:(row_grain (max 1 (n * c / max 1 nrows))) nrows
-      (fun row_lo row_hi ->
-        for i = 0 to n - 1 do
-          let dst_row = idx.(i) in
-          if dst_row >= row_lo && dst_row < row_hi then begin
-            let sbase = src.offset + (i * c) and dbase = into.offset + (dst_row * c) in
-            for j = 0 to c - 1 do
-              into.data.(dbase + j) <- into.data.(dbase + j) +. src.data.(sbase + j)
-            done
-          end
-        done)
+let scatter_rows_add ~into idx src = add_rows "scatter_rows_add" ~zero:false ~into idx src
 
 let concat_cols a b =
   let r = rows a in

@@ -292,16 +292,39 @@ val segment_gather_into :
     materialization, and do not count toward {!copied_bytes}. *)
 
 val segment_scatter_add_into :
-  ?trans_b:bool -> offsets:int array -> t -> t -> idx:int array -> t -> unit
+  ?trans_b:bool -> ?pairs:int array -> offsets:int array -> t -> t -> idx:int array -> t -> unit
 (** [segment_scatter_add_into ~offsets a w ~idx c] accumulates row [i] of
     [a * w\[s\]] into row [idx.(i)] of [c], segments in order,
-    destination-partitioned like {!matmul_scatter_add_into}. *)
+    destination-partitioned like {!matmul_scatter_add_into}.  With
+    [pairs], [a] is first pair-summed (below) and [offsets] and [idx]
+    index the pair rows. *)
 
-val segment_gather_t_into : ?beta:float -> offsets:int array -> t -> idx:int array -> t -> t -> unit
+val segment_gather_t_into :
+  ?beta:float -> ?pairs:int array -> offsets:int array -> t -> idx:int array -> t -> t -> unit
 (** [segment_gather_t_into ~offsets a ~idx b c]: [offsets] splits [b]'s
     rows and [idx]; [c] is the stack, and
     [c\[s\] := a\[idx\[seg s\]\]ᵀ * b\[seg s\] + beta*c\[s\]] (the
-    edge weight gradient). *)
+    edge weight gradient).  With [pairs], [b] is first pair-summed
+    (below) and [offsets] and [idx] index the pair rows.
+
+    {b Pair sums.}  [pairs] (one entry per row of the edge operand, each
+    below [Array.length idx]) names the pair row each row belongs to.
+    The kernel first sums the operand into pair rows — pair row [p] starts
+    at [0.0] and adds every row [i] with [pairs.(i) = p], [i] ascending,
+    exactly as {!scatter_rows_add} into a zeroed matrix — and then runs
+    the GEMM above on the pair rows.  Rows that share a gathered row of
+    [a] (or a destination of [c]) and a weight slice thus cost one
+    multiply, not one each: this is how an edge-space gradient is
+    computed at the cost of its (relation, endpoint) pairs.  The pair rows
+    live in a workspace owned by the calling domain and kept at its
+    high-water size: it grows (counted by {!allocation_count}) only when
+    a call needs more rows than any earlier call on that domain, and it is
+    never device memory. *)
+
+val reserve_pair_rows : rows:int -> cols:int -> unit
+(** Grow the calling domain's pair-sum workspace to hold [rows × cols]
+    floats now, so later pair-summed calls up to that size allocate
+    nothing. *)
 
 (** {2 Batched matrix-vector products}
 
@@ -358,7 +381,11 @@ val scatter_rows_set : into:t -> int array -> t -> unit
     [idx.(i)] of [into] — step ③ of Figure 4, non-accumulating. *)
 
 val scatter_rows_add : into:t -> int array -> t -> unit
-(** Accumulating scatter (the atomic-update analogue). *)
+(** [scatter_rows_add ~into idx src] adds row [i] of [src] into row
+    [idx.(i)] of [into], [i] ascending per destination — the accumulating
+    scatter (the atomic-update analogue), destination-partitioned over the
+    domain pool.  An [into] sharing storage with [src] raises
+    {!Shape_error}. *)
 
 val concat_cols : t -> t -> t
 (** [concat_cols a b] concatenates two matrices with equal row counts along

@@ -595,6 +595,117 @@ let test_segment_gather_t_oracle () =
         heights)
     [ 1; 8; 9; 17 ]
 
+(* --- pair-summed GEMMs == pair sums, then a textbook loop -----------
+
+   With [~pairs], the edge operand's rows are summed into pair rows first:
+   pair row p is 0.0 plus every row i with pairs.(i) = p, i ascending.
+   The oracle builds those sums with its own loop, then runs the textbook
+   GEMM on them.  Pairs are all one row, all repeated, or random (some
+   pairs then have no row and stay 0.0); the edge operand carries +0.0 and
+   -0.0 entries (a pair of -0.0 rows sums to +0.0); relations are empty
+   first, middle or last.  The widest case runs the parallel sum. *)
+
+let pair_layouts rng m =
+  let half = max 1 (m / 2) and few = (m / 3) + 1 in
+  [ ("one-row pairs", m, Array.init m Fun.id);
+    ("every pair repeated", half, Array.init m (fun i -> i mod half));
+    ("random pairs", few, rand_idx rng ~len:m ~bound:few) ]
+
+let pair_sums ~pairs ~n pair_of rows =
+  let d = Array.make_matrix pairs n 0.0 in
+  Array.iteri (fun i p -> Array.iteri (fun j v -> d.(p).(j) <- d.(p).(j) +. v) rows.(i)) pair_of;
+  d
+
+let test_pair_gather_t_oracle () =
+  let rng = Rng.create 30 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun m ->
+          List.iter
+            (fun (pairing, npairs, pair_of) ->
+              List.iter
+                (fun (layout, offsets) ->
+                  let ak = 1 + Rng.int rng 20 and na = npairs + 4 in
+                  let beta = List.nth betas (Rng.int rng 3) in
+                  let a = special_rows rng ~na ~k:ak in
+                  let b = sparse_randn rng [| m; n |] in
+                  if m > 0 then set_row b 0 (-0.0);
+                  let a2 = T.to_2d a in
+                  let d = pair_sums ~pairs:npairs ~n pair_of (T.to_2d b) in
+                  List.iter
+                    (fun (pattern, idx) ->
+                      let base = randn rng [| 3; ak; n |] in
+                      let c0 = T.to_2d (flat_stack base) in
+                      let expected =
+                        Array.concat
+                          (List.init 3 (fun s ->
+                               let lo = offsets.(s) in
+                               naive ~m:ak ~k:(offsets.(s + 1) - lo) ~n
+                                 ~start:(fun i j -> beta_start ~beta c0 ((s * ak) + i) j)
+                                 ~a_at:(fun i kk -> a2.(idx.(lo + kk)).(i))
+                                 ~b_at:(fun kk j -> d.(lo + kk).(j))))
+                      in
+                      List.iter
+                        (fun dom ->
+                          with_domains dom (fun () ->
+                              let c = T.copy base in
+                              T.segment_gather_t_into ~beta ~pairs:pair_of ~offsets a ~idx b c;
+                              check_bits
+                                (Printf.sprintf "pair gather_t m=%d k=%d n=%d %s %s %s (%d domains)"
+                                   m ak n pairing layout pattern dom)
+                                expected (flat_stack c)))
+                        [ 1; 2; 4 ])
+                    (index_patterns rng ~m:npairs ~bound:na))
+                (segment_layouts npairs))
+            (pair_layouts rng m))
+        heights)
+    [ 1; 9; 40 ]
+
+let test_pair_scatter_oracle () =
+  let rng = Rng.create 31 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun m ->
+          List.iter
+            (fun (pairing, npairs, pair_of) ->
+              List.iter
+                (fun (layout, offsets) ->
+                  (* wide enough that 150 rows take the parallel sum *)
+                  let k = 28 + Rng.int rng 12 and nc = npairs + 4 in
+                  let kz = Rng.int rng k and trans_b = Rng.int rng 2 = 0 in
+                  let a = sparse_randn rng [| m; k |] in
+                  if m > 0 then set_row a 0 (-0.0);
+                  let w, w_at = stack_operand rng ~trans_b ~k ~n ~kz in
+                  let d = pair_sums ~pairs:npairs ~n:k pair_of (T.to_2d a) in
+                  Array.iter (fun row -> row.(kz) <- 0.0) d;
+                  let a = T.init [| m; k |] (fun ix -> if ix.(1) = kz then 0.0 else T.get a ix) in
+                  (* each pair's product row summed from 0.0, then added into
+                     its destination, segments and pairs in order *)
+                  let rows =
+                    naive_segments offsets ~k ~n ~b_at:w_at ~start:(fun _ _ -> 0.0)
+                      ~a_at:(fun i kk -> d.(i).(kk))
+                  in
+                  List.iter
+                    (fun (pattern, idx) ->
+                      let base = randn rng [| nc; n |] in
+                      let expected = T.to_2d base in
+                      Array.iteri
+                        (fun p dst ->
+                          Array.iteri (fun j v -> expected.(dst).(j) <- expected.(dst).(j) +. v) rows.(p))
+                        idx;
+                      at_domains
+                        (Printf.sprintf "pair scatter m=%d k=%d n=%d tb=%b %s %s %s" m k n trans_b
+                           pairing layout pattern)
+                        base expected
+                        (fun c -> T.segment_scatter_add_into ~trans_b ~pairs:pair_of ~offsets a w ~idx c))
+                    (index_patterns rng ~m:npairs ~bound:nc))
+                (segment_layouts npairs))
+            (pair_layouts rng m))
+        heights)
+    [ 1; 9; 40 ]
+
 let test_segment_matmul_oracle () =
   let rng = Rng.create 29 in
   List.iter
@@ -690,6 +801,29 @@ let test_alias_gather_t =
         (raises_shape (fun () -> T.matmul_gather_t_into w ~idx:[| 0; 1 |] hi mid));
       check_bool "disjoint views of one store" false
         (raises_shape (fun () -> T.matmul_gather_t_into lo ~idx:[| 0; 1 |] w hi)))
+
+let test_alias_scatter_rows_add =
+  aliasing_case (fun ~lo ~mid ~hi ~w:_ ->
+      check_bool "into == src" true (raises_shape (fun () -> T.scatter_rows_add ~into:lo [| 0; 1 |] lo));
+      check_bool "into overlaps src" true
+        (raises_shape (fun () -> T.scatter_rows_add ~into:mid [| 0; 1 |] lo));
+      check_bool "disjoint views of one store" false
+        (raises_shape (fun () -> T.scatter_rows_add ~into:hi [| 0; 1 |] lo)))
+
+let test_pair_sums_validate () =
+  let a = T.ones [| 3; 2 |] and w = T.ones [| 1; 2; 2 |] in
+  check_bool "a pair beyond idx" true
+    (raises_shape (fun () ->
+         T.segment_scatter_add_into ~pairs:[| 0; 2; 1 |] ~offsets:[| 0; 2 |] a w ~idx:[| 0; 1 |]
+           (T.zeros [| 2; 2 |])));
+  check_bool "one pair per row" true
+    (raises_shape (fun () ->
+         T.segment_gather_t_into ~pairs:[| 0; 1 |] ~offsets:[| 0; 2 |] a ~idx:[| 0; 1 |] a
+           (T.zeros [| 1; 2; 2 |])));
+  check_bool "a well-formed call" false
+    (raises_shape (fun () ->
+         T.segment_gather_t_into ~pairs:[| 0; 1; 0 |] ~offsets:[| 0; 2 |] a ~idx:[| 0; 1 |] a
+           (T.zeros [| 1; 2; 2 |])))
 
 (* --- the linear-fusion mat-vec kernels == element-wise loops --------- *)
 
@@ -983,4 +1117,10 @@ let suite =
     Alcotest.test_case "segment gather_t GEMM == textbook loop, bitwise" `Quick
       test_segment_gather_t_oracle;
     Alcotest.test_case "segment matmul == textbook loop, bitwise" `Quick test_segment_matmul_oracle;
+    Alcotest.test_case "pair-summed gather_t GEMM == pair sums + textbook loop, bitwise" `Quick
+      test_pair_gather_t_oracle;
+    Alcotest.test_case "pair-summed scatter GEMM == pair sums + textbook loop, bitwise" `Quick
+      test_pair_scatter_oracle;
+    Alcotest.test_case "pair-summed GEMMs validate their pairs" `Quick test_pair_sums_validate;
+    Alcotest.test_case "scatter_rows_add rejects an aliased output" `Quick test_alias_scatter_rows_add;
   ]

@@ -480,6 +480,97 @@ let test_opaque_fallback_executes () =
   check_bool "fallback launches > 1 per edge op" true
     ((Stats.of_category stats Kernel.Fallback).Stats.launches > 1)
 
+(* --- the U backward runs the C backward's GEMMs, bit for bit ---
+
+   An uncompacted plan sums each edge-row gradient into its (relation,
+   endpoint) pairs, from 0.0 in ascending edge order, before the weight
+   and input gradient GEMMs, which is exactly how the compact plan's
+   traversal accumulates its pair-row gradient.  So RGCN and HGT train to
+   the same bits in both layouts: the loss, every weight gradient and the
+   weights after three SGD steps, at every domain count, on full replicas
+   and on sampled blocks. *)
+
+let with_domains n f =
+  Hector_tensor.Domain_pool.set_num_domains (Some n);
+  Fun.protect ~finally:(fun () -> Hector_tensor.Domain_pool.set_num_domains None) f
+
+let check_same_bits what u c =
+  List.iter2
+    (fun (name, tu) (name', tc) ->
+      check_bool (what ^ ": same weight names") true (name = name');
+      let fu = T.to_flat_array tu and fc = T.to_flat_array tc in
+      check_int (Printf.sprintf "%s %s: size" what name) (Array.length fc) (Array.length fu);
+      Array.iteri
+        (fun i x ->
+          if Int64.bits_of_float x <> Int64.bits_of_float fc.(i) then
+            Alcotest.failf "%s %s[%d]: U %h, C %h" what name i x fc.(i))
+        fu)
+    u c
+
+let check_same_loss what u c =
+  if Int64.bits_of_float u <> Int64.bits_of_float c then Alcotest.failf "%s: U loss %h, C loss %h" what u c
+
+let training_compiled model ~compact =
+  Compiler.compile
+    ~options:(Compiler.options_of_flags ~training:true ~compact ~fusion:false ())
+    (Models.by_name model ~in_dim:16 ~out_dim:4 ())
+
+let test_u_backward_equals_c () =
+  let replicas =
+    List.map
+      (fun name ->
+        (name, Hector_graph.Datasets.load ~max_nodes:600 ~max_edges:2400 (Hector_graph.Datasets.find name)))
+      [ "am"; "fb15k" ]
+  in
+  List.iter
+    (fun domains ->
+      with_domains domains @@ fun () ->
+      List.iter
+        (fun model ->
+          List.iter
+            (fun (dsname, graph) ->
+              let what = Printf.sprintf "%s on %s (%d domains)" model dsname domains in
+              let labels = Array.init graph.G.num_nodes (fun v -> v mod 4) in
+              let session compact =
+                Session.create ~config:(seeded 5) ~graph (training_compiled model ~compact)
+              in
+              let u = session false and c = session true in
+              check_same_bits (what ^ ", initial") (Session.weights u) (Session.weights c);
+              check_same_loss what
+                (Session.loss_and_grads u ~labels)
+                (Session.loss_and_grads c ~labels);
+              check_same_bits (what ^ ", gradient") (Session.weight_grads u) (Session.weight_grads c);
+              for step = 1 to 3 do
+                check_same_loss
+                  (Printf.sprintf "%s, step %d" what step)
+                  (Session.train_step u ~labels ())
+                  (Session.train_step c ~labels ())
+              done;
+              check_same_bits (what ^ ", after 3 steps") (Session.weights u) (Session.weights c))
+            replicas;
+          (* sampled blocks: the same seeds draw the same blocks *)
+          let graph = List.assoc "am" replicas in
+          let features = T.randn (Rng.create 9) [| graph.G.num_nodes; 16 |] in
+          let labels = Array.init graph.G.num_nodes (fun v -> v mod 4) in
+          let trainer compact =
+            Hector_runtime.Minibatch.create ~seed:6 ~graph ~features ~labels
+              (training_compiled model ~compact)
+          in
+          let u = trainer false and c = trainer true in
+          for step = 0 to 2 do
+            let batch = Array.init 24 (fun i -> ((step * 97) + (i * 13)) mod graph.G.num_nodes) in
+            let ru = Hector_runtime.Minibatch.step u ~batch () in
+            let rc = Hector_runtime.Minibatch.step c ~batch () in
+            check_same_loss
+              (Printf.sprintf "%s block step %d (%d domains)" model step domains)
+              ru.Hector_runtime.Minibatch.loss rc.Hector_runtime.Minibatch.loss
+          done;
+          check_same_bits
+            (Printf.sprintf "%s blocks (%d domains)" model domains)
+            (Hector_runtime.Minibatch.weights u) (Hector_runtime.Minibatch.weights c))
+        [ "rgcn"; "hgt" ])
+    [ 1; 2; 4 ]
+
 let suite =
   [
     Alcotest.test_case "forward matches reference (12 configs)" `Quick test_forward_matches_reference;
@@ -502,4 +593,5 @@ let suite =
     Alcotest.test_case "inference session rejects training" `Quick
       test_inference_session_rejects_training;
     Alcotest.test_case "opaque fallback executes" `Quick test_opaque_fallback_executes;
+    Alcotest.test_case "U backward == C backward, bitwise" `Quick test_u_backward_equals_c;
   ]
