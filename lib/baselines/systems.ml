@@ -1,5 +1,6 @@
 module G = Hector_graph.Hetgraph
 
+(* the evaluation feature dimension (§4.1) *)
 let feature_dim = 64
 
 let d = feature_dim

@@ -36,6 +36,3 @@ val pyg_loop : Recipe.t -> model:string -> training:bool -> unit
 val seastar : Recipe.t -> model:string -> training:bool -> unit
 val graphiler : Recipe.t -> model:string -> training:bool -> unit
 val hgl : Recipe.t -> model:string -> training:bool -> unit
-
-val feature_dim : int
-(** The evaluation feature dimension (64, §4.1). *)

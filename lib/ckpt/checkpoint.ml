@@ -44,6 +44,8 @@ let crc_table =
          done;
          !c))
 
+(* IEEE CRC-32 (polynomial 0xEDB88320) as an unsigned value — the checksum
+   the header stores over the payload. *)
 let crc32 (s : string) =
   let table = Lazy.force crc_table in
   let c = ref 0xFFFFFFFFl in

@@ -53,10 +53,6 @@ val encode : t -> string
 val decode : string -> t
 (** Inverse of {!encode}; raises {!Corrupt}. *)
 
-val crc32 : string -> int
-(** IEEE CRC-32 (polynomial [0xEDB88320]) as an unsigned value — the
-    checksum the header stores over the payload. *)
-
 val filename : int -> string
 (** [ckpt-<step>.hck] (step zero-padded to 8 digits). *)
 

@@ -29,7 +29,6 @@ let create ?(seed = 1) ?(rate = 0.0) ?crash_at ?(fail_batches = []) () =
   | _ -> ());
   { seed; rate; crash = crash_at; fail_batches; draws = 0; events_rev = []; retries = 0 }
 
-let seed t = t.seed
 let rate t = t.rate
 let crash_at t = t.crash
 

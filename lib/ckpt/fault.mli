@@ -55,7 +55,6 @@ val create :
     fail probabilistically under [rate]).  Raises [Invalid_argument] on a
     rate outside [[0, 1]] or negative crash coordinates. *)
 
-val seed : t -> int
 val rate : t -> float
 val crash_at : t -> (int * int) option
 

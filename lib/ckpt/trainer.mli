@@ -23,10 +23,6 @@ val snapshot :
 (** Capture the session's parameters and RNG cursor as a checkpoint at
     [step]. *)
 
-val restore : Session.t -> Checkpoint.t -> unit
-(** Overwrite the session's parameters with the checkpoint's (in place —
-    engine allocations and gradient bindings survive). *)
-
 val fit :
   ?config:Session.Config.t ->
   ?dir:string ->

@@ -77,10 +77,13 @@ let train ?(config = Replica.Config.default) ?faults ?dir ?keep ?(every = 0) ?(l
       in
       let rebuilt = Replica.create ~config:cfg ~features ~graph [ compiled ] in
       (* charge detection (the wait-timeout every survivor burned) and the
-         checkpoint reload onto the recovered cluster's clocks *)
+         checkpoint reload onto the recovered cluster's clocks; the reload
+         moves the float64 payload, so it is priced by shape alone *)
+      let payload =
+        List.fold_left (fun acc (_, w) -> acc + (8 * Tensor.numel w)) 0 (Checkpoint.tensors ckpt)
+      in
       let reload_ms =
-        Comms.cost_ms (Replica.comms rebuilt) ~messages:1
-          ~bytes:(float_of_int (String.length (Checkpoint.encode ckpt)))
+        Comms.cost_ms (Replica.comms rebuilt) ~messages:1 ~bytes:(float_of_int payload)
       in
       let charge = detect_timeout_ms +. reload_ms in
       Array.iter (fun e -> Engine.host_sync e ~us:(charge *. 1e3) ()) (Replica.engines rebuilt);

@@ -31,9 +31,6 @@ type result = {
   checkpoints : string list;  (** checkpoint paths saved, oldest first *)
 }
 
-val snapshot : step:int -> Replica.t -> Hector_ckpt.Checkpoint.t
-(** The cluster's live training-layer weights as a checkpoint at [step]. *)
-
 val train :
   ?config:Replica.Config.t ->
   ?faults:Hector_ckpt.Fault.t ->

@@ -111,8 +111,6 @@ let hector t ~model ~dataset ~training config =
       Hashtbl.replace t.hector_cache key m;
       m
 
-let time_of = function Ok { time_ms; _ } -> Some time_ms | Out_of_memory -> None
-
 let hector_best t ~model ~dataset ~training =
   List.fold_left
     (fun acc config ->

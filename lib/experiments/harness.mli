@@ -57,8 +57,5 @@ val baseline :
 val best_baseline : t -> model:string -> dataset:string -> training:bool -> (string * float) option
 (** Name and time of the fastest baseline that completes. *)
 
-val time_of : measurement -> float option
-(** The time when the run completed. *)
-
 val geomean : float list -> float
 (** Geometric mean (of speedups). *)

@@ -42,6 +42,3 @@ let a100_40gb =
     pcie_bandwidth_gbs = 24.0;
   }
 
-let pp fmt d =
-  Format.fprintf fmt "%s (%d SMs, %.0f GFLOP/s, %.0f GB/s, %.0f GB)" d.name d.sm_count
-    d.peak_gflops d.mem_bandwidth_gbs (d.global_mem_bytes /. 1e9)

@@ -36,6 +36,3 @@ val a100_40gb : t
 (** A second device profile (NVIDIA A100 40 GB) used by ablation benches to
     show cost-model sensitivity to the architecture, cf. §6 "specific
     microarchitecture of each GPU model also makes a difference". *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line printer. *)

@@ -41,7 +41,6 @@ let create ?(device = Device.rtx3090) ?(scale = 1.0) ?(trace = false) ?(obs = Ob
   }
 
 let device t = t.device
-let scale t = t.scale
 let memory t = t.memory
 let stats t = t.stats
 let obs t = t.obs
@@ -160,11 +159,6 @@ let record_timed t k' time =
       :: t.events;
   t.clock_ms <- t.clock_ms +. time;
   Stats.record t.stats k' ~time_ms:time ~flops:k'.Kernel.flops ~bytes:(Kernel.total_bytes k')
-
-let charge t ~ms k =
-  if ms < 0.0 then invalid_arg "Engine.charge: negative duration";
-  Obs.add t.obs "engine.comm_charges" 1;
-  record_timed t k ms
 
 (* --- asynchronous transfer channels --------------------------------
 

@@ -27,22 +27,8 @@ val create :
 val device : t -> Device.t
 (** The simulated device. *)
 
-val scale : t -> float
-(** Graph cost scale in effect. *)
-
 val launch : t -> Kernel.t -> unit
 (** Execute one kernel launch: advance the clock and record statistics. *)
-
-val charge : t -> ms:float -> Kernel.t -> unit
-(** [charge t ~ms k] accounts an event whose duration was computed {e
-    outside} the device cost model — interconnect transfers of the
-    distributed runtime ({!Kernel.category} [Comm]), whose time comes from
-    a per-message latency + link bandwidth model rather than the roofline.
-    The clock advances by exactly [ms]; the event is recorded in the
-    statistics (per-category, per-kernel and per-provenance-op tables, so
-    {!Stats.attributed_ms} still covers the whole clock) and on the trace
-    timeline.  No graph-proportional scaling is applied.  Raises
-    [Invalid_argument] on negative [ms]. *)
 
 val post : t -> chan:int -> ?ready:float -> ms:float -> Kernel.t -> float
 (** [post t ~chan ~ready ~ms k] schedules an asynchronous transfer on

@@ -15,8 +15,9 @@ type category =
   | Reduction  (** standalone reductions (losses, norms) *)
   | Comm
       (** inter-replica interconnect transfers (halo exchange, gradient
-          all-reduce) — charged by the distributed runtime's {!Engine.charge}
-          with an externally computed cost, never by the device roofline *)
+          all-reduce) — posted by the distributed runtime on
+          {!Engine.post} channels with an externally computed cost, never
+          priced by the device roofline *)
 
 val category_name : category -> string
 (** Short label used in breakdown tables ("gemm", "traversal", ...). *)

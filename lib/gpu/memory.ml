@@ -40,4 +40,3 @@ let free t a =
 let used_bytes t = t.used
 let peak_bytes t = t.peak
 let alloc_count t = t.alloc_count
-let capacity_bytes t = t.capacity

@@ -37,6 +37,3 @@ val alloc_count : t -> int
 (** Total number of {!alloc} calls since creation — the statistic behind
     the "steady-state training allocates nothing" check: once the plan
     arenas exist, further [run_plan] calls must not move this counter. *)
-
-val capacity_bytes : t -> float
-(** Device capacity. *)

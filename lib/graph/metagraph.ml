@@ -23,5 +23,3 @@ let etypes_with_dst t nt =
   done;
   !acc
 
-let pp fmt t =
-  Format.fprintf fmt "metagraph(%d ntypes; %d etypes)" t.num_ntypes (Array.length t.relations)

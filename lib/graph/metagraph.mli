@@ -32,6 +32,3 @@ val etypes_with_dst : t -> int -> int list
 (** All relations whose destination node type is the given one — the
     per-destination-type incoming relation set used by HGT-style
     aggregation. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer. *)

@@ -52,41 +52,6 @@ val partition : ?slack:float -> parts:int -> Hetgraph.t -> t
     [Invalid_argument] on a non-positive or too-large [parts] or a
     negative or NaN [slack]. *)
 
-type rebalance_stats = {
-  parts_rebuilt : int;  (** partitions re-induced from scratch *)
-  parts_reused : int;  (** partitions whose subgraph was reused verbatim *)
-  halos_patched : int;  (** reused partitions whose halo maps were recomputed *)
-  full_rebuild : bool;  (** the balance bound tripped a full repartition *)
-}
-
-val rebalance :
-  t ->
-  graph:Hetgraph.t ->
-  node_map:int array ->
-  edge_map:int array ->
-  ?max_balance:float ->
-  unit ->
-  t * rebalance_stats
-(** [rebalance old ~graph ~node_map ~edge_map ()] carries a partitioning
-    across a graph mutation incrementally (the {!Hector_stream} delta
-    path).  [node_map]/[edge_map] send old parent ids to new ones ([-1]
-    for removed; surviving entries strictly increasing, as tombstone
-    compaction produces).  Surviving nodes keep their owner; inserted
-    nodes join the partition owning the most already-assigned neighbors
-    (ties to the least-loaded, then the lowest partition id).  Partitions
-    whose member set is untouched keep their induced subgraph, [owned]
-    masks and local numbering — only origin maps are renumbered, and halo
-    pair lists are recomputed only when a peer partition changed; the rest
-    are re-induced exactly as {!partition} would.  The result upholds
-    {!partition}'s structural invariants (each edge assigned to its
-    destination's owner exactly once, complete in-neighborhoods, sound
-    halo maps), though unlike {!partition} a partition may become empty if
-    deletions drain it.  If the preserved assignment's balance exceeds
-    [max_balance] (default [2.0], must be [>= 1]) times the even share,
-    falls back to a full {!partition} (reported in the stats).  Raises
-    [Invalid_argument] on mismatched or non-monotone maps, a changed
-    metagraph shape, or fewer nodes than partitions. *)
-
 val edge_cut_fraction : t -> float
 (** Cut edges over total edges (0 on edgeless graphs). *)
 

@@ -90,12 +90,15 @@ let rgcn_raw ~act ~graph:(g : G.t) ~h ~norm ~w ~w0 =
       done);
   of_rows out
 
+(* relu(h·W₀ + Σ_r Σ_{u∈N_v^r} norm_e · h_u·W_r) per node *)
 let rgcn ~graph ~h ~norm ~w ~w0 = rgcn_raw ~act:true ~graph ~h ~norm ~w ~w0
 
 let rgcn_two_layer ~graph ~h ~norm ~w1 ~w01 ~w2 ~w02 =
   let h1 = rgcn_raw ~act:true ~graph ~h ~norm ~w:w1 ~w0:w01 in
   rgcn_raw ~act:false ~graph ~h:h1 ~norm ~w:w2 ~w0:w02
 
+(* Single-headed RGAT: typed z_i/z_j, additive attention with leaky ReLU,
+   edge softmax, attention-weighted sum of z_i. *)
 let rgat ~graph:(g : G.t) ~h ~w ~att =
   let in_dim = Tensor.cols h in
   let out_dim = Tensor.dim w 2 in
@@ -180,6 +183,9 @@ let hgt_head ~graph:(g : G.t) ~h ~k ~q ~v ~wa ~wm =
       done);
   of_rows out
 
+(* Single-headed HGT: K/Q/V projections by node type, bilinear
+   per-relation attention scaled by 1/√d, edge softmax, per-relation
+   messages, ReLU. *)
 let hgt ~graph ~h ~k ~q ~v ~wa ~wm =
   Tensor.relu (hgt_head ~graph ~h ~k ~q ~v ~wa ~wm)
 

@@ -8,10 +8,6 @@
 module Tensor = Hector_tensor.Tensor
 module Hetgraph = Hector_graph.Hetgraph
 
-val rgcn :
-  graph:Hetgraph.t -> h:Tensor.t -> norm:Tensor.t -> w:Tensor.t -> w0:Tensor.t -> Tensor.t
-(** [relu(h·W₀ + Σ_r Σ_{u∈N_v^r} norm_e · h_u·W_r)] per node. *)
-
 val rgcn_two_layer :
   graph:Hetgraph.t ->
   h:Tensor.t ->
@@ -24,26 +20,10 @@ val rgcn_two_layer :
 (** Two stacked layers (ReLU between, linear output) — oracle for
     {!Model_defs.rgcn_two_layer}. *)
 
-val rgat : graph:Hetgraph.t -> h:Tensor.t -> w:Tensor.t -> att:Tensor.t -> Tensor.t
-(** Single-headed RGAT: typed [z_i]/[z_j], additive attention with leaky
-    ReLU, edge softmax, attention-weighted sum of [z_i]. *)
-
 val rgat_multihead :
   graph:Hetgraph.t -> h:Tensor.t -> heads:(Tensor.t * Tensor.t) list -> Tensor.t
 (** Multi-head RGAT: one (W, att) pair per head, outputs concatenated —
     oracle for {!Model_defs.rgat_multihead}. *)
-
-val hgt :
-  graph:Hetgraph.t ->
-  h:Tensor.t ->
-  k:Tensor.t ->
-  q:Tensor.t ->
-  v:Tensor.t ->
-  wa:Tensor.t ->
-  wm:Tensor.t ->
-  Tensor.t
-(** Single-headed HGT: K/Q/V projections by node type, bilinear per-relation
-    attention scaled by 1/√d, edge softmax, per-relation messages, ReLU. *)
 
 val hgt_multihead :
   graph:Hetgraph.t ->

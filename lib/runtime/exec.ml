@@ -57,26 +57,10 @@ type t = {
   opaque : (string * opaque_fn) list;
   slab : slab option;
   mutable arenas : (Plan.t * bool * arena) list;
-  mutable cur_prov : Kernel.provenance option;
-  mutable capture : Kernel.t list ref option;
 }
 
 let create ?(opaque = []) ?slab ~engine ~ctx ~env () =
-  { engine; ctx; env; opaque; slab; arenas = []; cur_prov = None; capture = None }
-
-(* Launch a kernel under the provenance of the step being executed (set by
-   [run_step]); kernels that carry their own tag keep it.  While a fused
-   step is executing its members ([capture] set), launches are recorded
-   instead of charged — the fused step then launches one merged kernel. *)
-let launch_attr t (k : Kernel.t) =
-  let k =
-    match (k.Kernel.prov, t.cur_prov) with
-    | None, Some _ -> { k with Kernel.prov = t.cur_prov }
-    | _ -> k
-  in
-  match t.capture with
-  | Some captured -> captured := k :: !captured
-  | None -> Engine.launch t.engine k
+  { engine; ctx; env; opaque; slab; arenas = [] }
 
 let value_dim = function Scalar _ -> 1 | Vector v -> Array.length v
 
@@ -1033,12 +1017,10 @@ let traversal_kernel ~env ~ctx ~program ~layout ~classes (spec : Ts.t) =
     ~threads_per_block:256 ~flops:total.flops ~bytes_coalesced:total.coalesced
     ~bytes_gathered:total.gathered ~bytes_atomic:total.atomic ()
 
-let run_traversal t ~program ~layout (spec : Ts.t) =
-  let classes = classify t.env spec in
-  split_passes t.env classes
+let run_traversal t ~program (spec : Ts.t) =
+  split_passes t.env (classify t.env spec)
   |> schedule t.env ~locals:spec.Ts.locals spec.Ts.strategy
-  |> run_passes t ~program ~locals:spec.Ts.locals spec.Ts.strategy;
-  launch_attr t (traversal_kernel ~env:t.env ~ctx:t.ctx ~program ~layout ~classes spec)
+  |> run_passes t ~program ~locals:spec.Ts.locals spec.Ts.strategy
 
 (* ------------------------------------------------------------------ *)
 (* fallback execution                                                  *)
@@ -1075,8 +1057,7 @@ let fallback_kernels ~ctx (f : Plan.fallback) =
 
 let run_fallback t ~program (f : Plan.fallback) =
   (* compute values exactly like a traversal... *)
-  run_passes t ~program ~locals:[] f.Plan.strategy (fallback_passes t.env f);
-  List.iter (launch_attr t) (fallback_kernels ~ctx:t.ctx f)
+  run_passes t ~program ~locals:[] f.Plan.strategy (fallback_passes t.env f)
 
 (* ------------------------------------------------------------------ *)
 (* GEMM execution                                                      *)
@@ -1178,7 +1159,7 @@ let run_gemm t (spec : Gs.t) =
         (Some cm.Cm.row_of_edge, cm.Cm.etype_ptr, cm.Cm.pair_src)
     | _ -> (None, Graph_ctx.offsets t.ctx space, Graph_ctx.endpoint_ids t.ctx space side)
   in
-  (match spec.Gs.task with
+  match spec.Gs.task with
   | Gs.Node_linear { input; weight; slice; output; transpose; accumulate = acc } ->
       let x = (operand_entry t input).Env.tensor and out = (Env.find t.env output).Env.tensor in
       Tensor.segment_matmul_into ~trans_b:transpose
@@ -1214,8 +1195,7 @@ let run_gemm t (spec : Gs.t) =
   | Gs.Node_linear_dweight { input; slice; grad_output; grad_weight } ->
       Tensor.segment_matmul_into ~trans_a:true ~beta:1.0 ~offsets:(node_offsets slice)
         (operand_entry t input).Env.tensor (Env.find t.env grad_output).Env.tensor
-        (Env.weight_grad t.env grad_weight));
-  launch_attr t (gemm_kernel ~env:t.env ~ctx:t.ctx spec)
+        (Env.weight_grad t.env grad_weight)
 
 (* ------------------------------------------------------------------ *)
 (* linear-fusion weight prologues                                      *)
@@ -1245,7 +1225,7 @@ let weight_op_kernel ~env op =
 
 let run_weight_op t op =
   let mg = (Graph_ctx.graph t.ctx).G.metagraph in
-  (match op with
+  match op with
   | Lf.Mat_vec { mat; vec; half; out } ->
       let w = Env.weight t.env mat in
       let v = Env.weight t.env vec in
@@ -1281,29 +1261,34 @@ let run_weight_op t op =
         let nt = min nt (Tensor.dim l 0 - 1) in
         Tensor.matmul_into (Tensor.slice0 l nt) (Tensor.slice0 r s) (Tensor.slice0 result s)
       done;
-      Env.add_weight t.env ~name:out result);
-  launch_attr t (weight_op_kernel ~env:t.env op)
+      Env.add_weight t.env ~name:out result
 
 (* ------------------------------------------------------------------ *)
 (* buffers + plan driver                                               *)
 (* ------------------------------------------------------------------ *)
 
-let memset_kernel ~name ~rows ~dim =
-  Kernel.make
-    ~name:("memset_" ^ name)
-    ~category:Kernel.Copy
-    ~grid_blocks:(max 1 (rows * dim / 256 / 256))
-    ~bytes_coalesced:(float_of_int (rows * dim * 4))
-    ~provenance:(Kernel.provenance ~origin:"runtime.memset" name)
-    ()
+(* The zero-fill launch a [zero_init] buffer is charged on every run.
+   [inlined] lists the zero-init buffers whose whole live range sits
+   inside one fused step (Plan.inline_zeroed): their accumulator is
+   initialized inside the fused kernel, so the zero fill still happens but
+   no separate memset launch is charged. *)
+let buffer_memset ~ctx ~inlined (b : Plan.buffer) =
+  if b.Plan.zero_init && not (List.mem b.Plan.name inlined) then
+    let rows = Graph_ctx.rows_of_space ctx b.Plan.space and dim = b.Plan.dim in
+    Some
+      (Kernel.make
+         ~name:("memset_" ^ b.Plan.name)
+         ~category:Kernel.Copy
+         ~grid_blocks:(max 1 (rows * dim / 256 / 256))
+         ~bytes_coalesced:(float_of_int (rows * dim * 4))
+         ~provenance:(Kernel.provenance ~origin:"runtime.memset" b.Plan.name)
+         ())
+  else None
 
-let launch_memset t name rows dim = Engine.launch t.engine (memset_kernel ~name ~rows ~dim)
+let launch_memset t ~inlined b =
+  Option.iter (Engine.launch t.engine) (buffer_memset ~ctx:t.ctx ~inlined b)
 
-(* [inlined] lists the zero-init buffers whose whole live range sits inside
-   one fused step (Plan.inline_zeroed): their accumulator is initialized
-   inside the fused kernel, so the zero fill still happens but no separate
-   memset launch is charged. *)
-let alloc_buffer ?(inlined = []) t (b : Plan.buffer) =
+let alloc_buffer ~inlined t (b : Plan.buffer) =
   let rows = Graph_ctx.rows_of_space t.ctx b.Plan.space in
   (match Env.find_opt t.env b.Plan.name with
   | Some entry ->
@@ -1318,8 +1303,7 @@ let alloc_buffer ?(inlined = []) t (b : Plan.buffer) =
           dim = b.Plan.dim;
           alloc = Some alloc;
         });
-  if b.Plan.zero_init && not (List.mem b.Plan.name inlined) then
-    launch_memset t b.Plan.name rows b.Plan.dim
+  launch_memset t ~inlined b
 
 let free_buffer t name =
   match Env.remove t.env name with
@@ -1332,9 +1316,9 @@ let free_temp_buffers t (plan : Plan.t) =
     plan.Plan.buffers
 
 (* One kernel standing for a whole fused group: the members' work summed,
-   launched once.  Members were executed (and their launches captured)
-   already, so numerics are exactly the unfused plan's — the merge only
-   changes the launch accounting. *)
+   launched once.  Members execute one after another, so numerics are
+   exactly the unfused plan's — the merge only changes the launch
+   accounting. *)
 let merge_kernels name ks =
   let sum f = List.fold_left (fun a k -> a +. f k) 0.0 ks in
   let maxi f = List.fold_left (fun a k -> max a (f k)) 1 ks in
@@ -1353,11 +1337,10 @@ let merge_kernels name ks =
     ()
 
 (* The launch sequence a step charges per steady-state run, built without
-   executing anything: exactly the kernels [exec_step] hands to the engine
-   (a fused step's members merged into one, as [exec_step] does after
-   capture).  Requires every buffer the plan reads or writes bound in
-   [env] (dims and spaces only — tensors are never touched) and weight
-   stacks for every weight the specs reference. *)
+   executing anything — [run_step] launches exactly this list.  Requires
+   every buffer the plan reads or writes bound in [env] (dims and spaces
+   only — tensors are never touched) and weight stacks for every weight
+   the specs reference. *)
 let rec step_kernels ~env ~ctx ~(plan : Plan.t) step =
   match step with
   | Plan.Weight_op op -> [ weight_op_kernel ~env op ]
@@ -1377,25 +1360,24 @@ let rec exec_step t (plan : Plan.t) step =
   match step with
   | Plan.Weight_op op -> run_weight_op t op
   | Plan.Gemm spec -> run_gemm t spec
-  | Plan.Traversal spec -> run_traversal t ~program:plan.Plan.program ~layout:plan.Plan.layout spec
+  | Plan.Traversal spec -> run_traversal t ~program:plan.Plan.program spec
   | Plan.Fallback f -> run_fallback t ~program:plan.Plan.program f
-  | Plan.Fused f ->
-      let captured = ref [] in
-      let prev = t.capture in
-      t.capture <- Some captured;
-      Fun.protect
-        ~finally:(fun () -> t.capture <- prev)
-        (fun () -> List.iter (exec_step t plan) f.Plan.members);
-      (match List.rev !captured with
-      | [] -> ()
-      | ks -> launch_attr t (merge_kernels (Plan.step_name step) ks))
+  | Plan.Fused f -> List.iter (exec_step t plan) f.Plan.members
 
-let run_step ?(step_idx = -1) t (plan : Plan.t) step =
-  t.cur_prov <-
+(* Compute the step, then charge its [step_kernels] under the step's
+   provenance (kernels that carry their own tag keep it). *)
+let run_step ~step_idx t (plan : Plan.t) step =
+  exec_step t plan step;
+  let prov =
     Some
       (Kernel.provenance ~step:step_idx ~origin:(Plan.step_origin step)
-         ~fused:(Plan.step_constituents step) (Plan.step_op step));
-  Fun.protect ~finally:(fun () -> t.cur_prov <- None) (fun () -> exec_step t plan step)
+         ~fused:(Plan.step_constituents step) (Plan.step_op step))
+  in
+  List.iter
+    (fun (k : Kernel.t) ->
+      let k = match k.Kernel.prov with None -> { k with Kernel.prov } | Some _ -> k in
+      Engine.launch t.engine k)
+    (step_kernels ~env:t.env ~ctx:t.ctx ~plan step)
 
 (* --- plan-lifetime arena ---------------------------------------------
 
@@ -1555,7 +1537,7 @@ let warm_plan ?(free_temps = true) t (plan : Plan.t) =
    zeroed the first time they exist — which for a freed-and-recreated
    temporary is every run — unless [Buffer_plan] proved their defining
    step fully overwrites them. *)
-let bind_managed ?(inlined = []) ~shared t (m : managed) =
+let bind_managed ~inlined ~shared t (m : managed) =
   let b = m.mbuf in
   let needs_zero =
     if b.Plan.zero_init then true
@@ -1566,8 +1548,7 @@ let bind_managed ?(inlined = []) ~shared t (m : managed) =
   m.minitialized <- true;
   Env.add t.env ~name:b.Plan.name
     { Env.tensor = m.mview; space = b.Plan.space; dim = b.Plan.dim; alloc = None };
-  if b.Plan.zero_init && not (List.mem b.Plan.name inlined) then
-    launch_memset t b.Plan.name (Tensor.dim m.mview 0) b.Plan.dim
+  launch_memset t ~inlined b
 
 let run_plan ?on_step ?(free_temps = true) t (plan : Plan.t) =
   Hector_obs.time (Engine.obs t.engine) ~kind:"run" ("run_plan:" ^ plan.Plan.name) @@ fun () ->

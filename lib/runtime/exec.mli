@@ -68,13 +68,6 @@ type t = {
   opaque : (string * opaque_fn) list;
   slab : slab option;
   mutable arenas : (Hector_core.Plan.t * bool * arena) list;
-  mutable cur_prov : Hector_gpu.Kernel.provenance option;
-      (** provenance of the plan step currently executing; applied to every
-          kernel the step launches *)
-  mutable capture : Hector_gpu.Kernel.t list ref option;
-      (** while a {!Hector_core.Plan.step.Fused} group executes its members,
-          their launches are recorded here instead of charged; the group
-          then launches one merged kernel carrying the summed work *)
 }
 
 val create :
@@ -148,23 +141,27 @@ val node_grain : int
 
 (** {1 Launch-descriptor builders}
 
-    The analytic cost side of execution, exposed so {!Plan_cost} can price
-    a compiled plan {e without running it}.  Each builder returns exactly
-    the {!Hector_gpu.Kernel.t} the corresponding [run_plan] step hands to
-    the engine; only the [dim] and [space] fields of environment entries
-    (and weight-stack shapes) are consulted — tensor contents never are, so
-    a dummy environment carrying the right shapes prices identically to a
-    live one. *)
+    The analytic cost side of execution, shared with {!Plan_cost} so it can
+    price a compiled plan {e without running it}.  [run_plan] charges the
+    engine through these builders and nothing else, so the estimator and
+    the engine see one launch sequence by construction.  Only the [dim]
+    and [space] fields of environment entries (and weight-stack shapes)
+    are consulted — tensor contents never are, so a dummy environment
+    carrying the right shapes prices identically to a live one. *)
 
 val step_kernels :
   env:Env.t -> ctx:Graph_ctx.t -> plan:Hector_core.Plan.t -> Hector_core.Plan.step -> Hector_gpu.Kernel.t list
-(** The launch sequence one step charges per steady-state run: one kernel
-    per weight-op / GEMM / traversal step, one per expression node for
-    fallbacks, and one merged kernel for a fused group (members summed, as
-    {!run_plan} merges captured launches).  [env] must bind every buffer
-    and weight stack the step references, with correct dims/spaces. *)
+(** The launch sequence one step charges per run: one kernel per
+    weight-op / GEMM / traversal step, one per expression node for
+    fallbacks, and one merged kernel for a fused group (members' work
+    summed).  [run_plan] computes the step, then launches exactly this
+    list under the step's provenance.  [env] must bind every buffer and
+    weight stack the step references, with correct dims/spaces. *)
 
-val memset_kernel : name:string -> rows:int -> dim:int -> Hector_gpu.Kernel.t
-(** The zero-fill launch charged for a [zero_init] plan buffer on every
-    run (buffers in {!Hector_core.Plan.inline_zeroed} skip it). *)
+val buffer_memset :
+  ctx:Graph_ctx.t -> inlined:string list -> Hector_core.Plan.buffer -> Hector_gpu.Kernel.t option
+(** The zero-fill launch [run_plan] charges for a plan buffer on every run:
+    one for a [zero_init] buffer not in [inlined] (the plan's
+    {!Hector_core.Plan.inline_zeroed}, whose fused kernel initializes the
+    accumulator itself), none otherwise. *)
 

@@ -89,22 +89,12 @@ let shape_env t (compiled : Compiler.compiled) =
   | _ -> ());
   env
 
-(* Steady-state launches of one [Exec.run_plan]: a memset per zero-init
-   buffer outside {!Plan.inline_zeroed}, then each step's kernels. *)
+(* The launches of one [Exec.run_plan]: the buffers' memsets (which the
+   executor charges as each buffer is bound), then each step's kernels. *)
 let plan_kernels t ~env (plan : Plan.t) =
   let inlined = Plan.inline_zeroed plan in
-  let memsets =
-    List.filter_map
-      (fun (b : Plan.buffer) ->
-        if b.Plan.zero_init && not (List.mem b.Plan.name inlined) then
-          Some
-            (Exec.memset_kernel ~name:b.Plan.name
-               ~rows:(Graph_ctx.rows_of_space t.ctx b.Plan.space)
-               ~dim:b.Plan.dim)
-        else None)
-      plan.Plan.buffers
-  in
-  memsets @ List.concat_map (Exec.step_kernels ~env ~ctx:t.ctx ~plan) plan.Plan.steps
+  List.filter_map (Exec.buffer_memset ~ctx:t.ctx ~inlined) plan.Plan.buffers
+  @ List.concat_map (Exec.step_kernels ~env ~ctx:t.ctx ~plan) plan.Plan.steps
 
 (* Weight names whose gradient stacks the backward plan materializes. *)
 let direct_grad_weights (bwd : Plan.t) =
@@ -167,5 +157,3 @@ let estimate_ms t compiled =
   List.fold_left
     (fun acc k -> acc +. Engine.predict_ms ~scale:t.scale t.device k)
     0.0 (kernels t compiled)
-
-let launches t compiled = List.length (kernels t compiled)

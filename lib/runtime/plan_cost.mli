@@ -31,6 +31,3 @@ val kernels : t -> Hector_core.Compiler.compiled -> Hector_gpu.Kernel.t list
 val estimate_ms : t -> Hector_core.Compiler.compiled -> float
 (** Sum of {!Hector_gpu.Engine.predict_ms} over {!kernels} — the predicted
     steady-state sim-ms per epoch. *)
-
-val launches : t -> Hector_core.Compiler.compiled -> int
-(** Predicted kernel launches per epoch ([List.length] of {!kernels}). *)

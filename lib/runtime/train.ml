@@ -51,6 +51,9 @@ let sgd_kernel ~name w =
 
 (* --- loss ------------------------------------------------------------ *)
 
+(* The one NLL kernel: adds [-log softmax(out_i)[label_i] · inv_n] per row
+   to the returned loss and writes its gradient into row [i] of [grad].
+   Rows [owned] marks [false] get a zero gradient and no loss. *)
 let nll_into ~engine ~origin ?owned ?label_rows ~inv_n ~out ~labels ~grad () =
   let rows = Tensor.rows out and c = Tensor.cols out in
   let nlabels = Array.length (Option.value label_rows ~default:labels) in

@@ -10,19 +10,10 @@
 
 module Tensor = Hector_tensor.Tensor
 
-val nll_into :
-  engine:Hector_gpu.Engine.t -> origin:string -> ?owned:bool array -> ?label_rows:int array ->
-  inv_n:float -> out:Tensor.t -> labels:int array -> grad:Tensor.t -> unit -> float
-(** The one NLL kernel: adds [-log softmax(out_i)[label_i] · inv_n] per
-    row to the returned loss and writes its gradient into row [i] of
-    [grad].  [label_i] is [labels.(i)], or [labels.(label_rows.(i))].
-    Rows [owned] marks [false] get a zero gradient and no loss.  Charges
-    {!loss_kernels} over the rows counted, with provenance [origin]. *)
-
 val nll_loss :
   engine:Hector_gpu.Engine.t -> out:Tensor.t -> labels:int array -> float * Tensor.t
-(** Mean NLL of row-wise softmax([out]) and a fresh d(loss)/d(out):
-    {!nll_into} with [inv_n = 1/rows], provenance ["train"]. *)
+(** Mean NLL of row-wise softmax([out]) and a fresh d(loss)/d(out),
+    charging {!loss_kernels} with provenance ["train"]. *)
 
 val loss_and_grads :
   ?origin:string ->
@@ -36,16 +27,20 @@ val loss_and_grads :
   float
 (** The training-step body {!Session}, {!Minibatch} and each
     [Hector_dist.Replica] replica share: forward keeping temporaries,
-    {!nll_into} over the first output into the backward seed gradient,
+    the NLL loss of the first output into the backward seed gradient,
     backward, {!backprop_weight_ops}, then the forward temporaries freed;
     returns the loss and leaves the gradients for an optimizer.  The seed
     is the one bound in [exec]'s environment, else a device-charged tensor
-    bound here for later steps.  [origin] (default ["train"]), [owned],
-    [label_rows] and [inv_n] (default [1/rows]) go to {!nll_into};
-    [on_step] to the backward {!Exec.run_plan}. *)
+    bound here for later steps.  Each row adds
+    [-log softmax(out_i)\[label_i\] · inv_n] to the loss, where [label_i]
+    is [labels.(i)], or [labels.(label_rows.(i))]; rows [owned] marks
+    [false] get a zero gradient and no loss.  [inv_n] defaults to
+    [1/rows]; {!loss_kernels} are charged over the rows counted with
+    provenance [origin] (default ["train"]).  [on_step] goes to the
+    backward {!Exec.run_plan}. *)
 
 val loss_kernels : origin:string -> rows:int -> cols:int -> Hector_gpu.Kernel.t list
-(** The [log_softmax] and [nll_grad] launches of {!nll_into}. *)
+(** The [log_softmax] and [nll_grad] launches of the NLL loss. *)
 
 val bmm_backward_kernel : env:Env.t -> Hector_core.Linear_fusion.weight_op -> Hector_gpu.Kernel.t
 (** The launch {!backprop_weight_ops} makes for one weight op. *)

@@ -29,10 +29,6 @@ type signature = {
 val signature : Hector_graph.Hetgraph.t -> signature
 (** Deterministic, relabel-invariant summary of a graph. *)
 
-val bucketize : signature -> int array * int array * int
-(** The key the database actually matches on: half-log2 buckets of every
-    count and a quarter-log2 bucket of the mean degree. *)
-
 type entry = {
   model : string;  (** {!Hector_core.Inter_ir.fingerprint} of the program *)
   model_name : string;  (** display name ("rgat", ...) *)

@@ -30,12 +30,6 @@ let get t ~model ~graph ~options program =
       Hashtbl.replace t.entries { model; graph; options } compiled;
       compiled
 
-let autotune ?device ~graph program =
-  (* full space: the tuned serving configuration must cover the schedule
-     knobs, not just the four layouts *)
-  let result = Autotune.search ?device ~training:false ~schedules:true ~graph program in
-  { result.Autotune.best.Autotune.options with Compiler.training = false }
-
 let tuned_options ?device ?db ?(model_name = "model") ?(allow_search = true) ~graph
     program =
   let device_name = (Option.value device ~default:Device.rtx3090).Device.name in
@@ -58,4 +52,3 @@ let tuned_options ?device ?db ?(model_name = "model") ?(allow_search = true) ~gr
 
 let hits t = t.hits
 let misses t = t.misses
-let size t = Hashtbl.length t.entries

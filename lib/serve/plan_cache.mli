@@ -26,15 +26,6 @@ val get :
     options differ per graph; the program itself is trusted to match
     [model]. *)
 
-val autotune :
-  ?device:Hector_gpu.Device.t ->
-  graph:Hector_graph.Hetgraph.t ->
-  Hector_core.Inter_ir.program ->
-  Hector_core.Compiler.options
-(** Pick compiler options for a model/graph pair with a deterministic
-    full {!Hector_runtime.Autotune} search (inference, schedule knobs
-    included) — the optional warmup step of a serving replica. *)
-
 val tuned_options :
   ?device:Hector_gpu.Device.t ->
   ?db:Hector_runtime.Tuning_db.t ->
@@ -54,6 +45,3 @@ val hits : t -> int
 
 val misses : t -> int
 (** Compilations performed (every miss compiles). *)
-
-val size : t -> int
-(** Distinct cached keys. *)

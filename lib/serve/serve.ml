@@ -503,11 +503,8 @@ let rejected t = t.rejected
 let batch_failures t = t.batch_failures
 let fault_shed t = t.fault_shed
 let faults t = t.faults
-let graph t = t.graph
 let slab t = Block.slab t.block
 let slab_epoch t = Exec.slab_epoch (Block.slab t.block)
-let node_capacity t = t.node_capacity
-let edge_capacity t = t.edge_capacity
 let batches t = t.batches
 let warm_alloc_count t = t.warm_alloc_count
 let max_batch t = t.max_batch

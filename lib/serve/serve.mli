@@ -121,7 +121,7 @@ val update_graph :
   (unit, string) result
 (** Swap the served graph for a newer snapshot of the same logical graph —
     the in-slack path of {!Hector_stream}.  Within the warm capacity
-    ({!node_capacity}/{!edge_capacity}, the warmup graph's sizes) this
+    (the warmup graph's node and edge counts) this
     performs {e zero} compiles and {e zero} allocations: the cached plan,
     slab backings and staging tensors all survive; [features] (which must
     be [num_nodes × feature_dim]) is copied into the existing parent
@@ -206,10 +206,6 @@ val faults : t -> Hector_ckpt.Fault.t option
 (** The replica's fault plan, if any — its event trace witnesses every
     failure, retry and shed decision. *)
 
-val graph : t -> Hector_graph.Hetgraph.t
-(** The snapshot currently served (the latest {!update_graph}, or the
-    creation graph). *)
-
 val slab : t -> Hector_runtime.Exec.slab
 (** The replica's arena slab, primed at warmup; every per-block executor
     binds prefix views of its backings. *)
@@ -217,12 +213,6 @@ val slab : t -> Hector_runtime.Exec.slab
 val slab_epoch : t -> int
 (** The capacity epoch the replica's slab backings are pinned to
     ([config.epoch]). *)
-
-val node_capacity : t -> int
-(** Warm node capacity: the warmup graph's node count, the bound
-    {!update_graph} enforces. *)
-
-val edge_capacity : t -> int
 
 val model_weights : t -> (string * Tensor.t) list
 (** The replica's weights (generated or from [config.weights]) — what a

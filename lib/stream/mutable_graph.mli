@@ -79,9 +79,6 @@ type counters = {
 val default_slack : float
 (** [0.5] — 50% headroom per type. *)
 
-val default_compact : float
-(** [0.25] — compact a segment once a quarter of its slots are dead. *)
-
 val create :
   ?name:string -> ?slack:float -> ?compact:float ->
   graph:Hetgraph.t -> features:Tensor.t -> unit -> t
@@ -140,14 +137,7 @@ val live_edges : t -> int
 
 val counters : t -> counters
 
-val name : t -> string
-
 val feat_dim : t -> int
-
-val metagraph : t -> Metagraph.t
-
-val stable_of_node : t -> int -> int
-(** [stable_of_node t phys] — current snapshot's physical -> stable. *)
 
 val node_of_stable : t -> int -> int option
 (** Stable -> current physical id, [None] if dead. *)

@@ -225,7 +225,6 @@ let fault_shed t = t.retired_fault_shed + Serve.fault_shed t.live
 let rewarms t = t.c_rewarms
 let update_ms t = t.c_update_ms
 let replica t = t.live
-let obs t = t.sobs
 
 let metrics_json t =
   let module M = Hector_obs.Metrics in

@@ -103,17 +103,6 @@ val rejected : t -> int
 val replica : t -> Serve.t
 (** The live replica (retired ones are gone). *)
 
-val batch_failures : t -> int
-(** Fault-injected micro-batch failures aggregated across every replica
-    the subsystem has owned (see {!Serve.batch_failures}). *)
-
-val fault_shed : t -> int
-(** Requests shed after a failed retry, aggregated like
-    {!batch_failures} — a subset of {!shed}, so degradation under faults
-    stays fully accounted across re-warms. *)
-
-val obs : t -> Hector_obs.t
-
 val checkpoint : t -> Hector_ckpt.Checkpoint.t
 (** The subsystem's restorable state as a checkpoint: the pinned weight
     set plus the mutable graph's capacity epoch and delta version — what

@@ -28,10 +28,6 @@ let count_copied bytes = if bytes > 0 then ignore (Atomic.fetch_and_add copy_cou
 let allocation_count () = Atomic.get alloc_counter
 let copied_bytes () = Atomic.get copy_counter
 
-let reset_counters () =
-  Atomic.set alloc_counter 0;
-  Atomic.set copy_counter 0
-
 let create shape =
   check_shape shape;
   count_alloc ();
@@ -90,10 +86,6 @@ let set2 t i j v = t.data.(t.offset + (i * t.shape.(1)) + j) <- v
 
 let storage t = (t.data, t.offset)
 
-let item t =
-  if numel t <> 1 then shape_error "item: tensor has %d elements" (numel t);
-  t.data.(t.offset)
-
 let init shape f =
   check_shape shape;
   let t = create shape in
@@ -117,8 +109,6 @@ let init shape f =
     done
   done;
   t
-
-let scalar v = full [||] v
 
 let of_array shape data =
   check_shape shape;
@@ -274,7 +264,7 @@ let relu t = map (fun x -> if x > 0.0 then x else 0.0) t
    logical row of A and the logical [kn × n] matrix B, where
      a_k    = adata.(abase + r_k * astride), r_k = arows.(aoff + k) if
               [arows] is non-empty (a gathered column,
-              {!matmul_gather_t_into}) else k;
+              {!segment_gather_t_into}) else k;
      b(k,j) = bdata.(bbase + k * bks + j * bjs).
    Output columns are register-blocked eight at a time: a block's eight
    sums live in local float refs, which ocamlopt keeps unboxed, across the
@@ -663,15 +653,6 @@ let matmul_gather_into ?(trans_b = false) ?(beta = 0.0) a ~idx b c =
   rows_product "matmul_gather_into" ~beta ~gather:true ~idx ~rep:[||] ~scale:None
     ~offsets:[| 0; Array.length idx |] ~trans_b a (as_stack "matmul_gather_into" b) c
 
-let matmul_scatter_add_into ?(trans_b = false) a b ~idx c =
-  if ndim a <> 2 then shape_error "matmul_scatter_add_into: operands must be 2-D";
-  scatter_product "matmul_scatter_add_into" ~offsets:[| 0; a.shape.(0) |] ~trans_b a
-    (as_stack "matmul_scatter_add_into" b) ~idx c
-
-let matmul_gather_t_into ?(beta = 0.0) a ~idx b c =
-  slices_product "matmul_gather_t_into" ~beta ~gather:true ~idx ~offsets:[| 0; Array.length idx |]
-    ~trans_b:false a b (as_stack "matmul_gather_t_into" c)
-
 (* --- Batched matrix-vector products (linear-fusion prologues) ---------
    Flat-buffer loops for the same reason as [gemm_row]: a cross-module
    [get2] per element costs a call under [-opaque]. *)
@@ -762,51 +743,6 @@ let mean t =
   if n = 0 then shape_error "mean: empty tensor";
   sum t /. float_of_int n
 
-let max_value t =
-  if numel t = 0 then shape_error "max_value: empty tensor";
-  let acc = ref t.data.(t.offset) in
-  for i = 1 to numel t - 1 do
-    if t.data.(t.offset + i) > !acc then acc := t.data.(t.offset + i)
-  done;
-  !acc
-
-let sum_rows m =
-  let r = rows m and c = cols m in
-  (* column-wise reduction: per-chunk column accumulators merged in chunk
-     order, so the result is deterministic under any scheduling *)
-  let acc =
-    Domain_pool.parallel_for_reduce ~grain:(row_grain c) r
-      ~init:(fun () -> Array.make c 0.0)
-      ~body:(fun acc lo hi ->
-        for i = lo to hi - 1 do
-          let base = m.offset + (i * c) in
-          for j = 0 to c - 1 do
-            acc.(j) <- acc.(j) +. m.data.(base + j)
-          done
-        done;
-        acc)
-      ~merge:(fun a b ->
-        for j = 0 to c - 1 do
-          a.(j) <- a.(j) +. b.(j)
-        done;
-        a)
-  in
-  { shape = [| c |]; offset = 0; data = acc }
-
-let sum_cols m =
-  let r = rows m and c = cols m in
-  let out = create [| r |] in
-  Domain_pool.parallel_for ~grain:(row_grain c) r (fun lo hi ->
-      for i = lo to hi - 1 do
-        let base = m.offset + (i * c) in
-        let acc = ref 0.0 in
-        for j = 0 to c - 1 do
-          acc := !acc +. m.data.(base + j)
-        done;
-        out.data.(i) <- !acc
-      done);
-  out
-
 let argmax_rows m =
   let r = rows m and c = cols m in
   if c = 0 then shape_error "argmax_rows: zero columns";
@@ -832,18 +768,6 @@ let gather_rows m idx =
       done);
   out
 
-let scatter_rows_set ~into idx src =
-  let c = cols into in
-  if cols src <> c then shape_error "scatter_rows_set: column mismatch";
-  if rows src <> Array.length idx then shape_error "scatter_rows_set: row/index mismatch";
-  count_copied (Array.length idx * c * 8);
-  Array.iteri
-    (fun i dst_row ->
-      if dst_row < 0 || dst_row >= rows into then
-        shape_error "scatter_rows_set: row %d out of %d" dst_row (rows into);
-      Array.blit src.data (src.offset + (i * c)) into.data (into.offset + (dst_row * c)) c)
-    idx
-
 let scatter_rows_add ~into idx src = add_rows "scatter_rows_add" ~zero:false ~into idx src
 
 let concat_cols a b =
@@ -857,17 +781,6 @@ let concat_cols a b =
     Array.blit b.data (b.offset + (i * cb)) out.data ((i * (ca + cb)) + ca) cb
   done;
   out
-
-let split_cols m k =
-  let r = rows m and c = cols m in
-  if k < 0 || k > c then shape_error "split_cols: %d out of %d columns" k c;
-  count_copied (r * c * 8);
-  let a = create_uninit [| r; k |] and b = create_uninit [| r; c - k |] in
-  for i = 0 to r - 1 do
-    Array.blit m.data (m.offset + (i * c)) a.data (i * k) k;
-    Array.blit m.data (m.offset + (i * c) + k) b.data (i * (c - k)) (c - k)
-  done;
-  (a, b)
 
 let max_abs_diff a b =
   if not (same_shape a b) then shape_error "max_abs_diff: shape mismatch";

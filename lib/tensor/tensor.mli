@@ -41,9 +41,6 @@ val full : int array -> float -> t
 val init : int array -> (int array -> float) -> t
 (** [init shape f] fills position [idx] with [f idx]. *)
 
-val scalar : float -> t
-(** Rank-0 tensor holding one number. *)
-
 val of_array : int array -> float array -> t
 (** [of_array shape data] wraps a copy of [data]; [Array.length data] must
     equal the number of elements implied by [shape]. *)
@@ -95,9 +92,6 @@ val get2 : t -> int -> int -> float
 
 val set2 : t -> int -> int -> float -> unit
 (** Fast 2-D write. *)
-
-val item : t -> float
-(** The single element of a one-element tensor. *)
 
 val to_flat_array : t -> float array
 (** Copy out the elements in row-major order. *)
@@ -232,19 +226,6 @@ val matmul_gather_into : ?trans_b:bool -> ?beta:float -> t -> idx:int array -> t
     physical row [idx.(i)]) — equivalent to
     [matmul_into (gather_rows a idx) b c] without the intermediate. *)
 
-val matmul_scatter_add_into : ?trans_b:bool -> t -> t -> idx:int array -> t -> unit
-(** [matmul_scatter_add_into a b ~idx c] accumulates row [i] of the product
-    [a*b] into row [idx.(i)] of [c] — equivalent to
-    [scatter_rows_add ~into:c idx (matmul a b)] without the intermediate.
-    Parallelism is destination-partitioned over the domain pool (like
-    {!scatter_rows_add}), so duplicate destinations accumulate in their
-    sequential order and no atomics are needed. *)
-
-val matmul_gather_t_into : ?beta:float -> t -> idx:int array -> t -> t -> unit
-(** [matmul_gather_t_into a ~idx b c] computes
-    [c := a\[idx\]ᵀ * b + beta*c] — the transpose access scheme composed
-    with the gather, used for weight gradients ([dW += X\[src\]ᵀ * dY]). *)
-
 (** {2 Segmented GEMM: one call per typed-linear step}
 
     The segmented forms run every relation of a GEMM step in one call and
@@ -253,10 +234,10 @@ val matmul_gather_t_into : ?beta:float -> t -> idx:int array -> t -> t -> unit
     [\[offsets.(s), offsets.(s+1))] is segment [s] (possibly empty); a
     [\[|S; k; n|\]] stack supplies slice [s] to segment [s], and its
     first dimension must equal the segment count [S].  Every output
-    element is the one the one-relation form above would compute on that
-    segment with that slice, bit for bit; the one-relation forms are the
-    case [S = 1].  Malformed offsets raise {!Shape_error} before any
-    element is written. *)
+    element is the one a one-relation GEMM would compute on that segment
+    with that slice, bit for bit; {!matmul_into} and {!matmul_gather_into}
+    are the case [S = 1].  Malformed offsets raise {!Shape_error} before
+    any element is written. *)
 
 val segment_matmul_into :
   ?trans_a:bool -> ?trans_b:bool -> ?beta:float -> offsets:int array -> t -> t -> t -> unit
@@ -294,8 +275,11 @@ val segment_gather_into :
 val segment_scatter_add_into :
   ?trans_b:bool -> ?pairs:int array -> offsets:int array -> t -> t -> idx:int array -> t -> unit
 (** [segment_scatter_add_into ~offsets a w ~idx c] accumulates row [i] of
-    [a * w\[s\]] into row [idx.(i)] of [c], segments in order,
-    destination-partitioned like {!matmul_scatter_add_into}.  With
+    [a * w\[s\]] into row [idx.(i)] of [c], segments in order — equivalent
+    to [scatter_rows_add ~into:c idx] of the product without the
+    intermediate.  Parallelism is destination-partitioned over the domain
+    pool (like {!scatter_rows_add}), so duplicate destinations accumulate
+    in their sequential order and no atomics are needed.  With
     [pairs], [a] is first pair-summed (below) and [offsets] and [idx]
     index the pair rows. *)
 
@@ -358,15 +342,6 @@ val sum : t -> float
 val mean : t -> float
 (** Mean of all elements. *)
 
-val max_value : t -> float
-(** Maximum element (raises {!Shape_error} on empty tensors). *)
-
-val sum_rows : t -> t
-(** Column-wise sum of a matrix: [\[|r; c|\]] → [\[|c|\]]. *)
-
-val sum_cols : t -> t
-(** Row-wise sum of a matrix: [\[|r; c|\]] → [\[|r|\]]. *)
-
 val argmax_rows : t -> int array
 (** Per-row argmax of a matrix — used for predictions. *)
 
@@ -375,10 +350,6 @@ val argmax_rows : t -> int array
 val gather_rows : t -> int array -> t
 (** [gather_rows m idx] is the matrix whose [i]-th row is row [idx.(i)] of
     [m] — step ① of Figure 4. *)
-
-val scatter_rows_set : into:t -> int array -> t -> unit
-(** [scatter_rows_set ~into idx src] writes row [i] of [src] to row
-    [idx.(i)] of [into] — step ③ of Figure 4, non-accumulating. *)
 
 val scatter_rows_add : into:t -> int array -> t -> unit
 (** [scatter_rows_add ~into idx src] adds row [i] of [src] into row
@@ -391,26 +362,20 @@ val concat_cols : t -> t -> t
 (** [concat_cols a b] concatenates two matrices with equal row counts along
     the feature dimension — the [\[s;t\]] of Figure 2. *)
 
-val split_cols : t -> int -> t * t
-(** [split_cols m k] splits a matrix into its first [k] and remaining
-    columns (inverse of {!concat_cols}). *)
-
 (** {1 Instrumentation}
 
     Cheap global counters behind the bench's allocation / bytes-copied
     columns.  They are bumped once per operation (never inside per-element
-    loops) and are atomics, so parallel kernels report correctly. *)
+    loops) and are atomics, so parallel kernels report correctly.  They
+    only grow: callers measure the difference across a region. *)
 
 val allocation_count : unit -> int
-(** Fresh tensor buffers allocated since the last {!reset_counters}. *)
+(** Fresh tensor buffers allocated since program start. *)
 
 val copied_bytes : unit -> int
-(** Bytes moved by bulk row-copy operations (gather, scatter-set, concat,
-    split) since the last {!reset_counters} — the materialization traffic
-    the fused access-scheme kernels exist to eliminate. *)
-
-val reset_counters : unit -> unit
-(** Zero both counters. *)
+(** Bytes moved by bulk row-copy operations (gather, concat) since
+    program start — the materialization traffic the fused access-scheme
+    kernels exist to eliminate. *)
 
 (** {1 Comparison and printing} *)
 

@@ -13,6 +13,13 @@ module Autotune = Hector_runtime.Autotune
 module Tuning_db = Hector_runtime.Tuning_db
 module Workload = Hector_serve.Workload
 module Serve = Hector_serve.Serve
+module Session = Hector_runtime.Session
+module Plan_cost = Hector_runtime.Plan_cost
+module Engine = Hector_gpu.Engine
+module Kernel = Hector_gpu.Kernel
+module Stats = Hector_gpu.Stats
+module Rng = Hector_tensor.Rng
+module Datasets = Hector_graph.Datasets
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -89,6 +96,132 @@ let test_estimator_exact_fixed_layouts () =
           true
           (Float.abs (c.Autotune.estimated_ms -. c.Autotune.time_ms) <= 1e-9))
     r.Autotune.all
+
+(* --- per-launch parity ---------------------------------------------- *)
+
+(* The estimator's kernel list against the launches a steady-state epoch
+   hands the engine, one by one: name, category and simulated time per
+   launch, and per kernel name the launch count, flops and bytes the
+   engine's statistics recorded.  Two orders differ by design: memsets are
+   charged as each buffer is bound, not up front, so they are compared as
+   a sorted list; and a training step charges the NLL loss between the
+   forward and backward plans, where the estimator lists it after the
+   backward, so the loss launches are compared on their own. *)
+let is_memset name = String.starts_with ~prefix:"memset_" name
+
+let is_loss (prov : Kernel.provenance option) =
+  match prov with Some p -> p.Kernel.op = "loss" | None -> false
+
+(* What the engine records for [k]: its work at the graph's cost scale. *)
+let scaled ~scale (k : Kernel.t) =
+  if (not k.Kernel.graph_proportional) || scale = 1.0 then k
+  else
+    {
+      k with
+      Kernel.flops = k.Kernel.flops *. scale;
+      bytes_coalesced = k.Kernel.bytes_coalesced *. scale;
+      bytes_gathered = k.Kernel.bytes_gathered *. scale;
+      bytes_atomic = k.Kernel.bytes_atomic *. scale;
+    }
+
+let check_launch_parity ~label ~graph compiled =
+  let device = Session.Config.default.Session.Config.device in
+  let session =
+    Session.create ~config:{ Session.Config.default with trace = true } ~graph compiled
+  in
+  let epoch =
+    if compiled.Compiler.options.Compiler.training then (
+      let rng = Rng.create 3 in
+      let classes = Session.output_dim session in
+      let labels = Array.init graph.G.num_nodes (fun _ -> Rng.int rng classes) in
+      fun () -> ignore (Session.train_step session ~labels ()))
+    else fun () -> ignore (Session.forward session)
+  in
+  epoch ();
+  Session.reset_clock session;
+  epoch ();
+  let engine = Session.engine session in
+  let scale = graph.G.scale in
+  let executed =
+    List.map
+      (fun (e : Engine.event) ->
+        (e.Engine.name, e.Engine.category, e.Engine.duration_ms, e.Engine.prov))
+      (Engine.events engine)
+  in
+  let kernels = Plan_cost.kernels (Plan_cost.create ~device ~graph ()) compiled in
+  let expected =
+    List.map
+      (fun (k : Kernel.t) ->
+        (k.Kernel.name, k.Kernel.category, Engine.predict_ms ~scale device k, k.Kernel.prov))
+      kernels
+  in
+  let part keep l = List.filter (fun (name, _, _, prov) -> keep name prov) l in
+  let compare_seq what got want =
+    check_int (Printf.sprintf "%s: %s launches" label what) (List.length want) (List.length got);
+    List.iteri
+      (fun i ((gn, gc, gms, _), (wn, wc, wms, _)) ->
+        if gn <> wn || gc <> wc || Int64.bits_of_float gms <> Int64.bits_of_float wms then
+          Alcotest.failf "%s: %s launch %d is %s (%s, %h ms), estimator has %s (%s, %h ms)" label
+            what i gn (Kernel.category_name gc) gms wn (Kernel.category_name wc) wms)
+      (List.combine got want)
+  in
+  let steps name prov = (not (is_memset name)) && not (is_loss prov) in
+  compare_seq "step" (part steps executed) (part steps expected);
+  compare_seq "loss" (part (fun _ p -> is_loss p) executed) (part (fun _ p -> is_loss p) expected);
+  let memsets l =
+    part (fun n _ -> is_memset n) l
+    |> List.map (fun (n, c, ms, _) -> (n, c, ms, None))
+    |> List.sort compare
+  in
+  compare_seq "memset" (memsets executed) (memsets expected);
+  (* per kernel name: what the engine's statistics hold vs the estimator's
+     kernels at the same scale *)
+  let want = Hashtbl.create 64 in
+  List.iter
+    (fun k ->
+      let k = scaled ~scale k in
+      let n, f, b = Option.value (Hashtbl.find_opt want k.Kernel.name) ~default:(0, 0.0, 0.0) in
+      Hashtbl.replace want k.Kernel.name (n + 1, f +. k.Kernel.flops, b +. Kernel.total_bytes k))
+    kernels;
+  let got = Stats.by_kernel (Engine.stats engine) in
+  check_int (label ^ ": kernel names") (Hashtbl.length want) (List.length got);
+  List.iter
+    (fun (name, (e : Stats.entry)) ->
+      match Hashtbl.find_opt want name with
+      | None -> Alcotest.failf "%s: %s launched but not estimated" label name
+      | Some (n, f, b) ->
+          if n <> e.Stats.launches || f <> e.Stats.flops || b <> e.Stats.bytes then
+            Alcotest.failf "%s: %s is %d launches, %h flops, %h bytes; estimator %d, %h, %h" label
+              name e.Stats.launches e.Stats.flops e.Stats.bytes n f b)
+    got
+
+let test_launch_parity () =
+  List.iter
+    (fun dataset ->
+      let graph = Datasets.load ~max_nodes:500 ~max_edges:1500 (Datasets.find dataset) in
+      Array.iter
+        (fun model ->
+          List.iter
+            (fun (compact, fusion) ->
+              List.iter
+                (fun fuse_ops ->
+                  List.iter
+                    (fun training ->
+                      let options =
+                        Compiler.options_of_flags ~training ~fuse_ops ~compact ~fusion ()
+                      in
+                      let compiled =
+                        Compiler.compile ~options
+                          (Hector_models.Model_defs.by_name model ~in_dim:8 ~out_dim:4 ())
+                      in
+                      check_launch_parity
+                        ~label:(Printf.sprintf "%s %s %s" dataset model (options_id options))
+                        ~graph compiled)
+                    [ false; true ])
+                [ true; false ])
+            [ (false, false); (true, false); (false, true); (true, true) ])
+        model_names)
+    [ "am"; "fb15k" ]
 
 (* --- graph signatures ---------------------------------------------- *)
 
@@ -363,6 +496,8 @@ let suite =
   [
     QCheck_alcotest.to_alcotest ~long:true prop_best_in_topk;
     Alcotest.test_case "estimator exact on fixed layouts" `Quick test_estimator_exact_fixed_layouts;
+    Alcotest.test_case "estimated kernels == executed launches, one by one" `Quick
+      test_launch_parity;
     QCheck_alcotest.to_alcotest prop_signature_stable;
     Alcotest.test_case "tuning DB round-trip" `Quick test_db_roundtrip;
     Alcotest.test_case "tuning DB in the old layout loads" `Quick test_db_old_layout;

@@ -111,7 +111,7 @@ let test_scatter_gemm () =
       (fun d ->
         with_domains d (fun () ->
             let c = T.copy base and cs = T.copy base in
-            T.matmul_scatter_add_into ~trans_b a b ~idx c;
+            T.segment_scatter_add_into ~trans_b ~offsets:[| 0; m |] a (stack_of b 1) ~idx c;
             T.segment_scatter_add_into ~trans_b ~offsets a (stack_of b (segments offsets)) ~idx cs;
             check_bool
               (Printf.sprintf "scatter case %d (%d domains)" case d)
@@ -147,13 +147,13 @@ let test_gather_t_gemm () =
     List.iter
       (fun d ->
         with_domains d (fun () ->
-            let c = T.copy base and cs = stack_of base s in
-            T.matmul_gather_t_into ~beta:1.0 a ~idx b c;
+            let c = stack_of base 1 and cs = stack_of base s in
+            T.segment_gather_t_into ~beta:1.0 ~offsets:[| 0; m |] a ~idx b c;
             T.segment_gather_t_into ~beta:1.0 ~offsets a ~idx b cs;
             check_bool
               (Printf.sprintf "gather_t case %d (%d domains)" case d)
               true
-              (T.max_abs_diff expected c = 0.0 && T.max_abs_diff expected_s cs = 0.0)))
+              (T.max_abs_diff expected (T.slice0 c 0) = 0.0 && T.max_abs_diff expected_s cs = 0.0)))
       [ 1; 2; 4 ]
   done
 
@@ -161,14 +161,15 @@ let test_bad_indices_raise () =
   let a = T.zeros [| 4; 3 |] and b = T.zeros [| 3; 2 |] in
   let c = T.zeros [| 2; 2 |] in
   let raises f = match f () with exception T.Shape_error _ -> true | _ -> false in
+  let scatter a ~idx = T.segment_scatter_add_into ~offsets:[| 0; 2 |] a (stack_of b 1) ~idx c in
   check_bool "gather idx out of range" true
     (raises (fun () -> T.matmul_gather_into a ~idx:[| 0; 4 |] b c));
   check_bool "scatter idx out of range" true
-    (raises (fun () -> T.matmul_scatter_add_into (T.zeros [| 2; 3 |]) b ~idx:[| 0; 2 |] c));
+    (raises (fun () -> scatter (T.zeros [| 2; 3 |]) ~idx:[| 0; 2 |]));
   check_bool "gather idx negative" true
     (raises (fun () -> T.matmul_gather_into a ~idx:[| -1; 0 |] b c));
   check_bool "scatter idx count mismatch" true
-    (raises (fun () -> T.matmul_scatter_add_into (T.zeros [| 2; 3 |]) b ~idx:[| 0 |] c));
+    (raises (fun () -> scatter (T.zeros [| 2; 3 |]) ~idx:[| 0 |]));
   let w2 = T.zeros [| 2; 3; 2 |] in
   let gather ?rep offsets idx = T.segment_gather_into ?rep ~offsets a ~idx w2 c in
   check_bool "offsets past the end" true (raises (fun () -> gather [| 0; 1; 3 |] [| 0; 1 |]));
@@ -359,7 +360,8 @@ let test_scatter_oracle () =
               at_domains
                 (Printf.sprintf "scatter m=%d k=%d n=%d tb=%b" m k n trans_b)
                 base expected
-                (fun c -> T.matmul_scatter_add_into ~trans_b a b ~idx c))
+                (fun c ->
+                  T.segment_scatter_add_into ~trans_b ~offsets:[| 0; m |] a (stack_of b 1) ~idx c))
             [ false; true ])
         heights)
     widths
@@ -393,7 +395,9 @@ let test_gather_t_oracle () =
               at_domains
                 (Printf.sprintf "gather_t m=%d k=%d n=%d beta=%g" m ak n beta)
                 base expected
-                (fun c -> T.matmul_gather_t_into ~beta a ~idx b c))
+                (fun c ->
+                  T.segment_gather_t_into ~beta ~offsets:[| 0; m |] a ~idx b
+                    (T.view c [| 1; ak; n |])))
             betas)
         heights)
     widths
@@ -786,21 +790,25 @@ let test_alias_gather =
       check_bool "disjoint views of one store" false
         (raises_shape (fun () -> T.matmul_gather_into lo ~idx:[| 0; 1 |] w hi)))
 
+(* [lo] starts its store, so it is also the one-slice stack [lo3]. *)
 let test_alias_scatter =
   aliasing_case (fun ~lo ~mid ~hi ~w ->
+      let lo3 = T.view lo [| 1; 2; 2 |] and offsets = [| 0; 2 |] in
       check_bool "c overlaps b" true
-        (raises_shape (fun () -> T.matmul_scatter_add_into w lo ~idx:[| 0; 1 |] mid));
+        (raises_shape (fun () -> T.segment_scatter_add_into ~offsets w lo3 ~idx:[| 0; 1 |] mid));
       check_bool "disjoint views of one store" false
-        (raises_shape (fun () -> T.matmul_scatter_add_into w lo ~idx:[| 0; 1 |] hi)))
+        (raises_shape (fun () -> T.segment_scatter_add_into ~offsets w lo3 ~idx:[| 0; 1 |] hi)))
 
 let test_alias_gather_t =
   aliasing_case (fun ~lo ~mid ~hi ~w ->
+      let lo3 = T.view lo [| 1; 2; 2 |] and offsets = [| 0; 2 |] in
       check_bool "c overlaps a" true
-        (raises_shape (fun () -> T.matmul_gather_t_into ~beta:1.0 mid ~idx:[| 0; 1 |] w lo));
+        (raises_shape (fun () ->
+             T.segment_gather_t_into ~beta:1.0 ~offsets mid ~idx:[| 0; 1 |] w lo3));
       check_bool "c overlaps b" true
-        (raises_shape (fun () -> T.matmul_gather_t_into w ~idx:[| 0; 1 |] hi mid));
+        (raises_shape (fun () -> T.segment_gather_t_into ~offsets w ~idx:[| 0; 1 |] mid lo3));
       check_bool "disjoint views of one store" false
-        (raises_shape (fun () -> T.matmul_gather_t_into lo ~idx:[| 0; 1 |] w hi)))
+        (raises_shape (fun () -> T.segment_gather_t_into ~offsets hi ~idx:[| 0; 1 |] w lo3)))
 
 let test_alias_scatter_rows_add =
   aliasing_case (fun ~lo ~mid ~hi ~w:_ ->

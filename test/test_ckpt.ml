@@ -362,12 +362,14 @@ let crash_baseline =
      Failover.train ~config:(dist_config 4) ~lr:0.05 ~features:(features_of graph 6)
        ~graph ~labels:(labels_of graph 4) ~steps:5 (compile_model "rgcn"))
 
-let run_crash ~crash_step ~replica =
+let run_crash ?(seed = Replica.Config.default.Replica.Config.seed) ~crash_step ~replica () =
   let graph = Lazy.force parent in
   with_tmp_dir (fun dir ->
       let faults = Fault.create ~crash_at:(crash_step, replica) () in
       let r =
-        Failover.train ~config:(dist_config 4) ~faults ~dir ~every:1 ~lr:0.05
+        Failover.train
+          ~config:{ (dist_config 4) with Replica.Config.seed }
+          ~faults ~dir ~every:1 ~lr:0.05
           ~features:(features_of graph 6) ~graph ~labels:(labels_of graph 4) ~steps:5
           (compile_model "rgcn")
       in
@@ -375,7 +377,7 @@ let run_crash ~crash_step ~replica =
 
 let test_crash_recovery () =
   let base = Lazy.force crash_baseline in
-  let r, _faults = run_crash ~crash_step:3 ~replica:1 in
+  let r, _faults = run_crash ~crash_step:3 ~replica:1 () in
   check_int "recovered run loses no steps" 5 (Array.length r.Failover.losses);
   Array.iteri
     (fun i l ->
@@ -399,13 +401,36 @@ let test_crash_recovery () =
   check_bool (Printf.sprintf "recovered weights on trajectory (diff %.2e)" d) true
     (d <= 1e-6)
 
+(* The reload moves the checkpoint's float64 payload: clusters whose
+   weights differ only in value must recover in the same simulated time,
+   detection timeout (5 ms by default) plus one message of 8 bytes per
+   weight element. *)
+let test_recovery_priced_by_shape () =
+  let runs =
+    List.map (fun seed -> fst (run_crash ~seed ~crash_step:2 ~replica:0 ())) [ 1; 2; 3 ]
+  in
+  let r = List.hd runs in
+  let weights = Replica.weights_of r.Failover.cluster 0 in
+  let payload = List.fold_left (fun acc (_, w) -> acc + (8 * T.numel w)) 0 weights in
+  let expected =
+    5.0
+    +. Comms.cost_ms (Replica.comms r.Failover.cluster) ~messages:1 ~bytes:(float_of_int payload)
+  in
+  List.iteri
+    (fun i (r : Failover.result) ->
+      check_bool
+        (Printf.sprintf "seed %d recovery_ms %.17g = %.17g" (i + 1) r.Failover.recovery_ms expected)
+        true
+        (r.Failover.recovery_ms = expected))
+    runs
+
 let prop_crash_recovery =
   QCheck.Test.make
     ~name:"crash at any (step, replica) recovers onto the same trajectory" ~count:4
     QCheck.(make Gen.(pair (int_range 1 4) (int_range 0 3)))
     (fun (crash_step, replica) ->
       let base = Lazy.force crash_baseline in
-      let r, _ = run_crash ~crash_step ~replica in
+      let r, _ = run_crash ~crash_step ~replica () in
       Replica.parts r.Failover.cluster = 3
       && Array.length r.Failover.losses = 5
       && Array.for_all2
@@ -682,6 +707,8 @@ let suite =
     Alcotest.test_case "rgat resume == uninterrupted" `Quick (test_trainer_resume "rgat");
     Alcotest.test_case "dist resume exact at 1/2/4 parts" `Quick test_dist_resume;
     Alcotest.test_case "crash recovery replays the trajectory" `Quick test_crash_recovery;
+    Alcotest.test_case "recovery time depends on weight shapes, not values" `Quick
+      test_recovery_priced_by_shape;
     Alcotest.test_case "fault trace deterministic, numerics-neutral" `Quick
       test_fault_trace_deterministic;
     Alcotest.test_case "rate-0 plan == no plan (comms)" `Quick test_comms_zero_overhead;

@@ -204,8 +204,6 @@ let test_reductions () =
   close "sum" (fun () -> T.sum a);
   close "dot" (fun () -> T.dot a b);
   close "mean" (fun () -> T.mean a);
-  seq_vs_par ~tol:1e-6 "sum_rows" (fun () -> T.sum_rows a);
-  seq_vs_par ~tol:0.0 "sum_cols" (fun () -> T.sum_cols a);
   check_bool "sum of empty" true (with_domains 4 (fun () -> T.sum (T.zeros [| 0; 4 |])) = 0.0)
 
 let test_gather_scatter () =

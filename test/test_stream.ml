@@ -1,6 +1,6 @@
 (* Tests for the delta-ingestion subsystem: delta generation, mutable-graph
-   snapshots (CSR patching, epochs, compaction), incremental partition
-   rebalance, and the serve-over-deltas ≡ rebuild-from-scratch anchor. *)
+   snapshots (CSR patching, epochs, compaction), and the
+   serve-over-deltas ≡ rebuild-from-scratch anchor. *)
 
 module T = Hector_tensor.Tensor
 module Rng = Hector_tensor.Rng
@@ -9,7 +9,6 @@ module G = Hector_graph.Hetgraph
 module Csr = Hector_graph.Csr
 module Gen = Hector_graph.Generator
 module Sampler = Hector_graph.Sampler
-module Partition = Hector_graph.Partition
 module Engine = Hector_gpu.Engine
 module Memory = Hector_gpu.Memory
 module Workload = Hector_serve.Workload
@@ -472,117 +471,6 @@ let test_serve_rejects_tombstoned_seed () =
   check_int "rejection counted" 1 (Serve.rejected (Ss.replica ss));
   check_int "nothing shed" 0 (Serve.shed (Ss.replica ss))
 
-(* --- partition rebalance ---------------------------------------------- *)
-
-let check_partition_invariants g (p : Partition.t) =
-  let n = g.G.num_nodes in
-  if Array.length p.Partition.owner <> n then failwith "owner length";
-  Array.iter
-    (fun o -> if o < 0 || o >= p.Partition.parts then failwith "owner out of range")
-    p.Partition.owner;
-  (* every parent edge appears in exactly one partition — the one owning
-     its destination — and local structure mirrors the parent *)
-  let edge_seen = Array.make g.G.num_edges 0 in
-  let owned_seen = Array.make n 0 in
-  Array.iteri
-    (fun pid (m : Partition.part) ->
-      Array.iteri
-        (fun le pe ->
-          edge_seen.(pe) <- edge_seen.(pe) + 1;
-          if p.Partition.owner.(g.G.dst.(pe)) <> pid then
-            failwith "edge assigned to a partition not owning its destination";
-          if
-            g.G.src.(pe) <> m.Partition.origin_node.(m.Partition.sub.G.src.(le))
-            || g.G.dst.(pe) <> m.Partition.origin_node.(m.Partition.sub.G.dst.(le))
-            || g.G.etype.(pe) <> m.Partition.sub.G.etype.(le)
-          then failwith "local edge does not mirror its parent edge")
-        m.Partition.origin_edge;
-      Array.iteri
-        (fun ln pn ->
-          if g.G.node_type.(pn) <> m.Partition.sub.G.node_type.(ln) then
-            failwith "local node type mismatch";
-          let should_own = p.Partition.owner.(pn) = pid in
-          if m.Partition.owned.(ln) <> should_own then failwith "owned flag wrong";
-          if should_own then owned_seen.(pn) <- owned_seen.(pn) + 1
-          else begin
-            (* halo completeness: a non-owned local must mirror a row of
-               the partition that owns it *)
-            let peer = p.Partition.owner.(pn) in
-            let found = ref false in
-            Array.iter
-              (fun (q, pairs) ->
-                if q = peer then
-                  Array.iter
-                    (fun (local, peer_local) ->
-                      if local = ln then begin
-                        if
-                          p.Partition.members.(q).Partition.origin_node.(peer_local)
-                          <> pn
-                        then failwith "halo mirrors the wrong parent node";
-                        found := true
-                      end)
-                    pairs)
-              m.Partition.halo;
-            if not !found then failwith "halo entry missing for boundary node"
-          end)
-        m.Partition.origin_node)
-    p.Partition.members;
-  Array.iter (fun c -> if c <> 1 then failwith "edge not covered exactly once") edge_seen;
-  Array.iter (fun c -> if c <> 1 then failwith "node not owned exactly once") owned_seen;
-  (* cut statistics agree with the ownership *)
-  let cut = ref 0 in
-  for e = 0 to g.G.num_edges - 1 do
-    if p.Partition.owner.(g.G.src.(e)) <> p.Partition.owner.(g.G.dst.(e)) then incr cut
-  done;
-  if p.Partition.cut_edges <> !cut then failwith "cut_edges stale"
-
-let test_rebalance_invariants =
-  QCheck.Test.make ~name:"incremental rebalance upholds partition invariants"
-    ~count:20
-    QCheck.(make Gen.(triple (int_range 0 499) (int_range 1 4) (int_range 5 40)))
-    (fun (seed, parts, ops) ->
-      let mg = make_mg ~seed:(seed land 7) () in
-      let p0 = Partition.partition ~parts (Mg.snapshot mg).Mg.graph in
-      let d = gen_delta mg ~seed ~ops in
-      match Mg.apply mg d with
-      | Error m -> failwith m
-      | Ok st ->
-          let g = (Mg.snapshot mg).Mg.graph in
-          let p1, stats =
-            Partition.rebalance p0 ~graph:g ~node_map:st.Mg.node_map
-              ~edge_map:st.Mg.edge_map ()
-          in
-          check_partition_invariants g p1;
-          if not stats.Partition.full_rebuild then begin
-            if Partition.balance p1 > 2.0 +. 1e-9 then
-              failwith "balance bound exceeded without a full rebuild";
-            if
-              stats.Partition.parts_rebuilt + stats.Partition.parts_reused
-              <> parts
-            then failwith "rebuilt + reused <> parts"
-          end;
-          true)
-
-let test_rebalance_feature_only_reuses_everything () =
-  let mg = make_mg () in
-  let parts = 3 in
-  let p0 = Partition.partition ~parts (Mg.snapshot mg).Mg.graph in
-  let mix =
-    { Delta.add_node = 0.0; remove_node = 0.0; add_edge = 0.0; remove_edge = 0.0; set_feat = 1.0 }
-  in
-  match Mg.apply mg (gen_delta ~mix mg ~seed:9 ~ops:8) with
-  | Error m -> Alcotest.fail m
-  | Ok st ->
-      let g = (Mg.snapshot mg).Mg.graph in
-      let _, stats =
-        Partition.rebalance p0 ~graph:g ~node_map:st.Mg.node_map
-          ~edge_map:st.Mg.edge_map ()
-      in
-      check_int "no partitions rebuilt" 0 stats.Partition.parts_rebuilt;
-      check_int "all reused" parts stats.Partition.parts_reused;
-      check_int "no halos touched" 0 stats.Partition.halos_patched;
-      check_bool "no full rebuild" false stats.Partition.full_rebuild
-
 (* --- streaming serve --------------------------------------------------- *)
 
 (* the invalidation-protocol pins: a warm replica survives in-slack
@@ -729,9 +617,6 @@ let suite =
       test_stale_ids_surface_as_errors;
     Alcotest.test_case "serving rejects tombstoned seeds without shedding" `Quick
       test_serve_rejects_tombstoned_seed;
-    QCheck_alcotest.to_alcotest test_rebalance_invariants;
-    Alcotest.test_case "feature-only rebalance reuses every partition" `Quick
-      test_rebalance_feature_only_reuses_everything;
     Alcotest.test_case "in-slack serving: zero recompiles, zero allocs" `Quick
       test_inslack_zero_recompile_zero_alloc;
     Alcotest.test_case "epoch re-warm pins weights and stays equivalent" `Quick

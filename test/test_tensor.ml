@@ -172,14 +172,7 @@ let test_activations () =
 let test_reductions () =
   let m = T.of_2d [| [| 1.; 2. |]; [| 3.; 4. |] |] in
   check_float "sum" 10.0 (T.sum m);
-  check_float "mean" 2.5 (T.mean m);
-  check_float "max" 4.0 (T.max_value m);
-  let sr = T.sum_rows m in
-  check_float "sum_rows col0" 4.0 (T.get1 sr 0);
-  check_float "sum_rows col1" 6.0 (T.get1 sr 1);
-  let sc = T.sum_cols m in
-  check_float "sum_cols row0" 3.0 (T.get1 sc 0);
-  check_float "sum_cols row1" 7.0 (T.get1 sc 1)
+  check_float "mean" 2.5 (T.mean m)
 
 let test_argmax_rows () =
   let m = T.of_2d [| [| 1.; 5.; 2. |]; [| 9.; 0.; 3. |] |] in
@@ -192,9 +185,6 @@ let test_gather_scatter () =
   let g = T.gather_rows m [| 2; 0; 2 |] in
   check_float "gathered" 2.0 (T.get2 g 0 0);
   check_float "gathered dup" 2.0 (T.get2 g 2 1);
-  let out = T.zeros [| 3; 2 |] in
-  T.scatter_rows_set ~into:out [| 1; 0; 2 |] g;
-  check_float "scatter set" 2.0 (T.get2 out 1 0);
   let acc = T.zeros [| 3; 2 |] in
   T.scatter_rows_add ~into:acc [| 0; 0; 1 |] g;
   (* rows 0 and 1 of g both land on row 0 *)
@@ -208,9 +198,11 @@ let test_concat_split () =
   check_int "cols" 3 (T.cols c);
   check_float "left" 2.0 (T.get2 c 0 1);
   check_float "right" 6.0 (T.get2 c 1 2);
-  let a', b' = T.split_cols c 2 in
-  check_bool "left roundtrip" true (T.approx_equal ~tol:0.0 a a');
-  check_bool "right roundtrip" true (T.approx_equal ~tol:0.0 b b')
+  for i = 0 to 1 do
+    for j = 0 to 2 do
+      check_float "split back" (if j < 2 then T.get2 a i j else T.get2 b i 0) (T.get2 c i j)
+    done
+  done
 
 let test_approx_equal () =
   let a = T.of_array [| 2 |] [| 1.0; 1000.0 |] in
@@ -225,7 +217,7 @@ let test_glorot_bounds () =
   let rng = Rng.create 3 in
   let w = T.glorot rng [| 10; 20; 30 |] in
   let limit = sqrt (6.0 /. 50.0) in
-  check_bool "bounded" true (T.max_value (T.map Float.abs w) <= limit)
+  check_bool "bounded" true (T.max_abs_diff w (T.zeros [| 10; 20; 30 |]) <= limit)
 
 let test_rng_determinism () =
   let a = Rng.create 42 and b = Rng.create 42 in
@@ -414,29 +406,9 @@ let prop_transpose =
       let alt = T.matmul ~trans_a:true ~trans_b:true b a in
       T.approx_equal ~tol:1e-6 abt alt)
 
-let prop_gather_scatter_inverse =
-  QCheck.Test.make ~name:"scatter_set inverts gather on a permutation" ~count:100 arb_matrix
-    (fun m ->
-      let r = T.rows m in
-      let rng = Rng.create (T.numel m) in
-      let perm = Array.init r (fun i -> i) in
-      Rng.shuffle rng perm;
-      let g = T.gather_rows m perm in
-      let out = T.zeros [| r; T.cols m |] in
-      T.scatter_rows_set ~into:out perm g;
-      T.approx_equal ~tol:0.0 m out)
-
 let prop_sum_linear =
   QCheck.Test.make ~name:"sum is linear under scale" ~count:100 arb_matrix (fun m ->
       Float.abs (T.sum (T.scale 3.0 m) -. (3.0 *. T.sum m)) < 1e-6 *. (1.0 +. Float.abs (T.sum m)))
-
-let prop_concat_split =
-  QCheck.Test.make ~name:"split_cols inverts concat_cols" ~count:100
-    (QCheck.pair arb_matrix arb_matrix)
-    (fun (a, b) ->
-      QCheck.assume (T.rows a = T.rows b);
-      let a', b' = T.split_cols (T.concat_cols a b) (T.cols a) in
-      T.approx_equal ~tol:0.0 a a' && T.approx_equal ~tol:0.0 b b')
 
 let suite =
   [
@@ -476,7 +448,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_zipf_table_matches_scan;
     QCheck_alcotest.to_alcotest prop_distributive;
     QCheck_alcotest.to_alcotest prop_transpose;
-    QCheck_alcotest.to_alcotest prop_gather_scatter_inverse;
     QCheck_alcotest.to_alcotest prop_sum_linear;
-    QCheck_alcotest.to_alcotest prop_concat_split;
   ]
