@@ -45,9 +45,18 @@ type arena = {
 type slab = {
   sepoch : int;
   sbackings : (string * int, Memory.t * Memory.allocation * Tensor.t) Hashtbl.t;
+  sscratch : scratch;
 }
 
-let create_slab ?(epoch = 0) () = { sepoch = epoch; sbackings = Hashtbl.create 32 }
+(* Host scratch for pair-invariant reductions (see [stage_pass]): buffer
+   [k] holds a pass's [k]th reduction, one row per compact pair, and is
+   kept at its high-water size.  It lives in host memory only — the
+   simulated device never sees it — and is shared through the slab by
+   executors that share one. *)
+and scratch = { mutable bufs : float array array }
+
+let create_slab ?(epoch = 0) () =
+  { sepoch = epoch; sbackings = Hashtbl.create 32; sscratch = { bufs = [||] } }
 let slab_epoch slab = slab.sepoch
 
 type t = {
@@ -56,11 +65,13 @@ type t = {
   env : Env.t;
   opaque : (string * opaque_fn) list;
   slab : slab option;
+  scratch : scratch;
   mutable arenas : (Plan.t * bool * arena) list;
 }
 
 let create ?(opaque = []) ?slab ~engine ~ctx ~env () =
-  { engine; ctx; env; opaque; slab; arenas = [] }
+  let scratch = match slab with Some s -> s.sscratch | None -> { bufs = [||] } in
+  { engine; ctx; env; opaque; slab; scratch; arenas = [] }
 
 let value_dim = function Scalar _ -> 1 | Vector v -> Array.length v
 
@@ -446,21 +457,69 @@ let split_passes env (classes : (Ir.stmt * stmt_iteration) list) =
 (* ------------------------------------------------------------------ *)
 
 (* Every step run stages its body afresh, after the arena has bound its
-   buffers: entries, weight stacks and row maps are resolved to flat
+   buffers: entries, weight stacks and index columns are resolved to flat
    arrays once, and float operations keep the scalar definition's order
    and form, so results are bit-identical to a per-edge value interpreter
-   (DESIGN.md, "Staged traversals"). *)
+   (DESIGN.md, "Staged traversals").  Three habits keep an iteration near
+   loop speed:
+   - a statement whose right-hand side is a [Binop] or [Unop] writes each
+     element straight into its target row or local slot, with no result
+     buffer in between;
+   - a row or weight read is one closure over its index column ([src],
+     [dst], [etype], [node_type], a compact [row_of_edge], or the id
+     itself) that moves an offset into tensor storage;
+   - in an edge sweep, an [Inner]/[Linear]/[Linear_t] whose operands are
+     all constant on one side's compact pairs, and which reads nothing
+     the pass writes, is evaluated once per pair before the sweep; the
+     sweep reads the pair's value from host scratch. *)
 
 (* An instantiated sub-expression: after [run edge node] its value is the
    [dim] floats of [arr] from [off].  Computed nodes own [arr]; row and
    weight reads point it at tensor storage instead of copying. *)
 type node = { arr : float array; mutable off : int; run : int -> int -> unit }
 
+(* Where an access finds its row or weight slice, resolved at staging:
+   the iteration's edge or node id itself, or one column lookup. *)
+type index =
+  | Edge_id
+  | Node_id
+  | Of_edge of int array  (* [col.(edge)]: src, dst, etype, row_of_edge *)
+  | Of_node of int array  (* [col.(node)]: node_type *)
+  | Of_end of int array * int array  (* [col.(ends.(edge))]: an endpoint's type *)
+  | Fixed of int
+
+let[@inline] index_at idx e v =
+  match idx with
+  | Edge_id -> e
+  | Node_id -> v
+  | Of_edge c -> c.(e)
+  | Of_node c -> c.(v)
+  | Of_end (c, ends) -> c.(ends.(e))
+  | Fixed k -> k
+
+(* How a statement stores element [i]: into a register-local slot as is,
+   by a plain write ([0.0 +. v], which turns [-0.0] into [+0.0]), or by
+   accumulation ([data + v]). *)
+type store = Set | Assign | Add
+
+let[@inline] store mode (dst : float array) i v =
+  match mode with
+  | Set -> dst.(i) <- v
+  | Assign -> dst.(i) <- 0.0 +. v
+  | Add -> dst.(i) <- dst.(i) +. v
+
 (* A staged sub-expression: its shape ([scalar] tells a [Scalar] from a
-   one-element [Vector]; they broadcast differently) and how to
-   instantiate it.  Instances own scratch buffers, so each concurrent
-   sweep chunk makes its own. *)
-type staged = { dim : int; scalar : bool; make : inst -> node }
+   one-element [Vector]; they broadcast differently), how to instantiate
+   it as a node, and how to instantiate a statement storing it:
+   [into mode inst dst base stride idx] is the iteration that stores the
+   value at [base + index_at idx e v * stride] of [dst].  Instances own
+   scratch buffers, so each concurrent sweep chunk makes its own. *)
+type staged = {
+  dim : int;
+  scalar : bool;
+  make : inst -> node;
+  into : store -> inst -> float array -> int -> int -> index -> int -> int -> unit;
+}
 
 (* Per-instance state: the weight-gradient sink, and one buffer per
    register-local definition. *)
@@ -468,15 +527,49 @@ and inst = { grads : string -> Tensor.t; slots : float array array }
 
 let nop _ _ = ()
 
+let copy_into mode (src : float array) so dst o n =
+  for j = 0 to n - 1 do
+    store mode dst (o + j) src.(so + j)
+  done
+
+(* A value held in a node, stored by copying it out. *)
+let held dim scalar make =
+  let into mode inst dst base stride idx =
+    let x = make inst in
+    fun e v ->
+      x.run e v;
+      copy_into mode x.arr x.off dst (base + (index_at idx e v * stride)) dim
+  in
+  { dim; scalar; make; into }
+
 let computed dim scalar body =
-  { dim; scalar; make = (fun inst -> let out = Array.make dim 0.0 in { arr = out; off = 0; run = body inst out }) }
+  held dim scalar (fun inst -> let out = Array.make dim 0.0 in { arr = out; off = 0; run = body inst out })
 
-(* A read of the [dim] floats at [base + at edge node * stride]. *)
-let view dim scalar data base stride at =
-  let make _ = let rec n = { arr = data; off = base; run = (fun e v -> n.off <- base + (at e v * stride)) } in n in
-  { dim; scalar; make }
+(* A pointwise value, defined by how it stores itself: a node computes
+   it into its own buffer, a statement straight into its target. *)
+let pointwise dim scalar into =
+  let make inst =
+    let out = Array.make dim 0.0 in
+    { arr = out; off = 0; run = into Set inst out 0 0 (Fixed 0) }
+  in
+  { dim; scalar; make; into }
 
-let const c = { dim = 1; scalar = true; make = (fun _ -> { arr = [| c |]; off = 0; run = nop }) }
+(* A read of the [dim] floats at row [idx] of [data]: one closure. *)
+let view dim scalar data base stride idx =
+  let make _ =
+    match idx with
+    | Edge_id -> let rec n = { arr = data; off = base; run = (fun e _ -> n.off <- base + (e * stride)) } in n
+    | Node_id -> let rec n = { arr = data; off = base; run = (fun _ v -> n.off <- base + (v * stride)) } in n
+    | Of_edge c -> let rec n = { arr = data; off = base; run = (fun e _ -> n.off <- base + (c.(e) * stride)) } in n
+    | Of_node c -> let rec n = { arr = data; off = base; run = (fun _ v -> n.off <- base + (c.(v) * stride)) } in n
+    | Of_end (c, ends) ->
+        let rec n = { arr = data; off = base; run = (fun e _ -> n.off <- base + (c.(ends.(e)) * stride)) } in
+        n
+    | Fixed k -> { arr = data; off = base + (k * stride); run = nop }
+  in
+  held dim scalar make
+
+let const c = held 1 true (fun _ -> { arr = [| c |]; off = 0; run = nop })
 
 let blit (src : float array) so (dst : float array) d n =
   for j = 0 to n - 1 do
@@ -484,59 +577,70 @@ let blit (src : float array) so (dst : float array) d n =
   done
 
 (* The row an access through [ent] resolves to, in a buffer of [space]. *)
-let row_at ctx ent space =
+let row_index ctx ent space =
   let g = Graph_ctx.graph ctx in
   match ent with
-  | Ir.Cur_node -> fun _ v -> v
-  | Ir.Src -> fun e _ -> g.G.src.(e)
-  | Ir.Dst -> fun e _ -> g.G.dst.(e)
+  | Ir.Cur_node -> Node_id
+  | Ir.Src -> Of_edge g.G.src
+  | Ir.Dst -> Of_edge g.G.dst
   | Ir.Cur_edge -> (
       match (space, Graph_ctx.compact_of_space ctx space) with
-      | _, Some cm -> fun e _ -> cm.Cm.row_of_edge.(e)
-      | Mat.Rows_edges, None -> fun e _ -> e
+      | _, Some cm -> Of_edge cm.Cm.row_of_edge
+      | Mat.Rows_edges, None -> Edge_id
       | _ -> invalid_arg "Graph_ctx.row_of_edge: node-space tensor")
 
 (* The weight-stack slice an iteration uses. *)
-let slice_at ctx slice =
+let slice_index ctx slice =
   let g = Graph_ctx.graph ctx in
   match slice with
-  | Ir.By_etype -> fun e _ -> g.G.etype.(e)
-  | Ir.By_ntype -> fun _ v -> g.G.node_type.(v)
-  | Ir.By_src_ntype -> fun e _ -> g.G.node_type.(g.G.src.(e))
-  | Ir.By_dst_ntype -> fun e _ -> g.G.node_type.(g.G.dst.(e))
-  | Ir.Shared -> fun _ _ -> 0
+  | Ir.By_etype -> Of_edge g.G.etype
+  | Ir.By_ntype -> Of_node g.G.node_type
+  | Ir.By_src_ntype -> Of_end (g.G.node_type, g.G.src)
+  | Ir.By_dst_ntype -> Of_end (g.G.node_type, g.G.dst)
+  | Ir.Shared -> Fixed 0
 
-(* [out.(j) <- a.(ao + j*sa) op b.(bo + j*sb)]; a zero stride broadcasts
-   a scalar.  One loop per operator: no per-element dispatch. *)
-let binop_loop = function
+(* [store mode dst (o + j) (a.(ao + j*sa) op b.(bo + j*sb))]; a zero
+   stride broadcasts a scalar.  One loop per operator: no per-element
+   dispatch beyond the store mode. *)
+let binop_into op mode =
+  match op with
   | Ir.Add ->
-      fun a ao sa b bo sb out n -> for j = 0 to n - 1 do out.(j) <- a.(ao + (j * sa)) +. b.(bo + (j * sb)) done
+      fun a ao sa b bo sb dst o n ->
+        for j = 0 to n - 1 do store mode dst (o + j) (a.(ao + (j * sa)) +. b.(bo + (j * sb))) done
   | Ir.Sub ->
-      fun a ao sa b bo sb out n -> for j = 0 to n - 1 do out.(j) <- a.(ao + (j * sa)) -. b.(bo + (j * sb)) done
+      fun a ao sa b bo sb dst o n ->
+        for j = 0 to n - 1 do store mode dst (o + j) (a.(ao + (j * sa)) -. b.(bo + (j * sb))) done
   | Ir.Mul ->
-      fun a ao sa b bo sb out n -> for j = 0 to n - 1 do out.(j) <- a.(ao + (j * sa)) *. b.(bo + (j * sb)) done
+      fun a ao sa b bo sb dst o n ->
+        for j = 0 to n - 1 do store mode dst (o + j) (a.(ao + (j * sa)) *. b.(bo + (j * sb))) done
   | Ir.Div ->
-      fun a ao sa b bo sb out n -> for j = 0 to n - 1 do out.(j) <- a.(ao + (j * sa)) /. b.(bo + (j * sb)) done
+      fun a ao sa b bo sb dst o n ->
+        for j = 0 to n - 1 do store mode dst (o + j) (a.(ao + (j * sa)) /. b.(bo + (j * sb))) done
 
-let unop_loop = function
-  | Ir.Exp -> fun a o out n -> for j = 0 to n - 1 do out.(j) <- Stdlib.exp a.(o + j) done
-  | Ir.Neg -> fun a o out n -> for j = 0 to n - 1 do out.(j) <- -.a.(o + j) done
-  | Ir.Reciprocal -> fun a o out n -> for j = 0 to n - 1 do out.(j) <- 1.0 /. a.(o + j) done
+let unop_into op mode =
+  match op with
+  | Ir.Exp -> fun a ao dst o n -> for j = 0 to n - 1 do store mode dst (o + j) (Stdlib.exp a.(ao + j)) done
+  | Ir.Neg -> fun a ao dst o n -> for j = 0 to n - 1 do store mode dst (o + j) (-.a.(ao + j)) done
+  | Ir.Reciprocal -> fun a ao dst o n -> for j = 0 to n - 1 do store mode dst (o + j) (1.0 /. a.(ao + j)) done
   | Ir.Leaky_relu ->
-      fun a o out n ->
+      fun a ao dst o n ->
         for j = 0 to n - 1 do
-          out.(j) <- (let x = a.(o + j) in if x > 0.0 then x else leaky_slope *. x)
+          store mode dst (o + j) (let x = a.(ao + j) in if x > 0.0 then x else leaky_slope *. x)
         done
   | Ir.Relu ->
-      fun a o out n -> for j = 0 to n - 1 do out.(j) <- (let x = a.(o + j) in if x > 0.0 then x else 0.0) done
-  | Ir.Rsqrt -> fun a o out n -> for j = 0 to n - 1 do out.(j) <- 1.0 /. sqrt a.(o + j) done
+      fun a ao dst o n ->
+        for j = 0 to n - 1 do store mode dst (o + j) (let x = a.(ao + j) in if x > 0.0 then x else 0.0) done
+  | Ir.Rsqrt -> fun a ao dst o n -> for j = 0 to n - 1 do store mode dst (o + j) (1.0 /. sqrt a.(ao + j)) done
   | Ir.Leaky_relu_grad ->
-      fun a o out n -> for j = 0 to n - 1 do out.(j) <- (if a.(o + j) > 0.0 then 1.0 else leaky_slope) done
-  | Ir.Relu_grad -> fun a o out n -> for j = 0 to n - 1 do out.(j) <- (if a.(o + j) > 0.0 then 1.0 else 0.0) done
+      fun a ao dst o n ->
+        for j = 0 to n - 1 do store mode dst (o + j) (if a.(ao + j) > 0.0 then 1.0 else leaky_slope) done
+  | Ir.Relu_grad ->
+      fun a ao dst o n -> for j = 0 to n - 1 do store mode dst (o + j) (if a.(ao + j) > 0.0 then 1.0 else 0.0) done
 
-(* [locals] maps each register local to its current definition. *)
-let rec stage_expr t locals e =
-  let stage = stage_expr t locals in
+(* [locals] maps each register local to its current definition; [hoist]
+   maps each pair-invariant reduction to its scratch read. *)
+let rec stage_expr t ~hoist locals e =
+  let stage = stage_expr t ~hoist locals in
   match e with
   | Ir.Const c -> const c
   | (Ir.Feature (Ir.Cur_edge, n) | Ir.Data (Ir.Cur_edge, n)) when Hashtbl.mem locals n -> Hashtbl.find locals n
@@ -544,25 +648,26 @@ let rec stage_expr t locals e =
       let entry = Env.find t.env n in
       let data, base = Tensor.storage entry.Env.tensor and stride = Tensor.dim entry.Env.tensor 1 in
       let scalar = entry.Env.dim = 1 in
-      view (if scalar then 1 else stride) scalar data base stride (row_at t.ctx ent entry.Env.space)
+      view (if scalar then 1 else stride) scalar data base stride (row_index t.ctx ent entry.Env.space)
   | Ir.Weight (n, slice) ->
       let stack = Env.weight t.env n in
       let data, base = Tensor.storage stack in
       let size = Tensor.numel stack / max 1 (Tensor.dim stack 0) in
-      view size (Tensor.ndim stack = 2 && size = 1) data base size (slice_at t.ctx slice)
+      view size (Tensor.ndim stack = 2 && size = 1) data base size (slice_index t.ctx slice)
+  | (Ir.Inner _ | Ir.Linear _ | Ir.Linear_t _) when List.mem_assoc e hoist -> List.assoc e hoist
   | Ir.Linear (x, Ir.Weight (w, slice)) | Ir.Linear_t (x, Ir.Weight (w, slice)) ->
       let x = stage x and stack = Env.weight t.env w in
       let k = Tensor.dim stack 1 and n = Tensor.dim stack 2 in
       let transposed = match e with Ir.Linear_t _ -> true | _ -> false in
       if transposed && x.dim <> n then fail "linear_t: input %d vs weight cols %d" x.dim n;
       if (not transposed) && x.dim <> k then fail "linear: input %d vs weight rows %d" x.dim k;
-      let wa, base = Tensor.storage stack and at = slice_at t.ctx slice in
+      let wa, base = Tensor.storage stack and wi = slice_index t.ctx slice in
       let dim = if transposed then k else n in
       computed dim (dim = 1) (fun inst out ->
           let x = x.make inst in
           fun e v ->
             x.run e v;
-            let xa = x.arr and xo = x.off and w0 = base + (at e v * k * n) in
+            let xa = x.arr and xo = x.off and w0 = base + (index_at wi e v * k * n) in
             if transposed then
               for i = 0 to k - 1 do
                 let acc = ref 0.0 in
@@ -609,32 +714,42 @@ let rec stage_expr t locals e =
   | Ir.Slice (a, lo, len) ->
       let a = stage a in
       if lo + len > a.dim then fail "slice out of range";
-      let make inst =
-        let a = a.make inst in
-        let rec n = { arr = a.arr; off = 0; run = (fun e v -> a.run e v; n.off <- a.off + lo) } in
-        n
-      in
-      { dim = len; scalar = len = 1; make }
+      held len (len = 1) (fun inst ->
+          let a = a.make inst in
+          let rec n = { arr = a.arr; off = 0; run = (fun e v -> a.run e v; n.off <- a.off + lo) } in
+          n)
   | Ir.Binop (op, a, b) ->
       let a = stage a and b = stage b in
       if (not a.scalar) && (not b.scalar) && a.dim <> b.dim then
         fail "vector op dimension mismatch %d vs %d" a.dim b.dim;
       let dim = if a.scalar then b.dim else a.dim in
-      let sa = if a.scalar then 0 else 1 and sb = if b.scalar then 0 else 1 and f = binop_loop op in
-      computed dim (a.scalar && b.scalar) (fun inst out ->
+      let sa = if a.scalar then 0 else 1 and sb = if b.scalar then 0 else 1 in
+      pointwise dim (a.scalar && b.scalar) (fun mode inst dst base stride idx ->
           let a = a.make inst and b = b.make inst in
-          fun e v ->
-            a.run e v;
-            b.run e v;
-            f a.arr a.off sa b.arr b.off sb out dim)
+          if dim > 1 && ((sa = 0 && a.arr == dst) || (sb = 0 && b.arr == dst)) then begin
+            (* a scalar broadcast out of the target's own storage could
+               read an element this loop already wrote: compute first *)
+            let f = binop_into op Set and tmp = Array.make dim 0.0 in
+            fun e v ->
+              a.run e v;
+              b.run e v;
+              f a.arr a.off sa b.arr b.off sb tmp 0 dim;
+              copy_into mode tmp 0 dst (base + (index_at idx e v * stride)) dim
+          end
+          else
+            let f = binop_into op mode in
+            fun e v ->
+              a.run e v;
+              b.run e v;
+              f a.arr a.off sa b.arr b.off sb dst (base + (index_at idx e v * stride)) dim)
   | Ir.Unop (op, a) ->
-      let a = stage a and f = unop_loop op in
+      let a = stage a in
       let d = a.dim in
-      computed d a.scalar (fun inst out ->
-          let a = a.make inst in
+      pointwise d a.scalar (fun mode inst dst base stride idx ->
+          let a = a.make inst and f = unop_into op mode in
           fun e v ->
             a.run e v;
-            f a.arr a.off out d)
+            f a.arr a.off dst (base + (index_at idx e v * stride)) d)
   | Ir.Opaque (name, args) ->
       (* the one node that still builds [value]s; its result takes the
          shape of its first argument (a scalar without arguments) *)
@@ -656,38 +771,25 @@ let rec stage_expr t locals e =
             | Vector r when Array.length r = dim -> blit r 0 out 0 dim
             | r -> fail "opaque %S returned dim %d, expected %d" name (value_dim r) dim)
 
-let stage_write t (entry : Env.entry) ent ~accumulate (x : staged) =
+let stage_write t (entry : Env.entry) ent mode (x : staged) =
   let d = entry.Env.dim in
   if x.dim <> d then fail "write of dim %d into buffer of dim %d" x.dim d;
   let data, base = Tensor.storage entry.Env.tensor and stride = Tensor.dim entry.Env.tensor 1 in
-  let at = row_at t.ctx ent entry.Env.space in
-  fun inst ->
-    let x = x.make inst in
-    if accumulate then fun e v ->
-      x.run e v;
-      let o = base + (at e v * stride) and xa = x.arr and xo = x.off in
-      for j = 0 to d - 1 do
-        data.(o + j) <- data.(o + j) +. xa.(xo + j)
-      done
-    else fun e v ->
-      x.run e v;
-      let o = base + (at e v * stride) and xa = x.arr and xo = x.off in
-      for j = 0 to d - 1 do
-        data.(o + j) <- 0.0 +. xa.(xo + j)
-      done
+  let idx = row_index t.ctx ent entry.Env.space in
+  fun inst -> x.into mode inst data base stride idx
 
 (* Weight-gradient accumulation: matrices get dW[idx] += x ⊗ dy, vectors
    dv[idx] += x * dy.  The sink ([inst.grads]: the environment's gradient
    stack on the sequential path, a per-chunk scratch stack during a
    parallel sweep) creates gradients on first use, so the target is
    resolved on the first execution, not at staging. *)
-let stage_grad_weight t ~program locals name x dy =
+let stage_grad_weight t ~program ~hoist locals name x dy =
   let slice =
     match Ir.find_decl program name with
     | Some (Ir.Weight_mat { slice; _ }) | Some (Ir.Weight_vec { slice; _ }) -> slice
     | _ -> fail "Grad_weight: %S is not a declared weight" name
   in
-  let x = stage_expr t locals x and dy = stage_expr t locals dy in
+  let x = stage_expr t ~hoist locals x and dy = stage_expr t ~hoist locals dy in
   let rows, cols, outer =
     match Tensor.shape (Env.weight t.env name) with
     | [| _; k; n |] ->
@@ -700,14 +802,14 @@ let stage_grad_weight t ~program locals name x dy =
         (k, 1, false)
     | _ -> fail "Grad_weight %S: unsupported gradient rank" name
   in
-  let at = slice_at t.ctx slice in
+  let wi = slice_index t.ctx slice in
   fun inst ->
     let x = x.make inst and dy = dy.make inst and target = lazy (Tensor.storage (inst.grads name)) in
     fun e v ->
       x.run e v;
       dy.run e v;
       let g, base = Lazy.force target in
-      let g0 = base + (at e v * rows * cols) and xa = x.arr and xo = x.off in
+      let g0 = base + (index_at wi e v * rows * cols) and xa = x.arr and xo = x.off in
       let da = dy.arr and d0 = dy.off in
       if outer then
         for i = 0 to rows - 1 do
@@ -727,61 +829,158 @@ let stage_grad_weight t ~program locals name x dy =
 (* Stage one statement.  A write to a register local (a [Cur_edge] name
    already defined, or unbound in the environment) makes a new definition
    with its own slot buffer, which later reads in the pass resolve to. *)
-let stage_stmt t ~program locals slot st =
+let stage_stmt t ~program ~hoist locals slot st =
   match st with
   | Ir.Assign (ent, n, e) -> (
-      let x = stage_expr t locals e in
+      let x = stage_expr t ~hoist locals e in
       if ent = Ir.Cur_edge && (Hashtbl.mem locals n || Env.find_opt t.env n = None) then begin
         let k = !slot and d = x.dim in
         incr slot;
-        Hashtbl.replace locals n
-          { dim = d; scalar = x.scalar; make = (fun inst -> { arr = inst.slots.(k); off = 0; run = nop }) };
+        Hashtbl.replace locals n (held d x.scalar (fun inst -> { arr = inst.slots.(k); off = 0; run = nop }));
         fun inst ->
           let buf = Array.make d 0.0 in
           inst.slots.(k) <- buf;
-          let x = x.make inst in
-          fun e v ->
-            x.run e v;
-            blit x.arr x.off buf 0 d
+          x.into Set inst buf 0 0 (Fixed 0)
       end
       else
         match Env.find_opt t.env n with
-        | Some entry -> stage_write t entry ent ~accumulate:false x
+        | Some entry -> stage_write t entry ent Assign x
         | None -> fail "write to unknown buffer %S" n)
-  | Ir.Accumulate (ent, n, e) ->
-      let x = stage_expr t locals e in
-      stage_write t (Env.find t.env n) ent ~accumulate:true x
-  | Ir.Grad_weight { name; x; dy } -> stage_grad_weight t ~program locals name x dy
+  | Ir.Accumulate (ent, n, e) -> stage_write t (Env.find t.env n) ent Add (stage_expr t ~hoist locals e)
+  | Ir.Grad_weight { name; x; dy } -> stage_grad_weight t ~program ~hoist locals name x dy
   | Ir.For_each _ -> fail "nested loop inside traversal body"
 
-(* Stage one pass; the result instantiates it for a gradient sink.  Locals
-   start every iteration as [Scalar 0.0]; pair-local statements run only
-   on their pair's representative edge. *)
-let stage_pass t ~program ~locals pass =
+(* --- pair-invariant reductions -------------------------------------- *)
+
+(* The reductions of an edge pass that are evaluated once per compact
+   pair: each maximal [Inner]/[Linear]/[Linear_t] in a [Per_edge]
+   statement whose reads are all constant on one side's (etype,
+   endpoint) pairs — that side's endpoint features, compact rows of that
+   side, and [By_etype], [Shared] or that side's node-type weights, with
+   at least one read of the first two kinds — and none of which names a
+   buffer the pass writes.  Locals, the current node, [By_ntype] weights,
+   constants and opaque calls refuse hoisting; pair-local statements
+   already run once per pair.  Distinct reductions, in order of first
+   occurrence (without constants, [=] compares them exactly). *)
+let pair_invariant env ~locals pass =
+  let is_local n = List.mem n locals || Env.find_opt env n = None in
+  let written =
+    List.filter_map
+      (fun (st, _) ->
+        match st with
+        | (Ir.Assign (ent, n, _) | Ir.Accumulate (ent, n, _)) when not (ent = Ir.Cur_edge && is_local n) -> Some n
+        | _ -> None)
+      pass
+  in
+  let side e =
+    let src = ref true and dst = ref true and anchored = ref false in
+    let neither () = src := false; dst := false in
+    let anchor s = anchored := true; if s = `Src then dst := false else src := false in
+    Ir.iter_expr
+      (function
+        | (Ir.Feature (_, n) | Ir.Data (_, n)) when List.mem n written -> neither ()
+        | Ir.Feature (ent, n) | Ir.Data (ent, n) -> (
+            match ent with
+            | Ir.Src -> anchor `Src
+            | Ir.Dst -> anchor `Dst
+            | Ir.Cur_node -> neither ()
+            | Ir.Cur_edge -> (
+                if is_local n then neither ()
+                else
+                  match (Env.find env n).Env.space with
+                  | Mat.Rows_compact_src -> anchor `Src
+                  | Mat.Rows_compact_dst -> anchor `Dst
+                  | Mat.Rows_edges | Mat.Rows_nodes -> neither ()))
+        | Ir.Weight (_, Ir.By_src_ntype) -> dst := false
+        | Ir.Weight (_, Ir.By_dst_ntype) -> src := false
+        | Ir.Weight (_, Ir.By_ntype) | Ir.Const _ | Ir.Opaque _ -> neither ()
+        | _ -> ())
+      e;
+    if not !anchored then None else if !src then Some `Src else if !dst then Some `Dst else None
+  in
+  let found = ref [] in
+  let rec walk e =
+    match (e, side e) with
+    | (Ir.Inner _ | Ir.Linear _ | Ir.Linear_t _), Some s ->
+        if not (List.exists (fun (_, h) -> h = e) !found) then found := (s, e) :: !found
+    | (Ir.Linear (x, _) | Ir.Linear_t (x, _) | Ir.Slice (x, _, _) | Ir.Unop (_, x)), _ -> walk x
+    | (Ir.Inner (a, b) | Ir.Concat (a, b) | Ir.Binop (_, a, b)), _ -> walk a; walk b
+    | Ir.Opaque (_, args), _ -> List.iter walk args
+    | (Ir.Const _ | Ir.Feature _ | Ir.Data _ | Ir.Weight _), _ -> ()
+  in
+  List.iter (fun (st, cls) -> if cls = Per_edge then List.iter walk (Ir.stmt_exprs st)) pass;
+  List.rev !found
+
+(* Pairs per chunk of a parallel pre-pass. *)
+let pair_grain = 256
+
+(* The executor's host scratch buffer [k], at least [size] floats. *)
+let scratch t k size =
+  let s = t.scratch in
+  if Array.length s.bufs <= k then
+    s.bufs <- Array.init (k + 1) (fun i -> if i < Array.length s.bufs then s.bufs.(i) else [||]);
+  if Array.length s.bufs.(k) < size then s.bufs.(k) <- Array.make size 0.0;
+  s.bufs.(k)
+
+let no_grads name = fail "pair-invariant reduction reads the gradient of %S" name
+
+(* Stage reduction [e] on [side]'s pairs into scratch buffer [k]: the
+   pre-pass evaluates it at every pair's representative edge, in
+   parallel over pairs; the sweep reads the pair's row through
+   [row_of_edge]. *)
+let stage_pair_invariant t k (side, e) =
+  let x = stage_expr t ~hoist:[] (Hashtbl.create 1) e in
+  let cm, reps =
+    match side with
+    | `Src -> (Graph_ctx.compact_src t.ctx, Graph_ctx.pair_rep_src t.ctx)
+    | `Dst -> (Graph_ctx.compact_dst t.ctx, Graph_ctx.pair_rep_dst t.ctx)
+  in
+  let d = x.dim and pairs = cm.Cm.num_pairs in
+  let buf = scratch t k (pairs * d) in
+  let pre () =
+    Dp.parallel_for ~grain:pair_grain pairs (fun lo hi ->
+        let x = x.make { grads = no_grads; slots = [||] } in
+        for p = lo to hi - 1 do
+          x.run reps.(p) (-1);
+          blit x.arr x.off buf (p * d) d
+        done)
+  in
+  (pre, (e, view d x.scalar buf 0 d (Of_edge cm.Cm.row_of_edge)))
+
+(* Stage one pass: its pair pre-passes, and its body, which instantiates
+   for a gradient sink.  Locals start every iteration as [Scalar 0.0];
+   pair-local statements run only on their pair's representative edge. *)
+let stage_pass t ~program ~locals ~edges pass =
+  let pre, hoist =
+    if edges then List.split (List.mapi (stage_pair_invariant t) (pair_invariant t.env ~locals pass))
+    else ([], [])
+  in
   let defs = Hashtbl.create 8 and slot = ref 0 in
   List.iter (fun n -> Hashtbl.replace defs n (const 0.0)) locals;
   let stmts =
     List.map
       (fun (st, cls) ->
-        let s = stage_stmt t ~program defs slot st in
-        let gate rep inst =
-          let s = s inst in
-          fun e v -> if rep.(e) = e then s e v
+        let gate rep =
+          let s = stage_stmt t ~program ~hoist:[] defs slot st in
+          fun inst ->
+            let s = s inst in
+            fun e v -> if rep.(e) = e then s e v
         in
         match cls with
-        | Per_edge -> s
+        | Per_edge -> stage_stmt t ~program ~hoist defs slot st
         | Per_pair_src -> gate (Graph_ctx.rep_src t.ctx)
         | Per_pair_dst -> gate (Graph_ctx.rep_dst t.ctx))
       pass
   in
   let nslots = !slot in
-  fun grads ->
-    let inst = { grads; slots = Array.make nslots [||] } in
-    let stmts = Array.of_list (List.map (fun s -> s inst) stmts) in
-    fun e v ->
-      for i = 0 to Array.length stmts - 1 do
-        stmts.(i) e v
-      done
+  ( pre,
+    fun grads ->
+      let inst = { grads; slots = Array.make nslots [||] } in
+      let stmts = Array.of_list (List.map (fun s -> s inst) stmts) in
+      fun e v ->
+        for i = 0 to Array.length stmts - 1 do
+          stmts.(i) e v
+        done )
 
 (* ------------------------------------------------------------------ *)
 (* multicore traversal sweeps                                          *)
@@ -962,10 +1161,13 @@ let fallback_passes env (f : Plan.fallback) =
   schedule env ~locals:[] f.Plan.strategy [ List.map (fun st -> (st, Per_edge)) f.Plan.body ]
 
 (* Stage every pass at step entry (shape errors surface before any buffer
-   is touched), then sweep them in order. *)
+   is touched), then run them in order: each pass's pair pre-passes, then
+   its sweep. *)
 let run_passes t ~program ~locals strategy passes =
-  List.map (fun p -> (p.parallel, stage_pass t ~program ~locals p.stmts)) passes
-  |> List.iter (fun (parallel, make) ->
+  let edges = strategy <> Ts.Node_map in
+  List.map (fun p -> (p.parallel, stage_pass t ~program ~locals ~edges p.stmts)) passes
+  |> List.iter (fun (parallel, (pre, make)) ->
+         List.iter (fun f -> f ()) pre;
          if parallel then parallel_sweep t strategy make else sequential_sweep t strategy make)
 
 (* The single launch charged for a whole traversal spec (passes share it):
@@ -1395,15 +1597,28 @@ let run_step ~step_idx t (plan : Plan.t) step =
    program, so its arena degrades to identity coloring: one slot per
    buffer, every buffer live for the whole run. *)
 
-let create_arena t (plan : Plan.t) ~shared =
-  let memory =
-    match plan.Plan.memory with Some m -> m | None -> Bp.analyze plan
-  in
-  let nsteps = List.length plan.Plan.steps in
+(* Each buffer's placement in the plan's memory plan, by name. *)
+let placements (plan : Plan.t) =
+  let memory = match plan.Plan.memory with Some m -> m | None -> Bp.analyze plan in
   let place_of = Hashtbl.create 16 in
+  List.iter (fun (p : Plan.placement) -> Hashtbl.replace place_of p.Plan.var p) memory.Plan.placements;
+  place_of
+
+(* Arena members grouped by where [run_plan] binds them: at run start
+   (untouched buffers, or a plan without steps) or before their first
+   step, each group in reverse member order. *)
+let bind_points ~nsteps members =
+  let pre = ref [] and at = Array.make (max 1 nsteps) [] in
   List.iter
-    (fun (p : Plan.placement) -> Hashtbl.replace place_of p.Plan.var p)
-    memory.Plan.placements;
+    (fun (m, (p : Plan.placement)) ->
+      if p.Plan.first < 0 || nsteps = 0 then pre := m :: !pre
+      else at.(p.Plan.first) <- m :: at.(p.Plan.first))
+    members;
+  (!pre, at)
+
+let create_arena t (plan : Plan.t) ~shared =
+  let nsteps = List.length plan.Plan.steps in
+  let place_of = placements plan in
   (* buffers already bound in the environment (inputs, persistent
      buffers, another plan's buffers) keep [alloc_buffer]'s
      allocate-or-rezero behaviour; the arena manages only the rest *)
@@ -1471,27 +1686,26 @@ let create_arena t (plan : Plan.t) ~shared =
       in
       Hashtbl.replace backings slot backing)
     slot_cap;
-  let abind = Array.make (max 1 nsteps) [] in
   let aunbind = Array.make (max 1 nsteps) [] in
-  let apre = ref [] in
   List.iter
-    (fun ((b : Plan.buffer), (p : Plan.placement), rows, slot) ->
-      let m =
-        {
-          mbuf = b;
-          mview = Tensor.view (Hashtbl.find backings slot) [| rows; b.Plan.dim |];
-          muninit = p.Plan.uninit_ok;
-          minitialized = false;
-        }
-      in
-      if p.Plan.first < 0 || nsteps = 0 then apre := m :: !apre
-      else begin
-        abind.(p.Plan.first) <- m :: abind.(p.Plan.first);
-        if shared && b.Plan.temp then
-          aunbind.(p.Plan.last) <- b.Plan.name :: aunbind.(p.Plan.last)
-      end)
+    (fun ((b : Plan.buffer), (p : Plan.placement), _, _) ->
+      if shared && b.Plan.temp && p.Plan.first >= 0 && nsteps > 0 then
+        aunbind.(p.Plan.last) <- b.Plan.name :: aunbind.(p.Plan.last))
     placed;
-  { abind; aunbind; apre = !apre; aother }
+  let apre, abind =
+    bind_points ~nsteps
+      (List.map
+         (fun ((b : Plan.buffer), (p : Plan.placement), rows, slot) ->
+           ( {
+               mbuf = b;
+               mview = Tensor.view (Hashtbl.find backings slot) [| rows; b.Plan.dim |];
+               muninit = p.Plan.uninit_ok;
+               minitialized = false;
+             },
+             p ))
+         placed)
+  in
+  { abind; aunbind; apre; aother }
 
 let find_arena t (plan : Plan.t) ~shared =
   let rec lookup = function
@@ -1549,6 +1763,23 @@ let bind_managed ~inlined ~shared t (m : managed) =
   Env.add t.env ~name:b.Plan.name
     { Env.tensor = m.mview; space = b.Plan.space; dim = b.Plan.dim; alloc = None };
   launch_memset t ~inlined b
+
+(* The launches [run_plan] charges on a fresh executor, where the arena
+   manages every buffer the memory plan places: each memset where its
+   buffer is bound (unplaced buffers first), each step's kernels after
+   the step's memsets. *)
+let plan_kernels ~env ~ctx (plan : Plan.t) =
+  let inlined = Plan.inline_zeroed plan and place_of = placements plan in
+  let memsets = List.filter_map (buffer_memset ~ctx ~inlined) in
+  let placed, other =
+    List.partition_map
+      (fun (b : Plan.buffer) ->
+        match Hashtbl.find_opt place_of b.Plan.name with Some p -> Left (b, p) | None -> Right b)
+      plan.Plan.buffers
+  in
+  let pre, at = bind_points ~nsteps:(List.length plan.Plan.steps) placed in
+  memsets other @ memsets pre
+  @ List.concat (List.mapi (fun i step -> memsets at.(i) @ step_kernels ~env ~ctx ~plan step) plan.Plan.steps)
 
 let run_plan ?on_step ?(free_temps = true) t (plan : Plan.t) =
   Hector_obs.time (Engine.obs t.engine) ~kind:"run" ("run_plan:" ^ plan.Plan.name) @@ fun () ->

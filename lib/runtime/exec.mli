@@ -15,9 +15,13 @@
     both layouts compute the same edge gradients, as RGCN's and HGT's do.
     Each launch is still charged for every edge row.  Traversal steps
     stage their fused statement body at step entry — buffers, weight
-    stacks and row maps resolved to flat arrays once per run, one
-    specialized float loop per operator — and sweep the staged closures
-    per edge or per node (one launch each).
+    stacks and index columns resolved to flat arrays once per run, one
+    specialized float loop per operator, pointwise statement roots
+    written straight into their targets — and sweep the staged closures
+    per edge or per node (one launch each).  An edge sweep first
+    evaluates each reduction that is constant on one side's compact
+    pairs once per pair, into host scratch the sweep then reads; the
+    launch still charges every edge.
     Fallback steps run through the same stager but are charged one launch
     and full operand materialization per expression node, as the PyTorch
     path would. *)
@@ -61,12 +65,18 @@ val create_slab : ?epoch:int -> unit -> slab
 val slab_epoch : slab -> int
 (** The capacity epoch the slab was created for. *)
 
+type scratch
+(** Host scratch for the pair-invariant reductions of traversal sweeps,
+    kept at its high-water size; shared through the slab when there is
+    one.  Never charged to device memory. *)
+
 type t = {
   engine : Engine.t;
   ctx : Graph_ctx.t;
   env : Env.t;
   opaque : (string * opaque_fn) list;
   slab : slab option;
+  scratch : scratch;
   mutable arenas : (Hector_core.Plan.t * bool * arena) list;
 }
 
@@ -139,29 +149,26 @@ val fallback_passes : Env.t -> Hector_core.Plan.fallback -> pass list
 val node_grain : int
 (** Destination nodes per chunk of a parallel sweep. *)
 
-(** {1 Launch-descriptor builders}
+(** {1 Launch sequence}
 
     The analytic cost side of execution, shared with {!Plan_cost} so it can
     price a compiled plan {e without running it}.  [run_plan] charges the
-    engine through these builders and nothing else, so the estimator and
-    the engine see one launch sequence by construction.  Only the [dim]
+    engine through the same builders, bound for bound and step for step,
+    so the estimator and the engine see one launch sequence in one order
+    by construction.  Only the [dim]
     and [space] fields of environment entries (and weight-stack shapes)
     are consulted — tensor contents never are, so a dummy environment
     carrying the right shapes prices identically to a live one. *)
 
-val step_kernels :
-  env:Env.t -> ctx:Graph_ctx.t -> plan:Hector_core.Plan.t -> Hector_core.Plan.step -> Hector_gpu.Kernel.t list
-(** The launch sequence one step charges per run: one kernel per
-    weight-op / GEMM / traversal step, one per expression node for
-    fallbacks, and one merged kernel for a fused group (members' work
-    summed).  [run_plan] computes the step, then launches exactly this
-    list under the step's provenance.  [env] must bind every buffer and
-    weight stack the step references, with correct dims/spaces. *)
-
-val buffer_memset :
-  ctx:Graph_ctx.t -> inlined:string list -> Hector_core.Plan.buffer -> Hector_gpu.Kernel.t option
-(** The zero-fill launch [run_plan] charges for a plan buffer on every run:
-    one for a [zero_init] buffer not in [inlined] (the plan's
-    {!Hector_core.Plan.inline_zeroed}, whose fused kernel initializes the
-    accumulator itself), none otherwise. *)
-
+val plan_kernels :
+  env:Env.t -> ctx:Graph_ctx.t -> Hector_core.Plan.t -> Hector_gpu.Kernel.t list
+(** The launch sequence of one [run_plan] on a fresh executor, whose
+    arena manages every buffer the plan's memory plan places, in the
+    order the engine is charged: a memset for each [zero_init] buffer
+    outside {!Hector_core.Plan.inline_zeroed} where [run_plan] binds it
+    (at run start, or before the buffer's first step), and each step's
+    kernels after that step's memsets: one per weight-op / GEMM /
+    traversal step, one per expression node for fallbacks, and one merged
+    kernel for a fused group (members' work summed).  [env] must bind
+    every buffer and weight stack the plan references, with correct
+    dims and spaces. *)

@@ -14,6 +14,8 @@ type t = {
   mutable compact_dst : Compact_map.t option;
   mutable rep_src : int array option;
   mutable rep_dst : int array option;
+  mutable pair_rep_src : int array option;
+  mutable pair_rep_dst : int array option;
   mutable edge_offsets : int array option;
   mutable node_offsets : int array option;
 }
@@ -26,6 +28,8 @@ let create graph =
     compact_dst = None;
     rep_src = None;
     rep_dst = None;
+    pair_rep_src = None;
+    pair_rep_dst = None;
     edge_offsets = None;
     node_offsets = None;
   }
@@ -56,16 +60,35 @@ let compact_dst t =
       t.compact_dst <- Some c;
       c
 
-(* [rep.(e)] is the first (representative) edge of [e]'s compact row:
-   pair-local traversal statements execute only where [rep.(e) = e], and
-   an edge-space gather computes only those rows and copies the rest. *)
-let representatives (cm : Compact_map.t) =
+(* [pair_rep.(p)] is the first edge of compact row [p], its
+   representative: a pair-invariant reduction is evaluated there once per
+   pair.  [rep.(e)] is the representative of [e]'s row: pair-local
+   traversal statements execute only where [rep.(e) = e], and an
+   edge-space gather computes only those rows and copies the rest. *)
+let pair_representatives (cm : Compact_map.t) =
   let first = Array.make cm.Compact_map.num_pairs (-1) in
-  Array.mapi
-    (fun e row ->
-      if first.(row) < 0 then first.(row) <- e;
-      first.(row))
-    cm.Compact_map.row_of_edge
+  Array.iteri (fun e row -> if first.(row) < 0 then first.(row) <- e) cm.Compact_map.row_of_edge;
+  first
+
+let pair_rep_src t =
+  match t.pair_rep_src with
+  | Some r -> r
+  | None ->
+      let r = pair_representatives (compact_src t) in
+      t.pair_rep_src <- Some r;
+      r
+
+let pair_rep_dst t =
+  match t.pair_rep_dst with
+  | Some r -> r
+  | None ->
+      let r = pair_representatives (compact_dst t) in
+      t.pair_rep_dst <- Some r;
+      r
+
+let representatives (cm : Compact_map.t) =
+  let pairs = pair_representatives cm in
+  Array.map (fun row -> pairs.(row)) cm.Compact_map.row_of_edge
 
 let rep_src t =
   match t.rep_src with

@@ -43,6 +43,14 @@ val rep_src : t -> int array
 val rep_dst : t -> int array
 (** Destination-side analogue of {!rep_src}. *)
 
+val pair_rep_src : t -> int array
+(** Per (etype, src) compact row: its first edge, the representative
+    {!rep_src} maps every edge of the pair to.  The executor evaluates a
+    pair-invariant reduction there, once per pair, before an edge sweep. *)
+
+val pair_rep_dst : t -> int array
+(** Destination-side analogue of {!pair_rep_src}. *)
+
 val offsets : t -> Hector_core.Materialization.space -> int array
 (** The segment list of a typed GEMM over a space, built once and kept:
     for an edge space, [offsets.(r)] is the first row of relation [r] and

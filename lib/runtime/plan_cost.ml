@@ -89,13 +89,6 @@ let shape_env t (compiled : Compiler.compiled) =
   | _ -> ());
   env
 
-(* The launches of one [Exec.run_plan]: the buffers' memsets (which the
-   executor charges as each buffer is bound), then each step's kernels. *)
-let plan_kernels t ~env (plan : Plan.t) =
-  let inlined = Plan.inline_zeroed plan in
-  List.filter_map (Exec.buffer_memset ~ctx:t.ctx ~inlined) plan.Plan.buffers
-  @ List.concat_map (Exec.step_kernels ~env ~ctx:t.ctx ~plan) plan.Plan.steps
-
 (* Weight names whose gradient stacks the backward plan materializes. *)
 let direct_grad_weights (bwd : Plan.t) =
   List.fold_left
@@ -104,20 +97,22 @@ let direct_grad_weights (bwd : Plan.t) =
       tbl)
     (Hashtbl.create 8) bwd.Plan.steps
 
-(* The loss / optimizer launches one {!Train}-driven epoch adds on top of
-   the forward and backward plans: two reduction kernels for the NLL loss,
-   one [bmm_backward] per weight op whose product received a gradient, and
-   one SGD kernel per original weight with a gradient stack. *)
-let training_kernels t ~env (compiled : Compiler.compiled) (bwd : Plan.t) =
-  let g = Graph_ctx.graph t.ctx in
+(* The two NLL reductions {!Train.loss_and_grads} charges between the
+   forward and backward plans. *)
+let loss_kernels t ~env (compiled : Compiler.compiled) =
   let out_name =
     match compiled.Compiler.forward.Plan.program.Ir.outputs with
     | o :: _ -> o
     | [] -> invalid_arg "Plan_cost: training program has no outputs"
   in
-  let loss =
-    Train.loss_kernels ~origin:"train" ~rows:g.G.num_nodes ~cols:(Env.find env out_name).Env.dim
-  in
+  Train.loss_kernels ~origin:"train" ~rows:(Graph_ctx.graph t.ctx).G.num_nodes
+    ~cols:(Env.find env out_name).Env.dim
+
+(* The optimizer launches a {!Train}-driven epoch adds after the backward
+   plan: one [bmm_backward] per weight op whose product received a
+   gradient, and one SGD kernel per original weight with a gradient
+   stack. *)
+let update_kernels ~env (compiled : Compiler.compiled) (bwd : Plan.t) =
   let grads = direct_grad_weights bwd in
   (* replay of Train.backprop_weight_ops: reverse order, propagating
      membership from products to their factors as it goes *)
@@ -143,14 +138,15 @@ let training_kernels t ~env (compiled : Compiler.compiled) (bwd : Plan.t) =
         if List.mem name fused then acc else Train.sgd_kernel ~name (Env.weight env name) :: acc)
       grads []
   in
-  loss @ bmm @ sgd
+  bmm @ sgd
 
 let kernels t (compiled : Compiler.compiled) =
   let env = shape_env t compiled in
-  let fwd = plan_kernels t ~env compiled.Compiler.forward in
+  let fwd = Exec.plan_kernels ~env ~ctx:t.ctx compiled.Compiler.forward in
   match compiled.Compiler.backward with
   | Some bwd when compiled.Compiler.options.Compiler.training ->
-      fwd @ plan_kernels t ~env bwd @ training_kernels t ~env compiled bwd
+      fwd @ loss_kernels t ~env compiled @ Exec.plan_kernels ~env ~ctx:t.ctx bwd
+      @ update_kernels ~env compiled bwd
   | _ -> fwd
 
 let estimate_ms t compiled =

@@ -94,24 +94,17 @@ let test_estimator_exact_fixed_layouts () =
         check_bool
           (Printf.sprintf "estimate matches measurement for %s" (options_id c.Autotune.options))
           true
-          (Float.abs (c.Autotune.estimated_ms -. c.Autotune.time_ms) <= 1e-9))
+          (Int64.equal
+             (Int64.bits_of_float c.Autotune.estimated_ms)
+             (Int64.bits_of_float c.Autotune.time_ms)))
     r.Autotune.all
 
 (* --- per-launch parity ---------------------------------------------- *)
 
 (* The estimator's kernel list against the launches a steady-state epoch
-   hands the engine, one by one: name, category and simulated time per
-   launch, and per kernel name the launch count, flops and bytes the
-   engine's statistics recorded.  Two orders differ by design: memsets are
-   charged as each buffer is bound, not up front, so they are compared as
-   a sorted list; and a training step charges the NLL loss between the
-   forward and backward plans, where the estimator lists it after the
-   backward, so the loss launches are compared on their own. *)
-let is_memset name = String.starts_with ~prefix:"memset_" name
-
-let is_loss (prov : Kernel.provenance option) =
-  match prov with Some p -> p.Kernel.op = "loss" | None -> false
-
+   hands the engine, one by one and in order: name, category and
+   simulated time per launch, and per kernel name the launch count, flops
+   and bytes the engine's statistics recorded. *)
 (* What the engine records for [k]: its work at the graph's cost scale. *)
 let scaled ~scale (k : Kernel.t) =
   if (not k.Kernel.graph_proportional) || scale = 1.0 then k
@@ -144,36 +137,22 @@ let check_launch_parity ~label ~graph compiled =
   let scale = graph.G.scale in
   let executed =
     List.map
-      (fun (e : Engine.event) ->
-        (e.Engine.name, e.Engine.category, e.Engine.duration_ms, e.Engine.prov))
+      (fun (e : Engine.event) -> (e.Engine.name, e.Engine.category, e.Engine.duration_ms))
       (Engine.events engine)
   in
   let kernels = Plan_cost.kernels (Plan_cost.create ~device ~graph ()) compiled in
   let expected =
     List.map
-      (fun (k : Kernel.t) ->
-        (k.Kernel.name, k.Kernel.category, Engine.predict_ms ~scale device k, k.Kernel.prov))
+      (fun (k : Kernel.t) -> (k.Kernel.name, k.Kernel.category, Engine.predict_ms ~scale device k))
       kernels
   in
-  let part keep l = List.filter (fun (name, _, _, prov) -> keep name prov) l in
-  let compare_seq what got want =
-    check_int (Printf.sprintf "%s: %s launches" label what) (List.length want) (List.length got);
-    List.iteri
-      (fun i ((gn, gc, gms, _), (wn, wc, wms, _)) ->
-        if gn <> wn || gc <> wc || Int64.bits_of_float gms <> Int64.bits_of_float wms then
-          Alcotest.failf "%s: %s launch %d is %s (%s, %h ms), estimator has %s (%s, %h ms)" label
-            what i gn (Kernel.category_name gc) gms wn (Kernel.category_name wc) wms)
-      (List.combine got want)
-  in
-  let steps name prov = (not (is_memset name)) && not (is_loss prov) in
-  compare_seq "step" (part steps executed) (part steps expected);
-  compare_seq "loss" (part (fun _ p -> is_loss p) executed) (part (fun _ p -> is_loss p) expected);
-  let memsets l =
-    part (fun n _ -> is_memset n) l
-    |> List.map (fun (n, c, ms, _) -> (n, c, ms, None))
-    |> List.sort compare
-  in
-  compare_seq "memset" (memsets executed) (memsets expected);
+  check_int (label ^ ": launches") (List.length expected) (List.length executed);
+  List.iteri
+    (fun i ((gn, gc, gms), (wn, wc, wms)) ->
+      if gn <> wn || gc <> wc || Int64.bits_of_float gms <> Int64.bits_of_float wms then
+        Alcotest.failf "%s: launch %d is %s (%s, %h ms), estimator has %s (%s, %h ms)" label i gn
+          (Kernel.category_name gc) gms wn (Kernel.category_name wc) wms)
+    (List.combine executed expected);
   (* per kernel name: what the engine's statistics hold vs the estimator's
      kernels at the same scale *)
   let want = Hashtbl.create 64 in

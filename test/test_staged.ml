@@ -1,7 +1,8 @@
 (* Staged traversal bodies: random traversal and fallback bodies run
    through [Exec.run_plan] and through the value-interpreter oracle
-   ({!Oracle}) must agree bit for bit at 1, 2 and 4 domains, and a warmed
-   forward pass must allocate nothing per edge. *)
+   ({!Oracle}) must agree bit for bit at 1, 2 and 4 domains, a warmed
+   forward pass must allocate nothing per edge, and a warmed pass that
+   evaluates reductions once per compact pair must reuse its scratch. *)
 
 module T = Hector_tensor.Tensor
 module Dp = Hector_tensor.Domain_pool
@@ -53,9 +54,14 @@ let decls =
   [
     Ir.Weight_mat { name = "W"; slice = Ir.By_etype; rows = dim; cols = dim };
     Ir.Weight_mat { name = "Ws"; slice = Ir.By_src_ntype; rows = dim; cols = dim };
+    Ir.Weight_mat { name = "Wd"; slice = Ir.By_dst_ntype; rows = dim; cols = dim };
+    Ir.Weight_mat { name = "Wsh"; slice = Ir.Shared; rows = dim; cols = dim };
     Ir.Weight_mat { name = "Wn"; slice = Ir.By_ntype; rows = dim; cols = dim };
     Ir.Weight_mat { name = "V"; slice = Ir.Shared; rows = dim; cols = 1 };
     Ir.Weight_vec { name = "a"; slice = Ir.By_etype; dim };
+    Ir.Weight_vec { name = "as"; slice = Ir.By_src_ntype; dim };
+    Ir.Weight_vec { name = "ad"; slice = Ir.By_dst_ntype; dim };
+    Ir.Weight_vec { name = "ash"; slice = Ir.Shared; dim };
     Ir.Weight_vec { name = "b"; slice = Ir.By_dst_ntype; dim = 1 };
   ]
 
@@ -74,13 +80,73 @@ let pick rs l = List.nth l (Random.State.int rs (List.length l))
 
 let binop_of rs = pick rs [ Ir.Add; Ir.Sub; Ir.Mul; Ir.Div ]
 
-(* Contents with exact zeros and negative zeros mixed in, so the
-   [xi <> 0.0] skips and the signed-zero rules are exercised. *)
+let unop_of rs =
+  pick rs [ Ir.Exp; Ir.Neg; Ir.Reciprocal; Ir.Leaky_relu; Ir.Relu; Ir.Rsqrt; Ir.Leaky_relu_grad; Ir.Relu_grad ]
+
+(* Contents with exact zeros, negative zeros and the odd NaN mixed in, so
+   the [xi <> 0.0] skips, the signed-zero rules and NaN propagation are
+   exercised. *)
 let random_value rs =
-  match Random.State.int rs 10 with
-  | 0 | 1 -> 0.0
-  | 2 -> -0.0
+  match Random.State.int rs 40 with
+  | 0 | 1 | 2 | 3 -> 0.0
+  | 4 | 5 | 6 | 7 -> -0.0
+  | 8 -> Float.nan
   | _ -> Random.State.float rs 4.0 -. 2.0
+
+(* A reduction whose operands are anchored on one side of the edge:
+   that endpoint's features or compact rows, against weights sliced by
+   relation, by that endpoint's type or shared.  The executor evaluates
+   such a reduction once per compact pair, unless the pass writes what it
+   reads.  One in five mixes in the other side's weight or, in a
+   node-gather sweep, a node-typed one, and some operands carry a
+   constant: those must not be hoisted. *)
+let anchored rs strategy shape =
+  let side = pick rs [ `Src; `Dst ] in
+  let row () =
+    match side with
+    | `Src -> pick rs [ Ir.Feature (Ir.Src, "hn"); Ir.Data (Ir.Cur_edge, "cs"); Ir.Data (Ir.Cur_edge, "d:cs") ]
+    | `Dst -> pick rs [ Ir.Feature (Ir.Dst, "hn"); Ir.Data (Ir.Cur_edge, "cd") ]
+  in
+  let mixed = Random.State.int rs 5 = 0 in
+  let other = if strategy = Ts.Node_gather then [ "Wn" ] else [] in
+  let mat () =
+    let own = match side with `Src -> [ "W"; "Ws"; "Wsh" ] | `Dst -> [ "W"; "Wd"; "Wsh" ] in
+    let w = pick rs (if mixed then (match side with `Src -> "Wd" | `Dst -> "Ws") :: other else own) in
+    let slice =
+      match w with
+      | "W" -> Ir.By_etype
+      | "Ws" -> Ir.By_src_ntype
+      | "Wd" -> Ir.By_dst_ntype
+      | "Wn" -> Ir.By_ntype
+      | _ -> Ir.Shared
+    in
+    Ir.Weight (w, slice)
+  in
+  let vec () =
+    match (side, mixed) with
+    | `Src, false -> pick rs [ Ir.Weight ("a", Ir.By_etype); Ir.Weight ("as", Ir.By_src_ntype); Ir.Weight ("ash", Ir.Shared) ]
+    | `Dst, false -> pick rs [ Ir.Weight ("a", Ir.By_etype); Ir.Weight ("ad", Ir.By_dst_ntype); Ir.Weight ("ash", Ir.Shared) ]
+    | `Src, true -> Ir.Weight ("ad", Ir.By_dst_ntype)
+    | `Dst, true -> Ir.Weight ("as", Ir.By_src_ntype)
+  in
+  let v () =
+    match Random.State.int rs 4 with
+    | 0 -> Ir.Linear (row (), mat ())
+    | 1 -> Ir.Linear_t (row (), mat ())
+    | 2 -> Ir.Binop (pick rs [ Ir.Add; Ir.Mul ], row (), Ir.Const 0.5)
+    | _ -> row ()
+  in
+  match shape with
+  | S -> (
+      match Random.State.int rs 3 with
+      | 0 -> Ir.Inner (v (), vec ())
+      | 1 -> Ir.Inner (row (), v ())
+      | _ -> Ir.Linear (v (), Ir.Weight ("V", Ir.Shared)))
+  | V -> (
+      match Random.State.int rs 3 with
+      | 0 -> Ir.Linear (v (), mat ())
+      | 1 -> Ir.Linear_t (v (), mat ())
+      | _ -> Ir.Linear (Ir.Linear_t (row (), mat ()), mat ()))
 
 (* A random expression of [shape] legal in a body swept by [strategy];
    [defined] lists the register locals assigned so far. *)
@@ -119,18 +185,15 @@ let rec gen_expr rs strategy defined depth shape =
       ((if edges then [ Ir.Weight ("W", Ir.By_etype); Ir.Weight ("Ws", Ir.By_src_ntype) ] else [])
       @ if node then [ Ir.Weight ("Wn", Ir.By_ntype) ] else [])
   in
-  let unop () =
-    pick rs
-      [ Ir.Exp; Ir.Neg; Ir.Reciprocal; Ir.Leaky_relu; Ir.Relu; Ir.Rsqrt; Ir.Leaky_relu_grad; Ir.Relu_grad ]
-  in
   if depth <= 0 || Random.State.int rs 4 = 0 then pick rs (read ())
+  else if edges && Random.State.int rs 5 = 0 then anchored rs strategy shape
   else
     match (shape, Random.State.int rs 6) with
     | S, 0 -> Ir.Slice (sub V, Random.State.int rs dim, 1)
     | S, 1 -> Ir.Inner (sub V, sub V)
     | S, 2 -> Ir.Linear (sub V, Ir.Weight ("V", Ir.Shared))
     | S, 3 -> Ir.Binop (binop_of rs, sub S, sub S)
-    | S, _ -> Ir.Unop (unop (), sub S)
+    | S, _ -> Ir.Unop (unop_of rs, sub S)
     | V, 0 -> Ir.Linear (sub V, weight ())
     | V, 1 -> Ir.Linear_t (sub V, weight ())
     | V, 2 -> Ir.Slice (Ir.Concat (sub V, sub V), Random.State.int rs (dim + 1), dim)
@@ -139,7 +202,7 @@ let rec gen_expr rs strategy defined depth shape =
         match Random.State.int rs 2 with
         | 0 -> Ir.Binop (binop_of rs, sub S, sub V)
         | _ -> Ir.Binop (binop_of rs, sub V, sub S))
-    | V, _ -> Ir.Unop (unop (), sub V)
+    | V, _ -> Ir.Unop (unop_of rs, sub V)
 
 (* A random statement body.  Every body writes a [-0.0] through a plain
    assignment, which must land as [+0.0]. *)
@@ -148,6 +211,20 @@ let gen_body rs strategy ~fallback =
   let e shape = gen_expr rs strategy !defined 3 shape in
   let value shape =
     if fallback && Random.State.bool rs then Ir.Opaque ("tanh", [ e shape ]) else e shape
+  in
+  (* a pointwise root of any operator; scalars broadcast from either side *)
+  let root shape =
+    let sub = gen_expr rs strategy !defined 2 in
+    match (shape, Random.State.int rs 4) with
+    | _, 0 -> Ir.Unop (unop_of rs, sub shape)
+    | S, _ | V, 1 -> Ir.Binop (binop_of rs, sub shape, sub shape)
+    | V, 2 -> Ir.Binop (binop_of rs, sub S, sub V)
+    | V, _ -> Ir.Binop (binop_of rs, sub V, sub S)
+  in
+  let self_broadcast ent n =
+    let own = Ir.Slice (Ir.Data (ent, n), Random.State.int rs dim, 1) in
+    let x = if Random.State.bool rs then Ir.Binop (binop_of rs, e V, own) else Ir.Binop (binop_of rs, own, e V) in
+    if Random.State.bool rs then Ir.Assign (ent, n, x) else Ir.Accumulate (ent, n, x)
   in
   let stmt () =
     let edge_stmts () =
@@ -173,9 +250,20 @@ let gen_body rs strategy ~fallback =
         (fun () -> Ir.Assign (Ir.Cur_edge, "oe", Ir.Binop (Ir.Add, Ir.Data (Ir.Cur_edge, "cd"), e V)));
         (fun () -> Ir.Grad_weight { name = "W"; x = e V; dy = e V });
         (fun () -> Ir.Grad_weight { name = "a"; x = e V; dy = e S });
+        (* pointwise roots stored straight into compact rows, per edge *)
+        (fun () -> Ir.Assign (Ir.Cur_edge, pick rs [ "cs"; "cd" ], root V));
+        (fun () -> Ir.Accumulate (Ir.Cur_edge, pick rs [ "cs"; "cd" ], root V));
+        (* a write to what pair-invariant reductions read: none of them
+           may then run before the sweep *)
+        (fun () -> Ir.Accumulate (pick rs [ Ir.Src; Ir.Dst ], "hn", value V));
+        (fun () -> Ir.Assign (Ir.Cur_edge, "cs", e V));
+        (* a scalar broadcast out of the row being written *)
+        (fun () -> self_broadcast (pick rs [ Ir.Dst; Ir.Src ]) "on");
+        (fun () -> self_broadcast Ir.Cur_edge "oe");
       ]
     and node_stmts () =
       [
+        (fun () -> self_broadcast Ir.Cur_node "on");
         (fun () -> Ir.Assign (Ir.Cur_node, "on", value V));
         (fun () -> Ir.Accumulate (Ir.Cur_node, "an", value S));
         (fun () -> Ir.Accumulate (Ir.Cur_node, "on", value V));
@@ -186,8 +274,13 @@ let gen_body rs strategy ~fallback =
          split re-runs every definition of a local a later pass reads);
          node-map and fallback bodies never split, so they redefine *)
       let free n = fallback || strategy = Ts.Node_map || not (List.mem n !defined) in
-      (if free "t0" then [ (fun () -> Ir.Assign (Ir.Cur_edge, "t0", value V)) ] else [])
-      @ if free "t1" then [ (fun () -> Ir.Assign (Ir.Cur_edge, "t1", value S)) ] else []
+      (if free "t0" then
+         [ (fun () -> Ir.Assign (Ir.Cur_edge, "t0", value V)); (fun () -> Ir.Assign (Ir.Cur_edge, "t0", root V)) ]
+       else [])
+      @
+      if free "t1" then
+        [ (fun () -> Ir.Assign (Ir.Cur_edge, "t1", value S)); (fun () -> Ir.Assign (Ir.Cur_edge, "t1", root S)) ]
+      else []
     in
     let choices =
       local_stmts ()
@@ -299,9 +392,14 @@ let run_case seed =
     [
       ("W", w);
       ("Ws", random_tensor rs [| nnt; dim; dim |]);
+      ("Wd", random_tensor rs [| nnt; dim; dim |]);
+      ("Wsh", random_tensor rs [| 1; dim; dim |]);
       ("Wn", random_tensor rs [| nnt; dim; dim |]);
       ("V", random_tensor rs [| 1; dim; 1 |]);
       ("a", random_tensor rs [| net; dim |]);
+      ("as", random_tensor rs [| nnt; dim |]);
+      ("ad", random_tensor rs [| nnt; dim |]);
+      ("ash", random_tensor rs [| 1; dim |]);
       ("b", random_tensor rs [| nnt; 1 |]);
     ]
   in
@@ -502,9 +600,44 @@ let test_no_per_edge_allocation () =
             (words cfg (graph ~etypes:400 2000)))
         [ ("rgcn", false, false); ("hgt", false, false); ("rgat", true, true) ])
 
+(* A warmed RGAT C+F training step's two [run_plan]s on the AM replica,
+   whose traversals evaluate their pair-invariant inner products once per
+   compact pair.  The pre-pass scratch is kept at its high-water size:
+   later runs allocate no host tensor, nothing straight on the major heap
+   (where a fresh per-pair buffer would land), and no more minor words
+   than the run before. *)
+let test_pair_prepass_steady_state () =
+  with_domains 1 (fun () ->
+      let g = Ds.load ~seed:1 (Ds.find "am") in
+      let compiled =
+        Compiler.compile
+          ~options:(Compiler.options_of_flags ~training:true ~compact:true ~fusion:true ())
+          (Models.by_name "rgat" ~in_dim:16 ~out_dim:8 ())
+      in
+      let session = Session.create ~graph:g compiled in
+      let exec = Session.exec session and fwd = compiled.Compiler.forward in
+      let bwd = Option.get compiled.Compiler.backward in
+      let labels = Array.init g.G.num_nodes (fun i -> i mod 8) in
+      ignore (Hector_runtime.Train.loss_and_grads ~exec compiled ~labels);
+      let run () =
+        let tensors = T.allocation_count () and minor0, promoted0, major0 = Gc.counters () in
+        Exec.run_plan ~free_temps:false exec fwd;
+        Exec.run_plan exec bwd;
+        Exec.free_temp_buffers exec fwd;
+        let minor1, promoted1, major1 = Gc.counters () in
+        (T.allocation_count () - tensors, major1 -. promoted1 -. (major0 -. promoted0), minor1 -. minor0)
+      in
+      let _ = run () in
+      let t2, m2, w2 = run () in
+      let t3, m3, w3 = run () in
+      Alcotest.(check (pair int int)) "host tensors allocated by runs 2 and 3" (0, 0) (t2, t3);
+      Alcotest.(check (pair (float 0.0) (float 0.0))) "major-heap words of runs 2 and 3" (0.0, 0.0) (m2, m3);
+      Alcotest.(check bool) (Printf.sprintf "run 3 minor words %.0f <= run 2 %.0f" w3 w2) true (w3 <= w2))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_staged_matches_oracle;
     Alcotest.test_case "no per-edge allocation" `Quick test_no_per_edge_allocation;
+    Alcotest.test_case "pair pre-pass steady state" `Quick test_pair_prepass_steady_state;
     Alcotest.test_case "edge-row gathers == per-edge textbook loop" `Quick test_edge_gathers_textbook;
   ]
