@@ -13,23 +13,24 @@ let adjacency_closures (layout : Layout.t) =
   match layout.Layout.adjacency with
   | Layout.Coo ->
       [
-        "  // COO adjacency: id retrieval closures are plain subscripts";
-        "  const int src = coo_src[idxEdge];   // GetSrcId";
-        "  const int dst = coo_dst[idxEdge];   // GetDstId";
-        "  const int etype = coo_etype[idxEdge]; // GetEType";
+        "// COO adjacency: id retrieval closures are plain subscripts";
+        "const int src = coo_src[idxEdge];   // GetSrcId";
+        "const int dst = coo_dst[idxEdge];   // GetDstId";
+        "const int etype = coo_etype[idxEdge]; // GetEType";
       ]
   | Layout.Csr ->
       [
-        "  // CSR adjacency: GetDstId is an ownership binary search";
-        "  const int dst = binary_search_owner(row_ptr, idxEdge); // GetDstId";
-        "  const int src = csr_col[idxEdge];   // GetSrcId";
-        "  const int etype = csr_etype[idxEdge]; // GetEType";
+        "// CSR adjacency: GetDstId is an ownership binary search";
+        "const int dst = binary_search_owner(row_ptr, idxEdge); // GetDstId";
+        "const int src = csr_col[idxEdge];   // GetSrcId";
+        "const int etype = csr_etype[idxEdge]; // GetEType";
       ]
 
-let rec expr_code ?(locals = []) ?(spaces = []) e =
-  let expr_code e = expr_code ~locals ~spaces e in
+let rec expr_code ?(locals = []) ?(spaces = []) ?(hoist = []) e =
+  let expr_code e = expr_code ~locals ~spaces ~hoist e in
   let open Inter_ir in
   match e with
+  | _ when List.mem_assoc e hoist -> List.assoc e hoist
   | Const c -> Printf.sprintf "%gf" c
   | Feature (ent, n) | Data (ent, n) -> (
       match ent with
@@ -131,61 +132,95 @@ let gemm_kernel (layout : Layout.t) (g : Gemm_spec.t) =
   Buffer.contents b
 
 let traversal_kernel ?(spaces = []) (layout : Layout.t) (t : Traversal_spec.t) =
-  let b = Buffer.create 1024 in
-  let expr_code e = expr_code ~locals:t.Traversal_spec.locals ~spaces e in
-  buf_add b (Printf.sprintf "// traversal instance %d\n" t.Traversal_spec.kid);
-  buf_add b (Printf.sprintf "__global__ void %s(...) {\n" (Traversal_spec.name t));
-  (match t.Traversal_spec.strategy with
-  | Traversal_spec.Edge_parallel ->
-      buf_add b "  int idxEdge = blockIdx.x * blockDim.x + threadIdx.x; // one thread per edge\n";
-      List.iter (fun l -> buf_add b (l ^ "\n")) (adjacency_closures layout)
-  | Traversal_spec.Node_gather ->
-      buf_add b "  int idxNode = blockIdx.x;            // one block per destination node\n";
-      buf_add b "  for (int k = row_ptr[idxNode]; k < row_ptr[idxNode+1]; ++k) {\n";
-      buf_add b "    int idxEdge = eid[k]; int src = col[k]; int dst = idxNode;\n"
-  | Traversal_spec.Node_map ->
-      buf_add b "  int idxNode = blockIdx.x * blockDim.x + threadIdx.x; // one thread per node\n");
-  List.iter
-    (fun name -> buf_add b (Printf.sprintf "  float reg_%s[DIM]; // local, never materialized\n" name))
-    t.Traversal_spec.locals;
-  let emit_stmt st =
-    let open Inter_ir in
-    match st with
-    | Assign (ent, n, e) ->
-        let target =
-          if List.mem n t.Traversal_spec.locals then Printf.sprintf "reg_%s[d]" n
-          else
-            Printf.sprintf "%s[%s]" n
-              (match ent with
-              | Cur_edge ->
-                  let space =
-                    Option.value (List.assoc_opt (`Edge, n) spaces)
-                      ~default:Materialization.Rows_edges
-                  in
-                  row_expr space "idxEdge"
-              | Cur_node -> "idxNode"
-              | Src -> "src"
-              | Dst -> "dst")
-        in
-        buf_add b (Printf.sprintf "  %s = %s;\n" target (expr_code e))
-    | Accumulate ((Src | Dst) as ent, n, e) when t.Traversal_spec.strategy = Traversal_spec.Edge_parallel ->
-        if t.Traversal_spec.schedule.Traversal_spec.warp_accumulate then
-          buf_add b "  // thread- and warp-level pre-reduction before the atomic\n";
-        buf_add b
-          (Printf.sprintf "  atomicAdd(&%s[%s], %s);\n" n
-             (match ent with Src -> "src" | _ -> "dst")
-             (expr_code e))
-    | Accumulate (ent, n, e) ->
-        let idx = match ent with Cur_node -> "idxNode" | Cur_edge -> "idxEdge" | Src -> "src" | Dst -> "dst" in
-        buf_add b (Printf.sprintf "  %s[%s] += %s;\n" n idx (expr_code e))
-    | Grad_weight { name; x; dy } ->
-        buf_add b
-          (Printf.sprintf "  atomicAdd(&grad_%s[etype], outer(%s, %s));\n" name (expr_code x)
-             (expr_code dy))
-    | For_each _ -> buf_add b "  /* nested loop */\n"
+  let module Ts = Traversal_spec in
+  let b = Buffer.create 1024 and locals = t.Ts.locals in
+  buf_add b (Printf.sprintf "// traversal instance %d\n__global__ void %s(...) {\n" t.Ts.kid (Ts.name t));
+  let line pad l = buf_add b (pad ^ l ^ "\n") in
+  let sweep_open pad =
+    match t.Ts.strategy with
+    | Ts.Edge_parallel ->
+        line pad "int idxEdge = blockIdx.x * blockDim.x + threadIdx.x; // one thread per edge";
+        List.iter (line pad) (adjacency_closures layout)
+    | Ts.Node_gather ->
+        line pad "int idxNode = blockIdx.x;            // one block per destination node";
+        line pad "for (int k = row_ptr[idxNode]; k < row_ptr[idxNode+1]; ++k) {";
+        line pad "  int idxEdge = eid[k]; int src = col[k]; int dst = idxNode;"
+    | Ts.Node_map -> line pad "int idxNode = blockIdx.x * blockDim.x + threadIdx.x; // one thread per node"
   in
-  List.iter emit_stmt t.Traversal_spec.body;
-  if t.Traversal_spec.strategy = Traversal_spec.Node_gather then buf_add b "  }\n";
+  let sweep_close pad = if t.Ts.strategy = Ts.Node_gather then line pad "}" in
+  let row ent n =
+    match ent with
+    | Inter_ir.Cur_edge ->
+        row_expr (Option.value (List.assoc_opt (`Edge, n) spaces) ~default:Materialization.Rows_edges) "idxEdge"
+    | Inter_ir.Cur_node -> "idxNode"
+    | Inter_ir.Src -> "src"
+    | Inter_ir.Dst -> "dst"
+  in
+  let emit_stmt ~pad ~hoist st =
+    let code e = expr_code ~locals ~spaces ~hoist e in
+    match st with
+    | Inter_ir.Assign (ent, n, e) ->
+        let target = if List.mem n locals then Printf.sprintf "reg_%s[d]" n else Printf.sprintf "%s[%s]" n (row ent n) in
+        line pad (Printf.sprintf "%s = %s;" target (code e))
+    | Inter_ir.Accumulate (((Src | Dst) as ent), n, e) when t.Ts.strategy = Ts.Edge_parallel ->
+        if t.Ts.schedule.Ts.warp_accumulate then line pad "// thread- and warp-level pre-reduction before the atomic";
+        line pad (Printf.sprintf "atomicAdd(&%s[%s], %s);" n (row ent n) (code e))
+    | Inter_ir.Accumulate (ent, n, e) -> line pad (Printf.sprintf "%s[%s] += %s;" n (row ent n) (code e))
+    | Inter_ir.Grad_weight { name; x; dy } ->
+        line pad (Printf.sprintf "atomicAdd(&grad_%s[etype], outer(%s, %s));" name (code x) (code dy))
+    | Inter_ir.For_each _ -> line pad "/* nested loop */"
+  in
+  (* a pair loop runs its items once per (etype, endpoint) pair, at the
+     pair's first edge; a reduction lands in pair scratch, which the sweep
+     reads through the compact row map *)
+  let scratch = ref 0 in
+  let emit_pair_loop (l : Ts.pair_loop) =
+    let side = Ts.side_name l.Ts.side in
+    line "  " (Printf.sprintf "// %s pair loop: once per (etype, %s) pair, at its first edge" side side);
+    line "  "
+      (Printf.sprintf "for (int idxPair = blockIdx.x * blockDim.x + threadIdx.x; idxPair < num_compact_%s_pairs; %s) {"
+         side "idxPair += gridDim.x * blockDim.x");
+    line "    " (Printf.sprintf "int idxEdge = compact_%s_rep[idxPair];" side);
+    List.iter (line "    ") (adjacency_closures layout);
+    let hoist =
+      List.filter_map
+        (function
+          | Ts.Pair_stmt st -> emit_stmt ~pad:"    " ~hoist:[] st; None
+          | Ts.Pair_reduction e ->
+              let k = !scratch in
+              incr scratch;
+              line "    " (Printf.sprintf "pair_scratch_%d[idxPair] = %s;" k (expr_code ~locals ~spaces e));
+              Some (e, Printf.sprintf "pair_scratch_%d[compact_%s_row[idxEdge]]" k side))
+        l.Ts.items
+    in
+    line "  " "}";
+    hoist
+  in
+  let declare_locals () =
+    List.iter (fun n -> line "  " (Printf.sprintf "float reg_%s[DIM]; // local, never materialized" n)) locals
+  in
+  (match t.Ts.passes with
+  | [ { Ts.pair_loops = []; sweep; _ } ] ->
+      sweep_open "  ";
+      declare_locals ();
+      List.iter (emit_stmt ~pad:"  " ~hoist:[]) sweep;
+      sweep_close "  "
+  | passes ->
+      declare_locals ();
+      List.iteri
+        (fun i (p : Ts.pass) ->
+          line "  " (Printf.sprintf "// pass %d" i);
+          let hoist = List.concat_map emit_pair_loop p.Ts.pair_loops in
+          if p.Ts.sweep <> [] then begin
+            if p.Ts.pair_loops <> [] then line "  " "grid.sync(); // pair rows complete";
+            line "  " ("{ // sweep, " ^ if p.Ts.parallel_safe then "destination-chunked" else "sequential");
+            sweep_open "    ";
+            List.iter (emit_stmt ~pad:"    " ~hoist) p.Ts.sweep;
+            sweep_close "    ";
+            line "  " "}"
+          end;
+          if i < List.length passes - 1 then line "  " "grid.sync();")
+        passes);
   buf_add b "}\n";
   Buffer.contents b
 

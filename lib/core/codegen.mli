@@ -18,7 +18,11 @@ val traversal_kernel :
 (** CUDA-like source of one traversal-template instance (Algorithm 2
     specialized: adjacency closures per the encoding, statements in the
     loop body with the row-indexing of each variable's space, register
-    locals, atomic vs warp-accumulated updates). *)
+    locals, atomic vs warp-accumulated updates).  A body whose recorded
+    passes do more than sweep it once renders each pass in order: its
+    pair loops (pair-local statements, and hoisted reductions stored into
+    pair scratch), then its sweep, which reads each hoisted reduction from
+    its pair's scratch row. *)
 
 val emit_plan : Plan.t -> string
 (** Full translation unit for one plan: all kernels plus the host

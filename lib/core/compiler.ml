@@ -138,6 +138,7 @@ let compile ?(obs = Hector_obs.disabled) ?(options = default_options) program =
           (Inter_op_fusion.run ~obs forward, Option.map (Inter_op_fusion.run ~obs) backward))
     else (forward, backward)
   in
+  let forward = Traversal_passes.record forward and backward = Option.map Traversal_passes.record backward in
   Log.debug (fun m ->
       m "%s: forward plan %d gemm / %d traversal / %d fallback steps%s"
         program.Inter_ir.name (Plan.gemm_count forward) (Plan.traversal_count forward)

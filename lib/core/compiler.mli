@@ -9,7 +9,11 @@
     + compact-materialization analysis ({!Materialization}, per the layout);
     + backward-program generation for training ({!Autodiff});
     + greedy 3-scan lowering to GEMM/traversal/fallback instances
-      ({!Lowering}).
+      ({!Lowering});
+    + optional inter-operator fusion ({!Inter_op_fusion});
+    + the traversal pass record ({!Traversal_passes}): how every
+      traversal and fallback body runs — pair loops, sweeps and their
+      parallel safety — decided once, here.
 
     The result packages the forward (and optionally backward) plans, ready
     for the runtime or for CUDA-like source rendering by {!Codegen}. *)

@@ -140,6 +140,9 @@ val uses_of_var : program -> var -> int
 val entity_prefix : entity -> string
 (** Rendering of an entity reference: ["e"], ["n"], ["e.src"], ["e.dst"]. *)
 
+val pp_expr : Format.formatter -> expr -> unit
+(** Renders one expression. *)
+
 val pp_stmt : Format.formatter -> stmt -> unit
 (** Renders with indentation, Listing-1 style. *)
 

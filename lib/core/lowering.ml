@@ -197,13 +197,15 @@ let lower ?(obs = Hector_obs.disabled) ?(context = empty_context) ?(keep = [])
       counters.traversal <- kid + 1;
       emit
         (Plan.Traversal
-           { Traversal_spec.kid; strategy; body; locals = []; schedule = traversal_schedule })
+           { Traversal_spec.kid; strategy; body; locals = []; schedule = traversal_schedule; passes = [] })
     end
   in
   let emit_fallback strategy stmt =
     let kid = counters.fallback in
     counters.fallback <- kid + 1;
-    emit (Plan.Fallback { Plan.kid; description = opaque_name stmt; strategy; body = [ stmt ] })
+    emit
+      (Plan.Fallback
+         { Plan.kid; description = opaque_name stmt; strategy; body = [ stmt ]; passes = [] })
   in
   (* Lower one loop body: greedy GEMM matching per statement, contiguous
      leftovers fuse into traversal instances, opaque statements fall back. *)

@@ -12,6 +12,7 @@ type fallback = {
   description : string;
   strategy : Traversal_spec.strategy;
   body : Inter_ir.stmt list;
+  passes : Traversal_spec.pass list;
 }
 
 type step =

@@ -20,6 +20,8 @@ type fallback = {
   description : string;  (** which operator forced the fallback *)
   strategy : Traversal_spec.strategy;
   body : Inter_ir.stmt list;
+  passes : Traversal_spec.pass list;
+      (** recorded by {!Traversal_passes.record}, as for traversals *)
 }
 (** A statement run executed by the PyTorch-fallback path: semantically a
     traversal, but each expression node costs its own kernel launch and

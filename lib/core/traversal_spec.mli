@@ -25,6 +25,29 @@ val default_schedule : schedule
 (** Warp accumulation on — the paper applies it by default during
     lowering. *)
 
+(** {1 Passes}
+
+    How a body runs, decided at compile time by {!Traversal_passes}: a
+    list of passes run in order, each its pair loops then one sweep. *)
+
+type side = [ `Src | `Dst ]
+
+type pair_item =
+  | Pair_stmt of Inter_ir.stmt  (** a pair-local statement *)
+  | Pair_reduction of Inter_ir.expr
+      (** a hoisted reduction of a swept statement, into pair scratch
+          that the sweep reads through the compact row map *)
+
+type pair_loop = { side : side; items : pair_item list }
+(** Its items, in statement order, once per (etype, endpoint) pair of
+    [side], at the pair's representative (first) edge. *)
+
+type pass = {
+  pair_loops : pair_loop list;  (** at most one per side, run before the sweep *)
+  sweep : Inter_ir.stmt list;  (** per edge (per node for [Node_map]) *)
+  parallel_safe : bool;  (** the sweep may run in destination chunks *)
+}
+
 type t = {
   kid : int;
   strategy : strategy;
@@ -33,6 +56,9 @@ type t = {
       (** edge variables created and consumed inside this fused instance —
           kept in registers, never materialized (§3.3.4, last sentence) *)
   schedule : schedule;
+  passes : pass list;
+      (** the body's recorded passes; [[]] until {!Traversal_passes.record}
+          fills them in *)
 }
 
 val name : t -> string
@@ -42,5 +68,13 @@ val has_atomic_updates : t -> bool
 (** Whether any statement scatters into node data ([Edge_parallel]
     accumulation through [Src]/[Dst]). *)
 
+val pair_side : pass list -> Inter_ir.stmt -> side option
+(** The side whose pair loop runs a body statement, [None] when a sweep
+    runs it. *)
+
+val side_name : side -> string
+(** ["src"] or ["dst"]. *)
+
 val pp : Format.formatter -> t -> unit
-(** Multi-line summary with the statement list. *)
+(** Multi-line summary with the statement list, or, when the passes do
+    more than sweep the body once, each pass's pair loops and sweep. *)

@@ -13,7 +13,6 @@ module Plan = Hector_core.Plan
 module Lf = Hector_core.Linear_fusion
 module Mg = Hector_graph.Metagraph
 module Dp = Hector_tensor.Domain_pool
-module Bp = Hector_core.Buffer_plan
 
 type value = Scalar of float | Vector of float array
 
@@ -48,8 +47,8 @@ type slab = {
   sscratch : scratch;
 }
 
-(* Host scratch for pair-invariant reductions (see [stage_pass]): buffer
-   [k] holds a pass's [k]th reduction, one row per compact pair, and is
+(* Host scratch for recorded pair reductions (see [stage_pair_loop]):
+   buffer [k] holds a pass's [k]th reduction, one row per compact pair, and is
    kept at its high-water size.  It lives in host memory only — the
    simulated device never sees it — and is shared through the slab by
    executors that share one. *)
@@ -79,378 +78,7 @@ let fail fmt = Format.kasprintf invalid_arg fmt
 
 let leaky_slope = 0.01
 
-(* ------------------------------------------------------------------ *)
-(* analytic traversal cost                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-iteration traffic/flops of a statement body, used to build the
-   kernel descriptor.  Dims come from the environment and weight decls. *)
-type traffic = {
-  mutable flops : float;
-  mutable coalesced : float;
-  mutable gathered : float;
-  mutable atomic : float;
-}
-
-(* The analytic cost functions below are parameterized over the bare
-   environment (and, further down, the graph context) rather than the
-   executor: {!Plan_cost} reuses them verbatim to price a compiled plan
-   without running it, so the estimate and the execution charge are the
-   same formula by construction. *)
-let expr_dim env program locals_dims expr =
-  let rec dim e =
-    match e with
-    | Ir.Const _ -> 1
-    | Ir.Feature (_, n) | Ir.Data (_, n) -> (
-        match List.assoc_opt n locals_dims with
-        | Some d -> d
-        | None -> (
-            match Env.find_opt env n with
-            | Some entry -> entry.Env.dim
-            | None -> (
-                match Ir.find_decl program n with
-                | Some (Ir.Node_input { dim; _ }) | Some (Ir.Edge_input { dim; _ }) -> dim
-                | _ -> 1)))
-    | Ir.Weight (n, _) -> (
-        match Ir.find_decl program n with
-        | Some (Ir.Weight_vec { dim; _ }) -> dim
-        | Some (Ir.Weight_mat { rows; cols; _ }) -> rows * cols
-        | _ -> 1)
-    | Ir.Linear (_, Ir.Weight (w, _)) -> (
-        match Ir.find_decl program w with
-        | Some (Ir.Weight_mat { cols; _ }) -> cols
-        | _ -> 1)
-    | Ir.Linear_t (_, Ir.Weight (w, _)) -> (
-        match Ir.find_decl program w with
-        | Some (Ir.Weight_mat { rows; _ }) -> rows
-        | _ -> 1)
-    | Ir.Linear (x, _) | Ir.Linear_t (x, _) -> dim x
-    | Ir.Inner _ -> 1
-    | Ir.Concat (a, b) -> dim a + dim b
-    | Ir.Slice (_, _, len) -> len
-    | Ir.Binop (_, a, b) -> max (dim a) (dim b)
-    | Ir.Unop (_, a) -> dim a
-    | Ir.Opaque (_, args) -> ( match args with [] -> 1 | a :: _ -> dim a)
-  in
-  dim expr
-
-(* Compact rows destroy the coalescing that edge-parallel threads enjoy on
-   vanilla per-edge tensors: neighbouring edges hit scattered compact rows
-   through an extra indirection.  The factor models the lost transaction
-   efficiency on top of the generic gather penalty (paper §4.4: on AM the
-   "more complicated access scheme" makes traversals offset the GEMM
-   savings). *)
-let compact_access_penalty = 1.5
-
-let add_expr_traffic env program locals traffic strategy expr =
-  let dim = expr_dim env program locals in
-  let rec walk e =
-    (match e with
-    | Ir.Const _ -> ()
-    | Ir.Feature (ent, n) | Ir.Data (ent, n) -> (
-        if not (List.mem_assoc n locals) then
-          let d = dim e in
-          let bytes = float_of_int (d * 4) in
-          match ent with
-          | Ir.Cur_edge -> (
-              match Env.find_opt env n with
-              | Some { Env.space = Mat.Rows_compact_src | Mat.Rows_compact_dst; _ } ->
-                  traffic.gathered <-
-                    traffic.gathered +. (bytes *. compact_access_penalty) +. 4.0
-              | _ ->
-                  if strategy = Ts.Node_gather then
-                    traffic.gathered <- traffic.gathered +. bytes
-                  else traffic.coalesced <- traffic.coalesced +. bytes)
-          | Ir.Src | Ir.Dst -> traffic.gathered <- traffic.gathered +. bytes
-          | Ir.Cur_node -> traffic.coalesced <- traffic.coalesced +. bytes)
-    | Ir.Weight (_, Ir.Shared) -> () (* cached in shared memory / registers *)
-    | Ir.Weight _ -> traffic.gathered <- traffic.gathered +. float_of_int (dim e * 4)
-    | Ir.Linear (x, _) | Ir.Linear_t (x, _) ->
-        traffic.flops <- traffic.flops +. float_of_int (2 * dim x * dim e)
-    | Ir.Inner (a, _) -> traffic.flops <- traffic.flops +. float_of_int (2 * dim a)
-    | Ir.Concat _ | Ir.Slice _ -> ()
-    | Ir.Binop (_, _, _) | Ir.Unop (_, _) -> traffic.flops <- traffic.flops +. float_of_int (dim e)
-    | Ir.Opaque _ -> traffic.flops <- traffic.flops +. float_of_int (dim e));
-    match e with
-    | Ir.Linear (x, _) | Ir.Linear_t (x, _) -> walk x (* weight handled above *)
-    | Ir.Inner (a, b) | Ir.Concat (a, b) | Ir.Binop (_, a, b) -> walk a; walk b
-    | Ir.Slice (a, _, _) | Ir.Unop (_, a) -> walk a
-    | Ir.Opaque (_, args) -> List.iter walk args
-    | Ir.Const _ | Ir.Feature _ | Ir.Data _ | Ir.Weight _ -> ()
-  in
-  walk expr
-
-(* Per-iteration traffic of ONE statement (adjacency reads are charged by
-   the caller, once per edge). *)
-let stmt_traffic env program (spec : Ts.t) st =
-  let locals_dims =
-    List.map
-      (fun n ->
-        let d = ref 1 in
-        List.iter
-          (fun st ->
-            match st with
-            | Ir.Assign (Ir.Cur_edge, v, e) when String.equal v n ->
-                d := expr_dim env program [] e
-            | _ -> ())
-          spec.Ts.body;
-        (n, !d))
-      spec.Ts.locals
-  in
-  let traffic = { flops = 0.0; coalesced = 0.0; gathered = 0.0; atomic = 0.0 } in
-  let strategy = spec.Ts.strategy in
-  let warp = spec.Ts.schedule.Ts.warp_accumulate in
-  let add_write ent n accumulate =
-    let d =
-      match Env.find_opt env n with
-      | Some entry -> entry.Env.dim
-      | None -> ( match List.assoc_opt n locals_dims with Some d -> max d 1 | None -> 1)
-    in
-    let bytes = float_of_int (d * 4) in
-    if List.mem n spec.Ts.locals then ()
-    else
-      match ent with
-      | Ir.Cur_edge -> (
-          match Env.find_opt env n with
-          | Some { Env.space = Mat.Rows_compact_src | Mat.Rows_compact_dst; _ } ->
-              traffic.gathered <-
-                traffic.gathered +. (bytes *. compact_access_penalty) +. 4.0
-          | _ -> traffic.coalesced <- traffic.coalesced +. bytes)
-      | Ir.Src | Ir.Dst ->
-          if accumulate && strategy = Ts.Edge_parallel then
-            traffic.atomic <- traffic.atomic +. (bytes /. if warp then 8.0 else 1.0)
-          else traffic.gathered <- traffic.gathered +. bytes
-      | Ir.Cur_node -> traffic.coalesced <- traffic.coalesced +. bytes
-  in
-  (match st with
-  | Ir.Assign (ent, n, e) ->
-      add_expr_traffic env program locals_dims traffic strategy e;
-      add_write ent n false
-  | Ir.Accumulate (ent, n, e) ->
-      add_expr_traffic env program locals_dims traffic strategy e;
-      add_write ent n true
-  | Ir.Grad_weight { x; dy; _ } ->
-      add_expr_traffic env program locals_dims traffic strategy x;
-      add_expr_traffic env program locals_dims traffic strategy dy;
-      let d = expr_dim env program locals_dims x * expr_dim env program locals_dims dy in
-      traffic.atomic <- traffic.atomic +. (float_of_int (d * 4) /. if warp then 8.0 else 1.0)
-  | Ir.For_each _ -> ());
-  traffic
-
-(* ------------------------------------------------------------------ *)
-(* traversal execution                                                 *)
-(* ------------------------------------------------------------------ *)
-
 let env_grads t name = Env.weight_grad t.env name
-
-(* --- pair-local statements (the compaction compute saving, §3.1.3) ---
-
-   A statement whose reads and writes are all determined by the same
-   (etype, endpoint) pair executes once per pair, not once per edge: for
-   forward assigns this is the "compute the data once for each pair"
-   saving; for gradient accumulations it is required for correctness,
-   because a pair-space gradient already aggregates every edge of the
-   pair. *)
-
-type stmt_iteration = Per_edge | Per_pair_src | Per_pair_dst
-
-(* constraints a set of reads places on pair-locality:
-   - [src_ok]/[dst_ok]: every read is constant within a (etype, src) /
-     (etype, dst) pair — necessary for any pair-local execution;
-   - [anchored]: some read actually depends on the pair (a constant-only
-     statement is never pair-local);
-   - [compact_src_read]/[compact_dst_read]: a read of a pair-space tensor,
-     i.e. a value (typically an upstream gradient) that is already a
-     per-pair aggregate.  Accumulations may only become pair-local when
-     they consume such a value — a node-level value read through the
-     shared endpoint still contributes once per edge. *)
-type sides = {
-  mutable src_ok : bool;
-  mutable dst_ok : bool;
-  mutable anchored : bool;
-  mutable grad_compact_src : bool;  (** upstream gradient read from a src-pair tensor *)
-  mutable grad_compact_dst : bool;
-  mutable grad_other : bool;  (** upstream gradient read that is NOT pair-aggregated *)
-}
-
-let read_sides env ~locals_list sides expr =
-  Ir.iter_expr
-    (fun e ->
-      match e with
-      | Ir.Feature (ent, n) | Ir.Data (ent, n) -> (
-          match ent with
-          | Ir.Cur_node ->
-              sides.src_ok <- false;
-              sides.dst_ok <- false;
-              if Hector_core.Autodiff.is_grad_name n then sides.grad_other <- true
-          | Ir.Src ->
-              sides.dst_ok <- false;
-              sides.anchored <- true;
-              if Hector_core.Autodiff.is_grad_name n then sides.grad_other <- true
-          | Ir.Dst ->
-              sides.src_ok <- false;
-              sides.anchored <- true;
-              if Hector_core.Autodiff.is_grad_name n then sides.grad_other <- true
-          | Ir.Cur_edge -> (
-              let is_grad = Hector_core.Autodiff.is_grad_name n in
-              if List.mem n locals_list then begin
-                sides.src_ok <- false;
-                sides.dst_ok <- false;
-                if is_grad then sides.grad_other <- true
-              end
-              else
-                match Env.find_opt env n with
-                | Some { Env.space = Mat.Rows_compact_src; _ } ->
-                    sides.dst_ok <- false;
-                    sides.anchored <- true;
-                    if is_grad then sides.grad_compact_src <- true
-                | Some { Env.space = Mat.Rows_compact_dst; _ } ->
-                    sides.src_ok <- false;
-                    sides.anchored <- true;
-                    if is_grad then sides.grad_compact_dst <- true
-                | _ ->
-                    sides.src_ok <- false;
-                    sides.dst_ok <- false;
-                    if is_grad then sides.grad_other <- true))
-      | Ir.Weight (_, Ir.By_src_ntype) -> sides.dst_ok <- false
-      | Ir.Weight (_, Ir.By_dst_ntype) -> sides.src_ok <- false
-      | Ir.Weight (_, Ir.By_ntype) ->
-          sides.src_ok <- false;
-          sides.dst_ok <- false
-      | _ -> ())
-    expr
-
-let classify_stmt env (spec : Ts.t) st =
-  if spec.Ts.strategy <> Ts.Edge_parallel then Per_edge
-  else
-    let sides =
-      {
-        src_ok = true;
-        dst_ok = true;
-        anchored = false;
-        grad_compact_src = false;
-        grad_compact_dst = false;
-        grad_other = false;
-      }
-    in
-    let locals_list = spec.Ts.locals in
-    (* which pair side the write target is anchored on:
-       - a compact tensor row is anchored on its own side;
-       - a node write through Src (Dst) is anchored on the source
-         (destination) side: every edge of such a pair shares that
-         endpoint, so a once-per-pair execution still hits the right row;
-       - everything else is unanchored *)
-    let target_side =
-      match st with
-      | Ir.Assign (Ir.Cur_edge, n, e) | Ir.Accumulate (Ir.Cur_edge, n, e) ->
-          read_sides env ~locals_list sides e;
-          if List.mem n locals_list then `None
-          else (
-            match Env.find_opt env n with
-            | Some { Env.space = Mat.Rows_compact_src; _ } -> `Src
-            | Some { Env.space = Mat.Rows_compact_dst; _ } -> `Dst
-            | _ -> `None)
-      | Ir.Assign (Ir.Src, _, e) | Ir.Accumulate (Ir.Src, _, e) ->
-          read_sides env ~locals_list sides e;
-          `Src
-      | Ir.Assign (Ir.Dst, _, e) | Ir.Accumulate (Ir.Dst, _, e) ->
-          read_sides env ~locals_list sides e;
-          `Dst
-      | Ir.Grad_weight { x; dy; _ } ->
-          read_sides env ~locals_list sides x;
-          read_sides env ~locals_list sides dy;
-          `Weight
-      | Ir.Assign _ | Ir.Accumulate _ | Ir.For_each _ ->
-          sides.src_ok <- false;
-          sides.dst_ok <- false;
-          `None
-    in
-    (* accumulations (and weight gradients) represent one contribution per
-       iteration of the forward statement they differentiate: pair-local
-       only when every upstream gradient they consume is itself a per-pair
-       aggregate of that side *)
-    let pair_grads_src = sides.grad_compact_src && not (sides.grad_compact_dst || sides.grad_other) in
-    let pair_grads_dst = sides.grad_compact_dst && not (sides.grad_compact_src || sides.grad_other) in
-    match (st, target_side) with
-    (* writes are idempotent: the statement may run once per pair whenever
-       its value is pair-constant — the compaction CSE saving *)
-    | Ir.Assign (Ir.Cur_edge, _, _), `Src when sides.src_ok && sides.anchored -> Per_pair_src
-    | Ir.Assign (Ir.Cur_edge, _, _), `Dst when sides.dst_ok && sides.anchored -> Per_pair_dst
-    | Ir.Accumulate _, (`Src | `Weight) when sides.src_ok && pair_grads_src -> Per_pair_src
-    | Ir.Accumulate _, (`Dst | `Weight) when sides.dst_ok && pair_grads_dst -> Per_pair_dst
-    | Ir.Grad_weight _, _ ->
-        if sides.src_ok && pair_grads_src then Per_pair_src
-        else if sides.dst_ok && pair_grads_dst then Per_pair_dst
-        else Per_edge
-    | _ -> Per_edge
-
-(* A statement body must split into sequential passes where a statement
-   reads a compact-space variable that earlier statements of the same pass
-   accumulate per-edge: the reader needs the pair total, which only exists
-   after the whole edge sweep.  (The node-gradient analogue is handled by
-   the backward generator's segment splitting; this one is layout-induced
-   and so can only be seen here.) *)
-let split_passes env (classes : (Ir.stmt * stmt_iteration) list) =
-  let is_compact n =
-    match Env.find_opt env n with
-    | Some { Env.space = Mat.Rows_compact_src | Mat.Rows_compact_dst; _ } -> true
-    | _ -> false
-  in
-  let reads_dirty dirty st =
-    List.exists
-      (Ir.exists_expr (function
-        | Ir.Data (Ir.Cur_edge, n) | Ir.Feature (Ir.Cur_edge, n) -> List.mem n dirty
-        | _ -> false))
-      (Ir.stmt_exprs st)
-  in
-  let passes, current, _ =
-    List.fold_left
-      (fun (passes, current, dirty) ((st, cls) as item) ->
-        let passes, current, dirty =
-          if reads_dirty dirty st then (List.rev current :: passes, [], []) else (passes, current, dirty)
-        in
-        let dirty =
-          match (st, cls) with
-          | Ir.Accumulate (Ir.Cur_edge, n, _), Per_edge when is_compact n -> n :: dirty
-          | _ -> dirty
-        in
-        (passes, item :: current, dirty))
-      ([], [], []) classes
-  in
-  let passes = List.rev (List.rev current :: passes) |> List.filter (fun p -> p <> []) in
-  (* register locals defined in an earlier pass must be recomputed in any
-     later pass that reads them: prepend their (pure, single-assignment)
-     defining statements, transitively *)
-  let local_defs =
-    List.filter_map
-      (fun ((st, _) as item) ->
-        match st with
-        | Ir.Assign (Ir.Cur_edge, n, _) when Env.find_opt env n = None -> Some (n, item)
-        | _ -> None)
-      classes
-  in
-  let reads_local pass n =
-    List.exists
-      (fun (st, _) ->
-        List.exists
-          (Ir.exists_expr (function
-            | Ir.Data (Ir.Cur_edge, m) -> String.equal m n
-            | _ -> false))
-          (Ir.stmt_exprs st))
-      pass
-  in
-  List.map
-    (fun pass ->
-      let rec close pass =
-        let missing =
-          List.filter
-            (fun (n, item) -> reads_local pass n && not (List.memq item pass))
-            local_defs
-        in
-        if missing = [] then pass else close (List.map snd missing @ pass)
-      in
-      close pass)
-    passes
 
 (* ------------------------------------------------------------------ *)
 (* staged statement bodies                                             *)
@@ -468,10 +96,9 @@ let split_passes env (classes : (Ir.stmt * stmt_iteration) list) =
    - a row or weight read is one closure over its index column ([src],
      [dst], [etype], [node_type], a compact [row_of_edge], or the id
      itself) that moves an offset into tensor storage;
-   - in an edge sweep, an [Inner]/[Linear]/[Linear_t] whose operands are
-     all constant on one side's compact pairs, and which reads nothing
-     the pass writes, is evaluated once per pair before the sweep; the
-     sweep reads the pair's value from host scratch. *)
+   - a reduction the record hoists into a pair loop is evaluated once per
+     pair before the sweep; the sweep reads the pair's value from host
+     scratch. *)
 
 (* An instantiated sub-expression: after [run edge node] its value is the
    [dim] floats of [arr] from [off].  Computed nodes own [arr]; row and
@@ -638,7 +265,7 @@ let unop_into op mode =
       fun a ao dst o n -> for j = 0 to n - 1 do store mode dst (o + j) (if a.(ao + j) > 0.0 then 1.0 else 0.0) done
 
 (* [locals] maps each register local to its current definition; [hoist]
-   maps each pair-invariant reduction to its scratch read. *)
+   maps each hoisted pair reduction to its scratch read. *)
 let rec stage_expr t ~hoist locals e =
   let stage = stage_expr t ~hoist locals in
   match e with
@@ -850,68 +477,9 @@ let stage_stmt t ~program ~hoist locals slot st =
   | Ir.Grad_weight { name; x; dy } -> stage_grad_weight t ~program ~hoist locals name x dy
   | Ir.For_each _ -> fail "nested loop inside traversal body"
 
-(* --- pair-invariant reductions -------------------------------------- *)
+(* --- pair loops ------------------------------------------------------ *)
 
-(* The reductions of an edge pass that are evaluated once per compact
-   pair: each maximal [Inner]/[Linear]/[Linear_t] in a [Per_edge]
-   statement whose reads are all constant on one side's (etype,
-   endpoint) pairs — that side's endpoint features, compact rows of that
-   side, and [By_etype], [Shared] or that side's node-type weights, with
-   at least one read of the first two kinds — and none of which names a
-   buffer the pass writes.  Locals, the current node, [By_ntype] weights,
-   constants and opaque calls refuse hoisting; pair-local statements
-   already run once per pair.  Distinct reductions, in order of first
-   occurrence (without constants, [=] compares them exactly). *)
-let pair_invariant env ~locals pass =
-  let is_local n = List.mem n locals || Env.find_opt env n = None in
-  let written =
-    List.filter_map
-      (fun (st, _) ->
-        match st with
-        | (Ir.Assign (ent, n, _) | Ir.Accumulate (ent, n, _)) when not (ent = Ir.Cur_edge && is_local n) -> Some n
-        | _ -> None)
-      pass
-  in
-  let side e =
-    let src = ref true and dst = ref true and anchored = ref false in
-    let neither () = src := false; dst := false in
-    let anchor s = anchored := true; if s = `Src then dst := false else src := false in
-    Ir.iter_expr
-      (function
-        | (Ir.Feature (_, n) | Ir.Data (_, n)) when List.mem n written -> neither ()
-        | Ir.Feature (ent, n) | Ir.Data (ent, n) -> (
-            match ent with
-            | Ir.Src -> anchor `Src
-            | Ir.Dst -> anchor `Dst
-            | Ir.Cur_node -> neither ()
-            | Ir.Cur_edge -> (
-                if is_local n then neither ()
-                else
-                  match (Env.find env n).Env.space with
-                  | Mat.Rows_compact_src -> anchor `Src
-                  | Mat.Rows_compact_dst -> anchor `Dst
-                  | Mat.Rows_edges | Mat.Rows_nodes -> neither ()))
-        | Ir.Weight (_, Ir.By_src_ntype) -> dst := false
-        | Ir.Weight (_, Ir.By_dst_ntype) -> src := false
-        | Ir.Weight (_, Ir.By_ntype) | Ir.Const _ | Ir.Opaque _ -> neither ()
-        | _ -> ())
-      e;
-    if not !anchored then None else if !src then Some `Src else if !dst then Some `Dst else None
-  in
-  let found = ref [] in
-  let rec walk e =
-    match (e, side e) with
-    | (Ir.Inner _ | Ir.Linear _ | Ir.Linear_t _), Some s ->
-        if not (List.exists (fun (_, h) -> h = e) !found) then found := (s, e) :: !found
-    | (Ir.Linear (x, _) | Ir.Linear_t (x, _) | Ir.Slice (x, _, _) | Ir.Unop (_, x)), _ -> walk x
-    | (Ir.Inner (a, b) | Ir.Concat (a, b) | Ir.Binop (_, a, b)), _ -> walk a; walk b
-    | Ir.Opaque (_, args), _ -> List.iter walk args
-    | (Ir.Const _ | Ir.Feature _ | Ir.Data _ | Ir.Weight _), _ -> ()
-  in
-  List.iter (fun (st, cls) -> if cls = Per_edge then List.iter walk (Ir.stmt_exprs st)) pass;
-  List.rev !found
-
-(* Pairs per chunk of a parallel pre-pass. *)
+(* Pairs per chunk of a parallel pair loop. *)
 let pair_grain = 256
 
 (* The executor's host scratch buffer [k], at least [size] floats. *)
@@ -922,65 +490,64 @@ let scratch t k size =
   if Array.length s.bufs.(k) < size then s.bufs.(k) <- Array.make size 0.0;
   s.bufs.(k)
 
-let no_grads name = fail "pair-invariant reduction reads the gradient of %S" name
+let no_grads name = fail "pair reduction writes the gradient of %S" name
 
-(* Stage reduction [e] on [side]'s pairs into scratch buffer [k]: the
-   pre-pass evaluates it at every pair's representative edge, in
-   parallel over pairs; the sweep reads the pair's row through
-   [row_of_edge]. *)
-let stage_pair_invariant t k (side, e) =
-  let x = stage_expr t ~hoist:[] (Hashtbl.create 1) e in
+(* Staged statements instantiated for a gradient sink: one closure over
+   an iteration's (edge, node). *)
+let instantiate nslots stmts grads =
+  let inst = { grads; slots = Array.make nslots [||] } in
+  let stmts = Array.of_list (List.map (fun s -> s inst) stmts) in
+  fun e v ->
+    for i = 0 to Array.length stmts - 1 do
+      stmts.(i) e v
+    done
+
+(* Stage one recorded pair loop: a runner visiting every pair at its
+   representative edge, and the sweep's reads of its reductions (item [i]
+   into scratch buffer [!next + i], read through [row_of_edge]).  Reductions
+   alone run in parallel over pairs; statements, in pair order here. *)
+let stage_pair_loop t ~program next (l : Ts.pair_loop) =
+  let k0 = !next in
+  next := k0 + List.length l.Ts.items;
   let cm, reps =
-    match side with
+    match l.Ts.side with
     | `Src -> (Graph_ctx.compact_src t.ctx, Graph_ctx.pair_rep_src t.ctx)
     | `Dst -> (Graph_ctx.compact_dst t.ctx, Graph_ctx.pair_rep_dst t.ctx)
   in
-  let d = x.dim and pairs = cm.Cm.num_pairs in
-  let buf = scratch t k (pairs * d) in
-  let pre () =
-    Dp.parallel_for ~grain:pair_grain pairs (fun lo hi ->
-        let x = x.make { grads = no_grads; slots = [||] } in
-        for p = lo to hi - 1 do
-          x.run reps.(p) (-1);
-          blit x.arr x.off buf (p * d) d
-        done)
+  let pairs = cm.Cm.num_pairs and rows = Of_edge cm.Cm.row_of_edge and slot = ref 0 in
+  let staged =
+    List.mapi
+      (fun i -> function
+        | Ts.Pair_reduction e ->
+            let x = stage_expr t ~hoist:[] (Hashtbl.create 1) e in
+            let buf = scratch t (k0 + i) (pairs * x.dim) in
+            ((fun inst -> x.into Set inst buf 0 x.dim rows), [ (e, view x.dim x.scalar buf 0 x.dim rows) ])
+        | Ts.Pair_stmt st -> (stage_stmt t ~program ~hoist:[] (Hashtbl.create 1) slot st, []))
+      l.Ts.items
   in
-  (pre, (e, view d x.scalar buf 0 d (Of_edge cm.Cm.row_of_edge)))
+  let stmts = List.map fst staged and nslots = !slot in
+  let visit grads lo hi =
+    let f = instantiate nslots stmts grads in
+    for p = lo to hi - 1 do
+      f reps.(p) (-1)
+    done
+  in
+  let run () =
+    if List.for_all (function Ts.Pair_reduction _ -> true | Ts.Pair_stmt _ -> false) l.Ts.items then
+      Dp.parallel_for ~grain:pair_grain pairs (visit no_grads)
+    else visit (env_grads t) 0 pairs
+  in
+  (run, List.concat_map snd staged)
 
-(* Stage one pass: its pair pre-passes, and its body, which instantiates
-   for a gradient sink.  Locals start every iteration as [Scalar 0.0];
-   pair-local statements run only on their pair's representative edge. *)
-let stage_pass t ~program ~locals ~edges pass =
-  let pre, hoist =
-    if edges then List.split (List.mapi (stage_pair_invariant t) (pair_invariant t.env ~locals pass))
-    else ([], [])
-  in
+(* Stage one recorded pass: its pair loops, and its sweep, which
+   instantiates for a gradient sink.  Locals start every iteration as
+   [Scalar 0.0]. *)
+let stage_pass t ~program ~locals (pass : Ts.pass) =
+  let loops, hoist = List.split (List.map (stage_pair_loop t ~program (ref 0)) pass.Ts.pair_loops) in
   let defs = Hashtbl.create 8 and slot = ref 0 in
   List.iter (fun n -> Hashtbl.replace defs n (const 0.0)) locals;
-  let stmts =
-    List.map
-      (fun (st, cls) ->
-        let gate rep =
-          let s = stage_stmt t ~program ~hoist:[] defs slot st in
-          fun inst ->
-            let s = s inst in
-            fun e v -> if rep.(e) = e then s e v
-        in
-        match cls with
-        | Per_edge -> stage_stmt t ~program ~hoist defs slot st
-        | Per_pair_src -> gate (Graph_ctx.rep_src t.ctx)
-        | Per_pair_dst -> gate (Graph_ctx.rep_dst t.ctx))
-      pass
-  in
-  let nslots = !slot in
-  ( pre,
-    fun grads ->
-      let inst = { grads; slots = Array.make nslots [||] } in
-      let stmts = Array.of_list (List.map (fun s -> s inst) stmts) in
-      fun e v ->
-        for i = 0 to Array.length stmts - 1 do
-          stmts.(i) e v
-        done )
+  let stmts = List.map (stage_stmt t ~program ~hoist:(List.concat hoist) defs slot) pass.Ts.sweep in
+  (loops, instantiate !slot stmts)
 
 (* ------------------------------------------------------------------ *)
 (* multicore traversal sweeps                                          *)
@@ -1026,83 +593,6 @@ let apply_grad_scratch t (tbl : grad_scratch) =
    chunk instantiates its own copy of the staged body). *)
 let node_grain = 32
 
-(* Conservative safety analysis: may this pass be partitioned by
-   destination segments (or node ranges, for [Node_map]) without two
-   domains racing on a row?  Unsafe passes keep the sequential loop. *)
-let pass_parallelizable env (spec_locals : string list) strategy pass =
-  let is_local n = List.mem n spec_locals || Env.find_opt env n = None in
-  let space_of n = Option.map (fun (e : Env.entry) -> e.Env.space) (Env.find_opt env n) in
-  (* (name, entity) of every buffer read *)
-  let reads =
-    List.concat_map
-      (fun (st, _) ->
-        List.concat_map
-          (fun e ->
-            let acc = ref [] in
-            Ir.iter_expr
-              (function
-                | Ir.Feature (ent, n) | Ir.Data (ent, n) ->
-                    if not (is_local n) then acc := (n, ent) :: !acc
-                | _ -> ())
-              e;
-            !acc)
-          (Ir.stmt_exprs st))
-      pass
-  in
-  (* (name, entity, class) of every buffer write; locals excluded *)
-  let writes =
-    List.filter_map
-      (fun (st, cls) ->
-        match st with
-        | Ir.Assign (ent, n, _) | Ir.Accumulate (ent, n, _) ->
-            if ent = Ir.Cur_edge && is_local n then None else Some (n, ent, cls)
-        | Ir.Grad_weight _ | Ir.For_each _ -> None)
-      pass
-  in
-  let no_for_each =
-    List.for_all (fun (st, _) -> match st with Ir.For_each _ -> false | _ -> true) pass
-  in
-  let write_safe (n, ent, cls) =
-    match ent with
-    | Ir.Src -> false (* source rows cross destination segments *)
-    | Ir.Dst -> true (* the partition key itself *)
-    | Ir.Cur_node -> strategy <> Ts.Edge_parallel
-    | Ir.Cur_edge -> (
-        match space_of n with
-        | Some Mat.Rows_edges -> true (* one row per edge *)
-        | Some Mat.Rows_compact_dst -> true (* a pair's edges share the dst *)
-        | Some Mat.Rows_compact_src ->
-            (* only the unique representative edge writes the row *)
-            cls = Per_pair_src
-        | Some Mat.Rows_nodes | None -> false)
-  in
-  (* A name both written and read inside one pass is only safe when every
-     read resolves to a row the writing domain also owns (and the CSR's
-     ascending-edge-id row order preserves the sequential interleaving). *)
-  let conflict_safe (n, _, _) =
-    let read_ents = List.filter_map (fun (m, e) -> if String.equal m n then Some e else None) reads in
-    let write_ents = List.filter_map (fun (m, e, _) -> if String.equal m n then Some e else None) writes in
-    let dst_local e = e = Ir.Dst || (e = Ir.Cur_node && strategy <> Ts.Edge_parallel) in
-    List.for_all
-      (fun re ->
-        match re with
-        | Ir.Src -> false
-        | Ir.Dst | Ir.Cur_node -> dst_local re && List.for_all dst_local write_ents
-        | Ir.Cur_edge -> (
-            match space_of n with
-            | Some Mat.Rows_edges | Some Mat.Rows_compact_dst ->
-                List.for_all (fun we -> we = Ir.Cur_edge) write_ents
-            | _ -> false))
-      read_ents
-  in
-  no_for_each
-  && List.for_all write_safe writes
-  && List.for_all
-       (fun w ->
-         let (n, _, _) = w in
-         (not (List.exists (fun (m, _) -> String.equal m n) reads)) || conflict_safe w)
-       writes
-
 (* Iterations of destination nodes [lo, hi): each node's incoming edges
    in CSR order ([node] is -1 for an edge-parallel body), or the nodes
    themselves for [Node_map].  The CSR is resolved here, on the calling
@@ -1144,196 +634,25 @@ let sequential_sweep t strategy make =
       done
   | Ts.Node_gather | Ts.Node_map -> sweep_nodes t strategy run 0 g.G.num_nodes
 
-type pass = { stmts : (Ir.stmt * stmt_iteration) list; parallel : bool }
-
-let schedule env ~locals strategy passes =
-  List.map
-    (fun stmts ->
-      { stmts; parallel = (not (Dp.sequential ())) && pass_parallelizable env locals strategy stmts })
-    passes
-
-let classify env (spec : Ts.t) = List.map (fun st -> (st, classify_stmt env spec st)) spec.Ts.body
-
-let traversal_passes env (spec : Ts.t) =
-  schedule env ~locals:spec.Ts.locals spec.Ts.strategy (split_passes env (classify env spec))
-
-let fallback_passes env (f : Plan.fallback) =
-  schedule env ~locals:[] f.Plan.strategy [ List.map (fun st -> (st, Per_edge)) f.Plan.body ]
-
-(* Stage every pass at step entry (shape errors surface before any buffer
-   is touched), then run them in order: each pass's pair pre-passes, then
-   its sweep. *)
-let run_passes t ~program ~locals strategy passes =
-  let edges = strategy <> Ts.Node_map in
-  List.map (fun p -> (p.parallel, stage_pass t ~program ~locals ~edges p.stmts)) passes
-  |> List.iter (fun (parallel, (pre, make)) ->
-         List.iter (fun f -> f ()) pre;
-         if parallel then parallel_sweep t strategy make else sequential_sweep t strategy make)
-
-(* The single launch charged for a whole traversal spec (passes share it):
-   per-edge statements iterate over edges (or nodes for Node_map),
-   pair-local statements only over their pair count. *)
-let traversal_kernel ~env ~ctx ~program ~layout ~classes (spec : Ts.t) =
-  let g = Graph_ctx.graph ctx in
-  let iters =
-    match spec.Ts.strategy with
-    | Ts.Edge_parallel | Ts.Node_gather -> g.G.num_edges
-    | Ts.Node_map -> g.G.num_nodes
-  in
-  (* adjacency id-retrieval closures (§3.3.5): COO is three coalesced
-     subscripts; CSR gets the destination from a binary ownership search in
-     the row-pointer array *)
-  let adjacency_coalesced, adjacency_gathered =
-    match layout.Hector_core.Layout.adjacency with
-    | Hector_core.Layout.Coo -> (12.0, 0.0)
-    | Hector_core.Layout.Csr ->
-        let log_n = Float.max 1.0 (Float.log2 (float_of_int (max 2 g.G.num_nodes))) in
-        (8.0, 4.0 *. log_n)
-  in
-  let iters_of = function
-    | Per_edge -> iters
-    | Per_pair_src -> (Graph_ctx.compact_src ctx).Cm.num_pairs
-    | Per_pair_dst -> (Graph_ctx.compact_dst ctx).Cm.num_pairs
-  in
-  let total = { flops = 0.0; coalesced = 0.0; gathered = 0.0; atomic = 0.0 } in
-  (* adjacency reads once per edge *)
-  if spec.Ts.strategy <> Ts.Node_map then begin
-    total.coalesced <- total.coalesced +. (adjacency_coalesced *. float_of_int iters);
-    total.gathered <- total.gathered +. (adjacency_gathered *. float_of_int iters)
-  end;
-  List.iter
-    (fun (st, cls) ->
-      let one = stmt_traffic env program spec st in
-      let n = float_of_int (iters_of cls) in
-      total.flops <- total.flops +. (one.flops *. n);
-      total.coalesced <- total.coalesced +. (one.coalesced *. n);
-      total.gathered <- total.gathered +. (one.gathered *. n);
-      total.atomic <- total.atomic +. (one.atomic *. n))
-    classes;
-  let blocks =
-    match spec.Ts.strategy with
-    | Ts.Node_gather -> max 1 g.G.num_nodes
-    | _ -> max 1 ((iters + 255) / 256)
-  in
-  Kernel.make ~name:(Ts.name spec) ~category:Kernel.Traversal ~grid_blocks:blocks
-    ~threads_per_block:256 ~flops:total.flops ~bytes_coalesced:total.coalesced
-    ~bytes_gathered:total.gathered ~bytes_atomic:total.atomic ()
-
-let run_traversal t ~program (spec : Ts.t) =
-  split_passes t.env (classify t.env spec)
-  |> schedule t.env ~locals:spec.Ts.locals spec.Ts.strategy
-  |> run_passes t ~program ~locals:spec.Ts.locals spec.Ts.strategy
-
-(* ------------------------------------------------------------------ *)
-(* fallback execution                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let count_expr_nodes e =
-  let n = ref 0 in
-  Ir.iter_expr (fun _ -> incr n) e;
-  !n
-
-(* One kernel + full materialization per operator node of the fallback
-   body (§3.1.1: each framework op is its own launch). *)
-let fallback_kernels ~ctx (f : Plan.fallback) =
-  let g = Graph_ctx.graph ctx in
-  let iters =
-    match f.Plan.strategy with
-    | Ts.Edge_parallel | Ts.Node_gather -> g.G.num_edges
-    | Ts.Node_map -> g.G.num_nodes
-  in
-  let ops = List.fold_left (fun acc e -> acc + count_expr_nodes e) 0
-      (List.concat_map Ir.stmt_exprs f.Plan.body)
-  in
-  let avg_dim = 16.0 (* intermediate rows materialized between op kernels *) in
-  List.init (max 1 ops) (fun i ->
-      Kernel.make
-        ~name:(Printf.sprintf "fallback_%d_op%d" f.Plan.kid i)
-        ~category:Kernel.Fallback
-        ~grid_blocks:(max 1 ((iters + 255) / 256))
-        ~threads_per_block:256
-        ~flops:(float_of_int iters *. avg_dim)
-        ~bytes_coalesced:(float_of_int iters *. avg_dim *. 4.0 *. 2.0)
-        ~bytes_gathered:(float_of_int iters *. 8.0)
-        ())
-
-let run_fallback t ~program (f : Plan.fallback) =
-  (* compute values exactly like a traversal... *)
-  run_passes t ~program ~locals:[] f.Plan.strategy (fallback_passes t.env f)
+(* Stage every recorded pass at step entry (shape errors surface before
+   any buffer is touched), then run them in order: each pass's pair
+   loops, then its sweep — in destination chunks when the record marks it
+   safe and the pool has more than one domain. *)
+let run_passes t ~program ~name ~locals strategy body (passes : Ts.pass list) =
+  if passes = [] && body <> [] then fail "%s: no recorded passes (see Traversal_passes.record)" name;
+  let chunked = not (Dp.sequential ()) in
+  List.map (fun (p : Ts.pass) -> (p, stage_pass t ~program ~locals p)) passes
+  |> List.iter (fun ((p : Ts.pass), (loops, make)) ->
+         List.iter (fun run -> run ()) loops;
+         if p.Ts.sweep <> [] then
+           if chunked && p.Ts.parallel_safe then parallel_sweep t strategy make
+           else sequential_sweep t strategy make)
 
 (* ------------------------------------------------------------------ *)
 (* GEMM execution                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Launch-descriptor for one fused gather→segmentMM→scatter kernel. *)
-let gemm_cost ~name ~rows ~k ~n ~(schedule : Gs.schedule) ~gathered_in ~scatter_out ~atomic_out
-    ~accumulate =
-  let tile = float_of_int schedule.Gs.tile_width in
-  let r = float_of_int rows and kf = float_of_int k and nf = float_of_int n in
-  let flops = 2.0 *. r *. kf *. nf in
-  let flops = if schedule.Gs.launch_bounds then flops /. 1.05 else flops in
-  (* output tiles are register-blocked: each thread holds a coarsened
-     column strip, so A is reloaded once per two column tiles *)
-  let a_bytes = r *. kf *. 4.0 *. Float.max 1.0 (nf /. (2.0 *. tile)) in
-  let b_bytes = kf *. nf *. 4.0 *. Float.max 1.0 (r /. (2.0 *. tile)) in
-  let c_bytes = r *. nf *. 4.0 *. if accumulate then 2.0 else 1.0 in
-  let index_bytes = if gathered_in || scatter_out then r *. 4.0 else 0.0 in
-  let coalesced = b_bytes +. (if gathered_in then 0.0 else a_bytes) +. index_bytes in
-  let coalesced = coalesced +. if scatter_out || atomic_out then 0.0 else c_bytes in
-  let gathered = (if gathered_in then a_bytes else 0.0) +. if scatter_out && not atomic_out then c_bytes else 0.0 in
-  let atomic = if atomic_out then c_bytes else 0.0 in
-  let tiles_r = (rows + schedule.Gs.tile_width - 1) / schedule.Gs.tile_width in
-  let tiles_n = max 1 ((n + schedule.Gs.tile_width - 1) / schedule.Gs.tile_width) in
-  let threads = schedule.Gs.tile_width * schedule.Gs.tile_width / schedule.Gs.coarsen in
-  Kernel.make ~name ~category:Kernel.Gemm
-    ~grid_blocks:(max 1 (tiles_r * tiles_n))
-    ~threads_per_block:(max 32 threads) ~flops ~bytes_coalesced:coalesced
-    ~bytes_gathered:gathered ~bytes_atomic:atomic ()
-
 let operand_entry t op = Env.find t.env (Gs.operand_name op)
-
-(* The launch descriptor of a GEMM spec — the task decides the gather /
-   scatter / atomic flags and where the [rows × k × n] shape comes from
-   (weight-stack dims for forward and dinput tasks, operand dims for
-   dweight tasks).  Shared by {!run_gemm} and the plan cost estimator. *)
-let gemm_kernel ~env ~ctx (spec : Gs.t) =
-  let g = Graph_ctx.graph ctx in
-  let schedule = spec.Gs.schedule in
-  let weight_kn wstack transpose =
-    let k = Tensor.dim wstack 1 and n = Tensor.dim wstack 2 in
-    if transpose then (n, k) else (k, n)
-  in
-  match spec.Gs.task with
-  | Gs.Node_linear { weight; transpose; accumulate; _ } ->
-      let k, n = weight_kn (Env.weight env weight) transpose in
-      gemm_cost ~name:(Gs.name spec) ~rows:g.G.num_nodes ~k ~n ~schedule ~gathered_in:false
-        ~scatter_out:false ~atomic_out:false ~accumulate
-  | Gs.Edge_linear { weight; out_space; transpose; _ } ->
-      let k, n = weight_kn (Env.weight env weight) transpose in
-      let rows = Graph_ctx.rows_of_space ctx out_space in
-      gemm_cost ~name:(Gs.name spec) ~rows ~k ~n ~schedule ~gathered_in:true ~scatter_out:false
-        ~atomic_out:false ~accumulate:false
-  | Gs.Edge_linear_dinput { weight; grad_out_space; transpose; _ } ->
-      let k, n = weight_kn (Env.weight env weight) transpose in
-      let rows = Graph_ctx.rows_of_space ctx grad_out_space in
-      let kern =
-        gemm_cost ~name:(Gs.name spec) ~rows ~k ~n ~schedule ~gathered_in:false ~scatter_out:true
-          ~atomic_out:true ~accumulate:true
-      in
-      (* the template pre-aggregates tile rows in shared memory before the
-         atomic update, cutting atomic traffic *)
-      { kern with Kernel.bytes_atomic = kern.Kernel.bytes_atomic /. 4.0 }
-  | Gs.Edge_linear_dweight { input; grad_output; grad_out_space; _ } ->
-      let x = Env.find env (Gs.operand_name input) in
-      let dy = Env.find env grad_output in
-      let rows = Graph_ctx.rows_of_space ctx grad_out_space in
-      gemm_cost ~name:(Gs.name spec) ~rows ~k:x.Env.dim ~n:dy.Env.dim ~schedule ~gathered_in:true
-        ~scatter_out:false ~atomic_out:false ~accumulate:true
-  | Gs.Node_linear_dweight { input; grad_output; _ } ->
-      let x = Env.find env (Gs.operand_name input) in
-      let dy = Env.find env grad_output in
-      gemm_cost ~name:(Gs.name spec) ~rows:g.G.num_nodes ~k:x.Env.dim ~n:dy.Env.dim ~schedule
-        ~gathered_in:false ~scatter_out:false ~atomic_out:false ~accumulate:true
 
 (* Each GEMM step is one segmented kernel call over the context's type
    offsets: one parallel region for every relation.  The forward gather
@@ -1403,28 +722,6 @@ let run_gemm t (spec : Gs.t) =
 (* linear-fusion weight prologues                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Weight-prologue launch descriptor.  [Mat_mat] flops are expressed from
-   the factor shapes ([slices × (dim l 1) × (dim r 2)] output, inner dim
-   [dim r 1]) so the product stack need not be bound yet — the estimator
-   prices plans it never runs. *)
-let weight_op_kernel ~env op =
-  let name =
-    match op with Lf.Mat_vec { out; _ } | Lf.Mat_mat { out; _ } -> "weight_op_" ^ out
-  in
-  let flops =
-    match op with
-    | Lf.Mat_vec { mat; _ } ->
-        let w = Env.weight env mat in
-        2.0 *. float_of_int (Tensor.numel w)
-    | Lf.Mat_mat { left; right; _ } ->
-        let l = Env.weight env left and r = Env.weight env right in
-        2.0
-        *. float_of_int (Tensor.dim r 0 * Tensor.dim l 1 * Tensor.dim r 2)
-        *. float_of_int (Tensor.dim r 1)
-  in
-  Kernel.make ~name ~category:Kernel.Gemm ~grid_blocks:64 ~flops
-    ~bytes_coalesced:(flops /. 2.0) ~graph_proportional:false ()
-
 let run_weight_op t op =
   let mg = (Graph_ctx.graph t.ctx).G.metagraph in
   match op with
@@ -1469,26 +766,10 @@ let run_weight_op t op =
 (* buffers + plan driver                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The zero-fill launch a [zero_init] buffer is charged on every run.
-   [inlined] lists the zero-init buffers whose whole live range sits
-   inside one fused step (Plan.inline_zeroed): their accumulator is
-   initialized inside the fused kernel, so the zero fill still happens but
-   no separate memset launch is charged. *)
-let buffer_memset ~ctx ~inlined (b : Plan.buffer) =
-  if b.Plan.zero_init && not (List.mem b.Plan.name inlined) then
-    let rows = Graph_ctx.rows_of_space ctx b.Plan.space and dim = b.Plan.dim in
-    Some
-      (Kernel.make
-         ~name:("memset_" ^ b.Plan.name)
-         ~category:Kernel.Copy
-         ~grid_blocks:(max 1 (rows * dim / 256 / 256))
-         ~bytes_coalesced:(float_of_int (rows * dim * 4))
-         ~provenance:(Kernel.provenance ~origin:"runtime.memset" b.Plan.name)
-         ())
-  else None
-
+(* The zero-fill launch of a [zero_init] buffer, charged on every run
+   (see [Pricing.buffer_memset]). *)
 let launch_memset t ~inlined b =
-  Option.iter (Engine.launch t.engine) (buffer_memset ~ctx:t.ctx ~inlined b)
+  Option.iter (Engine.launch t.engine) (Pricing.buffer_memset ~ctx:t.ctx ~inlined b)
 
 let alloc_buffer ~inlined t (b : Plan.buffer) =
   let rows = Graph_ctx.rows_of_space t.ctx b.Plan.space in
@@ -1517,57 +798,21 @@ let free_temp_buffers t (plan : Plan.t) =
     (fun (b : Plan.buffer) -> if b.Plan.temp then free_buffer t b.Plan.name)
     plan.Plan.buffers
 
-(* One kernel standing for a whole fused group: the members' work summed,
-   launched once.  Members execute one after another, so numerics are
-   exactly the unfused plan's — the merge only changes the launch
-   accounting. *)
-let merge_kernels name ks =
-  let sum f = List.fold_left (fun a k -> a +. f k) 0.0 ks in
-  let maxi f = List.fold_left (fun a k -> max a (f k)) 1 ks in
-  let category =
-    if List.exists (fun k -> k.Kernel.category = Kernel.Gemm) ks then Kernel.Gemm
-    else Kernel.Traversal
-  in
-  Kernel.make ~name ~category
-    ~grid_blocks:(maxi (fun k -> k.Kernel.grid_blocks))
-    ~threads_per_block:(maxi (fun k -> k.Kernel.threads_per_block))
-    ~flops:(sum (fun k -> k.Kernel.flops))
-    ~bytes_coalesced:(sum (fun k -> k.Kernel.bytes_coalesced))
-    ~bytes_gathered:(sum (fun k -> k.Kernel.bytes_gathered))
-    ~bytes_atomic:(sum (fun k -> k.Kernel.bytes_atomic))
-    ~graph_proportional:(List.for_all (fun k -> k.Kernel.graph_proportional) ks)
-    ()
-
-(* The launch sequence a step charges per steady-state run, built without
-   executing anything — [run_step] launches exactly this list.  Requires
-   every buffer the plan reads or writes bound in [env] (dims and spaces
-   only — tensors are never touched) and weight stacks for every weight
-   the specs reference. *)
-let rec step_kernels ~env ~ctx ~(plan : Plan.t) step =
-  match step with
-  | Plan.Weight_op op -> [ weight_op_kernel ~env op ]
-  | Plan.Gemm spec -> [ gemm_kernel ~env ~ctx spec ]
-  | Plan.Traversal spec ->
-      [
-        traversal_kernel ~env ~ctx ~program:plan.Plan.program ~layout:plan.Plan.layout
-          ~classes:(classify env spec) spec;
-      ]
-  | Plan.Fallback f -> fallback_kernels ~ctx f
-  | Plan.Fused f -> (
-      match List.concat_map (step_kernels ~env ~ctx ~plan) f.Plan.members with
-      | [] -> []
-      | ks -> [ merge_kernels (Plan.step_name step) ks ])
-
 let rec exec_step t (plan : Plan.t) step =
   match step with
   | Plan.Weight_op op -> run_weight_op t op
   | Plan.Gemm spec -> run_gemm t spec
-  | Plan.Traversal spec -> run_traversal t ~program:plan.Plan.program spec
-  | Plan.Fallback f -> run_fallback t ~program:plan.Plan.program f
+  | Plan.Traversal spec ->
+      run_passes t ~program:plan.Plan.program ~name:(Ts.name spec) ~locals:spec.Ts.locals spec.Ts.strategy
+        spec.Ts.body spec.Ts.passes
+  | Plan.Fallback f ->
+      (* computed like a traversal; only its charge differs *)
+      run_passes t ~program:plan.Plan.program ~name:(Plan.step_name step) ~locals:[] f.Plan.strategy f.Plan.body
+        f.Plan.passes
   | Plan.Fused f -> List.iter (exec_step t plan) f.Plan.members
 
-(* Compute the step, then charge its [step_kernels] under the step's
-   provenance (kernels that carry their own tag keep it). *)
+(* Compute the step, then charge its [Pricing.step_kernels] under the
+   step's provenance (kernels that carry their own tag keep it). *)
 let run_step ~step_idx t (plan : Plan.t) step =
   exec_step t plan step;
   let prov =
@@ -1579,7 +824,7 @@ let run_step ~step_idx t (plan : Plan.t) step =
     (fun (k : Kernel.t) ->
       let k = match k.Kernel.prov with None -> { k with Kernel.prov } | Some _ -> k in
       Engine.launch t.engine k)
-    (step_kernels ~env:t.env ~ctx:t.ctx ~plan step)
+    (Pricing.step_kernels ~env:t.env ~ctx:t.ctx ~plan step)
 
 (* --- plan-lifetime arena ---------------------------------------------
 
@@ -1597,28 +842,9 @@ let run_step ~step_idx t (plan : Plan.t) step =
    program, so its arena degrades to identity coloring: one slot per
    buffer, every buffer live for the whole run. *)
 
-(* Each buffer's placement in the plan's memory plan, by name. *)
-let placements (plan : Plan.t) =
-  let memory = match plan.Plan.memory with Some m -> m | None -> Bp.analyze plan in
-  let place_of = Hashtbl.create 16 in
-  List.iter (fun (p : Plan.placement) -> Hashtbl.replace place_of p.Plan.var p) memory.Plan.placements;
-  place_of
-
-(* Arena members grouped by where [run_plan] binds them: at run start
-   (untouched buffers, or a plan without steps) or before their first
-   step, each group in reverse member order. *)
-let bind_points ~nsteps members =
-  let pre = ref [] and at = Array.make (max 1 nsteps) [] in
-  List.iter
-    (fun (m, (p : Plan.placement)) ->
-      if p.Plan.first < 0 || nsteps = 0 then pre := m :: !pre
-      else at.(p.Plan.first) <- m :: at.(p.Plan.first))
-    members;
-  (!pre, at)
-
 let create_arena t (plan : Plan.t) ~shared =
   let nsteps = List.length plan.Plan.steps in
-  let place_of = placements plan in
+  let place_of = Pricing.placements plan in
   (* buffers already bound in the environment (inputs, persistent
      buffers, another plan's buffers) keep [alloc_buffer]'s
      allocate-or-rezero behaviour; the arena manages only the rest *)
@@ -1693,7 +919,7 @@ let create_arena t (plan : Plan.t) ~shared =
         aunbind.(p.Plan.last) <- b.Plan.name :: aunbind.(p.Plan.last))
     placed;
   let apre, abind =
-    bind_points ~nsteps
+    Pricing.bind_points ~nsteps
       (List.map
          (fun ((b : Plan.buffer), (p : Plan.placement), rows, slot) ->
            ( {
@@ -1763,23 +989,6 @@ let bind_managed ~inlined ~shared t (m : managed) =
   Env.add t.env ~name:b.Plan.name
     { Env.tensor = m.mview; space = b.Plan.space; dim = b.Plan.dim; alloc = None };
   launch_memset t ~inlined b
-
-(* The launches [run_plan] charges on a fresh executor, where the arena
-   manages every buffer the memory plan places: each memset where its
-   buffer is bound (unplaced buffers first), each step's kernels after
-   the step's memsets. *)
-let plan_kernels ~env ~ctx (plan : Plan.t) =
-  let inlined = Plan.inline_zeroed plan and place_of = placements plan in
-  let memsets = List.filter_map (buffer_memset ~ctx ~inlined) in
-  let placed, other =
-    List.partition_map
-      (fun (b : Plan.buffer) ->
-        match Hashtbl.find_opt place_of b.Plan.name with Some p -> Left (b, p) | None -> Right b)
-      plan.Plan.buffers
-  in
-  let pre, at = bind_points ~nsteps:(List.length plan.Plan.steps) placed in
-  memsets other @ memsets pre
-  @ List.concat (List.mapi (fun i step -> memsets at.(i) @ step_kernels ~env ~ctx ~plan step) plan.Plan.steps)
 
 let run_plan ?on_step ?(free_temps = true) t (plan : Plan.t) =
   Hector_obs.time (Engine.obs t.engine) ~kind:"run" ("run_plan:" ^ plan.Plan.name) @@ fun () ->

@@ -3,8 +3,8 @@
     Interprets a compiled {!Hector_core.Plan.t} against a graph and an
     environment: every step both {e computes its result} on the CPU (so
     outputs are bit-for-bit testable against reference models) and
-    {e charges} a kernel-launch descriptor to the engine (so simulated time
-    and memory reflect a paper-scale GPU run).
+    {e charges} the launches {!Pricing.step_kernels} builds for it to the
+    engine (so simulated time and memory reflect a paper-scale GPU run).
 
     GEMM-template steps execute as fused gather→segment-MM→scatter kernels
     (one launch each).  The host computes each (relation, endpoint) pair
@@ -13,18 +13,14 @@
     into the side's compact pairs, so an uncompacted (U) plan's backward
     runs the compact (C) plan's GEMMs — bit for bit the C results when
     both layouts compute the same edge gradients, as RGCN's and HGT's do.
-    Each launch is still charged for every edge row.  Traversal steps
-    stage their fused statement body at step entry — buffers, weight
-    stacks and index columns resolved to flat arrays once per run, one
-    specialized float loop per operator, pointwise statement roots
-    written straight into their targets — and sweep the staged closures
-    per edge or per node (one launch each).  An edge sweep first
-    evaluates each reduction that is constant on one side's compact
-    pairs once per pair, into host scratch the sweep then reads; the
-    launch still charges every edge.
-    Fallback steps run through the same stager but are charged one launch
-    and full operand materialization per expression node, as the PyTorch
-    path would. *)
+    Each launch is still charged for every edge row.
+
+    Traversal and fallback steps run the passes the compiler recorded
+    ({!Hector_core.Traversal_passes}) as written: each pass's pair loops
+    at their pairs' representative edges, then its sweep, in destination
+    chunks when the pass is parallel-safe and the pool has more than one
+    domain.  Bodies are staged at step entry into flat-array closures.  A
+    body without recorded passes raises [Invalid_argument]. *)
 
 module Tensor = Hector_tensor.Tensor
 module Engine = Hector_gpu.Engine
@@ -66,7 +62,7 @@ val slab_epoch : slab -> int
 (** The capacity epoch the slab was created for. *)
 
 type scratch
-(** Host scratch for the pair-invariant reductions of traversal sweeps,
+(** Host scratch for the recorded pair reductions of traversal passes,
     kept at its high-water size; shared through the slab when there is
     one.  Never charged to device memory. *)
 
@@ -121,54 +117,6 @@ val free_temp_buffers : t -> Hector_core.Plan.t -> unit
 (** Release the plan's [temp]-marked buffers (used by training drivers that
     run forward with [~free_temps:false] and clean up after backward). *)
 
-(** {1 Traversal schedule}
-
-    How [run_plan] sweeps a traversal or fallback body, exposed so a test
-    can replay it with an independent evaluator. *)
-
-type stmt_iteration =
-  | Per_edge  (** every iteration of the strategy *)
-  | Per_pair_src  (** only the representative edge of each (etype, src) pair *)
-  | Per_pair_dst  (** only the representative edge of each (etype, dst) pair *)
-
-type pass = {
-  stmts : (Hector_core.Inter_ir.stmt * stmt_iteration) list;
-  parallel : bool;
-      (** swept across the domain pool in destination chunks of
-          {!node_grain} nodes, weight gradients into per-chunk scratch
-          merged in chunk order; otherwise one sequential loop *)
-}
-(** One sequential pass of a step's body. *)
-
-val traversal_passes : Env.t -> Hector_core.Traversal_spec.t -> pass list
-(** A traversal step's passes at the current domain-pool size. *)
-
-val fallback_passes : Env.t -> Hector_core.Plan.fallback -> pass list
-(** A fallback step's single pass (every statement [Per_edge]). *)
-
 val node_grain : int
-(** Destination nodes per chunk of a parallel sweep. *)
-
-(** {1 Launch sequence}
-
-    The analytic cost side of execution, shared with {!Plan_cost} so it can
-    price a compiled plan {e without running it}.  [run_plan] charges the
-    engine through the same builders, bound for bound and step for step,
-    so the estimator and the engine see one launch sequence in one order
-    by construction.  Only the [dim]
-    and [space] fields of environment entries (and weight-stack shapes)
-    are consulted — tensor contents never are, so a dummy environment
-    carrying the right shapes prices identically to a live one. *)
-
-val plan_kernels :
-  env:Env.t -> ctx:Graph_ctx.t -> Hector_core.Plan.t -> Hector_gpu.Kernel.t list
-(** The launch sequence of one [run_plan] on a fresh executor, whose
-    arena manages every buffer the plan's memory plan places, in the
-    order the engine is charged: a memset for each [zero_init] buffer
-    outside {!Hector_core.Plan.inline_zeroed} where [run_plan] binds it
-    (at run start, or before the buffer's first step), and each step's
-    kernels after that step's memsets: one per weight-op / GEMM /
-    traversal step, one per expression node for fallbacks, and one merged
-    kernel for a fused group (members' work summed).  [env] must bind
-    every buffer and weight stack the plan references, with correct
-    dims and spaces. *)
+(** Destination nodes per chunk when a recorded sweep runs in parallel
+    (see {!Hector_core.Traversal_spec.pass}). *)

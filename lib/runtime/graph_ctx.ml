@@ -36,75 +36,46 @@ let create graph =
 
 let graph t = t.graph
 
-let in_csr t =
-  match t.in_csr with
-  | Some c -> c
+(* The encoding in a slot, built by [build] on first request. *)
+let memo get set build t =
+  match get t with
+  | Some x -> x
   | None ->
-      let c = Csr.incoming t.graph in
-      t.in_csr <- Some c;
-      c
+      let x = build t in
+      set t x;
+      x
 
-let compact_src t =
-  match t.compact_src with
-  | Some c -> c
-  | None ->
-      let c = Compact_map.build t.graph in
-      t.compact_src <- Some c;
-      c
+let in_csr = memo (fun t -> t.in_csr) (fun t c -> t.in_csr <- Some c) (fun t -> Csr.incoming t.graph)
+let compact_src =
+  memo (fun t -> t.compact_src) (fun t c -> t.compact_src <- Some c) (fun t -> Compact_map.build t.graph)
 
-let compact_dst t =
-  match t.compact_dst with
-  | Some c -> c
-  | None ->
-      let c = Compact_map.build_dst t.graph in
-      t.compact_dst <- Some c;
-      c
+let compact_dst =
+  memo (fun t -> t.compact_dst) (fun t c -> t.compact_dst <- Some c) (fun t -> Compact_map.build_dst t.graph)
 
 (* [pair_rep.(p)] is the first edge of compact row [p], its
-   representative: a pair-invariant reduction is evaluated there once per
-   pair.  [rep.(e)] is the representative of [e]'s row: pair-local
-   traversal statements execute only where [rep.(e) = e], and an
-   edge-space gather computes only those rows and copies the rest. *)
+   representative: a recorded pair loop runs there once per pair.
+   [rep.(e)] is the representative of [e]'s row: an edge-space gather
+   computes only the rows with [rep.(e) = e] and copies the rest. *)
 let pair_representatives (cm : Compact_map.t) =
   let first = Array.make cm.Compact_map.num_pairs (-1) in
   Array.iteri (fun e row -> if first.(row) < 0 then first.(row) <- e) cm.Compact_map.row_of_edge;
   first
 
-let pair_rep_src t =
-  match t.pair_rep_src with
-  | Some r -> r
-  | None ->
-      let r = pair_representatives (compact_src t) in
-      t.pair_rep_src <- Some r;
-      r
+let pair_rep_src =
+  memo (fun t -> t.pair_rep_src) (fun t r -> t.pair_rep_src <- Some r) (fun t -> pair_representatives (compact_src t))
 
-let pair_rep_dst t =
-  match t.pair_rep_dst with
-  | Some r -> r
-  | None ->
-      let r = pair_representatives (compact_dst t) in
-      t.pair_rep_dst <- Some r;
-      r
+let pair_rep_dst =
+  memo (fun t -> t.pair_rep_dst) (fun t r -> t.pair_rep_dst <- Some r) (fun t -> pair_representatives (compact_dst t))
 
-let representatives (cm : Compact_map.t) =
-  let pairs = pair_representatives cm in
-  Array.map (fun row -> pairs.(row)) cm.Compact_map.row_of_edge
+let representatives pairs (cm : Compact_map.t) = Array.map (fun row -> pairs.(row)) cm.Compact_map.row_of_edge
 
-let rep_src t =
-  match t.rep_src with
-  | Some r -> r
-  | None ->
-      let r = representatives (compact_src t) in
-      t.rep_src <- Some r;
-      r
+let rep_src =
+  memo (fun t -> t.rep_src) (fun t r -> t.rep_src <- Some r) (fun t ->
+      representatives (pair_rep_src t) (compact_src t))
 
-let rep_dst t =
-  match t.rep_dst with
-  | Some r -> r
-  | None ->
-      let r = representatives (compact_dst t) in
-      t.rep_dst <- Some r;
-      r
+let rep_dst =
+  memo (fun t -> t.rep_dst) (fun t r -> t.rep_dst <- Some r) (fun t ->
+      representatives (pair_rep_dst t) (compact_dst t))
 
 (* [offsets.(r)] is the first id of type [r], [offsets.(types)] the
    total: the segment list of a segmented GEMM. *)

@@ -5,8 +5,8 @@
     The preprocessing pass of §3.6 happens on demand: {!create} only
     records the graph, and each encoding is built the first time it is
     requested, then kept.  A plan that never traverses by destination
-    never pays for the CSR; a plan with no compact buffer, pair-local
-    statement or edge-space gather never pays for the compact maps.
+    never pays for the CSR; a plan with no compact buffer, pair loop or
+    edge-space gather never pays for the compact maps.
 
     The memoization is not synchronized.  Request every encoding a
     parallel region reads on the domain that owns the context, before the
@@ -35,18 +35,17 @@ val compact_dst : t -> Compact_map.t
 
 val rep_src : t -> int array
 (** Per edge: the first edge of its (etype, src) pair, its
-    representative.  Pair-local traversal statements execute only on
-    edges with [rep.(e) = e], so per-pair data is computed (and gradients
-    accumulated) exactly once per pair; an edge-space forward gather of
-    source rows computes only representative rows and copies the rest. *)
+    representative.  An edge-space forward gather of source rows computes
+    only representative rows and copies the rest. *)
 
 val rep_dst : t -> int array
 (** Destination-side analogue of {!rep_src}. *)
 
 val pair_rep_src : t -> int array
 (** Per (etype, src) compact row: its first edge, the representative
-    {!rep_src} maps every edge of the pair to.  The executor evaluates a
-    pair-invariant reduction there, once per pair, before an edge sweep. *)
+    {!rep_src} maps every edge of the pair to.  The executor runs a
+    traversal's recorded source pair loop there, once per pair, before the
+    pass's sweep. *)
 
 val pair_rep_dst : t -> int array
 (** Destination-side analogue of {!pair_rep_src}. *)

@@ -105,7 +105,7 @@ let loss_kernels t ~env (compiled : Compiler.compiled) =
     | o :: _ -> o
     | [] -> invalid_arg "Plan_cost: training program has no outputs"
   in
-  Train.loss_kernels ~origin:"train" ~rows:(Graph_ctx.graph t.ctx).G.num_nodes
+  Pricing.loss_kernels ~origin:"train" ~rows:(Graph_ctx.graph t.ctx).G.num_nodes
     ~cols:(Env.find env out_name).Env.dim
 
 (* The optimizer launches a {!Train}-driven epoch adds after the backward
@@ -126,7 +126,7 @@ let update_kernels ~env (compiled : Compiler.compiled) (bwd : Plan.t) =
         in
         if Hashtbl.mem grads out then begin
           List.iter (fun w -> Hashtbl.replace grads w ()) factors;
-          Some (Train.bmm_backward_kernel ~env op)
+          Some (Pricing.bmm_backward_kernel ~env op)
         end
         else None)
       (List.rev compiled.Compiler.weight_ops)
@@ -135,17 +135,17 @@ let update_kernels ~env (compiled : Compiler.compiled) (bwd : Plan.t) =
   let sgd =
     Hashtbl.fold
       (fun name () acc ->
-        if List.mem name fused then acc else Train.sgd_kernel ~name (Env.weight env name) :: acc)
+        if List.mem name fused then acc else Pricing.sgd_kernel ~name (Env.weight env name) :: acc)
       grads []
   in
   bmm @ sgd
 
 let kernels t (compiled : Compiler.compiled) =
   let env = shape_env t compiled in
-  let fwd = Exec.plan_kernels ~env ~ctx:t.ctx compiled.Compiler.forward in
+  let fwd = Pricing.plan_kernels ~env ~ctx:t.ctx compiled.Compiler.forward in
   match compiled.Compiler.backward with
   | Some bwd when compiled.Compiler.options.Compiler.training ->
-      fwd @ loss_kernels t ~env compiled @ Exec.plan_kernels ~env ~ctx:t.ctx bwd
+      fwd @ loss_kernels t ~env compiled @ Pricing.plan_kernels ~env ~ctx:t.ctx bwd
       @ update_kernels ~env compiled bwd
   | _ -> fwd
 

@@ -3,13 +3,15 @@
     Predicts the steady-state simulated milliseconds of one epoch of a
     compiled model {e without executing it}: walks the plan(s), rebuilds
     the exact launch descriptors {!Exec} would charge, in the order it
-    charges them (via {!Exec.plan_kernels} — GEMM and traversal shapes
-    from the specs, one merged launch per fused step, a memset per
-    zero-init buffer outside {!Hector_core.Plan.inline_zeroed} where the
-    buffer is bound) and prices each with {!Hector_gpu.Engine.predict_ms}
-    under the graph's cost scale.  Training estimates add the {!Train}
-    epoch charges in their place: the NLL loss reductions between the
-    forward and backward plans, then weight-op backprop and SGD updates.
+    charges them (via {!Pricing.plan_kernels} — GEMM and traversal shapes
+    from the specs and recorded traversal passes, one merged launch per
+    fused step, a memset per zero-init buffer outside
+    {!Hector_core.Plan.inline_zeroed} where the buffer is bound) and
+    prices each with {!Hector_gpu.Engine.predict_ms} under the graph's
+    cost scale.  Training estimates add the {!Train} epoch charges in
+    their place, from the same {!Pricing} builders: the NLL loss
+    reductions between the forward and backward plans, then weight-op
+    backprop and SGD updates.
 
     Because the descriptors, their order and the roofline are shared with
     the engine, the estimate of a config equals the simulator's measured

@@ -1,0 +1,445 @@
+(* Launch pricing: every kernel descriptor the runtime charges, for
+   [Exec], [Train] and [Plan_cost] alike (see the interface). *)
+
+module Tensor = Hector_tensor.Tensor
+module Kernel = Hector_gpu.Kernel
+module G = Hector_graph.Hetgraph
+module Cm = Hector_graph.Compact_map
+module Ir = Hector_core.Inter_ir
+module Gs = Hector_core.Gemm_spec
+module Ts = Hector_core.Traversal_spec
+module Mat = Hector_core.Materialization
+module Plan = Hector_core.Plan
+module Lf = Hector_core.Linear_fusion
+module Bp = Hector_core.Buffer_plan
+
+(* --- traversals ------------------------------------------------ *)
+
+(* Per-iteration traffic/flops of a statement body, used to build the
+   kernel descriptor. *)
+type traffic = {
+  mutable flops : float;
+  mutable coalesced : float;
+  mutable gathered : float;
+  mutable atomic : float;
+}
+
+(* Dims come from the bare environment (its entries' [dim] and [space]
+   fields and weight-stack shapes, never their contents) and the weight
+   declarations. *)
+let expr_dim env program locals_dims expr =
+  let rec dim e =
+    match e with
+    | Ir.Const _ -> 1
+    | Ir.Feature (_, n) | Ir.Data (_, n) -> (
+        match List.assoc_opt n locals_dims with
+        | Some d -> d
+        | None -> (
+            match Env.find_opt env n with
+            | Some entry -> entry.Env.dim
+            | None -> (
+                match Ir.find_decl program n with
+                | Some (Ir.Node_input { dim; _ }) | Some (Ir.Edge_input { dim; _ }) -> dim
+                | _ -> 1)))
+    | Ir.Weight (n, _) -> (
+        match Ir.find_decl program n with
+        | Some (Ir.Weight_vec { dim; _ }) -> dim
+        | Some (Ir.Weight_mat { rows; cols; _ }) -> rows * cols
+        | _ -> 1)
+    | Ir.Linear (_, Ir.Weight (w, _)) -> (
+        match Ir.find_decl program w with
+        | Some (Ir.Weight_mat { cols; _ }) -> cols
+        | _ -> 1)
+    | Ir.Linear_t (_, Ir.Weight (w, _)) -> (
+        match Ir.find_decl program w with
+        | Some (Ir.Weight_mat { rows; _ }) -> rows
+        | _ -> 1)
+    | Ir.Linear (x, _) | Ir.Linear_t (x, _) -> dim x
+    | Ir.Inner _ -> 1
+    | Ir.Concat (a, b) -> dim a + dim b
+    | Ir.Slice (_, _, len) -> len
+    | Ir.Binop (_, a, b) -> max (dim a) (dim b)
+    | Ir.Unop (_, a) -> dim a
+    | Ir.Opaque (_, args) -> ( match args with [] -> 1 | a :: _ -> dim a)
+  in
+  dim expr
+
+(* Compact rows destroy the coalescing that edge-parallel threads enjoy on
+   vanilla per-edge tensors: neighbouring edges hit scattered compact rows
+   through an extra indirection.  The factor models the lost transaction
+   efficiency on top of the generic gather penalty (paper §4.4: on AM the
+   "more complicated access scheme" makes traversals offset the GEMM
+   savings). *)
+let compact_access_penalty = 1.5
+
+let add_expr_traffic env program locals traffic strategy expr =
+  let dim = expr_dim env program locals in
+  let rec walk e =
+    (match e with
+    | Ir.Const _ -> ()
+    | Ir.Feature (ent, n) | Ir.Data (ent, n) -> (
+        if not (List.mem_assoc n locals) then
+          let d = dim e in
+          let bytes = float_of_int (d * 4) in
+          match ent with
+          | Ir.Cur_edge -> (
+              match Env.find_opt env n with
+              | Some { Env.space = Mat.Rows_compact_src | Mat.Rows_compact_dst; _ } ->
+                  traffic.gathered <-
+                    traffic.gathered +. (bytes *. compact_access_penalty) +. 4.0
+              | _ ->
+                  if strategy = Ts.Node_gather then
+                    traffic.gathered <- traffic.gathered +. bytes
+                  else traffic.coalesced <- traffic.coalesced +. bytes)
+          | Ir.Src | Ir.Dst -> traffic.gathered <- traffic.gathered +. bytes
+          | Ir.Cur_node -> traffic.coalesced <- traffic.coalesced +. bytes)
+    | Ir.Weight (_, Ir.Shared) -> () (* cached in shared memory / registers *)
+    | Ir.Weight _ -> traffic.gathered <- traffic.gathered +. float_of_int (dim e * 4)
+    | Ir.Linear (x, _) | Ir.Linear_t (x, _) ->
+        traffic.flops <- traffic.flops +. float_of_int (2 * dim x * dim e)
+    | Ir.Inner (a, _) -> traffic.flops <- traffic.flops +. float_of_int (2 * dim a)
+    | Ir.Concat _ | Ir.Slice _ -> ()
+    | Ir.Binop (_, _, _) | Ir.Unop (_, _) -> traffic.flops <- traffic.flops +. float_of_int (dim e)
+    | Ir.Opaque _ -> traffic.flops <- traffic.flops +. float_of_int (dim e));
+    match e with
+    | Ir.Linear (x, _) | Ir.Linear_t (x, _) -> walk x (* weight handled above *)
+    | Ir.Inner (a, b) | Ir.Concat (a, b) | Ir.Binop (_, a, b) -> walk a; walk b
+    | Ir.Slice (a, _, _) | Ir.Unop (_, a) -> walk a
+    | Ir.Opaque (_, args) -> List.iter walk args
+    | Ir.Const _ | Ir.Feature _ | Ir.Data _ | Ir.Weight _ -> ()
+  in
+  walk expr
+
+(* Per-iteration traffic of ONE statement (adjacency reads are charged by
+   the caller, once per edge). *)
+let stmt_traffic env program (spec : Ts.t) st =
+  let locals_dims =
+    List.map
+      (fun n ->
+        let d = ref 1 in
+        List.iter
+          (fun st ->
+            match st with
+            | Ir.Assign (Ir.Cur_edge, v, e) when String.equal v n ->
+                d := expr_dim env program [] e
+            | _ -> ())
+          spec.Ts.body;
+        (n, !d))
+      spec.Ts.locals
+  in
+  let traffic = { flops = 0.0; coalesced = 0.0; gathered = 0.0; atomic = 0.0 } in
+  let strategy = spec.Ts.strategy in
+  let warp = spec.Ts.schedule.Ts.warp_accumulate in
+  let add_write ent n accumulate =
+    let d =
+      match Env.find_opt env n with
+      | Some entry -> entry.Env.dim
+      | None -> ( match List.assoc_opt n locals_dims with Some d -> max d 1 | None -> 1)
+    in
+    let bytes = float_of_int (d * 4) in
+    if List.mem n spec.Ts.locals then ()
+    else
+      match ent with
+      | Ir.Cur_edge -> (
+          match Env.find_opt env n with
+          | Some { Env.space = Mat.Rows_compact_src | Mat.Rows_compact_dst; _ } ->
+              traffic.gathered <-
+                traffic.gathered +. (bytes *. compact_access_penalty) +. 4.0
+          | _ -> traffic.coalesced <- traffic.coalesced +. bytes)
+      | Ir.Src | Ir.Dst ->
+          if accumulate && strategy = Ts.Edge_parallel then
+            traffic.atomic <- traffic.atomic +. (bytes /. if warp then 8.0 else 1.0)
+          else traffic.gathered <- traffic.gathered +. bytes
+      | Ir.Cur_node -> traffic.coalesced <- traffic.coalesced +. bytes
+  in
+  (match st with
+  | Ir.Assign (ent, n, e) ->
+      add_expr_traffic env program locals_dims traffic strategy e;
+      add_write ent n false
+  | Ir.Accumulate (ent, n, e) ->
+      add_expr_traffic env program locals_dims traffic strategy e;
+      add_write ent n true
+  | Ir.Grad_weight { x; dy; _ } ->
+      add_expr_traffic env program locals_dims traffic strategy x;
+      add_expr_traffic env program locals_dims traffic strategy dy;
+      let d = expr_dim env program locals_dims x * expr_dim env program locals_dims dy in
+      traffic.atomic <- traffic.atomic +. (float_of_int (d * 4) /. if warp then 8.0 else 1.0)
+  | Ir.For_each _ -> ());
+  traffic
+
+(* The single launch charged for a whole traversal spec (passes share it):
+   swept statements iterate over edges (or nodes for Node_map), the
+   recorded pair-local statements only over their side's pair count. *)
+let iterations (g : G.t) = function Ts.Edge_parallel | Ts.Node_gather -> g.G.num_edges | Ts.Node_map -> g.G.num_nodes
+
+let traversal_kernel ~env ~ctx ~program ~layout (spec : Ts.t) =
+  let g = Graph_ctx.graph ctx in
+  let iters = iterations g spec.Ts.strategy in
+  (* adjacency id-retrieval closures (§3.3.5): COO is three coalesced
+     subscripts; CSR gets the destination from a binary ownership search in
+     the row-pointer array *)
+  let adjacency_coalesced, adjacency_gathered =
+    match layout.Hector_core.Layout.adjacency with
+    | Hector_core.Layout.Coo -> (12.0, 0.0)
+    | Hector_core.Layout.Csr ->
+        let log_n = Float.max 1.0 (Float.log2 (float_of_int (max 2 g.G.num_nodes))) in
+        (8.0, 4.0 *. log_n)
+  in
+  let iters_of st =
+    match Ts.pair_side spec.Ts.passes st with
+    | None -> iters
+    | Some `Src -> (Graph_ctx.compact_src ctx).Cm.num_pairs
+    | Some `Dst -> (Graph_ctx.compact_dst ctx).Cm.num_pairs
+  in
+  let total = { flops = 0.0; coalesced = 0.0; gathered = 0.0; atomic = 0.0 } in
+  (* adjacency reads once per edge *)
+  if spec.Ts.strategy <> Ts.Node_map then begin
+    total.coalesced <- total.coalesced +. (adjacency_coalesced *. float_of_int iters);
+    total.gathered <- total.gathered +. (adjacency_gathered *. float_of_int iters)
+  end;
+  List.iter
+    (fun st ->
+      let one = stmt_traffic env program spec st in
+      let n = float_of_int (iters_of st) in
+      total.flops <- total.flops +. (one.flops *. n);
+      total.coalesced <- total.coalesced +. (one.coalesced *. n);
+      total.gathered <- total.gathered +. (one.gathered *. n);
+      total.atomic <- total.atomic +. (one.atomic *. n))
+    spec.Ts.body;
+  let blocks =
+    match spec.Ts.strategy with
+    | Ts.Node_gather -> max 1 g.G.num_nodes
+    | _ -> max 1 ((iters + 255) / 256)
+  in
+  Kernel.make ~name:(Ts.name spec) ~category:Kernel.Traversal ~grid_blocks:blocks
+    ~threads_per_block:256 ~flops:total.flops ~bytes_coalesced:total.coalesced
+    ~bytes_gathered:total.gathered ~bytes_atomic:total.atomic ()
+
+(* --- fallbacks, GEMMs, weight ops ------------------------------ *)
+
+(* One kernel + full materialization per operator node of the fallback
+   body (§3.1.1: each framework op is its own launch). *)
+let fallback_kernels ~ctx (f : Plan.fallback) =
+  let iters = iterations (Graph_ctx.graph ctx) f.Plan.strategy in
+  let ops = ref 0 in
+  List.iter (List.iter (Ir.iter_expr (fun _ -> incr ops))) (List.map Ir.stmt_exprs f.Plan.body);
+  let ops = !ops in
+  let avg_dim = 16.0 (* intermediate rows materialized between op kernels *) in
+  List.init (max 1 ops) (fun i ->
+      Kernel.make
+        ~name:(Printf.sprintf "fallback_%d_op%d" f.Plan.kid i)
+        ~category:Kernel.Fallback
+        ~grid_blocks:(max 1 ((iters + 255) / 256))
+        ~threads_per_block:256
+        ~flops:(float_of_int iters *. avg_dim)
+        ~bytes_coalesced:(float_of_int iters *. avg_dim *. 4.0 *. 2.0)
+        ~bytes_gathered:(float_of_int iters *. 8.0)
+        ())
+
+(* Launch-descriptor for one fused gather→segmentMM→scatter kernel. *)
+let gemm_cost ~name ~rows ~k ~n ~(schedule : Gs.schedule) ~gathered_in ~scatter_out ~atomic_out
+    ~accumulate =
+  let tile = float_of_int schedule.Gs.tile_width in
+  let r = float_of_int rows and kf = float_of_int k and nf = float_of_int n in
+  let flops = 2.0 *. r *. kf *. nf in
+  let flops = if schedule.Gs.launch_bounds then flops /. 1.05 else flops in
+  (* output tiles are register-blocked: each thread holds a coarsened
+     column strip, so A is reloaded once per two column tiles *)
+  let a_bytes = r *. kf *. 4.0 *. Float.max 1.0 (nf /. (2.0 *. tile)) in
+  let b_bytes = kf *. nf *. 4.0 *. Float.max 1.0 (r /. (2.0 *. tile)) in
+  let c_bytes = r *. nf *. 4.0 *. if accumulate then 2.0 else 1.0 in
+  let index_bytes = if gathered_in || scatter_out then r *. 4.0 else 0.0 in
+  let coalesced = b_bytes +. (if gathered_in then 0.0 else a_bytes) +. index_bytes in
+  let coalesced = coalesced +. if scatter_out || atomic_out then 0.0 else c_bytes in
+  let gathered = (if gathered_in then a_bytes else 0.0) +. if scatter_out && not atomic_out then c_bytes else 0.0 in
+  let atomic = if atomic_out then c_bytes else 0.0 in
+  let tiles_r = (rows + schedule.Gs.tile_width - 1) / schedule.Gs.tile_width in
+  let tiles_n = max 1 ((n + schedule.Gs.tile_width - 1) / schedule.Gs.tile_width) in
+  let threads = schedule.Gs.tile_width * schedule.Gs.tile_width / schedule.Gs.coarsen in
+  Kernel.make ~name ~category:Kernel.Gemm
+    ~grid_blocks:(max 1 (tiles_r * tiles_n))
+    ~threads_per_block:(max 32 threads) ~flops ~bytes_coalesced:coalesced
+    ~bytes_gathered:gathered ~bytes_atomic:atomic ()
+
+(* The launch descriptor of a GEMM spec — the task decides the gather /
+   scatter / atomic flags and where the [rows × k × n] shape comes from
+   (weight-stack dims for forward and dinput tasks, operand dims for
+   dweight tasks). *)
+let gemm_kernel ~env ~ctx (spec : Gs.t) =
+  let nodes = (Graph_ctx.graph ctx).G.num_nodes and rows = Graph_ctx.rows_of_space ctx in
+  let weight w transpose =
+    let w = Env.weight env w in
+    if transpose then (Tensor.dim w 2, Tensor.dim w 1) else (Tensor.dim w 1, Tensor.dim w 2)
+  in
+  let dims x dy = ((Env.find env (Gs.operand_name x)).Env.dim, (Env.find env dy).Env.dim) in
+  (* rows, (k, n), gathered input, scattered output, atomic output, accumulate *)
+  let r, (k, n), gathered_in, scatter_out, atomic_out, accumulate =
+    match spec.Gs.task with
+    | Gs.Node_linear { weight = w; transpose; accumulate; _ } ->
+        (nodes, weight w transpose, false, false, false, accumulate)
+    | Gs.Edge_linear { weight = w; out_space; transpose; _ } ->
+        (rows out_space, weight w transpose, true, false, false, false)
+    | Gs.Edge_linear_dinput { weight = w; grad_out_space; transpose; _ } ->
+        (rows grad_out_space, weight w transpose, false, true, true, true)
+    | Gs.Edge_linear_dweight { input; grad_output; grad_out_space; _ } ->
+        (rows grad_out_space, dims input grad_output, true, false, false, true)
+    | Gs.Node_linear_dweight { input; grad_output; _ } -> (nodes, dims input grad_output, false, false, false, true)
+  in
+  let kern =
+    gemm_cost ~name:(Gs.name spec) ~rows:r ~k ~n ~schedule:spec.Gs.schedule ~gathered_in ~scatter_out ~atomic_out
+      ~accumulate
+  in
+  (* a scatter pre-aggregates tile rows in shared memory before the
+     atomic update, cutting atomic traffic *)
+  if atomic_out then { kern with Kernel.bytes_atomic = kern.Kernel.bytes_atomic /. 4.0 } else kern
+
+(* Weight-prologue launch descriptor.  [Mat_mat] flops are expressed from
+   the factor shapes ([slices × (dim l 1) × (dim r 2)] output, inner dim
+   [dim r 1]) so the product stack need not be bound yet — the estimator
+   prices plans it never runs. *)
+let weight_op_kernel ~env op =
+  let name =
+    match op with Lf.Mat_vec { out; _ } | Lf.Mat_mat { out; _ } -> "weight_op_" ^ out
+  in
+  let flops =
+    match op with
+    | Lf.Mat_vec { mat; _ } ->
+        let w = Env.weight env mat in
+        2.0 *. float_of_int (Tensor.numel w)
+    | Lf.Mat_mat { left; right; _ } ->
+        let l = Env.weight env left and r = Env.weight env right in
+        2.0
+        *. float_of_int (Tensor.dim r 0 * Tensor.dim l 1 * Tensor.dim r 2)
+        *. float_of_int (Tensor.dim r 1)
+  in
+  Kernel.make ~name ~category:Kernel.Gemm ~grid_blocks:64 ~flops
+    ~bytes_coalesced:(flops /. 2.0) ~graph_proportional:false ()
+
+(* --- memsets, fused groups, whole plans ------------------------ *)
+
+(* The zero-fill launch a [zero_init] buffer is charged on every run.
+   [inlined] lists the zero-init buffers whose whole live range sits
+   inside one fused step (Plan.inline_zeroed): their accumulator is
+   initialized inside the fused kernel, so the zero fill still happens but
+   no separate memset launch is charged. *)
+let buffer_memset ~ctx ~inlined (b : Plan.buffer) =
+  if b.Plan.zero_init && not (List.mem b.Plan.name inlined) then
+    let rows = Graph_ctx.rows_of_space ctx b.Plan.space and dim = b.Plan.dim in
+    Some
+      (Kernel.make
+         ~name:("memset_" ^ b.Plan.name)
+         ~category:Kernel.Copy
+         ~grid_blocks:(max 1 (rows * dim / 256 / 256))
+         ~bytes_coalesced:(float_of_int (rows * dim * 4))
+         ~provenance:(Kernel.provenance ~origin:"runtime.memset" b.Plan.name)
+         ())
+  else None
+
+(* One kernel standing for a whole fused group: the members' work summed,
+   launched once.  Members execute one after another, so numerics are
+   exactly the unfused plan's — the merge only changes the launch
+   accounting. *)
+let merge_kernels name ks =
+  let sum f = List.fold_left (fun a k -> a +. f k) 0.0 ks in
+  let maxi f = List.fold_left (fun a k -> max a (f k)) 1 ks in
+  let category =
+    if List.exists (fun k -> k.Kernel.category = Kernel.Gemm) ks then Kernel.Gemm
+    else Kernel.Traversal
+  in
+  Kernel.make ~name ~category
+    ~grid_blocks:(maxi (fun k -> k.Kernel.grid_blocks))
+    ~threads_per_block:(maxi (fun k -> k.Kernel.threads_per_block))
+    ~flops:(sum (fun k -> k.Kernel.flops))
+    ~bytes_coalesced:(sum (fun k -> k.Kernel.bytes_coalesced))
+    ~bytes_gathered:(sum (fun k -> k.Kernel.bytes_gathered))
+    ~bytes_atomic:(sum (fun k -> k.Kernel.bytes_atomic))
+    ~graph_proportional:(List.for_all (fun k -> k.Kernel.graph_proportional) ks)
+    ()
+
+(* A step's launches per steady-state run: [Exec] charges exactly this
+   list.  [env] binds (shapes of) every buffer and weight it reads. *)
+let rec step_kernels ~env ~ctx ~(plan : Plan.t) step =
+  match step with
+  | Plan.Weight_op op -> [ weight_op_kernel ~env op ]
+  | Plan.Gemm spec -> [ gemm_kernel ~env ~ctx spec ]
+  | Plan.Traversal spec ->
+      [ traversal_kernel ~env ~ctx ~program:plan.Plan.program ~layout:plan.Plan.layout spec ]
+  | Plan.Fallback f -> fallback_kernels ~ctx f
+  | Plan.Fused f -> (
+      match List.concat_map (step_kernels ~env ~ctx ~plan) f.Plan.members with
+      | [] -> []
+      | ks -> [ merge_kernels (Plan.step_name step) ks ])
+
+(* Each buffer's placement in the plan's memory plan, by name. *)
+let placements (plan : Plan.t) =
+  let memory = match plan.Plan.memory with Some m -> m | None -> Bp.analyze plan in
+  let place_of = Hashtbl.create 16 in
+  List.iter (fun (p : Plan.placement) -> Hashtbl.replace place_of p.Plan.var p) memory.Plan.placements;
+  place_of
+
+(* Arena members grouped by where [Exec.run_plan] binds them: at run start
+   (untouched buffers, or a plan without steps) or before their first
+   step, each group in reverse member order. *)
+let bind_points ~nsteps members =
+  let pre = ref [] and at = Array.make (max 1 nsteps) [] in
+  List.iter
+    (fun (m, (p : Plan.placement)) ->
+      if p.Plan.first < 0 || nsteps = 0 then pre := m :: !pre
+      else at.(p.Plan.first) <- m :: at.(p.Plan.first))
+    members;
+  (!pre, at)
+
+(* The launches [Exec.run_plan] charges on a fresh executor, where the arena
+   manages every buffer the memory plan places: each memset where its
+   buffer is bound (unplaced buffers first), each step's kernels after
+   the step's memsets. *)
+let plan_kernels ~env ~ctx (plan : Plan.t) =
+  let inlined = Plan.inline_zeroed plan and place_of = placements plan in
+  let memsets = List.filter_map (buffer_memset ~ctx ~inlined) in
+  let placed, other =
+    List.partition_map
+      (fun (b : Plan.buffer) ->
+        match Hashtbl.find_opt place_of b.Plan.name with Some p -> Left (b, p) | None -> Right b)
+      plan.Plan.buffers
+  in
+  let pre, at = bind_points ~nsteps:(List.length plan.Plan.steps) placed in
+  memsets other @ memsets pre
+  @ List.concat (List.mapi (fun i step -> memsets at.(i) @ step_kernels ~env ~ctx ~plan step) plan.Plan.steps)
+
+(* --- training-step launches ------------------------------------ *)
+
+let loss_kernels ~origin ~rows ~cols =
+  let bytes = float_of_int (rows * cols * 4) in
+  let reduction name flops =
+    Kernel.make ~name ~category:Kernel.Reduction
+      ~grid_blocks:(max 1 (rows / 256))
+      ~flops ~bytes_coalesced:(2.0 *. bytes)
+      ~provenance:(Kernel.provenance ~origin "loss") ()
+  in
+  [
+    reduction "log_softmax" (float_of_int (rows * cols * 5));
+    reduction "nll_grad" (float_of_int (rows * cols));
+  ]
+
+let bmm_backward_kernel ~env op =
+  let out, flops, bytes =
+    match op with
+    | Lf.Mat_vec { mat; out; _ } ->
+        let w = Env.weight env mat in
+        (out, 4.0 *. float_of_int (Tensor.numel w), Tensor.numel w * 4)
+    | Lf.Mat_mat { right; out; _ } ->
+        let r = Env.weight env right in
+        let products = float_of_int (Tensor.numel (Env.weight env out)) in
+        (out, 4.0 *. products *. float_of_int (Tensor.dim r 1), Tensor.numel r * 4)
+  in
+  Kernel.make ~name:("bmm_backward_" ^ out) ~category:Kernel.Gemm ~grid_blocks:64 ~flops
+    ~bytes_coalesced:(float_of_int bytes) ~graph_proportional:false
+    ~provenance:(Kernel.provenance ~origin:"linear_fusion" out) ()
+
+let sgd_kernel ~name w =
+  Kernel.make ~name:("sgd_" ^ name) ~category:Kernel.Reduction ~grid_blocks:32
+    ~flops:(float_of_int (Tensor.numel w))
+    ~bytes_coalesced:(float_of_int (Tensor.numel w * 8))
+    ~graph_proportional:false
+    ~provenance:(Kernel.provenance ~origin:"train" "sgd") ()
+

@@ -1,6 +1,5 @@
 module Tensor = Hector_tensor.Tensor
 module Engine = Hector_gpu.Engine
-module Kernel = Hector_gpu.Kernel
 module Lf = Hector_core.Linear_fusion
 module Ir = Hector_core.Inter_ir
 module Mat = Hector_core.Materialization
@@ -11,43 +10,6 @@ module G = Hector_graph.Hetgraph
 
 let fused_outs ops =
   List.map (function Lf.Mat_vec { out; _ } | Lf.Mat_mat { out; _ } -> out) ops
-
-(* --- kernel descriptors: the launches below, and Plan_cost's estimate -- *)
-
-let loss_kernels ~origin ~rows ~cols =
-  let bytes = float_of_int (rows * cols * 4) in
-  let reduction name flops =
-    Kernel.make ~name ~category:Kernel.Reduction
-      ~grid_blocks:(max 1 (rows / 256))
-      ~flops ~bytes_coalesced:(2.0 *. bytes)
-      ~provenance:(Kernel.provenance ~origin "loss") ()
-  in
-  [
-    reduction "log_softmax" (float_of_int (rows * cols * 5));
-    reduction "nll_grad" (float_of_int (rows * cols));
-  ]
-
-let bmm_backward_kernel ~env op =
-  let out, flops, bytes =
-    match op with
-    | Lf.Mat_vec { mat; out; _ } ->
-        let w = Env.weight env mat in
-        (out, 4.0 *. float_of_int (Tensor.numel w), Tensor.numel w * 4)
-    | Lf.Mat_mat { right; out; _ } ->
-        let r = Env.weight env right in
-        let products = float_of_int (Tensor.numel (Env.weight env out)) in
-        (out, 4.0 *. products *. float_of_int (Tensor.dim r 1), Tensor.numel r * 4)
-  in
-  Kernel.make ~name:("bmm_backward_" ^ out) ~category:Kernel.Gemm ~grid_blocks:64 ~flops
-    ~bytes_coalesced:(float_of_int bytes) ~graph_proportional:false
-    ~provenance:(Kernel.provenance ~origin:"linear_fusion" out) ()
-
-let sgd_kernel ~name w =
-  Kernel.make ~name:("sgd_" ^ name) ~category:Kernel.Reduction ~grid_blocks:32
-    ~flops:(float_of_int (Tensor.numel w))
-    ~bytes_coalesced:(float_of_int (Tensor.numel w * 8))
-    ~graph_proportional:false
-    ~provenance:(Kernel.provenance ~origin:"train" "sgd") ()
 
 (* --- loss ------------------------------------------------------------ *)
 
@@ -86,7 +48,7 @@ let nll_into ~engine ~origin ?owned ?label_rows ~inv_n ~out ~labels ~grad () =
     end
     else Array.fill ga gb c 0.0
   done;
-  List.iter (Engine.launch engine) (loss_kernels ~origin ~rows:!counted ~cols:c);
+  List.iter (Engine.launch engine) (Pricing.loss_kernels ~origin ~rows:!counted ~cols:c);
   !loss
 
 let nll_loss ~engine ~out ~labels =
@@ -134,7 +96,7 @@ let backprop_weight_ops ~(exec : Exec.t) ops =
                 Tensor.matmul_into ~trans_a:true ~beta:1.0 (Tensor.slice0 l nt) douts
                   (Tensor.slice0 dr s)
               done);
-          Engine.launch exec.Exec.engine (bmm_backward_kernel ~env op))
+          Engine.launch exec.Exec.engine (Pricing.bmm_backward_kernel ~env op))
     (List.rev ops)
 
 (* Restore parameter values in place — the checkpoint/restore path.  Every
@@ -166,7 +128,7 @@ let sgd_step ?(skip = []) ~(exec : Exec.t) ~lr () =
       if not (List.mem name skip) then begin
         let w = Env.weight env name in
         Tensor.axpy (-.lr) grad w;
-        Engine.launch exec.Exec.engine (sgd_kernel ~name w)
+        Engine.launch exec.Exec.engine (Pricing.sgd_kernel ~name w)
       end)
     (Env.weight_grads env);
   Env.zero_weight_grads env

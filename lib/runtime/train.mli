@@ -6,14 +6,16 @@
     generated backward pass, followed by an SGD update.  The fused weights
     produced by linear-operator fusion are recomputed every forward pass,
     so their gradients are chained back into the original weights exactly
-    as PyTorch autograd would differentiate the [bmm()] the paper uses. *)
+    as PyTorch autograd would differentiate the [bmm()] the paper uses.
+    Every launch it charges is built by {!Pricing}, which {!Plan_cost}
+    also prices with. *)
 
 module Tensor = Hector_tensor.Tensor
 
 val nll_loss :
   engine:Hector_gpu.Engine.t -> out:Tensor.t -> labels:int array -> float * Tensor.t
 (** Mean NLL of row-wise softmax([out]) and a fresh d(loss)/d(out),
-    charging {!loss_kernels} with provenance ["train"]. *)
+    charging {!Pricing.loss_kernels} with provenance ["train"]. *)
 
 val loss_and_grads :
   ?origin:string ->
@@ -35,18 +37,9 @@ val loss_and_grads :
     [-log softmax(out_i)\[label_i\] · inv_n] to the loss, where [label_i]
     is [labels.(i)], or [labels.(label_rows.(i))]; rows [owned] marks
     [false] get a zero gradient and no loss.  [inv_n] defaults to
-    [1/rows]; {!loss_kernels} are charged over the rows counted with
+    [1/rows]; {!Pricing.loss_kernels} are charged over the rows counted with
     provenance [origin] (default ["train"]).  [on_step] goes to the
     backward {!Exec.run_plan}. *)
-
-val loss_kernels : origin:string -> rows:int -> cols:int -> Hector_gpu.Kernel.t list
-(** The [log_softmax] and [nll_grad] launches of the NLL loss. *)
-
-val bmm_backward_kernel : env:Env.t -> Hector_core.Linear_fusion.weight_op -> Hector_gpu.Kernel.t
-(** The launch {!backprop_weight_ops} makes for one weight op. *)
-
-val sgd_kernel : name:string -> Tensor.t -> Hector_gpu.Kernel.t
-(** The launch {!sgd_step} makes for weight [name]. *)
 
 val fused_outs : Hector_core.Linear_fusion.weight_op list -> string list
 (** The weight stacks linear-operator fusion computes (not parameters). *)
@@ -55,7 +48,8 @@ val backprop_weight_ops :
   exec:Exec.t -> Hector_core.Linear_fusion.weight_op list -> unit
 (** Chain gradients of fused weights back to the original weights (the
     backward of the prologue [bmm()]s).  No-op for weights whose gradients
-    were never touched. *)
+    were never touched.  Charges one {!Pricing.bmm_backward_kernel} per
+    op whose product received a gradient. *)
 
 val set_weights : exec:Exec.t -> (string * Tensor.t) list -> unit
 (** Restore parameter {e values} in place — the checkpoint/restore path.
@@ -71,4 +65,4 @@ val sgd_step : ?skip:string list -> exec:Exec.t -> lr:float -> unit -> unit
     zero all gradients.  [skip] names weights that are not parameters
     (fusion-generated stacks — their gradients flow to the originals via
     {!backprop_weight_ops} instead).  Charges one elementwise kernel per
-    updated weight. *)
+    updated weight ({!Pricing.sgd_kernel}). *)

@@ -2,9 +2,9 @@
    interpreter.  Each iteration walks the expression tree, boxes every row
    it reads into a fresh [Exec.value], keeps locals in a hash table and
    looks every buffer up by name — the executor's semantics written the
-   direct way, with none of its staging.  It replays the executor's
-   schedule ({!Exec.traversal_passes}: passes, pair-local gating and the
-   parallel/sequential choice) with its own sweeps, so its buffers and
+   direct way, with none of its staging.  It replays the plan's recorded
+   passes ({!Hector_core.Traversal_spec.pass}: pair loops, sweeps and the
+   parallel/sequential choice) with its own loops, so its buffers and
    weight gradients must equal [Exec.run_plan]'s bit for bit at any
    domain count. *)
 
@@ -264,39 +264,41 @@ let sequential_sweep t strategy run_iter =
         run_iter ~grads { edge = -1; node = v }
       done
 
-let run_passes t strategy ~locals passes =
+(* The recorded passes, as the executor runs them: each pass's pair loops
+   (their statements at every pair's representative edge, in pair order;
+   hoisted reductions need no loop here, the sweep evaluates them where
+   they occur), then its sweep. *)
+let run_passes t strategy ~locals (passes : Ts.pass list) =
   List.iter
-    (fun (p : Exec.pass) ->
-      (* representative maps are resolved here, before any parallel sweep *)
-      let stmts =
-        List.map
-          (fun (st, cls) ->
-            let rep =
-              match cls with
-              | Exec.Per_edge -> None
-              | Exec.Per_pair_src -> Some (Graph_ctx.rep_src t.ctx)
-              | Exec.Per_pair_dst -> Some (Graph_ctx.rep_dst t.ctx)
-            in
-            (st, rep))
-          p.Exec.stmts
-      in
+    (fun (p : Ts.pass) ->
+      List.iter
+        (fun (l : Ts.pair_loop) ->
+          let reps =
+            match l.Ts.side with `Src -> Graph_ctx.pair_rep_src t.ctx | `Dst -> Graph_ctx.pair_rep_dst t.ctx
+          in
+          let grads = Env.weight_grad t.env in
+          Array.iter
+            (fun rep ->
+              List.iter
+                (function
+                  | Ts.Pair_stmt st -> exec_stmt t { edge = rep; node = -1 } (Hashtbl.create 1) ~grads st
+                  | Ts.Pair_reduction _ -> ())
+                l.Ts.items)
+            reps)
+        p.Ts.pair_loops;
       let run_iter ~grads iter =
         let tbl = Hashtbl.create 4 in
         List.iter (fun n -> Hashtbl.replace tbl n (Scalar 0.0)) locals;
-        List.iter
-          (fun (st, rep) ->
-            let execute = match rep with None -> true | Some r -> r.(iter.edge) = iter.edge in
-            if execute then exec_stmt t iter tbl ~grads st)
-          stmts
+        List.iter (exec_stmt t iter tbl ~grads) p.Ts.sweep
       in
-      if p.Exec.parallel then parallel_sweep t strategy run_iter
-      else sequential_sweep t strategy run_iter)
+      if p.Ts.sweep <> [] then
+        if p.Ts.parallel_safe && not (Dp.sequential ()) then parallel_sweep t strategy run_iter
+        else sequential_sweep t strategy run_iter)
     passes
 
 let rec run_step t = function
-  | Plan.Traversal spec ->
-      run_passes t spec.Ts.strategy ~locals:spec.Ts.locals (Exec.traversal_passes t.env spec)
-  | Plan.Fallback f -> run_passes t f.Plan.strategy ~locals:[] (Exec.fallback_passes t.env f)
+  | Plan.Traversal spec -> run_passes t spec.Ts.strategy ~locals:spec.Ts.locals spec.Ts.passes
+  | Plan.Fallback f -> run_passes t f.Plan.strategy ~locals:[] f.Plan.passes
   | Plan.Fused f -> List.iter (run_step t) f.Plan.members
   | Plan.Gemm _ | Plan.Weight_op _ -> invalid_arg "Oracle: only traversal and fallback steps"
 

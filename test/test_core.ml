@@ -14,6 +14,7 @@ module Lowering = Hector_core.Lowering
 module Autodiff = Hector_core.Autodiff
 module Codegen = Hector_core.Codegen
 module Compiler = Hector_core.Compiler
+module Traversal_passes = Hector_core.Traversal_passes
 module Models = Hector_models.Model_defs
 
 let check_int = Alcotest.(check int)
@@ -580,13 +581,16 @@ let test_codegen_gemm_schedule_directives () =
   check_bool "shared tiles sized by schedule" true (contains src "shmA[32][32]")
 
 let test_codegen_traversal_adjacency () =
+  let body = [ Ir.Accumulate (Ir.Dst, "sum", Ir.Feature (Ir.Cur_edge, "s")) ] in
+  let lookup = function "sum" -> Some Mat.Rows_nodes | _ -> Some Mat.Rows_edges in
   let spec =
     {
       Ts.kid = 0;
       strategy = Ts.Edge_parallel;
-      body = [ Ir.Accumulate (Ir.Dst, "sum", Ir.Feature (Ir.Cur_edge, "s")) ];
+      body;
       locals = [];
       schedule = Ts.default_schedule;
+      passes = Traversal_passes.of_body ~lookup ~locals:[] ~fallback:false Ts.Edge_parallel body;
     }
   in
   let coo = Codegen.traversal_kernel Layout.default spec in

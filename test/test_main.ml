@@ -13,6 +13,7 @@ let () =
       ("fusion", Test_fusion.suite);
       ("runtime", Test_runtime.suite);
       ("staged", Test_staged.suite);
+      ("passes", Test_passes.suite);
       ("baselines", Test_baselines.suite);
       ("models", Test_models.suite);
       ("experiments", Test_experiments.suite);

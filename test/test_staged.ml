@@ -12,6 +12,7 @@ module Engine = Hector_gpu.Engine
 module Ir = Hector_core.Inter_ir
 module Ts = Hector_core.Traversal_spec
 module Plan = Hector_core.Plan
+module Traversal_passes = Hector_core.Traversal_passes
 module Mat = Hector_core.Materialization
 module Compiler = Hector_core.Compiler
 module Session = Hector_runtime.Session
@@ -49,6 +50,9 @@ let buffers =
     ("cd", Mat.Rows_compact_dst, dim);
     ("d:cd", Mat.Rows_compact_dst, 1);
   ]
+
+let spaces =
+  List.map (fun (name, space, _) -> (((if space = Mat.Rows_nodes then `Node else `Edge), name), space)) buffers
 
 let decls =
   [
@@ -319,7 +323,8 @@ let gen_body rs strategy ~fallback =
 let gen_step rs kid =
   let strategy = pick rs [ Ts.Edge_parallel; Ts.Node_gather; Ts.Node_map ] in
   if Random.State.int rs 4 = 0 then
-    Plan.Fallback { Plan.kid; description = "opaque"; strategy; body = gen_body rs strategy ~fallback:true }
+    Plan.Fallback
+      { Plan.kid; description = "opaque"; strategy; body = gen_body rs strategy ~fallback:true; passes = [] }
   else
     Plan.Traversal
       {
@@ -328,7 +333,22 @@ let gen_step rs kid =
         body = gen_body rs strategy ~fallback:false;
         locals = [ "t0"; "t1" ];
         schedule = Ts.default_schedule;
+        passes = [];
       }
+
+(* A hand-built plan over the buffers and weights above, its passes
+   recorded as the compiler records them. *)
+let oracle_plan steps =
+  Traversal_passes.record
+    {
+      Plan.name = "oracle";
+      layout = Hector_core.Layout.default;
+      program = { Ir.name = "oracle"; decls; body = []; outputs = [] };
+      buffers = [];
+      steps;
+      spaces;
+      memory = None;
+    }
 
 let gen_plan rs =
   let steps = List.init (1 + Random.State.int rs 3) (gen_step rs) in
@@ -337,15 +357,7 @@ let gen_plan rs =
     | a :: b :: rest when Random.State.bool rs -> Plan.Fused { Plan.fid = 0; members = [ a; b ] } :: rest
     | s -> s
   in
-  {
-    Plan.name = "oracle";
-    layout = Hector_core.Layout.default;
-    program = { Ir.name = "oracle"; decls; body = []; outputs = [] };
-    buffers = [];
-    steps;
-    spaces = [];
-    memory = None;
-  }
+  oracle_plan steps
 
 (* --- one case -------------------------------------------------------- *)
 
@@ -375,7 +387,10 @@ let same_bits a b =
 let same_tensor a b =
   T.shape a = T.shape b && Array.for_all2 same_bits (T.to_flat_array a) (T.to_flat_array b)
 
-let run_case seed =
+(* [plan_of]'s plan on seeded random inputs through [Exec.run_plan] and
+   through the oracle at 1, 2 and 4 domains: every buffer and weight
+   gradient must agree bit for bit. *)
+let agrees seed plan_of =
   let rs = Random.State.make [| seed |] in
   let g = graph (seed mod 7) in
   let ctx = Graph_ctx.create g in
@@ -403,7 +418,7 @@ let run_case seed =
       ("b", random_tensor rs [| nnt; 1 |]);
     ]
   in
-  let plan = gen_plan rs in
+  let plan = plan_of rs in
   let fresh_env () =
     let env = Env.create () in
     List.iter
@@ -438,7 +453,59 @@ let run_case seed =
 let prop_staged_matches_oracle =
   QCheck.Test.make ~name:"staged bodies == value interpreter, bitwise, 1/2/4 domains" ~count:80
     QCheck.(make Gen.(int_range 0 1_000_000))
-    run_case
+    (fun seed -> agrees seed gen_plan)
+
+(* --- the split rule, pinned ------------------------------------------ *)
+
+(* Three edge-parallel bodies whose passes the record must split (or not)
+   exactly so:
+   - a per-edge and then a pair-local statement accumulating the same
+     [Dst] row: hoisting the pair loop would run it first, so the
+     pair-local statement starts a second pass;
+   - a per-edge statement writing a node row through [Src] and then a
+     pair-local statement reading it: a second pass, and a sweep that
+     writes source rows never runs in destination chunks;
+   - a pair-local assign of a compact row and a per-edge read of it: one
+     pass, the pair loop completing the rows before the sweep reads them.
+   Each then runs bitwise like the oracle at 1, 2 and 4 domains. *)
+let pinned_bodies =
+  let dcd_hn = Ir.Binop (Ir.Mul, Ir.Data (Ir.Cur_edge, "d:cd"), Ir.Feature (Ir.Dst, "hn")) in
+  let an_dcs =
+    Ir.Binop (Ir.Mul, Ir.Data (Ir.Src, "an"), Ir.Inner (Ir.Data (Ir.Cur_edge, "d:cs"), Ir.Feature (Ir.Src, "hn")))
+  in
+  let msg = Ir.Binop (Ir.Add, Ir.Linear (Ir.Feature (Ir.Src, "hn"), Ir.Weight ("W", Ir.By_etype)), Ir.Weight ("a", Ir.By_etype)) in
+  let a1 = Ir.Accumulate (Ir.Dst, "on", Ir.Feature (Ir.Src, "hn")) and a2 = Ir.Accumulate (Ir.Dst, "on", dcd_hn) in
+  let b1 = Ir.Accumulate (Ir.Src, "an", Ir.Data (Ir.Cur_edge, "se")) and b2 = Ir.Accumulate (Ir.Src, "sn", an_dcs) in
+  let c1 = Ir.Assign (Ir.Cur_edge, "cs", msg)
+  and c2 = Ir.Assign (Ir.Cur_edge, "oe", Ir.Binop (Ir.Add, Ir.Data (Ir.Cur_edge, "cs"), Ir.Data (Ir.Cur_edge, "he"))) in
+  let pass ?(pairs = []) ?(parallel_safe = true) sweep =
+    { Ts.pair_loops = List.map (fun (side, sts) -> { Ts.side; items = List.map (fun s -> Ts.Pair_stmt s) sts }) pairs; sweep; parallel_safe }
+  in
+  [
+    ([ a1; a2 ], [ pass [ a1 ]; pass ~pairs:[ (`Dst, [ a2 ]) ] [] ]);
+    ([ b1; b2 ], [ pass ~parallel_safe:false [ b1 ]; pass ~pairs:[ (`Src, [ b2 ]) ] [] ]);
+    ([ c1; c2 ], [ pass ~pairs:[ (`Src, [ c1 ]) ] [ c2 ] ]);
+  ]
+
+let test_split_rule () =
+  let plan _ =
+    oracle_plan
+      (List.mapi
+         (fun kid (body, _) ->
+           Plan.Traversal
+             { Ts.kid; strategy = Ts.Edge_parallel; body; locals = []; schedule = Ts.default_schedule; passes = [] })
+         pinned_bodies)
+  in
+  List.iteri
+    (fun kid step ->
+      match step with
+      | Plan.Traversal t ->
+          if t.Ts.passes <> snd (List.nth pinned_bodies kid) then
+            Alcotest.failf "traversal_%d: unexpected passes@.%a" kid Ts.pp t
+      | _ -> ())
+    (plan ()).Plan.steps;
+  Alcotest.(check bool) "executor == oracle, bitwise, 1/2/4 domains" true
+    (List.for_all (fun seed -> agrees seed plan) [ 1; 2; 3 ])
 
 (* --- edge-row gathers on duplicate-heavy graphs ---------------------- *)
 
@@ -640,4 +707,5 @@ let suite =
     Alcotest.test_case "no per-edge allocation" `Quick test_no_per_edge_allocation;
     Alcotest.test_case "pair pre-pass steady state" `Quick test_pair_prepass_steady_state;
     Alcotest.test_case "edge-row gathers == per-edge textbook loop" `Quick test_edge_gathers_textbook;
+    Alcotest.test_case "split rule: pair loops and sweeps" `Quick test_split_rule;
   ]
