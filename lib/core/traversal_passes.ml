@@ -190,9 +190,42 @@ let pair_items ~space ~written ~hoist items =
     items;
   List.rev !found
 
+(* May the sweep's weight-gradient statements run after its other
+   statements, as a chunked sweep runs them?  Each reads no register
+   local, and every row it reads is unwritten by the sweep or an edge row
+   that only statements before it write, through [Cur_edge]: one edge per
+   row, so the row holds after the sweep what it held when the statement
+   would have run. *)
+let grads_movable ~space ~is_local sweep =
+  let sweep = List.mapi (fun i st -> (i, st)) sweep in
+  let writers n =
+    List.filter_map
+      (function
+        | i, (Ir.Assign (ent, m, _) | Ir.Accumulate (ent, m, _)) when m = n -> Some (i, ent) | _ -> None)
+      sweep
+  in
+  List.for_all
+    (function
+      | i, (Ir.Grad_weight _ as st) ->
+          List.for_all
+            (fun (n, ent) ->
+              (not (is_local n))
+              &&
+              match writers n with
+              | [] -> true
+              | ws ->
+                  ent = Ir.Cur_edge
+                  && space n = Some Mat.Rows_edges
+                  && List.for_all (fun (j, went) -> j < i && went = Ir.Cur_edge) ws)
+            (accesses st)
+      | _ -> true)
+    sweep
+
 (* May the sweep run in destination segments (node ranges for
    [Node_map]) without two domains touching one row?  The CSR's ascending
-   edge order then keeps the sequential interleaving of every row. *)
+   edge order then keeps the sequential interleaving of every row, and
+   the gradient statements, run after the segments in the sweep's order,
+   add their terms in that order too. *)
 let parallel_safe ~space ~is_local strategy sweep =
   let reads = List.concat_map (fun st -> List.filter (fun (n, _) -> not (is_local n)) (accesses st)) sweep in
   let writes =
@@ -228,6 +261,7 @@ let parallel_safe ~space ~is_local strategy sweep =
   in
   List.for_all (function Ir.For_each _ -> false | _ -> true) sweep
   && List.for_all write_safe writes && List.for_all conflict_safe writes
+  && grads_movable ~space ~is_local sweep
 
 let of_body ~lookup ~locals ~fallback strategy body =
   let is_local n = List.mem n locals || lookup n = None in

@@ -16,8 +16,11 @@
       except compact rows the pair loops write and a later swept
       statement only reads.
     - A sweep is {b parallel-safe} when every row it writes belongs to
-      the iteration's destination and every name it both writes and
-      reads is read only there. *)
+      the iteration's destination, every name it both writes and reads
+      is read only there, and its weight-gradient statements may run
+      after its other statements: they read no register local, and each
+      row they read is unwritten by the sweep or an edge row only earlier
+      statements write. *)
 
 val of_body :
   lookup:(string -> Materialization.space option) ->

@@ -45,7 +45,11 @@ type pair_loop = { side : side; items : pair_item list }
 type pass = {
   pair_loops : pair_loop list;  (** at most one per side, run before the sweep *)
   sweep : Inter_ir.stmt list;  (** per edge (per node for [Node_map]) *)
-  parallel_safe : bool;  (** the sweep may run in destination chunks *)
+  parallel_safe : bool;
+      (** the sweep may run in destination chunks: no two chunks touch
+          one row, and its [Grad_weight] statements read only what they
+          would read in place when run after the other statements, in
+          the sweep's order *)
 }
 
 type t = {

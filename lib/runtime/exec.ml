@@ -78,8 +78,6 @@ let fail fmt = Format.kasprintf invalid_arg fmt
 
 let leaky_slope = 0.01
 
-let env_grads t name = Env.weight_grad t.env name
-
 (* ------------------------------------------------------------------ *)
 (* staged statement bodies                                             *)
 (* ------------------------------------------------------------------ *)
@@ -148,9 +146,8 @@ type staged = {
   into : store -> inst -> float array -> int -> int -> index -> int -> int -> unit;
 }
 
-(* Per-instance state: the weight-gradient sink, and one buffer per
-   register-local definition. *)
-and inst = { grads : string -> Tensor.t; slots : float array array }
+(* Per-instance state: one buffer per register-local definition. *)
+and inst = { slots : float array array }
 
 let nop _ _ = ()
 
@@ -406,10 +403,9 @@ let stage_write t (entry : Env.entry) ent mode (x : staged) =
   fun inst -> x.into mode inst data base stride idx
 
 (* Weight-gradient accumulation: matrices get dW[idx] += x ⊗ dy, vectors
-   dv[idx] += x * dy.  The sink ([inst.grads]: the environment's gradient
-   stack on the sequential path, a per-chunk scratch stack during a
-   parallel sweep) creates gradients on first use, so the target is
-   resolved on the first execution, not at staging. *)
+   dv[idx] += x * dy, straight into the environment's gradient stack.  The
+   stack is resolved (created on first use) here, at staging on the
+   calling domain: no parallel region ever creates one. *)
 let stage_grad_weight t ~program ~hoist locals name x dy =
   let slice =
     match Ir.find_decl program name with
@@ -429,13 +425,12 @@ let stage_grad_weight t ~program ~hoist locals name x dy =
         (k, 1, false)
     | _ -> fail "Grad_weight %S: unsupported gradient rank" name
   in
-  let wi = slice_index t.ctx slice in
+  let wi = slice_index t.ctx slice and g, base = Tensor.storage (Env.weight_grad t.env name) in
   fun inst ->
-    let x = x.make inst and dy = dy.make inst and target = lazy (Tensor.storage (inst.grads name)) in
+    let x = x.make inst and dy = dy.make inst in
     fun e v ->
       x.run e v;
       dy.run e v;
-      let g, base = Lazy.force target in
       let g0 = base + (index_at wi e v * rows * cols) and xa = x.arr and xo = x.off in
       let da = dy.arr and d0 = dy.off in
       if outer then
@@ -490,12 +485,10 @@ let scratch t k size =
   if Array.length s.bufs.(k) < size then s.bufs.(k) <- Array.make size 0.0;
   s.bufs.(k)
 
-let no_grads name = fail "pair reduction writes the gradient of %S" name
-
-(* Staged statements instantiated for a gradient sink: one closure over
-   an iteration's (edge, node). *)
-let instantiate nslots stmts grads =
-  let inst = { grads; slots = Array.make nslots [||] } in
+(* Staged statements instantiated: one closure over an iteration's
+   (edge, node). *)
+let instantiate nslots stmts =
+  let inst = { slots = Array.make nslots [||] } in
   let stmts = Array.of_list (List.map (fun s -> s inst) stmts) in
   fun e v ->
     for i = 0 to Array.length stmts - 1 do
@@ -526,28 +519,30 @@ let stage_pair_loop t ~program next (l : Ts.pair_loop) =
       l.Ts.items
   in
   let stmts = List.map fst staged and nslots = !slot in
-  let visit grads lo hi =
-    let f = instantiate nslots stmts grads in
+  let visit lo hi =
+    let f = instantiate nslots stmts in
     for p = lo to hi - 1 do
       f reps.(p) (-1)
     done
   in
   let run () =
     if List.for_all (function Ts.Pair_reduction _ -> true | Ts.Pair_stmt _ -> false) l.Ts.items then
-      Dp.parallel_for ~grain:pair_grain pairs (visit no_grads)
-    else visit (env_grads t) 0 pairs
+      Dp.parallel_for ~grain:pair_grain pairs visit
+    else visit 0 pairs
   in
   (run, List.concat_map snd staged)
 
-(* Stage one recorded pass: its pair loops, and its sweep, which
-   instantiates for a gradient sink.  Locals start every iteration as
-   [Scalar 0.0]. *)
+(* Stage one recorded pass: its pair loops, its sweep's register-slot
+   count, and each swept statement with its staging.  Locals start every
+   iteration as [Scalar 0.0]. *)
 let stage_pass t ~program ~locals (pass : Ts.pass) =
   let loops, hoist = List.split (List.map (stage_pair_loop t ~program (ref 0)) pass.Ts.pair_loops) in
   let defs = Hashtbl.create 8 and slot = ref 0 in
   List.iter (fun n -> Hashtbl.replace defs n (const 0.0)) locals;
-  let stmts = List.map (stage_stmt t ~program ~hoist:(List.concat hoist) defs slot) pass.Ts.sweep in
-  (loops, instantiate !slot stmts)
+  let stmts =
+    List.map (fun st -> (st, stage_stmt t ~program ~hoist:(List.concat hoist) defs slot st)) pass.Ts.sweep
+  in
+  (loops, !slot, stmts)
 
 (* ------------------------------------------------------------------ *)
 (* multicore traversal sweeps                                          *)
@@ -558,35 +553,16 @@ let stage_pass t ~program ~locals (pass : Ts.pass) =
    node×edge transform) and partitions the {e destination nodes} across
    domains: every output row a statement may touch is then owned by
    exactly one domain, so accumulations need no synchronisation — the CPU
-   analogue of Hector's warp-level pre-reduction before atomics.  Weight
-   gradients, whose rows are shared by construction, accumulate into
-   per-domain scratch stacks merged in deterministic chunk order.
+   analogue of Hector's warp-level pre-reduction before atomics.  Because
+   the CSR stores each destination's edges in ascending edge id, every
+   row accumulates in the sequential edge loop's order.
 
-   Because the CSR stores each destination's edges in ascending edge id,
-   the per-row accumulation order matches the sequential edge loop
-   exactly; only the grad-scratch merge reassociates floating point. *)
-
-type grad_scratch = (string, Tensor.t) Hashtbl.t
-
-let scratch_grads t (tbl : grad_scratch) name =
-  match Hashtbl.find_opt tbl name with
-  | Some g -> g
-  | None ->
-      let g = Tensor.zeros (Tensor.shape (Env.weight t.env name)) in
-      Hashtbl.add tbl name g;
-      g
-
-let merge_grad_scratch (a : grad_scratch) (b : grad_scratch) =
-  Hashtbl.iter
-    (fun n g ->
-      match Hashtbl.find_opt a n with
-      | Some ga -> Tensor.add_inplace ga g
-      | None -> Hashtbl.add a n g)
-    b;
-  a
-
-let apply_grad_scratch t (tbl : grad_scratch) =
-  Hashtbl.iter (fun n g -> Tensor.add_inplace (Env.weight_grad t.env n) g) tbl
+   Weight-gradient rows are shared across destinations, so the chunks
+   skip a pass's [Grad_weight] statements; those run afterwards, in the
+   sweep's own order, each weight slice owned by one domain (see
+   [grad_ranges]).  The record marks a pass safe only when its gradient
+   statements may move behind the others, so every domain count adds the
+   same terms in the same order. *)
 
 (* How many destination nodes one chunk takes; small because a staged
    iteration still costs far more than the chunk bookkeeping (and each
@@ -613,40 +589,57 @@ let sweep_nodes t strategy =
           done
         done
 
-(* Destination-segmented across the domain pool: each chunk instantiates
-   the staged body with its own gradient scratch. *)
-let parallel_sweep t strategy make =
-  let sweep = sweep_nodes t strategy in
-  Dp.parallel_for_reduce ~grain:node_grain (Graph_ctx.graph t.ctx).G.num_nodes
-    ~init:(fun () -> Hashtbl.create 4)
-    ~body:(fun tbl lo hi ->
-      sweep (make (scratch_grads t tbl)) lo hi;
-      tbl)
-    ~merge:merge_grad_scratch
-  |> apply_grad_scratch t
-
-let sequential_sweep t strategy make =
-  let g = Graph_ctx.graph t.ctx and run = make (env_grads t) in
+(* The sweep's own order over [lo, hi) of its outer index, and that
+   index's extent: edges for an edge-parallel body, nodes otherwise. *)
+let sweep_order t strategy =
+  let g = Graph_ctx.graph t.ctx in
   match strategy with
-  | Ts.Edge_parallel ->
-      for e = 0 to g.G.num_edges - 1 do
-        run e (-1)
-      done
-  | Ts.Node_gather | Ts.Node_map -> sweep_nodes t strategy run 0 g.G.num_nodes
+  | Ts.Edge_parallel -> ((fun run lo hi -> for e = lo to hi - 1 do run e (-1) done), g.G.num_edges)
+  | Ts.Node_gather | Ts.Node_map -> (sweep_nodes t strategy, g.G.num_nodes)
+
+(* The outer-index ranges a gradient loop runs, one domain each: the
+   weight slices' own ranges when every statement's slice column is
+   sorted along the sweep's order ([By_etype] over edges, [By_ntype] over
+   nodes: both are grouped by type), else the whole extent. *)
+let grad_ranges t ~program strategy extent stmts =
+  let slice, space =
+    match strategy with
+    | Ts.Edge_parallel -> (Ir.By_etype, Mat.Rows_edges)
+    | Ts.Node_gather | Ts.Node_map -> (Ir.By_ntype, Mat.Rows_nodes)
+  in
+  let along = function
+    | Ir.Grad_weight { name; _ }, _ -> (
+        match Ir.find_decl program name with
+        | Some (Ir.Weight_mat { slice = s; _ } | Ir.Weight_vec { slice = s; _ }) -> s = slice
+        | _ -> false)
+    | _ -> false
+  in
+  if List.for_all along stmts then Graph_ctx.offsets t.ctx space else [| 0; extent |]
 
 (* Stage every recorded pass at step entry (shape errors surface before
    any buffer is touched), then run them in order: each pass's pair
-   loops, then its sweep — in destination chunks when the record marks it
-   safe and the pool has more than one domain. *)
+   loops, then its sweep — split as above when the record marks it safe
+   and the pool has more than one domain, else one loop. *)
 let run_passes t ~program ~name ~locals strategy body (passes : Ts.pass list) =
   if passes = [] && body <> [] then fail "%s: no recorded passes (see Traversal_passes.record)" name;
   let chunked = not (Dp.sequential ()) in
   List.map (fun (p : Ts.pass) -> (p, stage_pass t ~program ~locals p)) passes
-  |> List.iter (fun ((p : Ts.pass), (loops, make)) ->
+  |> List.iter (fun ((p : Ts.pass), (loops, nslots, stmts)) ->
          List.iter (fun run -> run ()) loops;
-         if p.Ts.sweep <> [] then
-           if chunked && p.Ts.parallel_safe then parallel_sweep t strategy make
-           else sequential_sweep t strategy make)
+         let make stmts = instantiate nslots (List.map snd stmts) and order, extent = sweep_order t strategy in
+         if chunked && p.Ts.parallel_safe then begin
+           let grads, rest = List.partition (function Ir.Grad_weight _, _ -> true | _ -> false) stmts in
+           if rest <> [] then begin
+             let sweep = sweep_nodes t strategy in
+             Dp.parallel_for ~grain:node_grain (Graph_ctx.graph t.ctx).G.num_nodes (fun lo hi ->
+                 sweep (make rest) lo hi)
+           end;
+           if grads <> [] then begin
+             let off = grad_ranges t ~program strategy extent grads in
+             Dp.parallel_for ~grain:1 (Array.length off - 1) (fun lo hi -> order (make grads) off.(lo) off.(hi))
+           end
+         end
+         else if stmts <> [] then order (make stmts) 0 extent)
 
 (* ------------------------------------------------------------------ *)
 (* GEMM execution                                                      *)

@@ -17,10 +17,17 @@
 
     Traversal and fallback steps run the passes the compiler recorded
     ({!Hector_core.Traversal_passes}) as written: each pass's pair loops
-    at their pairs' representative edges, then its sweep, in destination
-    chunks when the pass is parallel-safe and the pool has more than one
-    domain.  Bodies are staged at step entry into flat-array closures.  A
-    body without recorded passes raises [Invalid_argument]. *)
+    at their pairs' representative edges, then its sweep.  When the pass
+    is parallel-safe and the pool has more than one domain, the sweep's
+    other statements run in destination chunks and its weight-gradient
+    statements run after them, in the sweep's order, each weight slice on
+    one domain when the slice column is sorted along that order;
+    otherwise the sweep is one loop.  Weight gradients accumulate straight
+    into the environment's stacks, which staging resolves on the calling
+    domain, so every domain count adds the same terms in the same order
+    and yields the same bits.  Bodies are staged at step entry into
+    flat-array closures.  A body without recorded passes raises
+    [Invalid_argument]. *)
 
 module Tensor = Hector_tensor.Tensor
 module Engine = Hector_gpu.Engine
@@ -116,7 +123,3 @@ val run_plan : ?on_step:(int -> unit) -> ?free_temps:bool -> t -> Hector_core.Pl
 val free_temp_buffers : t -> Hector_core.Plan.t -> unit
 (** Release the plan's [temp]-marked buffers (used by training drivers that
     run forward with [~free_temps:false] and clean up after backward). *)
-
-val node_grain : int
-(** Destination nodes per chunk when a recorded sweep runs in parallel
-    (see {!Hector_core.Traversal_spec.pass}). *)

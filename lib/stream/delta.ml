@@ -146,7 +146,13 @@ let generate ?(mix = default_mix) ~view ~seed ~ops () =
             let count = Array.fold_left (fun a b -> a + if b then 1 else 0) 0 feasible in
             let k = ref (Rng.int rng count) in
             let et = ref 0 in
-            Array.iteri (fun i f -> if f then if !k = 0 then et := i else decr k) feasible;
+            Array.iteri
+              (fun i f ->
+                if f then begin
+                  if !k = 0 then et := i;
+                  decr k
+                end)
+              feasible;
             let et = !et in
             let spool = nodes.(Metagraph.src_ntype view.metagraph et) in
             let dpool = nodes.(Metagraph.dst_ntype view.metagraph et) in

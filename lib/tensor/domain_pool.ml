@@ -184,9 +184,8 @@ let run_job pool ~chunks run =
 (* entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Chunk boundaries depend only on [n] and [grain] so that reductions are
-   scheduling- and pool-size-independent; the chunk count is nevertheless
-   bounded so per-chunk bookkeeping stays negligible. *)
+(* Chunks are at least [grain] wide; their count is bounded so per-chunk
+   bookkeeping stays negligible. *)
 let chunking ~grain n =
   let grain = max 1 grain in
   let chunk = max grain ((n + (4 * max_domains) - 1) / (4 * max_domains)) in
@@ -201,27 +200,4 @@ let parallel_for ?(grain = default_grain) n body =
       run_job (get_pool size) ~chunks (fun c ->
           let lo = c * chunk in
           body lo (min n (lo + chunk)))
-  end
-
-let parallel_for_reduce ?(grain = default_grain) n ~init ~body ~merge =
-  if n <= 0 then init ()
-  else begin
-    let size = num_domains () in
-    let chunk, chunks = chunking ~grain n in
-    if size = 1 || chunks = 1 || Domain.DLS.get depth_key > 0 then body (init ()) 0 n
-    else begin
-      let results = Array.make chunks None in
-      run_job (get_pool size) ~chunks (fun c ->
-          let lo = c * chunk in
-          results.(c) <- Some (body (init ()) lo (min n (lo + chunk))));
-      let acc = ref None in
-      Array.iter
-        (fun r ->
-          match (r, !acc) with
-          | Some r, Some a -> acc := Some (merge a r)
-          | Some r, None -> acc := Some r
-          | None, _ -> ())
-        results;
-      match !acc with Some a -> a | None -> init ()
-    end
   end

@@ -54,23 +54,8 @@ val parallel_for : ?grain:int -> int -> (int -> int -> unit) -> unit
     chunks covering [\[0, n)], in parallel.  Each chunk spans at least
     [grain] (default 1024) indices except possibly the last; when [n <=
     grain] or the pool size is 1, this is exactly [body 0 n] on the
-    calling domain.  [body] must only write state owned by its index range.
+    calling domain.  [body] must only write state owned by its index range,
+    so no result depends on the pool size: the pool offers no reduction,
+    and every float sum in the repository runs in one fixed order.
     Exceptions raised by a chunk are re-raised in the caller (first one
     wins). *)
-
-val parallel_for_reduce :
-  ?grain:int ->
-  int ->
-  init:(unit -> 'a) ->
-  body:('a -> int -> int -> 'a) ->
-  merge:('a -> 'a -> 'a) ->
-  'a
-(** [parallel_for_reduce ~grain n ~init ~body ~merge] folds [body] over
-    disjoint chunks of [\[0, n)] — each chunk starts from a fresh [init ()]
-    accumulator — then combines the per-chunk results with [merge] {e in
-    ascending chunk order}, making the result deterministic for a given
-    grain regardless of how chunks were scheduled across domains.  Chunk
-    boundaries depend only on [n] and [grain] (not on the pool size), so
-    any pool size > 1 produces bitwise-identical results; the 1-domain
-    path is the plain sequential fold [body (init ()) 0 n], whose
-    floating-point rounding may differ within reassociation error. *)

@@ -554,7 +554,7 @@ let scatter_product fn ~offsets ~trans_b a w ~idx c =
       done
     done
   in
-  if Domain_pool.sequential () || m * n <= elt_grain then body 0 nrows
+  if m * n <= elt_grain then body 0 nrows
   else Domain_pool.parallel_for ~grain:(row_grain (max 1 (m * n / max 1 nrows))) nrows body
 
 let segment_matmul_into ?(trans_a = false) ?(trans_b = false) ?(beta = 0.0) ~offsets a b c =
@@ -594,7 +594,7 @@ let add_rows fn ~zero ~into idx src =
       end
     done
   in
-  if Domain_pool.sequential () || n * c <= elt_grain then body 0 nrows
+  if n * c <= elt_grain then body 0 nrows
   else Domain_pool.parallel_for ~grain:(row_grain (max 1 (n * c / max 1 nrows))) nrows body
 
 (* The pair rows of the calling domain: one buffer per domain, kept at
@@ -706,15 +706,11 @@ let mat_vec_backward w v ~col ~dout ~dw ~dv =
 
 let dot a b =
   if numel a <> numel b then shape_error "dot: %d vs %d elements" (numel a) (numel b);
-  Domain_pool.parallel_for_reduce ~grain:elt_grain (numel a)
-    ~init:(fun () -> 0.0)
-    ~body:(fun acc lo hi ->
-      let acc = ref acc in
-      for i = lo to hi - 1 do
-        acc := !acc +. (a.data.(a.offset + i) *. b.data.(b.offset + i))
-      done;
-      !acc)
-    ~merge:( +. )
+  let acc = ref 0.0 in
+  for i = 0 to numel a - 1 do
+    acc := !acc +. (a.data.(a.offset + i) *. b.data.(b.offset + i))
+  done;
+  !acc
 
 let outer a b =
   if ndim a <> 1 || ndim b <> 1 then shape_error "outer: operands must be 1-D";
@@ -728,15 +724,11 @@ let outer a b =
   c
 
 let sum t =
-  Domain_pool.parallel_for_reduce ~grain:elt_grain (numel t)
-    ~init:(fun () -> 0.0)
-    ~body:(fun acc lo hi ->
-      let acc = ref acc in
-      for i = lo to hi - 1 do
-        acc := !acc +. t.data.(t.offset + i)
-      done;
-      !acc)
-    ~merge:( +. )
+  let acc = ref 0.0 in
+  for i = 0 to numel t - 1 do
+    acc := !acc +. t.data.(t.offset + i)
+  done;
+  !acc
 
 let mean t =
   let n = numel t in

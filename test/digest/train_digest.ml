@@ -11,8 +11,9 @@
    Without [--against] the digest goes to stdout.  With [--against FILE]
    the tool compares its own runs with FILE's and prints, per run, the
    number of values whose bits differ and the largest relative
-   difference, then the largest over all runs; it exits 1 when a run is
-   missing or has a different shape.
+   difference, then the largest over all runs.  It exits 1 when a run is
+   missing or has a different shape, else 3 when any value's bits differ,
+   else 0.
 
    The digest is not a golden file for the test suite: the losses go
    through libm's [exp] and [log], which may round differently on another
@@ -109,7 +110,7 @@ let rel_diff a b =
 
 let compare_against file mine =
   let theirs = read_digest file in
-  let worst = ref 0.0 and bad = ref false in
+  let worst = ref 0.0 and bad = ref false and differs = ref false in
   List.iter
     (fun r ->
       match List.find_opt (fun t -> t.key = r.key) theirs with
@@ -133,11 +134,13 @@ let compare_against file mine =
                 a)
             r.fields t.fields;
           if !run_worst > !worst then worst := !run_worst;
+          if !differ > 0 then differs := true;
           Printf.printf "%-18s %7d of %7d values differ, largest relative difference %.3g\n" r.key
             !differ !total !run_worst)
     mine;
   Printf.printf "largest relative difference over all runs: %.3g\n" !worst;
-  if !bad then exit 1
+  if !bad then exit 1;
+  if !differs then exit 3
 
 let () =
   let domains = ref None and against = ref None in

@@ -3,15 +3,12 @@
    it reads into a fresh [Exec.value], keeps locals in a hash table and
    looks every buffer up by name — the executor's semantics written the
    direct way, with none of its staging.  It replays the plan's recorded
-   passes ({!Hector_core.Traversal_spec.pass}: pair loops, sweeps and the
-   parallel/sequential choice) with its own loops, so its buffers and
-   weight gradients must equal [Exec.run_plan]'s bit for bit at any
-   domain count. *)
+   passes ({!Hector_core.Traversal_spec.pass}: pair loops, then sweeps)
+   with its own sequential loops, so its buffers and weight gradients
+   must equal [Exec.run_plan]'s bit for bit at any domain count. *)
 
 module Tensor = Hector_tensor.Tensor
-module Dp = Hector_tensor.Domain_pool
 module G = Hector_graph.Hetgraph
-module Csr = Hector_graph.Csr
 module Ir = Hector_core.Inter_ir
 module Ts = Hector_core.Traversal_spec
 module Plan = Hector_core.Plan
@@ -166,13 +163,13 @@ let rec eval t iter locals expr =
       | None -> fail "no fallback implementation registered for %S" name)
 
 (* dW[idx] += x ⊗ dy for matrices, dv[idx] += x * dy for vectors *)
-let exec_grad_weight t iter locals ~grads name x dy =
+let exec_grad_weight t iter locals name x dy =
   let slice =
     match Ir.find_decl t.program name with
     | Some (Ir.Weight_mat { slice; _ }) | Some (Ir.Weight_vec { slice; _ }) -> slice
     | _ -> fail "Grad_weight: %S is not a declared weight" name
   in
-  let gslice = Tensor.slice0 (grads name) (slice_index t iter slice) in
+  let gslice = Tensor.slice0 (Env.weight_grad t.env name) (slice_index t iter slice) in
   let xv = to_vector (eval t iter locals x) in
   let dyv = eval t iter locals dy in
   if Tensor.ndim gslice = 2 then begin
@@ -190,7 +187,7 @@ let exec_grad_weight t iter locals ~grads name x dy =
       Tensor.set1 gslice i (Tensor.get1 gslice i +. (xv.(i) *. s))
     done
 
-let exec_stmt t iter locals ~grads st =
+let exec_stmt t iter locals st =
   match st with
   | Ir.Assign (ent, n, e) -> (
       let v = eval t iter locals e in
@@ -204,64 +201,27 @@ let exec_stmt t iter locals ~grads st =
       let v = eval t iter locals e in
       let entry = Env.find t.env n in
       write_row ~accumulate:true entry (row_of t iter ent entry) v
-  | Ir.Grad_weight { name; x; dy } -> exec_grad_weight t iter locals ~grads name x dy
+  | Ir.Grad_weight { name; x; dy } -> exec_grad_weight t iter locals name x dy
   | Ir.For_each _ -> fail "nested loop inside traversal body"
 
-(* --- sweeps: sequential edge / CSR-neighbour / node loops, or chunked
-   destination segments with per-chunk gradient scratch merged in order *)
+(* --- sweeps: sequential edge / CSR-neighbour / node loops *)
 
-let scratch_grads t tbl name =
-  match Hashtbl.find_opt tbl name with
-  | Some g -> g
-  | None ->
-      let g = Tensor.zeros (Tensor.shape (Env.weight t.env name)) in
-      Hashtbl.add tbl name g;
-      g
-
-let merge a b =
-  Hashtbl.iter
-    (fun n g -> match Hashtbl.find_opt a n with Some ga -> Tensor.add_inplace ga g | None -> Hashtbl.add a n g)
-    b;
-  a
-
-let parallel_sweep t strategy run_iter =
-  let g = graph t and csr = Graph_ctx.in_csr t.ctx in
-  let scratch =
-    Dp.parallel_for_reduce ~grain:Exec.node_grain g.G.num_nodes
-      ~init:(fun () -> Hashtbl.create 4)
-      ~body:(fun tbl lo hi ->
-        let grads = scratch_grads t tbl in
-        for v = lo to hi - 1 do
-          match strategy with
-          | Ts.Node_map -> run_iter ~grads { edge = -1; node = v }
-          | Ts.Edge_parallel | Ts.Node_gather ->
-              for k = csr.Csr.row_ptr.(v) to csr.Csr.row_ptr.(v + 1) - 1 do
-                run_iter ~grads
-                  { edge = csr.Csr.eid.(k); node = (if strategy = Ts.Node_gather then v else -1) }
-              done
-        done;
-        tbl)
-      ~merge
-  in
-  Hashtbl.iter (fun n g -> Tensor.add_inplace (Env.weight_grad t.env n) g) scratch
-
-let sequential_sweep t strategy run_iter =
+let sweep t strategy run_iter =
   let g = graph t in
-  let grads = Env.weight_grad t.env in
   match strategy with
   | Ts.Edge_parallel ->
       for e = 0 to g.G.num_edges - 1 do
-        run_iter ~grads { edge = e; node = -1 }
+        run_iter { edge = e; node = -1 }
       done
   | Ts.Node_gather ->
       for v = 0 to g.G.num_nodes - 1 do
         List.iter
-          (fun (_, eid) -> run_iter ~grads { edge = eid; node = v })
+          (fun (_, eid) -> run_iter { edge = eid; node = v })
           (Sampler_oracle.neighbors (Graph_ctx.in_csr t.ctx) v)
       done
   | Ts.Node_map ->
       for v = 0 to g.G.num_nodes - 1 do
-        run_iter ~grads { edge = -1; node = v }
+        run_iter { edge = -1; node = v }
       done
 
 (* The recorded passes, as the executor runs them: each pass's pair loops
@@ -276,24 +236,21 @@ let run_passes t strategy ~locals (passes : Ts.pass list) =
           let reps =
             match l.Ts.side with `Src -> Graph_ctx.pair_rep_src t.ctx | `Dst -> Graph_ctx.pair_rep_dst t.ctx
           in
-          let grads = Env.weight_grad t.env in
           Array.iter
             (fun rep ->
               List.iter
                 (function
-                  | Ts.Pair_stmt st -> exec_stmt t { edge = rep; node = -1 } (Hashtbl.create 1) ~grads st
+                  | Ts.Pair_stmt st -> exec_stmt t { edge = rep; node = -1 } (Hashtbl.create 1) st
                   | Ts.Pair_reduction _ -> ())
                 l.Ts.items)
             reps)
         p.Ts.pair_loops;
-      let run_iter ~grads iter =
+      let run_iter iter =
         let tbl = Hashtbl.create 4 in
         List.iter (fun n -> Hashtbl.replace tbl n (Scalar 0.0)) locals;
-        List.iter (exec_stmt t iter tbl ~grads) p.Ts.sweep
+        List.iter (exec_stmt t iter tbl) p.Ts.sweep
       in
-      if p.Ts.sweep <> [] then
-        if p.Ts.parallel_safe && not (Dp.sequential ()) then parallel_sweep t strategy run_iter
-        else sequential_sweep t strategy run_iter)
+      if p.Ts.sweep <> [] then sweep t strategy run_iter)
     passes
 
 let rec run_step t = function

@@ -268,11 +268,10 @@ let with_domains n f =
   Hector_tensor.Domain_pool.set_num_domains (Some n);
   Fun.protect ~finally:(fun () -> Hector_tensor.Domain_pool.set_num_domains None) f
 
-(* No step allocates device memory.  At one domain each step also
-   allocates the same few host tensors (loss and output scratch), so no
-   per-step or per-block host workspace — the edge-gradient pair rows
-   included — creeps in; a parallel sweep adds per-chunk gradient scratch
-   that follows the block, so the host pin holds at one domain only. *)
+(* No step allocates device memory, and each step allocates the same few
+   host tensors (loss and output scratch) at one domain and at two, so no
+   per-step, per-block or per-chunk host workspace — the edge-gradient
+   pair rows and weight-gradient partials included — creeps in. *)
 let test_minibatch_steady_state () =
   let graph, features, labels = minibatch_fixture () in
   List.iter
@@ -288,11 +287,11 @@ let test_minibatch_steady_state () =
               for step = 0 to 20 do
                 let before = T.allocation_count () in
                 ignore (Minibatch.step trainer ~batch:(batch_of step) ());
-                if domains = 1 then
-                  check_int
-                    (Printf.sprintf "%s: host tensor allocations in step %d" model (step + 1))
-                    host_allocs
-                    (T.allocation_count () - before);
+                check_int
+                  (Printf.sprintf "%s: host tensor allocations in step %d (%d domains)" model (step + 1)
+                     domains)
+                  host_allocs
+                  (T.allocation_count () - before);
                 check_int
                   (Printf.sprintf "%s: allocations after step %d (%d domains)" model (step + 1)
                      domains)

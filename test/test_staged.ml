@@ -672,7 +672,9 @@ let test_no_per_edge_allocation () =
    compact pair.  The pre-pass scratch is kept at its high-water size:
    later runs allocate no host tensor, nothing straight on the major heap
    (where a fresh per-pair buffer would land), and no more minor words
-   than the run before. *)
+   than the run before — read with [Gc.minor_words], which is exact:
+   [Gc.counters]' minor count jumps by a whole minor heap when a
+   collection falls inside the run. *)
 let test_pair_prepass_steady_state () =
   with_domains 1 (fun () ->
       let g = Ds.load ~seed:1 (Ds.find "am") in
@@ -687,11 +689,11 @@ let test_pair_prepass_steady_state () =
       let labels = Array.init g.G.num_nodes (fun i -> i mod 8) in
       ignore (Hector_runtime.Train.loss_and_grads ~exec compiled ~labels);
       let run () =
-        let tensors = T.allocation_count () and minor0, promoted0, major0 = Gc.counters () in
+        let tensors = T.allocation_count () and minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
         Exec.run_plan ~free_temps:false exec fwd;
         Exec.run_plan exec bwd;
         Exec.free_temp_buffers exec fwd;
-        let minor1, promoted1, major1 = Gc.counters () in
+        let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
         (T.allocation_count () - tensors, major1 -. promoted1 -. (major0 -. promoted0), minor1 -. minor0)
       in
       let _ = run () in

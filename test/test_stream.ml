@@ -104,6 +104,31 @@ let test_generate_feature_only_mix () =
   check_bool "non-structural" false (Delta.structural d);
   check_int "all ops drawn" 20 (Delta.size d)
 
+(* Edge-only deltas over a seed range add edges of every relation the
+   metagraph allows between live nodes: the relation draw is uniform over
+   the feasible ones, not stuck on the last. *)
+let test_generate_reaches_every_relation () =
+  let mg = make_mg () in
+  let view = Mg.view mg in
+  let mix =
+    { Delta.add_node = 0.0; remove_node = 0.0; add_edge = 1.0; remove_edge = 0.0; set_feat = 0.0 }
+  in
+  let etypes = Hector_graph.Metagraph.num_etypes view.Delta.metagraph in
+  let hit = Array.make etypes false in
+  for seed = 1 to 8 do
+    Array.iter
+      (function Delta.Add_edge { etype; _ } -> hit.(etype) <- true | _ -> ())
+      (gen_delta ~mix mg ~seed ~ops:30).Delta.ops
+  done;
+  Array.iteri
+    (fun et h ->
+      let feasible =
+        Array.length (view.Delta.live_nodes (Hector_graph.Metagraph.src_ntype view.Delta.metagraph et)) > 0
+        && Array.length (view.Delta.live_nodes (Hector_graph.Metagraph.dst_ntype view.Delta.metagraph et)) > 0
+      in
+      check_bool (Printf.sprintf "relation %d drawn" et) feasible h)
+    hit
+
 (* --- mutable graph ---------------------------------------------------- *)
 
 (* random delta traces always apply cleanly; after every apply the
@@ -601,6 +626,8 @@ let suite =
   [
     Alcotest.test_case "delta generation is deterministic and valid" `Quick
       test_generate_deterministic;
+    Alcotest.test_case "edge adds reach every feasible relation" `Quick
+      test_generate_reaches_every_relation;
     Alcotest.test_case "feature-only mix draws no structural ops" `Quick
       test_generate_feature_only_mix;
     QCheck_alcotest.to_alcotest test_apply_csr_and_maps;
