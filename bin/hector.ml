@@ -85,15 +85,14 @@ let max_edges_arg =
 let compile_model model ~training ~compact ~fusion ~no_fuse =
   let program = Hector_models.Model_defs.by_name model () in
   let options =
-    Compiler.options_of_flags ~training ?fuse_ops:(if no_fuse then Some false else None)
-      ~compact ~fusion ()
+    Compiler.options_of_flags ~training ~fuse_ops:(not no_fuse) ~compact ~fusion ()
   in
   Compiler.compile ~options program
 
 (* [--no-fuse] for the serving commands: explicit options, which take
    precedence over the tuning-database ladder. *)
 let serve_options ~no_fuse =
-  if no_fuse then Some { Compiler.default_options with Compiler.fuse_ops = Some false }
+  if no_fuse then Some { Compiler.default_options with Compiler.fuse_ops = false }
   else None
 
 let cmd_compile =
@@ -448,56 +447,36 @@ let cmd_partition =
     (Cmd.info "partition"
        ~doc:
          "Partition a dataset replica for distributed execution and report the cut. \
-          Training over the partitions overlaps communication with compute \
-          (async Comms.post/wait transfers on 2 channels, 64 KiB gradient buckets by \
-          default); see Hector_dist.Replica.Config.")
+          Distributed training (Hector_dist.Replica) partitions with the even split \
+          (no --slack) and overlaps communication with compute: async transfers on 2 \
+          channels per replica, 64 KiB gradient buckets.")
     Term.(const run $ dataset_arg $ max_edges_arg $ parts_arg $ slack_arg)
 
 let cmd_autotune =
   let module Autotune = Hector_runtime.Autotune in
   let module Tuning_db = Hector_runtime.Tuning_db in
-  let top_arg =
-    Arg.(value & opt int 8
-         & info [ "top" ] ~docv:"K"
-             ~doc:"Measure the K best candidates by estimated cost (the four fixed U/C/F/C+F \
-                   configurations are always measured too).  Must be >= 1.")
-  in
-  let run model dataset training max_edges db_path top =
-    (* validate flags before any expensive work *)
-    if top < 1 then begin
-      Printf.eprintf
-        "hector autotune: --top must be >= 1 (got %d)\nUsage: hector autotune [-m MODEL] \
-         [-d DATASET] [--training] [--db PATH] [--top K]\n"
-        top;
-      exit 2
-    end;
+  let run model dataset training max_edges db_path =
     let graph = Ds.load ~max_edges (Ds.find dataset) in
     let program = Hector_models.Model_defs.by_name model () in
     let db = Option.map Tuning_db.load db_path in
-    let result = Autotune.search ~training ~top_k:top ?db ~model_name:model ~graph program in
-    let measured_ms options =
-      List.find_opt
-        (fun (c : Autotune.candidate) ->
-          String.equal (Compiler.options_id c.Autotune.options) (Compiler.options_id options))
-        result.Autotune.all
-      |> Option.map (fun (c : Autotune.candidate) -> c.Autotune.time_ms)
-    in
-    Printf.printf "candidate space: %d configurations, %d measured (top %d + fixed layouts)\n\n"
-      (List.length result.Autotune.ranked)
-      (List.length result.Autotune.all)
-      top;
+    let result = Autotune.search ~training ?db ~model_name:model ~graph program in
+    let best_id = Compiler.options_id result.Autotune.best.Autotune.options in
+    Printf.printf "candidate space: %d configurations, ranked by estimated cost\n\n"
+      (List.length result.Autotune.ranked);
     Printf.printf "  %-28s %12s %12s\n" "configuration" "est ms" "measured ms";
-    List.iter
-      (fun (c : Autotune.candidate) ->
-        Printf.printf "  %-28s %12.4f %12s\n"
-          (Compiler.options_id c.Autotune.options)
-          c.Autotune.estimated_ms
-          (match measured_ms c.Autotune.options with
-          | Some t when t = infinity -> "OOM"
-          | Some t -> Printf.sprintf "%.4f" t
-          | None -> "-"))
-      result.Autotune.ranked;
-    Printf.printf "\nbest: %s\n" (Autotune.describe result.Autotune.best);
+    (* the entries ranked ahead of the winner ran out of device memory *)
+    ignore
+      (List.fold_left
+         (fun ahead (c : Autotune.candidate) ->
+           let id = Compiler.options_id c.Autotune.options in
+           let is_best = String.equal id best_id in
+           Printf.printf "  %-28s %12.4f %12s\n" id c.Autotune.estimated_ms
+             (if is_best then Printf.sprintf "%.4f" result.Autotune.measured_ms
+              else if ahead then "OOM"
+              else "-");
+           ahead && not is_best)
+         true result.Autotune.ranked);
+    Printf.printf "\nbest: %s\n" (Autotune.describe result);
     match (db, db_path) with
     | Some db, Some path ->
         Tuning_db.save db path;
@@ -506,11 +485,10 @@ let cmd_autotune =
   in
   Cmd.v
     (Cmd.info "autotune"
-       ~doc:"Two-stage search (estimate all, measure top-k) over layouts, optimizations and \
-             schedules for a model+dataset; optionally persists the winner in a tuning \
-             database.")
-    Term.(const run $ model_arg $ dataset_arg $ training_arg $ max_edges_arg $ db_arg
-          $ top_arg)
+       ~doc:"Rank every layout, optimization and schedule configuration of a model+dataset \
+             by its estimated cost, run the best-ranked one that fits in device memory \
+             once, and optionally persist the winner in a tuning database.")
+    Term.(const run $ model_arg $ dataset_arg $ training_arg $ max_edges_arg $ db_arg)
 
 let cmd_checkpoint =
   let dir_arg =

@@ -9,7 +9,7 @@ type options = {
   gemm_schedule : Gemm_spec.schedule;
   traversal_schedule : Traversal_spec.schedule;
   prefer_node_gather : bool;
-  fuse_ops : bool option;
+  fuse_ops : bool;
 }
 
 let default_options =
@@ -20,10 +20,10 @@ let default_options =
     gemm_schedule = Gemm_spec.default_schedule;
     traversal_schedule = Traversal_spec.default_schedule;
     prefer_node_gather = false;
-    fuse_ops = None;
+    fuse_ops = true;
   }
 
-let options_of_flags ?(training = false) ?fuse_ops ~compact ~fusion () =
+let options_of_flags ?(training = false) ?(fuse_ops = true) ~compact ~fusion () =
   {
     default_options with
     layout = (if compact then Layout.compact else Layout.default);
@@ -31,8 +31,6 @@ let options_of_flags ?(training = false) ?fuse_ops ~compact ~fusion () =
     training;
     fuse_ops;
   }
-
-let fuse_ops_enabled options = Option.value options.fuse_ops ~default:true
 
 (* Compact human-readable identifier covering every field that can change
    the compiled plan — two option records with equal ids compile
@@ -53,7 +51,7 @@ let options_id (o : options) =
     (if o.traversal_schedule.Traversal_spec.warp_accumulate then "warp" else "nowarp")
     (if o.prefer_node_gather then ":ng" else "")
     (if o.training then ":train" else "")
-    (match o.fuse_ops with None -> "" | Some true -> ":fuse" | Some false -> ":nofuse")
+    (if o.fuse_ops then ":fuse" else ":nofuse")
 
 type compiled = {
   options : options;
@@ -133,7 +131,7 @@ let compile ?(obs = Hector_obs.disabled) ?(options = default_options) program =
       backward_result
   in
   let forward, backward =
-    if fuse_ops_enabled options then
+    if options.fuse_ops then
       Hector_obs.time obs ~kind:"pass" "inter_op_fusion" (fun () ->
           (Inter_op_fusion.run ~obs forward, Option.map (Inter_op_fusion.run ~obs) backward))
     else (forward, backward)

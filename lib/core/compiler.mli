@@ -28,21 +28,19 @@ type options = {
       (** schedule pure destination-accumulation loops as node-centric
           gathers instead of edge-parallel atomics (the other side of the
           §3.3.3 trade-off; used by the schedule ablation) *)
-  fuse_ops : bool option;
-      (** apply the post-lowering {!Inter_op_fusion} pass; [None] (the
-          default) means on, [Some b] sets it explicitly *)
+  fuse_ops : bool;
+      (** apply the post-lowering {!Inter_op_fusion} pass (default on) *)
 }
 
 val default_options : options
 (** Vanilla layout, no linear fusion, inference only, template-default
-    schedules — the paper's "unoptimized Hector" — with inter-op fusion on
-    ([fuse_ops = None]). *)
+    schedules — the paper's "unoptimized Hector" — with inter-op fusion on. *)
 
 val options_of_flags :
   ?training:bool -> ?fuse_ops:bool -> compact:bool -> fusion:bool -> unit -> options
 (** The four evaluation configurations of Table 5: [~compact:false
     ~fusion:false] = U, [true/false] = C, [false/true] = F, [true/true] =
-    C+F.  [fuse_ops] (absent = on) gates inter-op fusion. *)
+    C+F.  [fuse_ops] (default [true]) gates inter-op fusion. *)
 
 val options_id : options -> string
 (** Compact identifier covering every option field that can change the

@@ -19,7 +19,7 @@
     intermediate the backward reads (autodiff's [keep] set marks those
     buffers non-temp, which fusion never changes).
 
-    Applied by {!Compiler.compile} unless [options.fuse_ops = Some false];
+    Applied by {!Compiler.compile} unless [options.fuse_ops = false];
     with it off, plans are bit-for-bit the pre-fusion pipeline's. *)
 
 val run : ?obs:Hector_obs.t -> Plan.t -> Plan.t

@@ -5,25 +5,22 @@ module Fault = Hector_ckpt.Fault
 type t = {
   latency_us : float;
   bandwidth_gbs : float;
-  channels : int;
   faults : Fault.t option;
 }
 
 let default_latency_us = 5.0
 let default_bandwidth_gbs = 25.0
-let default_channels = 2
+let channels = 2
 
-let create ?latency_us ?bandwidth_gbs ?channels ?faults () =
+let create ?latency_us ?bandwidth_gbs ?faults () =
   let latency_us = Option.value latency_us ~default:default_latency_us in
   let bandwidth_gbs = Option.value bandwidth_gbs ~default:default_bandwidth_gbs in
-  let channels = Option.value channels ~default:default_channels in
   if not (latency_us > 0.0) then
     invalid_arg (Printf.sprintf "Comms.create: latency_us must be positive (got %g)" latency_us);
   if not (bandwidth_gbs > 0.0) then
     invalid_arg
       (Printf.sprintf "Comms.create: bandwidth_gbs must be positive (got %g)" bandwidth_gbs);
-  if channels < 1 then invalid_arg "Comms.create: channel count must be positive";
-  { latency_us; bandwidth_gbs; channels; faults }
+  { latency_us; bandwidth_gbs; faults }
 
 let default () = create ()
 
@@ -82,8 +79,8 @@ let post c ?ready engine ~chan ~op ~messages ~bytes =
       | Some plan -> ms +. fault_extra_ms plan ~base:ms ~op
     in
     (* Callers address channels by peer/bucket index; fold onto the
-       configured lane count so the same code works for any [channels]. *)
-    let chan = chan mod c.channels in
+       lanes. *)
+    let chan = chan mod channels in
     let completion_ms =
       Engine.post engine ~chan ?ready ~ms
         (Kernel.make ~name:op ~category:Kernel.Comm ~grid_blocks:messages

@@ -1,5 +1,5 @@
-(** Simulated inter-replica interconnect with asynchronous transfer
-    channels.
+(** Simulated inter-replica interconnect with two asynchronous transfer
+    channels per engine.
 
     The distributed runtime never moves bytes between real devices; it
     schedules each transfer on the receiving replica's engine with a cost
@@ -29,7 +29,6 @@
 type t = {
   latency_us : float;  (** per-message fixed cost, microseconds *)
   bandwidth_gbs : float;  (** link bandwidth, GB/s *)
-  channels : int;  (** concurrent transfer channels (≥ 1) *)
   faults : Hector_ckpt.Fault.t option;
       (** fault-injection plan consulted at {!post}/{!wait}; [None] (the
           default) is the exact pre-fault code path *)
@@ -38,12 +37,11 @@ type t = {
 val create :
   ?latency_us:float ->
   ?bandwidth_gbs:float ->
-  ?channels:int ->
   ?faults:Hector_ckpt.Fault.t ->
   unit ->
   t
 (** Build an interconnect model.  Omitted parameters take the built-in
-    defaults (5 µs, 25 GB/s, 2 channels, no fault plan).  Raises
+    defaults (5 µs, 25 GB/s, no fault plan).  Raises
     [Invalid_argument] on non-positive or NaN values.
 
     With a fault plan attached, each posted transfer may be {e dropped}
@@ -77,11 +75,11 @@ val post :
   bytes:float ->
   handle
 (** [post c engine ~chan ~op ~messages ~bytes] enqueues the transfer on
-    channel [chan mod c.channels] of [engine] — callers address channels by
-    peer or bucket index and the model folds them onto its configured lane
-    count.  The transfer starts when both the channel is free and the
-    payload is ready ([ready], default: the engine clock at post time), and
-    the clock does {e not} advance: launch count and traffic are recorded
+    channel [chan mod 2] of [engine] — callers address channels by peer or
+    bucket index and the model folds them onto its two lanes.  The
+    transfer starts when both the channel is free and the payload is
+    ready ([ready], default: the engine clock at post time), and the
+    clock does {e not} advance: launch count and traffic are recorded
     immediately, stall time is charged by {!wait}.  A zero-message post
     completes immediately.  Raises [Invalid_argument] on negative counts or
     channel. *)

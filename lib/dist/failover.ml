@@ -12,7 +12,8 @@ type result = {
   checkpoints : string list;
 }
 
-let default_detect_timeout_ms = 5.0
+(* the wait-timeout after which a silent peer is declared dead *)
+let detect_timeout_ms = 5.0
 
 let snapshot ~step cluster =
   Checkpoint.create ~model:"dist" ~step (Replica.weights_of cluster 0)
@@ -28,8 +29,7 @@ let snapshot ~step cluster =
    steps onto the same losses (≤ 1e-6) the uninterrupted run produces —
    the property the recovery tests pin. *)
 let train ?(config = Replica.Config.default) ?faults ?dir ?keep ?(every = 0) ?(lr = 0.01)
-    ?(detect_timeout_ms = default_detect_timeout_ms) ~features ~graph ~labels ~steps
-    compiled =
+    ~features ~graph ~labels ~steps compiled =
   if steps < 0 then invalid_arg "Failover.train: negative step count";
   let cluster = ref (Replica.create ~config ~features ~graph [ compiled ]) in
   let losses = Array.make (max steps 1) 0.0 in

@@ -38,7 +38,6 @@ val train :
   ?keep:int ->
   ?every:int ->
   ?lr:float ->
-  ?detect_timeout_ms:float ->
   features:Tensor.t ->
   graph:Hector_graph.Hetgraph.t ->
   labels:int array ->
@@ -52,7 +51,7 @@ val train :
     A crash scheduled by [faults] at step [s] (replica index must be
     within the cluster) triggers detection, reload and re-partition as
     described above; raises [Invalid_argument] if it fires with no
-    checkpoint to restore from.  [detect_timeout_ms] (default 5 ms) is the
-    wait-timeout after which a silent peer is declared dead.  Without
+    checkpoint to restore from.  A silent peer is declared dead after a
+    5 ms wait-timeout.  Without
     [faults] (or when the scheduled replica does not exist) this is plain
     checkpointed training. *)

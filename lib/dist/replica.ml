@@ -16,24 +16,18 @@ module Block = Hector_runtime.Block
 module Config = struct
   type t = {
     parts : int option;
-    slack : float option;
     comms : Comms.t option;
-    device : Hector_gpu.Device.t;
     seed : int;
     obs : Hector_obs.t option;
-    bucket_kb : int option;
     weights : (string * Tensor.t) list list option;
   }
 
   let default =
     {
       parts = None;
-      slack = None;
       comms = None;
-      device = Hector_gpu.Device.rtx3090;
       seed = 1;
       obs = None;
-      bucket_kb = None;
       weights = None;
     }
 end
@@ -92,7 +86,10 @@ let grad_ready_step (backward : Plan.t) ~nsteps w =
     backward.Plan.steps;
   !last
 
-let make_buckets (backward : Plan.t) ~bucket_bytes reduce_scratch =
+(* Gradient all-reduce buckets close once they hold 64 KiB. *)
+let bucket_bytes = float_of_int (64 * 1024)
+
+let make_buckets (backward : Plan.t) reduce_scratch =
   let nsteps = List.length backward.Plan.steps in
   let items =
     List.map
@@ -128,12 +125,7 @@ let create ?config:(cfg = Config.default) ~features ~(graph : G.t) layers =
     invalid_arg (Printf.sprintf "Replica.create: parts must be >= 1 (got %d)" parts);
   let cm = match cfg.Config.comms with Some c -> c | None -> Comms.default () in
   let obs = Option.value cfg.Config.obs ~default:Hector_obs.disabled in
-  let device = cfg.Config.device and seed = cfg.Config.seed in
-  let bucket_bytes =
-    let kb = Option.value cfg.Config.bucket_kb ~default:64 in
-    if kb < 1 then invalid_arg "Replica.create: bucket size must be positive";
-    float_of_int (kb * 1024)
-  in
+  let seed = cfg.Config.seed in
   (* master weights: one probe session per layer over the parent graph, so
      every replica (and any reference session built from [master_weights])
      starts from the same stacks *)
@@ -155,8 +147,7 @@ let create ?config:(cfg = Config.default) ~features ~(graph : G.t) layers =
            let probe_cfg =
              {
                Session.Config.default with
-               Session.Config.device;
-               seed = seed + (l * 1009);
+               Session.Config.seed = seed + (l * 1009);
                weights = restored;
              }
            in
@@ -185,11 +176,11 @@ let create ?config:(cfg = Config.default) ~features ~(graph : G.t) layers =
   let training =
     Array.length layer_recs = 1 && layer_recs.(0).compiled.Compiler.backward <> None
   in
-  let pt = Partition.partition ?slack:cfg.Config.slack ~parts graph in
+  let pt = Partition.partition ~parts graph in
   let replicas =
     Array.map
       (fun (part : Partition.part) ->
-        let engine = Engine.create ~device ~scale:1.0 ~obs () in
+        let engine = Engine.create ~scale:1.0 ~obs () in
         let slab = Exec.create_slab () in
         let n_local = part.Partition.sub.G.num_nodes in
         let inputs =
@@ -236,7 +227,7 @@ let create ?config:(cfg = Config.default) ~features ~(graph : G.t) layers =
   let buckets, nsteps_backward =
     if training then
       let backward = Option.get layer_recs.(0).compiled.Compiler.backward in
-      (make_buckets backward ~bucket_bytes reduce_scratch, List.length backward.Plan.steps)
+      (make_buckets backward reduce_scratch, List.length backward.Plan.steps)
     else ([||], 0)
   in
   {

@@ -1,10 +1,11 @@
 (** Data-parallel replicated execution over a partitioned graph.
 
-    [create] splits a graph with {!Hector_graph.Partition}, then builds one
-    {e replica} per partition: a full executor stack (own engine with its
-    own simulated clock, statistics and memory; own arena slab; sessions
-    through the standard {!Hector_runtime.Session} path) over the
-    partition's local subgraph.  Replicas are assumed to run concurrently;
+    [create] splits a graph with {!Hector_graph.Partition} (an even split,
+    no balance slack), then builds one {e replica} per partition: a full
+    executor stack (own RTX 3090 engine with its own simulated clock,
+    statistics and memory; own arena slab; sessions through the standard
+    {!Hector_runtime.Session} path) over the partition's local
+    subgraph.  Replicas are assumed to run concurrently;
     the cluster-level simulated time is the {e maximum} of the replica
     clocks.
 
@@ -12,7 +13,7 @@
     all-reduces are {!Comms.post}ed on concurrent channels and waited at
     first use, so they hide behind compute — layer-0 halos are prefetched
     a whole epoch ahead (the features are static), and backward emits
-    fixed-size gradient buckets whose ring all-reduce is posted as soon as
+    64 KiB gradient buckets whose ring all-reduce is posted as soon as
     every replica has passed the bucket's last gradient-producing step.
     Each replica's training step is the single-device body,
     {!Hector_runtime.Train.loss_and_grads}, over its owned rows.
@@ -51,15 +52,11 @@ module Engine = Hector_gpu.Engine
 module Config : sig
   type t = {
     parts : int option;  (** partitions/replicas; [None] → 2 *)
-    slack : float option;  (** partitioner balance slack (default 0) *)
     comms : Comms.t option;  (** interconnect model; [None] → {!Comms.default} *)
-    device : Hector_gpu.Device.t;  (** per-replica simulated device *)
     seed : int;  (** master-weight Glorot seed *)
     obs : Hector_obs.t option;
         (** observability handle shared by all replica engines; [None] →
             off *)
-    bucket_kb : int option;
-        (** gradient all-reduce bucket size in KiB; [None] → 64 *)
     weights : (string * Tensor.t) list list option;
         (** per-layer master weight stacks to start from instead of the
             Glorot draw — the checkpoint-restore path ([None] = draw from
@@ -67,8 +64,8 @@ module Config : sig
   }
 
   val default : t
-  (** Two parts, no slack, {!Comms.default}, RTX 3090, seed 1,
-      observability off, 64 KiB buckets, seeded weights. *)
+  (** Two parts, {!Comms.default}, seed 1, observability off, seeded
+      weights. *)
 end
 
 type t
@@ -96,8 +93,8 @@ val create :
     [Config.weights] (per-layer stacks, e.g. from a loaded
     {!Hector_ckpt.Checkpoint}) replaces the draw — the restore path used
     by {!Failover} recovery.  Raises
-    [Invalid_argument] on unsupported programs, mismatched widths or bad
-    partition/bucket parameters. *)
+    [Invalid_argument] on unsupported programs, mismatched widths or a
+    partition count below 1. *)
 
 val parts : t -> int
 val partition : t -> Hector_graph.Partition.t

@@ -85,6 +85,5 @@ let run t =
       let result =
         Autotune.search ~device ~graph (Hector_models.Model_defs.rgat ())
       in
-      Printf.printf "  %-10s best: %s\n" device.Device.name
-        (Autotune.describe result.Autotune.best))
+      Printf.printf "  %-10s best: %s\n" device.Device.name (Autotune.describe result))
     [ Device.rtx3090; Device.a100_40gb ]

@@ -46,9 +46,9 @@ let stats t = t.stats
 let obs t = t.obs
 let elapsed_ms t = t.clock_ms
 
-let reset_clock ?(keep_events = false) t =
+let reset_clock t =
   t.clock_ms <- 0.0;
-  if not keep_events then t.events <- [];
+  t.events <- [];
   t.chan_until <- [||];
   t.posted_comm_ms <- 0.0;
   Stats.reset t.stats

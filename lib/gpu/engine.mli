@@ -64,10 +64,9 @@ val host_sync : t -> ?us:float -> unit -> unit
 val elapsed_ms : t -> float
 (** Simulated time since creation or the last {!reset_clock}. *)
 
-val reset_clock : ?keep_events:bool -> t -> unit
-(** Zero the clock and statistics (allocations stay).  Trace events are
-    dropped too, unless [keep_events:true] — the escape hatch for
-    accumulating a multi-phase timeline across resets. *)
+val reset_clock : t -> unit
+(** Zero the clock and statistics and drop the trace events (allocations
+    stay). *)
 
 val stats : t -> Stats.t
 (** Live statistics accumulator. *)

@@ -4,91 +4,51 @@
     §4.3 observes that the best combination of compact materialization and
     linear-operator fusion "varies across models and/or datasets", and
     quantifies the gap: picking per-input beats any fixed choice.  The
-    search runs in two stages:
+    search compiles every candidate in the space (layout U/C/F/C+F × GEMM
+    tile {16,32} × coarsening {2,4} × traversal accumulation strategy ×
+    node-gather scheduling × inter-op fusion on/off: 88 distinct
+    configurations) once and ranks them by the analytic {!Plan_cost}
+    estimator.  The estimator shares its launch descriptors and roofline
+    with the engine, so its number is the simulated epoch time itself;
+    the only thing a ranking cannot tell is whether a configuration fits
+    in device memory.  The search therefore runs one steady-state epoch of
+    the best-ranked candidate, and moves down the ranking only when that
+    run is out of memory.
 
-    + {e estimate} — every candidate in the space (layout U/C/F/C+F ×
-      GEMM tile {16,32} × coarsening {2,4} × traversal accumulation
-      strategy × node-gather scheduling × inter-op fusion on/off) is
-      compiled once and priced by the analytic {!Plan_cost} estimator —
-      nothing executes;
-    + {e measure} — the estimator's top-k candidates, always joined by the
-      four fixed U/C/F/C+F configurations, run one steady-state epoch each
-      on the simulator; the measured minimum wins.
-
-    Because the estimator shares its launch descriptors and roofline with
-    the engine, the estimate is exact on the simulator and the pruning is
-    lossless; the two-stage shape is what a real-GPU port would need, where
-    measuring is expensive and the model is approximate.
-
-    Winners can be persisted through {!Tuning_db} ([?db] / {!warmup}) so
-    later runs — and the serving admission path — skip the search
-    entirely. *)
+    Winners can be persisted through {!Tuning_db} ([?db]); [hector serve
+    --db] then resolves its options from the database without searching. *)
 
 type candidate = {
   options : Hector_core.Compiler.options;
   estimated_ms : float;  (** analytic {!Plan_cost} prediction *)
-  time_ms : float;
-      (** measured steady-state epoch; [infinity] when the candidate OOMs,
-          [nan] in {!result.ranked} entries that were pruned unmeasured *)
 }
 
 type result = {
-  best : candidate;
-  all : candidate list;  (** every measured candidate, fastest first *)
+  best : candidate;  (** the best-ranked candidate that fits in device memory *)
+  measured_ms : float;  (** [best]'s steady-state epoch on the simulator *)
   ranked : candidate list;
-      (** the full estimated space, best estimate first ([time_ms = nan]) *)
+      (** every candidate that compiles, best estimate first (ties keep
+          the space's order, fixed layouts first); the entries ahead of
+          [best] do not fit in device memory *)
 }
 
 val search :
   ?device:Hector_gpu.Device.t ->
   ?training:bool ->
-  ?schedules:bool ->
-  ?top_k:int ->
   ?db:Tuning_db.t ->
   ?model_name:string ->
   graph:Hector_graph.Hetgraph.t ->
   Hector_core.Inter_ir.program ->
   result
-(** Find the fastest configuration of a model on a graph.  [schedules]
-    (default [true]) includes the schedule/fusion knobs in the space;
-    setting it [false] restricts to the four U/C/F/C+F configurations,
-    all measured.  [top_k] (default 8) bounds the measured prefix of the
-    estimator ranking.  [db] records the winner under the model's
-    fingerprint and the graph's signature (the caller persists with
-    {!Tuning_db.save}).  Raises [Invalid_argument] if no candidate
-    compiles and fits in device memory, or when [top_k < 1]. *)
+(** Find the fastest configuration of a model on a graph.  A candidate
+    the compiler rejects ([Invalid_argument] or
+    {!Hector_core.Autodiff.Unsupported}) leaves the space; any other
+    exception propagates.  [db] records the winner under the model's
+    fingerprint and the graph's signature, with [measured_ms] as the
+    entry's measurement (the caller persists with {!Tuning_db.save}).
+    Raises [Invalid_argument] if no candidate compiles or none fits in
+    device memory. *)
 
-val warmup :
-  ?device:Hector_gpu.Device.t ->
-  ?training:bool ->
-  ?top_k:int ->
-  ?model_name:string ->
-  db_path:string ->
-  graph:Hector_graph.Hetgraph.t ->
-  Hector_core.Inter_ir.program ->
-  Hector_core.Compiler.options
-(** The write-back warmup used by [hector autotune] and training drivers:
-    load the database at [db_path] (empty if absent), return the exact-hit
-    options if one exists, otherwise run {!search}, persist the updated
-    database and return the winner. *)
-
-val describe : candidate -> string
-(** Human-readable one-liner, e.g.
-    ["C+F, tile 32, coarsen 2: est 0.123 ms, measured 0.125 ms"]. *)
-
-(** {1 Search-effort counters}
-
-    Process-wide instrumentation of how much work searches perform.  The
-    serving tests pin the warm tuning-DB admission path to zero searches
-    and zero candidate compiles using these. *)
-
-val reset_counters : unit -> unit
-
-val search_count : unit -> int
-(** {!search} invocations since the last reset. *)
-
-val candidate_compiles : unit -> int
-(** Candidate compilations performed by searches since the last reset. *)
-
-val measured_runs : unit -> int
-(** Candidate epochs executed by searches since the last reset. *)
+val describe : result -> string
+(** Human-readable one-liner for the winner, e.g.
+    ["C+F, tile 32, coarsen 2: est 0.123 ms, measured 0.123 ms"]. *)

@@ -27,9 +27,9 @@ type t
 
 val create :
   ?obs:Hector_obs.t -> ?epoch:int -> ?weights:(string * Tensor.t) list -> ?features:Tensor.t ->
-  origin:string -> device:Hector_gpu.Device.t -> seed:int -> graph:Hector_graph.Hetgraph.t ->
+  origin:string -> seed:int -> graph:Hector_graph.Hetgraph.t ->
   inputs -> Hector_core.Compiler.compiled -> t
-(** Warm a replica, then zero the clock.  Weights and features are a
+(** Warm a replica on an RTX 3090 engine, then zero the clock.  Weights and features are a
     parent-graph {!Session}'s seeded with [seed]; [weights] replace the
     Glorot draws and [features] (adopted) the feature draw.  [epoch] tags
     the slab; transfers carry provenance [origin ^ ".transfer"].  The

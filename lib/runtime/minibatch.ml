@@ -2,7 +2,6 @@ module Rng = Hector_tensor.Rng
 module G = Hector_graph.Hetgraph
 module Sampler = Hector_graph.Sampler
 module Csr = Hector_graph.Csr
-module Device = Hector_gpu.Device
 module Engine = Hector_gpu.Engine
 module Compiler = Hector_core.Compiler
 
@@ -27,7 +26,7 @@ type step_report = {
   compute_ms : float;
 }
 
-let create ?(device = Device.rtx3090) ?(seed = 1) ~graph ~features ~labels compiled =
+let create ?(seed = 1) ~graph ~features ~labels compiled =
   if compiled.Compiler.backward = None then
     invalid_arg "Minibatch.create: model must be compiled with training = true";
   if Array.length labels <> graph.G.num_nodes then
@@ -41,7 +40,7 @@ let create ?(device = Device.rtx3090) ?(seed = 1) ~graph ~features ~labels compi
     in_csr = Csr.incoming graph;
     labels;
     compiled;
-    block = Block.create ~features ~origin:"minibatch" ~device ~seed ~graph inputs compiled;
+    block = Block.create ~features ~origin:"minibatch" ~seed ~graph inputs compiled;
     fused_weight_names = Train.fused_outs compiled.Compiler.weight_ops;
     rng = Rng.create (seed + 17);
     seed;

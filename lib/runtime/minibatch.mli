@@ -26,7 +26,6 @@ type step_report = {
 }
 
 val create :
-  ?device:Hector_gpu.Device.t ->
   ?seed:int ->
   graph:Hector_graph.Hetgraph.t ->
   features:Hector_tensor.Tensor.t ->

@@ -1,4 +1,4 @@
-(** Analytic plan cost estimator — stage 1 of the autotuner.
+(** Analytic plan cost estimator — the autotuner's ranking.
 
     Predicts the steady-state simulated milliseconds of one epoch of a
     compiled model {e without executing it}: walks the plan(s), rebuilds
@@ -15,8 +15,8 @@
 
     Because the descriptors, their order and the roofline are shared with
     the engine, the estimate of a config equals the simulator's measured
-    steady-state epoch bit for bit; the autotuner uses it to rank the whole candidate space
-    and only measures a pruned top-k. *)
+    steady-state epoch bit for bit; the autotuner ranks the whole
+    candidate space by it and runs only the winner. *)
 
 type t
 (** An estimator bound to a (device, graph) pair; build one and reuse it

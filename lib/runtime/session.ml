@@ -166,7 +166,7 @@ let weights t = Env.weights t.exec.Exec.env
 let set_weights t ws = Train.set_weights ~exec:t.exec ws
 let rng_state t = Rng.state t.rng
 let weight_grads t = Env.weight_grads t.exec.Exec.env
-let reset_clock ?keep_events t = Engine.reset_clock ?keep_events t.exec.Exec.engine
+let reset_clock t = Engine.reset_clock t.exec.Exec.engine
 let metrics_json t =
   let module M = Hector_obs.Metrics in
   let module Stats = Hector_gpu.Stats in

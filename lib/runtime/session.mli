@@ -128,10 +128,9 @@ val output_dim : t -> int
 (** Width of the (first) program output — the class count used for
     labels. *)
 
-val reset_clock : ?keep_events:bool -> t -> unit
-(** Zero the simulated clock and statistics (e.g. after warm-up).  Trace
-    events are dropped too unless [keep_events:true] (see
-    {!Engine.reset_clock}). *)
+val reset_clock : t -> unit
+(** Zero the simulated clock and statistics (e.g. after warm-up) and drop
+    the trace events ({!Hector_gpu.Engine.reset_clock}). *)
 
 val slice_count : Hector_graph.Hetgraph.t -> Hector_core.Inter_ir.wslice -> int
 (** Leading dimension of a weight stack sliced [wslice]-wise over the

@@ -117,8 +117,10 @@ let set_weights ~(exec : Exec.t) ws =
           if Tensor.shape dst <> Tensor.shape src then
             invalid_arg
               (Printf.sprintf "Train.set_weights: shape mismatch for %S" name);
-          Tensor.fill dst 0.0;
-          Tensor.add_inplace dst src)
+          (* a storage copy, not [dst <- 0 + src]: [0.0 +. -0.0] is [+0.0],
+             and a restore must keep every bit *)
+          let sd, so = Tensor.storage src and dd, doff = Tensor.storage dst in
+          Array.blit sd so dd doff (Tensor.numel src))
     ws
 
 let sgd_step ?(skip = []) ~(exec : Exec.t) ~lr () =

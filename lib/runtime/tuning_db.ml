@@ -135,7 +135,7 @@ let options_json (o : Compiler.options) : Json.t =
       ("launch_bounds", Bool o.Compiler.gemm_schedule.Gs.launch_bounds);
       ("warp_accumulate", Bool o.Compiler.traversal_schedule.Ts.warp_accumulate);
       ("node_gather", Bool o.Compiler.prefer_node_gather);
-      ("fuse_ops", match o.Compiler.fuse_ops with None -> Null | Some b -> Bool b);
+      ("fuse_ops", Bool o.Compiler.fuse_ops);
     ]
 
 let entry_json e : Json.t =
@@ -183,10 +183,12 @@ let options_of_json j =
     gemm_schedule = schedule;
     traversal_schedule = { Ts.warp_accumulate = Json.bool_field j "warp_accumulate" true };
     prefer_node_gather = Json.bool_field j "node_gather" false;
+    (* entries written before [fuse_ops] became a plain flag hold [null]
+       for "on" *)
     fuse_ops =
       (match Json.member j "fuse_ops" with
-      | Some (Bool b) -> Some b
-      | Some Null | None -> None
+      | Some (Bool b) -> b
+      | Some Null | None -> true
       | Some _ -> raise Malformed);
   }
 

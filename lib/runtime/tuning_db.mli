@@ -1,17 +1,17 @@
-(** Persistent plan-tuning database — stage 2 of the autotuner.
+(** Persistent plan-tuning database.
 
     Stores the winning compiler options of past {!Autotune} searches, keyed
     by {e (model fingerprint, bucketized graph signature, device name,
     training flag)}, as a single JSON file (the path a caller passes:
-    [Serve.config.tune_db], [hector serve --db], [hector autotune --db]).  Consumers ({!Hector_serve.Plan_cache} at admission, the
-    [hector autotune] command, training warmup) resolve options through a
-    fixed ladder that never searches on a hot path:
+    [Serve.config.tune_db], [hector serve --db], [hector autotune --db]).
+    [hector autotune --db] fills it; serving admission
+    ({!Hector_serve.Plan_cache.tuned_options}) reads it through a fixed
+    ladder that never searches:
 
     + {e exact} — an entry whose bucketized signature matches;
     + {e nearest} — the same-shaped entry at smallest log-space signature
       distance;
-    + {e none} — the caller falls back to default options or (off the
-      request path) a fresh search whose winner is recorded back.
+    + {e none} — the caller falls back to default options.
 
     Graph signatures are per-type node and edge counts (sorted descending,
     so they are invariant under node-id and type relabeling) plus the mean

@@ -1,7 +1,6 @@
 module Compiler = Hector_core.Compiler
 module Ir = Hector_core.Inter_ir
 module Device = Hector_gpu.Device
-module Autotune = Hector_runtime.Autotune
 module Tuning_db = Hector_runtime.Tuning_db
 
 type key = { model : string; graph : string; options : Compiler.options }
@@ -30,25 +29,14 @@ let get t ~model ~graph ~options program =
       Hashtbl.replace t.entries { model; graph; options } compiled;
       compiled
 
-let tuned_options ?device ?db ?(model_name = "model") ?(allow_search = true) ~graph
-    program =
-  let device_name = (Option.value device ~default:Device.rtx3090).Device.name in
-  let lookup db =
-    Tuning_db.lookup db ~model:(Ir.fingerprint program) ~device:device_name
-      ~training:false
-      (Tuning_db.signature graph)
-  in
-  match Option.bind db lookup with
+let tuned_options db ~graph program =
+  match
+    Tuning_db.lookup db ~model:(Ir.fingerprint program) ~device:Device.rtx3090.Device.name
+      ~training:false (Tuning_db.signature graph)
+  with
   | Some (Tuning_db.Exact e) | Some (Tuning_db.Nearest e) ->
       { e.Tuning_db.options with Compiler.training = false }
-  | None ->
-      if allow_search then (
-        let result =
-          Autotune.search ?device ~training:false ~schedules:true ?db ~model_name ~graph
-            program
-        in
-        { result.Autotune.best.Autotune.options with Compiler.training = false })
-      else Compiler.default_options
+  | None -> Compiler.default_options
 
 let hits t = t.hits
 let misses t = t.misses

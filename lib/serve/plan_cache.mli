@@ -27,19 +27,15 @@ val get :
     [model]. *)
 
 val tuned_options :
-  ?device:Hector_gpu.Device.t ->
-  ?db:Hector_runtime.Tuning_db.t ->
-  ?model_name:string ->
-  ?allow_search:bool ->
+  Hector_runtime.Tuning_db.t ->
   graph:Hector_graph.Hetgraph.t ->
   Hector_core.Inter_ir.program ->
   Hector_core.Compiler.options
 (** The admission-path ladder: resolve inference options for a
-    model/graph pair from the tuning database — exact signature hit, then
-    nearest same-shaped signature, then either a full search whose winner
-    is recorded into [db] ([allow_search], default [true]) or the fixed
-    {!Hector_core.Compiler.default_options} ([allow_search:false] — the
-    request path never searches). *)
+    model/graph pair on the RTX 3090 from the tuning database — exact
+    signature hit, then nearest same-shaped signature, then the fixed
+    {!Hector_core.Compiler.default_options}.  It never searches: the
+    database is filled off the request path ([hector autotune --db]). *)
 
 val hits : t -> int
 

@@ -22,9 +22,7 @@ type config = {
   max_wait_ms : float;
   queue_capacity : int option;
   options : Compiler.options option;
-  autotune : bool;
   tune_db : string option;
-  device : Device.t;
   seed : int;
   weights : (string * Tensor.t) list;
   epoch : int;
@@ -40,9 +38,7 @@ let default_config =
     max_wait_ms = 20.0;
     queue_capacity = None;
     options = None;
-    autotune = false;
     tune_db = None;
-    device = Device.rtx3090;
     seed = 1;
     weights = [];
     epoch = 0;
@@ -110,36 +106,20 @@ let create ?(config = default_config) ?obs ?features ~graph program =
   let inputs = Block.inputs ~caller:"Serve.create" ?features ~graph program in
   let cache = Plan_cache.create ~obs () in
   (* admission-time options ladder: explicit config > tuning-DB hit (exact,
-     then nearest signature bucket) > a warmup search when [autotune] is
-     set (recorded back into the DB) > fixed defaults.  A DB hit admits
-     with zero candidate compiles and zero searches. *)
-  let db_path = config.tune_db in
+     then nearest signature bucket) > fixed defaults.  Admission never
+     searches. *)
   let options =
-    match config.options with
-    | Some o -> { o with Compiler.training = false }
-    | None ->
-        if config.autotune || db_path <> None then begin
-          let db = Option.map Tuning_db.load db_path in
-          let searches_before = Hector_runtime.Autotune.search_count () in
-          let o =
-            Plan_cache.tuned_options ~device:config.device ?db ~model_name:config.model
-              ~allow_search:config.autotune ~graph program
-          in
-          (match (db, db_path) with
-          | Some db, Some path
-            when Hector_runtime.Autotune.search_count () > searches_before ->
-              Tuning_db.save db path
-          | _ -> ());
-          o
-        end
-        else Compiler.default_options
+    match (config.options, config.tune_db) with
+    | Some o, _ -> { o with Compiler.training = false }
+    | None, Some path -> Plan_cache.tuned_options (Tuning_db.load path) ~graph program
+    | None, None -> Compiler.default_options
   in
   let compiled =
     Plan_cache.get cache ~model:config.model ~graph:graph.G.name ~options program
   in
   let block =
     Block.create ~obs ~epoch:config.epoch ~weights:config.weights ?features ~origin:"serve"
-      ~device:config.device ~seed:config.seed ~graph inputs compiled
+      ~seed:config.seed ~graph inputs compiled
   in
   {
     graph;

@@ -41,19 +41,12 @@ type config = {
       (** admission bound; [None] → 64 *)
   options : Hector_core.Compiler.options option;
       (** compiler options ([training] is forced off); [None] → the
-          tuning-database / autotune ladder below, else default options *)
-  autotune : bool;
-      (** on a tuning-database miss, run a full warmup search (schedule
-          knobs included) and record the winner back; with this off the
-          miss path uses fixed default options — admission {e never}
-          searches unless [autotune] asks for it, and a warm DB hit never
-          searches or compiles candidates at all (ignored when [options]
-          is given) *)
+          tuning-database ladder below, else default options *)
   tune_db : string option;
       (** persistent {!Hector_runtime.Tuning_db} path consulted at
-          admission (exact signature hit, then nearest bucket, then the
-          [autotune] policy above); [None] (the default) → no database *)
-  device : Hector_gpu.Device.t;
+          admission (exact signature hit, then nearest bucket, then
+          default options; admission never searches); [None] (the
+          default) → no database (ignored when [options] is given) *)
   seed : int;  (** weight/feature initialization seed *)
   weights : (string * Tensor.t) list;
       (** explicit model weights, overriding the seeded initialization —
@@ -77,8 +70,8 @@ type config = {
 
 val default_config : config
 (** rgcn, fanout 8, hops 2, batch/queue bounds unset (8 / 64), 20 ms
-    wait, default options, no tuning database, RTX 3090, seed 1, no fault
-    plan. *)
+    wait, default options, no tuning database, seed 1, no fault plan.
+    Replicas run on an RTX 3090. *)
 
 type response = {
   request : Workload.request;

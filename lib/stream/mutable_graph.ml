@@ -35,7 +35,8 @@ type counters = {
 }
 
 let default_slack = 0.5
-let default_compact = 0.25
+(* a segment more than this fraction dead is compacted in place *)
+let compact_threshold = 0.25
 
 (* A segment is the append-ordered list of stable ids ever inserted into
    one node/edge type.  Liveness lives in the per-stable-id type array
@@ -85,7 +86,6 @@ type t = {
   meta : Metagraph.t;
   fdim : int;
   slack : float;
-  compact : float;
   nseg : seg array;
   eseg : seg array;
   mutable node_ty : int array;  (* stable node -> ntype *)
@@ -226,13 +226,10 @@ let rebuild t ~patch_csr ~writes =
     };
   (node_map, edge_map, patched_rows, rebuilt)
 
-let create ?(name = "stream") ?slack ?compact ~graph ~features () =
+let create ?(name = "stream") ?slack ~graph ~features () =
   let slack = Option.value slack ~default:default_slack in
-  let compact = Option.value compact ~default:default_compact in
   if slack < 0.0 || not (Float.is_finite slack) then
     invalid_arg "Mutable_graph.create: slack must be a finite non-negative float";
-  if not (compact > 0.0 && compact <= 1.0) then
-    invalid_arg "Mutable_graph.create: compact threshold must be in (0, 1]";
   if Tensor.rows features <> graph.G.num_nodes then
     invalid_arg
       (Printf.sprintf "Mutable_graph.create: features have %d rows, graph has %d nodes"
@@ -259,7 +256,6 @@ let create ?(name = "stream") ?slack ?compact ~graph ~features () =
       meta = graph.G.metagraph;
       fdim = Tensor.cols features;
       slack;
-      compact;
       nseg;
       eseg;
       node_ty = Array.copy graph.G.node_type;
@@ -430,7 +426,7 @@ let apply t (d : Delta.t) =
       in
       let compactions = ref 0 in
       let sweep ty force s =
-        let over = s.len > 0 && float_of_int (s.len - s.live) /. float_of_int s.len > t.compact in
+        let over = s.len > 0 && float_of_int (s.len - s.live) /. float_of_int s.len > compact_threshold in
         if (force || over) && seg_compact ty s then incr compactions
       in
       (* an epoch boundary force-compacts every segment; in slack, only

@@ -30,10 +30,9 @@
     snapshot rebuilt from scratch, and the capacity graph's name changes
     ([name#e<epoch>]) so every epoch-keyed cache misses exactly once.
 
-    In-slack tombstones are garbage: a segment whose dead fraction
-    exceeds the compaction threshold ([compact], default
-    {!default_compact}) is compacted in place (order-preserving, so maps
-    stay monotone) without touching the epoch. *)
+    In-slack tombstones are garbage: a segment more than a quarter dead
+    is compacted in place (order-preserving, so maps stay monotone)
+    without touching the epoch. *)
 
 module Metagraph = Hector_graph.Metagraph
 module Hetgraph = Hector_graph.Hetgraph
@@ -80,15 +79,14 @@ val default_slack : float
 (** [0.5] — 50% headroom per type. *)
 
 val create :
-  ?name:string -> ?slack:float -> ?compact:float ->
+  ?name:string -> ?slack:float ->
   graph:Hetgraph.t -> features:Tensor.t -> unit -> t
 (** Adopt a frozen graph as epoch-0 live state: physical id [i] becomes
     stable id [i] (nodes and edges independently), and a copy of
     [features] (which must be [num_nodes x dim]) becomes the epoch-0
-    snapshot's feature matrix.  [slack] and [compact] default to
-    {!default_slack} / {!default_compact}.  Raises
-    [Invalid_argument] on a feature-shape mismatch, negative [slack] or
-    [compact] outside [(0, 1]]. *)
+    snapshot's feature matrix.  [slack] defaults to {!default_slack}.
+    Raises [Invalid_argument] on a feature-shape mismatch or a negative
+    or non-finite [slack]. *)
 
 val apply : t -> Delta.t -> (apply_stats, string) result
 (** Apply one delta atomically and refresh the snapshot.  The whole batch

@@ -45,7 +45,7 @@ type counters = Mg.counters = {
 }
 
 let default_slack = 0.5
-let default_compact = 0.25
+let compact_threshold = 0.25
 
 (* A segment is the append-ordered list of stable ids ever inserted into
    one node/edge type; liveness lives in the index hashtables, so a slot
@@ -101,7 +101,6 @@ type t = {
   meta : Metagraph.t;
   fdim : int;
   slack : float;
-  compact : float;
   nseg : seg array;
   eseg : seg array;
   node_index : (int, int) Hashtbl.t;  (* stable -> ntype, live only *)
@@ -235,13 +234,10 @@ let rebuild t ~patch_csr =
   t.phys_of <- phys;
   (node_map, edge_map, patched_rows, rebuilt)
 
-let create ?(name = "stream") ?slack ?compact ~graph ~features () =
+let create ?(name = "stream") ?slack ~graph ~features () =
   let slack = Option.value slack ~default:default_slack in
-  let compact = Option.value compact ~default:default_compact in
   if slack < 0.0 || not (Float.is_finite slack) then
     invalid_arg "Mutable_graph.create: slack must be a finite non-negative float";
-  if not (compact > 0.0 && compact <= 1.0) then
-    invalid_arg "Mutable_graph.create: compact threshold must be in (0, 1]";
   if Tensor.rows features <> graph.G.num_nodes then
     invalid_arg
       (Printf.sprintf "Mutable_graph.create: features have %d rows, graph has %d nodes"
@@ -287,7 +283,6 @@ let create ?(name = "stream") ?slack ?compact ~graph ~features () =
       meta = graph.G.metagraph;
       fdim;
       slack;
-      compact;
       nseg;
       eseg;
       node_index;
@@ -477,7 +472,7 @@ let apply t (d : Delta.t) =
         let sweep index s =
           if
             s.len > 0
-            && float_of_int (s.len - s.live) /. float_of_int s.len > t.compact
+            && float_of_int (s.len - s.live) /. float_of_int s.len > compact_threshold
             && seg_compact index s
           then incr compactions
         in

@@ -1,13 +1,13 @@
 (* Tests for the cost-model-guided autotuner and the persistent tuning
-   database: estimator exactness, top-k ranking quality, relabel-invariant
-   graph signatures, DB round-trips and the zero-search / zero-compile
-   admission pin for warm database hits. *)
+   database: estimator exactness (per launch, across the schedule space),
+   the one-run search and its out-of-memory fallback, relabel-invariant
+   graph signatures, DB round-trips and the database-only admission
+   ladder. *)
 
 module Compiler = Hector_core.Compiler
 module Ir = Hector_core.Inter_ir
 module G = Hector_graph.Hetgraph
 module Gen = Hector_graph.Generator
-module Dp = Hector_tensor.Domain_pool
 module Device = Hector_gpu.Device
 module Autotune = Hector_runtime.Autotune
 module Tuning_db = Hector_runtime.Tuning_db
@@ -41,63 +41,174 @@ let model_names = [| "rgcn"; "rgat"; "hgt" |]
 let model_of_idx i = Hector_models.Model_defs.by_name model_names.(i) ~in_dim:8 ~out_dim:4 ()
 let options_id = Compiler.options_id
 
-let with_domains n f =
-  Dp.set_num_domains (Some n);
-  Fun.protect ~finally:(fun () -> Dp.set_num_domains None) f
+(* --- the search ------------------------------------------------------ *)
 
-(* --- stage 1: the analytic estimator ------------------------------- *)
-
-(* The simulator is deterministic and the estimator replays the same
-   launch descriptors, so the prediction must agree with the measured
-   steady-state epoch on every candidate the search measures — and the
-   measured winner must sit inside the estimator's top-k ranking (the
-   whole point of pruning the space by estimate). *)
-let prop_best_in_topk =
-  QCheck.Test.make ~name:"measured best lies in the estimator top-k" ~count:5
-    QCheck.(make Gen.(triple (int_range 0 2) (int_range 0 40) (int_range 1 2)))
-    (fun (model_idx, seed, domains) ->
-      with_domains domains (fun () ->
-          let graph = graph_of_seed seed in
-          let training = seed mod 2 = 0 in
-          let top_k = 4 in
-          let r = Autotune.search ~training ~top_k ~graph (model_of_idx model_idx) in
-          let top_ids =
-            List.filteri (fun i _ -> i < top_k) r.Autotune.ranked
-            |> List.map (fun (c : Autotune.candidate) -> options_id c.Autotune.options)
-          in
-          let as_fast_in_top =
-            List.exists
-              (fun (c : Autotune.candidate) ->
-                List.mem (options_id c.Autotune.options) top_ids
-                && c.Autotune.time_ms <= r.Autotune.best.Autotune.time_ms +. 1e-9)
-              r.Autotune.all
-          in
-          let exact =
-            List.for_all
-              (fun (c : Autotune.candidate) ->
-                (not (Float.is_finite c.Autotune.time_ms))
-                || Float.abs (c.Autotune.estimated_ms -. c.Autotune.time_ms)
-                   <= 1e-6 *. Float.max 1.0 c.Autotune.time_ms)
-              r.Autotune.all
-          in
-          as_fast_in_top && exact))
-
-let test_estimator_exact_fixed_layouts () =
-  (* schedules:false measures all four U/C/F/C+F configurations; each
-     estimate must match its measurement bit-for-bit on the simulator *)
+(* The estimate is the ranking and the one measured epoch confirms the
+   winner: the two must have the same bits, for every model, inference
+   and training. *)
+let test_estimate_is_measurement () =
   let graph = graph_of_seed 7 in
-  let r = Autotune.search ~schedules:false ~graph (model_of_idx 1) in
-  check_int "four candidates" 4 (List.length r.Autotune.all);
+  Array.iteri
+    (fun i name ->
+      List.iter
+        (fun training ->
+          let r = Autotune.search ~training ~graph (model_of_idx i) in
+          if
+            Int64.bits_of_float r.Autotune.best.Autotune.estimated_ms
+            <> Int64.bits_of_float r.Autotune.measured_ms
+          then
+            Alcotest.failf "%s%s: estimate %h ms, measured %h ms" name
+              (if training then " training" else "")
+              r.Autotune.best.Autotune.estimated_ms r.Autotune.measured_ms)
+        [ false; true ])
+    model_names
+
+let test_space_distinct () =
+  let graph = graph_of_seed 5 in
   List.iter
-    (fun (c : Autotune.candidate) ->
-      if Float.is_finite c.Autotune.time_ms then
-        check_bool
-          (Printf.sprintf "estimate matches measurement for %s" (options_id c.Autotune.options))
-          true
-          (Int64.equal
-             (Int64.bits_of_float c.Autotune.estimated_ms)
-             (Int64.bits_of_float c.Autotune.time_ms)))
-    r.Autotune.all
+    (fun training ->
+      let r = Autotune.search ~training ~graph (model_of_idx 1) in
+      let ids =
+        List.map (fun (c : Autotune.candidate) -> options_id c.Autotune.options) r.Autotune.ranked
+      in
+      check_int "88 candidates" 88 (List.length ids);
+      check_int "no id repeats" 88 (List.length (List.sort_uniq compare ids));
+      check_bool "ranked by estimate" true
+        (List.for_all2
+           (fun (a : Autotune.candidate) (b : Autotune.candidate) ->
+             a.Autotune.estimated_ms <= b.Autotune.estimated_ms)
+           (List.filteri (fun i _ -> i < 87) r.Autotune.ranked)
+           (List.tl r.Autotune.ranked)))
+    [ false; true ]
+
+(* One steady-state epoch as the search runs it, returning the session so
+   callers can read its memory. *)
+let run_epoch ?device ~training ~graph compiled =
+  let session =
+    Session.create
+      ~config:
+        {
+          Session.Config.default with
+          device = Option.value device ~default:Session.Config.default.Session.Config.device;
+          seed = 11;
+        }
+      ~graph compiled
+  in
+  let epoch =
+    if training then (
+      let rng = Rng.create 3 in
+      let labels =
+        Array.init graph.G.num_nodes (fun _ -> Rng.int rng (Session.output_dim session))
+      in
+      fun () -> ignore (Session.train_step session ~labels ()))
+    else fun () -> ignore (Session.forward session)
+  in
+  epoch ();
+  Session.reset_clock session;
+  epoch ();
+  session
+
+(* Witness that a search without an out-of-memory candidate builds one
+   session: its host tensor allocations are those of compiling and
+   pricing every ranked candidate plus one epoch pair, and one epoch pair
+   allocates tensors. *)
+let test_one_session () =
+  let graph = graph_of_seed 9 in
+  let allocs f =
+    let before = Hector_tensor.Tensor.allocation_count () in
+    let v = f () in
+    (v, Hector_tensor.Tensor.allocation_count () - before)
+  in
+  List.iter
+    (fun training ->
+      let program = model_of_idx 2 in
+      let r, search = allocs (fun () -> Autotune.search ~training ~graph program) in
+      let compiled, pricing =
+        allocs (fun () ->
+            let estimator = Plan_cost.create ~graph () in
+            List.map
+              (fun (c : Autotune.candidate) ->
+                let compiled = Compiler.compile ~options:c.Autotune.options program in
+                ignore (Plan_cost.estimate_ms estimator compiled);
+                compiled)
+              r.Autotune.ranked)
+      in
+      let (), one = allocs (fun () -> ignore (run_epoch ~training ~graph (List.hd compiled))) in
+      check_bool "an epoch pair allocates" true (one > 0);
+      check_int "search = pricing + one epoch pair" (pricing + one) search)
+    [ false; true ]
+
+let peak_bytes ~training ~graph program (c : Autotune.candidate) =
+  let compiled = Compiler.compile ~options:c.Autotune.options program in
+  Hector_gpu.Memory.peak_bytes
+    (Engine.memory (Session.engine (run_epoch ~training ~graph compiled)))
+
+(* A device too small for the best-ranked candidate: the search returns
+   the best-ranked candidate that fits, its estimate unchanged; a device
+   nothing fits on raises. *)
+let test_oom_moves_down () =
+  let graph = graph_of_seed 13 in
+  let training = true in
+  let program = model_of_idx 1 in
+  let r = Autotune.search ~training ~graph program in
+  let top = List.hd r.Autotune.ranked in
+  let top_peak = peak_bytes ~training ~graph program top in
+  let rec first_smaller i = function
+    | [] -> Alcotest.fail "every candidate peaks at the top candidate's memory"
+    | c :: rest ->
+        let p = peak_bytes ~training ~graph program c in
+        if p < top_peak then (i, c, p) else first_smaller (i + 1) rest
+  in
+  let k, want, peak = first_smaller 1 (List.tl r.Autotune.ranked) in
+  let with_capacity bytes =
+    { Device.rtx3090 with Device.global_mem_bytes = Device.rtx3090.Device.reserved_bytes +. bytes }
+  in
+  let small =
+    Autotune.search ~device:(with_capacity ((peak +. top_peak) /. 2.0)) ~training ~graph program
+  in
+  Alcotest.(check string)
+    (Printf.sprintf "winner is ranked candidate %d" k)
+    (options_id want.Autotune.options)
+    (options_id small.Autotune.best.Autotune.options);
+  check_bool "same ranking" true
+    (List.map (fun (c : Autotune.candidate) -> options_id c.Autotune.options) small.Autotune.ranked
+    = List.map (fun (c : Autotune.candidate) -> options_id c.Autotune.options) r.Autotune.ranked);
+  check_bool "winner's estimate is its measurement" true
+    (Int64.bits_of_float small.Autotune.best.Autotune.estimated_ms
+    = Int64.bits_of_float small.Autotune.measured_ms);
+  match Autotune.search ~device:(with_capacity 1.0) ~training ~graph program with
+  | _ -> Alcotest.fail "a device nothing fits on must raise"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string)
+        "message" "Autotune.search: no configuration fits in device memory" msg
+
+(* Candidates the compiler rejects leave the space; when every candidate
+   is rejected the search says so rather than returning nothing. *)
+let test_no_candidate_compiles () =
+  let graph = graph_of_seed 3 in
+  let expect label ~training program =
+    match Autotune.search ~training ~graph program with
+    | _ -> Alcotest.failf "%s: search over an uncompilable program returned" label
+    | exception Invalid_argument msg ->
+        Alcotest.(check string) label "Autotune.search: no candidate compiles" msg
+  in
+  (* fails the checker: an output nothing produces *)
+  expect "unchecked output" ~training:false
+    { (model_of_idx 0) with Ir.outputs = [ "no_such_output" ] };
+  (* checks, but autodiff cannot differentiate an opaque call *)
+  expect "untrainable body" ~training:true
+    {
+      Ir.name = "opaque";
+      decls = [ Ir.Node_input { name = "h"; dim = 4 } ];
+      body =
+        [
+          Ir.For_each
+            ( Ir.Nodes,
+              [ Ir.Assign (Ir.Cur_node, "out", Ir.Opaque ("f", [ Ir.Feature (Ir.Cur_node, "h") ])) ]
+            );
+        ];
+      outputs = [ "out" ];
+    }
 
 (* --- per-launch parity ---------------------------------------------- *)
 
@@ -174,30 +285,46 @@ let check_launch_parity ~label ~graph compiled =
               name e.Stats.launches e.Stats.flops e.Stats.bytes n f b)
     got
 
+(* Every knob the search turns, on top of each layout and fusion setting:
+   GEMM tile/coarsening/launch bounds, plain atomics and node gathers. *)
+let schedule_variants (o : Compiler.options) =
+  let gemm tile_width coarsen =
+    {
+      o with
+      Compiler.gemm_schedule =
+        { Hector_core.Gemm_spec.tile_width; coarsen; launch_bounds = tile_width = 32 };
+    }
+  in
+  [
+    o;
+    { o with Compiler.fuse_ops = false };
+    gemm 16 2;
+    gemm 16 4;
+    gemm 32 2;
+    gemm 32 4;
+    { o with Compiler.traversal_schedule = { Hector_core.Traversal_spec.warp_accumulate = false } };
+    { o with Compiler.prefer_node_gather = true };
+  ]
+
 let test_launch_parity () =
   List.iter
     (fun dataset ->
       let graph = Datasets.load ~max_nodes:500 ~max_edges:1500 (Datasets.find dataset) in
       Array.iter
         (fun model ->
+          let program = Hector_models.Model_defs.by_name model ~in_dim:8 ~out_dim:4 () in
           List.iter
             (fun (compact, fusion) ->
               List.iter
-                (fun fuse_ops ->
+                (fun training ->
                   List.iter
-                    (fun training ->
-                      let options =
-                        Compiler.options_of_flags ~training ~fuse_ops ~compact ~fusion ()
-                      in
-                      let compiled =
-                        Compiler.compile ~options
-                          (Hector_models.Model_defs.by_name model ~in_dim:8 ~out_dim:4 ())
-                      in
+                    (fun options ->
                       check_launch_parity
                         ~label:(Printf.sprintf "%s %s %s" dataset model (options_id options))
-                        ~graph compiled)
-                    [ false; true ])
-                [ true; false ])
+                        ~graph
+                        (Compiler.compile ~options program))
+                    (schedule_variants (Compiler.options_of_flags ~training ~compact ~fusion ())))
+                [ false; true ])
             [ (false, false); (true, false); (false, true); (true, true) ])
         model_names)
     [ "am"; "fb15k" ]
@@ -260,7 +387,7 @@ let test_db_roundtrip () =
            (Compiler.options_of_flags ~compact:false ~fusion:true ()) with
            Compiler.gemm_schedule =
              { Hector_core.Gemm_spec.tile_width = 32; coarsen = 2; launch_bounds = true };
-           fuse_ops = Some false;
+           fuse_ops = false;
          }
        g_alt);
   let path = Filename.temp_file "hector_tunedb" ".json" in
@@ -319,6 +446,24 @@ let test_db_old_layout () =
         (Tuning_db.entries (Tuning_db.of_json (Tuning_db.to_json db)) = [ e ])
   | l -> Alcotest.failf "expected one entry, got %d" (List.length l)
 
+(* Before [fuse_ops] became a plain flag, a winner that left fusion at its
+   default was written with [null]; such an entry means fused. *)
+let test_db_null_fuse_ops () =
+  let db =
+    Tuning_db.of_json
+      "{\"version\":1,\"entries\":[{\"model\":\"8a5e\",\"model_name\":\"rgcn\",\
+       \"device\":\"RTX 3090\",\"training\":false,\"nodes\":[292,168],\"edges\":[1138,574],\
+       \"mean_degree\":3.9,\"options\":{\"compact\":false,\"csr\":false,\"presorted\":true,\
+       \"fusion\":false,\"training\":false,\"tile\":16,\"coarsen\":1,\"launch_bounds\":false,\
+       \"warp_accumulate\":true,\"node_gather\":false,\"fuse_ops\":null},\
+       \"options_id\":\"U:coo:t16c1:warp\",\"estimated_ms\":0.5,\"measured_ms\":0.5}]}\n"
+  in
+  match Tuning_db.entries db with
+  | [ e ] ->
+      check_bool "fused" true e.Tuning_db.options.Compiler.fuse_ops;
+      check_bool "the default options" true (e.Tuning_db.options = Compiler.default_options)
+  | l -> Alcotest.failf "expected one entry, got %d" (List.length l)
+
 let test_db_load_corrupt_and_missing () =
   check_int "missing file is empty" 0 (Tuning_db.size (Tuning_db.load "/nonexistent/tunedb.json"));
   let path = Filename.temp_file "hector_tunedb" ".json" in
@@ -370,32 +515,12 @@ let test_lookup_ladder () =
         = options_id (Compiler.options_of_flags ~compact:false ~fusion:false ()))
   | _ -> Alcotest.fail "expected the freshly recorded exact entry"
 
-let test_warmup_writes_back_then_hits () =
-  let graph = graph_of_seed 11 in
-  let program = model_of_idx 0 in
-  let path = Filename.temp_file "hector_tunedb" ".json" in
-  Sys.remove path;
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Autotune.reset_counters ();
-      let first = Autotune.warmup ~db_path:path ~graph program in
-      check_int "cold warmup searches once" 1 (Autotune.search_count ());
-      check_bool "database persisted" true (Sys.file_exists path);
-      Autotune.reset_counters ();
-      let second = Autotune.warmup ~db_path:path ~graph program in
-      check_int "warm warmup does not search" 0 (Autotune.search_count ());
-      check_int "warm warmup compiles no candidates" 0 (Autotune.candidate_compiles ());
-      check_bool "warm hit returns the recorded winner" true
-        (options_id first = options_id second))
+(* --- the admission ladder ---------------------------------------------- *)
 
-(* --- the admission pin --------------------------------------------- *)
-
-let test_warm_db_admission_zero_search () =
-  (* Counter-witnessed: with a warm tuning database, creating a serving
-     replica (autotune enabled) and serving requests performs ZERO
-     autotune searches, candidate compiles and measured runs — the
-     admission path resolves options purely by database lookup. *)
+(* Serving resolves its options from the database alone: a winner
+   [hector autotune --db] recorded is what admission compiles, with
+   training forced off, and an empty database yields the defaults. *)
+let test_db_admission () =
   let graph =
     Gen.generate
       {
@@ -410,15 +535,20 @@ let test_warm_db_admission_zero_search () =
       }
   in
   let program = Hector_models.Model_defs.rgcn ~in_dim:8 ~out_dim:4 () in
+  check_bool "empty database: default options" true
+    (Hector_serve.Plan_cache.tuned_options (Tuning_db.create ()) ~graph program
+    = Compiler.default_options);
   let path = Filename.temp_file "hector_tunedb" ".json" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      (* warm the database off the request path *)
       let db = Tuning_db.create () in
-      ignore (Autotune.search ~db ~graph program);
+      let r = Autotune.search ~db ~graph program in
       Tuning_db.save db path;
-      Autotune.reset_counters ();
+      Alcotest.(check string) "admission options are the recorded winner"
+        (options_id r.Autotune.best.Autotune.options)
+        (options_id
+           (Hector_serve.Plan_cache.tuned_options (Tuning_db.load path) ~graph program));
       let config =
         {
           Serve.default_config with
@@ -427,14 +557,10 @@ let test_warm_db_admission_zero_search () =
           max_batch = Some 4;
           max_wait_ms = 5.0;
           queue_capacity = Some 64;
-          autotune = true;
           tune_db = Some path;
         }
       in
       let server = Serve.create ~config ~graph program in
-      check_int "admission performs zero searches" 0 (Autotune.search_count ());
-      check_int "admission compiles zero candidates" 0 (Autotune.candidate_compiles ());
-      check_int "admission measures zero candidates" 0 (Autotune.measured_runs ());
       let requests =
         Workload.generate
           ~spec:{ Workload.default_spec with Workload.requests = 6; seeds_per_request = 2 }
@@ -442,49 +568,23 @@ let test_warm_db_admission_zero_search () =
       in
       let responses = Serve.serve server requests in
       check_int "all requests answered" (Array.length requests) (Array.length responses);
-      check_int "serving performs zero searches" 0 (Autotune.search_count ());
-      check_int "serving compiles zero candidates" 0 (Autotune.candidate_compiles ());
-      check_int "serving measures zero candidates" 0 (Autotune.measured_runs ()))
-
-let test_cold_db_with_autotune_searches_once () =
-  (* the complementary direction: an empty database plus autotune:true
-     searches exactly once at warmup and records the winner back *)
-  let graph = graph_of_seed ~num_nodes:150 ~num_edges:500 21 in
-  let program = Hector_models.Model_defs.rgcn ~in_dim:8 ~out_dim:4 () in
-  let path = Filename.temp_file "hector_tunedb" ".json" in
-  Sys.remove path;
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Autotune.reset_counters ();
-      let config =
-        {
-          Serve.default_config with
-          Serve.fanout = Serve.exact_fanout graph;
-          hops = 2;
-          autotune = true;
-          tune_db = Some path;
-        }
-      in
-      ignore (Serve.create ~config ~graph program);
-      check_int "cold warmup searches once" 1 (Autotune.search_count ());
-      check_bool "winner recorded for the next replica" true
-        (Sys.file_exists path && Tuning_db.size (Tuning_db.load path) = 1))
+      check_int "one compile, at admission" 1
+        (Hector_serve.Plan_cache.misses (Serve.plan_cache server)))
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest ~long:true prop_best_in_topk;
-    Alcotest.test_case "estimator exact on fixed layouts" `Quick test_estimator_exact_fixed_layouts;
+    Alcotest.test_case "estimate == measured epoch, bitwise" `Quick test_estimate_is_measurement;
     Alcotest.test_case "estimated kernels == executed launches, one by one" `Quick
       test_launch_parity;
+    Alcotest.test_case "88 distinct candidates" `Quick test_space_distinct;
+    Alcotest.test_case "a search runs one session" `Quick test_one_session;
+    Alcotest.test_case "out of memory moves down the ranking" `Quick test_oom_moves_down;
+    Alcotest.test_case "no candidate compiles" `Quick test_no_candidate_compiles;
     QCheck_alcotest.to_alcotest prop_signature_stable;
     Alcotest.test_case "tuning DB round-trip" `Quick test_db_roundtrip;
     Alcotest.test_case "tuning DB in the old layout loads" `Quick test_db_old_layout;
+    Alcotest.test_case "tuning DB null fuse_ops loads fused" `Quick test_db_null_fuse_ops;
     Alcotest.test_case "tuning DB corrupt/missing load" `Quick test_db_load_corrupt_and_missing;
     Alcotest.test_case "lookup ladder" `Quick test_lookup_ladder;
-    Alcotest.test_case "warmup writes back then hits" `Quick test_warmup_writes_back_then_hits;
-    Alcotest.test_case "warm DB admission: zero search/compile" `Quick
-      test_warm_db_admission_zero_search;
-    Alcotest.test_case "cold DB with autotune searches once" `Quick
-      test_cold_db_with_autotune_searches_once;
+    Alcotest.test_case "admission resolves options from the DB" `Quick test_db_admission;
   ]

@@ -308,6 +308,31 @@ let dist_config parts =
     comms = Some (quiet_comms ());
   }
 
+(* A restore copies the checkpoint's bits: a weight holding -0.0 and a
+   subnormal comes back with the same [Int64.bits_of_float], not as the
+   [+0.0] an add into a zeroed tensor would make of -0.0. *)
+let test_restore_keeps_bits () =
+  let graph = Lazy.force parent in
+  let labels = labels_of graph 4 in
+  let compiled = compile_model "rgcn" in
+  with_tmp_dir (fun dir ->
+      let fit = Trainer.fit ~lr:0.05 ~graph ~labels ~steps:1 compiled in
+      let weights =
+        List.map
+          (fun (name, w) ->
+            let w = T.copy w in
+            T.set1 w 0 (-0.0);
+            T.set1 w 1 4.9e-324;
+            (name, w))
+          (Session.weights fit.Trainer.session)
+      in
+      ignore (Checkpoint.save ~dir (Checkpoint.create ~step:1 weights));
+      (* [steps] = the checkpoint's step: restore, then run nothing *)
+      let res = Trainer.resume ~dir ~lr:0.05 ~graph ~labels ~steps:1 compiled in
+      check_int "no step ran" 0 (Array.length res.Trainer.losses);
+      check_bool "restored weights keep every bit" true
+        (bitwise_equal_weights weights (Session.weights res.Trainer.session)))
+
 let test_dist_resume () =
   let graph = Lazy.force parent in
   let features = features_of graph 6 in
@@ -705,6 +730,7 @@ let suite =
     Alcotest.test_case "save / latest / retention" `Quick test_save_latest_retention;
     Alcotest.test_case "rgcn resume == uninterrupted" `Quick (test_trainer_resume "rgcn");
     Alcotest.test_case "rgat resume == uninterrupted" `Quick (test_trainer_resume "rgat");
+    Alcotest.test_case "restore keeps -0.0 and subnormal bits" `Quick test_restore_keeps_bits;
     Alcotest.test_case "dist resume exact at 1/2/4 parts" `Quick test_dist_resume;
     Alcotest.test_case "crash recovery replays the trajectory" `Quick test_crash_recovery;
     Alcotest.test_case "recovery time depends on weight shapes, not values" `Quick

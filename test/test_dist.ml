@@ -40,10 +40,11 @@ let features_of graph dim =
 let labels_of graph classes =
   Array.init graph.G.num_nodes (fun v -> (graph.G.node_type.(v) + v) mod classes)
 
-let compile_model ?(training = false) ?(compact = false) ?(fusion = false) model =
+let compile_model ?(training = false) ?(compact = false) ?(fusion = false) ?(in_dim = 6)
+    ?(out_dim = 4) model =
   Compiler.compile
     ~options:(Compiler.options_of_flags ~training ~compact ~fusion ())
-    (Hector_models.Model_defs.by_name model ~in_dim:6 ~out_dim:4 ())
+    (Hector_models.Model_defs.by_name model ~in_dim ~out_dim ())
 
 let quiet_comms = Comms.create ~latency_us:5.0 ~bandwidth_gbs:25.0 ()
 
@@ -178,7 +179,7 @@ let test_partition_validation () =
 (* --- interconnect cost model ------------------------------------------ *)
 
 let test_comms_cost_model () =
-  let c = Comms.create ~latency_us:10.0 ~bandwidth_gbs:10.0 ~channels:2 () in
+  let c = Comms.create ~latency_us:10.0 ~bandwidth_gbs:10.0 () in
   (* 10 us latency + 1 MB over 10 GB/s = 0.01 + 0.1 ms *)
   let ms = Comms.transfer_ms c ~bytes:1e6 in
   check_bool (Printf.sprintf "latency+bandwidth (%.4f)" ms) true (abs_float (ms -. 0.11) < 1e-9);
@@ -204,14 +205,13 @@ let test_comms_rejects_nan () =
   in
   rejects "latency_us" (fun () -> Comms.create ~latency_us:Float.nan ());
   rejects "bandwidth_gbs" (fun () -> Comms.create ~bandwidth_gbs:Float.nan ());
-  rejects "latency_us" (fun () -> Comms.create ~latency_us:(-3.0) ());
-  rejects "channel" (fun () -> Comms.create ~channels:0 ())
+  rejects "latency_us" (fun () -> Comms.create ~latency_us:(-3.0) ())
 
 (* transfers on distinct channels run concurrently: two 0.101 ms posts at
    clock 0 expose only 0.101 ms, and a third post folded back onto channel
    0 queues behind the first *)
 let test_post_channels_overlap () =
-  let c = Comms.create ~latency_us:10.0 ~bandwidth_gbs:10.0 ~channels:2 () in
+  let c = Comms.create ~latency_us:10.0 ~bandwidth_gbs:10.0 () in
   let engine = Engine.create () in
   let h0 = Comms.post c engine ~chan:0 ~op:"a" ~messages:1 ~bytes:1e6 in
   let h1 = Comms.post c engine ~chan:1 ~op:"b" ~messages:1 ~bytes:1e6 in
@@ -322,19 +322,20 @@ let max_weight_diff a b =
       | None -> Alcotest.fail (Printf.sprintf "weight %s missing" name))
     0.0 a
 
-(* Every point of the space: 3 partition counts x 3 gradient-bucket
-   sizes, each against a single-device session from the same weights. *)
+(* 3 partition counts x 2 model widths, each against a single-device
+   session from the same weights.  At 6 -> 4 every gradient shares one
+   64 KiB all-reduce bucket; at 64 -> 64 HGT's weight gradients fill
+   several (RGCN and RGAT have one large weight, so one bucket). *)
 let test_train_exact model ~compact ~fusion () =
   let graph = Lazy.force parent in
-  let features = features_of graph 6 in
   let labels = labels_of graph 4 in
-  let compiled = compile_model ~training:true ~compact ~fusion model in
   List.iter
     (fun parts ->
       List.iter
-        (fun bucket_kb ->
-          let cfg = { (quiet parts) with Replica.Config.bucket_kb = Some bucket_kb } in
-          let cluster = Replica.create ~config:cfg ~features ~graph [ compiled ] in
+        (fun (in_dim, out_dim) ->
+          let features = features_of graph in_dim in
+          let compiled = compile_model ~training:true ~compact ~fusion ~in_dim ~out_dim model in
+          let cluster = Replica.create ~config:(quiet parts) ~features ~graph [ compiled ] in
           let master = List.hd (Replica.master_weights cluster) in
           let cfg =
             {
@@ -345,7 +346,7 @@ let test_train_exact model ~compact ~fusion () =
             }
           in
           let reference = Session.create ~config:cfg ~graph compiled in
-          let case = Printf.sprintf "%s at %d parts, bucket %d KiB" model parts bucket_kb in
+          let case = Printf.sprintf "%s at %d parts, %d -> %d" model parts in_dim out_dim in
           for step = 1 to 3 do
             let loss_d = Replica.train_step cluster ~lr:0.05 ~labels () in
             let loss_r = Session.train_step reference ~lr:0.05 ~labels () in
@@ -361,8 +362,16 @@ let test_train_exact model ~compact ~fusion () =
             check_bool "replicas identical" true
               (max_weight_diff (Replica.weights_of cluster 0) (Replica.weights_of cluster p)
               = 0.0)
-          done)
-        [ 1; 4; 64 ])
+          done;
+          if parts > 1 && (out_dim = 4 || model = "hgt") then begin
+            let buckets =
+              (Stats.of_op (Engine.stats (Replica.engines cluster).(0)) "allreduce").Stats.launches
+              / 3
+            in
+            check_bool (Printf.sprintf "%s: %d buckets" case buckets) true
+              (if out_dim = 4 then buckets = 1 else buckets > 1)
+          end)
+        [ (6, 4); (64, 64) ])
     [ 1; 2; 4 ]
 
 (* --- steady state and attribution -------------------------------------- *)
@@ -420,7 +429,6 @@ let test_single_partition_has_no_comm () =
 let test_replica_config () =
   let d = Replica.Config.default in
   check_bool "default parts unset (2)" true (d.Replica.Config.parts = None);
-  check_bool "default bucket unset (64 KiB)" true (d.Replica.Config.bucket_kb = None);
   check_int "default seed" 1 d.Replica.Config.seed;
   let graph = Lazy.force parent in
   let features = features_of graph 6 in
@@ -434,8 +442,7 @@ let test_replica_config () =
         check_bool ("names " ^ field) true
           (String.starts_with ~prefix:("Replica.create: " ^ field) msg)
   in
-  rejects "parts" { (quiet 2) with Replica.Config.parts = Some 0 };
-  rejects "bucket" { (quiet 2) with Replica.Config.bucket_kb = Some (-1) }
+  rejects "parts" { (quiet 2) with Replica.Config.parts = Some 0 }
 
 (* --- overlap actually hides transfer time ------------------------------- *)
 

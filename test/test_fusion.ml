@@ -1,7 +1,7 @@
 (* Tests for the inter-op kernel-fusion pass (Inter_op_fusion): fused
    plans must be numerically identical to the unfused pipeline — forward
    outputs, backward gradients and multi-step training — while launching
-   strictly fewer kernels, and [fuse_ops = Some false] must reproduce the
+   strictly fewer kernels, and [fuse_ops = false] must reproduce the
    pre-fusion plans bit-for-bit. *)
 
 module T = Hector_tensor.Tensor
@@ -139,7 +139,7 @@ let test_rgcn_train_launch_pin () =
   check_int "rgcn train fused launches" 10 (count true);
   check_int "rgcn train unfused launches" 16 (count false)
 
-(* --- fuse_ops: unset means on, Some false is the pre-fusion pipeline ----- *)
+(* --- fuse_ops: unset means on, false is the pre-fusion pipeline ---------- *)
 
 let test_fuse_ops_option () =
   List.iter

@@ -80,12 +80,10 @@ let test_defaults_ignore_env () =
   let c = Comms.default () in
   check_bool "comms latency 5 us" true (c.Comms.latency_us = 5.0);
   check_bool "comms bandwidth 25 GB/s" true (c.Comms.bandwidth_gbs = 25.0);
-  check_int "comms channels" 2 c.Comms.channels;
   check_bool "comms without fault plan" true (c.Comms.faults = None);
   let features = T.randn (Rng.create 3) [| graph.G.num_nodes; 8 |] in
   let cluster = Replica.create ~features ~graph [ compiled ] in
   check_int "replica parts" 2 (Replica.parts cluster);
-  check_int "replica comms channels" 2 (Replica.comms cluster).Comms.channels;
   let server = Serve.create ~graph (rgcn ()) in
   check_int "serve max_batch" 8 (Serve.max_batch server);
   check_int "serve queue_capacity" 64 (Serve.queue_capacity server);

@@ -44,10 +44,10 @@ let base_graph ?(seed = 7) () =
 
 let feat_dim = 8
 
-let make_mg ?slack ?compact ?(seed = 7) () =
+let make_mg ?slack ?(seed = 7) () =
   let g = base_graph ~seed () in
   let features = T.randn (Rng.create (seed + 1)) [| g.G.num_nodes; feat_dim |] in
-  Mg.create ?slack ?compact ~graph:g ~features ()
+  Mg.create ?slack ~graph:g ~features ()
 
 let rgcn () = Hector_models.Model_defs.rgcn ~in_dim:feat_dim ~out_dim:4 ()
 
@@ -139,7 +139,7 @@ let test_apply_csr_and_maps =
     ~count:25
     QCheck.(make Gen.(pair (int_range 0 999) (int_range 1 6)))
     (fun (seed, rounds) ->
-      let mg = make_mg ~slack:0.4 ~compact:0.3 ~seed:(seed land 7) () in
+      let mg = make_mg ~slack:0.4 ~seed:(seed land 7) () in
       for r = 0 to rounds - 1 do
         let d = gen_delta mg ~seed:((seed * 31) + r) ~ops:25 in
         match Mg.apply mg d with
@@ -246,9 +246,8 @@ let test_capacity_graph_bounds () =
       (max 1 (int_of_float (ceil (1.5 *. float_of_int live))))
       capped
   done;
-  (* out-of-range settings are rejected by name; the edges of the ranges
-     are legal *)
-  ignore (make_mg ~slack:0.0 ~compact:1.0 ());
+  (* an out-of-range slack is rejected by name; zero is legal *)
+  ignore (make_mg ~slack:0.0 ());
   let rejects field f =
     match f () with
     | _ -> Alcotest.failf "bad %s accepted" field
@@ -256,10 +255,7 @@ let test_capacity_graph_bounds () =
         check_bool ("names " ^ field) true
           (String.starts_with ~prefix:("Mutable_graph.create: " ^ field) msg)
   in
-  rejects "slack" (fun () -> make_mg ~slack:(-1.0) ());
-  rejects "compact" (fun () -> make_mg ~compact:0.0 ());
-  rejects "compact" (fun () -> make_mg ~compact:1.5 ());
-  rejects "compact" (fun () -> make_mg ~compact:Float.nan ())
+  rejects "slack" (fun () -> make_mg ~slack:(-1.0) ())
 
 (* --- flat arrays ≡ Hashtbl oracle ---------------------------------------- *)
 
@@ -416,14 +412,14 @@ let test_flat_arrays_match_oracle =
       make
         Gen.(
           pair (int_range 0 9999)
-            (quad (int_range 0 1) (int_range 0 2) (int_range 0 2) (int_range 2 10))))
-    (fun (seed, (mix_i, slack_i, compact_i, rounds)) ->
+            (triple (int_range 0 1) (int_range 0 2) (int_range 2 10))))
+    (fun (seed, (mix_i, slack_i, rounds)) ->
       let mix = if mix_i = 0 then Delta.default_mix else edge_mix in
-      let slack = [| 0.0; 0.25; 2.0 |].(slack_i) and compact = [| 0.1; 0.25; 1.0 |].(compact_i) in
+      let slack = [| 0.0; 0.25; 2.0 |].(slack_i) in
       let g = base_graph ~seed:(seed land 7) () in
       let features = T.randn (Rng.create seed) [| g.G.num_nodes; feat_dim |] in
-      let mg = Mg.create ~slack ~compact ~graph:g ~features () in
-      let oracle = Oracle.create ~slack ~compact ~graph:g ~features () in
+      let mg = Mg.create ~slack ~graph:g ~features () in
+      let oracle = Oracle.create ~slack ~graph:g ~features () in
       let rng = Random.State.make [| seed |] in
       let fail fmt = QCheck.Test.fail_reportf fmt in
       (match state_diff mg oracle with
