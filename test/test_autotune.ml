@@ -8,6 +8,7 @@ module Compiler = Hector_core.Compiler
 module Ir = Hector_core.Inter_ir
 module G = Hector_graph.Hetgraph
 module Gen = Hector_graph.Generator
+module Dp = Hector_tensor.Domain_pool
 module Device = Hector_gpu.Device
 module Autotune = Hector_runtime.Autotune
 module Tuning_db = Hector_runtime.Tuning_db
@@ -40,6 +41,10 @@ let graph_of_seed ?(num_nodes = 120) ?(num_edges = 400) seed =
 let model_names = [| "rgcn"; "rgat"; "hgt" |]
 let model_of_idx i = Hector_models.Model_defs.by_name model_names.(i) ~in_dim:8 ~out_dim:4 ()
 let options_id = Compiler.options_id
+
+let with_domains n f =
+  Dp.set_num_domains (Some n);
+  Fun.protect ~finally:(fun () -> Dp.set_num_domains None) f
 
 (* --- the search ------------------------------------------------------ *)
 
@@ -137,6 +142,82 @@ let test_one_session () =
       check_bool "an epoch pair allocates" true (one > 0);
       check_int "search = pricing + one epoch pair" (pricing + one) search)
     [ false; true ]
+
+let measured_ms ~training ~graph program options =
+  Engine.elapsed_ms
+    (Session.engine (run_epoch ~training ~graph (Compiler.compile ~options program)))
+
+let fixed_layouts training =
+  List.map
+    (fun (compact, fusion) -> Compiler.options_of_flags ~training ~compact ~fusion ())
+    [ (false, false); (true, false); (false, true); (true, true) ]
+
+let find_ranked (r : Autotune.result) options =
+  List.find_opt
+    (fun (c : Autotune.candidate) -> options_id c.Autotune.options = options_id options)
+    r.Autotune.ranked
+
+let test_estimator_exact_fixed_layouts () =
+  (* the four U/C/F/C+F configurations at the default schedule are all
+     ranked, and each estimate matches a measured epoch bit for bit *)
+  let graph = graph_of_seed 7 in
+  let program = model_of_idx 1 in
+  let r = Autotune.search ~graph program in
+  List.iter
+    (fun options ->
+      match find_ranked r options with
+      | None -> Alcotest.failf "%s is not ranked" (options_id options)
+      | Some c ->
+          check_bool
+            (Printf.sprintf "estimate matches measurement for %s" (options_id options))
+            true
+            (Int64.equal
+               (Int64.bits_of_float c.Autotune.estimated_ms)
+               (Int64.bits_of_float (measured_ms ~training:false ~graph program options))))
+    (fixed_layouts false)
+
+(* Measure the estimator's top-k, the fixed layouts and the tail of the
+   ranking: every measurement agrees with its estimate, the fastest of
+   them sits inside the top-k, and none beats the search's winner. *)
+let prop_best_in_topk =
+  QCheck.Test.make ~name:"measured best lies in the estimator top-k" ~count:5
+    QCheck.(make Gen.(triple (int_range 0 2) (int_range 0 40) (int_range 1 2)))
+    (fun (model_idx, seed, domains) ->
+      with_domains domains (fun () ->
+          let graph = graph_of_seed seed in
+          let training = seed mod 2 = 0 in
+          let top_k = 4 in
+          let program = model_of_idx model_idx in
+          let r = Autotune.search ~training ~graph program in
+          let n = List.length r.Autotune.ranked in
+          let top, tail =
+            ( List.filteri (fun i _ -> i < top_k) r.Autotune.ranked,
+              List.filteri (fun i _ -> i >= max top_k (n - 2)) r.Autotune.ranked )
+          in
+          let layouts = List.filter_map (find_ranked r) (fixed_layouts training) in
+          let measured =
+            List.map
+              (fun (c : Autotune.candidate) ->
+                (c, measured_ms ~training ~graph program c.Autotune.options))
+              (top @ layouts @ tail)
+          in
+          let fastest = List.fold_left (fun m (_, ms) -> Float.min m ms) infinity measured in
+          let top_ids =
+            List.map (fun (c : Autotune.candidate) -> options_id c.Autotune.options) top
+          in
+          let as_fast_in_top =
+            List.exists
+              (fun ((c : Autotune.candidate), ms) ->
+                List.mem (options_id c.Autotune.options) top_ids && ms <= fastest)
+              measured
+          in
+          let exact =
+            List.for_all
+              (fun ((c : Autotune.candidate), ms) ->
+                Float.abs (c.Autotune.estimated_ms -. ms) <= 1e-6 *. Float.max 1.0 ms)
+              measured
+          in
+          as_fast_in_top && exact && r.Autotune.measured_ms <= fastest))
 
 let peak_bytes ~training ~graph program (c : Autotune.candidate) =
   let compiled = Compiler.compile ~options:c.Autotune.options program in
@@ -568,11 +649,15 @@ let test_db_admission () =
       in
       let responses = Serve.serve server requests in
       check_int "all requests answered" (Array.length requests) (Array.length responses);
-      check_int "one compile, at admission" 1
+      (* the one plan-cache miss is the admitted plan itself: a warm
+         database admits without searching or compiling any candidate *)
+      check_int "one compile, at admission, no candidates" 1
         (Hector_serve.Plan_cache.misses (Serve.plan_cache server)))
 
 let suite =
   [
+    QCheck_alcotest.to_alcotest ~long:true prop_best_in_topk;
+    Alcotest.test_case "estimator exact on fixed layouts" `Quick test_estimator_exact_fixed_layouts;
     Alcotest.test_case "estimate == measured epoch, bitwise" `Quick test_estimate_is_measurement;
     Alcotest.test_case "estimated kernels == executed launches, one by one" `Quick
       test_launch_parity;
@@ -586,5 +671,5 @@ let suite =
     Alcotest.test_case "tuning DB null fuse_ops loads fused" `Quick test_db_null_fuse_ops;
     Alcotest.test_case "tuning DB corrupt/missing load" `Quick test_db_load_corrupt_and_missing;
     Alcotest.test_case "lookup ladder" `Quick test_lookup_ladder;
-    Alcotest.test_case "admission resolves options from the DB" `Quick test_db_admission;
+    Alcotest.test_case "warm DB admission: zero search/compile" `Quick test_db_admission;
   ]

@@ -129,6 +129,29 @@ let test_autotune_best_is_minimum () =
         (result.Autotune.best.Autotune.estimated_ms <= c.Autotune.estimated_ms))
     result.Autotune.ranked
 
+(* The layout-only slice of the space: the four U/C/F/C+F configurations
+   at the default schedule are each ranked once, and none beats the
+   search's winner. *)
+let test_autotune_layout_only () =
+  let graph = Lazy.force autotune_graph in
+  let result = Autotune.search ~graph (Hector_models.Model_defs.rgat ()) in
+  let layouts =
+    List.map
+      (fun (compact, fusion) -> Compiler.options_of_flags ~compact ~fusion ())
+      [ (false, false); (true, false); (false, true); (true, true) ]
+  in
+  let layout_only =
+    List.filter
+      (fun (c : Autotune.candidate) -> List.mem c.Autotune.options layouts)
+      result.Autotune.ranked
+  in
+  check_bool "exactly four candidates" true (List.length layout_only = 4);
+  List.iter
+    (fun (c : Autotune.candidate) ->
+      check_bool "winner no slower" true
+        (result.Autotune.best.Autotune.estimated_ms <= c.Autotune.estimated_ms))
+    layout_only
+
 let test_autotune_beats_default () =
   let graph = Lazy.force autotune_graph in
   let result = Autotune.search ~graph (Hector_models.Model_defs.rgat ()) in
@@ -159,6 +182,7 @@ let suite =
     Alcotest.test_case "Table6 stats" `Quick test_table6_stats;
     Alcotest.test_case "drivers smoke" `Quick test_drivers_smoke;
     Alcotest.test_case "autotune best is minimum" `Quick test_autotune_best_is_minimum;
+    Alcotest.test_case "autotune layout-only search" `Quick test_autotune_layout_only;
     Alcotest.test_case "autotune beats default" `Quick test_autotune_beats_default;
     Alcotest.test_case "autotune training search" `Quick test_autotune_training;
   ]

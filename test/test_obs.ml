@@ -157,6 +157,19 @@ let test_engine_obs_counters () =
   check_int "launch counter" 2 (Obs.counter obs "engine.launches");
   check_int "sync counter" 1 (Obs.counter obs "engine.host_syncs")
 
+(* reset_clock keeps no events: the clock and the trace restart together,
+   and the timeline after a reset holds only what ran since. *)
+let test_reset_clock_keep_events () =
+  let engine = Engine.create ~trace:true () in
+  Engine.launch engine (Kernel.make ~category:Kernel.Gemm ~name:"a" ~flops:1e9 ~bytes_coalesced:1e6 ());
+  check_int "one event" 1 (List.length (Engine.events engine));
+  Engine.reset_clock engine;
+  check_bool "clock zeroed" true (Engine.elapsed_ms engine = 0.0);
+  check_int "reset drops events" 0 (List.length (Engine.events engine));
+  Engine.launch engine (Kernel.make ~category:Kernel.Gemm ~name:"b" ~flops:1e9 ~bytes_coalesced:1e6 ());
+  check_bool "timeline restarts" true
+    (List.map (fun (e : Engine.event) -> e.Engine.name) (Engine.events engine) = [ "b" ])
+
 let test_session_observability_config () =
   let graph = test_graph () in
   let obs = Obs.create () in
@@ -229,6 +242,7 @@ let suite =
     Alcotest.test_case "attribution total: rgcn train" `Quick test_attribution_rgcn_train;
     Alcotest.test_case "attribution total: host syncs" `Quick test_attribution_with_host_sync;
     Alcotest.test_case "engine obs counters" `Quick test_engine_obs_counters;
+    Alcotest.test_case "reset_clock keep_events" `Quick test_reset_clock_keep_events;
     Alcotest.test_case "configured observability handle" `Quick test_session_observability_config;
     Alcotest.test_case "provenance on every launch" `Quick test_provenance_in_trace;
   ]
