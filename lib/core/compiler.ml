@@ -32,18 +32,18 @@ let options_of_flags ?(training = false) ?(fuse_ops = true) ~compact ~fusion () 
     fuse_ops;
   }
 
+let layout_tag (o : options) =
+  match (o.layout.Layout.materialization, o.linear_fusion) with
+  | Layout.Compact, true -> "C+F"
+  | Layout.Compact, false -> "C"
+  | Layout.Vanilla, true -> "F"
+  | Layout.Vanilla, false -> "U"
+
 (* Compact human-readable identifier covering every field that can change
    the compiled plan — two option records with equal ids compile
    identically. *)
 let options_id (o : options) =
-  let layout_tag =
-    match (o.layout.Layout.materialization, o.linear_fusion) with
-    | Layout.Compact, true -> "C+F"
-    | Layout.Compact, false -> "C"
-    | Layout.Vanilla, true -> "F"
-    | Layout.Vanilla, false -> "U"
-  in
-  Printf.sprintf "%s:%s%s:t%dc%d%s:%s%s%s%s" layout_tag
+  Printf.sprintf "%s:%s%s:t%dc%d%s:%s%s%s%s" (layout_tag o)
     (match o.layout.Layout.adjacency with Layout.Coo -> "coo" | Layout.Csr -> "csr")
     (if o.layout.Layout.nodes_presorted then "" else "+unsorted")
     o.gemm_schedule.Gemm_spec.tile_width o.gemm_schedule.Gemm_spec.coarsen

@@ -42,9 +42,14 @@ val options_of_flags :
     ~fusion:false] = U, [true/false] = C, [false/true] = F, [true/true] =
     C+F.  [fuse_ops] (default [true]) gates inter-op fusion. *)
 
+val layout_tag : options -> string
+(** The Table 5 configuration name of the layout and linear-fusion
+    choice: ["U"], ["C"], ["F"] or ["C+F"]. *)
+
 val options_id : options -> string
 (** Compact identifier covering every option field that can change the
-    compiled plan, e.g. ["C+F:coo:t32c2+lb:warp:fuse"] — equal ids mean
+    compiled plan, e.g. ["C+F:coo:t32c2+lb:warp:fuse"] (led by
+    {!layout_tag}) — equal ids mean
     identical compilation.
     Used by the autotuner to deduplicate candidates and by the tuning
     database as the stored configuration's display name. *)

@@ -19,11 +19,7 @@ let all_configs =
     { compact = true; fusion = true };
   ]
 
-let config_label = function
-  | { compact = false; fusion = false } -> "U"
-  | { compact = true; fusion = false } -> "C"
-  | { compact = false; fusion = true } -> "F"
-  | { compact = true; fusion = true } -> "C+F"
+let config_label { compact; fusion } = Compiler.layout_tag (Compiler.options_of_flags ~compact ~fusion ())
 
 type measurement =
   | Ok of {

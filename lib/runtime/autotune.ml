@@ -137,15 +137,7 @@ let search ?device ?(training = false) ?db ?(model_name = "model") ~graph progra
 let describe r =
   let o = r.best.options in
   let sched = o.Compiler.gemm_schedule in
-  let layout =
-    match (o.Compiler.layout.Hector_core.Layout.materialization, o.Compiler.linear_fusion)
-    with
-    | Hector_core.Layout.Compact, true -> "C+F"
-    | Hector_core.Layout.Compact, false -> "C"
-    | Hector_core.Layout.Vanilla, true -> "F"
-    | Hector_core.Layout.Vanilla, false -> "U"
-  in
-  Printf.sprintf "%s, tile %d, coarsen %d%s%s%s%s: est %.3f ms, measured %.3f ms" layout
+  Printf.sprintf "%s, tile %d, coarsen %d%s%s%s%s: est %.3f ms, measured %.3f ms" (Compiler.layout_tag o)
     sched.Gs.tile_width sched.Gs.coarsen
     (if sched.Gs.launch_bounds then ", launch_bounds" else "")
     (if o.Compiler.traversal_schedule.Ts.warp_accumulate then "" else ", no-warp")

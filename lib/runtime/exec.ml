@@ -11,7 +11,6 @@ module Ts = Hector_core.Traversal_spec
 module Mat = Hector_core.Materialization
 module Plan = Hector_core.Plan
 module Lf = Hector_core.Linear_fusion
-module Mg = Hector_graph.Metagraph
 module Dp = Hector_tensor.Domain_pool
 
 type value = Scalar of float | Vector of float array
@@ -715,45 +714,28 @@ let run_gemm t (spec : Gs.t) =
 (* linear-fusion weight prologues                                      *)
 (* ------------------------------------------------------------------ *)
 
-let run_weight_op t op =
-  let mg = (Graph_ctx.graph t.ctx).G.metagraph in
-  match op with
-  | Lf.Mat_vec { mat; vec; half; out } ->
+let run_weight_op t ~program op =
+  let out = match op with Lf.Mat_vec { out; _ } | Lf.Mat_mat { out; _ } -> out in
+  let shape = Graph_ctx.weight_shape t.ctx program out in
+  (* steady-state runs reuse the product's storage: every element is
+     overwritten below, so a fresh zeroed tensor is only needed once *)
+  let result =
+    match Env.weight_opt t.env out with
+    | Some r when Tensor.shape r = shape -> r
+    | _ -> Tensor.zeros shape
+  in
+  (match op with
+  | Lf.Mat_vec { mat; vec; half; _ } ->
       let w = Env.weight t.env mat in
-      let v = Env.weight t.env vec in
-      let slices = Tensor.dim w 0 and k = Tensor.dim w 1 and n = Tensor.dim w 2 in
-      let col = match half with `Left | `All -> 0 | `Right -> n in
-      (* steady-state runs reuse the product's storage: every element is
-         overwritten below, so a fresh zeroed tensor is only needed once *)
-      let result =
-        match Env.weight_opt t.env out with
-        | Some r when Tensor.shape r = [| slices; k |] -> r
-        | _ -> Tensor.zeros [| slices; k |]
-      in
-      Tensor.mat_vec_into w v ~col result;
-      Env.add_weight t.env ~name:out result
-  | Lf.Mat_mat { left; left_slice; right; out } ->
+      let col = match half with `Left | `All -> 0 | `Right -> Tensor.dim w 2 in
+      Tensor.mat_vec_into w (Env.weight t.env vec) ~col result
+  | Lf.Mat_mat { left; left_slice; right; _ } ->
       let l = Env.weight t.env left and r = Env.weight t.env right in
-      let slices = Tensor.dim r 0 in
-      let k = Tensor.dim l 1 and n = Tensor.dim r 2 in
-      (* reused across runs: matmul_into (beta = 0) overwrites every slice *)
-      let result =
-        match Env.weight_opt t.env out with
-        | Some p when Tensor.shape p = [| slices; k; n |] -> p
-        | _ -> Tensor.zeros [| slices; k; n |]
-      in
-      for s = 0 to slices - 1 do
-        let nt =
-          match left_slice with
-          | Ir.By_src_ntype -> Mg.src_ntype mg s
-          | Ir.By_dst_ntype -> Mg.dst_ntype mg s
-          | Ir.By_ntype | Ir.By_etype -> s
-          | Ir.Shared -> 0
-        in
-        let nt = min nt (Tensor.dim l 0 - 1) in
+      for s = 0 to shape.(0) - 1 do
+        let nt = Graph_ctx.factor_slice t.ctx left_slice ~slices:(Tensor.dim l 0) s in
         Tensor.matmul_into (Tensor.slice0 l nt) (Tensor.slice0 r s) (Tensor.slice0 result s)
-      done;
-      Env.add_weight t.env ~name:out result
+      done);
+  Env.add_weight t.env ~name:out result
 
 (* ------------------------------------------------------------------ *)
 (* buffers + plan driver                                               *)
@@ -793,7 +775,7 @@ let free_temp_buffers t (plan : Plan.t) =
 
 let rec exec_step t (plan : Plan.t) step =
   match step with
-  | Plan.Weight_op op -> run_weight_op t op
+  | Plan.Weight_op op -> run_weight_op t ~program:plan.Plan.program op
   | Plan.Gemm spec -> run_gemm t spec
   | Plan.Traversal spec ->
       run_passes t ~program:plan.Plan.program ~name:(Ts.name spec) ~locals:spec.Ts.locals spec.Ts.strategy
@@ -817,7 +799,7 @@ let run_step ~step_idx t (plan : Plan.t) step =
     (fun (k : Kernel.t) ->
       let k = match k.Kernel.prov with None -> { k with Kernel.prov } | Some _ -> k in
       Engine.launch t.engine k)
-    (Pricing.step_kernels ~env:t.env ~ctx:t.ctx ~plan step)
+    (Pricing.step_kernels ~ctx:t.ctx ~plan step)
 
 (* --- plan-lifetime arena ---------------------------------------------
 

@@ -2,6 +2,7 @@ module Hetgraph = Hector_graph.Hetgraph
 module Csr = Hector_graph.Csr
 module Compact_map = Hector_graph.Compact_map
 module Materialization = Hector_core.Materialization
+module Ir = Hector_core.Inter_ir
 
 (* Each derived encoding is built on first request and kept: a sampled
    block served by a U plan never pays for compaction maps it does not
@@ -124,3 +125,28 @@ let compact_of_space t = function
   | Materialization.Rows_compact_src -> Some (compact_src t)
   | Materialization.Rows_compact_dst -> Some (compact_dst t)
   | Materialization.Rows_nodes | Materialization.Rows_edges -> None
+
+let slice_count t = function
+  | Ir.By_etype -> Hetgraph.num_etypes t.graph
+  | Ir.By_ntype | Ir.By_src_ntype | Ir.By_dst_ntype ->
+      Hetgraph.num_ntypes t.graph
+  | Ir.Shared -> 1
+
+let weight_shape t (program : Ir.program) name =
+  match Ir.find_decl program name with
+  | Some (Ir.Weight_mat { slice; rows; cols; _ }) -> [| slice_count t slice; rows; cols |]
+  | Some (Ir.Weight_vec { slice; dim; _ }) -> [| slice_count t slice; dim |]
+  | _ -> invalid_arg (Printf.sprintf "Graph_ctx.weight_shape: %S is not a weight of %s" name program.Ir.name)
+
+(* Product slice [s] is relation [s]; its left factor is sliced by the
+   relation's source or destination node type (or shares one slice). *)
+let factor_slice t left_slice ~slices s =
+  let mg = t.graph.Hetgraph.metagraph in
+  let nt =
+    match left_slice with
+    | Ir.By_src_ntype -> Hector_graph.Metagraph.src_ntype mg s
+    | Ir.By_dst_ntype -> Hector_graph.Metagraph.dst_ntype mg s
+    | Ir.By_ntype | Ir.By_etype -> s
+    | Ir.Shared -> 0
+  in
+  min nt (slices - 1)

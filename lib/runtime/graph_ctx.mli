@@ -1,7 +1,8 @@
 (** Runtime graph context: the graph plus every derived encoding the
     generated kernels may traverse — incoming CSR, the two compact
     materialization maps of §3.1.3, their representative-edge maps and
-    the per-type row offsets a segmented GEMM reads.
+    the per-type row offsets a segmented GEMM reads — and the weight-stack
+    shapes a program's declarations take over that graph.
     The preprocessing pass of §3.6 happens on demand: {!create} only
     records the graph, and each encoding is built the first time it is
     requested, then kept.  A plan that never traverses by destination
@@ -72,3 +73,18 @@ val endpoint_ids : t -> Hector_core.Materialization.space -> [ `Src | `Dst ] -> 
 val compact_of_space :
   t -> Hector_core.Materialization.space -> Compact_map.t option
 (** The compact map backing a space, when there is one. *)
+
+val weight_shape : t -> Hector_core.Inter_ir.program -> string -> int array
+(** The shape of a weight stack as [program] declares it over this
+    graph: [\[|slices; rows; cols|\]] for a matrix, [\[|slices; dim|\]]
+    for a vector, where [slices] counts the graph's edge types or node
+    types as the declaration's [wslice] says, or is 1 for a shared
+    weight.  Linear fusion declares its products, so this is also
+    the shape of every weight-op output.  Raises [Invalid_argument] for a
+    name the program does not declare as a weight. *)
+
+val factor_slice : t -> Hector_core.Inter_ir.wslice -> slices:int -> int -> int
+(** [factor_slice t left_slice ~slices s] is the slice of a
+    {!Hector_core.Linear_fusion.Mat_mat}'s left factor (a stack of
+    [slices]) that multiplies product slice [s]: the node type of
+    relation [s]'s source or destination, clamped to the stack. *)

@@ -1,93 +1,15 @@
-module Tensor = Hector_tensor.Tensor
 module Engine = Hector_gpu.Engine
 module Device = Hector_gpu.Device
 module G = Hector_graph.Hetgraph
 module Ir = Hector_core.Inter_ir
-module Mat = Hector_core.Materialization
 module Plan = Hector_core.Plan
 module Lf = Hector_core.Linear_fusion
 module Compiler = Hector_core.Compiler
-module Autodiff = Hector_core.Autodiff
 
 type t = { device : Device.t; ctx : Graph_ctx.t; scale : float }
 
-let of_ctx ?(device = Device.rtx3090) ctx =
-  { device; ctx; scale = (Graph_ctx.graph ctx).G.scale }
-
-let create ?device ~graph () = of_ctx ?device (Graph_ctx.create graph)
-
-(* Entry tensors are never read by the cost functions — only [dim] and
-   [space] are — so every entry shares one 1×1 stub. *)
-let stub = lazy (Tensor.zeros [| 1; 1 |])
-
-(* A shape-only environment mirroring what {!Session.create} + plan buffer
-   allocation would bind: input features and weight stacks from the
-   declarations (skipping declarations shadowed by fused products), fused
-   weight-product stacks chained through the weight ops, every plan buffer,
-   and — for training — the seed gradient the loss writes. *)
-let shape_env t (compiled : Compiler.compiled) =
-  let g = Graph_ctx.graph t.ctx in
-  let env = Env.create () in
-  let stub = Lazy.force stub in
-  let fused = Train.fused_outs compiled.Compiler.weight_ops in
-  let add_decls (program : Ir.program) =
-    List.iter
-      (fun decl ->
-        let name = Ir.decl_name decl in
-        if Env.find_opt env name = None && Env.weight_opt env name = None then
-          match decl with
-          | Ir.Node_input { dim; _ } ->
-              Env.add env ~name { Env.tensor = stub; space = Mat.Rows_nodes; dim; alloc = None }
-          | Ir.Edge_input { dim; _ } ->
-              Env.add env ~name { Env.tensor = stub; space = Mat.Rows_edges; dim; alloc = None }
-          | Ir.Weight_mat { slice; rows; cols; _ } ->
-              if not (List.mem name fused) then
-                Env.add_weight env ~name (Tensor.zeros [| Session.slice_count g slice; rows; cols |])
-          | Ir.Weight_vec { slice; dim; _ } ->
-              if not (List.mem name fused) then
-                Env.add_weight env ~name (Tensor.zeros [| Session.slice_count g slice; dim |]))
-      program.Ir.decls
-  in
-  add_decls compiled.Compiler.forward.Plan.program;
-  (* fused products, in application order: later ops may consume earlier
-     outs *)
-  List.iter
-    (fun op ->
-      match op with
-      | Lf.Mat_vec { mat; out; _ } ->
-          let w = Env.weight env mat in
-          Env.add_weight env ~name:out (Tensor.zeros [| Tensor.dim w 0; Tensor.dim w 1 |])
-      | Lf.Mat_mat { left; right; out; _ } ->
-          let l = Env.weight env left and r = Env.weight env right in
-          Env.add_weight env ~name:out
-            (Tensor.zeros [| Tensor.dim r 0; Tensor.dim l 1; Tensor.dim r 2 |]))
-    compiled.Compiler.weight_ops;
-  let add_buffers (plan : Plan.t) =
-    List.iter
-      (fun (b : Plan.buffer) ->
-        if Env.find_opt env b.Plan.name = None then
-          Env.add env ~name:b.Plan.name
-            { Env.tensor = stub; space = b.Plan.space; dim = b.Plan.dim; alloc = None })
-      plan.Plan.buffers
-  in
-  add_buffers compiled.Compiler.forward;
-  (* backward decls re-declare the kept forward buffers as generic inputs;
-     bind them only after the forward buffers so compact spaces survive *)
-  (match compiled.Compiler.backward with
-  | Some b ->
-      add_decls b.Plan.program;
-      add_buffers b
-  | None -> ());
-  (* the loss seeds the backward pass through a gradient entry for the
-     first output (Train.loss_and_grads binds it on the first step) *)
-  (match (compiled.Compiler.backward, compiled.Compiler.forward.Plan.program.Ir.outputs) with
-  | Some _, out :: _ ->
-      let seed = Autodiff.grad_name out in
-      if Env.find_opt env seed = None then
-        let dim = (Env.find env out).Env.dim in
-        Env.add env ~name:seed { Env.tensor = stub; space = Mat.Rows_nodes; dim; alloc = None }
-  | _ -> ());
-  env
+let create ?(device = Device.rtx3090) ~graph () =
+  { device; ctx = Graph_ctx.create graph; scale = graph.G.scale }
 
 (* Weight names whose gradient stacks the backward plan materializes. *)
 let direct_grad_weights (bwd : Plan.t) =
@@ -98,21 +20,24 @@ let direct_grad_weights (bwd : Plan.t) =
     (Hashtbl.create 8) bwd.Plan.steps
 
 (* The two NLL reductions {!Train.loss_and_grads} charges between the
-   forward and backward plans. *)
-let loss_kernels t ~env (compiled : Compiler.compiled) =
-  let out_name =
-    match compiled.Compiler.forward.Plan.program.Ir.outputs with
-    | o :: _ -> o
+   forward and backward plans, over the first output's rows. *)
+let loss_kernels t (fwd : Plan.t) =
+  let cols =
+    match fwd.Plan.program.Ir.outputs with
+    | o :: _ -> (
+        match Plan.find_buffer fwd o with
+        | Some b -> b.Plan.dim
+        | None -> invalid_arg (Printf.sprintf "Plan_cost: output %S is not a buffer" o))
     | [] -> invalid_arg "Plan_cost: training program has no outputs"
   in
-  Pricing.loss_kernels ~origin:"train" ~rows:(Graph_ctx.graph t.ctx).G.num_nodes
-    ~cols:(Env.find env out_name).Env.dim
+  Pricing.loss_kernels ~origin:"train" ~rows:(Graph_ctx.graph t.ctx).G.num_nodes ~cols
 
 (* The optimizer launches a {!Train}-driven epoch adds after the backward
    plan: one [bmm_backward] per weight op whose product received a
    gradient, and one SGD kernel per original weight with a gradient
    stack. *)
-let update_kernels ~env (compiled : Compiler.compiled) (bwd : Plan.t) =
+let update_kernels t (compiled : Compiler.compiled) (bwd : Plan.t) =
+  let shape = Graph_ctx.weight_shape t.ctx compiled.Compiler.forward.Plan.program in
   let grads = direct_grad_weights bwd in
   (* replay of Train.backprop_weight_ops: reverse order, propagating
      membership from products to their factors as it goes *)
@@ -126,7 +51,7 @@ let update_kernels ~env (compiled : Compiler.compiled) (bwd : Plan.t) =
         in
         if Hashtbl.mem grads out then begin
           List.iter (fun w -> Hashtbl.replace grads w ()) factors;
-          Some (Pricing.bmm_backward_kernel ~env op)
+          Some (Pricing.bmm_backward_kernel ~shape op)
         end
         else None)
       (List.rev compiled.Compiler.weight_ops)
@@ -135,19 +60,18 @@ let update_kernels ~env (compiled : Compiler.compiled) (bwd : Plan.t) =
   let sgd =
     Hashtbl.fold
       (fun name () acc ->
-        if List.mem name fused then acc else Pricing.sgd_kernel ~name (Env.weight env name) :: acc)
+        if List.mem name fused then acc else Pricing.sgd_kernel ~name ~shape:(shape name) :: acc)
       grads []
   in
   bmm @ sgd
 
 let kernels t (compiled : Compiler.compiled) =
-  let env = shape_env t compiled in
-  let fwd = Pricing.plan_kernels ~env ~ctx:t.ctx compiled.Compiler.forward in
+  let fwd = compiled.Compiler.forward in
+  let forward = Pricing.plan_kernels ~ctx:t.ctx fwd in
   match compiled.Compiler.backward with
   | Some bwd when compiled.Compiler.options.Compiler.training ->
-      fwd @ loss_kernels t ~env compiled @ Pricing.plan_kernels ~env ~ctx:t.ctx bwd
-      @ update_kernels ~env compiled bwd
-  | _ -> fwd
+      forward @ loss_kernels t fwd @ Pricing.plan_kernels ~ctx:t.ctx bwd @ update_kernels t compiled bwd
+  | _ -> forward
 
 let estimate_ms t compiled =
   List.fold_left

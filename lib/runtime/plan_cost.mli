@@ -1,17 +1,18 @@
 (** Analytic plan cost estimator — the autotuner's ranking.
 
     Predicts the steady-state simulated milliseconds of one epoch of a
-    compiled model {e without executing it}: walks the plan(s), rebuilds
-    the exact launch descriptors {!Exec} would charge, in the order it
-    charges them (via {!Pricing.plan_kernels} — GEMM and traversal shapes
-    from the specs and recorded traversal passes, one merged launch per
-    fused step, a memset per zero-init buffer outside
-    {!Hector_core.Plan.inline_zeroed} where the buffer is bound) and
-    prices each with {!Hector_gpu.Engine.predict_ms} under the graph's
-    cost scale.  Training estimates add the {!Train} epoch charges in
-    their place, from the same {!Pricing} builders: the NLL loss
-    reductions between the forward and backward plans, then weight-op
-    backprop and SGD updates.
+    compiled model {e without executing it}, from the compiled program
+    alone: no environment is built and no tensor is allocated.  The
+    launches are the ones {!Exec} and {!Train} charge, built by the same
+    {!Pricing} functions in the engine's order: the forward plan's
+    ({!Pricing.plan_kernels}: a memset per zero-init buffer outside
+    {!Hector_core.Plan.inline_zeroed} where the buffer is bound, one
+    merged launch per fused step), and for training the NLL loss
+    reductions, the backward plan's, then one [bmm_backward] per weight
+    op whose product received a gradient and one SGD update per updated
+    weight, shaped by its declaration ({!Graph_ctx.weight_shape}).  Each
+    is priced with {!Hector_gpu.Engine.predict_ms} under the graph's cost
+    scale.
 
     Because the descriptors, their order and the roofline are shared with
     the engine, the estimate of a config equals the simulator's measured

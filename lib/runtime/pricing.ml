@@ -1,7 +1,6 @@
 (* Launch pricing: every kernel descriptor the runtime charges, for
    [Exec], [Train] and [Plan_cost] alike (see the interface). *)
 
-module Tensor = Hector_tensor.Tensor
 module Kernel = Hector_gpu.Kernel
 module G = Hector_graph.Hetgraph
 module Cm = Hector_graph.Compact_map
@@ -24,23 +23,35 @@ type traffic = {
   mutable atomic : float;
 }
 
-(* Dims come from the bare environment (its entries' [dim] and [space]
-   fields and weight-stack shapes, never their contents) and the weight
-   declarations. *)
-let expr_dim env program locals_dims expr =
+(* What [Exec] binds under [n] while it runs [plan], as (dim, space): the
+   plan's own buffer, else a declared input — a feature, the loss seed, or
+   in a backward plan a kept forward value, in the forward plan's row
+   space ([Plan.spaces] carries it).  [None] for a register local. *)
+let binding (plan : Plan.t) n =
+  match Plan.find_buffer plan n with
+  | Some b -> Some (b.Plan.dim, b.Plan.space)
+  | None -> (
+      match Ir.find_decl plan.Plan.program n with
+      | Some (Ir.Node_input { dim; _ }) -> Some (dim, Mat.Rows_nodes)
+      | Some (Ir.Edge_input { dim; _ }) ->
+          Some (dim, Option.value (List.assoc_opt (`Edge, n) plan.Plan.spaces) ~default:Mat.Rows_edges)
+      | _ -> None)
+
+(* A read name's binding: [Exec] fails on an unbound read as well. *)
+let bound (plan : Plan.t) n =
+  match binding plan n with
+  | Some b -> b
+  | None -> invalid_arg (Printf.sprintf "Pricing: plan %s neither holds nor declares %S" plan.Plan.name n)
+
+(* Dims come from the plan's buffers and its program's declarations,
+   weights' from their declarations. *)
+let expr_dim (plan : Plan.t) locals_dims expr =
+  let program = plan.Plan.program in
   let rec dim e =
     match e with
     | Ir.Const _ -> 1
     | Ir.Feature (_, n) | Ir.Data (_, n) -> (
-        match List.assoc_opt n locals_dims with
-        | Some d -> d
-        | None -> (
-            match Env.find_opt env n with
-            | Some entry -> entry.Env.dim
-            | None -> (
-                match Ir.find_decl program n with
-                | Some (Ir.Node_input { dim; _ }) | Some (Ir.Edge_input { dim; _ }) -> dim
-                | _ -> 1)))
+        match List.assoc_opt n locals_dims with Some d -> d | None -> fst (bound plan n))
     | Ir.Weight (n, _) -> (
         match Ir.find_decl program n with
         | Some (Ir.Weight_vec { dim; _ }) -> dim
@@ -72,27 +83,23 @@ let expr_dim env program locals_dims expr =
    savings). *)
 let compact_access_penalty = 1.5
 
-let add_expr_traffic env program locals traffic strategy expr =
-  let dim = expr_dim env program locals in
+let add_expr_traffic plan locals traffic strategy expr =
+  let dim = expr_dim plan locals in
   let rec walk e =
     (match e with
     | Ir.Const _ -> ()
     | Ir.Feature (ent, n) | Ir.Data (ent, n) -> (
         if not (List.mem_assoc n locals) then
-          let d = dim e in
+          let d, space = bound plan n in
           let bytes = float_of_int (d * 4) in
-          match ent with
-          | Ir.Cur_edge -> (
-              match Env.find_opt env n with
-              | Some { Env.space = Mat.Rows_compact_src | Mat.Rows_compact_dst; _ } ->
-                  traffic.gathered <-
-                    traffic.gathered +. (bytes *. compact_access_penalty) +. 4.0
-              | _ ->
-                  if strategy = Ts.Node_gather then
-                    traffic.gathered <- traffic.gathered +. bytes
-                  else traffic.coalesced <- traffic.coalesced +. bytes)
-          | Ir.Src | Ir.Dst -> traffic.gathered <- traffic.gathered +. bytes
-          | Ir.Cur_node -> traffic.coalesced <- traffic.coalesced +. bytes)
+          match (ent, space) with
+          | Ir.Cur_edge, (Mat.Rows_compact_src | Mat.Rows_compact_dst) ->
+              traffic.gathered <- traffic.gathered +. (bytes *. compact_access_penalty) +. 4.0
+          | Ir.Cur_edge, _ ->
+              if strategy = Ts.Node_gather then traffic.gathered <- traffic.gathered +. bytes
+              else traffic.coalesced <- traffic.coalesced +. bytes
+          | (Ir.Src | Ir.Dst), _ -> traffic.gathered <- traffic.gathered +. bytes
+          | Ir.Cur_node, _ -> traffic.coalesced <- traffic.coalesced +. bytes)
     | Ir.Weight (_, Ir.Shared) -> () (* cached in shared memory / registers *)
     | Ir.Weight _ -> traffic.gathered <- traffic.gathered +. float_of_int (dim e * 4)
     | Ir.Linear (x, _) | Ir.Linear_t (x, _) ->
@@ -110,59 +117,59 @@ let add_expr_traffic env program locals traffic strategy expr =
   in
   walk expr
 
+(* Each register local's width: its last definition's, in which other
+   locals count one column (widths are not chained through locals). *)
+let locals_dims plan (spec : Ts.t) =
+  let unsized = List.map (fun n -> (n, 1)) spec.Ts.locals in
+  List.map
+    (fun n ->
+      let d = ref 1 in
+      List.iter
+        (fun st ->
+          match st with
+          | Ir.Assign (Ir.Cur_edge, v, e) when String.equal v n -> d := expr_dim plan unsized e
+          | _ -> ())
+        spec.Ts.body;
+      (n, !d))
+    spec.Ts.locals
+
 (* Per-iteration traffic of ONE statement (adjacency reads are charged by
    the caller, once per edge). *)
-let stmt_traffic env program (spec : Ts.t) st =
-  let locals_dims =
-    List.map
-      (fun n ->
-        let d = ref 1 in
-        List.iter
-          (fun st ->
-            match st with
-            | Ir.Assign (Ir.Cur_edge, v, e) when String.equal v n ->
-                d := expr_dim env program [] e
-            | _ -> ())
-          spec.Ts.body;
-        (n, !d))
-      spec.Ts.locals
-  in
+let stmt_traffic plan (spec : Ts.t) ~locals_dims st =
   let traffic = { flops = 0.0; coalesced = 0.0; gathered = 0.0; atomic = 0.0 } in
   let strategy = spec.Ts.strategy in
   let warp = spec.Ts.schedule.Ts.warp_accumulate in
   let add_write ent n accumulate =
+    let bound = binding plan n in
     let d =
-      match Env.find_opt env n with
-      | Some entry -> entry.Env.dim
+      match bound with
+      | Some (d, _) -> d
       | None -> ( match List.assoc_opt n locals_dims with Some d -> max d 1 | None -> 1)
     in
     let bytes = float_of_int (d * 4) in
     if List.mem n spec.Ts.locals then ()
     else
-      match ent with
-      | Ir.Cur_edge -> (
-          match Env.find_opt env n with
-          | Some { Env.space = Mat.Rows_compact_src | Mat.Rows_compact_dst; _ } ->
-              traffic.gathered <-
-                traffic.gathered +. (bytes *. compact_access_penalty) +. 4.0
-          | _ -> traffic.coalesced <- traffic.coalesced +. bytes)
-      | Ir.Src | Ir.Dst ->
+      match (ent, bound) with
+      | Ir.Cur_edge, Some (_, (Mat.Rows_compact_src | Mat.Rows_compact_dst)) ->
+          traffic.gathered <- traffic.gathered +. (bytes *. compact_access_penalty) +. 4.0
+      | Ir.Cur_edge, _ -> traffic.coalesced <- traffic.coalesced +. bytes
+      | (Ir.Src | Ir.Dst), _ ->
           if accumulate && strategy = Ts.Edge_parallel then
             traffic.atomic <- traffic.atomic +. (bytes /. if warp then 8.0 else 1.0)
           else traffic.gathered <- traffic.gathered +. bytes
-      | Ir.Cur_node -> traffic.coalesced <- traffic.coalesced +. bytes
+      | Ir.Cur_node, _ -> traffic.coalesced <- traffic.coalesced +. bytes
   in
   (match st with
   | Ir.Assign (ent, n, e) ->
-      add_expr_traffic env program locals_dims traffic strategy e;
+      add_expr_traffic plan locals_dims traffic strategy e;
       add_write ent n false
   | Ir.Accumulate (ent, n, e) ->
-      add_expr_traffic env program locals_dims traffic strategy e;
+      add_expr_traffic plan locals_dims traffic strategy e;
       add_write ent n true
   | Ir.Grad_weight { x; dy; _ } ->
-      add_expr_traffic env program locals_dims traffic strategy x;
-      add_expr_traffic env program locals_dims traffic strategy dy;
-      let d = expr_dim env program locals_dims x * expr_dim env program locals_dims dy in
+      add_expr_traffic plan locals_dims traffic strategy x;
+      add_expr_traffic plan locals_dims traffic strategy dy;
+      let d = expr_dim plan locals_dims x * expr_dim plan locals_dims dy in
       traffic.atomic <- traffic.atomic +. (float_of_int (d * 4) /. if warp then 8.0 else 1.0)
   | Ir.For_each _ -> ());
   traffic
@@ -172,14 +179,14 @@ let stmt_traffic env program (spec : Ts.t) st =
    recorded pair-local statements only over their side's pair count. *)
 let iterations (g : G.t) = function Ts.Edge_parallel | Ts.Node_gather -> g.G.num_edges | Ts.Node_map -> g.G.num_nodes
 
-let traversal_kernel ~env ~ctx ~program ~layout (spec : Ts.t) =
+let traversal_kernel ~ctx ~(plan : Plan.t) (spec : Ts.t) =
   let g = Graph_ctx.graph ctx in
   let iters = iterations g spec.Ts.strategy in
   (* adjacency id-retrieval closures (§3.3.5): COO is three coalesced
      subscripts; CSR gets the destination from a binary ownership search in
      the row-pointer array *)
   let adjacency_coalesced, adjacency_gathered =
-    match layout.Hector_core.Layout.adjacency with
+    match plan.Plan.layout.Hector_core.Layout.adjacency with
     | Hector_core.Layout.Coo -> (12.0, 0.0)
     | Hector_core.Layout.Csr ->
         let log_n = Float.max 1.0 (Float.log2 (float_of_int (max 2 g.G.num_nodes))) in
@@ -197,9 +204,10 @@ let traversal_kernel ~env ~ctx ~program ~layout (spec : Ts.t) =
     total.coalesced <- total.coalesced +. (adjacency_coalesced *. float_of_int iters);
     total.gathered <- total.gathered +. (adjacency_gathered *. float_of_int iters)
   end;
+  let locals_dims = locals_dims plan spec in
   List.iter
     (fun st ->
-      let one = stmt_traffic env program spec st in
+      let one = stmt_traffic plan spec ~locals_dims st in
       let n = float_of_int (iters_of st) in
       total.flops <- total.flops +. (one.flops *. n);
       total.coalesced <- total.coalesced +. (one.coalesced *. n);
@@ -216,6 +224,8 @@ let traversal_kernel ~env ~ctx ~program ~layout (spec : Ts.t) =
     ~bytes_gathered:total.gathered ~bytes_atomic:total.atomic ()
 
 (* --- fallbacks, GEMMs, weight ops ------------------------------ *)
+
+let numel shape = Array.fold_left ( * ) 1 shape
 
 (* One kernel + full materialization per operator node of the fallback
    body (§3.1.1: each framework op is its own launch). *)
@@ -265,13 +275,13 @@ let gemm_cost ~name ~rows ~k ~n ~(schedule : Gs.schedule) ~gathered_in ~scatter_
    scatter / atomic flags and where the [rows × k × n] shape comes from
    (weight-stack dims for forward and dinput tasks, operand dims for
    dweight tasks). *)
-let gemm_kernel ~env ~ctx (spec : Gs.t) =
+let gemm_kernel ~ctx ~(plan : Plan.t) (spec : Gs.t) =
   let nodes = (Graph_ctx.graph ctx).G.num_nodes and rows = Graph_ctx.rows_of_space ctx in
   let weight w transpose =
-    let w = Env.weight env w in
-    if transpose then (Tensor.dim w 2, Tensor.dim w 1) else (Tensor.dim w 1, Tensor.dim w 2)
+    let w = Graph_ctx.weight_shape ctx plan.Plan.program w in
+    if transpose then (w.(2), w.(1)) else (w.(1), w.(2))
   in
-  let dims x dy = ((Env.find env (Gs.operand_name x)).Env.dim, (Env.find env dy).Env.dim) in
+  let dims x dy = (fst (bound plan (Gs.operand_name x)), fst (bound plan dy)) in
   (* rows, (k, n), gathered input, scattered output, atomic output, accumulate *)
   let r, (k, n), gathered_in, scatter_out, atomic_out, accumulate =
     match spec.Gs.task with
@@ -295,22 +305,17 @@ let gemm_kernel ~env ~ctx (spec : Gs.t) =
 
 (* Weight-prologue launch descriptor.  [Mat_mat] flops are expressed from
    the factor shapes ([slices × (dim l 1) × (dim r 2)] output, inner dim
-   [dim r 1]) so the product stack need not be bound yet — the estimator
-   prices plans it never runs. *)
-let weight_op_kernel ~env op =
+   [dim r 1]). *)
+let weight_op_kernel ~shape op =
   let name =
     match op with Lf.Mat_vec { out; _ } | Lf.Mat_mat { out; _ } -> "weight_op_" ^ out
   in
   let flops =
     match op with
-    | Lf.Mat_vec { mat; _ } ->
-        let w = Env.weight env mat in
-        2.0 *. float_of_int (Tensor.numel w)
+    | Lf.Mat_vec { mat; _ } -> 2.0 *. float_of_int (numel (shape mat))
     | Lf.Mat_mat { left; right; _ } ->
-        let l = Env.weight env left and r = Env.weight env right in
-        2.0
-        *. float_of_int (Tensor.dim r 0 * Tensor.dim l 1 * Tensor.dim r 2)
-        *. float_of_int (Tensor.dim r 1)
+        let l = shape left and r = shape right in
+        2.0 *. float_of_int (r.(0) * l.(1) * r.(2)) *. float_of_int r.(1)
   in
   Kernel.make ~name ~category:Kernel.Gemm ~grid_blocks:64 ~flops
     ~bytes_coalesced:(flops /. 2.0) ~graph_proportional:false ()
@@ -357,16 +362,15 @@ let merge_kernels name ks =
     ()
 
 (* A step's launches per steady-state run: [Exec] charges exactly this
-   list.  [env] binds (shapes of) every buffer and weight it reads. *)
-let rec step_kernels ~env ~ctx ~(plan : Plan.t) step =
+   list. *)
+let rec step_kernels ~ctx ~(plan : Plan.t) step =
   match step with
-  | Plan.Weight_op op -> [ weight_op_kernel ~env op ]
-  | Plan.Gemm spec -> [ gemm_kernel ~env ~ctx spec ]
-  | Plan.Traversal spec ->
-      [ traversal_kernel ~env ~ctx ~program:plan.Plan.program ~layout:plan.Plan.layout spec ]
+  | Plan.Weight_op op -> [ weight_op_kernel ~shape:(Graph_ctx.weight_shape ctx plan.Plan.program) op ]
+  | Plan.Gemm spec -> [ gemm_kernel ~ctx ~plan spec ]
+  | Plan.Traversal spec -> [ traversal_kernel ~ctx ~plan spec ]
   | Plan.Fallback f -> fallback_kernels ~ctx f
   | Plan.Fused f -> (
-      match List.concat_map (step_kernels ~env ~ctx ~plan) f.Plan.members with
+      match List.concat_map (step_kernels ~ctx ~plan) f.Plan.members with
       | [] -> []
       | ks -> [ merge_kernels (Plan.step_name step) ks ])
 
@@ -393,7 +397,7 @@ let bind_points ~nsteps members =
    manages every buffer the memory plan places: each memset where its
    buffer is bound (unplaced buffers first), each step's kernels after
    the step's memsets. *)
-let plan_kernels ~env ~ctx (plan : Plan.t) =
+let plan_kernels ~ctx (plan : Plan.t) =
   let inlined = Plan.inline_zeroed plan and place_of = placements plan in
   let memsets = List.filter_map (buffer_memset ~ctx ~inlined) in
   let placed, other =
@@ -404,7 +408,7 @@ let plan_kernels ~env ~ctx (plan : Plan.t) =
   in
   let pre, at = bind_points ~nsteps:(List.length plan.Plan.steps) placed in
   memsets other @ memsets pre
-  @ List.concat (List.mapi (fun i step -> memsets at.(i) @ step_kernels ~env ~ctx ~plan step) plan.Plan.steps)
+  @ List.concat (List.mapi (fun i step -> memsets at.(i) @ step_kernels ~ctx ~plan step) plan.Plan.steps)
 
 (* --- training-step launches ------------------------------------ *)
 
@@ -421,25 +425,26 @@ let loss_kernels ~origin ~rows ~cols =
     reduction "nll_grad" (float_of_int (rows * cols));
   ]
 
-let bmm_backward_kernel ~env op =
+let bmm_backward_kernel ~shape op =
   let out, flops, bytes =
     match op with
     | Lf.Mat_vec { mat; out; _ } ->
-        let w = Env.weight env mat in
-        (out, 4.0 *. float_of_int (Tensor.numel w), Tensor.numel w * 4)
+        let w = numel (shape mat) in
+        (out, 4.0 *. float_of_int w, w * 4)
     | Lf.Mat_mat { right; out; _ } ->
-        let r = Env.weight env right in
-        let products = float_of_int (Tensor.numel (Env.weight env out)) in
-        (out, 4.0 *. products *. float_of_int (Tensor.dim r 1), Tensor.numel r * 4)
+        let r = shape right in
+        let products = float_of_int (numel (shape out)) in
+        (out, 4.0 *. products *. float_of_int r.(1), numel r * 4)
   in
   Kernel.make ~name:("bmm_backward_" ^ out) ~category:Kernel.Gemm ~grid_blocks:64 ~flops
     ~bytes_coalesced:(float_of_int bytes) ~graph_proportional:false
     ~provenance:(Kernel.provenance ~origin:"linear_fusion" out) ()
 
-let sgd_kernel ~name w =
+let sgd_kernel ~name ~shape =
+  let n = numel shape in
   Kernel.make ~name:("sgd_" ^ name) ~category:Kernel.Reduction ~grid_blocks:32
-    ~flops:(float_of_int (Tensor.numel w))
-    ~bytes_coalesced:(float_of_int (Tensor.numel w * 8))
+    ~flops:(float_of_int n)
+    ~bytes_coalesced:(float_of_int (n * 8))
     ~graph_proportional:false
     ~provenance:(Kernel.provenance ~origin:"train" "sgd") ()
 

@@ -43,11 +43,6 @@ type t = {
   rng : Rng.t;  (* the init generator, kept for checkpointing its cursor *)
 }
 
-let slice_count g = function
-  | Ir.By_etype -> G.num_etypes g
-  | Ir.By_ntype | Ir.By_src_ntype | Ir.By_dst_ntype -> G.num_ntypes g
-  | Ir.Shared -> 1
-
 (* RGCN's 1/c_{v,r}: reciprocal of the per-relation incoming degree of the
    destination.  Edges are grouped by type, so each relation's
    destinations are counted, read back and cleared before the next: one
@@ -98,21 +93,13 @@ let create ?config:(cfg = Config.default) ~graph compiled =
       let name = Ir.decl_name decl in
       if not (List.mem name fused) then
         match decl with
-        | Ir.Weight_mat { slice; rows; cols; _ } ->
+        | Ir.Weight_mat _ | Ir.Weight_vec _ ->
+            let shape = Graph_ctx.weight_shape ctx program name in
             let w =
               match List.assoc_opt name weights with
-              | Some w -> w
-              | None -> Tensor.glorot rng [| slice_count graph slice; rows; cols |]
-            in
-            ignore
-              (Memory.alloc (Engine.memory engine) ~graph_proportional:false ~label:name
-                 (float_of_int (Tensor.numel w * 4)));
-            Env.add_weight env ~name w
-        | Ir.Weight_vec { slice; dim; _ } ->
-            let w =
-              match List.assoc_opt name weights with
-              | Some w -> w
-              | None -> Tensor.glorot rng [| slice_count graph slice; dim |]
+              | Some w when Tensor.shape w = shape -> w
+              | Some _ -> invalid_arg (Printf.sprintf "Session.create: weight %S has the wrong shape" name)
+              | None -> Tensor.glorot rng shape
             in
             ignore
               (Memory.alloc (Engine.memory engine) ~graph_proportional:false ~label:name

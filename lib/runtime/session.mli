@@ -49,9 +49,11 @@ type t
 val create : ?config:Config.t -> graph:Hector_graph.Hetgraph.t -> Hector_core.Compiler.compiled -> t
 (** [create ~config ~graph compiled] builds a session ([config] defaults
     to {!Config.default}).  Parameters and inputs not supplied
-    are generated: weights with Glorot initialization sized from the
-    declarations and the graph's type counts (fusion-generated weights are
-    computed, not initialized); node inputs with standard-normal entries;
+    are generated: weights with Glorot initialization in the shape
+    {!Graph_ctx.weight_shape} gives their declarations over the graph
+    (fusion-generated weights are computed, not initialized); a supplied
+    weight must have that shape, or [Invalid_argument] is raised, since
+    launches are priced from the declarations; node inputs with standard-normal entries;
     the conventional edge input ["norm"] with RGCN's [1/c_{v,r}]; other
     edge inputs uniform.  Weight and input device memory is charged to the
     engine (weights unscaled, features graph-proportional).  Raises
@@ -131,10 +133,6 @@ val output_dim : t -> int
 val reset_clock : t -> unit
 (** Zero the simulated clock and statistics (e.g. after warm-up) and drop
     the trace events ({!Hector_gpu.Engine.reset_clock}). *)
-
-val slice_count : Hector_graph.Hetgraph.t -> Hector_core.Inter_ir.wslice -> int
-(** Leading dimension of a weight stack sliced [wslice]-wise over the
-    graph's types: edge types, node types, or one shared slice. *)
 
 val rgcn_norm : Hector_graph.Hetgraph.t -> Tensor.t
 (** RGCN's [1/c_{v,r}] edge normalizer: one row per edge holding the

@@ -5,8 +5,6 @@ module Ir = Hector_core.Inter_ir
 module Mat = Hector_core.Materialization
 module Plan = Hector_core.Plan
 module Compiler = Hector_core.Compiler
-module Mg = Hector_graph.Metagraph
-module G = Hector_graph.Hetgraph
 
 let fused_outs ops =
   List.map (function Lf.Mat_vec { out; _ } | Lf.Mat_mat { out; _ } -> out) ops
@@ -60,7 +58,6 @@ let nll_loss ~engine ~out ~labels =
 
 let backprop_weight_ops ~(exec : Exec.t) ops =
   let env = exec.Exec.env in
-  let mg = (Graph_ctx.graph exec.Exec.ctx).G.metagraph in
   (* process in reverse: later products may feed earlier ones in principle *)
   List.iter
     (fun op ->
@@ -82,21 +79,15 @@ let backprop_weight_ops ~(exec : Exec.t) ops =
               let l = Env.weight env left and r = Env.weight env right in
               let dl = Env.weight_grad env left and dr = Env.weight_grad env right in
               for s = 0 to Tensor.dim r 0 - 1 do
-                let nt =
-                  match left_slice with
-                  | Ir.By_src_ntype -> Mg.src_ntype mg s
-                  | Ir.By_dst_ntype -> Mg.dst_ntype mg s
-                  | Ir.By_ntype | Ir.By_etype -> s
-                  | Ir.Shared -> 0
-                in
-                let nt = min nt (Tensor.dim l 0 - 1) in
+                let nt = Graph_ctx.factor_slice exec.Exec.ctx left_slice ~slices:(Tensor.dim l 0) s in
                 let douts = Tensor.slice0 dout s in
                 Tensor.matmul_into ~trans_b:true ~beta:1.0 douts (Tensor.slice0 r s)
                   (Tensor.slice0 dl nt);
                 Tensor.matmul_into ~trans_a:true ~beta:1.0 (Tensor.slice0 l nt) douts
                   (Tensor.slice0 dr s)
               done);
-          Engine.launch exec.Exec.engine (Pricing.bmm_backward_kernel ~env op))
+          Engine.launch exec.Exec.engine
+            (Pricing.bmm_backward_kernel ~shape:(fun n -> Tensor.shape (Env.weight env n)) op))
     (List.rev ops)
 
 (* Restore parameter values in place — the checkpoint/restore path.  Every
@@ -130,7 +121,7 @@ let sgd_step ?(skip = []) ~(exec : Exec.t) ~lr () =
       if not (List.mem name skip) then begin
         let w = Env.weight env name in
         Tensor.axpy (-.lr) grad w;
-        Engine.launch exec.Exec.engine (Pricing.sgd_kernel ~name w)
+        Engine.launch exec.Exec.engine (Pricing.sgd_kernel ~name ~shape:(Tensor.shape w))
       end)
     (Env.weight_grads env);
   Env.zero_weight_grads env

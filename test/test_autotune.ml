@@ -16,6 +16,12 @@ module Workload = Hector_serve.Workload
 module Serve = Hector_serve.Serve
 module Session = Hector_runtime.Session
 module Plan_cost = Hector_runtime.Plan_cost
+module Plan = Hector_core.Plan
+module Env = Hector_runtime.Env
+module Exec = Hector_runtime.Exec
+module Pricing = Hector_runtime.Pricing
+module Graph_ctx = Hector_runtime.Graph_ctx
+module Train = Hector_runtime.Train
 module Engine = Hector_gpu.Engine
 module Kernel = Hector_gpu.Kernel
 module Stats = Hector_gpu.Stats
@@ -114,8 +120,9 @@ let run_epoch ?device ~training ~graph compiled =
   session
 
 (* Witness that a search without an out-of-memory candidate builds one
-   session: its host tensor allocations are those of compiling and
-   pricing every ranked candidate plus one epoch pair, and one epoch pair
+   session: pricing every ranked candidate allocates no host tensor (a
+   plan is priced from the compiled program alone), so the search's
+   tensor allocations are exactly one epoch pair's, and one epoch pair
    allocates tensors. *)
 let test_one_session () =
   let graph = graph_of_seed 9 in
@@ -128,19 +135,18 @@ let test_one_session () =
     (fun training ->
       let program = model_of_idx 2 in
       let r, search = allocs (fun () -> Autotune.search ~training ~graph program) in
-      let compiled, pricing =
+      let compiled =
+        List.map (fun (c : Autotune.candidate) -> Compiler.compile ~options:c.Autotune.options program) r.Autotune.ranked
+      in
+      let (), pricing =
         allocs (fun () ->
             let estimator = Plan_cost.create ~graph () in
-            List.map
-              (fun (c : Autotune.candidate) ->
-                let compiled = Compiler.compile ~options:c.Autotune.options program in
-                ignore (Plan_cost.estimate_ms estimator compiled);
-                compiled)
-              r.Autotune.ranked)
+            List.iter (fun c -> ignore (Plan_cost.estimate_ms estimator c)) compiled)
       in
       let (), one = allocs (fun () -> ignore (run_epoch ~training ~graph (List.hd compiled))) in
+      check_int "pricing allocates no tensor" 0 pricing;
       check_bool "an epoch pair allocates" true (one > 0);
-      check_int "search = pricing + one epoch pair" (pricing + one) search)
+      check_int "search = one epoch pair" one search)
     [ false; true ]
 
 let measured_ms ~training ~graph program options =
@@ -408,7 +414,74 @@ let test_launch_parity () =
                 [ false; true ])
             [ (false, false); (true, false); (false, true); (true, true) ])
         model_names)
-    [ "am"; "fb15k" ]
+    [ "am"; "fb15k" ];
+  (* the multi-head models declare 4-20 weights plus fused products *)
+  let graph = Datasets.load ~max_nodes:500 ~max_edges:1500 (Datasets.find "am") in
+  List.iter
+    (fun (model, program) ->
+      List.iter
+        (fun heads ->
+          List.iter
+            (fun (compact, fusion) ->
+              let options = Compiler.options_of_flags ~training:true ~compact ~fusion () in
+              check_launch_parity
+                ~label:(Printf.sprintf "am %s x%d %s" model heads (options_id options))
+                ~graph
+                (Compiler.compile ~options (program ~heads)))
+            [ (false, false); (true, false); (false, true); (true, true) ])
+        [ 2; 4 ])
+    [
+      ("rgat_multihead", fun ~heads -> Hector_models.Model_defs.rgat_multihead ~in_dim:8 ~out_dim:8 ~heads ());
+      ("hgt_multihead", fun ~heads -> Hector_models.Model_defs.hgt_multihead ~in_dim:8 ~out_dim:8 ~heads ());
+    ]
+
+(* The shape facts pricing reads from a plan are what the executor binds:
+   after every step of a training epoch, each buffer or declared input the
+   environment holds has the width and row space [Pricing.binding] gives
+   it (a backward plan's kept forward values keep the forward plan's
+   space), and each bound weight stack, fused products included, has its
+   declared shape. *)
+let test_priced_shapes_are_bound () =
+  let graph = Datasets.load ~max_nodes:500 ~max_edges:1500 (Datasets.find "am") in
+  let ctx = Graph_ctx.create graph in
+  let programs =
+    List.map (fun m -> (m, Hector_models.Model_defs.by_name m ~in_dim:8 ~out_dim:4 ())) (Array.to_list model_names)
+    @ [
+        ("rgat_multihead", Hector_models.Model_defs.rgat_multihead ~in_dim:8 ~out_dim:8 ~heads:2 ());
+        ("hgt_multihead", Hector_models.Model_defs.hgt_multihead ~in_dim:8 ~out_dim:8 ~heads:2 ());
+      ]
+  in
+  List.iter
+    (fun (model, program) ->
+      List.iter
+        (fun (compact, fusion) ->
+          let options = Compiler.options_of_flags ~training:true ~compact ~fusion () in
+          let compiled = Compiler.compile ~options program in
+          let exec = Session.exec (Session.create ~graph compiled) in
+          let env = exec.Exec.env in
+          let check (plan : Plan.t) i =
+            let fail n what =
+              Alcotest.failf "%s %s %s step %d: %s: %s" model (options_id options) plan.Plan.name i n what
+            in
+            List.iter
+              (fun n ->
+                (match Env.find_opt env n with
+                | Some e when Pricing.binding plan n <> Some (e.Env.dim, e.Env.space) ->
+                    fail n "priced width or space differs from the bound one"
+                | _ -> ());
+                match Env.weight_opt env n with
+                | Some w when Graph_ctx.weight_shape ctx plan.Plan.program n <> Hector_tensor.Tensor.shape w ->
+                    fail n "declared weight shape differs from the bound stack"
+                | _ -> ())
+              (List.map (fun (b : Plan.buffer) -> b.Plan.name) plan.Plan.buffers
+              @ List.map Ir.decl_name plan.Plan.program.Ir.decls)
+          in
+          let fwd = compiled.Compiler.forward and bwd = Option.get compiled.Compiler.backward in
+          Exec.run_plan ~on_step:(check fwd) ~free_temps:false exec fwd;
+          let labels = Array.make graph.G.num_nodes 0 in
+          ignore (Train.loss_and_grads ~on_step:(check bwd) ~exec compiled ~labels))
+        [ (false, false); (true, false); (false, true); (true, true) ])
+    programs
 
 (* --- graph signatures ---------------------------------------------- *)
 
@@ -672,4 +745,5 @@ let suite =
     Alcotest.test_case "tuning DB corrupt/missing load" `Quick test_db_load_corrupt_and_missing;
     Alcotest.test_case "lookup ladder" `Quick test_lookup_ladder;
     Alcotest.test_case "warm DB admission: zero search/compile" `Quick test_db_admission;
+    Alcotest.test_case "priced shapes == bound shapes" `Quick test_priced_shapes_are_bound;
   ]

@@ -54,8 +54,15 @@ let buffers =
 let spaces =
   List.map (fun (name, space, _) -> (((if space = Mat.Rows_nodes then `Node else `Edge), name), space)) buffers
 
+(* The buffers are bound by hand, not allocated from the plan, so the
+   program declares them as inputs: that is where pricing finds their
+   widths ([spaces] gives the compact ones their rows). *)
 let decls =
-  [
+  List.map
+    (fun (name, space, dim) ->
+      if space = Mat.Rows_nodes then Ir.Node_input { name; dim } else Ir.Edge_input { name; dim })
+    buffers
+  @ [
     Ir.Weight_mat { name = "W"; slice = Ir.By_etype; rows = dim; cols = dim };
     Ir.Weight_mat { name = "Ws"; slice = Ir.By_src_ntype; rows = dim; cols = dim };
     Ir.Weight_mat { name = "Wd"; slice = Ir.By_dst_ntype; rows = dim; cols = dim };
