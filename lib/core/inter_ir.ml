@@ -123,6 +123,77 @@ let uses_of_var p ((scope, name) : var) =
   List.iter walk p.body;
   !count
 
+(* --- receptive depth --- *)
+
+exception Uncovered
+
+(* A node value of depth [k] at node [n] reads only the in-edges of the
+   nodes within [k - 1] in-hops of [n], with their endpoints' inputs; an
+   edge value's depth counts from its destination.  Each top-level loop
+   is iterated to a fixpoint, because an iteration reads what earlier
+   iterations of the same loop wrote: a depth still rising after one
+   round per variable the loop writes comes from a cycle through [Src],
+   whose reach is unbounded. *)
+let receptive_depth p =
+  let depth : (var, int) Hashtbl.t = Hashtbl.create 16 in
+  let var_depth v = match Hashtbl.find_opt depth v with Some d -> d | None -> raise Uncovered in
+  let changed = ref false in
+  let define v d =
+    if d > var_depth v then begin
+      Hashtbl.replace depth v d;
+      changed := true
+    end
+  in
+  (* [kind] is the innermost enclosing loop *)
+  let read kind ent d =
+    match (kind, ent) with
+    | (Edges | Incoming), Src -> d + 1
+    | (Edges | Incoming), (Dst | Cur_edge) | (Nodes | Incoming), Cur_node -> d
+    | _ -> raise Uncovered
+  in
+  let rec expr kind = function
+    | Const _ | Weight _ -> 0
+    | Feature (ent, _) -> read kind ent 0
+    | Data (ent, name) -> read kind ent (var_depth (scope_of_target ent, name))
+    | Linear (a, b) | Linear_t (a, b) | Inner (a, b) | Concat (a, b) | Binop (_, a, b) ->
+        max (expr kind a) (expr kind b)
+    | Slice (a, _, _) | Unop (_, a) -> expr kind a
+    | Opaque (_, args) -> List.fold_left (fun acc a -> max acc (expr kind a)) 0 args
+  in
+  let rec stmt kind s =
+    match (kind, s) with
+    | (Edges | Incoming), (Assign (Cur_edge, n, e) | Accumulate (Cur_edge, n, e)) ->
+        define (`Edge, n) (expr kind e)
+    | (Edges | Incoming), (Assign (Dst, n, e) | Accumulate (Dst, n, e))
+    | Incoming, Accumulate (Cur_node, n, e) ->
+        define (`Node, n) (max 1 (expr kind e))
+    | Nodes, (Assign (Cur_node, n, e) | Accumulate (Cur_node, n, e)) ->
+        define (`Node, n) (expr kind e)
+    | Nodes, For_each (Incoming, body) -> List.iter (stmt Incoming) body
+    | _ -> raise Uncovered
+  in
+  let loop s =
+    match s with
+    | For_each (((Edges | Nodes) as kind), body) ->
+        let vars = defs { p with body = [ s ] } in
+        (* a variable read before the loop first writes it starts at 0 *)
+        List.iter (fun v -> if not (Hashtbl.mem depth v) then Hashtbl.replace depth v 0) vars;
+        let rec settle rounds =
+          changed := false;
+          List.iter (stmt kind) body;
+          if !changed then if rounds = 0 then raise Uncovered else settle (rounds - 1)
+        in
+        settle (List.length vars)
+    | _ -> raise Uncovered
+  in
+  match
+    List.iter loop p.body;
+    List.map (fun o -> var_depth (`Node, o)) p.outputs
+  with
+  | [] -> None
+  | ds -> Some (List.fold_left max 0 ds)
+  | exception Uncovered -> None
+
 (* --- printing (Listing-1 style) --- *)
 
 let entity_prefix = function

@@ -137,6 +137,19 @@ val defs : program -> var list
 val uses_of_var : program -> var -> int
 (** Number of read references to a produced variable. *)
 
+val receptive_depth : program -> int option
+(** How many in-hops the program's outputs read: [Some k] when each
+    output row of node [n] is a function of the in-edges of the nodes
+    within [k - 1] in-hops of [n] and of their endpoints' inputs, in
+    their relative order.  Inputs and weights have depth 0.  In an edge
+    iteration ([Edges], or [Incoming] inside [Nodes]) a [Src] read of a
+    node value adds one hop; [Dst], [Cur_edge] and [Cur_node] reads keep
+    the value's depth.  A write into [Dst], or an [Incoming] accumulation
+    into [Cur_node], has depth at least 1.  [None] for a program with no
+    outputs, a write into [Src], an [Outgoing] loop, a [Grad_weight], a
+    read of a variable nothing defines, a cycle through [Src] inside one
+    loop, and anything else these rules do not cover. *)
+
 val entity_prefix : entity -> string
 (** Rendering of an entity reference: ["e"], ["n"], ["e.src"], ["e.dst"]. *)
 

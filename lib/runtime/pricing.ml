@@ -117,21 +117,18 @@ let add_expr_traffic plan locals traffic strategy expr =
   in
   walk expr
 
-(* Each register local's width: its last definition's, in which other
-   locals count one column (widths are not chained through locals). *)
+(* Each register local's width: its last definition's, each definition
+   sized from the widths of the locals defined before it (a local not yet
+   defined counts one column). *)
 let locals_dims plan (spec : Ts.t) =
-  let unsized = List.map (fun n -> (n, 1)) spec.Ts.locals in
-  List.map
-    (fun n ->
-      let d = ref 1 in
-      List.iter
-        (fun st ->
-          match st with
-          | Ir.Assign (Ir.Cur_edge, v, e) when String.equal v n -> d := expr_dim plan unsized e
-          | _ -> ())
-        spec.Ts.body;
-      (n, !d))
-    spec.Ts.locals
+  List.fold_left
+    (fun dims st ->
+      match st with
+      | Ir.Assign (Ir.Cur_edge, v, e) when List.mem_assoc v dims ->
+          (v, expr_dim plan dims e) :: List.remove_assoc v dims
+      | _ -> dims)
+    (List.map (fun n -> (n, 1)) spec.Ts.locals)
+    spec.Ts.body
 
 (* Per-iteration traffic of ONE statement (adjacency reads are charged by
    the caller, once per edge). *)

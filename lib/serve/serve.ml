@@ -8,6 +8,8 @@ module Kernel = Hector_gpu.Kernel
 module Memory = Hector_gpu.Memory
 module Stats = Hector_gpu.Stats
 module Compiler = Hector_core.Compiler
+module Ir = Hector_core.Inter_ir
+module Plan = Hector_core.Plan
 module Exec = Hector_runtime.Exec
 module Block = Hector_runtime.Block
 module Env = Hector_runtime.Env
@@ -62,6 +64,7 @@ type t = {
   node_capacity : int;  (* warmup graph sizes: staging/slab upper bounds *)
   edge_capacity : int;
   compiled : Compiler.compiled;
+  depth : int option;  (* the forward program's receptive depth *)
   cache : Plan_cache.t;
   block : Block.t;  (* engine, slab, weights, features and staging *)
   obs : Hector_obs.t;
@@ -127,6 +130,7 @@ let create ?(config = default_config) ?obs ?features ~graph program =
     node_capacity = graph.G.num_nodes;
     edge_capacity = graph.G.num_edges;
     compiled;
+    depth = Ir.receptive_depth compiled.Compiler.forward.Plan.program;
     cache;
     block;
     obs;
@@ -195,9 +199,10 @@ let update_graph t ~(graph : G.t) ?features ?csr () =
 let model_weights t = Block.weights t.block
 let engine t = Block.engine t.block
 
-(* Execute one coalesced batch: union-sample a block, stage it onto the
-   replica ({!Block.stage}), run the cached forward plan on the block-local
-   executor, and gather each request's seed rows out of the output. *)
+(* Execute one coalesced batch: union-sample a block, stage its live
+   sub-block onto the replica ({!Block.stage}), run the cached forward
+   plan on it, and gather each request's seed rows out of the output.
+   The engine is charged for the whole block. *)
 let run_batch t (batch : Workload.request array) =
   Hector_obs.time t.obs ~kind:"run" "serve.batch" @@ fun () ->
   let seed_sets = Array.map (fun r -> r.Workload.seeds) batch in
@@ -210,14 +215,19 @@ let run_batch t (batch : Workload.request array) =
   let sample_ms =
     Block.sample_cost_ms ~nodes:block.G.num_nodes ~edges:block.G.num_edges
   in
+  let live = Sampler.live_block sub ~depth:t.depth ~hops:t.hops in
   let engine = engine t in
   let t0 = Engine.elapsed_ms engine in
-  let exec = Block.stage t.block sub in
+  let exec = Block.stage ~live t.block sub in
   let transfer_ms = Engine.elapsed_ms engine -. t0 in
   Exec.run_plan exec t.compiled.Compiler.forward;
   let compute_ms = Engine.elapsed_ms engine -. t0 -. transfer_ms in
   let out = (Env.find exec.Exec.env t.out_name).Env.tensor in
-  let per_request = Array.map (fun ids -> Tensor.gather_rows out ids) block_seed_sets in
+  (* block ids -> live ids, through the parent ids both map to *)
+  let live_id b = G.origin_index live.Sampler.origin_node sub.Sampler.origin_node.(b) in
+  let per_request =
+    Array.map (fun ids -> Tensor.gather_rows out (Array.map live_id ids)) block_seed_sets
+  in
   (per_request, sample_ms, transfer_ms, compute_ms)
 
 let shed_response r =

@@ -7,6 +7,13 @@
     at most [max_wait_ms] past the oldest arrival — into ONE k-hop sampled
     block ({!Hector_graph.Sampler.sample_union}), runs a single batched
     forward, and scatters each request's seed rows back out of the output.
+    The forward runs on the host only over the block's live sub-block
+    ({!Hector_graph.Sampler.live_block}): the part the seeds' outputs
+    read, by the forward program's receptive depth
+    ({!Hector_core.Inter_ir.receptive_depth}, computed once per replica).
+    The simulated device is charged for the whole sampled block
+    ({!Hector_runtime.Block.stage}), and the outputs are bit for bit the
+    whole block's.
     The whole loop runs on the simulated clock: arrivals, queueing and
     service all happen in deterministic simulated milliseconds, so a trace
     always produces the same latencies, shed set and outputs.
@@ -22,7 +29,7 @@
     {2 Batched ≡ one-at-a-time}
 
     When [fanout] covers every in-degree ({!exact_fanout}) and [hops] is
-    at least the model depth, every block contains the full receptive
+    at least the forward program's receptive depth, every block contains the full receptive
     field of its seeds, so per-request outputs are independent of which
     requests share a batch: a [max_batch = 1] replica returns the same
     outputs to within floating-point reassociation (≤ 1e-6) — the
@@ -33,7 +40,9 @@ module Tensor = Hector_tensor.Tensor
 type config = {
   model : string;  (** plan-cache key; name of the served model *)
   fanout : int;  (** sampler in-edge cap per node per hop *)
-  hops : int;  (** sampling depth; use >= model layers for exactness *)
+  hops : int;
+      (** sampling depth; use at least the forward program's receptive
+          depth for exactness *)
   max_batch : int option;
       (** micro-batch size cap; [None] → 8 *)
   max_wait_ms : float;  (** batching deadline past the oldest queued arrival *)
@@ -166,7 +175,8 @@ val metrics_json : t -> Hector_json.t
 
 val exact_fanout : Hector_graph.Hetgraph.t -> int
 (** The smallest fanout that keeps every incoming edge of any node — with
-    [hops >= ] model depth this makes batching exact (see above). *)
+    [hops] at least the receptive depth this makes batching exact (see
+    above). *)
 
 val launches : t -> int
 (** Simulated kernel launches since warmup. *)

@@ -483,6 +483,65 @@ let test_priced_shapes_are_bound () =
         [ (false, false); (true, false); (false, true); (true, true) ])
     programs
 
+(* A register local defined from another local is as wide as the local it
+   reads: with [t0] a 16-wide product and [t1 = exp t0], pricing charges
+   [neg t1] the 16 flops per edge it charges [neg t0], for 2 * 16 * 16 +
+   16 + 16 flops per edge in all. *)
+let test_priced_local_widths_chain () =
+  let module Ts = Hector_core.Traversal_spec in
+  let graph = graph_of_seed 3 in
+  let program =
+    {
+      Ir.name = "locals";
+      decls =
+        [
+          Ir.Node_input { name = "h"; dim = 16 };
+          Ir.Node_input { name = "o"; dim = 16 };
+          Ir.Weight_mat { name = "W"; slice = Ir.By_etype; rows = 16; cols = 16 };
+        ];
+      body = [];
+      outputs = [];
+    }
+  in
+  let flops_per_edge last =
+    let body =
+      [
+        Ir.Assign
+          (Ir.Cur_edge, "t0", Ir.Linear (Ir.Feature (Ir.Src, "h"), Ir.Weight ("W", Ir.By_etype)));
+        Ir.Assign (Ir.Cur_edge, "t1", Ir.Unop (Ir.Exp, Ir.Data (Ir.Cur_edge, "t0")));
+        Ir.Accumulate (Ir.Dst, "o", Ir.Unop (Ir.Neg, Ir.Data (Ir.Cur_edge, last)));
+      ]
+    in
+    let step =
+      Plan.Traversal
+        {
+          Ts.kid = 0;
+          strategy = Ts.Edge_parallel;
+          body;
+          locals = [ "t0"; "t1" ];
+          schedule = Ts.default_schedule;
+          passes = [];
+        }
+    in
+    let plan =
+      Hector_core.Traversal_passes.record
+        {
+          Plan.name = "locals";
+          layout = Hector_core.Layout.default;
+          program;
+          buffers = [];
+          steps = [ step ];
+          spaces = [];
+          memory = None;
+        }
+    in
+    match Pricing.step_kernels ~ctx:(Graph_ctx.create graph) ~plan (List.hd plan.Plan.steps) with
+    | [ k ] -> k.Kernel.flops /. float_of_int graph.G.num_edges
+    | _ -> Alcotest.fail "one traversal launch expected"
+  in
+  Alcotest.(check (float 0.0)) "neg t1 priced 16 wide" 544.0 (flops_per_edge "t1");
+  Alcotest.(check (float 0.0)) "as neg t0 is" (flops_per_edge "t0") (flops_per_edge "t1")
+
 (* --- graph signatures ---------------------------------------------- *)
 
 (* Shuffle node ids within each type block (node types must stay sorted)
@@ -746,4 +805,6 @@ let suite =
     Alcotest.test_case "lookup ladder" `Quick test_lookup_ladder;
     Alcotest.test_case "warm DB admission: zero search/compile" `Quick test_db_admission;
     Alcotest.test_case "priced shapes == bound shapes" `Quick test_priced_shapes_are_bound;
+    Alcotest.test_case "priced local widths chain through locals" `Quick
+      test_priced_local_widths_chain;
   ]
