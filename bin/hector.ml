@@ -226,7 +226,12 @@ let cmd_serve =
     Arg.(value & opt int 8 & info [ "fanout" ] ~docv:"F" ~doc:"Sampler fanout per hop.")
   in
   let hops_arg =
-    Arg.(value & opt int 2 & info [ "hops" ] ~docv:"H" ~doc:"Sampling depth.")
+    Arg.(
+      value & opt int 2
+      & info [ "hops" ] ~docv:"H"
+          ~doc:
+            "Upper bound on the sampling depth: each batch samples only as many hops as the \
+             model's forward reads.")
   in
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Workload generator seed.")

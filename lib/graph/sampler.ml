@@ -180,62 +180,3 @@ let sample_union ?seed ?csr ~graph ~seed_sets ~fanout ~hops () =
   match sample_union_result ?seed ?csr ~graph ~seed_sets ~fanout ~hops () with
   | Ok r -> r
   | Error msg -> invalid_arg msg
-
-(* The nodes within [depth - 1] in-hops of the seeds, found by a level
-   sweep over the block's edges per hop, own the live edges: all their
-   in-edges.  The live nodes are those edges' endpoints and the seeds.
-   Passing the edge ids ascending keeps each relation's edges in block
-   order, so every live destination meets its in-edges as the block
-   does. *)
-let live_block (sub : subgraph) ~depth ~hops =
-  match depth with
-  | None -> sub
-  | Some d when d >= hops -> sub
-  | Some d ->
-      let g = sub.graph in
-      let n = g.Hetgraph.num_nodes and m = g.Hetgraph.num_edges in
-      let src = g.Hetgraph.src and dst = g.Hetgraph.dst in
-      (* [level.(v)]: in-hops from the nearest seed, [max_int] beyond reach *)
-      let level = Array.make n max_int in
-      Array.iter (fun s -> level.(s) <- 0) sub.seed_nodes;
-      for k = 1 to d - 1 do
-        for e = 0 to m - 1 do
-          if level.(dst.(e)) = k - 1 && level.(src.(e)) > k then level.(src.(e)) <- k
-        done
-      done;
-      let live e = level.(dst.(e)) < d in
-      let count = ref 0 in
-      for e = 0 to m - 1 do
-        if live e then incr count
-      done;
-      let edges = Array.make !count 0 and k = ref 0 in
-      for e = 0 to m - 1 do
-        if live e then begin
-          edges.(!k) <- e;
-          incr k
-        end
-      done;
-      (* members are marked [-1] in [level], now that it is read no more *)
-      Array.iter (fun s -> level.(s) <- -1) sub.seed_nodes;
-      Array.iter
-        (fun e ->
-          level.(src.(e)) <- -1;
-          level.(dst.(e)) <- -1)
-        edges;
-      let nodes = Array.make (Array.fold_left (fun c l -> if l < 0 then c + 1 else c) 0 level) 0 in
-      k := 0;
-      Array.iteri
-        (fun v l ->
-          if l < 0 then begin
-            nodes.(!k) <- v;
-            incr k
-          end)
-        level;
-      let induced = Hetgraph.induce ~name:g.Hetgraph.name g ~nodes ~edges in
-      let origin_node = induced.Hetgraph.origin_node
-      and origin_edge = induced.Hetgraph.origin_edge in
-      let seed_nodes = Array.map (Hetgraph.origin_index origin_node) sub.seed_nodes in
-      (* map into the parent: [origin_node] stays ascending *)
-      Array.iteri (fun i v -> origin_node.(i) <- sub.origin_node.(v)) origin_node;
-      Array.iteri (fun i e -> origin_edge.(i) <- sub.origin_edge.(e)) origin_edge;
-      { graph = induced.Hetgraph.sub; origin_node; origin_edge; seed_nodes }

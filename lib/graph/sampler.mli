@@ -16,7 +16,11 @@
     ids by binary search over the sorted [origin_node].  Given a [?csr],
     nothing proportional to the parent graph is allocated.  The draws and
     the block (node order, edge order, origin maps) are a pure function
-    of [seed], [graph], the seeds, [fanout] and [hops]. *)
+    of [seed], [graph], the seeds, [fanout] and [hops].  Hops are drawn in
+    order from one generator and a node is expanded at most once, so a
+    [j]-hop sample draws exactly the first [j] hops of a [k]-hop sample
+    with the same arguments ([j <= k]): every node it expands keeps the
+    same in-edges, in the same order. *)
 
 type subgraph = {
   graph : Hetgraph.t;  (** the sampled block, a valid graph of its own *)
@@ -85,18 +89,3 @@ val sample_union :
   unit ->
   subgraph * int array array
 (** {!sample_union_result}, raising [Invalid_argument] on [Error]. *)
-
-val live_block : subgraph -> depth:int option -> hops:int -> subgraph
-(** [live_block sub ~depth ~hops] is the part of a [hops]-hop sampled
-    block that its seeds' outputs read under a program of receptive depth
-    [depth] ({!Hector_core.Inter_ir.receptive_depth}, [Some k]): the
-    in-edges of every block node within [k - 1] in-hops of the seeds, and
-    those edges' endpoints plus the seeds.  It is {!Hetgraph.induce} of
-    the block over the live edges in ascending block order, so each
-    relation keeps its edges in block order, and every live destination
-    keeps all its in-edges in that order: a sum over them, a softmax over
-    them, and a per-relation in-degree come out the same.  [origin_node]
-    and [origin_edge] map into the parent graph, as [sub]'s do, and
-    [seed_nodes] are the seeds' ids in the live block.  When [depth] is
-    [None] or at least [hops], the result is [sub] itself.  The work is
-    O(k × block edges) over flat arrays, plus the induction. *)

@@ -130,26 +130,27 @@ let create ?obs ?(epoch = 0) ?(weights = []) ?features ~origin ~seed ~graph (inp
     transfer = Kernel.provenance ~origin:(origin ^ ".transfer") "h2d_block";
   }
 
-let stage ?live t (sub : Sampler.subgraph) =
-  let live = Option.value live ~default:sub in
-  let block = live.Sampler.graph in
+let stage t (sub : Sampler.subgraph) =
+  let block = sub.Sampler.graph in
   let env = Env.create () in
   List.iter (fun (name, w) -> Env.add_weight env ~name w) t.weights;
-  (* one row blit per live node *)
-  let rows = Array.length live.Sampler.origin_node in
+  (* one row blit per block node *)
+  let rows = Array.length sub.Sampler.origin_node in
   let dim = Tensor.cols t.features in
   let feats = Tensor.view t.node_stage [| rows; dim |] in
   let src, s0 = Tensor.storage t.features and dst, d0 = Tensor.storage feats in
   Array.iteri
     (fun i parent -> Array.blit src (s0 + (parent * dim)) dst (d0 + (i * dim)) dim)
-    live.Sampler.origin_node;
+    sub.Sampler.origin_node;
   Env.add env ~name:t.feature_name
     { Env.tensor = feats; space = Mat.Rows_nodes; dim; alloc = None };
+  let edge_bytes = ref 0 in
   List.iter
     (fun (name, stage) ->
       let v = Tensor.view stage [| block.G.num_edges; 1 |] in
       let data, off = Tensor.storage v in
       Session.rgcn_norm_into block data off;
+      edge_bytes := !edge_bytes + (block.G.num_edges * 4);
       Env.add env ~name { Env.tensor = v; space = Mat.Rows_edges; dim = 1; alloc = None })
     t.edge_stage;
   (match t.seed_stage with
@@ -157,19 +158,16 @@ let stage ?live t (sub : Sampler.subgraph) =
       let tensor = Tensor.view backing [| rows; dim |] in
       Env.add env ~name { Env.tensor; space = Mat.Rows_nodes; dim; alloc = None }
   | None -> ());
-  (* host→device transfer of the whole sampled block's inputs over PCIe *)
-  let nodes = sub.Sampler.graph.G.num_nodes and edges = sub.Sampler.graph.G.num_edges in
-  let bytes = float_of_int ((nodes * dim * 4) + (List.length t.edge_stage * edges * 4)) in
+  (* host→device transfer of the staged inputs over PCIe *)
+  let bytes = float_of_int ((rows * dim * 4) + !edge_bytes) in
   Engine.launch t.engine
     (Kernel.make ~name:"h2d_block" ~category:Kernel.Copy ~graph_proportional:false
-       ~grid_blocks:(max 1 (nodes * dim / 1024))
+       ~grid_blocks:(max 1 (rows * dim / 1024))
        ~bytes_coalesced:bytes ~provenance:t.transfer ());
   Engine.host_sync t.engine
     ~us:(bytes /. (Engine.device t.engine).Device.pcie_bandwidth_gbs /. 1e9 *. 1e6)
     ();
-  let ctx = Graph_ctx.create block in
-  let price_ctx = if live == sub then ctx else Graph_ctx.create sub.Sampler.graph in
-  Exec.create ~engine:t.engine ~ctx ~price_ctx ~env ~slab:t.slab ()
+  Exec.create ~engine:t.engine ~ctx:(Graph_ctx.create block) ~env ~slab:t.slab ()
 
 let engine t = t.engine
 let slab t = t.slab

@@ -35,16 +35,11 @@ val create :
     the slab; transfers carry provenance [origin ^ ".transfer"].  The
     model trains when it has a backward plan. *)
 
-val stage : ?live:Hector_graph.Sampler.subgraph -> t -> Hector_graph.Sampler.subgraph -> Exec.t
-(** Stage a sampled block: blit the feature rows of [live] (default: the
-    block), recompute its ["norm"], bind a seed-gradient view when
-    training, charge one [h2d_block] copy of the whole block's inputs and
-    its PCIe sync, and return an executor on the replica's engine and
-    slab holding the weights and staged views.  The executor computes
-    over [live] and prices over the block ({!Exec.create}'s
-    [price_ctx]), so serving a block's live sub-block
-    ({!Hector_graph.Sampler.live_block}) charges the engine exactly what
-    staging and running the whole block does. *)
+val stage : t -> Hector_graph.Sampler.subgraph -> Exec.t
+(** Stage a sampled block: blit its feature rows, recompute its ["norm"],
+    bind a seed-gradient view when training, charge one [h2d_block] copy
+    and its PCIe sync, and return a block-local executor on the replica's
+    engine and slab holding the weights and staged views. *)
 
 val sample_cost_ms : nodes:int -> edges:int -> float
 (** Simulated host cost of sampling a block of this size. *)

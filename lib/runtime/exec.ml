@@ -60,7 +60,6 @@ let slab_epoch slab = slab.sepoch
 type t = {
   engine : Engine.t;
   ctx : Graph_ctx.t;
-  price_ctx : Graph_ctx.t;
   env : Env.t;
   opaque : (string * opaque_fn) list;
   slab : slab option;
@@ -68,10 +67,9 @@ type t = {
   mutable arenas : (Plan.t * bool * arena) list;
 }
 
-let create ?(opaque = []) ?slab ?price_ctx ~engine ~ctx ~env () =
+let create ?(opaque = []) ?slab ~engine ~ctx ~env () =
   let scratch = match slab with Some s -> s.sscratch | None -> { bufs = [||] } in
-  let price_ctx = Option.value price_ctx ~default:ctx in
-  { engine; ctx; price_ctx; env; opaque; slab; scratch; arenas = [] }
+  { engine; ctx; env; opaque; slab; scratch; arenas = [] }
 
 let value_dim = function Scalar _ -> 1 | Vector v -> Array.length v
 
@@ -746,7 +744,7 @@ let run_weight_op t ~program op =
 (* The zero-fill launch of a [zero_init] buffer, charged on every run
    (see [Pricing.buffer_memset]). *)
 let launch_memset t ~inlined b =
-  Option.iter (Engine.launch t.engine) (Pricing.buffer_memset ~ctx:t.price_ctx ~inlined b)
+  Option.iter (Engine.launch t.engine) (Pricing.buffer_memset ~ctx:t.ctx ~inlined b)
 
 let alloc_buffer ~inlined t (b : Plan.buffer) =
   let rows = Graph_ctx.rows_of_space t.ctx b.Plan.space in
@@ -755,10 +753,7 @@ let alloc_buffer ~inlined t (b : Plan.buffer) =
       (* persistent buffer from a previous epoch: re-zero accumulators *)
       if b.Plan.zero_init then Tensor.fill entry.Env.tensor 0.0
   | None ->
-      let alloc =
-        Engine.alloc_tensor t.engine ~label:b.Plan.name
-          ~rows:(Graph_ctx.rows_of_space t.price_ctx b.Plan.space) ~cols:b.Plan.dim ()
-      in
+      let alloc = Engine.alloc_tensor t.engine ~label:b.Plan.name ~rows ~cols:b.Plan.dim () in
       Env.add t.env ~name:b.Plan.name
         {
           Env.tensor = Tensor.zeros [| rows; b.Plan.dim |];
@@ -804,7 +799,7 @@ let run_step ~step_idx t (plan : Plan.t) step =
     (fun (k : Kernel.t) ->
       let k = match k.Kernel.prov with None -> { k with Kernel.prov } | Some _ -> k in
       Engine.launch t.engine k)
-    (Pricing.step_kernels ~ctx:t.price_ctx ~plan step)
+    (Pricing.step_kernels ~ctx:t.ctx ~plan step)
 
 (* --- plan-lifetime arena ---------------------------------------------
 
@@ -836,17 +831,14 @@ let create_arena t (plan : Plan.t) ~shared =
         | _ -> Right b)
       plan.Plan.buffers
   in
-  (* slot capacities: largest member mapped to each slot, sized on the
-     pricing context (the charged graph, at least as large as the one run).
-     Identity slots (no sharing) get fresh negative ids so they can never
-     collide. *)
+  (* slot capacities: largest member mapped to each slot.  Identity slots
+     (no sharing) get fresh negative ids so they can never collide. *)
   let slot_cap = Hashtbl.create 16 in
   let next_ident = ref 0 in
   let placed =
     List.map
       (fun ((b : Plan.buffer), (p : Plan.placement)) ->
-        let rows = Graph_ctx.rows_of_space t.ctx b.Plan.space
-        and cap = Graph_ctx.rows_of_space t.price_ctx b.Plan.space in
+        let rows = Graph_ctx.rows_of_space t.ctx b.Plan.space in
         let slot =
           if shared then p.Plan.slot
           else begin
@@ -855,8 +847,8 @@ let create_arena t (plan : Plan.t) ~shared =
           end
         in
         (match Hashtbl.find_opt slot_cap slot with
-        | Some (r0, d0) when r0 * d0 >= cap * b.Plan.dim -> ()
-        | _ -> Hashtbl.replace slot_cap slot (cap, b.Plan.dim));
+        | Some (r0, d0) when r0 * d0 >= rows * b.Plan.dim -> ()
+        | _ -> Hashtbl.replace slot_cap slot (rows, b.Plan.dim));
         (b, p, rows, slot))
       members
   in

@@ -75,8 +75,7 @@ type scratch
 
 type t = {
   engine : Engine.t;
-  ctx : Graph_ctx.t;  (** the graph the steps compute over *)
-  price_ctx : Graph_ctx.t;  (** the graph the engine is charged for (see {!create}) *)
+  ctx : Graph_ctx.t;
   env : Env.t;
   opaque : (string * opaque_fn) list;
   slab : slab option;
@@ -87,23 +86,13 @@ type t = {
 val create :
   ?opaque:(string * opaque_fn) list ->
   ?slab:slab ->
-  ?price_ctx:Graph_ctx.t ->
   engine:Engine.t ->
   ctx:Graph_ctx.t ->
   env:Env.t ->
   unit ->
   t
 (** Bundle an execution state.  [opaque] registers fallback operator
-    implementations by name.  [slab] shares arena backings across executors (see {!type:slab}).
-    [price_ctx] (default [ctx]) is the graph the engine is charged for:
-    {!Pricing.step_kernels} and {!Pricing.buffer_memset} price every
-    step and memset on it, and buffer and arena-slot device allocations
-    take its row counts, while the steps compute over [ctx].  A sampled
-    block served on its seeds' live sub-block ({!Block.stage}) runs on
-    the sub-block and prices the whole block, so the engine sees what a
-    whole-block run charges.  Its every row space must be at least as
-    large as [ctx]'s: arena slots are sized on it and bound at [ctx]'s
-    rows. *)
+    implementations by name.  [slab] shares arena backings across executors (see {!type:slab}). *)
 
 val warm_plan : ?free_temps:bool -> t -> Hector_core.Plan.t -> unit
 (** Build (or adopt from the slab) the plan's arena without running any

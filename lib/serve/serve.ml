@@ -64,13 +64,13 @@ type t = {
   node_capacity : int;  (* warmup graph sizes: staging/slab upper bounds *)
   edge_capacity : int;
   compiled : Compiler.compiled;
-  depth : int option;  (* the forward program's receptive depth *)
   cache : Plan_cache.t;
   block : Block.t;  (* engine, slab, weights, features and staging *)
   obs : Hector_obs.t;
   out_name : string;  (* the program's first output, gathered per request *)
   fanout : int;
-  hops : int;
+  hops : int;  (* the configured bound *)
+  sampled_hops : int;  (* what each batch samples: the bound, clamped to the program's depth *)
   max_batch : int;
   max_wait_ms : float;
   queue_capacity : int;
@@ -130,13 +130,18 @@ let create ?(config = default_config) ?obs ?features ~graph program =
     node_capacity = graph.G.num_nodes;
     edge_capacity = graph.G.num_edges;
     compiled;
-    depth = Ir.receptive_depth compiled.Compiler.forward.Plan.program;
     cache;
     block;
     obs;
     out_name = inputs.Block.out_name;
     fanout = config.fanout;
     hops = config.hops;
+    sampled_hops =
+      (* a hop the forward never reads changes no served bit; 1 is the
+         sampler's floor *)
+      (match Ir.receptive_depth compiled.Compiler.forward.Plan.program with
+      | Some depth -> max 1 (min config.hops depth)
+      | None -> config.hops);
     max_batch;
     max_wait_ms = config.max_wait_ms;
     queue_capacity;
@@ -199,35 +204,30 @@ let update_graph t ~(graph : G.t) ?features ?csr () =
 let model_weights t = Block.weights t.block
 let engine t = Block.engine t.block
 
-(* Execute one coalesced batch: union-sample a block, stage its live
-   sub-block onto the replica ({!Block.stage}), run the cached forward
-   plan on it, and gather each request's seed rows out of the output.
-   The engine is charged for the whole block. *)
+(* Execute one coalesced batch: union-sample a block as deep as the
+   forward reads, stage it onto the replica ({!Block.stage}), run the
+   cached forward plan on the block-local executor, and gather each
+   request's seed rows out of the output. *)
 let run_batch t (batch : Workload.request array) =
   Hector_obs.time t.obs ~kind:"run" "serve.batch" @@ fun () ->
   let seed_sets = Array.map (fun r -> r.Workload.seeds) batch in
   let sub, block_seed_sets =
     Sampler.sample_union
       ~seed:((batch.(0).Workload.id * 31) + 17)
-      ~csr:t.in_csr ~graph:t.graph ~seed_sets ~fanout:t.fanout ~hops:t.hops ()
+      ~csr:t.in_csr ~graph:t.graph ~seed_sets ~fanout:t.fanout ~hops:t.sampled_hops ()
   in
   let block = sub.Sampler.graph in
   let sample_ms =
     Block.sample_cost_ms ~nodes:block.G.num_nodes ~edges:block.G.num_edges
   in
-  let live = Sampler.live_block sub ~depth:t.depth ~hops:t.hops in
   let engine = engine t in
   let t0 = Engine.elapsed_ms engine in
-  let exec = Block.stage ~live t.block sub in
+  let exec = Block.stage t.block sub in
   let transfer_ms = Engine.elapsed_ms engine -. t0 in
   Exec.run_plan exec t.compiled.Compiler.forward;
   let compute_ms = Engine.elapsed_ms engine -. t0 -. transfer_ms in
   let out = (Env.find exec.Exec.env t.out_name).Env.tensor in
-  (* block ids -> live ids, through the parent ids both map to *)
-  let live_id b = G.origin_index live.Sampler.origin_node sub.Sampler.origin_node.(b) in
-  let per_request =
-    Array.map (fun ids -> Tensor.gather_rows out (Array.map live_id ids)) block_seed_sets
-  in
+  let per_request = Array.map (Tensor.gather_rows out) block_seed_sets in
   (per_request, sample_ms, transfer_ms, compute_ms)
 
 let shed_response r =
@@ -461,6 +461,7 @@ let metrics_json t =
         ("batches", int s.lbatches);
         ("batch_failures", int t.batch_failures);
         ("fault_shed", int t.fault_shed);
+        ("hops", Obj [ ("bound", int t.hops); ("sampled", int t.sampled_hops) ]);
         ("mean_batch", Num s.mean_batch);
         ("throughput_rps", Num s.throughput_rps);
         ( "latency_ms",

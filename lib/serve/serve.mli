@@ -7,13 +7,12 @@
     at most [max_wait_ms] past the oldest arrival — into ONE k-hop sampled
     block ({!Hector_graph.Sampler.sample_union}), runs a single batched
     forward, and scatters each request's seed rows back out of the output.
-    The forward runs on the host only over the block's live sub-block
-    ({!Hector_graph.Sampler.live_block}): the part the seeds' outputs
-    read, by the forward program's receptive depth
-    ({!Hector_core.Inter_ir.receptive_depth}, computed once per replica).
-    The simulated device is charged for the whole sampled block
-    ({!Hector_runtime.Block.stage}), and the outputs are bit for bit the
-    whole block's.
+    A block is sampled only as deep as the forward reads: [hops] is an
+    upper bound, clamped to the forward program's receptive depth
+    ({!Hector_core.Inter_ir.receptive_depth}, computed once per replica)
+    and to at least one hop.  Hops are drawn in order
+    ({!Hector_graph.Sampler.sample}), so the seeds' outputs are bit for
+    bit those of a block sampled at [hops].
     The whole loop runs on the simulated clock: arrivals, queueing and
     service all happen in deterministic simulated milliseconds, so a trace
     always produces the same latencies, shed set and outputs.
@@ -41,8 +40,10 @@ type config = {
   model : string;  (** plan-cache key; name of the served model *)
   fanout : int;  (** sampler in-edge cap per node per hop *)
   hops : int;
-      (** sampling depth; use at least the forward program's receptive
-          depth for exactness *)
+      (** upper bound on the sampling depth: a batch samples
+          [max 1 (min hops depth)] hops when the forward program's
+          receptive depth is known, else [hops]; use at least that depth
+          for exactness *)
   max_batch : int option;
       (** micro-batch size cap; [None] → 8 *)
   max_wait_ms : float;  (** batching deadline past the oldest queued arrival *)
@@ -168,7 +169,8 @@ val metrics_json : t -> Hector_json.t
 (** JSON load report accumulated over all [serve] calls, in
     the shared {!Hector_obs.Metrics} envelope (["subsystem"],
     ["elapsed_ms"], ["launches"], ["comm"]): request/served/shed/batch
-    counts, mean batch size, throughput (req/s), latency p50/p95/p99/mean,
+    counts, the hop bound and the hops each batch samples, mean batch
+    size, throughput (req/s), latency p50/p95/p99/mean,
     mean queue wait, batch-size histogram, plan cache hits/misses, kernel
     launches per served request, allocator [alloc_count] and accumulated
     simulated time. *)

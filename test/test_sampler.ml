@@ -502,6 +502,43 @@ let prop_sampler_matches_oracle =
       in
       union && single)
 
+(* A [j]-hop sample is the first [j] hops of a [k]-hop one with the same
+   seed ([j <= k]): its edges are, in order, the [k]-hop block's in-edges
+   of the nodes within [j - 1] in-hops of the seeds (the seeds and the
+   first [j - 1] hop frontiers).  Served blocks rely on it: sampling only
+   as deep as the program reads leaves every read edge in place. *)
+let prop_hop_prefix =
+  QCheck.Test.make ~name:"a j-hop sample is the first j hops of a k-hop one" ~count:100
+    QCheck.(
+      make
+        Gen.(
+          map
+            (fun (((g, seed), fanout), (k, j)) -> (g, seed, fanout, k, 1 + (j mod k)))
+            (pair
+               (pair (pair (int_range 0 9) (int_range 0 1000)) (int_range 1 16))
+               (pair (int_range 1 4) (int_range 0 3)))))
+    (fun (g, seed, fanout, k, j) ->
+      let graph = pick_graph g in
+      let rng = Rng.create (seed + (1000 * g)) in
+      let seeds = Array.concat (Array.to_list (seed_sets_of rng graph ~fanout ~bad:false)) in
+      let sample hops = Sampler.sample ~seed ~graph ~seeds ~fanout ~hops () in
+      let short = sample j and long = sample k in
+      let b = long.Sampler.graph in
+      (* [level.(v)]: in-hops from the nearest seed, up to [j - 1] *)
+      let level = Array.make b.G.num_nodes max_int in
+      Array.iter (fun s -> level.(s) <- 0) long.Sampler.seed_nodes;
+      for l = 1 to j - 1 do
+        for e = 0 to b.G.num_edges - 1 do
+          if level.(b.G.dst.(e)) = l - 1 && level.(b.G.src.(e)) > l then level.(b.G.src.(e)) <- l
+        done
+      done;
+      let prefix =
+        List.filter_map
+          (fun e -> if level.(b.G.dst.(e)) < j then Some long.Sampler.origin_edge.(e) else None)
+          (List.init b.G.num_edges Fun.id)
+      in
+      prefix = Array.to_list short.Sampler.origin_edge)
+
 let test_sampler_errors_match_oracle () =
   let graph = Lazy.force parent in
   let check label new_r old_r =
@@ -636,4 +673,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sampler_matches_oracle;
     QCheck_alcotest.to_alcotest prop_induce_matches_oracle;
     QCheck_alcotest.to_alcotest prop_partition_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_hop_prefix;
   ]

@@ -299,7 +299,23 @@ let test_metrics_json () =
          >= r.Serve.queue_ms +. r.Serve.sample_ms +. r.Serve.transfer_ms
             +. r.Serve.compute_ms -. 1e-9);
       check_bool "positive compute" true (r.Serve.compute_ms > 0.0))
-    responses
+    responses;
+  (* the hop bound and the hops a batch samples: RGAT reads one hop, the
+     two-layer RGCN two *)
+  List.iter
+    (fun (model, program, sampled) ->
+      let config = { (exact_config graph) with Serve.model } in
+      let server = Serve.create ~config ~graph program in
+      ignore (Serve.serve server (trace graph));
+      let hops =
+        Json_schema.field (Json_schema.envelope ~subsystem:"serve" (Serve.metrics_json server)) "hops"
+      in
+      check_int (model ^ ": hop bound") 2 (Json_schema.int hops "bound");
+      check_int (model ^ ": hops sampled") sampled (Json_schema.int hops "sampled"))
+    [
+      ("rgat", Hector_models.Model_defs.rgat ~in_dim:8 ~out_dim:4 (), 1);
+      ("rgcn2", Hector_models.Model_defs.rgcn_two_layer ~in_dim:8 (), 2);
+    ]
 
 let test_workload_deterministic () =
   let spec = { Workload.default_spec with Workload.requests = 20; seed = 9 } in
@@ -392,7 +408,7 @@ let test_batch_words_independent_of_parent () =
         true
         (Float.abs (wl -. ws) < 64.0))
 
-(* --- live sub-blocks ------------------------------------------------- *)
+(* --- sampled depth --------------------------------------------------- *)
 
 module Ir = Hector_core.Inter_ir
 module Compiler = Hector_core.Compiler
@@ -400,7 +416,6 @@ module Sampler = Hector_graph.Sampler
 module Block = Hector_runtime.Block
 module Exec = Hector_runtime.Exec
 module Env = Hector_runtime.Env
-module Stats = Hector_gpu.Stats
 
 (* An edge GEMM, an aggregation, an edge GEMM over the aggregate at each
    edge's source, and a second aggregation: the seeds' outputs read two
@@ -447,10 +462,10 @@ let layouts =
     (fun (compact, fusion) -> Compiler.options_of_flags ~compact ~fusion ())
     [ (false, false); (true, false); (false, true); (true, true) ]
 
-(* The seeds' outputs of each request, run on its whole sampled block as
-   serving ran before trimming: one request per batch, sampled with the
-   seed [Serve.run_batch] draws for a batch that request leads. *)
-let whole_block_outputs server ~graph ~features ~hops ~model program requests =
+(* The seeds' outputs of each request, run on its whole [hops]-hop
+   block: one request per batch, sampled with the seed [Serve.run_batch]
+   draws for a batch that request leads. *)
+let whole_block_outputs server ~graph ~features ~fanout ~hops ~model program requests =
   let compiled =
     Plan_cache.get (Serve.plan_cache server) ~model ~graph:graph.G.name
       ~options:Compiler.default_options program
@@ -464,19 +479,21 @@ let whole_block_outputs server ~graph ~features ~hops ~model program requests =
     (fun (r : Workload.request) ->
       let sub, sets =
         Sampler.sample_union ~seed:((r.Workload.id * 31) + 17) ~graph
-          ~seed_sets:[| r.Workload.seeds |] ~fanout:(Serve.exact_fanout graph) ~hops ()
+          ~seed_sets:[| r.Workload.seeds |] ~fanout ~hops ()
       in
       let exec = Block.stage replica sub in
       Exec.run_plan exec compiled.Compiler.forward;
       T.gather_rows (Env.find exec.Exec.env inputs.Block.out_name).Env.tensor sets.(0))
     requests
 
-(* Serving trims each block to what the program's outputs read, and the
+(* Serving samples each block only as deep as the program reads, and the
    depth doing so is the program's: a two-hop program served at 1, 2 and
-   3 hops returns the bits of its whole sampled blocks, as do a stacked
-   two-layer RGCN, a program that writes [Src] (depth [None], so its
-   blocks are not trimmed) and a node-only program (depth 0: the seeds
-   alone, no edge).  Every shipped model reads one hop. *)
+   3 hops returns the bits of whole blocks sampled at that bound, as do a
+   stacked two-layer RGCN, a program that writes [Src] (depth [None], so
+   its blocks are sampled at the bound) and a node-only program (depth 0,
+   sampled at one hop).  At fanout 2 the hops a block skips are draws the
+   program never reads, so the bits hold there too.  Every shipped model
+   reads one hop. *)
 let test_depth_is_the_programs () =
   let graph = Lazy.force parent in
   let features = T.randn (Hector_tensor.Rng.create 7) [| graph.G.num_nodes; 8 |] in
@@ -510,40 +527,41 @@ let test_depth_is_the_programs () =
   in
   check_bool "a node-only program reads no hop" true (forward_depth node_only = Some 0);
   List.iter
-    (fun (model, program) ->
+    (fun fanout ->
       List.iter
-        (fun hops ->
-          let config =
-            { (exact_config ~max_batch:1 graph) with Serve.model; hops; weights = [] }
-          in
-          let server = Serve.create ~config ~features ~graph program in
-          let served = outputs_of (Serve.serve server requests) in
-          let whole = whole_block_outputs server ~graph ~features ~hops ~model program requests in
-          Array.iteri
-            (fun i o ->
-              check_bool (Printf.sprintf "%s, %d hops, request %d: whole-block bits" model hops i) true
-                (T.shape o = T.shape whole.(i) && bits o = bits whole.(i)))
-            served)
-        [ 1; 2; 3 ])
-    [
-      ("two_hop", two_hop ());
-      ("rgcn2", Hector_models.Model_defs.rgcn_two_layer ~in_dim:8 ());
-      ("src_write", two_hop ~src_write:true ());
-      ("node_only", node_only);
-    ];
-  let sub =
-    Sampler.sample ~seed:3 ~graph ~seeds:[| 0; 5; 9 |] ~fanout:4 ~hops:2 ()
-  in
-  check_bool "no depth: the block itself" true (Sampler.live_block sub ~depth:None ~hops:2 == sub);
-  check_bool "depth >= hops: the block itself" true
-    (Sampler.live_block sub ~depth:(Some 2) ~hops:2 == sub);
-  let live = Sampler.live_block sub ~depth:(Some 1) ~hops:2 in
-  let block = sub.Sampler.graph in
-  let into_seeds = ref 0 in
-  for e = 0 to block.G.num_edges - 1 do
-    if Array.mem block.G.dst.(e) sub.Sampler.seed_nodes then incr into_seeds
-  done;
-  check_int "depth 1: the seeds' in-edges" !into_seeds live.Sampler.graph.G.num_edges;
+        (fun (model, program) ->
+          List.iter
+            (fun hops ->
+              let config =
+                {
+                  (exact_config ~max_batch:1 graph) with
+                  Serve.model;
+                  fanout;
+                  hops;
+                  weights = [];
+                }
+              in
+              let server = Serve.create ~config ~features ~graph program in
+              let served = outputs_of (Serve.serve server requests) in
+              let whole =
+                whole_block_outputs server ~graph ~features ~fanout ~hops ~model program requests
+              in
+              Array.iteri
+                (fun i o ->
+                  check_bool
+                    (Printf.sprintf "%s, fanout %d, %d hops, request %d: whole-block bits" model
+                       fanout hops i)
+                    true
+                    (T.shape o = T.shape whole.(i) && bits o = bits whole.(i)))
+                served)
+            [ 1; 2; 3 ])
+        [
+          ("two_hop", two_hop ());
+          ("rgcn2", Hector_models.Model_defs.rgcn_two_layer ~in_dim:8 ());
+          ("src_write", two_hop ~src_write:true ());
+          ("node_only", node_only);
+        ])
+    [ Serve.exact_fanout graph; 2 ];
   List.iter
     (fun (name, program) ->
       List.iter
@@ -560,76 +578,6 @@ let test_depth_is_the_programs () =
       ("rgat x2", Hector_models.Model_defs.rgat_multihead ~in_dim:8 ~out_dim:4 ~heads:2 ());
       ("hgt x2", Hector_models.Model_defs.hgt_multihead ~in_dim:8 ~out_dim:4 ~heads:2 ());
     ]
-
-(* Twin replicas stage the same sampled blocks, one on each block's live
-   sub-block and one whole.  The engine must not tell them apart: the
-   same launches and clock after every step, the same per-kernel launch
-   counts and times, the same peak bytes and allocation count, and the
-   same bits in every seed row. *)
-let test_device_charged_whole_block () =
-  let graph = Lazy.force parent in
-  let blocks =
-    List.init 6 (fun i ->
-        Sampler.sample_union ~seed:(40 + i) ~graph
-          ~seed_sets:[| [| 3 * i; (7 * i) + 1 |]; [| (11 * i) + 2 |] |] ~fanout:3 ~hops:2 ())
-  in
-  List.iter
-    (fun domains ->
-      with_domains domains (fun () ->
-          List.iter
-            (fun (model, options) ->
-              let program = Hector_models.Model_defs.by_name model ~in_dim:8 ~out_dim:4 () in
-              let compiled = Compiler.compile ~options program in
-              let depth = Ir.receptive_depth compiled.Compiler.forward.Hector_core.Plan.program in
-              let inputs = Block.inputs ~caller:"test" ~graph program in
-              let replica () = Block.create ~origin:"test" ~seed:5 ~graph inputs compiled in
-              let trimmed = replica () and whole = replica () in
-              let label =
-                Printf.sprintf "%s %s, %d domains" model (Compiler.layout_tag options) domains
-              in
-              List.iteri
-                (fun b ((sub : Sampler.subgraph), _) ->
-                  let live = Sampler.live_block sub ~depth ~hops:2 in
-                  check_bool (label ^ ": trimmed") true
-                    (live.Sampler.graph.G.num_edges < sub.Sampler.graph.G.num_edges);
-                  let run ?live replica =
-                    let engine = Block.engine replica in
-                    let exec = Block.stage ?live replica sub in
-                    let trail = ref [] in
-                    let mark _ =
-                      let launches = (Stats.total (Engine.stats engine)).Stats.launches in
-                      trail := (launches, Engine.elapsed_ms engine) :: !trail
-                    in
-                    mark ();
-                    Exec.run_plan ~on_step:mark exec compiled.Compiler.forward;
-                    (exec, List.rev !trail)
-                  in
-                  let ea, ta = run ~live trimmed and eb, tb = run whole in
-                  let out (exec : Exec.t) = (Env.find exec.Exec.env inputs.Block.out_name).Env.tensor in
-                  let seed_rows exec (s : Sampler.subgraph) =
-                    bits (T.gather_rows (out exec) s.Sampler.seed_nodes)
-                  in
-                  let step = Printf.sprintf "%s, block %d" label b in
-                  check_bool (step ^ ": launches and clock after every step") true (ta = tb);
-                  check_bool (step ^ ": seed row bits") true
-                    (seed_rows ea live = seed_rows eb sub))
-                blocks;
-              let engine r = Block.engine r and memory r = Engine.memory (Block.engine r) in
-              check_bool (label ^ ": elapsed") true
-                (Engine.elapsed_ms (engine trimmed) = Engine.elapsed_ms (engine whole));
-              check_bool (label ^ ": per-kernel launches and times") true
-                (Stats.by_kernel (Engine.stats (engine trimmed))
-                = Stats.by_kernel (Engine.stats (engine whole)));
-              check_bool (label ^ ": peak bytes") true
-                (Memory.peak_bytes (memory trimmed) = Memory.peak_bytes (memory whole));
-              check_int (label ^ ": allocations") (Memory.alloc_count (memory whole))
-                (Memory.alloc_count (memory trimmed)))
-            [
-              ("rgcn", Compiler.default_options);
-              ("rgat", Compiler.options_of_flags ~compact:true ~fusion:true ());
-              ("hgt", Compiler.options_of_flags ~compact:true ~fusion:false ());
-            ]))
-    [ 1; 2 ]
 
 let suite =
   [
@@ -650,7 +598,5 @@ let suite =
     Alcotest.test_case "workload deterministic" `Quick test_workload_deterministic;
     Alcotest.test_case "per-batch words independent of the parent" `Quick
       test_batch_words_independent_of_parent;
-    Alcotest.test_case "live sub-block depth is the program's" `Quick test_depth_is_the_programs;
-    Alcotest.test_case "live sub-block: the device is charged for the whole block" `Quick
-      test_device_charged_whole_block;
+    Alcotest.test_case "sampled depth is the program's" `Quick test_depth_is_the_programs;
   ]
