@@ -41,14 +41,49 @@ let undirected_adj (g : G.t) =
   done;
   (deg, adj)
 
-(* Greedy BFS growth: returns the owner array. *)
+(* Greedy BFS growth: returns the owner array.  The frontier is a
+   max-heap of (gain, node) entries packed into one int, highest gain
+   first and ties to the lowest parent id; every gain increment pushes a
+   fresh entry, so an entry whose node is owned or whose gain has since
+   grown is stale and skipped when it surfaces. *)
 let assign_owners ~slack ~parts (g : G.t) =
   let n = g.G.num_nodes in
   let row_ptr, adj = undirected_adj g in
   let owner = Array.make n (-1) in
   (* gain.(v) = edges between v and the partition currently growing *)
   let gain = Array.make n 0 in
-  let in_frontier = Array.make n false in
+  (* at most one push per incident edge end, per partition *)
+  let heap = Array.make (max 1 (Array.length adj)) 0 in
+  let size = ref 0 in
+  let pack v = (gain.(v) * n) + (n - 1 - v) in
+  let push key =
+    let i = ref !size in
+    incr size;
+    while !i > 0 && heap.((!i - 1) / 2) < key do
+      heap.(!i) <- heap.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    heap.(!i) <- key
+  in
+  let pop () =
+    let top = heap.(0) in
+    decr size;
+    let last = heap.(!size) and i = ref 0 and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= !size then continue := false
+      else begin
+        let c = if l + 1 < !size && heap.(l + 1) > heap.(l) then l + 1 else l in
+        if heap.(c) > last then begin
+          heap.(!i) <- heap.(c);
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    heap.(!i) <- last;
+    top
+  in
   let next_seed = ref 0 in
   let assigned = ref 0 in
   let slack_cap =
@@ -59,39 +94,28 @@ let assign_owners ~slack ~parts (g : G.t) =
     let target = (remaining + rparts - 1) / rparts in
     (* never starve a later partition: each must get at least one node *)
     let cap = min (remaining - (rparts - 1)) (max target slack_cap) in
-    let frontier = ref [] in
-    let size = ref 0 in
+    size := 0;
+    let members = ref 0 in
     let absorb v =
       owner.(v) <- p;
-      incr size;
+      incr members;
       incr assigned;
       for k = row_ptr.(v) to row_ptr.(v + 1) - 1 do
         let u = adj.(k) in
         if owner.(u) < 0 then begin
           gain.(u) <- gain.(u) + 1;
-          if not in_frontier.(u) then begin
-            in_frontier.(u) <- true;
-            frontier := u :: !frontier
-          end
+          push (pack u)
         end
       done
     in
-    let pick_frontier () =
-      (* max gain, ties to the lowest parent id; drop stale entries *)
-      let best = ref (-1) in
-      let live = ref [] in
-      List.iter
-        (fun u ->
-          if owner.(u) < 0 then begin
-            live := u :: !live;
-            if !best < 0 || gain.(u) > gain.(!best) || (gain.(u) = gain.(!best) && u < !best)
-            then best := u
-          end
-          else in_frontier.(u) <- false)
-        !frontier;
-      frontier := List.filter (fun u -> u <> !best) !live;
-      if !best >= 0 then in_frontier.(!best) <- false;
-      !best
+    (* max gain, ties to the lowest parent id; -1 once only stale
+       entries are left *)
+    let rec pick_frontier () =
+      if !size = 0 then -1
+      else
+        let key = pop () in
+        let v = n - 1 - (key mod n) in
+        if owner.(v) < 0 && key / n = gain.(v) then v else pick_frontier ()
     in
     let fresh_seed () =
       while !next_seed < n && owner.(!next_seed) >= 0 do
@@ -101,19 +125,13 @@ let assign_owners ~slack ~parts (g : G.t) =
     in
     let continue = ref (cap > 0) in
     while !continue do
-      let v = if !frontier = [] then -1 else pick_frontier () in
-      let v = if v >= 0 then v else if !size < target then fresh_seed () else n in
+      let v = pick_frontier () in
+      let v = if v >= 0 then v else if !members < target then fresh_seed () else n in
       (* beyond the even-split target, only BFS-connected growth (the slack
          region trades balance for cut; a fresh seed gains nothing) *)
       if v < n then absorb v else continue := false;
-      if !size >= cap then continue := false
+      if !members >= cap then continue := false
     done;
-    (* clear gains touched by this partition's frontier *)
-    List.iter
-      (fun u ->
-        gain.(u) <- 0;
-        in_frontier.(u) <- false)
-      !frontier;
     Array.iteri (fun v o -> if o < 0 then gain.(v) <- 0) owner
   done;
   owner

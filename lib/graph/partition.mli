@@ -4,8 +4,8 @@
     partitions with a deterministic greedy-BFS edge-cut heuristic: each
     partition grows from the lowest-id unassigned seed, repeatedly
     absorbing the frontier node with the most edges into the partition
-    (ties to the lowest parent id), balancing node counts while keeping
-    edges internal.  Every edge is then assigned to exactly one partition —
+    (ties to the lowest parent id, found through a max-heap), balancing
+    node counts while keeping edges internal.  Every edge is then assigned to exactly one partition —
     the one owning its {e destination} — so a partition's local subgraph
     contains the {e complete} in-neighborhood of every owned node.  Source
     nodes owned elsewhere are included as {e halo} nodes, with maps

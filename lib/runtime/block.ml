@@ -56,7 +56,11 @@ type t = {
   weights : (string * Tensor.t) list;
   features : Tensor.t;  (* parent node features, host-resident *)
   feature_name : string;
-  node_stage : Tensor.t;  (* parent-capacity staging for gathered features *)
+  mutable node_stage : Tensor.t;
+      (* host staging for gathered features: inference grows it to the
+         largest block staged, training holds parent capacity (so no step
+         allocates); the device is charged parent capacity at warmup *)
+  reuse : Row_reuse.t option;  (* inference: projected rows kept across blocks *)
   edge_stage : (string * Tensor.t) list;  (* per edge input, parent capacity *)
   seed_stage : (string * int * Tensor.t) option;
       (* training: seed-gradient name, width and parent-capacity backing *)
@@ -102,9 +106,9 @@ let create ?obs ?(epoch = 0) ?(weights = []) ?features ~origin ~seed ~graph (inp
     ignore (Engine.alloc_tensor engine ~label ~rows ~cols ());
     Tensor.create_uninit [| rows * cols |]
   in
-  let node_stage =
-    stage "block/node_stage" ~rows:graph.G.num_nodes ~cols:inputs.feature_dim
-  in
+  ignore
+    (Engine.alloc_tensor engine ~label:"block/node_stage" ~rows:graph.G.num_nodes
+       ~cols:inputs.feature_dim ());
   let edge_stage =
     List.map
       (fun name -> (name, stage ("block/edge_stage_" ^ name) ~rows:graph.G.num_edges ~cols:1))
@@ -118,13 +122,19 @@ let create ?obs ?(epoch = 0) ?(weights = []) ?features ~origin ~seed ~graph (inp
       Some (name, cols, stage "block/seed_grad" ~rows:graph.G.num_nodes ~cols)
   in
   Engine.reset_clock engine;
+  let weights = Session.weights session in
   {
     engine;
     slab;
-    weights = Session.weights session;
+    weights;
     features;
     feature_name = inputs.feature_name;
-    node_stage;
+    node_stage =
+      Tensor.create_uninit [| (if training then graph.G.num_nodes * inputs.feature_dim else 0) |];
+    reuse =
+      (if training then None
+       else
+         Some (Row_reuse.create ~obs ~nodes:graph.G.num_nodes ~params:(List.map fst weights) ()));
     edge_stage;
     seed_stage;
     transfer = Kernel.provenance ~origin:(origin ^ ".transfer") "h2d_block";
@@ -137,6 +147,8 @@ let stage t (sub : Sampler.subgraph) =
   (* one row blit per block node *)
   let rows = Array.length sub.Sampler.origin_node in
   let dim = Tensor.cols t.features in
+  if Tensor.numel t.node_stage < rows * dim then
+    t.node_stage <- Tensor.create_uninit [| rows * dim |];
   let feats = Tensor.view t.node_stage [| rows; dim |] in
   let src, s0 = Tensor.storage t.features and dst, d0 = Tensor.storage feats in
   Array.iteri
@@ -167,8 +179,35 @@ let stage t (sub : Sampler.subgraph) =
   Engine.host_sync t.engine
     ~us:(bytes /. (Engine.device t.engine).Device.pcie_bandwidth_gbs /. 1e9 *. 1e6)
     ();
-  Exec.create ~engine:t.engine ~ctx:(Graph_ctx.create block) ~env ~slab:t.slab ()
+  let reuse =
+    Option.map
+      (fun table ->
+        { Row_reuse.table; feature = t.feature_name; parent = sub.Sampler.origin_node })
+      t.reuse
+  in
+  Exec.create ~engine:t.engine ~ctx:(Graph_ctx.create block) ~env ~slab:t.slab ?reuse ()
 
+let update_features t ?rows src =
+  let dim = Tensor.cols t.features and capacity = Tensor.rows t.features in
+  if Tensor.cols src <> dim || Tensor.rows src > capacity then
+    invalid_arg
+      (Printf.sprintf "Block.update_features: %d x %d rows for %d x %d features" (Tensor.rows src)
+         (Tensor.cols src) capacity dim);
+  let s, so = Tensor.storage src and d, d0 = Tensor.storage t.features in
+  match rows with
+  | Some rows ->
+      Array.iter
+        (fun r ->
+          if r < 0 || r >= Tensor.rows src then
+            invalid_arg (Printf.sprintf "Block.update_features: row %d out of %d" r (Tensor.rows src)))
+        rows;
+      Array.iter (fun r -> Array.blit s (so + (r * dim)) d (d0 + (r * dim)) dim) rows;
+      Option.iter (fun table -> Row_reuse.bump table rows) t.reuse
+  | None ->
+      Array.blit s so d d0 (Tensor.numel src);
+      Option.iter Row_reuse.invalidate t.reuse
+
+let invalidate_rows t = Option.iter Row_reuse.invalidate t.reuse
 let engine t = t.engine
 let slab t = t.slab
 let weights t = t.weights

@@ -2,9 +2,19 @@
     mini-batch training ({!Minibatch}) share, and the one function that
     stages a sampled block onto it.  Warmup builds a {!Session} over the
     {e parent} graph on the replica's engine and slab, warms every plan
-    the model has, and allocates parent-capacity staging (features,
+    the model has, and charges parent-capacity staging (features,
     ["norm"], and the seed gradient when training).  The parent bounds
-    every block, so steady-state blocks allocate no device memory. *)
+    every block, so steady-state blocks allocate no device memory.  On
+    the host, an inference replica's feature staging is a high-water
+    buffer grown to the largest block staged so far, not a
+    parent-capacity copy; a training replica keeps parent capacity, so
+    none of its steps allocates.
+
+    An inference replica (no backward plan) keeps a {!Row_reuse} table:
+    each projected row [h\[u\] · W\[s\]] of its parent features is
+    computed once and reused by every later block that reads it, until
+    {!update_features} writes node [u]'s row.  A training replica's
+    weights change every step, so it keeps none. *)
 
 module Tensor = Hector_tensor.Tensor
 
@@ -39,13 +49,27 @@ val stage : t -> Hector_graph.Sampler.subgraph -> Exec.t
 (** Stage a sampled block: blit its feature rows, recompute its ["norm"],
     bind a seed-gradient view when training, charge one [h2d_block] copy
     and its PCIe sync, and return a block-local executor on the replica's
-    engine and slab holding the weights and staged views. *)
+    engine and slab holding the weights and staged views (and, for an
+    inference replica, its row table). *)
+
+val update_features : t -> ?rows:int array -> Tensor.t -> unit
+(** [update_features t ?rows src] copies feature rows of [src] (at most
+    the parent's rows, the parent's width) into the parent features: only
+    the [rows] given, whose projected rows go stale, or else the whole of
+    [src], which makes every projected row stale.  Raises
+    [Invalid_argument] on a shape mismatch or a row outside [src], before
+    writing anything. *)
+
+val invalidate_rows : t -> unit
+(** Make every projected row stale (no-op for a training replica). *)
+
 
 val sample_cost_ms : nodes:int -> edges:int -> float
 (** Simulated host cost of sampling a block of this size. *)
 
 (** Accessors.  [weights] and [features] are live: training updates the
-    weights, and overwriting [features] in place updates the parent's. *)
+    weights.  Write [features] only through {!update_features}, which
+    keeps the row table coherent. *)
 
 val engine : t -> Hector_gpu.Engine.t
 val slab : t -> Exec.slab

@@ -64,12 +64,13 @@ type t = {
   opaque : (string * opaque_fn) list;
   slab : slab option;
   scratch : scratch;
+  reuse : Row_reuse.block option;
   mutable arenas : (Plan.t * bool * arena) list;
 }
 
-let create ?(opaque = []) ?slab ~engine ~ctx ~env () =
+let create ?(opaque = []) ?slab ?reuse ~engine ~ctx ~env () =
   let scratch = match slab with Some s -> s.sscratch | None -> { bufs = [||] } in
-  { engine; ctx; env; opaque; slab; scratch; arenas = [] }
+  { engine; ctx; env; opaque; slab; scratch; reuse; arenas = [] }
 
 let value_dim = function Scalar _ -> 1 | Vector v -> Array.length v
 
@@ -646,6 +647,15 @@ let run_passes t ~program ~name ~locals strategy body (passes : Ts.pass list) =
 
 let operand_entry t op = Env.find t.env (Gs.operand_name op)
 
+(* The executor's row table when it serves this forward product: the
+   block's own feature input times a declared parameter, untransposed. *)
+let reused t input ~weight ~transpose =
+  match (t.reuse, input) with
+  | Some b, Gs.Op_feature name
+    when (not transpose) && String.equal name b.Row_reuse.feature && Row_reuse.caches b ~weight ->
+      Some b
+  | _ -> None
+
 (* Each GEMM step is one segmented kernel call over the context's type
    offsets: one parallel region for every relation.  The forward gather
    into edge rows computes each (relation, endpoint) pair's first edge
@@ -654,7 +664,9 @@ let operand_entry t op = Env.find t.env (Gs.operand_name op)
    (relation, endpoint) pairs, so they run the compact layout's GEMM on
    the compact layout's rows.  The launch charged below still covers
    every edge row: the device model prices the U layout's kernel, and
-   only the host stops repeating multiply-adds. *)
+   only the host stops repeating multiply-adds.  An executor with a row
+   table ([reuse]) takes an inference product of its feature input from
+   the table instead (see {!Row_reuse.project}): same bits, same charge. *)
 let run_gemm t (spec : Gs.t) =
   let node_offsets = function
     | Ir.Shared -> [| 0; (Graph_ctx.graph t.ctx).G.num_nodes |]
@@ -675,9 +687,14 @@ let run_gemm t (spec : Gs.t) =
   match spec.Gs.task with
   | Gs.Node_linear { input; weight; slice; output; transpose; accumulate = acc } ->
       let x = (operand_entry t input).Env.tensor and out = (Env.find t.env output).Env.tensor in
-      Tensor.segment_matmul_into ~trans_b:transpose
-        ~beta:(if acc then 1.0 else 0.0)
-        ~offsets:(node_offsets slice) x (Env.weight t.env weight) out
+      let offsets = node_offsets slice and w = Env.weight t.env weight in
+      (match reused t input ~weight ~transpose with
+      | Some b when not acc ->
+          Row_reuse.project b ~weight ~edge:false ~offsets ~idx:[||] ~rep:[||] x w out
+      | _ ->
+          Tensor.segment_matmul_into ~trans_b:transpose
+            ~beta:(if acc then 1.0 else 0.0)
+            ~offsets x w out)
   | Gs.Edge_linear { side; input; weight; output; out_space; transpose; per_row_scalar } ->
       let rep =
         match (out_space, side) with
@@ -685,14 +702,19 @@ let run_gemm t (spec : Gs.t) =
         | Mat.Rows_edges, `Dst -> Graph_ctx.rep_dst t.ctx
         | _ -> [||] (* compact rows are unique pairs *)
       in
-      (* gather applied on the fly inside the GEMM row loop (§4.2): no
-         per-edge copy of the node features is ever materialized *)
-      Tensor.segment_gather_into ~trans_b:transpose ~rep
-        ?scale:(Option.map (fun s -> (Env.find t.env s).Env.tensor) per_row_scalar)
-        ~offsets:(Graph_ctx.offsets t.ctx out_space)
-        (operand_entry t input).Env.tensor
-        ~idx:(Graph_ctx.endpoint_ids t.ctx out_space side)
-        (Env.weight t.env weight) (Env.find t.env output).Env.tensor
+      let offsets = Graph_ctx.offsets t.ctx out_space
+      and x = (operand_entry t input).Env.tensor
+      and idx = Graph_ctx.endpoint_ids t.ctx out_space side
+      and w = Env.weight t.env weight
+      and out = (Env.find t.env output).Env.tensor in
+      (match (per_row_scalar, reused t input ~weight ~transpose) with
+      | None, Some b -> Row_reuse.project b ~weight ~edge:true ~offsets ~idx ~rep x w out
+      | _ ->
+          (* gather applied on the fly inside the GEMM row loop (§4.2): no
+             per-edge copy of the node features is ever materialized *)
+          Tensor.segment_gather_into ~trans_b:transpose ~rep
+            ?scale:(Option.map (fun s -> (Env.find t.env s).Env.tensor) per_row_scalar)
+            ~offsets x ~idx w out)
   | Gs.Edge_linear_dinput { side; weight; grad_output; grad_out_space; grad_input; transpose } ->
       (* scatter-add applied on the fly: the [rows × dim] contribution
          matrix of the materialize-then-scatter scheme is never allocated *)

@@ -80,19 +80,25 @@ type t = {
   opaque : (string * opaque_fn) list;
   slab : slab option;
   scratch : scratch;
+  reuse : Row_reuse.block option;
   mutable arenas : (Hector_core.Plan.t * bool * arena) list;
 }
 
 val create :
   ?opaque:(string * opaque_fn) list ->
   ?slab:slab ->
+  ?reuse:Row_reuse.block ->
   engine:Engine.t ->
   ctx:Graph_ctx.t ->
   env:Env.t ->
   unit ->
   t
 (** Bundle an execution state.  [opaque] registers fallback operator
-    implementations by name.  [slab] shares arena backings across executors (see {!type:slab}). *)
+    implementations by name.  [slab] shares arena backings across executors (see {!type:slab}).
+    [reuse] serves every untransposed, non-accumulating [Node_linear] and
+    unscaled [Edge_linear] step that multiplies the bound block's feature
+    input by a declared parameter from a replica's {!Row_reuse} table;
+    the step's bits and its charged launch are unchanged. *)
 
 val warm_plan : ?free_temps:bool -> t -> Hector_core.Plan.t -> unit
 (** Build (or adopt from the slab) the plan's arena without running any

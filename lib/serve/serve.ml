@@ -164,11 +164,12 @@ let create ?(config = default_config) ?obs ?features ~graph program =
    the streaming subsystem's in-slack path.  Within the warm capacity this
    recompiles nothing and reallocates nothing: the plan-cache key, slab
    backings, staging tensors and the parent-features storage all survive;
-   only the feature VALUES are overwritten in place and the cached incoming
-   CSR replaced (with the caller's incrementally patched one when given).
+   only the written feature rows are overwritten in place (every row when
+   the caller cannot say which changed) and the cached incoming CSR
+   replaced (with the caller's incrementally patched one when given).
    A snapshot beyond the warm capacity is refused — that is the epoch
    boundary, where the caller re-warms a fresh replica instead. *)
-let update_graph t ~(graph : G.t) ?features ?csr () =
+let update_graph t ~(graph : G.t) ?features ?rows ?csr () =
   if
     G.num_ntypes graph <> G.num_ntypes t.graph
     || G.num_etypes graph <> G.num_etypes t.graph
@@ -184,17 +185,18 @@ let update_graph t ~(graph : G.t) ?features ?csr () =
          "Serve.update_graph: %d edges exceed warm capacity %d (epoch rebuild required)"
          graph.G.num_edges t.edge_capacity)
   else begin
-    match features with
-    | Some f
+    match (features, rows) with
+    | Some f, _
       when Tensor.cols f <> Tensor.cols (Block.features t.block)
            || Tensor.rows f <> graph.G.num_nodes ->
         Error "Serve.update_graph: features must be num_nodes x feature_dim"
+    | None, Some _ -> Error "Serve.update_graph: rows without features"
+    | _, Some rows when Array.exists (fun r -> r < 0 || r >= graph.G.num_nodes) rows ->
+        Error "Serve.update_graph: a written row is out of range"
     | _ ->
         (match features with
-        | Some f ->
-            let src, so = Tensor.storage f and dst, d0 = Tensor.storage (Block.features t.block) in
-            Array.blit src so dst d0 (Tensor.numel f)
-        | None -> ());
+        | Some f -> Block.update_features t.block ?rows f
+        | None -> Block.invalidate_rows t.block);
         t.graph <- graph;
         t.in_csr <- (match csr with Some c -> c | None -> Csr.incoming graph);
         Hector_obs.add t.obs "serve.graph_updates" 1;

@@ -23,7 +23,10 @@
     {!Hector_runtime.Block} replica at parent capacity.  After that,
     serving performs {e zero compiles} ({!Plan_cache.misses}) and {e zero}
     device allocations ({!Hector_gpu.Memory.alloc_count} against
-    {!warm_alloc_count}).
+    {!warm_alloc_count}).  Each projected feature row [h\[u\] · W\[s\]]
+    is computed on the host once per replica, not once per batch
+    ({!Hector_runtime.Row_reuse}), until {!update_graph} writes node
+    [u]'s features; the device is still charged every batch's full GEMM.
 
     {2 Batched ≡ one-at-a-time}
 
@@ -106,7 +109,8 @@ val create :
     seeded from [config.seed], slab and staging primed at parent
     capacity, no forward run, clock reset).  [features]
     ([num_nodes × feature_dim]) replaces the seeded feature draw and is
-    adopted, not copied — {!update_graph} overwrites it in place.
+    adopted, not copied — {!update_graph} overwrites it in place, and the
+    caller must not write it otherwise.
     Skipping the draw moves the seeded weights drawn after it, so pass
     [features] with pinned [config.weights] where weights must match a
     seeded replica — as a streaming re-warm does.  [obs] (default
@@ -119,21 +123,27 @@ val update_graph :
   t ->
   graph:Hector_graph.Hetgraph.t ->
   ?features:Tensor.t ->
+  ?rows:int array ->
   ?csr:Hector_graph.Csr.t ->
   unit ->
   (unit, string) result
 (** Swap the served graph for a newer snapshot of the same logical graph —
-    the in-slack path of {!Hector_stream}.  Within the warm capacity
-    (the warmup graph's node and edge counts) this
-    performs {e zero} compiles and {e zero} allocations: the cached plan,
-    slab backings and staging tensors all survive; [features] (which must
-    be [num_nodes × feature_dim]) is copied into the existing parent
-    feature storage in place, and [csr] (which must be [Csr.incoming
-    graph] — e.g. the mutable graph's incrementally patched one) replaces
-    the cached adjacency, rebuilt from [graph] when omitted.  Returns
-    [Error] without changing anything if the snapshot exceeds the warm
-    capacity or its metagraph shape differs — the epoch boundary, where
-    the caller re-warms a fresh replica instead. *)
+    the in-slack path of {!Hector_stream}.  Within the warm capacity (the
+    warmup graph's node and edge counts) this performs {e zero} compiles
+    and {e zero} allocations: the cached plan, slab backings and staging
+    tensors all survive.  [features] (which must be [num_nodes ×
+    feature_dim]) is copied into the existing parent feature storage in
+    place: only the written rows [rows], when given — the rows that
+    differ from the features the replica holds, under an unchanged node
+    numbering — else the whole matrix.  The replica's projected rows
+    ({!Hector_runtime.Row_reuse}) of the written rows go stale; an update
+    without [rows] makes every one stale.  [csr] (which must be
+    [Csr.incoming graph] — e.g. the mutable graph's incrementally patched
+    one) replaces the cached adjacency, rebuilt from [graph] when omitted.
+    Returns [Error] without changing anything if the snapshot exceeds the
+    warm capacity or its metagraph shape differs — the epoch boundary,
+    where the caller re-warms a fresh replica instead — or if [rows] is
+    given without [features] or names a row outside the snapshot. *)
 
 val serve : t -> Workload.request array -> response array
 (** Run the discrete-event loop over one arrival trace (sorted by

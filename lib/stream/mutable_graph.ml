@@ -21,6 +21,7 @@ type apply_stats = {
   csr_rebuilt : bool;
   compactions : int;
   node_map : int array;
+  feature_rows : int array option;
   edge_map : int array;
 }
 
@@ -168,6 +169,11 @@ let write_rows t features writes =
       let p = t.node_phys.(s) in
       if p >= 0 then Array.blit row 0 data (off + (p * t.fdim)) t.fdim)
     writes
+
+(* The physical rows [write_rows] wrote, in op order. *)
+let written_rows t writes =
+  Array.of_list
+    (List.filter_map (fun (s, _) -> if t.node_phys.(s) >= 0 then Some t.node_phys.(s) else None) writes)
 
 (* Rebuild the physical snapshot from the live state.  Features are
    gathered from the previous snapshot through the old physical ids (new
@@ -462,6 +468,14 @@ let apply t (d : Delta.t) =
           (id old.node_stable, id old.edge_stable, 0, false)
         end
       in
+      (* the numbering survived iff every old node kept its id and none
+         was added *)
+      let survived =
+        Array.length node_map = Array.length t.snap.node_stable
+        && (let ok = ref true in
+            Array.iteri (fun i p -> if p <> i then ok := false) node_map;
+            !ok)
+      in
       Ok
         {
           epoch_changed = overflow;
@@ -470,6 +484,7 @@ let apply t (d : Delta.t) =
           csr_rebuilt;
           compactions = !compactions;
           node_map;
+          feature_rows = (if survived then Some (written_rows t writes) else None);
           edge_map;
         }
 

@@ -62,6 +62,12 @@ type apply_stats = {
   node_map : int array;
       (** previous snapshot's physical node id -> new physical id, [-1]
           for removed; strictly increasing on survivors *)
+  feature_rows : int array option;
+      (** when the node numbering survived ([node_map] is the identity
+          and no node was added): the physical rows the delta's feature
+          writes landed in, in op order — every other row of the new
+          snapshot's features equals the previous one's.  [None] when
+          nodes were renumbered. *)
   edge_map : int array;  (** same for edges *)
 }
 

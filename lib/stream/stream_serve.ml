@@ -30,11 +30,13 @@ type t = {
 let update_cost ~ops ~epoch_changed =
   0.02 +. (0.002 *. float_of_int ops) +. if epoch_changed then 2.0 else 0.0
 
-let swap_in_snapshot replica mg =
+(* [rows]: the feature rows the last delta wrote, when the node numbering
+   survived it; otherwise the replica copies (and re-projects) every row. *)
+let swap_in_snapshot ?rows replica mg =
   let snap = Mutable_graph.snapshot mg in
   match
     Serve.update_graph replica ~graph:snap.Mutable_graph.graph
-      ~features:snap.Mutable_graph.features ~csr:snap.Mutable_graph.csr ()
+      ~features:snap.Mutable_graph.features ?rows ~csr:snap.Mutable_graph.csr ()
   with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Stream_serve: snapshot exceeds warm capacity: " ^ msg)
@@ -112,7 +114,7 @@ let apply t delta =
         t.c_rewarms <- t.c_rewarms + 1;
         Hector_obs.add t.sobs "stream.rewarms" 1
       end
-      else swap_in_snapshot t.live t.mg;
+      else swap_in_snapshot ?rows:stats.Mutable_graph.feature_rows t.live t.mg;
       if stats.Mutable_graph.csr_patched_rows > 0 then
         Hector_obs.add t.sobs "stream.csr_patched_rows"
           stats.Mutable_graph.csr_patched_rows;

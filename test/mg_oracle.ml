@@ -31,6 +31,7 @@ type apply_stats = Mg.apply_stats = {
   csr_rebuilt : bool;
   compactions : int;
   node_map : int array;
+  feature_rows : int array option;
   edge_map : int array;
 }
 
@@ -378,7 +379,7 @@ let validate t (d : Delta.t) =
     d.Delta.ops
 
 let commit t (d : Delta.t) =
-  let node_churn = ref false in
+  let node_churn = ref false and writes = ref [] in
   Array.iter
     (fun op ->
       match op with
@@ -391,6 +392,7 @@ let commit t (d : Delta.t) =
             match feat with Some f -> Array.copy f | None -> Array.make t.fdim 0.0
           in
           Hashtbl.replace t.feats s row;
+          if feat <> None then writes := s :: !writes;
           node_churn := true
       | Delta.Remove_node { node } ->
           let nt = Hashtbl.find t.node_index node in
@@ -419,9 +421,24 @@ let commit t (d : Delta.t) =
           Hashtbl.remove t.edge_index edge;
           t.eseg.(et).live <- t.eseg.(et).live - 1
       | Delta.Set_feat { node; feat } ->
-          Hashtbl.replace t.feats node (Array.copy feat))
+          Hashtbl.replace t.feats node (Array.copy feat);
+          writes := node :: !writes)
     d.Delta.ops;
-  !node_churn
+  (!node_churn, List.rev !writes)
+
+(* The written rows by the new snapshot's numbering, in op order, when
+   every old node kept its physical id and none was added. *)
+let feature_rows t ~node_map writes =
+  let stable = t.snap.node_stable in
+  if
+    Array.length node_map = Array.length stable
+    && Array.for_all Fun.id (Array.mapi (fun i p -> p = i) node_map)
+  then begin
+    let pos = Hashtbl.create 16 in
+    Array.iteri (fun i s -> Hashtbl.replace pos s i) stable;
+    Some (Array.of_list (List.filter_map (Hashtbl.find_opt pos) writes))
+  end
+  else None
 
 let apply t (d : Delta.t) =
   match validate t d with
@@ -430,7 +447,7 @@ let apply t (d : Delta.t) =
       Error msg
   | () ->
       let structural = Delta.structural d in
-      let node_churn = commit t d in
+      let node_churn, writes = commit t d in
       t.c_deltas <- t.c_deltas + 1;
       t.c_ops <- t.c_ops + Delta.size d;
       let overflow =
@@ -462,6 +479,7 @@ let apply t (d : Delta.t) =
             csr_rebuilt = true;
             compactions = !compactions;
             node_map;
+            feature_rows = feature_rows t ~node_map writes;
             edge_map;
           }
       end
@@ -493,6 +511,7 @@ let apply t (d : Delta.t) =
             old.node_stable;
           t.cur_version <- t.cur_version + 1;
           t.snap <- { old with features; version = t.cur_version };
+          let node_map = Array.init (Array.length old.node_stable) Fun.id in
           Ok
             {
               epoch_changed = false;
@@ -500,7 +519,8 @@ let apply t (d : Delta.t) =
               csr_patched_rows = 0;
               csr_rebuilt = false;
               compactions = !compactions;
-              node_map = Array.init (Array.length old.node_stable) Fun.id;
+              node_map;
+              feature_rows = feature_rows t ~node_map writes;
               edge_map = Array.init (Array.length old.edge_stable) Fun.id;
             }
         end
@@ -519,6 +539,7 @@ let apply t (d : Delta.t) =
               csr_rebuilt = rebuilt;
               compactions = !compactions;
               node_map;
+              feature_rows = feature_rows t ~node_map writes;
               edge_map;
             }
         end

@@ -53,6 +53,23 @@ let quiet parts =
 
 (* --- partitioner ------------------------------------------------------- *)
 
+(* The heap-driven owner assignment picks exactly what the frontier scan
+   it replaced picks ({!Partition_oracle}): the same owner array on every
+   dataset replica at 1, 2, 4 and 8 parts and slack 0 and 0.25. *)
+let test_partition_owners_match_oracle () =
+  List.iter
+    (fun (info : Hector_graph.Datasets.info) ->
+      let graph = Hector_graph.Datasets.load info in
+      List.iter
+        (fun (parts, slack) ->
+          let got = (Partition.partition ~slack ~parts graph).Partition.owner in
+          check_bool
+            (Printf.sprintf "%s: %d parts, slack %g" info.Hector_graph.Datasets.name parts slack)
+            true
+            (got = Partition_oracle.assign_owners ~slack ~parts graph))
+        [ (1, 0.0); (2, 0.0); (4, 0.0); (8, 0.0); (1, 0.25); (2, 0.25); (4, 0.25); (8, 0.25) ])
+    Hector_graph.Datasets.all
+
 let test_partition_covers_graph () =
   let graph = Lazy.force parent in
   let pt = Partition.partition ~parts:3 graph in
@@ -516,6 +533,8 @@ let test_metrics_schema_uniform () =
 let suite =
   [
     Alcotest.test_case "partition covers the graph" `Quick test_partition_covers_graph;
+    Alcotest.test_case "partition owners == frontier-scan oracle" `Quick
+      test_partition_owners_match_oracle;
     Alcotest.test_case "partition halo maps" `Quick test_partition_halo_maps;
     Alcotest.test_case "partition validation" `Quick test_partition_validation;
     Alcotest.test_case "comms cost model" `Quick test_comms_cost_model;

@@ -262,6 +262,44 @@ let test_minibatch_initial_weights () =
       same_weights model (Session.weights session) (Minibatch.weights trainer))
     [ ("rgcn", false, false); ("rgat", true, true); ("hgt", false, false) ]
 
+(* A training replica keeps no projected-row table: its weights change
+   every step.  After an SGD step, a block staged on it again computes
+   every row from the new weights — bit for bit what a replica created
+   with those weights computes — and no longer what it computed before. *)
+let test_training_block_recomputes () =
+  let module Block = Hector_runtime.Block in
+  let module Exec = Hector_runtime.Exec in
+  let module Env = Hector_runtime.Env in
+  let module Train = Hector_runtime.Train in
+  let graph, features, labels = minibatch_fixture () in
+  List.iter
+    (fun (model, compact, fusion) ->
+      let compiled = compile_training model ~compact ~fusion in
+      let inputs =
+        Block.inputs ~caller:"test" ~features ~graph compiled.Compiler.forward.Hector_core.Plan.program
+      in
+      let replica weights = Block.create ~weights ~features ~origin:"test" ~seed:5 ~graph inputs compiled in
+      let trainer = replica [] in
+      let sub = Sampler.sample ~seed:3 ~graph ~seeds:(batch_of 2) ~fanout:4 ~hops:2 () in
+      let forward block =
+        let exec = Block.stage block sub in
+        Exec.run_plan ~free_temps:false exec compiled.Compiler.forward;
+        let out = bits (Env.find exec.Exec.env inputs.Block.out_name).Env.tensor in
+        Exec.free_temp_buffers exec compiled.Compiler.forward;
+        out
+      in
+      let before = forward trainer in
+      let exec = Block.stage trainer sub in
+      ignore (Train.loss_and_grads ~label_rows:sub.Sampler.origin_node ~exec compiled ~labels);
+      Train.sgd_step ~skip:(Train.fused_outs compiled.Compiler.weight_ops) ~exec ~lr:0.5 ();
+      let after = forward trainer in
+      let fresh =
+        forward (replica (List.map (fun (name, w) -> (name, T.copy w)) (Block.weights trainer)))
+      in
+      check_bool (model ^ ": recomputed from the stepped weights") true (after = fresh);
+      check_bool (model ^ ": the step moved the output") true (after <> before))
+    [ ("rgcn", false, false); ("rgat", false, false); ("hgt", false, false) ]
+
 (* one engine and one slab for the trainer's life, warmed at creation: no
    step allocates device memory, the first included *)
 let with_domains n f =
@@ -656,6 +694,8 @@ let suite =
       test_minibatch_matches_oracle;
     Alcotest.test_case "minibatch starts from the parent session's weights" `Quick
       test_minibatch_initial_weights;
+    Alcotest.test_case "training block recomputes every row after SGD" `Quick
+      test_training_block_recomputes;
     Alcotest.test_case "minibatch steady state allocates nothing" `Quick
       test_minibatch_steady_state;
     Alcotest.test_case "minibatch create rejects mis-shaped features" `Quick

@@ -203,6 +203,51 @@ let test_warmup_leaves_no_trace () =
       ("rgat", Compiler.options_of_flags ~compact:true ~fusion:true ());
     ]
 
+(* A replica projects each (weight, slice, node) row once: serving a trace
+   a second time computes no row (every lookup hits), returns the same
+   bits, and charges the device the same launches and simulated time as
+   the cold pass. *)
+let test_row_reuse_warm_pass () =
+  let graph = Lazy.force parent in
+  let requests = trace graph in
+  List.iter
+    (fun (model, (compact, fusion)) ->
+      let label = Printf.sprintf "%s %b/%b" model compact fusion in
+      let obs = Hector_obs.create () in
+      let config =
+        {
+          (exact_config graph) with
+          Serve.model;
+          options = Some (Hector_core.Compiler.options_of_flags ~compact ~fusion ());
+        }
+      in
+      let server =
+        Serve.create ~config ~obs ~graph
+          (Hector_models.Model_defs.by_name model ~in_dim:8 ~out_dim:4 ())
+      in
+      let pass () =
+        let hits = Hector_obs.counter obs "serve.row_hits"
+        and misses = Hector_obs.counter obs "serve.row_misses" in
+        Engine.reset_clock (Serve.engine server);
+        let out = Array.map bits (outputs_of (Serve.serve server requests)) in
+        ( out,
+          Hector_obs.counter obs "serve.row_hits" - hits,
+          Hector_obs.counter obs "serve.row_misses" - misses,
+          Serve.launches server,
+          Engine.elapsed_ms (Serve.engine server) )
+      in
+      let cold, _, cold_misses, cold_launches, cold_ms = pass () in
+      let warm, warm_hits, warm_misses, warm_launches, warm_ms = pass () in
+      check_bool (label ^ ": the cold pass projects rows") true (cold_misses > 0);
+      check_int (label ^ ": the warm pass projects none") 0 warm_misses;
+      check_bool (label ^ ": the warm pass reads the table") true (warm_hits > 0);
+      check_bool (label ^ ": same bits") true (warm = cold);
+      check_int (label ^ ": same launches") cold_launches warm_launches;
+      check_bool (label ^ ": same simulated time") true (Float.equal cold_ms warm_ms))
+    (List.concat_map
+       (fun model -> [ (model, (false, false)); (model, (true, true)) ])
+       [ "rgcn"; "rgat"; "hgt" ])
+
 (* a features matrix of the wrong shape is refused by name, before any
    session (and so any engine allocation) exists *)
 let test_create_rejects_bad_features () =
@@ -589,6 +634,8 @@ let suite =
       test_steady_state_no_compile_no_alloc;
     Alcotest.test_case "warmup forward leaves no device trace" `Quick
       test_warmup_leaves_no_trace;
+    Alcotest.test_case "row reuse: warm pass projects nothing, same bits" `Quick
+      test_row_reuse_warm_pass;
     Alcotest.test_case "create rejects mis-shaped features" `Quick
       test_create_rejects_bad_features;
     Alcotest.test_case "rate and max_wait_ms reject NaN" `Quick test_rejects_nan;

@@ -601,6 +601,110 @@ let test_equivalence_anchor =
           | Ok d -> d <= 1e-6
           | Error m -> failwith m))
 
+(* --- projected-row reuse never serves a stale row -------------------- *)
+
+let output_bits (rs : Serve.response array) =
+  Array.map
+    (fun (r : Serve.response) ->
+      Option.map (fun o -> Array.map Int64.bits_of_float (T.to_flat_array o)) r.Serve.output)
+    rs
+
+(* What a replica built fresh on the mutable graph's current snapshot, with
+   [weights] pinned, serves: its row table starts empty. *)
+let fresh_bits ~program ~weights mg requests =
+  let snap = Mg.snapshot mg in
+  let fresh =
+    Serve.create
+      ~config:{ serve_config with Serve.weights }
+      ~features:(T.copy snap.Mg.features) ~graph:snap.Mg.graph program
+  in
+  output_bits (Serve.serve fresh requests)
+
+let mixes =
+  [|
+    Delta.default_mix;
+    { Delta.add_node = 0.0; remove_node = 0.0; add_edge = 0.0; remove_edge = 0.0; set_feat = 1.0 };
+    { Delta.add_node = 0.0; remove_node = 0.0; add_edge = 0.5; remove_edge = 0.3; set_feat = 0.2 };
+    { Delta.add_node = 0.3; remove_node = 0.3; add_edge = 0.1; remove_edge = 0.1; set_feat = 0.2 };
+  |]
+
+(* A replica whose projected rows outlive graph updates answers, after
+   every update, exactly what a replica built fresh on the same snapshot
+   answers.  Each round draws a delta (feature writes only, edge churn,
+   node churn — so node counts move within capacity — or a mix), hands
+   the snapshot to [Serve.update_graph] with the written rows when the
+   numbering survived, or without them at random, then serves a trace
+   twice: the second pass reads rows the first one projected.  An epoch
+   bump re-warms the replica, as the streaming driver does.  The second
+   half drives [Stream_serve.apply] with the same mixes. *)
+let test_reused_rows_never_stale =
+  QCheck.Test.make ~name:"reused rows: live ≡ fresh replica on each snapshot, bit for bit"
+    ~count:8
+    QCheck.(make Gen.(pair (int_range 0 999) (int_range 0 1)))
+    (fun (seed, model_i) ->
+      let program =
+        Hector_models.Model_defs.by_name [| "rgcn"; "rgat" |].(model_i) ~in_dim:feat_dim
+          ~out_dim:4 ()
+      in
+      let rng = Random.State.make [| seed |] in
+      let check label live_bits mg weights requests =
+        if live_bits <> fresh_bits ~program ~weights mg requests then
+          QCheck.Test.fail_reportf "%s: live replica differs from a fresh one" label
+      in
+      let round_delta mg r =
+        gen_delta
+          ~mix:mixes.(Random.State.int rng (Array.length mixes))
+          mg ~seed:((seed * 31) + r) ~ops:(4 + Random.State.int rng 20)
+      in
+      (* Serve.update_graph directly *)
+      let mg = make_mg ~slack:0.5 ~seed:(seed land 15) () in
+      let warm () =
+        let live = Serve.create ~config:serve_config ~graph:(Mg.capacity_graph mg) program in
+        let snap = Mg.snapshot mg in
+        (match
+           Serve.update_graph live ~graph:snap.Mg.graph ~features:snap.Mg.features
+             ~csr:snap.Mg.csr ()
+         with
+        | Ok () -> ()
+        | Error m -> failwith m);
+        live
+      in
+      let live = ref (warm ()) in
+      for r = 0 to 5 do
+        (match Mg.apply mg (round_delta mg r) with
+        | Error m -> failwith m
+        | Ok stats when stats.Mg.epoch_changed -> live := warm ()
+        | Ok stats ->
+            let snap = Mg.snapshot mg in
+            let rows = if Random.State.bool rng then stats.Mg.feature_rows else None in
+            (match
+               Serve.update_graph !live ~graph:snap.Mg.graph ~features:snap.Mg.features ?rows
+                 ~csr:snap.Mg.csr ()
+             with
+            | Ok () -> ()
+            | Error m -> failwith m));
+        let requests = trace ~seed:(seed + r) ~requests:12 (Mg.live_nodes mg) in
+        let weights = Serve.model_weights !live in
+        let cold = output_bits (Serve.serve !live requests) in
+        check (Printf.sprintf "update %d, cold" r) cold mg weights requests;
+        check (Printf.sprintf "update %d, warm" r) (output_bits (Serve.serve !live requests)) mg
+          weights requests
+      done;
+      (* Stream_serve.apply *)
+      let mg = make_mg ~slack:0.5 ~seed:((seed + 7) land 15) () in
+      let ss = Ss.create ~config:serve_config ~mg program in
+      for r = 0 to 5 do
+        (match Ss.apply ss (round_delta mg (r + 100)) with
+        | Ok _ -> ()
+        | Error m -> failwith m);
+        let requests = trace ~seed:(seed + r + 50) ~requests:12 (Mg.live_nodes mg) in
+        let weights = Serve.model_weights (Ss.replica ss) in
+        ignore (Ss.serve ss requests);
+        check (Printf.sprintf "stream delta %d" r) (output_bits (Ss.serve ss requests)) mg weights
+          requests
+      done;
+      true)
+
 let test_metrics_json_envelope () =
   let mg = make_mg ~slack:2.0 () in
   let ss = Ss.create ~config:serve_config ~mg (rgcn ()) in
@@ -648,6 +752,7 @@ let suite =
       test_backlog_applies_at_boundaries;
     Alcotest.test_case "replay validates delta indices" `Quick test_replay_validates_indices;
     QCheck_alcotest.to_alcotest test_equivalence_anchor;
+    QCheck_alcotest.to_alcotest test_reused_rows_never_stale;
     Alcotest.test_case "stream metrics use the shared envelope" `Quick
       test_metrics_json_envelope;
   ]
