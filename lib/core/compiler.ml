@@ -43,9 +43,8 @@ let layout_tag (o : options) =
    the compiled plan — two option records with equal ids compile
    identically. *)
 let options_id (o : options) =
-  Printf.sprintf "%s:%s%s:t%dc%d%s:%s%s%s%s" (layout_tag o)
+  Printf.sprintf "%s:%s:t%dc%d%s:%s%s%s%s" (layout_tag o)
     (match o.layout.Layout.adjacency with Layout.Coo -> "coo" | Layout.Csr -> "csr")
-    (if o.layout.Layout.nodes_presorted then "" else "+unsorted")
     o.gemm_schedule.Gemm_spec.tile_width o.gemm_schedule.Gemm_spec.coarsen
     (if o.gemm_schedule.Gemm_spec.launch_bounds then "+lb" else "")
     (if o.traversal_schedule.Traversal_spec.warp_accumulate then "warp" else "nowarp")

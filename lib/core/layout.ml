@@ -1,13 +1,12 @@
 type materialization = Vanilla | Compact
 type adjacency = Coo | Csr
 
-type t = { materialization : materialization; adjacency : adjacency; nodes_presorted : bool }
+type t = { materialization : materialization; adjacency : adjacency }
 
-let default = { materialization = Vanilla; adjacency = Coo; nodes_presorted = true }
+let default = { materialization = Vanilla; adjacency = Coo }
 let compact = { default with materialization = Compact }
 
 let pp fmt t =
-  Format.fprintf fmt "%s+%s%s"
+  Format.fprintf fmt "%s+%s"
     (match t.materialization with Vanilla -> "vanilla" | Compact -> "compact")
     (match t.adjacency with Coo -> "coo" | Csr -> "csr")
-    (if t.nodes_presorted then "" else "+unsorted")

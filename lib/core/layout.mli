@@ -6,7 +6,9 @@
     endpoint) pair, §3.1.3) — and (2) the sparse adjacency encoding the
     generated kernels traverse.  The spec does not influence inter-operator
     transforms; it is consulted during lowering, where template instances
-    pick their data-access schemes from it. *)
+    pick their data-access schemes from it.  Nodes are always grouped by
+    type ([Hetgraph]'s invariant), which enables segment-MM
+    for typed linear layers, so no field selects it. *)
 
 type materialization =
   | Vanilla  (** per-edge rows (Figure 4 left) *)
@@ -16,16 +18,10 @@ type adjacency =
   | Coo  (** id retrieval = array subscript *)
   | Csr  (** id retrieval = ownership search in the row-pointer array *)
 
-type t = {
-  materialization : materialization;
-  adjacency : adjacency;
-  nodes_presorted : bool;
-      (** nodes grouped by type, enabling segment-MM for typed linear layers
-          (the evaluation presorts nodes; our graphs always satisfy this) *)
-}
+type t = { materialization : materialization; adjacency : adjacency }
 
 val default : t
-(** Vanilla materialization, COO adjacency, presorted nodes — the
+(** Vanilla materialization and COO adjacency — the
     "unoptimized Hector" configuration of §4.2. *)
 
 val compact : t

@@ -159,7 +159,7 @@ let preprocessing t =
   (match t.layout.Layout.adjacency with
   | Layout.Coo -> add "COO edge arrays (src, dst, etype), sorted by edge type"
   | Layout.Csr -> add "convert COO to CSR (row pointers + column indices)");
-  if t.layout.Layout.nodes_presorted then add "presort nodes by node type (segment-MM)";
+  add "presort nodes by node type (segment-MM)";
   List.iter
     (fun (_, space) ->
       match space with

@@ -2,30 +2,14 @@ module Compiler = Hector_core.Compiler
 module Gs = Hector_core.Gemm_spec
 module Ts = Hector_core.Traversal_spec
 module Device = Hector_gpu.Device
-module Engine = Hector_gpu.Engine
 module Memory = Hector_gpu.Memory
-module Session = Hector_runtime.Session
 module Autotune = Hector_runtime.Autotune
 
 let measure ?device graph options =
-  let program = Hector_models.Model_defs.rgat () in
-  try
-    let compiled = Compiler.compile ~options program in
-    let session =
-      Session.create
-        ~config:
-          {
-            Session.Config.default with
-            device = Option.value device ~default:Session.Config.default.device;
-            seed = 11;
-          }
-        ~graph compiled
-    in
-    ignore (Session.forward session);
-    Session.reset_clock session;
-    ignore (Session.forward session);
-    Some (Engine.elapsed_ms (Session.engine session))
-  with Memory.Out_of_memory _ -> None
+  let compiled = Compiler.compile ~options (Hector_models.Model_defs.rgat ()) in
+  match Autotune.measure ?device ~training:false ~graph compiled with
+  | ms -> Some ms
+  | exception Memory.Out_of_memory _ -> None
 
 let fmt = function Some ms -> Printf.sprintf "%8.3f" ms | None -> "     OOM"
 

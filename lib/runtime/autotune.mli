@@ -49,6 +49,17 @@ val search :
     Raises [Invalid_argument] if no candidate compiles or none fits in
     device memory. *)
 
+val measure :
+  ?device:Hector_gpu.Device.t ->
+  training:bool ->
+  graph:Hector_graph.Hetgraph.t ->
+  Hector_core.Compiler.compiled ->
+  float
+(** One steady-state epoch of [compiled] in simulated ms: a fresh session
+    (seed 11) runs two epochs — forwards, or training steps on fixed
+    labels when [training] — and the second is timed.  Raises
+    [Hector_gpu.Memory.Out_of_memory] when it does not fit on the device. *)
+
 val describe : result -> string
 (** Human-readable one-liner for the winner, e.g.
     ["C+F, tile 32, coarsen 2: est 0.123 ms, measured 0.123 ms"]. *)

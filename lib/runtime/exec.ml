@@ -31,7 +31,6 @@ type arena = {
   abind : managed list array;  (* step index -> buffers bound before the step *)
   aunbind : string list array;  (* step index -> temps unbound after the step *)
   apre : managed list;  (* buffers no step touches: bound at run start *)
-  aother : Plan.buffer list;  (* plan buffers the arena does not manage *)
 }
 
 (* Cross-executor arena storage: slot backings keyed by (plan name, slot),
@@ -39,22 +38,17 @@ type arena = {
    slab rebuilds its arenas as prefix views of the cached backings instead
    of allocating — the serving steady state.  The accounting handle of the
    allocator that charged a backing rides along so growth can release the
-   superseded charge. *)
+   superseded charge.  [sscratch] is the host scratch of recorded pair
+   reductions (see [stage_pair_loop]): buffer [k] holds a pass's [k]th
+   reduction, one row per compact pair, kept at its high-water size.  It
+   lives in host memory only — the simulated device never sees it. *)
 type slab = {
   sepoch : int;
   sbackings : (string * int, Memory.t * Memory.allocation * Tensor.t) Hashtbl.t;
-  sscratch : scratch;
+  mutable sscratch : float array array;
 }
 
-(* Host scratch for recorded pair reductions (see [stage_pair_loop]):
-   buffer [k] holds a pass's [k]th reduction, one row per compact pair, and is
-   kept at its high-water size.  It lives in host memory only — the
-   simulated device never sees it — and is shared through the slab by
-   executors that share one. *)
-and scratch = { mutable bufs : float array array }
-
-let create_slab ?(epoch = 0) () =
-  { sepoch = epoch; sbackings = Hashtbl.create 32; sscratch = { bufs = [||] } }
+let create_slab ?(epoch = 0) () = { sepoch = epoch; sbackings = Hashtbl.create 32; sscratch = [||] }
 let slab_epoch slab = slab.sepoch
 
 type t = {
@@ -62,15 +56,13 @@ type t = {
   ctx : Graph_ctx.t;
   env : Env.t;
   opaque : (string * opaque_fn) list;
-  slab : slab option;
-  scratch : scratch;
+  slab : slab;
   reuse : Row_reuse.block option;
   mutable arenas : (Plan.t * bool * arena) list;
 }
 
-let create ?(opaque = []) ?slab ?reuse ~engine ~ctx ~env () =
-  let scratch = match slab with Some s -> s.sscratch | None -> { bufs = [||] } in
-  { engine; ctx; env; opaque; slab; scratch; reuse; arenas = [] }
+let create ?(opaque = []) ?(slab = create_slab ()) ?reuse ~engine ~ctx ~env () =
+  { engine; ctx; env; opaque; slab; reuse; arenas = [] }
 
 let value_dim = function Scalar _ -> 1 | Vector v -> Array.length v
 
@@ -479,11 +471,12 @@ let pair_grain = 256
 
 (* The executor's host scratch buffer [k], at least [size] floats. *)
 let scratch t k size =
-  let s = t.scratch in
-  if Array.length s.bufs <= k then
-    s.bufs <- Array.init (k + 1) (fun i -> if i < Array.length s.bufs then s.bufs.(i) else [||]);
-  if Array.length s.bufs.(k) < size then s.bufs.(k) <- Array.make size 0.0;
-  s.bufs.(k)
+  let s = t.slab in
+  if Array.length s.sscratch <= k then
+    s.sscratch <-
+      Array.init (k + 1) (fun i -> if i < Array.length s.sscratch then s.sscratch.(i) else [||]);
+  if Array.length s.sscratch.(k) < size then s.sscratch.(k) <- Array.make size 0.0;
+  s.sscratch.(k)
 
 (* Staged statements instantiated: one closure over an iteration's
    (edge, node). *)
@@ -763,36 +756,11 @@ let run_weight_op t ~program op =
 (* buffers + plan driver                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The zero-fill launch of a [zero_init] buffer, charged on every run
-   (see [Pricing.buffer_memset]). *)
-let launch_memset t ~inlined b =
-  Option.iter (Engine.launch t.engine) (Pricing.buffer_memset ~ctx:t.ctx ~inlined b)
-
-let alloc_buffer ~inlined t (b : Plan.buffer) =
-  let rows = Graph_ctx.rows_of_space t.ctx b.Plan.space in
-  (match Env.find_opt t.env b.Plan.name with
-  | Some entry ->
-      (* persistent buffer from a previous epoch: re-zero accumulators *)
-      if b.Plan.zero_init then Tensor.fill entry.Env.tensor 0.0
-  | None ->
-      let alloc = Engine.alloc_tensor t.engine ~label:b.Plan.name ~rows ~cols:b.Plan.dim () in
-      Env.add t.env ~name:b.Plan.name
-        {
-          Env.tensor = Tensor.zeros [| rows; b.Plan.dim |];
-          space = b.Plan.space;
-          dim = b.Plan.dim;
-          alloc = Some alloc;
-        });
-  launch_memset t ~inlined b
-
-let free_buffer t name =
-  match Env.remove t.env name with
-  | Some { Env.alloc = Some a; _ } -> Hector_gpu.Memory.free (Engine.memory t.engine) a
-  | _ -> ()
-
+(* Every plan buffer is an arena view (no allocation of its own), so
+   freeing one only unbinds it. *)
 let free_temp_buffers t (plan : Plan.t) =
   List.iter
-    (fun (b : Plan.buffer) -> if b.Plan.temp then free_buffer t b.Plan.name)
+    (fun (b : Plan.buffer) -> if b.Plan.temp then ignore (Env.remove t.env b.Plan.name))
     plan.Plan.buffers
 
 let rec exec_step t (plan : Plan.t) step =
@@ -841,18 +809,15 @@ let run_step ~step_idx t (plan : Plan.t) step =
 
 let create_arena t (plan : Plan.t) ~shared =
   let nsteps = List.length plan.Plan.steps in
-  let place_of = Pricing.placements plan in
-  (* buffers already bound in the environment (inputs, persistent
-     buffers, another plan's buffers) keep [alloc_buffer]'s
-     allocate-or-rezero behaviour; the arena manages only the rest *)
-  let members, aother =
-    List.partition_map
-      (fun (b : Plan.buffer) ->
-        match (Env.find_opt t.env b.Plan.name, Hashtbl.find_opt place_of b.Plan.name) with
-        | None, Some p -> Left (b, p)
-        | _ -> Right b)
-      plan.Plan.buffers
-  in
+  (* the arena manages every plan buffer: one already bound (an input, or
+     another plan's buffer) is a malformed plan, refused — like a buffer
+     the memory plan did not place — before anything is bound or charged *)
+  List.iter
+    (fun (b : Plan.buffer) ->
+      if Option.is_some (Env.find_opt t.env b.Plan.name) then
+        fail "Exec.run_plan: plan %s: buffer %s is already bound" plan.Plan.name b.Plan.name)
+    plan.Plan.buffers;
+  let members = Pricing.placements plan in
   (* slot capacities: largest member mapped to each slot.  Identity slots
      (no sharing) get fresh negative ids so they can never collide. *)
   let slot_cap = Hashtbl.create 16 in
@@ -877,10 +842,10 @@ let create_arena t (plan : Plan.t) ~shared =
   let backings = Hashtbl.create 16 in
   Hashtbl.iter
     (fun slot (rows, dim) ->
-      (* the backing is allocated once and lives as long as the executor —
-         or, with a slab, as long as the slab: later executors bind prefix
-         views of the cached backing instead of allocating.  Its contents
-         are undefined until a member is bound. *)
+      (* the backing is allocated once and lives as long as the slab:
+         later executors sharing it bind prefix views of the cached backing
+         instead of allocating.  Its contents are undefined until a member
+         is bound. *)
       let fresh () =
         let alloc =
           Engine.alloc_tensor t.engine
@@ -888,24 +853,17 @@ let create_arena t (plan : Plan.t) ~shared =
             ~rows ~cols:dim ()
         in
         let backing = Tensor.create_uninit [| rows * dim |] in
-        (match t.slab with
-        | Some slab ->
-            Hashtbl.replace slab.sbackings (plan.Plan.name, slot)
-              (Engine.memory t.engine, alloc, backing)
-        | None -> ());
+        Hashtbl.replace t.slab.sbackings (plan.Plan.name, slot) (Engine.memory t.engine, alloc, backing);
         backing
       in
       let backing =
-        match t.slab with
+        match Hashtbl.find_opt t.slab.sbackings (plan.Plan.name, slot) with
+        | Some (_, _, b) when Tensor.numel b >= rows * dim -> b
+        | Some (mem, alloc, _) ->
+            (* outgrown: drop the superseded charge before reallocating *)
+            Memory.free mem alloc;
+            fresh ()
         | None -> fresh ()
-        | Some slab -> (
-            match Hashtbl.find_opt slab.sbackings (plan.Plan.name, slot) with
-            | Some (_, _, b) when Tensor.numel b >= rows * dim -> b
-            | Some (mem, alloc, _) ->
-                (* outgrown: drop the superseded charge before reallocating *)
-                Memory.free mem alloc;
-                fresh ()
-            | None -> fresh ())
       in
       Hashtbl.replace backings slot backing)
     slot_cap;
@@ -928,7 +886,7 @@ let create_arena t (plan : Plan.t) ~shared =
              p ))
          placed)
   in
-  { abind; aunbind; apre; aother }
+  { abind; aunbind; apre }
 
 let find_arena t (plan : Plan.t) ~shared =
   let rec lookup = function
@@ -970,7 +928,7 @@ let warm_plan ?(free_temps = true) t (plan : Plan.t) =
   reserve_pair_rows t plan
 
 (* Bind a managed buffer for this run: accumulators ([zero_init]) are
-   cleared (and charged a memset launch) every run; other buffers start
+   cleared (and charged their [Pricing.buffer_memset]) every run; other buffers start
    zeroed the first time they exist — which for a freed-and-recreated
    temporary is every run — unless [Buffer_plan] proved their defining
    step fully overwrites them. *)
@@ -985,19 +943,18 @@ let bind_managed ~inlined ~shared t (m : managed) =
   m.minitialized <- true;
   Env.add t.env ~name:b.Plan.name
     { Env.tensor = m.mview; space = b.Plan.space; dim = b.Plan.dim; alloc = None };
-  launch_memset t ~inlined b
+  Option.iter (Engine.launch t.engine) (Pricing.buffer_memset ~ctx:t.ctx ~inlined b)
 
 let run_plan ?on_step ?(free_temps = true) t (plan : Plan.t) =
   Hector_obs.time (Engine.obs t.engine) ~kind:"run" ("run_plan:" ^ plan.Plan.name) @@ fun () ->
   let arena = find_arena t plan ~shared:free_temps in
   let inlined = Plan.inline_zeroed plan in
-  List.iter (fun b -> alloc_buffer ~inlined t b) arena.aother;
   List.iter (bind_managed ~inlined ~shared:free_temps t) arena.apre;
   List.iteri
     (fun i step ->
       List.iter (bind_managed ~inlined ~shared:free_temps t) arena.abind.(i);
       run_step ~step_idx:i t plan step;
       (match on_step with None -> () | Some f -> f i);
-      if free_temps then List.iter (fun n -> free_buffer t n) arena.aunbind.(i))
+      if free_temps then List.iter (fun n -> ignore (Env.remove t.env n)) arena.aunbind.(i))
     plan.Plan.steps;
   if free_temps then free_temp_buffers t plan

@@ -68,18 +68,12 @@ val create_slab : ?epoch:int -> unit -> slab
 val slab_epoch : slab -> int
 (** The capacity epoch the slab was created for. *)
 
-type scratch
-(** Host scratch for the recorded pair reductions of traversal passes,
-    kept at its high-water size; shared through the slab when there is
-    one.  Never charged to device memory. *)
-
 type t = {
   engine : Engine.t;
   ctx : Graph_ctx.t;
   env : Env.t;
   opaque : (string * opaque_fn) list;
-  slab : slab option;
-  scratch : scratch;
+  slab : slab;
   reuse : Row_reuse.block option;
   mutable arenas : (Hector_core.Plan.t * bool * arena) list;
 }
@@ -94,7 +88,10 @@ val create :
   unit ->
   t
 (** Bundle an execution state.  [opaque] registers fallback operator
-    implementations by name.  [slab] shares arena backings across executors (see {!type:slab}).
+    implementations by name.  [slab] (default: a fresh one, private to
+    this executor) holds the arena backings and the host scratch of
+    recorded pair reductions (never charged to device memory); hand one
+    slab to several executors to share them (see {!type:slab}).
     [reuse] serves every untransposed, non-accumulating [Node_linear] and
     unscaled [Edge_linear] step that multiplies the bound block's feature
     input by a declared parameter from a replica's {!Row_reuse} table;
@@ -110,8 +107,9 @@ val warm_plan : ?free_temps:bool -> t -> Hector_core.Plan.t -> unit
     must match the mode later runs use (default [true]). *)
 
 val run_plan : ?on_step:(int -> unit) -> ?free_temps:bool -> t -> Hector_core.Plan.t -> unit
-(** Execute all steps in order: materialize (and zero) the plan's buffers,
-    run every step, then free buffers marked [temp] (default [true]).
+(** Execute all steps in order: bind (and zero) the plan's buffers as
+    arena views, run every step, then unbind buffers marked [temp]
+    (default [true]).
     [on_step] is called with each top-level step index right after that
     step executes — the hook the distributed runtime uses to detect
     gradient-bucket boundaries while backward is still running.
@@ -123,9 +121,14 @@ val run_plan : ?on_step:(int -> unit) -> ?free_temps:bool -> t -> Hector_core.Pl
     Every launch carries the {!Hector_gpu.Kernel.provenance} of its plan
     step (op, step index, originating pass); the whole run is wrapped in a
     ["run"] span on the engine's observability handle.
+    The arena manages every buffer of the plan: building it raises
+    [Invalid_argument] naming the plan and the buffer, before anything is
+    bound or charged, when a buffer is already bound in the environment
+    or has no {!Pricing.placements} entry.
     Raises [Hector_gpu.Memory.Out_of_memory] when the storage does not fit
     at paper scale, and [Invalid_argument] on malformed plans. *)
 
 val free_temp_buffers : t -> Hector_core.Plan.t -> unit
-(** Release the plan's [temp]-marked buffers (used by training drivers that
-    run forward with [~free_temps:false] and clean up after backward). *)
+(** Unbind the plan's [temp]-marked buffers (used by training drivers that
+    run forward with [~free_temps:false] and clean up after backward).
+    Their storage stays with the arena, so nothing is released. *)

@@ -371,12 +371,20 @@ let rec step_kernels ~ctx ~(plan : Plan.t) step =
       | [] -> []
       | ks -> [ merge_kernels (Plan.step_name step) ks ])
 
-(* Each buffer's placement in the plan's memory plan, by name. *)
+(* Each buffer of the plan with its placement in the plan's memory plan,
+   in buffer order. *)
 let placements (plan : Plan.t) =
   let memory = match plan.Plan.memory with Some m -> m | None -> Bp.analyze plan in
-  let place_of = Hashtbl.create 16 in
-  List.iter (fun (p : Plan.placement) -> Hashtbl.replace place_of p.Plan.var p) memory.Plan.placements;
-  place_of
+  let placed (b : Plan.buffer) (p : Plan.placement) = String.equal p.Plan.var b.Plan.name in
+  List.map
+    (fun (b : Plan.buffer) ->
+      match List.find_opt (placed b) memory.Plan.placements with
+      | Some p -> (b, p)
+      | None ->
+          invalid_arg
+            (Printf.sprintf "Pricing.placements: plan %s: buffer %s has no placement" plan.Plan.name
+               b.Plan.name))
+    plan.Plan.buffers
 
 (* Arena members grouped by where [Exec.run_plan] binds them: at run start
    (untouched buffers, or a plan without steps) or before their first
@@ -390,21 +398,13 @@ let bind_points ~nsteps members =
     members;
   (!pre, at)
 
-(* The launches [Exec.run_plan] charges on a fresh executor, where the arena
-   manages every buffer the memory plan places: each memset where its
-   buffer is bound (unplaced buffers first), each step's kernels after
-   the step's memsets. *)
+(* The launches of one [Exec.run_plan]: each memset where its buffer is
+   bound, each step's kernels after the step's memsets. *)
 let plan_kernels ~ctx (plan : Plan.t) =
-  let inlined = Plan.inline_zeroed plan and place_of = placements plan in
+  let inlined = Plan.inline_zeroed plan in
   let memsets = List.filter_map (buffer_memset ~ctx ~inlined) in
-  let placed, other =
-    List.partition_map
-      (fun (b : Plan.buffer) ->
-        match Hashtbl.find_opt place_of b.Plan.name with Some p -> Left (b, p) | None -> Right b)
-      plan.Plan.buffers
-  in
-  let pre, at = bind_points ~nsteps:(List.length plan.Plan.steps) placed in
-  memsets other @ memsets pre
+  let pre, at = bind_points ~nsteps:(List.length plan.Plan.steps) (placements plan) in
+  memsets pre
   @ List.concat (List.mapi (fun i step -> memsets at.(i) @ step_kernels ~ctx ~plan step) plan.Plan.steps)
 
 (* --- training-step launches ------------------------------------ *)

@@ -32,9 +32,11 @@ val buffer_memset :
 (** The zero fill a [zero_init] buffer is charged each time it is bound,
     unless [inlined] ({!Hector_core.Plan.inline_zeroed}) names it. *)
 
-val placements : Hector_core.Plan.t -> (string, Hector_core.Plan.placement) Hashtbl.t
-(** Each buffer's placement in the plan's memory plan (computed on the
-    spot when the plan has none), by name. *)
+val placements : Hector_core.Plan.t -> (Hector_core.Plan.buffer * Hector_core.Plan.placement) list
+(** Each buffer of the plan, in order, with its placement in the plan's
+    memory plan (computed on the spot when the plan has none).  Raises
+    [Invalid_argument] naming the plan and the buffer when the memory
+    plan does not place one. *)
 
 val bind_points : nsteps:int -> ('a * Hector_core.Plan.placement) list -> 'a list * 'a list array
 (** Buffers grouped by where [Exec.run_plan] binds them: at run start
@@ -42,9 +44,9 @@ val bind_points : nsteps:int -> ('a * Hector_core.Plan.placement) list -> 'a lis
     their index, each group in reverse order. *)
 
 val plan_kernels : ctx:Graph_ctx.t -> Hector_core.Plan.t -> Hector_gpu.Kernel.t list
-(** One [Exec.run_plan] on a fresh executor, in the engine's order: the
-    memsets of unplaced buffers, then of buffers bound at run start, then
-    per step the memsets bound before it and its {!step_kernels}. *)
+(** One [Exec.run_plan], in the engine's order: the memsets of buffers
+    bound at run start, then per step the memsets bound before it and its
+    {!step_kernels}.  Raises [Invalid_argument] as {!placements} does. *)
 
 val loss_kernels : origin:string -> rows:int -> cols:int -> Hector_gpu.Kernel.t list
 (** The [log_softmax] and [nll_grad] launches of the NLL loss. *)

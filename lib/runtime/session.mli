@@ -33,7 +33,8 @@ module Config : sig
             the replica's persistent device. *)
     slab : Exec.slab option;
         (** arena slab handed to the session's executor, sharing
-            plan-buffer backings across sessions (see {!Exec.slab}) *)
+            plan-buffer backings across sessions (see {!Exec.slab});
+            [None] gives the executor a private one *)
     node_inputs : (string * Tensor.t) list;  (** inputs by name; rest generated *)
     edge_inputs : (string * Tensor.t) list;
     weights : (string * Tensor.t) list;

@@ -127,7 +127,6 @@ let options_json (o : Compiler.options) : Json.t =
     [
       ("compact", Bool (o.Compiler.layout.Layout.materialization = Layout.Compact));
       ("csr", Bool (o.Compiler.layout.Layout.adjacency = Layout.Csr));
-      ("presorted", Bool o.Compiler.layout.Layout.nodes_presorted);
       ("fusion", Bool o.Compiler.linear_fusion);
       ("training", Bool o.Compiler.training);
       ("tile", Json.int o.Compiler.gemm_schedule.Gs.tile_width);
@@ -176,7 +175,6 @@ let options_of_json j =
         Layout.materialization =
           (if Json.bool_field j "compact" false then Layout.Compact else Layout.Vanilla);
         adjacency = (if Json.bool_field j "csr" false then Layout.Csr else Layout.Coo);
-        nodes_presorted = Json.bool_field j "presorted" true;
       };
     linear_fusion = Json.bool_field j "fusion" false;
     training = Json.bool_field j "training" false;

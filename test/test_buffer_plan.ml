@@ -1098,6 +1098,59 @@ let test_training_equivalence () =
     (losses (fun s -> Session.train_step s ~labels ()))
     (losses (fun s -> train_step_identity s compiled ~labels))
 
+(* The arena is the only way a plan buffer gets bound: a plan whose buffer
+   is already bound, or is missing from its memory plan, is refused with
+   [Invalid_argument] naming the plan and the buffer, before the arena
+   binds, allocates or launches anything. *)
+let test_arena_refuses_unmanaged () =
+  let graph = test_graph () in
+  let compiled = compile ~compact:false ~fusion:false "rgcn" in
+  let fwd = compiled.Compiler.forward in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let refused what plan ~bind (b : Plan.buffer) =
+    let s = Session.create ~config ~graph compiled in
+    let exec = Session.exec s in
+    let mem = Engine.memory (Session.engine s) in
+    let rows = Hector_runtime.Graph_ctx.rows_of_space exec.Exec.ctx b.Plan.space in
+    let entry =
+      { Env.tensor = T.zeros [| rows; b.Plan.dim |]; space = b.Plan.space; dim = b.Plan.dim; alloc = None }
+    in
+    if bind then Env.add exec.Exec.env ~name:b.Plan.name entry;
+    let allocs = Memory.alloc_count mem and clock = Engine.elapsed_ms (Session.engine s) in
+    (match Exec.run_plan exec plan with
+    | () -> Alcotest.failf "%s: run_plan accepted the plan" what
+    | exception Invalid_argument msg ->
+        check_bool
+          (Printf.sprintf "%s: %S names plan %s and buffer %s" what msg plan.Plan.name b.Plan.name)
+          true
+          (contains msg plan.Plan.name && contains msg b.Plan.name));
+    List.iter
+      (fun (o : Plan.buffer) ->
+        let bound = Env.find_opt exec.Exec.env o.Plan.name in
+        check_bool
+          (Printf.sprintf "%s: binding of %s unchanged" what o.Plan.name)
+          true
+          (if bind && o == b then (match bound with Some e -> e == entry | None -> false)
+           else bound = None))
+      plan.Plan.buffers;
+    check_int (what ^ ": no device allocation") allocs (Memory.alloc_count mem);
+    check_bool (what ^ ": engine clock unchanged") true
+      (Float.equal clock (Engine.elapsed_ms (Session.engine s)))
+  in
+  List.iter (refused "bound" fwd ~bind:true) fwd.Plan.buffers;
+  let memory = Option.get fwd.Plan.memory in
+  List.iter
+    (fun (b : Plan.buffer) ->
+      let placements =
+        List.filter (fun (p : Plan.placement) -> p.Plan.var <> b.Plan.name) memory.Plan.placements
+      in
+      refused "unplaced" { fwd with Plan.memory = Some { memory with Plan.placements } } ~bind:false b)
+    fwd.Plan.buffers
+
 let suite =
   [
     Alcotest.test_case "fused gather GEMM == gather + GEMM" `Quick test_gather_gemm;
@@ -1118,6 +1171,7 @@ let suite =
     Alcotest.test_case "steady-state training allocates nothing" `Quick test_steady_state_no_alloc;
     Alcotest.test_case "planner output equivalence" `Quick test_planner_equivalence;
     Alcotest.test_case "planner training equivalence" `Quick test_training_equivalence;
+    Alcotest.test_case "arena refuses a bound or unplaced buffer" `Quick test_arena_refuses_unmanaged;
     Alcotest.test_case "segment gather GEMM == textbook loop, bitwise" `Quick
       test_segment_gather_oracle;
     Alcotest.test_case "segment scatter GEMM == textbook loop, bitwise" `Quick
