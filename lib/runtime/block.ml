@@ -73,12 +73,12 @@ type t = {
 let sample_cost_ms ~nodes ~edges =
   0.01 +. (2e-4 *. float_of_int nodes) +. (5e-5 *. float_of_int edges)
 
-let create ?obs ?(epoch = 0) ?(weights = []) ?features ~origin ~seed ~graph (inputs : inputs)
+let create ?obs ?(weights = []) ?features ~origin ~seed ~graph (inputs : inputs)
     (compiled : Compiler.compiled) =
   let obs = Option.value obs ~default:Hector_obs.disabled in
   (* blocks run at physical size (scale 1) *)
   let engine = Engine.create ~scale:1.0 ~obs () in
-  let slab = Exec.create_slab ~epoch () in
+  let slab = Exec.create_slab () in
   (* a session over the PARENT graph charges weights and features once and
      primes the slab at parent capacity, an upper bound on every block.  It
      runs no plan.  Its norm is never read (blocks recompute theirs), so it

@@ -36,14 +36,15 @@ val inputs :
 type t
 
 val create :
-  ?obs:Hector_obs.t -> ?epoch:int -> ?weights:(string * Tensor.t) list -> ?features:Tensor.t ->
+  ?obs:Hector_obs.t -> ?weights:(string * Tensor.t) list -> ?features:Tensor.t ->
   origin:string -> seed:int -> graph:Hector_graph.Hetgraph.t ->
   inputs -> Hector_core.Compiler.compiled -> t
 (** Warm a replica on an RTX 3090 engine, then zero the clock.  Weights and features are a
     parent-graph {!Session}'s seeded with [seed]; [weights] replace the
-    Glorot draws and [features] (adopted) the feature draw.  [epoch] tags
-    the slab; transfers carry provenance [origin ^ ".transfer"].  The
-    model trains when it has a backward plan. *)
+    Glorot draws and [features] (adopted) the feature draw.  Every
+    replica gets its own engine and slab; transfers carry provenance
+    [origin ^ ".transfer"].  The model trains when it has a backward
+    plan. *)
 
 val stage : t -> Hector_graph.Sampler.subgraph -> Exec.t
 (** Stage a sampled block: blit its feature rows, recompute its ["norm"],

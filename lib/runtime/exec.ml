@@ -43,13 +43,11 @@ type arena = {
    reduction, one row per compact pair, kept at its high-water size.  It
    lives in host memory only — the simulated device never sees it. *)
 type slab = {
-  sepoch : int;
   sbackings : (string * int, Memory.t * Memory.allocation * Tensor.t) Hashtbl.t;
   mutable sscratch : float array array;
 }
 
-let create_slab ?(epoch = 0) () = { sepoch = epoch; sbackings = Hashtbl.create 32; sscratch = [||] }
-let slab_epoch slab = slab.sepoch
+let create_slab () = { sbackings = Hashtbl.create 32; sscratch = [||] }
 
 type t = {
   engine : Engine.t;

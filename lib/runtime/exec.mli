@@ -58,15 +58,10 @@ type slab
     allocate no plan-buffer storage at all.  A slab assumes serial use:
     executors sharing one must not run concurrently. *)
 
-val create_slab : ?epoch:int -> unit -> slab
-(** [epoch] (default 0) tags the slab with the capacity epoch its backings
-    were warmed for (see {!Hector_stream.Mutable_graph}): backings survive
-    every in-slack graph mutation, and a replica re-warms a fresh slab
-    only when the epoch advances.  The tag is bookkeeping for that
-    invalidation protocol — it does not change allocation behavior. *)
-
-val slab_epoch : slab -> int
-(** The capacity epoch the slab was created for. *)
+val create_slab : unit -> slab
+(** An empty slab.  A serving replica keeps one per capacity epoch: an
+    epoch bump re-warms its block with a fresh slab sized for the new
+    capacity graph. *)
 
 type t = {
   engine : Engine.t;

@@ -1,12 +1,13 @@
 (** Compiled-plan cache for serving.
 
     Serving must not compile on the hot path: plans are cached per
-    {e (model name, graph name, compiler options)} and every request after
-    the first for a given key reuses the compiled forward plan (and, via
-    {!Hector_runtime.Exec.slab}, its arena storage).  Hit/miss counts are
-    exposed directly and as [serve.plan_cache.hits]/[.misses] counters on
-    the observability handle, so tests can assert the steady state does
-    zero compiles. *)
+    {e (model name, graph name, compiler options)}.  A replica looks its
+    plan up once, at {!Serve.create}, and holds it for its whole life:
+    requests never consult the cache, and {!Serve.rewarm} reuses the held
+    plan, so a replica's misses stay at one.  Hit/miss counts are exposed
+    directly and as [serve.plan_cache.hits]/[.misses] counters on the
+    observability handle, so tests can assert the steady state does zero
+    compiles. *)
 
 type t
 

@@ -27,7 +27,6 @@ type config = {
   tune_db : string option;
   seed : int;
   weights : (string * Tensor.t) list;
-  epoch : int;
   faults : Fault.t option;
 }
 
@@ -43,7 +42,6 @@ let default_config =
     tune_db = None;
     seed = 1;
     weights = [];
-    epoch = 0;
     faults = None;
   }
 
@@ -61,20 +59,23 @@ type response = {
 type t = {
   mutable graph : G.t;  (* current snapshot; swapped by [update_graph] *)
   mutable in_csr : Csr.t;  (* Csr.incoming of [graph], cached across batches *)
-  node_capacity : int;  (* warmup graph sizes: staging/slab upper bounds *)
-  edge_capacity : int;
+  mutable node_capacity : int;  (* warmup graph sizes: staging/slab upper bounds *)
+  mutable edge_capacity : int;
   compiled : Compiler.compiled;
   cache : Plan_cache.t;
-  block : Block.t;  (* engine, slab, weights, features and staging *)
+  inputs : Block.inputs;  (* out_name: the first output, gathered per request *)
+  seed : int;
+  mutable block : Block.t;  (* engine, slab, weights, features and staging *)
+  mutable replaced_launches : int;  (* of the engines [rewarm] replaced *)
+  mutable replaced_ms : float;
   obs : Hector_obs.t;
-  out_name : string;  (* the program's first output, gathered per request *)
   fanout : int;
   hops : int;  (* the configured bound *)
   sampled_hops : int;  (* what each batch samples: the bound, clamped to the program's depth *)
   max_batch : int;
   max_wait_ms : float;
   queue_capacity : int;
-  warm_alloc_count : int;
+  mutable warm_alloc_count : int;
   (* load accounting, accumulated across [serve] calls *)
   mutable requests_seen : int;
   mutable served : int;
@@ -121,8 +122,8 @@ let create ?(config = default_config) ?obs ?features ~graph program =
     Plan_cache.get cache ~model:config.model ~graph:graph.G.name ~options program
   in
   let block =
-    Block.create ~obs ~epoch:config.epoch ~weights:config.weights ?features ~origin:"serve"
-      ~seed:config.seed ~graph inputs compiled
+    Block.create ~obs ~weights:config.weights ?features ~origin:"serve" ~seed:config.seed ~graph
+      inputs compiled
   in
   {
     graph;
@@ -131,9 +132,12 @@ let create ?(config = default_config) ?obs ?features ~graph program =
     edge_capacity = graph.G.num_edges;
     compiled;
     cache;
+    inputs;
+    seed = config.seed;
     block;
+    replaced_launches = 0;
+    replaced_ms = 0.0;
     obs;
-    out_name = inputs.Block.out_name;
     fanout = config.fanout;
     hops = config.hops;
     sampled_hops =
@@ -168,7 +172,7 @@ let create ?(config = default_config) ?obs ?features ~graph program =
    the caller cannot say which changed) and the cached incoming CSR
    replaced (with the caller's incrementally patched one when given).
    A snapshot beyond the warm capacity is refused — that is the epoch
-   boundary, where the caller re-warms a fresh replica instead. *)
+   boundary, where the caller calls [rewarm] first. *)
 let update_graph t ~(graph : G.t) ?features ?rows ?csr () =
   if
     G.num_ntypes graph <> G.num_ntypes t.graph
@@ -205,6 +209,25 @@ let update_graph t ~(graph : G.t) ?features ?rows ?csr () =
 
 let model_weights t = Block.weights t.block
 let engine t = Block.engine t.block
+let launches t = t.replaced_launches + (Stats.total (Engine.stats (engine t))).Stats.launches
+let device_ms t = t.replaced_ms +. Engine.elapsed_ms (engine t)
+
+(* The epoch boundary: warm a fresh block (engine, slab, staging) over the
+   new capacity graph with the same compiled plan and weights, and keep
+   every counter, latency and the fault plan running.  Its features are
+   zero until the caller's next [update_graph] installs a snapshot. *)
+let rewarm t ~(graph : G.t) =
+  t.replaced_launches <- launches t;
+  t.replaced_ms <- device_ms t;
+  let features = Tensor.zeros [| graph.G.num_nodes; t.inputs.Block.feature_dim |] in
+  t.block <-
+    Block.create ~obs:t.obs ~weights:(model_weights t) ~features ~origin:"serve" ~seed:t.seed
+      ~graph t.inputs t.compiled;
+  t.graph <- graph;
+  t.in_csr <- Csr.incoming graph;
+  t.node_capacity <- graph.G.num_nodes;
+  t.edge_capacity <- graph.G.num_edges;
+  t.warm_alloc_count <- Memory.alloc_count (Engine.memory (engine t))
 
 (* Execute one coalesced batch: union-sample a block as deep as the
    forward reads, stage it onto the replica ({!Block.stage}), run the
@@ -228,7 +251,7 @@ let run_batch t (batch : Workload.request array) =
   let transfer_ms = Engine.elapsed_ms engine -. t0 in
   Exec.run_plan exec t.compiled.Compiler.forward;
   let compute_ms = Engine.elapsed_ms engine -. t0 -. transfer_ms in
-  let out = (Env.find exec.Exec.env t.out_name).Env.tensor in
+  let out = (Env.find exec.Exec.env t.inputs.Block.out_name).Env.tensor in
   let per_request = Array.map (Tensor.gather_rows out) block_seed_sets in
   (per_request, sample_ms, transfer_ms, compute_ms)
 
@@ -404,8 +427,6 @@ let mean = function
   | [] -> 0.0
   | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
 
-let launches t = (Stats.total (Engine.stats (engine t))).Stats.launches
-
 type load_stats = {
   requests : int;
   lserved : int;
@@ -497,7 +518,6 @@ let batch_failures t = t.batch_failures
 let fault_shed t = t.fault_shed
 let faults t = t.faults
 let slab t = Block.slab t.block
-let slab_epoch t = Exec.slab_epoch (Block.slab t.block)
 let batches t = t.batches
 let warm_alloc_count t = t.warm_alloc_count
 let max_batch t = t.max_batch

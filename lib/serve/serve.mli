@@ -65,12 +65,6 @@ type config = {
       (** explicit model weights, overriding the seeded initialization —
           how the streaming subsystem pins one weight set across capacity
           epochs ([[]], the default, generates from [seed]) *)
-  epoch : int;
-      (** capacity-epoch tag stamped onto the replica's arena slab
-          ({!Hector_runtime.Exec.slab_epoch}) — bookkeeping for the
-          streaming invalidation protocol: backings tagged with an epoch
-          survive every in-slack {!update_graph} and are retired wholesale
-          when the epoch advances (default [0] for non-streaming use) *)
   faults : Hector_ckpt.Fault.t option;
       (** engine-failure injection plan ([None], the default, injects
           nothing).  A batch
@@ -113,7 +107,7 @@ val create :
     caller must not write it otherwise.
     Skipping the draw moves the seeded weights drawn after it, so pass
     [features] with pinned [config.weights] where weights must match a
-    seeded replica — as a streaming re-warm does.  [obs] (default
+    seeded replica.  [obs] (default
     {!Hector_obs.disabled}) receives [serve.*] counters and batch spans.
     Raises [Invalid_argument] on programs {!Hector_runtime.Block.inputs}
     rejects, a [features] matrix of the wrong shape, non-positive bounds
@@ -142,8 +136,22 @@ val update_graph :
     one) replaces the cached adjacency, rebuilt from [graph] when omitted.
     Returns [Error] without changing anything if the snapshot exceeds the
     warm capacity or its metagraph shape differs — the epoch boundary,
-    where the caller re-warms a fresh replica instead — or if [rows] is
-    given without [features] or names a row outside the snapshot. *)
+    where the caller calls {!rewarm} with a larger capacity graph first —
+    or if [rows] is given without [features] or names a row outside the
+    snapshot. *)
+
+val rewarm : t -> graph:Hector_graph.Hetgraph.t -> unit
+(** Re-warm the replica over a new capacity graph — the epoch-boundary
+    path of {!Hector_stream}.  A fresh {!Hector_runtime.Block} (engine,
+    slab, staging, zero features) replaces the current one, built from
+    the same compiled plan (its options resolved at {!create}) and the
+    same weights ({!model_weights} is physically unchanged), so nothing
+    recompiles.  The replaced engine's launches and clock carry into
+    {!launches} and {!device_ms}; load counters, latencies, batch ids,
+    the batch histogram, the plan cache and the fault plan all keep
+    running.  {!warm_alloc_count} becomes the new engine's.  The features
+    read zero until the next {!update_graph} installs a snapshot of at
+    most [graph]'s size, which must have the current metagraph shape. *)
 
 val serve : t -> Workload.request array -> response array
 (** Run the discrete-event loop over one arrival trace (sorted by
@@ -191,10 +199,16 @@ val exact_fanout : Hector_graph.Hetgraph.t -> int
     above). *)
 
 val launches : t -> int
-(** Simulated kernel launches since warmup. *)
+(** Simulated kernel launches since warmup, over every engine the
+    replica has used ({!rewarm} replaces the engine). *)
+
+val device_ms : t -> float
+(** Simulated engine time since warmup, over every engine the replica has
+    used. *)
 
 val engine : t -> Hector_gpu.Engine.t
-(** The replica's persistent engine (clock, stats, memory). *)
+(** The replica's current engine (clock, stats, memory); {!rewarm}
+    replaces it. *)
 
 val plan_cache : t -> Plan_cache.t
 
@@ -222,23 +236,21 @@ val faults : t -> Hector_ckpt.Fault.t option
     failure, retry and shed decision. *)
 
 val slab : t -> Hector_runtime.Exec.slab
-(** The replica's arena slab, primed at warmup; every per-block executor
-    binds prefix views of its backings. *)
-
-val slab_epoch : t -> int
-(** The capacity epoch the replica's slab backings are pinned to
-    ([config.epoch]). *)
+(** The replica's arena slab, primed at warmup (and afresh by each
+    {!rewarm}); every per-block executor binds prefix views of its
+    backings. *)
 
 val model_weights : t -> (string * Tensor.t) list
-(** The replica's weights (generated or from [config.weights]) — what a
-    streaming driver passes to the next epoch's replica so outputs stay
-    comparable across re-warms. *)
+(** The replica's weights (generated or from [config.weights]), the same
+    tensors for the replica's whole life: {!rewarm} keeps them, so outputs
+    stay comparable across capacity epochs. *)
 
 val batches : t -> int
 
 val warm_alloc_count : t -> int
-(** {!Hector_gpu.Memory.alloc_count} right after warmup — steady-state
-    serving must leave the live counter equal to this. *)
+(** {!Hector_gpu.Memory.alloc_count} of the current engine right after
+    its warmup ({!create} or {!rewarm}) — steady-state serving must leave
+    the live counter equal to this. *)
 
 val max_batch : t -> int
 (** The resolved micro-batch cap (config or default). *)

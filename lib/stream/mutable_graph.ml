@@ -509,7 +509,6 @@ let epoch t = t.cur_epoch
 let version t = t.cur_version
 let live_nodes t = Array.fold_left (fun acc s -> acc + s.live) 0 t.nseg
 let live_edges t = Array.fold_left (fun acc s -> acc + s.live) 0 t.eseg
-let feat_dim t = t.fdim
 
 let node_of_stable t s =
   if s >= 0 && s < t.next_node && t.node_phys.(s) >= 0 then Some t.node_phys.(s) else None

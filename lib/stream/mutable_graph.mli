@@ -141,7 +141,5 @@ val live_edges : t -> int
 
 val counters : t -> counters
 
-val feat_dim : t -> int
-
 val node_of_stable : t -> int -> int option
 (** Stable -> current physical id, [None] if dead. *)

@@ -1,7 +1,6 @@
 module Serve = Hector_serve.Serve
 module Workload = Hector_serve.Workload
 module Plan_cache = Hector_serve.Plan_cache
-module Engine = Hector_gpu.Engine
 module Tensor = Hector_tensor.Tensor
 
 type t = {
@@ -9,17 +8,8 @@ type t = {
   program : Hector_core.Inter_ir.program;
   base_config : Serve.config;
   sobs : Hector_obs.t;
-  mutable live : Serve.t;
+  live : Serve.t;
   backlog : Delta.t Queue.t;
-  (* accounting carried across replica re-warms *)
-  mutable retired_misses : int;
-  mutable retired_served : int;
-  mutable retired_shed : int;
-  mutable retired_rejected : int;
-  mutable retired_batch_failures : int;
-  mutable retired_fault_shed : int;
-  mutable retired_launches : int;
-  mutable retired_ms : float;
   mutable c_rewarms : int;
   mutable c_update_ms : float;
 }
@@ -41,26 +31,14 @@ let swap_in_snapshot ?rows replica mg =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Stream_serve: snapshot exceeds warm capacity: " ^ msg)
 
-(* A re-warm's weights are pinned, so it skips the seeded feature draw:
-   its zero features are overwritten by the snapshot swapped in next, and
-   capacity rows past the snapshot are never sampled. *)
-let warm_replica ?(rewarm = false) ~config ~obs ~mg program =
-  let config = { config with Serve.epoch = Mutable_graph.epoch mg } in
-  let graph = Mutable_graph.capacity_graph mg in
-  let features =
-    if rewarm then
-      Some (Tensor.zeros [| graph.Hector_graph.Hetgraph.num_nodes; Mutable_graph.feat_dim mg |])
-    else None
-  in
-  let replica = Serve.create ~config ~obs ?features ~graph program in
-  swap_in_snapshot replica mg;
-  replica
-
 let create ?(config = Serve.default_config) ?obs ~mg program =
   let sobs =
     match obs with Some o -> o | None -> Hector_obs.create ~enabled:false ()
   in
-  let live = warm_replica ~config ~obs:sobs ~mg program in
+  let live =
+    Serve.create ~config ~obs:sobs ~graph:(Mutable_graph.capacity_graph mg) program
+  in
+  swap_in_snapshot live mg;
   {
     mg;
     program;
@@ -68,27 +46,9 @@ let create ?(config = Serve.default_config) ?obs ~mg program =
     sobs;
     live;
     backlog = Queue.create ();
-    retired_misses = 0;
-    retired_served = 0;
-    retired_shed = 0;
-    retired_rejected = 0;
-    retired_batch_failures = 0;
-    retired_fault_shed = 0;
-    retired_launches = 0;
-    retired_ms = 0.0;
     c_rewarms = 0;
     c_update_ms = 0.0;
   }
-
-let retire t =
-  t.retired_misses <- t.retired_misses + Plan_cache.misses (Serve.plan_cache t.live);
-  t.retired_served <- t.retired_served + Serve.served t.live;
-  t.retired_shed <- t.retired_shed + Serve.shed t.live;
-  t.retired_rejected <- t.retired_rejected + Serve.rejected t.live;
-  t.retired_batch_failures <- t.retired_batch_failures + Serve.batch_failures t.live;
-  t.retired_fault_shed <- t.retired_fault_shed + Serve.fault_shed t.live;
-  t.retired_launches <- t.retired_launches + Serve.launches t.live;
-  t.retired_ms <- t.retired_ms +. Engine.elapsed_ms (Serve.engine t.live)
 
 let apply t delta =
   match Mutable_graph.apply t.mg delta with
@@ -103,14 +63,11 @@ let apply t delta =
       Hector_obs.add t.sobs "stream.deltas" 1;
       Hector_obs.add t.sobs "stream.ops" (Delta.size delta);
       if stats.Mutable_graph.epoch_changed then begin
-        (* epoch boundary: the capacity graph changed name and size, so
-           the plan and backings are stale wholesale — retire the replica
-           and warm its successor with the SAME weights *)
-        retire t;
-        let cfg =
-          { t.base_config with Serve.weights = Serve.model_weights t.live }
-        in
-        t.live <- warm_replica ~rewarm:true ~config:cfg ~obs:t.sobs ~mg:t.mg t.program;
+        (* epoch boundary: the capacity graph outgrew the replica's block,
+           so it re-warms one over the new capacity graph (same plan, same
+           weights) before the snapshot goes in *)
+        Serve.rewarm t.live ~graph:(Mutable_graph.capacity_graph t.mg);
+        swap_in_snapshot t.live t.mg;
         t.c_rewarms <- t.c_rewarms + 1;
         Hector_obs.add t.sobs "stream.rewarms" 1
       end
@@ -218,12 +175,10 @@ let check_equivalence ?(tol = 1e-6) t requests =
              !max_diff tol)
       else Ok !max_diff
 
-let recompiles t = t.retired_misses + Plan_cache.misses (Serve.plan_cache t.live)
-let served t = t.retired_served + Serve.served t.live
-let shed t = t.retired_shed + Serve.shed t.live
-let rejected t = t.retired_rejected + Serve.rejected t.live
-let batch_failures t = t.retired_batch_failures + Serve.batch_failures t.live
-let fault_shed t = t.retired_fault_shed + Serve.fault_shed t.live
+let recompiles t = Plan_cache.misses (Serve.plan_cache t.live)
+let served t = Serve.served t.live
+let shed t = Serve.shed t.live
+let rejected t = Serve.rejected t.live
 let rewarms t = t.c_rewarms
 let update_ms t = t.c_update_ms
 let replica t = t.live
@@ -231,11 +186,8 @@ let replica t = t.live
 let metrics_json t =
   let module M = Hector_obs.Metrics in
   let c = Mutable_graph.counters t.mg in
-  let launches = t.retired_launches + Serve.launches t.live in
-  let elapsed =
-    t.retired_ms +. Engine.elapsed_ms (Serve.engine t.live) +. t.c_update_ms
-  in
-  M.envelope ~subsystem:"stream" ~elapsed_ms:elapsed ~launches
+  M.envelope ~subsystem:"stream" ~elapsed_ms:(Serve.device_ms t.live +. t.c_update_ms)
+    ~launches:(Serve.launches t.live)
     Hector_json.
       [
         ("comm", M.comm ~posted_ms:0.0 ~exposed_ms:0.0);
@@ -254,8 +206,8 @@ let metrics_json t =
         ("served", int (served t));
         ("shed", int (shed t));
         ("rejected", int (rejected t));
-        ("batch_failures", int (batch_failures t));
-        ("fault_shed", int (fault_shed t));
+        ("batch_failures", int (Serve.batch_failures t.live));
+        ("fault_shed", int (Serve.fault_shed t.live));
       ]
 
 (* The subsystem's restorable state: the pinned weight set (invariant

@@ -1,16 +1,17 @@
 (** Serving live traffic over a mutating graph — the driver tying
     {!Mutable_graph} to {!Hector_serve.Serve}.
 
-    One [t] owns a serving replica warmed against the mutable graph's
-    {!Mutable_graph.capacity_graph}, so every in-epoch snapshot fits the
-    replica's compiled plan, slab backings and staging tensors.  Deltas
-    are applied at micro-batch boundaries (between {!serve} calls, or at
-    the request indices {!replay} is given); the in-slack path is a pure
-    {!Hector_serve.Serve.update_graph} — zero compiles, zero engine
-    allocations — while an epoch bump retires the replica and warms a
-    fresh one against the new capacity graph, {e pinning the model
-    weights} ({!Hector_serve.Serve.model_weights}) so outputs stay
-    comparable across the re-warm.
+    One [t] owns one serving replica for its whole life, warmed against
+    the mutable graph's {!Mutable_graph.capacity_graph}, so every
+    in-epoch snapshot fits the replica's block: its slab backings and
+    staging tensors.  Deltas are applied at micro-batch boundaries
+    (between {!serve} calls, or at the request indices {!replay} is
+    given); the in-slack path is a pure {!Hector_serve.Serve.update_graph}
+    — zero compiles, zero engine allocations — while an epoch bump
+    re-warms the replica's block against the new capacity graph
+    ({!Hector_serve.Serve.rewarm}): a fresh engine and slab, the {e same}
+    compiled plan and {e pinned} weights, so outputs stay comparable
+    across the re-warm and every counter keeps running.
 
     {2 The correctness anchor}
 
@@ -31,18 +32,18 @@ type t
 val create :
   ?config:Serve.config -> ?obs:Hector_obs.t -> mg:Mutable_graph.t ->
   Hector_core.Inter_ir.program -> t
-(** Warm a replica for [mg]'s current epoch: compile against the capacity
-    graph (the epoch is stamped on [config], overriding [config.epoch]),
-    then swap in the current snapshot.  [config.weights] seeds the first
-    replica as usual ([[]] → generated from [config.seed]); later epochs
-    always inherit the previous replica's weights.  Raises
-    [Invalid_argument] on unsupported programs (as
-    {!Hector_serve.Serve.create}). *)
+(** Warm the replica for [mg]'s current epoch: compile the plan (the one
+    compile of the stream's life) and warm a block over the capacity
+    graph, then swap in the current snapshot.  [config.weights] seeds the
+    replica as usual ([[]] → generated from [config.seed]); every later
+    epoch keeps them.  Raises [Invalid_argument] on unsupported programs
+    (as {!Hector_serve.Serve.create}). *)
 
 val apply : t -> Delta.t -> (Mutable_graph.apply_stats, string) result
 (** Apply one delta now (a micro-batch boundary): mutate the graph, then
-    either refresh the live replica in place (in-slack) or retire it and
-    warm the next epoch's.  [Error] (an invalid delta) changes nothing.
+    refresh the replica in place, after re-warming its block over the new
+    capacity graph when the epoch bumped.  [Error] (an invalid delta)
+    changes nothing.
     The simulated cost of the update is accounted in {!update_ms}. *)
 
 val push : t -> Delta.t -> unit
@@ -80,10 +81,9 @@ val check_equivalence :
     disagreement otherwise. *)
 
 val recompiles : t -> int
-(** Total plan-cache misses over the subsystem's lifetime: retired
-    replicas' plus the live one's.  After warmup this is [1]; it grows
-    only when an epoch bump forces a re-warm — the bench gate pins it at
-    [1] (zero recompiles) for in-slack traces. *)
+(** Plan-cache misses over the subsystem's lifetime: [1], the warmup
+    compile — neither an in-slack delta nor an epoch re-warm compiles.
+    The bench gate and a CLI test pin it at [1]. *)
 
 val rewarms : t -> int
 (** Replica re-warms (= epoch bumps observed). *)
@@ -93,15 +93,15 @@ val update_ms : t -> float
     per-delta base + per-op cost, plus an epoch-rebuild surcharge). *)
 
 val served : t -> int
-(** Requests served across every replica the subsystem has owned (retired
-    ones included). *)
+(** Requests served over the subsystem's lifetime, every epoch included
+    (the replica's one load ledger, {!Hector_serve.Serve.load_stats}). *)
 
 val shed : t -> int
 
 val rejected : t -> int
 
 val replica : t -> Serve.t
-(** The live replica (retired ones are gone). *)
+(** The subsystem's one replica, the same for its whole life. *)
 
 val checkpoint : t -> Hector_ckpt.Checkpoint.t
 (** The subsystem's restorable state as a checkpoint: the pinned weight
@@ -112,6 +112,7 @@ val checkpoint : t -> Hector_ckpt.Checkpoint.t
 val metrics_json : t -> Hector_json.t
 (** JSON in the shared {!Hector_obs.Metrics} envelope
     ([subsystem = "stream"]): delta/op/epoch/compaction/CSR counters,
-    recompiles and re-warms, update time, served/shed/rejected and the
-    fault counters aggregated across every replica the subsystem has
-    owned. *)
+    recompiles and re-warms, update time, and the replica's
+    served/shed/rejected and fault counters.  [launches] and
+    [elapsed_ms] cover every engine the replica has used (plus the update
+    time). *)

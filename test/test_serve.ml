@@ -124,8 +124,20 @@ let test_steady_state_no_compile_no_alloc () =
   ignore (Serve.serve server (trace ~requests:9 graph));
   check_int "still nothing on later episodes" (Serve.warm_alloc_count server)
     (alloc_count server);
-  check_int "still exactly one compile" 1 (Plan_cache.misses (Serve.plan_cache server));
-  check_bool "cache hit on re-lookup" true (Plan_cache.hits (Serve.plan_cache server) >= 0)
+  let cache = Serve.plan_cache server in
+  check_int "still exactly one compile" 1 (Plan_cache.misses cache);
+  (* serving never consults the cache: the replica holds the plan warmup
+     compiled, the only one this cache has ever compiled, so a lookup of
+     the replica's key hits it *)
+  check_int "serving looks nothing up" 0 (Plan_cache.hits cache);
+  let lookup () =
+    Plan_cache.get cache ~model:"rgcn" ~graph:graph.G.name
+      ~options:Hector_core.Compiler.default_options (rgcn ())
+  in
+  let served = lookup () in
+  check_int "re-lookup hits" 1 (Plan_cache.hits cache);
+  check_int "re-lookup compiles nothing" 1 (Plan_cache.misses cache);
+  check_bool "the cache returns one plan object" true (lookup () == served)
 
 let bits t =
   let data, off = T.storage t in

@@ -500,7 +500,7 @@ let test_inslack_zero_recompile_zero_alloc () =
   let mg = make_mg ~slack:4.0 () in
   let ss = Ss.create ~config:serve_config ~mg (rgcn ()) in
   check_int "warmup compiles once" 1 (Ss.recompiles ss);
-  check_int "slab tagged epoch 0" 0 (Serve.slab_epoch (Ss.replica ss));
+  let slab = Serve.slab (Ss.replica ss) in
   let warm = Serve.warm_alloc_count (Ss.replica ss) in
   for r = 0 to 4 do
     let d = gen_delta mg ~seed:(100 + r) ~ops:15 in
@@ -516,14 +516,26 @@ let test_inslack_zero_recompile_zero_alloc () =
   done;
   check_int "zero recompiles across 5 deltas" 1 (Ss.recompiles ss);
   check_int "zero re-warms" 0 (Ss.rewarms ss);
+  check_bool "the slab survives every in-slack delta" true (Serve.slab (Ss.replica ss) == slab);
   check_int "allocations pinned at warmup" warm
     (Memory.alloc_count (Engine.memory (Serve.engine (Ss.replica ss))));
   check_bool "updates cost simulated time" true (Ss.update_ms ss > 0.0)
 
+let launches_of engine = (Hector_gpu.Stats.total (Engine.stats engine)).Hector_gpu.Stats.launches
+
+(* An epoch bump re-warms the stream's one replica in place: same plan,
+   same weights, one load ledger, and a fault plan whose batch ids keep
+   counting, so a scheduled failure fires once per stream, not once per
+   epoch. *)
 let test_epoch_rewarm_pins_weights () =
   let mg = make_mg ~slack:0.05 () in
-  let ss = Ss.create ~config:serve_config ~mg (rgcn ()) in
-  let w0 = Serve.model_weights (Ss.replica ss) in
+  let faults = Hector_ckpt.Fault.create ~fail_batches:[ 0 ] () in
+  let ss = Ss.create ~config:{ serve_config with Serve.faults = Some faults } ~mg (rgcn ()) in
+  let replica = Ss.replica ss in
+  let w0 = Serve.model_weights replica and slab0 = Serve.slab replica in
+  ignore (Ss.serve ss (trace ~seed:71 ~requests:8 (Mg.live_nodes mg)));
+  let engine0 = Serve.engine replica in
+  let launches0 = launches_of engine0 in
   let growth =
     { Delta.add_node = 0.4; remove_node = 0.0; add_edge = 0.6; remove_edge = 0.0; set_feat = 0.0 }
   in
@@ -537,10 +549,21 @@ let test_epoch_rewarm_pins_weights () =
   done;
   check_bool "epoch bumped" true (!bumps > 0);
   check_int "one re-warm" 1 (Ss.rewarms ss);
-  check_int "one recompile per epoch" 2 (Ss.recompiles ss);
-  check_int "slab tagged with the new epoch" (Mg.epoch mg)
-    (Serve.slab_epoch (Ss.replica ss));
-  let w1 = Serve.model_weights (Ss.replica ss) in
+  ignore (Ss.serve ss (trace ~seed:72 ~requests:8 (Mg.live_nodes mg)));
+  check_bool "the same replica serves after the bump" true (Ss.replica ss == replica);
+  check_int "the re-warm recompiles nothing" 1 (Ss.recompiles ss);
+  check_bool "the re-warm gets a fresh engine" true (Serve.engine replica != engine0);
+  check_bool "the re-warm gets a fresh slab" true (Serve.slab replica != slab0);
+  check_int "one load ledger" (Ss.served ss) (Serve.load_stats replica).Serve.lserved;
+  check_int "launches cover every engine"
+    (launches0 + launches_of (Serve.engine replica))
+    (Serve.launches replica);
+  check_int "batch 0 fails once per stream" 1
+    (List.length
+       (List.filter
+          (function Hector_ckpt.Fault.Batch_failed { batch = 0 } -> true | _ -> false)
+          (Hector_ckpt.Fault.events faults)));
+  let w1 = Serve.model_weights replica in
   check_bool "weights pinned across the re-warm" true
     (List.for_all2 (fun (n0, t0) (n1, t1) -> n0 = n1 && t0 == t1) w0 w1);
   (* and the re-warmed replica still matches a from-scratch one *)
@@ -635,7 +658,8 @@ let mixes =
    the snapshot to [Serve.update_graph] with the written rows when the
    numbering survived, or without them at random, then serves a trace
    twice: the second pass reads rows the first one projected.  An epoch
-   bump re-warms the replica, as the streaming driver does.  The second
+   bump re-warms the replica ([Serve.rewarm]), as the streaming driver
+   does.  The second
    half drives [Stream_serve.apply] with the same mixes. *)
 let test_reused_rows_never_stale =
   QCheck.Test.make ~name:"reused rows: live ≡ fresh replica on each snapshot, bit for bit"
@@ -658,36 +682,30 @@ let test_reused_rows_never_stale =
       in
       (* Serve.update_graph directly *)
       let mg = make_mg ~slack:0.5 ~seed:(seed land 15) () in
-      let warm () =
-        let live = Serve.create ~config:serve_config ~graph:(Mg.capacity_graph mg) program in
+      let live = Serve.create ~config:serve_config ~graph:(Mg.capacity_graph mg) program in
+      let install ?rows () =
         let snap = Mg.snapshot mg in
-        (match
-           Serve.update_graph live ~graph:snap.Mg.graph ~features:snap.Mg.features
-             ~csr:snap.Mg.csr ()
-         with
+        match
+          Serve.update_graph live ~graph:snap.Mg.graph ~features:snap.Mg.features ?rows
+            ~csr:snap.Mg.csr ()
+        with
         | Ok () -> ()
-        | Error m -> failwith m);
-        live
+        | Error m -> failwith m
       in
-      let live = ref (warm ()) in
+      install ();
       for r = 0 to 5 do
         (match Mg.apply mg (round_delta mg r) with
         | Error m -> failwith m
-        | Ok stats when stats.Mg.epoch_changed -> live := warm ()
+        | Ok stats when stats.Mg.epoch_changed ->
+            Serve.rewarm live ~graph:(Mg.capacity_graph mg);
+            install ()
         | Ok stats ->
-            let snap = Mg.snapshot mg in
-            let rows = if Random.State.bool rng then stats.Mg.feature_rows else None in
-            (match
-               Serve.update_graph !live ~graph:snap.Mg.graph ~features:snap.Mg.features ?rows
-                 ~csr:snap.Mg.csr ()
-             with
-            | Ok () -> ()
-            | Error m -> failwith m));
+            install ?rows:(if Random.State.bool rng then stats.Mg.feature_rows else None) ());
         let requests = trace ~seed:(seed + r) ~requests:12 (Mg.live_nodes mg) in
-        let weights = Serve.model_weights !live in
-        let cold = output_bits (Serve.serve !live requests) in
+        let weights = Serve.model_weights live in
+        let cold = output_bits (Serve.serve live requests) in
         check (Printf.sprintf "update %d, cold" r) cold mg weights requests;
-        check (Printf.sprintf "update %d, warm" r) (output_bits (Serve.serve !live requests)) mg
+        check (Printf.sprintf "update %d, warm" r) (output_bits (Serve.serve live requests)) mg
           weights requests
       done;
       (* Stream_serve.apply *)
