@@ -31,69 +31,100 @@ let outgoing (g : Hetgraph.t) =
    delta changes edges but not the node set, only the rows whose incoming
    edge set changed are regathered; every untouched row is copied with its
    edge ids renumbered through [edge_map] (which must be monotone, so the
-   ascending-eid order within a row survives).  Returns the patched CSR and
-   the number of rows regathered. *)
+   ascending-eid order within a row survives).  One pass over the map
+   finds the dirty rows — removed old edges dirty their old destination,
+   and the new ids the monotone map skips are the added edges, which dirty
+   theirs — and one pass over the rows writes the result: a dirty row is
+   its surviving entries merged with its added edges by eid.  Returns the
+   patched CSR and the number of rows regathered. *)
 let patch_incoming old ~(old_graph : Hetgraph.t) ~(graph : Hetgraph.t) ~edge_map =
-  let n = graph.Hetgraph.num_nodes in
+  let n = graph.Hetgraph.num_nodes and m = graph.Hetgraph.num_edges in
   if old_graph.Hetgraph.num_nodes <> n then
     invalid_arg "Csr.patch_incoming: node set changed (rebuild instead)";
   if Array.length edge_map <> old_graph.Hetgraph.num_edges then
     invalid_arg "Csr.patch_incoming: edge_map length mismatch";
-  let changed = Array.make n false in
-  (* removed old edges dirty their old destination row *)
-  let last = ref (-1) in
-  Array.iteri
-    (fun e m ->
-      if m < 0 then changed.(old_graph.Hetgraph.dst.(e)) <- true
-      else begin
-        if m <= !last || m >= graph.Hetgraph.num_edges then
-          invalid_arg "Csr.patch_incoming: edge_map must be monotone and in range";
-        last := m
-      end)
-    edge_map;
-  (* new edges absent from the map image dirty their destination row *)
-  let survived = Array.make graph.Hetgraph.num_edges false in
-  Array.iter (fun m -> if m >= 0 then survived.(m) <- true) edge_map;
-  for e = 0 to graph.Hetgraph.num_edges - 1 do
-    if not survived.(e) then changed.(graph.Hetgraph.dst.(e)) <- true
-  done;
-  (* new row_ptr: unchanged rows keep their degree, dirty rows are recounted *)
-  let row_ptr = Array.make (n + 1) 0 in
-  for e = 0 to graph.Hetgraph.num_edges - 1 do
-    let r = graph.Hetgraph.dst.(e) in
-    if changed.(r) then row_ptr.(r + 1) <- row_ptr.(r + 1) + 1
-  done;
-  for r = 0 to n - 1 do
-    if not changed.(r) then row_ptr.(r + 1) <- old.row_ptr.(r + 1) - old.row_ptr.(r)
-  done;
-  for r = 1 to n do
-    row_ptr.(r) <- row_ptr.(r) + row_ptr.(r - 1)
-  done;
-  let m = graph.Hetgraph.num_edges in
-  let col = Array.make m 0 and eid = Array.make m 0 in
-  let cursor = Array.copy row_ptr in
-  (* dirty rows: regather from the new graph in ascending eid order *)
-  for e = 0 to m - 1 do
-    let r = graph.Hetgraph.dst.(e) in
-    if changed.(r) then begin
-      let pos = cursor.(r) in
-      col.(pos) <- graph.Hetgraph.src.(e);
-      eid.(pos) <- e;
-      cursor.(r) <- pos + 1
-    end
-  done;
-  (* untouched rows: copy the old entries, renumbering eids *)
-  let rows_patched = ref 0 in
-  for r = 0 to n - 1 do
-    if changed.(r) then incr rows_patched
+  let dirty = Bytes.make n '\000' in
+  let added = ref [] and next = ref 0 in
+  let add_below k =
+    for e = !next to k - 1 do
+      added := e :: !added;
+      Bytes.set dirty graph.Hetgraph.dst.(e) '\001'
+    done
+  in
+  for e = 0 to Array.length edge_map - 1 do
+    let mapped = edge_map.(e) in
+    if mapped < 0 then Bytes.set dirty old_graph.Hetgraph.dst.(e) '\001'
     else begin
-      let base = row_ptr.(r) and obase = old.row_ptr.(r) in
-      for k = 0 to old.row_ptr.(r + 1) - obase - 1 do
-        col.(base + k) <- old.col.(obase + k);
-        eid.(base + k) <- edge_map.(old.eid.(obase + k))
-      done
+      if mapped < !next || mapped >= m then
+        invalid_arg "Csr.patch_incoming: edge_map must be monotone and in range";
+      if mapped > !next then add_below mapped;
+      next := mapped + 1
     end
   done;
+  add_below m;
+  (* the added edges by destination row, ascending eid within a row *)
+  let added = Array.of_list !added in
+  Array.sort
+    (fun a b ->
+      let c = Int.compare graph.Hetgraph.dst.(a) graph.Hetgraph.dst.(b) in
+      if c <> 0 then c else Int.compare a b)
+    added;
+  let row_ptr = Array.make (n + 1) 0 in
+  let col = Array.make m 0 and eid = Array.make m 0 in
+  let p = ref 0 and k = ref 0 and rows_patched = ref 0 in
+  let emit e =
+    col.(!p) <- graph.Hetgraph.src.(e);
+    eid.(!p) <- e;
+    incr p
+  in
+  let r = ref 0 in
+  while !r < n do
+    if Bytes.get dirty !r = '\000' then begin
+      (* a span of clean rows moves as one block, shifted by [p - lo] *)
+      let r0 = !r in
+      while !r < n && Bytes.get dirty !r = '\000' do
+        incr r
+      done;
+      let lo = old.row_ptr.(r0) and hi = old.row_ptr.(!r) in
+      let shift = !p - lo in
+      for j = lo to hi - 1 do
+        col.(j + shift) <- old.col.(j);
+        eid.(j + shift) <- edge_map.(old.eid.(j))
+      done;
+      for q = r0 + 1 to !r do
+        row_ptr.(q) <- old.row_ptr.(q) + shift
+      done;
+      p := hi + shift
+    end
+    else begin
+      (* a dirty row: its survivors merged with its added edges by eid *)
+      let row = !r in
+      incr rows_patched;
+      let j = ref old.row_ptr.(row) and hi = old.row_ptr.(row + 1) in
+      let next_added () =
+        if !k < Array.length added && graph.Hetgraph.dst.(added.(!k)) = row then added.(!k)
+        else max_int
+      in
+      while !j < hi || next_added () < max_int do
+        let s = if !j < hi then edge_map.(old.eid.(!j)) else max_int in
+        if s < 0 then incr j
+        else begin
+          let a = next_added () in
+          if s < a then begin
+            emit s;
+            incr j
+          end
+          else begin
+            emit a;
+            incr k
+          end
+        end
+      done;
+      incr r;
+      row_ptr.(!r) <- !p
+    end
+  done;
+  if !p <> m then invalid_arg "Csr.patch_incoming: edge_map inconsistent with graph";
   ({ row_ptr; col; eid }, !rows_patched)
 
 let degree t r = t.row_ptr.(r + 1) - t.row_ptr.(r)

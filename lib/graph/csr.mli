@@ -33,8 +33,11 @@ val patch_incoming :
     segments).  Rows whose incoming edge set changed are regathered from
     [graph]; all other rows are copied with eids renumbered.  Returns the
     patched CSR (structurally equal to [incoming graph]) and the number of
-    rows regathered.  Raises [Invalid_argument] if the node counts differ
-    or [edge_map] is not monotone. *)
+    rows regathered.  It reads [edge_map] once and the old rows once: a
+    dirty row is its surviving entries merged with its added edges (the
+    new ids the map skips) by eid.  Raises [Invalid_argument] if the node
+    counts differ, [edge_map] is not monotone, or the map's survivors and
+    added edges do not make up [graph]'s edges. *)
 
 val degree : t -> int -> int
 (** Row length. *)

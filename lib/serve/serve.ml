@@ -164,48 +164,58 @@ let create ?(config = default_config) ?obs ?features ~graph program =
     sim_ms = 0.0;
   }
 
-(* Swap the served graph for a new snapshot of the same mutable parent —
-   the streaming subsystem's in-slack path.  Within the warm capacity this
-   recompiles nothing and reallocates nothing: the plan-cache key, slab
-   backings, staging tensors and the parent-features storage all survive;
-   only the written feature rows are overwritten in place (every row when
-   the caller cannot say which changed) and the cached incoming CSR
-   replaced (with the caller's incrementally patched one when given).
-   A snapshot beyond the warm capacity is refused — that is the epoch
-   boundary, where the caller calls [rewarm] first. *)
-let update_graph t ~(graph : G.t) ?features ?rows ?csr () =
-  if
-    G.num_ntypes graph <> G.num_ntypes t.graph
-    || G.num_etypes graph <> G.num_etypes t.graph
-  then Error "Serve.update_graph: metagraph shape mismatch"
-  else if graph.G.num_nodes > t.node_capacity then
-    Error
-      (Printf.sprintf
-         "Serve.update_graph: %d nodes exceed warm capacity %d (epoch rebuild required)"
-         graph.G.num_nodes t.node_capacity)
-  else if graph.G.num_edges > t.edge_capacity then
-    Error
-      (Printf.sprintf
-         "Serve.update_graph: %d edges exceed warm capacity %d (epoch rebuild required)"
-         graph.G.num_edges t.edge_capacity)
-  else begin
+(* Why a snapshot cannot be served from a block warmed on a graph of
+   [node_capacity] nodes and [edge_capacity] edges, if it cannot. *)
+let misfit t ~fn ~node_capacity ~edge_capacity ~(graph : G.t) ?features ?rows () =
+  if G.num_ntypes graph <> G.num_ntypes t.graph || G.num_etypes graph <> G.num_etypes t.graph
+  then Some (fn ^ ": metagraph shape mismatch")
+  else if graph.G.num_nodes > node_capacity then
+    Some
+      (Printf.sprintf "%s: %d nodes exceed warm capacity %d (epoch rebuild required)" fn
+         graph.G.num_nodes node_capacity)
+  else if graph.G.num_edges > edge_capacity then
+    Some
+      (Printf.sprintf "%s: %d edges exceed warm capacity %d (epoch rebuild required)" fn
+         graph.G.num_edges edge_capacity)
+  else
     match (features, rows) with
     | Some f, _
       when Tensor.cols f <> Tensor.cols (Block.features t.block)
            || Tensor.rows f <> graph.G.num_nodes ->
-        Error "Serve.update_graph: features must be num_nodes x feature_dim"
-    | None, Some _ -> Error "Serve.update_graph: rows without features"
+        Some (fn ^ ": features must be num_nodes x feature_dim")
+    | None, Some _ -> Some (fn ^ ": rows without features")
     | _, Some rows when Array.exists (fun r -> r < 0 || r >= graph.G.num_nodes) rows ->
-        Error "Serve.update_graph: a written row is out of range"
-    | _ ->
-        (match features with
-        | Some f -> Block.update_features t.block ?rows f
-        | None -> Block.invalidate_rows t.block);
-        t.graph <- graph;
-        t.in_csr <- (match csr with Some c -> c | None -> Csr.incoming graph);
-        Hector_obs.add t.obs "serve.graph_updates" 1;
-        Ok ()
-  end
+        Some (fn ^ ": a written row is out of range")
+    | _ -> None
+
+(* Install a snapshot that fits the current block: only the written
+   feature rows are overwritten in place (every row when the caller
+   cannot say which changed), and the cached incoming CSR replaced. *)
+let install t ~graph ?features ?rows ~csr () =
+  (match features with
+  | Some f -> Block.update_features t.block ?rows f
+  | None -> Block.invalidate_rows t.block);
+  t.graph <- graph;
+  t.in_csr <- csr;
+  Hector_obs.add t.obs "serve.graph_updates" 1
+
+(* Swap the served graph for a new snapshot of the same mutable parent —
+   the streaming subsystem's in-slack path.  Within the warm capacity this
+   recompiles nothing and reallocates nothing: the plan-cache key, slab
+   backings, staging tensors and the parent-features storage all survive.
+   A snapshot beyond the warm capacity is refused — that is the epoch
+   boundary, where the caller calls [rewarm] instead. *)
+let update_graph t ~(graph : G.t) ?features ?rows ?csr () =
+  match
+    misfit t ~fn:"Serve.update_graph" ~node_capacity:t.node_capacity
+      ~edge_capacity:t.edge_capacity ~graph ?features ?rows ()
+  with
+  | Some msg -> Error msg
+  | None ->
+      install t ~graph ?features ?rows
+        ~csr:(match csr with Some c -> c | None -> Csr.incoming graph)
+        ();
+      Ok ()
 
 let model_weights t = Block.weights t.block
 let engine t = Block.engine t.block
@@ -213,21 +223,28 @@ let launches t = t.replaced_launches + (Stats.total (Engine.stats (engine t))).S
 let device_ms t = t.replaced_ms +. Engine.elapsed_ms (engine t)
 
 (* The epoch boundary: warm a fresh block (engine, slab, staging) over the
-   new capacity graph with the same compiled plan and weights, and keep
-   every counter, latency and the fault plan running.  Its features are
-   zero until the caller's next [update_graph] installs a snapshot. *)
-let rewarm t ~(graph : G.t) =
-  t.replaced_launches <- launches t;
-  t.replaced_ms <- device_ms t;
-  let features = Tensor.zeros [| graph.G.num_nodes; t.inputs.Block.feature_dim |] in
-  t.block <-
-    Block.create ~obs:t.obs ~weights:(model_weights t) ~features ~origin:"serve" ~seed:t.seed
-      ~graph t.inputs t.compiled;
-  t.graph <- graph;
-  t.in_csr <- Csr.incoming graph;
-  t.node_capacity <- graph.G.num_nodes;
-  t.edge_capacity <- graph.G.num_edges;
-  t.warm_alloc_count <- Memory.alloc_count (Engine.memory (engine t))
+   new capacity graph with the same compiled plan and weights, install the
+   snapshot on it, and keep every counter, latency and the fault plan
+   running.  The capacity graph is only sized against, never served, so
+   its CSR is never built. *)
+let rewarm t ~(capacity : G.t) ~graph ~features ~csr =
+  match
+    misfit t ~fn:"Serve.rewarm" ~node_capacity:capacity.G.num_nodes
+      ~edge_capacity:capacity.G.num_edges ~graph ~features ()
+  with
+  | Some msg -> Error msg
+  | None ->
+      t.replaced_launches <- launches t;
+      t.replaced_ms <- device_ms t;
+      let zeros = Tensor.zeros [| capacity.G.num_nodes; t.inputs.Block.feature_dim |] in
+      t.block <-
+        Block.create ~obs:t.obs ~weights:(model_weights t) ~features:zeros ~origin:"serve"
+          ~seed:t.seed ~graph:capacity t.inputs t.compiled;
+      t.node_capacity <- capacity.G.num_nodes;
+      t.edge_capacity <- capacity.G.num_edges;
+      t.warm_alloc_count <- Memory.alloc_count (Engine.memory (engine t));
+      install t ~graph ~features ~csr ();
+      Ok ()
 
 (* Execute one coalesced batch: union-sample a block as deep as the
    forward reads, stage it onto the replica ({!Block.stage}), run the

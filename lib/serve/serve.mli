@@ -136,22 +136,32 @@ val update_graph :
     one) replaces the cached adjacency, rebuilt from [graph] when omitted.
     Returns [Error] without changing anything if the snapshot exceeds the
     warm capacity or its metagraph shape differs — the epoch boundary,
-    where the caller calls {!rewarm} with a larger capacity graph first —
+    where the caller calls {!rewarm} with a larger capacity graph instead —
     or if [rows] is given without [features] or names a row outside the
     snapshot. *)
 
-val rewarm : t -> graph:Hector_graph.Hetgraph.t -> unit
-(** Re-warm the replica over a new capacity graph — the epoch-boundary
-    path of {!Hector_stream}.  A fresh {!Hector_runtime.Block} (engine,
-    slab, staging, zero features) replaces the current one, built from
-    the same compiled plan (its options resolved at {!create}) and the
-    same weights ({!model_weights} is physically unchanged), so nothing
-    recompiles.  The replaced engine's launches and clock carry into
-    {!launches} and {!device_ms}; load counters, latencies, batch ids,
-    the batch histogram, the plan cache and the fault plan all keep
-    running.  {!warm_alloc_count} becomes the new engine's.  The features
-    read zero until the next {!update_graph} installs a snapshot of at
-    most [graph]'s size, which must have the current metagraph shape. *)
+val rewarm :
+  t ->
+  capacity:Hector_graph.Hetgraph.t ->
+  graph:Hector_graph.Hetgraph.t ->
+  features:Tensor.t ->
+  csr:Hector_graph.Csr.t ->
+  (unit, string) result
+(** Re-warm the replica over a new capacity graph and install a snapshot
+    on it — the epoch-boundary path of {!Hector_stream}.  A fresh
+    {!Hector_runtime.Block} (engine, slab, staging) sized against
+    [capacity] replaces the current one, built from the same compiled
+    plan (its options resolved at {!create}) and the same weights
+    ({!model_weights} is physically unchanged), so nothing recompiles;
+    then [graph], [features] (every row) and [csr] go in as
+    {!update_graph} would install them.  [capacity] is only sized
+    against, never served, so no CSR of it is built.  The replaced
+    engine's launches and clock carry into {!launches} and
+    {!device_ms}; load counters, latencies, batch ids, the batch
+    histogram, the plan cache and the fault plan all keep running.
+    {!warm_alloc_count} becomes the new engine's.  Returns [Error]
+    without changing anything when the snapshot would not fit
+    [capacity] (node or edge count, metagraph shape or feature shape). *)
 
 val serve : t -> Workload.request array -> response array
 (** Run the discrete-event loop over one arrival trace (sorted by

@@ -29,7 +29,10 @@ type counters = {
   deltas : int;
   ops : int;
   epochs : int;
+  node_overflows : int;
+  edge_overflows : int;
   rebuilds : int;
+  churn_rebuilds : int;
   patched_rows : int;
   compacted : int;
   rejected_deltas : int;
@@ -94,7 +97,6 @@ type t = {
   mutable edge_ty : int array;  (* stable edge -> etype *)
   mutable edge_src : int array;  (* stable edge -> stable source node *)
   mutable edge_dst : int array;
-  mutable edge_phys : int array;  (* stable edge -> physical id in [snap] *)
   mutable next_node : int;
   mutable next_edge : int;
   mutable ncap : int array;
@@ -106,7 +108,10 @@ type t = {
   mutable c_deltas : int;
   mutable c_ops : int;
   mutable c_epochs : int;
+  mutable c_node_overflows : int;
+  mutable c_edge_overflows : int;
   mutable c_rebuilds : int;
+  mutable c_churn_rebuilds : int;
   mutable c_patched : int;
   mutable c_compacted : int;
   mutable c_rejected : int;
@@ -151,14 +156,83 @@ let build_cap_graph t =
     G.of_columns ~name:(Printf.sprintf "%s#e%d" t.gname t.cur_epoch) ~metagraph:t.meta ~node_type
       ~src ~dst ~etype ()
 
-let live_ids ty segs = Array.concat (Array.to_list (Array.map (seg_live_ids ty) segs))
+(* What a committed delta changed in one typed layout (nodes or edges)
+   relative to the previous snapshot: the previous positions it killed,
+   and per type the stable ids it appended, newest first. *)
+type churn = { mutable dead : int list; added : int list array }
 
-(* Point [phys] at the new numbering [ids]; return the old->new map of
-   [old_ids] ([-1] for ids that left). *)
-let renumber phys ~old_ids ids =
-  Array.iter (fun s -> phys.(s) <- -1) old_ids;
-  Array.iteri (fun i s -> phys.(s) <- i) ids;
-  Array.map (fun s -> phys.(s)) old_ids
+let churn_make types = { dead = []; added = Array.make types [] }
+
+(* The settled churn: dead positions ascending, per type the appended ids
+   still live in insertion order, and the new element count; [None] when
+   the layout is unchanged. *)
+let settle ty c ~count =
+  let added = Array.map (fun l -> List.rev (List.filter (fun s -> ty.(s) >= 0) l)) c.added in
+  let dead = Array.of_list c.dead in
+  Array.sort Int.compare dead;
+  if dead = [||] && Array.for_all (( = ) []) added then None
+  else
+    Some
+      ( dead,
+        added,
+        count - Array.length dead + Array.fold_left (fun acc l -> acc + List.length l) 0 added )
+
+(* Per-type start offsets of a type-sorted column, plus its length. *)
+let offsets range g types count =
+  Array.init (types + 1) (fun ty -> if ty = types then count else fst (range g ty))
+
+let identity n =
+  let a = Array.make n 0 in
+  for i = 1 to n - 1 do
+    a.(i) <- i
+  done;
+  a
+
+let types_column off =
+  let types = Array.length off - 1 in
+  let a = Array.make off.(types) 0 in
+  for ty = 0 to types - 1 do
+    Array.fill a off.(ty) (off.(ty + 1) - off.(ty)) ty
+  done;
+  a
+
+(* The new typed layout, derived from the previous one by runs: each
+   type's survivors keep their order, and each type gains its appended
+   ids at its end — exactly the live subsequence of its segment, since
+   inserts append and compaction preserves order.  [old_off] are the
+   previous per-type offsets, [dead] the killed previous positions
+   (ascending).  [run ~old_pos ~new_pos ~len] is called for every maximal
+   run of survivors, [append ~new_pos s] for every appended id.  Returns
+   the old -> new map ([-1] for the dead) and the new per-type offsets. *)
+let relayout ~old_off ~dead ~added ~run ~append =
+  let types = Array.length added in
+  let map = Array.make old_off.(types) (-1) in
+  let off = Array.make (types + 1) 0 in
+  let p = ref 0 and k = ref 0 in
+  for ty = 0 to types - 1 do
+    off.(ty) <- !p;
+    let i = ref old_off.(ty) and stop = old_off.(ty + 1) in
+    while !i < stop do
+      let cut = if !k < Array.length dead && dead.(!k) < stop then dead.(!k) else stop in
+      let len = cut - !i in
+      if len > 0 then begin
+        run ~old_pos:!i ~new_pos:!p ~len;
+        for j = 0 to len - 1 do
+          map.(!i + j) <- !p + j
+        done;
+        p := !p + len
+      end;
+      if cut < stop then incr k;
+      i := cut + 1
+    done;
+    List.iter
+      (fun s ->
+        append ~new_pos:!p s;
+        incr p)
+      added.(ty)
+  done;
+  off.(types) <- !p;
+  (map, off)
 
 (* The delta's feature rows, in op order, into [features] by the current
    numbering (rows of nodes the delta also removed are dropped). *)
@@ -175,50 +249,96 @@ let written_rows t writes =
   Array.of_list
     (List.filter_map (fun (s, _) -> if t.node_phys.(s) >= 0 then Some t.node_phys.(s) else None) writes)
 
-(* Rebuild the physical snapshot from the live state.  Features are
-   gathered from the previous snapshot through the old physical ids (new
-   nodes start at zero), then the delta's rows are written.  Survivors
-   keep their relative order, so the gather moves whole runs of rows that
-   stay consecutive.  [patch_csr] decides how the incoming CSR is
-   produced; the caller knows whether the node set survived unchanged
-   (patching legal) or not. *)
-let rebuild t ~patch_csr ~writes =
+(* Derive the next snapshot from the previous one and the delta's churn.
+   Nodes and edges are laid out by runs ([relayout]); an unchanged layout
+   shares the previous arrays, and an unchanged graph is the previous
+   graph.  With [fresh] (node churn or an epoch bump) the features are a
+   new matrix — survivors' rows gathered by the same runs, new nodes at
+   zero — and the CSR is rebuilt; otherwise the numbering survived, the
+   delta's rows are written into the previous feature matrix in place, and
+   the CSR is patched (or kept, when the graph is).  Returns whether the
+   numbering survived, the node and edge maps, and how the CSR was made. *)
+let derive t ~fresh ~nodes ~edges ~writes =
   let old = t.snap in
-  let node_stable = live_ids t.node_ty t.nseg in
-  let n = Array.length node_stable in
-  let features = Tensor.create_uninit [| n; t.fdim |] in
-  let src, so = Tensor.storage old.features and dst, d0 = Tensor.storage features in
-  let old_row i = t.node_phys.(node_stable.(i)) in
-  let i = ref 0 in
-  while !i < n do
-    let p = old_row !i and j = ref (!i + 1) in
-    while !j < n && (if p < 0 then old_row !j < 0 else old_row !j = p + !j - !i) do
-      incr j
-    done;
-    let at = d0 + (!i * t.fdim) and len = (!j - !i) * t.fdim in
-    if p < 0 then Array.fill dst at len 0.0 else Array.blit src (so + (p * t.fdim)) dst at len;
-    i := !j
-  done;
-  let node_map = renumber t.node_phys ~old_ids:old.node_stable node_stable in
+  let ntypes = Array.length t.nseg and etypes = Array.length t.eseg in
+  let n_old = Array.length old.node_stable and m_old = Array.length old.edge_stable in
+  let kept, node_map, node_stable, node_type, features =
+    match settle t.node_ty nodes ~count:n_old with
+    | None ->
+        ( true,
+          identity n_old,
+          old.node_stable,
+          old.graph.G.node_type,
+          if fresh then Tensor.copy old.features else old.features )
+    | Some (dead, added, n) ->
+        let node_stable = Array.make n 0 in
+        let features = Tensor.create_uninit [| n; t.fdim |] in
+        let src, so = Tensor.storage old.features and dst, d0 = Tensor.storage features in
+        let node_map, off =
+          relayout
+            ~old_off:(offsets G.nodes_of_type old.graph ntypes n_old)
+            ~dead ~added
+            ~run:(fun ~old_pos ~new_pos ~len ->
+              (* a typed loop: [Array.blit] pays a write barrier per
+                 element on a major-heap int array *)
+              for j = 0 to len - 1 do
+                node_stable.(new_pos + j) <- old.node_stable.(old_pos + j)
+              done;
+              Array.blit src (so + (old_pos * t.fdim)) dst (d0 + (new_pos * t.fdim)) (len * t.fdim);
+              if new_pos <> old_pos then
+                for j = new_pos to new_pos + len - 1 do
+                  t.node_phys.(node_stable.(j)) <- j
+                done)
+            ~append:(fun ~new_pos s ->
+              node_stable.(new_pos) <- s;
+              Array.fill dst (d0 + (new_pos * t.fdim)) t.fdim 0.0;
+              t.node_phys.(s) <- new_pos)
+        in
+        Array.iter (fun p -> t.node_phys.(old.node_stable.(p)) <- -1) dead;
+        (false, node_map, node_stable, types_column off, features)
+  in
   write_rows t features writes;
-  let edge_stable = live_ids t.edge_ty t.eseg in
-  let edge_map = renumber t.edge_phys ~old_ids:old.edge_stable edge_stable in
+  (* survivors' endpoints: the previous columns, through [node_map] when
+     the numbering moved *)
+  let ends col = if kept then col else Array.map (fun v -> node_map.(v)) col in
+  let edge_map, edge_stable, src, dst, etype =
+    match settle t.edge_ty edges ~count:m_old with
+    | None ->
+        (identity m_old, old.edge_stable, ends old.graph.G.src, ends old.graph.G.dst,
+         old.graph.G.etype)
+    | Some (dead, added, m) ->
+        let edge_stable = Array.make m 0 and src = Array.make m 0 and dst = Array.make m 0 in
+        let old_src = old.graph.G.src and old_dst = old.graph.G.dst in
+        let old_off = offsets G.edges_of_type old.graph etypes m_old in
+        let edge_map, off =
+          relayout ~old_off ~dead ~added
+            ~run:(fun ~old_pos ~new_pos ~len ->
+              let shift = new_pos - old_pos in
+              for i = old_pos to old_pos + len - 1 do
+                edge_stable.(i + shift) <- old.edge_stable.(i);
+                src.(i + shift) <- (if kept then old_src.(i) else node_map.(old_src.(i)));
+                dst.(i + shift) <- (if kept then old_dst.(i) else node_map.(old_dst.(i)))
+              done)
+            ~append:(fun ~new_pos e ->
+              edge_stable.(new_pos) <- e;
+              src.(new_pos) <- t.node_phys.(t.edge_src.(e));
+              dst.(new_pos) <- t.node_phys.(t.edge_dst.(e)))
+        in
+        let etype = if off = old_off then old.graph.G.etype else types_column off in
+        (edge_map, edge_stable, src, dst, etype)
+  in
   let graph =
-    G.of_columns ~name:t.gname ~metagraph:t.meta
-      ~node_type:(Array.map (fun s -> t.node_ty.(s)) node_stable)
-      ~src:(Array.map (fun e -> t.node_phys.(t.edge_src.(e))) edge_stable)
-      ~dst:(Array.map (fun e -> t.node_phys.(t.edge_dst.(e))) edge_stable)
-      ~etype:(Array.map (fun e -> t.edge_ty.(e)) edge_stable) ()
+    if kept && edge_stable == old.edge_stable then old.graph
+    else G.of_columns ~name:t.gname ~metagraph:t.meta ~node_type ~src ~dst ~etype ()
   in
   let csr, patched_rows, rebuilt =
-    if patch_csr then begin
+    if fresh then (Csr.incoming graph, 0, true)
+    else if graph == old.graph then (old.csr, 0, false)
+    else begin
       let csr, rows = Csr.patch_incoming old.csr ~old_graph:old.graph ~graph ~edge_map in
       (csr, rows, false)
     end
-    else (Csr.incoming graph, 0, true)
   in
-  if rebuilt then t.c_rebuilds <- t.c_rebuilds + 1;
-  t.c_patched <- t.c_patched + patched_rows;
   t.cur_version <- t.cur_version + 1;
   t.snap <-
     {
@@ -230,7 +350,7 @@ let rebuild t ~patch_csr ~writes =
       epoch = t.cur_epoch;
       version = t.cur_version;
     };
-  (node_map, edge_map, patched_rows, rebuilt)
+  (kept, node_map, edge_map, patched_rows, rebuilt)
 
 let create ?(name = "stream") ?slack ~graph ~features () =
   let slack = Option.value slack ~default:default_slack in
@@ -269,7 +389,6 @@ let create ?(name = "stream") ?slack ~graph ~features () =
       edge_ty = Array.copy graph.G.etype;
       edge_src = Array.copy graph.G.src;
       edge_dst = Array.copy graph.G.dst;
-      edge_phys = Array.init m Fun.id;
       next_node = n;
       next_edge = m;
       ncap = [||];
@@ -281,7 +400,10 @@ let create ?(name = "stream") ?slack ~graph ~features () =
       c_deltas = 0;
       c_ops = 0;
       c_epochs = 0;
+      c_node_overflows = 0;
+      c_edge_overflows = 0;
       c_rebuilds = 0;
+      c_churn_rebuilds = 0;
       c_patched = 0;
       c_compacted = 0;
       c_rejected = 0;
@@ -375,10 +497,23 @@ let kill_edge t e =
   seg.live <- seg.live - 1;
   t.edge_ty.(e) <- -1
 
-(* Commit a validated delta to the live arrays; returns whether nodes
-   changed and the delta's feature rows in op order. *)
+(* [s]'s position in the ascending [stable] slice [lo, hi). *)
+let rec position stable s lo hi =
+  if hi - lo <= 1 then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if stable.(mid) <= s then position stable s mid hi else position stable s lo mid
+
+(* Commit a validated delta to the live arrays.  Returns whether nodes
+   changed, the delta's feature rows in op order, and the node and edge
+   churn against the current snapshot.  A removed node's incident edges
+   die in one sweep after the ops: live edges never have dead endpoints,
+   and no later op of the batch can reach a removed node. *)
 let commit t (d : Delta.t) =
-  let node_churn = ref false and writes = ref [] in
+  let old = t.snap in
+  let next_edge0 = t.next_edge in
+  let nodes = churn_make (Array.length t.nseg) and edges = churn_make (Array.length t.eseg) in
+  let node_churn = ref false and removed_nodes = ref false and writes = ref [] in
   Array.iter
     (fun op ->
       match op with
@@ -389,16 +524,15 @@ let commit t (d : Delta.t) =
           t.node_phys <- grow t.node_phys t.next_node (-1);
           seg_push t.nseg.(ntype) s;
           t.node_ty.(s) <- ntype;
+          nodes.added.(ntype) <- s :: nodes.added.(ntype);
           Option.iter (fun f -> writes := (s, f) :: !writes) feat;
           node_churn := true
       | Delta.Remove_node { node } ->
           let seg = t.nseg.(t.node_ty.(node)) in
           seg.live <- seg.live - 1;
           t.node_ty.(node) <- -1;
-          for e = 0 to t.next_edge - 1 do
-            if t.edge_ty.(e) >= 0 && (t.edge_src.(e) = node || t.edge_dst.(e) = node) then
-              kill_edge t e
-          done;
+          if t.node_phys.(node) >= 0 then nodes.dead <- t.node_phys.(node) :: nodes.dead;
+          removed_nodes := true;
           node_churn := true
       | Delta.Add_edge { etype; src; dst } ->
           let e = t.next_edge in
@@ -406,15 +540,35 @@ let commit t (d : Delta.t) =
           t.edge_ty <- grow t.edge_ty t.next_edge (-1);
           t.edge_src <- grow t.edge_src t.next_edge 0;
           t.edge_dst <- grow t.edge_dst t.next_edge 0;
-          t.edge_phys <- grow t.edge_phys t.next_edge (-1);
           seg_push t.eseg.(etype) e;
           t.edge_ty.(e) <- etype;
           t.edge_src.(e) <- src;
-          t.edge_dst.(e) <- dst
-      | Delta.Remove_edge { edge } -> kill_edge t edge
+          t.edge_dst.(e) <- dst;
+          edges.added.(etype) <- e :: edges.added.(etype)
+      | Delta.Remove_edge { edge } ->
+          if edge < next_edge0 then begin
+            let start, count = G.edges_of_type old.graph t.edge_ty.(edge) in
+            edges.dead <- position old.edge_stable edge start (start + count) :: edges.dead
+          end;
+          kill_edge t edge
       | Delta.Set_feat { node; feat } -> writes := (node, feat) :: !writes)
     d.Delta.ops;
-  (!node_churn, List.rev !writes)
+  if !removed_nodes then begin
+    let doomed e =
+      t.edge_ty.(e) >= 0 && (t.node_ty.(t.edge_src.(e)) < 0 || t.node_ty.(t.edge_dst.(e)) < 0)
+    in
+    Array.iteri
+      (fun i e ->
+        if doomed e then begin
+          kill_edge t e;
+          edges.dead <- i :: edges.dead
+        end)
+      old.edge_stable;
+    for e = next_edge0 to t.next_edge - 1 do
+      if doomed e then kill_edge t e
+    done
+  end;
+  (!node_churn, List.rev !writes, nodes, edges)
 
 let apply t (d : Delta.t) =
   match validate t d with
@@ -422,69 +576,51 @@ let apply t (d : Delta.t) =
       t.c_rejected <- t.c_rejected + 1;
       Error msg
   | () ->
-      let structural = Delta.structural d in
-      let node_churn, writes = commit t d in
+      let node_churn, writes, nodes, edges = commit t d in
       t.c_deltas <- t.c_deltas + 1;
       t.c_ops <- t.c_ops + Delta.size d;
-      let overflow =
-        Array.exists2 (fun s cap -> s.live > cap) t.nseg t.ncap
-        || Array.exists2 (fun s cap -> s.live > cap) t.eseg t.ecap
-      in
+      let over segs caps = Array.exists2 (fun s cap -> s.live > cap) segs caps in
+      let node_over = over t.nseg t.ncap and edge_over = over t.eseg t.ecap in
+      let overflow = node_over || edge_over in
       let compactions = ref 0 in
       let sweep ty force s =
         let over = s.len > 0 && float_of_int (s.len - s.live) /. float_of_int s.len > compact_threshold in
         if (force || over) && seg_compact ty s then incr compactions
       in
       (* an epoch boundary force-compacts every segment; in slack, only
-         garbage past the threshold is swept *)
+         garbage past the threshold is swept.  Compaction preserves the
+         live order, so it never moves a physical id. *)
       Array.iter (sweep t.node_ty overflow) t.nseg;
       Array.iter (sweep t.edge_ty overflow) t.eseg;
       t.c_compacted <- t.c_compacted + !compactions;
-      let node_map, edge_map, csr_patched_rows, csr_rebuilt =
-        if overflow || structural then begin
-          if overflow then begin
-            (* epoch boundary: re-derive capacities and rebuild everything.
-               Stable ids survive, so old->new maps stay valid (and
-               monotone) across the boundary. *)
-            t.cur_epoch <- t.cur_epoch + 1;
-            t.c_epochs <- t.c_epochs + 1;
-            derive_caps t;
-            build_cap_graph t
-          end;
-          (* compaction preserves the live order, so the node set (and its
-             physical numbering) changed iff the delta touched nodes —
-             in-slack edge-only deltas may patch the CSR row-wise *)
-          rebuild t ~patch_csr:(not (overflow || node_churn)) ~writes
-        end
-        else begin
-          (* feature-only: physical graph and CSR are untouched; the new
-             snapshot copies the feature matrix and writes the delta's rows *)
-          let old = t.snap in
-          let features = Tensor.copy old.features in
-          write_rows t features writes;
-          t.cur_version <- t.cur_version + 1;
-          t.snap <- { old with features; version = t.cur_version };
-          let id a = Array.init (Array.length a) Fun.id in
-          (id old.node_stable, id old.edge_stable, 0, false)
-        end
+      if overflow then begin
+        (* epoch boundary: re-derive capacities; the snapshot below gets
+           fresh features and a rebuilt CSR.  Stable ids survive, so
+           old->new maps stay valid (and monotone) across the boundary. *)
+        t.cur_epoch <- t.cur_epoch + 1;
+        t.c_epochs <- t.c_epochs + 1;
+        if node_over then t.c_node_overflows <- t.c_node_overflows + 1;
+        if edge_over then t.c_edge_overflows <- t.c_edge_overflows + 1;
+        derive_caps t;
+        build_cap_graph t
+      end;
+      let kept, node_map, edge_map, csr_patched_rows, csr_rebuilt =
+        derive t ~fresh:(overflow || node_churn) ~nodes ~edges ~writes
       in
-      (* the numbering survived iff every old node kept its id and none
-         was added *)
-      let survived =
-        Array.length node_map = Array.length t.snap.node_stable
-        && (let ok = ref true in
-            Array.iteri (fun i p -> if p <> i then ok := false) node_map;
-            !ok)
-      in
+      if csr_rebuilt then begin
+        t.c_rebuilds <- t.c_rebuilds + 1;
+        if not overflow then t.c_churn_rebuilds <- t.c_churn_rebuilds + 1
+      end;
+      t.c_patched <- t.c_patched + csr_patched_rows;
       Ok
         {
           epoch_changed = overflow;
-          structural;
+          structural = Delta.structural d;
           csr_patched_rows;
           csr_rebuilt;
           compactions = !compactions;
           node_map;
-          feature_rows = (if survived then Some (written_rows t writes) else None);
+          feature_rows = (if kept then Some (written_rows t writes) else None);
           edge_map;
         }
 
@@ -518,7 +654,10 @@ let counters t =
     deltas = t.c_deltas;
     ops = t.c_ops;
     epochs = t.c_epochs;
+    node_overflows = t.c_node_overflows;
+    edge_overflows = t.c_edge_overflows;
     rebuilds = t.c_rebuilds;
+    churn_rebuilds = t.c_churn_rebuilds;
     patched_rows = t.c_patched;
     compacted = t.c_compacted;
     rejected_deltas = t.c_rejected;

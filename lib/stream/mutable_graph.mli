@@ -1,33 +1,48 @@
-(** A mutating heterogeneous graph serving immutable snapshots — the core
-    of the delta-ingestion subsystem.
+(** A mutating heterogeneous graph serving snapshots — the core of the
+    delta-ingestion subsystem.
 
     {!Hector_graph.Hetgraph} values are frozen; the compile/execute stack
     is built around that.  This module wraps live state — per-type node
     and edge segments with {e stable ids} (assigned at insertion, never
-    reused) — and re-derives a physical snapshot after each {!apply}.
-    Stable ids are dense, so the live state is flat arrays indexed by
-    stable id (type, endpoints, current physical id); feature rows live
-    only in the snapshot's physical matrix, and each rebuild gathers them
-    from the previous snapshot through the old physical ids.  An {!apply}
-    never mutates a snapshot it has returned, so a consumer (a serving
-    replica mid-batch, a checker) may keep an old one as long as it
-    likes.  Physical ids renumber per snapshot, but
-    because inserts append to the end of their type segment and
-    tombstone compaction preserves order, the old→new id maps are always
-    {e strictly increasing on survivors}, which is what lets downstream
-    consumers patch instead of rebuild (CSR rows, partition membership).
+    reused) — and derives a physical snapshot from the previous one after
+    each {!apply}.  Stable ids are dense, so the live state is flat arrays
+    indexed by stable id (type, endpoints, current physical node id);
+    feature rows live only in the snapshot's physical matrix.  Physical
+    ids renumber per snapshot, but because inserts append to the end of
+    their type segment and tombstone compaction preserves order, each
+    type's survivors keep their order and the type's new ids follow
+    them: the old→new id maps are always {e strictly increasing on
+    survivors}.  That is what lets {!apply} derive the next snapshot's
+    columns and maps by runs of the previous one, and what lets
+    downstream consumers patch instead of rebuild (CSR rows, partition
+    membership).
+
+    {2 What a snapshot shares}
+
+    A snapshot's graph, CSR and id maps are never mutated after {!apply}
+    returns, so a consumer (a checker, a graph kept for comparison) may
+    keep them as long as it likes; an unchanged part is shared with the
+    previous snapshot (a feature-only delta keeps the graph and CSR
+    physically).  Its feature matrix is different: while a delta keeps
+    the node numbering (no node added or removed, no epoch bump), the
+    delta's rows are written into the current matrix {e in place}, so the
+    new snapshot's [features] is physically the previous one's.  Node
+    churn and epoch bumps gather a fresh matrix and leave the previous
+    one as it was.  A consumer that needs an old snapshot's features
+    after a later {!apply} copies them first.
 
     {2 Capacity-slack epochs}
 
     At each epoch start every node/edge type is granted
     [ceil ((1 + slack) * live)] device capacity ([slack], default
     {!default_slack}).  While live counts stay within those caps
-    — the {e in-slack} regime — snapshots are cheap (tombstone/append +
-    incremental CSR patching) and, crucially, everything compiled or
+    — the {e in-slack} regime — snapshots are cheap (tombstone/append,
+    in-place feature rows, incremental CSR patching) and, crucially, everything compiled or
     allocated against the {!capacity_graph} stays valid: plans, arena
     slabs, staging tensors.  The first delta that overflows a cap bumps
     the {e epoch}: segments are force-compacted, caps re-derived, the
-    snapshot rebuilt from scratch, and the capacity graph's name changes
+    features gathered into a fresh matrix and the CSR rebuilt, and the
+    capacity graph's name changes
     ([name#e<epoch>]) so every epoch-keyed cache misses exactly once.
 
     In-slack tombstones are garbage: a segment more than a quarter dead
@@ -43,7 +58,11 @@ type t
 
 type snapshot = {
   graph : Hetgraph.t;  (** physical graph, a normal frozen Hetgraph *)
-  features : Tensor.t;  (** [num_nodes x feat_dim] node features *)
+  features : Tensor.t;
+      (** [num_nodes x feat_dim] node features.  The next {!apply} that
+          keeps the node numbering writes its rows into this tensor in
+          place and hands it on; node churn or an epoch bump leaves it
+          alone and the next snapshot gets a fresh one. *)
   csr : Csr.t;  (** [Csr.incoming graph], patched or rebuilt *)
   node_stable : int array;  (** physical node id -> stable id *)
   edge_stable : int array;  (** physical edge id -> stable id *)
@@ -65,9 +84,8 @@ type apply_stats = {
   feature_rows : int array option;
       (** when the node numbering survived ([node_map] is the identity
           and no node was added): the physical rows the delta's feature
-          writes landed in, in op order — every other row of the new
-          snapshot's features equals the previous one's.  [None] when
-          nodes were renumbered. *)
+          writes landed in, in op order — every other row holds what it
+          held before the delta.  [None] when nodes were renumbered. *)
   edge_map : int array;  (** same for edges *)
 }
 
@@ -75,7 +93,16 @@ type counters = {
   deltas : int;
   ops : int;
   epochs : int;  (** epoch bumps (initial epoch 0 not counted) *)
-  rebuilds : int;  (** full CSR rebuilds *)
+  node_overflows : int;
+      (** epoch bumps where some node type outgrew its capacity *)
+  edge_overflows : int;
+      (** epoch bumps where some edge type outgrew its capacity; a bump
+          where both did counts in both, so [epochs <= node_overflows +
+          edge_overflows] *)
+  rebuilds : int;  (** full CSR rebuilds: [churn_rebuilds + epochs] *)
+  churn_rebuilds : int;
+      (** CSR rebuilds caused by node churn inside an epoch; every other
+          rebuild is an epoch bump's *)
   patched_rows : int;  (** cumulative CSR rows regathered *)
   compacted : int;  (** cumulative segment compactions *)
   rejected_deltas : int;  (** {!apply} calls that returned [Error] *)
@@ -90,7 +117,8 @@ val create :
 (** Adopt a frozen graph as epoch-0 live state: physical id [i] becomes
     stable id [i] (nodes and edges independently), and a copy of
     [features] (which must be [num_nodes x dim]) becomes the epoch-0
-    snapshot's feature matrix.  [slack] defaults to {!default_slack}.
+    snapshot's feature matrix, so in-place row writes never reach the
+    caller's tensor.  [slack] defaults to {!default_slack}.
     Raises [Invalid_argument] on a feature-shape mismatch or a negative
     or non-finite [slack]. *)
 
@@ -100,16 +128,21 @@ val apply : t -> Delta.t -> (apply_stats, string) result
     the batch itself has added or removed so far — an op referencing a
     dead or unknown stable id, an edge violating the metagraph, or a
     feature row of the wrong length makes the {e entire} delta [Error]
-    with nothing changed (and [rejected_deltas] incremented).  On [Ok]:
-    removals of a node implicitly remove its incident live edges;
-    feature-only deltas reuse the previous physical graph and CSR
-    outright and copy the feature matrix before writing their rows;
-    edge-only structural deltas patch the CSR incrementally; node churn
-    or an epoch bump rebuilds it.  Feature rows given in the delta are
-    copied; the caller may reuse its arrays. *)
+    with nothing changed — the snapshot and its features included — and
+    [rejected_deltas] incremented.  On [Ok]: removals of a node
+    implicitly remove its incident live edges.  The next snapshot is
+    derived from the current one by runs: each type's surviving nodes and
+    edges keep their order, and the type's new ones follow them.  A delta
+    that keeps the node numbering writes its feature rows into the current
+    feature matrix in place (no tensor is allocated), reuses the physical
+    graph and CSR outright when it changes no edge, and otherwise patches
+    the CSR row-wise ({!Hector_graph.Csr.patch_incoming}).  Node churn or
+    an epoch bump gathers a fresh feature matrix (new nodes at zero, then
+    the delta's rows) and rebuilds the CSR.  Feature rows given in the
+    delta are copied; the caller may reuse its arrays. *)
 
 val snapshot : t -> snapshot
-(** The current snapshot (cheap; rebuilt by {!apply}, not here). *)
+(** The current snapshot (cheap; derived by {!apply}, not here). *)
 
 val view : t -> Delta.view
 (** Live-state window for {!Delta.generate}: stable ids ascending per

@@ -20,13 +20,21 @@ type t = {
 let update_cost ~ops ~epoch_changed =
   0.02 +. (0.002 *. float_of_int ops) +. if epoch_changed then 2.0 else 0.0
 
-(* [rows]: the feature rows the last delta wrote, when the node numbering
-   survived it; otherwise the replica copies (and re-projects) every row. *)
-let swap_in_snapshot ?rows replica mg =
+(* Hand the mutable graph's snapshot to the replica.  [rows]: the feature
+   rows the last delta wrote, when the node numbering survived it;
+   otherwise the replica copies (and re-projects) every row.  At an epoch
+   boundary the capacity graph outgrew the replica's block, so it re-warms
+   one over the new capacity graph (same plan, same weights) with the
+   snapshot installed. *)
+let swap_in_snapshot ~epoch_changed ?rows replica mg =
   let snap = Mutable_graph.snapshot mg in
+  let graph = snap.Mutable_graph.graph
+  and features = snap.Mutable_graph.features
+  and csr = snap.Mutable_graph.csr in
   match
-    Serve.update_graph replica ~graph:snap.Mutable_graph.graph
-      ~features:snap.Mutable_graph.features ?rows ~csr:snap.Mutable_graph.csr ()
+    if epoch_changed then
+      Serve.rewarm replica ~capacity:(Mutable_graph.capacity_graph mg) ~graph ~features ~csr
+    else Serve.update_graph replica ~graph ~features ?rows ~csr ()
   with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Stream_serve: snapshot exceeds warm capacity: " ^ msg)
@@ -38,7 +46,7 @@ let create ?(config = Serve.default_config) ?obs ~mg program =
   let live =
     Serve.create ~config ~obs:sobs ~graph:(Mutable_graph.capacity_graph mg) program
   in
-  swap_in_snapshot live mg;
+  swap_in_snapshot ~epoch_changed:false live mg;
   {
     mg;
     program;
@@ -62,16 +70,12 @@ let apply t delta =
              ~epoch_changed:stats.Mutable_graph.epoch_changed;
       Hector_obs.add t.sobs "stream.deltas" 1;
       Hector_obs.add t.sobs "stream.ops" (Delta.size delta);
-      if stats.Mutable_graph.epoch_changed then begin
-        (* epoch boundary: the capacity graph outgrew the replica's block,
-           so it re-warms one over the new capacity graph (same plan, same
-           weights) before the snapshot goes in *)
-        Serve.rewarm t.live ~graph:(Mutable_graph.capacity_graph t.mg);
-        swap_in_snapshot t.live t.mg;
+      let epoch_changed = stats.Mutable_graph.epoch_changed in
+      swap_in_snapshot ~epoch_changed ?rows:stats.Mutable_graph.feature_rows t.live t.mg;
+      if epoch_changed then begin
         t.c_rewarms <- t.c_rewarms + 1;
         Hector_obs.add t.sobs "stream.rewarms" 1
-      end
-      else swap_in_snapshot ?rows:stats.Mutable_graph.feature_rows t.live t.mg;
+      end;
       if stats.Mutable_graph.csr_patched_rows > 0 then
         Hector_obs.add t.sobs "stream.csr_patched_rows"
           stats.Mutable_graph.csr_patched_rows;
@@ -120,8 +124,10 @@ let replay t ~requests ~deltas =
   Array.concat (List.rev !responses)
 
 let check_equivalence ?(tol = 1e-6) t requests =
+  (* the scratch replica shares the weights, not the fault plan: its
+     batches must not fire (or record) the live plan's faults *)
   let cfg =
-    { t.base_config with Serve.weights = Serve.model_weights t.live }
+    { t.base_config with Serve.weights = Serve.model_weights t.live; faults = None }
   in
   let snap = Mutable_graph.snapshot t.mg in
   let scratch =
@@ -197,7 +203,11 @@ let metrics_json t =
         ("epochs", int c.Mutable_graph.epochs);
         ("rewarms", int t.c_rewarms);
         ("recompiles", int (recompiles t));
+        ("epoch_node_overflows", int c.Mutable_graph.node_overflows);
+        ("epoch_edge_overflows", int c.Mutable_graph.edge_overflows);
         ("csr_rebuilds", int c.Mutable_graph.rebuilds);
+        ("csr_rebuilds_churn", int c.Mutable_graph.churn_rebuilds);
+        ("csr_rebuilds_epoch", int (c.Mutable_graph.rebuilds - c.Mutable_graph.churn_rebuilds));
         ("csr_patched_rows", int c.Mutable_graph.patched_rows);
         ("compactions", int c.Mutable_graph.compacted);
         ("update_ms", Num t.c_update_ms);

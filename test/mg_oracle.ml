@@ -39,7 +39,10 @@ type counters = Mg.counters = {
   deltas : int;
   ops : int;
   epochs : int;
+  node_overflows : int;
+  edge_overflows : int;
   rebuilds : int;
+  churn_rebuilds : int;
   patched_rows : int;
   compacted : int;
   rejected_deltas : int;
@@ -119,7 +122,10 @@ type t = {
   mutable c_deltas : int;
   mutable c_ops : int;
   mutable c_epochs : int;
+  mutable c_node_overflows : int;
+  mutable c_edge_overflows : int;
   mutable c_rebuilds : int;
+  mutable c_churn_rebuilds : int;
   mutable c_patched : int;
   mutable c_compacted : int;
   mutable c_rejected : int;
@@ -301,7 +307,10 @@ let create ?(name = "stream") ?slack ~graph ~features () =
       c_deltas = 0;
       c_ops = 0;
       c_epochs = 0;
+      c_node_overflows = 0;
+      c_edge_overflows = 0;
       c_rebuilds = 0;
+      c_churn_rebuilds = 0;
       c_patched = 0;
       c_compacted = 0;
       c_rejected = 0;
@@ -450,16 +459,16 @@ let apply t (d : Delta.t) =
       let node_churn, writes = commit t d in
       t.c_deltas <- t.c_deltas + 1;
       t.c_ops <- t.c_ops + Delta.size d;
-      let overflow =
-        Array.exists2 (fun s cap -> s.live > cap) t.nseg t.ncap
-        || Array.exists2 (fun s cap -> s.live > cap) t.eseg t.ecap
-      in
-      if overflow then begin
+      let node_over = Array.exists2 (fun s cap -> s.live > cap) t.nseg t.ncap in
+      let edge_over = Array.exists2 (fun s cap -> s.live > cap) t.eseg t.ecap in
+      if node_over || edge_over then begin
         (* epoch boundary: force-compact, re-derive capacities, rebuild
            everything.  Stable ids survive, so old->new maps stay valid
            (and monotone) across the boundary. *)
         t.cur_epoch <- t.cur_epoch + 1;
         t.c_epochs <- t.c_epochs + 1;
+        if node_over then t.c_node_overflows <- t.c_node_overflows + 1;
+        if edge_over then t.c_edge_overflows <- t.c_edge_overflows + 1;
         let compactions = ref 0 in
         Array.iter
           (fun s -> if seg_compact t.node_index s then incr compactions)
@@ -531,6 +540,7 @@ let apply t (d : Delta.t) =
           let node_map, edge_map, patched, rebuilt =
             rebuild t ~patch_csr:(not node_churn)
           in
+          if rebuilt then t.c_churn_rebuilds <- t.c_churn_rebuilds + 1;
           Ok
             {
               epoch_changed = false;
@@ -579,7 +589,10 @@ let counters t =
     deltas = t.c_deltas;
     ops = t.c_ops;
     epochs = t.c_epochs;
+    node_overflows = t.c_node_overflows;
+    edge_overflows = t.c_edge_overflows;
     rebuilds = t.c_rebuilds;
+    churn_rebuilds = t.c_churn_rebuilds;
     patched_rows = t.c_patched;
     compacted = t.c_compacted;
     rejected_deltas = t.c_rejected;

@@ -193,7 +193,92 @@ let test_feature_only_reuses_graph () =
   let after = Mg.snapshot mg in
   check_bool "physical graph reused" true (before.Mg.graph == after.Mg.graph);
   check_bool "CSR reused" true (before.Mg.csr == after.Mg.csr);
-  check_bool "features refreshed" true (before.Mg.features != after.Mg.features)
+  check_bool "features written in place" true (before.Mg.features == after.Mg.features)
+
+let feature_bits f = Array.map Int64.bits_of_float (T.to_flat_array f)
+
+(* While the node numbering survives a delta, its feature rows go into the
+   current snapshot's matrix in place: no tensor is allocated.  Node
+   churn and epoch bumps get a fresh matrix, and a rejected delta touches
+   neither snapshot nor features. *)
+let test_features_in_place_while_numbering_kept () =
+  let mg = make_mg ~slack:2.0 () in
+  let view = Mg.view mg in
+  let meta = view.Delta.metagraph in
+  let row k = Array.init feat_dim (fun j -> float_of_int ((k * 100) + j)) in
+  let v = (view.Delta.live_nodes 0).(0) in
+  let e, _, _ = (view.Delta.live_edges 0).(0) in
+  let src = (view.Delta.live_nodes (Hector_graph.Metagraph.src_ntype meta 0)).(1) in
+  let dst = (view.Delta.live_nodes (Hector_graph.Metagraph.dst_ntype meta 0)).(1) in
+  let before = Mg.snapshot mg in
+  let allocs = T.allocation_count () in
+  (match
+     Mg.apply mg
+       {
+         Delta.ops =
+           [|
+             Delta.Remove_edge { edge = e };
+             Delta.Set_feat { node = v; feat = row 1 };
+             Delta.Add_edge { etype = 0; src; dst };
+           |];
+       }
+   with
+  | Error m -> Alcotest.fail m
+  | Ok st ->
+      check_bool "CSR patched" false st.Mg.csr_rebuilt;
+      check_bool "written row reported" true
+        (st.Mg.feature_rows = Some [| Option.get (Mg.node_of_stable mg v) |]));
+  check_int "no tensor allocated" allocs (T.allocation_count ());
+  let after = Mg.snapshot mg in
+  check_bool "new graph" true (after.Mg.graph != before.Mg.graph);
+  check_bool "same feature tensor" true (after.Mg.features == before.Mg.features);
+  let p = Option.get (Mg.node_of_stable mg v) in
+  check_bool "holds the delta's row" true
+    (Array.init feat_dim (T.get2 after.Mg.features p) = row 1);
+  (* a rejected delta: nothing moves, not even the row it would write *)
+  let bits = feature_bits after.Mg.features in
+  (match
+     Mg.apply mg
+       {
+         Delta.ops =
+           [| Delta.Set_feat { node = v; feat = row 2 }; Delta.Remove_edge { edge = -1 } |];
+       }
+   with
+  | Ok _ -> Alcotest.fail "invalid delta accepted"
+  | Error _ -> ());
+  check_bool "snapshot untouched" true (Mg.snapshot mg == after);
+  check_bool "features untouched" true (feature_bits after.Mg.features = bits);
+  (* node churn: a fresh matrix, the previous one left as it was *)
+  (match
+     Mg.apply mg
+       {
+         Delta.ops =
+           [|
+             Delta.Add_node { ntype = 0; feat = Some (row 3) };
+             Delta.Set_feat { node = v; feat = row 4 };
+           |];
+       }
+   with
+  | Error m -> Alcotest.fail m
+  | Ok st -> check_bool "numbering moved" true (st.Mg.feature_rows = None));
+  let churned = Mg.snapshot mg in
+  check_bool "node churn: fresh features" true (churned.Mg.features != after.Mg.features);
+  check_bool "node churn: previous matrix unchanged" true (feature_bits after.Mg.features = bits);
+  (* an epoch bump that keeps the numbering (an edge type overflows): fresh too *)
+  let mg = make_mg ~slack:0.0 () in
+  let before = Mg.snapshot mg in
+  (match Mg.apply mg { Delta.ops = [| Delta.Add_edge { etype = 0; src; dst } |] } with
+  | Error m -> Alcotest.fail m
+  | Ok st ->
+      check_bool "epoch bumped" true st.Mg.epoch_changed;
+      check_bool "numbering kept" true (st.Mg.feature_rows = Some [||]));
+  check_bool "epoch bump: fresh features" true
+    ((Mg.snapshot mg).Mg.features != before.Mg.features);
+  let c = Mg.counters mg in
+  check_int "an edge-type overflow" 1 c.Mg.edge_overflows;
+  check_int "no node-type overflow" 0 c.Mg.node_overflows;
+  check_int "the bump's CSR rebuild" 1 c.Mg.rebuilds;
+  check_int "no churn rebuild" 0 c.Mg.churn_rebuilds
 
 let test_edge_only_patches_csr () =
   let mg = make_mg () in
@@ -223,7 +308,19 @@ let test_epoch_bump () =
   check_int "epoch 1" 1 (Mg.epoch mg);
   check_bool "capacity graph renamed" true
     (contains (Mg.capacity_graph mg).G.name "#e1");
-  check_int "epoch counter" 1 (Mg.counters mg).Mg.epochs
+  let c = Mg.counters mg in
+  check_int "epoch counter" 1 c.Mg.epochs;
+  check_int "a node-type overflow" 1 c.Mg.node_overflows;
+  check_int "no edge-type overflow" 0 c.Mg.edge_overflows;
+  check_int "the rebuild is the bump's, not churn's" 0 c.Mg.churn_rebuilds;
+  (* in-slack node churn rebuilds the CSR for its own cause *)
+  let mg = make_mg ~slack:2.0 () in
+  (match Mg.apply mg d with
+  | Error m -> Alcotest.fail m
+  | Ok st -> check_bool "in slack" false st.Mg.epoch_changed);
+  let c = Mg.counters mg in
+  check_int "a churn rebuild" 1 c.Mg.churn_rebuilds;
+  check_int "no epoch" 0 c.Mg.epochs
 
 let test_capacity_graph_bounds () =
   let mg = make_mg ~slack:0.5 () in
@@ -408,6 +505,7 @@ let edge_mix =
 
 let test_flat_arrays_match_oracle =
   QCheck.Test.make ~name:"flat stable-id arrays ≡ Hashtbl oracle, bit for bit" ~count:60
+    ~long_factor:20
     QCheck.(
       make
         Gen.(
@@ -571,6 +669,22 @@ let test_epoch_rewarm_pins_weights () =
   | Ok d -> check_bool "post-epoch equivalence" true (d <= 1e-6)
   | Error m -> Alcotest.fail m
 
+(* The equivalence check's scratch replica runs without the stream's
+   fault plan: checking leaves the plan's trace as it was. *)
+let test_check_equivalence_leaves_fault_trace () =
+  let mg = make_mg ~slack:2.0 () in
+  let faults = Hector_ckpt.Fault.create ~fail_batches:[ 0 ] () in
+  let ss = Ss.create ~config:{ serve_config with Serve.faults = Some faults } ~mg (rgcn ()) in
+  ignore (Ss.serve ss (trace ~seed:71 ~requests:8 (Mg.live_nodes mg)));
+  let events = Hector_ckpt.Fault.events faults in
+  check_bool "batch 0 failed" true
+    (List.mem (Hector_ckpt.Fault.Batch_failed { batch = 0 }) events);
+  (match Ss.check_equivalence ss (trace ~seed:72 ~requests:8 (Mg.live_nodes mg)) with
+  | Ok d -> check_bool "equivalent" true (d <= 1e-6)
+  | Error m -> Alcotest.fail m);
+  check_bool "fault trace unchanged by the check" true
+    (Hector_ckpt.Fault.events faults = events)
+
 let test_backlog_applies_at_boundaries () =
   let mg = make_mg ~slack:3.0 () in
   let ss = Ss.create ~config:serve_config ~mg (rgcn ()) in
@@ -658,8 +772,8 @@ let mixes =
    the snapshot to [Serve.update_graph] with the written rows when the
    numbering survived, or without them at random, then serves a trace
    twice: the second pass reads rows the first one projected.  An epoch
-   bump re-warms the replica ([Serve.rewarm]), as the streaming driver
-   does.  The second
+   bump re-warms the replica with the snapshot ([Serve.rewarm]), as the
+   streaming driver does.  The second
    half drives [Stream_serve.apply] with the same mixes. *)
 let test_reused_rows_never_stale =
   QCheck.Test.make ~name:"reused rows: live ≡ fresh replica on each snapshot, bit for bit"
@@ -696,9 +810,14 @@ let test_reused_rows_never_stale =
       for r = 0 to 5 do
         (match Mg.apply mg (round_delta mg r) with
         | Error m -> failwith m
-        | Ok stats when stats.Mg.epoch_changed ->
-            Serve.rewarm live ~graph:(Mg.capacity_graph mg);
-            install ()
+        | Ok stats when stats.Mg.epoch_changed -> (
+            let snap = Mg.snapshot mg in
+            match
+              Serve.rewarm live ~capacity:(Mg.capacity_graph mg) ~graph:snap.Mg.graph
+                ~features:snap.Mg.features ~csr:snap.Mg.csr
+            with
+            | Ok () -> ()
+            | Error m -> failwith m)
         | Ok stats ->
             install ?rows:(if Random.State.bool rng then stats.Mg.feature_rows else None) ());
         let requests = trace ~seed:(seed + r) ~requests:12 (Mg.live_nodes mg) in
@@ -734,8 +853,9 @@ let test_metrics_json_envelope () =
   List.iter
     (fun key -> ignore (Json_schema.int doc key))
     [
-      "deltas"; "ops"; "epochs"; "rewarms"; "recompiles"; "csr_rebuilds"; "csr_patched_rows";
-      "compactions"; "served"; "rejected";
+      "deltas"; "ops"; "epochs"; "epoch_node_overflows"; "epoch_edge_overflows"; "rewarms";
+      "recompiles"; "csr_rebuilds"; "csr_rebuilds_churn"; "csr_rebuilds_epoch";
+      "csr_patched_rows"; "compactions"; "served"; "rejected";
     ];
   check_bool "update time printed exactly" true
     (Float.equal (Json_schema.num doc "update_ms") (Ss.update_ms ss))
@@ -752,6 +872,8 @@ let suite =
     Alcotest.test_case "invalid deltas reject atomically" `Quick test_reject_is_atomic;
     Alcotest.test_case "feature-only deltas reuse graph and CSR" `Quick
       test_feature_only_reuses_graph;
+    Alcotest.test_case "features written in place while the numbering holds" `Quick
+      test_features_in_place_while_numbering_kept;
     Alcotest.test_case "edge-only deltas patch the CSR" `Quick test_edge_only_patches_csr;
     Alcotest.test_case "overflow bumps the epoch and renames capacity" `Quick
       test_epoch_bump;
@@ -766,6 +888,8 @@ let suite =
       test_inslack_zero_recompile_zero_alloc;
     Alcotest.test_case "epoch re-warm pins weights and stays equivalent" `Quick
       test_epoch_rewarm_pins_weights;
+    Alcotest.test_case "equivalence check leaves the fault trace" `Quick
+      test_check_equivalence_leaves_fault_trace;
     Alcotest.test_case "pushed deltas apply at micro-batch boundaries" `Quick
       test_backlog_applies_at_boundaries;
     Alcotest.test_case "replay validates delta indices" `Quick test_replay_validates_indices;
