@@ -12,41 +12,17 @@ let unsupported fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt
 
 (* --- local shape inference (validation already done by Check) --- *)
 
-type shapes = { decls : decl list; vars : (var * Check.shape) list }
+(* [vars]: the forward variables' and their gradients' shapes *)
+type shapes = { forward : program; vars : (var * Check.shape) list }
 
-let rec shape_of sh expr : Check.shape =
-  let dim e = Check.shape_dim (shape_of sh e) in
-  match expr with
-  | Const _ -> Check.Sc
-  | Feature (ent, name) | Data (ent, name) -> (
-      let scope = Inter_ir.scope_of_target ent in
-      match List.assoc_opt (scope, name) sh.vars with
+let shape_of sh expr =
+  Check.width sh.forward expr ~read:(fun ent name ->
+      match List.assoc_opt (scope_of_target ent, name) sh.vars with
       | Some s -> s
       | None -> (
-          match List.find_opt (fun d -> String.equal (decl_name d) name) sh.decls with
-          | Some (Node_input { dim; _ } | Edge_input { dim; _ }) ->
-              if dim = 1 then Check.Sc else Check.Vec dim
-          | _ -> unsupported "unknown shape of %S" name))
-  | Weight (name, _) -> (
-      match List.find_opt (fun d -> String.equal (decl_name d) name) sh.decls with
-      | Some (Weight_vec { dim; _ }) -> if dim = 1 then Check.Sc else Check.Vec dim
-      | Some (Weight_mat { rows; cols; _ }) -> Check.Vec (rows * cols)
-      | _ -> unsupported "unknown weight %S" name)
-  | Linear (_, Weight (w, _)) -> (
-      match List.find_opt (fun d -> String.equal (decl_name d) w) sh.decls with
-      | Some (Weight_mat { cols; _ }) -> if cols = 1 then Check.Sc else Check.Vec cols
-      | _ -> unsupported "linear against non-matrix %S" w)
-  | Linear_t (_, Weight (w, _)) -> (
-      match List.find_opt (fun d -> String.equal (decl_name d) w) sh.decls with
-      | Some (Weight_mat { rows; _ }) -> if rows = 1 then Check.Sc else Check.Vec rows
-      | _ -> unsupported "linear_t against non-matrix %S" w)
-  | Linear _ | Linear_t _ -> unsupported "linear against computed weight"
-  | Inner _ -> Check.Sc
-  | Concat (a, b) -> Check.Vec (dim a + dim b)
-  | Slice (_, _, len) -> if len = 1 then Check.Sc else Check.Vec len
-  | Binop (_, a, b) -> if dim a >= dim b then shape_of sh a else shape_of sh b
-  | Unop (_, a) -> shape_of sh a
-  | Opaque (n, _) -> unsupported "opaque operator %S" n
+          match find_decl sh.forward name with
+          | Some d -> Check.shape_of_decl d
+          | None -> unsupported "unknown shape of %S" name))
 
 (* --- gradient rules --- *)
 
@@ -115,18 +91,13 @@ let rec diff sh expr g : stmt list =
 (* --- loop-level generation --- *)
 
 (* node gradients scatter-accumulated by a statement (through Src/Dst) *)
-let scattered_node_grads stmts =
-  List.filter_map (function Accumulate ((Src | Dst), n, _) -> Some n | _ -> None) stmts
+let scattered_node_grads stmt =
+  List.filter_map (function Accumulated ((Src | Dst), n) -> Some n | _ -> None) (stmt_accesses stmt)
 
 let reads_node_grad stmt names =
   List.exists
-    (fun e ->
-      exists_expr
-        (function
-          | Data ((Src | Dst | Cur_node), n) -> List.mem n names
-          | _ -> false)
-        e)
-    (stmt_exprs stmt)
+    (function Read_data ((Src | Dst | Cur_node), n) -> List.mem n names | _ -> false)
+    (stmt_accesses stmt)
 
 (* Split a generated statement sequence into segments such that no segment
    reads a node gradient that the same segment scatter-accumulates. *)
@@ -134,23 +105,22 @@ let split_segments stmts =
   let segments, current, _ =
     List.fold_left
       (fun (segs, cur, pending) stmt ->
-        if reads_node_grad stmt pending then (List.rev cur :: segs, [ stmt ], scattered_node_grads [ stmt ])
-        else (segs, stmt :: cur, pending @ scattered_node_grads [ stmt ]))
+        if reads_node_grad stmt pending then (List.rev cur :: segs, [ stmt ], scattered_node_grads stmt)
+        else (segs, stmt :: cur, pending @ scattered_node_grads stmt))
       ([], [], []) stmts
   in
   List.rev (List.rev current :: segments) |> List.filter (fun s -> s <> [])
 
 let check_single_assignment p =
-  let seen = Hashtbl.create 16 in
-  let rec walk = function
-    | Assign (ent, name, _) ->
-        let key = (Inter_ir.scope_of_target ent, name) in
-        if Hashtbl.mem seen key then unsupported "variable %S assigned more than once" name
-        else Hashtbl.replace seen key ()
-    | Accumulate _ | Grad_weight _ -> ()
-    | For_each (_, body) -> List.iter walk body
-  in
-  List.iter walk p.body
+  ignore
+    (List.fold_left
+       (fun seen -> function
+         | Assigned (ent, name) ->
+             let key = (scope_of_target ent, name) in
+             if List.mem key seen then unsupported "variable %S assigned more than once" name
+             else key :: seen
+         | _ -> seen)
+       [] (accesses p.body))
 
 let backward (p : program) =
   check_single_assignment p;
@@ -161,10 +131,11 @@ let backward (p : program) =
   let grad_shapes =
     List.map (fun ((scope, n), s) -> ((scope, grad_name n), s)) var_shapes
   in
-  let sh = { decls = p.decls; vars = var_shapes @ grad_shapes } in
+  let sh = { forward = p; vars = var_shapes @ grad_shapes } in
+  let forward_accesses = accesses p.body in
   List.iter
     (fun o ->
-      if uses_of_var p (`Node, o) > 0 then
+      if uses forward_accesses (`Node, o) > 0 then
         unsupported "output %S is also read as an intermediate" o)
     p.outputs;
   let diff_stmt = function
@@ -206,13 +177,7 @@ let backward (p : program) =
      tensors the forward plan must keep materialized) and the loss-provided
      output gradients. *)
   let produced = Hashtbl.create 16 in
-  let rec mark = function
-    | Assign (ent, n, _) | Accumulate (ent, n, _) ->
-        Hashtbl.replace produced (Inter_ir.scope_of_target ent, n) ()
-    | Grad_weight _ -> ()
-    | For_each (_, body) -> List.iter mark body
-  in
-  List.iter mark bprog.body;
+  List.iter (fun v -> Hashtbl.replace produced v ()) (defs bprog);
   let converted = ref [] in
   let bprog =
     map_program_exprs

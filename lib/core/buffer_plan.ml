@@ -7,38 +7,13 @@ module Gs = Gemm_spec
 module Ts = Traversal_spec
 module Mat = Materialization
 
-(* Variable names a step touches (traversal locals excluded implicitly:
-   they have no buffer).  Weight stacks and weight gradients are not plan
-   buffers, so weight ops and Grad_weight targets contribute nothing. *)
-let rec step_vars step =
-  match step with
-  | Plan.Weight_op _ -> []
-  | Plan.Fused { Plan.members; _ } -> List.concat_map step_vars members
-  | Plan.Gemm spec -> (
-      match spec.Gs.task with
-      | Gs.Node_linear { input; output; _ } -> [ Gs.operand_name input; output ]
-      | Gs.Edge_linear { input; output; per_row_scalar; _ } ->
-          Gs.operand_name input :: output :: Option.to_list per_row_scalar
-      | Gs.Edge_linear_dinput { grad_output; grad_input; _ } -> [ grad_output; grad_input ]
-      | Gs.Edge_linear_dweight { input; grad_output; _ } ->
-          [ Gs.operand_name input; grad_output ]
-      | Gs.Node_linear_dweight { input; grad_output; _ } ->
-          [ Gs.operand_name input; grad_output ])
-  | Plan.Traversal { Ts.body; _ } | Plan.Fallback { Plan.body; _ } ->
-      let names = ref [] in
-      let rec walk st =
-        (match st with
-        | Ir.Assign (_, n, _) | Ir.Accumulate (_, n, _) -> names := n :: !names
-        | Ir.Grad_weight _ -> ()
-        | Ir.For_each (_, b) -> List.iter walk b);
-        List.iter
-          (Ir.iter_expr (function
-            | Ir.Feature (_, n) | Ir.Data (_, n) -> names := n :: !names
-            | _ -> ()))
-          (Ir.stmt_exprs st)
-      in
-      List.iter walk body;
-      !names
+(* Variable names a step touches (traversal locals included, though they
+   have no buffer).  Weight stacks and weight gradients are not plan
+   buffers, so weight ops and [Weight_grad] targets contribute nothing. *)
+let step_vars step =
+  List.filter_map
+    (function Ir.Weight_grad _ -> None | a -> Some (Ir.access_name a))
+    (Plan.accesses step)
 
 (* --- full-definition analysis (create_uninit safety) ----------------
 
@@ -47,18 +22,14 @@ let rec step_vars step =
    only for the clear-cut cases; anything else conservatively keeps the
    zero fill. *)
 
+(* Does the body read buffer [name] — an accumulation reads its target
+   (read-modify-write)? *)
 let body_reads name body =
   List.exists
-    (fun st ->
-      (match st with
-      | Ir.Accumulate (_, n, _) -> String.equal n name (* read-modify-write *)
-      | _ -> false)
-      || List.exists
-           (Ir.exists_expr (function
-             | Ir.Feature (_, n) | Ir.Data (_, n) -> String.equal n name
-             | _ -> false))
-           (Ir.stmt_exprs st))
-    body
+    (function
+      | Ir.Read_input (_, n) | Ir.Read_data (_, n) | Ir.Accumulated (_, n) -> String.equal n name
+      | Ir.Assigned _ | Ir.Weight_grad _ -> false)
+    (Ir.accesses body)
 
 (* Does [st], executed under [strategy], assign every row of buffer [b]?
    Edge sweeps (edge-parallel, or node-gather over the incoming CSR) visit

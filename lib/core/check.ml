@@ -40,10 +40,52 @@ let find_var st scope name =
 
 let scope_of ent : [ `Node | `Edge ] = match ent with Cur_edge -> `Edge | _ -> `Node
 
+(* --- the width rules, shared by [infer_expr] (which validates first)
+   and [width] (which does not) --- *)
+
+(* Declared inputs and weight vectors of dimension 1 read as scalars. *)
+let of_dim d = if d = 1 then Sc else Vec d
+
 let shape_of_decl = function
   | Weight_mat { rows; cols; _ } -> Vec (rows * cols)
-  | Weight_vec { dim; _ } -> if dim = 1 then Sc else Vec dim
-  | Node_input { dim; _ } | Edge_input { dim; _ } -> if dim = 1 then Sc else Vec dim
+  | Weight_vec { dim; _ } | Node_input { dim; _ } | Edge_input { dim; _ } -> of_dim dim
+
+(* A row times a [rows × cols] matrix, or its transpose. *)
+let linear_shape ~transpose ~rows ~cols = of_dim (if transpose then rows else cols)
+
+(* Pointwise operands broadcast a scalar; two vectors have one width (the
+   larger, where [infer_expr] has not already refused a mismatch). *)
+let pointwise sa sb =
+  match (sa, sb) with
+  | Sc, Sc -> Sc
+  | Vec n, Sc | Sc, Vec n -> Vec n
+  | Vec n, Vec m -> Vec (max n m)
+
+let concat_shape sa sb = Vec (shape_dim sa + shape_dim sb)
+
+let width (p : program) ~read expr =
+  let rec go = function
+    | Const _ | Inner _ -> Sc
+    | Feature (ent, n) | Data (ent, n) -> read ent n
+    | Weight (n, _) -> (
+        match find_decl p n with
+        | Some ((Weight_mat _ | Weight_vec _) as d) -> shape_of_decl d
+        | _ -> Sc)
+    | (Linear (x, w) | Linear_t (x, w)) as e -> (
+        match w with
+        | Weight (n, _) -> (
+            match find_decl p n with
+            | Some (Weight_mat { rows; cols; _ }) ->
+                linear_shape ~transpose:(match e with Linear_t _ -> true | _ -> false) ~rows ~cols
+            | _ -> Sc)
+        | _ -> go x)
+    | Concat (a, b) -> concat_shape (go a) (go b)
+    | Slice (_, _, len) -> of_dim len
+    | Binop (_, a, b) -> pointwise (go a) (go b)
+    | Unop (_, a) -> go a
+    | Opaque (_, args) -> ( match args with [] -> Sc | a :: _ -> go a)
+  in
+  go expr
 
 let rec infer_expr st ctx expr =
   match expr with
@@ -53,10 +95,10 @@ let rec infer_expr st ctx expr =
       match find_decl st.program name with
       | Some (Node_input { dim; _ }) ->
           if scope_of ent = `Edge then fail "node input %S read through edge entity" name;
-          if dim = 1 then Sc else Vec dim
+          of_dim dim
       | Some (Edge_input { dim; _ }) ->
           if ent <> Cur_edge then fail "edge input %S must be read through e" name;
-          if dim = 1 then Sc else Vec dim
+          of_dim dim
       | Some _ -> fail "%S is a weight, not an input feature" name
       | None -> fail "undeclared input feature %S" name)
   | Data (ent, name) -> (
@@ -94,13 +136,12 @@ let rec infer_expr st ctx expr =
           ignore (infer_expr st ctx w);
           match find_decl st.program name with
           | Some (Weight_mat { rows; cols; _ }) ->
-              let in_dim, out_dim =
-                match expr with Linear_t _ -> (cols, rows) | _ -> (rows, cols)
-              in
+              let transpose = match expr with Linear_t _ -> true | _ -> false in
+              let in_dim = if transpose then cols else rows in
               if shape_dim xs <> in_dim then
                 fail "linear: input %a does not match weight %S dim %d"
                   (fun fmt -> pp_shape fmt) xs name in_dim;
-              if out_dim = 1 then Sc else Vec out_dim
+              linear_shape ~transpose ~rows ~cols
           | _ -> fail "linear: %S must be a weight matrix" name)
       | _ -> fail "linear: second operand must be a weight slice")
   | Inner (a, b) ->
@@ -110,19 +151,17 @@ let rec infer_expr st ctx expr =
       Sc
   | Concat (a, b) ->
       let sa = infer_expr st ctx a and sb = infer_expr st ctx b in
-      Vec (shape_dim sa + shape_dim sb)
+      concat_shape sa sb
   | Slice (a, lo, len) ->
       let sa = infer_expr st ctx a in
       if lo < 0 || len <= 0 || lo + len > shape_dim sa then
         fail "slice [%d, %d) out of vector of dim %d" lo (lo + len) (shape_dim sa);
-      if len = 1 then Sc else Vec len
+      of_dim len
   | Binop (_, a, b) -> (
       let sa = infer_expr st ctx a and sb = infer_expr st ctx b in
       match (sa, sb) with
-      | Sc, Sc -> Sc
-      | Vec n, Vec m when n = m -> Vec n
-      | Vec n, Sc | Sc, Vec n -> Vec n
-      | Vec n, Vec m -> fail "binop: dimension mismatch %d vs %d" n m)
+      | Vec n, Vec m when n <> m -> fail "binop: dimension mismatch %d vs %d" n m
+      | _ -> pointwise sa sb)
   | Unop (_, a) -> infer_expr st ctx a
   | Opaque (_, args) -> (
       match args with [] -> Sc | first :: rest ->

@@ -25,6 +25,24 @@ val check : Inter_ir.program -> (var_info list, string) result
 val check_exn : Inter_ir.program -> var_info list
 (** Like {!check} but raises [Invalid_argument]. *)
 
+val of_dim : int -> shape
+(** [Sc] for width 1, else [Vec]. *)
+
+val shape_of_decl : Inter_ir.decl -> shape
+(** The shape a declared tensor reads as: a weight matrix is one
+    [rows * cols] vector, anything of dimension 1 a scalar. *)
+
+val width :
+  Inter_ir.program -> read:(Inter_ir.entity -> string -> shape) -> Inter_ir.expr -> shape
+(** The shape of an expression by {!check}'s rules, without validating:
+    [read] gives each [Feature]/[Data] leaf's shape, the program's
+    declarations each weight's.  On a program that checks it agrees with
+    {!check}'s inferred shapes; elsewhere it still answers — a mismatched
+    pointwise pair takes the larger width, an undeclared weight or a
+    [Linear] against a non-matrix weight is a scalar, and a [Linear]
+    against a computed operand keeps its input's shape.  The one width
+    rule behind backward generation and launch pricing. *)
+
 val shape_dim : shape -> int
 (** Width of a shape (scalars are 1). *)
 

@@ -67,6 +67,15 @@ type task =
       grad_weight : string;
     }  (** [dW\[t\] += Σ_{v : t} in\[v\]ᵀ · dout\[v\]] over node segments *)
 
+val accesses : task -> Inter_ir.access list
+(** What a task reads and writes, as the IR statement it implements
+    would: its operands' reads (an input gathered through the task's
+    endpoint, [Src] or [Dst], in an edge task), then its output's write —
+    [Accumulated] for an accumulating [Node_linear] and for
+    [Edge_linear_dinput]'s scatter, [Weight_grad] for the dweight tasks.
+    The one table of GEMM operands the memory planner, inter-op fusion and
+    {!Plan} read. *)
+
 type schedule = {
   tile_width : int;  (** 16 or 32 *)
   coarsen : int;  (** 1, 2 or 4 output elements per thread *)

@@ -92,36 +92,57 @@ type var = [ `Node | `Edge ] * string
 let scope_of_target ent : [ `Node | `Edge ] =
   match ent with Cur_edge -> `Edge | Cur_node | Src | Dst -> `Node
 
-let defs p =
-  let acc = ref [] in
-  let add v = if not (List.mem v !acc) then acc := v :: !acc in
-  let rec walk = function
-    | Assign (ent, name, _) | Accumulate (ent, name, _) -> add (scope_of_target ent, name)
-    | Grad_weight _ -> ()
-    | For_each (_, body) -> List.iter walk body
-  in
-  List.iter walk p.body;
-  List.rev !acc
+(* --- access facts --- *)
 
-let uses_of_var p ((scope, name) : var) =
-  let count = ref 0 in
-  let check_expr e =
-    iter_expr
-      (fun sub ->
-        match sub with
-        | Data (ent, n) when String.equal n name && scope_of_target ent = scope -> incr count
-        | _ -> ())
-      e
-  in
-  let rec walk = function
-    | Assign (_, _, e) | Accumulate (_, _, e) -> check_expr e
-    | Grad_weight { x; dy; _ } ->
-        check_expr x;
-        check_expr dy
-    | For_each (_, body) -> List.iter walk body
-  in
-  List.iter walk p.body;
-  !count
+type access =
+  | Read_input of entity * string
+  | Read_data of entity * string
+  | Assigned of entity * string
+  | Accumulated of entity * string
+  | Weight_grad of string
+
+let access_name = function
+  | Read_input (_, n) | Read_data (_, n) | Assigned (_, n) | Accumulated (_, n) | Weight_grad n -> n
+
+(* The walks below build each list in reverse, one cons per fact. *)
+let rec rev_reads acc = function
+  | Feature (ent, n) -> Read_input (ent, n) :: acc
+  | Data (ent, n) -> Read_data (ent, n) :: acc
+  | Const _ | Weight _ -> acc
+  | Linear (a, b) | Linear_t (a, b) | Inner (a, b) | Concat (a, b) | Binop (_, a, b) ->
+      rev_reads (rev_reads acc a) b
+  | Slice (a, _, _) | Unop (_, a) -> rev_reads acc a
+  | Opaque (_, args) -> List.fold_left rev_reads acc args
+
+let rec rev_accesses acc = function
+  | Assign (ent, n, e) -> Assigned (ent, n) :: rev_reads acc e
+  | Accumulate (ent, n, e) -> Accumulated (ent, n) :: rev_reads acc e
+  | Grad_weight { name; x; dy } -> Weight_grad name :: rev_reads (rev_reads acc x) dy
+  | For_each (_, body) -> List.fold_left rev_accesses acc body
+
+let expr_reads e = List.rev (rev_reads [] e)
+let stmt_accesses s = List.rev (rev_accesses [] s)
+let accesses body = List.rev (List.fold_left rev_accesses [] body)
+let rec leaves body = List.concat_map (function For_each (_, b) -> leaves b | s -> [ s ]) body
+
+let defs p =
+  List.fold_left
+    (fun vs a ->
+      match a with
+      | Assigned (ent, n) | Accumulated (ent, n) ->
+          let v = (scope_of_target ent, n) in
+          if List.mem v vs then vs else v :: vs
+      | Read_input _ | Read_data _ | Weight_grad _ -> vs)
+    [] (accesses p.body)
+  |> List.rev
+
+let uses acc ((scope, name) : var) =
+  List.fold_left
+    (fun k a ->
+      match a with
+      | Read_data (ent, n) when String.equal n name && scope_of_target ent = scope -> k + 1
+      | _ -> k)
+    0 acc
 
 (* --- receptive depth --- *)
 

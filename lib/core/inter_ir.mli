@@ -131,11 +131,41 @@ val scope_of_target : entity -> [ `Node | `Edge ]
 (** The scope a write through this entity lands in: [Cur_edge] writes edge
     data, everything else node data. *)
 
-val defs : program -> var list
-(** All produced variables, in definition order, without duplicates. *)
+(** {1 Access facts}
 
-val uses_of_var : program -> var -> int
-(** Number of read references to a produced variable. *)
+    What a statement reads and writes, computed by one walk for every
+    pass that asks: nested loops are flattened, each expression's reads
+    come in evaluation order (leaves left to right) and repeats are kept,
+    and a statement's write follows its reads. *)
+
+type access =
+  | Read_input of entity * string  (** a [Feature] leaf: a declared input *)
+  | Read_data of entity * string  (** a [Data] leaf: produced data *)
+  | Assigned of entity * string  (** the target of [x = e] *)
+  | Accumulated of entity * string  (** the target of [x += e] *)
+  | Weight_grad of string  (** the weight whose gradient stack a [Grad_weight] accumulates into *)
+
+val access_name : access -> string
+(** The name read or written. *)
+
+val leaves : stmt list -> stmt list
+(** The non-loop statements of a body, nested loops flattened, in order. *)
+
+val expr_reads : expr -> access list
+(** The [Read_input]/[Read_data] facts of one expression. *)
+
+val stmt_accesses : stmt -> access list
+(** What one statement reads and writes (a loop: its whole body's). *)
+
+val accesses : stmt list -> access list
+(** [stmt_accesses] of each statement, in order. *)
+
+val defs : program -> var list
+(** The produced variables ([Assigned] or [Accumulated]), in
+    first-write order, without duplicates. *)
+
+val uses : access list -> var -> int
+(** Number of [Read_data] facts of a produced variable. *)
 
 val receptive_depth : program -> int option
 (** How many in-hops the program's outputs read: [Some k] when each

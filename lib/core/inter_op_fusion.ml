@@ -43,87 +43,37 @@ let step_space = function
 
 let is_gemm = function Plan.Gemm _ -> true | _ -> false
 
-(* The names an expression reads (produced data and input features),
-   excluding the enclosing traversal's register-resident locals. *)
-let expr_reads locals acc e =
-  let acc = ref acc in
-  Ir.iter_expr
-    (function
-      | Ir.Data (_, n) | Ir.Feature (_, n) -> if not (List.mem n locals) then acc := n :: !acc
-      | _ -> ())
-    e;
-  !acc
-
 let compact_space spaces x =
   match List.assoc_opt (`Edge, x) spaces with
   | Some (Mat.Rows_compact_src | Mat.Rows_compact_dst) -> true
   | _ -> false
 
-(* (reads, hazard writes) of one traversal statement, relative to the
-   step's iteration space.  A hazard write is one that is not injective in
-   the iteration variable: scatters into node rows from an edge sweep, and
-   accumulation into compact rows (several edges of the same pair each add
-   a partial term). *)
-let rec stmt_effects ~space ~spaces ~locals (reads, hazards) stmt =
-  let write_hazard ent x ~accumulating =
+(* (reads, hazard writes) of one step over iteration space [space], its
+   traversal's register-resident locals left out.  A hazard write is one
+   that is not injective in the iteration variable: scatters into node
+   rows from an edge sweep, and accumulation into compact rows (several
+   edges of the same pair each add a partial term).  An accumulation
+   reads its own target (read-modify-write); a weight gradient lands in
+   storage no plan step reads, so it is neither. *)
+let step_effects ~space ~spaces step =
+  let locals = match step with Plan.Traversal t -> t.Ts.locals | _ -> [] in
+  let hazard ent x ~accumulating =
     match (space, ent) with
     | Nodes, Ir.Cur_node -> false
     | Nodes, _ -> true
     | Edges, Ir.Cur_edge -> accumulating && compact_space spaces x
     | Edges, (Ir.Src | Ir.Dst | Ir.Cur_node) -> true
   in
-  match stmt with
-  | Ir.Assign (ent, x, e) ->
-      let reads = expr_reads locals reads e in
-      let hazards =
-        if write_hazard ent x ~accumulating:false && not (List.mem x locals) then x :: hazards
-        else hazards
-      in
-      (reads, hazards)
-  | Ir.Accumulate (ent, x, e) ->
-      let reads = expr_reads locals reads e in
-      (* += reads its own target (read-modify-write) *)
-      let reads = if List.mem x locals then reads else x :: reads in
-      let hazards =
-        if write_hazard ent x ~accumulating:true && not (List.mem x locals) then x :: hazards
-        else hazards
-      in
-      (reads, hazards)
-  | Ir.Grad_weight { x; dy; _ } ->
-      (* the gradient lands in weight-gradient storage, which no plan step
-         reads — only the reads matter here *)
-      (expr_reads locals (expr_reads locals reads x) dy, hazards)
-  | Ir.For_each (_, body) ->
-      List.fold_left (stmt_effects ~space ~spaces ~locals) (reads, hazards) body
-
-let gemm_effects (g : Gs.t) =
-  match g.Gs.task with
-  | Gs.Node_linear { input; output; accumulate; _ } ->
-      let reads = Gs.operand_name input :: (if accumulate then [ output ] else []) in
-      (reads, [])
-  | Gs.Edge_linear { input; per_row_scalar; _ } ->
-      (* the output assign is per-row (pair-constant in compact spaces) *)
-      let reads = Gs.operand_name input :: Option.to_list per_row_scalar in
-      (reads, [])
-  | Gs.Edge_linear_dinput { grad_output; grad_input; _ } ->
-      (* atomic scatter-accumulate into node rows *)
-      ([ grad_output; grad_input ], [ grad_input ])
-  | Gs.Edge_linear_dweight { input; grad_output; _ } ->
-      ([ Gs.operand_name input; grad_output ], [])
-  | Gs.Node_linear_dweight { input; grad_output; _ } -> ([ Gs.operand_name input; grad_output ], [])
-
-(* (reads, hazard writes) of one step. *)
-let step_effects ~spaces step =
-  match step with
-  | Plan.Gemm g -> gemm_effects g
-  | Plan.Traversal t ->
-      let space =
-        match t.Ts.strategy with Ts.Node_map -> Nodes | Ts.Edge_parallel | Ts.Node_gather -> Edges
-      in
-      List.fold_left
-        (stmt_effects ~space ~spaces ~locals:t.Ts.locals)
-        ([], []) t.Ts.body
-  | Plan.Weight_op _ | Plan.Fallback _ | Plan.Fused _ -> ([], [])
+  List.fold_left
+    (fun (reads, hazards) a ->
+      match a with
+      | _ when List.mem (Ir.access_name a) locals -> (reads, hazards)
+      | Ir.Read_input (_, x) | Ir.Read_data (_, x) -> (x :: reads, hazards)
+      | Ir.Assigned (ent, x) -> (reads, if hazard ent x ~accumulating:false then x :: hazards else hazards)
+      | Ir.Accumulated (ent, x) ->
+          (x :: reads, if hazard ent x ~accumulating:true then x :: hazards else hazards)
+      | Ir.Weight_grad _ -> (reads, hazards))
+    ([], []) (Plan.accesses step)
 
 type group = {
   members : Plan.step list;  (* reversed *)
@@ -154,7 +104,7 @@ let run ?(obs = Hector_obs.disabled) (plan : Plan.t) =
         match step_space step with
         | None -> (step :: flush acc cur, None)
         | Some sp -> (
-            let reads, hazards = step_effects ~spaces step in
+            let reads, hazards = step_effects ~space:sp ~spaces step in
             match cur with
             | Some g
               when g.space = sp

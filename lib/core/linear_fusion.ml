@@ -9,57 +9,43 @@ type result = { program : program; weight_ops : weight_op list; rewrites : int }
 (* Map from produced variable to its unique defining Assign expression;
    variables assigned more than once, or through +=, are excluded. *)
 let unique_defs p =
+  let writes = Hashtbl.create 16 in
+  List.iter
+    (function
+      | (Assigned (ent, n) | Accumulated (ent, n)) as w -> Hashtbl.add writes (scope_of_target ent, n) w
+      | Read_input _ | Read_data _ | Weight_grad _ -> ())
+    (accesses p.body);
   let tbl = Hashtbl.create 16 in
-  let dead = Hashtbl.create 4 in
-  let rec walk = function
-    | Assign (ent, name, e) ->
-        let key = (Inter_ir.scope_of_target ent, name) in
-        if Hashtbl.mem tbl key || Hashtbl.mem dead key then begin
-          Hashtbl.remove tbl key;
-          Hashtbl.replace dead key ()
-        end
-        else Hashtbl.replace tbl key e
-    | Accumulate (ent, name, _) ->
-        let key = (Inter_ir.scope_of_target ent, name) in
-        Hashtbl.remove tbl key;
-        Hashtbl.replace dead key ()
-    | Grad_weight _ -> ()
-    | For_each (_, body) -> List.iter walk body
-  in
-  List.iter walk p.body;
+  List.iter
+    (function
+      | Assign (ent, name, e) -> (
+          let v = (scope_of_target ent, name) in
+          match Hashtbl.find_all writes v with [ Assigned _ ] -> Hashtbl.replace tbl v e | _ -> ())
+      | Accumulate _ | Grad_weight _ | For_each _ -> ())
+    (leaves p.body);
   tbl
 
 (* --- dead intermediate elimination --- *)
 
+(* Drop variables no statement reads that are not outputs.  Only
+   Assign-defined ones go: an accumulated variable with no reads may
+   still be an output of interest, kept conservatively. *)
 let eliminate_dead p =
   let rec pass p =
-    let removable =
+    let acc = accesses p.body in
+    let dead =
       List.filter
-        (fun ((_, name) as v) -> uses_of_var p v = 0 && not (List.mem name p.outputs))
+        (fun ((_, name) as v) ->
+          uses acc v = 0
+          && (not (List.mem name p.outputs))
+          && not (List.exists (function Accumulated (ent, n) -> (scope_of_target ent, n) = v | _ -> false) acc))
         (defs p)
     in
-    (* only Assign-defined vars may be dropped: an accumulated var with no
-       reads may still be an output of interest kept conservatively *)
-    let assign_only =
-      List.filter
-        (fun v ->
-          let count = ref 0 and acc = ref false in
-          let rec walk = function
-            | Assign (ent, name, _) when (Inter_ir.scope_of_target ent, name) = v -> incr count
-            | Accumulate (ent, name, _) when (Inter_ir.scope_of_target ent, name) = v -> acc := true
-            | For_each (_, body) -> List.iter walk body
-            | Assign _ | Accumulate _ | Grad_weight _ -> ()
-          in
-          List.iter walk p.body;
-          !count > 0 && not !acc)
-        removable
-    in
-    if assign_only = [] then p
+    if dead = [] then p
     else begin
       let rec clean stmt =
         match stmt with
-        | Assign (ent, name, _) when List.mem (Inter_ir.scope_of_target ent, name) assign_only ->
-            None
+        | Assign (ent, name, _) when List.mem (scope_of_target ent, name) dead -> None
         | For_each (kind, body) ->
             let body = List.filter_map clean body in
             if body = [] then None else Some (For_each (kind, body))
@@ -168,13 +154,7 @@ let match_chain defs_tbl stmt =
 
 let apply_chain_rewrite p =
   let defs_tbl = unique_defs p in
-  let found = ref None in
-  let rec scan = function
-    | For_each (_, body) -> List.iter scan body
-    | s -> if !found = None then found := match_chain defs_tbl s
-  in
-  List.iter scan p.body;
-  match !found with
+  match List.find_map (match_chain defs_tbl) (leaves p.body) with
   | None -> None
   | Some m ->
       let fused = Printf.sprintf "__%s_%s" m.node_weight m.edge_weight in

@@ -81,22 +81,14 @@ let nodeify p =
   in
   { p with body }
 
-let accumulated_vars p =
-  let acc = ref [] in
-  let rec walk = function
-    | Accumulate (ent, name, _) ->
-        let v = (Inter_ir.scope_of_target ent, name) in
-        if not (List.mem v !acc) then acc := v :: !acc
-    | Assign _ | Grad_weight _ -> ()
-    | For_each (_, body) -> List.iter walk body
-  in
-  List.iter walk p.body;
-  !acc
-
 let drop_dead_zero_init p =
-  let accd = accumulated_vars p in
+  let accd =
+    List.filter_map
+      (function Accumulated (ent, name) -> Some (scope_of_target ent, name) | _ -> None)
+      (accesses p.body)
+  in
   let is_dead = function
-    | Assign (ent, name, Const 0.0) -> List.mem (Inter_ir.scope_of_target ent, name) accd
+    | Assign (ent, name, Const 0.0) -> List.mem (scope_of_target ent, name) accd
     | _ -> false
   in
   let rec clean stmt =
@@ -108,44 +100,20 @@ let drop_dead_zero_init p =
   in
   { p with body = List.filter_map clean p.body }
 
-(* Variables that loop [stmts] produce through scatter accumulation
-   (Accumulate through Src/Dst in an edge loop, or any node accumulation
-   visible to later edge iterations). *)
-let scatter_defs stmts =
-  let acc = ref [] in
-  let rec walk = function
-    | Accumulate ((Src | Dst), name, _) -> acc := (`Node, name) :: !acc
-    | Accumulate (Cur_node, name, _) -> acc := (`Node, name) :: !acc
-    | Assign _ | Accumulate (Cur_edge, _, _) | Grad_weight _ -> ()
-    | For_each (_, body) -> List.iter walk body
-  in
-  List.iter walk stmts;
-  !acc
-
-let reads stmts =
-  let acc = ref [] in
-  let check_expr e =
-    iter_expr
-      (fun sub ->
-        match sub with
-        | Data (ent, name) -> acc := (Inter_ir.scope_of_target ent, name) :: !acc
-        | _ -> ())
-      e
-  in
-  let rec walk = function
-    | Assign (_, _, e) | Accumulate (_, _, e) -> check_expr e
-    | Grad_weight { x; dy; _ } ->
-        check_expr x;
-        check_expr dy
-    | For_each (_, body) -> List.iter walk body
-  in
-  List.iter walk stmts;
-  !acc
-
+(* Two adjacent loops fuse unless the second reads a variable the first
+   produces through scatter accumulation (Accumulate through Src/Dst in
+   an edge loop, or any node accumulation visible to later edge
+   iterations). *)
 let can_fuse first second =
-  let produced = scatter_defs first in
-  let read = reads second in
-  not (List.exists (fun v -> List.mem v produced) read)
+  let scattered =
+    List.filter_map
+      (function Accumulated (((Src | Dst | Cur_node) as ent), name) -> Some (scope_of_target ent, name) | _ -> None)
+      (accesses first)
+  in
+  not
+    (List.exists
+       (function Read_data (ent, name) -> List.mem (scope_of_target ent, name) scattered | _ -> false)
+       (accesses second))
 
 let fuse_adjacent p =
   let rec go = function

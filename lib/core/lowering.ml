@@ -271,27 +271,17 @@ let lower ?(obs = Hector_obs.disabled) ?(context = empty_context) ?(keep = [])
   let steps = List.rev !steps in
   (* --- locals: edge vars private to a single traversal instance --- *)
   let keep_vars = keep @ List.map (fun o -> (`Node, o)) program.outputs in
-  let uses_in_stmts stmts name =
-    let count = ref 0 in
-    List.iter
-      (fun s ->
-        List.iter
-          (iter_expr (function
-            | Data (Cur_edge, n) when String.equal n name -> incr count
-            | _ -> ()))
-          (stmt_exprs s))
-      stmts;
-    !count
-  in
+  let program_accesses = accesses program.body in
   let locals_of body =
+    let body_accesses = accesses body in
     List.filter_map
       (function
-        | Assign (Cur_edge, v, _)
+        | Assigned (Cur_edge, v)
           when (not (List.mem (`Edge, v) keep_vars))
-               && uses_of_var program (`Edge, v) = uses_in_stmts body v ->
+               && uses program_accesses (`Edge, v) = uses body_accesses (`Edge, v) ->
             Some v
         | _ -> None)
-      body
+      body_accesses
   in
   let steps =
     List.map

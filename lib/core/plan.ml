@@ -57,50 +57,30 @@ let step_name = function
   | Fallback f -> Printf.sprintf "fallback_%d" f.kid
   | Fused f -> Printf.sprintf "fused_%d" f.fid
 
-(* The first variable a statement list writes — the inter-op IR operator a
-   traversal/fallback step computes. *)
-let rec stmt_write = function
-  | Inter_ir.Assign (_, x, _) | Inter_ir.Accumulate (_, x, _) -> Some x
-  | Inter_ir.Grad_weight { name; _ } -> Some name
-  | Inter_ir.For_each (_, body) -> first_write body
+let rec accesses = function
+  | Weight_op _ -> []
+  | Gemm g -> Gemm_spec.accesses g.Gemm_spec.task
+  | Traversal tr -> Inter_ir.accesses tr.Traversal_spec.body
+  | Fallback f -> Inter_ir.accesses f.body
+  | Fused f -> List.concat_map accesses f.members
 
-and first_write body = List.find_map stmt_write body
+let first_write step =
+  List.find_map
+    (function
+      | Inter_ir.Assigned (_, x) | Inter_ir.Accumulated (_, x) | Inter_ir.Weight_grad x -> Some x
+      | Inter_ir.Read_input _ | Inter_ir.Read_data _ -> None)
+    (accesses step)
 
 let rec step_op step =
   match step with
   | Weight_op (Linear_fusion.Mat_vec { out; _ }) | Weight_op (Linear_fusion.Mat_mat { out; _ }) ->
       out
-  | Gemm g -> (
-      match g.Gemm_spec.task with
-      | Gemm_spec.Node_linear { output; _ } | Gemm_spec.Edge_linear { output; _ } -> output
-      | Gemm_spec.Edge_linear_dinput { grad_input; _ } -> grad_input
-      | Gemm_spec.Edge_linear_dweight { grad_weight; _ }
-      | Gemm_spec.Node_linear_dweight { grad_weight; _ } ->
-          grad_weight)
-  | Traversal tr -> (
-      match first_write tr.Traversal_spec.body with Some x -> x | None -> step_name step)
-  | Fallback f -> ( match first_write f.body with Some x -> x | None -> f.description)
   | Fused f -> String.concat "+" (List.map step_op f.members)
+  | Gemm _ | Traversal _ -> Option.value (first_write step) ~default:(step_name step)
+  | Fallback f -> Option.value (first_write step) ~default:f.description
 
-(* Weight gradients a step accumulates into, in execution order: dweight
-   GEMM targets and [Grad_weight] statements of traversal and fallback
-   bodies, looking inside loops and fused groups. *)
-let rec stmt_grads = function
-  | Inter_ir.Grad_weight { name; _ } -> [ name ]
-  | Inter_ir.For_each (_, body) -> List.concat_map stmt_grads body
-  | Inter_ir.Assign _ | Inter_ir.Accumulate _ -> []
-
-let rec written_grads = function
-  | Weight_op _ -> []
-  | Gemm g -> (
-      match g.Gemm_spec.task with
-      | Gemm_spec.Edge_linear_dweight { grad_weight; _ }
-      | Gemm_spec.Node_linear_dweight { grad_weight; _ } ->
-          [ grad_weight ]
-      | Gemm_spec.Node_linear _ | Gemm_spec.Edge_linear _ | Gemm_spec.Edge_linear_dinput _ -> [])
-  | Traversal tr -> List.concat_map stmt_grads tr.Traversal_spec.body
-  | Fallback f -> List.concat_map stmt_grads f.body
-  | Fused f -> List.concat_map written_grads f.members
+let written_grads step =
+  List.filter_map (function Inter_ir.Weight_grad w -> Some w | _ -> None) (accesses step)
 
 let step_origin = function
   | Weight_op _ -> "linear_fusion"

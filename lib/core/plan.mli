@@ -73,6 +73,12 @@ type t = {
 val step_name : step -> string
 (** Kernel/step identifier for reports. *)
 
+val accesses : step -> Inter_ir.access list
+(** What a step reads and writes, in execution order: a GEMM's from
+    {!Gemm_spec.accesses}, a traversal or fallback body's from
+    {!Inter_ir.accesses}, a fused group's members' in turn.  A weight op
+    touches only weight stacks: [[]]. *)
+
 val step_op : step -> string
 (** The inter-op IR operator a step computes, for attribution: the output
     variable of GEMM/weight-op steps, the first written variable of
@@ -81,10 +87,10 @@ val step_op : step -> string
 
 val written_grads : step -> string list
 (** The weights whose gradient stacks a step accumulates into, in
-    execution order (repeats kept): dweight GEMM targets and
-    [Grad_weight] statements of traversal and fallback bodies, inside
-    loops and fused groups too.  The one answer to "which weight
-    gradients does this step write". *)
+    execution order (repeats kept): the [Weight_grad] facts of
+    {!accesses} — dweight GEMM targets and [Grad_weight] statements of
+    traversal and fallback bodies, inside loops and fused groups too.
+    The one answer to "which weight gradients does this step write". *)
 
 val step_origin : step -> string
 (** The compiler component that emitted the step: ["linear_fusion"],

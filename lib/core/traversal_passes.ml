@@ -80,30 +80,29 @@ let pair_local ~space st =
 (* What a statement touches: buffer rows, weight-gradient stacks. *)
 type key = Row of string | Grad of string
 
+(* A body statement with its pair side and its access facts. *)
+type item = { st : Ir.stmt; pair : Ts.side option; acc : Ir.access list }
+
 (* (name, entity) of every row a statement reads. *)
-let accesses st =
-  let acc = ref [] in
-  List.iter
-    (Ir.iter_expr (function Ir.Feature (ent, n) | Ir.Data (ent, n) -> acc := (n, ent) :: !acc | _ -> ()))
-    (Ir.stmt_exprs st);
-  !acc
+let row_reads acc =
+  List.filter_map (function Ir.Read_input (ent, n) | Ir.Read_data (ent, n) -> Some (n, ent) | _ -> None) acc
 
-let reads ~is_local st =
-  List.filter_map (fun (n, ent) -> if ent = Ir.Cur_edge && is_local n then None else Some (Row n)) (accesses st)
+(* (name, entity) of every row a statement writes. *)
+let row_writes acc =
+  List.filter_map (function Ir.Assigned (ent, n) | Ir.Accumulated (ent, n) -> Some (n, ent) | _ -> None) acc
 
-let writes ~is_local = function
-  | Ir.Assign (ent, n, _) | Ir.Accumulate (ent, n, _) -> if ent = Ir.Cur_edge && is_local n then [] else [ Row n ]
-  | Ir.Grad_weight { name; _ } -> [ Grad name ]
-  | Ir.For_each _ -> []
+let reads ~is_local acc =
+  List.filter_map (fun (n, ent) -> if ent = Ir.Cur_edge && is_local n then None else Some (Row n)) (row_reads acc)
+
+let writes ~is_local acc =
+  List.filter_map
+    (function
+      | Ir.Assigned (ent, n) | Ir.Accumulated (ent, n) -> if ent = Ir.Cur_edge && is_local n then None else Some (Row n)
+      | Ir.Weight_grad name -> Some (Grad name)
+      | Ir.Read_input _ | Ir.Read_data _ -> None)
+    acc
 
 let meets a b = List.exists (fun x -> List.mem x b) a
-
-let reads_edge names st =
-  List.exists
-    (Ir.exists_expr (function Ir.Data (Ir.Cur_edge, n) | Ir.Feature (Ir.Cur_edge, n) -> names n | _ -> false))
-    (Ir.stmt_exprs st)
-
-type item = { st : Ir.stmt; pair : Ts.side option }
 
 (* The split rule (see the interface).  A pair-local statement conflicts
    with the statements its loop would move it ahead of: those already
@@ -112,10 +111,10 @@ type item = { st : Ir.stmt; pair : Ts.side option }
    (pure, single-assignment) definitions are prepended, transitively. *)
 let split ~space ~is_local items =
   let compact n = match space n with Some (Mat.Rows_compact_src | Mat.Rows_compact_dst) -> true | _ -> false in
-  let touches = List.fold_left (fun (r, w) i -> (reads ~is_local i.st @ r, writes ~is_local i.st @ w)) ([], []) in
+  let touches = List.fold_left (fun (r, w) i -> (reads ~is_local i.acc @ r, writes ~is_local i.acc @ w)) ([], []) in
   (* [pass] is in reverse statement order *)
-  let conflicts pass { st; pair } =
-    let r = reads ~is_local st and w = writes ~is_local st in
+  let conflicts pass { pair; acc; _ } =
+    let r = reads ~is_local acc and w = writes ~is_local acc in
     match pair with
     | Some side ->
         let first = List.find_map (fun i -> i.pair) (List.rev pass) in
@@ -128,13 +127,14 @@ let split ~space ~is_local items =
   in
   let dirty pass n =
     List.exists
-      (fun i -> i.pair = None && match i.st with Ir.Accumulate (Ir.Cur_edge, m, _) -> m = n && compact n | _ -> false)
+      (fun i -> i.pair = None && List.mem (Ir.Accumulated (Ir.Cur_edge, n)) i.acc && compact n)
       pass
   in
+  let reads_edge names acc = List.exists (fun (n, ent) -> ent = Ir.Cur_edge && names n) (row_reads acc) in
   let passes, last =
     List.fold_left
       (fun (passes, pass) item ->
-        if pass <> [] && (reads_edge (dirty pass) item.st || conflicts pass item) then
+        if pass <> [] && (reads_edge (dirty pass) item.acc || conflicts pass item) then
           (List.rev pass :: passes, [ item ])
         else (passes, item :: pass))
       ([], []) items
@@ -144,12 +144,7 @@ let split ~space ~is_local items =
       (fun i -> match i.st with Ir.Assign (Ir.Cur_edge, n, _) when is_local n -> Some (n, i) | _ -> None)
       items
   in
-  let reads_local pass n =
-    List.exists
-      (fun i ->
-        List.exists (Ir.exists_expr (function Ir.Data (Ir.Cur_edge, m) -> m = n | _ -> false)) (Ir.stmt_exprs i.st))
-      pass
-  in
+  let reads_local pass n = List.exists (fun i -> List.mem (Ir.Read_data (Ir.Cur_edge, n)) i.acc) pass in
   let rec close pass =
     match List.filter (fun (n, i) -> reads_local pass n && not (List.memq i pass)) defs with
     | [] -> pass
@@ -163,9 +158,7 @@ let split ~space ~is_local items =
 let pair_items ~space ~written ~hoist items =
   let side e =
     let s = sides_of ~space [ e ] in
-    let reads_written =
-      Ir.exists_expr (function Ir.Feature (_, n) | Ir.Data (_, n) -> List.mem (Row n) written | _ -> false) e
-    in
+    let reads_written = List.exists (fun a -> List.mem (Row (Ir.access_name a)) written) (Ir.expr_reads e) in
     if (not s.anchored) || (not s.pure) || reads_written then None
     else if s.src then Some `Src
     else if s.dst then Some `Dst
@@ -197,16 +190,15 @@ let pair_items ~space ~written ~hoist items =
    row, so the row holds after the sweep what it held when the statement
    would have run. *)
 let grads_movable ~space ~is_local sweep =
-  let sweep = List.mapi (fun i st -> (i, st)) sweep in
+  let sweep = List.mapi (fun i item -> (i, item)) sweep in
   let writers n =
-    List.filter_map
-      (function
-        | i, (Ir.Assign (ent, m, _) | Ir.Accumulate (ent, m, _)) when m = n -> Some (i, ent) | _ -> None)
+    List.concat_map
+      (fun (i, item) -> List.filter_map (fun (m, ent) -> if m = n then Some (i, ent) else None) (row_writes item.acc))
       sweep
   in
   List.for_all
     (function
-      | i, (Ir.Grad_weight _ as st) ->
+      | i, { st = Ir.Grad_weight _; acc; _ } ->
           List.for_all
             (fun (n, ent) ->
               (not (is_local n))
@@ -217,7 +209,7 @@ let grads_movable ~space ~is_local sweep =
                   ent = Ir.Cur_edge
                   && space n = Some Mat.Rows_edges
                   && List.for_all (fun (j, went) -> j < i && went = Ir.Cur_edge) ws)
-            (accesses st)
+            (row_reads acc)
       | _ -> true)
     sweep
 
@@ -227,13 +219,10 @@ let grads_movable ~space ~is_local sweep =
    the gradient statements, run after the segments in the sweep's order,
    add their terms in that order too. *)
 let parallel_safe ~space ~is_local strategy sweep =
-  let reads = List.concat_map (fun st -> List.filter (fun (n, _) -> not (is_local n)) (accesses st)) sweep in
+  let reads = List.concat_map (fun i -> List.filter (fun (n, _) -> not (is_local n)) (row_reads i.acc)) sweep in
   let writes =
-    List.filter_map
-      (function
-        | (Ir.Assign (ent, n, _) | Ir.Accumulate (ent, n, _)) when not (ent = Ir.Cur_edge && is_local n) ->
-            Some (n, ent)
-        | _ -> None)
+    List.concat_map
+      (fun i -> List.filter (fun (n, ent) -> not (ent = Ir.Cur_edge && is_local n)) (row_writes i.acc))
       sweep
   in
   let owned = function
@@ -259,7 +248,7 @@ let parallel_safe ~space ~is_local strategy sweep =
         | _ -> false)
       reads
   in
-  List.for_all (function Ir.For_each _ -> false | _ -> true) sweep
+  List.for_all (fun i -> match i.st with Ir.For_each _ -> false | _ -> true) sweep
   && List.for_all write_safe writes && List.for_all conflict_safe writes
   && grads_movable ~space ~is_local sweep
 
@@ -267,11 +256,11 @@ let of_body ~lookup ~locals ~fallback strategy body =
   let is_local n = List.mem n locals || lookup n = None in
   let space n = if is_local n then None else lookup n in
   let pair st = if strategy = Ts.Edge_parallel && not fallback then pair_local ~space st else None in
-  let items = List.map (fun st -> { st; pair = pair st }) body in
+  let items = List.map (fun st -> { st; pair = pair st; acc = Ir.stmt_accesses st }) body in
   List.map
     (fun items ->
-      let sweep = List.filter_map (fun i -> if i.pair = None then Some i.st else None) items in
-      let written = List.concat_map (fun i -> writes ~is_local i.st) items in
+      let swept = List.filter (fun i -> i.pair = None) items in
+      let written = List.concat_map (fun i -> writes ~is_local i.acc) items in
       let ordered = pair_items ~space ~written ~hoist:(strategy <> Ts.Node_map) items in
       let loop side =
         match List.filter_map (fun (s, it) -> if s = side then Some it else None) ordered with
@@ -280,7 +269,11 @@ let of_body ~lookup ~locals ~fallback strategy body =
       in
       let first = List.find_map (fun i -> i.pair) items in
       let pair_loops = if first = Some `Dst then loop `Dst @ loop `Src else loop `Src @ loop `Dst in
-      { Ts.pair_loops; sweep; parallel_safe = parallel_safe ~space ~is_local strategy sweep })
+      {
+        Ts.pair_loops;
+        sweep = List.map (fun i -> i.st) swept;
+        parallel_safe = parallel_safe ~space ~is_local strategy swept;
+      })
     (if fallback then [ items ] else split ~space ~is_local items)
 
 let rec record_step ~lookup = function

@@ -25,14 +25,11 @@ let name t = Printf.sprintf "traversal_%d" t.kid
 
 let has_atomic_updates t =
   t.strategy = Edge_parallel
-  &&
-  let rec stmt_atomic = function
-    | Inter_ir.Accumulate ((Inter_ir.Src | Inter_ir.Dst), _, _) -> true
-    | Inter_ir.Grad_weight _ -> true
-    | Inter_ir.Assign _ | Inter_ir.Accumulate _ -> false
-    | Inter_ir.For_each (_, body) -> List.exists stmt_atomic body
-  in
-  List.exists stmt_atomic t.body
+  && List.exists
+       (function
+         | Inter_ir.Accumulated ((Inter_ir.Src | Inter_ir.Dst), _) | Inter_ir.Weight_grad _ -> true
+         | _ -> false)
+       (Inter_ir.accesses t.body)
 
 let strategy_name = function
   | Edge_parallel -> "edge-parallel"

@@ -11,6 +11,7 @@ module Mat = Hector_core.Materialization
 module Plan = Hector_core.Plan
 module Lf = Hector_core.Linear_fusion
 module Bp = Hector_core.Buffer_plan
+module Check = Hector_core.Check
 
 (* --- traversals ------------------------------------------------ *)
 
@@ -43,37 +44,12 @@ let bound (plan : Plan.t) n =
   | Some b -> b
   | None -> invalid_arg (Printf.sprintf "Pricing: plan %s neither holds nor declares %S" plan.Plan.name n)
 
-(* Dims come from the plan's buffers and its program's declarations,
-   weights' from their declarations. *)
+(* An expression's width by {!Hector_core.Check.width}: a register
+   local's from [locals_dims], any other name's from its binding. *)
 let expr_dim (plan : Plan.t) locals_dims expr =
-  let program = plan.Plan.program in
-  let rec dim e =
-    match e with
-    | Ir.Const _ -> 1
-    | Ir.Feature (_, n) | Ir.Data (_, n) -> (
-        match List.assoc_opt n locals_dims with Some d -> d | None -> fst (bound plan n))
-    | Ir.Weight (n, _) -> (
-        match Ir.find_decl program n with
-        | Some (Ir.Weight_vec { dim; _ }) -> dim
-        | Some (Ir.Weight_mat { rows; cols; _ }) -> rows * cols
-        | _ -> 1)
-    | Ir.Linear (_, Ir.Weight (w, _)) -> (
-        match Ir.find_decl program w with
-        | Some (Ir.Weight_mat { cols; _ }) -> cols
-        | _ -> 1)
-    | Ir.Linear_t (_, Ir.Weight (w, _)) -> (
-        match Ir.find_decl program w with
-        | Some (Ir.Weight_mat { rows; _ }) -> rows
-        | _ -> 1)
-    | Ir.Linear (x, _) | Ir.Linear_t (x, _) -> dim x
-    | Ir.Inner _ -> 1
-    | Ir.Concat (a, b) -> dim a + dim b
-    | Ir.Slice (_, _, len) -> len
-    | Ir.Binop (_, a, b) -> max (dim a) (dim b)
-    | Ir.Unop (_, a) -> dim a
-    | Ir.Opaque (_, args) -> ( match args with [] -> 1 | a :: _ -> dim a)
-  in
-  dim expr
+  Check.shape_dim
+    (Check.width plan.Plan.program expr ~read:(fun _ n ->
+         Check.of_dim (match List.assoc_opt n locals_dims with Some d -> d | None -> fst (bound plan n))))
 
 (* Compact rows destroy the coalescing that edge-parallel threads enjoy on
    vanilla per-edge tensors: neighbouring edges hit scattered compact rows

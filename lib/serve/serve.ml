@@ -58,7 +58,9 @@ type response = {
 
 type t = {
   mutable graph : G.t;  (* current snapshot; swapped by [update_graph] *)
-  mutable in_csr : Csr.t;  (* Csr.incoming of [graph], cached across batches *)
+  mutable in_csr : Csr.t Lazy.t;
+      (* Csr.incoming of [graph], built at the first batch that samples it
+         and cached across batches *)
   mutable node_capacity : int;  (* warmup graph sizes: staging/slab upper bounds *)
   mutable edge_capacity : int;
   compiled : Compiler.compiled;
@@ -127,7 +129,7 @@ let create ?(config = default_config) ?obs ?features ~graph program =
   in
   {
     graph;
-    in_csr = Csr.incoming graph;
+    in_csr = lazy (Csr.incoming graph);
     node_capacity = graph.G.num_nodes;
     edge_capacity = graph.G.num_edges;
     compiled;
@@ -213,7 +215,7 @@ let update_graph t ~(graph : G.t) ?features ?rows ?csr () =
   | Some msg -> Error msg
   | None ->
       install t ~graph ?features ?rows
-        ~csr:(match csr with Some c -> c | None -> Csr.incoming graph)
+        ~csr:(match csr with Some c -> Lazy.from_val c | None -> lazy (Csr.incoming graph))
         ();
       Ok ()
 
@@ -243,7 +245,7 @@ let rewarm t ~(capacity : G.t) ~graph ~features ~csr =
       t.node_capacity <- capacity.G.num_nodes;
       t.edge_capacity <- capacity.G.num_edges;
       t.warm_alloc_count <- Memory.alloc_count (Engine.memory (engine t));
-      install t ~graph ~features ~csr ();
+      install t ~graph ~features ~csr:(Lazy.from_val csr) ();
       Ok ()
 
 (* Execute one coalesced batch: union-sample a block as deep as the
@@ -256,7 +258,7 @@ let run_batch t (batch : Workload.request array) =
   let sub, block_seed_sets =
     Sampler.sample_union
       ~seed:((batch.(0).Workload.id * 31) + 17)
-      ~csr:t.in_csr ~graph:t.graph ~seed_sets ~fanout:t.fanout ~hops:t.sampled_hops ()
+      ~csr:(Lazy.force t.in_csr) ~graph:t.graph ~seed_sets ~fanout:t.fanout ~hops:t.sampled_hops ()
   in
   let block = sub.Sampler.graph in
   let sample_ms =

@@ -131,10 +131,12 @@ let derive_caps t =
   t.ncap <- Array.map (fun s -> cap_of t.slack s.live) t.nseg;
   t.ecap <- Array.map (fun s -> cap_of t.slack s.live) t.eseg
 
-(* The warm-up graph of an epoch: every type at capacity.  Placeholder
-   edges connect the first node of the relation's endpoint types — their
-   pattern is irrelevant, only the per-type counts matter to whoever
-   sizes plans, slabs and staging against it. *)
+(* The warm-up graph of an epoch: every type at capacity.  Whoever sizes
+   plans, slabs and staging against it reads its per-type counts and its
+   compact (relation, endpoint) pair counts, so the placeholder edges of
+   a relation cycle over its endpoint types' capacity nodes: each
+   relation then has min(edge capacity, node capacity) pairs per side,
+   which bounds the pairs of any block the epoch serves. *)
 let build_cap_graph t =
   let off = Array.make (Array.length t.ncap) 0 in
   for nt = 1 to Array.length t.ncap - 1 do
@@ -147,8 +149,11 @@ let build_cap_graph t =
   let pos = ref 0 in
   Array.iteri
     (fun et cap ->
-      Array.fill src !pos cap off.(Metagraph.src_ntype t.meta et);
-      Array.fill dst !pos cap off.(Metagraph.dst_ntype t.meta et);
+      let snt = Metagraph.src_ntype t.meta et and dnt = Metagraph.dst_ntype t.meta et in
+      for i = 0 to cap - 1 do
+        src.(!pos + i) <- off.(snt) + (i mod t.ncap.(snt));
+        dst.(!pos + i) <- off.(dnt) + (i mod t.ncap.(dnt))
+      done;
       Array.fill etype !pos cap et;
       pos := !pos + cap)
     t.ecap;

@@ -137,10 +137,12 @@ let derive_caps t =
   t.ncap <- Array.map (fun s -> cap_of t.slack s.live) t.nseg;
   t.ecap <- Array.map (fun s -> cap_of t.slack s.live) t.eseg
 
-(* The warm-up graph of an epoch: every type at capacity.  Placeholder
-   edges connect the first node of the relation's endpoint types — their
-   pattern is irrelevant, only the per-type counts matter to whoever
-   sizes plans, slabs and staging against it. *)
+(* The warm-up graph of an epoch: every type at capacity.  Whoever sizes
+   plans, slabs and staging against it reads its per-type counts and its
+   compact (relation, endpoint) pair counts, so the placeholder edges of
+   a relation cycle over its endpoint types' capacity nodes: each
+   relation then has min(edge capacity, node capacity) pairs per side,
+   which bounds the pairs of any block the epoch serves. *)
 let build_cap_graph t =
   let ntypes = Metagraph.num_ntypes t.meta in
   let etypes = Metagraph.num_etypes t.meta in
@@ -157,10 +159,9 @@ let build_cap_graph t =
   done;
   let edges = ref [] in
   for et = etypes - 1 downto 0 do
-    let s = off.(Metagraph.src_ntype t.meta et) in
-    let d = off.(Metagraph.dst_ntype t.meta et) in
-    for _ = 1 to t.ecap.(et) do
-      edges := (s, d, et) :: !edges
+    let snt = Metagraph.src_ntype t.meta et and dnt = Metagraph.dst_ntype t.meta et in
+    for i = t.ecap.(et) - 1 downto 0 do
+      edges := (off.(snt) + (i mod t.ncap.(snt)), off.(dnt) + (i mod t.ncap.(dnt)), et) :: !edges
     done
   done;
   t.cap_graph <-

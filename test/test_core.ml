@@ -126,6 +126,54 @@ let test_check_models () =
       | Error e -> Alcotest.fail e)
     Models.all
 
+(* The shared width rule ([Check.width], behind backward generation and
+   launch pricing) agrees with the validator: the width of every
+   statement's defining expression is the written variable's inferred
+   shape, [Sc] told from [Vec 1].  Over the shipped models as the
+   compiler checks them (canonicalized, then also linear-fused) and the
+   backward program of each. *)
+let test_width_agrees_with_check () =
+  let agree label p =
+    let infos = Check.check_exn p in
+    let shape v =
+      match List.find_opt (fun (i : Check.var_info) -> (i.Check.scope, i.Check.name) = v) infos with
+      | Some i -> i.Check.shape
+      | None -> Alcotest.failf "%s: %S has no inferred shape" label (snd v)
+    in
+    let read ent n =
+      match ent, Ir.find_decl p n with
+      | _, Some d -> Check.shape_of_decl d
+      | _, None -> shape (Ir.scope_of_target ent, n)
+    in
+    let pp = Format.asprintf "%a" Check.pp_shape in
+    let checked = ref 0 in
+    List.iter
+      (function
+        | Ir.Assign (ent, n, e) | Ir.Accumulate (ent, n, e) ->
+            incr checked;
+            Alcotest.(check string)
+              (Printf.sprintf "%s: width of %S's definition" label n)
+              (pp (shape (Ir.scope_of_target ent, n)))
+              (pp (Check.width p ~read e))
+        | Ir.Grad_weight _ | Ir.For_each _ -> ())
+      (Ir.leaves p.Ir.body);
+    check_bool (label ^ " has statements") true (!checked > 0)
+  in
+  List.iter
+    (fun (name, build) ->
+      let canonical = Lt.canonicalize (build ()) in
+      let fused = (Lf.run canonical).Lf.program in
+      agree name canonical;
+      agree (name ^ " fused") fused;
+      agree (name ^ " backward") (Autodiff.backward canonical).Autodiff.program;
+      agree (name ^ " fused backward") (Autodiff.backward fused).Autodiff.program)
+    (Models.all
+    @ [
+        ("rgat_2head", fun () -> Models.rgat_multihead ~heads:2 ());
+        ("hgt_2head", fun () -> Models.hgt_multihead ~heads:2 ());
+        ("rgcn_2layer", fun () -> Models.rgcn_two_layer ());
+      ])
+
 (* --- loop transforms --- *)
 
 let test_edgeify () =
@@ -636,6 +684,7 @@ let suite =
     Alcotest.test_case "check rejects assign to dst" `Quick test_check_rejects_assign_to_dst;
     Alcotest.test_case "check rejects bad output" `Quick test_check_rejects_bad_output;
     Alcotest.test_case "check accepts all models" `Quick test_check_models;
+    Alcotest.test_case "shared width == checker shapes" `Quick test_width_agrees_with_check;
     Alcotest.test_case "edgeify incoming nest" `Quick test_edgeify;
     Alcotest.test_case "edgeify outgoing nest" `Quick test_edgeify_outgoing;
     Alcotest.test_case "edgeify preserves order" `Quick test_edgeify_preserves_order;

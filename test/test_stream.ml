@@ -594,9 +594,9 @@ let test_serve_rejects_tombstoned_seed () =
 
 (* the invalidation-protocol pins: a warm replica survives in-slack
    deltas with zero recompiles and zero engine allocations *)
-let test_inslack_zero_recompile_zero_alloc () =
+let inslack_zero_recompile_zero_alloc ~label config program =
   let mg = make_mg ~slack:4.0 () in
-  let ss = Ss.create ~config:serve_config ~mg (rgcn ()) in
+  let ss = Ss.create ~config ~mg program in
   check_int "warmup compiles once" 1 (Ss.recompiles ss);
   let slab = Serve.slab (Ss.replica ss) in
   let warm = Serve.warm_alloc_count (Ss.replica ss) in
@@ -615,9 +615,22 @@ let test_inslack_zero_recompile_zero_alloc () =
   check_int "zero recompiles across 5 deltas" 1 (Ss.recompiles ss);
   check_int "zero re-warms" 0 (Ss.rewarms ss);
   check_bool "the slab survives every in-slack delta" true (Serve.slab (Ss.replica ss) == slab);
-  check_int "allocations pinned at warmup" warm
+  check_int (label ^ ": allocations pinned at warmup") warm
     (Memory.alloc_count (Engine.memory (Serve.engine (Ss.replica ss))));
   check_bool "updates cost simulated time" true (Ss.update_ms ss > 0.0)
+
+(* Over RGCN and RGAT under U and C: a compact-layout replica sizes its
+   compact-space slots on the capacity graph's (relation, endpoint)
+   pairs, so those must bound the pairs of any block the epoch serves. *)
+let test_inslack_zero_recompile_zero_alloc () =
+  List.iter
+    (fun (model, compact) ->
+      let options = Hector_core.Compiler.options_of_flags ~compact ~fusion:false () in
+      inslack_zero_recompile_zero_alloc
+        ~label:(Printf.sprintf "%s %s" model (if compact then "C" else "U"))
+        { serve_config with Serve.options = Some options }
+        (Hector_models.Model_defs.by_name model ~in_dim:feat_dim ~out_dim:4 ()))
+    [ ("rgcn", false); ("rgcn", true); ("rgat", false); ("rgat", true) ]
 
 let launches_of engine = (Hector_gpu.Stats.total (Engine.stats engine)).Hector_gpu.Stats.launches
 
