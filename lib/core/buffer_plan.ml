@@ -22,14 +22,14 @@ let step_vars step =
    only for the clear-cut cases; anything else conservatively keeps the
    zero fill. *)
 
-(* Does the body read buffer [name] — an accumulation reads its target
+(* Do the facts read buffer [name] — an accumulation reads its target
    (read-modify-write)? *)
-let body_reads name body =
+let reads name acc =
   List.exists
     (function
       | Ir.Read_input (_, n) | Ir.Read_data (_, n) | Ir.Accumulated (_, n) -> String.equal n name
       | Ir.Assigned _ | Ir.Weight_grad _ -> false)
-    (Ir.accesses body)
+    acc
 
 (* Does [st], executed under [strategy], assign every row of buffer [b]?
    Edge sweeps (edge-parallel, or node-gather over the incoming CSR) visit
@@ -55,17 +55,14 @@ let rec fully_defined_by (b : Plan.buffer) step =
       match List.find_opt (fun m -> List.mem n (step_vars m)) members with
       | Some m -> fully_defined_by b m
       | None -> false)
-  | Plan.Gemm { Gs.task = Gs.Node_linear { input; output; accumulate; _ }; _ } ->
-      (* segment-MM over all node-type segments writes every node row *)
-      String.equal output n && (not accumulate) && not (String.equal (Gs.operand_name input) n)
-  | Plan.Gemm { Gs.task = Gs.Edge_linear { input; output; per_row_scalar; _ }; _ } ->
-      (* one segment per edge type covers every row of the output space *)
-      String.equal output n
-      && (not (String.equal (Gs.operand_name input) n))
-      && (match per_row_scalar with Some s -> not (String.equal s n) | None -> true)
-  | Plan.Gemm _ | Plan.Weight_op _ | Plan.Fallback _ -> false
+  | Plan.Gemm { Gs.task; _ } ->
+      (* an assigning task runs one segment per node (edge) type, which
+         covers every row of its output space *)
+      let acc = Gs.accesses task in
+      List.exists (function Ir.Assigned (_, m) -> String.equal m n | _ -> false) acc && not (reads n acc)
+  | Plan.Weight_op _ | Plan.Fallback _ -> false
   | Plan.Traversal { Ts.strategy; body; _ } ->
-      (not (body_reads n body)) && List.exists (covering_assign b strategy) body
+      (not (reads n (Ir.accesses body))) && List.exists (covering_assign b strategy) body
 
 (* --- interval coloring ---------------------------------------------- *)
 

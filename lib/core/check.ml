@@ -55,11 +55,7 @@ let linear_shape ~transpose ~rows ~cols = of_dim (if transpose then rows else co
 
 (* Pointwise operands broadcast a scalar; two vectors have one width (the
    larger, where [infer_expr] has not already refused a mismatch). *)
-let pointwise sa sb =
-  match (sa, sb) with
-  | Sc, Sc -> Sc
-  | Vec n, Sc | Sc, Vec n -> Vec n
-  | Vec n, Vec m -> Vec (max n m)
+let pointwise sa sb = if shape_dim sa >= shape_dim sb then sa else sb
 
 let concat_shape sa sb = Vec (shape_dim sa + shape_dim sb)
 

@@ -25,9 +25,6 @@ val check : Inter_ir.program -> (var_info list, string) result
 val check_exn : Inter_ir.program -> var_info list
 (** Like {!check} but raises [Invalid_argument]. *)
 
-val of_dim : int -> shape
-(** [Sc] for width 1, else [Vec]. *)
-
 val shape_of_decl : Inter_ir.decl -> shape
 (** The shape a declared tensor reads as: a weight matrix is one
     [rows * cols] vector, anything of dimension 1 a scalar. *)

@@ -44,12 +44,12 @@ let bound (plan : Plan.t) n =
   | Some b -> b
   | None -> invalid_arg (Printf.sprintf "Pricing: plan %s neither holds nor declares %S" plan.Plan.name n)
 
-(* An expression's width by {!Hector_core.Check.width}: a register
-   local's from [locals_dims], any other name's from its binding. *)
+(* An expression's width by [Check.width]: a register local's from
+   [locals_dims], any other name's from its binding. *)
 let expr_dim (plan : Plan.t) locals_dims expr =
   Check.shape_dim
     (Check.width plan.Plan.program expr ~read:(fun _ n ->
-         Check.of_dim (match List.assoc_opt n locals_dims with Some d -> d | None -> fst (bound plan n))))
+         Check.Vec (match List.assoc_opt n locals_dims with Some d -> d | None -> fst (bound plan n))))
 
 (* Compact rows destroy the coalescing that edge-parallel threads enjoy on
    vanilla per-edge tensors: neighbouring edges hit scattered compact rows
