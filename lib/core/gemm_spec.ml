@@ -44,37 +44,22 @@ type task =
       grad_weight : string;
     }
 
-let entity_of_side : side -> Inter_ir.entity = function `Src -> Inter_ir.Src | `Dst -> Inter_ir.Dst
-
-let read ent = function
-  | Op_feature n -> Inter_ir.Read_input (ent, n)
-  | Op_data n -> Inter_ir.Read_data (ent, n)
-
-let accesses = function
+let accesses task =
+  let open Inter_ir in
+  let read ent = function Op_feature n -> Read_input (ent, n) | Op_data n -> Read_data (ent, n) in
+  let endpoint = function `Src -> Src | `Dst -> Dst in
+  match task with
   | Node_linear { input; output; accumulate; _ } ->
-      [
-        read Inter_ir.Cur_node input;
-        (if accumulate then Inter_ir.Accumulated (Inter_ir.Cur_node, output)
-         else Inter_ir.Assigned (Inter_ir.Cur_node, output));
-      ]
+      [ read Cur_node input; (if accumulate then Accumulated (Cur_node, output) else Assigned (Cur_node, output)) ]
   | Edge_linear { side; input; output; per_row_scalar; _ } ->
-      (read (entity_of_side side) input
-      :: List.map (fun s -> Inter_ir.Read_data (Inter_ir.Cur_edge, s)) (Option.to_list per_row_scalar))
-      @ [ Inter_ir.Assigned (Inter_ir.Cur_edge, output) ]
+      (read (endpoint side) input :: List.map (fun s -> Read_data (Cur_edge, s)) (Option.to_list per_row_scalar))
+      @ [ Assigned (Cur_edge, output) ]
   | Edge_linear_dinput { side; grad_output; grad_input; _ } ->
-      [ Inter_ir.Read_data (Inter_ir.Cur_edge, grad_output); Inter_ir.Accumulated (entity_of_side side, grad_input) ]
+      [ Read_data (Cur_edge, grad_output); Accumulated (endpoint side, grad_input) ]
   | Edge_linear_dweight { side; input; grad_output; grad_weight; _ } ->
-      [
-        read (entity_of_side side) input;
-        Inter_ir.Read_data (Inter_ir.Cur_edge, grad_output);
-        Inter_ir.Weight_grad grad_weight;
-      ]
+      [ read (endpoint side) input; Read_data (Cur_edge, grad_output); Weight_grad grad_weight ]
   | Node_linear_dweight { input; grad_output; grad_weight; _ } ->
-      [
-        read Inter_ir.Cur_node input;
-        Inter_ir.Read_data (Inter_ir.Cur_node, grad_output);
-        Inter_ir.Weight_grad grad_weight;
-      ]
+      [ read Cur_node input; Read_data (Cur_node, grad_output); Weight_grad grad_weight ]
 
 type schedule = { tile_width : int; coarsen : int; launch_bounds : bool }
 
