@@ -1,7 +1,9 @@
-(* Plan golden: one line per compiled configuration, for checking that a
-   compiler change leaves every plan as it was.
+(* Plan and launch goldens: one line per compiled configuration, for
+   checking that a compiler change leaves every plan as it was and that a
+   runtime change leaves every launch as it was.
 
      dune exec test/digest/plan_golden.exe > plan_golden.out
+     dune exec test/digest/plan_golden.exe -- --launches > launch_golden.out
 
    Each line names a configuration (model / layout / inference or
    training / inter-op fusion on or off) and holds the MD5 of its
@@ -11,12 +13,28 @@
    recorded as [rejected] with the exception it raised.  Printing a plan
    does no floating-point arithmetic, so unlike [train_digest] the output
    is the same on every platform; [dune runtest] compares it with
-   [plan_golden.expected], and [dune promote] re-records that file. *)
+   [plan_golden.expected], and [dune promote] re-records that file.
+
+   With [--launches] each line instead holds the MD5 of the launches the
+   configuration executes on a small fixed graph: a traced session runs
+   one warm-up epoch (a forward, or a training step), resets its clock and
+   runs one steady-state epoch.  Per launch, in order, the rendering has
+   its name, category, simulated milliseconds (as a hex float) and
+   provenance (op, step, origin, fused ops); then per kernel name the
+   engine statistics' launch count, flops and bytes.  The costs are
+   IEEE-754 sums, products and quotients plus one [log2] (CSR adjacency),
+   so the file is the same wherever libm's [log2] is correctly rounded on
+   integers; [dune runtest] compares it with [launch_golden.expected]. *)
 
 module Compiler = Hector_core.Compiler
 module Plan = Hector_core.Plan
 module Mat = Hector_core.Materialization
 module Md = Hector_models.Model_defs
+module Session = Hector_runtime.Session
+module Engine = Hector_gpu.Engine
+module Kernel = Hector_gpu.Kernel
+module Stats = Hector_gpu.Stats
+module G = Hector_graph.Hetgraph
 
 let models =
   [
@@ -48,7 +66,57 @@ let render_plan buf (plan : Plan.t) =
         n (Mat.space_name space))
     plan.Plan.spaces
 
-let line (model, program) (layout, compact, fusion) training fuse_ops =
+let render_plans buf (c : Compiler.compiled) =
+  render_plan buf c.Compiler.forward;
+  Option.iter (render_plan buf) c.Compiler.backward
+
+(* The graph every launch digest runs on: three node types, six relations,
+   charged at four times its physical size. *)
+let graph =
+  lazy
+    (Hector_graph.Generator.generate
+       {
+         Hector_graph.Generator.name = "launch_golden";
+         num_ntypes = 3;
+         num_etypes = 6;
+         num_nodes = 60;
+         num_edges = 200;
+         compaction_target = 0.4;
+         scale = 4.0;
+         seed = 5;
+       })
+
+let render_launches buf (c : Compiler.compiled) =
+  let graph = Lazy.force graph in
+  let s = Session.create ~config:{ Session.Config.default with trace = true } ~graph c in
+  let epoch =
+    if c.Compiler.options.Compiler.training then
+      let labels = Array.init graph.G.num_nodes (fun v -> v mod Session.output_dim s) in
+      fun () -> ignore (Session.train_step s ~labels ())
+    else fun () -> ignore (Session.forward s)
+  in
+  epoch ();
+  Session.reset_clock s;
+  epoch ();
+  let engine = Session.engine s in
+  List.iter
+    (fun (e : Engine.event) ->
+      Printf.bprintf buf "%s %s %h" e.Engine.name (Kernel.category_name e.Engine.category)
+        e.Engine.duration_ms;
+      (match e.Engine.prov with
+      | None -> Buffer.add_string buf " -"
+      | Some p ->
+          Printf.bprintf buf " op=%s step=%d origin=%s fused=%s" p.Kernel.op p.Kernel.step p.Kernel.origin
+            (String.concat "," p.Kernel.fused));
+      Buffer.add_char buf '\n')
+    (Engine.events engine);
+  List.iter
+    (fun (name, (e : Stats.entry)) ->
+      Printf.bprintf buf "kernel %s launches=%d flops=%h bytes=%h\n" name e.Stats.launches e.Stats.flops
+        e.Stats.bytes)
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) (Stats.by_kernel (Engine.stats engine)))
+
+let line render (model, program) (layout, compact, fusion) training fuse_ops =
   let key =
     Printf.sprintf "%s/%s/%s/%s" model layout
       (if training then "train" else "infer")
@@ -59,20 +127,29 @@ let line (model, program) (layout, compact, fusion) training fuse_ops =
       ~options:(Compiler.options_of_flags ~training ~fuse_ops ~compact ~fusion ())
       (program ())
   with
-  | c ->
+  | c -> (
       let buf = Buffer.create 4096 in
-      render_plan buf c.Compiler.forward;
-      Option.iter (render_plan buf) c.Compiler.backward;
-      Printf.sprintf "%s %s" key (Digest.to_hex (Digest.string (Buffer.contents buf)))
+      match render buf c with
+      | () -> Printf.sprintf "%s %s" key (Digest.to_hex (Digest.string (Buffer.contents buf)))
+      | exception e -> Printf.sprintf "%s failed: %s" key (Printexc.to_string e))
   | exception e -> Printf.sprintf "%s rejected: %s" key (Printexc.to_string e)
 
 let () =
+  let render =
+    match Array.to_list Sys.argv with
+    | [ _ ] -> render_plans
+    | [ _; "--launches" ] -> render_launches
+    | _ ->
+        prerr_endline "usage: plan_golden.exe [--launches]";
+        exit 2
+  in
   List.iter
     (fun m ->
       List.iter
         (fun l ->
           List.iter
-            (fun training -> List.iter (fun fuse -> print_endline (line m l training fuse)) [ true; false ])
+            (fun training ->
+              List.iter (fun fuse -> print_endline (line render m l training fuse)) [ true; false ])
             [ false; true ])
         layouts)
     models
