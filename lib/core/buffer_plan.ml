@@ -73,8 +73,8 @@ type slot_state = {
   dim : int;
 }
 
-let analyze (plan : Plan.t) : Plan.memory =
-  let steps = Array.of_list plan.Plan.steps in
+let analyze ~(buffers : Plan.buffer list) ~steps : Plan.memory =
+  let steps = Array.of_list steps in
   let touched = Array.map step_vars steps in
   let first = Hashtbl.create 16 and last = Hashtbl.create 16 in
   Array.iteri
@@ -96,7 +96,7 @@ let analyze (plan : Plan.t) : Plan.memory =
     List.stable_sort
       (fun (a : Plan.buffer) (b : Plan.buffer) ->
         compare (fst (interval a.Plan.name)) (fst (interval b.Plan.name)))
-      plan.Plan.buffers
+      buffers
   in
   let next_slot = ref 0 in
   let shareable : slot_state list ref = ref [] in
@@ -146,6 +146,6 @@ let analyze (plan : Plan.t) : Plan.memory =
           (not b.Plan.zero_init) && f >= 0 && fully_defined_by b steps.(f)
         in
         { Plan.var = b.Plan.name; slot = Hashtbl.find assignment b.Plan.name; first = f; last = l; uninit_ok })
-      plan.Plan.buffers
+      buffers
   in
   { Plan.placements; num_slots = !next_slot }

@@ -129,11 +129,11 @@ let run ?(obs = Hector_obs.disabled) (plan : Plan.t) =
   let steps = List.rev (flush acc cur) in
   if !fid = 0 then plan (* nothing fused; keep the plan (and its memory) as-is *)
   else
-    let plan = { plan with Plan.steps } in
     (* fused groups are single indices in the step list now, so group-local
        temporaries collapse to one-step live ranges and the interval
        coloring can reclaim (or memset-elide) them *)
     let memory =
-      Hector_obs.time obs ~kind:"pass" "buffer_plan" (fun () -> Buffer_plan.analyze plan)
+      Hector_obs.time obs ~kind:"pass" "buffer_plan" (fun () ->
+          Buffer_plan.analyze ~buffers:plan.Plan.buffers ~steps)
     in
-    { plan with Plan.memory = Some memory }
+    { plan with Plan.steps; memory }

@@ -314,19 +314,8 @@ let lower ?(obs = Hector_obs.disabled) ?(context = empty_context) ?(keep = [])
             })
       infos
   in
-  let prologue = List.map (fun op -> Plan.Weight_op op) weight_ops in
-  let plan =
-    {
-      Plan.name = program.name;
-      layout;
-      program;
-      buffers;
-      steps = prologue @ steps;
-      spaces = all_spaces;
-      memory = None;
-    }
-  in
+  let steps = List.map (fun op -> Plan.Weight_op op) weight_ops @ steps in
   let memory =
-    Hector_obs.time obs ~kind:"pass" "buffer_plan" (fun () -> Buffer_plan.analyze plan)
+    Hector_obs.time obs ~kind:"pass" "buffer_plan" (fun () -> Buffer_plan.analyze ~buffers ~steps)
   in
-  { plan with Plan.memory = Some memory }
+  { Plan.name = program.name; layout; program; buffers; steps; spaces = all_spaces; memory }

@@ -46,7 +46,7 @@ type t = {
   buffers : buffer list;
   steps : step list;
   spaces : (Inter_ir.var * Materialization.space) list;
-  memory : memory option;
+  memory : memory;
 }
 
 let step_name = function
@@ -115,21 +115,18 @@ let fused_count t =
    launch for them.  The storage fill itself still happens — numerics are
    unchanged, only the launch charge goes away. *)
 let inline_zeroed t =
-  match t.memory with
-  | None -> []
-  | Some m ->
-      let steps = Array.of_list t.steps in
-      List.filter_map
-        (fun (b : buffer) ->
-          if not b.zero_init then None
-          else
-            match List.find_opt (fun p -> String.equal p.var b.name) m.placements with
-            | Some p
-              when p.first >= 0 && p.first = p.last && p.first < Array.length steps
-                   && (match steps.(p.first) with Fused _ -> true | _ -> false) ->
-                Some b.name
-            | _ -> None)
-        t.buffers
+  let steps = Array.of_list t.steps in
+  List.filter_map
+    (fun (b : buffer) ->
+      if not b.zero_init then None
+      else
+        match List.find_opt (fun p -> String.equal p.var b.name) t.memory.placements with
+        | Some p
+          when p.first >= 0 && p.first = p.last && p.first < Array.length steps
+               && (match steps.(p.first) with Fused _ -> true | _ -> false) ->
+            Some b.name
+        | _ -> None)
+    t.buffers
 
 let find_buffer t name = List.find_opt (fun (b : buffer) -> String.equal b.name name) t.buffers
 

@@ -65,9 +65,10 @@ type t = {
   spaces : (Inter_ir.var * Materialization.space) list;
       (** row-space lookup for every variable the steps may touch,
           including context (forward-pass) variables *)
-  memory : memory option;
-      (** buffer liveness + slot coloring, filled in by lowering (None only
-          for hand-built plans; the runtime recomputes it on demand) *)
+  memory : memory;
+      (** buffer liveness + slot coloring of [buffers] over [steps]
+          ({!Buffer_plan.analyze}); a hand-built plan runs the analysis
+          itself *)
 }
 
 val step_name : step -> string
@@ -122,8 +123,7 @@ val fused_count : t -> int
 val inline_zeroed : t -> string list
 (** Names of zero-init (accumulator) buffers whose entire live range sits
     inside a single fused step: their zeroing happens inside the fused
-    kernel, so the runtime charges no separate memset launch for them.
-    Empty when the plan carries no memory plan. *)
+    kernel, so the runtime charges no separate memset launch for them. *)
 
 val find_buffer : t -> string -> buffer option
 (** Look up a buffer by variable name. *)

@@ -1,6 +1,5 @@
 module Tensor = Hector_tensor.Tensor
 module Engine = Hector_gpu.Engine
-module Kernel = Hector_gpu.Kernel
 module Memory = Hector_gpu.Memory
 module G = Hector_graph.Hetgraph
 module Csr = Hector_graph.Csr
@@ -31,23 +30,26 @@ type arena = {
   abind : managed list array;  (* step index -> buffers bound before the step *)
   aunbind : string list array;  (* step index -> temps unbound after the step *)
   apre : managed list;  (* buffers no step touches: bound at run start *)
+  mutable aschedule : Pricing.schedule option;  (* built by the first run, replayed after *)
 }
 
-(* Cross-executor arena storage: slot backings keyed by (plan name, slot),
-   each kept at its high-water capacity.  A fresh executor handed the same
-   slab rebuilds its arenas as prefix views of the cached backings instead
-   of allocating — the serving steady state.  The accounting handle of the
-   allocator that charged a backing rides along so growth can release the
-   superseded charge.  [sscratch] is the host scratch of recorded pair
-   reductions (see [stage_pair_loop]): buffer [k] holds a pass's [k]th
-   reduction, one row per compact pair, kept at its high-water size.  It
-   lives in host memory only — the simulated device never sees it. *)
+(* Cross-executor arena storage: slot backings per plan (by physical
+   identity, so two different plans that share a name never share storage)
+   and slot, each kept at its high-water capacity.  A fresh executor handed
+   the same slab rebuilds its arenas over the same plan as prefix views of
+   the cached backings instead of allocating — the serving steady state.
+   The accounting handle of the allocator that charged a backing rides
+   along so growth can release the superseded charge.  [sscratch] is the
+   host scratch of recorded pair reductions (see [stage_pair_loop]): buffer
+   [k] holds a pass's [k]th reduction, one row per compact pair, kept at
+   its high-water size.  It lives in host memory only — the simulated
+   device never sees it. *)
 type slab = {
-  sbackings : (string * int, Memory.t * Memory.allocation * Tensor.t) Hashtbl.t;
+  mutable sbackings : (Plan.t * (int, Memory.t * Memory.allocation * Tensor.t) Hashtbl.t) list;
   mutable sscratch : float array array;
 }
 
-let create_slab () = { sbackings = Hashtbl.create 32; sscratch = [||] }
+let create_slab () = { sbackings = []; sscratch = [||] }
 
 type t = {
   engine : Engine.t;
@@ -774,21 +776,6 @@ let rec exec_step t (plan : Plan.t) step =
         f.Plan.passes
   | Plan.Fused f -> List.iter (exec_step t plan) f.Plan.members
 
-(* Compute the step, then charge its [Pricing.step_kernels] under the
-   step's provenance (kernels that carry their own tag keep it). *)
-let run_step ~step_idx t (plan : Plan.t) step =
-  exec_step t plan step;
-  let prov =
-    Some
-      (Kernel.provenance ~step:step_idx ~origin:(Plan.step_origin step)
-         ~fused:(Plan.step_constituents step) (Plan.step_op step))
-  in
-  List.iter
-    (fun (k : Kernel.t) ->
-      let k = match k.Kernel.prov with None -> { k with Kernel.prov } | Some _ -> k in
-      Engine.launch t.engine k)
-    (Pricing.step_kernels ~ctx:t.ctx ~plan step)
-
 (* --- plan-lifetime arena ---------------------------------------------
 
    Every [run_plan] binds plan buffers from an arena built once per
@@ -837,6 +824,14 @@ let create_arena t (plan : Plan.t) ~shared =
         (b, p, rows, slot))
       members
   in
+  let cached =
+    match List.assq_opt plan t.slab.sbackings with
+    | Some c -> c
+    | None ->
+        let c = Hashtbl.create 16 in
+        t.slab.sbackings <- (plan, c) :: t.slab.sbackings;
+        c
+  in
   let backings = Hashtbl.create 16 in
   Hashtbl.iter
     (fun slot (rows, dim) ->
@@ -851,11 +846,11 @@ let create_arena t (plan : Plan.t) ~shared =
             ~rows ~cols:dim ()
         in
         let backing = Tensor.create_uninit [| rows * dim |] in
-        Hashtbl.replace t.slab.sbackings (plan.Plan.name, slot) (Engine.memory t.engine, alloc, backing);
+        Hashtbl.replace cached slot (Engine.memory t.engine, alloc, backing);
         backing
       in
       let backing =
-        match Hashtbl.find_opt t.slab.sbackings (plan.Plan.name, slot) with
+        match Hashtbl.find_opt cached slot with
         | Some (_, _, b) when Tensor.numel b >= rows * dim -> b
         | Some (mem, alloc, _) ->
             (* outgrown: drop the superseded charge before reallocating *)
@@ -884,7 +879,7 @@ let create_arena t (plan : Plan.t) ~shared =
              p ))
          placed)
   in
-  { abind; aunbind; apre }
+  { abind; aunbind; apre; aschedule = None }
 
 let find_arena t (plan : Plan.t) ~shared =
   let rec lookup = function
@@ -926,11 +921,11 @@ let warm_plan ?(free_temps = true) t (plan : Plan.t) =
   reserve_pair_rows t plan
 
 (* Bind a managed buffer for this run: accumulators ([zero_init]) are
-   cleared (and charged their [Pricing.buffer_memset]) every run; other buffers start
-   zeroed the first time they exist — which for a freed-and-recreated
-   temporary is every run — unless [Buffer_plan] proved their defining
-   step fully overwrites them. *)
-let bind_managed ~inlined ~shared t (m : managed) =
+   cleared every run (their memsets are in the plan's schedule); other
+   buffers start zeroed the first time they exist — which for a
+   freed-and-recreated temporary is every run — unless [Buffer_plan]
+   proved their defining step fully overwrites them. *)
+let bind_managed ~shared t (m : managed) =
   let b = m.mbuf in
   let needs_zero =
     if b.Plan.zero_init then true
@@ -940,18 +935,31 @@ let bind_managed ~inlined ~shared t (m : managed) =
   if needs_zero then Tensor.fill m.mview 0.0;
   m.minitialized <- true;
   Env.add t.env ~name:b.Plan.name
-    { Env.tensor = m.mview; space = b.Plan.space; dim = b.Plan.dim; alloc = None };
-  Option.iter (Engine.launch t.engine) (Pricing.buffer_memset ~ctx:t.ctx ~inlined b)
+    { Env.tensor = m.mview; space = b.Plan.space; dim = b.Plan.dim; alloc = None }
 
+(* Bind each run's buffers, compute each step and charge the arena's
+   [Pricing.schedule], built by the arena's first run (warming prices
+   nothing): each step's memsets and kernels go to the engine after the
+   step computes and before [on_step] sees it. *)
 let run_plan ?on_step ?(free_temps = true) t (plan : Plan.t) =
   Hector_obs.time (Engine.obs t.engine) ~kind:"run" ("run_plan:" ^ plan.Plan.name) @@ fun () ->
   let arena = find_arena t plan ~shared:free_temps in
-  let inlined = Plan.inline_zeroed plan in
-  List.iter (bind_managed ~inlined ~shared:free_temps t) arena.apre;
+  let schedule =
+    match arena.aschedule with
+    | Some s -> s
+    | None ->
+        let s = Pricing.schedule ~ctx:t.ctx plan in
+        arena.aschedule <- Some s;
+        s
+  in
+  let launch = Array.iter (Engine.launch t.engine) in
+  List.iter (bind_managed ~shared:free_temps t) arena.apre;
+  launch schedule.Pricing.at_start;
   List.iteri
     (fun i step ->
-      List.iter (bind_managed ~inlined ~shared:free_temps t) arena.abind.(i);
-      run_step ~step_idx:i t plan step;
+      List.iter (bind_managed ~shared:free_temps t) arena.abind.(i);
+      exec_step t plan step;
+      launch schedule.Pricing.at_step.(i);
       (match on_step with None -> () | Some f -> f i);
       if free_temps then List.iter (fun n -> ignore (Env.remove t.env n)) arena.aunbind.(i))
     plan.Plan.steps;

@@ -67,11 +67,11 @@ let update_kernels t (compiled : Compiler.compiled) (bwd : Plan.t) =
 
 let kernels t (compiled : Compiler.compiled) =
   let fwd = compiled.Compiler.forward in
-  let forward = Pricing.plan_kernels ~ctx:t.ctx fwd in
+  let plan p = Pricing.launches (Pricing.schedule ~ctx:t.ctx p) in
   match compiled.Compiler.backward with
   | Some bwd when compiled.Compiler.options.Compiler.training ->
-      forward @ loss_kernels t fwd @ Pricing.plan_kernels ~ctx:t.ctx bwd @ update_kernels t compiled bwd
-  | _ -> forward
+      plan fwd @ loss_kernels t fwd @ plan bwd @ update_kernels t compiled bwd
+  | _ -> plan fwd
 
 let estimate_ms t compiled =
   List.fold_left

@@ -5,14 +5,13 @@
     alone: no environment is built and no tensor is allocated.  The
     launches are the ones {!Exec} and {!Train} charge, built by the same
     {!Pricing} functions in the engine's order: the forward plan's
-    ({!Pricing.plan_kernels}: a memset per zero-init buffer outside
-    {!Hector_core.Plan.inline_zeroed} where the buffer is bound, one
-    merged launch per fused step), and for training the NLL loss
-    reductions, the backward plan's, then one [bmm_backward] per weight
-    op whose product received a gradient and one SGD update per updated
-    weight, shaped by its declaration ({!Graph_ctx.weight_shape}).  Each
-    is priced with {!Hector_gpu.Engine.predict_ms} under the graph's cost
-    scale.
+    {!Pricing.schedule} flattened (the schedule {!Exec} builds at an
+    arena's first run and replays), and for training the NLL loss
+    reductions, the backward plan's schedule, then one [bmm_backward] per
+    weight op whose product received a gradient and one SGD update per
+    updated weight, shaped by its declaration ({!Graph_ctx.weight_shape}).
+    Each is priced with {!Hector_gpu.Engine.predict_ms} under the graph's
+    cost scale.
 
     Because the descriptors, their order and the roofline are shared with
     the engine, the estimate of a config equals the simulator's measured
@@ -29,8 +28,9 @@ val create : ?device:Hector_gpu.Device.t -> graph:Hector_graph.Hetgraph.t -> uni
 val kernels : t -> Hector_core.Compiler.compiled -> Hector_gpu.Kernel.t list
 (** The full steady-state launch sequence of one epoch, in execution
     order: the forward plan, and for training options the loss kernels,
-    the backward plan and the optimizer kernels.  Descriptors are at logical (unscaled) work quantities,
-    exactly as execution would hand them to the engine. *)
+    the backward plan and the optimizer kernels.  Descriptors are at
+    logical (unscaled) work quantities, with their provenance, exactly as
+    execution hands them to the engine. *)
 
 val estimate_ms : t -> Hector_core.Compiler.compiled -> float
 (** Sum of {!Hector_gpu.Engine.predict_ms} over {!kernels} — the predicted

@@ -1,8 +1,11 @@
-(** Launch pricing: every kernel descriptor the runtime charges.  {!Exec}
-    charges a plan's steps, {!Train} a training step's loss, weight-op
-    backprop and SGD launches, and {!Plan_cost} prices a compiled plan
-    {e without running it} — all through these builders, so the estimate
-    and the engine see one launch sequence in one order by construction.
+(** Launch pricing: every kernel descriptor the runtime charges.  A
+    plan's launches are built in one place, {!schedule}: {!Exec} builds a
+    plan's schedule at the first [run_plan] of each arena (never at
+    [warm_plan]) and replays it on every run, and {!Plan_cost} flattens the
+    same schedule, so the estimate and the engine see one launch sequence
+    in one order by construction.  {!Train} charges a training step's
+    loss, weight-op backprop and SGD launches through the builders below,
+    which {!Plan_cost} calls too.
     A plan's launches are a function of the plan and the graph context
     alone, as the generated host code sizes each launch from its IR: a
     name's row width is its buffer's, else its declaration's in the
@@ -21,32 +24,37 @@ val binding : Hector_core.Plan.t -> string -> (int * Hector_core.Materialization
     [Exec] binds under it while it runs [plan] — or [None] for a name the
     plan neither holds nor declares as an input (a register local). *)
 
-val step_kernels :
-  ctx:Graph_ctx.t -> plan:Hector_core.Plan.t -> Hector_core.Plan.step -> Hector_gpu.Kernel.t list
-(** A step's launches: one per weight-op / GEMM / traversal step, one per
-    expression node for a fallback, one merged kernel (members' work
-    summed) for a fused group. *)
-
-val buffer_memset :
-  ctx:Graph_ctx.t -> inlined:string list -> Hector_core.Plan.buffer -> Hector_gpu.Kernel.t option
-(** The zero fill a [zero_init] buffer is charged each time it is bound,
-    unless [inlined] ({!Hector_core.Plan.inline_zeroed}) names it. *)
-
 val placements : Hector_core.Plan.t -> (Hector_core.Plan.buffer * Hector_core.Plan.placement) list
 (** Each buffer of the plan, in order, with its placement in the plan's
-    memory plan (computed on the spot when the plan has none).  Raises
-    [Invalid_argument] naming the plan and the buffer when the memory
-    plan does not place one. *)
+    memory plan.  Raises [Invalid_argument] naming the plan and the buffer
+    when the memory plan does not place one. *)
 
 val bind_points : nsteps:int -> ('a * Hector_core.Plan.placement) list -> 'a list * 'a list array
 (** Buffers grouped by where [Exec.run_plan] binds them: at run start
     (untouched buffers, or a plan without steps) or before the step at
     their index, each group in reverse order. *)
 
-val plan_kernels : ctx:Graph_ctx.t -> Hector_core.Plan.t -> Hector_gpu.Kernel.t list
-(** One [Exec.run_plan], in the engine's order: the memsets of buffers
-    bound at run start, then per step the memsets bound before it and its
-    {!step_kernels}.  Raises [Invalid_argument] as {!placements} does. *)
+type schedule = {
+  at_start : Hector_gpu.Kernel.t array;  (** memsets of the buffers bound at run start *)
+  at_step : Hector_gpu.Kernel.t array array;
+      (** per step: the memsets of the buffers bound before it, then the
+          step's launches *)
+}
+(** The launches of one [Exec.run_plan], in the engine's order. *)
+
+val schedule : ctx:Graph_ctx.t -> Hector_core.Plan.t -> schedule
+(** [plan]'s launch schedule on [ctx]'s graph.  A memset per [zero_init]
+    buffer outside {!Hector_core.Plan.inline_zeroed}, tagged
+    ["runtime.memset"], where {!bind_points} binds it; a step's launches
+    are one per weight-op / GEMM / traversal step, one per expression
+    node for a fallback and one merged kernel (members' work summed) for
+    a fused group, each under the step's provenance (its
+    {!Hector_core.Plan.step_op}, index, {!Hector_core.Plan.step_origin}
+    and {!Hector_core.Plan.step_constituents}).  Raises [Invalid_argument]
+    as {!placements} does. *)
+
+val launches : schedule -> Hector_gpu.Kernel.t list
+(** The schedule flattened, in launch order. *)
 
 val loss_kernels : origin:string -> rows:int -> cols:int -> Hector_gpu.Kernel.t list
 (** The [log_softmax] and [nll_grad] launches of the NLL loss. *)

@@ -50,15 +50,13 @@ let layouts = [ ("U", false, false); ("C", true, false); ("F", false, true); ("C
 
 let render_plan buf (plan : Plan.t) =
   Buffer.add_string buf (Format.asprintf "%a\n" Plan.pp plan);
-  (match plan.Plan.memory with
-  | None -> Buffer.add_string buf "memory none\n"
-  | Some m ->
-      Printf.bprintf buf "memory slots=%d\n" m.Plan.num_slots;
-      List.iter
-        (fun (p : Plan.placement) ->
-          Printf.bprintf buf "  %s slot=%d first=%d last=%d uninit_ok=%b\n" p.Plan.var p.Plan.slot
-            p.Plan.first p.Plan.last p.Plan.uninit_ok)
-        m.Plan.placements);
+  let m = plan.Plan.memory in
+  Printf.bprintf buf "memory slots=%d\n" m.Plan.num_slots;
+  List.iter
+    (fun (p : Plan.placement) ->
+      Printf.bprintf buf "  %s slot=%d first=%d last=%d uninit_ok=%b\n" p.Plan.var p.Plan.slot
+        p.Plan.first p.Plan.last p.Plan.uninit_ok)
+    m.Plan.placements;
   List.iter
     (fun ((scope, n), space) ->
       Printf.bprintf buf "space %s %s %s\n"

@@ -300,9 +300,9 @@ let test_no_candidate_compiles () =
 (* --- per-launch parity ---------------------------------------------- *)
 
 (* The estimator's kernel list against the launches a steady-state epoch
-   hands the engine, one by one and in order: name, category and
-   simulated time per launch, and per kernel name the launch count, flops
-   and bytes the engine's statistics recorded. *)
+   hands the engine, one by one and in order: name, category, simulated
+   time and provenance per launch, and per kernel name the launch count,
+   flops and bytes the engine's statistics recorded. *)
 (* What the engine records for [k]: its work at the graph's cost scale. *)
 let scaled ~scale (k : Kernel.t) =
   if (not k.Kernel.graph_proportional) || scale = 1.0 then k
@@ -335,21 +335,28 @@ let check_launch_parity ~label ~graph compiled =
   let scale = graph.G.scale in
   let executed =
     List.map
-      (fun (e : Engine.event) -> (e.Engine.name, e.Engine.category, e.Engine.duration_ms))
+      (fun (e : Engine.event) -> (e.Engine.name, e.Engine.category, e.Engine.duration_ms, e.Engine.prov))
       (Engine.events engine)
   in
   let kernels = Plan_cost.kernels (Plan_cost.create ~device ~graph ()) compiled in
   let expected =
     List.map
-      (fun (k : Kernel.t) -> (k.Kernel.name, k.Kernel.category, Engine.predict_ms ~scale device k))
+      (fun (k : Kernel.t) ->
+        (k.Kernel.name, k.Kernel.category, Engine.predict_ms ~scale device k, k.Kernel.prov))
       kernels
+  in
+  let prov = function
+    | None -> "-"
+    | Some (p : Kernel.provenance) ->
+        Printf.sprintf "%s@%d/%s[%s]" p.Kernel.op p.Kernel.step p.Kernel.origin
+          (String.concat "," p.Kernel.fused)
   in
   check_int (label ^ ": launches") (List.length expected) (List.length executed);
   List.iteri
-    (fun i ((gn, gc, gms), (wn, wc, wms)) ->
-      if gn <> wn || gc <> wc || Int64.bits_of_float gms <> Int64.bits_of_float wms then
-        Alcotest.failf "%s: launch %d is %s (%s, %h ms), estimator has %s (%s, %h ms)" label i gn
-          (Kernel.category_name gc) gms wn (Kernel.category_name wc) wms)
+    (fun i ((gn, gc, gms, gp), (wn, wc, wms, wp)) ->
+      if gn <> wn || gc <> wc || Int64.bits_of_float gms <> Int64.bits_of_float wms || gp <> wp then
+        Alcotest.failf "%s: launch %d is %s (%s, %h ms, %s), estimator has %s (%s, %h ms, %s)" label i
+          gn (Kernel.category_name gc) gms (prov gp) wn (Kernel.category_name wc) wms (prov wp))
     (List.combine executed expected);
   (* per kernel name: what the engine's statistics hold vs the estimator's
      kernels at the same scale *)
@@ -532,10 +539,10 @@ let test_priced_local_widths_chain () =
           buffers = [];
           steps = [ step ];
           spaces = [];
-          memory = None;
+          memory = Hector_core.Buffer_plan.analyze ~buffers:[] ~steps:[ step ];
         }
     in
-    match Pricing.step_kernels ~ctx:(Graph_ctx.create graph) ~plan (List.hd plan.Plan.steps) with
+    match Pricing.launches (Pricing.schedule ~ctx:(Graph_ctx.create graph) plan) with
     | [ k ] -> k.Kernel.flops /. float_of_int graph.G.num_edges
     | _ -> Alcotest.fail "one traversal launch expected"
   in

@@ -903,11 +903,7 @@ let test_coloring_sound () =
     (fun (model, training, compact, fusion) ->
       List.iter
         (fun (plan : Plan.t) ->
-          let memory =
-            match plan.Plan.memory with
-            | Some m -> m
-            | None -> Alcotest.failf "%s: lowering left no memory plan" plan.Plan.name
-          in
+          let memory = plan.Plan.memory in
           (* exactly one placement per buffer *)
           check_int
             (plan.Plan.name ^ ": one placement per buffer")
@@ -965,7 +961,7 @@ let test_coloring_sound () =
                   false (buffer p.Plan.var).Plan.zero_init)
             memory.Plan.placements;
           (* the analysis is deterministic and matches what lowering stored *)
-          let again = Bp.analyze plan in
+          let again = Bp.analyze ~buffers:plan.Plan.buffers ~steps:plan.Plan.steps in
           check_int
             (plan.Plan.name ^ ": re-analysis slot count")
             memory.Plan.num_slots again.Plan.num_slots)
@@ -1142,14 +1138,48 @@ let test_arena_refuses_unmanaged () =
       (Float.equal clock (Engine.elapsed_ms (Session.engine s)))
   in
   List.iter (refused "bound" fwd ~bind:true) fwd.Plan.buffers;
-  let memory = Option.get fwd.Plan.memory in
+  let memory = fwd.Plan.memory in
   List.iter
     (fun (b : Plan.buffer) ->
       let placements =
         List.filter (fun (p : Plan.placement) -> p.Plan.var <> b.Plan.name) memory.Plan.placements
       in
-      refused "unplaced" { fwd with Plan.memory = Some { memory with Plan.placements } } ~bind:false b)
+      refused "unplaced" { fwd with Plan.memory = { memory with Plan.placements } } ~bind:false b)
     fwd.Plan.buffers
+
+(* A slab keeps one set of backings per plan: two different plans of the
+   same name (the layers of a two-layer RGCN stack, both [rgcn]) sharing a
+   slab each get their own storage and keep their outputs, while a second
+   executor over the same plan adopts the first's backings. *)
+let test_slab_per_plan () =
+  let graph = test_graph () in
+  let engine = Engine.create () and slab = Exec.create_slab () in
+  let mem = Engine.memory engine in
+  let compiled in_dim out_dim =
+    Compiler.compile
+      ~options:(Compiler.options_of_flags ~compact:false ~fusion:false ())
+      (Models.rgcn ~in_dim ~out_dim ())
+  in
+  let session compiled =
+    Session.create ~config:{ config with engine = Some engine; slab = Some slab } ~graph compiled
+  in
+  let c1 = compiled 6 4 and c2 = compiled 4 3 in
+  Alcotest.(check string) "same plan name" c1.Compiler.forward.Plan.name c2.Compiler.forward.Plan.name;
+  let s1 = session c1 and s2 = session c2 in
+  let bound s (c : Compiler.compiled) =
+    (Env.find (Session.exec s).Exec.env (List.hd c.Compiler.forward.Plan.program.Ir.outputs)).Env.tensor
+  in
+  ignore (Session.forward s1);
+  let kept = T.copy (bound s1 c1) in
+  let used = Memory.used_bytes mem in
+  ignore (Session.forward s2);
+  check_bool "the second plan's arena is charged" true (Memory.used_bytes mem > used);
+  check_bool "the first plan keeps its output" true (same_bits kept (bound s1 c1));
+  let s3 = session c1 in
+  let allocs = Memory.alloc_count mem in
+  ignore (Session.forward s3);
+  check_int "a second executor over the first plan allocates nothing" allocs (Memory.alloc_count mem);
+  check_bool "and computes the same output" true (same_bits kept (bound s3 c1))
 
 let suite =
   [
@@ -1172,6 +1202,7 @@ let suite =
     Alcotest.test_case "planner output equivalence" `Quick test_planner_equivalence;
     Alcotest.test_case "planner training equivalence" `Quick test_training_equivalence;
     Alcotest.test_case "arena refuses a bound or unplaced buffer" `Quick test_arena_refuses_unmanaged;
+    Alcotest.test_case "slab backings are per plan, not per plan name" `Quick test_slab_per_plan;
     Alcotest.test_case "segment gather GEMM == textbook loop, bitwise" `Quick
       test_segment_gather_oracle;
     Alcotest.test_case "segment scatter GEMM == textbook loop, bitwise" `Quick

@@ -354,7 +354,7 @@ let oracle_plan steps =
       buffers = [];
       steps;
       spaces;
-      memory = None;
+      memory = Hector_core.Buffer_plan.analyze ~buffers:[] ~steps;
     }
 
 let gen_plan rs =
