@@ -30,26 +30,33 @@ type arena = {
   abind : managed list array;  (* step index -> buffers bound before the step *)
   aunbind : string list array;  (* step index -> temps unbound after the step *)
   apre : managed list;  (* buffers no step touches: bound at run start *)
-  mutable aschedule : Pricing.schedule option;  (* built by the first run, replayed after *)
+  aschedule : Pricing.schedule Lazy.t;  (* forced by the first run, replayed after *)
 }
 
-(* Cross-executor arena storage: slot backings per plan (by physical
-   identity, so two different plans that share a name never share storage)
-   and slot, each kept at its high-water capacity.  A fresh executor handed
-   the same slab rebuilds its arenas over the same plan as prefix views of
-   the cached backings instead of allocating — the serving steady state.
-   The accounting handle of the allocator that charged a backing rides
-   along so growth can release the superseded charge.  [sscratch] is the
-   host scratch of recorded pair reductions (see [stage_pair_loop]): buffer
-   [k] holds a pass's [k]th reduction, one row per compact pair, kept at
-   its high-water size.  It lives in host memory only — the simulated
-   device never sees it. *)
+(* A slab key: a plan, by physical identity (two different plans may
+   share a name), and one of its storage slots. *)
+module Slot_key = Hashtbl.Make (struct
+  type t = Plan.t * int
+
+  let equal (p, s) (q, r) = p == q && s = r
+  let hash (p, s) = Hashtbl.hash (p.Plan.name, s)
+end)
+
+(* Cross-executor arena storage: slot backings keyed by (plan, slot),
+   each kept at its high-water capacity.  A fresh executor handed the same
+   slab rebuilds its arenas as prefix views of the cached backings instead
+   of allocating — the serving steady state.  The accounting handle of the
+   allocator that charged a backing rides along so growth can release the
+   superseded charge.  [sscratch] is the host scratch of recorded pair
+   reductions (see [stage_pair_loop]): buffer [k] holds a pass's [k]th
+   reduction, one row per compact pair, kept at its high-water size.  It
+   lives in host memory only — the simulated device never sees it. *)
 type slab = {
-  mutable sbackings : (Plan.t * (int, Memory.t * Memory.allocation * Tensor.t) Hashtbl.t) list;
+  sbackings : (Memory.t * Memory.allocation * Tensor.t) Slot_key.t;
   mutable sscratch : float array array;
 }
 
-let create_slab () = { sbackings = []; sscratch = [||] }
+let create_slab () = { sbackings = Slot_key.create 32; sscratch = [||] }
 
 type t = {
   engine : Engine.t;
@@ -824,14 +831,6 @@ let create_arena t (plan : Plan.t) ~shared =
         (b, p, rows, slot))
       members
   in
-  let cached =
-    match List.assq_opt plan t.slab.sbackings with
-    | Some c -> c
-    | None ->
-        let c = Hashtbl.create 16 in
-        t.slab.sbackings <- (plan, c) :: t.slab.sbackings;
-        c
-  in
   let backings = Hashtbl.create 16 in
   Hashtbl.iter
     (fun slot (rows, dim) ->
@@ -846,11 +845,11 @@ let create_arena t (plan : Plan.t) ~shared =
             ~rows ~cols:dim ()
         in
         let backing = Tensor.create_uninit [| rows * dim |] in
-        Hashtbl.replace cached slot (Engine.memory t.engine, alloc, backing);
+        Slot_key.replace t.slab.sbackings (plan, slot) (Engine.memory t.engine, alloc, backing);
         backing
       in
       let backing =
-        match Hashtbl.find_opt cached slot with
+        match Slot_key.find_opt t.slab.sbackings (plan, slot) with
         | Some (_, _, b) when Tensor.numel b >= rows * dim -> b
         | Some (mem, alloc, _) ->
             (* outgrown: drop the superseded charge before reallocating *)
@@ -879,7 +878,7 @@ let create_arena t (plan : Plan.t) ~shared =
              p ))
          placed)
   in
-  { abind; aunbind; apre; aschedule = None }
+  { abind; aunbind; apre; aschedule = lazy (Pricing.schedule ~ctx:t.ctx plan) }
 
 let find_arena t (plan : Plan.t) ~shared =
   let rec lookup = function
@@ -937,21 +936,12 @@ let bind_managed ~shared t (m : managed) =
   Env.add t.env ~name:b.Plan.name
     { Env.tensor = m.mview; space = b.Plan.space; dim = b.Plan.dim; alloc = None }
 
-(* Bind each run's buffers, compute each step and charge the arena's
-   [Pricing.schedule], built by the arena's first run (warming prices
-   nothing): each step's memsets and kernels go to the engine after the
-   step computes and before [on_step] sees it. *)
+(* Each step's scheduled memsets and kernels are charged after the step
+   computes, before [on_step] sees it. *)
 let run_plan ?on_step ?(free_temps = true) t (plan : Plan.t) =
   Hector_obs.time (Engine.obs t.engine) ~kind:"run" ("run_plan:" ^ plan.Plan.name) @@ fun () ->
   let arena = find_arena t plan ~shared:free_temps in
-  let schedule =
-    match arena.aschedule with
-    | Some s -> s
-    | None ->
-        let s = Pricing.schedule ~ctx:t.ctx plan in
-        arena.aschedule <- Some s;
-        s
-  in
+  let schedule = Lazy.force arena.aschedule in
   let launch = Array.iter (Engine.launch t.engine) in
   List.iter (bind_managed ~shared:free_temps t) arena.apre;
   launch schedule.Pricing.at_start;

@@ -3,11 +3,8 @@
     Interprets a compiled {!Hector_core.Plan.t} against a graph and an
     environment: every step both {e computes its result} on the CPU (so
     outputs are bit-for-bit testable against reference models) and
-    {e charges} its launches from the plan's {!Pricing.schedule} to the
+    {e charges} its launches, the plan's {!Pricing.schedule}, to the
     engine (so simulated time and memory reflect a paper-scale GPU run).
-    The schedule is built at the first [run_plan] of each arena, never at
-    {!warm_plan}, and replayed by every later run, which builds no kernel
-    descriptor; {!Plan_cost} flattens the same schedule.
 
     GEMM-template steps execute as fused gather→segment-MM→scatter kernels
     (one launch each).  The host computes each (relation, endpoint) pair
@@ -53,13 +50,12 @@ type arena
     bind views into the environment instead of allocating. *)
 
 type slab
-(** Cross-executor arena storage: slot backings per plan (the same
-    {!Hector_core.Plan.t} value, so two different plans that share a name
-    never share storage) and slot, each kept at its high-water capacity.
-    Hand the same slab to a sequence of executors over the same plans
-    (e.g. one per sampled block in a serving loop) and each rebuilds its
-    arenas as prefix {!Tensor.view}s of the cached backings — after a
-    warmup pass sized at the largest block, steady-state executors
+(** Cross-executor arena storage: slot backings keyed by plan (the same
+    value: two plans sharing a name never share storage) and slot, each
+    kept at its high-water capacity.  Hand the same slab to a sequence
+    of executors (e.g. one per sampled block in a serving loop) and each
+    rebuilds its arenas as prefix {!Tensor.view}s of the cached backings —
+    after a warmup pass sized at the largest block, steady-state executors
     allocate no plan-buffer storage at all.  A slab assumes serial use:
     executors sharing one must not run concurrently. *)
 
@@ -98,14 +94,13 @@ val create :
     the step's bits and its charged launch are unchanged. *)
 
 val warm_plan : ?free_temps:bool -> t -> Hector_core.Plan.t -> unit
-(** Build (or adopt from the slab) the plan's arena without running any
-    step, taking whatever allocations the arena needs now rather than on
-    the first [run_plan].  It prices nothing: the launch schedule waits
-    for the first run.  It also reserves, on the calling domain, the
-    host pair rows the plan's edge-row backward GEMMs sum their gradients
-    into (see {!Tensor.segment_gather_t_into}), sized for this context's
-    graph — an upper bound for every sampled block of it.  [free_temps]
-    must match the mode later runs use (default [true]). *)
+(** Build (or adopt from the slab) the plan's arena without running or
+    pricing any step, taking whatever allocations the arena needs now
+    rather than on the first [run_plan].  It also reserves, on the calling
+    domain, the host pair rows the plan's edge-row backward GEMMs sum
+    their gradients into (see {!Tensor.segment_gather_t_into}), sized for
+    this context's graph — an upper bound for every sampled block of it.
+    [free_temps] must match the mode later runs use (default [true]). *)
 
 val run_plan : ?on_step:(int -> unit) -> ?free_temps:bool -> t -> Hector_core.Plan.t -> unit
 (** Execute all steps in order: bind (and zero) the plan's buffers as
@@ -119,12 +114,10 @@ val run_plan : ?on_step:(int -> unit) -> ?free_temps:bool -> t -> Hector_core.Pl
     {!Hector_core.Plan.memory} coloring, later calls allocate nothing.
     With [free_temps = false] the coloring degrades to identity — one
     slot per buffer, none shared, every buffer live for the whole run.
-    The launches are the arena's {!Pricing.schedule}, built by its first
-    run: each step's memsets and kernels are charged after the step
-    computes and before [on_step] is called, every launch carrying the
-    {!Hector_gpu.Kernel.provenance} of its plan step (op, step index,
-    originating pass); the whole run is wrapped in a ["run"] span on the
-    engine's observability handle.
+    Launches replay the arena's {!Pricing.schedule} (built by its first
+    run), each with its plan step's {!Hector_gpu.Kernel.provenance} (op,
+    step index, originating pass); the whole run is wrapped in a ["run"]
+    span on the engine's observability handle.
     The arena manages every buffer of the plan: building it raises
     [Invalid_argument] naming the plan and the buffer, before anything is
     bound or charged, when a buffer is already bound in the environment

@@ -67,7 +67,10 @@ let update_kernels t (compiled : Compiler.compiled) (bwd : Plan.t) =
 
 let kernels t (compiled : Compiler.compiled) =
   let fwd = compiled.Compiler.forward in
-  let plan p = Pricing.launches (Pricing.schedule ~ctx:t.ctx p) in
+  let plan p =
+    let s = Pricing.schedule ~ctx:t.ctx p in
+    Array.to_list (Array.concat (s.Pricing.at_start :: Array.to_list s.Pricing.at_step))
+  in
   match compiled.Compiler.backward with
   | Some bwd when compiled.Compiler.options.Compiler.training ->
       plan fwd @ loss_kernels t fwd @ plan bwd @ update_kernels t compiled bwd

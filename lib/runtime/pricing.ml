@@ -294,9 +294,9 @@ let weight_op_kernel ~shape op =
 
 (* --- memsets, fused groups, whole plans ------------------------ *)
 
-(* The zero-fill launch a [zero_init] buffer is charged on every run, or
-   [None] when [inlined] names it: a buffer whose whole live range sits
-   inside one fused step (Plan.inline_zeroed) has its accumulator
+(* The zero-fill launch a [zero_init] buffer is charged on every run.
+   [inlined] lists the zero-init buffers whose whole live range sits
+   inside one fused step (Plan.inline_zeroed): their accumulator is
    initialized inside the fused kernel, so the zero fill still happens but
    no separate memset launch is charged. *)
 let buffer_memset ~ctx ~inlined (b : Plan.buffer) =
@@ -333,9 +333,7 @@ let merge_kernels name ks =
     ~graph_proportional:(List.for_all (fun k -> k.Kernel.graph_proportional) ks)
     ()
 
-(* A step's launches, before provenance: one per weight-op / GEMM /
-   traversal step, one per expression node for a fallback, one merged
-   kernel for a fused group. *)
+(* A step's launches, before [schedule] tags them with its provenance. *)
 let rec step_kernels ~ctx ~(plan : Plan.t) step =
   match step with
   | Plan.Weight_op op -> [ weight_op_kernel ~shape:(Graph_ctx.weight_shape ctx plan.Plan.program) op ]
@@ -350,16 +348,13 @@ let rec step_kernels ~ctx ~(plan : Plan.t) step =
 (* Each buffer of the plan with its placement in the plan's memory plan,
    in buffer order. *)
 let placements (plan : Plan.t) =
-  let placed (b : Plan.buffer) (p : Plan.placement) = String.equal p.Plan.var b.Plan.name in
-  List.map
-    (fun (b : Plan.buffer) ->
-      match List.find_opt (placed b) plan.Plan.memory.Plan.placements with
-      | Some p -> (b, p)
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Pricing.placements: plan %s: buffer %s has no placement" plan.Plan.name
-               b.Plan.name))
-    plan.Plan.buffers
+  let rec placed (b : Plan.buffer) = function
+    | (p : Plan.placement) :: rest -> if String.equal p.Plan.var b.Plan.name then (b, p) else placed b rest
+    | [] ->
+        invalid_arg
+          (Printf.sprintf "Pricing.placements: plan %s: buffer %s has no placement" plan.Plan.name b.Plan.name)
+  in
+  List.map (fun b -> placed b plan.Plan.memory.Plan.placements) plan.Plan.buffers
 
 (* Arena members grouped by where [Exec.run_plan] binds them: at run start
    (untouched buffers, or a plan without steps) or before their first
@@ -376,23 +371,17 @@ let bind_points ~nsteps members =
 type schedule = { at_start : Kernel.t array; at_step : Kernel.t array array }
 
 (* The launches of one [Exec.run_plan]: each memset where its buffer is
-   bound, each step's kernels after the step's memsets, tagged with the
-   step's provenance. *)
+   bound, each step's kernels after the step's memsets, under its provenance. *)
 let schedule ~ctx (plan : Plan.t) =
   let inlined = Plan.inline_zeroed plan in
-  let memsets = List.filter_map (buffer_memset ~ctx ~inlined) in
-  let pre, at = bind_points ~nsteps:(List.length plan.Plan.steps) (placements plan) in
+  let memset (b, p) = match buffer_memset ~ctx ~inlined b with Some k -> Some (k, p) | None -> None in
+  let pre, at = bind_points ~nsteps:(List.length plan.Plan.steps) (List.filter_map memset (placements plan)) in
   let step i step =
-    let prov =
-      Some
-        (Kernel.provenance ~step:i ~origin:(Plan.step_origin step) ~fused:(Plan.step_constituents step)
-           (Plan.step_op step))
-    in
-    Array.of_list (memsets at.(i) @ List.map (fun k -> { k with Kernel.prov }) (step_kernels ~ctx ~plan step))
+    let origin, fused = (Plan.step_origin step, Plan.step_constituents step) in
+    let prov = Some (Kernel.provenance ~step:i ~origin ~fused (Plan.step_op step)) in
+    Array.of_list (at.(i) @ List.map (fun k -> { k with Kernel.prov }) (step_kernels ~ctx ~plan step))
   in
-  { at_start = Array.of_list (memsets pre); at_step = Array.of_list (List.mapi step plan.Plan.steps) }
-
-let launches s = Array.to_list (Array.concat (s.at_start :: Array.to_list s.at_step))
+  { at_start = Array.of_list pre; at_step = Array.of_list (List.mapi step plan.Plan.steps) }
 
 (* --- training-step launches ------------------------------------ *)
 

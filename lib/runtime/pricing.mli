@@ -1,11 +1,9 @@
-(** Launch pricing: every kernel descriptor the runtime charges.  A
-    plan's launches are built in one place, {!schedule}: {!Exec} builds a
-    plan's schedule at the first [run_plan] of each arena (never at
-    [warm_plan]) and replays it on every run, and {!Plan_cost} flattens the
-    same schedule, so the estimate and the engine see one launch sequence
-    in one order by construction.  {!Train} charges a training step's
-    loss, weight-op backprop and SGD launches through the builders below,
-    which {!Plan_cost} calls too.
+(** Launch pricing: every kernel descriptor the runtime charges.  A plan
+    run's launches are one {!schedule}, which {!Exec} builds at an arena's
+    first [run_plan] (never at [warm_plan]) and replays, and {!Plan_cost}
+    flattens; {!Train}'s loss, weight-op backprop and SGD launches and
+    {!Plan_cost}'s estimate of them share the builders below.  So the
+    estimate and the engine see one launch sequence in one order.
     A plan's launches are a function of the plan and the graph context
     alone, as the generated host code sizes each launch from its IR: a
     name's row width is its buffer's, else its declaration's in the
@@ -35,26 +33,17 @@ val bind_points : nsteps:int -> ('a * Hector_core.Plan.placement) list -> 'a lis
     their index, each group in reverse order. *)
 
 type schedule = {
-  at_start : Hector_gpu.Kernel.t array;  (** memsets of the buffers bound at run start *)
-  at_step : Hector_gpu.Kernel.t array array;
-      (** per step: the memsets of the buffers bound before it, then the
-          step's launches *)
+  at_start : Hector_gpu.Kernel.t array;  (** memsets bound at run start *)
+  at_step : Hector_gpu.Kernel.t array array;  (** per step: memsets bound before it, then its launches *)
 }
-(** The launches of one [Exec.run_plan], in the engine's order. *)
 
 val schedule : ctx:Graph_ctx.t -> Hector_core.Plan.t -> schedule
-(** [plan]'s launch schedule on [ctx]'s graph.  A memset per [zero_init]
-    buffer outside {!Hector_core.Plan.inline_zeroed}, tagged
-    ["runtime.memset"], where {!bind_points} binds it; a step's launches
-    are one per weight-op / GEMM / traversal step, one per expression
-    node for a fallback and one merged kernel (members' work summed) for
-    a fused group, each under the step's provenance (its
-    {!Hector_core.Plan.step_op}, index, {!Hector_core.Plan.step_origin}
-    and {!Hector_core.Plan.step_constituents}).  Raises [Invalid_argument]
-    as {!placements} does. *)
-
-val launches : schedule -> Hector_gpu.Kernel.t list
-(** The schedule flattened, in launch order. *)
+(** One [Exec.run_plan]'s launches on [ctx]'s graph, in the engine's
+    order: a memset per [zero_init] buffer outside
+    {!Hector_core.Plan.inline_zeroed} where {!bind_points} binds it; per
+    step one launch per weight op, GEMM or traversal, one per expression
+    node of a fallback, or one merged launch (members' work summed) for a
+    fused group, under the step's provenance.  Raises as {!placements}. *)
 
 val loss_kernels : origin:string -> rows:int -> cols:int -> Hector_gpu.Kernel.t list
 (** The [log_softmax] and [nll_grad] launches of the NLL loss. *)

@@ -542,8 +542,8 @@ let test_priced_local_widths_chain () =
           memory = Hector_core.Buffer_plan.analyze ~buffers:[] ~steps:[ step ];
         }
     in
-    match Pricing.launches (Pricing.schedule ~ctx:(Graph_ctx.create graph) plan) with
-    | [ k ] -> k.Kernel.flops /. float_of_int graph.G.num_edges
+    match Pricing.schedule ~ctx:(Graph_ctx.create graph) plan with
+    | { Pricing.at_start = [||]; at_step = [| [| k |] |] } -> k.Kernel.flops /. float_of_int graph.G.num_edges
     | _ -> Alcotest.fail "one traversal launch expected"
   in
   Alcotest.(check (float 0.0)) "neg t1 priced 16 wide" 544.0 (flops_per_edge "t1");
