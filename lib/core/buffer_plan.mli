@@ -21,7 +21,8 @@
 
 val analyze : buffers:Plan.buffer list -> steps:Plan.step list -> Plan.memory
 (** Liveness + coloring + full-definition analysis for every buffer of
-    [buffers] over the step list [steps], in order.  Guarantees: two placements share a slot only when both buffers
-    are temp and their live ranges are strictly disjoint; [uninit_ok]
-    implies the buffer is not zero-init and its first-touching step
-    overwrites every row before reading any. *)
+    [buffers], in order, over the step list [steps].  Guarantees: two
+    placements share a slot only when both buffers are temp and their
+    live ranges are strictly disjoint; [uninit_ok] implies the buffer is
+    not zero-init and its first-touching step overwrites every row before
+    reading any. *)
