@@ -24,13 +24,26 @@
    engine statistics' launch count, flops and bytes.  The costs are
    IEEE-754 sums, products and quotients plus one [log2] (CSR adjacency),
    so the file is the same wherever libm's [log2] is correctly rounded on
-   integers; [dune runtest] compares it with [launch_golden.expected]. *)
+   integers; [dune runtest] compares it with [launch_golden.expected].
+
+   After those, [--launches] prints the sampled-block lines: for RGCN, RGAT
+   and HGT under U and C+F, a serving replica answering three batches
+   whose blocks grow and then shrink ([serve]), and a mini-batch trainer
+   taking two steps ([minibatch]).  A block replica's engine keeps no
+   timeline, so each batch or step is rendered from the engine's
+   statistics after it: the clock, per kernel name its launch count,
+   simulated milliseconds, flops and bytes, per provenance op its launch
+   count and milliseconds, and the device's allocation count and peak. *)
 
 module Compiler = Hector_core.Compiler
 module Plan = Hector_core.Plan
 module Mat = Hector_core.Materialization
 module Md = Hector_models.Model_defs
 module Session = Hector_runtime.Session
+module Minibatch = Hector_runtime.Minibatch
+module Serve = Hector_serve.Serve
+module Workload = Hector_serve.Workload
+module Memory = Hector_gpu.Memory
 module Engine = Hector_gpu.Engine
 module Kernel = Hector_gpu.Kernel
 module Stats = Hector_gpu.Stats
@@ -114,6 +127,58 @@ let render_launches buf (c : Compiler.compiled) =
         e.Stats.bytes)
     (List.sort (fun (a, _) (b, _) -> String.compare a b) (Stats.by_kernel (Engine.stats engine)))
 
+(* The cumulative statistics of a block replica's engine. *)
+let render_stats buf engine =
+  let st = Engine.stats engine and mem = Engine.memory engine in
+  let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
+  Printf.bprintf buf "clock %h allocs=%d peak=%h\n" (Engine.elapsed_ms engine) (Memory.alloc_count mem)
+    (Memory.peak_bytes mem);
+  List.iter
+    (fun (name, (e : Stats.entry)) ->
+      Printf.bprintf buf "kernel %s launches=%d ms=%h flops=%h bytes=%h\n" name e.Stats.launches
+        e.Stats.time_ms e.Stats.flops e.Stats.bytes)
+    (by_name (Stats.by_kernel st));
+  List.iter
+    (fun (op, (e : Stats.entry)) ->
+      Printf.bprintf buf "op %s launches=%d ms=%h\n" op e.Stats.launches e.Stats.time_ms)
+    (by_name (Stats.by_op st))
+
+(* Three served batches, one request each, whose blocks grow and then
+   shrink. *)
+let render_serve buf program ~options =
+  let graph = Lazy.force graph in
+  let config = { Serve.default_config with Serve.fanout = 4; hops = 2; options = Some options } in
+  let server = Serve.create ~config ~graph program in
+  List.iteri
+    (fun id seeds ->
+      ignore (Serve.serve server [| { Workload.id; arrival_ms = 0.0; seeds } |]);
+      render_stats buf (Serve.engine server))
+    [ [| 3 |]; Array.init 12 (fun i -> i * 5); [| 7; 8 |] ]
+
+(* Two mini-batch steps on one trainer. *)
+let render_minibatch buf program ~options =
+  let graph = Lazy.force graph in
+  let compiled = Compiler.compile ~options:{ options with Compiler.training = true } program in
+  let features = Hector_tensor.Tensor.randn (Hector_tensor.Rng.create 11) [| graph.G.num_nodes; 8 |] in
+  let labels = Array.init graph.G.num_nodes (fun v -> v mod 4) in
+  let trainer = Minibatch.create ~seed:3 ~graph ~features ~labels compiled in
+  List.iter
+    (fun batch ->
+      ignore (Minibatch.step trainer ~lr:0.1 ~fanout:4 ~hops:2 ~batch ());
+      render_stats buf (Minibatch.engine trainer))
+    [ Array.init 8 (fun i -> i); Array.init 20 (fun i -> 20 + i) ]
+
+let block_line model (layout, compact, fusion) (path, render) =
+  let key = Printf.sprintf "%s/%s/%s" model layout path in
+  let buf = Buffer.create 4096 in
+  match
+    render buf
+      (Md.by_name model ~in_dim:8 ~out_dim:4 ())
+      ~options:(Compiler.options_of_flags ~compact ~fusion ())
+  with
+  | () -> Printf.sprintf "%s %s" key (Digest.to_hex (Digest.string (Buffer.contents buf)))
+  | exception e -> Printf.sprintf "%s failed: %s" key (Printexc.to_string e)
+
 let line render (model, program) (layout, compact, fusion) training fuse_ops =
   let key =
     Printf.sprintf "%s/%s/%s/%s" model layout
@@ -133,10 +198,10 @@ let line render (model, program) (layout, compact, fusion) training fuse_ops =
   | exception e -> Printf.sprintf "%s rejected: %s" key (Printexc.to_string e)
 
 let () =
-  let render =
+  let render, blocks =
     match Array.to_list Sys.argv with
-    | [ _ ] -> render_plans
-    | [ _; "--launches" ] -> render_launches
+    | [ _ ] -> (render_plans, false)
+    | [ _; "--launches" ] -> (render_launches, true)
     | _ ->
         prerr_endline "usage: plan_golden.exe [--launches]";
         exit 2
@@ -150,4 +215,14 @@ let () =
               List.iter (fun fuse -> print_endline (line render m l training fuse)) [ true; false ])
             [ false; true ])
         layouts)
-    models
+    models;
+  if blocks then
+    List.iter
+      (fun model ->
+        List.iter
+          (fun l ->
+            List.iter
+              (fun path -> print_endline (block_line model l path))
+              [ ("serve", render_serve); ("minibatch", render_minibatch) ])
+          [ ("U", false, false); ("C+F", true, true) ])
+      [ "rgcn"; "rgat"; "hgt" ]
