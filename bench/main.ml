@@ -472,7 +472,7 @@ let fault () =
    synthetic parent graph.  Per step: the whole simulated step (sampling
    cost, PCIe transfer and device compute) and the transfer alone, both
    averaged, and the launches of the busiest step; plus the device allocations all eight steps take after
-   warmup, which must stay 0 (one engine and slab for the trainer's
+   warmup, which must stay 0 (one engine and executor for the trainer's
    life). *)
 
 let minibatch () =

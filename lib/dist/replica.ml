@@ -45,7 +45,7 @@ type replica = {
   part : Partition.part;
   engine : Engine.t;
   inputs : Tensor.t array;  (* per layer; persistent node-input binding *)
-  sessions : Session.t array;  (* per layer, sharing [engine] and one slab *)
+  sessions : Session.t array;  (* per layer, sharing [engine] *)
 }
 
 (* A gradient all-reduce bucket: the weights whose gradients it carries,
@@ -181,7 +181,6 @@ let create ?config:(cfg = Config.default) ~features ~(graph : G.t) layers =
     Array.map
       (fun (part : Partition.part) ->
         let engine = Engine.create ~scale:1.0 ~obs () in
-        let slab = Exec.create_slab () in
         let n_local = part.Partition.sub.G.num_nodes in
         let inputs =
           Array.map (fun lrec -> Tensor.zeros [| n_local; lrec.in_dim |]) layer_recs
@@ -193,7 +192,6 @@ let create ?config:(cfg = Config.default) ~features ~(graph : G.t) layers =
                 {
                   Session.Config.default with
                   Session.Config.engine = Some engine;
-                  slab = Some slab;
                   seed;
                   node_inputs = [ (lrec.feature_name, inputs.(l)) ];
                   weights = List.map (fun (n, w) -> (n, Tensor.copy w)) lrec.master;

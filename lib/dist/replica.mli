@@ -3,7 +3,7 @@
     [create] splits a graph with {!Hector_graph.Partition} (an even split,
     no balance slack), then builds one {e replica} per partition: a full
     executor stack (own RTX 3090 engine with its own simulated clock,
-    statistics and memory; own arena slab; sessions through the standard
+    statistics and memory; sessions through the standard
     {!Hector_runtime.Session} path) over the partition's local
     subgraph.  Replicas are assumed to run concurrently;
     the cluster-level simulated time is the {e maximum} of the replica
@@ -40,8 +40,8 @@
     the [Comm] share shrinks as overlap improves.
 
     Replicas compile nothing (they run the plans they are given) and, after
-    the first step, allocate no plan-buffer storage: the per-replica arena
-    slab is warmed at creation, so steady-state epochs leave
+    the first step, allocate no plan-buffer storage: every layer session's
+    arenas are warmed at creation, so steady-state epochs leave
     {!Hector_gpu.Memory.alloc_count} unchanged on every replica. *)
 
 module Tensor = Hector_tensor.Tensor

@@ -52,7 +52,7 @@ let inputs ~caller ?features ~(graph : G.t) (program : Ir.program) =
 
 type t = {
   engine : Engine.t;
-  slab : Exec.slab;
+  exec : Exec.t;  (* the warmup session's, rebound to every staged block *)
   weights : (string * Tensor.t) list;
   features : Tensor.t;  (* parent node features, host-resident *)
   feature_name : string;
@@ -78,16 +78,14 @@ let create ?obs ?(weights = []) ?features ~origin ~seed ~graph (inputs : inputs)
   let obs = Option.value obs ~default:Hector_obs.disabled in
   (* blocks run at physical size (scale 1) *)
   let engine = Engine.create ~scale:1.0 ~obs () in
-  let slab = Exec.create_slab () in
   (* a session over the PARENT graph charges weights and features once and
-     primes the slab at parent capacity, an upper bound on every block.  It
-     runs no plan.  Its norm is never read (blocks recompute theirs), so it
-     warms with zeros. *)
+     warms its executor's arenas at parent capacity, an upper bound on
+     every block.  It runs no plan.  Its norm is never read (blocks
+     recompute theirs), so it warms with zeros. *)
   let scfg =
     {
       Session.Config.default with
       Session.Config.engine = Some engine;
-      slab = Some slab;
       seed;
       weights;
       node_inputs = (match features with Some f -> [ (inputs.feature_name, f) ] | None -> []);
@@ -96,12 +94,12 @@ let create ?obs ?(weights = []) ?features ~origin ~seed ~graph (inputs : inputs)
     }
   in
   let session = Session.create ~config:scfg ~graph compiled in
-  let exec0 = Session.exec session in
+  let exec = Session.exec session in
   (* a training model keeps its forward temporaries for the backward *)
   let training = compiled.Compiler.backward <> None in
-  Exec.warm_plan ~free_temps:(not training) exec0 compiled.Compiler.forward;
-  Option.iter (Exec.warm_plan exec0) compiled.Compiler.backward;
-  let features = (Env.find exec0.Exec.env inputs.feature_name).Env.tensor in
+  Exec.warm_plan ~free_temps:(not training) exec compiled.Compiler.forward;
+  Option.iter (Exec.warm_plan exec) compiled.Compiler.backward;
+  let features = (Env.find exec.Exec.env inputs.feature_name).Env.tensor in
   let stage label ~rows ~cols =
     ignore (Engine.alloc_tensor engine ~label ~rows ~cols ());
     Tensor.create_uninit [| rows * cols |]
@@ -125,7 +123,7 @@ let create ?obs ?(weights = []) ?features ~origin ~seed ~graph (inputs : inputs)
   let weights = Session.weights session in
   {
     engine;
-    slab;
+    exec;
     weights;
     features;
     feature_name = inputs.feature_name;
@@ -142,8 +140,7 @@ let create ?obs ?(weights = []) ?features ~origin ~seed ~graph (inputs : inputs)
 
 let stage t (sub : Sampler.subgraph) =
   let block = sub.Sampler.graph in
-  let env = Env.create () in
-  List.iter (fun (name, w) -> Env.add_weight env ~name w) t.weights;
+  let env = t.exec.Exec.env in
   (* one row blit per block node *)
   let rows = Array.length sub.Sampler.origin_node in
   let dim = Tensor.cols t.features in
@@ -185,7 +182,8 @@ let stage t (sub : Sampler.subgraph) =
         { Row_reuse.table; feature = t.feature_name; parent = sub.Sampler.origin_node })
       t.reuse
   in
-  Exec.create ~engine:t.engine ~ctx:(Graph_ctx.create block) ~env ~slab:t.slab ?reuse ()
+  Exec.rebind t.exec ~ctx:(Graph_ctx.create block) ?reuse;
+  t.exec
 
 let update_features t ?rows src =
   let dim = Tensor.cols t.features and capacity = Tensor.rows t.features in
@@ -209,6 +207,6 @@ let update_features t ?rows src =
 
 let invalidate_rows t = Option.iter Row_reuse.invalidate t.reuse
 let engine t = t.engine
-let slab t = t.slab
+let exec t = t.exec
 let weights t = t.weights
 let features t = t.features

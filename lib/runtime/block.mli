@@ -1,9 +1,11 @@
 (** The sampled-block replica serving ({!Hector_serve.Serve}) and
     mini-batch training ({!Minibatch}) share, and the one function that
     stages a sampled block onto it.  Warmup builds a {!Session} over the
-    {e parent} graph on the replica's engine and slab, warms every plan
-    the model has, and charges parent-capacity staging (features,
-    ["norm"], and the seed gradient when training).  The parent bounds
+    {e parent} graph on the replica's engine, warms every plan the model
+    has in that session's executor, and charges parent-capacity staging
+    (features, ["norm"], and the seed gradient when training).  The
+    replica keeps that one executor, and its environment, for life:
+    staging a block rebinds it ({!Exec.rebind}).  The parent bounds
     every block, so steady-state blocks allocate no device memory.  On
     the host, an inference replica's feature staging is a high-water
     buffer grown to the largest block staged so far, not a
@@ -42,16 +44,19 @@ val create :
 (** Warm a replica on an RTX 3090 engine, then zero the clock.  Weights and features are a
     parent-graph {!Session}'s seeded with [seed]; [weights] replace the
     Glorot draws and [features] (adopted) the feature draw.  Every
-    replica gets its own engine and slab; transfers carry provenance
+    replica gets its own engine and executor; transfers carry provenance
     [origin ^ ".transfer"].  The model trains when it has a backward
     plan. *)
 
 val stage : t -> Hector_graph.Sampler.subgraph -> Exec.t
 (** Stage a sampled block: blit its feature rows, recompute its ["norm"],
-    bind a seed-gradient view when training, charge one [h2d_block] copy
-    and its PCIe sync, and return a block-local executor on the replica's
-    engine and slab holding the weights and staged views (and, for an
-    inference replica, its row table). *)
+    bind them and, when training, a seed-gradient view into the replica's
+    environment, charge one [h2d_block] copy and its PCIe sync, and
+    return the replica's executor rebound to the block (with, for an
+    inference replica, its row table).  Every call returns the same
+    executor; it builds no environment and no executor.  The weights and
+    their gradient stacks stay bound across blocks: {!Train.sgd_step}
+    zeroes the gradients. *)
 
 val update_features : t -> ?rows:int array -> Tensor.t -> unit
 (** [update_features t ?rows src] copies feature rows of [src] (at most
@@ -73,6 +78,6 @@ val sample_cost_ms : nodes:int -> edges:int -> float
     keeps the row table coherent. *)
 
 val engine : t -> Hector_gpu.Engine.t
-val slab : t -> Exec.slab
+val exec : t -> Exec.t
 val weights : t -> (string * Tensor.t) list
 val features : t -> Tensor.t

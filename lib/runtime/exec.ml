@@ -21,55 +21,41 @@ type opaque_fn = value list -> value
 (* One plan buffer backed by a storage-slot view. *)
 type managed = {
   mbuf : Plan.buffer;
-  mview : Tensor.t;  (* [rows × dim] view into the slot backing *)
+  mslot : int;  (* its arena storage slot *)
   muninit : bool;  (* fully defined by its first-touching step: skip zeroing *)
+  mutable mview : Tensor.t;  (* [rows × dim] view into the slot backing, cut per graph *)
   mutable minitialized : bool;  (* has the view ever been zero-filled/bound *)
 }
 
+(* A storage slot's backing, kept at its high-water capacity, and the
+   device charge for it. *)
+type backing = { mutable alloc : Memory.allocation; mutable data : Tensor.t }
+
 type arena = {
+  amembers : managed list;  (* every plan buffer, in plan order *)
   abind : managed list array;  (* step index -> buffers bound before the step *)
   aunbind : string list array;  (* step index -> temps unbound after the step *)
   apre : managed list;  (* buffers no step touches: bound at run start *)
-  aschedule : Pricing.schedule Lazy.t;  (* forced by the first run, replayed after *)
+  aslots : (int, backing) Hashtbl.t;
+  mutable aschedule : Pricing.schedule Lazy.t;  (* forced by the first run on a graph, replayed after *)
 }
 
-(* A slab key: a plan, by physical identity (two different plans may
-   share a name), and one of its storage slots. *)
-module Slot_key = Hashtbl.Make (struct
-  type t = Plan.t * int
-
-  let equal (p, s) (q, r) = p == q && s = r
-  let hash (p, s) = Hashtbl.hash (p.Plan.name, s)
-end)
-
-(* Cross-executor arena storage: slot backings keyed by (plan, slot),
-   each kept at its high-water capacity.  A fresh executor handed the same
-   slab rebuilds its arenas as prefix views of the cached backings instead
-   of allocating — the serving steady state.  The accounting handle of the
-   allocator that charged a backing rides along so growth can release the
-   superseded charge.  [sscratch] is the host scratch of recorded pair
-   reductions (see [stage_pair_loop]): buffer [k] holds a pass's [k]th
-   reduction, one row per compact pair, kept at its high-water size.  It
-   lives in host memory only — the simulated device never sees it. *)
-type slab = {
-  sbackings : (Memory.t * Memory.allocation * Tensor.t) Slot_key.t;
-  mutable sscratch : float array array;
-}
-
-let create_slab () = { sbackings = Slot_key.create 32; sscratch = [||] }
-
+(* [scratch] is the host scratch of recorded pair reductions (see
+   [stage_pair_loop]): buffer [k] holds a pass's [k]th reduction, one row
+   per compact pair, kept at its high-water size.  It lives in host memory
+   only — the simulated device never sees it. *)
 type t = {
   engine : Engine.t;
-  ctx : Graph_ctx.t;
+  mutable ctx : Graph_ctx.t;
   env : Env.t;
   opaque : (string * opaque_fn) list;
-  slab : slab;
-  reuse : Row_reuse.block option;
+  mutable reuse : Row_reuse.block option;
+  mutable scratch : float array array;
   mutable arenas : (Plan.t * bool * arena) list;
 }
 
-let create ?(opaque = []) ?(slab = create_slab ()) ?reuse ~engine ~ctx ~env () =
-  { engine; ctx; env; opaque; slab; reuse; arenas = [] }
+let create ?(opaque = []) ~engine ~ctx ~env () =
+  { engine; ctx; env; opaque; reuse = None; scratch = [||]; arenas = [] }
 
 let value_dim = function Scalar _ -> 1 | Vector v -> Array.length v
 
@@ -478,12 +464,10 @@ let pair_grain = 256
 
 (* The executor's host scratch buffer [k], at least [size] floats. *)
 let scratch t k size =
-  let s = t.slab in
-  if Array.length s.sscratch <= k then
-    s.sscratch <-
-      Array.init (k + 1) (fun i -> if i < Array.length s.sscratch then s.sscratch.(i) else [||]);
-  if Array.length s.sscratch.(k) < size then s.sscratch.(k) <- Array.make size 0.0;
-  s.sscratch.(k)
+  if Array.length t.scratch <= k then
+    t.scratch <- Array.init (k + 1) (fun i -> if i < Array.length t.scratch then t.scratch.(i) else [||]);
+  if Array.length t.scratch.(k) < size then t.scratch.(k) <- Array.make size 0.0;
+  t.scratch.(k)
 
 (* Staged statements instantiated: one closure over an iteration's
    (edge, node). *)
@@ -791,13 +775,52 @@ let rec exec_step t (plan : Plan.t) step =
    the largest buffer mapped to it.
    Steady-state runs bind [Tensor.view]s of the slot backings into the
    environment — no tensor allocation and no [Memory.alloc] on the hot
-   path.
+   path.  [rebind] re-cuts the views for another graph and keeps the
+   backings, so one executor serves a sequence of sampled blocks.
 
    Sharing is only sound when a buffer's value may die at its last use,
    i.e. when the caller lets temporaries be freed ([free_temps = true]).
    A training forward pass keeps every temporary alive for the backward
    program, so its arena degrades to identity coloring: one slot per
    buffer, every buffer live for the whole run. *)
+
+(* An unbound view: what a member holds until its arena is first cut. *)
+let uncut = Tensor.create_uninit [| 0 |]
+
+(* Cut the arena's storage for the executor's graph: size each slot for
+   the largest member mapped to it, growing a backing that is too small
+   (its superseded charge is freed first), and view every member into its
+   slot as never bound.  A backing's contents are undefined until a member
+   is bound. *)
+let cut t (plan : Plan.t) a =
+  let rows (m : managed) = Graph_ctx.rows_of_space t.ctx m.mbuf.Plan.space in
+  let slot_cap = Hashtbl.create 16 in
+  List.iter
+    (fun m ->
+      let rows = rows m and dim = m.mbuf.Plan.dim in
+      match Hashtbl.find_opt slot_cap m.mslot with
+      | Some (r0, d0) when r0 * d0 >= rows * dim -> ()
+      | _ -> Hashtbl.replace slot_cap m.mslot (rows, dim))
+    a.amembers;
+  Hashtbl.iter
+    (fun slot (rows, dim) ->
+      let old = Hashtbl.find_opt a.aslots slot in
+      match old with
+      | Some b when Tensor.numel b.data >= rows * dim -> ()
+      | _ ->
+          Option.iter (fun b -> Memory.free (Engine.memory t.engine) b.alloc) old;
+          let alloc =
+            Engine.alloc_tensor t.engine
+              ~label:(Printf.sprintf "%s/arena_slot_%d" plan.Plan.name slot)
+              ~rows ~cols:dim ()
+          in
+          Hashtbl.replace a.aslots slot { alloc; data = Tensor.create_uninit [| rows * dim |] })
+    slot_cap;
+  List.iter
+    (fun m ->
+      m.mview <- Tensor.view (Hashtbl.find a.aslots m.mslot).data [| rows m; m.mbuf.Plan.dim |];
+      m.minitialized <- false)
+    a.amembers
 
 let create_arena t (plan : Plan.t) ~shared =
   let nsteps = List.length plan.Plan.steps in
@@ -809,76 +832,41 @@ let create_arena t (plan : Plan.t) ~shared =
       if Option.is_some (Env.find_opt t.env b.Plan.name) then
         fail "Exec.run_plan: plan %s: buffer %s is already bound" plan.Plan.name b.Plan.name)
     plan.Plan.buffers;
-  let members = Pricing.placements plan in
-  (* slot capacities: largest member mapped to each slot.  Identity slots
-     (no sharing) get fresh negative ids so they can never collide. *)
-  let slot_cap = Hashtbl.create 16 in
+  (* identity slots (no sharing) get fresh negative ids so they can never
+     collide *)
   let next_ident = ref 0 in
   let placed =
     List.map
       (fun ((b : Plan.buffer), (p : Plan.placement)) ->
-        let rows = Graph_ctx.rows_of_space t.ctx b.Plan.space in
-        let slot =
+        let mslot =
           if shared then p.Plan.slot
           else begin
             decr next_ident;
             !next_ident
           end
         in
-        (match Hashtbl.find_opt slot_cap slot with
-        | Some (r0, d0) when r0 * d0 >= rows * b.Plan.dim -> ()
-        | _ -> Hashtbl.replace slot_cap slot (rows, b.Plan.dim));
-        (b, p, rows, slot))
-      members
+        ({ mbuf = b; mslot; muninit = p.Plan.uninit_ok; mview = uncut; minitialized = false }, p))
+      (Pricing.placements plan)
   in
-  let backings = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun slot (rows, dim) ->
-      (* the backing is allocated once and lives as long as the slab:
-         later executors sharing it bind prefix views of the cached backing
-         instead of allocating.  Its contents are undefined until a member
-         is bound. *)
-      let fresh () =
-        let alloc =
-          Engine.alloc_tensor t.engine
-            ~label:(Printf.sprintf "%s/arena_slot_%d" plan.Plan.name slot)
-            ~rows ~cols:dim ()
-        in
-        let backing = Tensor.create_uninit [| rows * dim |] in
-        Slot_key.replace t.slab.sbackings (plan, slot) (Engine.memory t.engine, alloc, backing);
-        backing
-      in
-      let backing =
-        match Slot_key.find_opt t.slab.sbackings (plan, slot) with
-        | Some (_, _, b) when Tensor.numel b >= rows * dim -> b
-        | Some (mem, alloc, _) ->
-            (* outgrown: drop the superseded charge before reallocating *)
-            Memory.free mem alloc;
-            fresh ()
-        | None -> fresh ()
-      in
-      Hashtbl.replace backings slot backing)
-    slot_cap;
   let aunbind = Array.make (max 1 nsteps) [] in
   List.iter
-    (fun ((b : Plan.buffer), (p : Plan.placement), _, _) ->
-      if shared && b.Plan.temp && p.Plan.first >= 0 && nsteps > 0 then
-        aunbind.(p.Plan.last) <- b.Plan.name :: aunbind.(p.Plan.last))
+    (fun ((m : managed), (p : Plan.placement)) ->
+      if shared && m.mbuf.Plan.temp && p.Plan.first >= 0 && nsteps > 0 then
+        aunbind.(p.Plan.last) <- m.mbuf.Plan.name :: aunbind.(p.Plan.last))
     placed;
-  let apre, abind =
-    Pricing.bind_points ~nsteps
-      (List.map
-         (fun ((b : Plan.buffer), (p : Plan.placement), rows, slot) ->
-           ( {
-               mbuf = b;
-               mview = Tensor.view (Hashtbl.find backings slot) [| rows; b.Plan.dim |];
-               muninit = p.Plan.uninit_ok;
-               minitialized = false;
-             },
-             p ))
-         placed)
+  let apre, abind = Pricing.bind_points ~nsteps placed in
+  let a =
+    {
+      amembers = List.map fst placed;
+      abind;
+      aunbind;
+      apre;
+      aslots = Hashtbl.create 16;
+      aschedule = lazy (Pricing.schedule ~ctx:t.ctx plan);
+    }
   in
-  { abind; aunbind; apre; aschedule = lazy (Pricing.schedule ~ctx:t.ctx plan) }
+  cut t plan a;
+  a
 
 let find_arena t (plan : Plan.t) ~shared =
   let rec lookup = function
@@ -891,6 +879,21 @@ let find_arena t (plan : Plan.t) ~shared =
       let a = create_arena t plan ~shared in
       t.arenas <- (plan, shared, a) :: t.arenas;
       a
+
+(* Placements and bind points do not depend on the graph, so a rebind
+   keeps them, re-cuts each arena (oldest first) and prices its plan
+   afresh at the next run. *)
+let rebind ?reuse t ~ctx =
+  List.iter
+    (fun (_, _, a) -> List.iter (fun m -> ignore (Env.remove t.env m.mbuf.Plan.name)) a.amembers)
+    t.arenas;
+  t.ctx <- ctx;
+  t.reuse <- reuse;
+  List.iter
+    (fun (plan, _, a) ->
+      cut t plan a;
+      a.aschedule <- lazy (Pricing.schedule ~ctx plan))
+    (List.rev t.arenas)
 
 (* A backward edge GEMM over edge rows sums its gradient into the side's
    pairs (see [run_gemm]); warming reserves those rows on this domain. *)
@@ -912,9 +915,9 @@ let reserve_pair_rows t (plan : Plan.t) =
       | _ -> ())
     (Plan.flatten_steps plan)
 
-(* Build (or adopt from the slab) the plan's arena without running it, so
-   a server can take every slab allocation during warmup and keep the
-   steady state allocation-free. *)
+(* Build the plan's arena without running it, so a server can take every
+   arena allocation during warmup and keep the steady state
+   allocation-free. *)
 let warm_plan ?(free_temps = true) t (plan : Plan.t) =
   ignore (find_arena t plan ~shared:free_temps);
   reserve_pair_rows t plan

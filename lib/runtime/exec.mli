@@ -40,62 +40,55 @@ type opaque_fn = value list -> value
     Its result must have the shape of its first argument (a scalar when
     it has none); any other shape raises [Invalid_argument]. *)
 
-type managed
-(** A plan buffer backed by an arena storage slot. *)
-
 type arena
 (** Plan-lifetime buffer storage: one device allocation per
     {!Hector_core.Buffer_plan} storage slot, created on the first
     [run_plan] of a plan and reused by every later run — steady-state runs
-    bind views into the environment instead of allocating. *)
+    bind views into the environment instead of allocating.  {!rebind}
+    re-cuts its views for another graph and keeps its backings. *)
 
-type slab
-(** Cross-executor arena storage: slot backings keyed by plan (the same
-    value: two plans sharing a name never share storage) and slot, each
-    kept at its high-water capacity.  Hand the same slab to a sequence
-    of executors (e.g. one per sampled block in a serving loop) and each
-    rebuilds its arenas as prefix {!Tensor.view}s of the cached backings —
-    after a warmup pass sized at the largest block, steady-state executors
-    allocate no plan-buffer storage at all.  A slab assumes serial use:
-    executors sharing one must not run concurrently. *)
-
-val create_slab : unit -> slab
-(** An empty slab.  A serving replica keeps one per capacity epoch: an
-    epoch bump re-warms its block with a fresh slab sized for the new
-    capacity graph. *)
-
-type t = {
+type t = private {
   engine : Engine.t;
-  ctx : Graph_ctx.t;
+  mutable ctx : Graph_ctx.t;
   env : Env.t;
   opaque : (string * opaque_fn) list;
-  slab : slab;
-  reuse : Row_reuse.block option;
+  mutable reuse : Row_reuse.block option;
+  mutable scratch : float array array;
   mutable arenas : (Hector_core.Plan.t * bool * arena) list;
 }
+(** An execution state.  [ctx] and [reuse] change only through
+    {!rebind}.  [scratch] holds the host rows of recorded pair reductions,
+    kept at their high-water size and never charged to device memory. *)
 
 val create :
   ?opaque:(string * opaque_fn) list ->
-  ?slab:slab ->
-  ?reuse:Row_reuse.block ->
   engine:Engine.t ->
   ctx:Graph_ctx.t ->
   env:Env.t ->
   unit ->
   t
-(** Bundle an execution state.  [opaque] registers fallback operator
-    implementations by name.  [slab] (default: a fresh one, private to
-    this executor) holds the arena backings and the host scratch of
-    recorded pair reductions (never charged to device memory); hand one
-    slab to several executors to share them (see {!type:slab}).
-    [reuse] serves every untransposed, non-accumulating [Node_linear] and
-    unscaled [Edge_linear] step that multiplies the bound block's feature
-    input by a declared parameter from a replica's {!Row_reuse} table;
-    the step's bits and its charged launch are unchanged. *)
+(** Bundle an execution state with no arenas and no row table.
+    [opaque] registers fallback operator implementations by name. *)
+
+val rebind : ?reuse:Row_reuse.block -> t -> ctx:Graph_ctx.t -> unit
+(** Point the executor at another graph — the next sampled block of the
+    graph it was warmed on.  Every plan buffer the previous graph left
+    bound is unbound, and each arena is re-cut for [ctx]: its slot
+    backings are kept (a backing too small for the new graph grows, and
+    the device charge it supersedes is freed), every view is re-cut as
+    never bound, so first-bind zeroing applies as on a fresh arena, and
+    the plan is priced on [ctx] at its next run.  Placements and bind
+    points are the arena's own and are not recomputed.  [reuse] serves
+    every untransposed, non-accumulating [Node_linear] and unscaled
+    [Edge_linear] step that multiplies the bound block's feature input by
+    a declared parameter from a replica's {!Row_reuse} table; the step's
+    bits and its charged launch are unchanged.  Without [reuse] the
+    executor keeps no table.  A rebound executor computes, launches and
+    allocates exactly what a fresh executor over [ctx] whose arenas
+    already held the same backings would. *)
 
 val warm_plan : ?free_temps:bool -> t -> Hector_core.Plan.t -> unit
-(** Build (or adopt from the slab) the plan's arena without running or
-    pricing any step, taking whatever allocations the arena needs now
+(** Build the plan's arena without running or pricing any step, taking whatever allocations the arena needs now
     rather than on the first [run_plan].  It also reserves, on the calling
     domain, the host pair rows the plan's edge-row backward GEMMs sum
     their gradients into (see {!Tensor.segment_gather_t_into}), sized for

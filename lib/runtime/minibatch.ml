@@ -10,7 +10,7 @@ type t = {
   in_csr : Csr.t;  (* Csr.incoming of [graph], cached for every step *)
   labels : int array;
   compiled : Compiler.compiled;
-  block : Block.t;  (* engine, slab, persistent weights, staging *)
+  block : Block.t;  (* engine, executor, persistent weights, staging *)
   fused_weight_names : string list;
   rng : Rng.t;
   seed : int;  (* every per-step sampling seed derives from this *)

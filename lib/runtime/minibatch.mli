@@ -8,8 +8,8 @@
     data-movement bottleneck the paper's future-work section targets.
 
     A trainer is a loop over one {!Block} replica, the staging serving
-    uses: one engine, slab and set of staging buffers for its life, plans
-    warmed once, so no step allocates device memory.  Each step runs
+    uses: one engine, executor and set of staging buffers for its life,
+    plans warmed once, so no step allocates device memory.  Each step runs
     {!Train.loss_and_grads} on the staged block, then SGD.  Weights
     persist across steps. *)
 

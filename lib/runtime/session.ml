@@ -15,7 +15,6 @@ module Config = struct
     trace : bool;
     observability : Hector_obs.t option;
     engine : Engine.t option;
-    slab : Exec.slab option;
     node_inputs : (string * Tensor.t) list;
     edge_inputs : (string * Tensor.t) list;
     weights : (string * Tensor.t) list;
@@ -28,7 +27,6 @@ module Config = struct
       trace = false;
       observability = None;
       engine = None;
-      slab = None;
       node_inputs = [];
       edge_inputs = [];
       weights = [];
@@ -83,7 +81,7 @@ let create ?config:(cfg = Config.default) ~graph compiled =
   in
   let ctx = Graph_ctx.create graph in
   let env = Env.create () in
-  let exec = Exec.create ?slab:cfg.Config.slab ~engine ~ctx ~env () in
+  let exec = Exec.create ~engine ~ctx ~env () in
   let rng = Rng.create cfg.Config.seed in
   let program = compiled.Compiler.forward.Plan.program in
   let fused = Train.fused_outs compiled.Compiler.weight_ops in

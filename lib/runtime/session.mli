@@ -31,10 +31,6 @@ module Config : sig
             (shares its clock, memory and stats; [device]/[trace] are then
             ignored).  Used by the {!Block} replica's warmup, which bills
             the replica's persistent device. *)
-    slab : Exec.slab option;
-        (** arena slab handed to the session's executor, sharing
-            plan-buffer backings across sessions (see {!Exec.slab});
-            [None] gives the executor a private one *)
     node_inputs : (string * Tensor.t) list;  (** inputs by name; rest generated *)
     edge_inputs : (string * Tensor.t) list;
     weights : (string * Tensor.t) list;
@@ -67,7 +63,7 @@ val create : ?config:Config.t -> graph:Hector_graph.Hetgraph.t -> Hector_core.Co
     Workloads whose graph changes over time should mutate a
     {!Hector_stream.Mutable_graph} and run over the graphs its
     [snapshot] yields — that is the supported mutating path: in-slack
-    deltas keep compiled plans, slab backings and serving replicas warm
+    deltas keep compiled plans, arena backings and serving replicas warm
     (see {!Hector_stream} and DESIGN.md "Streaming ingestion"), where
     recreating sessions from scratch recompiles and reallocates on every
     edit. *)

@@ -61,13 +61,13 @@ type t = {
   mutable in_csr : Csr.t Lazy.t;
       (* Csr.incoming of [graph], built at the first batch that samples it
          and cached across batches *)
-  mutable node_capacity : int;  (* warmup graph sizes: staging/slab upper bounds *)
+  mutable node_capacity : int;  (* warmup graph sizes: staging/arena upper bounds *)
   mutable edge_capacity : int;
   compiled : Compiler.compiled;
   cache : Plan_cache.t;
   inputs : Block.inputs;  (* out_name: the first output, gathered per request *)
   seed : int;
-  mutable block : Block.t;  (* engine, slab, weights, features and staging *)
+  mutable block : Block.t;  (* engine, executor, weights, features and staging *)
   mutable replaced_launches : int;  (* of the engines [rewarm] replaced *)
   mutable replaced_ms : float;
   obs : Hector_obs.t;
@@ -203,7 +203,7 @@ let install t ~graph ?features ?rows ~csr () =
 
 (* Swap the served graph for a new snapshot of the same mutable parent —
    the streaming subsystem's in-slack path.  Within the warm capacity this
-   recompiles nothing and reallocates nothing: the plan-cache key, slab
+   recompiles nothing and reallocates nothing: the plan-cache key, arena
    backings, staging tensors and the parent-features storage all survive.
    A snapshot beyond the warm capacity is refused — that is the epoch
    boundary, where the caller calls [rewarm] instead. *)
@@ -224,7 +224,7 @@ let engine t = Block.engine t.block
 let launches t = t.replaced_launches + (Stats.total (Engine.stats (engine t))).Stats.launches
 let device_ms t = t.replaced_ms +. Engine.elapsed_ms (engine t)
 
-(* The epoch boundary: warm a fresh block (engine, slab, staging) over the
+(* The epoch boundary: warm a fresh block (engine, executor, staging) over the
    new capacity graph with the same compiled plan and weights, install the
    snapshot on it, and keep every counter, latency and the fault plan
    running.  The capacity graph is only sized against, never served, so
@@ -250,7 +250,7 @@ let rewarm t ~(capacity : G.t) ~graph ~features ~csr =
 
 (* Execute one coalesced batch: union-sample a block as deep as the
    forward reads, stage it onto the replica ({!Block.stage}), run the
-   cached forward plan on the block-local executor, and gather each
+   cached forward plan on the rebound executor, and gather each
    request's seed rows out of the output. *)
 let run_batch t (batch : Workload.request array) =
   Hector_obs.time t.obs ~kind:"run" "serve.batch" @@ fun () ->
@@ -288,7 +288,7 @@ let shed_response r =
 
 (* Discrete-event serving loop over one arrival trace (an independent
    episode: the simulated admission clock restarts at zero, while plan
-   cache, slab and load accounting persist across calls).  The batch
+   cache, executor and load accounting persist across calls).  The batch
    former dispatches when the server is free and either [max_batch]
    requests are queued or the oldest has waited [max_wait_ms] (or no
    arrival can improve the batch).  Arrivals seen while the queue holds
@@ -536,7 +536,7 @@ let rejected t = t.rejected
 let batch_failures t = t.batch_failures
 let fault_shed t = t.fault_shed
 let faults t = t.faults
-let slab t = Block.slab t.block
+let exec t = Block.exec t.block
 let batches t = t.batches
 let warm_alloc_count t = t.warm_alloc_count
 let max_batch t = t.max_batch

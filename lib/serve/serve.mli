@@ -100,8 +100,8 @@ val create :
   graph:Hector_graph.Hetgraph.t -> Hector_core.Inter_ir.program -> t
 (** Build and warm a replica: compile (through the plan cache), then warm
     a {!Hector_runtime.Block} replica over [graph] (weights and features
-    seeded from [config.seed], slab and staging primed at parent
-    capacity, no forward run, clock reset).  [features]
+    seeded from [config.seed], executor arenas and staging primed at
+    parent capacity, no forward run, clock reset).  [features]
     ([num_nodes × feature_dim]) replaces the seeded feature draw and is
     adopted, not copied — {!update_graph} overwrites it in place, and the
     caller must not write it otherwise.
@@ -124,8 +124,8 @@ val update_graph :
 (** Swap the served graph for a newer snapshot of the same logical graph —
     the in-slack path of {!Hector_stream}.  Within the warm capacity (the
     warmup graph's node and edge counts) this performs {e zero} compiles
-    and {e zero} allocations: the cached plan, slab backings and staging
-    tensors all survive.  [features] (which must be [num_nodes ×
+    and {e zero} allocations: the cached plan, the executor and its arena
+    backings, and the staging tensors all survive.  [features] (which must be [num_nodes ×
     feature_dim]) is copied into the existing parent feature storage in
     place: only the written rows [rows], when given — the rows that
     differ from the features the replica holds, under an unchanged node
@@ -149,7 +149,7 @@ val rewarm :
   (unit, string) result
 (** Re-warm the replica over a new capacity graph and install a snapshot
     on it — the epoch-boundary path of {!Hector_stream}.  A fresh
-    {!Hector_runtime.Block} (engine, slab, staging) sized against
+    {!Hector_runtime.Block} (engine, executor, staging) sized against
     [capacity] replaces the current one, built from the same compiled
     plan (its options resolved at {!create}) and the same weights
     ({!model_weights} is physically unchanged), so nothing recompiles;
@@ -167,7 +167,7 @@ val serve : t -> Workload.request array -> response array
 (** Run the discrete-event loop over one arrival trace (sorted by
     arrival; raises [Invalid_argument] otherwise) and return one response
     per request, in trace order.  Each call is an independent episode
-    starting at simulated time 0; plan cache, slab, weights and load
+    starting at simulated time 0; plan cache, executor, weights and load
     accounting persist across calls.  Requests whose seeds are empty or
     out of range for the {e current} snapshot (e.g. a node tombstoned by
     a delta since the client drew its ids) are {e rejected} — counted in
@@ -245,10 +245,9 @@ val faults : t -> Hector_ckpt.Fault.t option
 (** The replica's fault plan, if any — its event trace witnesses every
     failure, retry and shed decision. *)
 
-val slab : t -> Hector_runtime.Exec.slab
-(** The replica's arena slab, primed at warmup (and afresh by each
-    {!rewarm}); every per-block executor binds prefix views of its
-    backings. *)
+val exec : t -> Hector_runtime.Exec.t
+(** The replica's one executor, its arenas warmed at parent capacity
+    (afresh by each {!rewarm}); every batch rebinds it to its block. *)
 
 val model_weights : t -> (string * Tensor.t) list
 (** The replica's weights (generated or from [config.weights]), the same

@@ -132,7 +132,7 @@ let derive_caps t =
   t.ecap <- Array.map (fun s -> cap_of t.slack s.live) t.eseg
 
 (* The warm-up graph of an epoch: every type at capacity.  Whoever sizes
-   plans, slabs and staging against it reads its per-type counts and its
+   plans, arenas and staging against it reads its per-type counts and its
    compact (relation, endpoint) pair counts, so the placeholder edges of
    a relation cycle over its endpoint types' capacity nodes: each
    relation then has min(edge capacity, node capacity) pairs per side,

@@ -39,7 +39,7 @@
     — the {e in-slack} regime — snapshots are cheap (tombstone/append,
     in-place feature rows, incremental CSR patching) and, crucially, everything compiled or
     allocated against the {!capacity_graph} stays valid: plans, arena
-    slabs, staging tensors.  The first delta that overflows a cap bumps
+    backings, staging tensors.  The first delta that overflows a cap bumps
     the {e epoch}: segments are force-compacted, caps re-derived, the
     features gathered into a fresh matrix and the CSR rebuilt, and the
     capacity graph's name changes
@@ -153,7 +153,7 @@ val capacity_graph : t -> Hetgraph.t
 (** The warm-up graph of the current epoch, named [name#e<epoch>]: every
     node type at its capacity, every edge type holding capacity
     metagraph-respecting placeholder edges.  Anything sized or compiled
-    against it (plans, slabs, staging) bounds every in-epoch snapshot, so
+    against it (plans, arenas, staging) bounds every in-epoch snapshot, so
     a serving replica warmed on it never reallocates until the epoch
     changes. *)
 

@@ -3,13 +3,13 @@
 
     One [t] owns one serving replica for its whole life, warmed against
     the mutable graph's {!Mutable_graph.capacity_graph}, so every
-    in-epoch snapshot fits the replica's block: its slab backings and
-    staging tensors.  Deltas are applied at micro-batch boundaries
+    in-epoch snapshot fits the replica's block: its executor's arena
+    backings and its staging tensors.  Deltas are applied at micro-batch boundaries
     (between {!serve} calls, or at the request indices {!replay} is
     given); the in-slack path is a pure {!Hector_serve.Serve.update_graph}
     — zero compiles, zero engine allocations — while an epoch bump
     re-warms the replica's block against the new capacity graph
-    ({!Hector_serve.Serve.rewarm}): a fresh engine and slab, the {e same}
+    ({!Hector_serve.Serve.rewarm}): a fresh engine and executor, the {e same}
     compiled plan and {e pinned} weights, so outputs stay comparable
     across the re-warm and every counter keeps running.
 

@@ -1147,13 +1147,13 @@ let test_arena_refuses_unmanaged () =
       refused "unplaced" { fwd with Plan.memory = { memory with Plan.placements } } ~bind:false b)
     fwd.Plan.buffers
 
-(* A slab keeps one set of backings per plan: two different plans of the
-   same name (the layers of a two-layer RGCN stack, both [rgcn]) sharing a
-   slab each get their own storage and keep their outputs, while a second
-   executor over the same plan adopts the first's backings. *)
-let test_slab_per_plan () =
+(* Each arena keeps its own backings: two different plans of the same
+   name (the layers of a two-layer RGCN stack, both [rgcn]) on one engine
+   each get their own storage and keep their outputs, and a second run of
+   the first plan allocates nothing. *)
+let test_arena_per_plan () =
   let graph = test_graph () in
-  let engine = Engine.create () and slab = Exec.create_slab () in
+  let engine = Engine.create () in
   let mem = Engine.memory engine in
   let compiled in_dim out_dim =
     Compiler.compile
@@ -1161,7 +1161,7 @@ let test_slab_per_plan () =
       (Models.rgcn ~in_dim ~out_dim ())
   in
   let session compiled =
-    Session.create ~config:{ config with engine = Some engine; slab = Some slab } ~graph compiled
+    Session.create ~config:{ config with engine = Some engine } ~graph compiled
   in
   let c1 = compiled 6 4 and c2 = compiled 4 3 in
   Alcotest.(check string) "same plan name" c1.Compiler.forward.Plan.name c2.Compiler.forward.Plan.name;
@@ -1175,11 +1175,10 @@ let test_slab_per_plan () =
   ignore (Session.forward s2);
   check_bool "the second plan's arena is charged" true (Memory.used_bytes mem > used);
   check_bool "the first plan keeps its output" true (same_bits kept (bound s1 c1));
-  let s3 = session c1 in
   let allocs = Memory.alloc_count mem in
-  ignore (Session.forward s3);
-  check_int "a second executor over the first plan allocates nothing" allocs (Memory.alloc_count mem);
-  check_bool "and computes the same output" true (same_bits kept (bound s3 c1))
+  ignore (Session.forward s1);
+  check_int "a second run of the first plan allocates nothing" allocs (Memory.alloc_count mem);
+  check_bool "and computes the same output" true (same_bits kept (bound s1 c1))
 
 let suite =
   [
@@ -1202,7 +1201,7 @@ let suite =
     Alcotest.test_case "planner output equivalence" `Quick test_planner_equivalence;
     Alcotest.test_case "planner training equivalence" `Quick test_training_equivalence;
     Alcotest.test_case "arena refuses a bound or unplaced buffer" `Quick test_arena_refuses_unmanaged;
-    Alcotest.test_case "slab backings are per plan, not per plan name" `Quick test_slab_per_plan;
+    Alcotest.test_case "arena backings are per plan, not per plan name" `Quick test_arena_per_plan;
     Alcotest.test_case "segment gather GEMM == textbook loop, bitwise" `Quick
       test_segment_gather_oracle;
     Alcotest.test_case "segment scatter GEMM == textbook loop, bitwise" `Quick

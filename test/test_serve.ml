@@ -144,11 +144,11 @@ let bits t =
   Array.init (T.numel t) (fun i -> Int64.bits_of_float data.(off + i))
 
 (* Warmup runs no forward.  The forward it used to run is replayed here,
-   through a twin replica's own engine and slab right after [create], as
-   warmup did before resetting the clock.  Every plan buffer already sits
-   in the primed slab, so that forward allocates nothing and leaves no
-   state a later block reads: the twin matches a plain replica in peak
-   bytes, allocation counts and served output bits. *)
+   through a twin replica's own executor right after [create], as warmup
+   did before resetting the clock.  Every plan buffer already sits in the
+   warmed arenas, so that forward allocates nothing and leaves no state a
+   later block reads: the twin matches a plain replica in peak bytes,
+   allocation counts and served output bits. *)
 let test_warmup_leaves_no_trace () =
   let module Exec = Hector_runtime.Exec in
   let module Env = Hector_runtime.Env in
@@ -171,15 +171,14 @@ let test_warmup_leaves_no_trace () =
         Plan_cache.get (Serve.plan_cache twin) ~model ~graph:graph.G.name
           ~options:{ options with Compiler.training = false } program
       in
-      let env = Env.create () in
-      List.iter (fun (name, w) -> Env.add_weight env ~name w) (Serve.model_weights twin);
+      let exec = Serve.exec twin in
       List.iter
         (function
           | Ir.Node_input { name; dim } ->
               let x = T.randn (Hector_tensor.Rng.create 5) [| graph.G.num_nodes; dim |] in
-              Env.add env ~name { Env.tensor = x; space = Mat.Rows_nodes; dim; alloc = None }
+              Env.add exec.Exec.env ~name { Env.tensor = x; space = Mat.Rows_nodes; dim; alloc = None }
           | Ir.Edge_input { name; dim } ->
-              Env.add env ~name
+              Env.add exec.Exec.env ~name
                 {
                   Env.tensor = Hector_runtime.Session.rgcn_norm graph;
                   space = Mat.Rows_edges;
@@ -188,10 +187,6 @@ let test_warmup_leaves_no_trace () =
                 }
           | _ -> ())
         program.Ir.decls;
-      let exec =
-        Exec.create ~engine:(Serve.engine twin) ~ctx:(Hector_runtime.Graph_ctx.create graph) ~env
-          ~slab:(Serve.slab twin) ()
-      in
       Exec.run_plan exec compiled.Compiler.forward;
       Engine.reset_clock (Serve.engine twin);
       check_int (label ^ ": warm alloc counts") (Serve.warm_alloc_count twin)

@@ -598,7 +598,7 @@ let inslack_zero_recompile_zero_alloc ~label config program =
   let mg = make_mg ~slack:4.0 () in
   let ss = Ss.create ~config ~mg program in
   check_int "warmup compiles once" 1 (Ss.recompiles ss);
-  let slab = Serve.slab (Ss.replica ss) in
+  let exec = Serve.exec (Ss.replica ss) in
   let warm = Serve.warm_alloc_count (Ss.replica ss) in
   for r = 0 to 4 do
     let d = gen_delta mg ~seed:(100 + r) ~ops:15 in
@@ -614,7 +614,7 @@ let inslack_zero_recompile_zero_alloc ~label config program =
   done;
   check_int "zero recompiles across 5 deltas" 1 (Ss.recompiles ss);
   check_int "zero re-warms" 0 (Ss.rewarms ss);
-  check_bool "the slab survives every in-slack delta" true (Serve.slab (Ss.replica ss) == slab);
+  check_bool "the executor survives every in-slack delta" true (Serve.exec (Ss.replica ss) == exec);
   check_int (label ^ ": allocations pinned at warmup") warm
     (Memory.alloc_count (Engine.memory (Serve.engine (Ss.replica ss))));
   check_bool "updates cost simulated time" true (Ss.update_ms ss > 0.0)
@@ -643,7 +643,7 @@ let test_epoch_rewarm_pins_weights () =
   let faults = Hector_ckpt.Fault.create ~fail_batches:[ 0 ] () in
   let ss = Ss.create ~config:{ serve_config with Serve.faults = Some faults } ~mg (rgcn ()) in
   let replica = Ss.replica ss in
-  let w0 = Serve.model_weights replica and slab0 = Serve.slab replica in
+  let w0 = Serve.model_weights replica and exec0 = Serve.exec replica in
   ignore (Ss.serve ss (trace ~seed:71 ~requests:8 (Mg.live_nodes mg)));
   let engine0 = Serve.engine replica in
   let launches0 = launches_of engine0 in
@@ -664,7 +664,7 @@ let test_epoch_rewarm_pins_weights () =
   check_bool "the same replica serves after the bump" true (Ss.replica ss == replica);
   check_int "the re-warm recompiles nothing" 1 (Ss.recompiles ss);
   check_bool "the re-warm gets a fresh engine" true (Serve.engine replica != engine0);
-  check_bool "the re-warm gets a fresh slab" true (Serve.slab replica != slab0);
+  check_bool "and a fresh executor" true (Serve.exec replica != exec0);
   check_int "one load ledger" (Ss.served ss) (Serve.load_stats replica).Serve.lserved;
   check_int "launches cover every engine"
     (launches0 + launches_of (Serve.engine replica))
