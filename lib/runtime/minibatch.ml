@@ -51,12 +51,14 @@ let weights t = Block.weights t.block
 let engine t = Block.engine t.block
 
 let step t ?(lr = 0.05) ?(fanout = 8) ?(hops = 2) ~batch () =
-  t.step_count <- t.step_count + 1;
+  (* a step counts once it has sampled: a batch the sampler rejects moves
+     no later step's seed *)
   let sub =
     Sampler.sample
-      ~seed:((t.seed * 1_000_003) + (t.step_count * 7919))
+      ~seed:((t.seed * 1_000_003) + ((t.step_count + 1) * 7919))
       ~csr:t.in_csr ~graph:t.graph ~seeds:batch ~fanout ~hops ()
   in
+  t.step_count <- t.step_count + 1;
   let block = sub.Sampler.graph in
   let engine = Block.engine t.block in
   (* every step reads its own clock from zero, as on a fresh device *)
@@ -78,6 +80,8 @@ let step t ?(lr = 0.05) ?(fanout = 8) ?(hops = 2) ~batch () =
   }
 
 let train_epochs t ?(lr = 0.05) ?(fanout = 8) ?(hops = 2) ?(batch_size = 64) ~epochs () =
+  if batch_size < 1 then
+    invalid_arg (Printf.sprintf "Minibatch.train_epochs: batch_size must be >= 1 (got %d)" batch_size);
   let n = t.graph.G.num_nodes in
   let order = Array.init n (fun i -> i) in
   let final = ref nan in

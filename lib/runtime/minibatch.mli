@@ -47,12 +47,16 @@ val create :
 
 val step : t -> ?lr:float -> ?fanout:int -> ?hops:int -> batch:int array -> unit -> step_report
 (** One minibatch step over the given seed batch (parent node ids), on an
-    engine clock restarted at zero. *)
+    engine clock restarted at zero.  A batch the sampler rejects (empty,
+    or holding an id outside the parent) raises [Invalid_argument] before
+    anything changes: it is not counted, so later steps sample as if it
+    had never been given. *)
 
 val train_epochs :
   t -> ?lr:float -> ?fanout:int -> ?hops:int -> ?batch_size:int -> epochs:int -> unit -> float
 (** Convenience loop: random seed batches covering the node set each
-    epoch; returns the final mean loss. *)
+    epoch; returns the final mean loss.  Raises [Invalid_argument] naming
+    [batch_size] when it is below 1. *)
 
 val weights : t -> (string * Hector_tensor.Tensor.t) list
 (** The persistent parameter stacks (live references). *)

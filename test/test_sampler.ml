@@ -678,6 +678,39 @@ let prop_partition_matches_oracle =
                  && o.G.origin_node = m.Partition.origin_node
                  && o.G.origin_edge = m.Partition.origin_edge)))
 
+(* A batch the sampler rejects is not a step: the next good step samples
+   with the seed it would have had, so the trainer stays bit-identical to
+   one that never saw the rejected batch.  [train_epochs] names a batch
+   size below 1. *)
+let test_minibatch_rejected_batch () =
+  let graph, features, labels = minibatch_fixture () in
+  let compiled = compile_training "rgcn" ~compact:false ~fusion:false in
+  let a = Minibatch.create ~seed:4 ~graph ~features ~labels compiled
+  and b = Minibatch.create ~seed:4 ~graph ~features ~labels compiled in
+  ignore (Minibatch.step a ~batch:(batch_of 1) ());
+  ignore (Minibatch.step b ~batch:(batch_of 1) ());
+  List.iter
+    (fun bad ->
+      match Minibatch.step a ~batch:bad () with
+      | _ -> Alcotest.fail "a rejected batch was trained on"
+      | exception Invalid_argument _ -> ())
+    [ [||]; [| graph.G.num_nodes |]; [| -1 |] ];
+  let ra = Minibatch.step a ~batch:(batch_of 2) () and rb = Minibatch.step b ~batch:(batch_of 2) () in
+  check_int "same block" rb.Minibatch.block_nodes ra.Minibatch.block_nodes;
+  check_bool "same loss bits" true
+    (Int64.bits_of_float ra.Minibatch.loss = Int64.bits_of_float rb.Minibatch.loss);
+  same_weights "after the rejected batches" (Minibatch.weights b) (Minibatch.weights a);
+  List.iter
+    (fun batch_size ->
+      match Minibatch.train_epochs a ~batch_size ~epochs:1 () with
+      | _ -> Alcotest.failf "batch_size %d accepted" batch_size
+      | exception Invalid_argument m ->
+          check_bool
+            (Printf.sprintf "batch_size %d named (%s)" batch_size m)
+            true
+            (String.starts_with ~prefix:"Minibatch.train_epochs: batch_size" m))
+    [ 0; -3 ]
+
 (* --- one executor per block replica ---------------------------------- *)
 
 let float_bits x = Int64.bits_of_float x
@@ -846,6 +879,7 @@ let suite =
     Alcotest.test_case "minibatch step report" `Quick test_minibatch_step_report;
     Alcotest.test_case "minibatch learns" `Quick test_minibatch_learns;
     Alcotest.test_case "minibatch requires training" `Quick test_minibatch_requires_training;
+    Alcotest.test_case "a rejected minibatch moves no later step" `Quick test_minibatch_rejected_batch;
     Alcotest.test_case "sample_union maps each request" `Quick test_sample_union_maps_each_request;
     Alcotest.test_case "minibatch same seed, same losses" `Quick
       test_minibatch_same_seed_same_losses;
