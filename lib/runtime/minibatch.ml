@@ -65,9 +65,14 @@ let step t ?(lr = 0.05) ?(fanout = 8) ?(hops = 2) ~batch () =
   Engine.reset_clock engine;
   let exec = Block.stage t.block sub in
   let transfer_ms = Engine.elapsed_ms engine in
-  (* one label per block node: its parent's *)
+  (* the loss is the batch's: its seeds' rows, each labelled by its
+     parent; every other block row only feeds them *)
+  let owned = Array.make block.G.num_nodes false in
+  Array.iter (fun v -> owned.(v) <- true) sub.Sampler.seed_nodes;
+  let seeds = Array.fold_left (fun n o -> if o then n + 1 else n) 0 owned in
   let loss =
-    Train.loss_and_grads ~label_rows:sub.Sampler.origin_node ~exec t.compiled ~labels:t.labels
+    Train.loss_and_grads ~owned ~inv_n:(1.0 /. float_of_int seeds) ~label_rows:sub.Sampler.origin_node
+      ~exec t.compiled ~labels:t.labels
   in
   Train.sgd_step ~skip:t.fused_weight_names ~exec ~lr ();
   {

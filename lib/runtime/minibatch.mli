@@ -11,13 +11,17 @@
     uses: one engine, executor and set of staging buffers for its life,
     plans warmed once, so no step allocates device memory.  Each step runs
     {!Train.loss_and_grads} on the staged block, then SGD.  Weights
-    persist across steps. *)
+    persist across steps.  The loss is the batch's own: the mean NLL of
+    its seeds' block rows; the block's other rows only feed them.  At
+    exact fanout and at least the model's depth in hops, a step's loss
+    and weight gradients are a parent-graph step's whose loss is masked
+    to the same seeds. *)
 
 type t
 (** Compiled model + parent graph and its incoming CSR + block replica. *)
 
 type step_report = {
-  loss : float;  (** mean NLL over every block node, labelled by its parent *)
+  loss : float;  (** mean NLL over the batch's seeds, each labelled by its parent id *)
   block_nodes : int;
   block_edges : int;
   sample_ms : float;  (** simulated sampling cost ({!Block.sample_cost_ms}) *)

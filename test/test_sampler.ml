@@ -211,40 +211,82 @@ let compile_training model ~compact ~fusion =
 (* distinct seeds, a different batch each step *)
 let batch_of step = Array.init (16 + (step * 5)) (fun i -> ((step * 53) + (i * 7)) mod 400)
 
-(* The block-replica trainer against the per-step-session one it replaced
-   (test/minibatch_oracle.ml), from the same initial weights: every loss,
-   every compute_ms and the final weights agree bit for bit. *)
-let test_minibatch_matches_oracle () =
+(* Mini-batch training takes its loss over its seeds.  At exact fanout and
+   at least the model's depth in hops, each seed's output on the block is
+   its output on the parent, and every other block row only feeds the
+   seeds, so a step's loss and weight gradients are a parent-graph
+   session step's whose loss is masked to the same seeds — up to the
+   order of the sums, to 1e-6.  The trainer's gradients are read through
+   its one SGD step at lr 1: w0 - w1. *)
+let with_domains n f =
+  Hector_tensor.Domain_pool.set_num_domains (Some n);
+  Fun.protect ~finally:(fun () -> Hector_tensor.Domain_pool.set_num_domains None) f
+
+let minibatch_diff = ref 0.0
+
+let minibatch_matches_masked_parent ~domains ~batch ~hops =
   let graph, features, labels = minibatch_fixture () in
-  List.iter
-    (fun (label, model, compact, fusion) ->
-      let compiled = compile_training model ~compact ~fusion in
-      let trainer = Minibatch.create ~seed:4 ~graph ~features ~labels compiled in
-      let weights = List.map (fun (n, w) -> (n, T.copy w)) (Minibatch.weights trainer) in
-      let oracle =
-        Minibatch_oracle.create ~seed:4 ~graph ~features ~labels ~weights compiled
-      in
-      for step = 1 to 5 do
-        let batch = batch_of step in
-        let r = Minibatch.step trainer ~lr:0.1 ~fanout:4 ~hops:2 ~batch () in
-        let loss, compute_ms =
-          Minibatch_oracle.step oracle ~lr:0.1 ~fanout:4 ~hops:2 ~batch
-        in
-        let same what a b =
-          check_bool
-            (Printf.sprintf "%s step %d: %s %h = %h" label step what a b)
-            true
-            (Int64.bits_of_float a = Int64.bits_of_float b)
-        in
-        same "loss" loss r.Minibatch.loss;
-        same "compute_ms" compute_ms r.Minibatch.compute_ms
-      done;
-      same_weights (label ^ " final") weights (Minibatch.weights trainer))
-    [
-      ("RGCN U", "rgcn", false, false);
-      ("RGCN C", "rgcn", true, false);
-      ("RGAT C+F", "rgat", true, true);
-    ]
+  let fanout = Array.fold_left max 1 (G.in_degrees graph) in
+  let owned = Array.make graph.G.num_nodes false in
+  Array.iter (fun v -> owned.(v) <- true) batch;
+  let inv_n = 1.0 /. float_of_int (Array.fold_left (fun n o -> if o then n + 1 else n) 0 owned) in
+  let close what a b =
+    let d = Float.abs (a -. b) in
+    minibatch_diff := Float.max !minibatch_diff d;
+    if not (d <= 1e-6) then Alcotest.failf "%s: %.17g vs %.17g" what a b
+  in
+  with_domains domains (fun () ->
+      List.iter
+        (fun (model, layout, compact, fusion) ->
+          let label = Printf.sprintf "%s %s, %d domains" model layout domains in
+          let compiled = compile_training model ~compact ~fusion in
+          let trainer = Minibatch.create ~seed:4 ~graph ~features ~labels compiled in
+          let w0 = List.map (fun (n, w) -> (n, T.copy w)) (Minibatch.weights trainer) in
+          let r = Minibatch.step trainer ~lr:1.0 ~fanout ~hops ~batch () in
+          let session =
+            Session.create
+              ~config:{ Session.Config.default with seed = 4; node_inputs = [ ("h", features) ] }
+              ~graph compiled
+          in
+          let loss =
+            Hector_runtime.Train.loss_and_grads ~owned ~inv_n ~exec:(Session.exec session) compiled ~labels
+          in
+          close (label ^ ": loss") loss r.Minibatch.loss;
+          let grads = Session.weight_grads session in
+          List.iter
+            (fun (name, w1) ->
+              let w0 = List.assoc name w0 in
+              let g = List.assoc name grads in
+              let a0, o0 = T.storage w0 and a1, o1 = T.storage w1 and ga, go = T.storage g in
+              for i = 0 to T.numel w1 - 1 do
+                close
+                  (Printf.sprintf "%s: d%s[%d]" label name i)
+                  ga.(go + i)
+                  (a0.(o0 + i) -. a1.(o1 + i))
+              done)
+            (Minibatch.weights trainer))
+        [
+          ("rgcn", "U", false, false);
+          ("rgcn", "C+F", true, true);
+          ("rgat", "U", false, false);
+          ("rgat", "C+F", true, true);
+          ("hgt", "U", false, false);
+          ("hgt", "C+F", true, true);
+        ]);
+  true
+
+let prop_minibatch_loss_is_the_seeds =
+  QCheck.Test.make ~name:"a minibatch step == a parent step with its loss masked to the seeds" ~count:2
+    ~long_factor:5
+    QCheck.(
+      make
+        ~print:(fun (k, start, hops) -> Printf.sprintf "%d seeds from %d, %d hops" k start hops)
+        Gen.(triple (int_range 1 40) (int_bound 399) (int_range 1 2)))
+    (fun (k, start, hops) ->
+      let batch = Array.init k (fun i -> (start + (i * 7)) mod 400) in
+      let ok = List.for_all (fun domains -> minibatch_matches_masked_parent ~domains ~batch ~hops) [ 1; 2 ] in
+      Printf.printf "largest loss or gradient difference so far: %g\n" !minibatch_diff;
+      ok)
 
 (* the trainer starts where a parent-graph session with the same seed and
    features starts: serving's draw *)
@@ -299,12 +341,6 @@ let test_training_block_recomputes () =
       check_bool (model ^ ": recomputed from the stepped weights") true (after = fresh);
       check_bool (model ^ ": the step moved the output") true (after <> before))
     [ ("rgcn", false, false); ("rgat", false, false); ("hgt", false, false) ]
-
-(* one engine and one executor for the trainer's life, warmed at
-   creation: no step allocates device memory, the first included *)
-let with_domains n f =
-  Hector_tensor.Domain_pool.set_num_domains (Some n);
-  Fun.protect ~finally:(fun () -> Hector_tensor.Domain_pool.set_num_domains None) f
 
 (* No step allocates device memory.  The first step allocates the same
    few host tensors at one domain and at two (the weight-gradient stacks
@@ -883,8 +919,6 @@ let suite =
     Alcotest.test_case "sample_union maps each request" `Quick test_sample_union_maps_each_request;
     Alcotest.test_case "minibatch same seed, same losses" `Quick
       test_minibatch_same_seed_same_losses;
-    Alcotest.test_case "minibatch == per-step-session oracle, bitwise" `Quick
-      test_minibatch_matches_oracle;
     Alcotest.test_case "minibatch starts from the parent session's weights" `Quick
       test_minibatch_initial_weights;
     Alcotest.test_case "training block recomputes every row after SGD" `Quick
@@ -908,4 +942,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_partition_matches_oracle;
     QCheck_alcotest.to_alcotest prop_hop_prefix;
     QCheck_alcotest.to_alcotest prop_rebound_matches_fresh;
+    QCheck_alcotest.to_alcotest prop_minibatch_loss_is_the_seeds;
   ]
