@@ -51,8 +51,7 @@ let inputs ~caller ?features ~(graph : G.t) (program : Ir.program) =
   { feature_name; feature_dim; out_name; edge_inputs }
 
 type t = {
-  engine : Engine.t;
-  exec : Exec.t;  (* the warmup session's, rebound to every staged block *)
+  exec : Exec.t;  (* the warmup session's, on the replica's engine; rebound to each block *)
   weights : (string * Tensor.t) list;
   features : Tensor.t;  (* parent node features, host-resident *)
   feature_name : string;
@@ -122,7 +121,6 @@ let create ?obs ?(weights = []) ?features ~origin ~seed ~graph (inputs : inputs)
   Engine.reset_clock engine;
   let weights = Session.weights session in
   {
-    engine;
     exec;
     weights;
     features;
@@ -140,7 +138,7 @@ let create ?obs ?(weights = []) ?features ~origin ~seed ~graph (inputs : inputs)
 
 let stage t (sub : Sampler.subgraph) =
   let block = sub.Sampler.graph in
-  let env = t.exec.Exec.env in
+  let env = t.exec.Exec.env and engine = t.exec.Exec.engine in
   (* one row blit per block node *)
   let rows = Array.length sub.Sampler.origin_node in
   let dim = Tensor.cols t.features in
@@ -169,12 +167,12 @@ let stage t (sub : Sampler.subgraph) =
   | None -> ());
   (* host→device transfer of the staged inputs over PCIe *)
   let bytes = float_of_int ((rows * dim * 4) + !edge_bytes) in
-  Engine.launch t.engine
+  Engine.launch engine
     (Kernel.make ~name:"h2d_block" ~category:Kernel.Copy ~graph_proportional:false
        ~grid_blocks:(max 1 (rows * dim / 1024))
        ~bytes_coalesced:bytes ~provenance:t.transfer ());
-  Engine.host_sync t.engine
-    ~us:(bytes /. (Engine.device t.engine).Device.pcie_bandwidth_gbs /. 1e9 *. 1e6)
+  Engine.host_sync engine
+    ~us:(bytes /. (Engine.device engine).Device.pcie_bandwidth_gbs /. 1e9 *. 1e6)
     ();
   let reuse =
     Option.map
@@ -206,7 +204,7 @@ let update_features t ?rows src =
       Option.iter Row_reuse.invalidate t.reuse
 
 let invalidate_rows t = Option.iter Row_reuse.invalidate t.reuse
-let engine t = t.engine
+let engine t = t.exec.Exec.engine
 let exec t = t.exec
 let weights t = t.weights
 let features t = t.features

@@ -52,11 +52,9 @@ val stage : t -> Hector_graph.Sampler.subgraph -> Exec.t
 (** Stage a sampled block: blit its feature rows, recompute its ["norm"],
     bind them and, when training, a seed-gradient view into the replica's
     environment, charge one [h2d_block] copy and its PCIe sync, and
-    return the replica's executor rebound to the block (with, for an
-    inference replica, its row table).  Every call returns the same
-    executor; it builds no environment and no executor.  The weights and
-    their gradient stacks stay bound across blocks: {!Train.sgd_step}
-    zeroes the gradients. *)
+    return the replica's one executor rebound to the block (with, for an
+    inference replica, its row table).  Weights and their gradient stacks
+    stay bound across blocks; {!Train.sgd_step} zeroes the gradients. *)
 
 val update_features : t -> ?rows:int array -> Tensor.t -> unit
 (** [update_features t ?rows src] copies feature rows of [src] (at most

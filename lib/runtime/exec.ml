@@ -29,7 +29,7 @@ type managed = {
 
 (* A storage slot's backing, kept at its high-water capacity, and the
    device charge for it. *)
-type backing = { mutable alloc : Memory.allocation; mutable data : Tensor.t }
+type backing = { alloc : Memory.allocation; data : Tensor.t }
 
 type arena = {
   amembers : managed list;  (* every plan buffer, in plan order *)
@@ -804,10 +804,9 @@ let cut t (plan : Plan.t) a =
     a.amembers;
   Hashtbl.iter
     (fun slot (rows, dim) ->
-      let old = Hashtbl.find_opt a.aslots slot in
-      match old with
+      match Hashtbl.find_opt a.aslots slot with
       | Some b when Tensor.numel b.data >= rows * dim -> ()
-      | _ ->
+      | old ->
           Option.iter (fun b -> Memory.free (Engine.memory t.engine) b.alloc) old;
           let alloc =
             Engine.alloc_tensor t.engine

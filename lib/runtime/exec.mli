@@ -71,25 +71,21 @@ val create :
     [opaque] registers fallback operator implementations by name. *)
 
 val rebind : ?reuse:Row_reuse.block -> t -> ctx:Graph_ctx.t -> unit
-(** Point the executor at another graph — the next sampled block of the
-    graph it was warmed on.  Every plan buffer the previous graph left
-    bound is unbound, and each arena is re-cut for [ctx]: its slot
-    backings are kept (a backing too small for the new graph grows, and
-    the device charge it supersedes is freed), every view is re-cut as
-    never bound, so first-bind zeroing applies as on a fresh arena, and
-    the plan is priced on [ctx] at its next run.  Placements and bind
-    points are the arena's own and are not recomputed.  [reuse] serves
-    every untransposed, non-accumulating [Node_linear] and unscaled
-    [Edge_linear] step that multiplies the bound block's feature input by
-    a declared parameter from a replica's {!Row_reuse} table; the step's
-    bits and its charged launch are unchanged.  Without [reuse] the
-    executor keeps no table.  A rebound executor computes, launches and
-    allocates exactly what a fresh executor over [ctx] whose arenas
-    already held the same backings would. *)
+(** Point the executor at another graph, such as the next sampled block
+    of the graph it was warmed on.  It unbinds every plan buffer left
+    bound and re-cuts each arena for [ctx] as a fresh arena would find
+    it: slot backings are kept (one too small grows, and the device
+    charge it supersedes is freed), views are cut as never bound, and the
+    plan is priced on [ctx] at its next run.  [reuse] (none when absent)
+    serves every untransposed, non-accumulating [Node_linear] and unscaled
+    [Edge_linear] step over the block's feature input times a declared
+    parameter from a replica's {!Row_reuse} table, with the same bits and
+    launch. *)
 
 val warm_plan : ?free_temps:bool -> t -> Hector_core.Plan.t -> unit
-(** Build the plan's arena without running or pricing any step, taking whatever allocations the arena needs now
-    rather than on the first [run_plan].  It also reserves, on the calling
+(** Build the plan's arena without running or pricing any step, taking
+    whatever allocations the arena needs now rather than on the first
+    [run_plan].  It also reserves, on the calling
     domain, the host pair rows the plan's edge-row backward GEMMs sum
     their gradients into (see {!Tensor.segment_gather_t_into}), sized for
     this context's graph — an upper bound for every sampled block of it.

@@ -11,11 +11,8 @@
     uses: one engine, executor and set of staging buffers for its life,
     plans warmed once, so no step allocates device memory.  Each step runs
     {!Train.loss_and_grads} on the staged block, then SGD.  Weights
-    persist across steps.  The loss is the batch's own: the mean NLL of
-    its seeds' block rows; the block's other rows only feed them.  At
-    exact fanout and at least the model's depth in hops, a step's loss
-    and weight gradients are a parent-graph step's whose loss is masked
-    to the same seeds. *)
+    persist across steps.  The loss is the batch's own, over its seeds'
+    block rows; the block's other rows only feed them. *)
 
 type t
 (** Compiled model + parent graph and its incoming CSR + block replica. *)
@@ -51,9 +48,8 @@ val create :
 
 val step : t -> ?lr:float -> ?fanout:int -> ?hops:int -> batch:int array -> unit -> step_report
 (** One minibatch step over the given seed batch (parent node ids), on an
-    engine clock restarted at zero.  A batch the sampler rejects (empty,
-    or holding an id outside the parent) raises [Invalid_argument] before
-    anything changes: it is not counted, so later steps sample as if it
+    engine clock restarted at zero.  A batch the sampler rejects raises
+    [Invalid_argument] and is not counted: later steps sample as if it
     had never been given. *)
 
 val train_epochs :

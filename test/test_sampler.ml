@@ -211,6 +211,10 @@ let compile_training model ~compact ~fusion =
 (* distinct seeds, a different batch each step *)
 let batch_of step = Array.init (16 + (step * 5)) (fun i -> ((step * 53) + (i * 7)) mod 400)
 
+let with_domains n f =
+  Hector_tensor.Domain_pool.set_num_domains (Some n);
+  Fun.protect ~finally:(fun () -> Hector_tensor.Domain_pool.set_num_domains None) f
+
 (* Mini-batch training takes its loss over its seeds.  At exact fanout and
    at least the model's depth in hops, each seed's output on the block is
    its output on the parent, and every other block row only feeds the
@@ -218,10 +222,6 @@ let batch_of step = Array.init (16 + (step * 5)) (fun i -> ((step * 53) + (i * 7
    session step's whose loss is masked to the same seeds — up to the
    order of the sums, to 1e-6.  The trainer's gradients are read through
    its one SGD step at lr 1: w0 - w1. *)
-let with_domains n f =
-  Hector_tensor.Domain_pool.set_num_domains (Some n);
-  Fun.protect ~finally:(fun () -> Hector_tensor.Domain_pool.set_num_domains None) f
-
 let minibatch_diff = ref 0.0
 
 let minibatch_matches_masked_parent ~domains ~batch ~hops =
