@@ -2,9 +2,9 @@
    replaced, kept as the reference the block-replica trainer is tested
    against (test_sampler.ml's oracle case).  Every step builds a whole
    [Session] over the sampled block (a fresh engine, executor, arena and
-   environment), gathers the block's features with an allocating
-   [Tensor.gather_rows] and runs forward, loss, backward and SGD from the
-   public pieces, binding a freshly allocated seed gradient.
+   environment), gathers the block's features and labels with an
+   allocating [Tensor.gather_rows] and [Array.map], and runs a training
+   step whose loss is masked to the seeds' block rows, then SGD.
 
    One thing follows the block staging rather than the old code: the
    transfer is charged as [Block.stage] charges it (feature and norm
@@ -17,11 +17,8 @@ module Device = Hector_gpu.Device
 module Engine = Hector_gpu.Engine
 module Kernel = Hector_gpu.Kernel
 module Ir = Hector_core.Inter_ir
-module Mat = Hector_core.Materialization
 module Compiler = Hector_core.Compiler
 module Session = Hector_runtime.Session
-module Exec = Hector_runtime.Exec
-module Env = Hector_runtime.Env
 module Train = Hector_runtime.Train
 
 type t = {
@@ -75,20 +72,13 @@ let step t ~lr ~fanout ~hops ~batch =
        ~bytes_coalesced:bytes ());
   Engine.host_sync engine ~us:(bytes /. Device.rtx3090.Device.pcie_bandwidth_gbs /. 1e9 *. 1e6) ();
   let transfer_ms = Engine.elapsed_ms engine in
+  (* the loss is the seeds' mean: every other block row only feeds them *)
+  let owned = Array.make sub.G.num_nodes false in
+  Array.iter (fun v -> owned.(v) <- true) block.Sampler.seed_nodes;
+  let seeds = Array.fold_left (fun n o -> if o then n + 1 else n) 0 owned in
   let c = t.compiled in
-  let fwd = c.Compiler.forward and bwd = Option.get c.Compiler.backward in
-  Exec.run_plan ~free_temps:false exec fwd;
-  let out_name = List.hd program.Ir.outputs in
-  let out = (Env.find exec.Exec.env out_name).Env.tensor in
-  let loss, dout = Train.nll_loss ~engine ~out ~labels in
-  let seed_name = Hector_core.Autodiff.grad_name out_name in
-  let alloc =
-    Engine.alloc_tensor engine ~label:seed_name ~rows:(Tensor.rows dout) ~cols:(Tensor.cols dout) ()
+  let loss =
+    Train.loss_and_grads ~owned ~inv_n:(1.0 /. float_of_int seeds) ~exec c ~labels
   in
-  Env.add exec.Exec.env ~name:seed_name
-    { Env.tensor = dout; space = Mat.Rows_nodes; dim = Tensor.cols dout; alloc = Some alloc };
-  Exec.run_plan ~free_temps:true exec bwd;
-  Train.backprop_weight_ops ~exec c.Compiler.weight_ops;
-  Exec.free_temp_buffers exec fwd;
   Train.sgd_step ~skip:(Train.fused_outs c.Compiler.weight_ops) ~exec ~lr ();
   (loss, Engine.elapsed_ms engine -. transfer_ms)

@@ -211,6 +211,42 @@ let compile_training model ~compact ~fusion =
 (* distinct seeds, a different batch each step *)
 let batch_of step = Array.init (16 + (step * 5)) (fun i -> ((step * 53) + (i * 7)) mod 400)
 
+(* The block-replica trainer against the per-step-session one it replaced
+   (test/minibatch_oracle.ml), from the same initial weights: every loss,
+   every compute_ms and the final weights agree bit for bit over five
+   steps, each step's sample drawn from the step count. *)
+let test_minibatch_matches_oracle () =
+  let graph, features, labels = minibatch_fixture () in
+  List.iter
+    (fun (label, model, compact, fusion) ->
+      let compiled = compile_training model ~compact ~fusion in
+      let trainer = Minibatch.create ~seed:4 ~graph ~features ~labels compiled in
+      let weights = List.map (fun (n, w) -> (n, T.copy w)) (Minibatch.weights trainer) in
+      let oracle =
+        Minibatch_oracle.create ~seed:4 ~graph ~features ~labels ~weights compiled
+      in
+      for step = 1 to 5 do
+        let batch = batch_of step in
+        let r = Minibatch.step trainer ~lr:0.1 ~fanout:4 ~hops:2 ~batch () in
+        let loss, compute_ms =
+          Minibatch_oracle.step oracle ~lr:0.1 ~fanout:4 ~hops:2 ~batch
+        in
+        let same what a b =
+          check_bool
+            (Printf.sprintf "%s step %d: %s %h = %h" label step what a b)
+            true
+            (Int64.bits_of_float a = Int64.bits_of_float b)
+        in
+        same "loss" loss r.Minibatch.loss;
+        same "compute_ms" compute_ms r.Minibatch.compute_ms
+      done;
+      same_weights (label ^ " final") weights (Minibatch.weights trainer))
+    [
+      ("RGCN U", "rgcn", false, false);
+      ("RGCN C", "rgcn", true, false);
+      ("RGAT C+F", "rgat", true, true);
+    ]
+
 let with_domains n f =
   Hector_tensor.Domain_pool.set_num_domains (Some n);
   Fun.protect ~finally:(fun () -> Hector_tensor.Domain_pool.set_num_domains None) f
@@ -919,6 +955,8 @@ let suite =
     Alcotest.test_case "sample_union maps each request" `Quick test_sample_union_maps_each_request;
     Alcotest.test_case "minibatch same seed, same losses" `Quick
       test_minibatch_same_seed_same_losses;
+    Alcotest.test_case "minibatch == per-step-session oracle, bitwise" `Quick
+      test_minibatch_matches_oracle;
     Alcotest.test_case "minibatch starts from the parent session's weights" `Quick
       test_minibatch_initial_weights;
     Alcotest.test_case "training block recomputes every row after SGD" `Quick
