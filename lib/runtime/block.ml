@@ -4,6 +4,7 @@ module Sampler = Hector_graph.Sampler
 module Device = Hector_gpu.Device
 module Engine = Hector_gpu.Engine
 module Kernel = Hector_gpu.Kernel
+module Memory = Hector_gpu.Memory
 module Ir = Hector_core.Inter_ir
 module Compiler = Hector_core.Compiler
 module Mat = Hector_core.Materialization
@@ -50,19 +51,28 @@ let inputs ~caller ?features ~(graph : G.t) (program : Ir.program) =
   in
   { feature_name; feature_dim; out_name; edge_inputs }
 
+(* A device charge the parent graph bounds: its nodes (else its edges) × [cols]. *)
+type charge = { label : string; nodes : bool; cols : int; alloc : Memory.allocation }
+
+let charge engine (graph : G.t) ~label ~nodes ~cols =
+  let rows = if nodes then graph.G.num_nodes else graph.G.num_edges in
+  { label; nodes; cols; alloc = Engine.alloc_tensor engine ~label ~rows ~cols () }
+
 type t = {
   exec : Exec.t;  (* the warmup session's, on the replica's engine; rebound to each block *)
   weights : (string * Tensor.t) list;
-  features : Tensor.t;  (* parent node features, host-resident *)
+  mutable features : Tensor.t;  (* parent node features, host-resident *)
   feature_name : string;
   mutable node_stage : Tensor.t;
       (* host staging for gathered features: inference grows it to the
          largest block staged, training holds parent capacity (so no step
          allocates); the device is charged parent capacity at warmup *)
-  reuse : Row_reuse.t option;  (* inference: projected rows kept across blocks *)
-  edge_stage : (string * Tensor.t) list;  (* per edge input, parent capacity *)
-  seed_stage : (string * int * Tensor.t) option;
+  training : bool;
+  mutable reuse : Row_reuse.t option;  (* inference: projected rows kept across blocks *)
+  mutable edge_stage : (string * Tensor.t) list;  (* per edge input, parent capacity *)
+  mutable seed_stage : (string * int * Tensor.t) option;
       (* training: seed-gradient name, width and parent-capacity backing *)
+  mutable charges : charge list;  (* every parent-capacity device charge *)
   transfer : Kernel.provenance;
 }
 
@@ -71,6 +81,22 @@ type t = {
    engine because sampling runs on the host, concurrently with nothing. *)
 let sample_cost_ms ~nodes ~edges =
   0.01 +. (2e-4 *. float_of_int nodes) +. (5e-5 *. float_of_int edges)
+
+let empty = Tensor.create_uninit [| 0 |]
+
+(* Size the host side for a parent graph: each edge input's staging and,
+   for training, the gathered features' and seed gradient's; for
+   inference an empty row table (its feature staging grows per block). *)
+let size_host t (graph : G.t) =
+  let stage rows = Tensor.create_uninit [| rows |] and nodes = graph.G.num_nodes in
+  if t.training then t.node_stage <- stage (nodes * Tensor.cols t.features)
+  else
+    t.reuse <-
+      Some
+        (Row_reuse.create ~obs:(Engine.obs t.exec.Exec.engine) ~nodes
+           ~params:(List.map fst t.weights) ());
+  t.edge_stage <- List.map (fun (name, _) -> (name, stage graph.G.num_edges)) t.edge_stage;
+  t.seed_stage <- Option.map (fun (name, cols, _) -> (name, cols, stage (nodes * cols))) t.seed_stage
 
 let create ?obs ?(weights = []) ?features ~origin ~seed ~graph (inputs : inputs)
     (compiled : Compiler.compiled) =
@@ -99,42 +125,57 @@ let create ?obs ?(weights = []) ?features ~origin ~seed ~graph (inputs : inputs)
   Exec.warm_plan ~free_temps:(not training) exec compiled.Compiler.forward;
   Option.iter (Exec.warm_plan exec) compiled.Compiler.backward;
   let features = (Env.find exec.Exec.env inputs.feature_name).Env.tensor in
-  let stage label ~rows ~cols =
-    ignore (Engine.alloc_tensor engine ~label ~rows ~cols ());
-    Tensor.create_uninit [| rows * cols |]
-  in
-  ignore
-    (Engine.alloc_tensor engine ~label:"block/node_stage" ~rows:graph.G.num_nodes
-       ~cols:inputs.feature_dim ());
-  let edge_stage =
-    List.map
-      (fun name -> (name, stage ("block/edge_stage_" ^ name) ~rows:graph.G.num_edges ~cols:1))
-      inputs.edge_inputs
-  in
   let seed_stage =
     if not training then None
-    else
-      let name = Hector_core.Autodiff.grad_name inputs.out_name
-      and cols = Session.output_dim session in
-      Some (name, cols, stage "block/seed_grad" ~rows:graph.G.num_nodes ~cols)
+    else Some (Hector_core.Autodiff.grad_name inputs.out_name, Session.output_dim session, empty)
+  in
+  (* the session's feature and norm charges are kept; staging is charged here *)
+  let edge_specs prefix = List.map (fun name -> (prefix ^ name, false, 1)) inputs.edge_inputs in
+  let charges =
+    List.map
+      (fun (label, nodes, cols) ->
+        match (Env.find_opt exec.Exec.env label : Env.entry option) with
+        | Some { alloc = Some alloc; _ } -> { label; nodes; cols; alloc }
+        | _ -> charge engine graph ~label ~nodes ~cols)
+      (((inputs.feature_name, true, inputs.feature_dim) :: edge_specs "")
+      @ (("block/node_stage", true, inputs.feature_dim) :: edge_specs "block/edge_stage_")
+      @ Option.to_list (Option.map (fun (_, cols, _) -> ("block/seed_grad", true, cols)) seed_stage))
   in
   Engine.reset_clock engine;
   let weights = Session.weights session in
-  {
-    exec;
-    weights;
-    features;
-    feature_name = inputs.feature_name;
-    node_stage =
-      Tensor.create_uninit [| (if training then graph.G.num_nodes * inputs.feature_dim else 0) |];
-    reuse =
-      (if training then None
-       else
-         Some (Row_reuse.create ~obs ~nodes:graph.G.num_nodes ~params:(List.map fst weights) ()));
-    edge_stage;
-    seed_stage;
-    transfer = Kernel.provenance ~origin:(origin ^ ".transfer") "h2d_block";
-  }
+  let t =
+    {
+      exec;
+      weights;
+      features;
+      feature_name = inputs.feature_name;
+      node_stage = empty;
+      training;
+      reuse = None;
+      edge_stage = List.map (fun name -> (name, empty)) inputs.edge_inputs;
+      seed_stage;
+      charges;
+      transfer = Kernel.provenance ~origin:(origin ^ ".transfer") "h2d_block";
+    }
+  in
+  size_host t graph;
+  t
+
+(* Grow the replica to a new parent graph in place: each device charge
+   freed and taken again at the new size, the host side regrown (every
+   projected row is stale), and the executor rebound to the graph, whose
+   arenas grow as they do for a larger block. *)
+let resize t ~(graph : G.t) =
+  let engine = t.exec.Exec.engine in
+  t.charges <-
+    List.map
+      (fun { label; nodes; cols; alloc } ->
+        Memory.free (Engine.memory engine) alloc;
+        charge engine graph ~label ~nodes ~cols)
+      t.charges;
+  t.features <- Tensor.zeros [| graph.G.num_nodes; Tensor.cols t.features |];
+  size_host t graph;
+  Exec.rebind t.exec ~ctx:(Graph_ctx.create graph)
 
 let stage t (sub : Sampler.subgraph) =
   let block = sub.Sampler.graph in

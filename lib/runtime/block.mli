@@ -10,7 +10,8 @@
     the host, an inference replica's feature staging is a high-water
     buffer grown to the largest block staged so far, not a
     parent-capacity copy; a training replica keeps parent capacity, so
-    none of its steps allocates.
+    none of its steps allocates.  {!resize} grows all of it to a larger
+    parent in place.
 
     An inference replica (no backward plan) keeps a {!Row_reuse} table:
     each projected row [h\[u\] · W\[s\]] of its parent features is
@@ -47,6 +48,13 @@ val create :
     replica gets its own engine and executor; transfers carry provenance
     [origin ^ ".transfer"].  The model trains when it has a backward
     plan. *)
+
+val resize : t -> graph:Hector_graph.Hetgraph.t -> unit
+(** Re-size the replica for a new parent [graph], keeping its engine,
+    executor and weights: re-charge each parent-capacity device charge at
+    [graph]'s size, regrow the host features (zeroed) and staging, empty
+    the row table, and rebind the executor to [graph].  Arena slots only
+    grow, so each stays at its high-water mark. *)
 
 val stage : t -> Hector_graph.Sampler.subgraph -> Exec.t
 (** Stage a sampled block: blit its feature rows, recompute its ["norm"],

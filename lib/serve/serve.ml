@@ -66,10 +66,7 @@ type t = {
   compiled : Compiler.compiled;
   cache : Plan_cache.t;
   inputs : Block.inputs;  (* out_name: the first output, gathered per request *)
-  seed : int;
-  mutable block : Block.t;  (* engine, executor, weights, features and staging *)
-  mutable replaced_launches : int;  (* of the engines [rewarm] replaced *)
-  mutable replaced_ms : float;
+  block : Block.t;  (* engine, executor, weights, features and staging *)
   obs : Hector_obs.t;
   fanout : int;
   hops : int;  (* the configured bound *)
@@ -135,10 +132,7 @@ let create ?(config = default_config) ?obs ?features ~graph program =
     compiled;
     cache;
     inputs;
-    seed = config.seed;
     block;
-    replaced_launches = 0;
-    replaced_ms = 0.0;
     obs;
     fanout = config.fanout;
     hops = config.hops;
@@ -221,14 +215,12 @@ let update_graph t ~(graph : G.t) ?features ?rows ?csr () =
 
 let model_weights t = Block.weights t.block
 let engine t = Block.engine t.block
-let launches t = t.replaced_launches + (Stats.total (Engine.stats (engine t))).Stats.launches
-let device_ms t = t.replaced_ms +. Engine.elapsed_ms (engine t)
+let launches t = (Stats.total (Engine.stats (engine t))).Stats.launches
+let device_ms t = Engine.elapsed_ms (engine t)
 
-(* The epoch boundary: warm a fresh block (engine, executor, staging) over the
-   new capacity graph with the same compiled plan and weights, install the
-   snapshot on it, and keep every counter, latency and the fault plan
-   running.  The capacity graph is only sized against, never served, so
-   its CSR is never built. *)
+(* The epoch boundary: grow the block to the new capacity graph in place
+   and install the snapshot.  The capacity graph is only sized against,
+   never served, so its CSR is never built. *)
 let rewarm t ~(capacity : G.t) ~graph ~features ~csr =
   match
     misfit t ~fn:"Serve.rewarm" ~node_capacity:capacity.G.num_nodes
@@ -236,12 +228,7 @@ let rewarm t ~(capacity : G.t) ~graph ~features ~csr =
   with
   | Some msg -> Error msg
   | None ->
-      t.replaced_launches <- launches t;
-      t.replaced_ms <- device_ms t;
-      let zeros = Tensor.zeros [| capacity.G.num_nodes; t.inputs.Block.feature_dim |] in
-      t.block <-
-        Block.create ~obs:t.obs ~weights:(model_weights t) ~features:zeros ~origin:"serve"
-          ~seed:t.seed ~graph:capacity t.inputs t.compiled;
+      Block.resize t.block ~graph:capacity;
       t.node_capacity <- capacity.G.num_nodes;
       t.edge_capacity <- capacity.G.num_edges;
       t.warm_alloc_count <- Memory.alloc_count (Engine.memory (engine t));

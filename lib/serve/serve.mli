@@ -103,8 +103,9 @@ val create :
     seeded from [config.seed], executor arenas and staging primed at
     parent capacity, no forward run, clock reset).  [features]
     ([num_nodes × feature_dim]) replaces the seeded feature draw and is
-    adopted, not copied — {!update_graph} overwrites it in place, and the
-    caller must not write it otherwise.
+    adopted, not copied — {!update_graph} overwrites it in place until a
+    {!rewarm} replaces the store, and the caller must not write it
+    otherwise.
     Skipping the draw moves the seeded weights drawn after it, so pass
     [features] with pinned [config.weights] where weights must match a
     seeded replica.  [obs] (default
@@ -148,20 +149,16 @@ val rewarm :
   csr:Hector_graph.Csr.t ->
   (unit, string) result
 (** Re-warm the replica over a new capacity graph and install a snapshot
-    on it — the epoch-boundary path of {!Hector_stream}.  A fresh
-    {!Hector_runtime.Block} (engine, executor, staging) sized against
-    [capacity] replaces the current one, built from the same compiled
-    plan (its options resolved at {!create}) and the same weights
-    ({!model_weights} is physically unchanged), so nothing recompiles;
-    then [graph], [features] (every row) and [csr] go in as
+    on it — the epoch-boundary path of {!Hector_stream}.  The replica's
+    block grows to [capacity] in place ({!Hector_runtime.Block.resize}),
+    keeping its engine, executor, compiled plan and weights, so nothing
+    recompiles; then [graph], [features] (every row) and [csr] go in as
     {!update_graph} would install them.  [capacity] is only sized
-    against, never served, so no CSR of it is built.  The replaced
-    engine's launches and clock carry into {!launches} and
-    {!device_ms}; load counters, latencies, batch ids, the batch
-    histogram, the plan cache and the fault plan all keep running.
-    {!warm_alloc_count} becomes the new engine's.  Returns [Error]
-    without changing anything when the snapshot would not fit
-    [capacity] (node or edge count, metagraph shape or feature shape). *)
+    against, never served, so no CSR of it is built.  Every counter, the
+    plan cache and the fault plan keep running; {!warm_alloc_count}
+    becomes the count after the growth.  Returns [Error] without changing
+    anything when the snapshot would not fit [capacity] (node or edge
+    count, metagraph shape or feature shape). *)
 
 val serve : t -> Workload.request array -> response array
 (** Run the discrete-event loop over one arrival trace (sorted by
@@ -209,16 +206,14 @@ val exact_fanout : Hector_graph.Hetgraph.t -> int
     above). *)
 
 val launches : t -> int
-(** Simulated kernel launches since warmup, over every engine the
-    replica has used ({!rewarm} replaces the engine). *)
+(** Simulated kernel launches of the replica's engine since warmup. *)
 
 val device_ms : t -> float
-(** Simulated engine time since warmup, over every engine the replica has
-    used. *)
+(** Simulated engine time since warmup. *)
 
 val engine : t -> Hector_gpu.Engine.t
-(** The replica's current engine (clock, stats, memory); {!rewarm}
-    replaces it. *)
+(** The replica's engine (clock, stats, memory), the same for its whole
+    life. *)
 
 val plan_cache : t -> Plan_cache.t
 
@@ -247,7 +242,7 @@ val faults : t -> Hector_ckpt.Fault.t option
 
 val exec : t -> Hector_runtime.Exec.t
 (** The replica's one executor, its arenas warmed at parent capacity
-    (afresh by each {!rewarm}); every batch rebinds it to its block. *)
+    (grown by each {!rewarm}); every batch rebinds it to its block. *)
 
 val model_weights : t -> (string * Tensor.t) list
 (** The replica's weights (generated or from [config.weights]), the same
@@ -257,9 +252,9 @@ val model_weights : t -> (string * Tensor.t) list
 val batches : t -> int
 
 val warm_alloc_count : t -> int
-(** {!Hector_gpu.Memory.alloc_count} of the current engine right after
-    its warmup ({!create} or {!rewarm}) — steady-state serving must leave
-    the live counter equal to this. *)
+(** {!Hector_gpu.Memory.alloc_count} of the engine right after the last
+    warmup ({!create} or {!rewarm}) — steady-state serving must leave the
+    live counter equal to this. *)
 
 val max_batch : t -> int
 (** The resolved micro-batch cap (config or default). *)

@@ -9,7 +9,6 @@ type t = {
   base_config : Serve.config;
   sobs : Hector_obs.t;
   live : Serve.t;
-  backlog : Delta.t Queue.t;
   mutable c_rewarms : int;
   mutable c_update_ms : float;
 }
@@ -23,9 +22,9 @@ let update_cost ~ops ~epoch_changed =
 (* Hand the mutable graph's snapshot to the replica.  [rows]: the feature
    rows the last delta wrote, when the node numbering survived it;
    otherwise the replica copies (and re-projects) every row.  At an epoch
-   boundary the capacity graph outgrew the replica's block, so it re-warms
-   one over the new capacity graph (same plan, same weights) with the
-   snapshot installed. *)
+   boundary the capacity graph outgrew the replica's block, so the block
+   grows to the new capacity graph in place (same engine, plan and
+   weights) with the snapshot installed. *)
 let swap_in_snapshot ~epoch_changed ?rows replica mg =
   let snap = Mutable_graph.snapshot mg in
   let graph = snap.Mutable_graph.graph
@@ -53,7 +52,6 @@ let create ?(config = Serve.default_config) ?obs ~mg program =
     base_config = config;
     sobs;
     live;
-    backlog = Queue.create ();
     c_rewarms = 0;
     c_update_ms = 0.0;
   }
@@ -81,47 +79,7 @@ let apply t delta =
           stats.Mutable_graph.csr_patched_rows;
       Ok stats
 
-let push t delta = Queue.add delta t.backlog
-let pending t = Queue.length t.backlog
-
-let drain t =
-  while not (Queue.is_empty t.backlog) do
-    ignore (apply t (Queue.pop t.backlog))
-  done
-
-let serve t requests =
-  drain t;
-  Serve.serve t.live requests
-
-let replay t ~requests ~deltas =
-  let n = Array.length requests in
-  Array.iter
-    (fun (k, _) ->
-      if k < 0 || k > n then
-        invalid_arg
-          (Printf.sprintf "Stream_serve.replay: delta index %d out of range [0, %d]" k n))
-    deltas;
-  for i = 1 to Array.length deltas - 1 do
-    if fst deltas.(i) < fst deltas.(i - 1) then
-      invalid_arg "Stream_serve.replay: delta indices must be non-decreasing"
-  done;
-  let responses = ref [] in
-  let served_upto = ref 0 in
-  let serve_upto k =
-    if k > !served_upto then begin
-      let seg = Array.sub requests !served_upto (k - !served_upto) in
-      responses := serve t seg :: !responses;
-      served_upto := k
-    end
-  in
-  Array.iter
-    (fun (k, d) ->
-      serve_upto k;
-      push t d)
-    deltas;
-  serve_upto n;
-  drain t;
-  Array.concat (List.rev !responses)
+let serve t requests = Serve.serve t.live requests
 
 let check_equivalence ?(tol = 1e-6) t requests =
   (* the scratch replica shares the weights, not the fault plan: its

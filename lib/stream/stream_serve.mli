@@ -4,14 +4,12 @@
     One [t] owns one serving replica for its whole life, warmed against
     the mutable graph's {!Mutable_graph.capacity_graph}, so every
     in-epoch snapshot fits the replica's block: its executor's arena
-    backings and its staging tensors.  Deltas are applied at micro-batch boundaries
-    (between {!serve} calls, or at the request indices {!replay} is
-    given); the in-slack path is a pure {!Hector_serve.Serve.update_graph}
-    — zero compiles, zero engine allocations — while an epoch bump
-    re-warms the replica's block against the new capacity graph
-    ({!Hector_serve.Serve.rewarm}): a fresh engine and executor, the {e same}
-    compiled plan and {e pinned} weights, so outputs stay comparable
-    across the re-warm and every counter keeps running.
+    backings and its staging tensors.  The caller {!apply}s deltas
+    between {!serve} calls.  In slack that is a pure
+    {!Hector_serve.Serve.update_graph} (zero compiles, zero engine
+    allocations); an epoch bump grows the replica's block to the new
+    capacity graph in place ({!Hector_serve.Serve.rewarm}), keeping its
+    engine, executor, plan and {e pinned} weights.
 
     {2 The correctness anchor}
 
@@ -41,35 +39,15 @@ val create :
 
 val apply : t -> Delta.t -> (Mutable_graph.apply_stats, string) result
 (** Apply one delta now (a micro-batch boundary): mutate the graph, then
-    refresh the replica in place, after re-warming its block over the new
+    refresh the replica in place, after growing its block to the new
     capacity graph when the epoch bumped.  [Error] (an invalid delta)
     changes nothing.
     The simulated cost of the update is accounted in {!update_ms}. *)
 
-val push : t -> Delta.t -> unit
-(** Queue a delta; the next {!serve} call applies the backlog (in order)
-    before admitting any request — deltas never interrupt a micro-batch.
-    Invalid deltas are counted ({!Mutable_graph.counters}'
-    [rejected_deltas]) and skipped. *)
-
-val pending : t -> int
-(** Queued deltas not yet applied. *)
-
 val serve : t -> Workload.request array -> Serve.response array
-(** Drain the delta backlog, then run the trace on the live replica
-    (semantics of {!Hector_serve.Serve.serve}: an independent episode on
-    the simulated clock; stale seeds are rejected, not raised). *)
-
-val replay :
-  t -> requests:Workload.request array -> deltas:(int * Delta.t) array ->
-  Serve.response array
-(** Interleave a delta trace with a request trace: each [(k, d)] applies
-    [d] at the boundary before request index [k] ([k] may equal the trace
-    length: applied after everything).  Deltas are applied in the given
-    order; requests are served in segments between boundaries and the
-    responses concatenated back into trace order.  Raises
-    [Invalid_argument] if some [k] is out of range or the indices are not
-    non-decreasing. *)
+(** Run the trace on the live replica (semantics of
+    {!Hector_serve.Serve.serve}: an independent episode on the simulated
+    clock; stale seeds are rejected, not raised). *)
 
 val check_equivalence :
   ?tol:float -> t -> Workload.request array -> (float, string) result
@@ -114,5 +92,5 @@ val metrics_json : t -> Hector_json.t
     ([subsystem = "stream"]): delta/op/epoch/compaction/CSR counters,
     recompiles and re-warms, update time, and the replica's
     served/shed/rejected and fault counters.  [launches] and
-    [elapsed_ms] cover every engine the replica has used (plus the update
+    [elapsed_ms] are the replica's engine's since warmup (plus the update
     time). *)

@@ -634,10 +634,11 @@ let test_inslack_zero_recompile_zero_alloc () =
 
 let launches_of engine = (Hector_gpu.Stats.total (Engine.stats engine)).Hector_gpu.Stats.launches
 
-(* An epoch bump re-warms the stream's one replica in place: same plan,
-   same weights, one load ledger, and a fault plan whose batch ids keep
-   counting, so a scheduled failure fires once per stream, not once per
-   epoch. *)
+(* An epoch bump re-warms the stream's one replica in place: same engine,
+   executor, plan and weights, one load ledger, and a fault plan whose
+   batch ids keep counting, so a scheduled failure fires once per stream,
+   not once per epoch.  On this growth-only trace the grown replica holds
+   exactly the device memory of one warmed fresh at the new capacity. *)
 let test_epoch_rewarm_pins_weights () =
   let mg = make_mg ~slack:0.05 () in
   let faults = Hector_ckpt.Fault.create ~fail_batches:[ 0 ] () in
@@ -646,7 +647,6 @@ let test_epoch_rewarm_pins_weights () =
   let w0 = Serve.model_weights replica and exec0 = Serve.exec replica in
   ignore (Ss.serve ss (trace ~seed:71 ~requests:8 (Mg.live_nodes mg)));
   let engine0 = Serve.engine replica in
-  let launches0 = launches_of engine0 in
   let growth =
     { Delta.add_node = 0.4; remove_node = 0.0; add_edge = 0.6; remove_edge = 0.0; set_feat = 0.0 }
   in
@@ -660,15 +660,27 @@ let test_epoch_rewarm_pins_weights () =
   done;
   check_bool "epoch bumped" true (!bumps > 0);
   check_int "one re-warm" 1 (Ss.rewarms ss);
+  let memory = Engine.memory engine0 in
+  let fresh =
+    Serve.create ~config:{ serve_config with Serve.weights = w0 } ~graph:(Mg.capacity_graph mg)
+      (rgcn ())
+  in
+  let fresh_memory = Engine.memory (Serve.engine fresh) in
+  Alcotest.(check (float 0.0))
+    "used bytes after the bump = a fresh replica's" (Memory.used_bytes fresh_memory)
+    (Memory.used_bytes memory);
+  Alcotest.(check (float 0.0))
+    "peak bytes after the bump = a fresh replica's" (Memory.peak_bytes fresh_memory)
+    (Memory.peak_bytes memory);
   ignore (Ss.serve ss (trace ~seed:72 ~requests:8 (Mg.live_nodes mg)));
   check_bool "the same replica serves after the bump" true (Ss.replica ss == replica);
   check_int "the re-warm recompiles nothing" 1 (Ss.recompiles ss);
-  check_bool "the re-warm gets a fresh engine" true (Serve.engine replica != engine0);
-  check_bool "and a fresh executor" true (Serve.exec replica != exec0);
+  check_bool "the re-warm keeps the engine" true (Serve.engine replica == engine0);
+  check_bool "and the executor" true (Serve.exec replica == exec0);
+  check_int "serving after the bump allocates nothing" (Serve.warm_alloc_count replica)
+    (Memory.alloc_count memory);
   check_int "one load ledger" (Ss.served ss) (Serve.load_stats replica).Serve.lserved;
-  check_int "launches cover every engine"
-    (launches0 + launches_of (Serve.engine replica))
-    (Serve.launches replica);
+  check_int "launches are the engine's" (launches_of engine0) (Serve.launches replica);
   check_int "batch 0 fails once per stream" 1
     (List.length
        (List.filter
@@ -698,31 +710,6 @@ let test_check_equivalence_leaves_fault_trace () =
   check_bool "fault trace unchanged by the check" true
     (Hector_ckpt.Fault.events faults = events)
 
-let test_backlog_applies_at_boundaries () =
-  let mg = make_mg ~slack:3.0 () in
-  let ss = Ss.create ~config:serve_config ~mg (rgcn ()) in
-  Ss.push ss (gen_delta mg ~seed:1 ~ops:5);
-  Ss.push ss (gen_delta mg ~seed:2 ~ops:5);
-  check_int "two pending" 2 (Ss.pending ss);
-  check_int "nothing applied yet" 0 (Mg.counters mg).Mg.deltas;
-  ignore (Ss.serve ss (trace ~requests:4 (Mg.live_nodes mg)));
-  check_int "backlog drained" 0 (Ss.pending ss);
-  check_int "both applied" 2 (Mg.counters mg).Mg.deltas
-
-let test_replay_validates_indices () =
-  let mg = make_mg ~slack:3.0 () in
-  let ss = Ss.create ~config:serve_config ~mg (rgcn ()) in
-  let requests = trace ~requests:4 (Mg.live_nodes mg) in
-  let d = gen_delta mg ~seed:1 ~ops:3 in
-  check_bool "out-of-range index raises" true
-    (match Ss.replay ss ~requests ~deltas:[| (9, d) |] with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  check_bool "decreasing indices raise" true
-    (match Ss.replay ss ~requests ~deltas:[| (3, d); (1, d) |] with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 (* THE correctness anchor: a replica that lived through a random delta
    trace answers exactly like one rebuilt from scratch over the final
    snapshot — across models and domain counts *)
@@ -738,13 +725,12 @@ let test_equivalence_anchor =
           in
           let mg = make_mg ~slack:0.5 ~seed:(seed land 15) () in
           let ss = Ss.create ~config:serve_config ~mg program in
+          let apply d = match Ss.apply ss d with Ok _ -> () | Error m -> failwith m in
           let requests = trace ~seed ~requests:12 (Mg.live_nodes mg) in
-          let deltas =
-            [| (4, gen_delta mg ~seed:(seed + 1) ~ops:20) |]
-          in
-          let _ = Ss.replay ss ~requests ~deltas in
-          (* a second wave after the replay, through the backlog path *)
-          Ss.push ss (gen_delta mg ~seed:(seed + 2) ~ops:15);
+          ignore (Ss.serve ss (Array.sub requests 0 4));
+          apply (gen_delta mg ~seed:(seed + 1) ~ops:20);
+          ignore (Ss.serve ss (Array.sub requests 4 8));
+          apply (gen_delta mg ~seed:(seed + 2) ~ops:15);
           ignore (Ss.serve ss (trace ~seed:(seed + 3) ~requests:4 (Mg.live_nodes mg)));
           let probe = trace ~seed:(seed + 9) ~requests:8 (Mg.live_nodes mg) in
           match Ss.check_equivalence ss probe with
@@ -855,6 +841,53 @@ let test_reused_rows_never_stale =
       done;
       true)
 
+(* A re-warm whose snapshot does not fit (another metagraph, or another
+   feature width) is refused before the replica changes: no device charge
+   freed or taken, the same engine, the same answers. *)
+let test_refused_rewarm_changes_nothing () =
+  let graph ~ntypes ~etypes ~nodes ~edges =
+    Gen.generate
+      {
+        Gen.name = "stream_misfit";
+        num_ntypes = ntypes;
+        num_etypes = etypes;
+        num_nodes = nodes;
+        num_edges = edges;
+        compaction_target = 0.5;
+        scale = 1.0;
+        seed = 11;
+      }
+  in
+  let mg = make_mg ~slack:0.5 () in
+  let live = Serve.create ~config:serve_config ~graph:(Mg.capacity_graph mg) (rgcn ()) in
+  let snap = Mg.snapshot mg in
+  (match
+     Serve.update_graph live ~graph:snap.Mg.graph ~features:snap.Mg.features ~csr:snap.Mg.csr ()
+   with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  let requests = trace ~seed:5 ~requests:8 (Mg.live_nodes mg) in
+  let bits = output_bits (Serve.serve live requests) in
+  let engine = Serve.engine live in
+  let memory = Engine.memory engine in
+  let used = Memory.used_bytes memory and allocs = Memory.alloc_count memory in
+  let capacity = graph ~ntypes:3 ~etypes:6 ~nodes:400 ~edges:1400 in
+  let other = graph ~ntypes:2 ~etypes:4 ~nodes:100 ~edges:300 in
+  let n = snap.Mg.graph.G.num_nodes in
+  List.iter
+    (fun (label, graph, features) ->
+      (match Serve.rewarm live ~capacity ~graph ~features ~csr:(Csr.incoming graph) with
+      | Ok () -> Alcotest.failf "%s: the re-warm was accepted" label
+      | Error _ -> ());
+      Alcotest.(check (float 0.0)) (label ^ ": used bytes") used (Memory.used_bytes memory);
+      check_int (label ^ ": alloc count") allocs (Memory.alloc_count memory);
+      check_bool (label ^ ": same engine") true (Serve.engine live == engine);
+      check_bool (label ^ ": same answers") true (output_bits (Serve.serve live requests) = bits))
+    [
+      ("metagraph", other, T.zeros [| other.G.num_nodes; feat_dim |]);
+      ("feature width", snap.Mg.graph, T.zeros [| n; feat_dim + 1 |]);
+    ]
+
 let test_metrics_json_envelope () =
   let mg = make_mg ~slack:2.0 () in
   let ss = Ss.create ~config:serve_config ~mg (rgcn ()) in
@@ -903,9 +936,7 @@ let suite =
       test_epoch_rewarm_pins_weights;
     Alcotest.test_case "equivalence check leaves the fault trace" `Quick
       test_check_equivalence_leaves_fault_trace;
-    Alcotest.test_case "pushed deltas apply at micro-batch boundaries" `Quick
-      test_backlog_applies_at_boundaries;
-    Alcotest.test_case "replay validates delta indices" `Quick test_replay_validates_indices;
+    Alcotest.test_case "a refused re-warm changes nothing" `Quick test_refused_rewarm_changes_nothing;
     QCheck_alcotest.to_alcotest test_equivalence_anchor;
     QCheck_alcotest.to_alcotest test_reused_rows_never_stale;
     Alcotest.test_case "stream metrics use the shared envelope" `Quick
