@@ -409,8 +409,13 @@ let cmd_stream =
       let c = Mg.counters mg in
       let replica = Ss.replica server in
       let s = Serve.load_stats replica in
-      Printf.printf "applied %d deltas (%d ops): %d epoch bumps, %d re-warms, %d recompiles\n"
-        c.Mg.deltas c.Mg.ops c.Mg.epochs (Ss.rewarms server) (Ss.recompiles server);
+      let compiles =
+        match Ss.recompiles server with
+        | 1 -> "1 compile (warm-up)"
+        | n -> Printf.sprintf "%d compiles (1 warm-up)" n
+      in
+      Printf.printf "applied %d deltas (%d ops): %d epoch bumps, %d re-warms, %s\n" c.Mg.deltas
+        c.Mg.ops c.Mg.epochs (Ss.rewarms server) compiles;
       Printf.printf "CSR: %d rows patched incrementally, %d full rebuilds, %d compactions\n"
         c.Mg.patched_rows c.Mg.rebuilds c.Mg.compacted;
       Printf.printf "graph now: %d nodes, %d edges (epoch %d, version %d)\n"

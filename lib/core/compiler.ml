@@ -60,7 +60,14 @@ type compiled = {
   weight_ops : Linear_fusion.weight_op list;
 }
 
+(* Every compile in the process, counted here and nowhere else: the one
+   witness each "compiles nothing" check reads.  Atomic, like
+   [Tensor.allocation_count], so a compile on any domain is counted. *)
+let compile_counter = Atomic.make 0
+let compiles () = Atomic.get compile_counter
+
 let compile ?(obs = Hector_obs.disabled) ?(options = default_options) program =
+  Atomic.incr compile_counter;
   Hector_obs.time obs ~kind:"pass" "compile" @@ fun () ->
   (* canonicalize before checking: explicit zero-inits of accumulated
      variables (Listing-1 style) are dropped there, and the checker's shape

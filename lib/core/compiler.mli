@@ -74,3 +74,9 @@ val compile : ?obs:Hector_obs.t -> ?options:options -> Inter_ir.program -> compi
     [check], [linear_fusion], [autodiff], [lowering.forward]/[.backward]
     (which in turn nest [materialization] and [buffer_plan]) and
     [inter_op_fusion] when enabled. *)
+
+val compiles : unit -> int
+(** Calls to {!compile} since program start, on every domain — the one
+    compile witness.  It only grows: callers measure the difference
+    across a region ({!Hector_serve.Serve.compiles} counts a replica's
+    own calls that way). *)

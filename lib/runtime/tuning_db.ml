@@ -3,6 +3,7 @@ module Layout = Hector_core.Layout
 module Gs = Hector_core.Gemm_spec
 module Ts = Hector_core.Traversal_spec
 module G = Hector_graph.Hetgraph
+module Device = Hector_gpu.Device
 
 (* --- graph signatures ------------------------------------------------- *)
 
@@ -115,6 +116,14 @@ let lookup t ~model ~device ~training signature =
               first rest
           in
           Some (Nearest best))
+
+let tuned_options t ~graph program =
+  match
+    lookup t ~model:(Hector_core.Inter_ir.fingerprint program) ~device:Device.rtx3090.Device.name
+      ~training:false (signature graph)
+  with
+  | Some (Exact e) | Some (Nearest e) -> { e.options with Compiler.training = false }
+  | None -> Compiler.default_options
 
 (* --- JSON -------------------------------------------------------------- *)
 

@@ -5,8 +5,8 @@
     training flag)}, as a single JSON file (the path a caller passes:
     [Serve.config.tune_db], [hector serve --db], [hector autotune --db]).
     [hector autotune --db] fills it; serving admission
-    ({!Hector_serve.Plan_cache.tuned_options}) reads it through a fixed
-    ladder that never searches:
+    ({!tuned_options}) reads it through a fixed ladder that never
+    searches:
 
     + {e exact} — an entry whose bucketized signature matches;
     + {e nearest} — the same-shaped entry at smallest log-space signature
@@ -77,6 +77,15 @@ type hit =
 val lookup : t -> model:string -> device:string -> training:bool -> signature -> hit option
 (** Resolve the ladder for one (model, device, training, graph) query.
     [None] means no same-shaped entry exists for the model/device pair. *)
+
+val tuned_options :
+  t -> graph:Hector_graph.Hetgraph.t -> Hector_core.Inter_ir.program -> Hector_core.Compiler.options
+(** The admission-path ladder: resolve inference options for a
+    model/graph pair on the RTX 3090 — exact signature hit, then nearest
+    same-shaped signature, then the fixed
+    {!Hector_core.Compiler.default_options}.  It never searches: the
+    database is filled off the request path ([hector autotune --db]), and
+    this module sits below {!Autotune}. *)
 
 val size : t -> int
 val entries : t -> entry list

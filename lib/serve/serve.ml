@@ -64,7 +64,7 @@ type t = {
   mutable node_capacity : int;  (* warmup graph sizes: staging/arena upper bounds *)
   mutable edge_capacity : int;
   compiled : Compiler.compiled;
-  cache : Plan_cache.t;
+  mutable compiles : int;  (* [Compiler.compile] calls made inside this replica's own calls *)
   inputs : Block.inputs;  (* out_name: the first output, gathered per request *)
   block : Block.t;  (* engine, executor, weights, features and staging *)
   obs : Hector_obs.t;
@@ -105,21 +105,19 @@ let create ?(config = default_config) ?obs ?features ~graph program =
       (Printf.sprintf "Serve.create: max_wait_ms must be non-negative (got %g)" config.max_wait_ms);
   let max_batch = resolve "max_batch" config.max_batch ~default:8 in
   let queue_capacity = resolve "queue_capacity" config.queue_capacity ~default:64 in
+  let compiles0 = Compiler.compiles () in
   let obs = Option.value obs ~default:Hector_obs.disabled in
   let inputs = Block.inputs ~caller:"Serve.create" ?features ~graph program in
-  let cache = Plan_cache.create ~obs () in
   (* admission-time options ladder: explicit config > tuning-DB hit (exact,
      then nearest signature bucket) > fixed defaults.  Admission never
      searches. *)
   let options =
     match (config.options, config.tune_db) with
     | Some o, _ -> { o with Compiler.training = false }
-    | None, Some path -> Plan_cache.tuned_options (Tuning_db.load path) ~graph program
+    | None, Some path -> Tuning_db.tuned_options (Tuning_db.load path) ~graph program
     | None, None -> Compiler.default_options
   in
-  let compiled =
-    Plan_cache.get cache ~model:config.model ~graph:graph.G.name ~options program
-  in
+  let compiled = Compiler.compile ~obs ~options program in
   let block =
     Block.create ~obs ~weights:config.weights ?features ~origin:"serve" ~seed:config.seed ~graph
       inputs compiled
@@ -130,7 +128,7 @@ let create ?(config = default_config) ?obs ?features ~graph program =
     node_capacity = graph.G.num_nodes;
     edge_capacity = graph.G.num_edges;
     compiled;
-    cache;
+    compiles = Compiler.compiles () - compiles0;
     inputs;
     block;
     obs;
@@ -159,6 +157,12 @@ let create ?(config = default_config) ?obs ?features ~graph program =
     batch_hist = Hashtbl.create 8;
     sim_ms = 0.0;
   }
+
+(* Run one of the replica's calls, adding the compiles made meanwhile to
+   [t.compiles]: a replica counts its own compiles, not the process's. *)
+let counting t f =
+  let c0 = Compiler.compiles () in
+  Fun.protect ~finally:(fun () -> t.compiles <- t.compiles + (Compiler.compiles () - c0)) f
 
 (* Why a snapshot cannot be served from a block warmed on a graph of
    [node_capacity] nodes and [edge_capacity] edges, if it cannot. *)
@@ -197,11 +201,12 @@ let install t ~graph ?features ?rows ~csr () =
 
 (* Swap the served graph for a new snapshot of the same mutable parent —
    the streaming subsystem's in-slack path.  Within the warm capacity this
-   recompiles nothing and reallocates nothing: the plan-cache key, arena
+   recompiles nothing and reallocates nothing: the compiled plan, arena
    backings, staging tensors and the parent-features storage all survive.
    A snapshot beyond the warm capacity is refused — that is the epoch
    boundary, where the caller calls [rewarm] instead. *)
 let update_graph t ~(graph : G.t) ?features ?rows ?csr () =
+  counting t @@ fun () ->
   match
     misfit t ~fn:"Serve.update_graph" ~node_capacity:t.node_capacity
       ~edge_capacity:t.edge_capacity ~graph ?features ?rows ()
@@ -222,6 +227,7 @@ let device_ms t = Engine.elapsed_ms (engine t)
    and install the snapshot.  The capacity graph is only sized against,
    never served, so its CSR is never built. *)
 let rewarm t ~(capacity : G.t) ~graph ~features ~csr =
+  counting t @@ fun () ->
   match
     misfit t ~fn:"Serve.rewarm" ~node_capacity:capacity.G.num_nodes
       ~edge_capacity:capacity.G.num_edges ~graph ~features ()
@@ -237,7 +243,7 @@ let rewarm t ~(capacity : G.t) ~graph ~features ~csr =
 
 (* Execute one coalesced batch: union-sample a block as deep as the
    forward reads, stage it onto the replica ({!Block.stage}), run the
-   cached forward plan on the rebound executor, and gather each
+   compiled forward plan on the rebound executor, and gather each
    request's seed rows out of the output. *)
 let run_batch t (batch : Workload.request array) =
   Hector_obs.time t.obs ~kind:"run" "serve.batch" @@ fun () ->
@@ -274,13 +280,14 @@ let shed_response r =
   }
 
 (* Discrete-event serving loop over one arrival trace (an independent
-   episode: the simulated admission clock restarts at zero, while plan
-   cache, executor and load accounting persist across calls).  The batch
+   episode: the simulated admission clock restarts at zero, while the
+   compiled plan, executor and load accounting persist across calls).  The batch
    former dispatches when the server is free and either [max_batch]
    requests are queued or the oldest has waited [max_wait_ms] (or no
    arrival can improve the batch).  Arrivals seen while the queue holds
    [queue_capacity] requests are shed. *)
 let serve t (requests : Workload.request array) =
+  counting t @@ fun () ->
   let n = Array.length requests in
   Array.iteri
     (fun i r ->
@@ -505,17 +512,15 @@ let metrics_json t =
         ( "batch_hist",
           Obj (List.map (fun (size, count) -> (string_of_int size, int count)) s.batch_histogram)
         );
-        ( "plan_cache",
-          Obj
-            [
-              ("hits", int (Plan_cache.hits t.cache)); ("misses", int (Plan_cache.misses t.cache));
-            ] );
+        ("compiles", int t.compiles);
         ("launches_per_request", Num s.launches_per_request);
         ("alloc_count", int (Memory.alloc_count (Engine.memory (engine t))));
         ("sim_elapsed_ms", Num t.sim_ms);
       ]
 
-let plan_cache t = t.cache
+let compiles t = t.compiles
+let plan_cache t = t.compiles
+let compiled t = t.compiled
 let obs t = t.obs
 let served t = t.served
 let shed t = t.shed

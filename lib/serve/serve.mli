@@ -1,5 +1,5 @@
-(** An inference serving replica: dynamic micro-batching, plan caching and
-    admission control over the existing compile/execute stack.
+(** An inference serving replica: dynamic micro-batching and admission
+    control over the existing compile/execute stack.
 
     A replica binds one model program to one parent graph.  Requests (seed
     node sets, from {!Workload} or elsewhere) are admitted into a bounded
@@ -19,9 +19,10 @@
 
     {2 Steady-state guarantees}
 
-    Warmup ({!create}) compiles the plan into a {!Plan_cache} and warms a
+    Warmup ({!create}) compiles the plan once and warms a
     {!Hector_runtime.Block} replica at parent capacity.  After that,
-    serving performs {e zero compiles} ({!Plan_cache.misses}) and {e zero}
+    serving performs {e zero compiles} ({!compiles} stays at one, read
+    off {!Hector_core.Compiler.compiles}) and {e zero}
     device allocations ({!Hector_gpu.Memory.alloc_count} against
     {!warm_alloc_count}).  Each projected feature row [h\[u\] · W\[s\]]
     is computed on the host once per replica, not once per batch
@@ -40,7 +41,7 @@
 module Tensor = Hector_tensor.Tensor
 
 type config = {
-  model : string;  (** plan-cache key; name of the served model *)
+  model : string;  (** name of the served model *)
   fanout : int;  (** sampler in-edge cap per node per hop *)
   hops : int;
       (** upper bound on the sampling depth: a batch samples
@@ -98,7 +99,7 @@ type t
 val create :
   ?config:config -> ?obs:Hector_obs.t -> ?features:Tensor.t ->
   graph:Hector_graph.Hetgraph.t -> Hector_core.Inter_ir.program -> t
-(** Build and warm a replica: compile (through the plan cache), then warm
+(** Build and warm a replica: compile the plan, then warm
     a {!Hector_runtime.Block} replica over [graph] (weights and features
     seeded from [config.seed], executor arenas and staging primed at
     parent capacity, no forward run, clock reset).  [features]
@@ -125,7 +126,7 @@ val update_graph :
 (** Swap the served graph for a newer snapshot of the same logical graph —
     the in-slack path of {!Hector_stream}.  Within the warm capacity (the
     warmup graph's node and edge counts) this performs {e zero} compiles
-    and {e zero} allocations: the cached plan, the executor and its arena
+    and {e zero} allocations: the compiled plan, the executor and its arena
     backings, and the staging tensors all survive.  [features] (which must be [num_nodes ×
     feature_dim]) is copied into the existing parent feature storage in
     place: only the written rows [rows], when given — the rows that
@@ -154,8 +155,8 @@ val rewarm :
     keeping its engine, executor, compiled plan and weights, so nothing
     recompiles; then [graph], [features] (every row) and [csr] go in as
     {!update_graph} would install them.  [capacity] is only sized
-    against, never served, so no CSR of it is built.  Every counter, the
-    plan cache and the fault plan keep running; {!warm_alloc_count}
+    against, never served, so no CSR of it is built.  Every counter and
+    the fault plan keep running; {!warm_alloc_count}
     becomes the count after the growth.  Returns [Error] without changing
     anything when the snapshot would not fit [capacity] (node or edge
     count, metagraph shape or feature shape). *)
@@ -164,8 +165,8 @@ val serve : t -> Workload.request array -> response array
 (** Run the discrete-event loop over one arrival trace (sorted by
     arrival; raises [Invalid_argument] otherwise) and return one response
     per request, in trace order.  Each call is an independent episode
-    starting at simulated time 0; plan cache, executor, weights and load
-    accounting persist across calls.  Requests whose seeds are empty or
+    starting at simulated time 0; the compiled plan, executor, weights and
+    load accounting persist across calls.  Requests whose seeds are empty or
     out of range for the {e current} snapshot (e.g. a node tombstoned by
     a delta since the client drew its ids) are {e rejected} — counted in
     {!rejected}, response output [None] — rather than raising. *)
@@ -196,7 +197,7 @@ val metrics_json : t -> Hector_json.t
     ["elapsed_ms"], ["launches"], ["comm"]): request/served/shed/batch
     counts, the hop bound and the hops each batch samples, mean batch
     size, throughput (req/s), latency p50/p95/p99/mean,
-    mean queue wait, batch-size histogram, plan cache hits/misses, kernel
+    mean queue wait, batch-size histogram, [compiles] ({!compiles}), kernel
     launches per served request, allocator [alloc_count] and accumulated
     simulated time. *)
 
@@ -215,7 +216,20 @@ val engine : t -> Hector_gpu.Engine.t
 (** The replica's engine (clock, stats, memory), the same for its whole
     life. *)
 
+val compiles : t -> int
+(** {!Hector_core.Compiler.compile} calls made inside this replica's own
+    calls ({!create}, {!update_graph}, {!rewarm} and {!serve}), read off
+    {!Hector_core.Compiler.compiles} before and after each: [1], the
+    warm-up compile, for a replica's whole life.  Compiles made elsewhere
+    in the process, another replica's included, are not counted. *)
+
+val compiled : t -> Hector_core.Compiler.compiled
+(** The plan {!create} compiled, the same object for the replica's whole
+    life — the key its executor's arenas are found by. *)
+
 val plan_cache : t -> Plan_cache.t
+(** {!compiles}, for the frozen end-to-end bench harness only (see
+    {!Plan_cache}). *)
 
 val obs : t -> Hector_obs.t
 

@@ -1,6 +1,5 @@
 module Serve = Hector_serve.Serve
 module Workload = Hector_serve.Workload
-module Plan_cache = Hector_serve.Plan_cache
 module Tensor = Hector_tensor.Tensor
 
 type t = {
@@ -139,7 +138,7 @@ let check_equivalence ?(tol = 1e-6) t requests =
              !max_diff tol)
       else Ok !max_diff
 
-let recompiles t = Plan_cache.misses (Serve.plan_cache t.live)
+let recompiles t = Serve.compiles t.live
 let served t = Serve.served t.live
 let shed t = Serve.shed t.live
 let rejected t = Serve.rejected t.live

@@ -59,9 +59,12 @@ val check_equivalence :
     disagreement otherwise. *)
 
 val recompiles : t -> int
-(** Plan-cache misses over the subsystem's lifetime: [1], the warmup
-    compile — neither an in-slack delta nor an epoch re-warm compiles.
-    The bench gate and a CLI test pin it at [1]. *)
+(** Compiles made by the replica's own calls over the subsystem's
+    lifetime ({!Hector_serve.Serve.compiles}), the warm-up compile
+    included: [1], since neither an in-slack delta, an epoch re-warm nor
+    a served batch compiles.  The scratch replica {!check_equivalence}
+    builds is not counted.  The bench gate and a CLI test pin it at
+    [1]. *)
 
 val rewarms : t -> int
 (** Replica re-warms (= epoch bumps observed). *)

@@ -9,7 +9,6 @@ module Gen = Hector_graph.Generator
 module Engine = Hector_gpu.Engine
 module Memory = Hector_gpu.Memory
 module Workload = Hector_serve.Workload
-module Plan_cache = Hector_serve.Plan_cache
 module Serve = Hector_serve.Serve
 
 let check_bool = Alcotest.(check bool)
@@ -117,27 +116,14 @@ let test_batching_amortizes_launches () =
 let test_steady_state_no_compile_no_alloc () =
   let graph = Lazy.force parent in
   let server = Serve.create ~config:(exact_config graph) ~graph (rgcn ()) in
-  check_int "one compile at warmup" 1 (Plan_cache.misses (Serve.plan_cache server));
+  check_int "one compile at warmup" 1 (Serve.compiles server);
   check_int "warmup allocations settled" (Serve.warm_alloc_count server) (alloc_count server);
   ignore (Serve.serve server (trace graph));
   check_int "serving allocates nothing" (Serve.warm_alloc_count server) (alloc_count server);
   ignore (Serve.serve server (trace ~requests:9 graph));
   check_int "still nothing on later episodes" (Serve.warm_alloc_count server)
     (alloc_count server);
-  let cache = Serve.plan_cache server in
-  check_int "still exactly one compile" 1 (Plan_cache.misses cache);
-  (* serving never consults the cache: the replica holds the plan warmup
-     compiled, the only one this cache has ever compiled, so a lookup of
-     the replica's key hits it *)
-  check_int "serving looks nothing up" 0 (Plan_cache.hits cache);
-  let lookup () =
-    Plan_cache.get cache ~model:"rgcn" ~graph:graph.G.name
-      ~options:Hector_core.Compiler.default_options (rgcn ())
-  in
-  let served = lookup () in
-  check_int "re-lookup hits" 1 (Plan_cache.hits cache);
-  check_int "re-lookup compiles nothing" 1 (Plan_cache.misses cache);
-  check_bool "the cache returns one plan object" true (lookup () == served)
+  check_int "still exactly one compile" 1 (Serve.compiles server)
 
 let bits t =
   let data, off = T.storage t in
@@ -167,10 +153,7 @@ let test_warmup_leaves_no_trace () =
       in
       let plain = Serve.create ~config ~graph program in
       let twin = Serve.create ~config ~graph program in
-      let compiled =
-        Plan_cache.get (Serve.plan_cache twin) ~model ~graph:graph.G.name
-          ~options:{ options with Compiler.training = false } program
-      in
+      let compiled = Serve.compiled twin in
       let exec = Serve.exec twin in
       List.iter
         (function
@@ -334,9 +317,7 @@ let test_metrics_json () =
     (fun key -> ignore (Json_schema.num doc key))
     [ "throughput_rps"; "mean_batch"; "launches_per_request"; "sim_elapsed_ms" ];
   check_int "shed printed" (Serve.shed server) (Json_schema.int doc "shed");
-  check_int "plan cache misses printed"
-    (Plan_cache.misses (Serve.plan_cache server))
-    (Json_schema.int (Json_schema.field doc "plan_cache") "misses");
+  check_int "compiles printed" (Serve.compiles server) (Json_schema.int doc "compiles");
   (match Json_schema.field doc "batch_hist" with
   | Hector_json.Obj sizes as hist ->
       check_int "batch_hist counts every batch" (Serve.batches server)
@@ -517,11 +498,8 @@ let layouts =
 (* The seeds' outputs of each request, run on its whole [hops]-hop
    block: one request per batch, sampled with the seed [Serve.run_batch]
    draws for a batch that request leads. *)
-let whole_block_outputs server ~graph ~features ~fanout ~hops ~model program requests =
-  let compiled =
-    Plan_cache.get (Serve.plan_cache server) ~model ~graph:graph.G.name
-      ~options:Compiler.default_options program
-  in
+let whole_block_outputs server ~graph ~features ~fanout ~hops program requests =
+  let compiled = Serve.compiled server in
   let inputs = Block.inputs ~caller:"test" ~features ~graph program in
   let replica =
     Block.create ~weights:(Serve.model_weights server) ~features ~origin:"test" ~seed:1 ~graph inputs
@@ -596,7 +574,7 @@ let test_depth_is_the_programs () =
               let server = Serve.create ~config ~features ~graph program in
               let served = outputs_of (Serve.serve server requests) in
               let whole =
-                whole_block_outputs server ~graph ~features ~fanout ~hops ~model program requests
+                whole_block_outputs server ~graph ~features ~fanout ~hops program requests
               in
               Array.iteri
                 (fun i o ->

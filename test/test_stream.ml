@@ -710,6 +710,30 @@ let test_check_equivalence_leaves_fault_trace () =
   check_bool "fault trace unchanged by the check" true
     (Hector_ckpt.Fault.events faults = events)
 
+(* A stream counts its own replica's compiles only.  The scratch replica
+   [check_equivalence] builds compiles, and so does an autotuner search
+   run between the stream's calls: the process-wide witness moves, while
+   [recompiles] stays at the warm-up compile. *)
+let test_counts_only_own_compiles () =
+  let module Compiler = Hector_core.Compiler in
+  let mg = make_mg ~slack:2.0 () in
+  let ss = Ss.create ~config:serve_config ~mg (rgcn ()) in
+  check_int "the warm-up compile" 1 (Ss.recompiles ss);
+  let c0 = Compiler.compiles () in
+  (match Ss.check_equivalence ss (trace ~seed:81 ~requests:6 (Mg.live_nodes mg)) with
+  | Ok d -> check_bool "equivalent" true (d <= 1e-6)
+  | Error m -> Alcotest.fail m);
+  let c1 = Compiler.compiles () in
+  check_int "the scratch replica compiles once" (c0 + 1) c1;
+  check_int "its compile is not the stream's" 1 (Ss.recompiles ss);
+  ignore (Hector_runtime.Autotune.search ~graph:(Mg.capacity_graph mg) (rgcn ()));
+  check_bool "the search compiles" true (Compiler.compiles () > c1);
+  (match Ss.apply ss (gen_delta mg ~seed:82 ~ops:10) with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  ignore (Ss.serve ss (trace ~seed:83 ~requests:6 (Mg.live_nodes mg)));
+  check_int "nor the search's" 1 (Ss.recompiles ss)
+
 (* THE correctness anchor: a replica that lived through a random delta
    trace answers exactly like one rebuilt from scratch over the final
    snapshot — across models and domain counts *)
@@ -937,6 +961,7 @@ let suite =
     Alcotest.test_case "equivalence check leaves the fault trace" `Quick
       test_check_equivalence_leaves_fault_trace;
     Alcotest.test_case "a refused re-warm changes nothing" `Quick test_refused_rewarm_changes_nothing;
+    Alcotest.test_case "a stream counts only its own compiles" `Quick test_counts_only_own_compiles;
     QCheck_alcotest.to_alcotest test_equivalence_anchor;
     QCheck_alcotest.to_alcotest test_reused_rows_never_stale;
     Alcotest.test_case "stream metrics use the shared envelope" `Quick
